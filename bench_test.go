@@ -196,15 +196,8 @@ func BenchmarkInterp(b *testing.B) {
 	benchmarkInterp(b, interp.Config{})
 }
 
-// BenchmarkInterpClosures runs the same executions on the slot-indexed
-// closure engine (the previous fast path), so the VM's gain over it stays
-// measured release to release.
-func BenchmarkInterpClosures(b *testing.B) {
-	benchmarkInterp(b, interp.Config{Closures: true})
-}
-
 // BenchmarkInterpTreeWalk runs the same executions on the reference
-// tree-walking evaluator, so the compiled paths' gain stays measured.
+// tree-walking evaluator, so the VM's gain stays measured.
 func BenchmarkInterpTreeWalk(b *testing.B) {
 	benchmarkInterp(b, interp.Config{TreeWalk: true})
 }
@@ -214,7 +207,7 @@ func benchmarkInterp(b *testing.B, base interp.Config) {
 		b.Run(app.Name, func(b *testing.B) {
 			prog := app.Parse()
 			w := bench.Workload{B: app}
-			if !base.Closures && !base.TreeWalk {
+			if !base.TreeWalk {
 				// The production path (tasks.runWorkload) runs every
 				// profiled execution through a shared program cache keyed
 				// by the program fingerprint, so repeated runs reuse one

@@ -8,8 +8,8 @@ import (
 )
 
 // This file holds the arithmetic, charging, and store semantics shared by
-// the tree-walking evaluator (eval.go) and the compiled fast path
-// (compile.go). Keeping a single implementation is what makes the two
+// the tree-walking evaluator (eval.go) and the bytecode fast path
+// (bytecode_exec.go). Keeping a single implementation is what makes the two
 // execution modes bit-for-bit equivalent: every cycle charge, FLOP count,
 // and error message happens in exactly one place, in exactly one order.
 

@@ -8,10 +8,10 @@ import (
 
 // The register-based bytecode fast path. Run lowers every function of the
 // program once into a flat instruction stream over numbered value slots
-// (registers): variables resolve to stable registers exactly as in the
-// closure compiler (compile.go), expression temporaries occupy a reused
-// region above them, and a single dispatch loop (bytecode_exec.go)
-// replaces the per-node closure calls of the compiled path. A fusion pass
+// (registers): variables resolve to stable registers at lowering time,
+// expression temporaries occupy a reused region above them, and a single
+// dispatch loop (bytecode_exec.go) replaces the tree-walker's per-node
+// recursion and scope-map lookups. A fusion pass
 // built into the lowering emits superinstructions for the dominant
 // benchmark patterns — load-binop-store (opBinAssignVar), indexed array
 // read/accumulate (fused index operands on assignments), compare-and-
@@ -21,11 +21,11 @@ import (
 // Semantics — step accounting (including the exact position each budget
 // check reports), cycle charging order, loop profiles, memory tracing,
 // alias observation, captured output, and every error message — are
-// bit-for-bit identical to the tree-walker and the closure path: all
-// value/cost semantics live in the shared helpers of apply.go, and the
-// lowering reproduces the closure compiler's accounting sequence
-// instruction by instruction. The three-way equivalence suite
-// (bytecode_test.go) holds all three engines to the bit under -race.
+// bit-for-bit identical to the tree-walker: all value/cost semantics
+// live in the shared helpers of apply.go, and the lowering reproduces
+// the walker's accounting sequence instruction by instruction. The
+// two-way equivalence suite (bytecode_diff_test.go, compile_test.go)
+// holds both engines to the bit under -race.
 //
 // Cancellation polling is folded into loop back-edges and function entry
 // (opLoopBack / callBytecode) rather than every statement step, so the
@@ -93,7 +93,7 @@ const (
 const opQFirst = opQBinFF
 
 // Operand fetch modes. The fused modes reproduce exactly the accounting
-// the corresponding standalone closure (compile.go) would perform.
+// the tree-walker performs evaluating the same operand expression.
 const (
 	omNone  uint8 = iota // operand absent
 	omPlain              // read a register; the producer already accounted
@@ -111,7 +111,7 @@ type FusePat uint8
 
 // The fusion patterns. Any subset lowers to a bit-for-bit equivalent
 // program: a disabled pattern simply takes the general materialization
-// path, whose accounting the closure oracle already defines.
+// path, whose accounting the tree-walking oracle already defines.
 const (
 	FuseNone       FusePat = iota
 	FuseBinary             // fused opBinary (inline operand fetches)
@@ -173,9 +173,9 @@ type bopnd struct {
 }
 
 // btarget is a (possibly fused) index target base[idx]. When fused is
-// set, the index value is the fused binary idx ⊕ idxB — reproducing the
-// closure path, where a binary index expression compiles to the inlined
-// binary closure. When fused2 is also set, the index is the two-level
+// set, the index value is the fused binary idx ⊕ idxB, evaluated inside
+// the consuming instruction with the accounting of the tree-walker's
+// binary eval. When fused2 is also set, the index is the two-level
 // binary (idx2a ⊕₂ idx2b) ⊕ idxB — the row-major pattern a[i*K+j] — and
 // the inner result takes the outer binary's left-operand place (idx is
 // unused). idx2a/idx2b come from fuseSimple, so they are always omVar or
@@ -248,8 +248,8 @@ type bprog struct {
 const tempBit = int32(1) << 28
 
 // bcompiler carries per-function lowering state. Variable registers are
-// allocated exactly as the closure compiler allocates slots (never
-// reused, so shadowing resolves identically); temporaries are a LIFO
+// never reused, so shadowing resolves exactly as the tree-walker's
+// nested scopes do; temporaries are a LIFO
 // region rewritten above the variables once their count is known.
 type bcompiler struct {
 	prog   *minic.Program
@@ -271,7 +271,7 @@ type bloopCtx struct {
 }
 
 // compileBytecode lowers every function of prog under the given fusion
-// policy. Like compileProgram it never fails: constructs the tree-walker
+// policy. It never fails: constructs the tree-walker
 // would only reject at runtime lower to opErrMsg instructions producing
 // the identical error, so unexecuted dead code stays legal. Any policy
 // lowers to a bit-for-bit equivalent program — a disabled pattern takes
@@ -379,7 +379,7 @@ func tgtSteps(t *btarget) int32 {
 }
 
 // instrSteps computes an instruction's static step count — the exact
-// number of fine-grained steps the closure path charges for the same
+// number of fine-grained steps the tree-walker charges for the same
 // work. The dispatch loop batches the whole count into one budget check;
 // execPrecise replays per-step when the batch detects a crossing. Every
 // counted step precedes the instruction's stepless tail (combine, store,
@@ -438,8 +438,8 @@ func (c *bcompiler) finalize(bf *bfunc) {
 	}
 }
 
-// fuseSimple builds a fused operand for the shapes the closure compiler's
-// operand() flattens: resolved identifiers and literals.
+// fuseSimple builds a fused operand for the leaf shapes: resolved
+// identifiers and literals.
 func (c *bcompiler) fuseSimple(e minic.Expr) (bopnd, bool) {
 	pos := e.NodePos()
 	switch v := e.(type) {
@@ -463,8 +463,8 @@ func (c *bcompiler) fuseSimple(e minic.Expr) (bopnd, bool) {
 // fuseOperand extends fuseSimple with indexed loads whose base is a
 // resolved variable and whose index is simple or a simple⊕simple binary —
 // the accumulate patterns (s += a[i], x = p[i*3]) fuse into one
-// instruction. The fetch accounting matches the standalone IndexExpr
-// closure exactly.
+// instruction. The fetch accounting matches the tree-walker's IndexExpr
+// eval exactly.
 func (c *bcompiler) fuseOperand(e minic.Expr) (bopnd, bool) {
 	if o, ok := c.fuseSimple(e); ok {
 		return o, true
@@ -598,8 +598,8 @@ func (c *bcompiler) compileStmt(s minic.Stmt, pre []minic.Pos) {
 	}
 }
 
-// emitEscaped lowers a break/continue outside any loop: the closure path
-// surfaces it when control reaches callCompiled, with the function's
+// emitEscaped lowers a break/continue outside any loop: the tree-walker
+// surfaces it when control reaches machine.call, with the function's
 // position.
 func (c *bcompiler) emitEscaped(pre []minic.Pos, pos minic.Pos) {
 	c.emit(binstr{op: opErrMsg, pre: withPos(pre, pos), pos: c.curFn.NodePos(),
@@ -765,7 +765,7 @@ func (c *bcompiler) compileWhile(w *minic.WhileStmt, pre []minic.Pos) {
 
 // compileExprTo lowers e so its value lands in register dst (-1 discards
 // the value but performs all accounting). pre is charged before e's own
-// step, preserving the closure path's statement-then-expression order.
+// step, preserving the tree-walker's statement-then-expression order.
 func (c *bcompiler) compileExprTo(e minic.Expr, dst int32, pre []minic.Pos) {
 	pos := e.NodePos()
 	switch v := e.(type) {
@@ -853,8 +853,8 @@ func (c *bcompiler) compileBinaryTo(b *minic.BinaryExpr, dst int32, pre []minic.
 		c.code[short].jmp = c.here()
 		return
 	}
-	// The fused binary: operands resolve exactly as the closure operand()
-	// does, with indexed loads additionally flattened. The binary's own
+	// The fused binary: leaf operands and indexed loads are fetched
+	// inside the instruction. The binary's own
 	// step rides in the instruction's pre list.
 	var l, r bopnd
 	var lok, rok bool
@@ -870,7 +870,7 @@ func (c *bcompiler) compileBinaryTo(b *minic.BinaryExpr, dst int32, pre []minic.
 	// At least one complex operand: the binary's step precedes the first
 	// operand's instructions, and any fused operand *before* a complex one
 	// materializes (via opEval, with identical accounting) so the fetch
-	// order stays exactly the closure path's.
+	// order stays exactly the tree-walker's.
 	carry := withPos(pre, pos)
 	var ntemps int32
 	t := c.tempAlloc()
@@ -917,7 +917,7 @@ func (c *bcompiler) materializeTarget(ix *minic.IndexExpr, pre []minic.Pos) (*bt
 		// The index resolves inside the consuming instruction, so only the
 		// base needs materializing (fuseTarget already failed, so the base
 		// is complex). Base eval → bufOf → index fetch → bounds then run in
-		// sequence inside the consumer, exactly the closure resolve order.
+		// sequence inside the consumer, exactly the tree-walker's resolve order.
 		t := c.tempAlloc()
 		c.compileExprTo(ix.Base, t, pre)
 		tgt.base = bopnd{mode: omPlain, ref: t}
@@ -933,7 +933,7 @@ func (c *bcompiler) materializeTarget(ix *minic.IndexExpr, pre []minic.Pos) (*bt
 		}
 		return tgt, ntemps
 	}
-	// Complex index: the closure resolve order is base eval (with its own
+	// Complex index: the tree-walker's resolve order is base eval (with its own
 	// accounting) → bufOf → index eval → bounds, so the base materializes
 	// first — a fusible base lowers to opEval with identical accounting —
 	// then the buffer check runs before the index expression evaluates.

@@ -1,11 +1,10 @@
 package interp_test
 
-// Three-way differential suite for the register bytecode VM: the default
-// engine must be bit-for-bit equivalent to BOTH reference oracles — the
-// slot-indexed closure engine and the tree-walking evaluator — across the
-// bundled benchmark corpus, error paths, and fuzzed programs. CI's
-// bench-smoke gate runs this file under -race (scripts/ci.sh) and also
-// checks the VM never takes its defensive closure fallback on the corpus.
+// Two-way differential suite for the register bytecode VM: the default
+// engine must be bit-for-bit equivalent to the reference oracle — the
+// tree-walking evaluator — across the bundled benchmark corpus, error
+// paths, and fuzzed programs. It also checks the VM never takes its
+// defensive tree-walk fallback on the corpus.
 
 import (
 	"fmt"
@@ -17,14 +16,13 @@ import (
 	"psaflow/internal/minic"
 )
 
-// engines enumerates the three execution paths by the Config flags that
+// engines enumerates the two execution paths by the Config flags that
 // select them; the zero value is the default bytecode VM.
 var engines = []struct {
 	name string
 	cfg  func(interp.Config) interp.Config
 }{
 	{"bytecode", func(c interp.Config) interp.Config { return c }},
-	{"closures", func(c interp.Config) interp.Config { c.Closures = true; return c }},
 	{"treewalk", func(c interp.Config) interp.Config { c.TreeWalk = true; return c }},
 }
 
@@ -33,11 +31,11 @@ type mapCounters map[string]int64
 
 func (m mapCounters) Add(name string, delta int64) { m[name] += delta }
 
-// TestThreeWayEquivalenceBenchmarks pushes all five benchmark
-// applications through every engine and asserts the entire observable
+// TestTwoWayEquivalenceBenchmarks pushes all five benchmark
+// applications through both engines and asserts the entire observable
 // surface — profile, output, steps, final buffer contents — matches the
 // bytecode run.
-func TestThreeWayEquivalenceBenchmarks(t *testing.T) {
+func TestTwoWayEquivalenceBenchmarks(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -71,11 +69,11 @@ func TestThreeWayEquivalenceBenchmarks(t *testing.T) {
 	}
 }
 
-// TestThreeWayEquivalenceErrors asserts all three engines fail with
+// TestTwoWayEquivalenceErrors asserts both engines fail with
 // byte-identical error messages, positions included, on the failure modes
 // a flow can hit mid-DSE: runtime faults, unresolved names, bounds
 // violations, and the step budget.
-func TestThreeWayEquivalenceErrors(t *testing.T) {
+func TestTwoWayEquivalenceErrors(t *testing.T) {
 	mkBuf := func() []interp.Value {
 		return []interp.Value{interp.BufVal(interp.NewFloatBuffer("a", minic.Double, make([]float64, 3)))}
 	}
@@ -119,7 +117,7 @@ int f() { int s = 0; for (int i = 0; i < 1000000; i++) { s = leaf(s); } return s
 // TestBytecodeNoFallbackOnBenchmarks is the no-regression gate for the
 // lowering: every bundled benchmark must execute on the bytecode VM
 // proper — instructions dispatched, zero defensive fallbacks to the
-// closure engine. scripts/ci.sh fails the build when this trips.
+// tree-walker. scripts/ci.sh fails the build when this trips.
 func TestBytecodeNoFallbackOnBenchmarks(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
@@ -131,7 +129,7 @@ func TestBytecodeNoFallbackOnBenchmarks(t *testing.T) {
 				t.Fatal(err)
 			}
 			if n := ctrs[interp.CounterBCFallbacks]; n != 0 {
-				t.Errorf("%s fell back to the closure engine (%s=%d)",
+				t.Errorf("%s fell back to the tree-walker (%s=%d)",
 					b.Name, interp.CounterBCFallbacks, n)
 			}
 			if ctrs[interp.CounterBCInstrs] == 0 {
@@ -176,7 +174,7 @@ func fuzzArgs(fn *minic.FuncDecl) ([]interp.Value, bool) {
 // FuzzBytecodeDiff is the lowering's differential fuzzer: any program the
 // front end accepts must behave identically on the bytecode VM and the
 // tree-walking reference — same result surface on success, byte-identical
-// error otherwise, and never a panic or a closure fallback. Seeded with
+// error otherwise, and never a panic or a tree-walk fallback. Seeded with
 // the benchmark corpus like minic's FuzzParse.
 func FuzzBytecodeDiff(f *testing.F) {
 	for _, b := range bench.All() {
@@ -212,7 +210,7 @@ func FuzzBytecodeDiff(f *testing.F) {
 				Entry: fn.Name, Args: twArgs, MaxSteps: budget, TreeWalk: true,
 			})
 			if ctrs[interp.CounterBCFallbacks] != 0 {
-				t.Errorf("%s: lowering fell back to closures", fn.Name)
+				t.Errorf("%s: lowering fell back to the tree-walker", fn.Name)
 			}
 			switch {
 			case (bcErr == nil) != (twErr == nil):

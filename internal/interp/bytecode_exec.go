@@ -10,7 +10,7 @@ import (
 // The bytecode dispatch loop. One flat for/switch executes a lowered
 // function (bytecode.go); all value, cost, and error semantics mirror the
 // shared helpers in apply.go / eval.go so the engine stays bit-for-bit
-// equivalent to the tree-walker and the closure path.
+// equivalent to the tree-walker.
 //
 // Two things make this loop fast without breaking equivalence:
 //
@@ -20,7 +20,7 @@ import (
 //     fine-grained step. When the batch detects that the budget is crossed
 //     inside the instruction, it rolls the batch back and execPrecise
 //     replays the instruction with per-step checks, reproducing the exact
-//     error the closure path reports. Between the checks of one
+//     error the tree-walker reports. Between the checks of one
 //     instruction there is no observation point — loop attribution, watch
 //     transitions, and Run's final snapshot all happen at instruction or
 //     call boundaries, and Run discards the profile on error — so batching
@@ -45,7 +45,7 @@ type bframe struct {
 	loops []bactive
 }
 
-// callBytecode invokes a lowered function, mirroring callCompiled. The
+// callBytecode invokes a lowered function, mirroring machine.call. The
 // escaped-break/continue check has no runtime counterpart here: the
 // lowering already rewrote escaped control flow into opErrMsg.
 func (m *machine) callBytecode(bf *bfunc, args []Value, pos minic.Pos) (Value, error) {
@@ -122,7 +122,7 @@ func (m *machine) freeFrame(fr *bframe) {
 // execBytecode runs the dispatch loop and then attributes any still-open
 // loop timers — a return halts mid-loop, and errors unwind. No cycles are
 // charged between the halt and the attribution, so the totals equal the
-// closure path's deferred per-loop attributions exactly.
+// tree-walker's deferred per-loop attributions exactly.
 func (m *machine) execBytecode(bf *bfunc, fr *bframe) error {
 	err := m.dispatch(bf, fr)
 	for i := len(fr.loops) - 1; i >= 0; i-- {
@@ -541,7 +541,7 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 					cv = BoolVal(v.AsBool())
 				default:
 					if cv, err = m.coerce(v, in.typ, in.pos); err != nil {
-						return err // plain coerce error, as in the closure path
+						return err // plain coerce error, as in the tree-walker
 					}
 				}
 			} else {
@@ -1610,7 +1610,7 @@ func (m *machine) operandNB(fr *bframe, o *bopnd) (Value, error) {
 }
 
 // resolveTgtNB resolves a (possibly fused) index target without step
-// accounting, preserving the closure path's order: base fetch, buffer
+// accounting, preserving the tree-walker's order: base fetch, buffer
 // check, index evaluation, bounds check.
 func (m *machine) resolveTgtNB(fr *bframe, t *btarget) (*Buffer, int64, error) {
 	regs := fr.regs
@@ -1782,7 +1782,7 @@ func (m *machine) resolveTgtNB(fr *bframe, t *btarget) (*Buffer, int64, error) {
 // instruction's stepless tail (combine, store, branch, call), so replaying
 // the step-generating prefix — pre-steps, the instruction's own step,
 // operand fetches, target resolution — reproduces the exact error the
-// closure path reports: a budget error at the precise sub-step position,
+// tree-walker reports: a budget error at the precise sub-step position,
 // or the first runtime error that textually precedes it.
 func (m *machine) execPrecise(fr *bframe, in *binstr) error {
 	for _, p := range in.pre {
@@ -1834,7 +1834,7 @@ func (m *machine) execPrecise(fr *bframe, in *binstr) error {
 }
 
 // fetchOp resolves one fused operand with exactly the accounting the
-// corresponding standalone closure would perform, including per-step
+// tree-walker's eval of that operand performs, including per-step
 // budget checks (precise-replay path only).
 func (m *machine) fetchOp(fr *bframe, o *bopnd) (Value, error) {
 	switch o.mode {
@@ -1855,7 +1855,7 @@ func (m *machine) fetchOp(fr *bframe, o *bopnd) (Value, error) {
 		return o.val, nil
 	case omIdx:
 		// The IndexExpr's own step, then the target resolve and load —
-		// the standalone indexed-load closure, fused.
+		// the tree-walker's indexed load, fused.
 		m.steps++
 		if m.steps > m.maxSteps {
 			return Value{}, m.errf(o.pos, "step budget exceeded (%d)", m.maxSteps)
@@ -1870,7 +1870,7 @@ func (m *machine) fetchOp(fr *bframe, o *bopnd) (Value, error) {
 }
 
 // resolveTgt resolves a (possibly fused) index target with per-step budget
-// checks, preserving the closure path's order: base fetch, buffer check,
+// checks, preserving the tree-walker's order: base fetch, buffer check,
 // index evaluation, bounds check (precise-replay path only).
 func (m *machine) resolveTgt(fr *bframe, t *btarget) (*Buffer, int64, error) {
 	bv, err := m.fetchOp(fr, &t.base)
@@ -1916,7 +1916,7 @@ func (m *machine) resolveTgt(fr *bframe, t *btarget) (*Buffer, int64, error) {
 		}
 	} else if t.fused {
 		// Fused binary index (p[j*3+1]): the binary's own step precedes
-		// its operand fetches, as in compileBinary.
+		// its operand fetches, as in the tree-walker's binary eval.
 		m.steps++
 		if m.steps > m.maxSteps {
 			return nil, 0, m.errf(t.idxPos, "step budget exceeded (%d)", m.maxSteps)

@@ -1,7 +1,7 @@
 package interp_test
 
-// Differential tests between the compiled slot-frame fast path and the
-// reference tree-walking evaluator. The contract is bit-for-bit
+// Differential tests between the default engine (the bytecode VM, called
+// "compiled" below) and the reference tree-walking evaluator. The contract is bit-for-bit
 // equivalence: identical return values, step counts, captured output,
 // cycle/FLOP accounting (float64 accumulation order included), loop
 // profiles, memory traffic, alias observations, final buffer contents,

@@ -4,10 +4,10 @@ import (
 	"psaflow/internal/minic"
 )
 
-// The tree-walking evaluator. Since the compiled fast path (compile.go)
-// became the default, this walker is kept as the semantic reference the
-// equivalence suite checks the compiler against; all value semantics and
-// cost charging live in the shared helpers of apply.go.
+// The tree-walking evaluator. The bytecode VM (bytecode.go) is the
+// default engine; this walker is the semantic reference the equivalence
+// suite checks the lowering against, and the VM's defensive fallback. All
+// value semantics and cost charging live in the shared helpers of apply.go.
 
 func (m *machine) eval(fr *frame, e minic.Expr) (Value, error) {
 	if err := m.step(e.NodePos()); err != nil {

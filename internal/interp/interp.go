@@ -47,13 +47,12 @@ const (
 	CounterRuns   = "interp.runs"
 	CounterOps    = "interp.ops"    // AST evaluation steps executed
 	CounterCycles = "interp.cycles" // virtual cycles charged (rounded)
-	// CounterCompileFuncs / CounterCompileNanos describe the compile pass
-	// that lowers the AST before execution (bytecode by default, or
-	// slot-indexed closures under Config.Closures).
+	// CounterCompileFuncs / CounterCompileNanos describe the pass that
+	// lowers the AST to bytecode before execution.
 	CounterCompileFuncs = "interp.compile.funcs"
 	CounterCompileNanos = "interp.compile.ns"
 	// Bytecode engine counters: instructions dispatched, superinstruction
-	// (fused) dispatches, and defensive fallbacks to the closure engine.
+	// (fused) dispatches, and defensive fallbacks to the tree-walker.
 	CounterBCInstrs    = "interp.bytecode.instructions"
 	CounterBCFused     = "interp.bytecode.fused"
 	CounterBCFallbacks = "interp.bytecode.fallbacks"
@@ -83,15 +82,11 @@ type Config struct {
 	// Counters, when non-nil, receives the run's op/cycle totals
 	// (CounterRuns/CounterOps/CounterCycles) once execution finishes.
 	Counters Counters
-	// TreeWalk forces the legacy tree-walking evaluator instead of the
-	// bytecode fast path. All engines are bit-for-bit equivalent
-	// (profiles, outputs, errors); the walker remains as the semantic
-	// reference for differential testing.
+	// TreeWalk forces the tree-walking evaluator instead of the bytecode
+	// fast path. The two engines are bit-for-bit equivalent (profiles,
+	// outputs, errors); the walker is the semantic reference for
+	// differential testing and the VM's defensive fallback.
 	TreeWalk bool
-	// Closures forces the slot-indexed closure engine (the previous fast
-	// path), kept as a second reference oracle for the three-way
-	// differential suite and for defensive fallback.
-	Closures bool
 	// QuickenThreshold is the per-instruction execution count after which
 	// the bytecode VM rewrites a generic opcode in place to its
 	// type-specialized (quickened) form. 0 selects DefaultQuickenThreshold;
@@ -104,7 +99,7 @@ type Config struct {
 	// inherit quickened instruction state from earlier runs. The first run
 	// of a fingerprint also captures a dispatch trace that mines the
 	// superinstruction set used by later lowerings of that program.
-	// Requires a nonzero Fingerprint; ignored for the non-bytecode engines.
+	// Requires a nonzero Fingerprint; ignored under TreeWalk.
 	Progs *ProgramCache
 	// Fingerprint identifies the program for Progs (minic.Fingerprint).
 	Fingerprint uint64
@@ -196,8 +191,9 @@ type machine struct {
 const DefaultQuickenThreshold = 64
 
 // Run executes cfg.Entry in prog and returns the result with its profile.
-// By default the program is first lowered to slot-indexed closures
-// (compile.go); cfg.TreeWalk selects the reference tree-walker instead.
+// By default the program is first lowered to register bytecode
+// (bytecode.go) and run on the VM; cfg.TreeWalk selects the reference
+// tree-walker instead.
 func Run(prog *minic.Program, cfg Config) (*Result, error) {
 	entry := prog.Func(cfg.Entry)
 	if entry == nil {
@@ -227,20 +223,13 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 	var ret Value
 	var err error
 	var compileNanos int64
-	var compiledFuncs int64
+	var loweredFuncs int64
 	var fallbacks int64
 	var progHits int64
 	switch {
 	case cfg.TreeWalk:
 		m.loopInfo = buildLoopInfo(prog)
 		ret, err = m.call(entry, cfg.Args, entry.NodePos())
-	case cfg.Closures:
-		m.loopInfo = buildLoopInfo(prog)
-		compileStart := time.Now()
-		cp := compileProgram(prog)
-		compileNanos = time.Since(compileStart).Nanoseconds()
-		compiledFuncs = int64(len(cp.funcs))
-		ret, err = m.callCompiled(cp.funcs[cfg.Entry], cfg.Args, entry.NodePos())
 	default:
 		m.quickenAt = quickenTrip(cfg.QuickenThreshold)
 		compileStart := time.Now()
@@ -262,18 +251,16 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 		}
 		compileNanos = time.Since(compileStart).Nanoseconds()
 		if bp != nil {
-			compiledFuncs = int64(len(bp.funcs))
+			loweredFuncs = int64(len(bp.funcs))
 			ret, err = m.callBytecode(bp.funcs[cfg.Entry], cfg.Args, entry.NodePos())
 		} else {
 			// Defensive fallback: a lowering panic degrades to the
-			// closure engine rather than aborting the flow. Counted so
+			// tree-walker rather than aborting the flow. Counted so
 			// the CI bench-smoke gate can assert it never fires on the
 			// bundled benchmarks.
 			fallbacks = 1
 			m.loopInfo = buildLoopInfo(prog)
-			cp := compileProgram(prog)
-			compiledFuncs = int64(len(cp.funcs))
-			ret, err = m.callCompiled(cp.funcs[cfg.Entry], cfg.Args, entry.NodePos())
+			ret, err = m.call(entry, cfg.Args, entry.NodePos())
 		}
 		if lease != nil {
 			m.trace = nil
@@ -287,10 +274,6 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 		cfg.Counters.Add(CounterRuns, 1)
 		cfg.Counters.Add(CounterOps, m.steps)
 		cfg.Counters.Add(CounterCycles, int64(m.prof.Cycles))
-		if compiledFuncs > 0 && progHits == 0 {
-			cfg.Counters.Add(CounterCompileFuncs, compiledFuncs)
-			cfg.Counters.Add(CounterCompileNanos, compileNanos)
-		}
 		if m.bcInstrs > 0 {
 			cfg.Counters.Add(CounterBCInstrs, m.bcInstrs)
 			cfg.Counters.Add(CounterBCFused, m.bcFused)
@@ -307,12 +290,14 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 		if fallbacks > 0 {
 			cfg.Counters.Add(CounterBCFallbacks, fallbacks)
 		}
-		if compiledFuncs > 0 && !cfg.Closures {
-			if progHits > 0 {
-				cfg.Counters.Add(CounterBCProgHits, progHits)
-			} else if fallbacks == 0 {
-				cfg.Counters.Add(CounterBCLowerings, 1)
-			}
+		switch {
+		case loweredFuncs == 0: // the tree-walker ran: nothing was lowered
+		case progHits > 0:
+			cfg.Counters.Add(CounterBCProgHits, progHits)
+		default:
+			cfg.Counters.Add(CounterCompileFuncs, loweredFuncs)
+			cfg.Counters.Add(CounterCompileNanos, compileNanos)
+			cfg.Counters.Add(CounterBCLowerings, 1)
 		}
 	}
 	return &Result{Ret: ret, Prof: m.prof, Steps: m.steps, Output: m.output}, nil
@@ -336,7 +321,7 @@ func quickenTrip(threshold int) int32 {
 
 // lowerBytecode wraps compileBytecode with a panic guard: the lowering is
 // exercised by the differential fuzzer and never expected to fail, but a
-// defect must degrade to the closure oracle, not crash a flow.
+// defect must degrade to the tree-walker, not crash a flow.
 func lowerBytecode(prog *minic.Program, policy FusionPolicy) (bp *bprog) {
 	defer func() {
 		if recover() != nil {
@@ -363,11 +348,11 @@ func (m *machine) errf(pos minic.Pos, format string, args ...any) error {
 	return &RuntimeError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// cancelCheckInterval spaces cancellation polls: step() is called once per
-// statement / loop iteration (the fine-grained expression steps are inlined
-// by the compiled path and never reach here), so polling every 1024 calls
-// bounds the cancellation latency to microseconds while keeping the poll
-// off the hot path.
+// cancelCheckInterval spaces cancellation polls: the tree-walker calls
+// step() once per statement, loop iteration and expression node (the
+// bytecode VM counts loop back-edges and function entries instead), so
+// polling every 1024 calls bounds the cancellation latency to
+// microseconds while keeping the poll off the hot path.
 const cancelCheckInterval = 1024
 
 func (m *machine) step(pos minic.Pos) error {

@@ -428,3 +428,34 @@ func TestQuickDoubleArithmeticMatchesGo(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+type counterMap map[string]int64
+
+func (m counterMap) Add(name string, delta int64) { m[name] += delta }
+
+// TestLoweringFailureFallsBackToTreeWalk drives the VM's defensive arm: a
+// fingerprint whose lowering is latched as failed must still run — on the
+// tree-walker, bit-for-bit — and be counted in interp.bytecode.fallbacks.
+func TestLoweringFailureFallsBackToTreeWalk(t *testing.T) {
+	const src = `int f(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i * i; } return s; }`
+	prog := minic.MustParse(src)
+	const fp = 42
+	pc := NewProgramCache()
+	pc.entries[fp] = &progEntry{failed: true}
+	ctrs := counterMap{}
+	got, err := Run(prog, Config{Entry: "f", Args: []Value{IntVal(10)}, Progs: pc, Fingerprint: fp, Counters: ctrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(prog, Config{Entry: "f", Args: []Value{IntVal(10)}, TreeWalk: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Ret != want.Ret || got.Steps != want.Steps || got.Prof.Cycles != want.Prof.Cycles {
+		t.Errorf("fallback run = (%v, %d steps, %v cycles), tree-walk = (%v, %d steps, %v cycles)",
+			got.Ret, got.Steps, got.Prof.Cycles, want.Ret, want.Steps, want.Prof.Cycles)
+	}
+	if ctrs[CounterBCFallbacks] != 1 || ctrs[CounterBCInstrs] != 0 || ctrs[CounterBCLowerings] != 0 {
+		t.Errorf("counters = %v, want one fallback and no VM dispatch or lowering", ctrs)
+	}
+}

@@ -63,12 +63,12 @@ type progEntry struct {
 	// first runs don't all pay for tracing.
 	tracing bool
 	// failed latches a lowering panic: later leases skip straight to the
-	// caller's defensive closure fallback instead of re-panicking.
+	// caller's defensive tree-walk fallback instead of re-panicking.
 	failed bool
 }
 
 // progLease is one exclusive claim on a lowered program. bp is nil when
-// lowering failed (the caller falls back to the closure engine); trace
+// lowering failed (the caller falls back to the tree-walker); trace
 // is non-nil when this run should capture a dispatch trace for mining.
 type progLease struct {
 	cache   *ProgramCache

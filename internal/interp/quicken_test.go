@@ -61,7 +61,7 @@ func TestQuickenEquivalenceBenchmarks(t *testing.T) {
 						threshold, ctrs[interp.CounterBCQuickenDeopts])
 				}
 				if ctrs[interp.CounterBCFallbacks] != 0 {
-					t.Errorf("threshold %d: VM fell back to the closure engine", threshold)
+					t.Errorf("threshold %d: VM fell back to the tree-walker", threshold)
 				}
 			}
 		})

@@ -123,12 +123,13 @@ func (s *Server) claimFollowers(leader *Job) []*Job {
 // evaluated designs and telemetry report, stamped with the batch fields.
 func (s *Server) finishFollowers(leader *Job, followers []*Job, res *batchOutcome) {
 	for _, f := range followers {
-		f.finish(res.state, res.msg, nil)
-		fres := buildResult(f.Status(), res.class, res.results, res.rep)
-		fres.Batched = true
-		fres.BatchSize = len(followers) + 1
-		fres.BatchLeader = leader.ID
-		f.setResult(fres)
+		f.finish(res.state, res.msg, func(st JobStatus) *JobResult {
+			fres := buildResult(st, res.class, res.results, res.rep)
+			fres.Batched = true
+			fres.BatchSize = len(followers) + 1
+			fres.BatchLeader = leader.ID
+			return fres
+		})
 		s.finalizeJob(f, res.counter)
 	}
 }

@@ -177,7 +177,7 @@ func TestBatchLowersOnce(t *testing.T) {
 	if g, j := rec.Counter(telemetry.CounterBatchGroups), rec.Counter(telemetry.CounterBatchJobs); g != 1 || j != n {
 		t.Errorf("batch counters groups=%d jobs=%d, want 1/%d", g, j, n)
 	}
-	// The shared image must never have fallen back to the closure engine.
+	// The shared image must never have fallen back to the tree-walker.
 	if fb := rec.Counter(interp.CounterBCFallbacks); fb != 0 {
 		t.Errorf("%s = %d, want 0", interp.CounterBCFallbacks, fb)
 	}

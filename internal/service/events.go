@@ -144,13 +144,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	first := true
 	pending := false // frames written since the last flush
+	const pollBatch = 64
 	for {
-		frames, done := sub.Poll(64)
+		frames, done := sub.Poll(pollBatch)
 		for _, f := range frames {
 			if err := writeFrame(w, f, sse); err != nil {
 				return // client went away mid-write
 			}
 			pending = true
+		}
+		if len(frames) == pollBatch {
+			// The ring may hold more, and Ready fires only on a new publish
+			// or the close — neither comes again on a finished job.
+			continue
 		}
 		if done || first {
 			// Headers + replay batch leave in one packet; the terminal

@@ -309,6 +309,55 @@ func TestEventStreamDropAccounting(t *testing.T) {
 	}
 }
 
+// TestEventStreamLateSubscriberDrainsRing subscribes to a finished job whose
+// ring retains several poll batches: nothing will ever wake the subscriber
+// again, so the handler must keep polling until the ring is drained — every
+// frame delivered and the stream closed at once, not a batch per heartbeat.
+func TestEventStreamLateSubscriberDrainsRing(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4, EventHeartbeat: time.Hour})
+	const sweeps = 200
+	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
+		for i := 0; i < sweeps; i++ {
+			rec.Emit(events.TypeDSEProgress, "sweep", fmt.Sprintf("step %d", i))
+		}
+		return nil, nil
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	st := submitOK(t, ts.URL, JobSpec{Bench: "nbody"})
+	waitState(t, ts.URL, st.ID, 10*time.Second, StateDone)
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, streamURL(ts.URL, st.ID), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("stream still open after 1s (%d bytes read): %v", len(data), err)
+	}
+	// queued, started, the sweeps, done.
+	evs := decodeNDJSON(t, bytes.NewReader(data))
+	if len(evs) != sweeps+3 {
+		t.Fatalf("late subscriber got %d events, want %d", len(evs), sweeps+3)
+	}
+	for i, e := range evs {
+		if e.Seq != uint64(i) {
+			t.Fatalf("event %d has seq %d; the replay must be dense", i, e.Seq)
+		}
+	}
+	if last := evs[len(evs)-1]; last.Type != events.TypeDone {
+		t.Errorf("stream ended on %q, want %q", last.Type, events.TypeDone)
+	}
+}
+
 // TestEventStreamDisconnectFreesSubscription cancels a watcher mid-stream
 // and checks the broker slot and the watcher gauge are released.
 func TestEventStreamDisconnectFreesSubscription(t *testing.T) {

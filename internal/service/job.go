@@ -292,6 +292,10 @@ func fmtTime(t time.Time) string {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:          j.ID,
 		State:       j.state,
@@ -343,17 +347,15 @@ func (j *Job) markRunning(cancel func()) bool {
 	return true
 }
 
-// cancelQueued transitions Queued → Cancelled; false if the job already
-// started (the caller should cancel the running context instead).
-func (j *Job) cancelQueued() bool {
+// cancelQueued finishes a still-queued job as cancelled; false if the job
+// already started (the caller should cancel the running context instead).
+func (j *Job) cancelQueued(build func(JobStatus) *JobResult) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
 		return false
 	}
-	j.state = StateCancelled
-	j.errMsg = "cancelled before start"
-	j.finished = time.Now()
+	j.finishLocked(StateCancelled, "cancelled before start", build)
 	return true
 }
 
@@ -369,21 +371,23 @@ func (j *Job) cancelRunning() bool {
 	return true
 }
 
-// finish moves the job to a terminal state with its result.
-func (j *Job) finish(state JobState, errMsg string, res *JobResult) {
+// finish moves a started job to a terminal state.
+func (j *Job) finish(state JobState, errMsg string, build func(JobStatus) *JobResult) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.finishLocked(state, errMsg, build)
+}
+
+// finishLocked is the one terminal transition: state, error, finish time
+// and result become visible in the same critical section, so a client that
+// observes a terminal state can always read the result. build receives the
+// terminal status the result embeds; it runs under j.mu and must not touch
+// the job.
+func (j *Job) finishLocked(state JobState, errMsg string, build func(JobStatus) *JobResult) {
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
-	j.result = res
-}
-
-// setResult attaches the built result (which embeds the terminal status).
-func (j *Job) setResult(res *JobResult) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.result = res
+	j.result = build(j.statusLocked())
 }
 
 // buildResult assembles the persisted result from the evaluated designs.

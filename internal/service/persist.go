@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"psaflow/internal/faults"
@@ -23,10 +22,6 @@ import (
 //	queue.json       clean-shutdown marker written by Drain; its absence at
 //	                 startup (with pending jobs in the store) means the
 //	                 previous process died and recovery ran
-//
-// Earlier releases kept loose per-job results under jobs/<id>.json and used
-// queue.json as a drain snapshot of still-queued specs. Both legacy forms
-// are migrated into the store on first open (see openStore).
 
 // validJobID rejects path-traversal in client-supplied job IDs before they
 // reach the filesystem.
@@ -109,25 +104,14 @@ func writeFileAtomic(path string, data []byte) error {
 func (s *Server) storePath() string  { return filepath.Join(s.cfg.DataDir, "store") }
 func (s *Server) markerPath() string { return filepath.Join(s.cfg.DataDir, "queue.json") }
 
-// snapshotEntry is one queued job in the legacy drain snapshot (and in the
-// clean-shutdown marker's leftover list, which reuses the shape).
-type snapshotEntry struct {
-	ID          string  `json:"id"`
-	Spec        JobSpec `json:"spec"`
-	SubmittedAt string  `json:"submitted_at"`
-}
-
-// cleanMarker is the queue.json payload Drain writes. Distinguished from
-// the legacy drain snapshot (a JSON array) by being an object.
+// cleanMarker is the queue.json payload Drain writes.
 type cleanMarker struct {
 	CleanShutdown bool   `json:"clean_shutdown"`
 	At            string `json:"at"`
 }
 
-// openStore opens (creating if needed) the WAL-backed job store and folds
-// in any legacy on-disk state: a pre-store drain snapshot becomes submit
-// records, loose per-job results become result records. It reports whether
-// the previous process shut down cleanly.
+// openStore opens (creating if needed) the WAL-backed job store and logs
+// whether the previous process died with unfinished jobs.
 func (s *Server) openStore() error {
 	if s.cfg.DataDir == "" {
 		return nil // persistence disabled (tests, ephemeral runs)
@@ -135,7 +119,7 @@ func (s *Server) openStore() error {
 	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
 		return err
 	}
-	clean, legacy := s.consumeMarker()
+	clean := s.consumeMarker()
 	st, err := store.Open(s.storePath(), store.Options{
 		RetainTerminal: s.cfg.StoreRetain,
 		Logf:           s.logf,
@@ -144,12 +128,6 @@ func (s *Server) openStore() error {
 		return fmt.Errorf("service: open job store: %w", err)
 	}
 	s.store = st
-	if err := s.migrateLegacyResults(); err != nil {
-		return err
-	}
-	if err := s.migrateLegacyQueue(legacy); err != nil {
-		return err
-	}
 	if pending := st.Stats().PendingJobs; pending > 0 && !clean {
 		s.logf("unclean shutdown detected: %d unfinished job(s) recovered from the WAL", pending)
 	}
@@ -157,126 +135,27 @@ func (s *Server) openStore() error {
 	return nil
 }
 
-// consumeMarker reads and removes queue.json. A JSON object is the
-// clean-shutdown marker; a JSON array is a legacy drain snapshot whose
-// entries must be re-submitted through the store.
-func (s *Server) consumeMarker() (clean bool, legacy []snapshotEntry) {
+// consumeMarker reads and removes queue.json, reporting whether it was a
+// valid clean-shutdown marker.
+func (s *Server) consumeMarker() bool {
 	data, err := os.ReadFile(s.markerPath())
 	if err != nil {
-		return false, nil
+		return false
 	}
 	defer os.Remove(s.markerPath())
-	if trimmed := strings.TrimSpace(string(data)); strings.HasPrefix(trimmed, "[") {
-		if err := json.Unmarshal(data, &legacy); err != nil {
-			s.rec.Add(telemetry.CounterStoreSkippedCorrupt, 1)
-			s.logf("corrupt legacy queue snapshot skipped: %v", err)
-			return false, nil
-		}
-		return false, legacy
-	}
 	var m cleanMarker
 	if err := json.Unmarshal(data, &m); err != nil || !m.CleanShutdown {
 		s.rec.Add(telemetry.CounterStoreSkippedCorrupt, 1)
 		s.logf("corrupt shutdown marker skipped: %v", err)
-		return false, nil
+		return false
 	}
-	return true, nil
-}
-
-// migrateLegacyResults imports loose jobs/<id>.json results (the pre-store
-// layout) into the store as terminal records, then removes them. Corrupt
-// files are renamed aside (<name>.corrupt) and counted, never fatal.
-func (s *Server) migrateLegacyResults() error {
-	dir := filepath.Join(s.cfg.DataDir, "jobs")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	var recs []store.Record
-	var imported []string
-	for _, de := range ents {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		var res JobResult
-		if err == nil {
-			err = json.Unmarshal(data, &res)
-		}
-		if err == nil && (res.ID == "" || res.ID != strings.TrimSuffix(name, ".json")) {
-			err = fmt.Errorf("result ID %q does not match filename", res.ID)
-		}
-		if err != nil {
-			s.rec.Add(telemetry.CounterStoreSkippedCorrupt, 1)
-			s.logf("migrate %s: corrupt legacy result skipped: %v", name, err)
-			if rerr := os.Rename(path, path+".corrupt"); rerr != nil {
-				s.logf("migrate %s: could not set aside: %v", name, rerr)
-			}
-			continue
-		}
-		recs = append(recs, store.Record{
-			Op:    store.OpResult,
-			ID:    res.ID,
-			State: string(res.State),
-			Time:  res.SubmittedAt,
-			Data:  json.RawMessage(data),
-		})
-		imported = append(imported, path)
-	}
-	if len(recs) == 0 {
-		os.Remove(dir) // succeeds only when empty
-		return nil
-	}
-	// One batch, one fsync: a crash mid-migration leaves the legacy files
-	// in place and the next open retries (duplicate result records are
-	// harmless — the last one wins on replay).
-	if err := s.persistIO("wal:migrate", func() error { return s.store.AppendBatch(recs) }); err != nil {
-		return fmt.Errorf("service: migrate legacy results: %w", err)
-	}
-	for _, path := range imported {
-		os.Remove(path)
-	}
-	os.Remove(dir)
-	s.rec.Add(telemetry.CounterStoreMigrated, int64(len(recs)))
-	s.logf("migrated %d legacy result(s) into the job store", len(recs))
-	return nil
-}
-
-// migrateLegacyQueue imports a pre-store drain snapshot's queued jobs as
-// submit records; replayStore then requeues them like any crash-recovered
-// job.
-func (s *Server) migrateLegacyQueue(entries []snapshotEntry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	recs := make([]store.Record, 0, len(entries))
-	for _, e := range entries {
-		spec, err := json.Marshal(e.Spec)
-		if err != nil {
-			s.rec.Add(telemetry.CounterStoreSkippedCorrupt, 1)
-			s.logf("migrate %s: unencodable legacy spec skipped: %v", e.ID, err)
-			continue
-		}
-		recs = append(recs, store.Record{Op: store.OpSubmit, ID: e.ID, Time: e.SubmittedAt, Data: spec})
-	}
-	if err := s.persistIO("wal:migrate-queue", func() error { return s.store.AppendBatch(recs) }); err != nil {
-		return fmt.Errorf("service: migrate legacy queue snapshot: %w", err)
-	}
-	s.rec.Add(telemetry.CounterStoreMigrated, int64(len(recs)))
-	s.logf("migrated %d legacy queued job(s) into the job store", len(recs))
-	return nil
+	return true
 }
 
 // replayStore re-enqueues every job the store reports as queued or running
-// — the crash-recovery path (and, for jobs imported by migrateLegacyQueue,
-// the restore path). Jobs whose spec no longer validates are evicted with
-// a log line and counter rather than wedging startup; a full queue leaves
-// the job in the store for the next start.
+// — the crash-recovery path. Jobs whose spec no longer validates are
+// evicted with a log line and counter rather than wedging startup; a full
+// queue leaves the job in the store for the next start.
 func (s *Server) replayStore() (int, error) {
 	if s.store == nil {
 		return 0, nil

@@ -289,83 +289,6 @@ func TestCancelledQueuedJobNotRequeued(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutMigration: a pre-store data dir — loose jobs/<id>.json
-// results plus a queue.json drain snapshot — is imported transparently on
-// first open: results serve from the store, snapshotted jobs requeue, and
-// one corrupt result file is skipped with a counter, not a failed start.
-func TestLegacyLayoutMigration(t *testing.T) {
-	dir := t.TempDir()
-	jobsDir := filepath.Join(dir, "jobs")
-	if err := os.MkdirAll(jobsDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	legacyRes := &JobResult{
-		JobStatus:  JobStatus{ID: "legacy-done", State: StateDone, Bench: "nbody", SubmittedAt: "2026-08-01T00:00:00Z"},
-		AutoTarget: "cpu-mt",
-	}
-	data, err := json.MarshalIndent(legacyRes, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(jobsDir, "legacy-done.json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(jobsDir, "legacy-bad.json"), []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snapshot := `[{"id":"legacy-queued","spec":{"bench":"kmeans","mode":"uninformed"},"submitted_at":"2026-08-01T01:00:00Z"}]`
-	if err := os.WriteFile(filepath.Join(dir, "queue.json"), []byte(snapshot), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, h := crashServer(t, dir, 1)
-	defer s.Drain()
-	if n := s.rec.Counter(telemetry.CounterStoreMigrated); n != 2 {
-		t.Errorf("migrated counter = %d, want 2 (one result + one queued)", n)
-	}
-	if n := s.rec.Counter(telemetry.CounterStoreSkippedCorrupt); n != 1 {
-		t.Errorf("skipped_corrupt counter = %d, want 1", n)
-	}
-
-	// The good result serves; the corrupt one was set aside, not imported.
-	res, err := s.loadResult("legacy-done")
-	if err != nil || res.AutoTarget != "cpu-mt" {
-		t.Fatalf("migrated result wrong: %+v err=%v", res, err)
-	}
-	if _, err := os.Stat(filepath.Join(jobsDir, "legacy-bad.json.corrupt")); err != nil {
-		t.Errorf("corrupt legacy file not set aside: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(jobsDir, "legacy-done.json")); !os.IsNotExist(err) {
-		t.Errorf("migrated legacy file not removed (err=%v)", err)
-	}
-
-	// The snapshotted job requeued under its old ID and runs.
-	j := s.lookup("legacy-queued")
-	if j == nil {
-		t.Fatal("legacy queued job not requeued")
-	}
-	if j.Spec.Mode != "uninformed" {
-		t.Errorf("legacy job lost its spec: %+v", j.Spec)
-	}
-	if id := <-h.started; id != "legacy-queued" {
-		t.Errorf("started %s, want legacy-queued", id)
-	}
-	waitJobState(t, j, StateDone)
-
-	// Second open: nothing left to migrate, the result still serves.
-	if _, err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := crashServer(t, dir, 1)
-	defer s2.Drain()
-	if n := s2.rec.Counter(telemetry.CounterStoreMigrated); n != 0 {
-		t.Errorf("second open migrated %d records, want 0", n)
-	}
-	if _, err := s2.loadResult("legacy-done"); err != nil {
-		t.Errorf("migrated result lost after restart: %v", err)
-	}
-}
-
 // TestRejectedSubmitNotRequeued: a submission the client saw fail (queue
 // full → 429) must not come back from the WAL after a crash.
 func TestRejectedSubmitNotRequeued(t *testing.T) {

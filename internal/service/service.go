@@ -437,15 +437,15 @@ func (s *Server) runJob(job *Job) {
 	default:
 		state, msg, counter, class = StateFailed, err.Error(), telemetry.CounterJobsFailed, FailureError
 	}
-	job.finish(state, msg, nil)
-	// The result embeds the terminal status, so build it after finish.
-	res := buildResult(job.Status(), class, results, rep)
-	if len(followers) > 0 {
-		res.Batched = true
-		res.BatchSize = len(followers) + 1
-		res.BatchLeader = job.ID
-	}
-	job.setResult(res)
+	job.finish(state, msg, func(st JobStatus) *JobResult {
+		res := buildResult(st, class, results, rep)
+		if len(followers) > 0 {
+			res.Batched = true
+			res.BatchSize = len(followers) + 1
+			res.BatchLeader = job.ID
+		}
+		return res
+	})
 	s.finalizeJob(job, counter)
 	s.finishFollowers(job, followers, &batchOutcome{
 		state: state, msg: msg, class: class,
@@ -662,6 +662,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "could not persist job submission; retry later")
 		return
 	}
+	// Snapshot before register: an idle worker can start (even finish) the
+	// job before the 202 is written, and the acknowledgement is of the
+	// submission, so it always reads "queued".
+	accepted := job.Status()
 	ok, draining := s.register(job)
 	if draining {
 		s.rollbackSubmit(job.ID)
@@ -675,7 +679,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.logf("job %s: queued bench=%s mode=%s", job.ID, spec.Bench, spec.Mode)
-	writeJSON(w, http.StatusAccepted, job.Status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -727,7 +731,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	if job.cancelQueued() {
+	cancelled := job.cancelQueued(func(st JobStatus) *JobResult {
+		return buildResult(st, FailureCancelled, nil, nil)
+	})
+	if cancelled {
 		// The worker will skip it when dequeued; the terminal state and
 		// counter are recorded here so the cancel is immediately visible,
 		// and the store gets a cancel record so a restart doesn't requeue
@@ -735,9 +742,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.rec.Add(telemetry.CounterJobsCancelled, 1)
 		s.publish(job, events.Event{Type: events.TypeCancelled, Detail: "cancelled before start"})
 		job.events.Close()
-		res := buildResult(job.Status(), FailureCancelled, nil, nil)
-		job.setResult(res)
-		if err := s.saveCancel(job.ID, res); err != nil {
+		if err := s.saveCancel(job.ID, job.Result()); err != nil {
 			s.logf("job %s: persist cancel: %v", job.ID, err)
 		}
 		s.retireJob(job)
@@ -835,7 +840,6 @@ type storeMetrics struct {
 	Compactions    int64 `json:"compactions"`
 	TornTails      int64 `json:"torn_tails"`
 	SkippedCorrupt int64 `json:"skipped_corrupt"`
-	Migrated       int64 `json:"migrated"`
 	Evicted        int64 `json:"evicted"`
 	Segments       int   `json:"segments"`
 	IndexedJobs    int   `json:"indexed_jobs"`
@@ -864,7 +868,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Compactions:    st.Compactions,
 			TornTails:      st.TornTails,
 			SkippedCorrupt: st.SkippedCorrupt,
-			Migrated:       s.rec.Counter(telemetry.CounterStoreMigrated),
 			Requeued:       s.rec.Counter(telemetry.CounterStoreRequeued),
 			Evicted:        st.Evicted,
 			Segments:       st.Segments,

@@ -10,9 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"psaflow/internal/core"
 	"psaflow/internal/experiments"
 	"psaflow/internal/store"
 	"psaflow/internal/telemetry"
@@ -485,5 +487,103 @@ func TestRequestBodyLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("small body under custom cap: got %d, want 202", resp.StatusCode)
+	}
+}
+
+// TestTerminalStatusHasResult holds the lifecycle invariant "terminal ⇒
+// result readable": pollers hammer GET status and GET result while a plain
+// job, a batch leader and its follower, and a cancelled-while-queued job
+// reach their terminal states, and a terminal status whose result is not
+// served fails the test. The long design trace makes a result slow to
+// build, so a transition that shows the state before the result is caught.
+func TestTerminalStatusHasResult(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 16, Batch: true})
+	designs := []experiments.DesignResult{{
+		Design: &core.Design{Name: "d", Trace: make([]core.TraceEvent, 4000)},
+	}}
+	gate := make(chan struct{})
+	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
+		if job.Spec.Bench == "kmeans" { // the blocker: holds the one worker
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return designs, nil
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	get := func(path string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, rec.Body.Bytes()
+	}
+
+	for round := 0; round < 5; round++ {
+		blocker := submitOK(t, ts.URL, JobSpec{Bench: "kmeans"})
+		waitJobState(t, s.lookup(blocker.ID), StateRunning)
+		// Queued behind the blocker, so the pair batches and the victim is
+		// still queued when it is cancelled.
+		plain := submitOK(t, ts.URL, JobSpec{Bench: "nbody"})
+		leader := submitOK(t, ts.URL, JobSpec{Bench: "bezier"})
+		follower := submitOK(t, ts.URL, JobSpec{Bench: "bezier"})
+		victim := submitOK(t, ts.URL, JobSpec{Bench: "adpredictor"})
+		ids := []string{blocker.ID, plain.ID, leader.ID, follower.ID, victim.ID}
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for p := 0; p < 4; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				verified := map[string]bool{}
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for _, id := range ids {
+						if verified[id] {
+							continue
+						}
+						code, body := get("/v1/jobs/" + id)
+						var st JobStatus
+						if err := json.Unmarshal(body, &st); code != http.StatusOK || err != nil {
+							t.Errorf("status %s: got %d (%v), body %s", id, code, err, body)
+							return
+						}
+						if !st.State.Terminal() {
+							continue
+						}
+						if code, body := get("/v1/jobs/" + id + "/result"); code != http.StatusOK {
+							t.Errorf("job %s is %s but its result answers %d: %s", id, st.State, code, body)
+							return
+						}
+						verified[id] = true
+					}
+				}
+			}()
+		}
+
+		if code, body := httpDelete(t, ts.URL+"/v1/jobs/"+victim.ID); code != http.StatusOK {
+			t.Fatalf("cancel queued job: got %d, body %s", code, body)
+		}
+		gate <- struct{}{}
+		for _, id := range ids {
+			waitCond(t, "job "+id+" terminal", func() bool { return s.lookup(id).State().Terminal() })
+		}
+		close(stop)
+		wg.Wait()
+
+		if res := jobResult(t, ts.URL, follower.ID); !res.Batched || res.BatchLeader != leader.ID {
+			t.Fatalf("job %s did not finish as a follower of %s: %+v", follower.ID, leader.ID, res.JobStatus)
+		}
+		if res := jobResult(t, ts.URL, victim.ID); res.State != StateCancelled {
+			t.Fatalf("job %s is %s, want cancelled", victim.ID, res.State)
+		}
 	}
 }

@@ -391,7 +391,8 @@ func (s *Store) applyLocked(rec Record) {
 	case OpResult, OpCancel:
 		e := s.index[rec.ID]
 		if e == nil {
-			// Migration imports results for jobs the WAL never saw.
+			// A compacted snapshot carries a terminal job as its result
+			// record alone.
 			s.nextSeq++
 			e = &Entry{ID: rec.ID, Seq: s.nextSeq, Submitted: rec.Time}
 			s.index[rec.ID] = e

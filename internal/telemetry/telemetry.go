@@ -106,8 +106,7 @@ const (
 // internal/store and docs/OPERATIONS.md). Appends/fsyncs gauge write and
 // group-commit traffic; replayed/requeued describe the last startup
 // recovery; torn_tail and skipped_corrupt count damage tolerated (not
-// fatal) during replay; migrated counts legacy loose-JSON records
-// imported on first open of an old data dir.
+// fatal) during replay.
 const (
 	CounterStoreAppends        = "store.appends"
 	CounterStoreFsyncs         = "store.fsyncs"
@@ -116,7 +115,6 @@ const (
 	CounterStoreCompactions    = "store.compactions"
 	CounterStoreTornTail       = "store.torn_tail"
 	CounterStoreSkippedCorrupt = "store.skipped_corrupt"
-	CounterStoreMigrated       = "store.migrated"
 	CounterStoreEvicted        = "store.evicted" // retention tombstones in the WAL
 )
 

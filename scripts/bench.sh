@@ -7,10 +7,11 @@
 #           e.g. `scripts/bench.sh baseline` -> BENCH_<date>_baseline.json
 #
 # The benchmark set is the Fig. 5 flow sweep plus the unroll DSE
-# meta-program and both interpreter paths; -benchtime=1x -count=3 gives
-# three single-shot samples per benchmark, and the JSON records the best
-# (minimum) ns/op together with the run-cache hit rate and interpreter
-# throughput metrics reported by bench_test.go.
+# meta-program and both interpreter engines (the bytecode VM and the
+# tree-walking reference); -benchtime=1x -count=3 gives three single-shot
+# samples per benchmark, and the JSON records the best (minimum) ns/op
+# together with the run-cache hit rate and interpreter throughput metrics
+# reported by bench_test.go.
 #
 # Set BENCH_RAW=<file> to parse a previously captured `go test -bench`
 # output instead of re-running (used to snapshot a baseline).

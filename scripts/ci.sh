@@ -9,19 +9,16 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 go test -race ./...
-# Compiled-vs-tree-walk and cached-vs-uncached equivalence under -race:
-# the singleflight run cache is shared by concurrent branch paths.
-go test -race -run 'Equivalence' ./internal/interp/ ./internal/tasks/
-# Bench smoke for the bytecode VM: the three-way differential suite
-# (bytecode vs closures vs tree-walk) under -race, plus the no-fallback
-# gate — the VM must execute all five benchmarks natively, never via its
-# defensive closure fallback.
-go test -race -run 'ThreeWay|BytecodeNoFallback|BytecodeCancel' ./internal/interp/
-# Quickening equivalence under -race: type-specialized opcodes must match
-# generic dispatch bit-for-bit (results, buffers, error paths) and the
-# in-place rewrite must stay race-free on a shared program-cache image;
-# DispatchTrace covers hot-counter saturation.
-go test -race -run 'Quicken|DispatchTrace' ./internal/interp/
+# The benchmark is a module of its own (benchmark/go.mod), so ./... above
+# does not reach its tests.
+go test -C benchmark .
+# Cached-vs-uncached equivalence under -race: the singleflight run cache
+# is shared by concurrent branch paths.
+go test -race -run 'Equivalence' ./internal/tasks/
+# Lifecycle stress gate: a terminal status must always have a readable
+# result, locally and through the cluster proxy — 20 runs, because the
+# window this guards was microseconds wide.
+go test -race -count=20 -run 'TestTerminalStatusHasResult|TestClusterDeterminism' ./internal/service/
 # Batched multi-job execution: identical-fingerprint jobs must coalesce
 # behind one flow execution (one bytecode lowering for the whole group).
 go test -race -run 'Batch' ./internal/service/
@@ -77,9 +74,9 @@ go test -race ./internal/store/
 # torn/corrupt segment bytes without panicking or failing the open.
 go test -run '^$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/store/
 # Crash-recovery focus under -race: in-process hard-stop scenarios (done/
-# running/queued at crash time, legacy-layout migration, clean-shutdown
-# marker, rejected submissions).
-go test -race -run 'Crash|Recover|CleanShutdown|Migrat|RejectedSubmit|CancelledQueuedJob' ./internal/service/
+# running/queued at crash time, clean-shutdown marker, rejected
+# submissions).
+go test -race -run 'Crash|Recover|CleanShutdown|RejectedSubmit|CancelledQueuedJob' ./internal/service/
 # Cluster focus under -race: consistent-hash ring invariants, the wire
 # codec's byte-determinism, the owner-side envelope store's singleflight,
 # and the two-node fetch/fill/degradation paths over live HTTP.
