@@ -6,7 +6,7 @@
 // the next start replays the WAL, serves finished results, and requeues
 // jobs that were queued or running. SIGINT/SIGTERM drains gracefully: the
 // listener stops, in-flight jobs finish, still-queued jobs stay in the
-// store, and a clean-shutdown marker suppresses the recovery log line.
+// store, and a WAL shutdown record suppresses the recovery log line.
 //
 // Usage:
 //
@@ -14,7 +14,7 @@
 //	         [-timeout 5m] [-faults seed=1,rate=0.1,kinds=hls,run]
 //	         [-event-ring 1024] [-event-watchers 1024] [-retain 1024]
 //	         [-max-body 1048576] [-store-retain 0]
-//	         [-batch=true] [-quicken-threshold 0]
+//	         [-batch=true]
 //	         [-node-id n1 -peers n2=http://...,n3=http://...]
 //	         [-tenant-quota acme=4:2,guest=1] [-v]
 //
@@ -99,7 +99,6 @@ func main() {
 	maxBody := flag.Int64("max-body", 0, "max submit request body in bytes, beyond it 413 (0 = default 1 MiB)")
 	storeRetain := flag.Int("store-retain", 0, "terminal job records kept in the durable store before tombstoning (0 = unlimited)")
 	batch := flag.Bool("batch", true, "batch queued jobs with identical program+spec behind one flow execution (followers receive copied results)")
-	quickenThreshold := flag.Int("quicken-threshold", 0, "interpreter hot-counter trip for profile-guided opcode specialization (0 = default, negative disables)")
 	nodeID := flag.String("node-id", "", "this node's cluster identity, 1-16 of [a-z0-9] (empty = single-node, no clustering)")
 	peers := flag.String("peers", "", `cluster peer table: comma-separated id=http://host:port entries, e.g. "n2=http://10.0.0.2:8080,n3=http://10.0.0.3:8080"`)
 	tenantQuotas := flag.String("tenant-quota", "", `per-tenant scheduling contracts: comma-separated tenant=maxInflight[:weight], "*" = default, e.g. "acme=4:2,guest=1"`)
@@ -139,8 +138,7 @@ func main() {
 		MaxBody:           *maxBody,
 		StoreRetain:       *storeRetain,
 
-		Batch:            *batch,
-		QuickenThreshold: *quickenThreshold,
+		Batch: *batch,
 
 		TenantQuotas: *tenantQuotas,
 		Cluster:      node,
@@ -166,7 +164,7 @@ func main() {
 	}
 
 	// Stop accepting connections first, then drain the queue so no new job
-	// can slip in behind the clean-shutdown marker.
+	// can slip in behind the WAL shutdown record.
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

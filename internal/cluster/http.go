@@ -47,18 +47,11 @@ type runEnvelope struct {
 	Result      json.RawMessage `json:"result"`
 }
 
-// policyEnvelope is the fusion-policy wire form (a uint16 bitmask).
-type policyEnvelope struct {
-	Policy uint16 `json:"policy"`
-}
-
 // Register mounts the peer protocol on the service mux.
 func (n *Node) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/cluster/ping", n.stamp(n.handlePing))
 	mux.HandleFunc("GET /v1/cluster/runs/{key}", n.stamp(n.handleRunGet))
 	mux.HandleFunc("POST /v1/cluster/runs/{key}", n.stamp(n.handleRunFill))
-	mux.HandleFunc("GET /v1/cluster/policy/{fp}", n.stamp(n.handlePolicyGet))
-	mux.HandleFunc("POST /v1/cluster/policy/{fp}", n.stamp(n.handlePolicyFill))
 }
 
 // stamp adds the responder-identity headers every peer response carries.
@@ -161,42 +154,5 @@ func (n *Node) handleRunFill(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.runs.put(keyID, env.Result, env.Sum)
-	w.WriteHeader(http.StatusCreated)
-}
-
-func parseFP(s string) (uint64, error) {
-	if len(s) != 16 {
-		return 0, fmt.Errorf("malformed fingerprint %q", s)
-	}
-	return strconv.ParseUint(s, 16, 64)
-}
-
-func (n *Node) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
-	fp, err := parseFP(r.PathValue("fp"))
-	if err != nil {
-		clusterErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	pol, ok := n.policies.get(fp)
-	if !ok {
-		clusterErr(w, http.StatusNotFound, "no policy for %016x", fp)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(policyEnvelope{Policy: pol})
-}
-
-func (n *Node) handlePolicyFill(w http.ResponseWriter, r *http.Request) {
-	fp, err := parseFP(r.PathValue("fp"))
-	if err != nil {
-		clusterErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var env policyEnvelope
-	if err := json.NewDecoder(io.LimitReader(r.Body, 4096)).Decode(&env); err != nil {
-		clusterErr(w, http.StatusBadRequest, "decode policy: %v", err)
-		return
-	}
-	n.policies.put(fp, env.Policy)
 	w.WriteHeader(http.StatusCreated)
 }

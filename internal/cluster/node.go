@@ -149,13 +149,12 @@ type Stats struct {
 	HealthyNodes int      `json:"healthy_nodes"` // self included
 	RunEntries   int      `json:"run_entries"`   // owner-side envelope store
 	RunEvicted   int64    `json:"run_evicted"`
-	Policies     int      `json:"policies"` // owner-side fusion policies
 }
 
 // Node is one psaflowd process's membership in the cluster. It owns the
 // ring, the peer health table, the owner-side cache stores, and the
-// HTTP client side of the peer protocol; it implements core.RunPeer and
-// interp.PolicyPeer so the process-wide caches read through it.
+// HTTP client side of the peer protocol; it implements core.RunPeer so
+// the process-wide run cache reads through it.
 type Node struct {
 	cfg   Config
 	self  string
@@ -170,8 +169,7 @@ type Node struct {
 	// the job (cancellation comes from the client's request context).
 	streamClient *http.Client
 
-	runs     *runStore
-	policies *policyStore
+	runs *runStore
 
 	counters  Sink
 	loadFn    func() int64
@@ -210,7 +208,6 @@ func New(cfg Config) (*Node, error) {
 		client:       &http.Client{Timeout: cfg.HTTPTimeout},
 		streamClient: &http.Client{},
 		runs:         newRunStore(cfg.StoreCap),
-		policies:     newPolicyStore(),
 		stop:         make(chan struct{}),
 	}
 	if err := n.SetPeers(cfg.Peers); err != nil {
@@ -420,7 +417,6 @@ func (n *Node) Stats() Stats {
 		HealthyNodes: n.HealthyCount(),
 		RunEntries:   entries,
 		RunEvicted:   evicted,
-		Policies:     n.policies.len(),
 	}
 }
 
@@ -686,69 +682,5 @@ func (n *Node) FillRun(key core.RunKey, res *interp.Result) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusCreated {
 		n.count(telemetry.CounterClusterRunFills, 1)
-	}
-}
-
-// --- interp.PolicyPeer ---
-
-// FetchPolicy implements interp.PolicyPeer: adopt a peer-mined
-// superinstruction policy for a fingerprint instead of re-tracing it
-// locally.
-func (n *Node) FetchPolicy(fp uint64) (interp.FusionPolicy, bool) {
-	owner := n.ownerHealthy(PolicyKeyHash(fp))
-	if owner == n.self {
-		pol, ok := n.policies.get(fp)
-		if ok {
-			n.count(telemetry.CounterClusterPolicyHits, 1)
-		}
-		return interp.FusionPolicy(pol), ok
-	}
-	p := n.peer(owner)
-	if p == nil {
-		return 0, false
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.HTTPTimeout)
-	defer cancel()
-	resp, err := n.doRetry(ctx, p, http.MethodGet, fmt.Sprintf("/v1/cluster/policy/%016x", fp), nil, "cluster:fetch-policy")
-	if err != nil {
-		return 0, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return 0, false
-	}
-	var body policyEnvelope
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&body); err != nil {
-		return 0, false
-	}
-	n.count(telemetry.CounterClusterPolicyHits, 1)
-	return interp.FusionPolicy(body.Policy), true
-}
-
-// FillPolicy implements interp.PolicyPeer: publish a locally mined
-// policy to its ring owner. Best-effort.
-func (n *Node) FillPolicy(fp uint64, pol interp.FusionPolicy) {
-	owner := n.ownerHealthy(PolicyKeyHash(fp))
-	if owner == n.self {
-		n.policies.put(fp, uint16(pol))
-		n.count(telemetry.CounterClusterPolicyFills, 1)
-		return
-	}
-	p := n.peer(owner)
-	if p == nil {
-		return
-	}
-	body, _ := json.Marshal(policyEnvelope{Policy: uint16(pol)})
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.HTTPTimeout)
-	defer cancel()
-	resp, err := n.doRetry(ctx, p, http.MethodPost, fmt.Sprintf("/v1/cluster/policy/%016x", fp), body, "cluster:fill-policy")
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusCreated {
-		n.count(telemetry.CounterClusterPolicyFills, 1)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"psaflow/internal/core"
 	"psaflow/internal/faults"
-	"psaflow/internal/interp"
 )
 
 func TestRunStoreSingleflight(t *testing.T) {
@@ -249,28 +248,6 @@ func TestTwoNodeFetchWaitsForFill(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiting fetch never returned")
-	}
-}
-
-func TestTwoNodePolicy(t *testing.T) {
-	na, _, sa, _ := newPair(t)
-	// Find a fingerprint whose policy owner is the remote node.
-	var fp uint64
-	for fp = 1; fp < 10000; fp++ {
-		if na.ownerHealthy(PolicyKeyHash(fp)) == "nb" {
-			break
-		}
-	}
-	if _, ok := na.FetchPolicy(fp); ok {
-		t.Fatal("unfilled policy hit")
-	}
-	na.FillPolicy(fp, interp.FusionPolicy(0x2a))
-	pol, ok := na.FetchPolicy(fp)
-	if !ok || pol != 0x2a {
-		t.Fatalf("policy round-trip: ok=%v pol=%#x", ok, pol)
-	}
-	if sa.get("cluster.progcache.policy_fills") != 1 || sa.get("cluster.progcache.policy_hits") != 1 {
-		t.Fatalf("policy counters: %v", sa.m)
 	}
 }
 

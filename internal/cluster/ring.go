@@ -1,8 +1,8 @@
 // Package cluster is the peer layer that turns N psaflowd processes into
 // one logical service: consistent-hash job placement over the node set,
-// a groupcache-style read-through peer protocol for the profiled-run and
-// program caches, and the health tracking that lets both degrade to
-// local behaviour when peers disappear. Membership is static (the -peers
+// a groupcache-style read-through peer protocol for the profiled-run
+// cache, and the health tracking that lets both degrade to local
+// behaviour when peers disappear. Membership is static (the -peers
 // flag); liveness is not — every routing decision consults per-peer
 // health, so a dead node's keyspace is rehashed onto the survivors
 // without any membership change.
@@ -132,7 +132,3 @@ func JobKey(tenant string, fingerprint uint64) uint64 {
 
 // RunKeyHash hashes a distributed run-cache key ID onto the ring.
 func RunKeyHash(keyID string) uint64 { return hashString("run|" + keyID) }
-
-// PolicyKeyHash hashes a program fingerprint onto the ring for fusion-
-// policy ownership.
-func PolicyKeyHash(fp uint64) uint64 { return hashString(fmt.Sprintf("policy|%016x", fp)) }

@@ -137,35 +137,3 @@ func (rs *runStore) stats() (entries int, evicted int64) {
 	defer rs.mu.Unlock()
 	return len(rs.entries), rs.evicted
 }
-
-// policyStore is the owner-side fusion-policy map: tiny (one uint16 per
-// fingerprint), so no eviction.
-type policyStore struct {
-	mu       sync.Mutex
-	policies map[uint64]uint16
-}
-
-func newPolicyStore() *policyStore {
-	return &policyStore{policies: make(map[uint64]uint16)}
-}
-
-func (ps *policyStore) get(fp uint64) (uint16, bool) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	p, ok := ps.policies[fp]
-	return p, ok
-}
-
-func (ps *policyStore) put(fp uint64, policy uint16) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if _, ok := ps.policies[fp]; !ok {
-		ps.policies[fp] = policy
-	}
-}
-
-func (ps *policyStore) len() int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return len(ps.policies)
-}

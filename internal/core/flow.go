@@ -81,11 +81,6 @@ type Context struct {
 	// cache; each run then lowers afresh. Race-safe, shared as-is by
 	// parallel branch paths, and shareable across whole job batches.
 	Progs *interp.ProgramCache
-	// QuickenThreshold is handed to the interpreter for every profiled
-	// run: the per-instruction execution count after which the bytecode
-	// VM rewrites hot generic opcodes to type-specialized forms. 0 means
-	// interp.DefaultQuickenThreshold; negative disables quickening.
-	QuickenThreshold int
 	// Faults injects deterministic synthetic failures at the instrumented
 	// tool call sites (partial compiles, profiled runs, device claims —
 	// see internal/faults and docs/FAULTS.md). Nil disables injection;
@@ -165,22 +160,21 @@ func (c *Context) resilient() bool {
 // future lock-bearing field is ever copied by value.
 func (c *Context) withCtx(ctx context.Context) *Context {
 	return &Context{
-		Ctx:              ctx,
-		Workload:         c.Workload,
-		CPU:              c.CPU,
-		Budget:           c.Budget,
-		Cost:             c.Cost,
-		Logf:             c.Logf,
-		Parallel:         c.Parallel,
-		Telemetry:        c.Telemetry,
-		Runs:             c.Runs,
-		Progs:            c.Progs,
-		QuickenThreshold: c.QuickenThreshold,
-		Faults:           c.Faults,
-		Retry:            c.Retry,
-		TaskTimeout:      c.TaskTimeout,
-		DSEWorkers:       c.DSEWorkers,
-		shared:           c.shared,
+		Ctx:         ctx,
+		Workload:    c.Workload,
+		CPU:         c.CPU,
+		Budget:      c.Budget,
+		Cost:        c.Cost,
+		Logf:        c.Logf,
+		Parallel:    c.Parallel,
+		Telemetry:   c.Telemetry,
+		Runs:        c.Runs,
+		Progs:       c.Progs,
+		Faults:      c.Faults,
+		Retry:       c.Retry,
+		TaskTimeout: c.TaskTimeout,
+		DSEWorkers:  c.DSEWorkers,
+		shared:      c.shared,
 	}
 }
 

@@ -102,67 +102,6 @@ const (
 	omIdx                // step at pos + resolveTgt + loadElem (indexed read)
 )
 
-// FusePat identifies one superinstruction fusion pattern. Every fused
-// instruction carries the pattern that produced it, so the dispatch loop
-// can attribute superinstruction dispatches per pattern (DispatchTrace)
-// and the lowering can be driven by a mined FusionPolicy instead of the
-// fixed always-everything list.
-type FusePat uint8
-
-// The fusion patterns. Any subset lowers to a bit-for-bit equivalent
-// program: a disabled pattern simply takes the general materialization
-// path, whose accounting the tree-walking oracle already defines.
-const (
-	FuseNone       FusePat = iota
-	FuseBinary             // fused opBinary (inline operand fetches)
-	FuseCmpBranch          // compare-and-branch loop heads (opCmpBranch)
-	FuseBinDecl            // declare-with-binary-initializer (opBinDeclVar)
-	FuseBinAssign          // load-binop-store / FMA accumulate (opBinAssignVar)
-	FuseIdxOperand         // indexed loads fused as operands (omIdx)
-	FuseStoreIdx           // fused indexed stores (opStoreIdx)
-	FuseIncIdx             // fused indexed ++/-- (opIncIdx)
-	FuseBuiltin            // builtins with inline-fetched arguments
-	NumFusePats
-)
-
-// String names the pattern (telemetry and trace dumps).
-func (p FusePat) String() string {
-	switch p {
-	case FuseBinary:
-		return "binary"
-	case FuseCmpBranch:
-		return "cmp-branch"
-	case FuseBinDecl:
-		return "bin-decl"
-	case FuseBinAssign:
-		return "bin-assign"
-	case FuseIdxOperand:
-		return "idx-operand"
-	case FuseStoreIdx:
-		return "store-idx"
-	case FuseIncIdx:
-		return "inc-idx"
-	case FuseBuiltin:
-		return "builtin"
-	}
-	return "none"
-}
-
-// FusionPolicy selects which fusion patterns the lowering applies, one bit
-// per FusePat. The zero policy disables all fusion; AllFusion is the
-// cold-start policy (every pattern enabled, dispatch trace decides what a
-// warm lowering keeps — see MineFusion).
-type FusionPolicy uint16
-
-// AllFusion enables every fusion pattern.
-const AllFusion FusionPolicy = (1<<NumFusePats - 1) &^ 1
-
-// Has reports whether pattern p is enabled.
-func (fp FusionPolicy) Has(p FusePat) bool { return fp&(1<<p) != 0 }
-
-// With returns fp with pattern p enabled.
-func (fp FusionPolicy) With(p FusePat) FusionPolicy { return fp | 1<<p }
-
 // bopnd is one fused operand.
 type bopnd struct {
 	mode uint8
@@ -206,14 +145,14 @@ type btarget struct {
 // names used only on cold paths trail them.
 type binstr struct {
 	op     opcode
-	fuse   FusePat // superinstruction pattern; FuseNone when not fused
-	gop    opcode  // generic opcode a quickened instruction deopts back to
-	dst    int32   // result register; -1 discards
-	reg    int32   // variable register / args base register
-	n      int32   // arg count; ++/-- delta
-	jmp    int32   // branch target
-	nsteps int32   // static step count: len(pre) + own step + operand steps
-	hot    int32   // per-instruction execution counter driving quickening
+	fused  bool   // superinstruction: counted in interp.bytecode.fused
+	gop    opcode // generic opcode a quickened instruction deopts back to
+	dst    int32  // result register; -1 discards
+	reg    int32  // variable register / args base register
+	n      int32  // arg count; ++/-- delta
+	jmp    int32  // branch target
+	nsteps int32  // static step count: len(pre) + own step + operand steps
+	hot    int32  // per-instruction execution counter driving quickening
 	tok    minic.TokKind
 	tok2   minic.TokKind // binop for opBinAssignVar
 	a, b   bopnd
@@ -253,7 +192,6 @@ const tempBit = int32(1) << 28
 // region rewritten above the variables once their count is known.
 type bcompiler struct {
 	prog   *minic.Program
-	policy FusionPolicy
 	funcs  map[string]*bfunc
 	scopes []map[string]int32
 	nvars  int32
@@ -270,14 +208,12 @@ type bloopCtx struct {
 	conts  []int32
 }
 
-// compileBytecode lowers every function of prog under the given fusion
-// policy. It never fails: constructs the tree-walker
-// would only reject at runtime lower to opErrMsg instructions producing
-// the identical error, so unexecuted dead code stays legal. Any policy
-// lowers to a bit-for-bit equivalent program — a disabled pattern takes
-// the general materialization path.
-func compileBytecode(prog *minic.Program, policy FusionPolicy) *bprog {
-	c := &bcompiler{prog: prog, policy: policy, funcs: make(map[string]*bfunc, len(prog.Funcs))}
+// compileBytecode lowers every function of prog. It never fails:
+// constructs the tree-walker would only reject at runtime lower to
+// opErrMsg instructions producing the identical error, so unexecuted
+// dead code stays legal.
+func compileBytecode(prog *minic.Program) *bprog {
+	c := &bcompiler{prog: prog, funcs: make(map[string]*bfunc, len(prog.Funcs))}
 	for _, f := range prog.Funcs {
 		if _, exists := c.funcs[f.Name]; !exists { // first declaration wins, as in Program.Func
 			c.funcs[f.Name] = &bfunc{decl: f}
@@ -469,9 +405,6 @@ func (c *bcompiler) fuseOperand(e minic.Expr) (bopnd, bool) {
 	if o, ok := c.fuseSimple(e); ok {
 		return o, true
 	}
-	if !c.policy.Has(FuseIdxOperand) {
-		return bopnd{}, false
-	}
 	ix, ok := e.(*minic.IndexExpr)
 	if !ok {
 		return bopnd{}, false
@@ -633,13 +566,13 @@ func (c *bcompiler) compileDecl(d *minic.DeclStmt, pre []minic.Pos) {
 	if d.Init != nil {
 		// Superinstruction: a declaration initialized by a fusible binary
 		// (`float dx = p[j] - p[i]`) evaluates and declares in one dispatch.
-		if b, bok := d.Init.(*minic.BinaryExpr); bok && c.policy.Has(FuseBinDecl) &&
+		if b, bok := d.Init.(*minic.BinaryExpr); bok &&
 			b.Op != minic.TokAndAnd && b.Op != minic.TokOrOr {
 			l, lok := c.fuseOperand(b.L)
 			r, rok := c.fuseOperand(b.R)
 			if lok && rok {
 				reg := c.declare(d.Name)
-				c.emit(binstr{op: opBinDeclVar, fuse: FuseBinDecl, pre: withPos(pre, pos), pos: pos,
+				c.emit(binstr{op: opBinDeclVar, fused: true, pre: withPos(pre, pos), pos: pos,
 					pos2: b.NodePos(), tok2: b.Op, reg: reg, a: l, b: r, name: d.Name, typ: d.Type})
 				return
 			}
@@ -684,12 +617,12 @@ func (c *bcompiler) compileIf(v *minic.IfStmt, pre []minic.Pos) {
 // index of the branching instruction. Fused binary conditions become a
 // single compare-and-branch superinstruction.
 func (c *bcompiler) compileCond(cond minic.Expr, pre []minic.Pos) int32 {
-	if b, ok := cond.(*minic.BinaryExpr); ok && c.policy.Has(FuseCmpBranch) &&
+	if b, ok := cond.(*minic.BinaryExpr); ok &&
 		b.Op != minic.TokAndAnd && b.Op != minic.TokOrOr {
 		l, lok := c.fuseOperand(b.L)
 		r, rok := c.fuseOperand(b.R)
 		if lok && rok {
-			return c.emit(binstr{op: opCmpBranch, fuse: FuseCmpBranch, pre: pre, pos: b.NodePos(),
+			return c.emit(binstr{op: opCmpBranch, fused: true, pre: pre, pos: b.NodePos(),
 				tok: b.Op, a: l, b: r})
 		}
 	}
@@ -799,7 +732,7 @@ func (c *bcompiler) compileExprTo(e minic.Expr, dst int32, pre []minic.Pos) {
 		c.compileIncDecTo(v, dst, pre)
 	case *minic.IndexExpr:
 		if o, ok := c.fuseOperand(e); ok {
-			c.emit(binstr{op: opEval, fuse: FuseIdxOperand, pre: pre, dst: dst, a: o})
+			c.emit(binstr{op: opEval, fused: true, pre: pre, dst: dst, a: o})
 			return
 		}
 		tgt, ntemps := c.materializeTarget(v, withPos(pre, pos))
@@ -856,14 +789,10 @@ func (c *bcompiler) compileBinaryTo(b *minic.BinaryExpr, dst int32, pre []minic.
 	// The fused binary: leaf operands and indexed loads are fetched
 	// inside the instruction. The binary's own
 	// step rides in the instruction's pre list.
-	var l, r bopnd
-	var lok, rok bool
-	if c.policy.Has(FuseBinary) {
-		l, lok = c.fuseOperand(b.L)
-		r, rok = c.fuseOperand(b.R)
-	}
+	l, lok := c.fuseOperand(b.L)
+	r, rok := c.fuseOperand(b.R)
 	if lok && rok {
-		c.emit(binstr{op: opBinary, fuse: FuseBinary, pre: withPos(pre, pos), pos: pos,
+		c.emit(binstr{op: opBinary, fused: true, pre: withPos(pre, pos), pos: pos,
 			tok: b.Op, dst: dst, a: l, b: r})
 		return
 	}
@@ -885,7 +814,7 @@ func (c *bcompiler) compileBinaryTo(b *minic.BinaryExpr, dst int32, pre []minic.
 	}
 	in := binstr{op: opBinary, pos: pos, tok: b.Op, dst: dst, a: l, b: r}
 	if r.mode != omPlain {
-		in.fuse = FuseBinary
+		in.fused = true
 	}
 	c.emit(in)
 	c.tempFree(ntemps)
@@ -966,12 +895,12 @@ func (c *bcompiler) compileAssignTo(a *minic.AssignExpr, dst int32, pre []minic.
 		// Superinstruction: x op= simple⊕simple executes the RHS binary,
 		// the compound combine, and the store in one dispatch (the FMA
 		// pattern `acc += a * b` lands here).
-		if b, bok := a.RHS.(*minic.BinaryExpr); bok && c.policy.Has(FuseBinAssign) &&
+		if b, bok := a.RHS.(*minic.BinaryExpr); bok &&
 			b.Op != minic.TokAndAnd && b.Op != minic.TokOrOr {
 			l, lok := c.fuseOperand(b.L)
 			r, rok := c.fuseOperand(b.R)
 			if lok && rok {
-				c.emit(binstr{op: opBinAssignVar, fuse: FuseBinAssign, pre: withPos(pre, pos),
+				c.emit(binstr{op: opBinAssignVar, fused: true, pre: withPos(pre, pos),
 					pos: pos, pos2: b.NodePos(), pos3: lpos, tok: a.Op, tok2: b.Op,
 					dst: dst, reg: reg, a: l, b: r, name: lhs.Name})
 				return
@@ -981,7 +910,7 @@ func (c *bcompiler) compileAssignTo(a *minic.AssignExpr, dst int32, pre []minic.
 		in := binstr{op: opAssignVar, pos: pos, pos2: lpos, tok: a.Op, dst: dst,
 			reg: reg, a: rhs}
 		if fused && rhs.mode == omIdx {
-			in.fuse = FuseIdxOperand
+			in.fused = true
 		}
 		if fused {
 			in.pre = withPos(pre, pos)
@@ -992,20 +921,18 @@ func (c *bcompiler) compileAssignTo(a *minic.AssignExpr, dst int32, pre []minic.
 		lpos := lhs.NodePos()
 		// RHS evaluates before the target resolves, as in compileAssign.
 		carry := withPos(pre, pos)
-		if c.policy.Has(FuseStoreIdx) {
-			if tgt, ok := c.fuseTarget(lhs); ok {
-				if rhs, rok := c.fuseOperand(a.RHS); rok {
-					c.emit(binstr{op: opStoreIdx, fuse: FuseStoreIdx, pre: carry, pos: pos, pos2: lpos,
-						tok: a.Op, dst: dst, a: rhs, tgt: tgt})
-					return
-				}
-				t := c.tempAlloc()
-				c.compileExprTo(a.RHS, t, carry)
-				c.emit(binstr{op: opStoreIdx, fuse: FuseStoreIdx, pos: pos, pos2: lpos,
-					tok: a.Op, dst: dst, a: bopnd{mode: omPlain, ref: t}, tgt: tgt})
-				c.tempFree(1)
+		if tgt, ok := c.fuseTarget(lhs); ok {
+			if rhs, rok := c.fuseOperand(a.RHS); rok {
+				c.emit(binstr{op: opStoreIdx, fused: true, pre: carry, pos: pos, pos2: lpos,
+					tok: a.Op, dst: dst, a: rhs, tgt: tgt})
 				return
 			}
+			t := c.tempAlloc()
+			c.compileExprTo(a.RHS, t, carry)
+			c.emit(binstr{op: opStoreIdx, fused: true, pos: pos, pos2: lpos,
+				tok: a.Op, dst: dst, a: bopnd{mode: omPlain, ref: t}, tgt: tgt})
+			c.tempFree(1)
+			return
 		}
 		// Complex target: the RHS (fusible or not) materializes first so
 		// its accounting precedes the target's instructions.
@@ -1042,12 +969,10 @@ func (c *bcompiler) compileIncDecTo(x *minic.IncDecExpr, dst int32, pre []minic.
 		c.emit(binstr{op: opIncVar, pre: withPos(pre, pos), pos: tpos, dst: dst, reg: reg, n: delta})
 	case *minic.IndexExpr:
 		tpos := t.NodePos()
-		if c.policy.Has(FuseIncIdx) {
-			if tgt, ok := c.fuseTarget(t); ok {
-				c.emit(binstr{op: opIncIdx, fuse: FuseIncIdx, pre: withPos(pre, pos), pos: tpos,
-					dst: dst, n: delta, tgt: tgt})
-				return
-			}
+		if tgt, ok := c.fuseTarget(t); ok {
+			c.emit(binstr{op: opIncIdx, fused: true, pre: withPos(pre, pos), pos: tpos,
+				dst: dst, n: delta, tgt: tgt})
+			return
 		}
 		tgt, ntemps := c.materializeTarget(t, withPos(pre, pos))
 		c.emit(binstr{op: opIncIdx, pos: tpos, dst: dst, n: delta, tgt: tgt})
@@ -1082,7 +1007,7 @@ func (c *bcompiler) compileCallTo(call *minic.CallExpr, dst int32, pre []minic.P
 	if bi, ok := builtins[call.Fun]; ok {
 		// Fused builtin: up to two simple arguments fetch inside the
 		// dispatch (sqrt(r2), fmax(a, b[i]) ...).
-		if len(call.Args) <= 2 && c.policy.Has(FuseBuiltin) {
+		if len(call.Args) <= 2 {
 			ops := make([]bopnd, len(call.Args))
 			allFused := true
 			for i, a := range call.Args {
@@ -1094,7 +1019,7 @@ func (c *bcompiler) compileCallTo(call *minic.CallExpr, dst int32, pre []minic.P
 				ops[i] = o
 			}
 			if allFused {
-				in := binstr{op: opBuiltin, fuse: FuseBuiltin, pre: withPos(pre, pos), pos: pos,
+				in := binstr{op: opBuiltin, fused: true, pre: withPos(pre, pos), pos: pos,
 					dst: dst, n: int32(len(ops)), bi: bi, name: call.Fun}
 				if len(ops) > 0 {
 					in.a = ops[0]

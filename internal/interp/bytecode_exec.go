@@ -166,20 +166,13 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 	steps := m.steps
 	var cyc float64
 	var flops, intops, nInstr, nFused int64
-	// Per-pattern dispatch counts feed superinstruction mining; the local
-	// array keeps the tracing-off fast path to a single flag test.
-	tr := m.trace != nil
-	var fhits [NumFusePats]int64
 	var qhits int64
 	for pc < len(code) {
 		in := &code[pc]
 		pc++
 		nInstr++
-		if in.fuse != 0 {
+		if in.fused {
 			nFused++
-			if tr {
-				fhits[in.fuse]++
-			}
 		}
 		// Batched budget check for every fine-grained step this instruction
 		// performs; a crossing inside the instruction replays precisely.
@@ -821,7 +814,7 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 				}
 			}
 			var args []Value
-			if in.fuse != 0 {
+			if in.fused {
 				nargs := int(in.n)
 				if nargs > 0 {
 					switch in.a.mode {
@@ -898,11 +891,11 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 				return m.errf(in.pos, "return: %v", err)
 			}
 			fr.ret = coerced
-			m.dflush(steps, cyc, flops, intops, nInstr, nFused, qhits, &fhits)
+			m.dflush(steps, cyc, flops, intops, nInstr, nFused, qhits)
 			return nil
 
 		case opReturnVoid:
-			m.dflush(steps, cyc, flops, intops, nInstr, nFused, qhits, &fhits)
+			m.dflush(steps, cyc, flops, intops, nInstr, nFused, qhits)
 			return nil
 
 		case opErrMsg:
@@ -1537,18 +1530,15 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 		// the instruction (also the landing point after a successful
 		// quickening rewrite).
 		nInstr--
-		if in.fuse != 0 {
+		if in.fused {
 			nFused--
-			if tr {
-				fhits[in.fuse]--
-			}
 		}
 		if in.nsteps > 0 {
 			steps -= int64(in.nsteps)
 		}
 		pc--
 	}
-	m.dflush(steps, cyc, flops, intops, nInstr, nFused, qhits, &fhits)
+	m.dflush(steps, cyc, flops, intops, nInstr, nFused, qhits)
 	return nil
 }
 
@@ -1556,7 +1546,7 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 // run profile. Dispatch calls it on every success-path return; error
 // returns skip it because Run never surfaces the profile, the counters,
 // or the step total of a failed run.
-func (m *machine) dflush(steps int64, cyc float64, flops, intops, nInstr, nFused, qhits int64, fhits *[NumFusePats]int64) {
+func (m *machine) dflush(steps int64, cyc float64, flops, intops, nInstr, nFused, qhits int64) {
 	m.steps = steps
 	m.prof.Cycles += cyc
 	m.prof.Flops += flops
@@ -1564,9 +1554,6 @@ func (m *machine) dflush(steps int64, cyc float64, flops, intops, nInstr, nFused
 	m.bcInstrs += nInstr
 	m.bcFused += nFused
 	m.qHits += qhits
-	if m.trace != nil {
-		m.trace.fold(fhits)
-	}
 }
 
 // operandNB resolves one fused operand without step accounting (the

@@ -91,15 +91,14 @@ type Config struct {
 	// the bytecode VM rewrites a generic opcode in place to its
 	// type-specialized (quickened) form. 0 selects DefaultQuickenThreshold;
 	// negative disables quickening. Quickened execution is bit-for-bit
-	// equivalent to generic execution (a guard miss deoptimizes back), so
-	// the threshold is purely a performance knob.
+	// equivalent to generic execution (a guard miss deoptimizes back); the
+	// quicken equivalence suites set it to force early or never
+	// specialisation, everything else runs at the default.
 	QuickenThreshold int
 	// Progs, when non-nil, caches lowered bytecode programs keyed by
 	// Fingerprint so repeat Runs of the same program skip lowering and
-	// inherit quickened instruction state from earlier runs. The first run
-	// of a fingerprint also captures a dispatch trace that mines the
-	// superinstruction set used by later lowerings of that program.
-	// Requires a nonzero Fingerprint; ignored under TreeWalk.
+	// inherit quickened instruction state from earlier runs. Requires a
+	// nonzero Fingerprint; ignored under TreeWalk.
 	Progs *ProgramCache
 	// Fingerprint identifies the program for Progs (minic.Fingerprint).
 	Fingerprint uint64
@@ -169,11 +168,9 @@ type machine struct {
 	bcInstrs int64
 	bcFused  int64
 	// Quickening state: quickenAt is the hot-counter trip point (0
-	// disables), trace receives per-pattern dispatch counts when
-	// superinstruction mining is active, and the q* totals feed the
-	// interp.bytecode.quicken.* counters.
+	// disables) and the q* totals feed the interp.bytecode.quicken.*
+	// counters.
 	quickenAt int32
-	trace     *DispatchTrace
 	qRewrites int64
 	qHits     int64
 	qDeopts   int64
@@ -238,13 +235,12 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 		if cfg.Progs != nil && cfg.Fingerprint != 0 {
 			lease = cfg.Progs.lease(cfg.Fingerprint, prog)
 			bp = lease.bp
-			m.trace = lease.trace
 			m.loopInfo = lease.loops
 			if !lease.lowered {
 				progHits = 1
 			}
 		} else {
-			bp = lowerBytecode(prog, AllFusion)
+			bp = lowerBytecode(prog)
 			if bp != nil {
 				m.loopInfo = buildLoopInfo(prog)
 			}
@@ -263,8 +259,7 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 			ret, err = m.call(entry, cfg.Args, entry.NodePos())
 		}
 		if lease != nil {
-			m.trace = nil
-			cfg.Progs.release(lease, err == nil)
+			cfg.Progs.release(lease)
 		}
 	}
 	if err != nil {
@@ -322,13 +317,13 @@ func quickenTrip(threshold int) int32 {
 // lowerBytecode wraps compileBytecode with a panic guard: the lowering is
 // exercised by the differential fuzzer and never expected to fail, but a
 // defect must degrade to the tree-walker, not crash a flow.
-func lowerBytecode(prog *minic.Program, policy FusionPolicy) (bp *bprog) {
+func lowerBytecode(prog *minic.Program) (bp *bprog) {
 	defer func() {
 		if recover() != nil {
 			bp = nil
 		}
 	}()
-	return compileBytecode(prog, policy)
+	return compileBytecode(prog)
 }
 
 // buildLoopInfo precomputes enclosing function and nesting depth for every

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -457,5 +458,48 @@ func TestLoweringFailureFallsBackToTreeWalk(t *testing.T) {
 	}
 	if ctrs[CounterBCFallbacks] != 1 || ctrs[CounterBCInstrs] != 0 || ctrs[CounterBCLowerings] != 0 {
 		t.Errorf("counters = %v, want one fallback and no VM dispatch or lowering", ctrs)
+	}
+}
+
+// TestProgramCacheExtraCopyLowersLikeFresh pins that a lowering is a
+// function of the program alone: an extra copy lowered for a fingerprint
+// whose earlier run never reached entry b's loop must dispatch exactly
+// what an uncached lowering of the same program dispatches.
+func TestProgramCacheExtraCopyLowersLikeFresh(t *testing.T) {
+	const src = `
+int a(int n) { return n; }
+int b(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i * i; } return s; }`
+	prog := minic.MustParse(src)
+	const fp = 7
+	pc := NewProgramCache()
+	if _, err := Run(prog, Config{Entry: "a", Args: []Value{IntVal(3)}, Progs: pc, Fingerprint: fp}); err != nil {
+		t.Fatal(err)
+	}
+	held := pc.lease(fp, prog) // pins the released copy: the next Run must lower another
+	if held.bp == nil || held.lowered {
+		t.Fatalf("manual lease = (bp %v, lowered %v), want the copy entry a released", held.bp, held.lowered)
+	}
+	defer pc.release(held)
+
+	cached, fresh := counterMap{}, counterMap{}
+	got, err := Run(prog, Config{Entry: "b", Args: []Value{IntVal(100)}, Progs: pc, Fingerprint: fp, Counters: cached})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(prog, Config{Entry: "b", Args: []Value{IntVal(100)}, Counters: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached[CounterBCLowerings] != 1 {
+		t.Fatalf("cached run lowerings = %d, want 1 (an extra copy)", cached[CounterBCLowerings])
+	}
+	if got.Ret != want.Ret || got.Steps != want.Steps || !reflect.DeepEqual(got.Prof, want.Prof) {
+		t.Errorf("extra copy ran (%v, %d steps, %+v), fresh lowering (%v, %d steps, %+v)",
+			got.Ret, got.Steps, got.Prof, want.Ret, want.Steps, want.Prof)
+	}
+	for _, name := range []string{CounterBCInstrs, CounterBCFused} {
+		if cached[name] != fresh[name] || fresh[name] == 0 {
+			t.Errorf("%s: extra copy %d, fresh lowering %d (want equal and non-zero)", name, cached[name], fresh[name])
+		}
 	}
 }

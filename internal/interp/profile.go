@@ -174,64 +174,6 @@ func (p *Profile) AliasPairs() [][2]string {
 	return out
 }
 
-// DispatchTrace counts superinstruction dispatches per fusion pattern
-// during one (or more) bytecode runs. The counts are saturating: a trace
-// only has to rank patterns as "hot or not", so pinning at MaxUint32
-// beats wrapping back to a misleading small number on long runs.
-//
-// A trace is NOT part of Profile: profiles are compared bit-for-bit
-// across engines by the differential suites, and only the bytecode VM
-// has dispatch patterns to count.
-type DispatchTrace struct {
-	Hits [NumFusePats]uint32
-}
-
-// fold accumulates one dispatch loop's local pattern counts, saturating
-// at MaxUint32. Called from dflush; the caller guards on trace != nil.
-func (t *DispatchTrace) fold(fhits *[NumFusePats]int64) {
-	for p, n := range fhits {
-		if n == 0 {
-			continue
-		}
-		if s := uint64(t.Hits[p]) + uint64(n); s < 1<<32 {
-			t.Hits[p] = uint32(s)
-		} else {
-			t.Hits[p] = 1<<32 - 1
-		}
-	}
-}
-
-// Total returns the trace's total superinstruction dispatch count (each
-// pattern's count saturates independently).
-func (t *DispatchTrace) Total() uint64 {
-	var n uint64
-	for _, h := range t.Hits {
-		n += uint64(h)
-	}
-	return n
-}
-
-// MineFusion selects the superinstruction set for future lowerings of
-// the traced program: every pattern that actually dispatched. Fusing a
-// pattern the program never executes only bloats compiled operand plans,
-// so cold patterns lower through the generic materialization paths
-// instead (any policy subset is bit-for-bit equivalent — the general
-// paths carry identical accounting). FuseIdxOperand rides along whenever
-// anything fired: indexed operands embed inside the other patterns, and
-// their count alone under-reports their reach.
-func (t *DispatchTrace) MineFusion() FusionPolicy {
-	var fp FusionPolicy
-	for p := FusePat(1); p < NumFusePats; p++ {
-		if t.Hits[p] > 0 {
-			fp = fp.With(p)
-		}
-	}
-	if fp != 0 {
-		fp = fp.With(FuseIdxOperand)
-	}
-	return fp
-}
-
 // ArithmeticIntensity returns executed FLOPs per byte of memory traffic
 // inside the watched function; 0 when nothing was measured.
 func (p *Profile) ArithmeticIntensity() float64 {

@@ -235,46 +235,3 @@ func TestElemBytes(t *testing.T) {
 		t.Error("int elem bytes != 4")
 	}
 }
-
-// TestDispatchTraceSaturation drives the per-pattern dispatch counters
-// past their uint32 range: counts must pin at the maximum instead of
-// wrapping back to a misleading small number, and a saturated pattern
-// must still rank as hot for fusion mining.
-func TestDispatchTraceSaturation(t *testing.T) {
-	tr := &DispatchTrace{}
-	p := FusePat(2)
-	var fhits [NumFusePats]int64
-	fhits[p] = 1<<32 - 10 // one fold away from the ceiling
-	tr.fold(&fhits)
-	if got := tr.Hits[p]; got != 1<<32-10 {
-		t.Fatalf("Hits[%d] = %d after first fold, want %d", p, got, uint64(1)<<32-10)
-	}
-	fhits[p] = 1 << 20 // crosses the ceiling: must saturate, not wrap
-	tr.fold(&fhits)
-	if got := tr.Hits[p]; got != 1<<32-1 {
-		t.Fatalf("Hits[%d] = %d after overflow fold, want saturation at %d", p, got, uint64(1)<<32-1)
-	}
-	tr.fold(&fhits) // saturated counters must stay pinned
-	if got := tr.Hits[p]; got != 1<<32-1 {
-		t.Fatalf("Hits[%d] = %d after repeated fold, want %d", p, got, uint64(1)<<32-1)
-	}
-	if got := tr.Total(); got != 1<<32-1 {
-		t.Errorf("Total() = %d, want %d", got, uint64(1)<<32-1)
-	}
-	fp := tr.MineFusion()
-	if !fp.Has(p) {
-		t.Errorf("MineFusion dropped saturated pattern %d", p)
-	}
-	if !fp.Has(FuseIdxOperand) {
-		t.Errorf("MineFusion policy misses the FuseIdxOperand rider")
-	}
-}
-
-// TestDispatchTraceZeroStaysCold checks the complement: an empty trace
-// mines the empty policy (no speculative fusing of never-seen patterns).
-func TestDispatchTraceZeroStaysCold(t *testing.T) {
-	tr := &DispatchTrace{}
-	if fp := tr.MineFusion(); fp != 0 {
-		t.Errorf("empty trace mined policy %b, want 0", fp)
-	}
-}

@@ -663,7 +663,7 @@ func bakeLoad(in *binstr, regs []Value) (*qinfo, opcode) {
 // Arity mismatches (a guaranteed runtime error) and the int intrinsics
 // (abs/min/max) stay generic.
 func bakeBuiltin(in *binstr, regs []Value) (*qinfo, opcode) {
-	if in.fuse == 0 || int(in.n) != in.bi.arity {
+	if !in.fused || int(in.n) != in.bi.arity {
 		return nil, opNop
 	}
 	q := &qinfo{}

@@ -5,7 +5,9 @@
 // decoding on the first chunk, and the handler never materializes the
 // document as a whole, only one field's value at a time. Unknown keys
 // are rejected by name, preserving the strictness of
-// json.Decoder.DisallowUnknownFields with a friendlier error.
+// json.Decoder.DisallowUnknownFields with a friendlier error, and every
+// error the package raises says where: "at byte N" is the decoder's input
+// offset just past the offending key or value.
 package jsonstream
 
 import (
@@ -61,7 +63,8 @@ func (o *Object) Float64(name string, dst *float64) { o.Field(name, decodeInto(d
 
 // Decode reads one JSON object from r, dispatching each field to its
 // handler in wire order. Unknown fields fail with an error naming the
-// offender; so does anything but a single object followed by EOF.
+// offender and its byte offset; so does anything but a single object
+// followed by EOF.
 // Errors from the underlying reader (e.g. *http.MaxBytesError) pass
 // through unwrapped so callers can classify them.
 func (o *Object) Decode(r io.Reader) error {
@@ -80,21 +83,18 @@ func (o *Object) Decode(r io.Reader) error {
 		}
 		key, ok := keyTok.(string)
 		if !ok {
-			return fmt.Errorf("malformed object key %v", keyTok)
+			return fmt.Errorf("malformed object key %v at byte %d", keyTok, dec.InputOffset())
 		}
 		fn := o.fields[key]
 		if fn == nil {
-			return fmt.Errorf("unknown field %q", key)
+			return fmt.Errorf("unknown field %q at byte %d", key, dec.InputOffset())
 		}
 		if err := fn(dec); err != nil {
 			// Reader errors pass through bare for classification; decode
 			// errors get the field name prepended.
-			if _, isType := err.(*json.UnmarshalTypeError); isType {
-				return fmt.Errorf("field %q: %w", key, err)
-			}
 			var syn *json.SyntaxError
-			if asErr(err, &syn) {
-				return fmt.Errorf("field %q: %w", key, err)
+			if _, isType := err.(*json.UnmarshalTypeError); isType || asErr(err, &syn) {
+				return fmt.Errorf("field %q: %w at byte %d", key, err, dec.InputOffset())
 			}
 			return err
 		}
@@ -102,8 +102,9 @@ func (o *Object) Decode(r io.Reader) error {
 	if _, err := dec.Token(); err != nil { // the closing '}'
 		return err
 	}
+	end := dec.InputOffset()
 	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("trailing data after the JSON object")
+		return fmt.Errorf("trailing data after the JSON object at byte %d", end)
 	}
 	return nil
 }

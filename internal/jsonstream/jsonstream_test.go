@@ -53,16 +53,20 @@ func TestDecodePartialAndEmpty(t *testing.T) {
 func TestDecodeUnknownFieldNamed(t *testing.T) {
 	var s sample
 	err := sampleObject(&s).Decode(strings.NewReader(`{"name":"x","cuont":1}`))
-	if err == nil || !strings.Contains(err.Error(), `"cuont"`) {
-		t.Fatalf("unknown field error should name the offender, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), `"cuont" at byte 19`) {
+		t.Fatalf("unknown field error should name the offender and the end of its key, got %v", err)
 	}
 }
 
 func TestDecodeTypeMismatchNamesField(t *testing.T) {
 	var s sample
 	err := sampleObject(&s).Decode(strings.NewReader(`{"count":"three"}`))
-	if err == nil || !strings.Contains(err.Error(), `"count"`) {
-		t.Fatalf("type error should name the field, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), `"count"`) || !strings.HasSuffix(err.Error(), "at byte 16") {
+		t.Fatalf("type error should name the field and the end of its value, got %v", err)
+	}
+	var typeErr *json.UnmarshalTypeError
+	if !errors.As(err, &typeErr) {
+		t.Errorf("type error no longer unwraps to *json.UnmarshalTypeError: %v", err)
 	}
 }
 
@@ -78,7 +82,7 @@ func TestDecodeRejectsNonObject(t *testing.T) {
 func TestDecodeRejectsTrailingData(t *testing.T) {
 	var s sample
 	err := sampleObject(&s).Decode(strings.NewReader(`{"count":1}{"count":2}`))
-	if err == nil || !strings.Contains(err.Error(), "trailing") {
+	if err == nil || !strings.Contains(err.Error(), "trailing data after the JSON object at byte 11") {
 		t.Fatalf("trailing data: %v", err)
 	}
 }

@@ -49,8 +49,8 @@ func TestSubmitChunkedBody(t *testing.T) {
 }
 
 // TestSubmitStreamDecodeErrors pins the streaming decoder to the old
-// handler contract: unknown fields 400 naming the offender, oversized
-// bodies 413, non-object bodies 400.
+// handler contract: unknown fields 400 naming the offender and its byte
+// offset, oversized bodies 413, non-object bodies 400.
 func TestSubmitStreamDecodeErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4, MaxBody: 256})
 
@@ -64,7 +64,7 @@ func TestSubmitStreamDecodeErrors(t *testing.T) {
 		return resp.StatusCode, string(raw)
 	}
 
-	if code, body := post(`{"bench":"adpredictor","time_out_ms":5}`); code != http.StatusBadRequest || !strings.Contains(body, "time_out_ms") {
+	if code, body := post(`{"bench":"adpredictor","time_out_ms":5}`); code != http.StatusBadRequest || !strings.Contains(body, `time_out_ms\" at byte 36`) {
 		t.Errorf("typoed field: got %d %s", code, body)
 	}
 	if code, _ := post(`{"bench":"adpredictor","source":"` + strings.Repeat("x", 400) + `"}`); code != http.StatusRequestEntityTooLarge {
@@ -73,7 +73,7 @@ func TestSubmitStreamDecodeErrors(t *testing.T) {
 	if code, _ := post(`["adpredictor"]`); code != http.StatusBadRequest {
 		t.Errorf("non-object body: got %d", code)
 	}
-	if code, _ := post(`{"bench":"adpredictor"}{"bench":"adpredictor"}`); code != http.StatusBadRequest {
-		t.Errorf("trailing data: got %d", code)
+	if code, body := post(`{"bench":"adpredictor"}{"bench":"adpredictor"}`); code != http.StatusBadRequest || !strings.Contains(body, "at byte 23") {
+		t.Errorf("trailing data: got %d %s", code, body)
 	}
 }

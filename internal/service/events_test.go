@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -633,36 +631,5 @@ func TestRetainJobsDisabled(t *testing.T) {
 	s.mu.Unlock()
 	if n != 4 {
 		t.Fatalf("registry holds %d jobs with eviction disabled, want 4", n)
-	}
-}
-
-// TestWriteFileAtomicDurable is the satellite-3 regression: the rename
-// target must be world-readable and contain exactly the payload, and an
-// overwrite must leave no temp files behind.
-func TestWriteFileAtomicDurable(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.json")
-	for i, payload := range []string{`{"v":1}`, `{"v":2,"longer":true}`} {
-		if err := writeFileAtomic(path, []byte(payload)); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil || string(data) != payload {
-			t.Fatalf("write %d: read back %q err %v", i, data, err)
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Mode().Perm() != 0o644 {
-			t.Fatalf("write %d: mode = %v, want 0644", i, fi.Mode().Perm())
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("leftover temp files: %v", entries)
 	}
 }

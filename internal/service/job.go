@@ -251,8 +251,8 @@ type DesignSummary struct {
 	Trace      []string `json:"trace,omitempty"`
 }
 
-// JobResult is the GET /v1/jobs/{id}/result payload, persisted as
-// <data-dir>/jobs/<id>.json on completion.
+// JobResult is the GET /v1/jobs/{id}/result payload, persisted as the
+// job's terminal WAL record (store.OpResult / OpCancel) on completion.
 type JobResult struct {
 	JobStatus
 	// AutoTarget is the target class of the best feasible design — the

@@ -18,10 +18,9 @@ import (
 //
 //	store/           WAL-backed job store (internal/store): every submit,
 //	                 start, result, and cancel is appended durably, so a
-//	                 crash loses nothing that was acknowledged
-//	queue.json       clean-shutdown marker written by Drain; its absence at
-//	                 startup (with pending jobs in the store) means the
-//	                 previous process died and recovery ran
+//	                 crash loses nothing that was acknowledged; the
+//	                 shutdown record Drain appends last is what tells the
+//	                 next start a drain from a crash
 
 // validJobID rejects path-traversal in client-supplied job IDs before they
 // reach the filesystem.
@@ -60,55 +59,7 @@ func (s *Server) persistIO(op string, fn func() error) error {
 	}, do)
 }
 
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	// Flush file contents before the rename: rename-before-fsync can leave
-	// an empty or truncated file under the final name after a crash.
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	// CreateTemp's 0600 would make results unreadable to other readers of
-	// the data dir (e.g. operators inspecting the marker directly).
-	if err := tmp.Chmod(0o644); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	// Durably record the rename itself in the directory.
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-func (s *Server) storePath() string  { return filepath.Join(s.cfg.DataDir, "store") }
-func (s *Server) markerPath() string { return filepath.Join(s.cfg.DataDir, "queue.json") }
-
-// cleanMarker is the queue.json payload Drain writes.
-type cleanMarker struct {
-	CleanShutdown bool   `json:"clean_shutdown"`
-	At            string `json:"at"`
-}
+func (s *Server) storePath() string { return filepath.Join(s.cfg.DataDir, "store") }
 
 // openStore opens (creating if needed) the WAL-backed job store and logs
 // whether the previous process died with unfinished jobs.
@@ -119,7 +70,6 @@ func (s *Server) openStore() error {
 	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
 		return err
 	}
-	clean := s.consumeMarker()
 	st, err := store.Open(s.storePath(), store.Options{
 		RetainTerminal: s.cfg.StoreRetain,
 		Logf:           s.logf,
@@ -128,28 +78,11 @@ func (s *Server) openStore() error {
 		return fmt.Errorf("service: open job store: %w", err)
 	}
 	s.store = st
-	if pending := st.Stats().PendingJobs; pending > 0 && !clean {
+	if pending := st.Stats().PendingJobs; pending > 0 && !st.CleanShutdown() {
 		s.logf("unclean shutdown detected: %d unfinished job(s) recovered from the WAL", pending)
 	}
 	s.syncStoreCounters()
 	return nil
-}
-
-// consumeMarker reads and removes queue.json, reporting whether it was a
-// valid clean-shutdown marker.
-func (s *Server) consumeMarker() bool {
-	data, err := os.ReadFile(s.markerPath())
-	if err != nil {
-		return false
-	}
-	defer os.Remove(s.markerPath())
-	var m cleanMarker
-	if err := json.Unmarshal(data, &m); err != nil || !m.CleanShutdown {
-		s.rec.Add(telemetry.CounterStoreSkippedCorrupt, 1)
-		s.logf("corrupt shutdown marker skipped: %v", err)
-		return false
-	}
-	return true
 }
 
 // replayStore re-enqueues every job the store reports as queued or running
@@ -318,18 +251,15 @@ func (s *Server) saveTerminal(op store.Op, id string, res *JobResult) error {
 	})
 }
 
-// writeCleanMarker records a graceful shutdown so the next start can tell
-// a drain from a crash.
-func (s *Server) writeCleanMarker() error {
-	if s.cfg.DataDir == "" {
+// logShutdown appends the shutdown record that lets the next start tell
+// a drain from a crash. Drain calls it last, immediately before closing
+// the store, so no job record can follow it in the log.
+func (s *Server) logShutdown() error {
+	if s.store == nil {
 		return nil
 	}
-	data, err := json.MarshalIndent(cleanMarker{CleanShutdown: true, At: fmtTime(time.Now())}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return s.persistIO("persist:marker", func() error {
-		return writeFileAtomic(s.markerPath(), data)
+	return s.persistIO("wal:shutdown", func() error {
+		return s.store.Append(store.Record{Op: store.OpShutdown, Time: fmtTime(time.Now())})
 	})
 }
 

@@ -2,7 +2,7 @@ package service
 
 // Crash-recovery tests: the durability contract of the WAL-backed store
 // under hard process death. A "crash" here is a server abandoned without
-// Drain or Close — no flush, no marker, workers parked — which is exactly
+// Drain or Close — no flush, no shutdown record, workers parked — which is exactly
 // the on-disk state a SIGKILL leaves behind, because every acknowledged
 // transition was fsynced before the ack. scripts/crashtest.sh repeats the
 // same scenario across a real kill -9 of the daemon binary.
@@ -14,8 +14,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,12 +192,13 @@ func TestCrashRecoveryRequeuesAcknowledged(t *testing.T) {
 	}
 }
 
-// TestCleanShutdownNoRecoveryNoise: a drained server leaves the marker, so
-// the next start requeues leftover queued jobs without declaring an
-// unclean shutdown, and with nothing pending starts silently.
+// TestCleanShutdownNoRecoveryNoise: a drained server ends its WAL with a
+// shutdown record (and leaves no side file), so the next start requeues
+// leftover queued jobs without declaring an unclean shutdown; a server
+// abandoned mid-job leaves none, and the start after it says so.
 func TestCleanShutdownNoRecoveryNoise(t *testing.T) {
 	dir := t.TempDir()
-	var lines []string
+	var logs logCapture
 	s1 := New(Config{Workers: 1, QueueSize: 8, DataDir: dir})
 	h := &blockingHook{started: make(chan string, 8), release: make(chan struct{})}
 	s1.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
@@ -226,33 +227,85 @@ func TestCleanShutdownNoRecoveryNoise(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	waitJobState(t, running, StateDone)
-	if _, err := os.Stat(filepath.Join(dir, "queue.json")); err != nil {
-		t.Fatalf("no clean-shutdown marker after drain: %v", err)
-	}
+	assertOnlyStoreDirs(t, dir)
 
-	s2 := New(Config{Workers: 1, QueueSize: 8, DataDir: dir, Logf: func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}})
+	parked := make(chan string, 1)
+	s2 := New(Config{Workers: 1, QueueSize: 8, DataDir: dir, Logf: logs.logf})
 	s2.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
+		if job.Spec.Bench == "bezier" {
+			parked <- job.ID
+			select {} // "running at crash": never returns
+		}
 		return nil, nil
 	}
 	if err := s2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range lines {
-		if strings.Contains(line, "unclean shutdown") {
-			t.Errorf("clean restart logged recovery noise: %q", line)
-		}
+	if got := logs.take(); strings.Contains(got, "unclean shutdown") {
+		t.Errorf("clean restart logged recovery noise:\n%s", got)
 	}
 	if j := s2.lookup(queued.ID); j == nil {
 		t.Fatalf("drained queued job %s not requeued", queued.ID)
 	}
 	waitJobState(t, s2.lookup(queued.ID), StateDone)
-	if _, err := os.Stat(filepath.Join(dir, "queue.json")); !os.IsNotExist(err) {
-		t.Errorf("marker not consumed on start (err=%v)", err)
+
+	// CRASH: s2 is abandoned with one job mid-flight — no Drain, so no
+	// shutdown record follows its start record.
+	lost := submitDirect(t, s2, JobSpec{Bench: "bezier"})
+	<-parked
+
+	logs.take()
+	s3 := New(Config{Workers: 1, QueueSize: 8, DataDir: dir, Logf: logs.logf})
+	s3.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
+		return nil, nil
 	}
-	if _, err := s2.Drain(); err != nil {
+	if err := s3.Start(); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := logs.take(), "unclean shutdown detected: 1 unfinished job(s)"; !strings.Contains(got, want) {
+		t.Errorf("restart after a crash logged:\n%s\nwant a line with %q", got, want)
+	}
+	waitJobState(t, s3.lookup(lost.ID), StateDone)
+	if _, err := s3.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyStoreDirs(t, dir)
+}
+
+// logCapture collects a server's log lines; workers log concurrently with
+// the test reading them.
+type logCapture struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *logCapture) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fmt.Fprintf(&l.buf, format+"\n", args...)
+}
+
+// take returns everything logged so far and starts over.
+func (l *logCapture) take() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.buf.String()
+	l.buf.Reset()
+	return out
+}
+
+// assertOnlyStoreDirs checks the data dir holds the two WAL directories
+// and nothing else: shutdown state lives in the log, not in a side file.
+func assertOnlyStoreDirs(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !e.IsDir() || (e.Name() != "store" && e.Name() != "flows") {
+			t.Errorf("unexpected entry %q in the data dir", e.Name())
+		}
 	}
 }
 

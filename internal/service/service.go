@@ -33,8 +33,8 @@ type Config struct {
 	// submissions get 413. Default 1 MiB.
 	MaxBody int64
 	// DataDir roots the durable job store (DataDir/store, a write-ahead
-	// log replayed on start — see internal/store) and the clean-shutdown
-	// marker. Empty disables persistence (tests, ephemeral runs).
+	// log replayed on start — see internal/store) and the flow registry
+	// (DataDir/flows). Empty disables persistence (tests, ephemeral runs).
 	DataDir string
 	// StoreRetain caps terminal job records kept in the durable store;
 	// beyond it the oldest are tombstoned and reclaimed by compaction.
@@ -69,10 +69,6 @@ type Config struct {
 	// semantically transparent for results — the flow is deterministic —
 	// but follower cancellation becomes best-effort.
 	Batch bool
-	// QuickenThreshold tunes the interpreter's profile-guided opcode
-	// specialization for every job flow (0 = interp default, negative
-	// disables; see interp.Config.QuickenThreshold).
-	QuickenThreshold int
 	// RetainJobs caps terminal jobs kept in the in-memory registry; the
 	// oldest are evicted (with their event rings) beyond it. Status and
 	// result lookups for evicted jobs fall back to the persisted result
@@ -186,7 +182,6 @@ func New(cfg Config) *Server {
 		c.SetCounters(s.rec)
 		c.SetLoadFunc(s.queue.Load)
 		s.runs.SetPeer(c)
-		s.progs.SetPeer(c)
 	}
 	ioInj, err := faults.ParseSpec(cfg.Faults)
 	if err != nil {
@@ -253,7 +248,6 @@ func New(cfg Config) *Server {
 		// programs submitted across jobs lower once and keep accumulating
 		// quickened instruction state.
 		env.Progs = s.progs
-		env.QuickenThreshold = s.cfg.QuickenThreshold
 		return experiments.RunBenchmarkEnv(ctx, job.bench, job.prog, opts, env, nil, rec, s.runs)
 	}
 	s.mux = http.NewServeMux()
@@ -317,7 +311,7 @@ func (s *Server) Start() error {
 // Drain stops the queue for good: no new submissions are accepted, workers
 // finish their in-flight jobs, and jobs still queued simply stay in the
 // durable store (their submit records were never superseded), to be
-// requeued by the next start. A clean-shutdown marker distinguishes this
+// requeued by the next start. A WAL shutdown record distinguishes this
 // from a crash. Returns the number of jobs left in the store. Call after
 // the HTTP listener has shut down.
 func (s *Server) Drain() (int, error) {
@@ -345,7 +339,7 @@ func (s *Server) Drain() (int, error) {
 	for _, job := range leftover {
 		job.events.Close()
 	}
-	if err := s.writeCleanMarker(); err != nil {
+	if err := s.logShutdown(); err != nil {
 		return 0, err
 	}
 	s.syncStoreCounters()
@@ -831,21 +825,11 @@ type serviceMetrics struct {
 	Cluster *clusterMetrics `json:"cluster,omitempty"`
 }
 
-// storeMetrics is the /metrics view of the WAL-backed job store.
+// storeMetrics is the /metrics view of the WAL-backed job store: the
+// store's own stats plus the one number only the service knows.
 type storeMetrics struct {
-	Appends        int64 `json:"appends"`
-	Fsyncs         int64 `json:"fsyncs"`
-	Replayed       int64 `json:"replayed"`
-	Requeued       int64 `json:"requeued"`
-	Compactions    int64 `json:"compactions"`
-	TornTails      int64 `json:"torn_tails"`
-	SkippedCorrupt int64 `json:"skipped_corrupt"`
-	Evicted        int64 `json:"evicted"`
-	Segments       int   `json:"segments"`
-	IndexedJobs    int   `json:"indexed_jobs"`
-	PendingJobs    int   `json:"pending_jobs"`
-	LiveFrames     int64 `json:"live_frames"`
-	DeadFrames     int64 `json:"dead_frames"`
+	store.Stats
+	Requeued int64 `json:"requeued"` // jobs re-enqueued by the start-up replay
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -860,22 +844,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.syncStoreCounters()
 	var storeM *storeMetrics
 	if s.store != nil {
-		st := s.store.Stats()
-		storeM = &storeMetrics{
-			Appends:        st.Appends,
-			Fsyncs:         st.Fsyncs,
-			Replayed:       st.Replayed,
-			Compactions:    st.Compactions,
-			TornTails:      st.TornTails,
-			SkippedCorrupt: st.SkippedCorrupt,
-			Requeued:       s.rec.Counter(telemetry.CounterStoreRequeued),
-			Evicted:        st.Evicted,
-			Segments:       st.Segments,
-			IndexedJobs:    st.IndexedJobs,
-			PendingJobs:    st.PendingJobs,
-			LiveFrames:     st.LiveFrames,
-			DeadFrames:     st.DeadFrames,
-		}
+		storeM = &storeMetrics{Stats: s.store.Stats(), Requeued: s.rec.Counter(telemetry.CounterStoreRequeued)}
 	}
 	var clusterM *clusterMetrics
 	if c := s.cfg.Cluster; c != nil {

@@ -7,8 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -166,6 +165,35 @@ func TestJobLifecycle(t *testing.T) {
 
 	if e, ok := s.store.Get(st.ID); !ok || e.Phase != store.PhaseTerminal {
 		t.Fatalf("result not in the durable store: entry %+v ok=%v", e, ok)
+	}
+
+	// The /metrics store block is store.Stats plus requeued: every key an
+	// operator's dashboard reads today stays, as a JSON number, and none
+	// appears unannounced.
+	code, body = getJSON(t, base+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics: got %d, body %s", code, body)
+	}
+	var m struct {
+		Service struct {
+			Store map[string]json.Number `json:"store"`
+		} `json:"service"`
+	}
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatalf("metrics store block: %v in %s", err, body)
+	}
+	var keys []string
+	for k := range m.Service.Store {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	const goldenKeys = "appends compactions dead_frames evicted fsyncs indexed_jobs live_frames " +
+		"pending_jobs replayed requeued segments skipped_corrupt torn_tails"
+	if got := strings.Join(keys, " "); got != goldenKeys {
+		t.Errorf("store block keys:\n got %s\nwant %s", got, goldenKeys)
+	}
+	if got := m.Service.Store["appends"]; got != "3" { // submit, start, result
+		t.Errorf("store.appends = %s after one job, want 3", got)
 	}
 
 	if code, _ := getJSON(t, base+"/v1/jobs/nosuchjob"); code != http.StatusNotFound {
@@ -411,9 +439,7 @@ func TestDrainSnapshotRestore(t *testing.T) {
 	if st := waitState(t, ts.URL, run.ID, time.Second, StateDone); st.Error != "" {
 		t.Errorf("in-flight job error: %s", st.Error)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "queue.json")); err != nil {
-		t.Fatalf("no queue snapshot: %v", err)
-	}
+	assertOnlyStoreDirs(t, dir)
 
 	// Restart: a new server restores the queued jobs under their old IDs.
 	s2, ts2 := newTestServer(t, Config{Workers: 2, QueueSize: 8, DataDir: dir})
@@ -428,15 +454,12 @@ func TestDrainSnapshotRestore(t *testing.T) {
 	for _, id := range []string{q1.ID, q2.ID} {
 		waitState(t, ts2.URL, id, 10*time.Second, StateDone)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "queue.json")); !os.IsNotExist(err) {
-		t.Errorf("queue snapshot not removed after restore (err=%v)", err)
-	}
 	// Specs survived the roundtrip.
 	if job := s2.lookup(q1.ID); job == nil || job.Spec.Mode != "uninformed" {
 		t.Errorf("restored job %s lost its spec: %+v", q1.ID, job)
 	}
 
-	// Drain with an empty queue succeeds and leaves no snapshot.
+	// Drain with an empty queue succeeds.
 	if n, err := s2.Drain(); err != nil || n != 0 {
 		t.Errorf("second drain: n=%d err=%v", n, err)
 	}

@@ -34,15 +34,18 @@ import (
 // Op is a job-record operation.
 type Op string
 
-// The five WAL record operations. Submit carries the job spec, Result
+// The six WAL record operations. Submit carries the job spec, Result
 // and Cancel carry the terminal result document; Start and Evict are
-// state-only.
+// state-only. Shutdown names no job: it is the last frame a graceful
+// drain appends, and finding it last at the next open is what tells a
+// drain from a crash (see CleanShutdown).
 const (
-	OpSubmit Op = "submit"
-	OpStart  Op = "start"
-	OpResult Op = "result"
-	OpCancel Op = "cancel"
-	OpEvict  Op = "evict"
+	OpSubmit   Op = "submit"
+	OpStart    Op = "start"
+	OpResult   Op = "result"
+	OpCancel   Op = "cancel"
+	OpEvict    Op = "evict"
+	OpShutdown Op = "shutdown"
 )
 
 // Record is one WAL entry. Data is opaque to the store: the caller's
@@ -115,19 +118,20 @@ type Options struct {
 }
 
 // Stats is a point-in-time snapshot of the store's counters and gauges.
+// The JSON names are the daemon's /metrics "store" block.
 type Stats struct {
-	Appends        int64 // records appended since open (replay excluded)
-	Fsyncs         int64 // file syncs performed (group commit batches appends)
-	Replayed       int64 // records applied from disk by the open replay
-	Compactions    int64 // completed snapshot compactions
-	TornTails      int64 // truncated final records dropped at replay
-	SkippedCorrupt int64 // corrupt records/regions skipped instead of aborting
-	Evicted        int64 // retention tombstones appended
-	Segments       int   // on-disk files, the active segment included
-	IndexedJobs    int   // jobs in the in-memory index
-	PendingJobs    int   // indexed jobs still queued or running
-	LiveFrames     int64 // frames a compaction would keep
-	DeadFrames     int64 // superseded frames a compaction would drop
+	Appends        int64 `json:"appends"`         // records appended since open (replay excluded)
+	Fsyncs         int64 `json:"fsyncs"`          // file syncs performed (group commit batches appends)
+	Replayed       int64 `json:"replayed"`        // records applied from disk by the open replay
+	Compactions    int64 `json:"compactions"`     // completed snapshot compactions
+	TornTails      int64 `json:"torn_tails"`      // truncated final records dropped at replay
+	SkippedCorrupt int64 `json:"skipped_corrupt"` // corrupt records/regions skipped instead of aborting
+	Evicted        int64 `json:"evicted"`         // retention tombstones appended
+	Segments       int   `json:"segments"`        // on-disk files, the active segment included
+	IndexedJobs    int   `json:"indexed_jobs"`    // jobs in the in-memory index
+	PendingJobs    int   `json:"pending_jobs"`    // indexed jobs still queued or running
+	LiveFrames     int64 `json:"live_frames"`     // frames a compaction would keep
+	DeadFrames     int64 `json:"dead_frames"`     // superseded frames a compaction would drop
 }
 
 type counters struct {
@@ -159,6 +163,9 @@ type Store struct {
 	liveFrames  int64
 	totalFrames int64
 	stats       counters
+	// lastOp is the op of the last intact frame of the file the open
+	// replay scanned last ("" for an empty or undecodable tail).
+	lastOp Op
 
 	// syncMu serializes fsyncs and segment rotation; syncedSeq is the
 	// highest writeSeq known durable (guarded by syncMu).
@@ -276,6 +283,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.maybeCompact()
 	return s, nil
+}
+
+// CleanShutdown reports whether the newest file the open replay read ends
+// in a shutdown record: the previous process drained. A record that is
+// torn, missing, or followed by anything else — even the empty segment of
+// a process that opened the store and died — reads as unclean.
+func (s *Store) CleanShutdown() bool {
+	return s.lastOp == OpShutdown
 }
 
 func (s *Store) path(name string) string {
@@ -421,6 +436,8 @@ func (s *Store) applyLocked(rec Record) {
 			s.removeTerminalLocked(rec.ID)
 		}
 		delete(s.index, rec.ID)
+	case OpShutdown:
+		// A marker, not a job transition: the frame is dead on arrival.
 	default:
 		// Forward compatibility: an op this build doesn't know is noted,
 		// not fatal.

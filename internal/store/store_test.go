@@ -454,3 +454,56 @@ func TestEvictUnknownAndUnknownOpAreHarmless(t *testing.T) {
 		t.Errorf("indexed = %d, want 1", r.Stats().IndexedJobs)
 	}
 }
+
+// TestCleanShutdownIsTheLastFrame: only a shutdown record that is intact
+// and last in the newest file reads as a drain; a fresh store, a torn
+// record, and a process that opened the store and died all read as
+// unclean — and none of them fails the open.
+func TestCleanShutdownIsTheLastFrame(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	if s.CleanShutdown() {
+		t.Error("fresh store reports a clean shutdown")
+	}
+	drain := func(s *Store) {
+		t.Helper()
+		if err := s.Append(Record{Op: OpSubmit, ID: "job-a", Data: raw(`{}`)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(Record{Op: OpShutdown}); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	}
+	drain(s)
+
+	r := mustOpen(t, dir, Options{})
+	if !r.CleanShutdown() {
+		t.Error("shutdown record last in the log not reported as clean")
+	}
+	if st := r.Stats(); st.PendingJobs != 1 || st.SkippedCorrupt != 0 {
+		t.Errorf("shutdown record disturbed the index: %+v", st)
+	}
+	r.Close() // died without appending: its empty segment now ends the log
+
+	r2 := mustOpen(t, dir, Options{})
+	if r2.CleanShutdown() {
+		t.Error("a process that opened the store and died still reads as a clean shutdown")
+	}
+	drain(r2)
+	seg := activeSegment(t, dir)
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	r3 := mustOpen(t, dir, Options{})
+	if r3.CleanShutdown() {
+		t.Error("torn shutdown record reads as a clean shutdown")
+	}
+	if st := r3.Stats(); st.TornTails != 1 {
+		t.Errorf("torn_tails = %d, want 1", st.TornTails)
+	}
+}

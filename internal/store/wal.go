@@ -131,6 +131,7 @@ func (s *Store) scanSegment(path string) (applied, skipped, goodOff int64, damag
 	}
 	size := fi.Size()
 	r := bufio.NewReaderSize(f, 64<<10)
+	s.lastOp = ""
 	for {
 		var hdr [frameHeader]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -155,8 +156,10 @@ func (s *Store) scanSegment(path string) (applied, skipped, goodOff int64, damag
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			skipped++
+			s.lastOp = ""
 			continue
 		}
+		s.lastOp = rec.Op
 		s.applyLocked(rec)
 		applied++
 	}

@@ -62,14 +62,13 @@ func runWorkload(ctx *core.Context, d *core.Design, watch string) (*interp.Resul
 	fp := minic.Fingerprint(d.Prog)
 	run := func() (*interp.Result, error) {
 		return interp.Run(d.Prog, interp.Config{
-			Entry:            ctx.Workload.Entry(),
-			Args:             ctx.Workload.Args(),
-			Watch:            watch,
-			Counters:         counters,
-			Ctx:              ctx.Ctx,
-			QuickenThreshold: ctx.QuickenThreshold,
-			Progs:            ctx.Progs,
-			Fingerprint:      fp,
+			Entry:       ctx.Workload.Entry(),
+			Args:        ctx.Workload.Args(),
+			Watch:       watch,
+			Counters:    counters,
+			Ctx:         ctx.Ctx,
+			Progs:       ctx.Progs,
+			Fingerprint: fp,
 		})
 	}
 	if ctx.Runs == nil {

@@ -179,10 +179,6 @@ const (
 	CounterClusterRunFillReject  = "cluster.runcache.fill_rejects"
 	CounterClusterRunWaitHits    = "cluster.runcache.wait_hits"
 	CounterClusterRunFetchErrors = "cluster.runcache.fetch_errors"
-	// Distributed program cache: mined superinstruction policies adopted
-	// from a peer instead of re-traced locally, and policies pushed.
-	CounterClusterPolicyHits  = "cluster.progcache.policy_hits"
-	CounterClusterPolicyFills = "cluster.progcache.policy_fills"
 	// Peer health: ping attempts, failed pings, and the current number of
 	// healthy peers (gauge, self included).
 	CounterClusterPings        = "cluster.pings"

@@ -66,8 +66,8 @@ END {
 echo "wrote $out"
 
 # Informational diff against the previous snapshot (override with
-# BENCH_BASE=<file>). Regressions print but never fail a bench run —
-# gating happens in ci.sh via benchdiff's exit status.
+# BENCH_BASE=<file>). Regressions print but never fail a bench run; run
+# scripts/benchdiff.sh on the pair yourself for its exit status.
 base="${BENCH_BASE:-$(grep -l '"ns_per_op"' BENCH_*.json 2>/dev/null | grep -v -F "$out" | tail -1 || true)}"
 if [ -n "$base" ] && [ -r "$base" ]; then
     echo "diff vs $base:"
