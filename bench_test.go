@@ -12,6 +12,7 @@
 package psaflow_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -49,15 +50,15 @@ func BenchmarkFig5(b *testing.B) {
 				rec := telemetry.New()
 				runs := core.NewRunCache()
 				var err error
-				results, err = experiments.RunBenchmarkShared(app,
-					tasks.FlowOptions{Mode: tasks.Uninformed, Strategy: tasks.DefaultStrategy}, nil, rec, runs)
+				results, err = experiments.RunBenchmarkEnv(context.Background(), app, nil,
+					tasks.FlowOptions{Mode: tasks.Uninformed, Strategy: tasks.DefaultStrategy}, experiments.JobEnv{}, nil, rec, runs)
 				if err != nil {
 					b.Fatal(err)
 				}
 				ops += rec.Counter(telemetry.CounterInterpOps)
 				b.StopTimer()
-				if _, err := experiments.RunBenchmarkShared(app,
-					tasks.FlowOptions{Mode: tasks.Informed, Strategy: tasks.DefaultStrategy}, nil, nil, runs); err != nil {
+				if _, err := experiments.RunBenchmarkEnv(context.Background(), app, nil,
+					tasks.FlowOptions{Mode: tasks.Informed, Strategy: tasks.DefaultStrategy}, experiments.JobEnv{}, nil, nil, runs); err != nil {
 					b.Fatal(err)
 				}
 				h, m := runs.Stats()

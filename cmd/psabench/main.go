@@ -44,7 +44,6 @@ func main() {
 	chaosRuns := flag.Int("chaos-runs", 5, "number of consecutive seeds to sweep in -chaos")
 	chaosMode := flag.String("chaos-mode", "informed", "flow mode for -chaos: informed or uninformed")
 	chaosJSON := flag.String("chaos-json", "", "write the chaos report as JSON to this file (BENCH_<date>_chaos.json)")
-	dseWorkers := flag.Int("dse-workers", 0, "evaluate DSE candidates on a worker pool of this size (0 or 1 = serial; results are identical)")
 	verbose := flag.Bool("v", false, "log flow execution")
 	flag.Parse()
 
@@ -64,7 +63,7 @@ func main() {
 	var fig5Rows []experiments.Fig5Row
 	needFig5 := all || *fig5 || *fig6
 	if needFig5 {
-		rows, err := experiments.RunFig5Env(logf, rec, experiments.JobEnv{DSEWorkers: *dseWorkers})
+		rows, err := experiments.RunFig5Recorded(logf, rec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fig5:", err)
 			os.Exit(1)

@@ -48,7 +48,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "bound the flow's wall-clock time (0 = unbounded)")
 	faultSpec := flag.String("faults", "", `inject deterministic faults: "seed=1,rate=0.1,kinds=hls,run" ("" or "off" disables)`)
 	taskTimeout := flag.Duration("task-timeout", 0, "bound each flow task attempt; timed-out attempts are retried (0 = unbounded)")
-	dseWorkers := flag.Int("dse-workers", 0, "evaluate DSE candidates on a worker pool of this size (0 or 1 = serial; results are identical)")
 	verbose := flag.Bool("v", false, "log flow execution")
 	flag.Parse()
 
@@ -110,7 +109,7 @@ func main() {
 		runCtx, cancel = context.WithTimeout(runCtx, *timeout)
 		defer cancel()
 	}
-	env := experiments.JobEnv{TaskTimeout: *taskTimeout, DSEWorkers: *dseWorkers}
+	env := experiments.JobEnv{TaskTimeout: *taskTimeout}
 	flowFaults := *faultSpec
 	if *flowFile != "" {
 		src, err := os.ReadFile(*flowFile)

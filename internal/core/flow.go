@@ -95,13 +95,6 @@ type Context struct {
 	// TaskTimeout bounds each task attempt; an attempt that exceeds it is
 	// classified as a transient faults.Timeout and retried. 0 disables.
 	TaskTimeout time.Duration
-	// DSEWorkers bounds the worker pool the DSE sweeps (blocksize,
-	// num-threads, unroll-until-overmap) use to evaluate candidates
-	// concurrently. 0 or 1 keeps the historical serial sweeps; higher
-	// values evaluate candidate estimates in parallel while a serial
-	// consumption walk keeps fault-injection order, telemetry, and
-	// selected designs bit-for-bit identical to serial mode.
-	DSEWorkers int
 
 	// shared is the run-scoped mutable state (log serialization, retry
 	// budget) installed by Flow.Run before any parallel work starts and
@@ -173,7 +166,6 @@ func (c *Context) withCtx(ctx context.Context) *Context {
 		Faults:      c.Faults,
 		Retry:       c.Retry,
 		TaskTimeout: c.TaskTimeout,
-		DSEWorkers:  c.DSEWorkers,
 		shared:      c.shared,
 	}
 }

@@ -1,16 +1,23 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"psaflow/internal/bench"
+	"psaflow/internal/core"
+	"psaflow/internal/hls"
 	"psaflow/internal/interp"
 	"psaflow/internal/minic"
 	"psaflow/internal/platform"
+	"psaflow/internal/query"
 	"psaflow/internal/tasks"
+	"psaflow/internal/telemetry"
 )
 
 // fig5Once caches the expensive full-evaluation run across tests.
@@ -182,6 +189,82 @@ func TestUninformedGeneratesFiveDesigns(t *testing.T) {
 	for _, r := range getFig5(t) {
 		if len(r.Designs) != 5 {
 			t.Errorf("%s: %d designs, want 5", r.Benchmark, len(r.Designs))
+		}
+	}
+}
+
+// TestFig5UnrollWalkAccounting pins the Fig. 2 walk per benchmark and
+// FPGA: factors are tried in doubling order from 1 and the walk stops at
+// the first that overmaps, every iteration is exactly one partial compile,
+// and the kernel's outer loop is left with the single winning "unroll N"
+// pragma (none when even N=1 overmaps).
+func TestFig5UnrollWalkAccounting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation run")
+	}
+	for _, b := range bench.All() {
+		rec := telemetry.New()
+		results, err := RunBenchmarkEnv(context.Background(), b, nil,
+			tasks.FlowOptions{Mode: tasks.Uninformed, Strategy: tasks.DefaultStrategy},
+			JobEnv{}, nil, rec, core.NewRunCache())
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		var walked int64
+		for _, r := range results {
+			d := r.Design
+			if d.Target != platform.TargetFPGA {
+				continue
+			}
+			what := b.Name + "/" + d.Device
+			next, lastFit, stopped := 1, 0, false
+			for _, ev := range d.Trace {
+				var n int
+				if ev.Kind != "dse" || ev.Name != "unroll" {
+					continue
+				}
+				if _, err := fmt.Sscanf(ev.Detail, "n=%d ", &n); err != nil {
+					continue // the walk's closing summary line
+				}
+				walked++
+				if stopped || n != next {
+					t.Errorf("%s: walk visited n=%d, want n=%d (stopped=%t)", what, n, next, stopped)
+				}
+				next = 2 * n
+				if strings.HasSuffix(ev.Detail, "fits=true") {
+					lastFit = n
+				} else {
+					stopped = true
+				}
+			}
+			if !stopped {
+				t.Errorf("%s: walk never reached an overmapping factor", what)
+			}
+			if d.UnrollFactor != lastFit || (lastFit == 0) != (d.Infeasible != "") {
+				t.Errorf("%s: unroll=%d infeasible=%q, walk's last fitting factor is %d", what, d.UnrollFactor, d.Infeasible, lastFit)
+			}
+			outer := query.New(d.Prog).OutermostLoops(d.KernelFunc())
+			if len(outer) == 0 {
+				t.Fatalf("%s: kernel has no loop", what)
+			}
+			var unroll []string
+			for _, p := range outer[0].(*minic.ForStmt).Pragmas {
+				if strings.HasPrefix(p, "unroll") {
+					unroll = append(unroll, p)
+				}
+			}
+			var want []string
+			if lastFit > 0 {
+				want = []string{fmt.Sprintf("unroll %d", lastFit)}
+			}
+			if !reflect.DeepEqual(unroll, want) {
+				t.Errorf("%s: outer-loop unroll pragmas = %q, want %q", what, unroll, want)
+			}
+		}
+		iters, compiles := rec.Counter(telemetry.DSECounter("unroll")), rec.Counter(hls.CounterPartialCompiles)
+		if walked == 0 || iters != walked || compiles != walked {
+			t.Errorf("%s: %d walk steps traced, dse.unroll.iterations=%d hls.partial_compiles=%d; want all equal and non-zero",
+				b.Name, walked, iters, compiles)
 		}
 	}
 }
@@ -433,8 +516,9 @@ func TestSharingFlowRecoversRushLarsen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunBenchmarkOpts(b,
-		tasks.FlowOptions{Mode: tasks.Uninformed, Strategy: tasks.DefaultStrategy, ResourceSharing: true}, nil)
+	results, err := RunBenchmarkEnv(context.Background(), b, nil,
+		tasks.FlowOptions{Mode: tasks.Uninformed, Strategy: tasks.DefaultStrategy, ResourceSharing: true},
+		JobEnv{}, nil, nil, core.NewRunCache())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"encoding/json"
-
-	"psaflow/internal/core"
-)
+import "encoding/json"
 
 // Export DTOs: trimmed, stable JSON shapes for downstream tooling
 // (plotting scripts, CI dashboards). The full Design objects carry ASTs
@@ -114,6 +110,3 @@ func Fig5ToJSON(rows []Fig5Row) []Fig5JSON {
 func MarshalReport(rep ReportJSON) ([]byte, error) {
 	return json.MarshalIndent(rep, "", "  ")
 }
-
-// ensure core stays referenced for doc links even if DTO fields change.
-var _ = core.Design{}

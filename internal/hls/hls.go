@@ -196,17 +196,7 @@ func EstimateCounted(c Counter, prog *minic.Program, fn *minic.FuncDecl, dev pla
 // pragma factor on the outer loop. pipelinedTrips, when known from dynamic
 // analysis, is recorded for the performance model.
 func Estimate(prog *minic.Program, fn *minic.FuncDecl, dev platform.FPGASpec, pipelinedTrips float64) *Report {
-	return EstimateUnroll(prog, fn, dev, pipelinedTrips, UnrollPragmaFactor(prog, fn))
-}
-
-// EstimateUnroll is Estimate with the outer-loop unroll factor supplied
-// explicitly instead of read from the loop pragma. The estimator never
-// mutates the AST, so candidate factors can be costed concurrently over
-// one shared program — the parallel unroll DSE uses this to speculate
-// ahead of the serial consumption walk. EstimateUnroll(…, n) is
-// bit-for-bit identical to installing an "unroll n" pragma and calling
-// Estimate.
-func EstimateUnroll(prog *minic.Program, fn *minic.FuncDecl, dev platform.FPGASpec, pipelinedTrips float64, unroll int) *Report {
+	unroll := UnrollPragmaFactor(prog, fn)
 	sp := kernelPrecision(fn)
 
 	ops := analysis.WeightedOps(fn)

@@ -29,7 +29,6 @@ func decodeJobSpec(r io.Reader) (JobSpec, error) {
 	obj.Int("retry_max_attempts", &spec.RetryMaxAttempts)
 	obj.Int("retry_budget", &spec.RetryBudget)
 	obj.Int64("task_timeout_ms", &spec.TaskTimeoutMS)
-	obj.Int("dse_workers", &spec.DSEWorkers)
 	obj.String("tenant", &spec.Tenant)
 	obj.Int("priority", &spec.Priority)
 	err := obj.Decode(r)

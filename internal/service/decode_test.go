@@ -67,6 +67,11 @@ func TestSubmitStreamDecodeErrors(t *testing.T) {
 	if code, body := post(`{"bench":"adpredictor","time_out_ms":5}`); code != http.StatusBadRequest || !strings.Contains(body, `time_out_ms\" at byte 36`) {
 		t.Errorf("typoed field: got %d %s", code, body)
 	}
+	// A removed option is an unknown field like any other, not silently
+	// accepted for old clients.
+	if code, body := post(`{"bench":"adpredictor","dse_workers":4}`); code != http.StatusBadRequest || !strings.Contains(body, `unknown field \"dse_workers\" at byte 36`) {
+		t.Errorf("removed field: got %d %s", code, body)
+	}
 	if code, _ := post(`{"bench":"adpredictor","source":"` + strings.Repeat("x", 400) + `"}`); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: got %d", code)
 	}

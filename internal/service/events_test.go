@@ -545,18 +545,22 @@ func TestQueueWaitAvgCountsStartedJobs(t *testing.T) {
 // spec field must 400 with the field named, not silently run defaults.
 func TestSubmitUnknownFieldRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
-	body := `{"bench": "nbody", "time_out_ms": 100}`
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("typoed spec: got %d %s, want 400", resp.StatusCode, data)
-	}
-	if !strings.Contains(string(data), "time_out_ms") {
-		t.Errorf("error does not name the offending field: %s", data)
+	for _, tc := range []struct{ body, want string }{
+		{`{"bench": "nbody", "time_out_ms": 100}`, "time_out_ms"},
+		{`{"bench": "nbody", "dse_workers": 4}`, `dse_workers\" at byte 32`}, // option removed with the DSE pool
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("spec %s: got %d %s, want 400", tc.body, resp.StatusCode, data)
+		}
+		if !strings.Contains(string(data), tc.want) {
+			t.Errorf("error does not name the offending field (%s): %s", tc.want, data)
+		}
 	}
 }
 

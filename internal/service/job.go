@@ -72,10 +72,6 @@ type JobSpec struct {
 	// TaskTimeoutMS bounds each flow task attempt; a timed-out attempt is
 	// classified transient and retried (0 = no per-task bound).
 	TaskTimeoutMS int64 `json:"task_timeout_ms,omitempty"`
-	// DSEWorkers sizes the parallel candidate-sweep pool of the DSE tasks
-	// for this job (0 or 1 = serial sweeps; results are identical, only
-	// wall-clock and the dse.parallel.* counters change).
-	DSEWorkers int `json:"dse_workers,omitempty"`
 	// Tenant attributes the job for quota and fair-share scheduling
 	// (1-32 of [a-z0-9-]; empty = the anonymous default tenant). In a
 	// cluster the tenant also steers placement: one tenant's submissions
@@ -127,7 +123,6 @@ func (sp *JobSpec) flowEnv(defaultFaults string, defaultRetry faults.RetryPolicy
 		env.Retry.Budget = sp.RetryBudget
 	}
 	env.TaskTimeout = time.Duration(sp.TaskTimeoutMS) * time.Millisecond
-	env.DSEWorkers = sp.DSEWorkers
 	return env, nil
 }
 

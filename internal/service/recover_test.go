@@ -14,12 +14,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"psaflow/internal/experiments"
+	"psaflow/internal/store"
 	"psaflow/internal/telemetry"
 )
 
@@ -369,6 +371,45 @@ func TestRejectedSubmitNotRequeued(t *testing.T) {
 	}
 	if s2.lookup(queued.ID) == nil {
 		t.Errorf("acknowledged queued job %s lost", queued.ID)
+	}
+}
+
+// TestReplayToleratesRemovedSpecField: a submit record written by an older
+// daemon, whose spec still carries the since-removed "dse_workers" option,
+// is requeued on Start (replay decodes leniently, unlike POST /v1/jobs) and
+// produces the designs of a job submitted without it.
+func TestReplayToleratesRemovedSpecField(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4, DataDir: t.TempDir()})
+	st, err := store.Open(s.storePath(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oldID = "old-000001"
+	if err := st.Append(store.Record{
+		Op:   store.OpSubmit,
+		ID:   oldID,
+		Time: fmtTime(time.Now()),
+		Data: json.RawMessage(`{"bench":"adpredictor","dse_workers":4}`),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	if n := s.rec.Counter(telemetry.CounterStoreRequeued); n != 1 {
+		t.Fatalf("requeued = %d, want 1", n)
+	}
+	waitState(t, ts.URL, oldID, 30*time.Second, StateDone)
+	fresh := submitOK(t, ts.URL, JobSpec{Bench: "adpredictor"})
+	waitState(t, ts.URL, fresh.ID, 30*time.Second, StateDone)
+	got, want := fetchResult(t, ts.URL, oldID).Designs, fetchResult(t, ts.URL, fresh.ID).Designs
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed job's designs differ from a fresh submission:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -624,12 +624,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		spec.Flow = pinned
 	}
+	fp := programFingerprint(b, prog)
 	// Cluster placement: route the job to its ring owner unless this
 	// request is already a forward (one hop maximum — a stale ring can
 	// never orbit a job). A failed forward runs the job locally instead:
 	// peer loss degrades placement, it never fails a submission.
 	if c := s.cfg.Cluster; c != nil && r.Header.Get(cluster.ForwardedHeader) == "" {
-		if owner := c.OwnerForJob(spec.Tenant, programFingerprint(b, prog)); owner != c.Self() {
+		if owner := c.OwnerForJob(spec.Tenant, fp); owner != c.Self() {
 			s.logf("cluster: routing job (tenant=%q bench=%s) to owner %s", spec.Tenant, spec.Bench, owner)
 			if s.forwardSubmit(w, r.Context(), owner, spec) {
 				return
@@ -641,7 +642,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Spec:      spec,
 		bench:     b,
 		prog:      prog,
-		fp:        programFingerprint(b, prog),
+		fp:        fp,
 		submitted: time.Now(),
 		state:     StateQueued,
 	}

@@ -300,41 +300,26 @@ func (s *Store) path(name string) string {
 // Append logs one record durably: it returns only after the record is
 // framed, written, and fsynced (shared with concurrent appenders).
 func (s *Store) Append(rec Record) error {
-	return s.AppendBatch([]Record{rec})
-}
-
-// AppendBatch logs several records under one frame-write pass and at
-// most one fsync — the bulk path for migrations.
-func (s *Store) AppendBatch(recs []Record) error {
-	if len(recs) == 0 {
-		return nil
+	p, err := json.Marshal(rec)
+	if err != nil {
+		return err
 	}
-	payloads := make([][]byte, len(recs))
-	for i := range recs {
-		p, err := json.Marshal(recs[i])
-		if err != nil {
-			return err
-		}
-		if len(p) > maxFrame {
-			return fmt.Errorf("store: record %s/%s exceeds %d bytes", recs[i].Op, recs[i].ID, maxFrame)
-		}
-		payloads[i] = p
+	if len(p) > maxFrame {
+		return fmt.Errorf("store: record %s/%s exceeds %d bytes", rec.Op, rec.ID, maxFrame)
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return errClosed
 	}
-	for i, p := range payloads {
-		if err := s.writeFrameLocked(p); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		s.writeSeq++
-		s.totalFrames++
-		s.stats.appends++
-		s.applyLocked(recs[i])
+	if err := s.writeFrameLocked(p); err != nil {
+		s.mu.Unlock()
+		return err
 	}
+	s.writeSeq++
+	s.totalFrames++
+	s.stats.appends++
+	s.applyLocked(rec)
 	s.enforceRetentionLocked()
 	seq := s.writeSeq
 	s.mu.Unlock()

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) *Store {
@@ -19,7 +20,14 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
-	t.Cleanup(func() { s.Close() })
+	t.Cleanup(func() {
+		// Close does not wait for a background compaction, and one still
+		// publishing its snapshot would race the TempDir removal.
+		for s.compacting.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		s.Close()
+	})
 	return s
 }
 

@@ -58,7 +58,7 @@ var NumThreadsDSE = core.TaskFunc{
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		feat := d.Report.Features()
 		ctx.Count(telemetry.DSECounter("numthreads"), int64(ctx.CPU.Cores))
-		threads, t := bestThreadsCtx(ctx, ctx.CPU, feat)
+		threads, t := perfmodel.BestThreads(ctx.CPU, feat)
 		ctx.Emit(events.TypeDSEProgress, "numthreads",
 			fmt.Sprintf("swept %d thread counts on %s: best=%d (%.3gs)", ctx.CPU.Cores, ctx.CPU.Name, threads, t))
 		d.NumThreads = threads

@@ -108,15 +108,6 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 			}
 			loop := outer[0]
 
-			// Parallel mode (Context.DSEWorkers > 1) costs every candidate
-			// factor up front on the sweep pool — the estimator is a pure
-			// read of the shared AST — and the walk below consumes the
-			// table in doubling order. Serial mode estimates in the walk
-			// itself, installing the candidate pragma first. Either way
-			// the walk owns every fault point, telemetry count, and trace
-			// line, so both modes are bit-for-bit identical.
-			spec := speculateUnroll(ctx, d, dev)
-
 			var best *hls.Report
 			bestUnroll := 0
 			for n := 1; n <= 1<<16; n *= 2 {
@@ -124,11 +115,9 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 					return err
 				}
 				ctx.Count(telemetry.DSECounter("unroll"), 1)
-				if spec == nil {
-					transform.RemoveLoopPragmas(loop, "unroll")
-					if err := transform.InsertLoopPragma(loop, fmt.Sprintf("unroll %d", n)); err != nil {
-						return err
-					}
+				transform.RemoveLoopPragmas(loop, "unroll")
+				if err := transform.InsertLoopPragma(loop, fmt.Sprintf("unroll %d", n)); err != nil {
+					return err
 				}
 				// Each partial compile can fail like a real HLS farm
 				// submission (transient: the task is retried as a whole,
@@ -137,13 +126,7 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 					transform.RemoveLoopPragmas(loop, "unroll")
 					return err
 				}
-				var rep *hls.Report
-				if spec == nil {
-					rep = hls.EstimateCounted(ctx.Telemetry, d.Prog, kfn, dev, d.Report.PipelinedTrips)
-				} else {
-					ctx.Count(hls.CounterPartialCompiles, 1)
-					rep = spec[n]
-				}
+				rep := hls.EstimateCounted(ctx.Telemetry, d.Prog, kfn, dev, d.Report.PipelinedTrips)
 				d.Tracef("dse", "unroll", "n=%d LUT=%.1f%% DSP=%.1f%% fits=%t",
 					n, rep.LUTUtil*100, rep.DSPUtil*100, rep.Fits)
 				ctx.Emit(events.TypeDSEProgress, "unroll",

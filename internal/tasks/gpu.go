@@ -7,7 +7,6 @@ import (
 	"psaflow/internal/core"
 	"psaflow/internal/events"
 	"psaflow/internal/faults"
-	"psaflow/internal/minic"
 	"psaflow/internal/perfmodel"
 	"psaflow/internal/platform"
 	"psaflow/internal/query"
@@ -139,7 +138,7 @@ func BlocksizeDSE(dev platform.GPUSpec) core.Task {
 			}
 			feat := d.Report.Features()
 			ctx.Count(telemetry.DSECounter("blocksize"), int64(len(perfmodel.BlocksizeCandidates)))
-			bs, bd := bestBlocksizeCtx(ctx, dev, feat, d.Pinned)
+			bs, bd := perfmodel.BestBlocksize(dev, feat, d.Pinned)
 			if bs < 0 {
 				ctx.Emit(events.TypeDSEProgress, "blocksize",
 					fmt.Sprintf("%s: no feasible blocksize among %d candidates", dev.Name, len(perfmodel.BlocksizeCandidates)))
@@ -169,6 +168,3 @@ var VerifyKernelRuns = core.TaskFunc{
 		return nil
 	},
 }
-
-// ensure minic import is used even if future edits drop direct uses.
-var _ = minic.Print

@@ -50,23 +50,6 @@ const (
 	CounterBudgetRevisions = "flow.budget_revisions"
 )
 
-// Parallel-DSE counters fed by the bounded candidate-sweep pool in
-// internal/tasks. All stay zero when Context.DSEWorkers <= 1 (serial
-// sweeps), so serial runs remain bit-for-bit identical to the historical
-// telemetry.
-const (
-	// CounterDSEParallelSweeps counts DSE sweeps that ran their candidate
-	// evaluations through the worker pool.
-	CounterDSEParallelSweeps = "dse.parallel.sweeps"
-	// CounterDSEParallelCandidates counts candidate estimates evaluated by
-	// pool workers (including speculative unroll factors past the overmap
-	// point that the serial consumption walk then discards).
-	CounterDSEParallelCandidates = "dse.parallel.candidates"
-	// CounterDSEParallelWorkers totals workers launched across sweeps; the
-	// per-sweep count is min(DSEWorkers, candidates).
-	CounterDSEParallelWorkers = "dse.parallel.workers"
-)
-
 // Service counters fed by the psaflowd job queue and worker pool. Lifecycle
 // counters are cumulative; CounterQueueDepth is maintained as a gauge
 // (+1 on enqueue, -1 on dequeue), so its current value is the live depth.

@@ -1,7 +1,9 @@
 #!/bin/sh
 # CI entry point: vet, build, and run the full test suite with the race
 # detector (the parallel branch-path execution in internal/core is only
-# meaningfully exercised under -race). Mirrors .github/workflows/ci.yml.
+# meaningfully exercised under -race), then the fuzz, docs, chaos, daemon,
+# crash and load gates below. This is the only gate list:
+# .github/workflows/ci.yml runs this script as its single step.
 set -eux
 
 cd "$(dirname "$0")/.."
