@@ -190,6 +190,34 @@ void k(int n, const float *a, float *b) {
 	b.ReportMetric(float64(finalUnroll), "final-unroll")
 }
 
+// BenchmarkFlowHot measures what is left of a job once every profiled run
+// is cached — the serve_hot budget: one op is the five applications in
+// both modes over a warmed run cache and program cache, so parse, queries,
+// transforms, DSE, HLS estimation and rendering are all that executes.
+// Profile it with
+//
+//	go test -run '^$' -bench FlowHot -benchtime 500x -memprofile m.out .
+func BenchmarkFlowHot(b *testing.B) {
+	runs := core.NewRunCache()
+	env := experiments.JobEnv{Progs: interp.NewProgramCache()}
+	flows := func() {
+		for _, app := range bench.All() {
+			for _, mode := range []tasks.Mode{tasks.Uninformed, tasks.Informed} {
+				opts := tasks.FlowOptions{Mode: mode, Strategy: tasks.DefaultStrategy}
+				if _, err := experiments.RunBenchmarkEnv(context.Background(), app, nil, opts, env, nil, nil, runs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	flows() // warm both caches
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flows()
+	}
+}
+
 // BenchmarkInterp measures the dynamic-analysis substrate: one profiled
 // execution of each benchmark application on the default engine (the
 // register bytecode VM).

@@ -8,6 +8,7 @@
 //
 //	psabench [-fig5] [-table1] [-fig6] [-ablate] [-json out.json]
 //	         [-metrics] [-metrics-json out.json] [-v]
+//	         [-cpuprofile cpu.out] [-memprofile mem.out]
 //	psabench -chaos [-faults seed=1,rate=0.2] [-chaos-runs 5]
 //	         [-chaos-mode informed] [-chaos-json out.json]
 //
@@ -16,13 +17,18 @@
 // interp/DSE/HLS counters) for the experiment runs; -metrics-json writes
 // the same report as JSON. -chaos sweeps seeded fault injection over all
 // five benchmarks (see docs/FAULTS.md) and writes the completion/retry/
-// degradation report consumed by scripts/chaos.sh.
+// degradation report consumed by scripts/chaos.sh. -cpuprofile and
+// -memprofile write pprof profiles of whatever the other flags selected
+// (read them with `go tool pprof`); a run that exits on an error writes
+// neither.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"psaflow/internal/experiments"
@@ -45,7 +51,10 @@ func main() {
 	chaosMode := flag.String("chaos-mode", "informed", "flow mode for -chaos: informed or uninformed")
 	chaosJSON := flag.String("chaos-json", "", "write the chaos report as JSON to this file (BENCH_<date>_chaos.json)")
 	verbose := flag.Bool("v", false, "log flow execution")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 
 	all := !*fig5 && !*table1 && !*fig6 && !*ablate && !*chaos
 	var logf func(string, ...any)
@@ -193,6 +202,49 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("wrote %s\n", *metricsJSON)
+		}
+	}
+	stopProfiles()
+}
+
+// startProfiles begins the CPU profile and returns the function that ends
+// it and writes the allocation profile; an empty path disables either.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	fatal := func(err error) {
+		fmt.Fprintln(os.Stderr, "profile:", err)
+		os.Exit(1)
+	}
+	var cpuFile *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		cpuFile = f
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fatal(err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			fatal(err)
+		}
+		runtime.GC() // flush the allocations of the last cycle into the profile
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
 		}
 	}
 }

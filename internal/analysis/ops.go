@@ -380,9 +380,7 @@ func registerLoopWeights(fn *minic.FuncDecl) map[int]float64 {
 		if d, ok := n.(*minic.DeclStmt); ok {
 			out[d.ID()] = w
 		}
-		for _, c := range minic.Children(n) {
-			rec(c, w)
-		}
+		minic.EachChild(n, func(c minic.Node) { rec(c, w) })
 	}
 	rec(fn, 1)
 	return out
@@ -418,13 +416,13 @@ func HeavySpecialFraction(fn *minic.FuncDecl) float64 {
 
 func exprDepth(e minic.Expr) int {
 	max := 0
-	for _, c := range minic.Children(e) {
+	minic.EachChild(e, func(c minic.Node) {
 		if ce, ok := c.(minic.Expr); ok {
 			if d := exprDepth(ce); d > max {
 				max = d
 			}
 		}
-	}
+	})
 	return max + 1
 }
 

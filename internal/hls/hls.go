@@ -132,8 +132,7 @@ func kernelPrecision(fn *minic.FuncDecl) bool {
 				sp = false
 			}
 		case *minic.CallExpr:
-			if base, isSP, ok := specialFamily(v.Fun); ok && !isSP {
-				_ = base
+			if _, isSP, ok := specialFamily(v.Fun); ok && !isSP {
 				sp = false
 			}
 		}
@@ -145,7 +144,10 @@ func kernelPrecision(fn *minic.FuncDecl) bool {
 // UnrollPragmaFactor extracts the factor of an "unroll N" pragma attached
 // to the outermost loop of fn; returns 1 when absent.
 func UnrollPragmaFactor(prog *minic.Program, fn *minic.FuncDecl) int {
-	q := query.New(prog)
+	return unrollPragmaFactor(query.New(prog), fn)
+}
+
+func unrollPragmaFactor(q *query.Q, fn *minic.FuncDecl) int {
 	outer := q.OutermostLoops(fn)
 	if len(outer) == 0 {
 		return 1
@@ -175,9 +177,9 @@ type Counter interface {
 	Add(name string, delta int64)
 }
 
-// CounterPartialCompiles names the counter EstimateCounted increments
-// once per invocation — each call stands for one dpcpp partial compile,
-// the expensive tool step the paper's Fig. 2 DSE repeats.
+// CounterPartialCompiles names the counter of dpcpp partial compiles, the
+// expensive tool step the paper's Fig. 2 DSE repeats: EstimateCounted adds
+// one per invocation, and the unroll walk one per factor it replicates.
 const CounterPartialCompiles = "hls.partial_compiles"
 
 // EstimateCounted is Estimate with telemetry: it reports the invocation
@@ -190,27 +192,48 @@ func EstimateCounted(c Counter, prog *minic.Program, fn *minic.FuncDecl, dev pla
 }
 
 // Estimate produces the high-level design report for kernel fn of prog on
-// device dev. The datapath is costed from the kernel AST with
-// statically-fixed inner loops counted spatially (they will be fully
-// unrolled in hardware) and the whole datapath replicated by the unroll
-// pragma factor on the outer loop. pipelinedTrips, when known from dynamic
-// analysis, is recorded for the performance model.
+// device dev: the kernel's datapath replicated by the unroll pragma factor
+// on its outer loop. pipelinedTrips, when known from dynamic analysis, is
+// recorded for the performance model.
 func Estimate(prog *minic.Program, fn *minic.FuncDecl, dev platform.FPGASpec, pipelinedTrips float64) *Report {
-	unroll := UnrollPragmaFactor(prog, fn)
-	sp := kernelPrecision(fn)
+	q := query.New(prog)
+	return costDatapath(q, fn).Replicate(dev, unrollPragmaFactor(q, fn), pipelinedTrips)
+}
 
+// Datapath is the cost of one copy of a kernel's datapath — everything a
+// partial compile reports that does not depend on the device or on the
+// outer loop's unroll factor. The Fig. 2 walk costs it once and calls
+// Replicate per candidate factor.
+type Datapath struct {
+	Kernel     string
+	ALMs       int   // logic of one copy, without the shell
+	DSPs       int   // DSP blocks of one copy
+	BRAMBits   int64 // local arrays of one copy
+	II         int   // pipeline initiation interval of the remaining loop nest
+	SinglePrec bool
+}
+
+// CostDatapath costs kernel fn of prog from its AST, with statically-fixed
+// inner loops counted spatially (they will be fully unrolled in hardware).
+// The result holds until the kernel is rewritten or a fixed-trip loop's
+// "unroll 1" marking (analysis.LoopMarkedRolled) changes.
+func CostDatapath(prog *minic.Program, fn *minic.FuncDecl) *Datapath {
+	return costDatapath(query.New(prog), fn)
+}
+
+func costDatapath(q *query.Q, fn *minic.FuncDecl) *Datapath {
+	dp := &Datapath{Kernel: fn.Name, SinglePrec: kernelPrecision(fn)}
 	ops := analysis.WeightedOps(fn)
 
-	var alms, dsps int
 	addC, mulC, divC := costAddDP, costMulDP, costDivDP
 	spTable := specialDP
-	if sp {
+	if dp.SinglePrec {
 		addC, mulC, divC = costAddSP, costMulSP, costDivSP
 		spTable = specialSP
 	}
 	scale := func(c opCost, n float64) {
-		alms += int(float64(c.alms) * n)
-		dsps += int(float64(c.dsps) * n)
+		dp.ALMs += int(float64(c.alms) * n)
+		dp.DSPs += int(float64(c.dsps) * n)
 	}
 	scale(addC, ops.AddSub)
 	scale(mulC, ops.Mul)
@@ -230,17 +253,10 @@ func Estimate(prog *minic.Program, fn *minic.FuncDecl, dev platform.FPGASpec, pi
 		scale(table[base], n)
 	}
 	// Control logic per loop in the kernel.
-	q := query.New(prog)
-	nLoops := len(q.LoopsIn(fn))
-	scale(costLoopCtl, float64(nLoops)+1)
-
-	// Replicate the datapath for the outer unroll factor.
-	alms *= unroll
-	dsps *= unroll
-	alms += shellALMs
+	loops := q.LoopsIn(fn)
+	scale(costLoopCtl, float64(len(loops))+1)
 
 	// On-chip RAM: local arrays.
-	var bramBits int64
 	minic.Walk(fn, func(n minic.Node) bool {
 		if d, ok := n.(*minic.DeclStmt); ok && d.ArrayLen != nil {
 			if l, ok := d.ArrayLen.(*minic.IntLit); ok {
@@ -248,27 +264,33 @@ func Estimate(prog *minic.Program, fn *minic.FuncDecl, dev platform.FPGASpec, pi
 				if d.Type.Kind == minic.Float || d.Type.Kind == minic.Int {
 					width = 32
 				}
-				bramBits += l.Val * width * int64(unroll)
+				dp.BRAMBits += l.Val * width
 			}
 		}
 		return true
 	})
+	dp.II = estimateII(loops)
+	return dp
+}
 
+// Replicate is the closed-form report for unroll copies of the datapath
+// next to the shell on device dev.
+func (dp *Datapath) Replicate(dev platform.FPGASpec, unroll int, pipelinedTrips float64) *Report {
 	r := &Report{
 		Device:         dev.Name,
-		Kernel:         fn.Name,
+		Kernel:         dp.Kernel,
 		Unroll:         unroll,
-		ALMs:           alms,
-		DSPs:           dsps,
-		BRAMBits:       bramBits,
-		LUTUtil:        float64(alms) / float64(dev.ALMs),
-		DSPUtil:        float64(dsps) / float64(dev.DSPs),
-		RAMUtil:        float64(bramBits) / float64(dev.BRAMBits),
-		SinglePrec:     sp,
+		ALMs:           dp.ALMs*unroll + shellALMs,
+		DSPs:           dp.DSPs * unroll,
+		BRAMBits:       dp.BRAMBits * int64(unroll),
+		II:             dp.II,
+		SinglePrec:     dp.SinglePrec,
 		PipelinedTrips: pipelinedTrips,
+		FmaxHz:         dev.ClockHz,
 	}
-	r.II = estimateII(prog, fn)
-	r.FmaxHz = dev.ClockHz
+	r.LUTUtil = float64(r.ALMs) / float64(dev.ALMs)
+	r.DSPUtil = float64(r.DSPs) / float64(dev.DSPs)
+	r.RAMUtil = float64(r.BRAMBits) / float64(dev.BRAMBits)
 	if r.LUTUtil > 0.75 {
 		r.FmaxHz *= 0.88 // routing congestion derate on nearly-full devices
 	}
@@ -280,9 +302,7 @@ func Estimate(prog *minic.Program, fn *minic.FuncDecl, dev platform.FPGASpec, pi
 // that remains after fixed inner loops are spatially unrolled: II=1 when
 // the innermost remaining loop carries no dependence (or only removable
 // reductions already rewritten), otherwise the accumulation latency.
-func estimateII(prog *minic.Program, fn *minic.FuncDecl) int {
-	q := query.New(prog)
-	loops := q.LoopsIn(fn)
+func estimateII(loops []minic.Stmt) int {
 	ii := 1
 	for _, l := range loops {
 		if _, fixed := query.FixedTripCount(l); fixed && !analysis.LoopMarkedRolled(l) {

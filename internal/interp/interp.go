@@ -327,14 +327,19 @@ func lowerBytecode(prog *minic.Program) (bp *bprog) {
 }
 
 // buildLoopInfo precomputes enclosing function and nesting depth for every
-// loop node ID.
+// loop node ID in one pass over the program.
 func buildLoopInfo(prog *minic.Program) map[int]loopInfo {
-	q := query.New(prog)
 	out := make(map[int]loopInfo)
-	for _, fn := range prog.Funcs {
-		for _, l := range q.LoopsIn(fn) {
-			out[l.ID()] = loopInfo{fn: fn.Name, depth: q.LoopDepth(l)}
+	var rec func(n minic.Node, fn string, depth int)
+	rec = func(n minic.Node, fn string, depth int) {
+		if query.IsLoop(n) {
+			depth++
+			out[n.ID()] = loopInfo{fn: fn, depth: depth}
 		}
+		minic.EachChild(n, func(c minic.Node) { rec(c, fn, depth) })
+	}
+	for _, fn := range prog.Funcs {
+		rec(fn, fn.Name, 0)
 	}
 	return out
 }

@@ -292,109 +292,92 @@ func (*IndexExpr) exprNode()  {}
 func (*CallExpr) exprNode()   {}
 func (*CastExpr) exprNode()   {}
 
-// Children returns the direct child nodes of n in source order. It is the
-// single structural description of the AST that Walk, Parents, and the
-// query engine are built on.
-func Children(n Node) []Node {
-	var out []Node
-	add := func(c Node) {
-		switch v := c.(type) {
-		case nil:
-		case Expr:
-			if v != nil {
-				out = append(out, v)
-			}
-		default:
-			out = append(out, c)
+// EachChild calls fn for each direct child node of n in source order,
+// skipping absent (nil) children. It allocates nothing and is the single
+// structural description of the AST: Children, Walk, Parents and the query
+// engine are all built on it, so a new node kind is described here once.
+func EachChild(n Node, fn func(Node)) {
+	each := func(c Node) {
+		if c != nil {
+			fn(c)
+		}
+	}
+	block := func(b *Block) {
+		if b != nil {
+			fn(b)
 		}
 	}
 	switch v := n.(type) {
 	case *Program:
 		for _, f := range v.Funcs {
-			add(f)
+			fn(f)
 		}
 	case *FuncDecl:
 		for _, p := range v.Params {
-			add(p)
+			fn(p)
 		}
-		if v.Body != nil {
-			add(v.Body)
-		}
-	case *Param:
+		block(v.Body)
 	case *Block:
 		for _, s := range v.Stmts {
-			add(s)
+			each(s)
 		}
 	case *DeclStmt:
-		if v.ArrayLen != nil {
-			add(v.ArrayLen)
-		}
-		if v.Init != nil {
-			add(v.Init)
-		}
+		each(v.ArrayLen)
+		each(v.Init)
 	case *ExprStmt:
-		add(v.X)
+		each(v.X)
 	case *ForStmt:
-		if v.Init != nil {
-			add(v.Init)
-		}
-		if v.Cond != nil {
-			add(v.Cond)
-		}
-		if v.Post != nil {
-			add(v.Post)
-		}
-		add(v.Body)
+		each(v.Init)
+		each(v.Cond)
+		each(v.Post)
+		block(v.Body)
 	case *WhileStmt:
-		add(v.Cond)
-		add(v.Body)
+		each(v.Cond)
+		block(v.Body)
 	case *IfStmt:
-		add(v.Cond)
-		add(v.Then)
-		if v.Else != nil {
-			add(v.Else)
-		}
+		each(v.Cond)
+		block(v.Then)
+		each(v.Else)
 	case *ReturnStmt:
-		if v.X != nil {
-			add(v.X)
-		}
-	case *BreakStmt, *ContinueStmt, *PragmaStmt:
-	case *Ident, *IntLit, *FloatLit, *BoolLit, *StringLit:
+		each(v.X)
 	case *UnaryExpr:
-		add(v.X)
+		each(v.X)
 	case *BinaryExpr:
-		add(v.L)
-		add(v.R)
+		each(v.L)
+		each(v.R)
 	case *AssignExpr:
-		add(v.LHS)
-		add(v.RHS)
+		each(v.LHS)
+		each(v.RHS)
 	case *IncDecExpr:
-		add(v.X)
+		each(v.X)
 	case *IndexExpr:
-		add(v.Base)
-		add(v.Index)
+		each(v.Base)
+		each(v.Index)
 	case *CallExpr:
 		for _, a := range v.Args {
-			add(a)
+			each(a)
 		}
 	case *CastExpr:
-		add(v.X)
+		each(v.X)
 	}
+}
+
+// Children returns the direct child nodes of n in source order: EachChild
+// collected into a slice, for callers that want to index or count them.
+func Children(n Node) []Node {
+	var out []Node
+	EachChild(n, func(c Node) { out = append(out, c) })
 	return out
 }
 
 // Walk visits n and all its descendants in depth-first source order,
 // calling fn for each. If fn returns false the node's subtree is skipped.
+// The traversal itself allocates nothing.
 func Walk(n Node, fn func(Node) bool) {
-	if n == nil {
+	if n == nil || !fn(n) {
 		return
 	}
-	if !fn(n) {
-		return
-	}
-	for _, c := range Children(n) {
-		Walk(c, fn)
-	}
+	EachChild(n, func(c Node) { Walk(c, fn) })
 }
 
 // AssignIDs numbers every node in the program with a unique, dense,
@@ -412,15 +395,15 @@ func AssignIDs(p *Program) int {
 // Parents builds a child-to-parent map for every node under root.
 func Parents(root Node) map[Node]Node {
 	m := make(map[Node]Node)
-	var rec func(n Node)
-	rec = func(n Node) {
-		for _, c := range Children(n) {
-			m[c] = n
-			rec(c)
-		}
-	}
-	rec(root)
+	parentsInto(m, root)
 	return m
+}
+
+func parentsInto(m map[Node]Node, n Node) {
+	EachChild(n, func(c Node) {
+		m[c] = n
+		parentsInto(m, c)
+	})
 }
 
 // Func returns the function with the given name, or nil.

@@ -30,19 +30,29 @@ func TestParseDepthLimit(t *testing.T) {
 	}
 }
 
+// parseSeeds is the FuzzParse seed corpus: the five bundled programs plus
+// small and malformed inputs.
+func parseSeeds() []string {
+	var seeds []string
+	for _, b := range bench.All() {
+		seeds = append(seeds, b.Source)
+	}
+	return append(seeds,
+		"",
+		"int f() { return 0; }",
+		"void g(int *p) { for (int i = 0; i < 10; i++) p[i] = i; }",
+		"int h() { return ((((((1)))))); }",
+		"/* unterminated",
+		`"unterminated string`)
+}
+
 // FuzzParse feeds arbitrary byte strings to the MiniC front end. Parse must
 // either return a program or an error — never panic — regardless of input:
 // the service layer hands it untrusted source straight off the wire.
 func FuzzParse(f *testing.F) {
-	for _, b := range bench.All() {
-		f.Add(b.Source)
+	for _, src := range parseSeeds() {
+		f.Add(src)
 	}
-	f.Add("")
-	f.Add("int f() { return 0; }")
-	f.Add("void g(int *p) { for (int i = 0; i < 10; i++) p[i] = i; }")
-	f.Add("int h() { return ((((((1)))))); }")
-	f.Add("/* unterminated")
-	f.Add(`"unterminated string`)
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := minic.Parse(src)
 		if err == nil && prog == nil {

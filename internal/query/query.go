@@ -11,16 +11,19 @@ import (
 	"psaflow/internal/minic"
 )
 
-// Q is a query context over one program. It caches the parent map; rebuild
-// the context (New) after structural mutations.
+// Q is a query context over one program. The child-to-parent index behind
+// Parent, EnclosingFunc, Encloses, IsOutermostLoop and LoopDepth is built
+// the first time one of them is called, so a Q that only selects loops
+// costs nothing; rebuild the context (New) after structural mutations. A Q
+// is not safe for concurrent use.
 type Q struct {
 	Prog    *minic.Program
 	parents map[minic.Node]minic.Node
 }
 
-// New builds a query context for prog.
+// New returns a query context for prog in constant time.
 func New(prog *minic.Program) *Q {
-	return &Q{Prog: prog, parents: minic.Parents(prog)}
+	return &Q{Prog: prog}
 }
 
 // Predicate decides whether a node matches; it receives the context so it
@@ -41,11 +44,16 @@ func (q *Q) Select(pred Predicate) []minic.Node {
 }
 
 // Parent returns the parent of n, or nil for the root.
-func (q *Q) Parent(n minic.Node) minic.Node { return q.parents[n] }
+func (q *Q) Parent(n minic.Node) minic.Node {
+	if q.parents == nil {
+		q.parents = minic.Parents(q.Prog)
+	}
+	return q.parents[n]
+}
 
 // EnclosingFunc returns the function that contains n, or nil.
 func (q *Q) EnclosingFunc(n minic.Node) *minic.FuncDecl {
-	for cur := n; cur != nil; cur = q.parents[cur] {
+	for cur := n; cur != nil; cur = q.Parent(cur) {
 		if f, ok := cur.(*minic.FuncDecl); ok {
 			return f
 		}
@@ -55,7 +63,7 @@ func (q *Q) EnclosingFunc(n minic.Node) *minic.FuncDecl {
 
 // Encloses reports whether inner is a strict descendant of outer.
 func (q *Q) Encloses(outer, inner minic.Node) bool {
-	for cur := q.parents[inner]; cur != nil; cur = q.parents[cur] {
+	for cur := q.Parent(inner); cur != nil; cur = q.Parent(cur) {
 		if cur == outer {
 			return true
 		}
@@ -84,7 +92,7 @@ func (q *Q) IsOutermostLoop(n minic.Node) bool {
 	if !IsLoop(n) {
 		return false
 	}
-	for cur := q.parents[n]; cur != nil; cur = q.parents[cur] {
+	for cur := q.Parent(n); cur != nil; cur = q.Parent(cur) {
 		if IsLoop(cur) {
 			return false
 		}
@@ -102,7 +110,7 @@ func (q *Q) LoopDepth(n minic.Node) int {
 		return 0
 	}
 	d := 1
-	for cur := q.parents[n]; cur != nil; cur = q.parents[cur] {
+	for cur := q.Parent(n); cur != nil; cur = q.Parent(cur) {
 		if IsLoop(cur) {
 			d++
 		}
@@ -111,37 +119,34 @@ func (q *Q) LoopDepth(n minic.Node) int {
 }
 
 // LoopsIn returns every loop statement in fn in depth-first source order.
+// It is a plain walk and never touches the parent index.
 func (q *Q) LoopsIn(fn *minic.FuncDecl) []minic.Stmt {
-	var out []minic.Stmt
-	minic.Walk(fn, func(n minic.Node) bool {
-		if IsLoop(n) {
-			out = append(out, n.(minic.Stmt))
-		}
-		return true
-	})
-	return out
+	return loopsUnder(fn, true)
 }
 
 // OutermostLoops returns the outermost loops of fn — the query from the
-// paper's Fig. 2 meta-program.
+// paper's Fig. 2 meta-program. The walk does not descend into a loop, so
+// it needs no parent index either.
 func (q *Q) OutermostLoops(fn *minic.FuncDecl) []minic.Stmt {
-	var out []minic.Stmt
-	for _, l := range q.LoopsIn(fn) {
-		if q.IsOutermostLoop(l) {
-			out = append(out, l)
-		}
-	}
-	return out
+	return loopsUnder(fn, false)
 }
 
-// InnerLoops returns all loops strictly nested inside loop.
+// InnerLoops returns all loops strictly nested inside loop, again without
+// the parent index.
 func (q *Q) InnerLoops(loop minic.Stmt) []minic.Stmt {
+	return loopsUnder(loop, true)
+}
+
+// loopsUnder collects the loops strictly below root in depth-first source
+// order; with nested false it stops at each loop it finds.
+func loopsUnder(root minic.Node, nested bool) []minic.Stmt {
 	var out []minic.Stmt
-	minic.Walk(loop, func(n minic.Node) bool {
-		if n != minic.Node(loop) && IsLoop(n) {
-			out = append(out, n.(minic.Stmt))
+	minic.Walk(root, func(n minic.Node) bool {
+		if n == root || !IsLoop(n) {
+			return true
 		}
-		return true
+		out = append(out, n.(minic.Stmt))
+		return nested
 	})
 	return out
 }

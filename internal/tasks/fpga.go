@@ -107,6 +107,11 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 				return fmt.Errorf("kernel has no pipeline loop")
 			}
 			loop := outer[0]
+			// One datapath costing serves the whole walk, with one exception:
+			// "unroll 1" marks a fixed-trip loop rolled, so a fixed pipeline
+			// loop is costed rolled at n=1 and spatial from n=2 on.
+			_, fixedOuter := query.FixedTripCount(loop)
+			var dp *hls.Datapath
 
 			var best *hls.Report
 			bestUnroll := 0
@@ -126,7 +131,11 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 					transform.RemoveLoopPragmas(loop, "unroll")
 					return err
 				}
-				rep := hls.EstimateCounted(ctx.Telemetry, d.Prog, kfn, dev, d.Report.PipelinedTrips)
+				if n == 1 || (n == 2 && fixedOuter) {
+					dp = hls.CostDatapath(d.Prog, kfn)
+				}
+				ctx.Count(hls.CounterPartialCompiles, 1)
+				rep := dp.Replicate(dev, n, d.Report.PipelinedTrips)
 				d.Tracef("dse", "unroll", "n=%d LUT=%.1f%% DSP=%.1f%% fits=%t",
 					n, rep.LUTUtil*100, rep.DSPUtil*100, rep.Fits)
 				ctx.Emit(events.TypeDSEProgress, "unroll",

@@ -1,10 +1,12 @@
 package tasks
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"psaflow/internal/core"
+	"psaflow/internal/hls"
 	"psaflow/internal/interp"
 	"psaflow/internal/minic"
 	"psaflow/internal/platform"
@@ -254,6 +256,33 @@ func TestFPGAPathTasks(t *testing.T) {
 	}
 	if !strings.Contains(d.Artifact.Source, "malloc_host") {
 		t.Error("zero-copy design should use USM host allocations")
+	}
+}
+
+// TestUnrollWalkFixedPipelineLoop covers the one kernel shape whose
+// datapath changes during the Fig. 2 walk: "unroll 1" marks a fixed-trip
+// pipeline loop rolled, any larger factor leaves it spatial. The walk's
+// winning report must still be the partial compile of the design it
+// leaves behind.
+func TestUnrollWalkFixedPipelineLoop(t *testing.T) {
+	prog := minic.MustParse(`
+void k(const float *a, float *b) {
+    for (int i = 0; i < 16; i++) {
+        b[i] = a[i] * 2.0f + 1.0f;
+    }
+}
+`)
+	d := core.NewDesign("fixed", prog)
+	d.Kernel = "k"
+	dev := platform.Stratix10
+	if err := UnrollUntilOvermap(dev).Run(synthCtx(), d); err != nil {
+		t.Fatal(err)
+	}
+	if d.UnrollFactor < 2 {
+		t.Fatalf("unroll = %d (%s), want a factor past the rolled n=1 step", d.UnrollFactor, d.Infeasible)
+	}
+	if want := hls.Estimate(d.Prog, d.KernelFunc(), dev, 0); !reflect.DeepEqual(d.HLSReport, want) {
+		t.Errorf("walk kept %+v\nthe design it left estimates as %+v", d.HLSReport, want)
 	}
 }
 
