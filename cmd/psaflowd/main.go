@@ -1,8 +1,8 @@
 // Command psaflowd serves PSA-flows over HTTP: clients POST MiniC source +
 // workload + mode to /v1/jobs, a bounded worker pool executes the flows
-// against one process-wide profiled-run cache, and every job transition is
-// logged durably to a write-ahead store under -data-dir (submissions are
-// acknowledged only after the fsync). A crash loses nothing acknowledged:
+// against one process-wide profiled-run cache, and every submission and
+// terminal result is logged durably to a write-ahead store under -data-dir
+// (submissions are acknowledged only after the fsync). A crash loses nothing acknowledged:
 // the next start replays the WAL, serves finished results, and requeues
 // jobs that were queued or running. SIGINT/SIGTERM drains gracefully: the
 // listener stops, in-flight jobs finish, still-queued jobs stay in the
@@ -16,7 +16,7 @@
 //	         [-max-body 1048576] [-store-retain 0]
 //	         [-batch=true]
 //	         [-node-id n1 -peers n2=http://...,n3=http://...]
-//	         [-tenant-quota acme=4:2,guest=1] [-v]
+//	         [-tenant-quota acme=4:2,guest=1] [-pprof 127.0.0.1:6060] [-v]
 //
 // With -node-id and -peers, N daemons form one logical service: jobs
 // route to their (tenant, program-fingerprint) ring owner, any node
@@ -34,6 +34,10 @@
 //	DELETE /v1/jobs/{id}        cancel (queued: 200; running: 202)
 //	GET    /healthz             liveness (503 while draining)
 //	GET    /metrics             service gauges + telemetry report
+//
+// -pprof serves net/http/pprof (/debug/pprof/...) on a listener of its own
+// — diagnostics never share the job port. docs/OPERATIONS.md, "Where the
+// memory goes", has the two commands worth knowing.
 package main
 
 import (
@@ -42,7 +46,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -86,6 +92,29 @@ func buildClusterNode(nodeID, peers string, logf func(string, ...any)) (*cluster
 	return cluster.New(cluster.Config{Self: nodeID, Peers: table, Logf: logf})
 }
 
+// servePprof serves the runtime profiles on addr, on a mux that holds
+// nothing else, until the returned server is closed.
+func servePprof(addr string, logger *log.Logger) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // also heap, allocs, goroutine, mutex, block by name
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{Handler: mux}
+	go func() {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			logger.Printf("pprof: %v", err)
+		}
+	}()
+	logger.Printf("pprof on http://%s/debug/pprof/", ln.Addr())
+	return srv, nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	workers := flag.Int("workers", 4, "worker pool size (concurrent flows)")
@@ -102,6 +131,7 @@ func main() {
 	nodeID := flag.String("node-id", "", "this node's cluster identity, 1-16 of [a-z0-9] (empty = single-node, no clustering)")
 	peers := flag.String("peers", "", `cluster peer table: comma-separated id=http://host:port entries, e.g. "n2=http://10.0.0.2:8080,n3=http://10.0.0.3:8080"`)
 	tenantQuotas := flag.String("tenant-quota", "", `per-tenant scheduling contracts: comma-separated tenant=maxInflight[:weight], "*" = default, e.g. "acme=4:2,guest=1"`)
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = off), e.g. 127.0.0.1:6060")
 	verbose := flag.Bool("v", false, "log job lifecycle events")
 	flag.Parse()
 
@@ -147,6 +177,14 @@ func main() {
 	})
 	if err := s.Start(); err != nil {
 		logger.Fatalf("start: %v", err)
+	}
+
+	if *pprofAddr != "" {
+		pprofSrv, err := servePprof(*pprofAddr, logger)
+		if err != nil {
+			logger.Fatalf("pprof: %v", err)
+		}
+		defer pprofSrv.Close()
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}

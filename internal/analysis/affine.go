@@ -137,47 +137,49 @@ func (a Affine) DependsOn(v string) bool {
 		return false
 	}
 	for k := range a.Coeff {
-		for _, f := range strings.Split(k, "*") {
-			if f == v {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// VarPart returns the sub-form of terms containing v; InvPart the rest
-// (including the constant). Together they decompose a subscript for the
-// cross-iteration conflict test on the v loop.
-func (a Affine) VarPart(v string) map[string]int64 {
-	out := map[string]int64{}
-	for k, c := range a.Coeff {
 		if termHasVar(k, v) {
-			out[k] = c
-		}
-	}
-	return out
-}
-
-// InvPart returns the terms not containing v, plus the constant under key
-// "".
-func (a Affine) InvPart(v string) map[string]int64 {
-	out := map[string]int64{"": a.Const}
-	for k, c := range a.Coeff {
-		if !termHasVar(k, v) {
-			out[k] = c
-		}
-	}
-	return out
-}
-
-func termHasVar(term, v string) bool {
-	for _, f := range strings.Split(term, "*") {
-		if f == v {
 			return true
 		}
 	}
 	return false
+}
+
+// termHasVar reports whether v is one of the '*'-separated factors of term.
+func termHasVar(term, v string) bool {
+	for {
+		i := strings.IndexByte(term, '*')
+		if i < 0 {
+			return term == v
+		}
+		if term[:i] == v {
+			return true
+		}
+		term = term[i+1:]
+	}
+}
+
+// samePart compares one half of the decomposition of two subscripts for
+// the cross-iteration conflict test on the v loop, in place: with varPart
+// the terms containing v, otherwise the v-invariant terms together with
+// the constant (unless ignoreConst). It is the pairwise test's inner
+// loop, so it builds no sub-form maps.
+func samePart(a, b Affine, v string, varPart, ignoreConst bool) bool {
+	n := 0
+	for k, c := range a.Coeff {
+		if termHasVar(k, v) != varPart {
+			continue
+		}
+		if b.Coeff[k] != c {
+			return false
+		}
+		n++
+	}
+	for k := range b.Coeff {
+		if termHasVar(k, v) == varPart {
+			n--
+		}
+	}
+	return n == 0 && (varPart || ignoreConst || a.Const == b.Const)
 }
 
 func mapsEqual(a, b map[string]int64) bool {
@@ -206,7 +208,7 @@ func (a Affine) EqualModulo(b Affine, v string) bool {
 	if !a.OK || !b.OK {
 		return false
 	}
-	return mapsEqual(a.InvPart(v), b.InvPart(v))
+	return samePart(a, b, v, false, false)
 }
 
 // String renders the form for diagnostics.

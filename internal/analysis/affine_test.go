@@ -9,7 +9,7 @@ import (
 
 func exprOf(t *testing.T, src string) minic.Expr {
 	t.Helper()
-	prog := minic.MustParse("int f(int i, int j, int m, int n) { return " + src + "; }")
+	prog := minic.MustParse("int f(int i, int ii, int j, int m, int n) { return " + src + "; }")
 	return prog.Funcs[0].Body.Stmts[0].(*minic.ReturnStmt).X
 }
 

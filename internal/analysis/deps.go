@@ -111,7 +111,7 @@ func AnalyzeLoop(loop minic.Stmt) *LoopDeps {
 
 	declared := declaredIn(fs)
 	scalarDeps(fs, v, declared, d)
-	arrayDeps(fs, v, d)
+	arrayDeps(fs, v, d, classifyArray)
 	return d
 }
 
@@ -217,8 +217,9 @@ func scalarDeps(loop *minic.ForStmt, v string, declared map[string]bool, d *Loop
 	}
 }
 
-// arrayDeps finds carried array dependences and array reductions.
-func arrayDeps(loop *minic.ForStmt, v string, d *LoopDeps) {
+// arrayDeps finds carried array dependences and array reductions. classify
+// is classifyArray; the differential test passes its map-based reference.
+func arrayDeps(loop *minic.ForStmt, v string, d *LoopDeps, classify func([]access, string) *Dependence) {
 	accesses := collectAccesses(loop.Body)
 	byArray := map[string][]access{}
 	for _, a := range accesses {
@@ -250,7 +251,7 @@ func arrayDeps(loop *minic.ForStmt, v string, d *LoopDeps) {
 				allCompound = false
 			}
 		}
-		dep := classifyArray(accs, v)
+		dep := classify(accs, v)
 		if dep == nil {
 			continue // provably independent across iterations
 		}
@@ -286,7 +287,6 @@ func classifyArray(accs []access, v string) *Dependence {
 			return &Dependence{Kind: DepArrayOutput,
 				Detail: fmt.Sprintf("write subscript %s invariant in %s", w.sub, v)}
 		}
-		wVar := w.sub.VarPart(v)
 		for j := range accs {
 			if i == j {
 				continue
@@ -296,7 +296,7 @@ func classifyArray(accs []access, v string) *Dependence {
 			if a.write {
 				kind = DepArrayOutput
 			}
-			if !mapsEqual(wVar, a.sub.VarPart(v)) {
+			if !samePart(w.sub, a.sub, v, true, false) {
 				// Different dependence on v (including v-invariant reads of
 				// a written array): conservative carried dependence.
 				return &Dependence{Kind: kind,
@@ -308,7 +308,7 @@ func classifyArray(accs []access, v string) *Dependence {
 				// collide across iterations only if c divides δ (the GCD
 				// test): acc[3i] vs acc[3i+1] never alias, acc[i] vs
 				// acc[i-1] do.
-				if c, ok := pureCoeff(wVar, v); ok && invDiffersOnlyInConst(w.sub, a.sub, v) {
+				if c, ok := pureCoeff(w.sub, v); ok && samePart(w.sub, a.sub, v, false, true) {
 					delta := w.sub.Const - a.sub.Const
 					if delta%c != 0 {
 						continue
@@ -378,25 +378,17 @@ func sortStrings(s []string) {
 	}
 }
 
-// pureCoeff returns the coefficient when the variable part is exactly one
-// pure c·v term.
-func pureCoeff(varPart map[string]int64, v string) (int64, bool) {
-	if len(varPart) != 1 {
+// pureCoeff returns the coefficient when the part of a that varies with v
+// is exactly one pure c·v term.
+func pureCoeff(a Affine, v string) (int64, bool) {
+	c := a.Coeff[v]
+	if c == 0 {
 		return 0, false
 	}
-	c, ok := varPart[v]
-	if !ok || c == 0 {
-		return 0, false
+	for k := range a.Coeff {
+		if k != v && termHasVar(k, v) {
+			return 0, false
+		}
 	}
 	return c, true
-}
-
-// invDiffersOnlyInConst reports whether the v-invariant parts of two
-// affine forms agree on every symbolic term (only the constants differ).
-func invDiffersOnlyInConst(a, b Affine, v string) bool {
-	ai := a.InvPart(v)
-	bi := b.InvPart(v)
-	delete(ai, "")
-	delete(bi, "")
-	return mapsEqual(ai, bi)
 }

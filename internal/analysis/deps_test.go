@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"psaflow/internal/minic"
@@ -275,5 +278,210 @@ func TestLoopDepsClone(t *testing.T) {
 	c.Carried = append(c.Carried, Dependence{Kind: DepUnknown})
 	if d.Carried[0].Name != "s" || d.Reductions[0].Name != "acc" || len(d.Carried) != 1 {
 		t.Errorf("clone shares slices with original: %+v", d)
+	}
+}
+
+// ---- reference dependence test -----------------------------------------
+//
+// The map-based pairwise subscript test classifyArray replaced: it builds
+// the v-variant and v-invariant sub-forms of every (write, access) pair as
+// fresh maps and splits every term into its factors. The differential
+// tests here and in deps_diff_test.go require the in-place test to return
+// exactly what this one does.
+
+func termHasVarRef(term, v string) bool {
+	for _, f := range strings.Split(term, "*") {
+		if f == v {
+			return true
+		}
+	}
+	return false
+}
+
+// varPartRef is the sub-form of terms containing v; invPartRef the rest,
+// with the constant under key "".
+func varPartRef(a Affine, v string) map[string]int64 {
+	out := map[string]int64{}
+	for k, c := range a.Coeff {
+		if termHasVarRef(k, v) {
+			out[k] = c
+		}
+	}
+	return out
+}
+
+func invPartRef(a Affine, v string) map[string]int64 {
+	out := map[string]int64{"": a.Const}
+	for k, c := range a.Coeff {
+		if !termHasVarRef(k, v) {
+			out[k] = c
+		}
+	}
+	return out
+}
+
+func dependsOnRef(a Affine, v string) bool {
+	for k := range a.Coeff {
+		if termHasVarRef(k, v) {
+			return true
+		}
+	}
+	return false
+}
+
+func pureCoeffRef(varPart map[string]int64, v string) (int64, bool) {
+	if len(varPart) != 1 {
+		return 0, false
+	}
+	c, ok := varPart[v]
+	if !ok || c == 0 {
+		return 0, false
+	}
+	return c, true
+}
+
+func invDiffersOnlyInConstRef(a, b Affine, v string) bool {
+	ai := invPartRef(a, v)
+	bi := invPartRef(b, v)
+	delete(ai, "")
+	delete(bi, "")
+	return mapsEqual(ai, bi)
+}
+
+func classifyArrayRef(accs []access, v string) *Dependence {
+	for i := range accs {
+		if !accs[i].sub.OK {
+			return &Dependence{Kind: DepUnknown, Detail: "non-affine subscript"}
+		}
+	}
+	for i := range accs {
+		if !accs[i].write {
+			continue
+		}
+		w := accs[i]
+		if !dependsOnRef(w.sub, v) {
+			return &Dependence{Kind: DepArrayOutput,
+				Detail: fmt.Sprintf("write subscript %s invariant in %s", w.sub, v)}
+		}
+		wVar := varPartRef(w.sub, v)
+		for j := range accs {
+			if i == j {
+				continue
+			}
+			a := accs[j]
+			kind := DepArrayFlow
+			if a.write {
+				kind = DepArrayOutput
+			}
+			if !mapsEqual(wVar, varPartRef(a.sub, v)) {
+				return &Dependence{Kind: kind,
+					Detail: fmt.Sprintf("subscripts %s and %s differ in their %s terms", w.sub, a.sub, v)}
+			}
+			if !mapsEqual(invPartRef(w.sub, v), invPartRef(a.sub, v)) {
+				if c, ok := pureCoeffRef(wVar, v); ok && invDiffersOnlyInConstRef(w.sub, a.sub, v) {
+					delta := w.sub.Const - a.sub.Const
+					if delta%c != 0 {
+						continue
+					}
+				}
+				return &Dependence{Kind: kind,
+					Detail: fmt.Sprintf("subscripts %s and %s conflict across iterations", w.sub, a.sub)}
+			}
+		}
+	}
+	return nil
+}
+
+// AnalyzeLoopRef is AnalyzeLoop over the reference subscript test
+// (exported for the bundled-program differential in deps_diff_test.go).
+func AnalyzeLoopRef(loop minic.Stmt) *LoopDeps {
+	fs, ok := loop.(*minic.ForStmt)
+	v := ""
+	if ok {
+		v = query.LoopVar(fs)
+	}
+	if v == "" {
+		return AnalyzeLoop(loop) // no subscript test on these shapes
+	}
+	d := &LoopDeps{LoopID: fs.ID(), Var: v}
+	scalarDeps(fs, v, declaredIn(fs), d)
+	arrayDeps(fs, v, d, classifyArrayRef)
+	return d
+}
+
+// randSubscript renders a random multilinear subscript over i, ii, j, m:
+// products such as i*m, negative coefficients, zero coefficients and
+// terms that cancel (2*i + (-2)*i), and names that prefix each other.
+func randSubscript(r *rand.Rand) string {
+	vars := []string{"i", "ii", "j", "m"}
+	var terms []string
+	for n := 1 + r.Intn(4); n > 0; n-- {
+		c := r.Intn(7) - 3
+		switch r.Intn(4) {
+		case 0:
+			terms = append(terms, fmt.Sprintf("(%d)", c))
+		case 1:
+			terms = append(terms, fmt.Sprintf("(%d)*%s*%s", c, vars[r.Intn(4)], vars[r.Intn(4)]))
+		default:
+			terms = append(terms, fmt.Sprintf("(%d)*%s", c, vars[r.Intn(4)]))
+		}
+		if r.Intn(8) == 0 { // cancel the term just added
+			terms = append(terms, "(-1)*"+terms[len(terms)-1])
+		}
+	}
+	return strings.Join(terms, " + ")
+}
+
+// TestClassifyArrayMatchesReferenceRandom drives both subscript tests over
+// randomized access groups: related subscripts (a shared base shifted by a
+// constant or one extra term, so the equal-variant-part arms are reached),
+// unrelated ones, and the occasional non-affine form.
+func TestClassifyArrayMatchesReferenceRandom(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	outcomes := map[string]int{}
+	for trial := 0; trial < 4000; trial++ {
+		base := randSubscript(r)
+		accs := make([]access, 2+r.Intn(3))
+		var srcs []string
+		for k := range accs {
+			src := base
+			switch r.Intn(8) {
+			case 0, 1, 2:
+				src = fmt.Sprintf("%s + (%d)", base, r.Intn(9)-4)
+			case 3:
+				src = base + " + " + randSubscript(r)
+			case 4:
+				src = randSubscript(r)
+			case 5:
+				if r.Intn(10) == 0 {
+					src = base + " % 3"
+				}
+			}
+			srcs = append(srcs, src)
+			accs[k] = access{array: "a", sub: AffineOf(exprOf(t, src)), write: k == 0 || r.Intn(3) == 0}
+		}
+		v := []string{"i", "ii", "j"}[r.Intn(3)]
+		got, want := classifyArray(accs, v), classifyArrayRef(accs, v)
+		switch {
+		case got == nil && want == nil:
+			outcomes["independent"]++
+			for _, a := range accs[1:] {
+				if !accs[0].sub.EqualModulo(a.sub, v) {
+					outcomes["independent by the GCD test"]++
+					break
+				}
+			}
+		case got == nil || want == nil || *got != *want:
+			t.Fatalf("loop var %s, subscripts %q:\n got %+v\nwant %+v", v, srcs, got, want)
+		default:
+			outcomes[strings.Fields(got.Detail)[0]+"/"+got.Kind.String()]++
+		}
+	}
+	// Every arm of the test must have been reached, or the agreement above
+	// says little.
+	for _, arm := range []string{"independent", "independent by the GCD test", "write/array-output", "subscripts/array-flow", "subscripts/array-output", "non-affine/unknown"} {
+		if outcomes[arm] < 20 {
+			t.Errorf("only %d random cases ended in %q: %v", outcomes[arm], arm, outcomes)
+		}
 	}
 }

@@ -70,17 +70,21 @@ const (
 	DefaultMaxSubs  = 1024
 )
 
-// Broker is one job's event hub: a fixed-capacity ring of the newest
-// events plus the live subscriber set. All methods are safe for
-// concurrent use; Publish is called from parallel branch-path goroutines.
+// Broker is one job's event hub: a bounded ring of the newest events plus
+// the live subscriber set. All methods are safe for concurrent use;
+// Publish is called from parallel branch-path goroutines.
 type Broker struct {
-	job string
-	now func() time.Time // injectable clock for tests
+	job  string
+	now  func() time.Time // injectable clock for tests
+	size int              // ring capacity in events
 
-	mu      sync.Mutex
-	buf     []Frame // ring storage; slot = seq % cap(buf)
-	head    uint64  // seq of the oldest event still retained
-	next    uint64  // seq the next Publish will assign (== total published)
+	mu sync.Mutex
+	// buf is the ring storage. It grows by append until it holds size
+	// frames — a finished job's few dozen events never pay for the whole
+	// window — and from then on slot = seq % size.
+	buf     []Frame
+	head    uint64 // seq of the oldest event still retained
+	next    uint64 // seq the next Publish will assign (== total published)
 	closed  bool
 	maxSubs int
 	subs    map[*Sub]struct{}
@@ -100,7 +104,7 @@ func NewBroker(job string, ringSize, maxSubs int) *Broker {
 	return &Broker{
 		job:     job,
 		now:     time.Now,
-		buf:     make([]Frame, 0, ringSize),
+		size:    ringSize,
 		maxSubs: maxSubs,
 		subs:    make(map[*Sub]struct{}),
 	}
@@ -123,10 +127,10 @@ func (b *Broker) Publish(e Event) bool {
 	b.next++
 	line, _ := json.Marshal(e) // Event is strings + numbers; cannot fail
 	f := Frame{Event: e, Line: line}
-	if len(b.buf) < cap(b.buf) {
+	if len(b.buf) < b.size {
 		b.buf = append(b.buf, f)
 	} else {
-		b.buf[e.Seq%uint64(cap(b.buf))] = f
+		b.buf[e.Seq%uint64(b.size)] = f
 		b.head++
 	}
 	subs := make([]*Sub, 0, len(b.subs))
@@ -232,7 +236,7 @@ func (s *Sub) Poll(max int) (frames []Frame, done bool) {
 		s.cursor = b.head
 	}
 	for s.cursor < b.next && len(frames) < max {
-		frames = append(frames, b.buf[s.cursor%uint64(cap(b.buf))])
+		frames = append(frames, b.buf[s.cursor%uint64(b.size)])
 		s.cursor++
 	}
 	return frames, b.closed && s.cursor == b.next

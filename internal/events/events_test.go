@@ -291,3 +291,95 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 		}
 	}
 }
+
+// TestRingMatchesSliceModel checks the grow-then-wrap ring against the
+// obvious model — a plain slice of everything published, of which the
+// last ringSize entries are retained — at the sizes and counts where the
+// two regimes meet: empty, one short of full, exactly full, first wrap,
+// several laps.
+func TestRingMatchesSliceModel(t *testing.T) {
+	for _, size := range []int{1, 2, 64, 1024} {
+		for _, published := range []int{0, 1, size - 1, size, size + 1, 3 * size} {
+			b := NewBroker("job-model", size, 8)
+			b.now = fixedClock()
+			early, _ := b.Subscribe(0) // attached before anything is published, never polled until the end
+			publishN(t, b, published)
+
+			var model []Frame // reference: every frame ever published
+			for i := 0; i < published; i++ {
+				model = append(model, Frame{Event: Event{Seq: uint64(i), Name: fmt.Sprintf("e%d", i)}})
+			}
+			oldest := max(0, published-size)
+
+			name := fmt.Sprintf("size=%d published=%d", size, published)
+			if b.head != uint64(oldest) || b.next != uint64(published) {
+				t.Errorf("%s: head=%d next=%d, want %d %d", name, b.head, b.next, oldest, published)
+			}
+			if len(b.buf) != published-oldest {
+				t.Errorf("%s: ring holds %d frames, want %d", name, len(b.buf), published-oldest)
+			}
+			// Resume points: the start, either side of the oldest retained
+			// event, the tail, and past the tail.
+			for _, from := range []int{0, oldest - 1, oldest, oldest + 1, published - 1, published, published + 5} {
+				if from < 0 {
+					continue
+				}
+				sub, ok := b.Subscribe(uint64(from))
+				if !ok {
+					t.Fatalf("%s: subscribe from=%d refused", name, from)
+				}
+				start := min(max(from, oldest), published) // where the model says delivery begins
+				wantDropped := max(0, oldest-from)
+				var got []Frame
+				for {
+					frames, done := sub.Poll(7)
+					if done {
+						t.Fatalf("%s from=%d: done on an open broker", name, from)
+					}
+					if len(frames) == 0 {
+						break
+					}
+					got = append(got, frames...)
+				}
+				want := model[start:]
+				if len(got) != len(want) {
+					t.Fatalf("%s from=%d: delivered %d frames, want %d", name, from, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Seq != want[i].Seq || got[i].Name != want[i].Name {
+						t.Fatalf("%s from=%d: frame %d is seq %d %q, want seq %d %q",
+							name, from, i, got[i].Seq, got[i].Name, want[i].Seq, want[i].Name)
+					}
+				}
+				if d := sub.Close(); d != uint64(wantDropped) {
+					t.Errorf("%s from=%d: dropped %d, want %d", name, from, d, wantDropped)
+				}
+			}
+			// The subscriber that was attached all along and never read
+			// lost exactly what the ring evicted.
+			frames, _ := early.Poll(published + 1)
+			if len(frames) != published-oldest || early.Dropped() != uint64(oldest) {
+				t.Errorf("%s: idle subscriber got %d frames and %d drops, want %d and %d",
+					name, len(frames), early.Dropped(), published-oldest, oldest)
+			}
+			b.Close()
+			if _, done := early.Poll(1); !done {
+				t.Errorf("%s: drained subscriber of a closed broker not done", name)
+			}
+		}
+	}
+}
+
+// TestRingStorageFollowsPublished: a finished job's few dozen events must
+// not pay for the whole replay window (a 1024-slot ring is 120 KB).
+func TestRingStorageFollowsPublished(t *testing.T) {
+	b := NewBroker("job-small", DefaultRingSize, 4)
+	publishN(t, b, 60)
+	owned := cap(b.buf) * int(reflect.TypeOf(Frame{}).Size())
+	for _, f := range b.buf {
+		owned += cap(f.Line)
+	}
+	if owned >= 16<<10 {
+		t.Errorf("a broker holding 60 events owns %d bytes of frame storage, want < 16 KB", owned)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"psaflow/internal/events"
 	"psaflow/internal/experiments"
 	"psaflow/internal/minic"
+	"psaflow/internal/store"
 	"psaflow/internal/telemetry"
 )
 
@@ -20,7 +21,6 @@ type batchOutcome struct {
 	class   string
 	results []experiments.DesignResult
 	rep     *telemetry.Report
-	counter string
 }
 
 // Batched multi-job execution. The flow engine is deterministic, so two
@@ -99,7 +99,6 @@ func (s *Server) claimFollowers(leader *Job) []*Job {
 		if !f.markRunning(func() {}) {
 			continue // cancelled while queued (or already claimed)
 		}
-		s.logStart(f)
 		followers = append(followers, f)
 		st := f.Status()
 		s.rec.Add(telemetry.CounterJobsStarted, 1)
@@ -130,6 +129,6 @@ func (s *Server) finishFollowers(leader *Job, followers []*Job, res *batchOutcom
 			fres.BatchLeader = leader.ID
 			return fres
 		})
-		s.finalizeJob(f, res.counter)
+		s.finalizeJob(f, store.OpResult)
 	}
 }

@@ -66,7 +66,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job := s.lookup(id)
 	if job == nil {
-		if _, err := s.loadResult(id); err == nil {
+		if _, ok := s.storedResult(id); ok {
 			// Evicted from the registry: the history is gone but the
 			// outcome is not.
 			writeErr(w, http.StatusGone, "job %q was evicted from the registry; its result is at /v1/jobs/%s/result", id, id)

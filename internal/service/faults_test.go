@@ -144,6 +144,14 @@ func TestFailureClassification(t *testing.T) {
 	}
 }
 
+// finishedJob is a job taken straight to done with a status-only result,
+// for tests that drive the terminal WAL write alone.
+func finishedJob(id string) *Job {
+	job := &Job{ID: id, submitted: time.Now(), state: StateQueued}
+	job.finish(StateDone, "", func(st JobStatus) *JobResult { return &JobResult{JobStatus: st} })
+	return job
+}
+
 // TestPersistIOFaultsRetried injects transient I/O faults into the
 // daemon's result writes and checks they are retried to success, with
 // the injections and retries visible on the service recorder.
@@ -155,8 +163,8 @@ func TestPersistIOFaultsRetried(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		id := fmt.Sprintf("job-%02d", i)
-		if err := s.saveResult(id, &JobResult{JobStatus: JobStatus{ID: id, State: StateDone}}); err != nil {
-			t.Fatalf("saveResult %s: %v", id, err)
+		if err := s.saveTerminal(store.OpResult, finishedJob(id)); err != nil {
+			t.Fatalf("saveTerminal %s: %v", id, err)
 		}
 		if e, ok := s.store.Get(id); !ok || e.Phase != store.PhaseTerminal {
 			t.Fatalf("result %s not in the store: %+v ok=%v", id, e, ok)
@@ -179,7 +187,7 @@ func TestPersistIOFaultsExhaust(t *testing.T) {
 	if err := s.openStore(); err != nil {
 		t.Fatal(err)
 	}
-	err := s.saveResult("doomed", &JobResult{JobStatus: JobStatus{ID: "doomed"}})
+	err := s.saveTerminal(store.OpResult, finishedJob("doomed"))
 	if err == nil {
 		t.Fatal("rate=1 I/O injection still succeeded")
 	}

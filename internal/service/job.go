@@ -7,6 +7,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -180,14 +181,22 @@ func (sp *JobSpec) validate() (*bench.Benchmark, *minic.Program, error) {
 }
 
 // Job is one queued/executing flow run. Mutable fields are guarded by mu;
-// the immutable identity fields (ID, Spec, bench, prog, submitted) are set
+// the immutable identity fields (ID, Spec, bench, submitted) are set
 // before the job is shared.
+//
+// A finished job keeps what a late reader can still ask for — its status
+// fields, its encoded result and its event ring — and nothing else: the
+// terminal transition releases the parsed program and never stores the
+// result struct or the telemetry report it was encoded from.
 type Job struct {
 	ID   string
 	Spec JobSpec
 
 	bench *bench.Benchmark
-	prog  *minic.Program // custom source, pre-parsed; nil = bundled
+	// prog is the custom source, pre-parsed (nil = bundled). Only the
+	// worker that runs the job reads it, before the terminal transition
+	// drops it.
+	prog *minic.Program
 	// fp is the program's fingerprint (custom source when set, bundled
 	// otherwise) and batchKey the derived batching identity (batch.go).
 	fp        uint64
@@ -203,8 +212,14 @@ type Job struct {
 	errMsg   string
 	started  time.Time
 	finished time.Time
-	cancel   func() // cancels the running flow; nil before start
-	result   *JobResult
+	cancel   func() // cancels the running flow; nil unless running
+	// result is the terminal JobResult, encoded once (compact JSON) by
+	// finishLocked; nil while the job is live. The same bytes are the WAL
+	// record's data and the body GET /result indents — never mutate them.
+	result []byte
+	// done is what GET /result waits on (waitResult): made by the first
+	// waiter, closed and dropped by the terminal transition.
+	done chan struct{}
 }
 
 // JobStatus is the GET /v1/jobs/{id} view.
@@ -321,11 +336,35 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
-// Result returns the terminal result, or nil while the job is live.
-func (j *Job) Result() *JobResult {
+// Result returns the encoded terminal result (a compact-JSON JobResult),
+// or nil while the job is live. The bytes are shared; do not mutate them.
+func (j *Job) Result() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result
+}
+
+// waitResult is Result for a reader that would otherwise ask again: while
+// the job is live it waits up to hold for the terminal transition, so a
+// polling client is handed the result the moment it exists. nil still
+// means live.
+func (j *Job) waitResult(hold time.Duration) []byte {
+	j.mu.Lock()
+	if j.result == nil && j.done == nil {
+		j.done = make(chan struct{})
+	}
+	doc, done := j.result, j.done
+	j.mu.Unlock()
+	if doc != nil {
+		return doc
+	}
+	t := time.NewTimer(hold)
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-t.C:
+	}
+	return j.Result()
 }
 
 // markRunning transitions Queued → Running; false means the job was
@@ -377,12 +416,26 @@ func (j *Job) finish(state JobState, errMsg string, build func(JobStatus) *JobRe
 // and result become visible in the same critical section, so a client that
 // observes a terminal state can always read the result. build receives the
 // terminal status the result embeds; it runs under j.mu and must not touch
-// the job.
+// the job. The result is encoded here, once, and only the bytes are kept;
+// the parsed program and the cancel closure go in the same step.
 func (j *Job) finishLocked(state JobState, errMsg string, build func(JobStatus) *JobResult) {
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
-	j.result = build(j.statusLocked())
+	data, err := json.Marshal(build(j.statusLocked()))
+	if err != nil {
+		// A design carrying a NaN or an infinity has no JSON encoding. The
+		// job still needs a readable terminal document, so it fails with
+		// the reason, which always encodes.
+		j.state, j.errMsg = StateFailed, "encode result: "+err.Error()
+		data, _ = json.Marshal(&JobResult{JobStatus: j.statusLocked(), FailureClass: FailureError})
+	}
+	j.result = data
+	j.prog, j.cancel = nil, nil
+	if j.done != nil {
+		close(j.done)
+		j.done = nil
+	}
 }
 
 // buildResult assembles the persisted result from the evaluated designs.

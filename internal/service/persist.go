@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,8 +16,9 @@ import (
 // Persistence layout under Config.DataDir:
 //
 //	store/           WAL-backed job store (internal/store): every submit,
-//	                 start, result, and cancel is appended durably, so a
-//	                 crash loses nothing that was acknowledged; the
+//	                 result, and cancel is appended durably, so a crash
+//	                 loses nothing that was acknowledged (a job with no
+//	                 terminal record is requeued, started or not); the
 //	                 shutdown record Drain appends last is what tells the
 //	                 next start a drain from a crash
 
@@ -85,8 +85,8 @@ func (s *Server) openStore() error {
 	return nil
 }
 
-// replayStore re-enqueues every job the store reports as queued or running
-// — the crash-recovery path. Jobs whose spec no longer validates are
+// replayStore re-enqueues every job the store holds without a terminal
+// record — the crash-recovery path. Jobs whose spec no longer validates are
 // evicted with a log line and counter rather than wedging startup; a full
 // queue leaves the job in the store for the next start.
 func (s *Server) replayStore() (int, error) {
@@ -146,27 +146,25 @@ func (s *Server) evictUnreplayable(id string) {
 	}
 }
 
-// errNoResult distinguishes "never persisted" from real I/O failures.
-var errNoResult = errors.New("service: no persisted result")
-
-// loadResult serves a previously persisted result from the store (possibly
-// from an earlier daemon run). A corrupt stored document is logged and
-// counted, and reads as absent — one bad record never breaks lookups.
-func (s *Server) loadResult(id string) (*JobResult, error) {
+// storedResult returns a previously persisted result document (possibly
+// from an earlier daemon run) exactly as it was logged: the bytes a live
+// job's GET /result serves, so an evicted job reads byte-identically. A
+// stored document that is not JSON is logged and counted, and reads as
+// absent — one bad record never breaks lookups.
+func (s *Server) storedResult(id string) ([]byte, bool) {
 	if s.store == nil || !validJobID(id) {
-		return nil, errNoResult
+		return nil, false
 	}
 	e, ok := s.store.Get(id)
 	if !ok || e.Phase != store.PhaseTerminal || len(e.Result) == 0 {
-		return nil, errNoResult
+		return nil, false
 	}
-	var res JobResult
-	if err := json.Unmarshal(e.Result, &res); err != nil {
+	if !json.Valid(e.Result) {
 		s.rec.Add(telemetry.CounterStoreSkippedCorrupt, 1)
-		s.logf("job %s: corrupt stored result skipped: %v", id, err)
-		return nil, errNoResult
+		s.logf("job %s: corrupt stored result skipped", id)
+		return nil, false
 	}
-	return &res, nil
+	return e.Result, true
 }
 
 // logSubmit appends a job's submit record durably. Submission is
@@ -207,45 +205,21 @@ func (s *Server) rollbackSubmit(id string) {
 	}
 }
 
-// logStart appends a job's start transition. Best-effort: if the append
-// fails the job still runs, and a crash replays it as queued — re-running
-// a job is safe, losing one is not.
-func (s *Server) logStart(job *Job) {
-	if s.store == nil {
-		return
-	}
-	err := s.persistIO("wal:start:"+job.ID, func() error {
-		return s.store.Append(store.Record{Op: store.OpStart, ID: job.ID})
-	})
-	if err != nil {
-		s.logf("job %s: log start: %v", job.ID, err)
-	}
-}
-
-// saveResult persists one finished job's terminal result.
-func (s *Server) saveResult(id string, res *JobResult) error {
-	return s.saveTerminal(store.OpResult, id, res)
-}
-
-// saveCancel persists a queued-job cancellation (terminal without a run).
-func (s *Server) saveCancel(id string, res *JobResult) error {
-	return s.saveTerminal(store.OpCancel, id, res)
-}
-
-func (s *Server) saveTerminal(op store.Op, id string, res *JobResult) error {
+// saveTerminal persists a finished job's encoded result as its terminal
+// record: store.OpResult after a run, store.OpCancel for a job cancelled
+// while queued.
+func (s *Server) saveTerminal(op store.Op, job *Job) error {
 	if s.store == nil {
 		return nil
 	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	return s.persistIO("wal:"+string(op)+":"+id, func() error {
+	st := job.Status()
+	data := job.Result()
+	return s.persistIO("wal:"+string(op)+":"+job.ID, func() error {
 		return s.store.Append(store.Record{
 			Op:    op,
-			ID:    id,
-			State: string(res.State),
-			Time:  res.SubmittedAt,
+			ID:    job.ID,
+			State: string(st.State),
+			Time:  st.SubmittedAt,
 			Data:  data,
 		})
 	})

@@ -110,10 +110,7 @@ func TestCrashRecoveryRequeuesAcknowledged(t *testing.T) {
 		t.Fatalf("started %s, want %s", id, done.ID)
 	}
 	waitJobState(t, done, StateDone)
-	preCrash, err := json.Marshal(done.Result())
-	if err != nil {
-		t.Fatal(err)
-	}
+	preCrash := done.Result()
 
 	// Job 2 is mid-flight at crash time; jobs 3 and 4 never left the queue.
 	gateID := fmt.Sprintf("%s-%06d", s1.idBase, s1.nextID.Load()+1)
@@ -149,15 +146,11 @@ func TestCrashRecoveryRequeuesAcknowledged(t *testing.T) {
 	if j := s2.lookup(done.ID); j != nil {
 		t.Errorf("finished job %s requeued after crash", done.ID)
 	}
-	res, err := s2.loadResult(done.ID)
-	if err != nil {
-		t.Fatalf("post-crash result load: %v", err)
+	postCrash, ok := s2.storedResult(done.ID)
+	if !ok {
+		t.Fatal("post-crash result load: finished job's result not in the store")
 	}
-	postCrash, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(preCrash) != string(postCrash) {
+	if len(preCrash) == 0 || string(preCrash) != string(postCrash) {
 		t.Errorf("replayed result differs:\n pre: %s\npost: %s", preCrash, postCrash)
 	}
 
@@ -252,7 +245,7 @@ func TestCleanShutdownNoRecoveryNoise(t *testing.T) {
 	waitJobState(t, s2.lookup(queued.ID), StateDone)
 
 	// CRASH: s2 is abandoned with one job mid-flight — no Drain, so no
-	// shutdown record follows its start record.
+	// shutdown record ends the log.
 	lost := submitDirect(t, s2, JobSpec{Bench: "bezier"})
 	<-parked
 
@@ -335,8 +328,12 @@ func TestCancelledQueuedJobNotRequeued(t *testing.T) {
 		t.Errorf("cancelled job %s requeued after crash", queued.ID)
 	}
 	// Its cancel record still serves a terminal result.
-	res, err := s2.loadResult(queued.ID)
-	if err != nil {
+	doc, ok := s2.storedResult(queued.ID)
+	if !ok {
+		t.Fatal("cancelled job's result is not in the store")
+	}
+	var res JobResult
+	if err := json.Unmarshal(doc, &res); err != nil {
 		t.Fatalf("cancelled job's stored result: %v", err)
 	}
 	if res.State != StateCancelled || res.FailureClass != FailureCancelled {
@@ -410,6 +407,53 @@ func TestReplayToleratesRemovedSpecField(t *testing.T) {
 	got, want := fetchResult(t, ts.URL, oldID).Designs, fetchResult(t, ts.URL, fresh.ID).Designs
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed job's designs differ from a fresh submission:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReplayRequeuesJobWithLegacyStartRecord: a data directory left by a
+// daemon that still logged the queued → running transition, killed with
+// the job mid-run (submit, start, nothing), boots cleanly: the job is
+// requeued under its old ID and finishes, and nothing is counted corrupt.
+func TestReplayRequeuesJobWithLegacyStartRecord(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4, DataDir: t.TempDir()})
+	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
+		return nil, nil
+	}
+	st, err := store.Open(s.storePath(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oldID = "old-000002"
+	for _, rec := range []store.Record{
+		{Op: store.OpSubmit, ID: oldID, Time: fmtTime(time.Now()), Data: json.RawMessage(`{"bench":"kmeans","mode":"uninformed"}`)},
+		{Op: store.Op("start"), ID: oldID}, // encodes to the older build's frame, byte for byte
+	} {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	if n := s.rec.Counter(telemetry.CounterStoreRequeued); n != 1 {
+		t.Fatalf("requeued = %d, want 1", n)
+	}
+	if j := s.lookup(oldID); j == nil || j.Spec.Mode != "uninformed" {
+		t.Fatalf("job %s not requeued with its spec: %+v", oldID, j)
+	}
+	waitState(t, ts.URL, oldID, 10*time.Second, StateDone)
+	waitCond(t, "terminal record of the requeued job", func() bool {
+		_, ok := s.storedResult(oldID)
+		return ok
+	})
+	m := fetchMetrics(t, ts.URL)
+	if m.Service.Store == nil || m.Service.Store.SkippedCorrupt != 0 || m.Service.Store.Replayed != 2 {
+		t.Errorf("store after replaying a legacy WAL: %+v, want 2 records replayed, none skipped", m.Service.Store)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -398,7 +399,6 @@ func (s *Server) runJob(job *Job) {
 		// and counter; nothing to run.
 		return
 	}
-	s.logStart(job)
 	// With batching on, this job leads every still-queued identical job:
 	// the flow below runs once and finishFollowers fans the result out.
 	followers := s.claimFollowers(job)
@@ -415,21 +415,19 @@ func (s *Server) runJob(job *Job) {
 	rep := rec.Snapshot()
 	s.rec.MergeCounters(rep.Counters)
 
-	state, msg := StateDone, ""
-	counter := telemetry.CounterJobsCompleted
-	class := ""
+	state, msg, class := StateDone, "", ""
 	switch {
 	case err == nil:
 	case errors.Is(err, context.Canceled):
-		state, msg, counter, class = StateCancelled, err.Error(), telemetry.CounterJobsCancelled, FailureCancelled
+		state, msg, class = StateCancelled, err.Error(), FailureCancelled
 	case errors.Is(err, context.DeadlineExceeded):
-		state, msg, counter, class = StateFailed, err.Error(), telemetry.CounterJobsFailed, FailureTimeout
+		state, msg, class = StateFailed, err.Error(), FailureTimeout
 	case errors.Is(err, errFlowPanic):
-		state, msg, counter, class = StateFailed, err.Error(), telemetry.CounterJobsFailed, FailurePanic
+		state, msg, class = StateFailed, err.Error(), FailurePanic
 	case faults.AsFault(err) != nil:
-		state, msg, counter, class = StateFailed, err.Error(), telemetry.CounterJobsFailed, FailureFault
+		state, msg, class = StateFailed, err.Error(), FailureFault
 	default:
-		state, msg, counter, class = StateFailed, err.Error(), telemetry.CounterJobsFailed, FailureError
+		state, msg, class = StateFailed, err.Error(), FailureError
 	}
 	job.finish(state, msg, func(st JobStatus) *JobResult {
 		res := buildResult(st, class, results, rep)
@@ -440,10 +438,10 @@ func (s *Server) runJob(job *Job) {
 		}
 		return res
 	})
-	s.finalizeJob(job, counter)
+	s.finalizeJob(job, store.OpResult)
 	s.finishFollowers(job, followers, &batchOutcome{
 		state: state, msg: msg, class: class,
-		results: results, rep: rep, counter: counter,
+		results: results, rep: rep,
 	})
 }
 
@@ -471,16 +469,22 @@ func (s *Server) runFlowSafe(ctx context.Context, job *Job, rec *telemetry.Recor
 }
 
 // finalizeJob records the terminal counter, closes the event stream,
-// persists the result, and enrolls the job for registry eviction.
-func (s *Server) finalizeJob(job *Job, counter string) {
-	s.rec.Add(counter, 1)
+// persists the result as the job's terminal record (op), and enrolls the
+// job for registry eviction.
+func (s *Server) finalizeJob(job *Job, op store.Op) {
 	st := job.Status()
+	switch st.State {
+	case StateDone:
+		s.rec.Add(telemetry.CounterJobsCompleted, 1)
+	case StateCancelled:
+		s.rec.Add(telemetry.CounterJobsCancelled, 1)
+	default:
+		s.rec.Add(telemetry.CounterJobsFailed, 1)
+	}
 	s.publish(job, events.Event{Type: string(st.State), Detail: st.Error, DurMS: st.RunMS})
 	job.events.Close()
-	if res := job.Result(); res != nil {
-		if err := s.saveResult(job.ID, res); err != nil {
-			s.logf("job %s: persist result: %v", job.ID, err)
-		}
+	if err := s.saveTerminal(op, job); err != nil {
+		s.logf("job %s: persist %s: %v", job.ID, op, err)
 	}
 	s.retireJob(job)
 	s.logf("job %s: %s (run %.0fms) %s", job.ID, st.State, st.RunMS, st.Error)
@@ -577,6 +581,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// writeResult serves an encoded result document — a finished job's bytes
+// or the store's copy of them — in the layout writeJSON gives a struct:
+// the one compact encoding, indented, never decoded on the way.
+func writeResult(w http.ResponseWriter, doc []byte) {
+	var body bytes.Buffer
+	body.Grow(2 * len(doc)) // indentation adds about half again
+	if err := json.Indent(&body, doc, "", "  "); err != nil {
+		writeErr(w, http.StatusInternalServerError, "stored result is not valid JSON: %v", err)
+		return
+	}
+	body.WriteByte('\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body.Bytes()) // a client that went away is not an error to report
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
@@ -683,10 +703,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, job.Status())
 		return
 	}
-	// A previous daemon run may have persisted the result.
-	if res, err := s.loadResult(id); err == nil {
-		writeJSON(w, http.StatusOK, res.JobStatus)
-		return
+	// Evicted from the registry, or finished under a previous daemon run:
+	// the stored result document embeds the terminal status.
+	if doc, ok := s.storedResult(id); ok {
+		var st JobStatus
+		if err := json.Unmarshal(doc, &st); err == nil {
+			writeJSON(w, http.StatusOK, st)
+			return
+		}
 	}
 	if s.proxyToOwner(w, r, id) {
 		return
@@ -694,11 +718,19 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, http.StatusNotFound, "unknown job %q", id)
 }
 
+// resultHold is how long GET /result waits for a live job to finish before
+// it answers 409. A client that polls for completion is answered the moment
+// the result exists, not told "not yet" some fifty times per 100 ms job, so
+// what a job costs the daemon no longer follows how fast its client asks. A
+// second is above every bundled job and well under the peer and shutdown
+// timeouts a held request has to fit in.
+const resultHold = time.Second
+
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if job := s.lookup(id); job != nil {
-		if res := job.Result(); res != nil {
-			writeJSON(w, http.StatusOK, res)
+		if doc := job.waitResult(resultHold); doc != nil {
+			writeResult(w, doc)
 			return
 		}
 		writeJSON(w, http.StatusConflict, map[string]any{
@@ -706,8 +738,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if res, err := s.loadResult(id); err == nil {
-		writeJSON(w, http.StatusOK, res)
+	if doc, ok := s.storedResult(id); ok {
+		writeResult(w, doc)
 		return
 	}
 	if s.proxyToOwner(w, r, id) {
@@ -734,14 +766,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// counter are recorded here so the cancel is immediately visible,
 		// and the store gets a cancel record so a restart doesn't requeue
 		// the job its client already killed.
-		s.rec.Add(telemetry.CounterJobsCancelled, 1)
-		s.publish(job, events.Event{Type: events.TypeCancelled, Detail: "cancelled before start"})
-		job.events.Close()
-		if err := s.saveCancel(job.ID, job.Result()); err != nil {
-			s.logf("job %s: persist cancel: %v", job.ID, err)
-		}
-		s.retireJob(job)
-		s.logf("job %s: cancelled while queued", id)
+		s.finalizeJob(job, store.OpCancel)
 		writeJSON(w, http.StatusOK, job.Status())
 		return
 	}

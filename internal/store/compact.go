@@ -101,13 +101,9 @@ func (s *Store) compact() error {
 	}
 	s.active = fresh
 	s.syncedSeq = s.writeSeq // everything so far was just flushed+synced
-	// From here on the on-disk truth is: snapshot-to-be (live frames at
-	// the rotate point) + whatever lands in the fresh segment.
-	var live int64
-	for i := range entries {
-		live += entries[i].weight()
-	}
-	s.totalFrames = live // the fresh segment starts empty
+	// From here on the on-disk truth is: snapshot-to-be (one live frame
+	// per entry at the rotate point) + whatever lands in the fresh segment.
+	s.totalFrames = int64(len(entries)) // the fresh segment starts empty
 	s.mu.Unlock()
 	s.syncMu.Unlock()
 	old.f.Close()
@@ -124,14 +120,12 @@ func (s *Store) compact() error {
 		return err
 	}
 	for i := range entries {
-		for _, rec := range snapshotRecords(&entries[i]) {
-			payload, err := json.Marshal(rec)
-			if err != nil {
-				return cleanup(err)
-			}
-			if err := frameTo(f, payload); err != nil {
-				return cleanup(err)
-			}
+		payload, err := json.Marshal(snapshotRecord(&entries[i]))
+		if err != nil {
+			return cleanup(err)
+		}
+		if err := frameTo(f, payload); err != nil {
+			return cleanup(err)
 		}
 	}
 	if !s.opts.NoSync {
@@ -165,18 +159,11 @@ func (s *Store) compact() error {
 	return nil
 }
 
-// snapshotRecords re-encodes one live entry as the minimal record
-// sequence that replays back to the same phase.
-func snapshotRecords(e *Entry) []Record {
-	switch e.Phase {
-	case PhaseQueued:
-		return []Record{{Op: OpSubmit, ID: e.ID, Time: e.Submitted, Data: e.Spec}}
-	case PhaseRunning:
-		return []Record{
-			{Op: OpSubmit, ID: e.ID, Time: e.Submitted, Data: e.Spec},
-			{Op: OpStart, ID: e.ID},
-		}
-	default:
-		return []Record{{Op: OpResult, ID: e.ID, State: e.State, Time: e.Submitted, Data: e.Result}}
+// snapshotRecord re-encodes one live entry as the one record that replays
+// back to it: its submit while pending, its result once terminal.
+func snapshotRecord(e *Entry) Record {
+	if e.Phase == PhaseQueued {
+		return Record{Op: OpSubmit, ID: e.ID, Time: e.Submitted, Data: e.Spec}
 	}
+	return Record{Op: OpResult, ID: e.ID, State: e.State, Time: e.Submitted, Data: e.Result}
 }

@@ -33,11 +33,11 @@ func FuzzReplay(f *testing.F) {
 	f.Add(frameBytes([]byte(`not json`)))
 	f.Add(rec(Record{Op: OpSubmit, ID: "a", Data: json.RawMessage(`{}`)}))
 	full := append(rec(Record{Op: OpSubmit, ID: "a", Time: "t", Data: json.RawMessage(`{"bench":"nbody"}`)}),
-		append(rec(Record{Op: OpStart, ID: "a"}),
+		append(rec(Record{Op: opLegacyStart, ID: "a"}), // older builds wrote it; replay must still read it
 			rec(Record{Op: OpResult, ID: "a", State: "done", Data: json.RawMessage(`{"id":"a"}`)})...)...)
 	f.Add(full)
-	f.Add(full[:len(full)-5])                   // torn tail
-	f.Add(append(full, 0xff, 0x00, 0x12))       // trailing garbage
+	f.Add(full[:len(full)-5])                                          // torn tail
+	f.Add(append(full, 0xff, 0x00, 0x12))                              // trailing garbage
 	f.Add(append([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}, full...)) // absurd length then data
 	f.Add(rec(Record{Op: Op("future-op"), ID: "z"}))
 

@@ -34,19 +34,24 @@ import (
 // Op is a job-record operation.
 type Op string
 
-// The six WAL record operations. Submit carries the job spec, Result
-// and Cancel carry the terminal result document; Start and Evict are
-// state-only. Shutdown names no job: it is the last frame a graceful
-// drain appends, and finding it last at the next open is what tells a
-// drain from a crash (see CleanShutdown).
+// The five WAL record operations. Submit carries the job spec, Result
+// and Cancel carry the terminal result document; Evict is state-only.
+// Shutdown names no job: it is the last frame a graceful drain appends,
+// and finding it last at the next open is what tells a drain from a crash
+// (see CleanShutdown).
 const (
 	OpSubmit   Op = "submit"
-	OpStart    Op = "start"
 	OpResult   Op = "result"
 	OpCancel   Op = "cancel"
 	OpEvict    Op = "evict"
 	OpShutdown Op = "shutdown"
 )
+
+// opLegacyStart is the queued → running record older builds appended when
+// a worker picked a job up. A restart requeues a job that was running
+// exactly as one that was queued, so the record decided nothing; it is
+// still read, as a dead frame.
+const opLegacyStart Op = "start"
 
 // Record is one WAL entry. Data is opaque to the store: the caller's
 // job spec for OpSubmit, its result document for OpResult/OpCancel.
@@ -61,24 +66,13 @@ type Record struct {
 // Phase is a replayed job's coarse position.
 type Phase int
 
-// Queued and Running jobs are the ones a restart must requeue; Terminal
+// A job is Queued — pending: a restart must requeue it, whether or not a
+// worker had picked it up — until its terminal record exists; Terminal
 // jobs serve their Result document.
 const (
 	PhaseQueued Phase = iota
-	PhaseRunning
 	PhaseTerminal
 )
-
-func (p Phase) String() string {
-	switch p {
-	case PhaseQueued:
-		return "queued"
-	case PhaseRunning:
-		return "running"
-	default:
-		return "terminal"
-	}
-}
 
 // Entry is the live, replayed view of one job.
 type Entry struct {
@@ -89,15 +83,6 @@ type Entry struct {
 	Seq       uint64 // submission order (monotonic per store lifetime)
 	Spec      json.RawMessage
 	Result    json.RawMessage
-}
-
-// weight is the number of frames a compaction keeps for the entry:
-// queued = submit; running = submit + start; terminal = result only.
-func (e *Entry) weight() int64 {
-	if e.Phase == PhaseRunning {
-		return 2
-	}
-	return 1
 }
 
 // Options tunes a Store.
@@ -129,7 +114,7 @@ type Stats struct {
 	Evicted        int64 `json:"evicted"`         // retention tombstones appended
 	Segments       int   `json:"segments"`        // on-disk files, the active segment included
 	IndexedJobs    int   `json:"indexed_jobs"`    // jobs in the in-memory index
-	PendingJobs    int   `json:"pending_jobs"`    // indexed jobs still queued or running
+	PendingJobs    int   `json:"pending_jobs"`    // indexed jobs without a terminal record
 	LiveFrames     int64 `json:"live_frames"`     // frames a compaction would keep
 	DeadFrames     int64 `json:"dead_frames"`     // superseded frames a compaction would drop
 }
@@ -376,17 +361,10 @@ func (s *Store) applyLocked(rec Record) {
 				// terminal record.
 				return
 			}
-			s.liveFrames -= e.weight()
+			s.liveFrames-- // the entry's frame is superseded by this one
 		}
 		s.nextSeq++
 		s.index[rec.ID] = &Entry{ID: rec.ID, Phase: PhaseQueued, Submitted: rec.Time, Seq: s.nextSeq, Spec: rec.Data}
-		s.liveFrames++
-	case OpStart:
-		e := s.index[rec.ID]
-		if e == nil || e.Phase != PhaseQueued {
-			return // unknown or duplicate start: the frame is just dead weight
-		}
-		e.Phase = PhaseRunning
 		s.liveFrames++
 	case OpResult, OpCancel:
 		e := s.index[rec.ID]
@@ -400,7 +378,7 @@ func (s *Store) applyLocked(rec Record) {
 			if e.Phase == PhaseTerminal {
 				s.removeTerminalLocked(rec.ID)
 			}
-			s.liveFrames -= e.weight()
+			s.liveFrames--
 		}
 		e.Phase = PhaseTerminal
 		e.State = rec.State
@@ -416,13 +394,14 @@ func (s *Store) applyLocked(rec Record) {
 		if e == nil {
 			return
 		}
-		s.liveFrames -= e.weight()
+		s.liveFrames--
 		if e.Phase == PhaseTerminal {
 			s.removeTerminalLocked(rec.ID)
 		}
 		delete(s.index, rec.ID)
-	case OpShutdown:
-		// A marker, not a job transition: the frame is dead on arrival.
+	case OpShutdown, opLegacyStart:
+		// A marker (or an older build's start record), not a job
+		// transition: the frame is dead on arrival.
 	default:
 		// Forward compatibility: an op this build doesn't know is noted,
 		// not fatal.
@@ -475,8 +454,8 @@ func (s *Store) Get(id string) (Entry, bool) {
 	return *e, true
 }
 
-// Pending returns the jobs a restart must requeue — queued or running at
-// the time the WAL went quiet — in submission order.
+// Pending returns the jobs a restart must requeue — submitted, with no
+// terminal record by the time the WAL went quiet — in submission order.
 func (s *Store) Pending() []Entry {
 	s.mu.Lock()
 	var out []Entry

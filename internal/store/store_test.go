@@ -33,12 +33,11 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 
 func raw(s string) json.RawMessage { return json.RawMessage(s) }
 
-// lifecycle appends the submit/start/result records of one finished job.
+// lifecycle appends the submit and result records of one finished job.
 func lifecycle(t *testing.T, s *Store, id string) {
 	t.Helper()
 	for _, rec := range []Record{
 		{Op: OpSubmit, ID: id, Time: "2026-08-08T00:00:00Z", Data: raw(`{"bench":"nbody"}`)},
-		{Op: OpStart, ID: id},
 		{Op: OpResult, ID: id, State: "done", Data: raw(fmt.Sprintf(`{"id":%q,"state":"done"}`, id))},
 	} {
 		if err := s.Append(rec); err != nil {
@@ -77,14 +76,11 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	if err := s.Append(Record{Op: OpSubmit, ID: "job-running", Data: raw(`{"bench":"bezier"}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(Record{Op: OpStart, ID: "job-running"}); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Append(Record{Op: OpCancel, ID: "job-cancelled", State: "cancelled", Data: raw(`{"id":"job-cancelled"}`)}); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Appends != 7 || st.Replayed != 0 {
+	if st.Appends != 5 || st.Replayed != 0 {
 		t.Errorf("stats before restart: %+v", st)
 	}
 	if err := s.Close(); err != nil {
@@ -97,8 +93,8 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 
 	r := mustOpen(t, dir, Options{})
 	rst := r.Stats()
-	if rst.Replayed != 7 {
-		t.Errorf("replayed = %d, want 7", rst.Replayed)
+	if rst.Replayed != 5 {
+		t.Errorf("replayed = %d, want 5", rst.Replayed)
 	}
 	if rst.TornTails != 0 || rst.SkippedCorrupt != 0 {
 		t.Errorf("clean log replay reported damage: %+v", rst)
@@ -112,9 +108,9 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	}
 	pend := r.Pending()
 	if len(pend) != 2 || pend[0].ID != "job-queued" || pend[1].ID != "job-running" {
-		t.Fatalf("pending = %+v, want queued then running in submit order", pend)
+		t.Fatalf("pending = %+v, want both unfinished jobs in submit order", pend)
 	}
-	if pend[0].Phase != PhaseQueued || pend[1].Phase != PhaseRunning {
+	if pend[0].Phase != PhaseQueued || pend[1].Phase != PhaseQueued {
 		t.Errorf("pending phases wrong: %v %v", pend[0].Phase, pend[1].Phase)
 	}
 	if pend[0].Submitted != "2026-08-08T00:01:00Z" || string(pend[0].Spec) != `{"bench":"kmeans"}` {
@@ -311,7 +307,7 @@ func TestCompactionShrinksAndPreservesState(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		lifecycle(t, s, fmt.Sprintf("dead-%d", i))
 		// Overwrite each with a second result: the first result frame and
-		// the submit/start frames all go dead.
+		// the submit frame both go dead.
 		if err := s.Append(Record{Op: OpResult, ID: fmt.Sprintf("dead-%d", i), State: "done", Data: raw(`{"v":2}`)}); err != nil {
 			t.Fatal(err)
 		}
@@ -320,9 +316,6 @@ func TestCompactionShrinksAndPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := s.Append(Record{Op: OpSubmit, ID: "running", Data: raw(`{"bench":"kmeans"}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(Record{Op: OpStart, ID: "running"}); err != nil {
 		t.Fatal(err)
 	}
 	before := s.Stats()
@@ -347,7 +340,7 @@ func TestCompactionShrinksAndPreservesState(t *testing.T) {
 		t.Errorf("compaction lost the latest result: %+v ok=%v", e, ok)
 	}
 	pend := r.Pending()
-	if len(pend) != 2 || pend[0].ID != "queued" || pend[1].ID != "running" || pend[1].Phase != PhaseRunning {
+	if len(pend) != 2 || pend[0].ID != "queued" || pend[1].ID != "running" {
 		t.Errorf("compaction mangled pending jobs: %+v", pend)
 	}
 	if pend[0].Submitted != "t0" || string(pend[0].Spec) != `{"bench":"nbody"}` {
@@ -441,6 +434,56 @@ func TestSubmitNeverResurrectsTerminal(t *testing.T) {
 	}
 	if len(r.Pending()) != 0 {
 		t.Errorf("pending = %+v, want none", r.Pending())
+	}
+}
+
+// TestReplayIgnoresLegacyStartRecord: a WAL left by a build that still
+// logged the queued → running transition replays with the job pending, and
+// the start frame is dead weight — not corruption, not an unknown op —
+// that the next compaction drops.
+func TestReplayIgnoresLegacyStartRecord(t *testing.T) {
+	dir := t.TempDir()
+	submit, err := json.Marshal(Record{Op: OpSubmit, ID: "job-a", Time: "t0", Data: raw(`{"bench":"nbody"}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The older build's bytes, not this build's encoder: it died with the
+	// job running, so nothing follows the start frame.
+	wal := append(frameBytes(submit), frameBytes([]byte(`{"op":"start","id":"job-a"}`))...)
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1, false)), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs strings.Builder
+	s := mustOpen(t, dir, Options{CompactMinDead: -1, Logf: func(format string, args ...any) {
+		fmt.Fprintf(&logs, format+"\n", args...)
+	}})
+	st := s.Stats()
+	if st.Replayed != 2 || st.SkippedCorrupt != 0 || st.TornTails != 0 {
+		t.Errorf("legacy WAL replay: %+v, want 2 records replayed and no damage", st)
+	}
+	if st.PendingJobs != 1 || st.LiveFrames != 1 || st.DeadFrames != 1 {
+		t.Errorf("legacy WAL accounting: %+v, want 1 pending job, the submit live, the start dead", st)
+	}
+	if strings.Contains(logs.String(), "unknown op") {
+		t.Errorf("legacy start record logged as an unknown op:\n%s", logs.String())
+	}
+	pend := s.Pending()
+	if len(pend) != 1 || pend[0].ID != "job-a" || pend[0].Phase != PhaseQueued || string(pend[0].Spec) != `{"bench":"nbody"}` {
+		t.Fatalf("pending = %+v, want job-a queued with its spec", pend)
+	}
+	if s.CleanShutdown() {
+		t.Error("a log ending in a start record reads as a clean shutdown")
+	}
+	if err := s.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.DeadFrames != 0 || st.LiveFrames != 1 {
+		t.Errorf("after compaction: %+v, want the start frame gone", st)
+	}
+	s.Close()
+	r := mustOpen(t, dir, Options{})
+	if st := r.Stats(); st.Replayed != 1 || st.PendingJobs != 1 {
+		t.Errorf("after compaction and reopen: %+v, want the submit record alone", st)
 	}
 }
 

@@ -16,8 +16,10 @@ go test -race ./...
 go test -C benchmark .
 # Lifecycle stress gate: a terminal status must always have a readable
 # result, locally and through the cluster proxy — 20 runs, because the
-# window this guards was microseconds wide.
-go test -race -count=20 -run 'TestTerminalStatusHasResult|TestClusterDeterminism' ./internal/service/
+# window this guards was microseconds wide — and a finished job must keep
+# its result bytes and events only (the terminal transition releases the
+# rest under the job lock while readers poll).
+go test -race -count=20 -run 'TestTerminalStatusHasResult|TestClusterDeterminism|TestRetainedJobFootprint' ./internal/service/
 # Bench smoke: one shot of every harness benchmark, so a regression that
 # breaks a figure harness (not just a unit) fails CI.
 go test -run '^$' -bench . -benchtime=1x .

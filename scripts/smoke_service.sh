@@ -16,8 +16,10 @@ trap cleanup EXIT
 go build -o "$tmp/psaflowd" ./cmd/psaflowd
 go build -o "$tmp/client" ./examples/service
 
-addr="127.0.0.1:$((20000 + RANDOM % 20000))"
-"$tmp/psaflowd" -addr "$addr" -workers 2 -queue 64 -data-dir "$tmp/data" -v \
+port=$((20000 + RANDOM % 20000))
+addr="127.0.0.1:$port"
+pprof_addr="127.0.0.1:$((port + 1))"
+"$tmp/psaflowd" -addr "$addr" -workers 2 -queue 64 -data-dir "$tmp/data" -pprof "$pprof_addr" -v \
     >"$tmp/log" 2>&1 &
 pid=$!
 
@@ -35,6 +37,12 @@ done
 # Concurrent submissions share the run cache; the client exits nonzero if
 # any of the 8 jobs fails to reach state=done.
 "$tmp/client" -addr "http://$addr" -bench nbody -n 8 -json -wait 120s
+
+# -pprof serves the runtime profiles on its own listener, and only there.
+code=$(curl -sS -o "$tmp/heap.pb.gz" -w '%{http_code}' "http://$pprof_addr/debug/pprof/heap")
+[ "$code" = 200 ] && [ -s "$tmp/heap.pb.gz" ] || { echo "smoke: no heap profile on the pprof port ($code)"; exit 1; }
+code=$(curl -sS -o /dev/null -w '%{http_code}' "http://$addr/debug/pprof/heap")
+[ "$code" = 404 ] || { echo "smoke: the job port answers /debug/pprof/heap with $code, want 404"; exit 1; }
 
 # Results were persisted into the durable store's WAL.
 ls "$tmp/data/store/"wal-*.log >/dev/null
