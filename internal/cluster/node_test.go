@@ -334,4 +334,3 @@ func TestOwnerForJobFallsBackToSelf(t *testing.T) {
 		t.Fatalf("single-node owner %q, want self", owner)
 	}
 }
-

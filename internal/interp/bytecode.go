@@ -36,35 +36,35 @@ import (
 type opcode uint8
 
 const (
-	opNop opcode = iota
-	opEval        // dst = fetch(a)
-	opUnary       // dst = applyUnary(tok, fetch(a))
-	opBinary      // dst = fusedBin(a, b, tok, pos)
-	opLogicShort  // charge CostLogic; short-circuit on fetch result -> dst, jmp
-	opBoolOf      // dst = BoolVal(fetch(a).AsBool())
-	opCast        // dst = coerce(fetch(a), typ) after CostCast
-	opDeclVar     // regs[reg] = coerce(fetch(a) or zero, typ); CostLocal
-	opBinDeclVar  // regs[reg] = coerce(fusedBin(a, b, tok2, pos2), typ)  [superinstruction]
-	opDeclArr     // regs[reg] = makeArray(name, kind, fetch(a))
-	opAssignVar   // regs[reg] op= fetch(a) via applyCompound/storeScalarCell
-	opBinAssignVar // regs[reg] op= fusedBin(a, b, tok2, pos2)  [superinstruction]
-	opStoreIdx    // tgt[...] op= fetch(a) via loadElem/applyCompound/storeElem
-	opIncVar      // dst = old; regs[reg] += n (postfix ++/--)
-	opIncIdx      // dst = old; tgt[...] += n
-	opLoadIdx     // dst = loadElem(resolveTgt(tgt)) — non-fused index read
-	opCheckBuf    // bufOf(fetch(a)) — preserves base-check-before-index order
-	opCmpBranch   // fusedBin cond; CostBranch; !cond -> pc = jmp  [superinstruction]
-	opBranchFalse // fetch(a); CostBranch; !cond -> pc = jmp
-	opJump        // pc = jmp
-	opLoopEnter   // Entries++; push {lp, cycles} on the frame loop stack
-	opLoopBack    // iteration step + cancellation poll + Trips++
-	opLoopExit    // pop loop stack; attribute cycles
-	opCall        // dst = callBytecode(fn, regs[reg:reg+n])
-	opBuiltin     // dst = callBuiltin(name, bi, args) — args fused (a, b) or regs[reg:reg+n]
-	opPrintf      // capture output from regs[reg:reg+n]
-	opReturn      // fr.ret = coerce(fetch(a), typ); unwind loops; halt
-	opReturnVoid  // unwind loops; halt
-	opErrMsg      // return preformatted RuntimeError{pos, name}
+	opNop          opcode = iota
+	opEval                // dst = fetch(a)
+	opUnary               // dst = applyUnary(tok, fetch(a))
+	opBinary              // dst = fusedBin(a, b, tok, pos)
+	opLogicShort          // charge CostLogic; short-circuit on fetch result -> dst, jmp
+	opBoolOf              // dst = BoolVal(fetch(a).AsBool())
+	opCast                // dst = coerce(fetch(a), typ) after CostCast
+	opDeclVar             // regs[reg] = coerce(fetch(a) or zero, typ); CostLocal
+	opBinDeclVar          // regs[reg] = coerce(fusedBin(a, b, tok2, pos2), typ)  [superinstruction]
+	opDeclArr             // regs[reg] = makeArray(name, kind, fetch(a))
+	opAssignVar           // regs[reg] op= fetch(a) via applyCompound/storeScalarCell
+	opBinAssignVar        // regs[reg] op= fusedBin(a, b, tok2, pos2)  [superinstruction]
+	opStoreIdx            // tgt[...] op= fetch(a) via loadElem/applyCompound/storeElem
+	opIncVar              // dst = old; regs[reg] += n (postfix ++/--)
+	opIncIdx              // dst = old; tgt[...] += n
+	opLoadIdx             // dst = loadElem(resolveTgt(tgt)) — non-fused index read
+	opCheckBuf            // bufOf(fetch(a)) — preserves base-check-before-index order
+	opCmpBranch           // fusedBin cond; CostBranch; !cond -> pc = jmp  [superinstruction]
+	opBranchFalse         // fetch(a); CostBranch; !cond -> pc = jmp
+	opJump                // pc = jmp
+	opLoopEnter           // Entries++; push {lp, cycles} on the frame loop stack
+	opLoopBack            // iteration step + cancellation poll + Trips++
+	opLoopExit            // pop loop stack; attribute cycles
+	opCall                // dst = callBytecode(fn, regs[reg:reg+n])
+	opBuiltin             // dst = callBuiltin(name, bi, args) — args fused (a, b) or regs[reg:reg+n]
+	opPrintf              // capture output from regs[reg:reg+n]
+	opReturn              // fr.ret = coerce(fetch(a), typ); unwind loops; halt
+	opReturnVoid          // unwind loops; halt
+	opErrMsg              // return preformatted RuntimeError{pos, name}
 
 	// Quickened (type-specialized) opcodes, rewritten in place from their
 	// generic forms by the runtime quickener (quicken.go) once an
@@ -191,15 +191,15 @@ const tempBit = int32(1) << 28
 // nested scopes do; temporaries are a LIFO
 // region rewritten above the variables once their count is known.
 type bcompiler struct {
-	prog   *minic.Program
-	funcs  map[string]*bfunc
-	scopes []map[string]int32
-	nvars  int32
-	tempN  int32
+	prog    *minic.Program
+	funcs   map[string]*bfunc
+	scopes  []map[string]int32
+	nvars   int32
+	tempN   int32
 	tempMax int32
-	code   []binstr
-	curFn  *minic.FuncDecl
-	loops  []*bloopCtx
+	code    []binstr
+	curFn   *minic.FuncDecl
+	loops   []*bloopCtx
 }
 
 // bloopCtx collects break/continue patch sites for one lexical loop.

@@ -70,16 +70,16 @@ type qix struct {
 
 // qopnd is one baked operand (or store-target) plan.
 type qopnd struct {
-	plan  uint8
-	iplan uint8   // index plan (qoIdx)
-	iop   uint8   // index binary operator (qiBin: + - *; qiBin2 outer: + -)
-	round bool    // qoIdx: element loads round through float32 (Float elems)
-	kind  ValKind // qoReg: guarded value kind
-	ekind minic.BasicKind
-	ref   int32 // qoReg value register / qoIdx base register
-	f     float64
-	i     int64 // qoConst payload; qiConst index
-	ebytes int64
+	plan       uint8
+	iplan      uint8   // index plan (qoIdx)
+	iop        uint8   // index binary operator (qiBin: + - *; qiBin2 outer: + -)
+	round      bool    // qoIdx: element loads round through float32 (Float elems)
+	kind       ValKind // qoReg: guarded value kind
+	ekind      minic.BasicKind
+	ref        int32 // qoReg value register / qoIdx base register
+	f          float64
+	i          int64 // qoConst payload; qiConst index
+	ebytes     int64
 	ia, ib, ic qix
 }
 
