@@ -49,7 +49,7 @@ func main() {
 	faultSpec := flag.String("faults", "seed=1,rate=0.2", "chaos fault spec; the seed is the sweep's starting seed")
 	chaosRuns := flag.Int("chaos-runs", 5, "number of consecutive seeds to sweep in -chaos")
 	chaosMode := flag.String("chaos-mode", "informed", "flow mode for -chaos: informed or uninformed")
-	chaosJSON := flag.String("chaos-json", "", "write the chaos report as JSON to this file (BENCH_<date>_chaos.json)")
+	chaosJSON := flag.String("chaos-json", "", "write the chaos report as JSON to this file")
 	verbose := flag.Bool("v", false, "log flow execution")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
@@ -186,23 +186,9 @@ func main() {
 		fmt.Printf("wrote %s\n", *jsonOut)
 	}
 
-	if rec != nil {
-		rep := rec.Snapshot()
-		if *metrics {
-			fmt.Println(rep.Text())
-		}
-		if *metricsJSON != "" {
-			data, err := rep.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "metrics-json:", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*metricsJSON, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "metrics-json:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *metricsJSON)
-		}
+	if err := rec.WriteReports(os.Stdout, *metrics, *metricsJSON); err != nil {
+		fmt.Fprintln(os.Stderr, "metrics-json:", err)
+		os.Exit(1)
 	}
 	stopProfiles()
 }

@@ -198,22 +198,8 @@ func main() {
 		fmt.Println()
 	}
 
-	if rec != nil {
-		rep := rec.Snapshot()
-		if *metrics {
-			fmt.Println(rep.Text())
-		}
-		if *metricsJSON != "" {
-			data, err := rep.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "metrics-json:", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*metricsJSON, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "metrics-json:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *metricsJSON)
-		}
+	if err := rec.WriteReports(os.Stdout, *metrics, *metricsJSON); err != nil {
+		fmt.Fprintln(os.Stderr, "metrics-json:", err)
+		os.Exit(1)
 	}
 }

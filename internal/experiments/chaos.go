@@ -38,7 +38,7 @@ type ChaosRun struct {
 	Fallbacks      int64 `json:"fallbacks"`
 }
 
-// ChaosReport is the aggregate emitted as BENCH_<date>_chaos.json.
+// ChaosReport is the aggregate psabench -chaos-json writes.
 type ChaosReport struct {
 	// Date is stamped by the CLI (the library stays clock-free).
 	Date string `json:"date,omitempty"`
@@ -118,7 +118,7 @@ func modeName(m tasks.Mode) string {
 	return "informed"
 }
 
-// JSON marshals the report for BENCH_<date>_chaos.json.
+// JSON marshals the report (psabench -chaos-json).
 func (r *ChaosReport) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }

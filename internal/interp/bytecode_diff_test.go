@@ -9,6 +9,7 @@ package interp_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"psaflow/internal/bench"
@@ -140,6 +141,31 @@ func TestBytecodeNoFallbackOnBenchmarks(t *testing.T) {
 	}
 }
 
+// assertSameOutcome requires a bytecode run to have ended as the
+// tree-walker's did: the same result surface and final buffer contents,
+// or the byte-identical error.
+func assertSameOutcome(t *testing.T, label string, bcRes *interp.Result, bcErr error, bcArgs []interp.Value,
+	twRes *interp.Result, twErr error, twArgs []interp.Value) {
+	t.Helper()
+	switch {
+	case (bcErr == nil) != (twErr == nil):
+		t.Errorf("%s: error presence differs: bytecode=%v treewalk=%v", label, bcErr, twErr)
+	case bcErr != nil:
+		if bcErr.Error() != twErr.Error() {
+			t.Errorf("%s: errors differ:\nbytecode: %v\ntreewalk: %v", label, bcErr, twErr)
+		}
+	default:
+		assertResultsEqual(t, label, bcRes, twRes)
+		bcBufs, twBufs := bufferArgs(bcArgs), bufferArgs(twArgs)
+		for i := range bcBufs {
+			if !reflect.DeepEqual(bcBufs[i].I, twBufs[i].I) ||
+				!reflect.DeepEqual(bcBufs[i].F, twBufs[i].F) {
+				t.Errorf("%s: buffer %s contents diverge", label, bcBufs[i].Name)
+			}
+		}
+	}
+}
+
 // fuzzArgs synthesizes deterministic arguments for fn: small buffers for
 // pointer parameters, a matching small length for scalars. Returns false
 // for signatures the corpus never uses (e.g. bool pointers).
@@ -212,23 +238,158 @@ func FuzzBytecodeDiff(f *testing.F) {
 			if ctrs[interp.CounterBCFallbacks] != 0 {
 				t.Errorf("%s: lowering fell back to the tree-walker", fn.Name)
 			}
-			switch {
-			case (bcErr == nil) != (twErr == nil):
-				t.Fatalf("%s: error presence differs: bytecode=%v treewalk=%v", fn.Name, bcErr, twErr)
-			case bcErr != nil:
-				if bcErr.Error() != twErr.Error() {
-					t.Fatalf("%s: errors differ:\nbytecode: %v\ntreewalk: %v", fn.Name, bcErr, twErr)
+			assertSameOutcome(t, fn.Name, bcRes, bcErr, bcArgs, twRes, twErr, twArgs)
+		}
+	})
+}
+
+// consumerArgs builds fresh arguments for the generated consumer programs
+// below: one buffer per element kind, so indexed operands of every kind
+// generate watched traffic.
+func consumerArgs() []interp.Value {
+	return []interp.Value{
+		interp.BufVal(interp.NewFloatBuffer("pd", minic.Double, []float64{1.5, -2.25, 3, 4.125, 5, 6.5, 7, 8, 9})),
+		interp.BufVal(interp.NewFloatBuffer("pf", minic.Float, []float64{0.5, 2.5, -1.25, 3, 4, 5.75, 6, 7, 8})),
+		interp.BufVal(interp.NewIntBuffer("pi", []int64{3, -1, 4, 1, 5, 9, 2, 6, 5})),
+	}
+}
+
+// assertConsumerEquivalent runs src on the tree-walker and on the VM with
+// quickening off (the generic arm is what executes) and at threshold 1
+// (the quickened arm where the shape bakes), and requires both VM runs to
+// equal the tree-walker: same result surface and buffers, or the
+// byte-identical error. It returns the tree-walker's error.
+func assertConsumerEquivalent(t *testing.T, name, src string, maxSteps int64) error {
+	t.Helper()
+	prog, err := minic.Parse(src)
+	if err != nil {
+		t.Fatalf("%s: parse: %v\n%s", name, err, src)
+	}
+	twArgs := consumerArgs()
+	twRes, twErr := interp.Run(prog, interp.Config{Entry: "f", Args: twArgs, MaxSteps: maxSteps, TreeWalk: true})
+	for _, threshold := range []int{-1, 1} {
+		args := consumerArgs()
+		res, err := interp.Run(prog, interp.WithQuickenThreshold(
+			interp.Config{Entry: "f", Args: args, MaxSteps: maxSteps}, threshold))
+		assertSameOutcome(t, fmt.Sprintf("%s/threshold=%d", name, threshold), res, err, args, twRes, twErr, twArgs)
+	}
+	return twErr
+}
+
+// TestGenericSuperinstructionConsumers covers the consumer half of the two
+// superinstructions (`x op= a ⊗ b`, opBinAssignVar; `T x = a ⊗ b`,
+// opBinDeclVar) and the plain declaration (`T z = a`, opDeclVar) over
+// every cell kind, assignment operator, binary operator and operand
+// shape. The bundled apps reach the generic opBinAssignVar arm a few
+// hundred times per Fig. 5 sweep and always with the same kinds, so the
+// corpus differentials alone leave most of these combinations unrun.
+// The function is watched (Watch defaults to the entry), so parameter
+// traffic of the indexed operands is compared too.
+func TestGenericSuperinstructionConsumers(t *testing.T) {
+	const head = `(double *pd, float *pf, int *pi) {
+    int vi = 7; int wi = -3; float vf = 2.5f; float wf = 0.75f; double vd = -1.75; double wd = 4.5;
+`
+	kinds := []struct{ typ, init string }{
+		{"int", "5"}, {"float", "1.5f"}, {"double", "2.25"}, {"bool", "true"},
+	}
+	operands := [][2]string{
+		{"vi", "3"}, {"vi", "wi"}, // int
+		{"vf", "wf"}, {"0.5", "vd"}, // float, double
+		{"vi", "vd"}, {"vf", "wd"}, {"wf", "2"}, // mixed
+		{"pd[k]", "vd"}, {"pf[k+1]", "pf[k]"}, {"pi[k*2+1]", "vi"}, {"wi", "pf[k*2]"}, // indexed
+	}
+	binops := []string{"+", "-", "*", "/", "%", "<"}
+	assignOps := []string{"=", "+=", "-=", "*=", "/="}
+
+	rows, failed := 0, 0
+	for _, k := range kinds {
+		for _, ab := range operands {
+			for _, bop := range binops {
+				rhs := ab[0] + " " + bop + " " + ab[1]
+				// Declarations: the binary superinstruction and the plain
+				// single-operand form, each executed four times.
+				src := k.typ + " f" + head +
+					"    " + k.typ + " r = " + k.init + ";\n" +
+					"    for (int k = 0; k < 4; k++) {\n" +
+					"        " + k.typ + " y = " + rhs + ";\n" +
+					"        " + k.typ + " z = " + ab[0] + ";\n" +
+					"        printf(\"%g %g\\n\", y, z);\n" +
+					"        r = y;\n" +
+					"    }\n    return r;\n}\n"
+				rows++
+				if assertConsumerEquivalent(t, k.typ+" y = "+rhs, src, 0) != nil {
+					failed++
 				}
-			default:
-				assertResultsEqual(t, fn.Name, bcRes, twRes)
-				bcBufs, twBufs := bufferArgs(bcArgs), bufferArgs(twArgs)
-				for i := range bcBufs {
-					if !reflect.DeepEqual(bcBufs[i].I, twBufs[i].I) ||
-						!reflect.DeepEqual(bcBufs[i].F, twBufs[i].F) {
-						t.Errorf("%s: buffer %d contents diverge", fn.Name, i)
+				for _, aop := range assignOps {
+					// The assignment's own value is consumed too (r = x op= ...),
+					// so the instruction writes a destination register.
+					src := k.typ + " f" + head +
+						"    " + k.typ + " x = " + k.init + ";\n" +
+						"    " + k.typ + " r = " + k.init + ";\n" +
+						"    for (int k = 0; k < 4; k++) {\n" +
+						"        r = x " + aop + " " + rhs + ";\n" +
+						"        printf(\"%g %g\\n\", x, r);\n" +
+						"    }\n    return r;\n}\n"
+					rows++
+					if assertConsumerEquivalent(t, k.typ+" x "+aop+" "+rhs, src, 0) != nil {
+						failed++
 					}
 				}
 			}
 		}
-	})
+	}
+	// The matrix is only a test of the consumers if most rows reach them:
+	// `%` on a float operand and `/=` by a false comparison are the rows
+	// that error before the store.
+	if failed*2 > rows {
+		t.Errorf("%d of %d generated rows ended in an error; the matrix no longer exercises the success paths", failed, rows)
+	}
+
+	// Error rows: each must fail, with the expected message, identically
+	// on all three runs.
+	errRows := []struct{ name, body, want string }{
+		{"div-assign-by-zero", `int x = 3; x /= vi - 7; return x;`, "division by zero in /="},
+		{"mod-on-floats-assign", `double x = 1.0; x = vd % wd; return x;`, "% requires int operands"},
+		{"mod-on-floats-decl", `double x = vd % wd; return x;`, "% requires int operands"},
+		{"int-div-by-zero-decl", `int x = vi / 0; return x;`, "integer division by zero"},
+		{"assign-to-pointer", `pd = vi + 1; return 1.0;`, "cannot assign to buffer"},
+		{"compound-assign-to-pointer", `pd += vi + 1; return 1.0;`, "non-numeric compound assignment"},
+		{"declare-pointer-from-binary", `double *q = vi + 1; return 1.0;`, "declare q: expected buffer for double *, got int"},
+		{"declare-pointer-from-scalar", `double *q = vd; return 1.0;`, "declare q: expected buffer for double *, got double"},
+		{"declare-pointer-wrong-kind", `double *q = pf; return 1.0;`, "declare q: buffer element kind float, want double"},
+		{"oob-operand", `double x = 0.0; x += pd[vi + 2] * vd; return x;`, "index 9 out of range [0,9) for pd"},
+	}
+	for _, r := range errRows {
+		err := assertConsumerEquivalent(t, r.name, "double f"+head+"    "+r.body+"\n}\n", 0)
+		if err == nil || !strings.Contains(err.Error(), r.want) {
+			t.Errorf("%s: error %v, want one containing %q", r.name, err, r.want)
+		}
+	}
+	// A pointer declared from a pointer succeeds and stays usable.
+	if err := assertConsumerEquivalent(t, "declare-pointer-from-pointer",
+		"double f"+head+"    double *q = pd; double x = q[1] + vi; return x;\n}\n", 0); err != nil {
+		t.Errorf("declare-pointer-from-pointer: %v", err)
+	}
+
+	// Step budget: sweep every budget up to the program's step total, so
+	// the crossing lands on every sub-step of both superinstructions (and
+	// of the plain declaration), indexed operands included.
+	budgetSrc := "double f" + head +
+		"    double x = 0.0;\n" +
+		"    for (int k = 0; k < 3; k++) {\n" +
+		"        x += pd[k*2+1] * vd;\n" +
+		"        float y = pf[k] - wf;\n" +
+		"        int z = pi[k+1];\n" +
+		"        x = y * z;\n" +
+		"    }\n    return x;\n}\n"
+	full, err := interp.Run(minic.MustParse(budgetSrc), interp.Config{Entry: "f", Args: consumerArgs(), TreeWalk: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for budget := int64(1); budget <= full.Steps; budget++ {
+		err := assertConsumerEquivalent(t, fmt.Sprintf("budget=%d", budget), budgetSrc, budget)
+		if (err == nil) != (budget == full.Steps) {
+			t.Errorf("budget %d of %d steps: error %v", budget, full.Steps, err)
+		}
+	}
 }

@@ -26,11 +26,15 @@ import (
 //     call boundaries, and Run discards the profile on error — so batching
 //     is unobservable.
 //
-//  2. Inlined hot paths. Register/constant operand fetches and the common
-//     arithmetic kinds (int/float compare, add, sub, mul, and the float
-//     `+=` accumulate) execute inline in the dispatch switch; indexed
-//     operands, rare operators, and mixed-kind arithmetic fall back to the
-//     shared helpers before any state is touched.
+//  2. Inlined hot paths, kept where alternating BenchmarkInterp pairs
+//     showed a helper call costs speed and nowhere else (the table is in
+//     docs/ARCHITECTURE.md, "What the VM hand-inlines, and why"): the
+//     register/constant operand fetch, the opBinary family's int/float
+//     arithmetic, resolveTgtNB's int index arithmetic, opCast's coercion,
+//     and the scalar arms of opAssignVar / opIncVar / opUnary. Indexed
+//     operands, rare operators, mixed-kind arithmetic and the consumers
+//     that only run before an instruction quickens (opBinAssignVar,
+//     opBinDeclVar, opDeclVar) call the shared helpers of apply.go.
 
 // bactive is one running loop's profile attribution state.
 type bactive struct {
@@ -401,84 +405,25 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 					pc = int(in.jmp)
 				}
 			case opBinDeclVar:
-				// coerce inlined for the scalar kinds (which cannot fail);
-				// pointer and rare kinds fall back
-				var coerced Value
-				if !in.typ.Ptr {
-					switch in.typ.Kind {
-					case minic.Float:
-						coerced = FloatVal(v.AsFloat())
-					case minic.Double:
-						coerced = DoubleVal(v.AsFloat())
-					case minic.Int:
-						coerced = IntVal(v.AsInt())
-					case minic.Bool:
-						coerced = BoolVal(v.AsBool())
-					default:
-						var err error
-						if coerced, err = m.coerce(v, in.typ, in.pos); err != nil {
-							return m.errf(in.pos, "declare %s: %v", in.name, err)
-						}
-					}
-				} else {
-					var err error
-					if coerced, err = m.coerce(v, in.typ, in.pos); err != nil {
-						return m.errf(in.pos, "declare %s: %v", in.name, err)
-					}
+				coerced, err := m.coerce(v, in.typ, in.pos)
+				if err != nil {
+					return m.errf(in.pos, "declare %s: %v", in.name, err)
 				}
 				cyc += CostLocal
 				regs[in.reg] = coerced
 			default: // opBinAssignVar
 				cell := &regs[in.reg]
-				if in.tok == minic.TokAssign {
-					// storeScalarCell, inlined for the scalar kinds
-					switch cell.K {
-					case KInt:
-						*cell = IntVal(v.AsInt())
-					case KFloat:
-						*cell = FloatVal(v.AsFloat())
-					case KDouble:
-						*cell = DoubleVal(v.AsFloat())
-					case KBool:
-						*cell = BoolVal(v.AsBool())
-					default:
-						return m.errf(in.pos3, "cannot assign to %s", cell.K)
-					}
-					cyc += CostLocal
-				} else if in.tok == minic.TokPlusEq && (cell.K == KFloat || cell.K == KDouble) && (v.K == KFloat || v.K == KDouble) {
-					// The FMA accumulate `acc += a*b`: applyCompound(+=) on
-					// float kinds plus the store, inlined. The cell's kind
-					// wins at store time, so the promoted intermediate
-					// rounds identically.
+				var old Value
+				if in.tok != minic.TokAssign {
 					cyc += CostLocal // compound old-value read
-					res := cell.F + v.F
-					cyc += CostAddSub
-					flops++
-					if cell.K == KFloat {
-						*cell = FloatVal(res)
-					} else {
-						*cell = DoubleVal(res)
-					}
-					cyc += CostLocal // store
-				} else if in.tok == minic.TokPlusEq && cell.K == KInt && v.K == KInt {
-					cyc += CostLocal
-					// applyCompound combines through float64, as the shared
-					// helper does.
-					res := int64(float64(cell.I) + float64(v.I))
-					cyc += CostAddSub
-					intops++
-					*cell = IntVal(res)
-					cyc += CostLocal
-				} else {
-					cyc += CostLocal
-					old := *cell
-					nv, err := m.applyCompound(in.tok, old, v, in.pos)
-					if err != nil {
-						return err
-					}
-					if _, err := m.storeScalarCell(cell, nv, in.pos3); err != nil {
-						return err
-					}
+					old = *cell
+				}
+				nv, err := m.applyCompound(in.tok, old, v, in.pos)
+				if err != nil {
+					return err
+				}
+				if _, err := m.storeScalarCell(cell, nv, in.pos3); err != nil {
+					return err
 				}
 				if in.dst >= 0 {
 					regs[in.dst] = *cell
@@ -556,27 +501,9 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			if err != nil {
 				return err
 			}
-			// coerce inlined for the scalar kinds (which cannot fail)
-			var coerced Value
-			if !in.typ.Ptr {
-				switch in.typ.Kind {
-				case minic.Float:
-					coerced = FloatVal(init.AsFloat())
-				case minic.Double:
-					coerced = DoubleVal(init.AsFloat())
-				case minic.Int:
-					coerced = IntVal(init.AsInt())
-				case minic.Bool:
-					coerced = BoolVal(init.AsBool())
-				default:
-					if coerced, err = m.coerce(init, in.typ, in.pos); err != nil {
-						return m.errf(in.pos, "declare %s: %v", in.name, err)
-					}
-				}
-			} else {
-				if coerced, err = m.coerce(init, in.typ, in.pos); err != nil {
-					return m.errf(in.pos, "declare %s: %v", in.name, err)
-				}
+			coerced, err := m.coerce(init, in.typ, in.pos)
+			if err != nil {
+				return m.errf(in.pos, "declare %s: %v", in.name, err)
 			}
 			cyc += CostLocal
 			regs[in.reg] = coerced
@@ -905,11 +832,14 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 		// Every arm follows the same discipline: fetch operands through
 		// pure guarded plans (register and constant plans inline; indexed
 		// plans through qresolve), goto deopt on any miss, and only then
-		// commit the precomputed accounting and the result. A deopt
+		// commit the result and the precomputed accounting. A deopt
 		// re-executes the instruction generically, so slow paths, runtime
 		// errors, and their accounting stay bit-for-bit identical to
-		// generic dispatch. Arms sharing an operand shape share one case,
-		// so the fetch code exists once per shape.
+		// generic dispatch. Arms sharing an operand shape share one case:
+		// the fetch exists once per shape, and so does the accounting,
+		// as a tail AFTER the per-opcode switch — never before it, where
+		// the hottest opcode would pay for the guards of the others
+		// (measured 3-5% slower). No case may goto deopt after a write.
 
 		case opQBinFF, opQCmpBrFF, opQBinDeclFF, opQAccFF, opQMath2:
 			q := in.q
@@ -955,161 +885,62 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			}
 			switch in.op {
 			case opQBinFF:
-				var r float64
-				switch q.op {
-				case qAdd:
-					r = af + bf2
-				case qSub:
-					r = af - bf2
-				default:
-					r = af * bf2
-				}
+				r := qarithF(q.op, af, bf2)
 				if q.rk == KFloat {
 					r = qrnd(r)
 				}
-				cyc += q.cyc
-				flops += q.flops
-				intops += q.intops
-				m.prof.LoadBytes += q.lbytes
-				if m.watchDepth > 0 {
-					if ab != nil {
-						m.qtrafIn(ab, q.a.ebytes)
-					}
-					if bb != nil {
-						m.qtrafIn(bb, q.b.ebytes)
-					}
-				}
-				qhits++
 				if in.dst >= 0 {
 					regs[in.dst] = Value{K: q.rk, F: r}
 				}
 			case opQCmpBrFF:
-				cyc += q.cyc
-				flops += q.flops
-				intops += q.intops
-				m.prof.LoadBytes += q.lbytes
-				if m.watchDepth > 0 {
-					if ab != nil {
-						m.qtrafIn(ab, q.a.ebytes)
-					}
-					if bb != nil {
-						m.qtrafIn(bb, q.b.ebytes)
-					}
-				}
-				qhits++
 				if !cmpFloat(q.cmp, af, bf2) {
 					pc = int(in.jmp)
 				}
 			case opQBinDeclFF:
-				var r float64
-				switch q.op {
-				case qAdd:
-					r = af + bf2
-				case qSub:
-					r = af - bf2
-				default:
-					r = af * bf2
-				}
+				r := qarithF(q.op, af, bf2)
 				if q.rk == KFloat {
 					r = qrnd(r)
 				}
-				cyc += q.cyc
-				flops += q.flops
-				intops += q.intops
-				m.prof.LoadBytes += q.lbytes
-				if m.watchDepth > 0 {
-					if ab != nil {
-						m.qtrafIn(ab, q.a.ebytes)
-					}
-					if bb != nil {
-						m.qtrafIn(bb, q.b.ebytes)
-					}
-				}
-				qhits++
-				switch q.cellK { // the baked declared-type coercion
-				case KFloat:
-					regs[in.reg] = Value{K: KFloat, F: qrnd(r)}
-				case KDouble:
-					regs[in.reg] = Value{K: KDouble, F: r}
-				default: // KInt: AsInt truncates toward zero
-					regs[in.reg] = Value{K: KInt, I: int64(math.Trunc(r))}
-				}
+				regs[in.reg] = qcoerceF(q.cellK, r)
 			case opQAccFF:
 				cell := &regs[in.reg]
 				if cell.K != q.cellK {
 					goto deopt
 				}
-				var v float64
-				switch q.op {
-				case qAdd:
-					v = af + bf2
-				case qSub:
-					v = af - bf2
-				default:
-					v = af * bf2
-				}
+				res := qarithF(q.op, af, bf2)
 				if q.rk == KFloat {
-					v = qrnd(v)
+					res = qrnd(res)
 				}
-				res := v
 				if q.acc {
-					switch q.cop {
-					case qAdd:
-						res = cell.F + v
-					case qSub:
-						res = cell.F - v
-					default:
-						res = cell.F * v
-					}
+					res = qarithF(q.cop, cell.F, res)
 				}
-				cyc += q.cyc
-				flops += q.flops
-				intops += q.intops
-				m.prof.LoadBytes += q.lbytes
-				if m.watchDepth > 0 {
-					if ab != nil {
-						m.qtrafIn(ab, q.a.ebytes)
-					}
-					if bb != nil {
-						m.qtrafIn(bb, q.b.ebytes)
-					}
-				}
-				qhits++
 				// The cell's kind wins at store time (storeScalarCell), so
 				// the promoted intermediate rounds identically to the
 				// generic path.
-				if q.cellK == KFloat {
-					*cell = Value{K: KFloat, F: qrnd(res)}
-				} else {
-					*cell = Value{K: KDouble, F: res}
-				}
+				*cell = qcoerceF(q.cellK, res)
 				if in.dst >= 0 {
 					regs[in.dst] = *cell
 				}
 			default: // opQMath2
 				r := q.mfn2(af, bf2)
-				cyc += q.cyc
-				flops += q.flops
-				intops += q.intops
-				m.prof.LoadBytes += q.lbytes
 				m.specialFlops += q.sflops
-				if m.watchDepth > 0 {
-					if ab != nil {
-						m.qtrafIn(ab, q.a.ebytes)
-					}
-					if bb != nil {
-						m.qtrafIn(bb, q.b.ebytes)
-					}
-				}
-				qhits++
 				if in.dst >= 0 {
-					if q.rk == KFloat {
-						regs[in.dst] = Value{K: KFloat, F: qrnd(r)}
-					} else {
-						regs[in.dst] = Value{K: KDouble, F: r}
-					}
+					regs[in.dst] = qcoerceF(q.rk, r)
 				}
 			}
+			cyc += q.cyc
+			flops += q.flops
+			intops += q.intops
+			m.prof.LoadBytes += q.lbytes
+			if m.watchDepth > 0 {
+				if ab != nil {
+					m.qtrafIn(ab, q.a.ebytes)
+				}
+				if bb != nil {
+					m.qtrafIn(bb, q.b.ebytes)
+				}
+			}
+			qhits++
 
 		case opQBinII, opQCmpBrII, opQBinDeclII, opQAccII:
 			q := in.q
@@ -1149,124 +980,44 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			}
 			switch in.op {
 			case opQBinII:
-				var r int64
-				switch q.op {
-				case qAdd:
-					r = ai + bi
-				case qSub:
-					r = ai - bi
-				default:
-					r = ai * bi
-				}
-				cyc += q.cyc
-				flops += q.flops
-				intops += q.intops
-				m.prof.LoadBytes += q.lbytes
-				if m.watchDepth > 0 {
-					if ab != nil {
-						m.qtrafIn(ab, q.a.ebytes)
-					}
-					if bb != nil {
-						m.qtrafIn(bb, q.b.ebytes)
-					}
-				}
-				qhits++
 				if in.dst >= 0 {
-					regs[in.dst] = Value{K: KInt, I: r}
+					regs[in.dst] = Value{K: KInt, I: qarithI(q.op, ai, bi)}
 				}
 			case opQCmpBrII:
-				cyc += q.cyc
-				flops += q.flops
-				intops += q.intops
-				m.prof.LoadBytes += q.lbytes
-				if m.watchDepth > 0 {
-					if ab != nil {
-						m.qtrafIn(ab, q.a.ebytes)
-					}
-					if bb != nil {
-						m.qtrafIn(bb, q.b.ebytes)
-					}
-				}
-				qhits++
 				if !cmpFloat(q.cmp, float64(ai), float64(bi)) {
 					pc = int(in.jmp)
 				}
 			case opQBinDeclII:
-				var r int64
-				switch q.op {
-				case qAdd:
-					r = ai + bi
-				case qSub:
-					r = ai - bi
-				default:
-					r = ai * bi
-				}
-				cyc += q.cyc
-				flops += q.flops
-				intops += q.intops
-				m.prof.LoadBytes += q.lbytes
-				if m.watchDepth > 0 {
-					if ab != nil {
-						m.qtrafIn(ab, q.a.ebytes)
-					}
-					if bb != nil {
-						m.qtrafIn(bb, q.b.ebytes)
-					}
-				}
-				qhits++
-				switch q.cellK {
-				case KInt:
-					regs[in.reg] = Value{K: KInt, I: r}
-				case KFloat:
-					regs[in.reg] = Value{K: KFloat, F: qrnd(float64(r))}
-				default:
-					regs[in.reg] = Value{K: KDouble, F: float64(r)}
-				}
+				regs[in.reg] = qcoerceI(q.cellK, qarithI(q.op, ai, bi))
 			default: // opQAccII
 				cell := &regs[in.reg]
 				if cell.K != KInt {
 					goto deopt
 				}
-				var v int64
-				switch q.op {
-				case qAdd:
-					v = ai + bi
-				case qSub:
-					v = ai - bi
-				default:
-					v = ai * bi
-				}
-				res := v
+				res := qarithI(q.op, ai, bi)
 				if q.acc {
 					// applyCompound combines through float64, as the
 					// shared helper does.
-					switch q.cop {
-					case qAdd:
-						res = int64(float64(cell.I) + float64(v))
-					case qSub:
-						res = int64(float64(cell.I) - float64(v))
-					default:
-						res = int64(float64(cell.I) * float64(v))
-					}
+					res = int64(qarithF(q.cop, float64(cell.I), float64(res)))
 				}
-				cyc += q.cyc
-				flops += q.flops
-				intops += q.intops
-				m.prof.LoadBytes += q.lbytes
-				if m.watchDepth > 0 {
-					if ab != nil {
-						m.qtrafIn(ab, q.a.ebytes)
-					}
-					if bb != nil {
-						m.qtrafIn(bb, q.b.ebytes)
-					}
-				}
-				qhits++
 				*cell = Value{K: KInt, I: res}
 				if in.dst >= 0 {
 					regs[in.dst] = *cell
 				}
 			}
+			cyc += q.cyc
+			flops += q.flops
+			intops += q.intops
+			m.prof.LoadBytes += q.lbytes
+			if m.watchDepth > 0 {
+				if ab != nil {
+					m.qtrafIn(ab, q.a.ebytes)
+				}
+				if bb != nil {
+					m.qtrafIn(bb, q.b.ebytes)
+				}
+			}
+			qhits++
 
 		case opQDeclF, opQMath1:
 			q := in.q
@@ -1292,40 +1043,22 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 				ab = b
 			}
 			if in.op == opQDeclF {
-				cyc += q.cyc
-				intops += q.intops
-				m.prof.LoadBytes += q.lbytes
-				if m.watchDepth > 0 && ab != nil {
-					m.qtrafIn(ab, q.a.ebytes)
-				}
-				qhits++
-				switch q.cellK { // the baked declared-type coercion
-				case KFloat:
-					regs[in.reg] = Value{K: KFloat, F: qrnd(af)}
-				case KDouble:
-					regs[in.reg] = Value{K: KDouble, F: af}
-				default: // KInt: AsInt truncates toward zero
-					regs[in.reg] = Value{K: KInt, I: int64(math.Trunc(af))}
-				}
+				regs[in.reg] = qcoerceF(q.cellK, af)
 			} else { // opQMath1
 				r := q.mfn1(af)
-				cyc += q.cyc
-				flops += q.flops
-				intops += q.intops
-				m.prof.LoadBytes += q.lbytes
 				m.specialFlops += q.sflops
-				if m.watchDepth > 0 && ab != nil {
-					m.qtrafIn(ab, q.a.ebytes)
-				}
-				qhits++
 				if in.dst >= 0 {
-					if q.rk == KFloat {
-						regs[in.dst] = Value{K: KFloat, F: qrnd(r)}
-					} else {
-						regs[in.dst] = Value{K: KDouble, F: r}
-					}
+					regs[in.dst] = qcoerceF(q.rk, r)
 				}
 			}
+			cyc += q.cyc
+			flops += q.flops
+			intops += q.intops
+			m.prof.LoadBytes += q.lbytes
+			if m.watchDepth > 0 && ab != nil {
+				m.qtrafIn(ab, q.a.ebytes)
+			}
+			qhits++
 
 		case opQDeclI:
 			q := in.q
@@ -1354,14 +1087,7 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 				m.qtrafIn(ab, q.a.ebytes)
 			}
 			qhits++
-			switch q.cellK {
-			case KInt:
-				regs[in.reg] = Value{K: KInt, I: ai}
-			case KFloat:
-				regs[in.reg] = Value{K: KFloat, F: qrnd(float64(ai))}
-			default:
-				regs[in.reg] = Value{K: KDouble, F: float64(ai)}
-			}
+			regs[in.reg] = qcoerceI(q.cellK, ai)
 
 		case opQLoad:
 			q := in.q

@@ -87,14 +87,6 @@ type Config struct {
 	// outputs, errors); the walker is the semantic reference for
 	// differential testing and the VM's defensive fallback.
 	TreeWalk bool
-	// QuickenThreshold is the per-instruction execution count after which
-	// the bytecode VM rewrites a generic opcode in place to its
-	// type-specialized (quickened) form. 0 selects DefaultQuickenThreshold;
-	// negative disables quickening. Quickened execution is bit-for-bit
-	// equivalent to generic execution (a guard miss deoptimizes back); the
-	// quicken equivalence suites set it to force early or never
-	// specialisation, everything else runs at the default.
-	QuickenThreshold int
 	// Progs, when non-nil, caches lowered bytecode programs keyed by
 	// Fingerprint so repeat Runs of the same program skip lowering and
 	// inherit quickened instruction state from earlier runs. Requires a
@@ -102,6 +94,11 @@ type Config struct {
 	Progs *ProgramCache
 	// Fingerprint identifies the program for Progs (minic.Fingerprint).
 	Fingerprint uint64
+
+	// quickenThreshold is a test hook (export_test.go): the equivalence
+	// suites force quickening early (1) or off (negative); 0, which is all
+	// any caller outside the package can pass, is defaultQuickenThreshold.
+	quickenThreshold int
 }
 
 // Result is the outcome of one execution.
@@ -181,11 +178,12 @@ type machine struct {
 	biArgs [2]Value
 }
 
-// DefaultQuickenThreshold is the hot-counter trip point used when
-// Config.QuickenThreshold is 0: low enough that the bench kernels
-// quicken within their first loop entries, high enough that one-shot
-// straight-line code never pays the rewrite.
-const DefaultQuickenThreshold = 64
+// defaultQuickenThreshold is the per-instruction execution count after
+// which the VM rewrites a generic opcode in place to its quickened form:
+// low enough that the bench kernels quicken within their first loop
+// entries, high enough that one-shot straight-line code never pays the
+// rewrite.
+const defaultQuickenThreshold = 64
 
 // Run executes cfg.Entry in prog and returns the result with its profile.
 // By default the program is first lowered to register bytecode
@@ -228,7 +226,7 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 		m.loopInfo = buildLoopInfo(prog)
 		ret, err = m.call(entry, cfg.Args, entry.NodePos())
 	default:
-		m.quickenAt = quickenTrip(cfg.QuickenThreshold)
+		m.quickenAt = quickenTrip(cfg.quickenThreshold)
 		compileStart := time.Now()
 		var bp *bprog
 		var lease *progLease
@@ -298,7 +296,7 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 	return &Result{Ret: ret, Prof: m.prof, Steps: m.steps, Output: m.output}, nil
 }
 
-// quickenTrip maps Config.QuickenThreshold onto the machine's int32 hot
+// quickenTrip maps Config.quickenThreshold onto the machine's int32 hot
 // trip point: 0 selects the default, negative disables (the hot counter
 // never reaches a zero trip in any bounded run), and large values clamp.
 func quickenTrip(threshold int) int32 {
@@ -306,7 +304,7 @@ func quickenTrip(threshold int) int32 {
 	case threshold < 0:
 		return 0
 	case threshold == 0:
-		return DefaultQuickenThreshold
+		return defaultQuickenThreshold
 	case threshold > 1<<30:
 		return 1 << 30
 	default:

@@ -7,7 +7,7 @@ import (
 )
 
 // Runtime quickening: once a generic superinstruction has executed
-// Config.QuickenThreshold times, the dispatch loop rewrites it in place
+// defaultQuickenThreshold times, the dispatch loop rewrites it in place
 // to a type-specialized opcode whose operand plan, result construction,
 // and cost accounting were baked from the kinds observed at the rewrite
 // point. A quickened instruction re-checks those assumptions with cheap
@@ -199,50 +199,50 @@ func qresolve(regs []Value, o *qopnd) (*Buffer, int64, bool) {
 	return b, i, true
 }
 
-// qfetchF fetches one float-context operand. Pure; the returned buffer
-// (nil unless qoIdx) lets the caller commit watch traffic after all
-// guards pass.
-func qfetchF(regs []Value, o *qopnd) (float64, *Buffer, bool) {
-	switch o.plan {
-	case qoConst:
-		return o.f, nil, true
-	case qoReg:
-		v := &regs[o.ref]
-		if v.K != o.kind {
-			return 0, nil, false
-		}
-		return v.F, nil, true
-	default: // qoIdx
-		b, i, ok := qresolve(regs, o)
-		if !ok {
-			return 0, nil, false
-		}
-		f := b.F[i]
-		if o.round {
-			f = qrnd(f)
-		}
-		return f, b, true
+// qarithF / qarithI apply a baked operator. Like qcoerceF / qcoerceI
+// below they exist once so the quickened arms of dispatch need not each
+// carry a copy, and they must stay small enough to inline there (check
+// with -gcflags=-m): a call per quickened dispatch is measurable.
+func qarithF(op uint8, a, b float64) float64 {
+	switch op {
+	case qAdd:
+		return a + b
+	case qSub:
+		return a - b
 	}
+	return a * b
 }
 
-// qfetchI fetches one int-context operand. Pure.
-func qfetchI(regs []Value, o *qopnd) (int64, *Buffer, bool) {
-	switch o.plan {
-	case qoConst:
-		return o.i, nil, true
-	case qoReg:
-		v := &regs[o.ref]
-		if v.K != KInt {
-			return 0, nil, false
-		}
-		return v.I, nil, true
-	default: // qoIdx
-		b, i, ok := qresolve(regs, o)
-		if !ok {
-			return 0, nil, false
-		}
-		return b.I[i], b, true
+func qarithI(op uint8, a, b int64) int64 {
+	switch op {
+	case qAdd:
+		return a + b
+	case qSub:
+		return a - b
 	}
+	return a * b
+}
+
+// qcoerceF / qcoerceI are the baked declared-type coercion of a float or
+// int value to cell kind k (KInt, KFloat or KDouble; see qdeclKind).
+func qcoerceF(k ValKind, f float64) Value {
+	switch k {
+	case KFloat:
+		return Value{K: KFloat, F: qrnd(f)}
+	case KDouble:
+		return Value{K: KDouble, F: f}
+	}
+	return Value{K: KInt, I: int64(math.Trunc(f))} // AsInt truncates toward zero
+}
+
+func qcoerceI(k ValKind, i int64) Value {
+	switch k {
+	case KInt:
+		return Value{K: KInt, I: i}
+	case KFloat:
+		return Value{K: KFloat, F: qrnd(float64(i))}
+	}
+	return Value{K: KDouble, F: float64(i)}
 }
 
 // qtrafIn / qtrafOut commit watched traffic for one element access; the
@@ -487,6 +487,23 @@ func qbakeOperand(o *bopnd, regs []Value, cyc *float64, intops, lbytes *int64) (
 
 func qIsFloat(k ValKind) bool { return k == KFloat || k == KDouble }
 
+// qdeclKind maps a declared type to the cell kind a baked declaration
+// coerces to; pointers and the non-numeric kinds stay generic.
+func qdeclKind(t minic.Type) (ValKind, bool) {
+	if t.Ptr {
+		return KVoid, false
+	}
+	switch t.Kind {
+	case minic.Int:
+		return KInt, true
+	case minic.Float:
+		return KFloat, true
+	case minic.Double:
+		return KDouble, true
+	}
+	return KVoid, false
+}
+
 // bakeQuicken builds the baked form for one hot generic instruction, or
 // returns nil if its shape is outside the quickenable set.
 func bakeQuicken(in *binstr, regs []Value) (*qinfo, opcode) {
@@ -563,17 +580,7 @@ func bakeQuicken(in *binstr, regs []Value) (*qinfo, opcode) {
 		}
 		return q, opQBinFF
 	case opBinDeclVar:
-		if in.typ.Ptr {
-			return nil, opNop
-		}
-		switch in.typ.Kind {
-		case minic.Int:
-			q.cellK = KInt
-		case minic.Float:
-			q.cellK = KFloat
-		case minic.Double:
-			q.cellK = KDouble
-		default:
+		if q.cellK, ok = qdeclKind(in.typ); !ok {
 			return nil, opNop
 		}
 		q.cyc += CostLocal
@@ -616,7 +623,7 @@ func bakeQuicken(in *binstr, regs []Value) (*qinfo, opcode) {
 // indexed-initializer declarations (`double gold = gates[c*20+g]`) the
 // binary-decl superinstruction cannot cover.
 func bakeDecl(in *binstr, regs []Value) (*qinfo, opcode) {
-	if in.a.mode == omNone || in.typ.Ptr {
+	if in.a.mode == omNone {
 		return nil, opNop
 	}
 	q := &qinfo{}
@@ -625,14 +632,7 @@ func bakeDecl(in *binstr, regs []Value) (*qinfo, opcode) {
 		return nil, opNop
 	}
 	q.a = a
-	switch in.typ.Kind {
-	case minic.Int:
-		q.cellK = KInt
-	case minic.Float:
-		q.cellK = KFloat
-	case minic.Double:
-		q.cellK = KDouble
-	default:
+	if q.cellK, ok = qdeclKind(in.typ); !ok {
 		return nil, opNop
 	}
 	q.cyc += CostLocal

@@ -23,9 +23,9 @@ import (
 func runQuickened(t *testing.T, b *bench.Benchmark, threshold int, ctrs interp.Counters) (*interp.Result, []*interp.Buffer) {
 	t.Helper()
 	args := b.MakeArgs()
-	res, err := interp.Run(b.Parse(), interp.Config{
-		Entry: b.Entry, Args: args, QuickenThreshold: threshold, Counters: ctrs,
-	})
+	res, err := interp.Run(b.Parse(), interp.WithQuickenThreshold(interp.Config{
+		Entry: b.Entry, Args: args, Counters: ctrs,
+	}, threshold))
 	if err != nil {
 		t.Fatalf("threshold %d: %v", threshold, err)
 	}
@@ -103,9 +103,9 @@ func TestQuickenErrorEquivalence(t *testing.T) {
 			prog := minic.MustParse(c.src)
 			errs := map[int]error{}
 			for _, threshold := range []int{-1, 1, 8} {
-				_, err := interp.Run(prog, interp.Config{
-					Entry: "f", Args: c.args(), MaxSteps: c.max, QuickenThreshold: threshold,
-				})
+				_, err := interp.Run(prog, interp.WithQuickenThreshold(interp.Config{
+					Entry: "f", Args: c.args(), MaxSteps: c.max,
+				}, threshold))
 				if err == nil {
 					t.Fatalf("threshold %d: expected an error", threshold)
 				}
@@ -147,7 +147,7 @@ double f(double *a, int n) {
 			interp.IntVal(int64(len(data))),
 		}
 	}
-	ref, err := interp.Run(prog, interp.Config{Entry: "f", Args: mkArgs(), QuickenThreshold: -1})
+	ref, err := interp.Run(prog, interp.WithQuickenThreshold(interp.Config{Entry: "f", Args: mkArgs()}, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,9 @@ double f(double *a, int n) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < runsPer; r++ {
-				res, err := interp.Run(prog, interp.Config{
-					Entry: "f", Args: mkArgs(),
-					QuickenThreshold: 1, Progs: progs, Fingerprint: fp,
-				})
+				res, err := interp.Run(prog, interp.WithQuickenThreshold(interp.Config{
+					Entry: "f", Args: mkArgs(), Progs: progs, Fingerprint: fp,
+				}, 1))
 				if err != nil {
 					errCh <- err
 					return

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -95,6 +97,31 @@ func (r *Recorder) Snapshot() *Report {
 // JSON marshals the report (indented, stable field order).
 func (rep *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(rep, "", "  ")
+}
+
+// WriteReports ends a CLI run that was given -metrics and/or -metrics-json:
+// it prints the text report to w when text is set, and writes the JSON
+// report to jsonPath when that is non-empty, naming the file on w. A nil
+// recorder (neither flag given) writes nothing.
+func (r *Recorder) WriteReports(w io.Writer, text bool, jsonPath string) error {
+	if r == nil {
+		return nil
+	}
+	rep := r.Snapshot()
+	if text {
+		fmt.Fprintln(w, rep.Text())
+	}
+	if jsonPath != "" {
+		data, err := rep.JSON()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s\n", jsonPath)
+	}
+	return nil
 }
 
 // Text renders the human report: per-task timing aggregates first (the

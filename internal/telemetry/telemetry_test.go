@@ -1,7 +1,10 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -43,6 +46,10 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	if _, err := rep.JSON(); err != nil {
 		t.Errorf("empty report JSON: %v", err)
+	}
+	var out bytes.Buffer
+	if err := r.WriteReports(&out, true, filepath.Join(t.TempDir(), "m.json")); err != nil || out.Len() != 0 {
+		t.Errorf("nil recorder WriteReports: err %v, printed %q", err, out.String())
 	}
 }
 
@@ -180,6 +187,27 @@ func TestReportTextAndJSON(t *testing.T) {
 	}
 	if back.Spans[0].Children[0].Name != "Identify Hotspot Loops" {
 		t.Errorf("span tree lost: %+v", back.Spans)
+	}
+
+	// WriteReports is what -metrics / -metrics-json print and write: the
+	// text report and a line naming the file on w, the JSON in the file.
+	path := filepath.Join(t.TempDir(), "m.json")
+	var out bytes.Buffer
+	if err := r.WriteReports(&out, true, path); err != nil {
+		t.Fatalf("WriteReports: %v", err)
+	}
+	if want := text + "\nwrote " + path + "\n"; out.String() != want {
+		t.Errorf("WriteReports printed:\n%q\nwant:\n%q", out.String(), want)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+		t.Errorf("WriteReports file differs from Report.JSON (read error %v)", err)
+	}
+	out.Reset()
+	if err := r.WriteReports(&out, false, ""); err != nil || out.Len() != 0 {
+		t.Errorf("WriteReports with neither output: err %v, printed %q", err, out.String())
+	}
+	if err := r.WriteReports(&out, false, filepath.Join(path, "under-a-file.json")); err == nil || out.Len() != 0 {
+		t.Errorf("WriteReports to an unwritable path: err %v, printed %q", err, out.String())
 	}
 }
 

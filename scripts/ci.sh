@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI entry point: vet, build, and run the full test suite with the race
+# CI entry point: vet, gofmt, build, and run the full test suite with the race
 # detector (the parallel branch-path execution in internal/core is only
 # meaningfully exercised under -race), then the fuzz, docs, chaos, daemon,
 # crash and load gates below. This is the only gate list:
@@ -9,6 +9,8 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# Formatting gate: gofmt -l names every file it would rewrite.
+test -z "$(gofmt -l cmd internal examples benchmark *.go)"
 go build ./...
 go test -race ./...
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
@@ -37,7 +39,7 @@ rm -rf "$flowtmp"
 scripts/checkdocs.sh
 # Chaos smoke (low seed count): every seeded informed flow must finish
 # with a feasible design; the full sweep is scripts/chaos.sh.
-CHAOS_SEEDS=2 CHAOS_OUT="$(mktemp -u)" scripts/chaos.sh
+CHAOS_SEEDS=2 scripts/chaos.sh
 # WAL frame-decode fuzz (short budget): replay must tolerate arbitrary
 # torn/corrupt segment bytes without panicking or failing the open.
 go test -run '^$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/store/
@@ -49,4 +51,4 @@ scripts/smoke_service.sh
 scripts/crashtest.sh
 # Streaming smoke under load: 4 jobs watched by 256 concurrent event
 # streams; fails if time-to-first-event p95 breaches 100ms.
-LOADTEST_OUT="$(mktemp -u)" scripts/loadtest.sh 4 256
+scripts/loadtest.sh 4 256

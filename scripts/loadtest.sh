@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # psaflowd load test: boots the daemon, warms the shared run cache with one
 # job, then drives N identical concurrent jobs through the HTTP API — each
-# watched by a fleet of live event-stream subscribers — and records
-# throughput / queue wait / run-cache sharing / time-to-first-event as
-# BENCH_<date>_service.json (same trajectory-file convention as bench.sh).
+# watched by a fleet of live event-stream subscribers — and prints
+# throughput / queue wait / run-cache sharing / time-to-first-event as one
+# JSON summary. It is a gate, not a measurement to compare across commits:
+# performance claims are made with `go run -C benchmark .` (BENCHMARK.json).
 #
 # Usage: scripts/loadtest.sh [jobs] [watchers]   (defaults 32, 256)
 #        scripts/loadtest.sh -cluster [jobs]     (default 36)
 #
-# Env:   LOADTEST_OUT overrides the output path (CI points it at a tmpfile);
+# Env:   LOADTEST_OUT keeps the JSON summary at that path (by default it is
+#        printed and discarded with the run's temp directory);
 #        LOADTEST_TTFE_MS overrides the time-to-first-event p95 budget
 #        (default 100ms — watcher attach competes with flow compute, so
 #        large job counts on small machines may need more headroom).
@@ -16,13 +18,13 @@
 # -cluster boots a 3-node psaflowd cluster (one worker per node, so worker
 # capacity — the unit a node adds — is the measured resource) plus an
 # identically configured single node, drives the same tenant-spread
-# workload through both, and records the pair as BENCH_<date>_cluster.json:
+# workload through both, and reports the pair as one JSON summary:
 # per-node job placement, aggregate and single-node throughput, the
 # aggregate/single speedup, and the cluster cache counters (cross-node
 # hit %, fills, forwards) that prove each unique program+workload was
 # profiled once for the whole cluster.
 # Env: LOADTEST_MIN_SPEEDUP fails the run if aggregate/single falls below
-# it (the committed snapshot uses 2.0); default 0 = record only.
+# it; default 0 = report only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,12 +39,10 @@ watchers="${2:-256}"
 stamp="$(date +%Y-%m-%d)"
 if [ "$mode" = "cluster" ]; then
     jobs="${1:-36}"
-    out="${LOADTEST_OUT:-BENCH_${stamp}_cluster.json}"
-else
-    out="${LOADTEST_OUT:-BENCH_${stamp}_service.json}"
 fi
 
 tmp="$(mktemp -d)"
+out="${LOADTEST_OUT:-$tmp/loadtest.json}"
 pid=""
 pids=""
 cleanup() {
@@ -123,7 +123,7 @@ if [ "$mode" = "cluster" ]; then
         echo "loadtest: cluster speedup ${speedup}x below the ${minspeed}x floor"
         exit 1
     }
-    echo "wrote $out (3-node aggregate ${speedup}x one node, $jobs jobs)"
+    echo "loadtest: 3-node aggregate ${speedup}x one node, $jobs jobs"
     cat "$out"
     exit 0
 fi
@@ -164,5 +164,5 @@ awk -v p95="$p95" -v budget="$budget" 'BEGIN { exit !(p95+0 < budget+0) }' || {
     exit 1
 }
 
-echo "wrote $out (ttfe p95 ${p95}ms across $watchers watchers)"
+echo "loadtest: ttfe p95 ${p95}ms across $watchers watchers"
 cat "$out"
