@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"psaflow/internal/interp"
@@ -18,21 +19,15 @@ import (
 // properties make that work. First, every field a consumer reads —
 // profile scalars, loop profiles, per-parameter traffic, output lines,
 // the return value — round-trips exactly (Go's encoding/json emits
-// float64 with enough digits to reparse bit-for-bit). Second, buffer
-// *identity* is preserved structurally: Profile.Bindings records which
-// runtime Buffer each pointer parameter was bound to per watched call,
-// and the dynamic alias analysis compares those pointers. The codec
-// interns each distinct Buffer to an index, ships (name, kind, len)
-// once, and rebuilds one Buffer per index on decode — so two parameters
-// bound to the same buffer decode to the same pointer, and AliasPairs
-// sees exactly the aliasing the original run observed. Buffer contents
-// are deliberately not shipped: no binding consumer reads them (only
-// Len and element size), and they dominate the payload.
-//
-// Binding maps repeat heavily (one per watched call, usually all equal),
-// so distinct maps are deduplicated with a repeat count; first-occurrence
-// order is preserved, which keeps "first binding mentioning the
-// parameter" lookups and the set of observed alias pairs intact.
+// float64 with enough digits to reparse bit-for-bit). Second, a profile
+// already holds its bindings in wire form: interp records each bound
+// buffer once as a shape (name, kind, len) and each distinct binding as
+// parameter → shape index with a repeat count, in first-occurrence
+// order, so two parameters bound to one buffer carry one index and
+// AliasPairs sees exactly the aliasing the run observed. The codec
+// copies those fields and, on decode, range-checks them; nothing is
+// allocated from a length on the wire. Decode(Encode(r)) is
+// reflect.DeepEqual to r.
 
 // wireValue carries Result.Ret. Buffer returns are not encodable (see
 // EncodeResult); Buf stays nil on decode.
@@ -62,15 +57,14 @@ type wireTraffic struct {
 	ElemWrites int64  `json:"elem_writes"`
 }
 
-// wireBuf is one interned buffer: identity and shape, not contents.
+// wireBuf is one interp.BufShape.
 type wireBuf struct {
 	Name string `json:"name"`
 	Kind int    `json:"kind"`
 	Len  int    `json:"len"`
 }
 
-// wireBinding is one distinct binding map (param → interned buffer
-// index) plus how many consecutive-or-not watched calls used it.
+// wireBinding is one interp.Binding.
 type wireBinding struct {
 	Params map[string]int `json:"params"`
 	Count  int            `json:"count"`
@@ -179,47 +173,11 @@ func encodeProfile(p *interp.Profile) (*wireProfile, error) {
 	}
 	sort.Slice(wp.Traffic, func(i, j int) bool { return wp.Traffic[i].Param < wp.Traffic[j].Param })
 
-	// Intern buffers in first-appearance order (params sorted within a
-	// binding so the numbering is deterministic), then dedupe binding maps
-	// preserving first-occurrence order.
-	bufIdx := map[*interp.Buffer]int{}
-	type bindingAccum struct {
-		w     wireBinding
-		canon string
+	for _, b := range p.Bufs {
+		wp.Bufs = append(wp.Bufs, wireBuf{Name: b.Name, Kind: int(b.Kind), Len: b.Len})
 	}
-	var accums []*bindingAccum
-	byCanon := map[string]*bindingAccum{}
-	for _, binding := range p.Bindings {
-		params := make([]string, 0, len(binding))
-		for param := range binding {
-			params = append(params, param)
-		}
-		sort.Strings(params)
-		m := make(map[string]int, len(binding))
-		for _, param := range params {
-			buf := binding[param]
-			if buf == nil {
-				continue
-			}
-			idx, ok := bufIdx[buf]
-			if !ok {
-				idx = len(wp.Bufs)
-				bufIdx[buf] = idx
-				wp.Bufs = append(wp.Bufs, wireBuf{Name: buf.Name, Kind: int(buf.Kind), Len: buf.Len()})
-			}
-			m[param] = idx
-		}
-		canon := fmt.Sprint(m) // map print sorts keys: a canonical identity
-		if acc := byCanon[canon]; acc != nil {
-			acc.w.Count++
-			continue
-		}
-		acc := &bindingAccum{w: wireBinding{Params: m, Count: 1}, canon: canon}
-		byCanon[canon] = acc
-		accums = append(accums, acc)
-	}
-	for _, acc := range accums {
-		wp.Bindings = append(wp.Bindings, acc.w)
+	for _, b := range p.Bindings {
+		wp.Bindings = append(wp.Bindings, wireBinding{Params: b.Params, Count: b.Count})
 	}
 	return wp, nil
 }
@@ -282,36 +240,24 @@ func decodeProfile(wp *wireProfile) (*interp.Profile, error) {
 			ElemReads: wt.ElemReads, ElemWrites: wt.ElemWrites,
 		}
 	}
-	// One Buffer per interned entry: bindings referencing the same index
-	// share the pointer, reproducing the original aliasing structure.
-	// Contents are zeroed at the recorded length — binding consumers read
-	// only shape (Len, element size), never data.
-	bufs := make([]*interp.Buffer, len(wp.Bufs))
-	for i, wb := range wp.Bufs {
-		kind := minic.BasicKind(wb.Kind)
-		if wb.Len < 0 {
-			return nil, fmt.Errorf("cluster: negative buffer length on the wire")
+	for _, wb := range wp.Bufs {
+		// A length whose byte size overflows would corrupt the footprint
+		// arithmetic downstream; no run can have produced it.
+		if wb.Len < 0 || int64(wb.Len) > math.MaxInt64/8 {
+			return nil, fmt.Errorf("cluster: implausible buffer length %d on the wire", wb.Len)
 		}
-		if kind == minic.Int {
-			bufs[i] = interp.NewIntBuffer(wb.Name, make([]int64, wb.Len))
-		} else {
-			bufs[i] = interp.NewFloatBuffer(wb.Name, kind, make([]float64, wb.Len))
-		}
+		p.Bufs = append(p.Bufs, interp.BufShape{Name: wb.Name, Kind: minic.BasicKind(wb.Kind), Len: wb.Len})
 	}
 	for _, wb := range wp.Bindings {
 		if wb.Count <= 0 || wb.Count > 1<<20 {
 			return nil, fmt.Errorf("cluster: implausible binding repeat count %d", wb.Count)
 		}
-		binding := make(map[string]*interp.Buffer, len(wb.Params))
-		for param, idx := range wb.Params {
-			if idx < 0 || idx >= len(bufs) {
+		for _, idx := range wb.Params {
+			if idx < 0 || idx >= len(p.Bufs) {
 				return nil, fmt.Errorf("cluster: binding references unknown buffer %d", idx)
 			}
-			binding[param] = bufs[idx]
 		}
-		for i := 0; i < wb.Count; i++ {
-			p.Bindings = append(p.Bindings, binding)
-		}
+		p.Bindings = append(p.Bindings, interp.Binding{Params: wb.Params, Count: wb.Count})
 	}
 	return p, nil
 }

@@ -3,19 +3,21 @@ package cluster
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"psaflow/internal/bench"
+	"psaflow/internal/core"
 	"psaflow/internal/interp"
 	"psaflow/internal/minic"
+	"psaflow/internal/tasks"
 )
 
 // sampleResult builds a result exercising every wire feature: loops,
 // traffic, shared and distinct buffer bindings, output, an exact
 // awkward float.
 func sampleResult() *interp.Result {
-	pos := interp.NewFloatBuffer("pos", minic.Double, make([]float64, 128))
-	vel := interp.NewFloatBuffer("vel", minic.Double, make([]float64, 128))
-	idx := interp.NewIntBuffer("idx", make([]int64, 16))
 	prof := &interp.Profile{
 		Cycles:     12345.6789012345,
 		Flops:      1 << 40,
@@ -37,10 +39,14 @@ func sampleResult() *interp.Result {
 			"pos": {Param: "pos", BytesIn: 1024, BytesOut: 1024, ElemReads: 128, ElemWrites: 128},
 			"vel": {Param: "vel", BytesIn: 1024, BytesOut: 0, ElemReads: 128},
 		},
-		Bindings: []map[string]*interp.Buffer{
-			{"a": pos, "b": vel, "c": idx},
-			{"a": pos, "b": vel, "c": idx}, // duplicate of the first
-			{"a": pos, "b": pos, "c": idx}, // a and b alias here
+		Bufs: []interp.BufShape{
+			{Name: "pos", Kind: minic.Double, Len: 128},
+			{Name: "vel", Kind: minic.Double, Len: 128},
+			{Name: "idx", Kind: minic.Int, Len: 16},
+		},
+		Bindings: []interp.Binding{
+			{Params: map[string]int{"a": 0, "b": 1, "c": 2}, Count: 2},
+			{Params: map[string]int{"a": 0, "b": 0, "c": 2}, Count: 1}, // a and b alias here
 		},
 	}
 	return &interp.Result{
@@ -51,77 +57,95 @@ func sampleResult() *interp.Result {
 	}
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	res := sampleResult()
+// roundTrip encodes and decodes res and requires the copy to be exact.
+func roundTrip(t *testing.T, label string, res *interp.Result) {
+	t.Helper()
 	payload, sum, err := EncodeResult(res)
 	if err != nil {
-		t.Fatalf("encode: %v", err)
+		t.Fatalf("%s: encode: %v", label, err)
 	}
 	got, err := DecodeResult(payload, sum)
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatalf("%s: decode: %v", label, err)
 	}
-	if got.Ret.K != res.Ret.K || got.Ret.F != res.Ret.F {
-		t.Errorf("Ret: got %+v want %+v", got.Ret, res.Ret)
+	if !reflect.DeepEqual(got, res) {
+		t.Errorf("%s: result changed on the wire:\ngot  %+v\n     %+v\nwant %+v\n     %+v", label, got, got.Prof, res, res.Prof)
 	}
-	if got.Steps != res.Steps {
-		t.Errorf("Steps: got %d want %d", got.Steps, res.Steps)
+}
+
+func TestWireRoundTrip(t *testing.T) {
+	res := sampleResult()
+	roundTrip(t, "sample", res)
+	// AliasPairs — the consumer of binding identity — reads the indices.
+	if got := res.Prof.AliasPairs(); !reflect.DeepEqual(got, [][2]string{{"a", "b"}}) {
+		t.Errorf("AliasPairs: got %v want [[a b]]", got)
 	}
-	if len(got.Output) != 2 || got.Output[0] != "line one" {
-		t.Errorf("Output: got %v", got.Output)
-	}
-	gp, rp := got.Prof, res.Prof
-	if gp.Cycles != rp.Cycles || gp.Flops != rp.Flops || gp.WatchCycles != rp.WatchCycles {
-		t.Errorf("profile scalars differ: got %+v", gp)
-	}
-	if len(gp.Loops) != 2 {
-		t.Fatalf("loops: got %d want 2", len(gp.Loops))
-	}
-	for id, lp := range rp.Loops {
-		g := gp.Loops[id]
-		if g == nil || *g != *lp {
-			t.Errorf("loop %d: got %+v want %+v", id, g, lp)
-		}
-	}
-	for param, tr := range rp.ParamTraffic {
-		g := gp.ParamTraffic[param]
-		if g == nil || *g != *tr {
-			t.Errorf("traffic %s: got %+v want %+v", param, g, tr)
-		}
-	}
-	if len(gp.Bindings) != 3 {
-		t.Fatalf("bindings: got %d want 3", len(gp.Bindings))
-	}
-	// Identity structure: a/b distinct in binding 0, aliased in the
-	// third distinct map; idx shared across all bindings.
-	if gp.Bindings[0]["a"] == gp.Bindings[0]["b"] {
-		t.Error("binding 0: a and b alias after decode, should not")
-	}
-	if gp.Bindings[2]["a"] != gp.Bindings[2]["b"] {
-		t.Error("binding 2: a and b should alias after decode")
-	}
-	if gp.Bindings[0]["c"] != gp.Bindings[2]["c"] {
-		t.Error("c should be the same buffer in every binding")
-	}
-	if gp.Bindings[0]["a"] != gp.Bindings[1]["a"] {
-		t.Error("deduplicated bindings should share buffers")
-	}
-	// Shape: lengths and element sizes drive footprint math downstream.
-	if gp.Bindings[0]["a"].Len() != 128 || gp.Bindings[0]["a"].ElemBytes() != rp.Bindings[0]["a"].ElemBytes() {
-		t.Errorf("buffer shape lost: len=%d", gp.Bindings[0]["a"].Len())
-	}
-	if gp.Bindings[0]["c"].Len() != 16 {
-		t.Errorf("int buffer shape lost: len=%d", gp.Bindings[0]["c"].Len())
-	}
-	// AliasPairs — the actual consumer of binding identity — must agree.
-	if want, got := rp.AliasPairs(), gp.AliasPairs(); len(want) != len(got) {
-		t.Errorf("AliasPairs: got %v want %v", got, want)
-	} else {
-		for i := range want {
-			if want[i] != got[i] {
-				t.Errorf("AliasPairs[%d]: got %v want %v", i, got[i], want[i])
+}
+
+// fillRecorder is a core.RunPeer that never has a result and keeps every
+// one published to it: exactly what a node would put on the wire.
+type fillRecorder struct {
+	fills map[core.RunKey]*interp.Result
+}
+
+func (f *fillRecorder) FetchRun(core.RunKey) (*interp.Result, bool) { return nil, false }
+func (f *fillRecorder) FillRun(key core.RunKey, res *interp.Result) { f.fills[key] = res }
+
+// TestWireRoundTripBundledApps sends the hotspot run and the
+// kernel-watched run of every bundled application over the wire: a
+// profile holds nothing the codec drops, so the copy is exact.
+func TestWireRoundTripBundledApps(t *testing.T) {
+	for _, b := range bench.All() {
+		peer := &fillRecorder{fills: map[core.RunKey]*interp.Result{}}
+		runs := core.NewRunCache()
+		runs.SetPeer(peer)
+		ctx := &core.Context{Workload: bench.Workload{B: b}, Runs: runs}
+		d := core.NewDesign(b.Name, b.Parse())
+		for _, task := range []core.Task{tasks.IdentifyHotspots, tasks.ExtractHotspot, tasks.PointerAnalysis} {
+			if err := task.Run(ctx, d); err != nil {
+				t.Fatalf("%s: %s: %v", b.Name, task.Name(), err)
 			}
 		}
+		kernelWatched := false
+		for key, res := range peer.fills {
+			roundTrip(t, b.Name+" watch="+key.Watch, res)
+			if key.Watch == d.Kernel {
+				kernelWatched = true
+				if len(res.Prof.Bindings) == 0 || len(res.Prof.Bufs) == 0 {
+					t.Errorf("%s: kernel-watched run recorded no bindings", b.Name)
+				}
+			}
+		}
+		if !kernelWatched {
+			t.Errorf("%s: no kernel-watched run was published (fills: %d)", b.Name, len(peer.fills))
+		}
+	}
+}
+
+// parentPayload is EncodeResult(sampleResult()) as the commit before
+// profiles recorded shapes produced it (it interned buffers and
+// de-duplicated bindings in the codec). The JSON did not change: what
+// that version encodes decodes here, and what this one encodes is the
+// same bytes, so it decodes there.
+const (
+	parentPayload = `{"ret":{"k":4,"f":0.30000000000000004},"steps":987654321,"output":["line one","line two"],"prof":{"cycles":12345.6789012345,"flops":1099511627776,"int_ops":7,"load_bytes":4096,"store_bytes":512,"loops":[{"id":3,"line":10,"col":2,"func":"main","depth":1,"entries":5,"trips":500,"cycles":0.3},{"id":7,"line":20,"col":4,"func":"kern","depth":2,"entries":500,"trips":64000,"cycles":1.0000000000000002}],"watch_func":"kern","watch_calls":5,"watch_cycles":9999.25,"watch_flops":123,"watch_load_bytes":456,"watch_store_bytes":789,"watch_special_flops":11,"traffic":[{"param":"pos","bytes_in":1024,"bytes_out":1024,"elem_reads":128,"elem_writes":128},{"param":"vel","bytes_in":1024,"bytes_out":0,"elem_reads":128,"elem_writes":0}],"bufs":[{"name":"pos","kind":4,"len":128},{"name":"vel","kind":4,"len":128},{"name":"idx","kind":2,"len":16}],"bindings":[{"params":{"a":0,"b":1,"c":2},"count":2},{"params":{"a":0,"b":0,"c":2},"count":1}]}}`
+	parentSum     = "56ad942dc98db51236443858bedd0d776c38799ebc0c0a419fdd3cdab79d2c62"
+)
+
+func TestWireParentFixture(t *testing.T) {
+	got, err := DecodeResult([]byte(parentPayload), parentSum)
+	if err != nil {
+		t.Fatalf("decode parent payload: %v", err)
+	}
+	if want := sampleResult(); !reflect.DeepEqual(got, want) {
+		t.Errorf("parent payload decodes to\n%+v %+v\nwant\n%+v %+v", got, got.Prof, want, want.Prof)
+	}
+	payload, sum, err := EncodeResult(sampleResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(payload) != parentPayload || sum != parentSum {
+		t.Errorf("encoding changed:\ngot  %s\nwant %s", payload, parentPayload)
 	}
 }
 
@@ -164,6 +188,45 @@ func TestWireRejects(t *testing.T) {
 	tampered := bytes.Replace(payload, []byte("line one"), []byte("line 0ne"), 1)
 	if _, err := DecodeResult(tampered, sum); err == nil {
 		t.Error("tampered payload not rejected")
+	}
+
+	// Well-formed JSON with a correct checksum whose binding section no
+	// run could have produced. The two huge lengths used to reach
+	// make([]float64, len): one panicked in makeslice, the other ended the
+	// process out of memory — from a 200-byte peer fill.
+	hostile := []struct {
+		name, prof string
+		accepted   int64 // length of the one shape, when the payload is not rejected
+	}{
+		{"negative length", `"bufs":[{"name":"x","kind":4,"len":-1}]`, 0},
+		{"length past makeslice", `"bufs":[{"name":"x","kind":4,"len":4611686018427387904}]`, 0},
+		{"length past memory", `"bufs":[{"name":"x","kind":4,"len":30000000000}],"bindings":[{"params":{"a":0},"count":1}]`, 30000000000},
+		{"index past bufs", `"bufs":[{"name":"x","kind":4,"len":8}],"bindings":[{"params":{"a":1},"count":1}]`, 0},
+		{"negative index", `"bufs":[{"name":"x","kind":4,"len":8}],"bindings":[{"params":{"a":-1},"count":1}]`, 0},
+		{"zero repeat count", `"bufs":[{"name":"x","kind":4,"len":8}],"bindings":[{"params":{"a":0},"count":0}]`, 0},
+		{"huge repeat count", `"bufs":[{"name":"x","kind":4,"len":8}],"bindings":[{"params":{"a":0},"count":1048577}]`, 0},
+	}
+	for _, h := range hostile {
+		payload := []byte(`{"ret":{"k":0},"steps":1,"prof":{"cycles":1,"flops":0,"int_ops":0,"load_bytes":0,"store_bytes":0,` + h.prof + `}}`)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := DecodeResult(payload, Checksum(payload))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: decoding allocated %d bytes", h.name, grew)
+		}
+		switch {
+		case h.accepted == 0:
+			if err == nil {
+				t.Errorf("%s: not rejected", h.name)
+			}
+		case err != nil:
+			t.Errorf("%s: %v, want it decoded as a shape", h.name, err)
+		default:
+			if buf, ok := res.Prof.BoundBuf("a"); !ok || int64(buf.Len) != h.accepted {
+				t.Errorf("%s: bound shape %+v %t, want length %d", h.name, buf, ok, h.accepted)
+			}
+		}
 	}
 }
 

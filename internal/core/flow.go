@@ -74,12 +74,13 @@ type Context struct {
 	// memoization; every dynamic task then re-executes the program. The
 	// cache is race-safe and shared as-is by parallel branch paths.
 	Runs *RunCache
-	// Progs caches lowered bytecode programs across the flow's profiled
-	// runs, keyed by program fingerprint: repeat executions of an
-	// unchanged program skip lowering and inherit quickened instruction
-	// state from earlier runs (see interp.ProgramCache). Nil disables the
-	// cache; each run then lowers afresh. Race-safe, shared as-is by
-	// parallel branch paths, and shareable across whole job batches.
+	// Progs caches lowered bytecode programs keyed by program fingerprint
+	// (see interp.ProgramCache). It is consulted only when Runs is nil:
+	// the dynamic analyses then re-execute an unchanged program and each
+	// repeat skips lowering and inherits the quickened instruction state.
+	// With a run cache no program runs twice, so nothing is pooled and a
+	// lowered image is collected with its run. Nil lowers afresh per run.
+	// Race-safe and shared as-is by parallel branch paths.
 	Progs *interp.ProgramCache
 	// Faults injects deterministic synthetic failures at the instrumented
 	// tool call sites (partial compiles, profiled runs, device claims —

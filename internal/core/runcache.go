@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -30,6 +31,10 @@ type RunKey struct {
 	// normalizes it (the empty string means the entry).
 	Watch string
 }
+
+// errRunPanicked is what a caller gets whose Do was waiting on another
+// caller's run of the same key when that run panicked.
+var errRunPanicked = errors.New("core: profiled run panicked in a concurrent caller")
 
 type runEntry struct {
 	once sync.Once
@@ -107,6 +112,16 @@ func (c *RunCache) Do(key RunKey, run func() (*interp.Result, error)) (res *inte
 	c.mu.Unlock()
 	executed, fromPeer := false, false
 	e.once.Do(func() {
+		// A run that panics spends the Once with nothing in the entry.
+		// Drop the entry before the panic propagates, so the next caller
+		// of the key runs again, and leave an error for callers already
+		// waiting on this Once, or both would be handed (nil, nil) as a hit.
+		defer func() {
+			if !executed && !fromPeer {
+				e.err = errRunPanicked
+				c.Forget(key)
+			}
+		}()
 		// Local miss: ask the cluster before computing. The peer call is
 		// inside the singleflight on purpose — concurrent local callers
 		// collapse to one fetch, exactly as they collapse to one run.

@@ -166,6 +166,92 @@ func assertSameOutcome(t *testing.T, label string, bcRes *interp.Result, bcErr e
 	}
 }
 
+// TestWatchBindings pins what a profile keeps of the watched calls'
+// arguments: one shape per distinct buffer in first-appearance order, one
+// binding per distinct parameter→buffer assignment in first-occurrence
+// order with its repeat count, and no *Buffer — on both engines.
+func TestWatchBindings(t *testing.T) {
+	const kernel = `
+void k(int n, double *a, double *b, int *c) {
+    a[0] = b[0] + (double)c[0];
+}
+`
+	x := interp.BufShape{Name: "x", Kind: minic.Double, Len: 4}
+	y := interp.BufShape{Name: "y", Kind: minic.Double, Len: 6}
+	idx := interp.BufShape{Name: "idx", Kind: minic.Int, Len: 2}
+	cases := []struct {
+		name, app string
+		bufs      []interp.BufShape
+		bindings  []interp.Binding
+		aliases   [][2]string
+	}{
+		{
+			name: "same arguments a thousand times",
+			app:  `for (int i = 0; i < 1000; i++) { k(n, x, y, idx); }`,
+			bufs: []interp.BufShape{x, y, idx},
+			bindings: []interp.Binding{
+				{Params: map[string]int{"a": 0, "b": 1, "c": 2}, Count: 1000},
+			},
+		},
+		{
+			name: "two argument sets alternating",
+			app:  `for (int i = 0; i < 3; i++) { k(n, y, x, idx); k(n, x, y, idx); }`,
+			bufs: []interp.BufShape{y, x, idx},
+			bindings: []interp.Binding{
+				{Params: map[string]int{"a": 0, "b": 1, "c": 2}, Count: 3},
+				{Params: map[string]int{"a": 1, "b": 0, "c": 2}, Count: 3},
+			},
+		},
+		{
+			name: "two parameters on one buffer",
+			app:  `k(n, x, y, idx); k(n, x, x, idx);`,
+			bufs: []interp.BufShape{x, y, idx},
+			bindings: []interp.Binding{
+				{Params: map[string]int{"a": 0, "b": 1, "c": 2}, Count: 1},
+				{Params: map[string]int{"a": 0, "b": 0, "c": 2}, Count: 1},
+			},
+			aliases: [][2]string{{"a", "b"}},
+		},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			prog := minic.MustParse(kernel + "void app(int n, double *x, double *y, int *idx) { " + c.app + " }")
+			mkArgs := func() []interp.Value {
+				return []interp.Value{
+					interp.IntVal(4),
+					interp.BufVal(interp.NewFloatBuffer("x", minic.Double, make([]float64, 4))),
+					interp.BufVal(interp.NewFloatBuffer("y", minic.Double, make([]float64, 6))),
+					interp.BufVal(interp.NewIntBuffer("idx", make([]int64, 2))),
+				}
+			}
+			bcArgs, twArgs := mkArgs(), mkArgs()
+			bc, bcErr := interp.Run(prog, interp.Config{Entry: "app", Args: bcArgs, Watch: "k"})
+			tw, twErr := interp.Run(prog, interp.Config{Entry: "app", Args: twArgs, Watch: "k", TreeWalk: true})
+			assertSameOutcome(t, c.name, bc, bcErr, bcArgs, tw, twErr, twArgs)
+			if bcErr != nil {
+				t.Fatalf("run: %v", bcErr)
+			}
+			p := bc.Prof
+			if !reflect.DeepEqual(p.Bufs, c.bufs) {
+				t.Errorf("Bufs = %+v, want %+v", p.Bufs, c.bufs)
+			}
+			if !reflect.DeepEqual(p.Bindings, c.bindings) {
+				t.Errorf("Bindings = %+v, want %+v", p.Bindings, c.bindings)
+			}
+			if got := p.AliasPairs(); !reflect.DeepEqual(got, c.aliases) {
+				t.Errorf("AliasPairs = %v, want %v", got, c.aliases)
+			}
+			if buf, ok := p.BoundBuf("b"); !ok || buf != c.bufs[c.bindings[0].Params["b"]] {
+				t.Errorf("BoundBuf(b) = %+v %t, want the first binding's", buf, ok)
+			}
+			if _, ok := p.BoundBuf("n"); ok {
+				t.Error("BoundBuf(n): a scalar parameter has no buffer")
+			}
+		})
+	}
+}
+
 // fuzzArgs synthesizes deterministic arguments for fn: small buffers for
 // pointer parameters, a matching small length for scalars. Returns false
 // for signatures the corpus never uses (e.g. bool pointers).

@@ -69,8 +69,8 @@ func assertResultsEqual(t *testing.T, name string, compiled, walked *interp.Resu
 	if !reflect.DeepEqual(cp.ParamTraffic, wp.ParamTraffic) {
 		t.Errorf("%s: param traffic differs:\ncompiled: %v\nwalked:   %v", name, cp.ParamTraffic, wp.ParamTraffic)
 	}
-	if len(cp.Bindings) != len(wp.Bindings) {
-		t.Errorf("%s: bindings count compiled=%d walked=%d", name, len(cp.Bindings), len(wp.Bindings))
+	if !reflect.DeepEqual(cp.Bufs, wp.Bufs) || !reflect.DeepEqual(cp.Bindings, wp.Bindings) {
+		t.Errorf("%s: bindings differ:\ncompiled: %v %v\nwalked:   %v %v", name, cp.Bufs, cp.Bindings, wp.Bufs, wp.Bindings)
 	}
 	if !reflect.DeepEqual(cp.AliasPairs(), wp.AliasPairs()) {
 		t.Errorf("%s: alias pairs compiled=%v walked=%v", name, cp.AliasPairs(), wp.AliasPairs())

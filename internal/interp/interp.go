@@ -90,7 +90,8 @@ type Config struct {
 	// Progs, when non-nil, caches lowered bytecode programs keyed by
 	// Fingerprint so repeat Runs of the same program skip lowering and
 	// inherit quickened instruction state from earlier runs. Requires a
-	// nonzero Fingerprint; ignored under TreeWalk.
+	// nonzero Fingerprint; ignored under TreeWalk. Pass it only where a
+	// program can run again: the image stays pooled for the cache's life.
 	Progs *ProgramCache
 	// Fingerprint identifies the program for Progs (minic.Fingerprint).
 	Fingerprint uint64
@@ -148,6 +149,10 @@ type machine struct {
 	// traffic accumulator between map swaps (machine.trafficOf).
 	paramOf    map[*Buffer]string
 	watchEpoch uint64
+	// Binding index of enterWatch: the hash of the first recorded binding
+	// and, once there is a second, hash → index for the rest.
+	firstBinding  uint64
+	laterBindings map[uint64]int
 	// Outermost-watch baselines: exitWatch folds the run-total deltas
 	// accumulated since the matching enterWatch into the Watch* profile
 	// counters, so charge/chargeFlop/loadElem/storeElem stay branch-free.

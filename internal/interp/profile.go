@@ -82,9 +82,32 @@ type Profile struct {
 	// (transcendental) builtins in the watched function.
 	WatchSpecialFlops int64
 	ParamTraffic      map[string]*Traffic // per pointer-parameter traffic
-	// Bindings records, per watched call, which Buffer each pointer
-	// parameter was bound to (for dynamic alias analysis).
-	Bindings []map[string]*Buffer
+	// Bufs lists the shape of every buffer a watched call bound to a
+	// pointer parameter, interned once per run in first-appearance order.
+	// The profile keeps shapes, not the buffers: no consumer reads
+	// contents, and a memoized result must not pin the run's arrays.
+	Bufs []BufShape
+	// Bindings records the distinct parameter→buffer assignments of the
+	// watched calls in first-occurrence order (for dynamic alias analysis
+	// and footprint sizing).
+	Bindings []Binding
+}
+
+// BufShape is what a profile remembers of a bound buffer.
+type BufShape struct {
+	Name string
+	Kind minic.BasicKind
+	Len  int // element count
+}
+
+// ElemBytes returns the byte size of one element.
+func (s BufShape) ElemBytes() int64 { return elemBytes(s.Kind) }
+
+// Binding is one distinct assignment of buffers to the watched
+// function's pointer parameters.
+type Binding struct {
+	Params map[string]int // parameter name → index into Profile.Bufs
+	Count  int            // watched calls that bound exactly this
 }
 
 func newProfile(watch string) *Profile {
@@ -154,14 +177,14 @@ func (p *Profile) AliasPairs() [][2]string {
 	seen := make(map[[2]string]bool)
 	var out [][2]string
 	for _, binding := range p.Bindings {
-		names := make([]string, 0, len(binding))
-		for name := range binding {
+		names := make([]string, 0, len(binding.Params))
+		for name := range binding.Params {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for i := 0; i < len(names); i++ {
 			for j := i + 1; j < len(names); j++ {
-				if binding[names[i]] == binding[names[j]] {
+				if binding.Params[names[i]] == binding.Params[names[j]] {
 					key := [2]string{names[i], names[j]}
 					if !seen[key] {
 						seen[key] = true
@@ -172,6 +195,17 @@ func (p *Profile) AliasPairs() [][2]string {
 		}
 	}
 	return out
+}
+
+// BoundBuf returns the shape of the buffer param was bound to in the
+// first binding that mentions it.
+func (p *Profile) BoundBuf(param string) (BufShape, bool) {
+	for _, binding := range p.Bindings {
+		if i, ok := binding.Params[param]; ok {
+			return p.Bufs[i], true
+		}
+	}
+	return BufShape{}, false
 }
 
 // ArithmeticIntensity returns executed FLOPs per byte of memory traffic

@@ -7,10 +7,14 @@ import (
 )
 
 // ProgramCache shares lowered bytecode programs across Runs, keyed by
-// minic.Fingerprint. It exists for the workloads a run cache cannot
-// absorb: the same program executed against many different inputs (DSE
-// candidate sweeps, batched daemon jobs), where every Run used to pay a
-// full lowering and started from cold generic opcodes.
+// minic.Fingerprint. It serves a caller that executes one program more
+// than once — a flow without a profiled-run cache, whose dynamic analyses
+// each re-run the unchanged program, or a harness timing repeat runs —
+// so the repeats skip lowering and start from quickened opcodes. Where
+// results are memoized by fingerprint (core.RunCache) a program never
+// runs twice, a pooled image could never be leased again, and the flow
+// passes no cache: pooling there only pins the image, about 160 KB a
+// program, and through it the AST it was lowered from.
 //
 // Each fingerprint owns a pool of lowered programs handed out under an
 // exclusive lease — exclusivity is what makes in-place quickening safe:

@@ -70,6 +70,12 @@ type Buffer struct {
 	// globally unique, so stale entries from earlier runs never collide.
 	traf      *Traffic
 	trafEpoch uint64
+	// shape is this buffer's index in shapeIn.Bufs, set when a watched
+	// call of the run that owns shapeIn first binds it (see
+	// machine.internShape). Like traf it assumes what Context.Parallel
+	// requires: no two concurrent runs share a buffer.
+	shape   int
+	shapeIn *Profile
 }
 
 // NewFloatBuffer allocates a float/double buffer with the given contents.
@@ -91,8 +97,10 @@ func (b *Buffer) Len() int {
 }
 
 // ElemBytes returns the byte size of one element.
-func (b *Buffer) ElemBytes() int64 {
-	switch b.Kind {
+func (b *Buffer) ElemBytes() int64 { return elemBytes(b.Kind) }
+
+func elemBytes(kind minic.BasicKind) int64 {
+	switch kind {
 	case minic.Float:
 		return 4
 	case minic.Int:

@@ -17,7 +17,6 @@ import (
 	"psaflow/internal/experiments"
 	"psaflow/internal/faults"
 	"psaflow/internal/flowlang"
-	"psaflow/internal/interp"
 	"psaflow/internal/store"
 	"psaflow/internal/telemetry"
 )
@@ -100,9 +99,8 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	rec   *telemetry.Recorder  // process-wide service recorder (/metrics)
-	runs  *core.RunCache       // process-wide profiled-run cache
-	progs *interp.ProgramCache // process-wide lowered-bytecode cache
+	rec  *telemetry.Recorder // process-wide service recorder (/metrics)
+	runs *core.RunCache      // process-wide profiled-run cache
 
 	// ioFaults injects transient failures into persistence writes when
 	// Config.Faults includes the io kind (nil otherwise). Long-lived on
@@ -171,7 +169,6 @@ func New(cfg Config) *Server {
 		cfg:          cfg,
 		rec:          telemetry.New(),
 		runs:         core.NewRunCache(),
-		progs:        interp.NewProgramCache(),
 		jobs:         make(map[string]*Job),
 		pendingBatch: make(map[string][]*Job),
 		queue:        newJobQueue(cfg.QueueSize, quotas),
@@ -245,10 +242,6 @@ func New(cfg Config) *Server {
 				env.Cost = experiments.DefaultCost
 			}
 		}
-		// Every job shares the process-wide program cache: identical
-		// programs submitted across jobs lower once and keep accumulating
-		// quickened instruction state.
-		env.Progs = s.progs
 		return experiments.RunBenchmarkEnv(ctx, job.bench, job.prog, opts, env, nil, rec, s.runs)
 	}
 	s.mux = http.NewServeMux()
@@ -820,7 +813,6 @@ type serviceMetrics struct {
 	RunCacheHits  int64          `json:"runcache_hits"`
 	RunCacheMiss  int64          `json:"runcache_misses"`
 	RunCacheSize  int            `json:"runcache_entries"`
-	ProgCacheSize int            `json:"progcache_entries"`
 	BatchGroups   int64          `json:"batch_groups"`
 	BatchJobs     int64          `json:"batch_jobs"`
 	QueueWaitMSav float64        `json:"queue_wait_ms_avg"`
@@ -905,7 +897,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			RunCacheHits:    hits,
 			RunCacheMiss:    misses,
 			RunCacheSize:    s.runs.Len(),
-			ProgCacheSize:   s.progs.Len(),
 			BatchGroups:     rep.Counters[telemetry.CounterBatchGroups],
 			BatchJobs:       rep.Counters[telemetry.CounterBatchJobs],
 			QueueWaitMSav:   waitAvg,

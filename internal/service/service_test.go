@@ -163,9 +163,13 @@ func TestJobLifecycle(t *testing.T) {
 		t.Error("result has no telemetry")
 	}
 
-	if e, ok := s.store.Get(st.ID); !ok || e.Phase != store.PhaseTerminal {
-		t.Fatalf("result not in the durable store: entry %+v ok=%v", e, ok)
-	}
+	// The terminal state is visible (and the result served from the
+	// registry) a moment before the worker's append of the terminal record
+	// returns, so the store is waited for, not read once.
+	waitCond(t, "the terminal record in the durable store", func() bool {
+		e, ok := s.store.Get(st.ID)
+		return ok && e.Phase == store.PhaseTerminal
+	})
 
 	// The /metrics store block is store.Stats plus requeued: every key an
 	// operator's dashboard reads today stays, as a JSON number, and none

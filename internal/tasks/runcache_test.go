@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"psaflow/internal/core"
+	"psaflow/internal/interp"
 	"psaflow/internal/minic"
 	"psaflow/internal/query"
 	"psaflow/internal/telemetry"
@@ -61,6 +62,42 @@ func TestRunCacheSharesRunsAcrossAnalysesEquivalence(t *testing.T) {
 	// Exactly one interpreter execution per miss: hits spawned none.
 	if got := rep.Counters[telemetry.CounterInterpRuns]; got != misses {
 		t.Errorf("interp.runs = %d, want %d (cache must prevent re-execution)", got, misses)
+	}
+}
+
+// TestProgramCacheOnlyWithoutRunCache: a lowered image is pooled only where
+// it can be leased again. Without a run cache Pointer Analysis, Data In/Out
+// and Trip-Count each re-execute the extracted program and share one image;
+// with one the program runs once, so nothing is pooled and the image (with
+// the AST it points at) is garbage when the run returns.
+func TestProgramCacheOnlyWithoutRunCache(t *testing.T) {
+	for _, withRuns := range []bool{false, true} {
+		ctx := synthCtx()
+		ctx.Progs = interp.NewProgramCache()
+		ctx.Telemetry = telemetry.New()
+		if withRuns {
+			ctx.Runs = core.NewRunCache()
+		}
+		d := core.NewDesign("synth", minic.MustParse(appSrc))
+		for _, task := range TargetIndependent() {
+			if err := task.Run(ctx, d); err != nil {
+				t.Fatalf("task %s: %v", task.Name(), err)
+			}
+		}
+		counters := ctx.Telemetry.Snapshot().Counters
+		leases, pooled := counters[interp.CounterBCProgHits], ctx.Progs.Len()
+		if withRuns {
+			if leases != 0 || pooled != 0 {
+				t.Errorf("with a run cache: %d leases, %d pooled programs, want none", leases, pooled)
+			}
+			if runs, misses := counters[telemetry.CounterInterpRuns], counters[telemetry.CounterRunCacheMisses]; runs != misses {
+				t.Errorf("with a run cache: %d runs for %d misses", runs, misses)
+			}
+		} else if leases < 2 || pooled != 2 {
+			// Two programs (before and after extraction); the kernel-watched
+			// one runs three times, so at least two of those lease.
+			t.Errorf("without a run cache: %d leases over %d pooled programs, want >= 2 over 2", leases, pooled)
+		}
 	}
 }
 

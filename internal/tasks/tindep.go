@@ -56,10 +56,15 @@ func runWorkload(ctx *core.Context, d *core.Design, watch string) (*interp.Resul
 	if ctx.Telemetry != nil {
 		counters = ctx.Telemetry
 	}
-	// One fingerprint serves both the run cache key and the bytecode
-	// program cache: repeat executions of an unchanged program reuse one
-	// lowered (and progressively quickened) bytecode image.
+	// One fingerprint keys whichever cache the flow has. A memoized result
+	// is never executed again, so with a run cache the lowered image is
+	// not pooled and goes to the collector with the run; without one the
+	// analyses re-execute the program and lease one image between them.
 	fp := minic.Fingerprint(d.Prog)
+	var progs *interp.ProgramCache
+	if ctx.Runs == nil {
+		progs = ctx.Progs
+	}
 	run := func() (*interp.Result, error) {
 		return interp.Run(d.Prog, interp.Config{
 			Entry:       ctx.Workload.Entry(),
@@ -67,7 +72,7 @@ func runWorkload(ctx *core.Context, d *core.Design, watch string) (*interp.Resul
 			Watch:       watch,
 			Counters:    counters,
 			Ctx:         ctx.Ctx,
-			Progs:       ctx.Progs,
+			Progs:       progs,
 			Fingerprint: fp,
 		})
 	}
@@ -267,10 +272,8 @@ var DataInOut = core.TaskFunc{
 // footprintBytes estimates the transferred footprint of one pointer
 // parameter: the buffer it was bound to, moved once.
 func footprintBytes(res *interp.Result, t *interp.Traffic, in bool) float64 {
-	for _, binding := range res.Prof.Bindings {
-		if buf, ok := binding[t.Param]; ok {
-			return float64(int64(buf.Len()) * buf.ElemBytes())
-		}
+	if buf, ok := res.Prof.BoundBuf(t.Param); ok {
+		return float64(int64(buf.Len) * buf.ElemBytes())
 	}
 	// Fallback: unique-access approximation.
 	if in {

@@ -191,27 +191,7 @@ func UnrollFixedLoops(prog *minic.Program, fn *minic.FuncDecl, limit int64) (int
 	const tr = "UnrollFixedLoops"
 	count := 0
 	for {
-		q := query.New(prog)
-		loops := q.LoopsIn(fn)
-		var target *minic.ForStmt
-		var trips int64
-		// Pick the deepest eligible loop first.
-		bestDepth := -1
-		for _, l := range loops {
-			fs, ok := l.(*minic.ForStmt)
-			if !ok {
-				continue
-			}
-			n, fixed := query.FixedTripCount(fs)
-			if !fixed || n > limit || n <= 0 {
-				continue
-			}
-			if d := q.LoopDepth(fs); d > bestDepth {
-				bestDepth = d
-				target = fs
-				trips = n
-			}
-		}
+		target, trips := deepestFixedLoop(fn, limit)
 		if target == nil {
 			return count, nil
 		}
@@ -246,6 +226,28 @@ func UnrollFixedLoops(prog *minic.Program, fn *minic.FuncDecl, limit int64) (int
 		minic.AssignIDs(prog)
 		count++
 	}
+}
+
+// deepestFixedLoop returns the most deeply nested for loop of fn whose
+// trip count is statically known and in [1, limit] — the first such in
+// depth-first source order — and that trip count; nil when there is none.
+// One walk that carries the nesting depth down, so no parent index.
+func deepestFixedLoop(fn *minic.FuncDecl, limit int64) (target *minic.ForStmt, trips int64) {
+	bestDepth := 0
+	var visit func(n minic.Node, depth int)
+	visit = func(n minic.Node, depth int) {
+		if query.IsLoop(n) {
+			depth++
+			if fs, ok := n.(*minic.ForStmt); ok && depth > bestDepth {
+				if t, fixed := query.FixedTripCount(fs); fixed && t > 0 && t <= limit {
+					bestDepth, target, trips = depth, fs, t
+				}
+			}
+		}
+		minic.EachChild(n, func(c minic.Node) { visit(c, depth) })
+	}
+	visit(fn, 0)
+	return target, trips
 }
 
 // RemovePlusEqDep rewrites accumulations of the form

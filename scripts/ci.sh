@@ -22,6 +22,12 @@ go test -C benchmark .
 # its result bytes and events only (the terminal transition releases the
 # rest under the job lock while readers poll).
 go test -race -count=20 -run 'TestTerminalStatusHasResult|TestClusterDeterminism|TestRetainedJobFootprint' ./internal/service/
+# Its counterpart for a program never seen before: the run cache keeps a
+# few KB of profile per program and neither the lowered image nor the
+# run's buffers. The 32 KB bound is the plain build's and holds as it is
+# under the detector (8.4 KB measured in both); two runs, not twenty,
+# because one is 60 cold flows, about two minutes under -race.
+go test -race -count=2 -run 'TestUniqueProgramFootprint' ./internal/experiments/
 # Bench smoke: one shot of every harness benchmark, so a regression that
 # breaks a figure harness (not just a unit) fails CI.
 go test -run '^$' -bench . -benchtime=1x .
