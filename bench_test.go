@@ -218,6 +218,31 @@ func BenchmarkFlowHot(b *testing.B) {
 	}
 }
 
+// BenchmarkFlowCold is the cold counterpart: the same ten flows, each with a
+// run cache nothing has touched — what the benchmark module's flow_cold
+// workload runs, without the module — so every profiled run executes and
+// the interpreter is nearly all of the time. runs/op is the recorder's
+// interp.runs per ten flows: 24 (the hotspot run, which also serves the
+// kernel analyses, plus one verify run per accelerator class a flow takes).
+// It is the one-command cold profile:
+//
+//	go test -run '^$' -bench FlowCold -benchtime 20x -cpuprofile c.out .
+func BenchmarkFlowCold(b *testing.B) {
+	rec := telemetry.New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, app := range bench.All() {
+			for _, mode := range []tasks.Mode{tasks.Uninformed, tasks.Informed} {
+				opts := tasks.FlowOptions{Mode: mode, Strategy: tasks.DefaultStrategy}
+				if _, err := experiments.RunBenchmarkEnv(context.Background(), app, nil, opts, experiments.JobEnv{}, nil, rec, core.NewRunCache()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(rec.Snapshot().Counters[interp.CounterRuns])/float64(b.N), "runs/op")
+}
+
 // BenchmarkInterp measures the dynamic-analysis substrate: one profiled
 // execution of each benchmark application on the default engine (the
 // register bytecode VM).

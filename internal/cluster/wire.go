@@ -78,6 +78,7 @@ type wireProfile struct {
 	StoreBytes        int64         `json:"store_bytes"`
 	Loops             []wireLoop    `json:"loops,omitempty"`
 	WatchFunc         string        `json:"watch_func,omitempty"`
+	WatchLoop         int           `json:"watch_loop,omitempty"`
 	WatchCalls        int64         `json:"watch_calls,omitempty"`
 	WatchCycles       float64       `json:"watch_cycles,omitempty"`
 	WatchFlops        int64         `json:"watch_flops,omitempty"`
@@ -151,6 +152,7 @@ func encodeProfile(p *interp.Profile) (*wireProfile, error) {
 		LoadBytes:         p.LoadBytes,
 		StoreBytes:        p.StoreBytes,
 		WatchFunc:         p.WatchFunc,
+		WatchLoop:         p.WatchLoop,
 		WatchCalls:        p.WatchCalls,
 		WatchCycles:       p.WatchCycles,
 		WatchFlops:        p.WatchFlops,
@@ -220,6 +222,7 @@ func decodeProfile(wp *wireProfile) (*interp.Profile, error) {
 		StoreBytes:        wp.StoreBytes,
 		Loops:             make(map[int]*interp.LoopProfile, len(wp.Loops)),
 		WatchFunc:         wp.WatchFunc,
+		WatchLoop:         wp.WatchLoop,
 		WatchCalls:        wp.WatchCalls,
 		WatchCycles:       wp.WatchCycles,
 		WatchFlops:        wp.WatchFlops,
@@ -233,6 +236,11 @@ func decodeProfile(wp *wireProfile) (*interp.Profile, error) {
 			ID: wl.ID, Pos: minic.Pos{Line: wl.Line, Col: wl.Col}, Func: wl.Func,
 			Depth: wl.Depth, Entries: wl.Entries, Trips: wl.Trips, Cycles: wl.Cycles,
 		}
+	}
+	// A payload without the field — an older peer's — decodes to 0: the
+	// watch fields describe WatchFunc, and a flow re-runs what it needs.
+	if wp.WatchLoop < 0 || wp.WatchLoop != 0 && p.Loops[wp.WatchLoop] == nil {
+		return nil, fmt.Errorf("cluster: watched loop %d is not a loop of the profile", wp.WatchLoop)
 	}
 	for _, wt := range wp.Traffic {
 		p.ParamTraffic[wt.Param] = &interp.Traffic{

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"runtime"
@@ -76,6 +77,10 @@ func roundTrip(t *testing.T, label string, res *interp.Result) {
 func TestWireRoundTrip(t *testing.T) {
 	res := sampleResult()
 	roundTrip(t, "sample", res)
+	// The same record published by a run that watched its hotspot loop.
+	loopWatched := sampleResult()
+	loopWatched.Prof.WatchFunc, loopWatched.Prof.WatchLoop = "", 3
+	roundTrip(t, "loop-watched", loopWatched)
 	// AliasPairs — the consumer of binding identity — reads the indices.
 	if got := res.Prof.AliasPairs(); !reflect.DeepEqual(got, [][2]string{{"a", "b"}}) {
 		t.Errorf("AliasPairs: got %v want [[a b]]", got)
@@ -91,8 +96,21 @@ type fillRecorder struct {
 func (f *fillRecorder) FetchRun(core.RunKey) (*interp.Result, bool) { return nil, false }
 func (f *fillRecorder) FillRun(key core.RunKey, res *interp.Result) { f.fills[key] = res }
 
-// TestWireRoundTripBundledApps sends the hotspot run and the
-// kernel-watched run of every bundled application over the wire: a
+// hotspotAndPointer runs the front of the flow on d: the hotspot run, the
+// outlining, and the first of the kernel analyses.
+func hotspotAndPointer(t *testing.T, ctx *core.Context, d *core.Design) {
+	t.Helper()
+	for _, task := range []core.Task{tasks.IdentifyHotspots, tasks.ExtractHotspot, tasks.PointerAnalysis} {
+		if err := task.Run(ctx, d); err != nil {
+			t.Fatalf("%s: %s: %v", d.Name, task.Name(), err)
+		}
+	}
+}
+
+// TestWireRoundTripBundledApps sends both kinds of run of every bundled
+// application over the wire — the hotspot run, which carries the record of
+// its hotspot loop, and a kernel-watched run of the outlined program, which
+// a flow makes once it cannot use that record (here: it is taken away) — a
 // profile holds nothing the codec drops, so the copy is exact.
 func TestWireRoundTripBundledApps(t *testing.T) {
 	for _, b := range bench.All() {
@@ -101,24 +119,100 @@ func TestWireRoundTripBundledApps(t *testing.T) {
 		runs.SetPeer(peer)
 		ctx := &core.Context{Workload: bench.Workload{B: b}, Runs: runs}
 		d := core.NewDesign(b.Name, b.Parse())
-		for _, task := range []core.Task{tasks.IdentifyHotspots, tasks.ExtractHotspot, tasks.PointerAnalysis} {
-			if err := task.Run(ctx, d); err != nil {
-				t.Fatalf("%s: %s: %v", b.Name, task.Name(), err)
-			}
+		hotspotAndPointer(t, ctx, d)
+		if len(peer.fills) != 1 {
+			t.Errorf("%s: %d runs published before the record was taken away, want the hotspot run alone", b.Name, len(peer.fills))
 		}
-		kernelWatched := false
+		d.HotspotLoops = nil
+		if err := tasks.PointerAnalysis.Run(ctx, d); err != nil {
+			t.Fatalf("%s: pointer analysis without the record: %v", b.Name, err)
+		}
+		var kinds int
 		for key, res := range peer.fills {
 			roundTrip(t, b.Name+" watch="+key.Watch, res)
-			if key.Watch == d.Kernel {
-				kernelWatched = true
-				if len(res.Prof.Bindings) == 0 || len(res.Prof.Bufs) == 0 {
-					t.Errorf("%s: kernel-watched run recorded no bindings", b.Name)
-				}
+			switch {
+			case key.Watch == d.Kernel && res.Prof.WatchLoop == 0:
+				kinds |= 1
+			case key.Watch == b.Entry && res.Prof.WatchLoop == d.Report.HotspotLoopID:
+				kinds |= 2
+			}
+			if len(res.Prof.Bindings) == 0 || len(res.Prof.Bufs) == 0 {
+				t.Errorf("%s: run watch=%s recorded no bindings", b.Name, key.Watch)
 			}
 		}
-		if !kernelWatched {
-			t.Errorf("%s: no kernel-watched run was published (fills: %d)", b.Name, len(peer.fills))
+		if kinds != 3 || len(peer.fills) != 2 {
+			t.Errorf("%s: published runs %v, want the loop-watching hotspot run and the kernel-watched run", b.Name, peer.fills)
 		}
+	}
+}
+
+// olderPeer is a core.RunPeer serving results as a peer built before
+// profiles carried watch_loop would: what it was filled with, minus the
+// field.
+type olderPeer struct {
+	t     *testing.T
+	fills map[core.RunKey]*interp.Result
+}
+
+func (p *olderPeer) FillRun(key core.RunKey, res *interp.Result) { p.fills[key] = res }
+func (p *olderPeer) FetchRun(key core.RunKey) (*interp.Result, bool) {
+	res, ok := p.fills[key]
+	if !ok {
+		return nil, false
+	}
+	payload, _, err := EncodeResult(res)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	var generic map[string]any
+	if err := json.Unmarshal(payload, &generic); err != nil {
+		p.t.Fatal(err)
+	}
+	delete(generic["prof"].(map[string]any), "watch_loop")
+	if payload, err = json.Marshal(generic); err != nil {
+		p.t.Fatal(err)
+	}
+	old, err := DecodeResult(payload, Checksum(payload))
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	return old, true
+}
+
+// TestHotspotRunFromOlderPeer: a hotspot run fetched from a peer whose
+// payload has no watch_loop decodes to WatchLoop 0, which a flow reads as
+// "no record of the kernel": it runs the outlined program, as every flow
+// did before, and learns the same.
+func TestHotspotRunFromOlderPeer(t *testing.T) {
+	b := bench.All()[0]
+	front := func(runs *core.RunCache) *core.Design {
+		d := core.NewDesign(b.Name, b.Parse())
+		hotspotAndPointer(t, &core.Context{Workload: bench.Workload{B: b}, Runs: runs}, d)
+		for _, task := range []core.Task{tasks.DataInOut, tasks.TripCount} {
+			if err := task.Run(&core.Context{Workload: bench.Workload{B: b}, Runs: runs}, d); err != nil {
+				t.Fatalf("%s: %v", task.Name(), err)
+			}
+		}
+		return d
+	}
+	peer := &olderPeer{t: t, fills: map[core.RunKey]*interp.Result{}}
+	first := core.NewRunCache()
+	first.SetPeer(peer)
+	direct := front(first)
+	if direct.HotspotProf == nil || len(peer.fills) != 1 {
+		t.Fatalf("first flow: kept profile %v, %d runs published; want one run serving the analyses", direct.HotspotProf, len(peer.fills))
+	}
+	second := core.NewRunCache() // a node that has to ask the peer
+	second.SetPeer(peer)
+	viaPeer := front(second)
+	if viaPeer.HotspotProf != nil {
+		t.Error("a profile without watch_loop was kept as the kernel's record")
+	}
+	if len(peer.fills) != 2 {
+		t.Errorf("%d runs published after the second flow, want the kernel-watched run added", len(peer.fills))
+	}
+	if !reflect.DeepEqual(viaPeer.Report, direct.Report) {
+		t.Errorf("reports differ:\n via older peer %+v\n direct         %+v", viaPeer.Report, direct.Report)
 	}
 }
 
@@ -205,6 +299,8 @@ func TestWireRejects(t *testing.T) {
 		{"negative index", `"bufs":[{"name":"x","kind":4,"len":8}],"bindings":[{"params":{"a":-1},"count":1}]`, 0},
 		{"zero repeat count", `"bufs":[{"name":"x","kind":4,"len":8}],"bindings":[{"params":{"a":0},"count":0}]`, 0},
 		{"huge repeat count", `"bufs":[{"name":"x","kind":4,"len":8}],"bindings":[{"params":{"a":0},"count":1048577}]`, 0},
+		{"negative watched loop", `"loops":[{"id":-3,"line":1,"col":1,"func":"f","depth":1,"entries":1,"trips":1,"cycles":1}],"watch_loop":-3`, 0},
+		{"watched loop not among the loops", `"loops":[{"id":3,"line":1,"col":1,"func":"f","depth":1,"entries":1,"trips":1,"cycles":1}],"watch_loop":4`, 0},
 	}
 	for _, h := range hostile {
 		payload := []byte(`{"ret":{"k":0},"steps":1,"prof":{"cycles":1,"flops":0,"int_ops":0,"load_bytes":0,"store_bytes":0,` + h.prof + `}}`)

@@ -115,6 +115,21 @@ type Design struct {
 	Artifact  *codegen.Design // rendered target source
 	HLSReport *hls.Report     // FPGA designs only
 
+	// What the hotspot run already measured of the kernel, so that the
+	// kernel analyses need not execute the outlined program to learn it.
+	// HotspotProf is that run's profile (a cached result: shared and
+	// read-only, Fork copies the pointer) and HotspotFP the
+	// minic.Fingerprint of the program it describes: the one the run
+	// executed (tasks.IdentifyHotspots), then the one tasks.ExtractHotspot
+	// outlined from it, if the loop it outlined is the loop the run watched
+	// (Profile.WatchLoop). HotspotLoops is set by that outlining and marks
+	// the profile as the kernel's: the IDs it records the hotspot loop and
+	// the loops below it under, in depth-first source order — the order of
+	// the kernel's loops.
+	HotspotProf  *interp.Profile
+	HotspotLoops []int
+	HotspotFP    uint64
+
 	// Tuned parameters found by DSE tasks.
 	NumThreads   int
 	Blocksize    int

@@ -68,19 +68,23 @@ type Context struct {
 	// recording at zero cost; the recorder is race-safe, so it can be
 	// shared by parallel branch paths.
 	Telemetry *telemetry.Recorder
-	// Runs memoizes profiled interpreter executions across the dynamic
-	// analyses and across sibling forked paths, keyed by program
-	// fingerprint + workload identity (see RunCache). Nil disables
-	// memoization; every dynamic task then re-executes the program. The
-	// cache is race-safe and shared as-is by parallel branch paths.
+	// Runs memoizes profiled interpreter executions across flows, sibling
+	// forked paths and — where the kernel analyses cannot read the hotspot
+	// run's own record of the kernel (Design.HotspotProf) — those analyses,
+	// keyed by program fingerprint + workload identity (see RunCache). Nil
+	// disables memoization; every task that needs a run it was not handed
+	// then executes the program. The cache is race-safe and shared as-is by
+	// parallel branch paths.
 	Runs *RunCache
 	// Progs caches lowered bytecode programs keyed by program fingerprint
-	// (see interp.ProgramCache). It is consulted only when Runs is nil:
-	// the dynamic analyses then re-execute an unchanged program and each
-	// repeat skips lowering and inherits the quickened instruction state.
-	// With a run cache no program runs twice, so nothing is pooled and a
-	// lowered image is collected with its run. Nil lowers afresh per run.
-	// Race-safe and shared as-is by parallel branch paths.
+	// (see interp.ProgramCache). It is consulted only when Runs is nil, and
+	// leased from only where such a flow executes one program more than
+	// once: the three kernel analyses on their fallback path (no record of
+	// the kernel in the hotspot run, or a kernel rewritten since outlining).
+	// Each repeat then skips lowering and inherits the quickened
+	// instruction state. With a run cache no program runs twice, so nothing
+	// is pooled and a lowered image is collected with its run. Nil lowers
+	// afresh per run. Race-safe and shared as-is by parallel branch paths.
 	Progs *interp.ProgramCache
 	// Faults injects deterministic synthetic failures at the instrumented
 	// tool call sites (partial compiles, profiled runs, device claims —

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"psaflow/internal/minic"
 )
@@ -252,150 +251,6 @@ func (m *machine) makeArray(name string, kind minic.BasicKind, n int64, pos mini
 		buf.F = make([]float64, n)
 	}
 	return buf, nil
-}
-
-// enterWatch begins a watched-function activation: records the call, the
-// parameter→buffer binding for alias observation, and swaps in the
-// buffer→parameter map for traffic attribution. Returns the previous map
-// for exitWatch.
-func (m *machine) enterWatch(params []*minic.Param, args []Value) map[*Buffer]string {
-	m.prof.WatchCalls++
-	pm := make(map[*Buffer]string)
-	// The binding is hashed as one shape index per parameter position (-1
-	// for a scalar), so a repeat is found without building its map.
-	hash := uint64(14695981039346656037) // FNV-1a
-	for i, p := range params {
-		shape := -1
-		if args[i].K == KBuf {
-			pm[args[i].Buf] = p.Name
-			if _, ok := m.prof.ParamTraffic[p.Name]; !ok {
-				m.prof.ParamTraffic[p.Name] = &Traffic{Param: p.Name}
-			}
-			shape = m.internShape(args[i].Buf, len(params))
-		}
-		hash = (hash ^ uint64(shape+1)) * 1099511628211
-	}
-	if bi, ok := m.bindingAt(hash); ok && m.prof.Bindings[bi].assigns(params, args) {
-		m.prof.Bindings[bi].Count++
-	} else {
-		m.addBinding(params, args, hash)
-	}
-	prev := m.paramOf
-	m.paramOf = pm
-	m.watchEpoch = nextWatchEpoch()
-	if m.watchDepth == 0 {
-		m.watchCycBase = m.prof.Cycles
-		m.watchFlopBase = m.prof.Flops
-		m.watchLoadBase = m.prof.LoadBytes
-		m.watchStoreBase = m.prof.StoreBytes
-		m.watchSpecialBase = m.specialFlops
-	}
-	m.watchDepth++
-	return prev
-}
-
-// internShape returns buf's index in prof.Bufs, recording its shape the
-// first time the run binds it. The index is cached on the buffer, tagged
-// with the profile it belongs to, so a buffer reused by a later run is
-// interned afresh. room sizes Bufs on first use.
-func (m *machine) internShape(buf *Buffer, room int) int {
-	if buf.shapeIn != m.prof {
-		if m.prof.Bufs == nil {
-			m.prof.Bufs = make([]BufShape, 0, room)
-		}
-		buf.shapeIn, buf.shape = m.prof, len(m.prof.Bufs)
-		m.prof.Bufs = append(m.prof.Bufs, BufShape{Name: buf.Name, Kind: buf.Kind, Len: buf.Len()})
-	}
-	return buf.shape
-}
-
-// assigns reports whether b binds exactly the buffers among args (already
-// interned by this call) to params.
-func (b *Binding) assigns(params []*minic.Param, args []Value) bool {
-	n := 0
-	for i, p := range params {
-		if args[i].K != KBuf {
-			continue
-		}
-		if shape, ok := b.Params[p.Name]; !ok || shape != args[i].Buf.shape {
-			return false
-		}
-		n++
-	}
-	return n == len(b.Params)
-}
-
-// bindingAt returns the index of the binding recorded under hash. The
-// first binding — for most runs the only one — is found by its hash
-// alone; the index map exists only once a run has seen a second.
-func (m *machine) bindingAt(hash uint64) (int, bool) {
-	if len(m.prof.Bindings) > 0 && hash == m.firstBinding {
-		return 0, true
-	}
-	bi, ok := m.laterBindings[hash]
-	return bi, ok
-}
-
-// addBinding records a binding seen for the first time. A hash collision,
-// or a parameter list that repeats a name, fails assigns and lands here
-// again: the binding is then recorded twice, never merged into another.
-func (m *machine) addBinding(params []*minic.Param, args []Value, hash uint64) {
-	bound := make(map[string]int)
-	for i, p := range params {
-		if args[i].K == KBuf {
-			bound[p.Name] = args[i].Buf.shape
-		}
-	}
-	if len(m.prof.Bindings) == 0 {
-		m.firstBinding = hash
-	} else {
-		if m.laterBindings == nil {
-			m.laterBindings = make(map[uint64]int)
-		}
-		m.laterBindings[hash] = len(m.prof.Bindings)
-	}
-	m.prof.Bindings = append(m.prof.Bindings, Binding{Params: bound, Count: 1})
-}
-
-// exitWatch ends a watched activation. Leaving the outermost watched
-// call folds the totals accumulated during the activation into the
-// Watch* counters (nested watched calls are already covered by the
-// outermost delta, exactly as per-charge accounting would count them).
-func (m *machine) exitWatch(prev map[*Buffer]string) {
-	m.watchDepth--
-	m.paramOf = prev
-	m.watchEpoch = nextWatchEpoch()
-	if m.watchDepth == 0 {
-		m.prof.WatchCycles += m.prof.Cycles - m.watchCycBase
-		m.prof.WatchFlops += m.prof.Flops - m.watchFlopBase
-		m.prof.WatchLoadBytes += m.prof.LoadBytes - m.watchLoadBase
-		m.prof.WatchStoreBytes += m.prof.StoreBytes - m.watchStoreBase
-		m.prof.WatchSpecialFlops += m.specialFlops - m.watchSpecialBase
-	}
-}
-
-// watchEpochCounter hands out globally unique watch epochs so that a
-// Buffer's cached traffic pointer can never be mistaken for one resolved
-// under a different paramOf map (even across machines reusing a buffer).
-var watchEpochCounter atomic.Uint64
-
-func nextWatchEpoch() uint64 { return watchEpochCounter.Add(1) }
-
-// trafficOf returns the traffic accumulator for buf under the innermost
-// watched call, or nil if buf is not bound to a watched parameter. The
-// two map lookups (buffer→param name, name→accumulator) only run once
-// per buffer per watch epoch; element accesses in hot loops hit the
-// cache on the buffer itself.
-func (m *machine) trafficOf(buf *Buffer) *Traffic {
-	if buf.trafEpoch != m.watchEpoch {
-		buf.trafEpoch = m.watchEpoch
-		if pname, ok := m.paramOf[buf]; ok {
-			buf.traf = m.prof.ParamTraffic[pname]
-		} else {
-			buf.traf = nil
-		}
-	}
-	return buf.traf
 }
 
 // sprintParts renders captured printf arguments exactly as the tree-walk

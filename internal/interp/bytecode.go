@@ -149,7 +149,7 @@ type binstr struct {
 	gop    opcode // generic opcode a quickened instruction deopts back to
 	dst    int32  // result register; -1 discards
 	reg    int32  // variable register / args base register
-	n      int32  // arg count; ++/-- delta
+	n      int32  // arg count; ++/-- delta; opLoopEnter: 1 + index in fn.cands, 0 below depth 1
 	jmp    int32  // branch target
 	nsteps int32  // static step count: len(pre) + own step + operand steps
 	hot    int32  // per-instruction execution counter driving quickening
@@ -166,7 +166,7 @@ type binstr struct {
 	tgt  *btarget
 	typ  minic.Type
 	name string // variable/function/builtin name or preformatted error text
-	fn   *bfunc
+	fn   *bfunc // callee; the enclosing function of a depth-1 opLoopEnter
 	bi   builtin
 }
 
@@ -175,6 +175,14 @@ type bfunc struct {
 	decl  *minic.FuncDecl
 	nregs int
 	code  []binstr
+	cands []bcand // the function's depth-1 loops in source order
+}
+
+// bcand describes a hotspot candidate to a run that watches its loops: the
+// watch parameters of the loop (candParams) and the registers holding them.
+type bcand struct {
+	params []*minic.Param
+	regs   []int32
 }
 
 // bprog is the lowered program.
@@ -636,11 +644,32 @@ func (c *bcompiler) compileCond(cond minic.Expr, pre []minic.Pos) int32 {
 	return idx
 }
 
+// loopEnter emits the opLoopEnter of the loop being lowered (already on
+// c.loops). A depth-1 loop is a hotspot candidate: its instruction carries
+// the enclosing function and, in n, 1 + the index of the bfunc.cands entry
+// made here. The loop's free variables are visible at this point —
+// query.FreeVars resolves names by the scoping c.lookup applies — and
+// variable registers are final when allocated.
+func (c *bcompiler) loopEnter(loop minic.Stmt, pre []minic.Pos) {
+	in := binstr{op: opLoopEnter, pre: withPos(pre, loop.NodePos()), pos: loop.NodePos(), lid: loop.ID()}
+	if len(c.loops) == 1 {
+		params := candParams(c.curFn, loop)
+		cand := bcand{params: params, regs: make([]int32, len(params))}
+		for i, p := range params {
+			cand.regs[i], _ = c.lookup(p.Name)
+		}
+		in.fn = c.funcs[c.curFn.Name]
+		in.fn.cands = append(in.fn.cands, cand)
+		in.n = int32(len(in.fn.cands))
+	}
+	c.emit(in)
+}
+
 func (c *bcompiler) compileFor(f *minic.ForStmt, pre []minic.Pos) {
 	c.push() // the for-init scope, as in execFor
 	lc := &bloopCtx{}
 	c.loops = append(c.loops, lc)
-	c.emit(binstr{op: opLoopEnter, pre: withPos(pre, f.NodePos()), pos: f.NodePos(), lid: f.ID()})
+	c.loopEnter(f, pre)
 	if f.Init != nil {
 		c.compileStmt(f.Init, nil)
 	}
@@ -676,7 +705,7 @@ func (c *bcompiler) compileFor(f *minic.ForStmt, pre []minic.Pos) {
 func (c *bcompiler) compileWhile(w *minic.WhileStmt, pre []minic.Pos) {
 	lc := &bloopCtx{}
 	c.loops = append(c.loops, lc)
-	c.emit(binstr{op: opLoopEnter, pre: withPos(pre, w.NodePos()), pos: w.NodePos(), lid: w.ID()})
+	c.loopEnter(w, pre)
 	condLbl := c.here()
 	branch := c.compileCond(w.Cond, nil)
 	c.emit(binstr{op: opLoopBack, pos: w.NodePos()})

@@ -159,7 +159,7 @@ func assertSameOutcome(t *testing.T, label string, bcRes *interp.Result, bcErr e
 		bcBufs, twBufs := bufferArgs(bcArgs), bufferArgs(twArgs)
 		for i := range bcBufs {
 			if !reflect.DeepEqual(bcBufs[i].I, twBufs[i].I) ||
-				!reflect.DeepEqual(bcBufs[i].F, twBufs[i].F) {
+				!sameFloats(bcBufs[i].F, twBufs[i].F) {
 				t.Errorf("%s: buffer %s contents diverge", label, bcBufs[i].Name)
 			}
 		}
@@ -286,8 +286,10 @@ func fuzzArgs(fn *minic.FuncDecl) ([]interp.Value, bool) {
 // FuzzBytecodeDiff is the lowering's differential fuzzer: any program the
 // front end accepts must behave identically on the bytecode VM and the
 // tree-walking reference — same result surface on success, byte-identical
-// error otherwise, and never a panic or a tree-walk fallback. Seeded with
-// the benchmark corpus like minic's FuzzParse.
+// error otherwise, and never a panic or a tree-walk fallback — and the
+// record a run publishes of its hotspot loop must be the outlined kernel's
+// (loopwatch_test.go). Seeded with the benchmark corpus like minic's
+// FuzzParse.
 func FuzzBytecodeDiff(f *testing.F) {
 	for _, b := range bench.All() {
 		f.Add(b.Source)
@@ -325,6 +327,22 @@ func FuzzBytecodeDiff(f *testing.F) {
 				t.Errorf("%s: lowering fell back to the tree-walker", fn.Name)
 			}
 			assertSameOutcome(t, fn.Name, bcRes, bcErr, bcArgs, twRes, twErr, twArgs)
+			// Watch is empty, so the run watched its hotspot loop: where
+			// outlining accepts that loop, the record must be what a run of
+			// the outlined program that watches the kernel measures. (No
+			// budget: the outlined program makes the steps of this one, which
+			// stayed inside it, plus a call's worth per entry of the loop.)
+			if bcErr == nil && bcRes.Prof.WatchLoop != 0 {
+				args, _ := fuzzArgs(fn)
+				want, err, accepted := outlinedRecord(t, src, interp.Config{Entry: fn.Name, Args: args, MaxSteps: 100 * budget}, bcRes.Prof.WatchLoop)
+				if !accepted {
+					continue
+				}
+				if got := publishedRecord(prog, bcRes.Prof); err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: record of hotspot loop #%d differs from the kernel-watched run of the outlined program (error %v):\n got  %+v\n want %+v",
+						fn.Name, bcRes.Prof.WatchLoop, err, got, want)
+				}
+			}
 		}
 	})
 }
@@ -352,11 +370,11 @@ func assertConsumerEquivalent(t *testing.T, name, src string, maxSteps int64) er
 		t.Fatalf("%s: parse: %v\n%s", name, err, src)
 	}
 	twArgs := consumerArgs()
-	twRes, twErr := interp.Run(prog, interp.Config{Entry: "f", Args: twArgs, MaxSteps: maxSteps, TreeWalk: true})
+	twRes, twErr := interp.Run(prog, interp.Config{Entry: "f", Args: twArgs, Watch: "f", MaxSteps: maxSteps, TreeWalk: true})
 	for _, threshold := range []int{-1, 1} {
 		args := consumerArgs()
 		res, err := interp.Run(prog, interp.WithQuickenThreshold(
-			interp.Config{Entry: "f", Args: args, MaxSteps: maxSteps}, threshold))
+			interp.Config{Entry: "f", Args: args, Watch: "f", MaxSteps: maxSteps}, threshold))
 		assertSameOutcome(t, fmt.Sprintf("%s/threshold=%d", name, threshold), res, err, args, twRes, twErr, twArgs)
 	}
 	return twErr
@@ -369,8 +387,8 @@ func assertConsumerEquivalent(t *testing.T, name, src string, maxSteps int64) er
 // shape. The bundled apps reach the generic opBinAssignVar arm a few
 // hundred times per Fig. 5 sweep and always with the same kinds, so the
 // corpus differentials alone leave most of these combinations unrun.
-// The function is watched (Watch defaults to the entry), so parameter
-// traffic of the indexed operands is compared too.
+// The function is watched, so parameter traffic of the indexed operands is
+// compared too.
 func TestGenericSuperinstructionConsumers(t *testing.T) {
 	const head = `(double *pd, float *pf, int *pi) {
     int vi = 7; int wi = -3; float vf = 2.5f; float wf = 0.75f; double vd = -1.75; double wd = 4.5;

@@ -83,7 +83,7 @@ func (m *machine) callBytecode(bf *bfunc, args []Value, pos minic.Pos) (Value, e
 	watching := fn.Name == m.watch
 	var prevParamOf map[*Buffer]string
 	if watching {
-		prevParamOf = m.enterWatch(fn.Params, args)
+		prevParamOf = m.enterWatch(m.rec, fn.Params, args)
 	}
 
 	err := m.execBytecode(bf, fr)
@@ -124,17 +124,47 @@ func (m *machine) freeFrame(fr *bframe) {
 }
 
 // execBytecode runs the dispatch loop and then attributes any still-open
-// loop timers — a return halts mid-loop, and errors unwind. No cycles are
-// charged between the halt and the attribution, so the totals equal the
-// tree-walker's deferred per-loop attributions exactly.
+// loop timers and closes a still-open candidate scope — a return halts
+// mid-loop, and errors unwind. Nothing is charged between the halt and the
+// attribution (a return folds the dispatch-local counts first), so the
+// totals equal the tree-walker's deferred per-loop attributions exactly.
 func (m *machine) execBytecode(bf *bfunc, fr *bframe) error {
 	err := m.dispatch(bf, fr)
+	m.closeLoops(fr)
+	return err
+}
+
+// closeLoops is that unwinding, innermost loop first. It is a no-op after a
+// function that left its loops through their opLoopExit.
+func (m *machine) closeLoops(fr *bframe) {
 	for i := len(fr.loops) - 1; i >= 0; i-- {
 		al := &fr.loops[i]
 		al.lp.Cycles += m.prof.Cycles - al.start
+		if al.lp == m.candLoop {
+			m.exitCandidate()
+		}
 	}
 	fr.loops = fr.loops[:0]
-	return err
+}
+
+// enterCandidateBC is the out-of-line half of in, the opLoopEnter of a
+// depth-1 loop that fr has just entered, in a run that watches its hotspot
+// candidates: unless another candidate is active, it opens a watch scope on
+// the loop with its free pointer variables, read from their registers, as
+// the parameters.
+func (m *machine) enterCandidateBC(fr *bframe, in *binstr) {
+	lp := fr.loops[len(fr.loops)-1].lp
+	rec := m.candidate(lp)
+	if rec == nil {
+		return
+	}
+	c := &in.fn.cands[in.n-1]
+	args := m.cands.args[:0]
+	for _, r := range c.regs {
+		args = append(args, fr.regs[r])
+	}
+	m.cands.args = args
+	m.openCandidate(lp, rec, c.params, args)
 }
 
 // cmpFloat evaluates one of the six comparison operators on float64
@@ -699,6 +729,13 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			lp := m.loopProfile(in.lid, in.pos)
 			lp.Entries++
 			fr.loops = append(fr.loops, bactive{lp: lp, start: m.prof.Cycles})
+			if in.n > 0 && m.cands != nil {
+				// A watch scope snapshots flops too; a scope that opened
+				// over pending flops would absorb them when it closes.
+				m.prof.Flops += flops
+				flops = 0
+				m.enterCandidateBC(fr, in)
+			}
 
 		case opLoopBack:
 			// The per-iteration step is batch-counted above; cancellation
@@ -722,6 +759,11 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			al := fr.loops[n]
 			fr.loops = fr.loops[:n]
 			al.lp.Cycles += m.prof.Cycles - al.start
+			if al.lp == m.candLoop {
+				m.prof.Flops += flops
+				flops = 0
+				m.exitCandidate()
+			}
 
 		case opCall:
 			m.steps = steps // the callee batches against the run total

@@ -8,6 +8,7 @@ package interp_test
 // and error messages. CI runs this file under -race (scripts/ci.sh).
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -33,10 +34,25 @@ func runBoth(t *testing.T, prog *minic.Program, entry, watch string, mkArgs func
 	return compiled, walked
 }
 
+// sameFloats compares bit for bit, so that a NaN both engines computed is
+// the same outcome (reflect.DeepEqual and == say it is not); generated
+// programs overflow to Inf and multiply it by zero readily.
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // assertResultsEqual checks the full observable surface of two results.
 func assertResultsEqual(t *testing.T, name string, compiled, walked *interp.Result) {
 	t.Helper()
-	if compiled.Ret != walked.Ret {
+	if cr, wr := compiled.Ret, walked.Ret; cr.K != wr.K || cr.I != wr.I || cr.Buf != wr.Buf || !sameFloats([]float64{cr.F}, []float64{wr.F}) {
 		t.Errorf("%s: Ret compiled=%v walked=%v", name, compiled.Ret, walked.Ret)
 	}
 	if compiled.Steps != walked.Steps {
@@ -57,7 +73,7 @@ func assertResultsEqual(t *testing.T, name string, compiled, walked *interp.Resu
 		t.Errorf("%s: traffic compiled=(%d in, %d out) walked=(%d in, %d out)",
 			name, cp.LoadBytes, cp.StoreBytes, wp.LoadBytes, wp.StoreBytes)
 	}
-	if cp.WatchFunc != wp.WatchFunc || cp.WatchCalls != wp.WatchCalls ||
+	if cp.WatchFunc != wp.WatchFunc || cp.WatchLoop != wp.WatchLoop || cp.WatchCalls != wp.WatchCalls ||
 		cp.WatchCycles != wp.WatchCycles || cp.WatchFlops != wp.WatchFlops ||
 		cp.WatchLoadBytes != wp.WatchLoadBytes || cp.WatchStoreBytes != wp.WatchStoreBytes ||
 		cp.WatchSpecialFlops != wp.WatchSpecialFlops {
@@ -99,11 +115,11 @@ func TestCompiledTreeWalkEquivalenceBenchmarks(t *testing.T) {
 			prog := b.Parse()
 			cArgs := b.MakeArgs()
 			wArgs := b.MakeArgs()
-			compiled, err := interp.Run(prog, interp.Config{Entry: b.Entry, Args: cArgs})
+			compiled, err := interp.Run(prog, interp.Config{Entry: b.Entry, Args: cArgs, Watch: b.Entry})
 			if err != nil {
 				t.Fatalf("compiled run: %v", err)
 			}
-			walked, err := interp.Run(prog, interp.Config{Entry: b.Entry, Args: wArgs, TreeWalk: true})
+			walked, err := interp.Run(prog, interp.Config{Entry: b.Entry, Args: wArgs, Watch: b.Entry, TreeWalk: true})
 			if err != nil {
 				t.Fatalf("tree-walk run: %v", err)
 			}

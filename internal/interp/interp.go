@@ -72,8 +72,12 @@ const (
 type Config struct {
 	Entry    string  // entry function name
 	Args     []Value // arguments bound to the entry function's parameters
-	Watch    string  // function to watch for kernel analyses; defaults to Entry
 	MaxSteps int64   // step budget; defaults to 400M
+	// Watch names the function to watch for kernel analyses. Empty, the run
+	// watches its hotspot candidates instead — every depth-1 loop, as if it
+	// were already outlined — and publishes the hotspot's record
+	// (Profile.WatchLoop); a run that names a function watches no loop.
+	Watch string
 	// Ctx, when non-nil, aborts execution with a CancelError once the
 	// context is done. The check runs every cancelCheckInterval loop
 	// iterations / statements, so cancellation lands promptly even inside
@@ -91,7 +95,10 @@ type Config struct {
 	// Fingerprint so repeat Runs of the same program skip lowering and
 	// inherit quickened instruction state from earlier runs. Requires a
 	// nonzero Fingerprint; ignored under TreeWalk. Pass it only where a
-	// program can run again: the image stays pooled for the cache's life.
+	// program can run again — a harness timing repeat runs, or a flow with
+	// no run cache, which re-executes a program only where its kernel
+	// analyses cannot read the hotspot run's record — the image stays
+	// pooled for the cache's life.
 	Progs *ProgramCache
 	// Fingerprint identifies the program for Progs (minic.Fingerprint).
 	Fingerprint uint64
@@ -141,23 +148,25 @@ type machine struct {
 	done       <-chan struct{}
 	cancelTick uint32
 
+	// The watch target: the function named watch, recorded in rec for the
+	// whole run, or — watch empty, cands non-nil — every hotspot candidate
+	// (depth-1 loop), one active at a time: candLoop, below, is its loop and
+	// rec its record. watchDepth counts the open activations of the target.
 	watch      string
 	watchDepth int
-	// paramOf maps buffers to the watched function's parameter names for
-	// the innermost watched call. watchEpoch changes (to a globally
-	// unique value) whenever paramOf does, so buffers can cache their
-	// traffic accumulator between map swaps (machine.trafficOf).
+	// paramOf maps buffers to the watch target's parameter names for the
+	// innermost activation. watchEpoch changes (to a globally unique
+	// value) whenever paramOf does, so buffers can cache their traffic
+	// accumulator between map swaps (machine.trafficOf).
 	paramOf    map[*Buffer]string
 	watchEpoch uint64
-	// Binding index of enterWatch: the hash of the first recorded binding
-	// and, once there is a second, hash → index for the rest.
-	firstBinding  uint64
-	laterBindings map[uint64]int
-	// Outermost-watch baselines: exitWatch folds the run-total deltas
-	// accumulated since the matching enterWatch into the Watch* profile
-	// counters, so charge/chargeFlop/loadElem/storeElem stay branch-free.
-	// specialFlops is the run-wide special-builtin FLOP total backing
-	// WatchSpecialFlops the same way Flops backs WatchFlops.
+	rec        *watchRec
+	cands      *candidates
+	// Outermost-activation baselines: exitWatch folds the run-total deltas
+	// accumulated since the matching enterWatch into the record, so
+	// charge/chargeFlop/loadElem/storeElem stay branch-free. specialFlops
+	// is the run-wide special-builtin FLOP total backing WatchSpecialFlops
+	// the same way Flops backs WatchFlops.
 	watchCycBase     float64
 	watchFlopBase    int64
 	watchLoadBase    int64
@@ -181,6 +190,12 @@ type machine struct {
 	// slice off the heap). Frames themselves recycle through the
 	// package-level frameArena.
 	biArgs [2]Value
+
+	// candLoop is the active hotspot candidate's loop, nil between
+	// activations. (Last, with rec and cands in the space the binding index
+	// left: the fields the dispatch loop reads stay where it was measured
+	// with them, and the machine in its allocation size class.)
+	candLoop *LoopProfile
 }
 
 // defaultQuickenThreshold is the per-instruction execution count after
@@ -199,19 +214,20 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 	if entry == nil {
 		return nil, fmt.Errorf("interp: no function %q", cfg.Entry)
 	}
-	watch := cfg.Watch
-	if watch == "" {
-		watch = cfg.Entry
-	}
 	maxSteps := cfg.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = defaultMaxSteps
 	}
 	m := &machine{
 		prog:     prog,
-		prof:     newProfile(watch),
+		prof:     newProfile(cfg.Watch),
 		maxSteps: maxSteps,
-		watch:    watch,
+		watch:    cfg.Watch,
+	}
+	if cfg.Watch == "" {
+		m.cands = &candidates{recs: make(map[int]*watchRec)}
+	} else {
+		m.rec = newWatchRec()
 	}
 	if cfg.Ctx != nil {
 		if err := cfg.Ctx.Err(); err != nil {
@@ -268,6 +284,7 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.publishWatch()
 	if cfg.Counters != nil {
 		cfg.Counters.Add(CounterRuns, 1)
 		cfg.Counters.Add(CounterOps, m.steps)
@@ -434,7 +451,7 @@ func (m *machine) call(fn *minic.FuncDecl, args []Value, pos minic.Pos) (Value, 
 	watching := fn.Name == m.watch
 	var prevParamOf map[*Buffer]string
 	if watching {
-		prevParamOf = m.enterWatch(fn.Params, args)
+		prevParamOf = m.enterWatch(m.rec, fn.Params, args)
 	}
 
 	c, err := m.execBlock(fr, fn.Body)
@@ -593,6 +610,9 @@ func (m *machine) execFor(fr *frame, f *minic.ForStmt) (ctrl, error) {
 	lp.Entries++
 	start := m.prof.Cycles
 	defer func() { lp.Cycles += m.prof.Cycles - start }()
+	if lp.Depth == 1 && m.cands != nil && m.enterCandidateTW(fr, f, lp) {
+		defer m.exitCandidate()
+	}
 
 	if f.Init != nil {
 		if _, err := m.execStmt(fr, f.Init); err != nil {
@@ -637,6 +657,9 @@ func (m *machine) execWhile(fr *frame, w *minic.WhileStmt) (ctrl, error) {
 	lp.Entries++
 	start := m.prof.Cycles
 	defer func() { lp.Cycles += m.prof.Cycles - start }()
+	if lp.Depth == 1 && m.cands != nil && m.enterCandidateTW(fr, w, lp) {
+		defer m.exitCandidate()
+	}
 	for {
 		cond, err := m.eval(fr, w.Cond)
 		if err != nil {

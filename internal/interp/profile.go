@@ -71,24 +71,32 @@ type Profile struct {
 	LoadBytes  int64
 	StoreBytes int64
 	Loops      map[int]*LoopProfile
-	// Watched-function measurements (kernel analyses):
+	// Measurements of the watch target (kernel analyses). The target is the
+	// function WatchFunc (Config.Watch), or — in a run that named none —
+	// the loop WatchLoop: the run's hotspot (Hotspot), measured as the
+	// kernel transform.ExtractHotspot would outline from it, each entry of
+	// the loop a call and its free pointer variables the pointer
+	// parameters. Both zero: the run named no function and has no hotspot
+	// loop, or only a partial record of it (some entry happened inside
+	// another depth-1 loop's activation); the fields below are then empty.
 	WatchFunc       string
-	WatchCalls      int64
-	WatchCycles     float64 // cycles inside the watched function
-	WatchFlops      int64   // flops inside the watched function
-	WatchLoadBytes  int64   // bytes loaded inside the watched function
-	WatchStoreBytes int64   // bytes stored inside the watched function
+	WatchLoop       int     // loop node ID
+	WatchCalls      int64   // calls of the function; entries of the loop
+	WatchCycles     float64 // cycles inside the target
+	WatchFlops      int64   // flops inside the target
+	WatchLoadBytes  int64   // bytes loaded inside the target
+	WatchStoreBytes int64   // bytes stored inside the target
 	// WatchSpecialFlops counts FLOPs contributed by special
-	// (transcendental) builtins in the watched function.
+	// (transcendental) builtins inside the target.
 	WatchSpecialFlops int64
 	ParamTraffic      map[string]*Traffic // per pointer-parameter traffic
-	// Bufs lists the shape of every buffer a watched call bound to a
+	// Bufs lists the shape of every buffer an activation bound to a
 	// pointer parameter, interned once per run in first-appearance order.
 	// The profile keeps shapes, not the buffers: no consumer reads
 	// contents, and a memoized result must not pin the run's arrays.
 	Bufs []BufShape
 	// Bindings records the distinct parameter→buffer assignments of the
-	// watched calls in first-occurrence order (for dynamic alias analysis
+	// activations in first-occurrence order (for dynamic alias analysis
 	// and footprint sizing).
 	Bindings []Binding
 }

@@ -19,12 +19,13 @@ import (
 	"psaflow/internal/minic"
 )
 
-// runQuickened executes one benchmark app at the given threshold.
-func runQuickened(t *testing.T, b *bench.Benchmark, threshold int, ctrs interp.Counters) (*interp.Result, []*interp.Buffer) {
+// runQuickened executes one benchmark app at the given threshold, watching
+// the given function (its hotspot loop when watch is "").
+func runQuickened(t *testing.T, b *bench.Benchmark, watch string, threshold int, ctrs interp.Counters) (*interp.Result, []*interp.Buffer) {
 	t.Helper()
 	args := b.MakeArgs()
 	res, err := interp.Run(b.Parse(), interp.WithQuickenThreshold(interp.Config{
-		Entry: b.Entry, Args: args, Counters: ctrs,
+		Entry: b.Entry, Args: args, Watch: watch, Counters: ctrs,
 	}, threshold))
 	if err != nil {
 		t.Fatalf("threshold %d: %v", threshold, err)
@@ -36,32 +37,36 @@ func runQuickened(t *testing.T, b *bench.Benchmark, threshold int, ctrs interp.C
 // quickening disabled, at the default threshold, and at the most
 // aggressive threshold (1: every instruction specializes on its second
 // execution), and asserts the entire observable surface matches the
-// unquickened run bit-for-bit.
+// unquickened run bit-for-bit — watching the entry function, so that every
+// quickened access is attributed to a parameter, and watching nothing, so
+// that the hotspot loop's scope opens and closes around quickened code.
 func TestQuickenEquivalenceBenchmarks(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			refRes, refBufs := runQuickened(t, b, -1, nil)
-			for _, threshold := range []int{0, 1} {
-				ctrs := mapCounters{}
-				res, bufs := runQuickened(t, b, threshold, ctrs)
-				assertResultsEqual(t, fmt.Sprintf("%s/threshold=%d", b.Name, threshold), refRes, res)
-				for i := range refBufs {
-					if !reflect.DeepEqual(refBufs[i].I, bufs[i].I) ||
-						!reflect.DeepEqual(refBufs[i].F, bufs[i].F) {
-						t.Errorf("threshold %d: buffer %s contents differ from unquickened run",
-							threshold, refBufs[i].Name)
+			for _, watch := range []string{b.Entry, ""} {
+				refRes, refBufs := runQuickened(t, b, watch, -1, nil)
+				for _, threshold := range []int{0, 1} {
+					ctrs := mapCounters{}
+					res, bufs := runQuickened(t, b, watch, threshold, ctrs)
+					label := fmt.Sprintf("%s/watch=%q/threshold=%d", b.Name, watch, threshold)
+					assertResultsEqual(t, label, refRes, res)
+					for i := range refBufs {
+						if !reflect.DeepEqual(refBufs[i].I, bufs[i].I) ||
+							!reflect.DeepEqual(refBufs[i].F, bufs[i].F) {
+							t.Errorf("%s: buffer %s contents differ from unquickened run", label, refBufs[i].Name)
+						}
 					}
-				}
-				if ctrs[interp.CounterBCQuickenRewrites] == 0 {
-					t.Errorf("threshold %d: no instructions quickened on %s", threshold, b.Name)
-				}
-				if ctrs[interp.CounterBCQuickenDeopts] != 0 {
-					t.Errorf("threshold %d: %d unexpected deopts on the well-typed corpus",
-						threshold, ctrs[interp.CounterBCQuickenDeopts])
-				}
-				if ctrs[interp.CounterBCFallbacks] != 0 {
-					t.Errorf("threshold %d: VM fell back to the tree-walker", threshold)
+					if ctrs[interp.CounterBCQuickenRewrites] == 0 {
+						t.Errorf("%s: no instructions quickened", label)
+					}
+					if ctrs[interp.CounterBCQuickenDeopts] != 0 {
+						t.Errorf("%s: %d unexpected deopts on the well-typed corpus",
+							label, ctrs[interp.CounterBCQuickenDeopts])
+					}
+					if ctrs[interp.CounterBCFallbacks] != 0 {
+						t.Errorf("%s: VM fell back to the tree-walker", label)
+					}
 				}
 			}
 		})

@@ -70,12 +70,12 @@ type Buffer struct {
 	// globally unique, so stale entries from earlier runs never collide.
 	traf      *Traffic
 	trafEpoch uint64
-	// shape is this buffer's index in shapeIn.Bufs, set when a watched
-	// call of the run that owns shapeIn first binds it (see
-	// machine.internShape). Like traf it assumes what Context.Parallel
-	// requires: no two concurrent runs share a buffer.
+	// shape is this buffer's index in shapeIn.bufs, set when an
+	// activation of the watch target that shapeIn records first binds it
+	// (see watchRec.internShape). Like traf it assumes what
+	// Context.Parallel requires: no two concurrent runs share a buffer.
 	shape   int
-	shapeIn *Profile
+	shapeIn *watchRec
 }
 
 // NewFloatBuffer allocates a float/double buffer with the given contents.

@@ -417,3 +417,88 @@ func CallsMade(n minic.Node) map[string]bool {
 	})
 	return out
 }
+
+// FreeVar is a variable a statement uses but does not declare.
+type FreeVar struct {
+	Name string
+	Type minic.Type // as declared where the statement sees it; Ptr is set for an array
+}
+
+// FreeVars returns the variables that stmt, a statement of fn, uses and
+// that are declared outside it, in first-use order (depth-first source
+// order), resolved by MiniC's scoping as both interpreter engines apply it:
+// parameters, then one scope per block and per for statement, a declaration
+// visible from the statement after it to the end of its scope. A name that
+// resolves to nothing — an undefined variable — is not reported.
+//
+// This is the single description of what an outlined kernel's parameters
+// are: transform.ExtractHotspot makes one parameter per entry, and the
+// interpreter watches a hotspot candidate's pointer entries as if the loop
+// were already that kernel.
+func FreeVars(fn *minic.FuncDecl, stmt minic.Stmt) []FreeVar {
+	// decls is the stack of declarations in scope, innermost last: a scope
+	// is the tail it has pushed, cut off when it closes. outer marks the
+	// walk reaching stmt (-1 before): decls[:outer] lie outside it.
+	var w struct {
+		decls, free []FreeVar
+		outer       int
+		done        bool
+	}
+	w.decls = make([]FreeVar, 0, len(fn.Params)+16)
+	w.free = make([]FreeVar, 0, 8)
+	for _, p := range fn.Params {
+		w.decls = append(w.decls, FreeVar{p.Name, p.Type})
+	}
+	w.outer = -1
+	var visit func(n minic.Node)
+	visit = func(n minic.Node) {
+		if w.done {
+			return
+		}
+		if n == stmt {
+			w.outer = len(w.decls)
+		}
+		switch v := n.(type) {
+		case *minic.Block, *minic.ForStmt:
+			scope := len(w.decls)
+			minic.EachChild(n, visit)
+			w.decls = w.decls[:scope]
+		case *minic.DeclStmt:
+			minic.EachChild(n, visit) // an initializer sees the outer binding of the name
+			t := v.Type
+			if v.ArrayLen != nil {
+				t.Ptr = true
+			}
+			w.decls = append(w.decls, FreeVar{v.Name, t})
+		case *minic.Ident:
+			if w.outer < 0 {
+				return
+			}
+			for i := len(w.decls) - 1; i >= 0; i-- {
+				if w.decls[i].Name != v.Name {
+					continue
+				}
+				if i < w.outer && !hasFreeVar(w.free, v.Name) {
+					w.free = append(w.free, w.decls[i])
+				}
+				return
+			}
+		default:
+			minic.EachChild(n, visit)
+		}
+		if n == stmt {
+			w.done = true
+		}
+	}
+	visit(fn.Body)
+	return w.free
+}
+
+func hasFreeVar(vars []FreeVar, name string) bool {
+	for _, fv := range vars {
+		if fv.Name == name {
+			return true
+		}
+	}
+	return false
+}

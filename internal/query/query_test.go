@@ -308,3 +308,54 @@ func TestSelectAllForStatements(t *testing.T) {
 		t.Fatalf("while statements = %d, want 1", len(whiles))
 	}
 }
+
+// TestFreeVars pins the scoping FreeVars resolves names by — the scoping
+// both interpreter engines apply — on the cases a name-set comparison gets
+// wrong: a name the statement declares after using the outer one, an inner
+// declaration that shadows only part of the statement, a name declared
+// only after the statement, a sibling scope's declaration, and an
+// initializer that reads the name it shadows.
+func TestFreeVars(t *testing.T) {
+	prog := minic.MustParse(`
+void f(int n, const double *in, double *out, float scale) {
+    double tmp[4];
+    int k = 2;
+    if (n > 0) { int hidden = 1; out[0] = (double)hidden; }
+    for (int i = 0; i < n; i++) {
+        out[i] = in[i] * scale + tmp[i % 4];
+        int k2 = k;
+        {
+            double scale = 2.0;
+            int n = n + 1;
+            out[i] = out[i] * scale + (double)(n + hidden + later + undefined_name);
+        }
+        int k = k + k2;
+        out[i] = out[i] + (double)k;
+    }
+    int later = 3;
+    out[0] = out[0] + (double)later;
+}`)
+	fn := prog.MustFunc("f")
+	loop := New(prog).OutermostLoops(fn)[0]
+	want := []FreeVar{
+		{"n", minic.Type{Kind: minic.Int}},
+		{"out", minic.Type{Kind: minic.Double, Ptr: true}},
+		{"in", minic.Type{Kind: minic.Double, Ptr: true, Const: true}},
+		{"scale", minic.Type{Kind: minic.Float}},
+		{"tmp", minic.Type{Kind: minic.Double, Ptr: true}},
+		{"k", minic.Type{Kind: minic.Int}},
+	}
+	got := FreeVars(fn, loop)
+	if len(got) != len(want) {
+		t.Fatalf("FreeVars = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("FreeVars[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	// The whole body as the statement: only parameters are outside it.
+	if all := FreeVars(fn, fn.Body); len(all) != 4 || all[0].Name != "n" || all[3].Name != "scale" {
+		t.Errorf("FreeVars of the body = %+v, want the four parameters", all)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"psaflow/internal/core"
@@ -27,28 +28,57 @@ func cachedSynthCtx() *core.Context {
 	return ctx
 }
 
+// parentTindepReport is what the target-independent tasks learned about
+// appSrc at the commit before the hotspot run watched its own loop, when
+// pointer analysis, data in/out and trip count read a second run, of the
+// outlined program. Now that the cache-less reference makes one run too, it
+// is the independent reference for the fields a run decides.
+var parentTindepReport = core.KernelReport{
+	HotspotLoopID: 22, HotspotShare: 0.9959187969221414, HotspotCycles: 127747.5,
+	KernelFlops: 28672, SpecialFlops: 16384, BytesIn: 512, BytesOut: 512, KernelBytes: 1024,
+	OuterTrips: 64, PipelinedTrips: 64, SerialDepth: 64, Calls: 1, DynamicAI: 28,
+}
+
 func TestRunCacheSharesRunsAcrossAnalysesEquivalence(t *testing.T) {
 	// Reference: the analyses without a cache.
 	_, plain := runTindep(t)
-
-	// Cached: the kernel-watched analyses (pointer, data-in/out, trip
-	// count) must collapse onto one execution.
-	ctx := cachedSynthCtx()
-	d := core.NewDesign("synth", minic.MustParse(appSrc))
-	for _, task := range TargetIndependent() {
-		if err := task.Run(ctx, d); err != nil {
-			t.Fatalf("task %s: %v", task.Name(), err)
-		}
+	want := parentTindepReport
+	want.StaticAI, want.OuterDeps, want.Unroll, want.RegsEstimate =
+		plain.Report.StaticAI, plain.Report.OuterDeps, plain.Report.Unroll, plain.Report.RegsEstimate
+	if !reflect.DeepEqual(*plain.Report, want) {
+		t.Errorf("uncached analyses moved from the recorded report:\ngot:  %+v\nwant: %+v", *plain.Report, want)
 	}
-	hits, misses := ctx.Runs.Stats()
-	// Expected runs: hotspot identification (entry watch) and one
-	// kernel-watched run = 2 misses; data-in/out and trip count reuse the
-	// pointer analysis run = 2 hits.
-	if misses != 2 || hits != 2 {
-		t.Errorf("cache stats hits=%d misses=%d, want 2/2", hits, misses)
+
+	// Cached: one execution serves hotspot identification and the three
+	// kernel analyses (pointer, data-in/out, trip count), which read the
+	// hotspot run's record of its loop and never look a run up — where the
+	// parent made a second, kernel-watched run (2 misses) that the other two
+	// analyses then hit (2 hits).
+	ctx := cachedSynthCtx()
+	tindep := func() *core.Design {
+		d := core.NewDesign("synth", minic.MustParse(appSrc))
+		for _, task := range TargetIndependent() {
+			if err := task.Run(ctx, d); err != nil {
+				t.Fatalf("task %s: %v", task.Name(), err)
+			}
+		}
+		return d
+	}
+	d := tindep()
+	if hits, misses := ctx.Runs.Stats(); misses != 1 || hits != 0 {
+		t.Errorf("cache stats hits=%d misses=%d, want 0/1", hits, misses)
 	}
 	if !reflect.DeepEqual(d.Report, plain.Report) {
 		t.Errorf("cached analyses diverge from uncached:\ncached: %+v\nplain:  %+v", d.Report, plain.Report)
+	}
+	// With no look-up after the first there is nothing left to hit inside
+	// one flow; a second flow over the same cache hits that one run.
+	if again := tindep(); !reflect.DeepEqual(again.Report, plain.Report) {
+		t.Errorf("second flow over the cache diverges:\ncached: %+v\nplain:  %+v", again.Report, plain.Report)
+	}
+	hits, misses := ctx.Runs.Stats()
+	if misses != 1 || hits != 1 {
+		t.Errorf("cache stats after a second flow hits=%d misses=%d, want 1/1", hits, misses)
 	}
 	// The counters the benchmark harness reports must agree with Stats.
 	rep := ctx.Telemetry.Snapshot()
@@ -66,16 +96,27 @@ func TestRunCacheSharesRunsAcrossAnalysesEquivalence(t *testing.T) {
 }
 
 // TestProgramCacheOnlyWithoutRunCache: a lowered image is pooled only where
-// it can be leased again. Without a run cache Pointer Analysis, Data In/Out
-// and Trip-Count each re-execute the extracted program and share one image;
-// with one the program runs once, so nothing is pooled and the image (with
-// the AST it points at) is garbage when the run returns.
+// it can be leased again. That takes a flow without a run cache whose kernel
+// analyses cannot read the hotspot run's record (here: it is taken away
+// after outlining): Pointer Analysis, Data In/Out and Trip-Count then each
+// re-execute the extracted program and share one image. A cache-less flow
+// that can read it runs each program once and leases nothing; with a run
+// cache nothing is even pooled, and the image (with the AST it points at)
+// is garbage when the run returns.
 func TestProgramCacheOnlyWithoutRunCache(t *testing.T) {
-	for _, withRuns := range []bool{false, true} {
+	for _, c := range []struct {
+		name               string
+		withRuns, noRecord bool
+		leases, pooled     int64
+	}{
+		{"run cache", true, false, 0, 0},
+		{"no run cache", false, false, 0, 1},
+		{"no run cache, no record of the kernel", false, true, 2, 2},
+	} {
 		ctx := synthCtx()
 		ctx.Progs = interp.NewProgramCache()
 		ctx.Telemetry = telemetry.New()
-		if withRuns {
+		if c.withRuns {
 			ctx.Runs = core.NewRunCache()
 		}
 		d := core.NewDesign("synth", minic.MustParse(appSrc))
@@ -83,20 +124,16 @@ func TestProgramCacheOnlyWithoutRunCache(t *testing.T) {
 			if err := task.Run(ctx, d); err != nil {
 				t.Fatalf("task %s: %v", task.Name(), err)
 			}
+			if c.noRecord {
+				d.HotspotLoops = nil
+			}
 		}
 		counters := ctx.Telemetry.Snapshot().Counters
-		leases, pooled := counters[interp.CounterBCProgHits], ctx.Progs.Len()
-		if withRuns {
-			if leases != 0 || pooled != 0 {
-				t.Errorf("with a run cache: %d leases, %d pooled programs, want none", leases, pooled)
-			}
-			if runs, misses := counters[telemetry.CounterInterpRuns], counters[telemetry.CounterRunCacheMisses]; runs != misses {
-				t.Errorf("with a run cache: %d runs for %d misses", runs, misses)
-			}
-		} else if leases < 2 || pooled != 2 {
-			// Two programs (before and after extraction); the kernel-watched
-			// one runs three times, so at least two of those lease.
-			t.Errorf("without a run cache: %d leases over %d pooled programs, want >= 2 over 2", leases, pooled)
+		if leases, pooled := counters[interp.CounterBCProgHits], int64(ctx.Progs.Len()); leases != c.leases || pooled != c.pooled {
+			t.Errorf("%s: %d leases over %d pooled programs, want %d over %d", c.name, leases, pooled, c.leases, c.pooled)
+		}
+		if runs, misses := counters[telemetry.CounterInterpRuns], counters[telemetry.CounterRunCacheMisses]; c.withRuns && runs != misses {
+			t.Errorf("%s: %d runs for %d misses", c.name, runs, misses)
 		}
 	}
 }
@@ -251,14 +288,13 @@ func TestCachedParallelFlowEquivalence(t *testing.T) {
 			r.OuterTrips, r.PipelinedTrips, r.SerialDepth, r.DynamicAI, r.SinglePrec)
 	}
 	runFlow := func(parallel bool, runs *core.RunCache) []string {
-		t.Helper()
 		ctx := synthCtx()
 		ctx.Parallel = parallel
 		ctx.Runs = runs
 		flow := BuildPSAFlow(Uninformed, DefaultStrategy)
 		leaves, err := flow.Run(ctx, core.NewDesign("synth", minic.MustParse(appSrc)))
 		if err != nil {
-			t.Fatalf("flow (parallel=%t cached=%t): %v", parallel, runs != nil, err)
+			t.Errorf("flow (parallel=%t cached=%t): %v", parallel, runs != nil, err)
 		}
 		out := make([]string, 0, len(leaves))
 		for _, d := range leaves {
@@ -268,12 +304,28 @@ func TestCachedParallelFlowEquivalence(t *testing.T) {
 		return out
 	}
 	plain := runFlow(false, nil)
+	// Within one flow no two paths ask for the same run any more — the
+	// analyses read the hotspot run's record and each verify run belongs to
+	// one accelerator class — so the sharing comes from a second flow racing
+	// the first over the same cache.
 	cache := core.NewRunCache()
-	cached := runFlow(true, cache)
-	if !reflect.DeepEqual(plain, cached) {
-		t.Errorf("cached parallel flow diverges from uncached serial flow:\ncached: %v\nplain:  %v", cached, plain)
+	var wg sync.WaitGroup
+	cached := make([][]string, 2)
+	for i := range cached {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cached[i] = runFlow(true, cache)
+		}()
 	}
-	if hits, _ := cache.Stats(); hits == 0 {
-		t.Error("parallel flow produced no cache hits; sibling paths are not sharing runs")
+	wg.Wait()
+	for _, got := range cached {
+		if !reflect.DeepEqual(plain, got) {
+			t.Errorf("cached parallel flow diverges from uncached serial flow:\ncached: %v\nplain:  %v", got, plain)
+		}
+	}
+	if hits, misses := cache.Stats(); hits != 3 || misses != 3 {
+		t.Errorf("two racing flows: hits=%d misses=%d, want 3/3 (hotspot run and one verify run per accelerator class, each made once)", hits, misses)
 	}
 }

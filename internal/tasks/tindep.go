@@ -31,8 +31,9 @@ const FullyUnrollableLimit = 12
 const MaterializeUnrollLimit = 64
 
 // runWorkload executes the design's current program on the workload,
-// watching the given function (or the entry when watch is ""). Each run's
-// op/cycle totals flow into the context's telemetry recorder.
+// watching the given function (or, when watch is "", the program's hotspot
+// candidates). Each run's op/cycle totals flow into the context's telemetry
+// recorder.
 //
 // When the context carries a RunCache, the execution is memoized on
 // (program fingerprint, workload, entry, watch): the analyses that re-run
@@ -41,17 +42,29 @@ const MaterializeUnrollLimit = 64
 // change the fingerprint, so invalidation is automatic. Cached results are
 // shared and therefore read-only for all consumers.
 func runWorkload(ctx *core.Context, d *core.Design, watch string) (*interp.Result, error) {
-	if ctx.Workload == nil {
-		return nil, fmt.Errorf("dynamic task requires a workload")
-	}
-	// Fault injection happens before the cache lookup so an injected
-	// failure can never poison a memoized result shared by other paths.
-	// The op is scoped by the design's target class: concurrent branch
-	// paths profile under distinct ops, keeping the per-op decision
-	// streams (and thus whole chaos runs) deterministic.
-	if err := ctx.FailPoint(faults.Run, "run:"+d.Target.String()+":"+watch); err != nil {
+	if err := runFailPoint(ctx, d, watch); err != nil {
 		return nil, err
 	}
+	return profiledRun(ctx, d, watch, minic.Fingerprint(d.Prog))
+}
+
+// runFailPoint is what every dynamic task does before it looks for a
+// profile, wherever the profile then comes from. Fault injection happens
+// before the cache lookup so an injected failure can never poison a
+// memoized result shared by other paths. The op is scoped by the design's
+// target class: concurrent branch paths profile under distinct ops,
+// keeping the per-op decision streams (and thus whole chaos runs)
+// deterministic.
+func runFailPoint(ctx *core.Context, d *core.Design, watch string) error {
+	if ctx.Workload == nil {
+		return fmt.Errorf("dynamic task requires a workload")
+	}
+	return ctx.FailPoint(faults.Run, "run:"+d.Target.String()+":"+watch)
+}
+
+// profiledRun is runWorkload after its fail point; fp is the fingerprint
+// of the design's current program.
+func profiledRun(ctx *core.Context, d *core.Design, watch string, fp uint64) (*interp.Result, error) {
 	var counters interp.Counters
 	if ctx.Telemetry != nil {
 		counters = ctx.Telemetry
@@ -59,8 +72,7 @@ func runWorkload(ctx *core.Context, d *core.Design, watch string) (*interp.Resul
 	// One fingerprint keys whichever cache the flow has. A memoized result
 	// is never executed again, so with a run cache the lowered image is
 	// not pooled and goes to the collector with the run; without one the
-	// analyses re-execute the program and lease one image between them.
-	fp := minic.Fingerprint(d.Prog)
+	// tasks that re-execute a program lease one image between them.
 	var progs *interp.ProgramCache
 	if ctx.Runs == nil {
 		progs = ctx.Progs
@@ -81,7 +93,9 @@ func runWorkload(ctx *core.Context, d *core.Design, watch string) (*interp.Resul
 	}
 	w := watch
 	if w == "" {
-		w = ctx.Workload.Entry() // match interp.Run's watch default
+		// The loop-watching run keeps the key it had when an empty watch
+		// meant the entry function: cluster peers and probes derive it too.
+		w = ctx.Workload.Entry()
 	}
 	key := core.RunKey{
 		Fingerprint: fp,
@@ -129,7 +143,11 @@ func isCancel(err error) bool {
 var IdentifyHotspots = core.TaskFunc{
 	TaskName: "Identify Hotspot Loops", TaskKind: core.Analysis, IsDyn: true,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		res, err := runWorkload(ctx, d, "")
+		if err := runFailPoint(ctx, d, ""); err != nil {
+			return err
+		}
+		fp := minic.Fingerprint(d.Prog)
+		res, err := profiledRun(ctx, d, "", fp)
 		if err != nil {
 			return err
 		}
@@ -140,6 +158,7 @@ var IdentifyHotspots = core.TaskFunc{
 		d.Report.HotspotLoopID = hs.ID
 		d.Report.HotspotShare = share
 		d.Report.HotspotCycles = hs.Cycles
+		d.HotspotProf, d.HotspotLoops, d.HotspotFP = res.Prof, nil, fp
 		d.Tracef("note", "hotspot", "loop #%d in %s at %s: %.1f%% of %.3g cycles",
 			hs.ID, hs.Func, hs.Pos, share*100, res.Prof.Cycles)
 		return nil
@@ -171,16 +190,55 @@ var ExtractHotspot = core.TaskFunc{
 		if host == nil {
 			return fmt.Errorf("hotspot loop has no enclosing function")
 		}
+		// The hotspot run's profile stands for the outlined program when the
+		// loop outlined here is the loop it watched, in the program it ran;
+		// HotspotLoops marks it so for the kernel analyses (kernelProfile).
+		var watched []int
+		if d.HotspotProf != nil && d.HotspotProf.WatchLoop == loop.ID() &&
+			minic.Fingerprint(d.Prog) == d.HotspotFP {
+			watched = append(watched, loop.ID())
+			for _, l := range q.InnerLoops(loop) {
+				watched = append(watched, l.ID())
+			}
+		}
 		kernelName := d.Name + "_hotspot"
 		kernel, err := transform.ExtractHotspot(d.Prog, host, loop, kernelName)
 		if err != nil {
 			return err
 		}
 		d.Kernel = kernel.Name
+		if watched != nil {
+			d.HotspotLoops, d.HotspotFP = watched, minic.Fingerprint(d.Prog)
+		} else {
+			d.HotspotProf = nil
+		}
 		d.Tracef("note", "extract", "kernel %s(%d params) outlined from %s",
 			kernel.Name, len(kernel.Params), host.Name)
 		return nil
 	},
+}
+
+// kernelProfile returns the profile of the kernel's executions on the
+// workload for the three dynamic kernel analyses, and the IDs it records
+// the kernel's loops under, in depth-first source order (nil: the kernel's
+// own). While the design's program is still the one ExtractHotspot left,
+// that is the hotspot run's profile, which watched the loop as the kernel
+// it became; a flow that has rewritten the program since — or whose hotspot
+// run published no record of that loop — runs the current program with the
+// kernel watched, once for the three of them through the run cache.
+func kernelProfile(ctx *core.Context, d *core.Design) (*interp.Profile, []int, error) {
+	if err := runFailPoint(ctx, d, d.Kernel); err != nil {
+		return nil, nil, err
+	}
+	fp := minic.Fingerprint(d.Prog)
+	if d.HotspotLoops != nil && fp == d.HotspotFP {
+		return d.HotspotProf, d.HotspotLoops, nil
+	}
+	res, err := profiledRun(ctx, d, d.Kernel, fp)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Prof, nil, nil
 }
 
 // PointerAnalysis is the dynamic pointer alias analysis: the application
@@ -193,11 +251,11 @@ var PointerAnalysis = core.TaskFunc{
 		if d.Kernel == "" {
 			return fmt.Errorf("no kernel extracted")
 		}
-		res, err := runWorkload(ctx, d, d.Kernel)
+		prof, _, err := kernelProfile(ctx, d)
 		if err != nil {
 			return err
 		}
-		d.Report.AliasPairs = res.Prof.AliasPairs()
+		d.Report.AliasPairs = prof.AliasPairs()
 		if len(d.Report.AliasPairs) > 0 {
 			return fmt.Errorf("kernel pointer parameters alias: %v", d.Report.AliasPairs)
 		}
@@ -230,7 +288,7 @@ var DataInOut = core.TaskFunc{
 		if d.Kernel == "" {
 			return fmt.Errorf("no kernel extracted")
 		}
-		res, err := runWorkload(ctx, d, d.Kernel)
+		prof, _, err := kernelProfile(ctx, d)
 		if err != nil {
 			return err
 		}
@@ -240,12 +298,12 @@ var DataInOut = core.TaskFunc{
 		// approximate with the observed element range via traffic element
 		// counts capped by buffer size.
 		var in, out float64
-		for _, t := range res.Prof.ParamTraffic {
+		for _, t := range prof.ParamTraffic {
 			if t.BytesIn > 0 {
-				in += footprintBytes(res, t, true)
+				in += footprintBytes(prof, t, true)
 			}
 			if t.BytesOut > 0 {
-				out += footprintBytes(res, t, false)
+				out += footprintBytes(prof, t, false)
 			}
 		}
 		d.Report.BytesIn = in
@@ -254,10 +312,10 @@ var DataInOut = core.TaskFunc{
 		// locality, so the DRAM-visible traffic of a kernel is its data
 		// footprint (the same quantity that crosses the host link).
 		d.Report.KernelBytes = in + out
-		d.Report.KernelFlops = float64(res.Prof.WatchFlops)
-		d.Report.SpecialFlops = float64(res.Prof.WatchSpecialFlops)
-		d.Report.HotspotCycles = res.Prof.WatchCycles
-		d.Report.Calls = float64(res.Prof.WatchCalls)
+		d.Report.KernelFlops = float64(prof.WatchFlops)
+		d.Report.SpecialFlops = float64(prof.WatchSpecialFlops)
+		d.Report.HotspotCycles = prof.WatchCycles
+		d.Report.Calls = float64(prof.WatchCalls)
 		// The strategy's FLOPs/B uses the measured footprint (roofline
 		// convention with cache-resident working sets).
 		if in+out > 0 {
@@ -271,8 +329,8 @@ var DataInOut = core.TaskFunc{
 
 // footprintBytes estimates the transferred footprint of one pointer
 // parameter: the buffer it was bound to, moved once.
-func footprintBytes(res *interp.Result, t *interp.Traffic, in bool) float64 {
-	if buf, ok := res.Prof.BoundBuf(t.Param); ok {
+func footprintBytes(prof *interp.Profile, t *interp.Traffic, in bool) float64 {
+	if buf, ok := prof.BoundBuf(t.Param); ok {
 		return float64(int64(buf.Len) * buf.ElemBytes())
 	}
 	// Fallback: unique-access approximation.
@@ -317,7 +375,7 @@ var TripCount = core.TaskFunc{
 		if kfn == nil {
 			return fmt.Errorf("no kernel extracted")
 		}
-		res, err := runWorkload(ctx, d, d.Kernel)
+		prof, ids, err := kernelProfile(ctx, d)
 		if err != nil {
 			return err
 		}
@@ -326,7 +384,16 @@ var TripCount = core.TaskFunc{
 		if len(outer) == 0 {
 			return fmt.Errorf("kernel has no loops")
 		}
-		outerProf := res.Prof.Loops[outer[0].ID()]
+		// The kernel's loops in depth-first source order, outer[0] first;
+		// the hotspot run's profile knows the i-th of them as ids[i].
+		loops := q.LoopsIn(kfn)
+		loopProf := func(i int) *interp.LoopProfile {
+			if ids != nil {
+				return prof.Loops[ids[i]]
+			}
+			return prof.Loops[loops[i].ID()]
+		}
+		outerProf := loopProf(0)
 		if outerProf == nil {
 			return fmt.Errorf("outer loop did not execute")
 		}
@@ -335,11 +402,11 @@ var TripCount = core.TaskFunc{
 		// Pipelined trips: the deepest non-fixed loop's total iterations.
 		pipelined := float64(outerProf.Trips)
 		serial := 0.0
-		for _, l := range q.LoopsIn(kfn) {
+		for i, l := range loops {
 			if _, fixed := query.FixedTripCount(l); fixed {
 				continue
 			}
-			lp := res.Prof.Loops[l.ID()]
+			lp := loopProf(i)
 			if lp == nil {
 				continue
 			}

@@ -61,19 +61,13 @@ func RemoveLoopPragmas(loop minic.Stmt, prefix string) {
 	}
 }
 
-// freeVar describes a variable used by an extracted region but declared
-// outside it.
-type freeVar struct {
-	name  string
-	typ   minic.Type
-	isPtr bool
-}
-
 // ExtractHotspot outlines the given loop of function host into a new
-// kernel function named kernelName, replacing the loop with a call. Free
-// scalars become value parameters; arrays become pointer parameters.
-// Fails when a free scalar is written inside the loop (live-out scalars
-// would need reference semantics MiniC does not have).
+// kernel function named kernelName, replacing the loop with a call. The
+// loop's free variables (query.FreeVars) become the parameters: scalars by
+// value, arrays as pointers. Fails when outlining would change the program:
+// a free scalar written inside the loop (live-out scalars would need
+// reference semantics MiniC does not have), or a return inside the loop,
+// which would leave the kernel instead of host.
 //
 // This is the paper's "Hotspot Loop Extraction" task: the partitioning
 // step that isolates the kernel for analysis and offloading.
@@ -82,65 +76,22 @@ func ExtractHotspot(prog *minic.Program, host *minic.FuncDecl, loop minic.Stmt, 
 	if prog.Func(kernelName) != nil {
 		return nil, errf(tr, "function %q already exists", kernelName)
 	}
-	// Declared inside the loop (including the for-init).
-	declared := map[string]bool{}
-	minic.Walk(loop, func(n minic.Node) bool {
-		if d, ok := n.(*minic.DeclStmt); ok {
-			declared[d.Name] = true
-		}
-		return true
-	})
-
-	// Types of names visible in the host function.
-	hostTypes := map[string]minic.Type{}
-	for _, p := range host.Params {
-		hostTypes[p.Name] = p.Type
-	}
-	arrays := map[string]bool{}
-	minic.Walk(host, func(n minic.Node) bool {
-		if d, ok := n.(*minic.DeclStmt); ok {
-			t := d.Type
-			if d.ArrayLen != nil {
-				t.Ptr = true
-				arrays[d.Name] = true
-			}
-			hostTypes[d.Name] = t
-		}
-		return true
-	})
-	for _, p := range host.Params {
-		if p.Type.Ptr {
-			arrays[p.Name] = true
-		}
-	}
-
-	// Free variables of the loop, in first-use order.
-	var free []freeVar
-	seen := map[string]bool{}
-	var liveOutViolation string
+	free := query.FreeVars(host, loop)
 	assigned := query.IdentsAssigned(loop)
+	for _, fv := range free {
+		if !fv.Type.Ptr && assigned[fv.Name] {
+			return nil, errf(tr, "scalar %q is written inside the hotspot and visible outside (live-out)", fv.Name)
+		}
+	}
+	var escape *minic.ReturnStmt
 	minic.Walk(loop, func(n minic.Node) bool {
-		id, ok := n.(*minic.Ident)
-		if !ok {
-			return true
+		if r, ok := n.(*minic.ReturnStmt); ok && escape == nil {
+			escape = r
 		}
-		name := id.Name
-		if declared[name] || seen[name] {
-			return true
-		}
-		t, known := hostTypes[name]
-		if !known {
-			return true // builtin or function name in call position
-		}
-		seen[name] = true
-		if !t.Ptr && assigned[name] {
-			liveOutViolation = name
-		}
-		free = append(free, freeVar{name: name, typ: t, isPtr: t.Ptr})
-		return true
+		return escape == nil
 	})
-	if liveOutViolation != "" {
-		return nil, errf(tr, "scalar %q is written inside the hotspot and visible outside (live-out)", liveOutViolation)
+	if escape != nil {
+		return nil, errf(tr, "return at %s leaves the hotspot loop", escape.NodePos())
 	}
 
 	// Build the kernel function.
@@ -149,7 +100,7 @@ func ExtractHotspot(prog *minic.Program, host *minic.FuncDecl, loop minic.Stmt, 
 		Name: kernelName,
 	}
 	for _, fv := range free {
-		kernel.Params = append(kernel.Params, &minic.Param{Type: fv.typ, Name: fv.name})
+		kernel.Params = append(kernel.Params, &minic.Param{Type: fv.Type, Name: fv.Name})
 	}
 	body := &minic.Block{Stmts: []minic.Stmt{minic.CloneStmt(loop)}}
 	kernel.Body = body
@@ -157,7 +108,7 @@ func ExtractHotspot(prog *minic.Program, host *minic.FuncDecl, loop minic.Stmt, 
 	// Replace the loop with a call.
 	call := &minic.CallExpr{Fun: kernelName}
 	for _, fv := range free {
-		call.Args = append(call.Args, &minic.Ident{Name: fv.name})
+		call.Args = append(call.Args, &minic.Ident{Name: fv.Name})
 	}
 	if !minic.ReplaceStmt(host, loop, &minic.ExprStmt{X: call}) {
 		return nil, errf(tr, "loop is not a direct statement of a block in %s", host.Name)

@@ -103,6 +103,84 @@ void app(int n, double *out) {
 	}
 }
 
+// TestExtractHotspotReturnEscapes: a return inside the loop would, once
+// cloned into the void kernel, return from the kernel while the host runs
+// on — `return 7` with a[0] doubled as written, `return 1` with a[0] == -1
+// after outlining. Refused like a live-out scalar; break and continue bind
+// inside the cloned loop and stay legal.
+func TestExtractHotspotReturnEscapes(t *testing.T) {
+	run := func(prog *minic.Program) (int64, float64) {
+		t.Helper()
+		a := interp.NewFloatBuffer("a", minic.Double, make([]float64, 1000))
+		res, err := interp.Run(prog, interp.Config{Entry: "app",
+			Args: []interp.Value{interp.IntVal(1000), interp.BufVal(a)}})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return res.Ret.I, a.F[0]
+	}
+	cases := []struct {
+		name, src string
+		refused   string // "" when outlining is legal
+	}{
+		{"return in the hotspot loop", `
+int app(int n, double *a) {
+    for (int i = 0; i < n; i++) {
+        a[i] = a[i] * 2.0 + 1.0;
+        if (i == 500) { return 7; }
+    }
+    a[0] = -1.0;
+    return 1;
+}`, "transform ExtractHotspot: return at 5:25 leaves the hotspot loop"},
+		{"return in a nested loop of the hotspot", `
+int app(int n, double *a) {
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < 2; j++) {
+            a[i] = a[i] * 2.0 + 1.0;
+            while (a[i] > 100.0) { return 7; }
+        }
+    }
+    a[0] = -1.0;
+    return 1;
+}`, "transform ExtractHotspot: return at 6:36 leaves the hotspot loop"},
+		{"break and continue inside the hotspot", `
+int app(int n, double *a) {
+    for (int i = 0; i < n; i++) {
+        if (i == 3) { continue; }
+        for (int j = 0; j < 8; j++) {
+            if (j == 2) { break; }
+            a[i] = a[i] * 2.0 + 1.0;
+        }
+        if (i == 500) { break; }
+    }
+    a[0] = -1.0;
+    return 1;
+}`, ""},
+	}
+	for _, c := range cases {
+		wantRet, wantA0 := run(minic.MustParse(c.src))
+		prog := minic.MustParse(c.src)
+		host := prog.MustFunc("app")
+		_, err := ExtractHotspot(prog, host, query.New(prog).OutermostLoops(host)[0], "k")
+		if c.refused != "" {
+			if err == nil || err.Error() != c.refused {
+				t.Errorf("%s: err = %v, want %q", c.name, err, c.refused)
+			}
+			if prog.Func("k") != nil || minic.Print(prog) != minic.Print(minic.MustParse(c.src)) {
+				t.Errorf("%s: a refused outlining changed the program", c.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if ret, a0 := run(prog); ret != wantRet || a0 != wantA0 {
+			t.Errorf("%s: outlined program returns %d with a[0]=%v, as written %d with %v", c.name, ret, a0, wantRet, wantA0)
+		}
+	}
+}
+
 func TestExtractHotspotNameCollision(t *testing.T) {
 	prog := minic.MustParse(hostSrc)
 	host := prog.MustFunc("app")

@@ -25,7 +25,7 @@ go test -race -count=20 -run 'TestTerminalStatusHasResult|TestClusterDeterminism
 # Its counterpart for a program never seen before: the run cache keeps a
 # few KB of profile per program and neither the lowered image nor the
 # run's buffers. The 32 KB bound is the plain build's and holds as it is
-# under the detector (8.4 KB measured in both); two runs, not twenty,
+# under the detector (5.8 KB measured in the plain build); two runs, not twenty,
 # because one is 60 cold flows, about two minutes under -race.
 go test -race -count=2 -run 'TestUniqueProgramFootprint' ./internal/experiments/
 # Bench smoke: one shot of every harness benchmark, so a regression that
@@ -35,6 +35,12 @@ go test -run '^$' -bench . -benchtime=1x .
 # AST on arbitrary input, never panic — the registry feeds it raw bytes
 # off the wire.
 go test -run '^$' -fuzz 'FuzzFlowParse' -fuzztime 10s ./internal/flowlang/
+# Engine differential fuzz (short budget): the only generator-driven check
+# that the VM and the tree-walker agree on profiles. It runs with Watch
+# empty, so it compares the loop-watching mode across the engines and, where
+# outlining accepts the hotspot, against a kernel-watched run of the
+# outlined program.
+go test -run '^$' -fuzz 'FuzzBytecodeDiff' -fuzztime 10s ./internal/interp/
 # Bundled flow documents must stay valid: -check parses + validates each.
 flowtmp=$(mktemp -d)
 go build -o "$flowtmp/psaflow" ./cmd/psaflow
