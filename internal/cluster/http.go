@@ -101,7 +101,7 @@ func (n *Node) handleRunGet(w http.ResponseWriter, r *http.Request) {
 		// slow fill answers 404 rather than a torn connection.
 		wait = min(time.Duration(ms)*time.Millisecond, n.cfg.HTTPTimeout-time.Second)
 	}
-	payload, sum, hit, _, waited := n.runs.fetch(keyID, wait, time.Now)
+	payload, sum, hit, _, waited := n.runs.fetch(keyID, wait, n.now)
 	if !hit {
 		clusterErr(w, http.StatusNotFound, "no envelope for %.12s", keyID)
 		return

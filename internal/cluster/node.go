@@ -170,6 +170,7 @@ type Node struct {
 	streamClient *http.Client
 
 	runs *runStore
+	now  func() time.Time // the run store's clock (pending-mark expiry)
 
 	counters  Sink
 	loadFn    func() int64
@@ -208,6 +209,7 @@ func New(cfg Config) (*Node, error) {
 		client:       &http.Client{Timeout: cfg.HTTPTimeout},
 		streamClient: &http.Client{},
 		runs:         newRunStore(cfg.StoreCap),
+		now:          time.Now,
 		stop:         make(chan struct{}),
 	}
 	if err := n.SetPeers(cfg.Peers); err != nil {
@@ -582,7 +584,7 @@ func (n *Node) FetchRun(key core.RunKey) (*interp.Result, bool) {
 	keyID := RunKeyID(key.Fingerprint, key.Workload, key.Entry, key.Watch)
 	owner := n.ownerHealthy(RunKeyHash(keyID))
 	if owner == n.self {
-		payload, sum, hit, _, _ := n.runs.fetch(keyID, n.cfg.FetchWait, time.Now)
+		payload, sum, hit, _, _ := n.runs.fetch(keyID, n.cfg.FetchWait, n.now)
 		if !hit {
 			n.count(telemetry.CounterClusterRunPeerMisses, 1)
 			return nil, false

@@ -33,11 +33,12 @@ func TestRunStoreSingleflight(t *testing.T) {
 	wg.Add(1)
 	var gotPayload []byte
 	var gotWaited bool
+	clock, read := markRead()
 	go func() {
 		defer wg.Done()
-		gotPayload, _, hit, _, gotWaited = rs.fetch(key, 5*time.Second, time.Now)
+		gotPayload, _, hit, _, gotWaited = rs.fetch(key, 5*time.Second, clock)
 	}()
-	time.Sleep(20 * time.Millisecond) // let the fetch park on the pending channel
+	<-read
 	rs.put(key, []byte("payload"), "sum")
 	wg.Wait()
 	if !hit || !gotWaited || string(gotPayload) != "payload" {
@@ -56,6 +57,22 @@ func TestRunStoreSingleflight(t *testing.T) {
 	if string(p) != "payload" {
 		t.Fatalf("duplicate fill replaced the entry: %q", p)
 	}
+}
+
+// markRead returns a clock for runStore.fetch and a channel that hears of
+// its first reading. fetch reads the clock to check a pending mark's expiry
+// inside the critical section in which it takes the mark's channel, so a
+// fill that comes after the reading finds the fetch waiting on it — what a
+// sleep "long enough for the fetch to park" used to approximate.
+func markRead() (clock func() time.Time, read <-chan struct{}) {
+	c := make(chan struct{}, 1)
+	return func() time.Time {
+		select {
+		case c <- struct{}{}:
+		default:
+		}
+		return time.Now()
+	}, c
 }
 
 func TestRunStoreWaitTimeout(t *testing.T) {
@@ -235,11 +252,13 @@ func TestTwoNodeFetchWaitsForFill(t *testing.T) {
 	// na's fetch arrives while the key is pending: it must block for the
 	// fill and hit, not recompute.
 	done := make(chan bool, 1)
+	clock, read := markRead()
+	nb.now = clock
 	go func() {
 		_, ok := na.FetchRun(key)
 		done <- ok
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-read
 	nb.FillRun(key, sampleResult())
 	select {
 	case ok := <-done:

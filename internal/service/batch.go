@@ -7,21 +7,9 @@ import (
 
 	"psaflow/internal/bench"
 	"psaflow/internal/events"
-	"psaflow/internal/experiments"
 	"psaflow/internal/minic"
-	"psaflow/internal/store"
 	"psaflow/internal/telemetry"
 )
-
-// batchOutcome is the leader's terminal outcome, shared verbatim with
-// every follower of the batch.
-type batchOutcome struct {
-	state   JobState
-	msg     string
-	class   string
-	results []experiments.DesignResult
-	rep     *telemetry.Report
-}
 
 // Batched multi-job execution. The flow engine is deterministic, so two
 // queued jobs that would execute the identical flow — same benchmark,
@@ -42,11 +30,10 @@ type batchOutcome struct {
 // the same program batch together); jobs differing in any other field —
 // including timeouts and fault specs, which can change the outcome —
 // never share an execution.
-func batchKey(job *Job) string {
-	spec := job.Spec
+func batchKey(spec JobSpec, fp uint64) string {
 	spec.Source = ""
 	b, _ := json.Marshal(spec)
-	return fmt.Sprintf("%016x|%s", job.fp, b)
+	return fmt.Sprintf("%016x|%s", fp, b)
 }
 
 // bundledFP caches the fingerprint of each benchmark's bundled source so
@@ -66,7 +53,7 @@ func programFingerprint(b *bench.Benchmark, prog *minic.Program) uint64 {
 }
 
 // enrollBatch registers a freshly-queued job as a batching candidate.
-// Caller holds s.mu (register serializes with claimFollowers' take).
+// Caller holds s.mu (enqueue serializes with claimFollowers' take).
 func (s *Server) enrollBatch(job *Job) {
 	if !s.cfg.Batch {
 		return
@@ -76,11 +63,10 @@ func (s *Server) enrollBatch(job *Job) {
 
 // claimFollowers is called by the worker that just started leader: it
 // takes every still-queued job with the leader's batch key out of the
-// pending set and marks it running behind the leader. Claimed followers
-// remain in the queue channel; the worker that later dequeues one finds
-// it no longer queued and skips it (the same mechanism that skips jobs
-// cancelled while queued). Jobs submitted after this point form the next
-// batch.
+// pending set and starts it behind the leader. Claimed followers remain
+// in the queue; the worker that later dequeues one finds it no longer
+// queued and skips it (the same mechanism that skips jobs cancelled while
+// queued). Jobs submitted after this point form the next batch.
 func (s *Server) claimFollowers(leader *Job) []*Job {
 	if !s.cfg.Batch {
 		return nil
@@ -91,21 +77,13 @@ func (s *Server) claimFollowers(leader *Job) []*Job {
 	s.mu.Unlock()
 	var followers []*Job
 	for _, f := range pending {
-		if f == leader {
-			continue
-		}
 		// A no-op cancel: the follower has no execution of its own to
-		// stop, and the leader's run must not die with one rider.
-		if !f.markRunning(func() {}) {
-			continue // cancelled while queued (or already claimed)
+		// stop, and the leader's run must not die with one rider. A job
+		// that does not start was cancelled while queued (or is the
+		// leader itself).
+		if f != leader && s.start(f, func() {}, "batched behind leader "+leader.ID) {
+			followers = append(followers, f)
 		}
-		followers = append(followers, f)
-		st := f.Status()
-		s.rec.Add(telemetry.CounterJobsStarted, 1)
-		s.rec.Add(telemetry.CounterQueueWaitMillis, int64(st.QueueWaitMS))
-		s.publish(f, events.Event{Type: events.TypeStarted, Name: f.Spec.Bench,
-			Detail: fmt.Sprintf("batched behind leader %s (waited %.0fms in queue)", leader.ID, st.QueueWaitMS)})
-		s.logf("job %s: batched behind leader %s", f.ID, leader.ID)
 	}
 	if len(followers) > 0 {
 		s.rec.Add(telemetry.CounterBatchGroups, 1)
@@ -115,20 +93,4 @@ func (s *Server) claimFollowers(leader *Job) []*Job {
 		s.logf("job %s: leading a batch of %d identical jobs", leader.ID, len(followers)+1)
 	}
 	return followers
-}
-
-// finishFollowers distributes the leader's outcome to its followers:
-// each gets the leader's terminal state and a result built from the same
-// evaluated designs and telemetry report, stamped with the batch fields.
-func (s *Server) finishFollowers(leader *Job, followers []*Job, res *batchOutcome) {
-	for _, f := range followers {
-		f.finish(res.state, res.msg, func(st JobStatus) *JobResult {
-			fres := buildResult(st, res.class, res.results, res.rep)
-			fres.Batched = true
-			fres.BatchSize = len(followers) + 1
-			fres.BatchLeader = leader.ID
-			return fres
-		})
-		s.finalizeJob(f, store.OpResult)
-	}
 }

@@ -83,8 +83,7 @@ func (s *Server) proxyToOwner(w http.ResponseWriter, r *http.Request, id string)
 	}
 	// Event streams outlive any sane request timeout; everything else
 	// uses the bounded peer client.
-	client := c.StreamClient()
-	resp, err := client.Do(req)
+	resp, err := c.StreamClient().Do(req)
 	if err != nil {
 		s.rec.Add(telemetry.CounterClusterProxyFailed, 1)
 		writeErr(w, http.StatusBadGateway, "job %q lives on node %s, which is unreachable: %v", id, owner, err)

@@ -64,18 +64,13 @@ const liveFlushInterval = 25 * time.Millisecond
 // ring: a watcher of an unbounded flow costs O(ring), not O(stream).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	job := s.lookup(id)
+	job, doc := s.find(w, r, true)
 	if job == nil {
-		if _, ok := s.storedResult(id); ok {
+		if doc != nil {
 			// Evicted from the registry: the history is gone but the
 			// outcome is not.
 			writeErr(w, http.StatusGone, "job %q was evicted from the registry; its result is at /v1/jobs/%s/result", id, id)
-			return
 		}
-		if s.proxyToOwner(w, r, id) {
-			return
-		}
-		writeErr(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
 

@@ -582,7 +582,7 @@ func TestTerminalJobEviction(t *testing.T) {
 		ids = append(ids, st.ID)
 	}
 
-	// The job state turns terminal before finalizeJob persists and retires
+	// The job state turns terminal before complete persists and retires
 	// it, so eviction trails the visible "done" by a beat.
 	waitCond(t, "registry drained to the retain cap", func() bool {
 		s.mu.Lock()

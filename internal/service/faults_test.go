@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,34 +145,58 @@ func TestFailureClassification(t *testing.T) {
 	}
 }
 
-// finishedJob is a job taken straight to done with a status-only result,
-// for tests that drive the terminal WAL write alone.
-func finishedJob(id string) *Job {
-	job := &Job{ID: id, submitted: time.Now(), state: StateQueued}
-	job.finish(StateDone, "", func(st JobStatus) *JobResult { return &JobResult{JobStatus: st} })
-	return job
-}
-
-// TestPersistIOFaultsRetried injects transient I/O faults into the
-// daemon's result writes and checks they are retried to success, with
-// the injections and retries visible on the service recorder.
+// TestPersistIOFaultsRetried injects transient I/O faults into every job
+// record the daemon writes — submit, result, and the evict of a pending
+// record start-up cannot replay — and checks they are retried to success,
+// with the injections and retries visible on the service recorder.
 func TestPersistIOFaultsRetried(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Config{DataDir: dir, Faults: "seed=1,rate=0.4,kinds=io", Retry: fastRetry})
+	// Left by an older daemon: acknowledged submissions whose spec this
+	// build no longer accepts.
+	st, err := store.Open(s.storePath(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stale = 10
+	for i := 0; i < stale; i++ {
+		rec := store.Record{Op: store.OpSubmit, ID: fmt.Sprintf("stale-%02d", i), Data: json.RawMessage(`{"bench":"retired"}`)}
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.openStore(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		id := fmt.Sprintf("job-%02d", i)
-		if err := s.saveTerminal(store.OpResult, finishedJob(id)); err != nil {
-			t.Fatalf("saveTerminal %s: %v", id, err)
-		}
-		if e, ok := s.store.Get(id); !ok || e.Phase != store.PhaseTerminal {
-			t.Fatalf("result %s not in the store: %+v ok=%v", id, e, ok)
-		}
+	if n := s.replayStore(); n != 0 {
+		t.Fatalf("replay of %d unreplayable records requeued %d", stale, n)
+	}
+	if n := s.store.Stats().PendingJobs; n != 0 {
+		t.Errorf("%d of %d unreplayable records survived their evict", n, stale)
 	}
 	if got := s.rec.Counter(telemetry.CounterFaultsInjected); got == 0 {
-		t.Error("rate=0.4 over 20 writes injected nothing; persistence is not instrumented")
+		t.Error("rate=0.4 over 10 replay evicts injected nothing; the evict bypasses persistIO")
+	}
+
+	b, _, err := (&JobSpec{Bench: "nbody"}).validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		job := s.newJob(fmt.Sprintf("job-%02d", i), JobSpec{Bench: "nbody"}, b, nil, time.Now())
+		if _, err := s.admit(job); err != nil {
+			t.Fatalf("admit %s: %v", job.ID, err)
+		}
+		if !s.start(job, func() {}, "") {
+			t.Fatalf("start %s refused", job.ID)
+		}
+		s.complete(job, store.OpResult, &outcome{state: StateDone})
+		if e, ok := s.store.Get(job.ID); !ok || e.Phase != store.PhaseTerminal {
+			t.Fatalf("result %s not in the store: %+v ok=%v", job.ID, e, ok)
+		}
 	}
 	if got := s.rec.Counter(telemetry.CounterRetryAttempts); got == 0 {
 		t.Error("injected I/O faults were not retried")
@@ -183,18 +208,35 @@ func TestPersistIOFaultsRetried(t *testing.T) {
 // on — a lost result file must never take a worker down).
 func TestPersistIOFaultsExhaust(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Config{DataDir: dir, Faults: "seed=1,rate=1,kinds=io", Retry: fastRetry})
+	var logs logCapture
+	s := New(Config{DataDir: dir, Faults: "seed=1,rate=1,kinds=io", Retry: fastRetry, Logf: logs.logf})
 	if err := s.openStore(); err != nil {
 		t.Fatal(err)
 	}
-	err := s.saveTerminal(store.OpResult, finishedJob("doomed"))
+	b, _, err := (&JobSpec{Bench: "nbody"}).validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := s.newJob("doomed", JobSpec{Bench: "nbody"}, b, nil, time.Now())
+	_, err = s.admit(job)
 	if err == nil {
 		t.Fatal("rate=1 I/O injection still succeeded")
 	}
 	if faults.AsFault(err) == nil {
 		t.Errorf("exhausted persist error should carry the fault chain, got %v", err)
 	}
-	// The injection fires before the WAL append, so the failed write left
+	// The terminal write gives up the same way, and says so in the log: the
+	// job is terminal and readable all the same.
+	if err := s.enqueue(job); err != nil || !s.start(job, func() {}, "") {
+		t.Fatal("could not start the job past its failed submit record")
+	}
+	if st, ok := s.complete(job, store.OpResult, &outcome{state: StateDone}); !ok || st.State != StateDone || job.Result() == nil {
+		t.Errorf("job whose terminal write failed ended %+v (ok=%v) with result %q", st, ok, job.Result())
+	}
+	if got := logs.take(); !strings.Contains(got, "job doomed: persist result:") {
+		t.Errorf("failed terminal write not logged:\n%s", got)
+	}
+	// The injection fires before the WAL append, so the failed writes left
 	// no record behind.
 	if _, ok := s.store.Get("doomed"); ok {
 		t.Error("failed write left a store record behind")

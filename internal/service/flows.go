@@ -253,9 +253,6 @@ func (s *Server) handleFlowPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	maxBody := s.cfg.MaxBody
-	if maxBody <= 0 {
-		maxBody = defaultMaxBody
-	}
 	// A .psa document is raw text, not JSON — the registry needs the whole
 	// source as one string, so this is a streamed bounded copy (fixed
 	// 32 KiB chunks into a builder grown once), not a token decode.

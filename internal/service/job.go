@@ -197,12 +197,11 @@ type Job struct {
 	// worker that runs the job reads it, before the terminal transition
 	// drops it.
 	prog *minic.Program
-	// fp is the program's fingerprint (custom source when set, bundled
-	// otherwise) and batchKey the derived batching identity (batch.go).
-	fp        uint64
+	// batchKey is the job's batching identity (batch.go); empty unless the
+	// daemon batches.
 	batchKey  string
 	submitted time.Time
-	// events is the job's live stream broker, created by Server.register
+	// events is the job's live stream broker, created by Server.enqueue
 	// before the job is queued and closed when the job reaches a terminal
 	// state (late subscribers still replay the retained ring).
 	events *events.Broker
@@ -214,7 +213,7 @@ type Job struct {
 	finished time.Time
 	cancel   func() // cancels the running flow; nil unless running
 	// result is the terminal JobResult, encoded once (compact JSON) by
-	// finishLocked; nil while the job is live. The same bytes are the WAL
+	// terminate; nil while the job is live. The same bytes are the WAL
 	// record's data and the body GET /result indents — never mutate them.
 	result []byte
 	// done is what GET /result waits on (waitResult): made by the first
@@ -367,30 +366,19 @@ func (j *Job) waitResult(hold time.Duration) []byte {
 	return j.Result()
 }
 
-// markRunning transitions Queued → Running; false means the job was
-// cancelled while queued and must not run.
-func (j *Job) markRunning(cancel func()) bool {
+// markRunning transitions Queued → Running and returns the job's queue
+// wait; false means the job is no longer queued (cancelled, or claimed as a
+// batch follower) and must not run. Called by Server.start alone.
+func (j *Job) markRunning(cancel func()) (queueWaitMS float64, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return false
+		return 0, false
 	}
 	j.state = StateRunning
 	j.started = time.Now()
 	j.cancel = cancel
-	return true
-}
-
-// cancelQueued finishes a still-queued job as cancelled; false if the job
-// already started (the caller should cancel the running context instead).
-func (j *Job) cancelQueued(build func(JobStatus) *JobResult) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.finishLocked(StateCancelled, "cancelled before start", build)
-	return true
+	return float64(j.started.Sub(j.submitted)) / float64(time.Millisecond), true
 }
 
 // cancelRunning invokes the running flow's cancel function; false if the
@@ -405,47 +393,54 @@ func (j *Job) cancelRunning() bool {
 	return true
 }
 
-// finish moves a started job to a terminal state.
-func (j *Job) finish(state JobState, errMsg string, build func(JobStatus) *JobResult) {
+// terminate is the job's half of Server.complete, its only caller: state,
+// error, finish time and result become visible in the same critical
+// section, so a client that observes a terminal state can always read the
+// result. onlyQueued makes it a no-op (ok=false) unless the job is still
+// queued — a cancel that lost the race with a worker. The result is built
+// and encoded here, once, and only the bytes are kept; the parsed program
+// and the cancel closure go in the same step.
+func (j *Job) terminate(out *outcome, onlyQueued bool) (st JobStatus, doc []byte, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.finishLocked(state, errMsg, build)
-}
-
-// finishLocked is the one terminal transition: state, error, finish time
-// and result become visible in the same critical section, so a client that
-// observes a terminal state can always read the result. build receives the
-// terminal status the result embeds; it runs under j.mu and must not touch
-// the job. The result is encoded here, once, and only the bytes are kept;
-// the parsed program and the cancel closure go in the same step.
-func (j *Job) finishLocked(state JobState, errMsg string, build func(JobStatus) *JobResult) {
-	j.state = state
-	j.errMsg = errMsg
+	if onlyQueued && j.state != StateQueued {
+		return st, nil, false
+	}
+	j.state = out.state
+	j.errMsg = out.msg
 	j.finished = time.Now()
-	data, err := json.Marshal(build(j.statusLocked()))
+	st = j.statusLocked()
+	doc, err := json.Marshal(buildResult(st, out))
 	if err != nil {
 		// A design carrying a NaN or an infinity has no JSON encoding. The
 		// job still needs a readable terminal document, so it fails with
 		// the reason, which always encodes.
 		j.state, j.errMsg = StateFailed, "encode result: "+err.Error()
-		data, _ = json.Marshal(&JobResult{JobStatus: j.statusLocked(), FailureClass: FailureError})
+		st = j.statusLocked()
+		doc, _ = json.Marshal(&JobResult{JobStatus: st, FailureClass: FailureError})
 	}
-	j.result = data
+	j.result = doc
 	j.prog, j.cancel = nil, nil
 	if j.done != nil {
 		close(j.done)
 		j.done = nil
 	}
+	return st, doc, true
 }
 
-// buildResult assembles the persisted result from the evaluated designs.
-func buildResult(st JobStatus, failureClass string, results []experiments.DesignResult, rep *telemetry.Report) *JobResult {
-	out := &JobResult{JobStatus: st, FailureClass: failureClass, Telemetry: rep}
-	if rep != nil {
-		out.DegradedDesigns = rep.Counters[telemetry.CounterFaultDegradations]
+// buildResult assembles the persisted result from a terminal outcome: the
+// evaluated designs, the job-scoped telemetry and, for a job that rode a
+// batch, the batch fields.
+func buildResult(st JobStatus, o *outcome) *JobResult {
+	out := &JobResult{JobStatus: st, FailureClass: o.class, Telemetry: o.rep}
+	if o.rep != nil {
+		out.DegradedDesigns = o.rep.Counters[telemetry.CounterFaultDegradations]
+	}
+	if o.batchSize > 0 {
+		out.Batched, out.BatchSize, out.BatchLeader = true, o.batchSize, o.batchLeader
 	}
 	bestSpeedup := 0.0
-	for _, r := range results {
+	for _, r := range o.results {
 		d := r.Design
 		ds := DesignSummary{
 			Label:      d.Label(),

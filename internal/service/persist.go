@@ -24,18 +24,16 @@ import (
 
 // validJobID rejects path-traversal in client-supplied job IDs before they
 // reach the filesystem.
-func validJobID(id string) bool {
-	if id == "" || len(id) > 64 {
-		return false
-	}
-	for _, c := range id {
-		switch {
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '-':
-		default:
+func validJobID(id string) bool { return id != "" && isSlug(id, 64) }
+
+// isSlug reports whether s is at most max characters of [a-z0-9-].
+func isSlug(s string, max int) bool {
+	for _, c := range s {
+		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '-' {
 			return false
 		}
 	}
-	return true
+	return len(s) <= max
 }
 
 // persistIO runs one persistence write under the daemon's fault injector
@@ -89,41 +87,20 @@ func (s *Server) openStore() error {
 // record — the crash-recovery path. Jobs whose spec no longer validates are
 // evicted with a log line and counter rather than wedging startup; a full
 // queue leaves the job in the store for the next start.
-func (s *Server) replayStore() (int, error) {
+func (s *Server) replayStore() int {
 	if s.store == nil {
-		return 0, nil
+		return 0
 	}
 	requeued := 0
 	for _, e := range s.store.Pending() {
-		var spec JobSpec
-		if err := json.Unmarshal(e.Spec, &spec); err != nil {
-			s.rec.Add(telemetry.CounterStoreSkippedCorrupt, 1)
-			s.logf("replay %s: dropped: corrupt spec: %v", e.ID, err)
-			s.evictUnreplayable(e.ID)
-			continue
-		}
-		b, prog, err := spec.validate()
+		job, err := s.replayedJob(e)
 		if err != nil {
 			s.rec.Add(telemetry.CounterStoreSkippedCorrupt, 1)
 			s.logf("replay %s: dropped: %v", e.ID, err)
-			s.evictUnreplayable(e.ID)
+			s.evict(e.ID, "replay")
 			continue
 		}
-		submitted, terr := time.Parse(time.RFC3339Nano, e.Submitted)
-		if terr != nil {
-			submitted = time.Now()
-		}
-		job := &Job{
-			ID:        e.ID,
-			Spec:      spec,
-			bench:     b,
-			prog:      prog,
-			fp:        programFingerprint(b, prog),
-			submitted: submitted,
-			state:     StateQueued,
-		}
-		job.batchKey = batchKey(job)
-		if ok, _ := s.register(job); !ok {
+		if err := s.enqueue(job); err != nil {
 			// Not evicted: the submit record stays durable and the next
 			// start (with a larger queue, or fewer jobs) retries.
 			s.logf("replay %s: queue full; left in store for next start", e.ID)
@@ -135,15 +112,25 @@ func (s *Server) replayStore() (int, error) {
 		s.rec.Add(telemetry.CounterJobsRestored, int64(requeued))
 		s.rec.Add(telemetry.CounterStoreRequeued, int64(requeued))
 	}
-	return requeued, nil
+	return requeued
 }
 
-// evictUnreplayable tombstones a pending record replayStore cannot turn
-// back into a job, so it stops resurfacing on every start.
-func (s *Server) evictUnreplayable(id string) {
-	if err := s.store.Append(store.Record{Op: store.OpEvict, ID: id}); err != nil {
-		s.logf("replay %s: evict: %v", id, err)
+// replayedJob turns a pending submit record back into the job it
+// acknowledged, under its old ID and submit time.
+func (s *Server) replayedJob(e store.Entry) (*Job, error) {
+	var spec JobSpec
+	if err := json.Unmarshal(e.Spec, &spec); err != nil {
+		return nil, fmt.Errorf("corrupt spec: %w", err)
 	}
+	b, prog, err := spec.validate()
+	if err != nil {
+		return nil, err
+	}
+	submitted, err := time.Parse(time.RFC3339Nano, e.Submitted)
+	if err != nil {
+		submitted = time.Now()
+	}
+	return s.newJob(e.ID, spec, b, prog, submitted), nil
 }
 
 // storedResult returns a previously persisted result document (possibly
@@ -165,76 +152,6 @@ func (s *Server) storedResult(id string) ([]byte, bool) {
 		return nil, false
 	}
 	return e.Result, true
-}
-
-// logSubmit appends a job's submit record durably. Submission is
-// acknowledged to the client only after this returns: an acked job exists
-// in the WAL, whatever happens to the process next.
-func (s *Server) logSubmit(job *Job) error {
-	if s.store == nil {
-		return nil
-	}
-	spec, err := json.Marshal(job.Spec)
-	if err != nil {
-		return err
-	}
-	return s.persistIO("wal:submit:"+job.ID, func() error {
-		return s.store.Append(store.Record{
-			Op:   store.OpSubmit,
-			ID:   job.ID,
-			Time: fmtTime(job.submitted),
-			Data: spec,
-		})
-	})
-}
-
-// rollbackSubmit evicts a submit record whose registration failed (queue
-// full or draining): the client got an error, so the job must not be
-// requeued by a later replay.
-func (s *Server) rollbackSubmit(id string) {
-	if s.store == nil {
-		return
-	}
-	err := s.persistIO("wal:rollback:"+id, func() error {
-		return s.store.Append(store.Record{Op: store.OpEvict, ID: id})
-	})
-	if err != nil {
-		// Harmless even if it sticks: replaying the submit just requeues a
-		// job the client was told to retry anyway.
-		s.logf("job %s: rollback: %v (job may be requeued on restart)", id, err)
-	}
-}
-
-// saveTerminal persists a finished job's encoded result as its terminal
-// record: store.OpResult after a run, store.OpCancel for a job cancelled
-// while queued.
-func (s *Server) saveTerminal(op store.Op, job *Job) error {
-	if s.store == nil {
-		return nil
-	}
-	st := job.Status()
-	data := job.Result()
-	return s.persistIO("wal:"+string(op)+":"+job.ID, func() error {
-		return s.store.Append(store.Record{
-			Op:    op,
-			ID:    job.ID,
-			State: string(st.State),
-			Time:  st.SubmittedAt,
-			Data:  data,
-		})
-	})
-}
-
-// logShutdown appends the shutdown record that lets the next start tell
-// a drain from a crash. Drain calls it last, immediately before closing
-// the store, so no job record can follow it in the log.
-func (s *Server) logShutdown() error {
-	if s.store == nil {
-		return nil
-	}
-	return s.persistIO("wal:shutdown", func() error {
-		return s.store.Append(store.Record{Op: store.OpShutdown, Time: fmtTime(time.Now())})
-	})
 }
 
 // syncStoreCounters mirrors the store's cumulative stats into the service

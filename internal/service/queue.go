@@ -43,13 +43,15 @@ type tenantQuota struct {
 	Weight float64
 }
 
-// parseTenantQuotas parses the -tenant-quota flag / Config.TenantQuotas
+// ParseTenantQuotas parses the -tenant-quota flag / Config.TenantQuotas
 // string: comma-separated "tenant=maxInflight[:weight]" entries, where
-// tenant "*" sets the default for tenants not named. Examples:
+// tenant "*" sets the default for tenants not named. The CLI calls it
+// before the spec reaches Config.TenantQuotas, so a typo fails startup
+// rather than being logged and ignored. Examples:
 //
 //	"acme=4:2,guest=1"      acme: 4 in flight, double weight; guest: 1 in flight
 //	"*=2,batch=8:0.5"       everyone 2 in flight; batch 8 but half weight
-func parseTenantQuotas(spec string) (map[string]tenantQuota, error) {
+func ParseTenantQuotas(spec string) (map[string]tenantQuota, error) {
 	quotas := make(map[string]tenantQuota)
 	if strings.TrimSpace(spec) == "" {
 		return quotas, nil
@@ -89,26 +91,9 @@ func parseTenantQuotas(spec string) (map[string]tenantQuota, error) {
 	return quotas, nil
 }
 
-// ParseTenantQuotas validates a -tenant-quota flag value; the CLI calls
-// it before the spec reaches Config.TenantQuotas so a typo fails startup
-// rather than being logged and ignored.
-func ParseTenantQuotas(spec string) (map[string]tenantQuota, error) {
-	return parseTenantQuotas(spec)
-}
-
 // validTenant reports whether name is a legal tenant: empty (the default
 // tenant) or 1-32 of [a-z0-9-].
-func validTenant(name string) bool {
-	if len(name) > 32 {
-		return false
-	}
-	for _, c := range name {
-		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '-' {
-			return false
-		}
-	}
-	return true
-}
+func validTenant(name string) bool { return isSlug(name, 32) }
 
 // jobQueue is the bounded, tenant-fair queue described above. All state
 // is guarded by mu; Pop blocks on cond until a job is eligible or the
@@ -318,21 +303,17 @@ func (q *jobQueue) Tenants() []tenantView {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	queued := make(map[string]int)
+	for t := range q.inflight {
+		queued[t] = 0
+	}
 	for _, item := range q.items {
 		queued[item.job.Spec.Tenant]++
 	}
-	names := make(map[string]bool)
-	for t := range queued {
-		names[t] = true
-	}
-	for t := range q.inflight {
-		names[t] = true
-	}
-	out := make([]tenantView, 0, len(names))
-	for t := range names {
+	out := make([]tenantView, 0, len(queued))
+	for t, n := range queued {
 		quota := q.quota(t)
 		out = append(out, tenantView{
-			Tenant: t, Queued: queued[t], InFlight: q.inflight[t],
+			Tenant: t, Queued: n, InFlight: q.inflight[t],
 			MaxInFlight: quota.MaxInFlight, Weight: quota.Weight,
 		})
 	}

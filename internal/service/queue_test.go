@@ -10,7 +10,7 @@ func qjob(tenant string, priority int) *Job {
 }
 
 func TestParseTenantQuotas(t *testing.T) {
-	q, err := parseTenantQuotas("acme=4:2, guest=1 ,*=8:0.5")
+	q, err := ParseTenantQuotas("acme=4:2, guest=1 ,*=8:0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,11 +23,11 @@ func TestParseTenantQuotas(t *testing.T) {
 	if got := q["*"]; got.MaxInFlight != 8 || got.Weight != 0.5 {
 		t.Errorf("default: %+v", got)
 	}
-	if q, err := parseTenantQuotas(""); err != nil || len(q) != 0 {
+	if q, err := ParseTenantQuotas(""); err != nil || len(q) != 0 {
 		t.Errorf("empty spec: %v %v", q, err)
 	}
 	for _, bad := range []string{"acme", "acme=", "acme=-1", "acme=2:0", "acme=2:x", "ACME=1", "acme=1,acme=2"} {
-		if _, err := parseTenantQuotas(bad); err == nil {
+		if _, err := ParseTenantQuotas(bad); err == nil {
 			t.Errorf("spec %q parsed, want error", bad)
 		}
 	}
@@ -52,7 +52,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 func TestQueueTenantFairShare(t *testing.T) {
 	// Tenant "heavy" has weight 2, "light" weight 1: under contention
 	// heavy should get about two dequeues for every one of light's.
-	quotas, err := parseTenantQuotas("heavy=0:2,light=0:1")
+	quotas, err := ParseTenantQuotas("heavy=0:2,light=0:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestQueueTenantFairShare(t *testing.T) {
 
 func TestQueueStarvationFreedom(t *testing.T) {
 	// Even a weight-8 tenant cannot lock a weight-1 tenant out entirely.
-	quotas, _ := parseTenantQuotas("big=0:8,small=0:1")
+	quotas, _ := ParseTenantQuotas("big=0:8,small=0:1")
 	q := newJobQueue(128, quotas)
 	for i := 0; i < 50; i++ {
 		q.Push(qjob("big", 0))
@@ -104,7 +104,7 @@ func TestQueueStarvationFreedom(t *testing.T) {
 }
 
 func TestQueueInflightCap(t *testing.T) {
-	quotas, _ := parseTenantQuotas("capped=1")
+	quotas, _ := ParseTenantQuotas("capped=1")
 	q := newJobQueue(16, quotas)
 	q.Push(qjob("capped", 0))
 	q.Push(qjob("capped", 0))
@@ -147,7 +147,7 @@ func TestQueueInflightCap(t *testing.T) {
 }
 
 func TestQueueCloseDrainsPastCaps(t *testing.T) {
-	quotas, _ := parseTenantQuotas("capped=1")
+	quotas, _ := ParseTenantQuotas("capped=1")
 	q := newJobQueue(16, quotas)
 	q.Push(qjob("capped", 0))
 	q.Push(qjob("capped", 0))
@@ -180,7 +180,7 @@ func TestQueueFullRejects(t *testing.T) {
 }
 
 func TestQueueTenantsView(t *testing.T) {
-	quotas, _ := parseTenantQuotas("acme=3:2")
+	quotas, _ := ParseTenantQuotas("acme=3:2")
 	q := newJobQueue(16, quotas)
 	q.Push(qjob("acme", 0))
 	q.Push(qjob("acme", 0))

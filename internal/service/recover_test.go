@@ -29,28 +29,52 @@ import (
 // can finish some jobs and leave others mid-flight at "crash" time.
 type gateHook struct {
 	started chan string
-	gates   map[string]chan struct{} // job ID suffix → release
+	mu      sync.Mutex               // guards gates: tests add them while workers look theirs up
+	gates   map[string]chan struct{} // job ID → release
 }
 
-// hookServer builds a started server whose flows block until released
+// gate returns the job's release valve, if it has one.
+func (h *gateHook) gate(id string) (chan struct{}, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	g, ok := h.gates[id]
+	return g, ok
+}
+
+// hold gives the job a gate — before it is submitted — and returns it.
+func (h *gateHook) hold(id string) chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.gates[id] = make(chan struct{})
+	return h.gates[id]
+}
+
+// run is the hooked flow: announce the start, then park on the gate.
+func (h *gateHook) run(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
+	h.started <- job.ID
+	return h.flow(ctx, job, rec)
+}
+
+// flow is run without the announcement, for tests that do not read it:
+// gated jobs park until released or cancelled, the rest run through.
+func (h *gateHook) flow(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
+	if gate, ok := h.gate(job.ID); ok {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return nil, nil
+}
+
+// crashServer builds a started server whose flows block until released
 // through the returned hook.
 func crashServer(t *testing.T, dir string, workers int) (*Server, *gateHook) {
 	t.Helper()
 	s := New(Config{Workers: workers, QueueSize: 16, DataDir: dir})
 	h := &gateHook{started: make(chan string, 64), gates: make(map[string]chan struct{})}
-	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
-		h.started <- job.ID
-		gate, ok := h.gates[job.ID]
-		if !ok {
-			return nil, nil // ungated jobs run through
-		}
-		select {
-		case <-gate:
-			return nil, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+	s.runFlow = h.run
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,21 +89,9 @@ func submitDirect(t *testing.T, s *Server, spec JobSpec) *Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := &Job{
-		ID:        s.newID(),
-		Spec:      spec,
-		bench:     b,
-		prog:      prog,
-		fp:        programFingerprint(b, prog),
-		submitted: time.Now(),
-		state:     StateQueued,
-	}
-	job.batchKey = batchKey(job)
-	if err := s.logSubmit(job); err != nil {
-		t.Fatalf("logSubmit: %v", err)
-	}
-	if ok, _ := s.register(job); !ok {
-		t.Fatalf("register %s failed", job.ID)
+	job := s.newJob(s.newID(), spec, b, prog, time.Now())
+	if _, err := s.admit(job); err != nil {
+		t.Fatalf("admit %s: %v", job.ID, err)
 	}
 	return job
 }
@@ -114,7 +126,7 @@ func TestCrashRecoveryRequeuesAcknowledged(t *testing.T) {
 
 	// Job 2 is mid-flight at crash time; jobs 3 and 4 never left the queue.
 	gateID := fmt.Sprintf("%s-%06d", s1.idBase, s1.nextID.Load()+1)
-	h.gates[gateID] = make(chan struct{}) // never released: "running at crash"
+	h.hold(gateID) // never released: "running at crash"
 	running := submitDirect(t, s1, JobSpec{Bench: "kmeans", Mode: "uninformed"})
 	if running.ID != gateID {
 		t.Fatalf("gate aimed at %s but job is %s", gateID, running.ID)

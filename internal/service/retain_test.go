@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"psaflow/internal/bench"
+	"psaflow/internal/core"
+	"psaflow/internal/experiments"
 	"psaflow/internal/minic"
 	"psaflow/internal/store"
 	"psaflow/internal/telemetry"
@@ -121,9 +123,9 @@ func TestResultBytesIdenticalLiveAndEvicted(t *testing.T) {
 func TestUnencodableResultFailsTheJob(t *testing.T) {
 	job := &Job{ID: "j-nan", Spec: JobSpec{Bench: "nbody"}, submitted: time.Now(), state: StateQueued}
 	job.markRunning(func() {})
-	job.finish(StateDone, "", func(st JobStatus) *JobResult {
-		return &JobResult{JobStatus: st, Designs: []DesignSummary{{Label: "d", Speedup: math.NaN()}}}
-	})
+	job.terminate(&outcome{state: StateDone, results: []experiments.DesignResult{
+		{Design: &core.Design{Name: "d"}, Speedup: math.NaN()},
+	}}, false)
 	var res JobResult
 	if err := json.Unmarshal(job.Result(), &res); err != nil {
 		t.Fatalf("terminal document %q: %v", job.Result(), err)
@@ -151,7 +153,7 @@ func TestWaitResult(t *testing.T) {
 	// transition instead must read the same bytes.
 	time.Sleep(20 * time.Millisecond)
 	job.markRunning(func() {})
-	job.finish(StateDone, "", func(st JobStatus) *JobResult { return &JobResult{JobStatus: st} })
+	job.terminate(&outcome{state: StateDone}, false)
 	for i := 0; i < cap(got); i++ {
 		select {
 		case doc := <-got:

@@ -163,9 +163,8 @@ func TestJobLifecycle(t *testing.T) {
 		t.Error("result has no telemetry")
 	}
 
-	// The terminal state is visible (and the result served from the
-	// registry) a moment before the worker's append of the terminal record
-	// returns, so the store is waited for, not read once.
+	// Visible before durable — the known gap in Server.complete's doc
+	// comment (lifecycle.go) — so the store is waited for, not read once.
 	waitCond(t, "the terminal record in the durable store", func() bool {
 		e, ok := s.store.Get(st.ID)
 		return ok && e.Phase == store.PhaseTerminal

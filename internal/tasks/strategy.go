@@ -34,8 +34,8 @@ func pathIndex(paths []core.Path, name string) (int, error) {
 	return -1, fmt.Errorf("strategy: no branch path named %q", name)
 }
 
-// InformedSelector implements the example PSA strategy of paper Fig. 3 for
-// branch point A, choosing among "gpu", "fpga", and "cpu" paths:
+// fig3Decide is the decision tree of paper Fig. 3 for branch point A, as a
+// pure function of its inputs:
 //
 //	Tdata_trnsfr < Tcpu AND FLOPs/B > X ?
 //	  no  → outer loop parallel? yes → CPU path, no → terminate
@@ -44,6 +44,41 @@ func pathIndex(paths []core.Path, name string) (int, error) {
 //	          yes → inner loops with dependences?
 //	                  no  → GPU
 //	                  yes → fully unrollable? yes → FPGA, no → GPU
+//
+// ok=false is "terminate": not worth offloading and not parallel.
+func fig3Decide(tCPU, tData, ai, x float64, parallel bool, innerWithDeps int, allDepsFixed bool) (target platform.TargetKind, ok bool) {
+	offload := tData < tCPU && ai > x
+	switch {
+	case !offload && parallel:
+		return platform.TargetCPU, true
+	case !offload:
+		return 0, false
+	case !parallel:
+		return platform.TargetFPGA, true
+	case innerWithDeps == 0:
+		return platform.TargetGPU, true
+	case allDepsFixed:
+		return platform.TargetFPGA, true
+	default:
+		return platform.TargetGPU, true
+	}
+}
+
+// fig3Inputs reads the tree's measured inputs off a design's kernel report:
+// single-thread CPU time, the transfer-time estimate, arithmetic intensity
+// (dynamic when profiled, static otherwise) and outer-loop parallelism.
+func fig3Inputs(ctx *core.Context, r *core.KernelReport, cfg StrategyConfig) (tCPU, tData, ai float64, parallel bool) {
+	ai = r.DynamicAI
+	if ai == 0 {
+		ai = r.StaticAI
+	}
+	return perfmodel.CPUTime1(ctx.CPU, r.Features()), (r.BytesIn + r.BytesOut) / cfg.TransferBW, ai,
+		r.OuterDeps.ParallelWithReduction()
+}
+
+// InformedSelector implements the example PSA strategy of paper Fig. 3
+// (fig3Decide) for branch point A, choosing among the "gpu", "fpga", and
+// "cpu" paths.
 func InformedSelector(cfg StrategyConfig) core.Selector {
 	return core.SelectorFunc{
 		SelName: "informed-fig3",
@@ -52,84 +87,40 @@ func InformedSelector(cfg StrategyConfig) core.Selector {
 			if r.OuterDeps == nil {
 				return nil, fmt.Errorf("strategy requires dependence analysis results")
 			}
-			pick := func(name string) ([]int, error) {
-				i, err := pathIndex(paths, name)
-				if err != nil {
-					return nil, err
-				}
-				if excluded[i] {
-					// Budget feedback ruled this path out; fall back to the
-					// CPU path, then to termination.
-					if cpu, err2 := pathIndex(paths, "cpu"); err2 == nil && !excluded[cpu] && name != "cpu" {
-						d.Tracef("branch", "A", "path %q over budget; revising to cpu", name)
-						return []int{cpu}, nil
-					}
-					return nil, nil
-				}
-				return []int{i}, nil
-			}
-
-			tCPU := perfmodel.CPUTime1(ctx.CPU, r.Features())
-			tData := (r.BytesIn + r.BytesOut) / cfg.TransferBW
-			ai := r.DynamicAI
-			if ai == 0 {
-				ai = r.StaticAI
-			}
-			parallel := r.OuterDeps.ParallelWithReduction()
-
+			tCPU, tData, ai, parallel := fig3Inputs(ctx, r, cfg)
 			d.Tracef("branch", "A", "Tcpu=%.4gs Tdata=%.4gs AI=%.2f (X=%.2f) parallel=%t innerDeps=%d fullyUnrollable=%t",
 				tCPU, tData, ai, cfg.AIThreshold, parallel, r.Unroll.InnerWithDeps, r.Unroll.AllDepsFixed)
-
-			offload := tData < tCPU && ai > cfg.AIThreshold
-			if !offload {
-				if parallel {
-					return pick("cpu")
-				}
+			target, ok := fig3Decide(tCPU, tData, ai, cfg.AIThreshold, parallel, r.Unroll.InnerWithDeps, r.Unroll.AllDepsFixed)
+			if !ok {
 				d.Tracef("branch", "A", "not worth offloading and not parallel: flow terminates")
 				return nil, nil
 			}
-			if !parallel {
-				return pick("fpga")
+			name := target.String()
+			i, err := pathIndex(paths, name)
+			if err != nil {
+				return nil, err
 			}
-			if r.Unroll.InnerWithDeps == 0 {
-				return pick("gpu")
+			if excluded[i] {
+				// Budget feedback ruled this path out; fall back to the
+				// CPU path, then to termination.
+				if cpu, err2 := pathIndex(paths, "cpu"); err2 == nil && !excluded[cpu] && name != "cpu" {
+					d.Tracef("branch", "A", "path %q over budget; revising to cpu", name)
+					return []int{cpu}, nil
+				}
+				return nil, nil
 			}
-			if r.Unroll.AllDepsFixed {
-				return pick("fpga")
-			}
-			return pick("gpu")
+			return []int{i}, nil
 		},
 	}
 }
 
 // SelectedTarget reports which target class the informed strategy would
-// choose without running a flow — used by tests and the experiment
-// harness to assert branch decisions.
+// choose without running a flow — how tests assert branch decisions.
 func SelectedTarget(ctx *core.Context, d *core.Design, cfg StrategyConfig) (platform.TargetKind, bool) {
 	r := d.Report
 	if r.OuterDeps == nil {
 		return 0, false
 	}
-	tCPU := perfmodel.CPUTime1(ctx.CPU, r.Features())
-	tData := (r.BytesIn + r.BytesOut) / cfg.TransferBW
-	ai := r.DynamicAI
-	if ai == 0 {
-		ai = r.StaticAI
-	}
-	parallel := r.OuterDeps.ParallelWithReduction()
-	offload := tData < tCPU && ai > cfg.AIThreshold
-	switch {
-	case !offload && parallel:
-		return platform.TargetCPU, true
-	case !offload:
-		return 0, false
-	case !parallel:
-		return platform.TargetFPGA, true
-	case r.Unroll.InnerWithDeps == 0:
-		return platform.TargetGPU, true
-	case r.Unroll.AllDepsFixed:
-		return platform.TargetFPGA, true
-	default:
-		return platform.TargetGPU, true
-	}
+	tCPU, tData, ai, parallel := fig3Inputs(ctx, r, cfg)
+	return fig3Decide(tCPU, tData, ai, cfg.AIThreshold, parallel, r.Unroll.InnerWithDeps, r.Unroll.AllDepsFixed)
 }

@@ -133,3 +133,71 @@ func TestStrategyFallsBackToStaticAI(t *testing.T) {
 		t.Fatalf("static AI fallback: got %v ok=%v", got, ok)
 	}
 }
+
+// TestFig3DecideTable checks fig3Decide — the one decision function the
+// informed selector and SelectedTarget share — against the paper's Fig. 3
+// flowchart, transcribed below box by box, over every combination of its
+// five predicates (the sixteen the flowchart distinguishes, each with both
+// values of a predicate the taken branch never reads) and on the two
+// threshold edges, which are strict: Tdata == Tcpu and AI == X do not
+// offload.
+func TestFig3DecideTable(t *testing.T) {
+	const x = 6.0
+	// fig3 walks the flowchart one diamond at a time.
+	fig3 := func(transferCheaper, computeBound, parallel, innerDeps, fullyUnrollable bool) string {
+		if !(transferCheaper && computeBound) { // "Tdata_trnsfr < Tcpu AND FLOPs/B > X"
+			if parallel { // "outer loop parallel?"
+				return "cpu"
+			}
+			return "terminate"
+		}
+		if !parallel {
+			return "fpga"
+		}
+		if !innerDeps { // "inner loops with dependences?"
+			return "gpu"
+		}
+		if fullyUnrollable { // "fully unrollable?"
+			return "fpga"
+		}
+		return "gpu"
+	}
+	name := func(target platform.TargetKind, ok bool) string {
+		if !ok {
+			return "terminate"
+		}
+		return target.String()
+	}
+	pick := func(b bool, yes, no float64) float64 {
+		if b {
+			return yes
+		}
+		return no
+	}
+	for mask := 0; mask < 32; mask++ {
+		transferCheaper, computeBound, parallel := mask&1 != 0, mask&2 != 0, mask&4 != 0
+		innerDeps, fullyUnrollable := mask&8 != 0, mask&16 != 0
+		tData := pick(transferCheaper, 0.5, 2) // against Tcpu = 1
+		ai := pick(computeBound, x+1, x-1)
+		inner := int(pick(innerDeps, 2, 0))
+		got := name(fig3Decide(1, tData, ai, x, parallel, inner, fullyUnrollable))
+		if want := fig3(transferCheaper, computeBound, parallel, innerDeps, fullyUnrollable); got != want {
+			t.Errorf("Tdata<Tcpu=%t AI>X=%t parallel=%t innerDeps=%t fullyUnrollable=%t: %s, Fig. 3 says %s",
+				transferCheaper, computeBound, parallel, innerDeps, fullyUnrollable, got, want)
+		}
+	}
+	for _, edge := range []struct {
+		what      string
+		tData, ai float64
+	}{
+		{"Tdata == Tcpu", 1, x + 1},
+		{"AI == X", 0.5, x},
+	} {
+		if got := name(fig3Decide(1, edge.tData, edge.ai, x, true, 0, false)); got != "cpu" {
+			t.Errorf("%s, parallel: %s, want cpu (the comparison is strict)", edge.what, got)
+		}
+		if got := name(fig3Decide(1, edge.tData, edge.ai, x, false, 0, false)); got != "terminate" {
+			t.Errorf("%s, serial: %s, want terminate (the comparison is strict)", edge.what, got)
+		}
+	}
+}

@@ -28,6 +28,10 @@ go test -race -count=20 -run 'TestTerminalStatusHasResult|TestClusterDeterminism
 # under the detector (5.8 KB measured in the plain build); two runs, not twenty,
 # because one is 60 cold flows, about two minutes under -race.
 go test -race -count=2 -run 'TestUniqueProgramFootprint' ./internal/experiments/
+# The lifecycle model (random submit / cancel / kill / restart interleavings
+# against a reference model, fixed seeds) and the 3-node crash gate: five
+# runs each, because what they schedule around is the host's to reorder.
+go test -race -count=5 -run 'TestLifecycleModel|TestClusterCrashRecovery' ./internal/service/
 # Bench smoke: one shot of every harness benchmark, so a regression that
 # breaks a figure harness (not just a unit) fails CI.
 go test -run '^$' -bench . -benchtime=1x .
@@ -58,8 +62,9 @@ go test -run '^$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/store/
 # Daemon smoke: boot psaflowd, run jobs through the HTTP API, SIGTERM,
 # require a graceful drain.
 scripts/smoke_service.sh
-# Crash-recovery gate: kill -9 the daemon mid-job, restart, require every
-# acknowledged job served byte-identically or requeued — zero lost.
+# Crash-recovery gate: kill -9 the daemon binary mid-job, restart, require
+# every acknowledged job served byte-identically or requeued — zero lost.
+# (Its 3-node half is TestClusterCrashRecovery, above.)
 scripts/crashtest.sh
 # Streaming smoke under load: 4 jobs watched by 256 concurrent event
 # streams; fails if time-to-first-event p95 breaches 100ms.

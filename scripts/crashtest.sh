@@ -1,29 +1,24 @@
 #!/usr/bin/env bash
-# psaflowd crash-recovery gate: SIGKILL the daemon mid-job with jobs in
-# done/running/queued states, restart over the same data dir, and require
-# that every acknowledged job is either served byte-identically (done
-# before the kill) or requeued and completed (running/queued at the kill)
-# — zero lost jobs. Then SIGTERM and check a clean restart replays without
-# declaring an unclean shutdown.
+# psaflowd crash-recovery gate — the one thing only a real process can show:
+# SIGKILL the daemon binary mid-job with jobs in done/running/queued states,
+# restart over the same data dir, and require that every acknowledged job is
+# either served byte-identically (done before the kill) or requeued and
+# completed (running/queued at the kill) — zero lost jobs. Then SIGTERM and
+# check a clean restart replays without declaring an unclean shutdown.
 #
-# A second gate repeats the exercise against a 3-node cluster: kill -9 one
-# node mid-sweep, require the survivors to rehash around it (completing
-# their jobs and accepting new ones via local fallback), then restart the
-# dead node over its own WAL and require its recovered jobs to requeue and
-# finish — zero jobs lost cluster-wide.
+# Everything else that used to live here runs in-process and deterministically
+# under `go test ./internal/service/`: the 3-node gate (kill one node
+# mid-sweep, survivors rehash and fall back locally, the victim restarts over
+# its own WAL, zero lost) is TestClusterCrashRecovery, and every interleaving
+# of submit, cancel, kill and restart around the lifecycle's steps is
+# TestLifecycleModel.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 tmp="$(mktemp -d)"
 pid=""
-pid_na=""
-pid_nb=""
-pid_nc=""
 cleanup() {
     [ -n "$pid" ] && kill -9 "$pid" 2>/dev/null || true
-    for p in "$pid_na" "$pid_nb" "$pid_nc"; do
-        [ -n "$p" ] && kill -9 "$p" 2>/dev/null || true
-    done
     rm -rf "$tmp"
 }
 trap cleanup EXIT
@@ -183,181 +178,3 @@ wait "$pid" 2>/dev/null || true
 pid=""
 
 echo "crashtest: psaflowd crash recovery OK"
-
-# ── 3-node cluster crash gate ─────────────────────────────────────────────
-# Boot a 3-node cluster (one worker per node, each node over its OWN WAL),
-# pin the victim node's worker with a spinner, spread a tenant sweep across
-# all nodes, then SIGKILL the victim mid-sweep. Survivors must keep
-# completing their share, mark the victim unhealthy, and accept new
-# submissions — a dead ring owner degrades placement to local execution,
-# it never refuses a job. Restarting the victim over its own data dir must
-# replay its WAL, requeue its unfinished jobs, and finish every one:
-# zero jobs lost cluster-wide.
-
-cport=$((20000 + RANDOM % 20000))
-a_na="127.0.0.1:$cport"; a_nb="127.0.0.1:$((cport + 1))"; a_nc="127.0.0.1:$((cport + 2))"
-
-addr_of() { # addr_of <job-id>: the node holding it, by ID prefix
-    case "$1" in
-    na-*) echo "$a_na" ;;
-    nb-*) echo "$a_nb" ;;
-    nc-*) echo "$a_nc" ;;
-    *) echo "crashtest: unroutable job id '$1'" >&2; return 1 ;;
-    esac
-}
-
-start_node() { # start_node <id>: boot one cluster member, wait for healthz
-    local id=$1 a peers
-    case "$id" in
-    na) a=$a_na peers="nb=http://$a_nb,nc=http://$a_nc" ;;
-    nb) a=$a_nb peers="na=http://$a_na,nc=http://$a_nc" ;;
-    nc) a=$a_nc peers="na=http://$a_na,nb=http://$a_nb" ;;
-    esac
-    "$tmp/psaflowd" -addr "$a" -workers 1 -queue 64 -data-dir "$tmp/data-$id" \
-        -batch=false -node-id "$id" -peers "$peers" -v >>"$tmp/log-$id" 2>&1 &
-    eval "pid_$id=\$!"
-    for _ in $(seq 1 50); do
-        curl -sS "http://$a/healthz" >/dev/null 2>&1 && return 0
-        sleep 0.2
-    done
-    echo "crashtest: cluster node $id never came up" >&2
-    cat "$tmp/log-$id" >&2
-    return 1
-}
-
-csubmit() { # csubmit <addr> <json> -> job id
-    curl -sS -X POST "http://$1/v1/jobs" -d "$2" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -1
-}
-
-cwait() { # cwait <id> <state-regex> <tries>: poll the job's holding node
-    local id=$1 want=$2 tries=$3 a state i
-    a=$(addr_of "$id") || return 1
-    for ((i = 0; i < tries; i++)); do
-        state=$(curl -sS "http://$a/v1/jobs/$id" 2>/dev/null |
-            sed -n 's/.*"state": "\([^"]*\)".*/\1/p' | head -1)
-        [[ "$state" =~ ^($want)$ ]] && return 0
-        sleep 0.2
-    done
-    echo "crashtest: cluster job $id stuck in '${state:-lost}' (wanted $want)" >&2
-    return 1
-}
-
-peers_healthy() { # peers_healthy <addr> <n> <tries>: poll the healthz gauge
-    local a=$1 n=$2 tries=$3 i
-    for ((i = 0; i < tries; i++)); do
-        curl -sS "http://$a/healthz" | grep -q "\"cluster_peers_healthy\": $n" && return 0
-        sleep 0.2
-    done
-    return 1
-}
-
-start_node na
-start_node nb
-start_node nc
-
-# Pin the victim's (nc) single worker with a spinner so the sweep jobs the
-# ring places there are guaranteed mid-flight at the kill. Placement keys
-# on (tenant, program fingerprint), so probe tenants until one lands on
-# nc; strays occupy a survivor's worker until their 12s timeout — harmless.
-spin_cluster() { # spin_cluster <tenant>
-    cat <<EOF
-{"bench":"nbody","mode":"uninformed","timeout_ms":12000,"tenant":"$1",
- "source":"void nbody_main(int n, int seed, double dt, double eps, double *pos, double *vel, double *acc) { int i = 0; while (i < 2000000000) { pos[0] = pos[0] + dt; i = i + 1; } }"}
-EOF
-}
-spin_id=""
-stray_ids=""
-for i in $(seq 0 29); do
-    sid=$(csubmit "$a_nc" "$(spin_cluster "spin$i")")
-    [ -n "$sid" ] || { echo "crashtest: cluster spinner submit failed"; exit 1; }
-    case "$sid" in
-    nc-*) spin_id=$sid; break ;;
-    *) stray_ids="$stray_ids $sid" ;;
-    esac
-done
-[ -n "$spin_id" ] || { echo "crashtest: no spinner placed on nc in 30 tries"; exit 1; }
-
-# The sweep: tenant-spread jobs submitted round-robin to all three nodes;
-# the ring forwards each to its owner. Keep going until the victim holds
-# at least two (they queue behind its spinner).
-sweep_ids=""
-nc_count=0
-i=0
-while [ "$i" -lt 42 ]; do
-    for a in "$a_na" "$a_nb" "$a_nc"; do
-        id=$(csubmit "$a" "{\"bench\":\"nbody\",\"tenant\":\"t$i\"}")
-        [ -n "$id" ] || { echo "crashtest: cluster sweep submit failed"; exit 1; }
-        sweep_ids="$sweep_ids $id"
-        case "$id" in nc-*) nc_count=$((nc_count + 1)) ;; esac
-        i=$((i + 1))
-    done
-    [ "$i" -ge 9 ] && [ "$nc_count" -ge 2 ] && break
-done
-[ "$nc_count" -ge 2 ] || { echo "crashtest: ring placed no sweep jobs on nc"; exit 1; }
-
-# CRASH the victim mid-sweep: its spinner is running and $nc_count
-# acknowledged sweep jobs sit queued behind it.
-kill -9 "$pid_nc"
-wait "$pid_nc" 2>/dev/null || true
-pid_nc=""
-
-# A dead ring owner never refuses a submission. In the window before the
-# health probes mark nc down (two consecutive failures at a 1s cadence),
-# the ring still places nc-owned tenants there; the forward hits a closed
-# port and must degrade to local execution (forward_local_fallbacks > 0).
-# Once the probes catch up, placement simply routes around the dead node
-# — so submit fresh tenants immediately and fast, and stop at the first
-# observed fallback. Every one of these jobs must be accepted by a
-# survivor and complete there.
-post_ids=""
-for i in $(seq 0 59); do
-    id=$(csubmit "$a_na" "{\"bench\":\"nbody\",\"tenant\":\"u$i\"}")
-    [ -n "$id" ] || { echo "crashtest: post-kill submit refused"; exit 1; }
-    case "$id" in nc-*) echo "crashtest: post-kill job routed to the dead node"; exit 1 ;; esac
-    post_ids="$post_ids $id"
-    if curl -sS "http://$a_na/metrics" | grep -Eq '"forward_local_fallbacks": [1-9]'; then
-        break
-    fi
-done
-curl -sS "http://$a_na/metrics" | grep -Eq '"forward_local_fallbacks": [1-9]' ||
-    { echo "crashtest: no local fallback fired in 60 post-kill submits"; exit 1; }
-
-# Survivors mark the victim unhealthy (self + one live peer = 2)...
-peers_healthy "$a_na" 2 100 ||
-    { echo "crashtest: survivor never marked nc unhealthy"; exit 1; }
-
-# ...and keep completing their share of the sweep, plus the post-kill
-# submissions that landed on them.
-for id in $sweep_ids; do
-    case "$id" in nc-*) continue ;; esac
-    cwait "$id" done 600
-done
-for id in $post_ids; do cwait "$id" done 600; done
-
-# Restart the victim over its own WAL: recovery must requeue every
-# unfinished job it held — the spinner and the queued sweep jobs alike.
-start_node nc
-grep -q "unclean shutdown detected" "$tmp/log-nc" ||
-    { echo "crashtest: victim recovery not detected"; cat "$tmp/log-nc"; exit 1; }
-grep -Eq "requeued [0-9]+ job\(s\) from the durable store" "$tmp/log-nc" ||
-    { echo "crashtest: victim jobs not requeued"; cat "$tmp/log-nc"; exit 1; }
-
-cwait "$spin_id" "done|failed" 600
-for id in $sweep_ids; do
-    case "$id" in nc-*) cwait "$id" done 600 ;; esac
-done
-
-# The ring heals: the survivor sees all three nodes healthy again.
-peers_healthy "$a_na" 3 100 ||
-    { echo "crashtest: ring never healed after victim restart"; exit 1; }
-
-# Zero lost: every acknowledged job cluster-wide reads back terminal.
-for id in $sweep_ids $post_ids $spin_id $stray_ids; do
-    cwait "$id" "done|failed" 600
-done
-
-for p in "$pid_na" "$pid_nb" "$pid_nc"; do kill -TERM "$p" 2>/dev/null || true; done
-for p in "$pid_na" "$pid_nb" "$pid_nc"; do wait "$p" 2>/dev/null || true; done
-pid_na=""; pid_nb=""; pid_nc=""
-
-echo "crashtest: 3-node cluster crash recovery OK"
