@@ -93,12 +93,14 @@ func main() {
 			winners, len(fig5Rows))
 	}
 
+	var table1Rows []experiments.Table1Row
 	if all || *table1 {
 		rows, err := experiments.RunTable1(logf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "table1:", err)
 			os.Exit(1)
 		}
+		table1Rows = rows
 		fmt.Println("== Table I: added lines of code per generated design ==")
 		fmt.Println(experiments.FormatTable1(rows))
 		fmt.Println()
@@ -119,17 +121,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "chaos: -faults must enable injection (rate > 0)")
 			os.Exit(2)
 		}
-		var mode tasks.Mode
-		switch *chaosMode {
-		case "informed":
-			mode = tasks.Informed
-		case "uninformed":
-			mode = tasks.Uninformed
-		default:
-			fmt.Fprintf(os.Stderr, "chaos: unknown mode %q\n", *chaosMode)
+		mode, err := tasks.ParseMode(*chaosMode)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "chaos:", err)
 			os.Exit(2)
 		}
-		fmt.Printf("== Chaos: %s mode, %s, %d seed(s) ==\n", *chaosMode, inj, *chaosRuns)
+		fmt.Printf("== Chaos: %s mode, %s, %d seed(s) ==\n", mode, inj, *chaosRuns)
 		rep := experiments.RunChaos(mode, inj, *chaosRuns, faults.RetryPolicy{}, logf)
 		rep.Date = time.Now().UTC().Format("2006-01-02")
 		fmt.Println(experiments.FormatChaos(rep))
@@ -164,15 +161,10 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		rep := experiments.ReportJSON{Ablations: ablations}
+		rep := experiments.ReportJSON{Table1: table1Rows, Ablations: ablations}
 		if fig5Rows != nil {
 			rep.Fig5 = experiments.Fig5ToJSON(fig5Rows)
 			rep.Fig6 = experiments.RunFig6(fig5Rows)
-		}
-		if all || *table1 {
-			if rows, err := experiments.RunTable1(nil); err == nil {
-				rep.Table1 = rows
-			}
 		}
 		data, err := experiments.MarshalReport(rep)
 		if err != nil {

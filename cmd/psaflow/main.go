@@ -81,16 +81,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "use -list to see available benchmarks")
 		os.Exit(2)
 	}
-	var m tasks.Mode
-	switch *mode {
-	case "informed":
-		m = tasks.Informed
-	case "uninformed":
-		m = tasks.Uninformed
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+	m, err := tasks.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	opts := tasks.FlowOptions{Mode: m, Strategy: tasks.DefaultStrategy, ResourceSharing: *sharing}
 	var logf func(string, ...any)
 	if *verbose {
 		logf = func(format string, args ...any) {
@@ -117,8 +113,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		compiled, err := flowlang.CompileSource(string(src),
-			flowlang.Options{Mode: m, Sharing: *sharing, Strategy: tasks.DefaultStrategy})
+		compiled, err := flowlang.CompileSource(string(src), opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", *flowFile, err)
 			os.Exit(2)
@@ -145,14 +140,12 @@ func main() {
 	if env.Budget > 0 {
 		env.Cost = experiments.DefaultCost
 	}
-	results, err := experiments.RunBenchmarkEnv(runCtx, b, nil,
-		tasks.FlowOptions{Mode: m, Strategy: tasks.DefaultStrategy, ResourceSharing: *sharing},
-		env, logf, rec, core.NewRunCache())
+	results, err := experiments.RunBenchmarkEnv(runCtx, b, nil, opts, env, logf, rec, core.NewRunCache())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("%s (%s mode): %d design(s)\n\n", b.Name, *mode, len(results))
+	fmt.Printf("%s (%s mode): %d design(s)\n\n", b.Name, m, len(results))
 	for _, r := range results {
 		d := r.Design
 		fmt.Printf("design %s\n", d.Label())

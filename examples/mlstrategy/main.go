@@ -9,58 +9,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
+	"psaflow/internal/experiments"
 	"psaflow/internal/mlpsa"
-	"psaflow/internal/platform"
 	"psaflow/internal/tasks"
 )
-
-// buildMLFlow is BuildPSAFlow with the kNN selector at branch point A.
-func buildMLFlow(model *mlpsa.KNN) *core.Flow {
-	flow := &core.Flow{Name: "ml-psa-flow"}
-	for _, t := range tasks.TargetIndependent() {
-		flow.AddTask(t)
-	}
-
-	gpuFlow := &core.Flow{Name: "gpu-path"}
-	gpuFlow.AddTask(tasks.GenerateHIP)
-	gpuFlow.AddTask(tasks.PinnedMemory)
-	gpuFlow.AddTask(tasks.SinglePrecisionFns)
-	gpuFlow.AddTask(tasks.SinglePrecisionLiterals)
-	gpuFlow.AddTask(tasks.SharedMemBuffer)
-	gpuFlow.AddTask(tasks.SpecialisedMathFns)
-	gpuFlow.AddTask(tasks.BlocksizeDSE(platform.RTX2080Ti))
-	gpuFlow.AddTask(tasks.RenderDesign)
-
-	fpgaFlow := &core.Flow{Name: "fpga-path"}
-	fpgaFlow.AddTask(tasks.GenerateOneAPI)
-	fpgaFlow.AddTask(tasks.UnrollFixedLoopsTask)
-	fpgaFlow.AddTask(tasks.SinglePrecisionFns)
-	fpgaFlow.AddTask(tasks.SinglePrecisionLiterals)
-	fpgaFlow.AddTask(tasks.ZeroCopy(platform.Stratix10))
-	fpgaFlow.AddTask(tasks.UnrollUntilOvermap(platform.Stratix10))
-	fpgaFlow.AddTask(tasks.RenderDesign)
-
-	cpuFlow := &core.Flow{Name: "cpu-path"}
-	cpuFlow.AddTask(tasks.OMPParallelLoops)
-	cpuFlow.AddTask(tasks.NumThreadsDSE)
-	cpuFlow.AddTask(tasks.RenderDesign)
-
-	flow.AddBranch(core.Branch{
-		PointName: "A",
-		Paths: []core.Path{
-			{Name: "gpu", Flow: gpuFlow},
-			{Name: "fpga", Flow: fpgaFlow},
-			{Name: "cpu", Flow: cpuFlow},
-		},
-		Select: mlpsa.Selector(model),
-	})
-	return flow
-}
 
 func main() {
 	fmt.Println("training kNN on 2500 synthetic kernels labeled by the device models...")
@@ -71,10 +29,26 @@ func main() {
 	}
 	fmt.Printf("trained on %d examples (k=%d)\n\n", len(model.Examples), model.K)
 
+	// The ML flow is the built-in PSA-flow, edited: same tasks, same paths,
+	// the kNN in place of the Fig. 3 strategy at branch point A.
+	flow, err := tasks.BuildPSAFlow(tasks.Informed, tasks.DefaultStrategy).WithSelector("A", mlpsa.Selector(model))
+	if err != nil {
+		log.Fatal(err)
+	}
+	runs := core.NewRunCache()
+
 	fmt.Printf("%-12s %-18s %-18s %s\n", "benchmark", "Fig.3 strategy", "ML strategy", "agreement")
 	agreeCount := 0
 	for _, b := range bench.All() {
-		mlTarget := runWith(b, buildMLFlow(model))
+		designs, err := experiments.RunBenchmarkEnv(context.Background(), b, nil, tasks.FlowOptions{},
+			experiments.JobEnv{Flow: flow}, nil, nil, runs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		mlTarget := "none"
+		if len(designs) > 0 {
+			mlTarget = designs[0].Design.Target.String()
+		}
 		agree := "=="
 		if mlTarget == b.ExpectTarget {
 			agreeCount++
@@ -88,19 +62,4 @@ func main() {
 	fmt.Println("deployment-scale kernels to profile-scale measurements; decisions that")
 	fmt.Println("hinge on absolute work (overhead amortization) are where it diverges —")
 	fmt.Println("the gap the paper's future work on richer ML strategies would close.")
-}
-
-// runWith executes the flow on a benchmark and reports the target class of
-// the produced design(s).
-func runWith(b *bench.Benchmark, flow *core.Flow) string {
-	design := core.NewDesign(b.Name, b.Parse())
-	ctx := &core.Context{Workload: bench.Workload{B: b}, CPU: platform.EPYC7543}
-	designs, err := flow.Run(ctx, design)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(designs) == 0 {
-		return "none"
-	}
-	return designs[0].Target.String()
 }

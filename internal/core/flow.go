@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -103,7 +104,7 @@ type Context struct {
 
 	// shared is the run-scoped mutable state (log serialization, retry
 	// budget) installed by Flow.Run before any parallel work starts and
-	// propagated by pointer through withCtx copies.
+	// propagated by pointer through the per-attempt copies of runTaskAttempt.
 	shared *sharedState
 }
 
@@ -152,29 +153,6 @@ func (c *Context) resilient() bool {
 	return c.Faults.Enabled() || c.TaskTimeout > 0
 }
 
-// withCtx returns a task-context copy with the cancellation context
-// replaced — the engine uses it to impose per-attempt timeouts without
-// disturbing sibling paths. Field-by-field (not a struct copy) so no
-// future lock-bearing field is ever copied by value.
-func (c *Context) withCtx(ctx context.Context) *Context {
-	return &Context{
-		Ctx:         ctx,
-		Workload:    c.Workload,
-		CPU:         c.CPU,
-		Budget:      c.Budget,
-		Cost:        c.Cost,
-		Logf:        c.Logf,
-		Parallel:    c.Parallel,
-		Telemetry:   c.Telemetry,
-		Runs:        c.Runs,
-		Progs:       c.Progs,
-		Faults:      c.Faults,
-		Retry:       c.Retry,
-		TaskTimeout: c.TaskTimeout,
-		shared:      c.shared,
-	}
-}
-
 // FailPoint consults the fault injector for one instrumented operation,
 // recording telemetry when a fault fires. Instrumented call sites invoke
 // it immediately before the simulated tool step (and before any cache
@@ -185,7 +163,7 @@ func (c *Context) FailPoint(kind faults.Kind, op string) error {
 	if err != nil {
 		c.Count(telemetry.CounterFaultsInjected, 1)
 		c.Count(telemetry.FaultCounter(string(kind)), 1)
-		c.Emit(events.TypeFaultInjected, op, err.Error())
+		c.Emit(events.TypeFaultInjected, op, "%v", err)
 		c.logf("  fault injected: %v", err)
 	}
 	return err
@@ -215,10 +193,10 @@ func (c *Context) Count(name string, delta int64) {
 
 // Emit publishes one typed live event (see internal/events) through the
 // recorder's event sink — branch decisions, DSE progress, faults, and
-// retries reach streaming clients this way. No-op without a recorder or
-// an attached sink, so batch runs pay only a nil check.
-func (c *Context) Emit(typ, name, detail string) {
-	c.Telemetry.Emit(typ, name, detail)
+// retries reach streaming clients this way. The detail is formatted only
+// when a sink is attached, so batch runs pay a nil check and no Sprintf.
+func (c *Context) Emit(typ, name, format string, args ...any) {
+	c.Telemetry.Emit(typ, name, format, args...)
 }
 
 func (c *Context) logf(format string, args ...any) {
@@ -354,6 +332,65 @@ func (f *Flow) AddBranch(b Branch) *Flow {
 	return f
 }
 
+// edit returns a deep copy of f — new flows, node slices and path slices;
+// tasks and selectors hold no per-run state and are shared — with each node
+// passed through keep, which returns the node to keep or nil to drop it.
+func (f *Flow) edit(keep func(Node) Node) *Flow {
+	out := &Flow{Name: f.Name, Nodes: make([]Node, 0, len(f.Nodes))}
+	for _, n := range f.Nodes {
+		if b, ok := n.(Branch); ok {
+			paths := make([]Path, len(b.Paths))
+			for i, p := range b.Paths {
+				paths[i] = Path{Name: p.Name, Flow: p.Flow.edit(keep)}
+			}
+			b.Paths = paths
+			n = b
+		}
+		if n = keep(n); n != nil {
+			out.Nodes = append(out.Nodes, n)
+		}
+	}
+	return out
+}
+
+// Without returns a copy of f in which no step, in any sub-flow, runs a task
+// named like one of tasks. A task no step runs is an error: a renamed task
+// must not turn an ablation into a second baseline.
+func (f *Flow) Without(tasks ...Task) (*Flow, error) {
+	removed := map[string]bool{}
+	out := f.edit(func(n Node) Node {
+		s, ok := n.(Step)
+		if ok && slices.ContainsFunc(tasks, func(t Task) bool { return t.Name() == s.Task.Name() }) {
+			removed[s.Task.Name()] = true
+			return nil
+		}
+		return n
+	})
+	for _, t := range tasks {
+		if !removed[t.Name()] {
+			return nil, fmt.Errorf("flow %s: no step runs task %q", f.Name, t.Name())
+		}
+	}
+	return out, nil
+}
+
+// WithSelector returns a copy of f in which the branch point named point, at
+// whatever depth, selects with sel. A flow without that point is an error.
+func (f *Flow) WithSelector(point string, sel Selector) (*Flow, error) {
+	found := false
+	out := f.edit(func(n Node) Node {
+		if b, ok := n.(Branch); ok && b.PointName == point {
+			b.Select, found = sel, true
+			return b
+		}
+		return n
+	})
+	if !found {
+		return nil, fmt.Errorf("flow %s: no branch point %q", f.Name, point)
+	}
+	return out, nil
+}
+
 // FlowError wraps a task failure with its flow position.
 type FlowError struct {
 	Flow string
@@ -461,7 +498,7 @@ func runTask(ctx *Context, t Task, d *Design, span *telemetry.Span) error {
 		delay := pol.Delay(t.Name(), attempt)
 		ctx.Count(telemetry.CounterRetryAttempts, 1)
 		ctx.Count(telemetry.CounterRetryBackoffMillis, delay.Milliseconds())
-		ctx.Emit(events.TypeRetry, t.Name(), fmt.Sprintf("attempt %d failed (%v); retrying after %s", attempt, err, delay))
+		ctx.Emit(events.TypeRetry, t.Name(), "attempt %d failed (%v); retrying after %s", attempt, err, delay)
 		span.Note(fmt.Sprintf("retry %d after %v (backoff %s)", attempt, err, delay))
 		ctx.logf("  retry %-31s attempt %d after %s (%v)", t.Name(), attempt+1, delay, err)
 		if faults.Sleep(ctx.Ctx, delay) != nil {
@@ -484,7 +521,12 @@ func runTaskAttempt(ctx *Context, t Task, d *Design) error {
 	}
 	tctx, cancel := context.WithTimeout(base, ctx.TaskTimeout)
 	defer cancel()
-	err := t.Run(ctx.withCtx(tctx), d)
+	// The attempt runs on a copy carrying its deadline, so sibling paths keep
+	// the run's own context; the run's mutable state stays shared through
+	// the shared pointer (go vet's copylocks keeps a lock out of Context).
+	attempt := *ctx
+	attempt.Ctx = tctx
+	err := t.Run(&attempt, d)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) &&
 		(ctx.Ctx == nil || ctx.Ctx.Err() == nil) {
 		ctx.Count(telemetry.CounterTaskTimeouts, 1)
@@ -494,14 +536,17 @@ func runTaskAttempt(ctx *Context, t Task, d *Design) error {
 	return err
 }
 
-// pathNames renders the selected path names for the branch_decision event
-// ("" when nothing was selected).
-func pathNames(paths []Path, idxs []int) string {
-	var names []string
-	for _, i := range idxs {
-		if i >= 0 && i < len(paths) {
-			names = append(names, fmt.Sprintf("%q", paths[i].Name))
-		}
+// pathNames renders the selected (and validated) path names for the
+// branch_decision event; a Stringer, so only an attached sink renders it.
+type pathNames struct {
+	paths []Path
+	idxs  []int
+}
+
+func (p pathNames) String() string {
+	names := make([]string, len(p.idxs))
+	for k, i := range p.idxs {
+		names[k] = fmt.Sprintf("%q", p.paths[i].Name)
 	}
 	return strings.Join(names, ", ")
 }
@@ -540,10 +585,6 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 		if err != nil {
 			return nil, &FlowError{Flow: flowName, Task: "branch:" + b.PointName, Err: err}
 		}
-		if names := pathNames(b.Paths, idxs); names != "" {
-			ctx.Emit(events.TypeBranchDecision, b.PointName,
-				fmt.Sprintf("strategy %s selected %s", b.Select.Name(), names))
-		}
 		if len(idxs) == 0 {
 			// No viable path: the flow terminates without specializing
 			// (Fig. 3's "design-flow terminates" outcome). Verdicts from
@@ -557,6 +598,7 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 					Err: fmt.Errorf("selector returned invalid path index %d", i)}
 			}
 		}
+		ctx.Emit(events.TypeBranchDecision, b.PointName, "strategy %s selected %s", b.Select.Name(), pathNames{b.Paths, idxs})
 		perPath := make([][]*Design, len(idxs))
 		errs := make([]error, len(idxs))
 		forks := make([]*Design, len(idxs))
@@ -612,7 +654,7 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 				fork.Infeasible = fmt.Sprintf("path %q failed: %v", p.Name, err)
 				fork.Tracef("branch", b.PointName, "degraded: %v", err)
 				ctx.Count(telemetry.CounterFaultDegradations, 1)
-				ctx.Emit(events.TypeDegraded, b.PointName+"/"+p.Name, err.Error())
+				ctx.Emit(events.TypeDegraded, b.PointName+"/"+p.Name, "%v", err)
 				branchSpan.Note(fmt.Sprintf("path %q degraded: %v", p.Name, err))
 				ctx.logf("branch %s: path %q degraded (%v)", b.PointName, p.Name, err)
 				degraded = append(degraded, fork)

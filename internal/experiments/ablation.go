@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -11,8 +12,9 @@ import (
 )
 
 // Ablations quantify the design choices the paper's flow makes: each row
-// re-runs one benchmark's device path with one optimisation task removed
-// (or, for resource sharing, added) and reports the speedup delta.
+// re-runs one benchmark through the built-in uninformed flow with one
+// optimisation task removed (or, for resource sharing, switched on) and
+// reports the speedup delta of one device's design.
 
 // AblationRow is one ablation result.
 type AblationRow struct {
@@ -24,207 +26,98 @@ type AblationRow struct {
 	Note      string
 }
 
-// runVariantFPGA pushes a benchmark through the target-independent front
-// plus a custom FPGA device flow and evaluates it at deployment scale.
-func runVariantFPGA(b *bench.Benchmark, dev platform.FPGASpec, build func() *core.Flow) (DesignResult, error) {
-	design := core.NewDesign(b.Name, b.Parse())
-	ctx := &core.Context{Workload: bench.Workload{B: b}, CPU: platform.EPYC7543}
-	flow := &core.Flow{Name: "ablation"}
-	for _, t := range tasks.TargetIndependent() {
-		flow.AddTask(t)
-	}
-	flow.AddBranch(core.Branch{
-		PointName: "A",
-		Paths:     []core.Path{{Name: "fpga", Flow: build()}},
-		Select:    core.SelectAll{},
-	})
-	leaves, err := flow.Run(ctx, design)
-	if err != nil {
-		return DesignResult{}, err
-	}
-	if len(leaves) != 1 {
-		return DesignResult{}, fmt.Errorf("ablation produced %d designs", len(leaves))
-	}
-	return evalDesign(ctx.CPU, leaves[0], b.Scale), nil
+// ablation is one row as data: the built-in flow of opts, Without the
+// tasks, run on bench and read at device. The note is fixed or, with
+// overmapNote set, starts with whether the ablated design synthesizes.
+type ablation struct {
+	name, bench, device string
+	opts                tasks.FlowOptions
+	without             []core.Task
+	overmapNote, note   string
 }
 
-// fpgaFlowVariant builds the paper's FPGA device path with optional task
-// omissions.
-func fpgaFlowVariant(dev platform.FPGASpec, skipSP, skipZeroCopy, skipUnrollFixed bool) func() *core.Flow {
-	return func() *core.Flow {
-		f := &core.Flow{Name: "fpga-variant/" + dev.Name}
-		f.AddTask(tasks.GenerateOneAPI)
-		if !skipUnrollFixed {
-			f.AddTask(tasks.UnrollFixedLoopsTask)
-		}
-		if !skipSP {
-			f.AddTask(tasks.SinglePrecisionFns)
-			f.AddTask(tasks.SinglePrecisionLiterals)
-		}
-		f.AddTask(tasks.VerifyKernelRuns)
-		if dev.USM && !skipZeroCopy {
-			f.AddTask(tasks.ZeroCopy(dev))
-		}
-		f.AddTask(tasks.UnrollUntilOvermap(dev))
-		f.AddTask(tasks.RenderDesign)
-		return f
+// ablationTable lists the rows of EXPERIMENTS.md "Ablations".
+func ablationTable() []ablation {
+	uninformed := tasks.FlowOptions{Mode: tasks.Uninformed}
+	singlePrec := []core.Task{tasks.SinglePrecisionFns, tasks.SinglePrecisionLiterals}
+	s10, g2080 := platform.Stratix10, platform.RTX2080Ti
+	return []ablation{
+		// The DP datapath balloons; for AdPredictor it overmaps the device.
+		{name: "Employ SP Math Fns + Literals (off)", bench: "adpredictor", device: s10.Name, opts: uninformed,
+			without: singlePrec, overmapNote: "DP transcendental units overmap"},
+		{name: "Zero-Copy Data Transfer (off)", bench: "adpredictor", device: s10.Name, opts: uninformed,
+			without: []core.Task{tasks.ZeroCopy(s10)}, note: "PCIe staging instead of USM streaming"},
+		{name: "Unroll Fixed Loops (off)", bench: "adpredictor", device: s10.Name, opts: uninformed,
+			without: []core.Task{tasks.UnrollFixedLoopsTask},
+			note:    "no model effect: the HLS estimator auto-unrolls fixed loops (source materialization is cosmetic)"},
+		// A transfer-sensitive benchmark.
+		{name: "Employ HIP Pinned Memory (off)", bench: "kmeans", device: g2080.Name, opts: uninformed,
+			without: []core.Task{tasks.PinnedMemory}, note: "pageable PCIe transfers"},
+		{name: "Employ SP Math Fns + Literals (off)", bench: "nbody", device: g2080.Name, opts: uninformed,
+			without: singlePrec, note: "FP64 penalty on consumer GPU"},
+		// Rush Larsen's FPGA design becomes synthesizable but much slower —
+		// the paper's predicted trade-off.
+		{name: "Resource sharing (added; paper future work)", bench: "rushlarsen", device: s10.Name,
+			opts:        tasks.FlowOptions{Mode: tasks.Uninformed, ResourceSharing: true},
+			overmapNote: "still overmaps", note: " (baseline overmaps: 0X)"},
 	}
 }
 
-// gpuFlowVariant builds the paper's GPU device path with optional task
-// omissions.
-func gpuFlowVariant(dev platform.GPUSpec, skipPinned, skipSP, skipFastMath bool) func() *core.Flow {
-	return func() *core.Flow {
-		f := &core.Flow{Name: "gpu-variant/" + dev.Name}
-		f.AddTask(tasks.GenerateHIP)
-		if !skipPinned {
-			f.AddTask(tasks.PinnedMemory)
-		}
-		if !skipSP {
-			f.AddTask(tasks.SinglePrecisionFns)
-			f.AddTask(tasks.SinglePrecisionLiterals)
-		}
-		f.AddTask(tasks.SharedMemBuffer)
-		if !skipFastMath {
-			f.AddTask(tasks.SpecialisedMathFns)
-		}
-		f.AddTask(tasks.VerifyKernelRuns)
-		f.AddTask(tasks.BlocksizeDSE(dev))
-		f.AddTask(tasks.RenderDesign)
-		return f
-	}
-}
-
-// runVariantGPU mirrors runVariantFPGA for the GPU path.
-func runVariantGPU(b *bench.Benchmark, build func() *core.Flow) (DesignResult, error) {
-	design := core.NewDesign(b.Name, b.Parse())
-	ctx := &core.Context{Workload: bench.Workload{B: b}, CPU: platform.EPYC7543}
-	flow := &core.Flow{Name: "ablation"}
-	for _, t := range tasks.TargetIndependent() {
-		flow.AddTask(t)
-	}
-	flow.AddBranch(core.Branch{
-		PointName: "A",
-		Paths:     []core.Path{{Name: "gpu", Flow: build()}},
-		Select:    core.SelectAll{},
-	})
-	leaves, err := flow.Run(ctx, design)
-	if err != nil {
-		return DesignResult{}, err
-	}
-	return evalDesign(ctx.CPU, leaves[0], b.Scale), nil
-}
-
-// RunAblations evaluates the flow's optimisation tasks one by one.
+// RunAblations evaluates the flow's optimisation tasks one by one. Every
+// run goes through RunBenchmarkEnv over one profiled-run cache; a row's
+// baseline is the unedited uninformed run of its benchmark, made once per
+// benchmark.
 func RunAblations(logf func(string, ...any)) ([]AblationRow, error) {
+	runs := core.NewRunCache()
+	baselines := map[string][]DesignResult{}
 	var rows []AblationRow
-	s10 := platform.Stratix10
-	g2080 := platform.RTX2080Ti
-
-	adp, err := bench.ByName("adpredictor")
-	if err != nil {
-		return nil, err
-	}
-	nbody, err := bench.ByName("nbody")
-	if err != nil {
-		return nil, err
-	}
-	rush, err := bench.ByName("rushlarsen")
-	if err != nil {
-		return nil, err
-	}
-
-	// 1. Single precision off (FPGA): the DP datapath balloons; for
-	// AdPredictor it overmaps the device entirely.
-	base, err := runVariantFPGA(adp, s10, fpgaFlowVariant(s10, false, false, false))
-	if err != nil {
-		return nil, err
-	}
-	noSP, err := runVariantFPGA(adp, s10, fpgaFlowVariant(s10, true, false, false))
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AblationRow{
-		Name: "Employ SP Math Fns + Literals (off)", Benchmark: adp.Name, Device: s10.Name,
-		Baseline: base.Speedup, Ablated: noSP.Speedup,
-		Note: infeasibleNote(noSP, "DP transcendental units overmap"),
-	})
-
-	// 2. Zero-copy off (S10): transfers serialize with the pipeline.
-	noZC, err := runVariantFPGA(adp, s10, fpgaFlowVariant(s10, false, true, false))
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AblationRow{
-		Name: "Zero-Copy Data Transfer (off)", Benchmark: adp.Name, Device: s10.Name,
-		Baseline: base.Speedup, Ablated: noZC.Speedup,
-		Note: "PCIe staging instead of USM streaming",
-	})
-
-	// 3. Unroll Fixed Loops off (FPGA): the inner dependence loop stays
-	// rolled, forcing a high initiation interval.
-	noUnroll, err := runVariantFPGA(adp, s10, fpgaFlowVariant(s10, false, false, true))
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AblationRow{
-		Name: "Unroll Fixed Loops (off)", Benchmark: adp.Name, Device: s10.Name,
-		Baseline: base.Speedup, Ablated: noUnroll.Speedup,
-		Note: "no model effect: the HLS estimator auto-unrolls fixed loops (source materialization is cosmetic)",
-	})
-
-	// 4. Pinned memory off (GPU, transfer-sensitive benchmark).
-	kmeans, err := bench.ByName("kmeans")
-	if err != nil {
-		return nil, err
-	}
-	gBase, err := runVariantGPU(kmeans, gpuFlowVariant(g2080, false, false, false))
-	if err != nil {
-		return nil, err
-	}
-	noPinned, err := runVariantGPU(kmeans, gpuFlowVariant(g2080, true, false, false))
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AblationRow{
-		Name: "Employ HIP Pinned Memory (off)", Benchmark: kmeans.Name, Device: g2080.Name,
-		Baseline: gBase.Speedup, Ablated: noPinned.Speedup,
-		Note: "pageable PCIe transfers",
-	})
-
-	// 5. SP off (GPU): FP64 arithmetic on a consumer part.
-	nBase, err := runVariantGPU(nbody, gpuFlowVariant(g2080, false, false, false))
-	if err != nil {
-		return nil, err
-	}
-	nNoSP, err := runVariantGPU(nbody, gpuFlowVariant(g2080, false, true, false))
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AblationRow{
-		Name: "Employ SP Math Fns + Literals (off)", Benchmark: nbody.Name, Device: g2080.Name,
-		Baseline: nBase.Speedup, Ablated: nNoSP.Speedup,
-		Note: "FP64 penalty on consumer GPU",
-	})
-
-	// 6. Resource sharing (added): Rush Larsen's FPGA design becomes
-	// synthesizable but much slower — the paper's predicted trade-off.
-	rushShared, err := runVariantFPGA(rush, s10, func() *core.Flow { return tasks.BuildSharingFPGAFlow(s10) })
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AblationRow{
-		Name: "Resource sharing (added; paper future work)", Benchmark: rush.Name, Device: s10.Name,
-		Baseline: 0, Ablated: rushShared.Speedup,
-		Note: infeasibleNote(rushShared, "still overmaps") + " (baseline overmaps: 0X)",
-	})
-
-	if logf != nil {
-		for _, r := range rows {
-			logf("ablation %-45s %s/%s: %.1fX -> %.1fX", r.Name, r.Benchmark, r.Device, r.Baseline, r.Ablated)
+	for _, a := range ablationTable() {
+		b, err := bench.ByName(a.bench)
+		if err != nil {
+			return nil, err
+		}
+		flow, err := tasks.BuildPSAFlowWithOptions(a.opts).Without(a.without...)
+		if err != nil {
+			return nil, fmt.Errorf("ablation %q: %w", a.name, err)
+		}
+		if baselines[b.Name] == nil {
+			baselines[b.Name], err = RunBenchmarkEnv(context.Background(), b, nil,
+				tasks.FlowOptions{Mode: tasks.Uninformed}, JobEnv{}, nil, nil, runs)
+			if err != nil {
+				return nil, err
+			}
+		}
+		variant, err := RunBenchmarkEnv(context.Background(), b, nil, a.opts, JobEnv{Flow: flow}, nil, nil, runs)
+		if err != nil {
+			return nil, err
+		}
+		base, ablated := designFor(baselines[b.Name], a.device), designFor(variant, a.device)
+		if base.Design == nil || ablated.Design == nil {
+			return nil, fmt.Errorf("ablation %q: no %s design for %s", a.name, a.device, b.Name)
+		}
+		note := a.note
+		if a.overmapNote != "" {
+			note = infeasibleNote(ablated, a.overmapNote) + note
+		}
+		rows = append(rows, AblationRow{
+			Name: a.name, Benchmark: b.Name, Device: a.device,
+			Baseline: base.Speedup, Ablated: ablated.Speedup, Note: note,
+		})
+		if logf != nil {
+			logf("ablation %-45s %s/%s: %.1fX -> %.1fX", a.name, b.Name, a.device, base.Speedup, ablated.Speedup)
 		}
 	}
 	return rows, nil
+}
+
+// designFor returns the result for one device, zero when there is none.
+func designFor(results []DesignResult, device string) DesignResult {
+	for _, r := range results {
+		if r.Design.Device == device {
+			return r
+		}
+	}
+	return DesignResult{}
 }
 
 func infeasibleNote(r DesignResult, msg string) string {

@@ -60,7 +60,7 @@ type ChaosReport struct {
 // and kind set. Individual run failures are recorded, not returned: the
 // report is the result either way.
 func RunChaos(mode tasks.Mode, base *faults.Injector, seeds int, retry faults.RetryPolicy, logf func(string, ...any)) *ChaosReport {
-	rep := &ChaosReport{Mode: modeName(mode), Spec: base.String()}
+	rep := &ChaosReport{Mode: mode.String(), Spec: base.String()}
 	if seeds <= 0 {
 		seeds = 1
 	}
@@ -109,13 +109,6 @@ func runChaosOne(mode tasks.Mode, b *bench.Benchmark, inj *faults.Injector, retr
 	out.Degradations = snap.Counters[telemetry.CounterFaultDegradations]
 	out.Fallbacks = snap.Counters[telemetry.CounterFaultFallbacks]
 	return out
-}
-
-func modeName(m tasks.Mode) string {
-	if m == tasks.Uninformed {
-		return "uninformed"
-	}
-	return "informed"
 }
 
 // JSON marshals the report (psabench -chaos-json).

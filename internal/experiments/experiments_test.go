@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -417,6 +418,32 @@ func TestInformedModeRunsSubsetOfTargets(t *testing.T) {
 	}
 }
 
+// TestZeroStrategyIsDefault: FlowOptions with no Strategy builds the graph
+// DefaultStrategy builds — the informed flow selects the paper's target on
+// all five apps (a zero TransferBW used to make every transfer take for
+// ever, so nothing was ever offloaded).
+func TestZeroStrategyIsDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("flow run")
+	}
+	runs := core.NewRunCache()
+	for _, b := range bench.All() {
+		var labels [2][]string
+		for i, opts := range []tasks.FlowOptions{{Mode: tasks.Informed}, {Mode: tasks.Informed, Strategy: tasks.DefaultStrategy}} {
+			results, err := RunBenchmarkEnv(context.Background(), b, nil, opts, JobEnv{}, nil, nil, runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range results {
+				labels[i] = append(labels[i], r.Design.Label())
+			}
+		}
+		if !reflect.DeepEqual(labels[0], labels[1]) {
+			t.Errorf("%s: zero Strategy generates %v, DefaultStrategy %v", b.Name, labels[0], labels[1])
+		}
+	}
+}
+
 // TestAblations runs the optimisation-task ablation study and checks its
 // qualitative outcomes: SP demotion is load-bearing on FPGAs (DP
 // overmaps), zero-copy and pinned memory help, and resource sharing makes
@@ -460,6 +487,16 @@ func TestAblations(t *testing.T) {
 	out := FormatAblations(rows)
 	if !strings.Contains(out, "Resource sharing") {
 		t.Error("format missing sharing row")
+	}
+	// The published table (EXPERIMENTS.md "Ablations"), byte for byte: the
+	// fixture is `psabench -ablate` of the commit before the rows became
+	// edits of the built-in flow.
+	want, err := os.ReadFile("testdata/ablations.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("ablation table moved:\n--- got\n%s--- want\n%s", out, want)
 	}
 }
 

@@ -11,12 +11,8 @@ import (
 
 // Options fixes the compile-time flow options: the DSL's when-conditions
 // (sharing, informed, uninformed) and the "auto" strategy resolve against
-// them, exactly as FlowOptions configures the hard-coded graph.
-type Options struct {
-	Mode     tasks.Mode
-	Sharing  bool
-	Strategy tasks.StrategyConfig // zero value = tasks.DefaultStrategy
-}
+// them, exactly as the same value configures the hard-coded graph.
+type Options = tasks.FlowOptions
 
 // Compiled is a lowered flow plus the flow-level settings the caller wires
 // into the execution context (core.Context.Budget, the fault injector, the
@@ -35,9 +31,6 @@ type Compiled struct {
 func Compile(f *File, opts Options) (*Compiled, error) {
 	if err := Validate(f); err != nil {
 		return nil, err
-	}
-	if opts.Strategy == (tasks.StrategyConfig{}) {
-		opts.Strategy = tasks.DefaultStrategy
 	}
 	c := &compiler{opts: opts, defs: map[string]*DefDecl{}}
 	for _, d := range f.Defs {
@@ -145,7 +138,7 @@ func (c *compiler) eval(cond Cond, b binding) (bool, error) {
 	case cond.Prop == "":
 		switch cond.Name {
 		case "sharing":
-			val = c.opts.Sharing
+			val = c.opts.ResourceSharing
 		case "informed":
 			val = c.opts.Mode == tasks.Informed
 		case "uninformed":
@@ -170,7 +163,7 @@ func (c *compiler) lowerBranch(s *BranchStmt, b binding) (core.Branch, error) {
 		br.MaxRevisions = s.Revisions
 	}
 
-	cfg := c.opts.Strategy
+	cfg := c.opts.StrategyOrDefault()
 	for _, a := range s.Strategy.Args {
 		switch a.Key {
 		case "ai-threshold":

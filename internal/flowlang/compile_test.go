@@ -74,7 +74,7 @@ func TestPaperFlowStructuralDiff(t *testing.T) {
 			name := fmt.Sprintf("mode=%v/sharing=%v", mode, sharing)
 			opts := tasks.FlowOptions{Mode: mode, Strategy: tasks.DefaultStrategy, ResourceSharing: sharing}
 			want := tasks.BuildPSAFlowWithOptions(opts)
-			got, err := flowlang.CompileSource(src, flowlang.Options{Mode: mode, Sharing: sharing})
+			got, err := flowlang.CompileSource(src, flowlang.Options{Mode: mode, ResourceSharing: sharing})
 			if err != nil {
 				t.Fatalf("%s: compile: %v", name, err)
 			}
@@ -121,7 +121,7 @@ func TestCompileWhenResolution(t *testing.T) {
 		}
 		return out
 	}
-	c, err := flowlang.CompileSource(src, flowlang.Options{Mode: tasks.Informed, Sharing: true})
+	c, err := flowlang.CompileSource(src, flowlang.Options{Mode: tasks.Informed, ResourceSharing: true})
 	if err != nil {
 		t.Fatal(err)
 	}

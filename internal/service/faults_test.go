@@ -227,7 +227,7 @@ func TestPersistIOFaultsExhaust(t *testing.T) {
 	}
 	// The terminal write gives up the same way, and says so in the log: the
 	// job is terminal and readable all the same.
-	if err := s.enqueue(job); err != nil || !s.start(job, func() {}, "") {
+	if err := s.enqueue(job, false); err != nil || !s.start(job, func() {}, "") {
 		t.Fatal("could not start the job past its failed submit record")
 	}
 	if st, ok := s.complete(job, store.OpResult, &outcome{state: StateDone}); !ok || st.State != StateDone || job.Result() == nil {

@@ -88,7 +88,7 @@ func compileFlowSource(src string) (string, error) {
 	}
 	for _, mode := range []tasks.Mode{tasks.Informed, tasks.Uninformed} {
 		for _, sharing := range []bool{false, true} {
-			if _, err := flowlang.CompileSource(src, flowlang.Options{Mode: mode, Sharing: sharing}); err != nil {
+			if _, err := flowlang.CompileSource(src, flowlang.Options{Mode: mode, ResourceSharing: sharing}); err != nil {
 				return "", err
 			}
 		}

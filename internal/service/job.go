@@ -85,15 +85,11 @@ type JobSpec struct {
 
 // flowOptions resolves the spec to engine options.
 func (sp *JobSpec) flowOptions() (tasks.FlowOptions, error) {
-	opts := tasks.FlowOptions{Strategy: tasks.DefaultStrategy, ResourceSharing: sp.Sharing}
-	switch sp.Mode {
-	case "", "informed":
-		opts.Mode = tasks.Informed
-	case "uninformed":
-		opts.Mode = tasks.Uninformed
-	default:
-		return opts, fmt.Errorf("unknown mode %q (want informed or uninformed)", sp.Mode)
+	mode, err := tasks.ParseMode(sp.Mode)
+	if err != nil {
+		return tasks.FlowOptions{}, fmt.Errorf("%v (want informed or uninformed)", err)
 	}
+	opts := tasks.FlowOptions{Mode: mode, Strategy: tasks.DefaultStrategy, ResourceSharing: sp.Sharing}
 	if sp.AIThreshold > 0 {
 		opts.Strategy.AIThreshold = sp.AIThreshold
 	}

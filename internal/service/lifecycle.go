@@ -62,7 +62,7 @@ func (s *Server) admit(job *Job) (JobStatus, error) {
 	}
 	s.at("admit:recorded")
 	accepted := job.Status()
-	if err := s.enqueue(job); err != nil {
+	if err := s.enqueue(job, false); err != nil {
 		s.at("admit:refused")
 		// Harmless even if the evict fails: replaying the submit requeues
 		// a job the client was told to retry anyway.
@@ -79,10 +79,11 @@ func (s *Server) admit(job *Job) (JobStatus, error) {
 
 // enqueue is the second half of admit, and all of it for a job replayed
 // from a submit record that is already durable: the job gets its event
-// stream, enters the queue and the registry, and is counted. The queue's
-// own closed flag (set by Drain) backs up the draining check here, so a
-// submission can never land in a closed queue.
-func (s *Server) enqueue(job *Job) error {
+// stream, enters the queue and the registry, and is counted. A replayed job
+// is never refused for a full queue (jobQueue.Push). The queue's own closed
+// flag (set by Drain) backs up the draining check here, so a submission can
+// never land in a closed queue.
+func (s *Server) enqueue(job *Job, replayed bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining.Load() {
@@ -94,7 +95,7 @@ func (s *Server) enqueue(job *Job) error {
 	// unregistered broker is simply garbage.)
 	job.events = events.NewBroker(job.ID, s.cfg.EventRingSize, s.cfg.MaxWatchersPerJob)
 	job.events.Publish(events.Event{Type: events.TypeQueued, Name: job.Spec.Bench, Detail: job.Spec.Mode})
-	pushed, closed := s.queue.Push(job)
+	pushed, closed := s.queue.Push(job, replayed)
 	if closed {
 		return errDraining
 	}

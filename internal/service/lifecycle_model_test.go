@@ -173,8 +173,9 @@ func (m *model) cancel(id string) int {
 }
 
 // restart is what a new process finds: every job without a durable
-// terminal record is queued again, in log order; the rest is history.
-func (m *model) restart(baseCap int) {
+// terminal record is queued again, in log order and past the queue's cap if
+// there are more of them than it holds; the rest is history.
+func (m *model) restart() {
 	m.queue, m.retired, m.busy, m.appends, m.ended = nil, nil, 0, 0, 0
 	for _, id := range m.order {
 		j := m.jobs[id]
@@ -184,7 +185,6 @@ func (m *model) restart(baseCap int) {
 			m.queue = append(m.queue, id)
 		}
 	}
-	m.queueCap = max(baseCap, len(m.queue))
 }
 
 // ---- the driver ----
@@ -419,7 +419,7 @@ func (r *modelRun) abandon() {
 		r.seen["abandon at rest"]++
 	}
 	close(r.dead)
-	r.m.restart(modelBaseQueue)
+	r.m.restart()
 	r.boot()
 	r.m.settle()
 }
@@ -476,7 +476,7 @@ func (r *modelRun) drain() {
 	if code, body := r.do(http.MethodPost, "/v1/jobs", modelSpecs[0]); code != http.StatusServiceUnavailable {
 		r.failf("submit to a drained server answered %d %s, want 503", code, body)
 	}
-	r.m.restart(modelBaseQueue)
+	r.m.restart()
 	r.boot()
 	r.m.settle()
 }
@@ -648,7 +648,7 @@ func (r *modelRun) checkPrefixes() {
 		}
 		// A server started over the prefix requeues exactly the pending jobs
 		// and finishes them.
-		s := New(Config{Workers: 2, QueueSize: len(pending) + 1, DataDir: filepath.Dir(dir)})
+		s := New(Config{Workers: 2, QueueSize: modelBaseQueue, DataDir: filepath.Dir(dir)})
 		s.runFlow = func(context.Context, *Job, *telemetry.Recorder) ([]experiments.DesignResult, error) { return nil, nil }
 		if err := s.Start(); err != nil {
 			r.failf("(c) start over the first %d log bytes: %v", cut, err)

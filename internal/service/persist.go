@@ -84,9 +84,10 @@ func (s *Server) openStore() error {
 }
 
 // replayStore re-enqueues every job the store holds without a terminal
-// record — the crash-recovery path. Jobs whose spec no longer validates are
-// evicted with a log line and counter rather than wedging startup; a full
-// queue leaves the job in the store for the next start.
+// record — the crash-recovery path, run before the workers and the listener
+// start. Jobs whose spec no longer validates are evicted with a log line and
+// counter rather than wedging startup; every other job was acknowledged and
+// is queued again, past the queue's cap if need be.
 func (s *Server) replayStore() int {
 	if s.store == nil {
 		return 0
@@ -100,10 +101,8 @@ func (s *Server) replayStore() int {
 			s.evict(e.ID, "replay")
 			continue
 		}
-		if err := s.enqueue(job); err != nil {
-			// Not evicted: the submit record stays durable and the next
-			// start (with a larger queue, or fewer jobs) retries.
-			s.logf("replay %s: queue full; left in store for next start", e.ID)
+		if err := s.enqueue(job, true); err != nil {
+			s.logf("replay %s: %v", e.ID, err) // draining: Start raced a Drain
 			continue
 		}
 		requeued++

@@ -146,14 +146,16 @@ func (q *jobQueue) quota(tenant string) tenantQuota {
 }
 
 // Push enqueues a job. It never blocks: a full queue returns false, a
-// closed queue returns false with closed=true.
-func (q *jobQueue) Push(job *Job) (ok, closed bool) {
+// closed queue returns false with closed=true. The cap is backpressure on
+// new submissions: a replayed job was acknowledged by an earlier process
+// and goes in past it; submissions wait for the backlog to drain below it.
+func (q *jobQueue) Push(job *Job, replayed bool) (ok, closed bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return false, true
 	}
-	if len(q.items) >= q.cap {
+	if len(q.items) >= q.cap && !replayed {
 		return false, false
 	}
 	q.seq++

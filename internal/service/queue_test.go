@@ -37,7 +37,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 	q := newJobQueue(16, nil)
 	low, mid, high := qjob("", 0), qjob("", 5), qjob("", 9)
 	for _, j := range []*Job{low, mid, high} {
-		if ok, _ := q.Push(j); !ok {
+		if ok, _ := q.Push(j, false); !ok {
 			t.Fatal("push failed")
 		}
 	}
@@ -58,10 +58,10 @@ func TestQueueTenantFairShare(t *testing.T) {
 	}
 	q := newJobQueue(64, quotas)
 	for i := 0; i < 20; i++ {
-		q.Push(qjob("heavy", 0))
+		q.Push(qjob("heavy", 0), false)
 	}
 	for i := 0; i < 10; i++ {
-		q.Push(qjob("light", 0))
+		q.Push(qjob("light", 0), false)
 	}
 	heavySeen := 0
 	for i := 0; i < 15; i++ {
@@ -86,9 +86,9 @@ func TestQueueStarvationFreedom(t *testing.T) {
 	quotas, _ := ParseTenantQuotas("big=0:8,small=0:1")
 	q := newJobQueue(128, quotas)
 	for i := 0; i < 50; i++ {
-		q.Push(qjob("big", 0))
+		q.Push(qjob("big", 0), false)
 	}
-	q.Push(qjob("small", 0))
+	q.Push(qjob("small", 0), false)
 	smallAt := -1
 	for i := 0; i < 20; i++ {
 		job, _ := q.Pop()
@@ -106,9 +106,9 @@ func TestQueueStarvationFreedom(t *testing.T) {
 func TestQueueInflightCap(t *testing.T) {
 	quotas, _ := ParseTenantQuotas("capped=1")
 	q := newJobQueue(16, quotas)
-	q.Push(qjob("capped", 0))
-	q.Push(qjob("capped", 0))
-	q.Push(qjob("other", 0))
+	q.Push(qjob("capped", 0), false)
+	q.Push(qjob("capped", 0), false)
+	q.Push(qjob("other", 0), false)
 
 	first, ok := q.Pop()
 	if !ok || first.Spec.Tenant != "capped" {
@@ -149,8 +149,8 @@ func TestQueueInflightCap(t *testing.T) {
 func TestQueueCloseDrainsPastCaps(t *testing.T) {
 	quotas, _ := ParseTenantQuotas("capped=1")
 	q := newJobQueue(16, quotas)
-	q.Push(qjob("capped", 0))
-	q.Push(qjob("capped", 0))
+	q.Push(qjob("capped", 0), false)
+	q.Push(qjob("capped", 0), false)
 	if job, _ := q.Pop(); job == nil {
 		t.Fatal("pop failed")
 	}
@@ -162,16 +162,16 @@ func TestQueueCloseDrainsPastCaps(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Fatal("empty closed queue still popping")
 	}
-	if ok, closed := q.Push(qjob("", 0)); ok || !closed {
+	if ok, closed := q.Push(qjob("", 0), false); ok || !closed {
 		t.Fatal("closed queue accepted a push")
 	}
 }
 
 func TestQueueFullRejects(t *testing.T) {
 	q := newJobQueue(2, nil)
-	q.Push(qjob("", 0))
-	q.Push(qjob("", 0))
-	if ok, closed := q.Push(qjob("", 0)); ok || closed {
+	q.Push(qjob("", 0), false)
+	q.Push(qjob("", 0), false)
+	if ok, closed := q.Push(qjob("", 0), false); ok || closed {
 		t.Fatalf("full queue: ok=%v closed=%v", ok, closed)
 	}
 	if q.Len() != 2 {
@@ -182,9 +182,9 @@ func TestQueueFullRejects(t *testing.T) {
 func TestQueueTenantsView(t *testing.T) {
 	quotas, _ := ParseTenantQuotas("acme=3:2")
 	q := newJobQueue(16, quotas)
-	q.Push(qjob("acme", 0))
-	q.Push(qjob("acme", 0))
-	q.Push(qjob("zeta", 0))
+	q.Push(qjob("acme", 0), false)
+	q.Push(qjob("acme", 0), false)
+	q.Push(qjob("zeta", 0), false)
 	job, _ := q.Pop() // one acme in flight
 	if job.Spec.Tenant != "acme" {
 		t.Fatalf("pop: %q", job.Spec.Tenant)

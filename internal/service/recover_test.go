@@ -383,6 +383,72 @@ func TestRejectedSubmitNotRequeued(t *testing.T) {
 	}
 }
 
+// TestReplayPushesPastQueueCap: the queue's cap is backpressure on new
+// submissions, not on jobs an earlier process acknowledged. A kill -9 can
+// leave more pending records than a smaller queue holds (pending = queued +
+// running); after Start every one of them is answerable and queued again,
+// new submissions see 429 until the backlog has drained below the cap, and
+// all of them finish.
+func TestReplayPushesPastQueueCap(t *testing.T) {
+	dir := t.TempDir()
+	s1, h1 := crashServer(t, dir, 1)
+	var ids []string
+	for i := 0; i < 5; i++ {
+		id := fmt.Sprintf("%s-%06d", s1.idBase, s1.nextID.Load()+1)
+		h1.hold(id) // never released: one running, four queued at the crash
+		if job := submitDirect(t, s1, JobSpec{Bench: "nbody"}); job.ID != id {
+			t.Fatalf("gate aimed at %s but job is %s", id, job.ID)
+		}
+		ids = append(ids, id)
+	}
+	<-h1.started
+
+	// CRASH, then a restart with a queue of two and one worker.
+	s2 := New(Config{Workers: 1, QueueSize: 2, DataDir: dir})
+	h2 := &gateHook{started: make(chan string, 64), gates: make(map[string]chan struct{})}
+	var gates []chan struct{}
+	for _, id := range ids {
+		gates = append(gates, h2.hold(id))
+	}
+	s2.runFlow = h2.run
+	if err := s2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain()
+	ts := newHTTPServer(t, s2)
+	if n := s2.rec.Counter(telemetry.CounterStoreRequeued); n != 5 {
+		t.Errorf("requeued = %d, want all 5 pending records", n)
+	}
+	<-h2.started // the worker holds the first; four are queued, twice the cap
+	for i, id := range ids {
+		code, body := getJSON(t, ts+"/v1/jobs/"+id)
+		var st JobStatus
+		want := StateQueued
+		if i == 0 {
+			want = StateRunning
+		}
+		if err := json.Unmarshal(body, &st); code != http.StatusOK || err != nil || st.State != want {
+			t.Errorf("acknowledged job %s answers %d %s, want 200 and %s", id, code, body, want)
+		}
+	}
+	if code, body := submit(t, ts, JobSpec{Bench: "kmeans"}); code != http.StatusTooManyRequests {
+		t.Errorf("submission over a replayed backlog: got %d %s, want 429", code, body)
+	}
+	for _, g := range gates {
+		close(g)
+	}
+	for _, id := range ids {
+		job := s2.lookup(id)
+		if job == nil {
+			t.Fatalf("acknowledged job %s is not live after the restart", id)
+		}
+		waitJobState(t, job, StateDone)
+	}
+	if code, body := submit(t, ts, JobSpec{Bench: "kmeans"}); code != http.StatusAccepted {
+		t.Errorf("submission after the backlog drained: got %d %s, want 202", code, body)
+	}
+}
+
 // TestReplayToleratesRemovedSpecField: a submit record written by an older
 // daemon, whose spec still carries the since-removed "dse_workers" option,
 // is requeued on Start (replay decodes leniently, unlike POST /v1/jobs) and

@@ -212,9 +212,7 @@ func New(cfg Config) *Server {
 			if err != nil {
 				return nil, err
 			}
-			c, err := flowlang.CompileSource(info.Source, flowlang.Options{
-				Mode: opts.Mode, Sharing: opts.ResourceSharing, Strategy: opts.Strategy,
-			})
+			c, err := flowlang.CompileSource(info.Source, opts)
 			if err != nil {
 				return nil, fmt.Errorf("flow %s@%d: %w", info.Name, info.Version, err)
 			}

@@ -60,7 +60,7 @@ var NumThreadsDSE = core.TaskFunc{
 		ctx.Count(telemetry.DSECounter("numthreads"), int64(ctx.CPU.Cores))
 		threads, t := perfmodel.BestThreads(ctx.CPU, feat)
 		ctx.Emit(events.TypeDSEProgress, "numthreads",
-			fmt.Sprintf("swept %d thread counts on %s: best=%d (%.3gs)", ctx.CPU.Cores, ctx.CPU.Name, threads, t))
+			"swept %d thread counts on %s: best=%d (%.3gs)", ctx.CPU.Cores, ctx.CPU.Name, threads, t)
 		d.NumThreads = threads
 		d.Device = ctx.CPU.Name
 		d.Est = perfmodel.Breakdown{KernelTime: t, Total: t, Note: fmt.Sprintf("%d threads", threads)}

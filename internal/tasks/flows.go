@@ -1,6 +1,8 @@
 package tasks
 
 import (
+	"fmt"
+
 	"psaflow/internal/core"
 	"psaflow/internal/platform"
 )
@@ -18,14 +20,44 @@ const (
 	Uninformed
 )
 
-// FlowOptions configures BuildPSAFlowWithOptions.
+// String is the mode as the CLIs and the job API spell it.
+func (m Mode) String() string {
+	if m == Uninformed {
+		return "uninformed"
+	}
+	return "informed"
+}
+
+// ParseMode reads a mode as the CLIs and the job API spell it; an empty
+// string is Informed.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", "informed":
+		return Informed, nil
+	case "uninformed":
+		return Uninformed, nil
+	}
+	return Informed, fmt.Errorf("unknown mode %q", s)
+}
+
+// FlowOptions configures BuildPSAFlowWithOptions and, under the name
+// flowlang.Options, the compilation of a .psa document.
 type FlowOptions struct {
 	Mode     Mode
-	Strategy StrategyConfig
+	Strategy StrategyConfig // zero value = DefaultStrategy
 	// ResourceSharing swaps the FPGA unroll DSE for the sharing-enabled
 	// variant that can recover overmapped designs by time-multiplexing
 	// fixed inner loops (paper §IV-B-iii's suggested remedy).
 	ResourceSharing bool
+}
+
+// StrategyOrDefault is the one place a zero Strategy becomes
+// DefaultStrategy, for the built-in graph and for flowlang alike.
+func (o FlowOptions) StrategyOrDefault() StrategyConfig {
+	if o.Strategy == (StrategyConfig{}) {
+		return DefaultStrategy
+	}
+	return o.Strategy
 }
 
 // BuildPSAFlow assembles the implemented PSA-flow of paper Fig. 4:
@@ -38,7 +70,7 @@ func BuildPSAFlow(mode Mode, cfg StrategyConfig) *core.Flow {
 
 // BuildPSAFlowWithOptions is BuildPSAFlow with extension knobs.
 func BuildPSAFlowWithOptions(opts FlowOptions) *core.Flow {
-	mode, cfg := opts.Mode, opts.Strategy
+	mode, cfg := opts.Mode, opts.StrategyOrDefault()
 	flow := &core.Flow{Name: "psa-flow"}
 	for _, t := range TargetIndependent() {
 		flow.AddTask(t)

@@ -139,7 +139,7 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 				d.Tracef("dse", "unroll", "n=%d LUT=%.1f%% DSP=%.1f%% fits=%t",
 					n, rep.LUTUtil*100, rep.DSPUtil*100, rep.Fits)
 				ctx.Emit(events.TypeDSEProgress, "unroll",
-					fmt.Sprintf("%s: n=%d LUT=%.1f%% DSP=%.1f%% fits=%t", dev.Name, n, rep.LUTUtil*100, rep.DSPUtil*100, rep.Fits))
+					"%s: n=%d LUT=%.1f%% DSP=%.1f%% fits=%t", dev.Name, n, rep.LUTUtil*100, rep.DSPUtil*100, rep.Fits)
 				if !rep.Fits {
 					break
 				}

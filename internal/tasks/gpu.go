@@ -141,12 +141,12 @@ func BlocksizeDSE(dev platform.GPUSpec) core.Task {
 			bs, bd := perfmodel.BestBlocksize(dev, feat, d.Pinned)
 			if bs < 0 {
 				ctx.Emit(events.TypeDSEProgress, "blocksize",
-					fmt.Sprintf("%s: no feasible blocksize among %d candidates", dev.Name, len(perfmodel.BlocksizeCandidates)))
+					"%s: no feasible blocksize among %d candidates", dev.Name, len(perfmodel.BlocksizeCandidates))
 				d.Infeasible = "no feasible blocksize"
 				return nil
 			}
 			ctx.Emit(events.TypeDSEProgress, "blocksize",
-				fmt.Sprintf("%s: swept %d candidates, best=%d (%.3gs)", dev.Name, len(perfmodel.BlocksizeCandidates), bs, bd.Total))
+				"%s: swept %d candidates, best=%d (%.3gs)", dev.Name, len(perfmodel.BlocksizeCandidates), bs, bd.Total)
 			d.Blocksize = bs
 			d.Device = dev.Name
 			d.Est = bd

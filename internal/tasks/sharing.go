@@ -115,7 +115,7 @@ func shareLargestFixedLoops(ctx *core.Context, prog *minic.Program, kfn *minic.F
 		ctx.Count(telemetry.DSECounter("sharing"), 1)
 		rep := hls.EstimateCounted(ctx.Telemetry, prog, kfn, dev, 0)
 		ctx.Emit(events.TypeDSEProgress, "sharing",
-			fmt.Sprintf("%s: %d loop(s) time-multiplexed, fits=%t", dev.Name, shared, rep.Fits))
+			"%s: %d loop(s) time-multiplexed, fits=%t", dev.Name, shared, rep.Fits)
 		if rep.Fits {
 			break
 		}
@@ -129,24 +129,4 @@ func shareLargestFixedLoops(ctx *core.Context, prog *minic.Program, kfn *minic.F
 		return 0, 1, nil // sharing could not save the design; leave as-is
 	}
 	return shared, extra, nil
-}
-
-// BuildSharingFPGAFlow composes the extended FPGA path used by the
-// resource-sharing ablation: identical to the paper's CPU+FPGA branch but
-// with the sharing-enabled DSE.
-func BuildSharingFPGAFlow(dev platform.FPGASpec) *core.Flow {
-	f := &core.Flow{Name: "fpga-sharing/" + dev.Name}
-	f.AddTask(GenerateOneAPI)
-	// Unlike the default branch, fixed inner loops are NOT materialized in
-	// source: they stay rolled so the sharing DSE can time-multiplex them
-	// (the estimator still prices unshared fixed loops spatially).
-	f.AddTask(SinglePrecisionFns)
-	f.AddTask(SinglePrecisionLiterals)
-	f.AddTask(VerifyKernelRuns)
-	if dev.USM {
-		f.AddTask(ZeroCopy(dev))
-	}
-	f.AddTask(UnrollUntilOvermapWithSharing(dev))
-	f.AddTask(RenderDesign)
-	return f
 }

@@ -46,24 +46,24 @@ func (heavyWorkload) Args() []interp.Value {
 	}
 }
 
+// runSharingFlow runs the built-in uninformed flow with resource sharing
+// on the heavy kernel and returns the design for dev.
 func runSharingFlow(t *testing.T, dev platform.FPGASpec) *core.Design {
 	t.Helper()
 	ctx := &core.Context{Workload: heavyWorkload{}, CPU: platform.EPYC7543}
 	d := core.NewDesign("heavy", minic.MustParse(heavySrc))
-	for _, task := range TargetIndependent() {
-		if err := task.Run(ctx, d); err != nil {
-			t.Fatalf("tindep %s: %v", task.Name(), err)
-		}
-	}
-	flow := BuildSharingFPGAFlow(dev)
+	flow := BuildPSAFlowWithOptions(FlowOptions{Mode: Uninformed, ResourceSharing: true})
 	leaves, err := flow.Run(ctx, d)
 	if err != nil {
 		t.Fatalf("sharing flow: %v", err)
 	}
-	if len(leaves) != 1 {
-		t.Fatalf("leaves = %d", len(leaves))
+	for _, leaf := range leaves {
+		if leaf.Device == dev.Name {
+			return leaf
+		}
 	}
-	return leaves[0]
+	t.Fatalf("no %s design among %d leaves", dev.Name, len(leaves))
+	return nil
 }
 
 func TestSharingRecoversOvermappedDesign(t *testing.T) {

@@ -13,6 +13,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -251,11 +252,12 @@ func (r *Recorder) eventSink() EventSink {
 
 // Emit publishes one typed event to the attached sink — the engine's
 // channel for signals that are not spans (branch decisions, DSE sweep
-// progress, injected faults, retries). No-op without a recorder or sink,
-// so event emission costs nothing when nobody is streaming.
-func (r *Recorder) Emit(typ, name, detail string) {
+// progress, injected faults, retries). The detail is format applied to
+// args, and is formatted only for a sink: without a recorder or sink,
+// event emission costs no Sprintf.
+func (r *Recorder) Emit(typ, name, format string, args ...any) {
 	if s := r.eventSink(); s != nil {
-		s.Event(typ, name, detail)
+		s.Event(typ, name, fmt.Sprintf(format, args...))
 	}
 }
 

@@ -45,6 +45,16 @@ go test -run '^$' -fuzz 'FuzzFlowParse' -fuzztime 10s ./internal/flowlang/
 # outlining accepts the hotspot, against a kernel-watched run of the
 # outlined program.
 go test -run '^$' -fuzz 'FuzzBytecodeDiff' -fuzztime 10s ./internal/interp/
+# Examples run, not just compile: go build above is all that otherwise sees
+# them, which is how a hand copy of the Fig. 4 flow once lost its verify
+# step unnoticed. Every example must exit 0 (each takes under a second),
+# except service, which needs a daemon — smoke_service.sh and loadtest.sh
+# below drive it.
+for d in examples/*/; do
+	[ -f "$d/main.go" ] || continue
+	[ "$d" = examples/service/ ] && continue
+	go run "./$d" >/dev/null
+done
 # Bundled flow documents must stay valid: -check parses + validates each.
 flowtmp=$(mktemp -d)
 go build -o "$flowtmp/psaflow" ./cmd/psaflow
