@@ -40,6 +40,9 @@ type runEntry struct {
 	once sync.Once
 	res  *interp.Result
 	err  error
+	// key and next thread the entry onto its cache's insertion-order list.
+	key  RunKey
+	next *runEntry
 }
 
 // RunPeer is the distributed read-through hook (implemented by
@@ -67,14 +70,26 @@ type RunPeer interface {
 type RunCache struct {
 	mu      sync.Mutex
 	entries map[RunKey]*runEntry
-	peer    RunPeer // nil on a single-node cache
-	hits    atomic.Int64
-	misses  atomic.Int64
+	// oldest … newest is the last runCacheCap entries inserted, in order:
+	// inserting one more ages the oldest out (FIFO, as cluster.runStore
+	// bounds its envelopes). Ageing out, like Forget, only deletes the map
+	// slot — callers already inside the entry's Once finish on the
+	// *runEntry they hold, and the key's next caller runs again.
+	oldest, newest *runEntry
+	listed         int
+	peer           RunPeer // nil on a single-node cache
+	hits           atomic.Int64
+	misses         atomic.Int64
 	// peerHits counts executions avoided by a cluster fetch (reported as
 	// hits to callers — the run was avoided — but split out here so the
 	// local and distributed contributions stay distinguishable).
 	peerHits atomic.Int64
 }
+
+// runCacheCap bounds the cache: an entry keeps a run's profile, ≈ 2.4 KB on
+// the bundled applications, so a daemon that has seen a million distinct
+// programs holds ≈ 10 MB of them, not ≈ 6 GB.
+const runCacheCap = 4096
 
 // SetPeer wires the distributed read-through hook. Call before the
 // cache is shared (the serving layer does it at construction).
@@ -105,8 +120,9 @@ func (c *RunCache) Do(key RunKey, run func() (*interp.Result, error)) (res *inte
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
-		e = &runEntry{}
+		e = &runEntry{key: key}
 		c.entries[key] = e
+		c.enlistLocked(e)
 	}
 	peer := c.peer
 	c.mu.Unlock()
@@ -147,6 +163,26 @@ func (c *RunCache) Do(key RunKey, run func() (*interp.Result, error)) (res *inte
 	}
 	c.hits.Add(1)
 	return e.res, e.err, true
+}
+
+// enlistLocked appends e to the insertion-order list and, past runCacheCap,
+// ages the oldest entry out — unless Forget already dropped it, or dropped
+// it and the key has a newer entry since, which stays.
+func (c *RunCache) enlistLocked(e *runEntry) {
+	if c.newest == nil {
+		c.oldest = e
+	} else {
+		c.newest.next = e
+	}
+	c.newest = e
+	if c.listed++; c.listed > runCacheCap {
+		old := c.oldest
+		c.oldest = old.next
+		c.listed--
+		if c.entries[old.key] == old {
+			delete(c.entries, old.key)
+		}
+	}
 }
 
 // Forget drops the entry for key so a later Do re-executes it. The serving

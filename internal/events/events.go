@@ -53,15 +53,18 @@ type Event struct {
 	DurMS  float64 `json:"dur_ms,omitempty"` // task_end and terminal events
 }
 
-// Frame is an event plus its canonical wire encoding. The broker
-// marshals each event exactly once at publish time and every subscriber
-// shares the bytes — with hundreds of watchers on one job, per-watcher
-// re-marshaling would dominate streaming cost — and it makes the
-// replay-equals-live guarantee literal: the same Line bytes are served to
-// every subscriber at every point in time.
+// Frame is one published event as the ring keeps it: its canonical wire
+// encoding, plus the two fields a stream writer needs without decoding it
+// (SSE's id: and event:). The broker marshals each event exactly once at
+// publish time and every subscriber shares the bytes — with hundreds of
+// watchers on one job, per-watcher re-marshaling would dominate streaming
+// cost — and it makes the replay-equals-live guarantee literal: the same
+// Line bytes are served to every subscriber at every point in time. The
+// Event itself is not kept: everything in it is in Line.
 type Frame struct {
-	Event
-	Line []byte // compact JSON of Event, no trailing newline; do not mutate
+	Seq  uint64
+	Type string
+	Line []byte // compact JSON of the Event, no trailing newline; do not mutate
 }
 
 // Defaults applied when NewBroker is given non-positive sizes.
@@ -126,7 +129,7 @@ func (b *Broker) Publish(e Event) bool {
 	e.Job = b.job
 	b.next++
 	line, _ := json.Marshal(e) // Event is strings + numbers; cannot fail
-	f := Frame{Event: e, Line: line}
+	f := Frame{Seq: e.Seq, Type: e.Type, Line: line}
 	if len(b.buf) < b.size {
 		b.buf = append(b.buf, f)
 	} else {

@@ -28,13 +28,27 @@ func publishN(t *testing.T, b *Broker, n int) {
 	}
 }
 
+// decode returns the event a frame's Line carries, having checked that the
+// two fields the frame keeps beside it agree with it.
+func decode(t *testing.T, f Frame) Event {
+	t.Helper()
+	var e Event
+	if err := json.Unmarshal(f.Line, &e); err != nil {
+		t.Fatalf("frame line %s: %v", f.Line, err)
+	}
+	if e.Seq != f.Seq || e.Type != f.Type {
+		t.Fatalf("frame says seq %d type %q, its line %s", f.Seq, f.Type, f.Line)
+	}
+	return e
+}
+
 func drain(t *testing.T, s *Sub) ([]Event, bool) {
 	t.Helper()
 	var all []Event
 	for {
 		frames, done := s.Poll(3) // small batch to exercise repeated polls
 		for _, f := range frames {
-			all = append(all, f.Event)
+			all = append(all, decode(t, f))
 		}
 		if len(frames) == 0 {
 			return all, done
@@ -86,7 +100,7 @@ func TestLateSubscriberReplayMatchesLive(t *testing.T) {
 		publishN(t, b, 1)
 		frames, _ := live.Poll(16)
 		for _, f := range frames {
-			liveEvs = append(liveEvs, f.Event)
+			liveEvs = append(liveEvs, decode(t, f))
 			liveLines = append(liveLines, f.Line)
 		}
 	}
@@ -113,9 +127,8 @@ func TestLateSubscriberReplayMatchesLive(t *testing.T) {
 		if !bytes.Equal(f.Line, liveLines[i]) {
 			t.Fatalf("frame %d wire bytes diverged: live %s late %s", i, liveLines[i], f.Line)
 		}
-		var decoded Event
-		if err := json.Unmarshal(f.Line, &decoded); err != nil || decoded != f.Event {
-			t.Fatalf("frame %d line does not decode to its event: %s (err %v)", i, f.Line, err)
+		if decoded := decode(t, f); decoded != liveEvs[i] {
+			t.Fatalf("frame %d line does not decode to its event: %s, want %+v", i, f.Line, liveEvs[i])
 		}
 	}
 }
@@ -305,9 +318,9 @@ func TestRingMatchesSliceModel(t *testing.T) {
 			early, _ := b.Subscribe(0) // attached before anything is published, never polled until the end
 			publishN(t, b, published)
 
-			var model []Frame // reference: every frame ever published
+			var model []Event // reference: every event ever published
 			for i := 0; i < published; i++ {
-				model = append(model, Frame{Event: Event{Seq: uint64(i), Name: fmt.Sprintf("e%d", i)}})
+				model = append(model, Event{Seq: uint64(i), Name: fmt.Sprintf("e%d", i)})
 			}
 			oldest := max(0, published-size)
 
@@ -346,9 +359,9 @@ func TestRingMatchesSliceModel(t *testing.T) {
 					t.Fatalf("%s from=%d: delivered %d frames, want %d", name, from, len(got), len(want))
 				}
 				for i := range got {
-					if got[i].Seq != want[i].Seq || got[i].Name != want[i].Name {
+					if e := decode(t, got[i]); e.Seq != want[i].Seq || e.Name != want[i].Name {
 						t.Fatalf("%s from=%d: frame %d is seq %d %q, want seq %d %q",
-							name, from, i, got[i].Seq, got[i].Name, want[i].Seq, want[i].Name)
+							name, from, i, e.Seq, e.Name, want[i].Seq, want[i].Name)
 					}
 				}
 				if d := sub.Close(); d != uint64(wantDropped) {
@@ -371,7 +384,7 @@ func TestRingMatchesSliceModel(t *testing.T) {
 }
 
 // TestRingStorageFollowsPublished: a finished job's few dozen events must
-// not pay for the whole replay window (a 1024-slot ring is 120 KB).
+// not pay for the whole replay window (a 1024-slot ring is 48 KB).
 func TestRingStorageFollowsPublished(t *testing.T) {
 	b := NewBroker("job-small", DefaultRingSize, 4)
 	publishN(t, b, 60)

@@ -93,10 +93,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	// Fold the latest store deltas into the recorder before snapshotting
 	// so the telemetry counters and the service.store block agree.
-	s.syncStoreCounters()
+	storeStats := s.syncStoreCounters()
 	var storeM *storeMetrics
 	if s.store != nil {
-		storeM = &storeMetrics{Stats: s.store.Stats(), Requeued: s.rec.Counter(telemetry.CounterStoreRequeued)}
+		storeM = &storeMetrics{Stats: storeStats, Requeued: s.rec.Counter(telemetry.CounterStoreRequeued)}
 	}
 	var clusterM *clusterMetrics
 	if c := s.cfg.Cluster; c != nil {

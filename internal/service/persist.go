@@ -76,10 +76,9 @@ func (s *Server) openStore() error {
 		return fmt.Errorf("service: open job store: %w", err)
 	}
 	s.store = st
-	if pending := st.Stats().PendingJobs; pending > 0 && !st.CleanShutdown() {
+	if pending := s.syncStoreCounters().PendingJobs; pending > 0 && !st.CleanShutdown() {
 		s.logf("unclean shutdown detected: %d unfinished job(s) recovered from the WAL", pending)
 	}
-	s.syncStoreCounters()
 	return nil
 }
 
@@ -133,10 +132,12 @@ func (s *Server) replayedJob(e store.Entry) (*Job, error) {
 }
 
 // storedResult returns a previously persisted result document (possibly
-// from an earlier daemon run) exactly as it was logged: the bytes a live
-// job's GET /result serves, so an evicted job reads byte-identically. A
-// stored document that is not JSON is logged and counted, and reads as
-// absent — one bad record never breaks lookups.
+// from an earlier daemon run) exactly as it was logged, read back from its
+// WAL frame: the bytes a live job's GET /result serves, so an evicted job
+// reads byte-identically. A frame that no longer checks out reads as absent
+// and is counted by the store; a stored document that is not JSON is logged
+// and counted here, and reads as absent too — one bad record never breaks
+// lookups.
 func (s *Server) storedResult(id string) ([]byte, bool) {
 	if s.store == nil || !validJobID(id) {
 		return nil, false
@@ -155,10 +156,11 @@ func (s *Server) storedResult(id string) ([]byte, bool) {
 
 // syncStoreCounters mirrors the store's cumulative stats into the service
 // recorder as deltas, so /metrics and telemetry snapshots carry live
-// store.* counters without double counting.
-func (s *Server) syncStoreCounters() {
+// store.* counters without double counting, and returns the stats it read
+// (the zero Stats without a store).
+func (s *Server) syncStoreCounters() store.Stats {
 	if s.store == nil {
-		return
+		return store.Stats{}
 	}
 	cur := s.store.Stats()
 	s.storeStatsMu.Lock()
@@ -172,4 +174,5 @@ func (s *Server) syncStoreCounters() {
 	s.rec.Add(telemetry.CounterStoreTornTail, cur.TornTails-last.TornTails)
 	s.rec.Add(telemetry.CounterStoreSkippedCorrupt, cur.SkippedCorrupt-last.SkippedCorrupt)
 	s.rec.Add(telemetry.CounterStoreEvicted, cur.Evicted-last.Evicted)
+	return cur
 }

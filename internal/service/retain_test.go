@@ -1,15 +1,19 @@
 package service
 
 // What a finished job keeps: its encoded result — one []byte shared by the
-// registry, the WAL record and the store index — and its event ring.
+// registry and the WAL record, and gone from memory once the registry lets
+// the job go — and its event ring.
 
 import (
 	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -94,9 +98,9 @@ func TestResultBytesIdenticalLiveAndEvicted(t *testing.T) {
 		t.Errorf("body after a restart differs from the live one:\nlive      %s\nrestarted %s", live, restarted)
 	}
 
-	// A stored document that is not JSON reads as absent and is counted.
-	// The store index shares the appended slice, so scribbling on it after
-	// the append is in-memory corruption of a stored document.
+	// A stored document whose frame no longer checks out reads as absent and
+	// is counted. The index holds the frame's position, not the document,
+	// so the corruption is a byte flipped in the segment file.
 	doc := []byte(`{"id":"bad-000001","state":"done"}`)
 	if err := s2.store.Append(store.Record{Op: store.OpResult, ID: "bad-000001", State: "done", Data: doc}); err != nil {
 		t.Fatal(err)
@@ -104,15 +108,48 @@ func TestResultBytesIdenticalLiveAndEvicted(t *testing.T) {
 	if code, _ := getJSON(t, ts2.URL+"/v1/jobs/bad-000001/result"); code != http.StatusOK {
 		t.Fatalf("intact hand-written result: got %d, want 200", code)
 	}
-	doc[0] = '!'
+	flipStoredByte(t, filepath.Join(dir, "store"), doc)
 	before := s2.rec.Counter(telemetry.CounterStoreSkippedCorrupt)
 	for _, path := range []string{"/v1/jobs/bad-000001/result", "/v1/jobs/bad-000001"} {
 		if code, body := getJSON(t, ts2.URL+path); code != http.StatusNotFound {
 			t.Errorf("GET %s on a corrupt stored result: got %d %s, want 404", path, code, body)
 		}
 	}
+	s2.syncStoreCounters() // what GET /metrics does before it reports
 	if got := s2.rec.Counter(telemetry.CounterStoreSkippedCorrupt) - before; got != 2 {
 		t.Errorf("store.skipped_corrupt rose by %d over two reads of a corrupt result, want 2", got)
+	}
+	if restarted := fetchResultBody(t, ts2.URL, job.ID); !bytes.Equal(live, restarted) {
+		t.Errorf("a corrupt neighbour changed what an intact job reads:\nlive  %s\nafter %s", live, restarted)
+	}
+}
+
+// flipStoredByte flips one byte of the last occurrence of doc in the newest
+// WAL segment under storeDir: on-disk corruption of a frame the index
+// already points at.
+func flipStoredByte(t *testing.T, storeDir string, doc []byte) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(storeDir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment under %s (err %v)", storeDir, err)
+	}
+	sort.Strings(segs)
+	seg := segs[len(segs)-1]
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.LastIndex(data, doc)
+	if at < 0 {
+		t.Fatalf("%s does not hold %s", seg, doc)
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{data[at] ^ 0xff}, int64(at)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -216,12 +253,42 @@ func TestResultHeldUntilJobFinishes(t *testing.T) {
 	}
 }
 
+// runToDone submits spec and waits for the job, which must end done.
+func runToDone(t *testing.T, s *Server, base string, spec JobSpec) *Job {
+	t.Helper()
+	job := s.lookup(submitOK(t, base, spec).ID)
+	deadline := time.Now().Add(60 * time.Second)
+	for !job.State().Terminal() {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s stuck in %s", job.ID, job.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := job.Status(); st.State != StateDone {
+		t.Fatalf("job %s ended %s: %s", job.ID, st.State, st.Error)
+	}
+	return job
+}
+
+// liveHeap is the heap in use after everything collectable has gone.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC() // the first cycle's finalizers and pooled buffers go in the second
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
 // TestRetainedJobFootprint is the retention gate: a finished job costs the
 // daemon its result bytes plus its events, not the structures they were
 // made from. 300 hot jobs on the bundled adpredictor program, all within
-// the registry's retention window, may grow the live heap by at most 64 KB
+// the registry's retention window, may grow the live heap by at most 32 KB
 // each (measured ≈ 150 KB when a job kept its result struct, telemetry
-// report and a pre-sized 1024-slot event ring; ≈ 28 KB now).
+// report and a pre-sized 1024-slot event ring; ≈ 28 KB when the store index
+// held a second reference to the document and every ring frame its event
+// beside the event's encoding; ≈ 21 KB now: ≈ 12 KB of result document,
+// ≈ 8 KB of event lines — 60 frames of 48 bytes and a ≈ 90-byte line — and
+// under 1 KB of Job, broker and index entry).
 func TestRetainedJobFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 340 real flows; skipped in -short mode")
@@ -233,25 +300,7 @@ func TestRetainedJobFootprint(t *testing.T) {
 	defer s.Drain()
 	run := func(spec JobSpec) *Job {
 		t.Helper()
-		job := s.lookup(submitOK(t, ts.URL, spec).ID)
-		deadline := time.Now().Add(60 * time.Second)
-		for !job.State().Terminal() {
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s stuck in %s", job.ID, job.State())
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if st := job.Status(); st.State != StateDone {
-			t.Fatalf("job %s ended %s: %s", job.ID, st.State, st.Error)
-		}
-		return job
-	}
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC() // the first cycle's finalizers and pooled buffers go in the second
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
+		return runToDone(t, s, ts.URL, spec)
 	}
 
 	const warmup, measured = 40, 300
@@ -266,8 +315,8 @@ func TestRetainedJobFootprint(t *testing.T) {
 	perJob := (float64(after) - float64(before)) / measured / 1024
 	t.Logf("live heap %.1f -> %.1f MB over %d retained jobs: %.1f KB per job",
 		float64(before)/(1<<20), float64(after)/(1<<20), measured, perJob)
-	if perJob > 64 {
-		t.Errorf("a retained job costs %.1f KB of live heap, want <= 64 KB", perJob)
+	if perJob > 32 {
+		t.Errorf("a retained job costs %.1f KB of live heap, want <= 32 KB", perJob)
 	}
 
 	// The structural facts behind the number, on a job that arrived with
@@ -296,5 +345,46 @@ func TestRetainedJobFootprint(t *testing.T) {
 	ring := reflect.ValueOf(job.events).Elem().FieldByName("buf")
 	if ring.Len() == 0 || ring.Cap() > 2*ring.Len() {
 		t.Errorf("event ring of a finished job: len %d cap %d, want 0 < cap <= 2*len", ring.Len(), ring.Cap())
+	}
+}
+
+// TestEvictedJobFootprint is the retention gate's other half: a job the
+// registry has let go costs the daemon a position in the store index — its
+// ID, its submit time, where its terminal frame lies — and none of its
+// document, which is on disk and still reads byte for byte. 2 000 hot jobs
+// through a registry that retains 8 may grow the live heap by at most 512
+// bytes each (≈ 12 KB when the index held every document ever stored).
+func TestEvictedJobFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 2 040 real flows; skipped in -short mode")
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4, RetainJobs: 8, DataDir: t.TempDir()})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+
+	const warmup, measured = 40, 2000
+	for i := 0; i < warmup; i++ {
+		runToDone(t, s, ts.URL, JobSpec{Bench: "adpredictor"})
+	}
+	first := runToDone(t, s, ts.URL, JobSpec{Bench: "adpredictor"})
+	live := fetchResultBody(t, ts.URL, first.ID)
+	before := liveHeap()
+	for i := 0; i < measured; i++ {
+		runToDone(t, s, ts.URL, JobSpec{Bench: "adpredictor"})
+	}
+	after := liveHeap()
+	perJob := (float64(after) - float64(before)) / measured
+	t.Logf("live heap %.2f -> %.2f MB over %d evicted jobs: %.0f bytes per job",
+		float64(before)/(1<<20), float64(after)/(1<<20), measured, perJob)
+	if perJob > 512 {
+		t.Errorf("an evicted job costs %.0f bytes of live heap, want <= 512", perJob)
+	}
+	if s.lookup(first.ID) != nil {
+		t.Fatalf("job %s is still in a registry that retains 8 jobs, %d jobs later", first.ID, measured)
+	}
+	if evicted := fetchResultBody(t, ts.URL, first.ID); !bytes.Equal(live, evicted) {
+		t.Errorf("evicted body differs from the one read while the job was live:\nlive    %s\nevicted %s", live, evicted)
 	}
 }

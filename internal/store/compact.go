@@ -1,7 +1,7 @@
 package store
 
 import (
-	"encoding/json"
+	"bufio"
 	"os"
 	"sort"
 )
@@ -52,13 +52,15 @@ func (s *Store) CompactNow() error {
 	return s.compact()
 }
 
-// compact seals the active segment, snapshots the live index into
-// snap-<seq>.log (covering every file up to and including the sealed
-// segment), points appends at a fresh segment, and deletes the covered
-// files. Appends continue concurrently into the fresh segment the whole
-// time; a crash at any point replays correctly — the snapshot becomes
-// visible atomically via rename, and until then the old files are still
-// on disk.
+// compact seals the active segment, copies every live frame — verbatim,
+// CRC-checked, in submission order — into snap-<seq>.log (covering every
+// file up to and including the sealed segment), moves the index's
+// positions onto the snapshot, and deletes the covered files. A live
+// entry's frame is the record that replays to it (a pending job's submit,
+// a terminal job's result or cancel), so nothing is re-encoded. Appends
+// continue concurrently into a fresh segment the whole time; a crash at
+// any point replays correctly — the snapshot becomes visible atomically
+// via rename, and until then the old files are still on disk.
 func (s *Store) compact() error {
 	s.syncMu.Lock()
 	s.mu.Lock()
@@ -82,18 +84,7 @@ func (s *Store) compact() error {
 		}
 	}
 	old := s.active
-	covered := old.seq
-	entries := make([]Entry, 0, len(s.index))
-	for _, e := range s.index {
-		entries = append(entries, *e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Seq < entries[j].Seq })
-	toDelete := make([]string, 0, len(s.disk)+1)
-	for _, f := range s.disk {
-		toDelete = append(toDelete, f.path)
-	}
-	toDelete = append(toDelete, old.path)
-	fresh, err := createSegment(s.dir, covered+1, false)
+	fresh, err := createSegment(s.dir, old.seq+1)
 	if err != nil {
 		s.mu.Unlock()
 		s.syncMu.Unlock()
@@ -101,32 +92,71 @@ func (s *Store) compact() error {
 	}
 	s.active = fresh
 	s.syncedSeq = s.writeSeq // everything so far was just flushed+synced
-	// From here on the on-disk truth is: snapshot-to-be (one live frame
-	// per entry at the rotate point) + whatever lands in the fresh segment.
-	s.totalFrames = int64(len(entries)) // the fresh segment starts empty
+	s.disk = append(s.disk, old.diskFile)
+	covered := s.disk // sealed: no frame is ever added to these files
+	coveredFrames := s.totalFrames
+	type moved struct {
+		id       string
+		seq      uint64
+		from, to pos
+	}
+	live := make([]moved, 0, len(s.index))
+	for id, e := range s.index {
+		live = append(live, moved{id: id, seq: e.Seq, from: e.at})
+	}
 	s.mu.Unlock()
 	s.syncMu.Unlock()
 	old.f.Close()
+	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
 
 	// Build the snapshot off to the side and publish it atomically.
-	tmp := s.path(segmentName(covered, true) + ".tmp")
+	snap := &diskFile{seq: old.seq, snap: true, path: s.path(segmentName(old.seq, true))}
+	tmp := snap.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
+	src := make(map[*diskFile]*os.File, len(covered))
+	defer func() {
+		for _, r := range src {
+			r.Close()
+		}
+	}()
 	cleanup := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
 		return err
 	}
-	for i := range entries {
-		payload, err := json.Marshal(snapshotRecord(&entries[i]))
+	w := bufio.NewWriterSize(f, 64<<10)
+	var off int64
+	var buf []byte
+	unreadable := 0
+	for i := range live {
+		m := &live[i]
+		r := src[m.from.file]
+		if r == nil {
+			if r, err = os.Open(m.from.file.path); err != nil {
+				return cleanup(err)
+			}
+			src[m.from.file] = r
+		}
+		frame, err := readFrame(r, m.from, buf)
 		if err != nil {
+			// Damaged since it was indexed. The snapshot leaves it out,
+			// as a replay would, and so does the index below.
+			s.logf("store: compaction dropped %s: frame unreadable (%s offset %d): %v", m.id, m.from.file.path, m.from.off, err)
+			unreadable++
+			continue
+		}
+		buf = frame
+		if _, err := w.Write(frame); err != nil {
 			return cleanup(err)
 		}
-		if err := frameTo(f, payload); err != nil {
-			return cleanup(err)
-		}
+		m.to = pos{file: snap, off: off, n: m.from.n}
+		off += int64(len(frame))
+	}
+	if err := w.Flush(); err != nil {
+		return cleanup(err)
 	}
 	if !s.opts.NoSync {
 		if err := f.Sync(); err != nil {
@@ -137,33 +167,43 @@ func (s *Store) compact() error {
 		os.Remove(tmp)
 		return err
 	}
-	final := s.path(segmentName(covered, true))
-	if err := os.Rename(tmp, final); err != nil {
+	if err := os.Rename(tmp, snap.path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	if err := syncDir(s.dir); err != nil {
 		return err
 	}
+	// The snapshot is published: move every position that still names a
+	// covered frame onto its copy. This is the only place offsets move,
+	// and only now — under mu, with the old files still on disk — so a
+	// Get that looked up the old position reads it through a handle it
+	// opened before the unlink below. An entry superseded or evicted since
+	// the seal names the fresh segment, or is gone, and is left alone.
 	s.mu.Lock()
-	s.disk = []diskFile{{seq: covered, snap: true, path: final}}
+	for i := range live {
+		m := &live[i]
+		e := s.index[m.id]
+		if e == nil || e.at != m.from {
+			continue
+		}
+		if m.to.file == nil {
+			s.dropLocked(e)
+			continue
+		}
+		e.at = m.to
+	}
+	s.disk = []*diskFile{snap}
+	s.totalFrames -= coveredFrames - int64(len(live)-unreadable)
+	s.stats.skippedCorrupt += int64(unreadable)
 	s.stats.compactions++
 	s.mu.Unlock()
-	for _, p := range toDelete {
-		os.Remove(p)
+	for _, d := range covered {
+		os.Remove(d.path)
 	}
 	if err := syncDir(s.dir); err != nil {
 		return err
 	}
-	s.logf("store: compacted %d file(s) into %s (%d live job(s))", len(toDelete), final, len(entries))
+	s.logf("store: compacted %d file(s) into %s (%d live job(s))", len(covered), snap.path, len(live)-unreadable)
 	return nil
-}
-
-// snapshotRecord re-encodes one live entry as the one record that replays
-// back to it: its submit while pending, its result once terminal.
-func snapshotRecord(e *Entry) Record {
-	if e.Phase == PhaseQueued {
-		return Record{Op: OpSubmit, ID: e.ID, Time: e.Submitted, Data: e.Spec}
-	}
-	return Record{Op: OpResult, ID: e.ID, State: e.State, Time: e.Submitted, Data: e.Result}
 }

@@ -23,7 +23,8 @@ func frameBytes(payload []byte) []byte {
 // error (damage is counted, not fatal), and the open must be idempotent:
 // a second open of the same directory replays at least as cleanly — the
 // first open is allowed to truncate a torn tail, never to make things
-// worse.
+// worse. Every position the replay indexed must read back: Get on each
+// indexed job finds its frame where the scan said it was.
 func FuzzReplay(f *testing.F) {
 	rec := func(r Record) []byte {
 		p, _ := json.Marshal(r)
@@ -51,10 +52,12 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("Open on fuzzed segment errored: %v", err)
 		}
 		st := s.Stats()
+		getEveryIndexed(t, s, "first open")
 		// Appends still work on whatever survived.
 		if err := s.Append(Record{Op: OpSubmit, ID: "fuzz-probe", Data: json.RawMessage(`{}`)}); err != nil {
 			t.Fatalf("append after fuzzed replay: %v", err)
 		}
+		getEveryIndexed(t, s, "after the probe append")
 		if err := s.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
@@ -76,5 +79,30 @@ func FuzzReplay(f *testing.F) {
 		if st2.IndexedJobs < 1 {
 			t.Errorf("index shrank: %+v", st2)
 		}
+		getEveryIndexed(t, s2, "second open")
 	})
+}
+
+// getEveryIndexed reads every indexed job back through Get — a terminal
+// one from the position the replay recorded — and recounts the pending
+// entries against the maintained count.
+func getEveryIndexed(t *testing.T, s *Store, where string) {
+	t.Helper()
+	s.mu.Lock()
+	ids := make([]string, 0, len(s.index))
+	for id := range s.index {
+		ids = append(ids, id)
+	}
+	s.mu.Unlock()
+	before := s.Stats().SkippedCorrupt
+	for _, id := range ids {
+		e, ok := s.Get(id)
+		if !ok || e.ID != id || (e.Phase == PhaseTerminal) != (e.Spec == nil) {
+			t.Errorf("%s: Get(%q) = %+v ok=%v on an indexed job", where, id, e, ok)
+		}
+	}
+	if after := s.Stats().SkippedCorrupt; after != before {
+		t.Errorf("%s: %d indexed frame(s) did not read back", where, after-before)
+	}
+	checkPendingCount(t, s, where)
 }

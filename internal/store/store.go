@@ -1,6 +1,8 @@
 // Package store is psaflowd's durability layer: a crash-safe, append-only
 // write-ahead log (WAL) of job records with an in-memory index rebuilt by
-// replay on open.
+// replay on open. The index is positional: for a finished job it keeps
+// where the job's terminal frame lies, never the document in it, so what a
+// job leaves in memory does not depend on the size of its result.
 //
 // Layout (one directory per store):
 //
@@ -15,8 +17,8 @@
 // a crash mid-append — by dropping it, and skips corrupt records with
 // counters instead of aborting the whole restore. Once dead frames
 // (superseded states, evicted jobs) outnumber live ones, a background
-// compaction rewrites the live index into a snapshot plus a fresh active
-// segment and deletes the old files.
+// compaction copies the live frames into a snapshot, moves the index's
+// positions onto it and deletes the old files.
 package store
 
 import (
@@ -74,7 +76,10 @@ const (
 	PhaseTerminal
 )
 
-// Entry is the live, replayed view of one job.
+// Entry is the live, replayed view of one job. The index holds a pending
+// job's Spec (Pending needs it, and queue + workers bound how many there
+// are) but never a terminal job's Result: Get and Entries fill it in on
+// the copy they return, read back from the job's frame on disk.
 type Entry struct {
 	ID        string
 	Phase     Phase
@@ -83,6 +88,8 @@ type Entry struct {
 	Seq       uint64 // submission order (monotonic per store lifetime)
 	Spec      json.RawMessage
 	Result    json.RawMessage
+
+	at pos // the frame that replays to this entry
 }
 
 // Options tunes a Store.
@@ -123,12 +130,6 @@ type counters struct {
 	appends, fsyncs, replayed, compactions, tornTails, skippedCorrupt, evicted int64
 }
 
-type diskFile struct {
-	seq  uint64
-	snap bool
-	path string
-}
-
 // Store is the WAL-backed job store. All methods are safe for concurrent
 // use.
 type Store struct {
@@ -140,11 +141,12 @@ type Store struct {
 	mu          sync.Mutex
 	closed      bool
 	index       map[string]*Entry
-	terminal    []string // terminal job IDs, retention-eviction order
+	pending     int      // index entries without a terminal record
+	terminal    []string // terminal job IDs in retention-eviction order; kept only when RetainTerminal > 0
 	nextSeq     uint64
 	active      *segment
-	disk        []diskFile // sealed read-only files behind the active segment
-	writeSeq    uint64     // frames buffered/written to the active segment
+	disk        []*diskFile // sealed read-only files behind the active segment
+	writeSeq    uint64      // frames buffered/written to the active segment
 	liveFrames  int64
 	totalFrames int64
 	stats       counters
@@ -181,7 +183,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []diskFile
+	var files []*diskFile
 	for _, de := range ents {
 		name := de.Name()
 		if strings.HasSuffix(name, ".tmp") {
@@ -192,7 +194,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if !ok {
 			continue
 		}
-		files = append(files, diskFile{seq: seq, snap: snap, path: s.path(name)})
+		files = append(files, &diskFile{seq: seq, snap: snap, path: s.path(name)})
 	}
 	// The highest snapshot supersedes every file with a lower-or-equal
 	// sequence number; anything it covers is a leftover from a crash
@@ -204,7 +206,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			base, hasSnap = f.seq, true
 		}
 	}
-	var replay []diskFile
+	var replay []*diskFile
 	var stale []string
 	var maxSeq uint64
 	for _, f := range files {
@@ -225,7 +227,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		return replay[i].snap // a snapshot precedes the segments above it
 	})
 	for i, f := range replay {
-		applied, skipped, goodOff, damaged, err := s.scanSegment(f.path)
+		applied, skipped, goodOff, damaged, err := s.scanSegment(f)
 		if err != nil {
 			return nil, fmt.Errorf("store: replay %s: %w", f.path, err)
 		}
@@ -252,7 +254,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		os.Remove(p)
 	}
 	s.disk = replay
-	active, err := createSegment(dir, maxSeq+1, false)
+	active, err := createSegment(dir, maxSeq+1)
 	if err != nil {
 		return nil, err
 	}
@@ -297,14 +299,15 @@ func (s *Store) Append(rec Record) error {
 		s.mu.Unlock()
 		return errClosed
 	}
-	if err := s.writeFrameLocked(p); err != nil {
+	at, err := s.writeFrameLocked(p)
+	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
 	s.writeSeq++
 	s.totalFrames++
 	s.stats.appends++
-	s.applyLocked(rec)
+	s.applyLocked(rec, at)
 	s.enforceRetentionLocked()
 	seq := s.writeSeq
 	s.mu.Unlock()
@@ -349,9 +352,9 @@ func (s *Store) syncTo(seq uint64) error {
 	return nil
 }
 
-// applyLocked folds one record into the index. Caller holds s.mu (or,
-// during Open, has exclusive ownership).
-func (s *Store) applyLocked(rec Record) {
+// applyLocked folds one record, whose frame lies at at, into the index.
+// Caller holds s.mu (or, during Open, has exclusive ownership).
+func (s *Store) applyLocked(rec Record, at pos) {
 	switch rec.Op {
 	case OpSubmit:
 		if e := s.index[rec.ID]; e != nil {
@@ -361,10 +364,11 @@ func (s *Store) applyLocked(rec Record) {
 				// terminal record.
 				return
 			}
-			s.liveFrames-- // the entry's frame is superseded by this one
+			s.dropLocked(e) // the entry's frame is superseded by this one
 		}
 		s.nextSeq++
-		s.index[rec.ID] = &Entry{ID: rec.ID, Phase: PhaseQueued, Submitted: rec.Time, Seq: s.nextSeq, Spec: rec.Data}
+		s.index[rec.ID] = &Entry{ID: rec.ID, Phase: PhaseQueued, Submitted: rec.Time, Seq: s.nextSeq, Spec: rec.Data, at: at}
+		s.pending++
 		s.liveFrames++
 	case OpResult, OpCancel:
 		e := s.index[rec.ID]
@@ -373,32 +377,25 @@ func (s *Store) applyLocked(rec Record) {
 			// record alone.
 			s.nextSeq++
 			e = &Entry{ID: rec.ID, Seq: s.nextSeq, Submitted: rec.Time}
-			s.index[rec.ID] = e
 		} else {
-			if e.Phase == PhaseTerminal {
-				s.removeTerminalLocked(rec.ID)
-			}
-			s.liveFrames--
+			s.dropLocked(e) // its old frame, and whatever it was counted as
 		}
+		s.index[rec.ID] = e
 		e.Phase = PhaseTerminal
 		e.State = rec.State
 		if rec.Op == OpCancel && e.State == "" {
 			e.State = "cancelled"
 		}
-		e.Result = rec.Data
 		e.Spec = nil
+		e.at = at // the document stays in the frame; Get reads it back
 		s.liveFrames++
-		s.terminal = append(s.terminal, rec.ID)
+		if s.opts.RetainTerminal > 0 {
+			s.terminal = append(s.terminal, rec.ID)
+		}
 	case OpEvict:
-		e := s.index[rec.ID]
-		if e == nil {
-			return
+		if e := s.index[rec.ID]; e != nil {
+			s.dropLocked(e)
 		}
-		s.liveFrames--
-		if e.Phase == PhaseTerminal {
-			s.removeTerminalLocked(rec.ID)
-		}
-		delete(s.index, rec.ID)
 	case OpShutdown, opLegacyStart:
 		// A marker (or an older build's start record), not a job
 		// transition: the frame is dead on arrival.
@@ -410,9 +407,17 @@ func (s *Store) applyLocked(rec Record) {
 	}
 }
 
-func (s *Store) removeTerminalLocked(id string) {
+// dropLocked takes e out of the index and out of every count it was in:
+// its frame is dead from here on.
+func (s *Store) dropLocked(e *Entry) {
+	delete(s.index, e.ID)
+	s.liveFrames--
+	if e.Phase != PhaseTerminal {
+		s.pending--
+		return
+	}
 	for i, t := range s.terminal {
-		if t == id {
+		if t == e.ID {
 			s.terminal = append(s.terminal[:i], s.terminal[i+1:]...)
 			return
 		}
@@ -428,8 +433,9 @@ func (s *Store) enforceRetentionLocked() {
 	for len(s.terminal) > s.opts.RetainTerminal {
 		rec := Record{Op: OpEvict, ID: s.terminal[0]}
 		payload, err := json.Marshal(rec)
+		var at pos
 		if err == nil {
-			err = s.writeFrameLocked(payload)
+			at, err = s.writeFrameLocked(payload)
 		}
 		if err != nil {
 			s.logf("store: retention evict %s: %v", rec.ID, err)
@@ -439,19 +445,74 @@ func (s *Store) enforceRetentionLocked() {
 		s.totalFrames++
 		s.stats.appends++
 		s.stats.evicted++
-		s.applyLocked(rec) // drops terminal[0]
+		s.applyLocked(rec, at) // drops terminal[0]
 	}
 }
 
-// Get returns the live view of one job.
+// Get returns the live view of one job; a terminal job's Result is read
+// back from its frame: one ReadAt, the CRC32 the append wrote, one decode.
+// A frame that no longer reads back as that job's record is logged and
+// counted as skipped_corrupt, and the job reads as absent — one bad frame
+// never breaks lookups.
 func (s *Store) Get(id string) (Entry, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e := s.index[id]
 	if e == nil {
+		s.mu.Unlock()
 		return Entry{}, false
 	}
-	return *e, true
+	out := *e
+	if out.Phase != PhaseTerminal {
+		s.mu.Unlock()
+		return out, true
+	}
+	// Opened under mu, read outside it: positions move only under mu
+	// (compact), and the files they leave are unlinked only afterwards, so
+	// the handle names the bytes out.at names even if a compaction wins
+	// the race from here on.
+	f, err := s.openLocked(out.at)
+	s.mu.Unlock()
+	if err == nil {
+		out.Result, err = readResult(f, out.at, id)
+		f.Close()
+	}
+	if err != nil {
+		s.mu.Lock()
+		s.stats.skippedCorrupt++
+		s.mu.Unlock()
+		s.logf("store: %s: stored result unreadable (%s offset %d): %v", id, out.at.file.path, out.at.off, err)
+		return Entry{}, false
+	}
+	return out, true
+}
+
+// openLocked opens the file holding the frame at for reading, first
+// flushing the active segment's buffer if the frame may still be in it: a
+// reader never sees a position before the bytes it names are in the file.
+func (s *Store) openLocked(at pos) (*os.File, error) {
+	if at.file == s.active.diskFile && s.active.w.Buffered() > 0 {
+		if err := s.active.w.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return os.Open(at.file.path)
+}
+
+// readResult reads the terminal record of job id at at and returns its
+// document.
+func readResult(f *os.File, at pos, id string) (json.RawMessage, error) {
+	frame, err := readFrame(f, at, nil)
+	if err != nil {
+		return nil, err
+	}
+	var rec Record
+	if err := json.Unmarshal(frame[frameHeader:], &rec); err != nil {
+		return nil, err
+	}
+	if rec.ID != id {
+		return nil, fmt.Errorf("frame holds a record of %q", rec.ID)
+	}
+	return rec.Data, nil
 }
 
 // Pending returns the jobs a restart must requeue — submitted, with no
@@ -469,17 +530,28 @@ func (s *Store) Pending() []Entry {
 	return out
 }
 
-// Entries returns every indexed record — terminal included — in
-// append order. The flow registry replays its version history this way
-// (each registered version is one terminal record, retained forever).
+// Entries returns every indexed record — terminal ones with their
+// documents, read as Get reads them — in append order. The flow registry
+// replays its version history this way (each registered version is one
+// terminal record, retained forever).
 func (s *Store) Entries() []Entry {
 	s.mu.Lock()
-	out := make([]Entry, 0, len(s.index))
+	all := make([]Entry, 0, len(s.index))
 	for _, e := range s.index {
-		out = append(out, *e)
+		all = append(all, *e)
 	}
 	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
+	out := all[:0]
+	for _, e := range all {
+		if e.Phase == PhaseTerminal {
+			var ok bool
+			if e, ok = s.Get(e.ID); !ok {
+				continue // unreadable (counted by Get) or evicted meanwhile
+			}
+		}
+		out = append(out, e)
+	}
 	return out
 }
 
@@ -487,12 +559,6 @@ func (s *Store) Entries() []Entry {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pending := 0
-	for _, e := range s.index {
-		if e.Phase != PhaseTerminal {
-			pending++
-		}
-	}
 	return Stats{
 		Appends:        s.stats.appends,
 		Fsyncs:         s.stats.fsyncs,
@@ -503,7 +569,7 @@ func (s *Store) Stats() Stats {
 		Evicted:        s.stats.evicted,
 		Segments:       len(s.disk) + 1,
 		IndexedJobs:    len(s.index),
-		PendingJobs:    pending,
+		PendingJobs:    s.pending,
 		LiveFrames:     s.liveFrames,
 		DeadFrames:     s.totalFrames - s.liveFrames,
 	}

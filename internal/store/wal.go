@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -29,13 +30,28 @@ const (
 	maxFrame = 16 << 20
 )
 
-// segment is an append target: the active WAL segment or a snapshot
-// under construction.
+// diskFile names one file of the store directory. Index positions point
+// at it, so it outlives the segment that wrote it.
+type diskFile struct {
+	seq  uint64
+	snap bool
+	path string
+}
+
+// pos is where one frame lies: n payload bytes behind a frame header at
+// off in file.
+type pos struct {
+	file *diskFile
+	off  int64
+	n    int
+}
+
+// segment is the append target: the active WAL segment.
 type segment struct {
+	*diskFile
 	f    *os.File
 	w    *bufio.Writer
-	seq  uint64
-	path string
+	size int64 // bytes written so far, buffered ones included
 }
 
 func segmentName(seq uint64, snap bool) string {
@@ -68,13 +84,13 @@ func parseSegmentName(name string) (seq uint64, snap, ok bool) {
 	return seq, snap, true
 }
 
-func createSegment(dir string, seq uint64, snap bool) (*segment, error) {
-	path := filepath.Join(dir, segmentName(seq, snap))
+func createSegment(dir string, seq uint64) (*segment, error) {
+	path := filepath.Join(dir, segmentName(seq, false))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &segment{f: f, w: bufio.NewWriterSize(f, 64<<10), seq: seq, path: path}, nil
+	return &segment{diskFile: &diskFile{seq: seq, path: path}, f: f, w: bufio.NewWriterSize(f, 64<<10)}, nil
 }
 
 // syncDir makes a created, renamed, or removed directory entry durable.
@@ -88,29 +104,44 @@ func syncDir(dir string) error {
 }
 
 // writeFrameLocked appends one framed payload to the active segment's
-// buffered writer. Caller holds s.mu and has bumped no counters yet.
-func (s *Store) writeFrameLocked(payload []byte) error {
+// buffered writer and returns where it will lie once flushed. Caller holds
+// s.mu and has bumped no counters yet.
+func (s *Store) writeFrameLocked(payload []byte) (pos, error) {
+	seg := s.active
+	at := pos{file: seg.diskFile, off: seg.size, n: len(payload)}
 	var hdr [frameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := s.active.w.Write(hdr[:]); err != nil {
-		return err
+	if _, err := seg.w.Write(hdr[:]); err != nil {
+		return pos{}, err
 	}
-	_, err := s.active.w.Write(payload)
-	return err
+	if _, err := seg.w.Write(payload); err != nil {
+		return pos{}, err
+	}
+	seg.size += frameHeader + int64(len(payload))
+	return at, nil
 }
 
-// frameTo writes one framed payload to an arbitrary writer (snapshot
-// construction, which happens outside the append path).
-func frameTo(w io.Writer, payload []byte) error {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// readFrame reads the frame at back into buf (grown as needed) and returns
+// it whole, header included, once its length field and CRC32 check out:
+// the bytes a position names are trusted no further than the bytes a scan
+// reads.
+func readFrame(f io.ReaderAt, at pos, buf []byte) ([]byte, error) {
+	size := frameHeader + at.n
+	if cap(buf) < size {
+		buf = make([]byte, size)
 	}
-	_, err := w.Write(payload)
-	return err
+	buf = buf[:size]
+	if _, err := f.ReadAt(buf, at.off); err != nil {
+		return nil, err
+	}
+	if n := binary.LittleEndian.Uint32(buf[0:4]); int(n) != at.n {
+		return nil, fmt.Errorf("frame length %d, indexed as %d", n, at.n)
+	}
+	if crc32.ChecksumIEEE(buf[frameHeader:]) != binary.LittleEndian.Uint32(buf[4:8]) {
+		return nil, errors.New("frame checksum mismatch")
+	}
+	return buf, nil
 }
 
 // scanSegment reads one file frame by frame, applying every decodable
@@ -119,8 +150,8 @@ func frameTo(w io.Writer, payload []byte) error {
 // offset just past the last cleanly-framed record, and whether the scan
 // stopped at structural damage (short or CRC-failed frame) before the end
 // of the file. Only real I/O failures are returned as err.
-func (s *Store) scanSegment(path string) (applied, skipped, goodOff int64, damaged bool, err error) {
-	f, err := os.Open(path)
+func (s *Store) scanSegment(file *diskFile) (applied, skipped, goodOff int64, damaged bool, err error) {
+	f, err := os.Open(file.path)
 	if err != nil {
 		return 0, 0, 0, false, err
 	}
@@ -132,6 +163,7 @@ func (s *Store) scanSegment(path string) (applied, skipped, goodOff int64, damag
 	size := fi.Size()
 	r := bufio.NewReaderSize(f, 64<<10)
 	s.lastOp = ""
+	var payload []byte // reused: a record's Data is decoded into its own copy
 	for {
 		var hdr [frameHeader]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -144,13 +176,17 @@ func (s *Store) scanSegment(path string) (applied, skipped, goodOff int64, damag
 		if n == 0 || n > maxFrame || goodOff+frameHeader+n > size {
 			return applied, skipped, goodOff, true, nil
 		}
-		payload := make([]byte, n)
+		if int64(cap(payload)) < n {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return applied, skipped, goodOff, true, nil
 		}
 		if crc32.ChecksumIEEE(payload) != want {
 			return applied, skipped, goodOff, true, nil
 		}
+		at := pos{file: file, off: goodOff, n: int(n)}
 		goodOff += frameHeader + n
 		s.totalFrames++ // the frame occupies disk either way
 		var rec Record
@@ -160,7 +196,7 @@ func (s *Store) scanSegment(path string) (applied, skipped, goodOff int64, damag
 			continue
 		}
 		s.lastOp = rec.Op
-		s.applyLocked(rec)
+		s.applyLocked(rec, at)
 		applied++
 	}
 }

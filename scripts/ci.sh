@@ -22,6 +22,13 @@ go test -C benchmark .
 # its result bytes and events only (the terminal transition releases the
 # rest under the job lock while readers poll).
 go test -race -count=20 -run 'TestTerminalStatusHasResult|TestClusterDeterminism|TestRetainedJobFootprint' ./internal/service/
+# The retention gate's other half: a job the registry has let go keeps a
+# position in the store index and nothing else. The 512-byte bound is the
+# plain build's and holds as it is under the detector (≈ 270 bytes measured
+# in both); two runs, not twenty, because one is 2 040 flows, about half a
+# minute under -race, and twenty beside the line above overran go test's
+# ten-minute limit.
+go test -race -count=2 -run 'TestEvictedJobFootprint' ./internal/service/
 # Its counterpart for a program never seen before: the run cache keeps a
 # few KB of profile per program and neither the lowered image nor the
 # run's buffers. The 32 KB bound is the plain build's and holds as it is
@@ -67,8 +74,13 @@ scripts/checkdocs.sh
 # with a feasible design; the full sweep is scripts/chaos.sh.
 CHAOS_SEEDS=2 scripts/chaos.sh
 # WAL frame-decode fuzz (short budget): replay must tolerate arbitrary
-# torn/corrupt segment bytes without panicking or failing the open.
+# torn/corrupt segment bytes without panicking or failing the open, and
+# every position it indexes must read back.
 go test -run '^$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/store/
+# The store index holds positions, and compaction is where they move: Get
+# and Append racing CompactNow must never see a short read or another job's
+# document — 20 runs, because the window is one position swap wide.
+go test -race -count=20 -run 'TestGetAndAppendRaceCompaction' ./internal/store/
 # Daemon smoke: boot psaflowd, run jobs through the HTTP API, SIGTERM,
 # require a graceful drain.
 scripts/smoke_service.sh
