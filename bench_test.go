@@ -240,7 +240,7 @@ func BenchmarkFlowCold(b *testing.B) {
 			}
 		}
 	}
-	b.ReportMetric(float64(rec.Snapshot().Counters[interp.CounterRuns])/float64(b.N), "runs/op")
+	b.ReportMetric(float64(rec.Snapshot().Counters[telemetry.CounterInterpRuns])/float64(b.N), "runs/op")
 }
 
 // BenchmarkInterp measures the dynamic-analysis substrate: one profiled

@@ -26,7 +26,6 @@ import (
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
 	"psaflow/internal/experiments"
-	"psaflow/internal/faults"
 	"psaflow/internal/flowlang"
 	"psaflow/internal/tasks"
 	"psaflow/internal/telemetry"
@@ -105,41 +104,24 @@ func main() {
 		runCtx, cancel = context.WithTimeout(runCtx, *timeout)
 		defer cancel()
 	}
-	env := experiments.JobEnv{TaskTimeout: *taskTimeout}
-	flowFaults := *faultSpec
+	var compiled *flowlang.Compiled
 	if *flowFile != "" {
 		src, err := os.ReadFile(*flowFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		compiled, err := flowlang.CompileSource(string(src), opts)
-		if err != nil {
+		if compiled, err = flowlang.CompileSource(string(src), opts); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", *flowFile, err)
 			os.Exit(2)
 		}
-		env.Flow = compiled.Flow
-		env.Budget = compiled.Budget
-		if compiled.HasRetry {
-			env.Retry = compiled.Retry
-		}
-		// CLI flags win over the document's settings.
-		if flowFaults == "" {
-			flowFaults = compiled.Faults
-		}
 	}
-	inj, err := faults.ParseSpec(flowFaults)
+	env, err := experiments.ResolveEnv(experiments.Settings{Faults: *faultSpec, Budget: *budget}, compiled, experiments.Settings{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	env.Faults = inj
-	if *budget > 0 {
-		env.Budget = *budget
-	}
-	if env.Budget > 0 {
-		env.Cost = experiments.DefaultCost
-	}
+	env.TaskTimeout = *taskTimeout
 	results, err := experiments.RunBenchmarkEnv(runCtx, b, nil, opts, env, logf, rec, core.NewRunCache())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
@@ -20,34 +21,26 @@ import (
 	"psaflow/internal/tasks"
 )
 
-// deadlineSelector picks the first path whose rough pre-estimate meets the
-// deadline, preferring the CPU (cheapest to deploy). It inspects the same
+// deadlineSelector prefers the CPU (cheapest to deploy) when its rough
+// pre-estimate meets the deadline and escalates to the FPGA path otherwise.
+// A strategy states its preference once; the engine walks it when the
+// budget gate or a fault rules an alternative out. It inspects the same
 // KernelReport the built-in strategy uses.
 func deadlineSelector(deadline float64) core.Selector {
 	return core.SelectorFunc{
 		SelName: "deadline",
-		Fn: func(ctx *core.Context, d *core.Design, paths []core.Path, excluded map[int]bool) ([]int, error) {
+		Fn: func(ctx *core.Context, d *core.Design, paths []core.Path) ([]core.Alternative, error) {
 			feat := d.Report.Features()
 			ompT := perfmodel.OMPTime(ctx.CPU, feat, ctx.CPU.Cores)
 			d.Tracef("branch", "deadline", "OMP estimate %.4gs vs deadline %.4gs", ompT, deadline)
-			pick := func(name string) []int {
-				for i, p := range paths {
-					if p.Name == name && !excluded[i] {
-						return []int{i}
-					}
-				}
-				return nil
+			index := func(name string) int {
+				return slices.IndexFunc(paths, func(p core.Path) bool { return p.Name == name })
 			}
 			if ompT <= deadline {
-				if idx := pick("cpu"); idx != nil {
-					return idx, nil
-				}
+				return core.Prefer(index("cpu"), index("fpga")), nil
 			}
 			// CPU too slow: escalate to the FPGA path.
-			if idx := pick("fpga"); idx != nil {
-				return idx, nil
-			}
-			return nil, nil
+			return core.Prefer(index("fpga")), nil
 		},
 	}
 }

@@ -122,15 +122,6 @@ func (a *Affine) normalize() {
 	}
 }
 
-// CoeffOf returns the coefficient of the plain variable term v (0 when
-// absent, composite, or not affine).
-func (a Affine) CoeffOf(v string) int64 {
-	if !a.OK {
-		return 0
-	}
-	return a.Coeff[v]
-}
-
 // DependsOn reports whether any term contains variable v as a factor.
 func (a Affine) DependsOn(v string) bool {
 	if !a.OK {

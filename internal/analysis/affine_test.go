@@ -49,8 +49,8 @@ func TestAffineForms(t *testing.T) {
 		if a.String() != c.want {
 			t.Errorf("%s: String=%q, want %q", c.src, a.String(), c.want)
 		}
-		if a.Const != c.cnst || a.CoeffOf("i") != c.coefI {
-			t.Errorf("%s: const=%d coefI=%d, want %d/%d", c.src, a.Const, a.CoeffOf("i"), c.cnst, c.coefI)
+		if a.Const != c.cnst || a.Coeff["i"] != c.coefI {
+			t.Errorf("%s: const=%d coefI=%d, want %d/%d", c.src, a.Const, a.Coeff["i"], c.cnst, c.coefI)
 		}
 	}
 }
@@ -109,7 +109,7 @@ func TestQuickAffineEvaluation(t *testing.T) {
 	}
 	f := func(i, j int16) bool {
 		want := 3*int64(i) - 2*int64(j) + (int64(i)+7)*4
-		got := a.Const + a.CoeffOf("i")*int64(i) + a.CoeffOf("j")*int64(j)
+		got := a.Const + a.Coeff["i"]*int64(i) + a.Coeff["j"]*int64(j)
 		return got == want
 	}
 	if err := quick.Check(f, nil); err != nil {

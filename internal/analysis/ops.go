@@ -26,9 +26,6 @@ type OpCounts struct {
 
 func newOpCounts() *OpCounts { return &OpCounts{SpecialK: map[string]float64{}} }
 
-// Flops returns the weighted floating-point operation count.
-func (o *OpCounts) Flops() float64 { return o.FlopsW }
-
 // AI returns the static arithmetic intensity (FLOPs per byte); 0 when no
 // memory traffic is present.
 func (o *OpCounts) AI() float64 {
@@ -267,19 +264,6 @@ func isStoreTarget(region minic.Node, ix *minic.IndexExpr) bool {
 func WeightedOps(fn *minic.FuncDecl) *OpCounts {
 	env := typesIn(fn)
 	return weightedBlock(fn.Body, env)
-}
-
-// WeightedOpsPerIteration counts work for one iteration of the given loop
-// (its body with nested fixed loops scaled).
-func WeightedOpsPerIteration(loop minic.Stmt, fn *minic.FuncDecl) *OpCounts {
-	env := typesIn(fn)
-	switch l := loop.(type) {
-	case *minic.ForStmt:
-		return weightedBlock(l.Body, env)
-	case *minic.WhileStmt:
-		return weightedBlock(l.Body, env)
-	}
-	return newOpCounts()
 }
 
 func weightedBlock(b *minic.Block, env typeEnv) *OpCounts {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"psaflow/internal/minic"
-	"psaflow/internal/query"
 )
 
 func TestCountOpsBasic(t *testing.T) {
@@ -92,24 +91,6 @@ func TestWeightedOpsUnknownLoopOnce(t *testing.T) {
 	ops := WeightedOps(fn)
 	if ops.Stores != 1 {
 		t.Errorf("unknown-trip loop must count once: stores=%v", ops.Stores)
-	}
-}
-
-func TestWeightedOpsPerIteration(t *testing.T) {
-	prog := minic.MustParse(`void f(int n, double *out, const double *w) {
-        for (int i = 0; i < n; i++) {
-            double p = 0.0;
-            for (int j = 0; j < 4; j++) { p += w[j]; }
-            out[i] = p;
-        }
-    }`)
-	fn := prog.Funcs[0]
-	q := query.New(prog)
-	outer := q.OutermostLoops(fn)[0]
-	ops := WeightedOpsPerIteration(outer, fn)
-	// Per outer iteration: 4 adds (inner scaled) + 4 loads + 1 store.
-	if ops.AddSub != 4 || ops.Loads != 4 || ops.Stores != 1 {
-		t.Errorf("per-iter: addsub=%v loads=%v stores=%v", ops.AddSub, ops.Loads, ops.Stores)
 	}
 }
 

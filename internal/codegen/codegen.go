@@ -82,15 +82,6 @@ func paramList(params []*minic.Param) string {
 	return strings.Join(parts, ", ")
 }
 
-// argList renders the call arguments matching a parameter list.
-func argList(params []*minic.Param) string {
-	parts := make([]string, len(params))
-	for i, p := range params {
-		parts[i] = p.Name
-	}
-	return strings.Join(parts, ", ")
-}
-
 // indent prefixes every non-empty line of s with pad.
 func indent(s, pad string) string {
 	lines := strings.Split(s, "\n")

@@ -45,7 +45,7 @@ func outline(f *core.Flow) []string {
 	return out
 }
 
-var pickNone = core.SelectorFunc{SelName: "pick-none", Fn: func(*core.Context, *core.Design, []core.Path, map[int]bool) ([]int, error) {
+var pickNone = core.SelectorFunc{SelName: "pick-none", Fn: func(*core.Context, *core.Design, []core.Path) ([]core.Alternative, error) {
 	return nil, nil
 }}
 

@@ -254,51 +254,68 @@ type Path struct {
 	Flow *Flow
 }
 
-// Selector implements Path Selection Automation at a branch point. It
-// returns the indices of the paths to take: one for an informed strategy,
-// several (or all) for uninformed generation. excluded lists path indices
-// ruled out by the budget feedback loop.
-type Selector interface {
-	Name() string
-	Select(ctx *Context, d *Design, paths []Path, excluded map[int]bool) ([]int, error)
+// Alternative is one entry of a strategy's preference list at a branch
+// point: the indices of the paths to take together.
+type Alternative struct {
+	Paths []int
 }
 
-// SelectAll is the uninformed selector: every (non-excluded) path is
-// taken, generating all design versions (paper §IV-B "Uninformed" mode).
+// Prefer builds the preference list of an informed strategy: one
+// single-path alternative per index, in order.
+func Prefer(idxs ...int) []Alternative {
+	alts := make([]Alternative, len(idxs))
+	for k := range idxs {
+		alts[k].Paths = idxs[k : k+1 : k+1] // one backing array, so capacity 1 each
+	}
+	return alts
+}
+
+// Selector implements Path Selection Automation at a branch point. Select
+// is called once per (branch point, design) and returns the strategy's
+// alternatives in order of preference: one path each for an informed
+// strategy, one alternative holding several (or all) paths for uninformed
+// generation, none for "terminate". The engine walks the list — it alone
+// knows which alternatives the budget gate or a fault ruled out — so every
+// path may appear at most once.
+type Selector interface {
+	Name() string
+	Select(ctx *Context, d *Design, paths []Path) ([]Alternative, error)
+}
+
+// SelectAll is the uninformed selector: every path is taken, generating
+// all design versions (paper §IV-B "Uninformed" mode).
 type SelectAll struct{}
 
 // Name identifies the selector.
 func (SelectAll) Name() string { return "select-all" }
 
-// Select returns all non-excluded paths.
-func (SelectAll) Select(_ *Context, _ *Design, paths []Path, excluded map[int]bool) ([]int, error) {
-	var out []int
-	for i := range paths {
-		if !excluded[i] {
-			out = append(out, i)
-		}
+// Select returns one alternative holding every path.
+func (SelectAll) Select(_ *Context, _ *Design, paths []Path) ([]Alternative, error) {
+	all := make([]int, len(paths))
+	for i := range all {
+		all[i] = i
 	}
-	return out, nil
+	return []Alternative{{Paths: all}}, nil
 }
 
 // SelectorFunc adapts a function to Selector.
 type SelectorFunc struct {
 	SelName string
-	Fn      func(ctx *Context, d *Design, paths []Path, excluded map[int]bool) ([]int, error)
+	Fn      func(ctx *Context, d *Design, paths []Path) ([]Alternative, error)
 }
 
 // Name identifies the selector.
 func (s SelectorFunc) Name() string { return s.SelName }
 
 // Select delegates to the wrapped function.
-func (s SelectorFunc) Select(ctx *Context, d *Design, paths []Path, excluded map[int]bool) ([]int, error) {
-	return s.Fn(ctx, d, paths, excluded)
+func (s SelectorFunc) Select(ctx *Context, d *Design, paths []Path) ([]Alternative, error) {
+	return s.Fn(ctx, d, paths)
 }
 
 // Branch is a PSA branch point: alternative sub-flows plus a selection
 // strategy, and optionally the cost/budget feedback gate of Fig. 3 (when
-// ctx.Budget > 0 and ctx.Cost is set, a selected path whose resulting
-// designs all exceed the budget is excluded and selection re-runs).
+// ctx.Budget > 0 and ctx.Cost is set, an alternative whose resulting
+// designs all exceed the budget is dropped for the strategy's next one).
 type Branch struct {
 	PointName string
 	Paths     []Path
@@ -536,7 +553,7 @@ func runTaskAttempt(ctx *Context, t Task, d *Design) error {
 	return err
 }
 
-// pathNames renders the selected (and validated) path names for the
+// pathNames renders the path names of the alternative being taken for the
 // branch_decision event; a Stringer, so only an attached sink renders it.
 type pathNames struct {
 	paths []Path
@@ -551,17 +568,44 @@ func (p pathNames) String() string {
 	return strings.Join(names, ", ")
 }
 
-// runBranch executes one branch point on one design, including the budget
-// feedback loop: an initial selection plus at most MaxRevisions
-// re-selections, each revision excluding the paths that exceeded the
-// budget.
+// checkAlternatives validates a selector's preference list against a branch
+// point of n paths, once, before any path runs: every alternative takes at
+// least one path, every index is in range, and no path is offered twice —
+// within an alternative it would run twice, across alternatives it would
+// re-run after the engine ruled it out.
+func checkAlternatives(alts []Alternative, n int) error {
+	seen := make([]bool, n)
+	for k, alt := range alts {
+		if len(alt.Paths) == 0 {
+			return fmt.Errorf("selector returned empty alternative %d", k)
+		}
+		for _, i := range alt.Paths {
+			if i < 0 || i >= n {
+				return fmt.Errorf("selector returned invalid path index %d", i)
+			}
+			if seen[i] {
+				return fmt.Errorf("selector offered path index %d twice", i)
+			}
+			seen[i] = true
+		}
+	}
+	return nil
+}
+
+// runBranch executes one branch point on one design: it asks the strategy
+// once for its alternatives and walks them in order of preference. Both
+// feedback edges are the same step, "next alternative":
 //
-// Fault-degraded paths follow the graceful-degradation tier (docs/FAULTS.md):
-// a path whose sub-flow fails with a degradable error (a retry-exhausted or
-// non-transient fault) is not allowed to abort the flow. Its fork is marked
-// Infeasible and kept as a failure verdict; when the selection was a single
-// path (informed strategy) the path is additionally excluded and selection
-// re-runs, so the strategy falls back to its next-best target.
+//   - the budget gate (Fig. 3): every leaf of the alternative costs more
+//     than ctx.Budget — at most MaxRevisions times;
+//   - the graceful-degradation tier (docs/FAULTS.md): a path whose sub-flow
+//     fails with a degradable error (a retry-exhausted or non-transient
+//     fault) is not allowed to abort the flow. Its fork is marked Infeasible
+//     and kept as a failure verdict, and when it was the alternative's only
+//     path (informed strategy) the walk falls back to the next-best target.
+//
+// Out of alternatives is Fig. 3's "design-flow terminates": the design
+// continues unspecialized.
 func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telemetry.Span) ([]*Design, error) {
 	maxRev := b.MaxRevisions
 	if maxRev <= 0 {
@@ -569,35 +613,28 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 	}
 	gated := b.Gated && ctx.Budget > 0 && ctx.Cost != nil
 	resilient := ctx.resilient()
-	excluded := map[int]bool{}
 	branchSpan := ctx.Telemetry.StartSpan(parent, telemetry.KindBranch, b.PointName)
 	defer branchSpan.End()
+	fail := func(err error) error {
+		return &FlowError{Flow: flowName, Task: "branch:" + b.PointName, Err: err}
+	}
+	alts, err := b.Select.Select(ctx, d, b.Paths)
+	if err == nil {
+		err = checkAlternatives(alts, len(b.Paths))
+	}
+	if err != nil {
+		return nil, fail(err)
+	}
 	// degraded accumulates the Infeasible failure verdicts of fault-degraded
-	// paths across fallback re-selections; they are returned alongside the
-	// surviving designs so harnesses see per-branch failure outcomes.
+	// paths across fallbacks; they are returned alongside the surviving
+	// designs so harnesses see per-branch failure outcomes.
 	var degraded []*Design
 	rev, fallbacks := 0, 0
-	for {
+	for _, alt := range alts {
 		if err := ctx.Interrupted(); err != nil {
-			return nil, &FlowError{Flow: flowName, Task: "branch:" + b.PointName, Err: err}
+			return nil, fail(err)
 		}
-		idxs, err := b.Select.Select(ctx, d, b.Paths, excluded)
-		if err != nil {
-			return nil, &FlowError{Flow: flowName, Task: "branch:" + b.PointName, Err: err}
-		}
-		if len(idxs) == 0 {
-			// No viable path: the flow terminates without specializing
-			// (Fig. 3's "design-flow terminates" outcome). Verdicts from
-			// earlier degraded paths are still reported.
-			d.Tracef("branch", b.PointName, "no path selected; design unmodified")
-			return append(degraded, d), nil
-		}
-		for _, i := range idxs {
-			if i < 0 || i >= len(b.Paths) {
-				return nil, &FlowError{Flow: flowName, Task: "branch:" + b.PointName,
-					Err: fmt.Errorf("selector returned invalid path index %d", i)}
-			}
-		}
+		idxs := alt.Paths
 		ctx.Emit(events.TypeBranchDecision, b.PointName, "strategy %s selected %s", b.Select.Name(), pathNames{b.Paths, idxs})
 		perPath := make([][]*Design, len(idxs))
 		errs := make([]error, len(idxs))
@@ -606,9 +643,8 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 			p := b.Paths[i]
 			fork := d
 			// Fork when several paths run, when the budget gate may reject
-			// this path and re-select, or when resilience is active: budget
-			// revisions and fault fallbacks must both restart from the
-			// unmodified design.
+			// this path, or when resilience is active: budget revisions and
+			// fault fallbacks must both restart from the unmodified design.
 			if len(idxs) > 1 || gated || resilient {
 				fork = d.Fork()
 				ctx.Count(telemetry.CounterDesignsForked, 1)
@@ -663,7 +699,7 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 					firstFail = err
 				}
 				// Like any infeasible leaf, a failure verdict suppresses
-				// budget revision for this round.
+				// budget revision for this alternative.
 				overBudget = false
 				continue
 			}
@@ -680,41 +716,31 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 				}
 			}
 		}
-		// A multi-select branch whose every path failed produced nothing to
-		// continue with: surface one degradable error so an enclosing branch
-		// (informed mode's target selection) can fall back in turn.
+		// A multi-select alternative whose every path failed produced nothing
+		// to continue with: surface one degradable error so an enclosing
+		// branch (informed mode's target selection) can fall back in turn.
 		if failedSlots == len(idxs) && len(idxs) > 1 {
-			return nil, &FlowError{Flow: flowName, Task: "branch:" + b.PointName,
-				Err: fmt.Errorf("all %d selected paths failed: %w", len(idxs), firstFail)}
+			return nil, fail(fmt.Errorf("all %d selected paths failed: %w", len(idxs), firstFail))
 		}
-		// Informed fallback: when the strategy picked a single path and it
-		// failed, exclude it and re-select so the next-best target runs.
-		// Bounded by the path count — each fallback permanently excludes one.
-		if failedSlots > 0 && len(idxs) == 1 {
-			if fallbacks >= len(b.Paths) {
-				return nil, &FlowError{Flow: flowName, Task: "branch:" + b.PointName,
-					Err: fmt.Errorf("fault fallback exceeded %d paths (selector re-selected a failed path)", len(b.Paths))}
-			}
+		switch {
+		case failedSlots > 0 && len(idxs) == 1:
+			// Informed fallback: the strategy's single pick failed, so its
+			// next-best target runs.
 			fallbacks++
-			excluded[idxs[0]] = true
 			ctx.Count(telemetry.CounterFaultFallbacks, 1)
 			branchSpan.Note(fmt.Sprintf("fallback %d: re-selecting without path %q", fallbacks, b.Paths[idxs[0]].Name))
 			d.Tracef("branch", b.PointName, "fallback %d: path %q failed, re-selecting", fallbacks, b.Paths[idxs[0]].Name)
-			continue
-		}
-		if !gated || !overBudget {
+		case !gated || !overBudget:
 			return append(degraded, out...), nil
+		case rev == maxRev:
+			return nil, fail(fmt.Errorf("budget feedback exhausted %d revisions", maxRev))
+		default:
+			// Budget feedback: every leaf is over budget, revise.
+			rev++
+			ctx.Count(telemetry.CounterBudgetRevisions, 1)
+			d.Tracef("branch", b.PointName, "revision %d: all selected paths over budget, re-selecting", rev)
 		}
-		if rev == maxRev {
-			return nil, &FlowError{Flow: flowName, Task: "branch:" + b.PointName,
-				Err: fmt.Errorf("budget feedback exhausted %d revisions", maxRev)}
-		}
-		// Feedback: revise by excluding the failed path(s) and re-selecting.
-		for _, i := range idxs {
-			excluded[i] = true
-		}
-		rev++
-		ctx.Count(telemetry.CounterBudgetRevisions, 1)
-		d.Tracef("branch", b.PointName, "revision %d: all selected paths over budget, re-selecting", rev)
 	}
+	d.Tracef("branch", b.PointName, "no path selected; design unmodified")
+	return append(degraded, d), nil
 }

@@ -124,8 +124,8 @@ func TestBranchSelectAllForks(t *testing.T) {
 
 func TestBranchSingleSelection(t *testing.T) {
 	sel := SelectorFunc{SelName: "pick-b",
-		Fn: func(ctx *Context, d *Design, paths []Path, excluded map[int]bool) ([]int, error) {
-			return []int{1}, nil
+		Fn: func(ctx *Context, d *Design, paths []Path) ([]Alternative, error) {
+			return Prefer(1), nil
 		}}
 	flow := &Flow{Name: "single"}
 	flow.AddBranch(Branch{PointName: "X",
@@ -152,7 +152,7 @@ func TestBranchSingleSelection(t *testing.T) {
 
 func TestBranchNoPathTerminates(t *testing.T) {
 	sel := SelectorFunc{SelName: "none",
-		Fn: func(ctx *Context, d *Design, paths []Path, excluded map[int]bool) ([]int, error) {
+		Fn: func(ctx *Context, d *Design, paths []Path) ([]Alternative, error) {
 			return nil, nil
 		}}
 	flow := &Flow{Name: "terminate"}
@@ -172,8 +172,8 @@ func TestBranchNoPathTerminates(t *testing.T) {
 
 func TestBranchInvalidIndex(t *testing.T) {
 	sel := SelectorFunc{SelName: "bad",
-		Fn: func(ctx *Context, d *Design, paths []Path, excluded map[int]bool) ([]int, error) {
-			return []int{7}, nil
+		Fn: func(ctx *Context, d *Design, paths []Path) ([]Alternative, error) {
+			return Prefer(7), nil
 		}}
 	flow := &Flow{Name: "bad"}
 	flow.AddBranch(Branch{PointName: "X", Paths: []Path{{Name: "a", Flow: pathFlow("a")}}, Select: sel})
@@ -183,24 +183,12 @@ func TestBranchInvalidIndex(t *testing.T) {
 }
 
 // TestBudgetFeedback exercises the Fig. 3 cost-evaluation loop: the first
-// selected path exceeds the budget, so the branch re-selects with that
-// path excluded.
+// alternative exceeds the budget, so the branch takes the strategy's next.
 func TestBudgetFeedback(t *testing.T) {
 	costs := map[string]float64{"expensive": 100, "cheap": 1}
 	sel := SelectorFunc{SelName: "greedy",
-		Fn: func(ctx *Context, d *Design, paths []Path, excluded map[int]bool) ([]int, error) {
-			// Prefer the expensive path unless excluded.
-			for i, p := range paths {
-				if p.Name == "expensive" && !excluded[i] {
-					return []int{i}, nil
-				}
-			}
-			for i := range paths {
-				if !excluded[i] {
-					return []int{i}, nil
-				}
-			}
-			return nil, nil
+		Fn: func(ctx *Context, d *Design, paths []Path) ([]Alternative, error) {
+			return Prefer(0, 1), nil // expensive first
 		}}
 	flow := &Flow{Name: "budgeted"}
 	flow.AddBranch(Branch{PointName: "X",
@@ -231,11 +219,8 @@ func TestBudgetFeedback(t *testing.T) {
 
 func TestBudgetExhaustion(t *testing.T) {
 	sel := SelectorFunc{SelName: "stubborn",
-		Fn: func(ctx *Context, d *Design, paths []Path, excluded map[int]bool) ([]int, error) {
-			if excluded[0] {
-				return nil, nil // gives up after exclusion → terminates
-			}
-			return []int{0}, nil
+		Fn: func(ctx *Context, d *Design, paths []Path) ([]Alternative, error) {
+			return Prefer(0), nil // no second choice → terminates
 		}}
 	flow := &Flow{Name: "exhaust"}
 	flow.AddBranch(Branch{PointName: "X",
@@ -246,7 +231,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	// After exclusion the selector returns no path: unmodified design.
+	// Out of alternatives: unmodified design.
 	if len(out) != 1 || out[0].Device != "" {
 		t.Fatalf("out = %v", out)
 	}
@@ -356,21 +341,26 @@ func TestForkDeepCopiesArtifacts(t *testing.T) {
 	}
 }
 
-// TestBudgetExhaustionRevisionCount: with MaxRevisions=N the branch does
-// one initial selection plus exactly N revisions, the trace numbers them
-// 1..N, and the terminal error reports the same N.
+// TestBudgetExhaustionRevisionCount: with MaxRevisions=N and more than N+1
+// over-budget alternatives on offer, the branch runs the first choice plus
+// exactly N revisions, the trace numbers them 1..N, and the terminal error
+// reports the same N.
 func TestBudgetExhaustionRevisionCount(t *testing.T) {
-	selections := 0
-	sel := SelectorFunc{SelName: "stubborn",
-		Fn: func(ctx *Context, d *Design, paths []Path, excluded map[int]bool) ([]int, error) {
-			selections++
-			return []int{0}, nil // ignores exclusion, so the loop must bound it
-		}}
+	ran := 0
+	costly := func(name string) *Flow {
+		f := pathFlow(name)
+		f.AddTask(TaskFunc{TaskName: "count", TaskKind: Analysis,
+			Fn: func(*Context, *Design) error { ran++; return nil }})
+		return f
+	}
 	const maxRev = 2
 	flow := &Flow{Name: "exhaust-count"}
 	flow.AddBranch(Branch{PointName: "X",
-		Paths:  []Path{{Name: "only", Flow: pathFlow("only")}},
-		Select: sel, Gated: true, MaxRevisions: maxRev})
+		Paths: []Path{
+			{Name: "a", Flow: costly("a")}, {Name: "b", Flow: costly("b")},
+			{Name: "c", Flow: costly("c")}, {Name: "d", Flow: costly("d")},
+		},
+		Select: preferFirst, Gated: true, MaxRevisions: maxRev})
 	d := newTestDesign()
 	ctx := &Context{Budget: 1, Cost: func(*Design) float64 { return 50 }}
 	_, err := flow.Run(ctx, d)
@@ -380,8 +370,8 @@ func TestBudgetExhaustionRevisionCount(t *testing.T) {
 	if want := fmt.Sprintf("exhausted %d revisions", maxRev); !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not report %q", err, want)
 	}
-	if selections != maxRev+1 {
-		t.Errorf("selections = %d, want %d (initial + %d revisions)", selections, maxRev+1, maxRev)
+	if ran != maxRev+1 {
+		t.Errorf("paths run = %d, want %d (first choice + %d revisions)", ran, maxRev+1, maxRev)
 	}
 	trace := fmt.Sprint(d.Trace)
 	for rev := 1; rev <= maxRev; rev++ {

@@ -195,16 +195,15 @@ func TestTaskTimeoutDoesNotMaskFlowCancellation(t *testing.T) {
 	}
 }
 
-// preferFirst is an informed-style selector: it picks the first
-// non-excluded path, so fault fallbacks walk the preference order.
+// preferFirst is an informed-style selector: it prefers the paths in
+// their declared order, so fault fallbacks walk that order.
 var preferFirst = SelectorFunc{SelName: "prefer-first",
-	Fn: func(_ *Context, _ *Design, paths []Path, excluded map[int]bool) ([]int, error) {
-		for i := range paths {
-			if !excluded[i] {
-				return []int{i}, nil
-			}
+	Fn: func(_ *Context, _ *Design, paths []Path) ([]Alternative, error) {
+		order := make([]int, len(paths))
+		for i := range order {
+			order[i] = i
 		}
-		return nil, nil
+		return Prefer(order...), nil
 	}}
 
 // failingPathFlow stamps the device like pathFlow, but fails with a

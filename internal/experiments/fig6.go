@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -56,19 +55,6 @@ func RunFig6(rows []Fig5Row) []Fig6Series {
 		out = append(out, s)
 	}
 	return out
-}
-
-// MoreCostEffective reports which platform is cheaper at price ratio rho.
-func (s Fig6Series) MoreCostEffective(rho float64) string {
-	rel := (s.SpeedupGPU / s.SpeedupFPGA) * rho
-	switch {
-	case math.Abs(rel-1) < 1e-9:
-		return "equal"
-	case rel < 1:
-		return "fpga"
-	default:
-		return "gpu"
-	}
 }
 
 // FormatFig6 renders the curves and crossovers.

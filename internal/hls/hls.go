@@ -17,6 +17,7 @@ import (
 	"psaflow/internal/minic"
 	"psaflow/internal/platform"
 	"psaflow/internal/query"
+	"psaflow/internal/telemetry"
 )
 
 // opCost is the resource footprint of one hardware operator instance.
@@ -141,12 +142,8 @@ func kernelPrecision(fn *minic.FuncDecl) bool {
 	return sp
 }
 
-// UnrollPragmaFactor extracts the factor of an "unroll N" pragma attached
+// unrollPragmaFactor extracts the factor of an "unroll N" pragma attached
 // to the outermost loop of fn; returns 1 when absent.
-func UnrollPragmaFactor(prog *minic.Program, fn *minic.FuncDecl) int {
-	return unrollPragmaFactor(query.New(prog), fn)
-}
-
 func unrollPragmaFactor(q *query.Q, fn *minic.FuncDecl) int {
 	outer := q.OutermostLoops(fn)
 	if len(outer) == 0 {
@@ -177,16 +174,13 @@ type Counter interface {
 	Add(name string, delta int64)
 }
 
-// CounterPartialCompiles names the counter of dpcpp partial compiles, the
-// expensive tool step the paper's Fig. 2 DSE repeats: EstimateCounted adds
-// one per invocation, and the unroll walk one per factor it replicates.
-const CounterPartialCompiles = "hls.partial_compiles"
-
 // EstimateCounted is Estimate with telemetry: it reports the invocation
-// to c (nil skips accounting only).
+// to c (nil skips accounting only) as telemetry.CounterHLSPartialCompiles,
+// the count of dpcpp partial compiles — the expensive tool step the paper's
+// Fig. 2 DSE repeats. The unroll walk adds one per factor it replicates.
 func EstimateCounted(c Counter, prog *minic.Program, fn *minic.FuncDecl, dev platform.FPGASpec, pipelinedTrips float64) *Report {
 	if c != nil {
-		c.Add(CounterPartialCompiles, 1)
+		c.Add(telemetry.CounterHLSPartialCompiles, 1)
 	}
 	return Estimate(prog, fn, dev, pipelinedTrips)
 }

@@ -135,11 +135,3 @@ func BuiltinFlops(name string) int64 {
 	}
 	return 0
 }
-
-// BuiltinCost returns the virtual-cycle cost of a builtin, or 0.
-func BuiltinCost(name string) float64 {
-	if b, ok := builtins[name]; ok {
-		return b.cost
-	}
-	return 0
-}

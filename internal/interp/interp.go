@@ -7,6 +7,7 @@ import (
 
 	"psaflow/internal/minic"
 	"psaflow/internal/query"
+	"psaflow/internal/telemetry"
 )
 
 // RuntimeError is an execution error with a source position.
@@ -42,11 +43,10 @@ type Counters interface {
 	Add(name string, delta int64)
 }
 
-// Counter names emitted to Config.Counters after each run.
+// Counter names emitted to Config.Counters after each run, beside
+// telemetry.CounterInterpRuns / Ops (AST evaluation steps executed) /
+// Cycles (virtual cycles charged, rounded).
 const (
-	CounterRuns   = "interp.runs"
-	CounterOps    = "interp.ops"    // AST evaluation steps executed
-	CounterCycles = "interp.cycles" // virtual cycles charged (rounded)
 	// CounterCompileFuncs / CounterCompileNanos describe the pass that
 	// lowers the AST to bytecode before execution.
 	CounterCompileFuncs = "interp.compile.funcs"
@@ -84,7 +84,7 @@ type Config struct {
 	// a program that would otherwise spin until the step budget.
 	Ctx context.Context
 	// Counters, when non-nil, receives the run's op/cycle totals
-	// (CounterRuns/CounterOps/CounterCycles) once execution finishes.
+	// (telemetry.CounterInterpRuns/Ops/Cycles) once execution finishes.
 	Counters Counters
 	// TreeWalk forces the tree-walking evaluator instead of the bytecode
 	// fast path. The two engines are bit-for-bit equivalent (profiles,
@@ -286,9 +286,9 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 	}
 	m.publishWatch()
 	if cfg.Counters != nil {
-		cfg.Counters.Add(CounterRuns, 1)
-		cfg.Counters.Add(CounterOps, m.steps)
-		cfg.Counters.Add(CounterCycles, int64(m.prof.Cycles))
+		cfg.Counters.Add(telemetry.CounterInterpRuns, 1)
+		cfg.Counters.Add(telemetry.CounterInterpOps, m.steps)
+		cfg.Counters.Add(telemetry.CounterInterpCycles, int64(m.prof.Cycles))
 		if m.bcInstrs > 0 {
 			cfg.Counters.Add(CounterBCInstrs, m.bcInstrs)
 			cfg.Counters.Add(CounterBCFused, m.bcFused)

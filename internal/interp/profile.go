@@ -126,22 +126,6 @@ func newProfile(watch string) *Profile {
 	}
 }
 
-// LoopsByCycles returns loop profiles sorted by descending cycle count —
-// the hotspot ranking.
-func (p *Profile) LoopsByCycles() []*LoopProfile {
-	out := make([]*LoopProfile, 0, len(p.Loops))
-	for _, lp := range p.Loops {
-		out = append(out, lp)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cycles != out[j].Cycles {
-			return out[i].Cycles > out[j].Cycles
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
 // Hotspot returns the outermost loop with the largest cycle share, and its
 // fraction of total cycles. Returns nil if no loops ran.
 func (p *Profile) Hotspot() (*LoopProfile, float64) {
@@ -159,24 +143,6 @@ func (p *Profile) Hotspot() (*LoopProfile, float64) {
 		return best, 0
 	}
 	return best, best.Cycles / p.Cycles
-}
-
-// TotalBytesIn sums host→kernel traffic over all watched parameters.
-func (p *Profile) TotalBytesIn() int64 {
-	var n int64
-	for _, t := range p.ParamTraffic {
-		n += t.BytesIn
-	}
-	return n
-}
-
-// TotalBytesOut sums kernel→host traffic over all watched parameters.
-func (p *Profile) TotalBytesOut() int64 {
-	var n int64
-	for _, t := range p.ParamTraffic {
-		n += t.BytesOut
-	}
-	return n
 }
 
 // AliasPairs returns parameter-name pairs that were ever bound to the same
@@ -214,14 +180,4 @@ func (p *Profile) BoundBuf(param string) (BufShape, bool) {
 		}
 	}
 	return BufShape{}, false
-}
-
-// ArithmeticIntensity returns executed FLOPs per byte of memory traffic
-// inside the watched function; 0 when nothing was measured.
-func (p *Profile) ArithmeticIntensity() float64 {
-	bytes := p.TotalBytesIn() + p.TotalBytesOut()
-	if bytes == 0 {
-		return 0
-	}
-	return float64(p.WatchFlops) / float64(bytes)
 }

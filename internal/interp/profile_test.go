@@ -133,9 +133,6 @@ func TestParamTraffic(t *testing.T) {
 	if out.BytesIn != 0 {
 		t.Errorf("out.BytesIn = %d, want 0 (plain stores)", out.BytesIn)
 	}
-	if res.Prof.TotalBytesIn() != 256*8 || res.Prof.TotalBytesOut() != 32*8 {
-		t.Errorf("totals = %d/%d", res.Prof.TotalBytesIn(), res.Prof.TotalBytesOut())
-	}
 }
 
 func TestWatchCallsAndFlops(t *testing.T) {
@@ -148,9 +145,6 @@ func TestWatchCallsAndFlops(t *testing.T) {
 	}
 	if res.Prof.WatchCycles <= 0 || res.Prof.WatchCycles > res.Prof.Cycles {
 		t.Errorf("WatchCycles = %v (total %v)", res.Prof.WatchCycles, res.Prof.Cycles)
-	}
-	if ai := res.Prof.ArithmeticIntensity(); ai <= 0 {
-		t.Errorf("arithmetic intensity = %v", ai)
 	}
 }
 
@@ -196,16 +190,6 @@ void k(int n, double *a, double *b) {
 	}
 	if pairs := res.Prof.AliasPairs(); len(pairs) != 0 {
 		t.Errorf("alias pairs = %v, want none", pairs)
-	}
-}
-
-func TestLoopsByCyclesSorted(t *testing.T) {
-	res, _ := runProf(t, "app")
-	loops := res.Prof.LoopsByCycles()
-	for i := 1; i < len(loops); i++ {
-		if loops[i-1].Cycles < loops[i].Cycles {
-			t.Fatalf("not sorted at %d", i)
-		}
 	}
 }
 

@@ -86,9 +86,6 @@ func TestBuiltinIntrospection(t *testing.T) {
 	if BuiltinFlops("exp") != 8 || BuiltinFlops("sqrt") != 4 || BuiltinFlops("nope") != 0 {
 		t.Error("flop weights wrong")
 	}
-	if BuiltinCost("pow") != CostPow || BuiltinCost("nope") != 0 {
-		t.Error("cost lookup wrong")
-	}
 }
 
 func TestFloatValRounding(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"psaflow/internal/analysis"
@@ -169,34 +170,26 @@ func (m *KNN) Predict(x Features) (platform.TargetKind, float64) {
 }
 
 // Selector adapts the model to a PSA branch point with paths named
-// "cpu", "gpu", and "fpga" (the Fig. 4 branch point A layout). Excluded
-// paths (budget feedback) fall back to the next most voted target.
+// "cpu", "gpu", and "fpga" (the Fig. 4 branch point A layout): the
+// predicted target first, then the remaining paths, CPU first.
 func Selector(m *KNN) core.Selector {
 	return core.SelectorFunc{
 		SelName: "ml-knn",
-		Fn: func(ctx *core.Context, d *core.Design, paths []core.Path, excluded map[int]bool) ([]int, error) {
+		Fn: func(ctx *core.Context, d *core.Design, paths []core.Path) ([]core.Alternative, error) {
 			if d.Report == nil || d.Report.OuterDeps == nil {
 				return nil, fmt.Errorf("mlpsa: selector requires analysis results")
 			}
 			x := FromReport(d.Report, ctx.CPU)
 			target, conf := m.Predict(x)
 			d.Tracef("branch", "ml", "kNN predicts %s (confidence %.2f)", target, conf)
-			for i, p := range paths {
-				if p.Name == target.String() && !excluded[i] {
-					return []int{i}, nil
+			var order []int
+			for _, name := range []string{target.String(), "cpu", "gpu", "fpga"} {
+				i := slices.IndexFunc(paths, func(p core.Path) bool { return p.Name == name })
+				if i >= 0 && !slices.Contains(order, i) {
+					order = append(order, i)
 				}
 			}
-			// Fallback: any non-excluded path, CPU first.
-			order := []string{"cpu", "gpu", "fpga"}
-			for _, name := range order {
-				for i, p := range paths {
-					if p.Name == name && !excluded[i] {
-						d.Tracef("branch", "ml", "predicted path unavailable; falling back to %s", name)
-						return []int{i}, nil
-					}
-				}
-			}
-			return nil, nil
+			return core.Prefer(order...), nil
 		},
 	}
 }

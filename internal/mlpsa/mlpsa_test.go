@@ -1,6 +1,7 @@
 package mlpsa
 
 import (
+	"slices"
 	"testing"
 
 	"psaflow/internal/analysis"
@@ -152,25 +153,25 @@ func TestSelectorIntegration(t *testing.T) {
 	paths := []core.Path{
 		{Name: "gpu"}, {Name: "fpga"}, {Name: "cpu"},
 	}
-	idxs, err := sel.Select(ctx, d, paths, map[int]bool{})
+	alts, err := sel.Select(ctx, d, paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idxs) != 1 {
-		t.Fatalf("idxs = %v", idxs)
+	// The predicted target first, then every other path once, CPU first:
+	// what the engine falls back on when the prediction is ruled out.
+	var order []string
+	for _, a := range alts {
+		if len(a.Paths) != 1 {
+			t.Fatalf("alternative %v takes %d paths, want 1", a, len(a.Paths))
+		}
+		order = append(order, paths[a.Paths[0]].Name)
 	}
-	// Excluding the predicted path falls back to another one.
-	excluded := map[int]bool{idxs[0]: true}
-	idxs2, err := sel.Select(ctx, d, paths, excluded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idxs2) != 1 || idxs2[0] == idxs[0] {
-		t.Fatalf("fallback failed: %v then %v", idxs, idxs2)
+	if want := []string{"gpu", "cpu", "fpga"}; !slices.Equal(order, want) {
+		t.Fatalf("preference order = %v, want %v", order, want)
 	}
 	// Selector demands analysis results.
 	bare := &core.Design{Name: "bare", Report: &core.KernelReport{}}
-	if _, err := sel.Select(ctx, bare, paths, map[int]bool{}); err == nil {
+	if _, err := sel.Select(ctx, bare, paths); err == nil {
 		t.Error("expected error without analysis results")
 	}
 }

@@ -58,9 +58,9 @@ func TestFaultSpecValidation(t *testing.T) {
 // precedence: empty inherits, "off" disables even over a default, and
 // retry overrides land in the policy.
 func TestFlowEnvResolution(t *testing.T) {
-	def := faults.DefaultRetry
+	def := experiments.Settings{Faults: "seed=7,rate=0.5", Retry: faults.DefaultRetry}
 	sp := &JobSpec{Bench: "nbody"}
-	env, err := sp.flowEnv("seed=7,rate=0.5", def)
+	env, err := sp.flowEnv(nil, def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,12 @@ func TestFlowEnvResolution(t *testing.T) {
 	}
 
 	sp = &JobSpec{Bench: "nbody", Faults: "off"}
-	if env, err = sp.flowEnv("seed=7,rate=0.5", def); err != nil || env.Faults.Enabled() {
+	if env, err = sp.flowEnv(nil, def); err != nil || env.Faults.Enabled() {
 		t.Errorf(`"off" should beat the server default, got inj=%v err=%v`, env.Faults, err)
 	}
 
 	sp = &JobSpec{Bench: "nbody", Faults: "seed=2,rate=0.25,kinds=device", RetryMaxAttempts: 3, RetryBudget: -1, TaskTimeoutMS: 250}
-	env, err = sp.flowEnv("", def)
+	env, err = sp.flowEnv(nil, experiments.Settings{Retry: faults.DefaultRetry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"psaflow/internal/events"
 	"psaflow/internal/experiments"
 	"psaflow/internal/faults"
+	"psaflow/internal/flowlang"
 	"psaflow/internal/minic"
 	"psaflow/internal/tasks"
 	"psaflow/internal/telemetry"
@@ -99,28 +100,14 @@ func (sp *JobSpec) flowOptions() (tasks.FlowOptions, error) {
 	return opts, nil
 }
 
-// flowEnv resolves the spec's resilience settings against the server
-// defaults. A fresh injector is built per call so every job — including
-// one restored from a drain snapshot — replays the same deterministic
-// fault schedule from occurrence zero.
-func (sp *JobSpec) flowEnv(defaultFaults string, defaultRetry faults.RetryPolicy) (experiments.JobEnv, error) {
-	spec := sp.Faults
-	if spec == "" {
-		spec = defaultFaults
-	}
-	inj, err := faults.ParseSpec(spec)
-	if err != nil {
-		return experiments.JobEnv{}, fmt.Errorf("faults: %w", err)
-	}
-	env := experiments.JobEnv{Faults: inj, Retry: defaultRetry}
-	if sp.RetryMaxAttempts > 0 {
-		env.Retry.MaxAttempts = sp.RetryMaxAttempts
-	}
-	if sp.RetryBudget != 0 {
-		env.Retry.Budget = sp.RetryBudget
-	}
+// flowEnv resolves the run's settings, job spec > flow document (nil for
+// the built-in flow) > server default: see experiments.ResolveEnv.
+func (sp *JobSpec) flowEnv(doc *flowlang.Compiled, def experiments.Settings) (experiments.JobEnv, error) {
+	explicit := experiments.Settings{Faults: sp.Faults,
+		Retry: faults.RetryPolicy{MaxAttempts: sp.RetryMaxAttempts, Budget: sp.RetryBudget}}
+	env, err := experiments.ResolveEnv(explicit, doc, def)
 	env.TaskTimeout = time.Duration(sp.TaskTimeoutMS) * time.Millisecond
-	return env, nil
+	return env, err
 }
 
 // validate resolves and checks the spec, returning the benchmark and the

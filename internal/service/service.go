@@ -219,29 +219,9 @@ func New(cfg Config) *Server {
 			rec.Add(telemetry.CounterFlowCompiles, 1)
 			compiled = c
 		}
-		// Resilience precedence: job spec > flow document > server default.
-		// flowEnv layers the spec's overrides on whatever defaults it gets,
-		// so substituting the document's settings as the defaults gives the
-		// middle tier.
-		defaultFaults, defaultRetry := s.cfg.Faults, s.retry
-		if compiled != nil {
-			if compiled.Faults != "" {
-				defaultFaults = compiled.Faults
-			}
-			if compiled.HasRetry {
-				defaultRetry = compiled.Retry.WithDefaults()
-			}
-		}
-		env, err := job.Spec.flowEnv(defaultFaults, defaultRetry)
+		env, err := job.Spec.flowEnv(compiled, experiments.Settings{Faults: s.cfg.Faults, Retry: s.retry})
 		if err != nil {
 			return nil, err
-		}
-		if compiled != nil {
-			env.Flow = compiled.Flow
-			env.Budget = compiled.Budget
-			if env.Budget > 0 {
-				env.Cost = experiments.DefaultCost
-			}
 		}
 		return experiments.RunBenchmarkEnv(ctx, job.bench, job.prog, opts, env, nil, rec, s.runs)
 	}

@@ -134,7 +134,7 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 				if n == 1 || (n == 2 && fixedOuter) {
 					dp = hls.CostDatapath(d.Prog, kfn)
 				}
-				ctx.Count(hls.CounterPartialCompiles, 1)
+				ctx.Count(telemetry.CounterHLSPartialCompiles, 1)
 				rep := dp.Replicate(dev, n, d.Report.PipelinedTrips)
 				d.Tracef("dse", "unroll", "n=%d LUT=%.1f%% DSP=%.1f%% fits=%t",
 					n, rep.LUTUtil*100, rep.DSPUtil*100, rep.Fits)

@@ -78,11 +78,11 @@ func fig3Inputs(ctx *core.Context, r *core.KernelReport, cfg StrategyConfig) (tC
 
 // InformedSelector implements the example PSA strategy of paper Fig. 3
 // (fig3Decide) for branch point A, choosing among the "gpu", "fpga", and
-// "cpu" paths.
+// "cpu" paths: the tree's target first, then the CPU path, then termination.
 func InformedSelector(cfg StrategyConfig) core.Selector {
 	return core.SelectorFunc{
 		SelName: "informed-fig3",
-		Fn: func(ctx *core.Context, d *core.Design, paths []core.Path, excluded map[int]bool) ([]int, error) {
+		Fn: func(ctx *core.Context, d *core.Design, paths []core.Path) ([]core.Alternative, error) {
 			r := d.Report
 			if r.OuterDeps == nil {
 				return nil, fmt.Errorf("strategy requires dependence analysis results")
@@ -95,32 +95,14 @@ func InformedSelector(cfg StrategyConfig) core.Selector {
 				d.Tracef("branch", "A", "not worth offloading and not parallel: flow terminates")
 				return nil, nil
 			}
-			name := target.String()
-			i, err := pathIndex(paths, name)
+			i, err := pathIndex(paths, target.String())
 			if err != nil {
 				return nil, err
 			}
-			if excluded[i] {
-				// Budget feedback ruled this path out; fall back to the
-				// CPU path, then to termination.
-				if cpu, err2 := pathIndex(paths, "cpu"); err2 == nil && !excluded[cpu] && name != "cpu" {
-					d.Tracef("branch", "A", "path %q over budget; revising to cpu", name)
-					return []int{cpu}, nil
-				}
-				return nil, nil
+			if cpu, err := pathIndex(paths, "cpu"); err == nil && cpu != i {
+				return core.Prefer(i, cpu), nil
 			}
-			return []int{i}, nil
+			return core.Prefer(i), nil
 		},
 	}
-}
-
-// SelectedTarget reports which target class the informed strategy would
-// choose without running a flow — how tests assert branch decisions.
-func SelectedTarget(ctx *core.Context, d *core.Design, cfg StrategyConfig) (platform.TargetKind, bool) {
-	r := d.Report
-	if r.OuterDeps == nil {
-		return 0, false
-	}
-	tCPU, tData, ai, parallel := fig3Inputs(ctx, r, cfg)
-	return fig3Decide(tCPU, tData, ai, cfg.AIThreshold, parallel, r.Unroll.InnerWithDeps, r.Unroll.AllDepsFixed)
 }

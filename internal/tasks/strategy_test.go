@@ -1,6 +1,9 @@
 package tasks
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"psaflow/internal/analysis"
@@ -31,11 +34,34 @@ func mkReport(parallel bool, ai float64, bytesIO float64, cycles float64,
 	return r
 }
 
+// branchATargets is the Fig. 4 branch point A layout, one path per target
+// class.
+var branchATargets = []platform.TargetKind{platform.TargetGPU, platform.TargetFPGA, platform.TargetCPU}
+
+// firstChoice asks the informed selector for its alternatives at branch
+// point A and returns the target of the first; ok=false is "terminate".
+func firstChoice(t *testing.T, ctx *core.Context, d *core.Design, cfg StrategyConfig) (platform.TargetKind, bool) {
+	t.Helper()
+	paths := make([]core.Path, len(branchATargets))
+	for i, k := range branchATargets {
+		paths[i].Name = k.String()
+	}
+	alts, err := InformedSelector(cfg).Select(ctx, d, paths)
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	if len(alts) == 0 {
+		return 0, false
+	}
+	if len(alts[0].Paths) != 1 {
+		t.Fatalf("informed alternative takes %d paths, want 1", len(alts[0].Paths))
+	}
+	return branchATargets[alts[0].Paths[0]], true
+}
+
 func selectFor(t *testing.T, r *core.KernelReport) (platform.TargetKind, bool) {
 	t.Helper()
-	ctx := &core.Context{CPU: platform.EPYC7543}
-	d := &core.Design{Name: "t", Report: r}
-	return SelectedTarget(ctx, d, DefaultStrategy)
+	return firstChoice(t, &core.Context{CPU: platform.EPYC7543}, &core.Design{Name: "t", Report: r}, DefaultStrategy)
 }
 
 // TestStrategyDecisionTable walks every branch of the paper's Fig. 3
@@ -81,27 +107,56 @@ func TestStrategyDecisionTable(t *testing.T) {
 	}
 }
 
+// names renders a preference list as path names, one alternative per entry.
+func names(paths []core.Path, alts []core.Alternative) []string {
+	var out []string
+	for _, a := range alts {
+		s := ""
+		for _, i := range a.Paths {
+			s += "+" + paths[i].Name
+		}
+		out = append(out, s[1:])
+	}
+	return out
+}
+
 // TestInformedSelectorPathsAndExclusion drives the Selector interface
-// directly, including the budget-feedback fallback path.
+// directly: the preference list is the tree's target, then the CPU path —
+// what the engine falls back on when the budget gate or a fault excludes
+// the target — and nothing after that.
 func TestInformedSelectorPathsAndExclusion(t *testing.T) {
 	sel := InformedSelector(DefaultStrategy)
 	ctx := &core.Context{CPU: platform.EPYC7543}
 	paths := []core.Path{{Name: "gpu"}, {Name: "fpga"}, {Name: "cpu"}}
-
-	d := &core.Design{Name: "x", Report: mkReport(true, 100, 1e6, 1e10, 0, false)}
-	idxs, err := sel.Select(ctx, d, paths, map[int]bool{})
-	if err != nil || len(idxs) != 1 || paths[idxs[0]].Name != "gpu" {
-		t.Fatalf("idxs=%v err=%v, want gpu", idxs, err)
+	cases := []struct {
+		name string
+		r    *core.KernelReport
+		want []string
+	}{
+		{"gpu, then cpu", mkReport(true, 100, 1e6, 1e10, 0, false), []string{"gpu", "cpu"}},
+		{"fpga, then cpu", mkReport(false, 100, 1e6, 1e10, 0, false), []string{"fpga", "cpu"}},
+		{"cpu has no second choice", mkReport(true, 1, 1e6, 1e10, 0, false), []string{"cpu"}},
+		{"terminate", mkReport(false, 1, 1e6, 1e10, 0, false), nil},
 	}
-	// Budget feedback excluded the GPU: strategy revises to the CPU.
-	idxs, err = sel.Select(ctx, d, paths, map[int]bool{0: true})
-	if err != nil || len(idxs) != 1 || paths[idxs[0]].Name != "cpu" {
-		t.Fatalf("revision idxs=%v err=%v, want cpu", idxs, err)
+	for _, c := range cases {
+		d := &core.Design{Name: "x", Report: c.r}
+		alts, err := sel.Select(ctx, d, paths)
+		if got := names(paths, alts); err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("%s: alternatives %v err=%v, want %v", c.name, got, err, c.want)
+		}
+		// The strategy narrates its inputs once and leaves "why did the
+		// next alternative run" to the engine, which knows.
+		if n := strings.Count(fmt.Sprint(d.Trace), "Tcpu="); n != 1 {
+			t.Errorf("%s: inputs traced %d times, want 1", c.name, n)
+		}
+		if strings.Contains(fmt.Sprint(d.Trace), "budget") {
+			t.Errorf("%s: selector speaks of a budget it cannot see: %v", c.name, d.Trace)
+		}
 	}
-	// Both excluded: terminates.
-	idxs, err = sel.Select(ctx, d, paths, map[int]bool{0: true, 2: true})
-	if err != nil || len(idxs) != 0 {
-		t.Fatalf("exhausted idxs=%v err=%v, want none", idxs, err)
+	// A layout without a CPU path offers the target alone.
+	alts, err := sel.Select(ctx, &core.Design{Name: "x", Report: cases[0].r}, paths[:2])
+	if got := names(paths, alts); err != nil || !slices.Equal(got, []string{"gpu"}) {
+		t.Errorf("no cpu path: alternatives %v err=%v, want [gpu]", got, err)
 	}
 }
 
@@ -109,7 +164,7 @@ func TestInformedSelectorRequiresAnalysis(t *testing.T) {
 	sel := InformedSelector(DefaultStrategy)
 	ctx := &core.Context{CPU: platform.EPYC7543}
 	d := &core.Design{Name: "bare", Report: &core.KernelReport{}}
-	if _, err := sel.Select(ctx, d, []core.Path{{Name: "cpu"}}, map[int]bool{}); err == nil {
+	if _, err := sel.Select(ctx, d, []core.Path{{Name: "cpu"}}); err == nil {
 		t.Fatal("selector must demand dependence analysis results")
 	}
 }
@@ -120,7 +175,7 @@ func TestStrategyMissingPathName(t *testing.T) {
 	d := &core.Design{Name: "x", Report: mkReport(true, 100, 1e6, 1e10, 0, false)}
 	// No "gpu" path in this branch layout: selector errors rather than
 	// silently picking something else.
-	if _, err := sel.Select(ctx, d, []core.Path{{Name: "cpu"}}, map[int]bool{}); err == nil {
+	if _, err := sel.Select(ctx, d, []core.Path{{Name: "cpu"}}); err == nil {
 		t.Fatal("expected error for missing path name")
 	}
 }
@@ -134,8 +189,8 @@ func TestStrategyFallsBackToStaticAI(t *testing.T) {
 	}
 }
 
-// TestFig3DecideTable checks fig3Decide — the one decision function the
-// informed selector and SelectedTarget share — against the paper's Fig. 3
+// TestFig3DecideTable checks fig3Decide — the decision function of the
+// informed selector, and of nothing else — against the paper's Fig. 3
 // flowchart, transcribed below box by box, over every combination of its
 // five predicates (the sixteen the flowchart distinguishes, each with both
 // values of a predicate the taken branch never reads) and on the two

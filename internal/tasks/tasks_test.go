@@ -336,14 +336,14 @@ func TestInformedStrategyBranches(t *testing.T) {
 	ctx, d := runTindep(t)
 	// Compute-bound, outer parallel, inner fixed-64 dep loop: 64 > the
 	// fully-unrollable limit (12), so the strategy picks the GPU.
-	target, ok := SelectedTarget(ctx, d, DefaultStrategy)
+	target, ok := firstChoice(t, ctx, d, DefaultStrategy)
 	if !ok || target != platform.TargetGPU {
 		t.Fatalf("selected = %v ok=%v, want gpu", target, ok)
 	}
 	// With an absurd AI threshold everything is memory bound → CPU.
 	cfg := DefaultStrategy
 	cfg.AIThreshold = 1e12
-	target, ok = SelectedTarget(ctx, d, cfg)
+	target, ok = firstChoice(t, ctx, d, cfg)
 	if !ok || target != platform.TargetCPU {
 		t.Fatalf("selected = %v ok=%v, want cpu at huge X", target, ok)
 	}

@@ -47,7 +47,8 @@ const (
 	CounterRunCacheCyclesAvoided = "runcache.cycles_avoided"
 	// CounterDesignsForked counts Design.Fork calls made at branch points.
 	CounterDesignsForked = "flow.designs_forked"
-	// CounterBudgetRevisions counts Fig. 3 budget-feedback re-selections.
+	// CounterBudgetRevisions counts Fig. 3 budget-feedback revisions: an
+	// alternative dropped for the next because every leaf was over budget.
 	CounterBudgetRevisions = "flow.budget_revisions"
 )
 
@@ -111,8 +112,8 @@ const (
 	// CounterFaultDegradations counts branch paths degraded to an
 	// Infeasible verdict after a (retry-exhausted or non-transient) fault.
 	CounterFaultDegradations = "fault.degradations"
-	// CounterFaultFallbacks counts informed-strategy re-selections caused
-	// by a failed branch path (the graceful-degradation fallback loop).
+	// CounterFaultFallbacks counts informed-strategy fallbacks: the single
+	// selected path failed, so the strategy's next alternative ran.
 	CounterFaultFallbacks = "fault.fallbacks"
 	// CounterTaskTimeouts counts task attempts killed by
 	// core.Context.TaskTimeout.

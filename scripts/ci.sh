@@ -12,6 +12,18 @@ go vet ./...
 # Formatting gate: gofmt -l names every file it would rewrite.
 test -z "$(gofmt -l cmd internal examples benchmark *.go)"
 go build ./...
+# Reachability gate (ROADMAP 1(c)): every package under internal/ is in the
+# dependency closure of ./cmd/... or of the benchmark module. A package only
+# an example can reach is not part of the system: wire it or delete it.
+reach=$(mktemp)
+{ go list -deps ./cmd/...; go list -C benchmark -deps .; } | sort -u >"$reach"
+for p in $(go list ./internal/...); do
+	case "$p" in
+	psaflow/internal/mlpsa) continue ;; # ROADMAP 1(c), pending 1(b)
+	esac
+	grep -qx "$p" "$reach" || { echo "ci: $p is reachable from neither cmd/ nor benchmark/" >&2; exit 1; }
+done
+rm -f "$reach"
 go test -race ./...
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
 # does not reach its tests.
