@@ -262,10 +262,9 @@ func benchmarkInterp(b *testing.B, base interp.Config) {
 			prog := app.Parse()
 			w := bench.Workload{B: app}
 			if !base.TreeWalk {
-				// Repeat runs lease one progressively-quickened lowering,
-				// so the loop times the VM at steady state, not the
-				// lowering. A flow memoizes results and runs each program
-				// once, cold: that cost is the benchmark's
+				// Repeat runs share one lowering, so the loop times the
+				// VM, not the lowering. A flow memoizes results and runs
+				// each program once, cold: that cost is the benchmark's
 				// interp.cold_run_ms and interp.lower_ms.
 				base.Progs = interp.NewProgramCache()
 				base.Fingerprint = minic.Fingerprint(prog)

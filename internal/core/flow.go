@@ -82,10 +82,10 @@ type Context struct {
 	// leased from only where such a flow executes one program more than
 	// once: the three kernel analyses on their fallback path (no record of
 	// the kernel in the hotspot run, or a kernel rewritten since outlining).
-	// Each repeat then skips lowering and inherits the quickened
-	// instruction state. With a run cache no program runs twice, so nothing
-	// is pooled and a lowered image is collected with its run. Nil lowers
-	// afresh per run. Race-safe and shared as-is by parallel branch paths.
+	// Each repeat then runs the one immutable image instead of lowering
+	// again. With a run cache no program runs twice, so nothing is cached
+	// and a lowered image is collected with its run. Nil lowers afresh per
+	// run. Race-safe and shared as-is by parallel branch paths.
 	Progs *interp.ProgramCache
 	// Faults injects deterministic synthetic failures at the instrumented
 	// tool call sites (partial compiles, profiled runs, device claims —

@@ -11,9 +11,10 @@ type builtin struct {
 	arity int
 	cost  float64
 	flops int64
-	// Scalar forms for the quickener (quicken.go): the underlying float
-	// function without the []Value wrapper, nil for the int intrinsics.
-	// rnd marks single-precision results (FloatVal rounding).
+	// Scalar forms for the specialised opQMath arms (specialise.go): the
+	// underlying float function without the []Value wrapper, nil for the
+	// int intrinsics. rnd marks single-precision results (FloatVal
+	// rounding).
 	s1  func(float64) float64
 	s2  func(float64, float64) float64
 	rnd bool

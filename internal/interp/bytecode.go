@@ -31,6 +31,14 @@ import (
 // (opLoopBack / callBytecode) rather than every statement step, so the
 // dispatch loop pays one counter increment per iteration and a channel
 // poll every cancelCheckInterval back-edges.
+//
+// MiniC kinds are static — every declaration, parameter and return
+// coerces to its declared type, and expression kinds follow promote — so
+// the lowering records each operand's kind (bopnd.vk / ek, exprKind) and
+// ends by giving every instruction whose operand kinds are all numeric its
+// specialised opcode and baked plan (specialise, bake in specialise.go).
+// After lowering no instruction word is written again: a lowered image is
+// immutable and any number of runs may share it (ProgramCache).
 
 // opcode enumerates bytecode instructions.
 type opcode uint8
@@ -66,11 +74,11 @@ const (
 	opReturnVoid          // unwind loops; halt
 	opErrMsg              // return preformatted RuntimeError{pos, name}
 
-	// Quickened (type-specialized) opcodes, rewritten in place from their
-	// generic forms by the runtime quickener (quicken.go) once an
-	// instruction turns hot. Every opcode from opQFirst on carries a baked
-	// operand/accounting plan in binstr.q and deoptimizes back to its gop
-	// on any guard miss. FF = both operands float kinds, II = both int.
+	// Specialised opcodes, emitted in place of their generic forms where
+	// the operand kinds are static (specialise.go). Every opcode from
+	// opQFirst on carries a baked accounting plan in binstr.q; an index out
+	// of bounds or a zero divisor runs the generic arm (gop) once instead.
+	// FF = both operands float kinds, II = both int.
 	opQBinFF     // dst = a ⊗ b                     (from opBinary)
 	opQBinII     //
 	opQCmpBrFF   // !cmp(a, b) -> pc = jmp          (from opCmpBranch)
@@ -88,8 +96,8 @@ const (
 	opQMath2     // dst = mathfn(a, b)
 )
 
-// opQFirst marks the start of the quickened opcode range: an instruction
-// with in.op >= opQFirst holds a baked plan and a saved generic opcode.
+// opQFirst marks the start of the specialised opcode range: an instruction
+// with in.op >= opQFirst holds a baked plan.
 const opQFirst = opQBinFF
 
 // Operand fetch modes. The fused modes reproduce exactly the accounting
@@ -102,9 +110,14 @@ const (
 	omIdx                // step at pos + resolveTgt + loadElem (indexed read)
 )
 
-// bopnd is one fused operand.
+// bopnd is one fused operand. vk is the static ValKind of its value —
+// kUnknown where only the run fixes it — and ek, when vk is KBuf, the
+// buffer's element kind (a minic.BasicKind); both sit in the padding
+// after mode.
 type bopnd struct {
 	mode uint8
+	vk   uint8
+	ek   uint8
 	ref  int32     // register for omPlain/omVar
 	val  Value     // literal for omConst
 	pos  minic.Pos // accounting/diagnostic position
@@ -141,22 +154,21 @@ type btarget struct {
 // steps here), preserving the exact budget-exceeded error positions.
 //
 // The leading fields form the dispatch-hot header (opcode, fusion pattern,
-// quickening state, registers, batched step count); positions, types, and
-// names used only on cold paths trail them.
+// registers, batched step count, baked plan); positions, types, and names
+// used only on cold paths trail them.
 type binstr struct {
 	op     opcode
 	fused  bool   // superinstruction: counted in interp.bytecode.fused
-	gop    opcode // generic opcode a quickened instruction deopts back to
+	gop    opcode // generic opcode: op itself unless op is specialised
 	dst    int32  // result register; -1 discards
 	reg    int32  // variable register / args base register
 	n      int32  // arg count; ++/-- delta; opLoopEnter: 1 + index in fn.cands, 0 below depth 1
 	jmp    int32  // branch target
 	nsteps int32  // static step count: len(pre) + own step + operand steps
-	hot    int32  // per-instruction execution counter driving quickening
 	tok    minic.TokKind
 	tok2   minic.TokKind // binop for opBinAssignVar
 	a, b   bopnd
-	q      *qinfo // quickened form; nil until the hot counter trips
+	q      *qinfo // baked plan of a specialised instruction, in its function's slab
 
 	pre  []minic.Pos
 	pos  minic.Pos
@@ -164,9 +176,9 @@ type binstr struct {
 	pos3 minic.Pos // tertiary position (LHS of opBinAssignVar)
 	lid  int       // loop node ID for opLoopEnter
 	tgt  *btarget
-	typ  minic.Type
-	name string // variable/function/builtin name or preformatted error text
-	fn   *bfunc // callee; the enclosing function of a depth-1 opLoopEnter
+	typ  minic.Type // declared type (declarations, casts, returns; opBinAssignVar: the cell's)
+	name string     // variable/function/builtin name or preformatted error text
+	fn   *bfunc     // callee; the enclosing function of a depth-1 opLoopEnter
 	bi   builtin
 }
 
@@ -203,11 +215,14 @@ type bcompiler struct {
 	funcs   map[string]*bfunc
 	scopes  []map[string]int32
 	nvars   int32
+	vtypes  []minic.Type // declared type of each variable register
 	tempN   int32
 	tempMax int32
 	code    []binstr
 	curFn   *minic.FuncDecl
 	loops   []*bloopCtx
+	generic bool    // no specialisation: every instruction keeps its generic opcode
+	plans   []qinfo // specialise's scratch, reused across functions
 }
 
 // bloopCtx collects break/continue patch sites for one lexical loop.
@@ -220,8 +235,8 @@ type bloopCtx struct {
 // constructs the tree-walker would only reject at runtime lower to
 // opErrMsg instructions producing the identical error, so unexecuted
 // dead code stays legal.
-func compileBytecode(prog *minic.Program) *bprog {
-	c := &bcompiler{prog: prog, funcs: make(map[string]*bfunc, len(prog.Funcs))}
+func compileBytecode(prog *minic.Program, generic bool) *bprog {
+	c := &bcompiler{prog: prog, funcs: make(map[string]*bfunc, len(prog.Funcs)), generic: generic}
 	for _, f := range prog.Funcs {
 		if _, exists := c.funcs[f.Name]; !exists { // first declaration wins, as in Program.Func
 			c.funcs[f.Name] = &bfunc{decl: f}
@@ -238,9 +253,10 @@ func compileBytecode(prog *minic.Program) *bprog {
 func (c *bcompiler) push() { c.scopes = append(c.scopes, make(map[string]int32)) }
 func (c *bcompiler) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
 
-func (c *bcompiler) declare(name string) int32 {
+func (c *bcompiler) declare(name string, t minic.Type) int32 {
 	reg := c.nvars
 	c.nvars++
+	c.vtypes = append(c.vtypes, t)
 	c.scopes[len(c.scopes)-1][name] = reg
 	return reg
 }
@@ -267,6 +283,7 @@ func (c *bcompiler) tempAlloc() int32 {
 func (c *bcompiler) tempFree(n int32) { c.tempN -= n }
 
 func (c *bcompiler) emit(in binstr) int32 {
+	in.gop = in.op
 	c.code = append(c.code, in)
 	return int32(len(c.code) - 1)
 }
@@ -278,18 +295,165 @@ func (c *bcompiler) compileFunc(bf *bfunc) {
 	c.curFn = fn
 	c.scopes = c.scopes[:0]
 	c.nvars, c.tempN, c.tempMax = 0, 0, 0
+	c.vtypes = c.vtypes[:0]
 	c.code = nil
 	c.loops = c.loops[:0]
 	c.push() // parameter scope, as in machine.call
 	for _, p := range fn.Params {
-		c.declare(p.Name) // params occupy registers 0..len-1 in order
+		c.declare(p.Name, p.Type) // params occupy registers 0..len-1 in order
 	}
 	c.compileStmts(fn.Body.Stmts, nil)
 	c.pop()
 	bf.code = c.code
 	bf.nregs = int(c.nvars + c.tempMax)
 	c.finalize(bf)
+	if !c.generic {
+		c.specialise(bf)
+	}
 	c.code = nil
+}
+
+// specialise gives every instruction whose operand kinds bake (bake,
+// specialise.go) its specialised opcode and plan. The plans of one
+// function share one slab.
+func (c *bcompiler) specialise(bf *bfunc) {
+	plans := c.plans[:0]
+	for i := range bf.code {
+		in := &bf.code[i]
+		if q, op := bake(in); op != opNop {
+			plans = append(plans, q)
+			in.op = op
+		}
+	}
+	c.plans = plans
+	if len(plans) == 0 {
+		return
+	}
+	slab := append([]qinfo(nil), plans...)
+	for i := range bf.code {
+		if in := &bf.code[i]; in.op >= opQFirst {
+			in.q = &slab[0]
+			slab = slab[1:]
+		}
+	}
+}
+
+// kUnknown is the bopnd.vk of a value whose kind only the run fixes: a
+// user call's result (a function that falls off its end returns void).
+// It is no ValKind, so nothing bakes on it.
+const kUnknown = 0xff
+
+// typeKind is the static kind of a value coerced to declared type t.
+func typeKind(t minic.Type) (vk, ek uint8) {
+	switch {
+	case t.Ptr:
+		return uint8(KBuf), uint8(t.Kind)
+	case t.Kind == minic.Int:
+		return uint8(KInt), 0
+	case t.Kind == minic.Float:
+		return uint8(KFloat), 0
+	case t.Kind == minic.Double:
+		return uint8(KDouble), 0
+	case t.Kind == minic.Bool:
+		return uint8(KBool), 0
+	}
+	return uint8(KVoid), 0 // coerce's Value{} for void
+}
+
+// promoteKind is promote over static kinds; kUnknown where a kind is not
+// numeric (the run then fails before producing a value) or not known.
+func promoteKind(l, r uint8) uint8 {
+	lv, rv := Value{K: ValKind(l)}, Value{K: ValKind(r)}
+	if !lv.IsNumeric() || !rv.IsNumeric() {
+		return kUnknown
+	}
+	return uint8(promote(lv, rv))
+}
+
+// exprKind is the static kind of the value e evaluates to in the current
+// scope: what the tree-walker's eval of e returns whenever it returns one.
+func (c *bcompiler) exprKind(e minic.Expr) (vk, ek uint8) {
+	switch v := e.(type) {
+	case *minic.IntLit:
+		return uint8(KInt), 0
+	case *minic.FloatLit:
+		if v.Single {
+			return uint8(KFloat), 0
+		}
+		return uint8(KDouble), 0
+	case *minic.BoolLit:
+		return uint8(KBool), 0
+	case *minic.StringLit:
+		return uint8(KVoid), 0
+	case *minic.Ident:
+		if reg, ok := c.lookup(v.Name); ok {
+			return typeKind(c.vtypes[reg])
+		}
+	case *minic.UnaryExpr:
+		if v.Op == minic.TokNot {
+			return uint8(KBool), 0
+		}
+		switch x, _ := c.exprKind(v.X); x {
+		case uint8(KInt), uint8(KFloat), kUnknown:
+			return x, 0
+		}
+		return uint8(KDouble), 0 // applyUnary negates any other kind to a double
+	case *minic.BinaryExpr:
+		switch v.Op {
+		case minic.TokAndAnd, minic.TokOrOr, minic.TokLt, minic.TokGt, minic.TokLe, minic.TokGe, minic.TokEqEq, minic.TokNe:
+			return uint8(KBool), 0
+		case minic.TokPercent:
+			return uint8(KInt), 0
+		}
+		l, _ := c.exprKind(v.L)
+		r, _ := c.exprKind(v.R)
+		return promoteKind(l, r), 0
+	case *minic.AssignExpr:
+		// A variable keeps its declared kind; an element store yields the
+		// stored value itself, promoted with the old element when compound.
+		if _, ok := v.LHS.(*minic.IndexExpr); !ok {
+			return c.exprKind(v.LHS)
+		}
+		rk, rek := c.exprKind(v.RHS)
+		if v.Op == minic.TokAssign {
+			return rk, rek
+		}
+		old, _ := c.exprKind(v.LHS)
+		return promoteKind(old, rk), 0
+	case *minic.IncDecExpr:
+		return c.exprKind(v.X) // the old value
+	case *minic.IndexExpr:
+		if bk, ek := c.exprKind(v.Base); bk == uint8(KBuf) {
+			return elemKind(ek), 0
+		}
+	case *minic.CallExpr:
+		if v.Fun == "printf" {
+			return uint8(KVoid), 0
+		}
+		if bi, ok := builtins[v.Fun]; ok {
+			switch {
+			case bi.s1 == nil && bi.s2 == nil:
+				return uint8(KInt), 0 // abs, min, max
+			case bi.rnd:
+				return uint8(KFloat), 0
+			}
+			return uint8(KDouble), 0
+		}
+	case *minic.CastExpr:
+		return typeKind(v.To)
+	}
+	return kUnknown, 0
+}
+
+// elemKind is the kind loadElem gives an element of a buffer of kind ek.
+func elemKind(ek uint8) uint8 {
+	switch minic.BasicKind(ek) {
+	case minic.Int:
+		return uint8(KInt)
+	case minic.Float:
+		return uint8(KFloat)
+	}
+	return uint8(KDouble)
 }
 
 // opndSteps counts the fine-grained steps a fused operand fetch performs
@@ -385,23 +549,38 @@ func (c *bcompiler) finalize(bf *bfunc) {
 // fuseSimple builds a fused operand for the leaf shapes: resolved
 // identifiers and literals.
 func (c *bcompiler) fuseSimple(e minic.Expr) (bopnd, bool) {
-	pos := e.NodePos()
+	o := bopnd{pos: e.NodePos()}
 	switch v := e.(type) {
 	case *minic.Ident:
-		if reg, ok := c.lookup(v.Name); ok {
-			return bopnd{mode: omVar, ref: reg, pos: pos}, true
+		reg, ok := c.lookup(v.Name)
+		if !ok {
+			return bopnd{}, false
 		}
+		o.mode, o.ref = omVar, reg
 	case *minic.IntLit:
-		return bopnd{mode: omConst, val: IntVal(v.Val), pos: pos}, true
+		o.mode, o.val = omConst, IntVal(v.Val)
 	case *minic.FloatLit:
+		o.mode, o.val = omConst, DoubleVal(v.Val)
 		if v.Single {
-			return bopnd{mode: omConst, val: FloatVal(v.Val), pos: pos}, true
+			o.val = FloatVal(v.Val)
 		}
-		return bopnd{mode: omConst, val: DoubleVal(v.Val), pos: pos}, true
 	case *minic.BoolLit:
-		return bopnd{mode: omConst, val: BoolVal(v.Val), pos: pos}, true
+		o.mode, o.val = omConst, BoolVal(v.Val)
+	default:
+		return bopnd{}, false
 	}
-	return bopnd{}, false
+	o.vk, o.ek = c.exprKind(e)
+	return o, true
+}
+
+// temp materializes e into a fresh temporary (pre charged before its first
+// instruction) and returns it as an operand of e's static kind; the caller
+// frees the temporary after the consumer emits.
+func (c *bcompiler) temp(e minic.Expr, pre []minic.Pos) bopnd {
+	o := bopnd{mode: omPlain, ref: c.tempAlloc()}
+	c.compileExprTo(e, o.ref, pre)
+	o.vk, o.ek = c.exprKind(e)
+	return o
 }
 
 // fuseOperand extends fuseSimple with indexed loads whose base is a
@@ -421,7 +600,9 @@ func (c *bcompiler) fuseOperand(e minic.Expr) (bopnd, bool) {
 	if !ok {
 		return bopnd{}, false
 	}
-	return bopnd{mode: omIdx, pos: ix.NodePos(), tgt: tgt}, true
+	o := bopnd{mode: omIdx, pos: ix.NodePos(), tgt: tgt}
+	o.vk, o.ek = c.exprKind(ix)
+	return o, true
 }
 
 // fuseTarget builds a fused index target when base and index are simple
@@ -513,9 +694,7 @@ func (c *bcompiler) compileStmt(s minic.Stmt, pre []minic.Pos) {
 			c.emit(binstr{op: opReturn, pre: withPos(pre, pos), pos: pos, a: o, typ: c.curFn.Ret})
 			return
 		}
-		t := c.tempAlloc()
-		c.compileExprTo(v.X, t, withPos(pre, pos))
-		c.emit(binstr{op: opReturn, pos: pos, a: bopnd{mode: omPlain, ref: t}, typ: c.curFn.Ret})
+		c.emit(binstr{op: opReturn, pos: pos, a: c.temp(v.X, withPos(pre, pos)), typ: c.curFn.Ret})
 		c.tempFree(1)
 	case *minic.BreakStmt:
 		if len(c.loops) == 0 {
@@ -552,17 +731,17 @@ func (c *bcompiler) compileDecl(d *minic.DeclStmt, pre []minic.Pos) {
 	if d.ArrayLen != nil {
 		// The length expression resolves in the surrounding scope, before
 		// the array's own name becomes visible.
+		// The array register holds a buffer of the declared element kind.
+		arr := minic.Type{Kind: d.Type.Kind, Ptr: true}
 		if o, ok := c.fuseOperand(d.ArrayLen); ok {
-			reg := c.declare(d.Name)
+			reg := c.declare(d.Name, arr)
 			c.emit(binstr{op: opDeclArr, pre: withPos(pre, pos), pos: pos, reg: reg,
 				a: o, name: d.Name, typ: d.Type})
 			return
 		}
-		t := c.tempAlloc()
-		c.compileExprTo(d.ArrayLen, t, withPos(pre, pos))
-		reg := c.declare(d.Name)
-		c.emit(binstr{op: opDeclArr, pos: pos, reg: reg,
-			a: bopnd{mode: omPlain, ref: t}, name: d.Name, typ: d.Type})
+		n := c.temp(d.ArrayLen, withPos(pre, pos))
+		reg := c.declare(d.Name, arr)
+		c.emit(binstr{op: opDeclArr, pos: pos, reg: reg, a: n, name: d.Name, typ: d.Type})
 		c.tempFree(1)
 		return
 	}
@@ -570,7 +749,6 @@ func (c *bcompiler) compileDecl(d *minic.DeclStmt, pre []minic.Pos) {
 	// Init before declaring.
 	var init bopnd
 	var initInstrs bool
-	var t int32
 	if d.Init != nil {
 		// Superinstruction: a declaration initialized by a fusible binary
 		// (`float dx = p[j] - p[i]`) evaluates and declares in one dispatch.
@@ -579,7 +757,7 @@ func (c *bcompiler) compileDecl(d *minic.DeclStmt, pre []minic.Pos) {
 			l, lok := c.fuseOperand(b.L)
 			r, rok := c.fuseOperand(b.R)
 			if lok && rok {
-				reg := c.declare(d.Name)
+				reg := c.declare(d.Name, d.Type)
 				c.emit(binstr{op: opBinDeclVar, fused: true, pre: withPos(pre, pos), pos: pos,
 					pos2: b.NodePos(), tok2: b.Op, reg: reg, a: l, b: r, name: d.Name, typ: d.Type})
 				return
@@ -588,13 +766,11 @@ func (c *bcompiler) compileDecl(d *minic.DeclStmt, pre []minic.Pos) {
 		if o, ok := c.fuseOperand(d.Init); ok {
 			init = o
 		} else {
-			t = c.tempAlloc()
-			c.compileExprTo(d.Init, t, withPos(pre, pos))
-			init = bopnd{mode: omPlain, ref: t}
+			init = c.temp(d.Init, withPos(pre, pos))
 			initInstrs = true
 		}
 	}
-	reg := c.declare(d.Name)
+	reg := c.declare(d.Name, d.Type)
 	in := binstr{op: opDeclVar, pos: pos, reg: reg, a: init, name: d.Name, typ: d.Type}
 	if !initInstrs {
 		in.pre = withPos(pre, pos)
@@ -637,9 +813,7 @@ func (c *bcompiler) compileCond(cond minic.Expr, pre []minic.Pos) int32 {
 	if o, ok := c.fuseOperand(cond); ok {
 		return c.emit(binstr{op: opBranchFalse, pre: pre, a: o})
 	}
-	t := c.tempAlloc()
-	c.compileExprTo(cond, t, pre)
-	idx := c.emit(binstr{op: opBranchFalse, a: bopnd{mode: omPlain, ref: t}})
+	idx := c.emit(binstr{op: opBranchFalse, a: c.temp(cond, pre)})
 	c.tempFree(1)
 	return idx
 }
@@ -749,9 +923,7 @@ func (c *bcompiler) compileExprTo(e minic.Expr, dst int32, pre []minic.Pos) {
 			c.emit(binstr{op: opUnary, pre: withPos(pre, pos), dst: dst, tok: v.Op, a: o})
 			return
 		}
-		t := c.tempAlloc()
-		c.compileExprTo(v.X, t, withPos(pre, pos))
-		c.emit(binstr{op: opUnary, dst: dst, tok: v.Op, a: bopnd{mode: omPlain, ref: t}})
+		c.emit(binstr{op: opUnary, dst: dst, tok: v.Op, a: c.temp(v.X, withPos(pre, pos))})
 		c.tempFree(1)
 	case *minic.BinaryExpr:
 		c.compileBinaryTo(v, dst, pre)
@@ -774,9 +946,7 @@ func (c *bcompiler) compileExprTo(e minic.Expr, dst int32, pre []minic.Pos) {
 			c.emit(binstr{op: opCast, pre: withPos(pre, pos), pos: pos, dst: dst, a: o, typ: v.To})
 			return
 		}
-		t := c.tempAlloc()
-		c.compileExprTo(v.X, t, withPos(pre, pos))
-		c.emit(binstr{op: opCast, pos: pos, dst: dst, a: bopnd{mode: omPlain, ref: t}, typ: v.To})
+		c.emit(binstr{op: opCast, pos: pos, dst: dst, a: c.temp(v.X, withPos(pre, pos)), typ: v.To})
 		c.tempFree(1)
 	default:
 		c.emit(binstr{op: opErrMsg, pre: withPos(pre, pos), pos: pos,
@@ -792,9 +962,7 @@ func (c *bcompiler) operandOrTemp(e minic.Expr, pre []minic.Pos) (bopnd, int32, 
 	if o, ok := c.fuseOperand(e); ok {
 		return o, 0, true
 	}
-	t := c.tempAlloc()
-	c.compileExprTo(e, t, pre)
-	return bopnd{mode: omPlain, ref: t}, 1, false
+	return c.temp(e, pre), 1, false
 }
 
 func (c *bcompiler) compileBinaryTo(b *minic.BinaryExpr, dst int32, pre []minic.Pos) {
@@ -829,17 +997,11 @@ func (c *bcompiler) compileBinaryTo(b *minic.BinaryExpr, dst int32, pre []minic.
 	// operand's instructions, and any fused operand *before* a complex one
 	// materializes (via opEval, with identical accounting) so the fetch
 	// order stays exactly the tree-walker's.
-	carry := withPos(pre, pos)
-	var ntemps int32
-	t := c.tempAlloc()
-	ntemps++
-	c.compileExprTo(b.L, t, carry)
-	l = bopnd{mode: omPlain, ref: t}
+	ntemps := int32(1)
+	l = c.temp(b.L, withPos(pre, pos))
 	if !rok {
-		t2 := c.tempAlloc()
 		ntemps++
-		c.compileExprTo(b.R, t2, nil)
-		r = bopnd{mode: omPlain, ref: t2}
+		r = c.temp(b.R, nil)
 	}
 	in := binstr{op: opBinary, pos: pos, tok: b.Op, dst: dst, a: l, b: r}
 	if r.mode != omPlain {
@@ -876,9 +1038,7 @@ func (c *bcompiler) materializeTarget(ix *minic.IndexExpr, pre []minic.Pos) (*bt
 		// base needs materializing (fuseTarget already failed, so the base
 		// is complex). Base eval → bufOf → index fetch → bounds then run in
 		// sequence inside the consumer, exactly the tree-walker's resolve order.
-		t := c.tempAlloc()
-		c.compileExprTo(ix.Base, t, pre)
-		tgt.base = bopnd{mode: omPlain, ref: t}
+		tgt.base = c.temp(ix.Base, pre)
 		ntemps++
 		if idx, ok := c.fuseSimple(ix.Index); ok {
 			tgt.idx = idx
@@ -896,15 +1056,10 @@ func (c *bcompiler) materializeTarget(ix *minic.IndexExpr, pre []minic.Pos) (*bt
 	// first — a fusible base lowers to opEval with identical accounting —
 	// then the buffer check runs before the index expression evaluates.
 	// The consumer's own bufOf re-check is then guaranteed to pass.
-	t := c.tempAlloc()
-	c.compileExprTo(ix.Base, t, pre)
-	tgt.base = bopnd{mode: omPlain, ref: t}
-	ntemps++
-	c.emit(binstr{op: opCheckBuf, pos: pos, a: bopnd{mode: omPlain, ref: t}})
-	ti := c.tempAlloc()
-	c.compileExprTo(ix.Index, ti, nil)
-	tgt.idx = bopnd{mode: omPlain, ref: ti}
-	return tgt, ntemps + 1
+	tgt.base = c.temp(ix.Base, pre)
+	c.emit(binstr{op: opCheckBuf, pos: pos, a: tgt.base})
+	tgt.idx = c.temp(ix.Index, nil)
+	return tgt, 2
 }
 
 func (c *bcompiler) compileAssignTo(a *minic.AssignExpr, dst int32, pre []minic.Pos) {
@@ -931,7 +1086,7 @@ func (c *bcompiler) compileAssignTo(a *minic.AssignExpr, dst int32, pre []minic.
 			if lok && rok {
 				c.emit(binstr{op: opBinAssignVar, fused: true, pre: withPos(pre, pos),
 					pos: pos, pos2: b.NodePos(), pos3: lpos, tok: a.Op, tok2: b.Op,
-					dst: dst, reg: reg, a: l, b: r, name: lhs.Name})
+					dst: dst, reg: reg, a: l, b: r, name: lhs.Name, typ: c.vtypes[reg]})
 				return
 			}
 		}
@@ -956,20 +1111,16 @@ func (c *bcompiler) compileAssignTo(a *minic.AssignExpr, dst int32, pre []minic.
 					tok: a.Op, dst: dst, a: rhs, tgt: tgt})
 				return
 			}
-			t := c.tempAlloc()
-			c.compileExprTo(a.RHS, t, carry)
 			c.emit(binstr{op: opStoreIdx, fused: true, pos: pos, pos2: lpos,
-				tok: a.Op, dst: dst, a: bopnd{mode: omPlain, ref: t}, tgt: tgt})
+				tok: a.Op, dst: dst, a: c.temp(a.RHS, carry), tgt: tgt})
 			c.tempFree(1)
 			return
 		}
 		// Complex target: the RHS (fusible or not) materializes first so
 		// its accounting precedes the target's instructions.
-		t := c.tempAlloc()
-		c.compileExprTo(a.RHS, t, carry)
+		rhs := c.temp(a.RHS, carry)
 		tgt, ttemps := c.materializeTarget(lhs, nil)
-		c.emit(binstr{op: opStoreIdx, pos: pos, pos2: lpos, tok: a.Op, dst: dst,
-			a: bopnd{mode: omPlain, ref: t}, tgt: tgt})
+		c.emit(binstr{op: opStoreIdx, pos: pos, pos2: lpos, tok: a.Op, dst: dst, a: rhs, tgt: tgt})
 		c.tempFree(ttemps + 1)
 	default:
 		t := c.tempAlloc()

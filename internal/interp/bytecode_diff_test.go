@@ -358,11 +358,11 @@ func consumerArgs() []interp.Value {
 	}
 }
 
-// assertConsumerEquivalent runs src on the tree-walker and on the VM with
-// quickening off (the generic arm is what executes) and at threshold 1
-// (the quickened arm where the shape bakes), and requires both VM runs to
-// equal the tree-walker: same result surface and buffers, or the
-// byte-identical error. It returns the tree-walker's error.
+// assertConsumerEquivalent runs src on the tree-walker and on the VM
+// lowered without specialisation (the generic arm is what executes) and
+// with it (the specialised arm where the shape bakes), and requires both
+// VM runs to equal the tree-walker: same result surface and buffers, or
+// the byte-identical error. It returns the tree-walker's error.
 func assertConsumerEquivalent(t *testing.T, name, src string, maxSteps int64) error {
 	t.Helper()
 	prog, err := minic.Parse(src)
@@ -371,13 +371,22 @@ func assertConsumerEquivalent(t *testing.T, name, src string, maxSteps int64) er
 	}
 	twArgs := consumerArgs()
 	twRes, twErr := interp.Run(prog, interp.Config{Entry: "f", Args: twArgs, Watch: "f", MaxSteps: maxSteps, TreeWalk: true})
-	for _, threshold := range []int{-1, 1} {
+	for _, vm := range engineVariants {
 		args := consumerArgs()
-		res, err := interp.Run(prog, interp.WithQuickenThreshold(
-			interp.Config{Entry: "f", Args: args, Watch: "f", MaxSteps: maxSteps}, threshold))
-		assertSameOutcome(t, fmt.Sprintf("%s/threshold=%d", name, threshold), res, err, args, twRes, twErr, twArgs)
+		res, err := interp.Run(prog, vm.cfg(interp.Config{Entry: "f", Args: args, Watch: "f", MaxSteps: maxSteps}))
+		assertSameOutcome(t, name+"/"+vm.name, res, err, args, twRes, twErr, twArgs)
 	}
 	return twErr
+}
+
+// engineVariants are the two lowerings of the VM: generic, and
+// specialised (the default).
+var engineVariants = []struct {
+	name string
+	cfg  func(interp.Config) interp.Config
+}{
+	{"generic", interp.Generic},
+	{"specialised", func(c interp.Config) interp.Config { return c }},
 }
 
 // TestGenericSuperinstructionConsumers covers the consumer half of the two

@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"math"
 	"sync"
 
 	"psaflow/internal/minic"
@@ -33,7 +32,7 @@ import (
 //     arithmetic, resolveTgtNB's int index arithmetic, opCast's coercion,
 //     and the scalar arms of opAssignVar / opIncVar / opUnary. Indexed
 //     operands, rare operators, mixed-kind arithmetic and the consumers
-//     that only run before an instruction quickens (opBinAssignVar,
+//     that run only where operand kinds do not specialise (opBinAssignVar,
 //     opBinDeclVar, opDeclVar) call the shared helpers of apply.go.
 
 // bactive is one running loop's profile attribution state.
@@ -200,7 +199,6 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 	steps := m.steps
 	var cyc float64
 	var flops, intops, nInstr, nFused int64
-	var qhits int64
 	for pc < len(code) {
 		in := &code[pc]
 		pc++
@@ -214,17 +212,12 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			steps += int64(in.nsteps)
 			if steps > m.maxSteps {
 				m.steps = steps - int64(in.nsteps)
-				if in.op >= opQFirst {
-					// execPrecise replays generic opcodes only; the precise
-					// path reproduces the budget error exactly either way.
-					in.op = in.gop
-					in.hot = 0
-					in.q = nil
-				}
 				return m.execPrecise(fr, in)
 			}
 		}
-		switch in.op {
+		op := in.op
+	redo:
+		switch op {
 		case opNop:
 			// steps already charged
 
@@ -290,14 +283,9 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			// The superinstruction family: fetch two fused operands,
 			// combine, then consume (store to a register, compare-and-
 			// branch, compound-assign, or declare-with-initializer).
-			if in.hot++; in.hot == m.quickenAt && m.quickenAt > 0 {
-				if m.quicken(in, fr) {
-					goto redo // re-dispatch under the quickened opcode
-				}
-			}
 			tok := in.tok
 			bpos := in.pos
-			if in.op == opBinAssignVar || in.op == opBinDeclVar {
+			if op == opBinAssignVar || op == opBinDeclVar {
 				tok, bpos = in.tok2, in.pos2
 			}
 			var lv, rv Value
@@ -424,7 +412,7 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 					return err
 				}
 			}
-			switch in.op {
+			switch op {
 			case opBinary:
 				if in.dst >= 0 {
 					regs[in.dst] = v
@@ -522,11 +510,6 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			}
 
 		case opDeclVar:
-			if in.hot++; in.hot == m.quickenAt && m.quickenAt > 0 {
-				if m.quicken(in, fr) {
-					goto redo // re-dispatch under the quickened opcode
-				}
-			}
 			init, err := m.operandNB(fr, &in.a) // omNone yields the zero Value
 			if err != nil {
 				return err
@@ -597,11 +580,6 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			}
 
 		case opStoreIdx:
-			if in.hot++; in.hot == m.quickenAt && m.quickenAt > 0 {
-				if m.quicken(in, fr) {
-					goto redo // re-dispatch under the quickened opcode
-				}
-			}
 			var rhs Value
 			switch in.a.mode {
 			case omPlain:
@@ -677,11 +655,6 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			}
 
 		case opLoadIdx:
-			if in.hot++; in.hot == m.quickenAt && m.quickenAt > 0 {
-				if m.quicken(in, fr) {
-					goto redo // re-dispatch under the quickened opcode
-				}
-			}
 			buf, i, err := m.resolveTgtNB(fr, in.tgt)
 			if err != nil {
 				return err
@@ -777,11 +750,6 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			}
 
 		case opBuiltin:
-			if in.hot++; in.hot == m.quickenAt && m.quickenAt > 0 {
-				if m.quicken(in, fr) {
-					goto redo // re-dispatch under the quickened opcode
-				}
-			}
 			var args []Value
 			if in.fused {
 				nargs := int(in.n)
@@ -860,73 +828,68 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 				return m.errf(in.pos, "return: %v", err)
 			}
 			fr.ret = coerced
-			m.dflush(steps, cyc, flops, intops, nInstr, nFused, qhits)
+			m.dflush(steps, cyc, flops, intops, nInstr, nFused)
 			return nil
 
 		case opReturnVoid:
-			m.dflush(steps, cyc, flops, intops, nInstr, nFused, qhits)
+			m.dflush(steps, cyc, flops, intops, nInstr, nFused)
 			return nil
 
 		case opErrMsg:
 			return &RuntimeError{Pos: in.pos, Msg: in.name}
 
-		// --- Quickened opcodes (quicken.go) -------------------------------
-		// Every arm follows the same discipline: fetch operands through
-		// pure guarded plans (register and constant plans inline; indexed
-		// plans through qresolve), goto deopt on any miss, and only then
-		// commit the result and the precomputed accounting. A deopt
-		// re-executes the instruction generically, so slow paths, runtime
-		// errors, and their accounting stay bit-for-bit identical to
-		// generic dispatch. Arms sharing an operand shape share one case:
-		// the fetch exists once per shape, and so does the accounting,
-		// as a tail AFTER the per-opcode switch — never before it, where
-		// the hottest opcode would pay for the guards of the others
-		// (measured 3-5% slower). No case may goto deopt after a write.
+		// --- Specialised opcodes (specialise.go) ---------------------------
+		// Every arm follows the same discipline: fetch operands through the
+		// instruction's own bopnds (register and constant operands inline,
+		// indexed ones through qresolve), goto miss on an index out of
+		// bounds or a zero divisor, and only then commit the result and the
+		// baked accounting. A miss runs the generic arm, so runtime errors
+		// and their accounting stay bit-for-bit identical to generic
+		// dispatch. Arms sharing an operand shape share one case: the fetch
+		// exists once per shape, and so does the accounting, as a tail AFTER
+		// the per-opcode switch — never before it, where the hottest opcode
+		// would pay for the checks of the others (measured 3-5% slower). No
+		// case may goto miss after a write.
 
 		case opQBinFF, opQCmpBrFF, opQBinDeclFF, opQAccFF, opQMath2:
 			q := in.q
 			var af, bf2 float64
 			var ab, bb *Buffer
-			if q.a.plan == qoReg {
-				v := &regs[q.a.ref]
-				if v.K != q.a.kind {
-					goto deopt
-				}
-				af = v.F
-			} else if q.a.plan == qoConst {
-				af = q.a.f
+			if in.a.mode <= omVar {
+				af = regs[in.a.ref].F
+			} else if in.a.mode == omConst {
+				af = in.a.val.F
 			} else {
-				b, i, ok := qresolve(regs, &q.a)
+				b, i, ok := qresolve(regs, in.a.tgt)
 				if !ok {
-					goto deopt
+					goto miss
 				}
 				af = b.F[i]
-				if q.a.round {
+				if b.Kind == minic.Float {
 					af = qrnd(af)
 				}
 				ab = b
 			}
-			if q.b.plan == qoReg {
-				v := &regs[q.b.ref]
-				if v.K != q.b.kind {
-					goto deopt
-				}
-				bf2 = v.F
-			} else if q.b.plan == qoConst {
-				bf2 = q.b.f
+			if in.b.mode <= omVar {
+				bf2 = regs[in.b.ref].F
+			} else if in.b.mode == omConst {
+				bf2 = in.b.val.F
 			} else {
-				b, i, ok := qresolve(regs, &q.b)
+				b, i, ok := qresolve(regs, in.b.tgt)
 				if !ok {
-					goto deopt
+					goto miss
 				}
 				bf2 = b.F[i]
-				if q.b.round {
+				if b.Kind == minic.Float {
 					bf2 = qrnd(bf2)
 				}
 				bb = b
 			}
-			switch in.op {
+			switch op {
 			case opQBinFF:
+				if bf2 == 0 && q.op == qDiv {
+					goto miss
+				}
 				r := qarithF(q.op, af, bf2)
 				if q.rk == KFloat {
 					r = qrnd(r)
@@ -935,25 +898,31 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 					regs[in.dst] = Value{K: q.rk, F: r}
 				}
 			case opQCmpBrFF:
-				if !cmpFloat(q.cmp, af, bf2) {
+				if !cmpFloat(in.tok, af, bf2) {
 					pc = int(in.jmp)
 				}
 			case opQBinDeclFF:
+				if bf2 == 0 && q.op == qDiv {
+					goto miss
+				}
 				r := qarithF(q.op, af, bf2)
 				if q.rk == KFloat {
 					r = qrnd(r)
 				}
 				regs[in.reg] = qcoerceF(q.cellK, r)
 			case opQAccFF:
-				cell := &regs[in.reg]
-				if cell.K != q.cellK {
-					goto deopt
+				if bf2 == 0 && q.op == qDiv {
+					goto miss
 				}
 				res := qarithF(q.op, af, bf2)
 				if q.rk == KFloat {
 					res = qrnd(res)
 				}
+				cell := &regs[in.reg]
 				if q.acc {
+					if res == 0 && q.cop == qDiv {
+						goto miss
+					}
 					res = qarithF(q.cop, cell.F, res)
 				}
 				// The cell's kind wins at store time (storeScalarCell), so
@@ -964,8 +933,10 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 					regs[in.dst] = *cell
 				}
 			default: // opQMath2
-				r := q.mfn2(af, bf2)
-				m.specialFlops += q.sflops
+				r := in.bi.s2(af, bf2)
+				if in.bi.flops > 1 {
+					m.specialFlops += in.bi.flops
+				}
 				if in.dst >= 0 {
 					regs[in.dst] = qcoerceF(q.rk, r)
 				}
@@ -976,70 +947,70 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			m.prof.LoadBytes += q.lbytes
 			if m.watchDepth > 0 {
 				if ab != nil {
-					m.qtrafIn(ab, q.a.ebytes)
+					m.qtrafIn(ab)
 				}
 				if bb != nil {
-					m.qtrafIn(bb, q.b.ebytes)
+					m.qtrafIn(bb)
 				}
 			}
-			qhits++
 
 		case opQBinII, opQCmpBrII, opQBinDeclII, opQAccII:
 			q := in.q
 			var ai, bi int64
 			var ab, bb *Buffer
-			if q.a.plan == qoReg {
-				v := &regs[q.a.ref]
-				if v.K != KInt {
-					goto deopt
-				}
-				ai = v.I
-			} else if q.a.plan == qoConst {
-				ai = q.a.i
+			if in.a.mode <= omVar {
+				ai = regs[in.a.ref].I
+			} else if in.a.mode == omConst {
+				ai = in.a.val.I
 			} else {
-				b, i, ok := qresolve(regs, &q.a)
+				b, i, ok := qresolve(regs, in.a.tgt)
 				if !ok {
-					goto deopt
+					goto miss
 				}
 				ai = b.I[i]
 				ab = b
 			}
-			if q.b.plan == qoReg {
-				v := &regs[q.b.ref]
-				if v.K != KInt {
-					goto deopt
-				}
-				bi = v.I
-			} else if q.b.plan == qoConst {
-				bi = q.b.i
+			if in.b.mode <= omVar {
+				bi = regs[in.b.ref].I
+			} else if in.b.mode == omConst {
+				bi = in.b.val.I
 			} else {
-				b, i, ok := qresolve(regs, &q.b)
+				b, i, ok := qresolve(regs, in.b.tgt)
 				if !ok {
-					goto deopt
+					goto miss
 				}
 				bi = b.I[i]
 				bb = b
 			}
-			switch in.op {
+			switch op {
 			case opQBinII:
+				if bi == 0 && q.op >= qDiv {
+					goto miss
+				}
 				if in.dst >= 0 {
 					regs[in.dst] = Value{K: KInt, I: qarithI(q.op, ai, bi)}
 				}
 			case opQCmpBrII:
-				if !cmpFloat(q.cmp, float64(ai), float64(bi)) {
+				if !cmpFloat(in.tok, float64(ai), float64(bi)) {
 					pc = int(in.jmp)
 				}
 			case opQBinDeclII:
+				if bi == 0 && q.op >= qDiv {
+					goto miss
+				}
 				regs[in.reg] = qcoerceI(q.cellK, qarithI(q.op, ai, bi))
 			default: // opQAccII
-				cell := &regs[in.reg]
-				if cell.K != KInt {
-					goto deopt
+				if bi == 0 && q.op >= qDiv {
+					goto miss
 				}
 				res := qarithI(q.op, ai, bi)
+				cell := &regs[in.reg]
 				if q.acc {
-					// applyCompound combines through float64, as the
-					// shared helper does.
+					if res == 0 && q.cop == qDiv {
+						goto miss
+					}
+					// applyCompound combines through float64, as the shared
+					// helper does.
 					res = int64(qarithF(q.cop, float64(cell.I), float64(res)))
 				}
 				*cell = Value{K: KInt, I: res}
@@ -1053,42 +1024,39 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			m.prof.LoadBytes += q.lbytes
 			if m.watchDepth > 0 {
 				if ab != nil {
-					m.qtrafIn(ab, q.a.ebytes)
+					m.qtrafIn(ab)
 				}
 				if bb != nil {
-					m.qtrafIn(bb, q.b.ebytes)
+					m.qtrafIn(bb)
 				}
 			}
-			qhits++
 
 		case opQDeclF, opQMath1:
 			q := in.q
 			var af float64
 			var ab *Buffer
-			if q.a.plan == qoReg {
-				v := &regs[q.a.ref]
-				if v.K != q.a.kind {
-					goto deopt
-				}
-				af = v.F
-			} else if q.a.plan == qoConst {
-				af = q.a.f
+			if in.a.mode <= omVar {
+				af = regs[in.a.ref].F
+			} else if in.a.mode == omConst {
+				af = in.a.val.F
 			} else {
-				b, i, ok := qresolve(regs, &q.a)
+				b, i, ok := qresolve(regs, in.a.tgt)
 				if !ok {
-					goto deopt
+					goto miss
 				}
 				af = b.F[i]
-				if q.a.round {
+				if b.Kind == minic.Float {
 					af = qrnd(af)
 				}
 				ab = b
 			}
-			if in.op == opQDeclF {
+			if op == opQDeclF {
 				regs[in.reg] = qcoerceF(q.cellK, af)
 			} else { // opQMath1
-				r := q.mfn1(af)
-				m.specialFlops += q.sflops
+				r := in.bi.s1(af)
+				if in.bi.flops > 1 {
+					m.specialFlops += in.bi.flops
+				}
 				if in.dst >= 0 {
 					regs[in.dst] = qcoerceF(q.rk, r)
 				}
@@ -1098,26 +1066,21 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			intops += q.intops
 			m.prof.LoadBytes += q.lbytes
 			if m.watchDepth > 0 && ab != nil {
-				m.qtrafIn(ab, q.a.ebytes)
+				m.qtrafIn(ab)
 			}
-			qhits++
 
 		case opQDeclI:
 			q := in.q
 			var ai int64
 			var ab *Buffer
-			if q.a.plan == qoReg {
-				v := &regs[q.a.ref]
-				if v.K != KInt {
-					goto deopt
-				}
-				ai = v.I
-			} else if q.a.plan == qoConst {
-				ai = q.a.i
+			if in.a.mode <= omVar {
+				ai = regs[in.a.ref].I
+			} else if in.a.mode == omConst {
+				ai = in.a.val.I
 			} else {
-				b, i, ok := qresolve(regs, &q.a)
+				b, i, ok := qresolve(regs, in.a.tgt)
 				if !ok {
-					goto deopt
+					goto miss
 				}
 				ai = b.I[i]
 				ab = b
@@ -1126,24 +1089,22 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			intops += q.intops
 			m.prof.LoadBytes += q.lbytes
 			if m.watchDepth > 0 && ab != nil {
-				m.qtrafIn(ab, q.a.ebytes)
+				m.qtrafIn(ab)
 			}
-			qhits++
 			regs[in.reg] = qcoerceI(q.cellK, ai)
 
 		case opQLoad:
 			q := in.q
-			sbuf, si, sok := qresolve(regs, &q.tgt)
+			sbuf, si, sok := qresolve(regs, in.tgt)
 			if !sok {
-				goto deopt
+				goto miss
 			}
 			cyc += q.cyc
 			intops += q.intops
 			m.prof.LoadBytes += q.lbytes
 			if m.watchDepth > 0 {
-				m.qtrafIn(sbuf, q.tgt.ebytes)
+				m.qtrafIn(sbuf)
 			}
-			qhits++
 			if in.dst >= 0 {
 				switch q.rk {
 				case KInt:
@@ -1159,43 +1120,33 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			q := in.q
 			var rf float64
 			var rb *Buffer
-			if q.a.plan == qoReg {
-				v := &regs[q.a.ref]
-				if v.K != q.a.kind {
-					goto deopt
-				}
-				rf = v.F
-			} else if q.a.plan == qoConst {
-				rf = q.a.f
+			if in.a.mode <= omVar {
+				rf = regs[in.a.ref].F
+			} else if in.a.mode == omConst {
+				rf = in.a.val.F
 			} else {
-				b, i, ok := qresolve(regs, &q.a)
+				b, i, ok := qresolve(regs, in.a.tgt)
 				if !ok {
-					goto deopt
+					goto miss
 				}
 				rf = b.F[i]
-				if q.a.round {
+				if b.Kind == minic.Float {
 					rf = qrnd(rf)
 				}
 				rb = b
 			}
-			sbuf, si, sok := qresolve(regs, &q.tgt)
-			if !sok {
-				goto deopt
+			sbuf, si, sok := qresolve(regs, in.tgt)
+			if !sok || rf == 0 && q.acc && q.cop == qDiv {
+				goto miss
 			}
+			round := sbuf.Kind == minic.Float
 			res := rf
 			if q.acc {
 				old := sbuf.F[si]
-				if q.tgt.round {
+				if round {
 					old = qrnd(old) // loadElem rounds Float elements
 				}
-				switch q.cop {
-				case qAdd:
-					res = old + rf
-				case qSub:
-					res = old - rf
-				default:
-					res = old * rf
-				}
+				res = qarithF(q.cop, old, rf)
 			}
 			if q.rk == KFloat {
 				res = qrnd(res)
@@ -1207,15 +1158,14 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			m.prof.StoreBytes += q.sbytes
 			if m.watchDepth > 0 {
 				if rb != nil {
-					m.qtrafIn(rb, q.a.ebytes)
+					m.qtrafIn(rb)
 				}
 				if q.acc {
-					m.qtrafIn(sbuf, q.tgt.ebytes)
+					m.qtrafIn(sbuf)
 				}
-				m.qtrafOut(sbuf, q.tgt.ebytes)
+				m.qtrafOut(sbuf)
 			}
-			qhits++
-			if q.tgt.round {
+			if round {
 				sbuf.F[si] = qrnd(res)
 			} else {
 				sbuf.F[si] = res
@@ -1228,39 +1178,27 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			q := in.q
 			var ri int64
 			var rb *Buffer
-			if q.a.plan == qoReg {
-				v := &regs[q.a.ref]
-				if v.K != KInt {
-					goto deopt
-				}
-				ri = v.I
-			} else if q.a.plan == qoConst {
-				ri = q.a.i
+			if in.a.mode <= omVar {
+				ri = regs[in.a.ref].I
+			} else if in.a.mode == omConst {
+				ri = in.a.val.I
 			} else {
-				b, i, ok := qresolve(regs, &q.a)
+				b, i, ok := qresolve(regs, in.a.tgt)
 				if !ok {
-					goto deopt
+					goto miss
 				}
 				ri = b.I[i]
 				rb = b
 			}
-			sbuf, si, sok := qresolve(regs, &q.tgt)
-			if !sok {
-				goto deopt
+			sbuf, si, sok := qresolve(regs, in.tgt)
+			if !sok || ri == 0 && q.acc && q.cop == qDiv {
+				goto miss
 			}
 			res := ri
 			if q.acc {
-				old := sbuf.I[si]
 				// applyCompound combines through float64, as the shared
 				// helper does.
-				switch q.cop {
-				case qAdd:
-					res = int64(float64(old) + float64(ri))
-				case qSub:
-					res = int64(float64(old) - float64(ri))
-				default:
-					res = int64(float64(old) * float64(ri))
-				}
+				res = int64(qarithF(q.cop, float64(sbuf.I[si]), float64(ri)))
 			}
 			cyc += q.cyc
 			flops += q.flops
@@ -1269,14 +1207,13 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			m.prof.StoreBytes += q.sbytes
 			if m.watchDepth > 0 {
 				if rb != nil {
-					m.qtrafIn(rb, q.a.ebytes)
+					m.qtrafIn(rb)
 				}
 				if q.acc {
-					m.qtrafIn(sbuf, q.tgt.ebytes)
+					m.qtrafIn(sbuf)
 				}
-				m.qtrafOut(sbuf, q.tgt.ebytes)
+				m.qtrafOut(sbuf)
 			}
-			qhits++
 			sbuf.I[si] = res
 			if in.dst >= 0 {
 				regs[in.dst] = Value{K: KInt, I: res}
@@ -1284,29 +1221,15 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 		}
 		continue
 
-	deopt:
-		// A quickened guard missed: restore the generic opcode, pin the
-		// instruction generic, and re-execute it under generic dispatch —
-		// which reproduces the slow-path result, any runtime error, and
-		// the exact generic accounting.
-		in.op = in.gop
-		in.hot = math.MinInt32
-		in.q = nil
-		m.qDeopts++
-	redo:
-		// Roll this dispatch's entry accounting back before re-dispatching
-		// the instruction (also the landing point after a successful
-		// quickening rewrite).
-		nInstr--
-		if in.fused {
-			nFused--
-		}
-		if in.nsteps > 0 {
-			steps -= int64(in.nsteps)
-		}
-		pc--
+	miss:
+		// A specialised instruction's index is out of bounds or its divisor
+		// zero: its generic arm runs it once, without writing the
+		// instruction, and raises the byte-identical error with the generic
+		// accounting. The entry accounting above stands.
+		op = in.gop
+		goto redo
 	}
-	m.dflush(steps, cyc, flops, intops, nInstr, nFused, qhits)
+	m.dflush(steps, cyc, flops, intops, nInstr, nFused)
 	return nil
 }
 
@@ -1314,14 +1237,13 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 // run profile. Dispatch calls it on every success-path return; error
 // returns skip it because Run never surfaces the profile, the counters,
 // or the step total of a failed run.
-func (m *machine) dflush(steps int64, cyc float64, flops, intops, nInstr, nFused, qhits int64) {
+func (m *machine) dflush(steps int64, cyc float64, flops, intops, nInstr, nFused int64) {
 	m.steps = steps
 	m.prof.Cycles += cyc
 	m.prof.Flops += flops
 	m.prof.IntOps += intops
 	m.bcInstrs += nInstr
 	m.bcFused += nFused
-	m.qHits += qhits
 }
 
 // operandNB resolves one fused operand without step accounting (the
@@ -1546,7 +1468,7 @@ func (m *machine) execPrecise(fr *bframe, in *binstr) error {
 			return m.errf(p, "step budget exceeded (%d)", m.maxSteps)
 		}
 	}
-	switch in.op {
+	switch in.gop {
 	case opCmpBranch, opLoopBack:
 		m.steps++
 		if m.steps > m.maxSteps {
@@ -1558,7 +1480,7 @@ func (m *machine) execPrecise(fr *bframe, in *binstr) error {
 			return m.errf(in.pos2, "step budget exceeded (%d)", m.maxSteps)
 		}
 	}
-	switch in.op {
+	switch in.gop {
 	case opEval, opUnary, opLogicShort, opBoolOf, opCast, opDeclVar, opDeclArr,
 		opAssignVar, opBranchFalse, opReturn, opCheckBuf:
 		if _, err := m.fetchOp(fr, &in.a); err != nil {

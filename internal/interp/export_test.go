@@ -1,10 +1,24 @@
 package interp
 
-// WithQuickenThreshold returns cfg with the quickening trip point set:
-// the per-instruction execution count after which a generic opcode is
-// rewritten to its quickened form. Negative disables quickening; 0 is the
-// default every non-test caller runs at.
-func WithQuickenThreshold(cfg Config, threshold int) Config {
-	cfg.quickenThreshold = threshold
+import "psaflow/internal/minic"
+
+// Generic returns cfg with lowering-time specialisation off: every
+// instruction keeps its generic opcode, so its generic arm is what runs.
+func Generic(cfg Config) Config {
+	cfg.generic = true
 	return cfg
+}
+
+// Specialised counts, per function, the instructions of prog's lowering
+// that carry a specialised opcode.
+func Specialised(prog *minic.Program) map[string]int {
+	out := map[string]int{}
+	for name, bf := range compileBytecode(prog, false).funcs {
+		for i := range bf.code {
+			if bf.code[i].op >= opQFirst {
+				out[name]++
+			}
+		}
+	}
+	return out
 }

@@ -56,14 +56,8 @@ const (
 	CounterBCInstrs    = "interp.bytecode.instructions"
 	CounterBCFused     = "interp.bytecode.fused"
 	CounterBCFallbacks = "interp.bytecode.fallbacks"
-	// Quickening counters: in-place rewrites of hot generic opcodes to
-	// type-specialized forms, dispatches served by a quickened form, and
-	// deoptimizations back to the generic form on a guard miss.
-	CounterBCQuickenRewrites = "interp.bytecode.quicken.rewrites"
-	CounterBCQuickenHits     = "interp.bytecode.quicken.hits"
-	CounterBCQuickenDeopts   = "interp.bytecode.quicken.deopts"
 	// Program-cache counters: lowerings actually performed vs Runs served
-	// from an already-lowered (and possibly already-quickened) program.
+	// from an already-lowered program.
 	CounterBCLowerings = "interp.bytecode.lowerings"
 	CounterBCProgHits  = "interp.bytecode.progcache.hits"
 )
@@ -92,21 +86,20 @@ type Config struct {
 	// differential testing and the VM's defensive fallback.
 	TreeWalk bool
 	// Progs, when non-nil, caches lowered bytecode programs keyed by
-	// Fingerprint so repeat Runs of the same program skip lowering and
-	// inherit quickened instruction state from earlier runs. Requires a
-	// nonzero Fingerprint; ignored under TreeWalk. Pass it only where a
-	// program can run again — a harness timing repeat runs, or a flow with
-	// no run cache, which re-executes a program only where its kernel
-	// analyses cannot read the hotspot run's record — the image stays
-	// pooled for the cache's life.
+	// Fingerprint so repeat Runs of the same program — concurrent ones
+	// included — share one lowering. Requires a nonzero Fingerprint;
+	// ignored under TreeWalk. Pass it only where a program can run again —
+	// a harness timing repeat runs, or a flow with no run cache, which
+	// re-executes a program only where its kernel analyses cannot read the
+	// hotspot run's record — the image stays cached for the cache's life.
 	Progs *ProgramCache
 	// Fingerprint identifies the program for Progs (minic.Fingerprint).
 	Fingerprint uint64
 
-	// quickenThreshold is a test hook (export_test.go): the equivalence
-	// suites force quickening early (1) or off (negative); 0, which is all
-	// any caller outside the package can pass, is defaultQuickenThreshold.
-	quickenThreshold int
+	// generic is a test hook (export_test.go): it lowers without
+	// specialisation, so every instruction runs its generic arm — the
+	// equivalence suites' second reference. Ignored with Progs.
+	generic bool
 }
 
 // Result is the outcome of one execution.
@@ -178,13 +171,6 @@ type machine struct {
 	// (superinstruction) dispatches this run.
 	bcInstrs int64
 	bcFused  int64
-	// Quickening state: quickenAt is the hot-counter trip point (0
-	// disables) and the q* totals feed the interp.bytecode.quicken.*
-	// counters.
-	quickenAt int32
-	qRewrites int64
-	qHits     int64
-	qDeopts   int64
 	// biArgs is the fused-builtin argument scratch (builtins are leaf
 	// calls, so one buffer per machine suffices and keeps the argument
 	// slice off the heap). Frames themselves recycle through the
@@ -197,13 +183,6 @@ type machine struct {
 	// with them, and the machine in its allocation size class.)
 	candLoop *LoopProfile
 }
-
-// defaultQuickenThreshold is the per-instruction execution count after
-// which the VM rewrites a generic opcode in place to its quickened form:
-// low enough that the bench kernels quicken within their first loop
-// entries, high enough that one-shot straight-line code never pays the
-// rewrite.
-const defaultQuickenThreshold = 64
 
 // Run executes cfg.Entry in prog and returns the result with its profile.
 // By default the program is first lowered to register bytecode
@@ -247,19 +226,16 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 		m.loopInfo = buildLoopInfo(prog)
 		ret, err = m.call(entry, cfg.Args, entry.NodePos())
 	default:
-		m.quickenAt = quickenTrip(cfg.quickenThreshold)
 		compileStart := time.Now()
 		var bp *bprog
-		var lease *progLease
 		if cfg.Progs != nil && cfg.Fingerprint != 0 {
-			lease = cfg.Progs.lease(cfg.Fingerprint, prog)
-			bp = lease.bp
-			m.loopInfo = lease.loops
-			if !lease.lowered {
+			var lowered bool
+			bp, m.loopInfo, lowered = cfg.Progs.image(cfg.Fingerprint, prog)
+			if !lowered {
 				progHits = 1
 			}
 		} else {
-			bp = lowerBytecode(prog)
+			bp = lowerBytecode(prog, cfg.generic)
 			if bp != nil {
 				m.loopInfo = buildLoopInfo(prog)
 			}
@@ -277,9 +253,6 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 			m.loopInfo = buildLoopInfo(prog)
 			ret, err = m.call(entry, cfg.Args, entry.NodePos())
 		}
-		if lease != nil {
-			cfg.Progs.release(lease)
-		}
 	}
 	if err != nil {
 		return nil, err
@@ -292,15 +265,6 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 		if m.bcInstrs > 0 {
 			cfg.Counters.Add(CounterBCInstrs, m.bcInstrs)
 			cfg.Counters.Add(CounterBCFused, m.bcFused)
-		}
-		if m.qRewrites > 0 {
-			cfg.Counters.Add(CounterBCQuickenRewrites, m.qRewrites)
-		}
-		if m.qHits > 0 {
-			cfg.Counters.Add(CounterBCQuickenHits, m.qHits)
-		}
-		if m.qDeopts > 0 {
-			cfg.Counters.Add(CounterBCQuickenDeopts, m.qDeopts)
 		}
 		if fallbacks > 0 {
 			cfg.Counters.Add(CounterBCFallbacks, fallbacks)
@@ -318,32 +282,16 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 	return &Result{Ret: ret, Prof: m.prof, Steps: m.steps, Output: m.output}, nil
 }
 
-// quickenTrip maps Config.quickenThreshold onto the machine's int32 hot
-// trip point: 0 selects the default, negative disables (the hot counter
-// never reaches a zero trip in any bounded run), and large values clamp.
-func quickenTrip(threshold int) int32 {
-	switch {
-	case threshold < 0:
-		return 0
-	case threshold == 0:
-		return defaultQuickenThreshold
-	case threshold > 1<<30:
-		return 1 << 30
-	default:
-		return int32(threshold)
-	}
-}
-
 // lowerBytecode wraps compileBytecode with a panic guard: the lowering is
 // exercised by the differential fuzzer and never expected to fail, but a
 // defect must degrade to the tree-walker, not crash a flow.
-func lowerBytecode(prog *minic.Program) (bp *bprog) {
+func lowerBytecode(prog *minic.Program, generic bool) (bp *bprog) {
 	defer func() {
 		if recover() != nil {
 			bp = nil
 		}
 	}()
-	return compileBytecode(prog)
+	return compileBytecode(prog, generic)
 }
 
 // buildLoopInfo precomputes enclosing function and nesting depth for every

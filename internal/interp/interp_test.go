@@ -442,7 +442,9 @@ func TestLoweringFailureFallsBackToTreeWalk(t *testing.T) {
 	prog := minic.MustParse(src)
 	const fp = 42
 	pc := NewProgramCache()
-	pc.entries[fp] = &progEntry{failed: true}
+	failed := &progEntry{}
+	failed.once.Do(func() {}) // what a lowering that panicked leaves: no image
+	pc.entries[fp] = failed
 	ctrs := counterMap{}
 	got, err := Run(prog, Config{Entry: "f", Args: []Value{IntVal(10)}, Progs: pc, Fingerprint: fp, Counters: ctrs})
 	if err != nil {
@@ -461,11 +463,11 @@ func TestLoweringFailureFallsBackToTreeWalk(t *testing.T) {
 	}
 }
 
-// TestProgramCacheExtraCopyLowersLikeFresh pins that a lowering is a
-// function of the program alone: an extra copy lowered for a fingerprint
-// whose earlier run never reached entry b's loop must dispatch exactly
-// what an uncached lowering of the same program dispatches.
-func TestProgramCacheExtraCopyLowersLikeFresh(t *testing.T) {
+// TestProgramCacheImageRunsLikeFresh pins that a lowering is a function
+// of the program alone: the image a run of entry a lowered, served from
+// the cache to a run of entry b, must dispatch exactly what an uncached
+// lowering of the same program dispatches.
+func TestProgramCacheImageRunsLikeFresh(t *testing.T) {
 	const src = `
 int a(int n) { return n; }
 int b(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i * i; } return s; }`
@@ -475,12 +477,6 @@ int b(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i * i; } return s; 
 	if _, err := Run(prog, Config{Entry: "a", Args: []Value{IntVal(3)}, Progs: pc, Fingerprint: fp}); err != nil {
 		t.Fatal(err)
 	}
-	held := pc.lease(fp, prog) // pins the released copy: the next Run must lower another
-	if held.bp == nil || held.lowered {
-		t.Fatalf("manual lease = (bp %v, lowered %v), want the copy entry a released", held.bp, held.lowered)
-	}
-	defer pc.release(held)
-
 	cached, fresh := counterMap{}, counterMap{}
 	got, err := Run(prog, Config{Entry: "b", Args: []Value{IntVal(100)}, Progs: pc, Fingerprint: fp, Counters: cached})
 	if err != nil {
@@ -490,16 +486,16 @@ int b(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i * i; } return s; 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached[CounterBCLowerings] != 1 {
-		t.Fatalf("cached run lowerings = %d, want 1 (an extra copy)", cached[CounterBCLowerings])
+	if cached[CounterBCLowerings] != 0 || cached[CounterBCProgHits] != 1 {
+		t.Fatalf("cached run counters = %v, want one program-cache hit and no lowering", cached)
 	}
 	if got.Ret != want.Ret || got.Steps != want.Steps || !reflect.DeepEqual(got.Prof, want.Prof) {
-		t.Errorf("extra copy ran (%v, %d steps, %+v), fresh lowering (%v, %d steps, %+v)",
+		t.Errorf("cached image ran (%v, %d steps, %+v), fresh lowering (%v, %d steps, %+v)",
 			got.Ret, got.Steps, got.Prof, want.Ret, want.Steps, want.Prof)
 	}
 	for _, name := range []string{CounterBCInstrs, CounterBCFused} {
 		if cached[name] != fresh[name] || fresh[name] == 0 {
-			t.Errorf("%s: extra copy %d, fresh lowering %d (want equal and non-zero)", name, cached[name], fresh[name])
+			t.Errorf("%s: cached image %d, fresh lowering %d (want equal and non-zero)", name, cached[name], fresh[name])
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 // worker that dequeues the first such job becomes the batch leader: it
 // claims every still-queued job with the same batch key as a follower,
 // runs the flow exactly once through the process-wide program cache (one
-// lowering, one progressively-quickened bytecode image), and distributes
-// the result to the whole group. Followers' JobResults carry
+// lowering, one immutable bytecode image), and distributes the result to
+// the whole group. Followers' JobResults carry
 // batched/batch_size/batch_leader so clients can see their job rode a
 // shared execution; cancellation of a follower is best-effort only (the
 // leader's run proceeds and the follower still receives its result).

@@ -143,8 +143,8 @@ func TestBatchDisabledRunsEveryJob(t *testing.T) {
 // TestBatchLowersOnce is the end-to-end acceptance check: a batched run
 // of 32 identical-fingerprint jobs through the REAL flow performs exactly
 // as many bytecode lowerings as a single job does — the whole batch
-// shares one lowered, progressively-quickened program image per distinct
-// program the flow profiles (counter-verified via the process recorder).
+// shares one lowered, immutable program image per distinct program the
+// flow profiles (counter-verified via the process recorder).
 func TestBatchLowersOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two real flows")

@@ -12,6 +12,11 @@ go vet ./...
 # Formatting gate: gofmt -l names every file it would rewrite.
 test -z "$(gofmt -l cmd internal examples benchmark *.go)"
 go build ./...
+# Inlining gate: the arithmetic and coercion helpers of the VM's
+# specialised arms must stay inlined into dispatch, a call per dispatch
+# being measurable (docs/ARCHITECTURE.md "What the VM hand-inlines, and
+# why"): 17 call sites of qarithF / qarithI / qcoerceF / qcoerceI.
+test "$(go build -gcflags=-m ./internal/interp 2>&1 | grep -cE 'inlining call to q(arith|coerce)[FI]$')" -eq 17
 # Reachability gate (ROADMAP 1(c)): every package under internal/ is in the
 # dependency closure of ./cmd/... or of the benchmark module. A package only
 # an example can reach is not part of the system: wire it or delete it.
@@ -34,6 +39,11 @@ go test -C benchmark .
 # its result bytes and events only (the terminal transition releases the
 # rest under the job lock while readers poll).
 go test -race -count=20 -run 'TestTerminalStatusHasResult|TestClusterDeterminism|TestRetainedJobFootprint' ./internal/service/
+# One lowered image is shared by every run of its program, concurrent ones
+# included, because no run writes an instruction: 8 goroutines × 6 runs
+# on one image must each equal the tree-walker — 20 runs, for the
+# scheduler to vary the interleaving.
+go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # The retention gate's other half: a job the registry has let go keeps a
 # position in the store index and nothing else. The 512-byte bound is the
 # plain build's and holds as it is under the detector (≈ 270 bytes measured
