@@ -12,18 +12,17 @@ import (
 // DSE) on the kernel's outer loop. The added-LOC footprint is tiny — the
 // paper measures ≈ +2%.
 func OpenMP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
-	fn, loop, _, err := kernelLoop(prog, opts.Kernel)
+	fn := prog.Func(opts.Kernel)
+	if fn == nil {
+		return nil, fmt.Errorf("codegen: no kernel %q", opts.Kernel)
+	}
+	// The pragma is rewritten on a copy of the kernel alone: prog is the
+	// design's, and its other functions are printed as they are.
+	single := &minic.Program{Funcs: []*minic.FuncDecl{minic.CloneFunc(fn)}}
+	wfn, wloop, _, err := kernelLoop(single, opts.Kernel)
 	if err != nil {
 		return nil, err
 	}
-	work := prog.Clone()
-	wfn := work.MustFunc(fn.Name)
-	// Re-locate the outer loop in the clone.
-	_, wloop, _, err := kernelLoop(work, opts.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	_ = loop
 	threads := opts.NumThreads
 	if threads <= 0 {
 		threads = 1
@@ -46,8 +45,7 @@ func OpenMP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 
 	var sb strings.Builder
 	sb.WriteString("#include <omp.h>\n\n")
-	sb.WriteString(renderOtherFuncs(work, wfn.Name))
-	single := &minic.Program{Funcs: []*minic.FuncDecl{wfn}}
+	sb.WriteString(renderOtherFuncs(prog, wfn.Name))
 	sb.WriteString(minic.Print(single))
 	return finish("openmp", opts.Device, sb.String(), refLOC), nil
 }

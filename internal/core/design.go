@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"psaflow/internal/analysis"
 	"psaflow/internal/codegen"
@@ -142,6 +143,12 @@ type Design struct {
 	// Estimated design time on the selected device.
 	Est        perfmodel.Breakdown
 	Infeasible string // non-empty when the design cannot be realized (e.g. FPGA overmap)
+
+	// shared is set once Fork has handed Prog's functions to another design
+	// too; copied lists the functions this design has copied since, which it
+	// alone holds. The zero value owns every function (see EditKernel).
+	shared bool
+	copied []*minic.FuncDecl
 }
 
 // NewDesign wraps a parsed program as the flow input, recording the
@@ -174,13 +181,17 @@ func (r *KernelReport) Clone() *KernelReport {
 	return &nr
 }
 
-// Fork deep-copies the design for a branch path: the program, the report
-// (including its alias/dependence results), the provenance trace, and the
-// per-design artifacts. Forks share no mutable state, so parallel branch
-// paths can work on them concurrently.
+// Fork copies the design for a branch path: the report (including its
+// alias/dependence results), the provenance trace, and the per-design
+// artifacts. The program is not copied: the fork and d share its functions,
+// which neither side may write without copying first — EditKernel or
+// EditProgram. Fork writes d too (its copies become shared), so a branch
+// point takes every fork before any path runs; the forks can then work
+// concurrently.
 func (d *Design) Fork() *Design {
+	d.shared, d.copied = true, nil
 	nd := *d
-	nd.Prog = d.Prog.Clone()
+	nd.Prog = d.Prog.Share()
 	nd.Report = d.Report.Clone()
 	nd.Trace = append([]TraceEvent(nil), d.Trace...)
 	nd.SharedMem = append([]string(nil), d.SharedMem...)
@@ -195,12 +206,46 @@ func (d *Design) Fork() *Design {
 	return &nd
 }
 
-// KernelFunc returns the extracted kernel function, or nil.
+// KernelFunc returns the extracted kernel function, or nil. It may be
+// shared with other designs: read it, or write EditKernel's instead.
 func (d *Design) KernelFunc() *minic.FuncDecl {
 	if d.Kernel == "" {
 		return nil
 	}
 	return d.Prog.Func(d.Kernel)
+}
+
+// EditKernel returns the extracted kernel function (nil if there is none)
+// for writing: a copy this design alone holds, made on the first call
+// after a Fork. The copy keeps every node ID, so it serves edits that keep
+// them — pragmas, call renames, literal flags; an edit that adds, removes
+// or renumbers nodes takes EditProgram.
+func (d *Design) EditKernel() *minic.FuncDecl {
+	if d.Kernel == "" {
+		return nil
+	}
+	for i, f := range d.Prog.Funcs {
+		if f.Name != d.Kernel {
+			continue
+		}
+		if d.shared && !slices.Contains(d.copied, f) {
+			f = minic.CloneFunc(f)
+			d.Prog.Funcs[i] = f
+			d.copied = append(d.copied, f)
+		}
+		return f
+	}
+	return nil
+}
+
+// EditProgram returns the program for writing: after a Fork, a deep copy
+// this design alone holds, so an edit may renumber it (minic.AssignIDs).
+func (d *Design) EditProgram() *minic.Program {
+	if d.shared {
+		d.Prog = d.Prog.Clone()
+		d.shared, d.copied = false, nil
+	}
+	return d.Prog
 }
 
 // Label names the design for reports: "nbody/gpu/RTX 2080 Ti".

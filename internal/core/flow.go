@@ -486,6 +486,11 @@ func (f *Flow) run(ctx *Context, d *Design, parent *telemetry.Span) ([]*Design, 
 	return designs, nil
 }
 
+// taskHook, when set, is called before every task a flow runs on a design,
+// and the function it returns after the task. Only tests set it, before any
+// flow runs (export_test.go: the write guard over shared functions).
+var taskHook func(t Task, d *Design) func()
+
 // runTask executes one task with the engine's resilience wrapper: an
 // optional per-attempt timeout, plus retry-with-backoff for transient
 // faults bounded by the retry policy's MaxAttempts and the flow's shared
@@ -493,6 +498,9 @@ func (f *Flow) run(ctx *Context, d *Design, parent *telemetry.Span) ([]*Design, 
 // one plain Task.Run call, so fault-free flows behave identically to the
 // pre-resilience engine.
 func runTask(ctx *Context, t Task, d *Design, span *telemetry.Span) error {
+	if taskHook != nil {
+		defer taskHook(t, d)()
+	}
 	pol := ctx.Retry.WithDefaults()
 	for attempt := 1; ; attempt++ {
 		err := runTaskAttempt(ctx, t, d)
@@ -639,17 +647,21 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 		perPath := make([][]*Design, len(idxs))
 		errs := make([]error, len(idxs))
 		forks := make([]*Design, len(idxs))
-		runPath := func(slot, i int) {
-			p := b.Paths[i]
-			fork := d
+		for slot := range idxs {
+			forks[slot] = d
 			// Fork when several paths run, when the budget gate may reject
 			// this path, or when resilience is active: budget revisions and
 			// fault fallbacks must both restart from the unmodified design.
+			// Every fork is taken here, before any path runs, because Fork
+			// writes d as well.
 			if len(idxs) > 1 || gated || resilient {
-				fork = d.Fork()
+				forks[slot] = d.Fork()
 				ctx.Count(telemetry.CounterDesignsForked, 1)
 			}
-			forks[slot] = fork
+		}
+		runPath := func(slot, i int) {
+			p := b.Paths[i]
+			fork := forks[slot]
 			fork.Tracef("branch", b.PointName, "selected path %q (strategy %s)", p.Name, b.Select.Name())
 			ctx.logf("branch %s -> %s", b.PointName, p.Name)
 			pathSpan := ctx.Telemetry.StartSpan(branchSpan, telemetry.KindPath, b.PointName+"/"+p.Name)

@@ -110,7 +110,8 @@ func TestBranchSelectAllForks(t *testing.T) {
 	devices := map[string]bool{}
 	for _, d := range out {
 		devices[d.Device] = true
-		// Forked designs own independent programs.
+		// Forked designs hold programs of their own (which share function
+		// declarations until one is edited).
 		for _, other := range out {
 			if other != d && other.Prog == d.Prog {
 				t.Fatal("forked designs share a program")

@@ -1,0 +1,64 @@
+//go:build !race
+
+package core_test
+
+import (
+	"context"
+	"testing"
+
+	"psaflow/internal/bench"
+	"psaflow/internal/core"
+	"psaflow/internal/experiments"
+	"psaflow/internal/tasks"
+)
+
+// TestForkAllocationsIndependentOfProgram: a Fork copies the design's
+// fields and a slice of function pointers, never a function, so it costs
+// the same on each application's design as branch point A forks it.
+func TestForkAllocationsIndependentOfProgram(t *testing.T) {
+	var first float64
+	for i, b := range bench.All() {
+		d := front(t, b)
+		allocs := testing.AllocsPerRun(100, func() { d.Fork() })
+		t.Logf("%s: %.0f allocations per Fork", b.Name, allocs)
+		if i == 0 {
+			first = allocs
+		}
+		if allocs != first || allocs > 8 {
+			t.Errorf("Fork of %s's design allocates %.0f times, want the same small constant on every application (%s: %.0f)",
+				b.Name, allocs, bench.All()[0].Name, first)
+		}
+	}
+}
+
+// parentHotFlowAllocs is what ten hot flows (BenchmarkFlowHot's loop body:
+// the five applications in both modes on a warmed run cache) allocated
+// while Fork deep-copied the program for every branch path.
+const parentHotFlowAllocs = 81932
+
+// TestHotFlowAllocationBudget pins the point of sharing functions between
+// forks: ten hot flows allocate at most 66 000 times (measured: ≈ 61 900).
+func TestHotFlowAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("flow runs")
+	}
+	runs := core.NewRunCache()
+	flows := func() {
+		for _, b := range bench.All() {
+			for _, mode := range []tasks.Mode{tasks.Uninformed, tasks.Informed} {
+				opts := tasks.FlowOptions{Mode: mode, Strategy: tasks.DefaultStrategy}
+				if _, err := experiments.RunBenchmarkEnv(context.Background(), b, nil, opts, experiments.JobEnv{}, nil, nil, runs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	flows() // warm the run cache
+	const budget = 66000
+	allocs := testing.AllocsPerRun(5, flows)
+	t.Logf("ten hot flows: %.0f allocations", allocs)
+	if allocs > budget {
+		t.Errorf("ten hot flows allocate %.0f times, want <= %d (the parent's %d, less the program copies forks no longer make)",
+			allocs, budget, parentHotFlowAllocs)
+	}
+}

@@ -46,9 +46,9 @@ func runUninformed(t *testing.T, b *bench.Benchmark, parallel bool) []string {
 // TestParallelFlowMatchesSerial runs the full uninformed flow with
 // concurrent branch paths (the experiment harness configuration) and
 // asserts the produced design set is identical to a serial run. Under
-// `go test -race` this also exercises the Fork deep-copy and telemetry
-// locking: path goroutines mutate forked designs and record spans
-// concurrently.
+// `go test -race` this also exercises Fork's sharing and telemetry
+// locking: path goroutines mutate forked designs, read the functions the
+// forks share and record spans concurrently.
 func TestParallelFlowMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flow runs the interpreter; skipped in -short mode")

@@ -3,19 +3,28 @@ package minic
 import "fmt"
 
 // Clone returns a deep copy of the program. Node IDs are re-assigned so
-// the clone is a fully independent AST; the PSA-flow engine relies on this
-// when forking a design at a branch point.
+// the clone is a fully independent AST, one a transform may renumber.
 func (p *Program) Clone() *Program {
 	cp := &Program{base: p.base}
 	cp.Funcs = make([]*FuncDecl, len(p.Funcs))
 	for i, f := range p.Funcs {
-		cp.Funcs[i] = cloneFunc(f)
+		cp.Funcs[i] = CloneFunc(f)
 	}
 	AssignIDs(cp)
 	return cp
 }
 
-func cloneFunc(f *FuncDecl) *FuncDecl {
+// Share returns a program with its own Funcs slice holding the same
+// *FuncDecls: replacing a slot of either program leaves the other as it
+// was, while a write inside a function is seen by both. The PSA-flow engine
+// forks a design this way and copies a function before it writes to it.
+func (p *Program) Share() *Program {
+	return &Program{base: p.base, Funcs: append([]*FuncDecl(nil), p.Funcs...)}
+}
+
+// CloneFunc deep-copies a function. IDs are copied verbatim, so the copy
+// can take the original's slot in a program without renumbering it.
+func CloneFunc(f *FuncDecl) *FuncDecl {
 	cf := &FuncDecl{base: f.base, Ret: f.Ret, Name: f.Name}
 	cf.Params = make([]*Param, len(f.Params))
 	for i, p := range f.Params {

@@ -19,7 +19,7 @@ import (
 var OMPParallelLoops = core.TaskFunc{
 	TaskName: "Multi-Thread Parallel Loops", TaskKind: core.Transform,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		kfn := d.KernelFunc()
+		kfn := d.EditKernel()
 		if kfn == nil {
 			return fmt.Errorf("no kernel extracted")
 		}

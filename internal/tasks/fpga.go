@@ -56,7 +56,9 @@ var UnrollFixedLoopsTask = core.TaskFunc{
 				}
 			}
 		}
-		n, err := transform.UnrollFixedLoops(d.Prog, kfn, MaterializeUnrollLimit)
+		// Unrolling renumbers the program: from here on it is this design's.
+		prog := d.EditProgram()
+		n, err := transform.UnrollFixedLoops(prog, d.KernelFunc(), MaterializeUnrollLimit)
 		if err != nil {
 			return err
 		}
@@ -97,7 +99,7 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 			if err := ctx.FailPoint(faults.Device, dev.Name); err != nil {
 				return err
 			}
-			kfn := d.KernelFunc()
+			kfn := d.EditKernel()
 			if kfn == nil {
 				return fmt.Errorf("no kernel extracted")
 			}

@@ -45,7 +45,7 @@ var PinnedMemory = core.TaskFunc{
 var SinglePrecisionFns = core.TaskFunc{
 	TaskName: "Employ SP Math Fns", TaskKind: core.Transform,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		kfn := d.KernelFunc()
+		kfn := d.EditKernel()
 		if kfn == nil {
 			return fmt.Errorf("no kernel extracted")
 		}
@@ -62,7 +62,7 @@ var SinglePrecisionFns = core.TaskFunc{
 var SinglePrecisionLiterals = core.TaskFunc{
 	TaskName: "Employ SP Numeric Literals", TaskKind: core.Transform,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		kfn := d.KernelFunc()
+		kfn := d.EditKernel()
 		if kfn == nil {
 			return fmt.Errorf("no kernel extracted")
 		}
@@ -107,7 +107,7 @@ var SharedMemBuffer = core.TaskFunc{
 var SpecialisedMathFns = core.TaskFunc{
 	TaskName: "Employ Specialised Math Fns", TaskKind: core.Transform,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		kfn := d.KernelFunc()
+		kfn := d.EditKernel()
 		if kfn == nil {
 			return fmt.Errorf("no kernel extracted")
 		}

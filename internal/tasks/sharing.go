@@ -42,7 +42,7 @@ func UnrollUntilOvermapWithSharing(dev platform.FPGASpec) core.Task {
 			if d.Infeasible == "" {
 				return nil // fits without sharing
 			}
-			kfn := d.KernelFunc()
+			kfn := d.EditKernel()
 			if kfn == nil {
 				return fmt.Errorf("no kernel extracted")
 			}

@@ -38,7 +38,7 @@ const MaterializeUnrollLimit = 64
 // When the context carries a RunCache, the execution is memoized on
 // (program fingerprint, workload, entry, watch): the analyses that re-run
 // an unchanged program — and sibling forked paths holding identical
-// program copies — share one profiled interp.Result. Transform rewrites
+// programs — share one profiled interp.Result. Transform rewrites
 // change the fingerprint, so invalidation is automatic. Cached results are
 // shared and therefore read-only for all consumers.
 func runWorkload(ctx *core.Context, d *core.Design, watch string) (*interp.Result, error) {
@@ -174,41 +174,46 @@ var ExtractHotspot = core.TaskFunc{
 		if d.Report.HotspotLoopID == 0 {
 			return fmt.Errorf("run hotspot identification first")
 		}
+		// Outlining renumbers the program, so the design takes its own copy
+		// before looking the loop up in it; the function whose walk finds
+		// the loop is its host.
+		prog := d.EditProgram()
 		var loop minic.Stmt
 		var host *minic.FuncDecl
-		q := query.New(d.Prog)
-		minic.Walk(d.Prog, func(n minic.Node) bool {
-			if n.ID() == d.Report.HotspotLoopID && query.IsLoop(n) {
-				loop = n.(minic.Stmt)
+		for _, f := range prog.Funcs {
+			minic.Walk(f, func(n minic.Node) bool {
+				if n.ID() == d.Report.HotspotLoopID && query.IsLoop(n) {
+					loop = n.(minic.Stmt)
+				}
+				return loop == nil
+			})
+			if loop != nil {
+				host = f
+				break
 			}
-			return loop == nil
-		})
+		}
 		if loop == nil {
 			return fmt.Errorf("hotspot loop #%d not found", d.Report.HotspotLoopID)
-		}
-		host = q.EnclosingFunc(loop)
-		if host == nil {
-			return fmt.Errorf("hotspot loop has no enclosing function")
 		}
 		// The hotspot run's profile stands for the outlined program when the
 		// loop outlined here is the loop it watched, in the program it ran;
 		// HotspotLoops marks it so for the kernel analyses (kernelProfile).
 		var watched []int
 		if d.HotspotProf != nil && d.HotspotProf.WatchLoop == loop.ID() &&
-			minic.Fingerprint(d.Prog) == d.HotspotFP {
+			minic.Fingerprint(prog) == d.HotspotFP {
 			watched = append(watched, loop.ID())
-			for _, l := range q.InnerLoops(loop) {
+			for _, l := range query.New(prog).InnerLoops(loop) {
 				watched = append(watched, l.ID())
 			}
 		}
 		kernelName := d.Name + "_hotspot"
-		kernel, err := transform.ExtractHotspot(d.Prog, host, loop, kernelName)
+		kernel, err := transform.ExtractHotspot(prog, host, loop, kernelName)
 		if err != nil {
 			return err
 		}
 		d.Kernel = kernel.Name
 		if watched != nil {
-			d.HotspotLoops, d.HotspotFP = watched, minic.Fingerprint(d.Prog)
+			d.HotspotLoops, d.HotspotFP = watched, minic.Fingerprint(prog)
 		} else {
 			d.HotspotProf = nil
 		}
@@ -444,11 +449,12 @@ var TripCount = core.TaskFunc{
 var RemovePlusEqDep = core.TaskFunc{
 	TaskName: "Remove Array += Dependency", TaskKind: core.Transform, IsDyn: true,
 	Fn: func(ctx *core.Context, d *core.Design) error {
+		prog := d.EditProgram()
 		kfn := d.KernelFunc()
 		if kfn == nil {
 			return fmt.Errorf("no kernel extracted")
 		}
-		n, err := transform.RemovePlusEqDep(d.Prog, kfn)
+		n, err := transform.RemovePlusEqDep(prog, kfn)
 		if err != nil {
 			return err
 		}

@@ -44,6 +44,11 @@ go test -race -count=20 -run 'TestTerminalStatusHasResult|TestClusterDeterminism
 # on one image must each equal the tree-walker — 20 runs, for the
 # scheduler to vary the interleaving.
 go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
+# Forks share their parent's functions and parallel branch paths read them
+# while each copies what it edits: the write guard over every bundled flow
+# and two flows running beside each other on one run cache — five runs, for
+# the scheduler to vary which path copies while its siblings read.
+go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase' ./internal/core/
 # The retention gate's other half: a job the registry has let go keeps a
 # position in the store index and nothing else. The 512-byte bound is the
 # plain build's and holds as it is under the detector (≈ 270 bytes measured
