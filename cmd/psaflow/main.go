@@ -3,9 +3,10 @@
 // and device, tuned parameters, estimated performance, execution trace,
 // and (optionally) the full generated target source.
 //
-// The flow graph defaults to the built-in PSA-flow of paper Fig. 4; -flow
-// runs a user-defined .psa document instead (see docs/FLOWS.md), and
-// -check validates a document without running anything.
+// The flow graph defaults to the built-in PSA-flow of paper Fig. 4, the
+// bundled examples/flows/paper.psa; -flow runs a user-defined .psa document
+// instead (see docs/FLOWS.md), and -check validates a document without
+// running anything, accepting exactly what psaflowd's flow registry does.
 //
 // Usage:
 //
@@ -35,7 +36,7 @@ func main() {
 	name := flag.String("bench", "", "benchmark to run (see -list)")
 	mode := flag.String("mode", "informed", "branch point A mode: informed or uninformed")
 	flowFile := flag.String("flow", "", "run this .psa flow document instead of the built-in PSA-flow (see docs/FLOWS.md)")
-	check := flag.String("check", "", "parse and validate this .psa flow document, print diagnostics, and exit")
+	check := flag.String("check", "", "parse, validate and compile this .psa flow document, print diagnostics, and exit")
 	budget := flag.Float64("budget", 0, "cost budget for gated branches (0 = gate off; overrides the flow's budget setting)")
 	list := flag.Bool("list", false, "list available benchmarks")
 	sharing := flag.Bool("sharing", false, "enable FPGA resource sharing (recovers overmapped designs)")
@@ -56,10 +57,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		f, err := flowlang.Parse(string(src))
-		if err == nil {
-			err = flowlang.Validate(f)
-		}
+		f, err := flowlang.Check(string(src))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", *check, err)
 			os.Exit(2)
@@ -104,17 +102,22 @@ func main() {
 		runCtx, cancel = context.WithTimeout(runCtx, *timeout)
 		defer cancel()
 	}
-	var compiled *flowlang.Compiled
+	doc := flowlang.Bundled()
 	if *flowFile != "" {
 		src, err := os.ReadFile(*flowFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if compiled, err = flowlang.CompileSource(string(src), opts); err != nil {
+		if doc, err = flowlang.Parse(string(src)); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", *flowFile, err)
 			os.Exit(2)
 		}
+	}
+	compiled, err := flowlang.Compile(doc, opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", *flowFile, err)
+		os.Exit(2)
 	}
 	env, err := experiments.ResolveEnv(experiments.Settings{Faults: *faultSpec, Budget: *budget}, compiled, experiments.Settings{})
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
 	"psaflow/internal/experiments"
+	"psaflow/internal/flowlang"
 	"psaflow/internal/platform"
 	"psaflow/internal/tasks"
 )
@@ -65,7 +66,7 @@ func main() {
 			Budget:   budget,
 			Cost:     cost,
 		}
-		flow := tasks.BuildPSAFlow(tasks.Informed, tasks.DefaultStrategy)
+		flow := flowlang.PSAFlow(flowlang.Options{Mode: tasks.Informed})
 		designs, err := flow.Run(ctx, design)
 		if err != nil {
 			log.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
 	"psaflow/internal/experiments"
+	"psaflow/internal/flowlang"
 	"psaflow/internal/mlpsa"
 	"psaflow/internal/tasks"
 )
@@ -31,7 +32,7 @@ func main() {
 
 	// The ML flow is the built-in PSA-flow, edited: same tasks, same paths,
 	// the kNN in place of the Fig. 3 strategy at branch point A.
-	flow, err := tasks.BuildPSAFlow(tasks.Informed, tasks.DefaultStrategy).WithSelector("A", mlpsa.Selector(model))
+	flow, err := flowlang.PSAFlow(flowlang.Options{Mode: tasks.Informed}).WithSelector("A", mlpsa.Selector(model))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
+	"psaflow/internal/flowlang"
 	"psaflow/internal/interp"
 	"psaflow/internal/minic"
 	"psaflow/internal/perfmodel"
@@ -62,7 +63,7 @@ func main() {
 
 	// The full Fig. 4 PSA-flow: target-independent analyses, branch point
 	// A with the Fig. 3 strategy, then device-specific tasks and DSE.
-	flow := tasks.BuildPSAFlow(tasks.Informed, tasks.DefaultStrategy)
+	flow := flowlang.PSAFlow(flowlang.Options{Mode: tasks.Informed})
 	designs, err := flow.Run(ctx, design)
 	if err != nil {
 		log.Fatal(err)

@@ -1,7 +1,7 @@
 package core_test
 
 // Flow.Without and Flow.WithSelector, tested on the graph they exist for:
-// the built-in PSA-flow of internal/tasks.
+// the built-in PSA-flow, flowlang.PSAFlow.
 
 import (
 	"context"
@@ -16,6 +16,7 @@ import (
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
 	"psaflow/internal/experiments"
+	"psaflow/internal/flowlang"
 	"psaflow/internal/platform"
 	"psaflow/internal/tasks"
 )
@@ -52,7 +53,7 @@ var pickNone = core.SelectorFunc{SelName: "pick-none", Fn: func(*core.Context, *
 var selectorRE = regexp.MustCompile(`select=\S+`)
 
 func TestFlowEdits(t *testing.T) {
-	build := func() *core.Flow { return tasks.BuildPSAFlow(tasks.Informed, tasks.DefaultStrategy) }
+	build := func() *core.Flow { return flowlang.PSAFlow(flowlang.Options{Mode: tasks.Informed}) }
 	cases := []struct {
 		name string
 		edit func(*core.Flow) (*core.Flow, error)
@@ -157,7 +158,7 @@ func TestEditedFlowRunsBesideBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := tasks.FlowOptions{Mode: tasks.Uninformed}
-	base := tasks.BuildPSAFlowWithOptions(opts)
+	base := flowlang.PSAFlow(opts)
 	edited, err := base.Without(tasks.PinnedMemory)
 	if err != nil {
 		t.Fatal(err)

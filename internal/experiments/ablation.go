@@ -7,6 +7,7 @@ import (
 
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
+	"psaflow/internal/flowlang"
 	"psaflow/internal/platform"
 	"psaflow/internal/tasks"
 )
@@ -76,7 +77,7 @@ func RunAblations(logf func(string, ...any)) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		flow, err := tasks.BuildPSAFlowWithOptions(a.opts).Without(a.without...)
+		flow, err := flowlang.PSAFlow(a.opts).Without(a.without...)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %q: %w", a.name, err)
 		}

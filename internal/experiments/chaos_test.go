@@ -11,6 +11,7 @@ import (
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
 	"psaflow/internal/faults"
+	"psaflow/internal/flowlang"
 	"psaflow/internal/tasks"
 )
 
@@ -52,7 +53,12 @@ func TestFaultFallbackTraceNamesNoBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flow runs the interpreter; skipped in -short mode")
 	}
-	env, err := ResolveEnv(Settings{Faults: "seed=1,rate=1,kinds=hls"}, nil, Settings{Retry: chaosTestRetry})
+	opts := tasks.FlowOptions{Mode: tasks.Informed, Strategy: tasks.DefaultStrategy}
+	paper, err := flowlang.Compile(flowlang.Bundled(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := ResolveEnv(Settings{Faults: "seed=1,rate=1,kinds=hls"}, paper, Settings{Retry: chaosTestRetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +66,7 @@ func TestFaultFallbackTraceNamesNoBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunBenchmarkEnv(context.Background(), b, nil,
-		tasks.FlowOptions{Mode: tasks.Informed, Strategy: tasks.DefaultStrategy}, env, nil, nil, core.NewRunCache())
+	results, err := RunBenchmarkEnv(context.Background(), b, nil, opts, env, nil, nil, core.NewRunCache())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // (accelerated-hotspot speedups of the auto-generated designs, informed
 // and uninformed modes), Table I (added lines of code per design), and
 // Fig. 6 (FPGA vs GPU cost trade-off crossovers). Every experiment runs
-// the actual PSA-flow from internal/tasks on the benchmarks of
+// the actual PSA-flow (flowlang.PSAFlow) on the benchmarks of
 // internal/bench; design times come from the device models scaled to the
 // evaluation scenario.
 package experiments
@@ -105,10 +105,9 @@ type JobEnv struct {
 	// without a profiled-run cache, the one case where a program is
 	// executed more than once; nil then means a cache private to the run.
 	Progs *interp.ProgramCache
-	// Flow replaces the built-in PSA-flow graph for this run — the
-	// flow-DSL surfaces (psaflow -flow, the psaflowd flow registry) compile
-	// a .psa document to a core.Flow and run it through the same harness.
-	// Nil keeps tasks.BuildPSAFlowWithOptions(opts).
+	// Flow is the graph this run executes: a lowered .psa document (see
+	// ResolveEnv) or an edited variant of the built-in flow. Nil is the
+	// built-in PSA-flow, flowlang.PSAFlow(opts).
 	Flow *core.Flow
 	// Budget and Cost feed the Fig. 3 budget feedback gate
 	// (core.Context.Budget/Cost); the gate is active only when the flow has
@@ -147,27 +146,24 @@ type Settings struct {
 }
 
 // ResolveEnv is the one resolution of a run's flow-level settings, for
-// every surface that runs a flow document (psaflow -flow, psaflowd
-// flow-registry jobs): what the caller set explicitly (CLI flags, the job
-// spec) beats what the document sets, which beats the surface's default.
-// doc is nil for the built-in PSA-flow; its flow, when there is one,
-// becomes JobEnv.Flow. A budget from any tier installs DefaultCost, and
-// each call builds a fresh injector, so a re-run replays the same
-// deterministic fault schedule from occurrence zero.
+// every surface that runs a flow (psaflow, psaflowd jobs): what the caller
+// set explicitly (CLI flags, the job spec) beats what the document sets,
+// which beats the surface's default. doc is the lowered document the run
+// executes — the bundled paper.psa (flowlang.Bundled) for the built-in
+// flow — and its flow becomes JobEnv.Flow. A budget from any tier installs
+// DefaultCost, and each call builds a fresh injector, so a re-run replays
+// the same deterministic fault schedule from occurrence zero.
 func ResolveEnv(explicit Settings, doc *flowlang.Compiled, def Settings) (JobEnv, error) {
-	env := JobEnv{Retry: def.Retry, Budget: def.Budget}
+	env := JobEnv{Flow: doc.Flow, Retry: def.Retry, Budget: def.Budget}
 	spec := def.Faults
-	if doc != nil {
-		env.Flow = doc.Flow
-		if doc.Faults != "" {
-			spec = doc.Faults
-		}
-		if doc.HasRetry {
-			env.Retry = doc.Retry
-		}
-		if doc.Budget > 0 {
-			env.Budget = doc.Budget
-		}
+	if doc.Faults != "" {
+		spec = doc.Faults
+	}
+	if doc.HasRetry {
+		env.Retry = doc.Retry
+	}
+	if doc.Budget > 0 {
+		env.Budget = doc.Budget
 	}
 	if explicit.Faults != "" {
 		spec = explicit.Faults
@@ -232,7 +228,7 @@ func RunBenchmarkEnv(jobCtx context.Context, b *bench.Benchmark, prog *minic.Pro
 	}
 	flow := env.Flow
 	if flow == nil {
-		flow = tasks.BuildPSAFlowWithOptions(opts)
+		flow = flowlang.PSAFlow(opts)
 	}
 	leaves, err := flow.Run(ctx, design)
 	if err != nil {

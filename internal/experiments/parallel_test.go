@@ -7,6 +7,7 @@ import (
 
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
+	"psaflow/internal/flowlang"
 	"psaflow/internal/platform"
 	"psaflow/internal/tasks"
 	"psaflow/internal/telemetry"
@@ -30,7 +31,7 @@ func runUninformed(t *testing.T, b *bench.Benchmark, parallel bool) []string {
 		Parallel:  parallel,
 		Telemetry: telemetry.New(),
 	}
-	flow := tasks.BuildPSAFlow(tasks.Uninformed, tasks.DefaultStrategy)
+	flow := flowlang.PSAFlow(flowlang.Options{Mode: tasks.Uninformed})
 	leaves, err := flow.Run(ctx, core.NewDesign(b.Name, b.Parse()))
 	if err != nil {
 		t.Fatalf("%s (parallel=%t): %v", b.Name, parallel, err)

@@ -66,6 +66,26 @@ func CompileSource(src string, opts Options) (*Compiled, error) {
 	return Compile(f, opts)
 }
 
+// Check is the one definition of a valid document: src parses, validates,
+// and compiles under every mode × sharing combination a job can ask for.
+// The flow registry, psaflow -check and the bundled flow all accept exactly
+// what Check accepts, and keep the parsed file it returns to Compile per
+// job.
+func Check(src string) (*File, error) {
+	f, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	for _, mode := range []tasks.Mode{tasks.Informed, tasks.Uninformed} {
+		for _, sharing := range []bool{false, true} {
+			if _, err := Compile(f, Options{Mode: mode, ResourceSharing: sharing}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return f, nil
+}
+
 // binding is the lowering context: the enclosing path name (prefix for
 // foreach-generated sub-flow names) and the bound device, if any.
 type binding struct {

@@ -68,17 +68,13 @@ func flowEqual(a, b *core.Flow, path string) error {
 // hard-coded tasks.BuildPSAFlowWithOptions in every mode × sharing
 // combination.
 func TestPaperFlowStructuralDiff(t *testing.T) {
-	src := readExample(t, "paper.psa")
 	for _, mode := range []tasks.Mode{tasks.Informed, tasks.Uninformed} {
 		for _, sharing := range []bool{false, true} {
 			name := fmt.Sprintf("mode=%v/sharing=%v", mode, sharing)
 			opts := tasks.FlowOptions{Mode: mode, Strategy: tasks.DefaultStrategy, ResourceSharing: sharing}
 			want := tasks.BuildPSAFlowWithOptions(opts)
-			got, err := flowlang.CompileSource(src, flowlang.Options{Mode: mode, ResourceSharing: sharing})
-			if err != nil {
-				t.Fatalf("%s: compile: %v", name, err)
-			}
-			if err := flowEqual(got.Flow, want, ""); err != nil {
+			got := flowlang.PSAFlow(flowlang.Options{Mode: mode, ResourceSharing: sharing})
+			if err := flowEqual(got, want, ""); err != nil {
 				t.Errorf("%s: %v", name, err)
 			}
 		}

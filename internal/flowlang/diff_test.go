@@ -35,7 +35,6 @@ func resultFingerprint(rs []experiments.DesignResult) []string {
 // produce bit-identical results — labels, speedups, verdicts, traces, and
 // the engine's telemetry counters — to the hard-coded graph, in both modes.
 func TestPaperFlowExecutionDiff(t *testing.T) {
-	src := readExample(t, "paper.psa")
 	b, err := bench.ByName("nbody")
 	if err != nil {
 		t.Fatal(err)
@@ -51,18 +50,15 @@ func TestPaperFlowExecutionDiff(t *testing.T) {
 
 		recWant := telemetry.New()
 		want, err := experiments.RunBenchmarkEnv(context.Background(), b, nil, opts,
-			experiments.JobEnv{}, nil, recWant, core.NewRunCache())
+			experiments.JobEnv{Flow: tasks.BuildPSAFlowWithOptions(opts)}, nil, recWant, core.NewRunCache())
 		if err != nil {
 			t.Fatalf("mode %v: hard-coded flow: %v", mode, err)
 		}
 
-		compiled, err := flowlang.CompileSource(src, flowlang.Options{Mode: mode})
-		if err != nil {
-			t.Fatalf("mode %v: compile: %v", mode, err)
-		}
+		// JobEnv{} runs the built-in flow, flowlang.PSAFlow(opts).
 		recGot := telemetry.New()
 		got, err := experiments.RunBenchmarkEnv(context.Background(), b, nil, opts,
-			experiments.JobEnv{Flow: compiled.Flow}, nil, recGot, core.NewRunCache())
+			experiments.JobEnv{}, nil, recGot, core.NewRunCache())
 		if err != nil {
 			t.Fatalf("mode %v: DSL flow: %v", mode, err)
 		}

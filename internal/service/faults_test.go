@@ -17,6 +17,7 @@ import (
 
 	"psaflow/internal/experiments"
 	"psaflow/internal/faults"
+	"psaflow/internal/flowlang"
 	"psaflow/internal/store"
 	"psaflow/internal/telemetry"
 )
@@ -58,9 +59,13 @@ func TestFaultSpecValidation(t *testing.T) {
 // precedence: empty inherits, "off" disables even over a default, and
 // retry overrides land in the policy.
 func TestFlowEnvResolution(t *testing.T) {
+	paper, err := flowlang.Compile(flowlang.Bundled(), flowlang.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	def := experiments.Settings{Faults: "seed=7,rate=0.5", Retry: faults.DefaultRetry}
 	sp := &JobSpec{Bench: "nbody"}
-	env, err := sp.flowEnv(nil, def)
+	env, err := sp.flowEnv(paper, def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +74,12 @@ func TestFlowEnvResolution(t *testing.T) {
 	}
 
 	sp = &JobSpec{Bench: "nbody", Faults: "off"}
-	if env, err = sp.flowEnv(nil, def); err != nil || env.Faults.Enabled() {
+	if env, err = sp.flowEnv(paper, def); err != nil || env.Faults.Enabled() {
 		t.Errorf(`"off" should beat the server default, got inj=%v err=%v`, env.Faults, err)
 	}
 
 	sp = &JobSpec{Bench: "nbody", Faults: "seed=2,rate=0.25,kinds=device", RetryMaxAttempts: 3, RetryBudget: -1, TaskTimeoutMS: 250}
-	env, err = sp.flowEnv(nil, experiments.Settings{Retry: faults.DefaultRetry})
+	env, err = sp.flowEnv(paper, experiments.Settings{Retry: faults.DefaultRetry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 
 	"psaflow/internal/flowlang"
 	"psaflow/internal/store"
-	"psaflow/internal/tasks"
 	"psaflow/internal/telemetry"
 )
 
@@ -42,6 +41,12 @@ type FlowInfo struct {
 	FlowName  string `json:"flow_name"`
 	CreatedAt string `json:"created_at"`
 	Source    string `json:"source,omitempty"`
+
+	// file is Source as flowlang.Check returned it at PUT or at replay:
+	// what the version's jobs lower. checkErr is why a replayed Source no
+	// longer checks; the version's jobs then fail with it.
+	file     *flowlang.File
+	checkErr error
 }
 
 // flowRegistry holds every registered version in memory (the documents
@@ -74,28 +79,6 @@ func parseFlowRef(ref string) (name string, version int, err error) {
 	return name, v, nil
 }
 
-// compileFlowSource checks a document compiles for every mode × sharing
-// combination a job could request, so registration (and submit-time
-// resolution) rejects what a worker would otherwise trip over. Returns
-// the parsed flow's declaration name.
-func compileFlowSource(src string) (string, error) {
-	f, err := flowlang.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	if err := flowlang.Validate(f); err != nil {
-		return "", err
-	}
-	for _, mode := range []tasks.Mode{tasks.Informed, tasks.Uninformed} {
-		for _, sharing := range []bool{false, true} {
-			if _, err := flowlang.CompileSource(src, flowlang.Options{Mode: mode, ResourceSharing: sharing}); err != nil {
-				return "", err
-			}
-		}
-	}
-	return f.Flow.Name, nil
-}
-
 func (s *Server) flowStorePath() string { return filepath.Join(s.cfg.DataDir, "flows") }
 
 // openFlowRegistry builds the registry, replaying the version history
@@ -125,6 +108,9 @@ func (s *Server) openFlowRegistry() error {
 			s.logf("flow registry: out-of-order version %s@%d skipped (have %d)", info.Name, info.Version, len(vs))
 			continue
 		}
+		if info.file, info.checkErr = flowlang.Check(info.Source); info.checkErr != nil {
+			s.logf("flow registry: %s@%d no longer checks; its jobs will fail: %v", info.Name, info.Version, info.checkErr)
+		}
 		s.flowReg.flows[info.Name] = append(vs, info)
 		replayed++
 	}
@@ -138,7 +124,7 @@ func (s *Server) openFlowRegistry() error {
 // version record is durable before the caller sees it: like job submits,
 // an acked version survives whatever happens to the process next.
 func (s *Server) putFlow(name, src string) (FlowInfo, error) {
-	flowName, err := compileFlowSource(src)
+	file, err := flowlang.Check(src)
 	if err != nil {
 		return FlowInfo{}, err
 	}
@@ -149,9 +135,10 @@ func (s *Server) putFlow(name, src string) (FlowInfo, error) {
 	info := FlowInfo{
 		Name:      name,
 		Version:   len(reg.flows[name]) + 1,
-		FlowName:  flowName,
+		FlowName:  file.Flow.Name,
 		CreatedAt: fmtTime(time.Now()),
 		Source:    src,
+		file:      file,
 	}
 	if reg.store != nil {
 		data, err := json.Marshal(info)

@@ -100,8 +100,8 @@ func (sp *JobSpec) flowOptions() (tasks.FlowOptions, error) {
 	return opts, nil
 }
 
-// flowEnv resolves the run's settings, job spec > flow document (nil for
-// the built-in flow) > server default: see experiments.ResolveEnv.
+// flowEnv resolves the run's settings, job spec > flow document > server
+// default: see experiments.ResolveEnv.
 func (sp *JobSpec) flowEnv(doc *flowlang.Compiled, def experiments.Settings) (experiments.JobEnv, error) {
 	explicit := experiments.Settings{Faults: sp.Faults,
 		Retry: faults.RetryPolicy{MaxAttempts: sp.RetryMaxAttempts, Budget: sp.RetryBudget}}

@@ -201,23 +201,26 @@ func New(cfg Config) *Server {
 		if err != nil {
 			return nil, err
 		}
-		// A flow-registry job compiles its registered document with the
-		// job's own mode and sharing options. The reference was pinned to a
-		// concrete version at submit time, so the lookup only fails when
-		// the registry history itself is gone (e.g. a job WAL restored
-		// without its flows WAL).
-		var compiled *flowlang.Compiled
+		// Every job lowers a checked document with its own options: the
+		// bundled paper.psa, or its registered version. The reference was
+		// pinned to a concrete version at submit time, so the lookup only
+		// fails when the registry history itself is gone (e.g. a job WAL
+		// restored without its flows WAL).
+		doc := flowlang.Bundled()
 		if job.Spec.Flow != "" {
-			info, _, err := s.resolveFlowRef(job.Spec.Flow)
+			info, pinned, err := s.resolveFlowRef(job.Spec.Flow)
 			if err != nil {
 				return nil, err
 			}
-			c, err := flowlang.CompileSource(info.Source, opts)
-			if err != nil {
-				return nil, fmt.Errorf("flow %s@%d: %w", info.Name, info.Version, err)
+			if info.checkErr != nil {
+				return nil, fmt.Errorf("flow %s: %w", pinned, info.checkErr)
 			}
+			doc = info.file
 			rec.Add(telemetry.CounterFlowCompiles, 1)
-			compiled = c
+		}
+		compiled, err := flowlang.Compile(doc, opts)
+		if err != nil {
+			return nil, err
 		}
 		env, err := job.Spec.flowEnv(compiled, experiments.Settings{Faults: s.cfg.Faults, Retry: s.retry})
 		if err != nil {

@@ -1,4 +1,4 @@
-package tasks
+package tasks_test
 
 // Chaos tests for the fault-injection and graceful-degradation subsystem:
 // zero-fault runs must be bit-for-bit identical to a context without the
@@ -17,7 +17,9 @@ import (
 
 	"psaflow/internal/core"
 	"psaflow/internal/faults"
+	"psaflow/internal/flowlang"
 	"psaflow/internal/minic"
+	"psaflow/internal/tasks"
 	"psaflow/internal/telemetry"
 )
 
@@ -42,16 +44,16 @@ func chaosLeafLine(d *core.Design) string {
 
 // runChaosFlow executes the PSA-flow with the given resilience settings
 // and returns the sorted leaf signatures plus the run's recorder.
-func runChaosFlow(t *testing.T, mode Mode, parallel bool, inj *faults.Injector) ([]string, *telemetry.Recorder) {
+func runChaosFlow(t *testing.T, mode tasks.Mode, parallel bool, inj *faults.Injector) ([]string, *telemetry.Recorder) {
 	t.Helper()
-	ctx := synthCtx()
+	ctx := tasks.SynthCtx()
 	ctx.Parallel = parallel
 	ctx.Runs = core.NewRunCache()
 	ctx.Telemetry = telemetry.New()
 	ctx.Faults = inj
 	ctx.Retry = chaosRetry
-	flow := BuildPSAFlow(mode, DefaultStrategy)
-	leaves, err := flow.Run(ctx, core.NewDesign("synth", minic.MustParse(appSrc)))
+	flow := flowlang.PSAFlow(flowlang.Options{Mode: mode})
+	leaves, err := flow.Run(ctx, core.NewDesign("synth", minic.MustParse(tasks.AppSrc)))
 	if err != nil {
 		t.Fatalf("flow (mode=%v faults=%s): %v", mode, inj.String(), err)
 	}
@@ -70,10 +72,10 @@ func TestZeroFaultRunsBitForBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flow runs the interpreter; skipped in -short mode")
 	}
-	for _, mode := range []Mode{Uninformed, Informed} {
-		plainCtx := synthCtx()
-		flow := BuildPSAFlow(mode, DefaultStrategy)
-		leaves, err := flow.Run(plainCtx, core.NewDesign("synth", minic.MustParse(appSrc)))
+	for _, mode := range []tasks.Mode{tasks.Uninformed, tasks.Informed} {
+		plainCtx := tasks.SynthCtx()
+		flow := flowlang.PSAFlow(flowlang.Options{Mode: mode})
+		leaves, err := flow.Run(plainCtx, core.NewDesign("synth", minic.MustParse(tasks.AppSrc)))
 		if err != nil {
 			t.Fatalf("plain flow: %v", err)
 		}
@@ -83,7 +85,7 @@ func TestZeroFaultRunsBitForBitIdentical(t *testing.T) {
 		}
 		sort.Strings(plain)
 
-		injected, rec := runChaosFlow(t, mode, mode == Uninformed, nil)
+		injected, rec := runChaosFlow(t, mode, mode == tasks.Uninformed, nil)
 		if !reflect.DeepEqual(plain, injected) {
 			t.Errorf("mode %v: zero-fault resilient run diverges:\nresilient: %v\nplain:     %v",
 				mode, injected, plain)
@@ -109,12 +111,12 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	anyFaults := false
 	for seed := int64(1); seed <= 4; seed++ {
 		inj := func() *faults.Injector { return faults.New(seed, 0.3) }
-		a, recA := runChaosFlow(t, Uninformed, true, inj())
-		b, recB := runChaosFlow(t, Uninformed, true, inj())
+		a, recA := runChaosFlow(t, tasks.Uninformed, true, inj())
+		b, recB := runChaosFlow(t, tasks.Uninformed, true, inj())
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("seed %d: parallel chaos runs diverge:\nfirst:  %v\nsecond: %v", seed, a, b)
 		}
-		serial, _ := runChaosFlow(t, Uninformed, false, inj())
+		serial, _ := runChaosFlow(t, tasks.Uninformed, false, inj())
 		if !reflect.DeepEqual(a, serial) {
 			t.Errorf("seed %d: parallel chaos run diverges from serial:\nparallel: %v\nserial:   %v", seed, a, serial)
 		}
@@ -140,7 +142,7 @@ func TestInformedChaosAlwaysCompletes(t *testing.T) {
 	}
 	retried, degradedRuns := false, false
 	for seed := int64(1); seed <= 8; seed++ {
-		lines, rec := runChaosFlow(t, Informed, false, faults.New(seed, 0.2))
+		lines, rec := runChaosFlow(t, tasks.Informed, false, faults.New(seed, 0.2))
 		feasible := 0
 		for _, l := range lines {
 			if strings.Contains(l, `infeasible=""`) {

@@ -6,7 +6,6 @@ package tasks
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"psaflow/internal/core"
@@ -137,31 +136,5 @@ func TestReidentifiedHotspotIsNotTheKernelRecord(t *testing.T) {
 	got := *d.Report
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("report moved from the all-runs path:\ngot:  %+v\nwant: %+v", got, want)
-	}
-}
-
-// TestHotspotWithReturnFailsTheFlow: a hotspot loop a return escapes from
-// cannot be outlined without changing the program (the return would leave
-// the kernel, and the host would run on), so the flow stops there instead
-// of generating designs for a different program.
-func TestHotspotWithReturnFailsTheFlow(t *testing.T) {
-	const src = `
-int app(int n, const double *in, double *out) {
-    for (int i = 0; i < n; i++) {
-        out[i] = sqrt(in[i] * 2.0 + 1.0);
-        if (i == 50) {
-            return 7;
-        }
-    }
-    out[0] = -1.0;
-    return 1;
-}
-`
-	for _, mode := range []Mode{Informed, Uninformed} {
-		flow := BuildPSAFlow(mode, DefaultStrategy)
-		designs, err := flow.Run(synthCtx(), core.NewDesign("synth", minic.MustParse(src)))
-		if err == nil || !strings.Contains(err.Error(), "transform ExtractHotspot: return at 6:13 leaves the hotspot loop") {
-			t.Errorf("mode %v: flow returned %d designs and error %v, want the outlining refused", mode, len(designs), err)
-		}
 	}
 }

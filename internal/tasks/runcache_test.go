@@ -1,15 +1,13 @@
 package tasks
 
 // Tests for the profiled-run cache: sharing across the target-independent
-// analyses, automatic invalidation through the AST fingerprint when each
-// transform rewrites the program, and flow-level equivalence with a cache
-// shared by parallel branch paths (run under -race in CI).
+// analyses and automatic invalidation through the AST fingerprint when each
+// transform rewrites the program. Flow-level equivalence with a cache shared
+// by parallel branch paths is TestCachedParallelFlowEquivalence, in
+// flow_test.go.
 
 import (
-	"fmt"
 	"reflect"
-	"sort"
-	"sync"
 	"testing"
 
 	"psaflow/internal/core"
@@ -268,64 +266,4 @@ func TestFingerprintInvalidationPerTransform(t *testing.T) {
 			t.Errorf("removing the pragma should restore the base fingerprint: %x != %x", got, baseFP)
 		}
 	})
-}
-
-// TestCachedParallelFlowEquivalence runs the full uninformed PSA-flow
-// with parallel branch paths sharing one RunCache and asserts the design
-// set matches an uncached serial run. Under -race this exercises the
-// singleflight path: sibling goroutines requesting the same profiled run
-// concurrently.
-func TestCachedParallelFlowEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full flow runs the interpreter; skipped in -short mode")
-	}
-	leafLine := func(d *core.Design) string {
-		r := d.Report
-		return fmt.Sprintf("%s infeasible=%q threads=%d blocksize=%d unroll=%d "+
-			"hotspot=%d share=%v flops=%v bytes=%v/%v trips=%v/%v serial=%v ai=%v sp=%t",
-			d.Label(), d.Infeasible, d.NumThreads, d.Blocksize, d.UnrollFactor,
-			r.HotspotLoopID, r.HotspotShare, r.KernelFlops, r.BytesIn, r.BytesOut,
-			r.OuterTrips, r.PipelinedTrips, r.SerialDepth, r.DynamicAI, r.SinglePrec)
-	}
-	runFlow := func(parallel bool, runs *core.RunCache) []string {
-		ctx := synthCtx()
-		ctx.Parallel = parallel
-		ctx.Runs = runs
-		flow := BuildPSAFlow(Uninformed, DefaultStrategy)
-		leaves, err := flow.Run(ctx, core.NewDesign("synth", minic.MustParse(appSrc)))
-		if err != nil {
-			t.Errorf("flow (parallel=%t cached=%t): %v", parallel, runs != nil, err)
-		}
-		out := make([]string, 0, len(leaves))
-		for _, d := range leaves {
-			out = append(out, leafLine(d))
-		}
-		sort.Strings(out)
-		return out
-	}
-	plain := runFlow(false, nil)
-	// Within one flow no two paths ask for the same run any more — the
-	// analyses read the hotspot run's record and each verify run belongs to
-	// one accelerator class — so the sharing comes from a second flow racing
-	// the first over the same cache.
-	cache := core.NewRunCache()
-	var wg sync.WaitGroup
-	cached := make([][]string, 2)
-	for i := range cached {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cached[i] = runFlow(true, cache)
-		}()
-	}
-	wg.Wait()
-	for _, got := range cached {
-		if !reflect.DeepEqual(plain, got) {
-			t.Errorf("cached parallel flow diverges from uncached serial flow:\ncached: %v\nplain:  %v", got, plain)
-		}
-	}
-	if hits, misses := cache.Stats(); hits != 3 || misses != 3 {
-		t.Errorf("two racing flows: hits=%d misses=%d, want 3/3 (hotspot run and one verify run per accelerator class, each made once)", hits, misses)
-	}
 }

@@ -359,29 +359,3 @@ func TestBuildPSAFlowShapes(t *testing.T) {
 		t.Errorf("flows should differ only in the selector")
 	}
 }
-
-func TestUninformedFlowGeneratesAllTargets(t *testing.T) {
-	if testing.Short() {
-		t.Skip("flow integration test")
-	}
-	ctx, _ := runTindep(t) // warms nothing, but reuses context setup
-	d := core.NewDesign("synth", minic.MustParse(appSrc))
-	flow := BuildPSAFlow(Uninformed, DefaultStrategy)
-	leaves, err := flow.Run(ctx, d)
-	if err != nil {
-		t.Fatalf("flow: %v", err)
-	}
-	if len(leaves) != 5 {
-		t.Fatalf("designs = %d, want 5 (OMP + 2 GPU + 2 FPGA)", len(leaves))
-	}
-	devices := map[string]int{}
-	for _, leaf := range leaves {
-		devices[leaf.Device]++
-	}
-	for _, dev := range []string{platform.GTX1080Ti.Name, platform.RTX2080Ti.Name,
-		platform.Arria10.Name, platform.Stratix10.Name, platform.EPYC7543.Name} {
-		if devices[dev] != 1 {
-			t.Errorf("device %s count = %d, want 1", dev, devices[dev])
-		}
-	}
-}
