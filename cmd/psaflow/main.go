@@ -4,9 +4,8 @@
 // and (optionally) the full generated target source.
 //
 // The flow graph defaults to the built-in PSA-flow of paper Fig. 4, the
-// bundled examples/flows/paper.psa; -flow runs a user-defined .psa document
-// instead (see docs/FLOWS.md), and -check validates a document without
-// running anything, accepting exactly what psaflowd's flow registry does.
+// bundled examples/flows/paper.psa; -flow runs a .psa document instead (see
+// docs/FLOWS.md), and -check validates one as psaflowd's flow registry does.
 //
 // Usage:
 //

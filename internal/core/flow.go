@@ -77,15 +77,15 @@ type Context struct {
 	// then executes the program. The cache is race-safe and shared as-is by
 	// parallel branch paths.
 	Runs *RunCache
-	// Progs caches lowered bytecode programs keyed by program fingerprint
-	// (see interp.ProgramCache). It is consulted only when Runs is nil, and
-	// leased from only where such a flow executes one program more than
+	// Progs keeps one immutable lowered image per program fingerprint (see
+	// interp.ProgramCache). It is consulted only when Runs is nil, and it
+	// serves again only where such a flow executes one program more than
 	// once: the three kernel analyses on their fallback path (no record of
-	// the kernel in the hotspot run, or a kernel rewritten since outlining).
-	// Each repeat then runs the one immutable image instead of lowering
-	// again. With a run cache no program runs twice, so nothing is cached
-	// and a lowered image is collected with its run. Nil lowers afresh per
-	// run. Race-safe and shared as-is by parallel branch paths.
+	// the kernel in the hotspot run, or a kernel rewritten since outlining)
+	// then run the image instead of lowering again. With a run cache no
+	// program runs twice, so nothing is kept and a lowered image is
+	// collected with its run. Nil lowers afresh per run. Race-safe and
+	// shared as-is by parallel branch paths.
 	Progs *interp.ProgramCache
 	// Faults injects deterministic synthetic failures at the instrumented
 	// tool call sites (partial compiles, profiled runs, device claims —

@@ -22,9 +22,8 @@ var bundled = sync.OnceValue(func() *File {
 func Bundled() *File { return bundled() }
 
 // PSAFlow is the built-in PSA-flow of paper Fig. 4 lowered with opts:
-// target-independent tasks, branch point A (target class), then the
-// target-specific sub-flows with device-specific branch points B (GPUs) and
-// C (FPGAs), which always select both device paths.
+// target-independent tasks, branch point A (target class), then the target
+// sub-flows with device branch points B (GPUs) and C (FPGAs).
 func PSAFlow(opts Options) *core.Flow {
 	c, err := Compile(bundled(), opts)
 	if err != nil {

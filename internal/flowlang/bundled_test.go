@@ -1,22 +1,24 @@
 package flowlang_test
 
 import (
-	"flag"
+	"context"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"psaflow/internal/analysis"
+	"psaflow/internal/bench"
 	"psaflow/internal/core"
+	"psaflow/internal/experiments"
 	"psaflow/internal/flowlang"
 	"psaflow/internal/platform"
 	"psaflow/internal/tasks"
 )
 
-var writeFixture = flag.Bool("write-fixture", false, "write testdata/psaflow.graph from tasks.BuildPSAFlowWithOptions")
-
-// fixturePath holds the built-in flow's graph as the Go builder wrote it
+// fixturePath holds the built-in flow's graph as a Go builder wrote it
 // before the bundled paper.psa became the only spelling of Fig. 4. It is
 // frozen: a change to it is a change to Fig. 4, made by hand.
 const fixturePath = "testdata/psaflow.graph"
@@ -99,15 +101,6 @@ func renderRow(name string, f *core.Flow) string {
 // and checks the flow opens with the target-independent tasks in
 // repository order, then branch point A.
 func TestPSAFlowFixture(t *testing.T) {
-	if *writeFixture {
-		var sb strings.Builder
-		for _, row := range fixtureRows {
-			sb.WriteString(renderRow(row.name, tasks.BuildPSAFlowWithOptions(row.opts)))
-		}
-		if err := os.WriteFile(fixturePath, []byte(sb.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	data, err := os.ReadFile(fixturePath)
 	if err != nil {
 		t.Fatal(err)
@@ -125,9 +118,6 @@ func TestPSAFlowFixture(t *testing.T) {
 			if got := renderRow(row.name, flow); got != want[row.name] {
 				t.Errorf("graph differs from %s\ngot:\n%s\nwant:\n%s", fixturePath, got, want[row.name])
 			}
-			if got := renderRow(row.name, tasks.BuildPSAFlowWithOptions(row.opts)); got != want[row.name] {
-				t.Errorf("Go builder differs from %s\ngot:\n%s", fixturePath, got)
-			}
 			tindep := tasks.TargetIndependent()
 			if len(flow.Nodes) != len(tindep)+1 {
 				t.Fatalf("top-level flow has %d nodes, want %d target-independent tasks and branch point A", len(flow.Nodes), len(tindep))
@@ -141,5 +131,99 @@ func TestPSAFlowFixture(t *testing.T) {
 				t.Errorf("last node is %v, want branch point A", flow.Nodes[len(tindep)])
 			}
 		})
+	}
+}
+
+// resultFingerprint flattens everything Fig. 5 reports about one design —
+// label, verdict, speedup, breakdown, and the full provenance trace — into
+// a comparable string.
+func resultFingerprint(rs []experiments.DesignResult) []string {
+	var out []string
+	for _, r := range rs {
+		s := fmt.Sprintf("%s infeasible=%v speedup=%v kernel=%v total=%v note=%q",
+			r.Design.Label(), r.Infeasible, r.Speedup,
+			r.Breakdown.KernelTime, r.Breakdown.Total, r.Breakdown.Note)
+		for _, ev := range r.Design.Trace {
+			s += fmt.Sprintf("\n  %s %s %s", ev.Kind, ev.Name, ev.Detail)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestBundledFlowSharedAcrossJobs: every job lowers the one parsed bundled
+// file, so lowerings with different options, run side by side on one run
+// cache, must each produce what the same lowering produces run alone.
+// scripts/ci.sh runs it under -race.
+func TestBundledFlowSharedAcrossJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full flow runs the interpreter; skipped in -short mode")
+	}
+	b, err := bench.ByName("nbody")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []flowlang.Options
+	for _, mode := range []tasks.Mode{tasks.Informed, tasks.Uninformed} {
+		for _, sharing := range []bool{false, true} {
+			for _, strategy := range []tasks.StrategyConfig{{}, {AIThreshold: 10, TransferBW: 1e9}} {
+				jobs = append(jobs, flowlang.Options{Mode: mode, ResourceSharing: sharing, Strategy: strategy})
+			}
+		}
+	}
+	run := func(opts flowlang.Options, runs *core.RunCache) ([]string, error) {
+		c, err := flowlang.Compile(flowlang.Bundled(), opts)
+		if err != nil {
+			return nil, err
+		}
+		rs, err := experiments.RunBenchmarkEnv(context.Background(), b, nil, opts,
+			experiments.JobEnv{Flow: c.Flow}, nil, nil, runs)
+		return resultFingerprint(rs), err
+	}
+	serial := make([][]string, len(jobs))
+	for i, opts := range jobs {
+		if serial[i], err = run(opts, core.NewRunCache()); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+	}
+	shared := core.NewRunCache()
+	got := make([][]string, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, opts := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(opts, shared)
+		}()
+	}
+	wg.Wait()
+	for i, opts := range jobs {
+		if errs[i] != nil {
+			t.Errorf("%+v: %v", opts, errs[i])
+		} else if !reflect.DeepEqual(got[i], serial[i]) {
+			t.Errorf("%+v: run beside the others differs from run alone\nshared: %v\nalone:  %v", opts, got[i], serial[i])
+		}
+	}
+}
+
+// TestMinimalFlowRuns smoke-runs the bundled two-task flow end to end.
+func TestMinimalFlowRuns(t *testing.T) {
+	b, err := bench.ByName("nbody")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := flowlang.CompileSource(readExample(t, "minimal.psa"), flowlang.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := experiments.RunBenchmarkEnv(context.Background(), b, nil,
+		tasks.FlowOptions{Mode: tasks.Uninformed, Strategy: tasks.DefaultStrategy},
+		experiments.JobEnv{Flow: c.Flow}, nil, nil, core.NewRunCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 {
+		t.Fatalf("got %d designs, want 1", len(rs))
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // Options fixes the compile-time flow options: the DSL's when-conditions
 // (sharing, informed, uninformed) and the "auto" strategy resolve against
-// them, exactly as the same value configures the hard-coded graph.
+// them.
 type Options = tasks.FlowOptions
 
 // Compiled is a lowered flow plus the flow-level settings the caller wires
@@ -69,8 +69,8 @@ func CompileSource(src string, opts Options) (*Compiled, error) {
 // Check is the one definition of a valid document: src parses, validates,
 // and compiles under every mode × sharing combination a job can ask for.
 // The flow registry, psaflow -check and the bundled flow all accept exactly
-// what Check accepts, and keep the parsed file it returns to Compile per
-// job.
+// what Check accepts; the registry and the bundled flow keep the parsed
+// file it returns and Compile it per job.
 func Check(src string) (*File, error) {
 	f, err := Parse(src)
 	if err != nil {
@@ -232,8 +232,8 @@ func (c *compiler) lowerBranch(s *BranchStmt, b binding) (core.Branch, error) {
 
 // lowerForeach expands a foreach arm into one path per catalog device, in
 // catalog order. Each device's sub-flow is named "<enclosing path>/<device>"
-// — the same scheme as the hard-coded graph's "gpu/<dev>" and "fpga/<dev>"
-// flows — and the path itself is named after the device.
+// — the built-in flow's "gpu/<dev>" and "fpga/<dev>" — and the path itself
+// is named after the device.
 func (c *compiler) lowerForeach(a *ForeachArm, b binding) ([]core.Path, error) {
 	var paths []core.Path
 	expand := func(name string, inner binding) error {

@@ -1,85 +1,12 @@
 package flowlang_test
 
 import (
-	"fmt"
 	"testing"
 
 	"psaflow/internal/core"
 	"psaflow/internal/flowlang"
 	"psaflow/internal/tasks"
 )
-
-// flowEqual compares two flow graphs structurally: flow names, node order,
-// task identities, and branch shape (point name, selector name, gating,
-// revision bound, path names) — everything that determines execution.
-func flowEqual(a, b *core.Flow, path string) error {
-	if a.Name != b.Name {
-		return fmt.Errorf("%s: flow name %q != %q", path, a.Name, b.Name)
-	}
-	if len(a.Nodes) != len(b.Nodes) {
-		return fmt.Errorf("%s (%s): %d nodes != %d", path, a.Name, len(a.Nodes), len(b.Nodes))
-	}
-	for i := range a.Nodes {
-		at := fmt.Sprintf("%s/%s[%d]", path, a.Name, i)
-		switch an := a.Nodes[i].(type) {
-		case core.Step:
-			bn, ok := b.Nodes[i].(core.Step)
-			if !ok {
-				return fmt.Errorf("%s: Step != %T", at, b.Nodes[i])
-			}
-			if an.Task.Name() != bn.Task.Name() {
-				return fmt.Errorf("%s: task %q != %q", at, an.Task.Name(), bn.Task.Name())
-			}
-			if an.Task.Kind() != bn.Task.Kind() || an.Task.Dynamic() != bn.Task.Dynamic() {
-				return fmt.Errorf("%s: task %q kind/dyn mismatch", at, an.Task.Name())
-			}
-		case core.Branch:
-			bn, ok := b.Nodes[i].(core.Branch)
-			if !ok {
-				return fmt.Errorf("%s: Branch != %T", at, b.Nodes[i])
-			}
-			if an.PointName != bn.PointName || an.Gated != bn.Gated || an.MaxRevisions != bn.MaxRevisions {
-				return fmt.Errorf("%s: branch header %q/%v/%d != %q/%v/%d", at,
-					an.PointName, an.Gated, an.MaxRevisions, bn.PointName, bn.Gated, bn.MaxRevisions)
-			}
-			if an.Select.Name() != bn.Select.Name() {
-				return fmt.Errorf("%s: branch %q selector %q != %q", at, an.PointName, an.Select.Name(), bn.Select.Name())
-			}
-			if len(an.Paths) != len(bn.Paths) {
-				return fmt.Errorf("%s: branch %q has %d paths != %d", at, an.PointName, len(an.Paths), len(bn.Paths))
-			}
-			for j := range an.Paths {
-				if an.Paths[j].Name != bn.Paths[j].Name {
-					return fmt.Errorf("%s: branch %q path %d: %q != %q", at, an.PointName, j, an.Paths[j].Name, bn.Paths[j].Name)
-				}
-				if err := flowEqual(an.Paths[j].Flow, bn.Paths[j].Flow, at+"/"+an.Paths[j].Name); err != nil {
-					return err
-				}
-			}
-		default:
-			return fmt.Errorf("%s: unknown node %T", at, a.Nodes[i])
-		}
-	}
-	return nil
-}
-
-// TestPaperFlowStructuralDiff is the correctness anchor: examples/flows/
-// paper.psa must compile to a graph structurally identical to the
-// hard-coded tasks.BuildPSAFlowWithOptions in every mode × sharing
-// combination.
-func TestPaperFlowStructuralDiff(t *testing.T) {
-	for _, mode := range []tasks.Mode{tasks.Informed, tasks.Uninformed} {
-		for _, sharing := range []bool{false, true} {
-			name := fmt.Sprintf("mode=%v/sharing=%v", mode, sharing)
-			opts := tasks.FlowOptions{Mode: mode, Strategy: tasks.DefaultStrategy, ResourceSharing: sharing}
-			want := tasks.BuildPSAFlowWithOptions(opts)
-			got := flowlang.PSAFlow(flowlang.Options{Mode: mode, ResourceSharing: sharing})
-			if err := flowEqual(got, want, ""); err != nil {
-				t.Errorf("%s: %v", name, err)
-			}
-		}
-	}
-}
 
 func TestCompileSettings(t *testing.T) {
 	src := `flow "d" {

@@ -40,9 +40,10 @@ func FuzzFlowParse(f *testing.F) {
 		}
 		// Anything that parses must also survive validation (collecting
 		// diagnostics, not panicking), and anything that validates must
-		// compile.
+		// compile under every mode × sharing combination, which is what
+		// Check asks.
 		if verr := flowlang.Validate(file); verr == nil {
-			if _, cerr := flowlang.CompileSource(src, flowlang.Options{}); cerr != nil {
+			if _, cerr := flowlang.Check(src); cerr != nil {
 				t.Fatalf("validated flow failed to compile: %v", cerr)
 			}
 		}

@@ -9,10 +9,9 @@
 // informed/uninformed execution, telemetry, event streaming, faults and
 // retries, and the run cache all work unchanged on compiled flows.
 //
-// The built-in paper flow re-expressed in the DSL lives in
-// examples/flows/paper.psa and compiles to a graph bit-identical to
-// tasks.BuildPSAFlowWithOptions. The full language reference is
-// docs/FLOWS.md.
+// The built-in PSA-flow of paper Fig. 4 is a document too:
+// examples/flows/paper.psa, bundled into the binaries and lowered per job
+// (PSAFlow, Bundled). The full language reference is docs/FLOWS.md.
 package flowlang
 
 import "fmt"

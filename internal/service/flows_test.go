@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"psaflow/internal/store"
 	"psaflow/internal/telemetry"
 )
 
@@ -255,5 +256,55 @@ func TestFlowRegistryPersistence(t *testing.T) {
 	}
 	if v3 := putFlowOK(t, ts2.URL, "mine", minimalFlowSrc); v3.Version != 3 {
 		t.Errorf("post-restart version = %d, want 3", v3.Version)
+	}
+}
+
+// TestFlowRegistryReplayRechecks: replay checks every version again, so a
+// version whose document no longer checks (a task it names has since left
+// the catalog, say) stays registered and resolvable, and each of its jobs
+// fails with the document's diagnostics instead of re-parsing it.
+func TestFlowRegistryReplayRechecks(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	if err := s1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	putFlowOK(t, ts1.URL, "mine", minimalFlowSrc)
+	ts1.Close()
+	if _, err := s1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Version 2 as an older catalog accepted it.
+	st, err := store.Open(filepath.Join(dir, "flows"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := FlowInfo{Name: "mine", Version: 2, FlowName: "stale", CreatedAt: fmtTime(time.Now()),
+		Source: "flow \"stale\" {\n  task frobnicate\n}"}
+	data, err := json.Marshal(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(store.Record{Op: store.OpResult, ID: "mine@2", State: "registered", Time: stale.CreatedAt, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	if err := s2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain()
+	if code, info, body := getFlowInfo(t, ts2.URL, "mine", ""); code != http.StatusOK || info.Version != 2 {
+		t.Fatalf("stale version after restart: code %d, body %s", code, body)
+	}
+	job := submitOK(t, ts2.URL, JobSpec{Bench: "nbody", Flow: "mine"})
+	st2 := waitState(t, ts2.URL, job.ID, 30*time.Second, StateFailed)
+	want := `flow mine@2: 2:8: unknown task "frobnicate"`
+	if !strings.Contains(st2.Error, want) {
+		t.Errorf("job error %q, want it to contain %q", st2.Error, want)
 	}
 }

@@ -52,7 +52,7 @@ type JobSpec struct {
 	// Flow runs a registered flow document instead of the built-in
 	// PSA-flow: "name" (the latest version, pinned to "name@N" at submit
 	// time) or "name@N" (one immutable version). See PUT /v1/flows/{name}
-	// and docs/FLOWS.md. Empty keeps the built-in graph.
+	// and docs/FLOWS.md. Empty runs the built-in flow (bundled paper.psa).
 	Flow string `json:"flow,omitempty"`
 	// Sharing enables the FPGA resource-sharing DSE variant.
 	Sharing bool `json:"sharing,omitempty"`

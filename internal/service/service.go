@@ -202,10 +202,9 @@ func New(cfg Config) *Server {
 			return nil, err
 		}
 		// Every job lowers a checked document with its own options: the
-		// bundled paper.psa, or its registered version. The reference was
-		// pinned to a concrete version at submit time, so the lookup only
-		// fails when the registry history itself is gone (e.g. a job WAL
-		// restored without its flows WAL).
+		// bundled paper.psa, or the registered version its reference was
+		// pinned to at submit, whose lookup fails only when the registry
+		// history is gone (e.g. a job WAL restored without its flows WAL).
 		doc := flowlang.Bundled()
 		if job.Spec.Flow != "" {
 			info, pinned, err := s.resolveFlowRef(job.Spec.Flow)

@@ -348,14 +348,3 @@ func TestInformedStrategyBranches(t *testing.T) {
 		t.Fatalf("selected = %v ok=%v, want cpu at huge X", target, ok)
 	}
 }
-
-func TestBuildPSAFlowShapes(t *testing.T) {
-	inf := BuildPSAFlow(Informed, DefaultStrategy)
-	uninf := BuildPSAFlow(Uninformed, DefaultStrategy)
-	if len(inf.Nodes) != len(TargetIndependent())+1 {
-		t.Errorf("informed flow nodes = %d", len(inf.Nodes))
-	}
-	if len(uninf.Nodes) != len(inf.Nodes) {
-		t.Errorf("flows should differ only in the selector")
-	}
-}

@@ -71,8 +71,8 @@ func profiledRun(ctx *core.Context, d *core.Design, watch string, fp uint64) (*i
 	}
 	// One fingerprint keys whichever cache the flow has. A memoized result
 	// is never executed again, so with a run cache the lowered image is
-	// not pooled and goes to the collector with the run; without one the
-	// tasks that re-execute a program lease one image between them.
+	// not kept and goes to the collector with the run; without one the
+	// tasks that re-execute a program all run its one immutable image.
 	var progs *interp.ProgramCache
 	if ctx.Runs == nil {
 		progs = ctx.Progs

@@ -49,6 +49,11 @@ go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # and two flows running beside each other on one run cache — five runs, for
 # the scheduler to vary which path copies while its siblings read.
 go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase' ./internal/core/
+# Every job lowers the one parsed bundled paper.psa: eight lowerings with
+# different options, run beside each other on one run cache, must each
+# equal the same lowering run alone — five runs, for the scheduler to vary
+# which lowering reads the document while the others run.
+go test -race -count=5 -run 'TestBundledFlowSharedAcrossJobs' ./internal/flowlang/
 # The retention gate's other half: a job the registry has let go keeps a
 # position in the store index and nothing else. The 512-byte bound is the
 # plain build's and holds as it is under the detector (≈ 270 bytes measured
@@ -80,16 +85,18 @@ go test -run '^$' -fuzz 'FuzzFlowParse' -fuzztime 10s ./internal/flowlang/
 # outlined program.
 go test -run '^$' -fuzz 'FuzzBytecodeDiff' -fuzztime 10s ./internal/interp/
 # Examples run, not just compile: go build above is all that otherwise sees
-# them, which is how a hand copy of the Fig. 4 flow once lost its verify
-# step unnoticed. Every example must exit 0 (each takes under a second),
-# except service, which needs a daemon — smoke_service.sh and loadtest.sh
-# below drive it.
+# them. Fig. 4 itself is written once, in examples/flows/paper.psa, and
+# every example that runs it calls flowlang.PSAFlow; the examples that
+# build a flow by hand (customstrategy, newdevice) are deliberate variants.
+# Every example must exit 0 (each takes under a second), except service,
+# which needs a daemon — smoke_service.sh and loadtest.sh below drive it.
 for d in examples/*/; do
 	[ -f "$d/main.go" ] || continue
 	[ "$d" = examples/service/ ] && continue
 	go run "./$d" >/dev/null
 done
-# Bundled flow documents must stay valid: -check parses + validates each.
+# Bundled flow documents must stay valid: -check parses, validates and
+# compiles each, accepting exactly what the daemon's flow registry does.
 flowtmp=$(mktemp -d)
 go build -o "$flowtmp/psaflow" ./cmd/psaflow
 for f in examples/flows/*.psa; do "$flowtmp/psaflow" -check "$f"; done
