@@ -96,11 +96,10 @@ func renderRow(name string, f *core.Flow) string {
 	return sb.String()
 }
 
-// TestPSAFlowFixture pins the built-in flow, row by row, to the frozen
-// graph — a task lost from, added to or moved in paper.psa fails its row —
-// and checks the flow opens with the target-independent tasks in
-// repository order, then branch point A.
-func TestPSAFlowFixture(t *testing.T) {
+// TestPaperFlowStructuralDiff pins the built-in flow, row by row, to the
+// frozen graph: a task lost from, added to or moved in paper.psa fails its
+// row.
+func TestPaperFlowStructuralDiff(t *testing.T) {
 	data, err := os.ReadFile(fixturePath)
 	if err != nil {
 		t.Fatal(err)
@@ -117,18 +116,6 @@ func TestPSAFlowFixture(t *testing.T) {
 			flow := flowlang.PSAFlow(row.opts)
 			if got := renderRow(row.name, flow); got != want[row.name] {
 				t.Errorf("graph differs from %s\ngot:\n%s\nwant:\n%s", fixturePath, got, want[row.name])
-			}
-			tindep := tasks.TargetIndependent()
-			if len(flow.Nodes) != len(tindep)+1 {
-				t.Fatalf("top-level flow has %d nodes, want %d target-independent tasks and branch point A", len(flow.Nodes), len(tindep))
-			}
-			for i, task := range tindep {
-				if s, ok := flow.Nodes[i].(core.Step); !ok || s.Task.Name() != task.Name() {
-					t.Errorf("node %d is %v, want task %q", i, flow.Nodes[i], task.Name())
-				}
-			}
-			if br, ok := flow.Nodes[len(tindep)].(core.Branch); !ok || br.PointName != "A" {
-				t.Errorf("last node is %v, want branch point A", flow.Nodes[len(tindep)])
 			}
 		})
 	}

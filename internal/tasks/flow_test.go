@@ -18,6 +18,33 @@ import (
 	"psaflow/internal/tasks"
 )
 
+// TestBuildPSAFlowShapes: in every mode × sharing combination the built-in
+// flow opens with the target-independent tasks in repository order, then
+// branch point A.
+func TestBuildPSAFlowShapes(t *testing.T) {
+	tindep := tasks.TargetIndependent()
+	for _, mode := range []tasks.Mode{tasks.Informed, tasks.Uninformed} {
+		for _, sharing := range []bool{false, true} {
+			flow := flowlang.PSAFlow(flowlang.Options{Mode: mode, ResourceSharing: sharing})
+			name := mode.String()
+			if sharing {
+				name += "/sharing"
+			}
+			if len(flow.Nodes) != len(tindep)+1 {
+				t.Fatalf("%s: top-level flow has %d nodes, want %d target-independent tasks and branch point A", name, len(flow.Nodes), len(tindep))
+			}
+			for i, task := range tindep {
+				if s, ok := flow.Nodes[i].(core.Step); !ok || s.Task.Name() != task.Name() {
+					t.Errorf("%s: node %d is %v, want task %q", name, i, flow.Nodes[i], task.Name())
+				}
+			}
+			if br, ok := flow.Nodes[len(tindep)].(core.Branch); !ok || br.PointName != "A" {
+				t.Errorf("%s: last node is %v, want branch point A", name, flow.Nodes[len(tindep)])
+			}
+		}
+	}
+}
+
 func TestUninformedFlowGeneratesAllTargets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow integration test")
