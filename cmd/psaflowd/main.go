@@ -14,7 +14,6 @@
 //	         [-timeout 5m] [-faults seed=1,rate=0.1,kinds=hls,run]
 //	         [-event-ring 1024] [-event-watchers 1024] [-retain 1024]
 //	         [-max-body 1048576] [-store-retain 0]
-//	         [-batch=true]
 //	         [-node-id n1 -peers n2=http://...,n3=http://...]
 //	         [-tenant-quota acme=4:2,guest=1] [-pprof 127.0.0.1:6060] [-v]
 //
@@ -127,7 +126,6 @@ func main() {
 	retainJobs := flag.Int("retain", 0, "terminal jobs kept in memory before eviction to store-backed lookups (0 = default 1024, negative = never evict)")
 	maxBody := flag.Int64("max-body", 0, "max submit request body in bytes, beyond it 413 (0 = default 1 MiB)")
 	storeRetain := flag.Int("store-retain", 0, "terminal job records kept in the durable store before tombstoning (0 = unlimited)")
-	batch := flag.Bool("batch", true, "batch queued jobs with identical program+spec behind one flow execution (followers receive copied results)")
 	nodeID := flag.String("node-id", "", "this node's cluster identity, 1-16 of [a-z0-9] (empty = single-node, no clustering)")
 	peers := flag.String("peers", "", `cluster peer table: comma-separated id=http://host:port entries, e.g. "n2=http://10.0.0.2:8080,n3=http://10.0.0.3:8080"`)
 	tenantQuotas := flag.String("tenant-quota", "", `per-tenant scheduling contracts: comma-separated tenant=maxInflight[:weight], "*" = default, e.g. "acme=4:2,guest=1"`)
@@ -167,8 +165,6 @@ func main() {
 		RetainJobs:        *retainJobs,
 		MaxBody:           *maxBody,
 		StoreRetain:       *storeRetain,
-
-		Batch: *batch,
 
 		TenantQuotas: *tenantQuotas,
 		Cluster:      node,

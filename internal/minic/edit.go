@@ -86,111 +86,6 @@ func InsertAfter(root Node, target Stmt, stmts ...Stmt) bool {
 	return done
 }
 
-// RemoveStmt deletes target from its enclosing block. Returns false if
-// target is not a direct block entry.
-func RemoveStmt(root Node, target Stmt) bool {
-	done := false
-	Walk(root, func(n Node) bool {
-		if done {
-			return false
-		}
-		if b, ok := n.(*Block); ok {
-			for i, s := range b.Stmts {
-				if s == target {
-					b.Stmts = append(b.Stmts[:i], b.Stmts[i+1:]...)
-					done = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return done
-}
-
-// ReplaceExpr replaces old with new wherever old appears as a direct
-// expression operand under root. Returns true if a replacement happened.
-func ReplaceExpr(root Node, old, new Expr) bool {
-	done := false
-	try := func(slot *Expr) bool {
-		if *slot == old {
-			*slot = new
-			done = true
-			return true
-		}
-		return false
-	}
-	Walk(root, func(n Node) bool {
-		if done {
-			return false
-		}
-		switch v := n.(type) {
-		case *DeclStmt:
-			if v.ArrayLen != nil && try(&v.ArrayLen) {
-				return false
-			}
-			if v.Init != nil && try(&v.Init) {
-				return false
-			}
-		case *ExprStmt:
-			if try(&v.X) {
-				return false
-			}
-		case *ForStmt:
-			if v.Cond != nil && try(&v.Cond) {
-				return false
-			}
-			if v.Post != nil && try(&v.Post) {
-				return false
-			}
-		case *WhileStmt:
-			if try(&v.Cond) {
-				return false
-			}
-		case *IfStmt:
-			if try(&v.Cond) {
-				return false
-			}
-		case *ReturnStmt:
-			if v.X != nil && try(&v.X) {
-				return false
-			}
-		case *UnaryExpr:
-			if try(&v.X) {
-				return false
-			}
-		case *BinaryExpr:
-			if try(&v.L) || try(&v.R) {
-				return false
-			}
-		case *AssignExpr:
-			if try(&v.LHS) || try(&v.RHS) {
-				return false
-			}
-		case *IncDecExpr:
-			if try(&v.X) {
-				return false
-			}
-		case *IndexExpr:
-			if try(&v.Base) || try(&v.Index) {
-				return false
-			}
-		case *CallExpr:
-			for i := range v.Args {
-				if try(&v.Args[i]) {
-					return false
-				}
-			}
-		case *CastExpr:
-			if try(&v.X) {
-				return false
-			}
-		}
-		return true
-	})
-	return done
-}
-
 // RewriteExprs applies fn to every expression slot under root, bottom-up:
 // children are rewritten before their parents, and fn's non-nil result
 // replaces the slot. Used by transforms such as single-precision literal

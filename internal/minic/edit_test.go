@@ -67,34 +67,6 @@ func TestInsertBeforeAfter(t *testing.T) {
 	}
 }
 
-func TestRemoveStmt(t *testing.T) {
-	prog := MustParse(editSrc)
-	body := prog.Func("f").Body
-	decl := body.Stmts[0]
-	if !RemoveStmt(prog, decl) {
-		t.Fatal("RemoveStmt failed")
-	}
-	if len(body.Stmts) != 2 {
-		t.Fatalf("body stmts = %d, want 2", len(body.Stmts))
-	}
-	if RemoveStmt(prog, decl) {
-		t.Fatal("RemoveStmt of removed node should return false")
-	}
-}
-
-func TestReplaceExpr(t *testing.T) {
-	prog := MustParse(editSrc)
-	loop := prog.Func("f").Body.Stmts[1].(*ForStmt)
-	cond := loop.Cond.(*BinaryExpr)
-	hi := cond.R // n
-	if !ReplaceExpr(prog, hi, &IntLit{Val: 128}) {
-		t.Fatal("ReplaceExpr failed")
-	}
-	if FormatExpr(loop.Cond) != "i < 128" {
-		t.Fatalf("cond = %q", FormatExpr(loop.Cond))
-	}
-}
-
 func TestRewriteExprsDoubleToSingle(t *testing.T) {
 	src := `void f(double *a) { a[0] = 1.5; a[1] = 2.5 + 3.0; }`
 	prog := MustParse(src)

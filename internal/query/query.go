@@ -277,19 +277,6 @@ func FixedTripCount(loop minic.Stmt) (int64, bool) {
 	return (hi.Val - lo.Val + b.Step - 1) / b.Step, true
 }
 
-// IdentsUsed returns the set of identifier names referenced anywhere under
-// n (reads and writes, including array bases and call arguments).
-func IdentsUsed(n minic.Node) map[string]bool {
-	out := make(map[string]bool)
-	minic.Walk(n, func(m minic.Node) bool {
-		if id, ok := m.(*minic.Ident); ok {
-			out[id.Name] = true
-		}
-		return true
-	})
-	return out
-}
-
 // IdentsAssigned returns the set of names that are targets of assignment,
 // ++/--, or declaration under n.
 func IdentsAssigned(n minic.Node) map[string]bool {
@@ -400,18 +387,6 @@ func ArraysRead(n minic.Node) map[string]bool {
 		case *minic.IfStmt:
 			walkExpr(v.Cond, false)
 			return true
-		}
-		return true
-	})
-	return out
-}
-
-// CallsMade returns the set of function names called under n.
-func CallsMade(n minic.Node) map[string]bool {
-	out := make(map[string]bool)
-	minic.Walk(n, func(m minic.Node) bool {
-		if c, ok := m.(*minic.CallExpr); ok {
-			out[c.Fun] = true
 		}
 		return true
 	})

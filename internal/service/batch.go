@@ -1,39 +1,52 @@
 package service
 
 import (
-	"encoding/json"
-	"fmt"
 	"sync"
 
 	"psaflow/internal/bench"
-	"psaflow/internal/events"
 	"psaflow/internal/minic"
 	"psaflow/internal/telemetry"
 )
 
-// Batched multi-job execution. The flow engine is deterministic, so two
-// queued jobs that would execute the identical flow — same benchmark,
-// same program fingerprint, same result-affecting spec fields — must
-// produce identical results. With batching enabled (Config.Batch), the
-// worker that dequeues the first such job becomes the batch leader: it
-// claims every still-queued job with the same batch key as a follower,
-// runs the flow exactly once through the process-wide program cache (one
-// lowering, one immutable bytecode image), and distributes the result to
-// the whole group. Followers' JobResults carry
-// batched/batch_size/batch_leader so clients can see their job rode a
-// shared execution; cancellation of a follower is best-effort only (the
-// leader's run proceeds and the follower still receives its result).
+// Batched execution. The flow engine is deterministic, so queued jobs that
+// would execute the identical flow — same spec but for Source, same program
+// fingerprint — must produce identical results. When a job's flow ends on
+// its own (its own cancel or deadline did not end it), the worker takes
+// every still-queued twin out of the queue and completes it with that
+// outcome, stamped batched/batch_size/batch_leader. Until then a twin is an
+// ordinary queued job: it cancels alone, and cancelling the running job
+// leaves its twins queued for the next one to run.
 
-// batchKey identifies the flow a job would execute: the program
-// fingerprint plus every result-affecting JobSpec field. Source is
-// replaced by the fingerprint (two textually different submissions of
-// the same program batch together); jobs differing in any other field —
-// including timeouts and fault specs, which can change the outcome —
-// never share an execution.
-func batchKey(spec JobSpec, fp uint64) string {
-	spec.Source = ""
-	b, _ := json.Marshal(spec)
-	return fmt.Sprintf("%016x|%s", fp, b)
+// sameRun reports whether b would execute exactly a's flow. JobSpec is
+// comparable; textually equal sources need no fingerprint.
+func sameRun(a, b *Job) bool {
+	sa, sb := a.Spec, b.Spec
+	sa.Source, sb.Source = "", ""
+	return sa == sb && (a.Spec.Source == b.Spec.Source || a.fingerprint() == b.fingerprint())
+}
+
+// takeTwins is the twin step of runJob: job's queued twins leave the queue
+// and start behind it, and out, stamped with the group, will complete them.
+// A twin cancelled while queued leaves the queue too, but does not start —
+// its cancel completed it.
+func (s *Server) takeTwins(job *Job, out *outcome) []*Job {
+	taken := s.queue.Twins(job)
+	if len(taken) == 0 {
+		return nil
+	}
+	s.rec.Add(telemetry.CounterQueueDepth, -int64(len(taken)))
+	twins := taken[:0]
+	for _, t := range taken {
+		if s.start(t, func() {}, "batched behind leader "+job.ID) {
+			twins = append(twins, t)
+		}
+	}
+	if len(twins) > 0 {
+		out.batchSize, out.batchLeader = len(twins)+1, job.ID
+		s.rec.Add(telemetry.CounterBatchGroups, 1)
+		s.rec.Add(telemetry.CounterBatchJobs, int64(len(twins)+1))
+	}
+	return twins
 }
 
 // bundledFP caches the fingerprint of each benchmark's bundled source so
@@ -50,47 +63,4 @@ func programFingerprint(b *bench.Benchmark, prog *minic.Program) uint64 {
 	fp := minic.Fingerprint(b.Parse())
 	bundledFP.Store(b.Name, fp)
 	return fp
-}
-
-// enrollBatch registers a freshly-queued job as a batching candidate.
-// Caller holds s.mu (enqueue serializes with claimFollowers' take).
-func (s *Server) enrollBatch(job *Job) {
-	if !s.cfg.Batch {
-		return
-	}
-	s.pendingBatch[job.batchKey] = append(s.pendingBatch[job.batchKey], job)
-}
-
-// claimFollowers is called by the worker that just started leader: it
-// takes every still-queued job with the leader's batch key out of the
-// pending set and starts it behind the leader. Claimed followers remain
-// in the queue; the worker that later dequeues one finds it no longer
-// queued and skips it (the same mechanism that skips jobs cancelled while
-// queued). Jobs submitted after this point form the next batch.
-func (s *Server) claimFollowers(leader *Job) []*Job {
-	if !s.cfg.Batch {
-		return nil
-	}
-	s.mu.Lock()
-	pending := s.pendingBatch[leader.batchKey]
-	delete(s.pendingBatch, leader.batchKey)
-	s.mu.Unlock()
-	var followers []*Job
-	for _, f := range pending {
-		// A no-op cancel: the follower has no execution of its own to
-		// stop, and the leader's run must not die with one rider. A job
-		// that does not start was cancelled while queued (or is the
-		// leader itself).
-		if f != leader && s.start(f, func() {}, "batched behind leader "+leader.ID) {
-			followers = append(followers, f)
-		}
-	}
-	if len(followers) > 0 {
-		s.rec.Add(telemetry.CounterBatchGroups, 1)
-		s.rec.Add(telemetry.CounterBatchJobs, int64(len(followers)+1))
-		s.publish(leader, events.Event{Type: events.TypeStarted, Name: leader.Spec.Bench,
-			Detail: fmt.Sprintf("leading a batch of %d identical jobs", len(followers)+1)})
-		s.logf("job %s: leading a batch of %d identical jobs", leader.ID, len(followers)+1)
-	}
-	return followers
 }

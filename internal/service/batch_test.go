@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -38,10 +41,10 @@ func jobResult(t *testing.T, base, id string) *JobResult {
 
 // TestBatchedExecution queues 32 identical jobs before any worker starts
 // and verifies the whole group rides ONE flow execution: the first
-// dequeued job leads, the remaining 31 are finished as followers with
-// copied results and the batch fields set.
+// dequeued job runs, and when it ends the remaining 31 leave the queue as
+// its twins with copied results and the batch fields set.
 func TestBatchedExecution(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 64, Batch: true})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 64})
 	var flowRuns atomic.Int64
 	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
 		flowRuns.Add(1)
@@ -50,8 +53,8 @@ func TestBatchedExecution(t *testing.T) {
 
 	const n = 32
 	ids := submitN(t, ts.URL, JobSpec{Bench: "nbody"}, n)
-	// Workers start only now, so every job is queued (and enrolled for
-	// batching) before the leader claims the group — deterministic.
+	// Workers start only now, so every job is still queued when the first
+	// run ends — deterministic.
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +93,10 @@ func TestBatchedExecution(t *testing.T) {
 	}
 }
 
-// TestBatchMixedSpecsSplitGroups checks the batch key: jobs differing in
-// a result-affecting field (mode) must not share an execution.
+// TestBatchMixedSpecsSplitGroups checks sameRun: jobs differing in a
+// result-affecting field (mode) must not share an execution.
 func TestBatchMixedSpecsSplitGroups(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 64, Batch: true})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 64})
 	var flowRuns atomic.Int64
 	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
 		flowRuns.Add(1)
@@ -113,30 +116,6 @@ func TestBatchMixedSpecsSplitGroups(t *testing.T) {
 	}
 	if g := s.Recorder().Counter(telemetry.CounterBatchGroups); g != 2 {
 		t.Errorf("%s = %d, want 2", telemetry.CounterBatchGroups, g)
-	}
-}
-
-// TestBatchDisabledRunsEveryJob is the control: with batching off every
-// job executes its own flow.
-func TestBatchDisabledRunsEveryJob(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 64})
-	var flowRuns atomic.Int64
-	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
-		flowRuns.Add(1)
-		return nil, nil
-	}
-	ids := submitN(t, ts.URL, JobSpec{Bench: "nbody"}, 4)
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		waitState(t, ts.URL, id, 30*time.Second, StateDone)
-	}
-	if got := flowRuns.Load(); got != 4 {
-		t.Fatalf("flow executed %d times with batching off, want 4", got)
-	}
-	if res := jobResult(t, ts.URL, ids[0]); res.Batched || res.BatchSize != 0 {
-		t.Errorf("unbatched job carries batch fields: %+v", res)
 	}
 }
 
@@ -161,7 +140,7 @@ func TestBatchLowersOnce(t *testing.T) {
 	}
 
 	const n = 32
-	batched, ts2 := newTestServer(t, Config{Workers: 1, QueueSize: 64, Batch: true})
+	batched, ts2 := newTestServer(t, Config{Workers: 1, QueueSize: 64})
 	ids := submitN(t, ts2.URL, JobSpec{Bench: "kmeans"}, n)
 	if err := batched.Start(); err != nil {
 		t.Fatal(err)
@@ -181,4 +160,194 @@ func TestBatchLowersOnce(t *testing.T) {
 	if fb := rec.Counter(interp.CounterBCFallbacks); fb != 0 {
 		t.Errorf("%s = %d, want 0", interp.CounterBCFallbacks, fb)
 	}
+}
+
+// fourTwins queues four identical jobs on a one-worker server whose flows
+// are gated, holds the first job's gate, starts the server and waits for
+// that job's flow to begin.
+func fourTwins(t *testing.T) (*Server, string, *gateHook, []string) {
+	t.Helper()
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 64})
+	h := &gateHook{started: make(chan string, 8), gates: make(map[string]chan struct{})}
+	s.runFlow = h.run
+	ids := submitN(t, ts.URL, JobSpec{Bench: "nbody"}, 4)
+	h.hold(ids[0])
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if id := nextFlow(t, h); id != ids[0] {
+		t.Fatalf("first flow ran for %s, want %s", id, ids[0])
+	}
+	return s, ts.URL, h, ids
+}
+
+// nextFlow returns the job whose flow starts next.
+func nextFlow(t *testing.T, h *gateHook) string {
+	t.Helper()
+	select {
+	case id := <-h.started:
+		return id
+	case <-time.After(10 * time.Second):
+		t.Fatal("no flow started")
+		return ""
+	}
+}
+
+// checkShared asserts that the jobs ended done with one shared run of
+// leader's flow, and that no other flow started.
+func checkShared(t *testing.T, base string, h *gateHook, leader string, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		waitState(t, base, id, 10*time.Second, StateDone)
+		if res := jobResult(t, base, id); !res.Batched || res.BatchSize != len(ids) || res.BatchLeader != leader {
+			t.Errorf("job %s: batch fields = (batched=%t size=%d leader=%q), want (true, %d, %s)",
+				id, res.Batched, res.BatchSize, res.BatchLeader, len(ids), leader)
+		}
+	}
+	select {
+	case id := <-h.started:
+		t.Errorf("a second flow ran, for %s", id)
+	default:
+	}
+}
+
+// TestBatchCancelRunning: cancelling the running job of four identical
+// jobs cancels it alone. Its twins stay queued; the next one runs and its
+// outcome completes the other two.
+func TestBatchCancelRunning(t *testing.T) {
+	s, base, h, ids := fourTwins(t)
+	if code, body := httpDelete(t, base+"/v1/jobs/"+ids[0]); code != http.StatusAccepted {
+		t.Fatalf("cancel running job: got %d, body %s", code, body)
+	}
+	waitState(t, base, ids[0], 10*time.Second, StateCancelled)
+	if id := nextFlow(t, h); id != ids[1] {
+		t.Fatalf("second flow ran for %s, want %s", id, ids[1])
+	}
+	checkShared(t, base, h, ids[1], ids[1:]...)
+	if d := s.Recorder().Counter(telemetry.CounterQueueDepth); d != 0 {
+		t.Errorf("%s = %d with nothing queued", telemetry.CounterQueueDepth, d)
+	}
+}
+
+// TestBatchCancelQueuedTwin: cancelling a queued twin while the run it
+// would ride is in progress is an ordinary queued cancel. The run's outcome
+// completes the other two.
+func TestBatchCancelQueuedTwin(t *testing.T) {
+	s, base, h, ids := fourTwins(t)
+	code, body := httpDelete(t, base+"/v1/jobs/"+ids[2])
+	var st JobStatus
+	if err := json.Unmarshal(body, &st); code != http.StatusOK || err != nil || st.State != StateCancelled {
+		t.Fatalf("cancel queued twin: got %d, body %s; want 200 and cancelled", code, body)
+	}
+	gate, _ := h.gate(ids[0])
+	close(gate)
+	checkShared(t, base, h, ids[0], ids[0], ids[1], ids[3])
+	if res := jobResult(t, base, ids[2]); res.State != StateCancelled || res.Batched {
+		t.Errorf("cancelled twin %s: state %s, batched %t; want cancelled, unbatched", ids[2], res.State, res.Batched)
+	}
+	if d := s.Recorder().Counter(telemetry.CounterQueueDepth); d != 0 {
+		t.Errorf("%s = %d with nothing queued", telemetry.CounterQueueDepth, d)
+	}
+}
+
+// TestBatchTwinStepRaces has four clients submit identical jobs to two
+// workers while each also cancels an earlier job, so twin steps race
+// DELETEs and new submissions. Every job must end terminal, a 200 cancel
+// must end cancelled, each group must be exactly the jobs that name its
+// leader, every started job must have run its own flow or ridden one, and
+// the queue-depth gauge must come back to 0.
+func TestBatchTwinStepRaces(t *testing.T) {
+	s := New(Config{Workers: 2, QueueSize: 256})
+	var runs atomic.Int64
+	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
+		runs.Add(1)
+		select {
+		case <-time.After(200 * time.Microsecond):
+			return nil, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, path, body string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	var (
+		mu       sync.Mutex
+		ids      []string
+		cancels  = map[string]int{} // job → the status its DELETE answered
+		wg       sync.WaitGroup
+		clients  = 4
+		jobsEach = 16
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < jobsEach; i++ {
+				code, body := do(http.MethodPost, "/v1/jobs", `{"bench":"nbody"}`)
+				var st JobStatus
+				if err := json.Unmarshal(body, &st); code != http.StatusAccepted || err != nil {
+					t.Errorf("submit: %d %s", code, body)
+					return
+				}
+				mu.Lock()
+				ids = append(ids, st.ID)
+				victim := ids[len(ids)/2]
+				mu.Unlock()
+				if i%2 == 1 {
+					code, _ := do(http.MethodDelete, "/v1/jobs/"+victim, "")
+					mu.Lock()
+					cancels[victim] = code
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitCond(t, "every job terminal", func() bool {
+		for _, id := range ids {
+			if !s.lookup(id).State().Terminal() {
+				return false
+			}
+		}
+		return true
+	})
+
+	members := map[string]int{} // leader → jobs that name it
+	results := map[string]*JobResult{}
+	for _, id := range ids {
+		var res JobResult
+		if err := json.Unmarshal(s.lookup(id).Result(), &res); err != nil {
+			t.Fatal(err)
+		}
+		results[id] = &res
+		if res.Batched {
+			members[res.BatchLeader]++
+		}
+		if cancels[id] == http.StatusOK && res.State != StateCancelled {
+			t.Errorf("job %s: DELETE answered 200 but it ended %s", id, res.State)
+		}
+	}
+	for _, res := range results {
+		if res.Batched && res.BatchSize != members[res.BatchLeader] {
+			t.Errorf("job %s: batch_size %d, but %d jobs name leader %s", res.ID, res.BatchSize, members[res.BatchLeader], res.BatchLeader)
+		}
+	}
+	rec := s.Recorder()
+	twins := rec.Counter(telemetry.CounterBatchJobs) - rec.Counter(telemetry.CounterBatchGroups)
+	if started := rec.Counter(telemetry.CounterJobsStarted); started != runs.Load()+twins {
+		t.Errorf("%d jobs started, but %d flows ran and %d twins rode them", started, runs.Load(), twins)
+	}
+	if d := rec.Counter(telemetry.CounterQueueDepth); d != 0 {
+		t.Errorf("%s = %d with nothing queued", telemetry.CounterQueueDepth, d)
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d jobs: %d flows, %d twins, %d cancels", len(ids), runs.Load(), twins, len(cancels))
 }

@@ -179,10 +179,7 @@ type Job struct {
 	// prog is the custom source, pre-parsed (nil = bundled). Only the
 	// worker that runs the job reads it, before the terminal transition
 	// drops it.
-	prog *minic.Program
-	// batchKey is the job's batching identity (batch.go); empty unless the
-	// daemon batches.
-	batchKey  string
+	prog      *minic.Program
 	submitted time.Time
 	// events is the job's live stream broker, created by Server.enqueue
 	// before the job is queued and closed when the job reaches a terminal
@@ -195,6 +192,9 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	cancel   func() // cancels the running flow; nil unless running
+	// fp is the program fingerprint, 0 until the twin step first asks
+	// (fingerprint).
+	fp uint64
 	// result is the terminal JobResult, encoded once (compact JSON) by
 	// terminate; nil while the job is live. The same bytes are the WAL
 	// record's data and the body GET /result indents — never mutate them.
@@ -261,11 +261,11 @@ type JobResult struct {
 	// fault.degradations counter) — nonzero means the result is valid but
 	// was produced with fewer live substrates than requested.
 	DegradedDesigns int64 `json:"degraded_designs,omitempty"`
-	// Batched marks a job whose flow executed as part of a batch group of
-	// identical jobs (same program fingerprint and result-affecting spec):
-	// one leader execution produced the designs shared by the whole group.
-	// BatchSize is the group size and BatchLeader the job whose worker ran
-	// the flow (the leader carries its own ID).
+	// Batched marks a job whose result is one flow run shared by a group of
+	// identical jobs (same program fingerprint, same spec but for source):
+	// the run's own job and the twins still queued when it ended. BatchSize
+	// is the group size and BatchLeader the job whose flow ran (it carries
+	// its own ID).
 	Batched     bool   `json:"batched,omitempty"`
 	BatchSize   int    `json:"batch_size,omitempty"`
 	BatchLeader string `json:"batch_leader,omitempty"`
@@ -349,9 +349,21 @@ func (j *Job) waitResult(hold time.Duration) []byte {
 	return j.Result()
 }
 
+// fingerprint is the job's program fingerprint, taken on first use: a run
+// asks before terminate drops its program, a queued job while it is queued.
+// A job that drops its program unasked is terminal, and reads as 0.
+func (j *Job) fingerprint() uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.fp == 0 && (j.prog != nil || j.Spec.Source == "") {
+		j.fp = programFingerprint(j.bench, j.prog)
+	}
+	return j.fp
+}
+
 // markRunning transitions Queued → Running and returns the job's queue
-// wait; false means the job is no longer queued (cancelled, or claimed as a
-// batch follower) and must not run. Called by Server.start alone.
+// wait; false means the job is no longer queued (cancelled) and must not
+// run. Called by Server.start alone.
 func (j *Job) markRunning(cancel func()) (queueWaitMS float64, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -18,19 +18,14 @@ import (
 // transitions. admit, start and complete are the only code that changes a
 // job's state or writes a job's record (appendRecord; its one caller
 // outside this file is Drain's shutdown marker, which names no job).
-// Handlers, the worker, batching and start-up replay decide *that* a
+// Handlers, the worker, the twin step and start-up replay decide *that* a
 // transition happens and call it; none of them knows the order of the
 // steps inside one.
 
 // newJob is the one place a Job is built: a fresh submission, a replayed
-// submit record and the tests all come through here. The batch key costs a
-// program fingerprint and a spec encoding, so only a batching daemon has one.
+// submit record and the tests all come through here.
 func (s *Server) newJob(id string, spec JobSpec, b *bench.Benchmark, prog *minic.Program, submitted time.Time) *Job {
-	job := &Job{ID: id, Spec: spec, bench: b, prog: prog, submitted: submitted, state: StateQueued}
-	if s.cfg.Batch {
-		job.batchKey = batchKey(spec, programFingerprint(b, prog))
-	}
-	return job
+	return &Job{ID: id, Spec: spec, bench: b, prog: prog, submitted: submitted, state: StateQueued}
 }
 
 // Why enqueue refused a job; admit has evicted its record again by the time
@@ -103,7 +98,6 @@ func (s *Server) enqueue(job *Job, replayed bool) error {
 		return errQueueFull
 	}
 	s.jobs[job.ID] = job
-	s.enrollBatch(job)
 	s.rec.Add(telemetry.CounterQueueDepth, 1)
 	s.rec.Add(telemetry.CounterJobsSubmitted, 1)
 	s.rec.Add(telemetry.CounterEventsPublished, 1)
@@ -112,10 +106,9 @@ func (s *Server) enqueue(job *Job, replayed bool) error {
 
 // start is queued → running: the job is stamped and handed its cancel
 // function, counted as started with its queue wait, and says so on its
-// event stream. false means the job is no longer queued — cancelled, or
-// claimed as a batch follower — and whoever made it so completes it. behind
-// is empty for a job that runs its own flow; a batch follower names what
-// it rides instead ("batched behind leader <id>").
+// event stream. false means the job is no longer queued — it was cancelled,
+// and the cancel completed it. behind is empty for a job that runs its own
+// flow; a twin names the run it rides instead ("batched behind leader <id>").
 func (s *Server) start(job *Job, cancel func(), behind string) bool {
 	waitMS, ok := job.markRunning(cancel)
 	if !ok {
@@ -137,9 +130,9 @@ func (s *Server) start(job *Job, cancel func(), behind string) bool {
 }
 
 // outcome is what a terminal transition is told: the state to end in, the
-// failure class, and what the flow produced. A batch leader's outcome is
-// shared verbatim with every follower; batchSize > 0 stamps the result
-// with the batch fields.
+// failure class, and what the flow produced. A run's outcome is shared
+// verbatim with the twins it took; batchSize > 0 stamps the result with the
+// batch fields.
 type outcome struct {
 	state   JobState
 	msg     string
@@ -151,8 +144,8 @@ type outcome struct {
 	batchLeader string
 }
 
-// complete is the terminal transition, for a job that ran (op OpResult:
-// leader, follower) and for one cancelled while still queued (op OpCancel:
+// complete is the terminal transition, for a job that ran (op OpResult: a
+// run and its twins) and for one cancelled while still queued (op OpCancel:
 // a no-op, ok=false, once the job has left the queue). In this order:
 //
 //  1. visible — the result is encoded once and state, error, finish time

@@ -53,21 +53,20 @@ import (
 // mjob is what the model knows of one job that has a submit record.
 type mjob struct {
 	id, key string // key: the spec, which is the batch identity
-	gated   bool   // its flow parks until released (when it leads)
+	gated   bool   // its flow parks until released (when it runs one)
 	state   JobState
-	leader  string // while running as a batch follower
-	started int    // "started" events on its stream: one, two for a leader with followers
+	started int    // "started" events on its stream
 	durable bool   // its terminal record is in the log
 	live    bool   // in the current incarnation's registry
 	doc     []byte // the terminal document, once seen
 }
 
-// model is the reference: a FIFO queue in front of `workers` workers,
-// batching by key, a registry that retains `retain` finished jobs, and a
-// log that remembers submits until a terminal record or an evict.
+// model is the reference: a FIFO queue in front of `workers` workers, a
+// run that ends done completing the queued jobs with its key, a registry
+// that retains `retain` finished jobs, and a log that remembers submits
+// until a terminal record or an evict.
 type model struct {
 	workers, queueCap, retain int
-	batch                     bool
 
 	jobs    map[string]*mjob
 	order   []string // every job with a submit record, in log order
@@ -78,7 +77,7 @@ type model struct {
 	appends int64    // records this incarnation has written
 	ended   int64    // terminal transitions this incarnation has made
 
-	followers, evicted int // batch riders and registry evictions so far (for the test log)
+	twins, evicted int // batch riders and registry evictions so far (for the test log)
 }
 
 // record is the first step of admit: the submit record alone.
@@ -102,8 +101,7 @@ func (m *model) submit(id, key string, gated bool) int {
 }
 
 // settle runs the workers until each is parked on a gated flow or the
-// queue is empty: pop in order, skip what is no longer queued, start the
-// rest as leaders of every queued job with the same key.
+// queue is empty: pop in order, skip what is no longer queued, run the rest.
 func (m *model) settle() {
 	for m.busy < m.workers && len(m.queue) > 0 {
 		j := m.jobs[m.queue[0]]
@@ -112,12 +110,6 @@ func (m *model) settle() {
 			continue
 		}
 		j.state, j.started = StateRunning, 1
-		for _, id := range m.order {
-			if f := m.jobs[id]; m.batch && f.live && f.state == StateQueued && f.key == j.key {
-				f.state, f.leader, f.started, j.started = StateRunning, j.id, 1, 2
-				m.followers++
-			}
-		}
 		if j.gated {
 			m.busy++
 		} else {
@@ -126,18 +118,33 @@ func (m *model) settle() {
 	}
 }
 
-// complete ends a leader and, with its outcome, its followers.
+// complete ends a run. One that ends done first takes every queued entry
+// with its key out of the queue — cancelled ones too — and then completes
+// itself and, in queue order, the twins among them.
 func (m *model) complete(j *mjob, state JobState) {
-	m.finish(j, state)
-	for _, id := range m.order {
-		if f := m.jobs[id]; f.leader == j.id && f.state == StateRunning {
-			m.finish(f, state)
+	var twins []*mjob
+	if state == StateDone {
+		kept := m.queue[:0]
+		for _, id := range m.queue {
+			switch t := m.jobs[id]; {
+			case t.key != j.key:
+				kept = append(kept, id)
+			case t.state == StateQueued:
+				twins = append(twins, t)
+			}
 		}
+		m.queue = kept
+	}
+	m.finish(j, state)
+	for _, t := range twins {
+		t.started = 1
+		m.finish(t, StateDone)
+		m.twins++
 	}
 }
 
 func (m *model) finish(j *mjob, state JobState) {
-	j.state, j.leader, j.durable = state, "", true
+	j.state, j.durable = state, true
 	m.appends++
 	m.ended++
 	m.retired = append(m.retired, j.id)
@@ -148,7 +155,7 @@ func (m *model) finish(j *mjob, state JobState) {
 	}
 }
 
-// release opens a running leader's gate; cancelled says how it ends.
+// release opens a running job's gate; state says how it ends.
 func (m *model) release(j *mjob, state JobState) {
 	m.busy--
 	m.complete(j, state)
@@ -164,9 +171,7 @@ func (m *model) cancel(id string) int {
 		m.finish(j, StateCancelled)
 		return http.StatusOK
 	case j.state == StateRunning:
-		if j.leader == "" {
-			m.release(j, StateCancelled)
-		} // a follower's cancel is a no-op: it still gets the leader's result
+		m.release(j, StateCancelled)
 		return http.StatusAccepted
 	}
 	return http.StatusConflict
@@ -179,7 +184,7 @@ func (m *model) restart() {
 	m.queue, m.retired, m.busy, m.appends, m.ended = nil, nil, 0, 0, 0
 	for _, id := range m.order {
 		j := m.jobs[id]
-		j.live, j.leader, j.started = !j.durable, "", 0
+		j.live, j.started = !j.durable, 0
 		if j.live {
 			j.state, j.doc = StateQueued, nil
 			m.queue = append(m.queue, id)
@@ -241,7 +246,7 @@ func (r *modelRun) note(format string, args ...any) {
 func (r *modelRun) boot() {
 	r.t.Helper()
 	dead, ended := make(chan struct{}), new(atomic.Int64)
-	s := New(Config{Workers: r.m.workers, QueueSize: r.m.queueCap, RetainJobs: r.m.retain, Batch: r.m.batch, DataDir: r.dir})
+	s := New(Config{Workers: r.m.workers, QueueSize: r.m.queueCap, RetainJobs: r.m.retain, DataDir: r.dir})
 	h := &gateHook{gates: make(map[string]chan struct{})}
 	for _, id := range r.m.queue {
 		if r.m.jobs[id].gated {
@@ -305,8 +310,12 @@ func (r *modelRun) nextID() string {
 var modelSpecs = []string{`{"bench":"nbody"}`, `{"bench":"kmeans"}`, `{"bench":"kmeans","mode":"uninformed"}`}
 
 // submission draws a spec and a gate for the job the server will mint next.
+// With two workers the job is its own tenant, so it has no twins (modelSeeds).
 func (r *modelRun) submission() (id, spec string, gated bool) {
 	id, spec, gated = r.nextID(), modelSpecs[r.rng.Intn(len(modelSpecs))], r.rng.Intn(10) < 6
+	if r.m.workers > 1 {
+		spec = strings.TrimSuffix(spec, "}") + `,"tenant":"` + id + `"}`
+	}
 	if gated {
 		r.h.hold(id)
 	}
@@ -339,14 +348,13 @@ func (r *modelRun) pick(ok func(*mjob) bool) *mjob {
 	return c[r.rng.Intn(len(c))]
 }
 
-func isQueued(j *mjob) bool      { return j.live && j.state == StateQueued }
-func runningLeader(j *mjob) bool { return j.state == StateRunning && j.leader == "" }
+func isQueued(j *mjob) bool  { return j.live && j.state == StateQueued }
+func isRunning(j *mjob) bool { return j.state == StateRunning }
 
 func (r *modelRun) cancel() {
 	targets := []string{"nosuch-000001"}
 	for _, kind := range []func(*mjob) bool{
-		isQueued, runningLeader,
-		func(j *mjob) bool { return j.state == StateRunning && j.leader != "" },
+		isQueued, isRunning,
 		func(j *mjob) bool { return j.live && j.state.Terminal() },
 		func(j *mjob) bool { return !j.live }, // evicted from the registry, or from an earlier run
 	} {
@@ -364,7 +372,7 @@ func (r *modelRun) cancel() {
 }
 
 func (r *modelRun) release() {
-	j := r.pick(runningLeader)
+	j := r.pick(isRunning)
 	if j == nil {
 		return
 	}
@@ -377,9 +385,9 @@ func (r *modelRun) release() {
 // abandon kills the incarnation — at rest, or parked between two steps of
 // a transition it is in the middle of — and boots the next one.
 func (r *modelRun) abandon() {
-	leader, queued := r.pick(runningLeader), r.pick(isQueued)
+	running, queued := r.pick(isRunning), r.pick(isQueued)
 	where := []int{0, 1, 1} // at rest, or twice as likely inside each transition that can run
-	if leader != nil {
+	if running != nil {
 		where = append(where, 2, 2)
 	}
 	if queued != nil {
@@ -403,11 +411,11 @@ func (r *modelRun) abandon() {
 		}
 	case 2: // inside complete, on the worker
 		step := completeSteps[r.rng.Intn(len(completeSteps))]
-		r.note("abandon at %s of %s (released)", step, leader.id)
+		r.note("abandon at %s of %s (released)", step, running.id)
 		r.seen["abandon at "+step]++
-		gate, _ := r.h.gate(leader.id)
+		gate, _ := r.h.gate(running.id)
 		r.arm(step, func() { close(gate) })
-		r.parkedInComplete(leader, step, StateDone)
+		r.parkedInComplete(running, step, StateDone)
 	case 3: // inside complete, on the cancel handler
 		step := completeSteps[r.rng.Intn(len(completeSteps))]
 		r.note("abandon at %s of %s (cancelled)", step, queued.id)
@@ -459,14 +467,16 @@ func (r *modelRun) drain() {
 	for !r.s.draining.Load() {
 		time.Sleep(100 * time.Microsecond)
 	}
-	want := 0
 	for _, id := range r.m.order {
-		switch j := r.m.jobs[id]; {
-		case runningLeader(j):
+		if j := r.m.jobs[id]; isRunning(j) {
 			r.m.complete(j, StateDone)
 			gate, _ := r.h.gate(id)
 			close(gate)
-		case isQueued(j):
+		}
+	}
+	want := 0
+	for _, id := range r.m.order {
+		if isQueued(r.m.jobs[id]) {
 			want++
 		}
 	}
@@ -508,8 +518,8 @@ func (r *modelRun) view(observed bool) string {
 				state = "pending, not live"
 			}
 		} else if j != nil && j.live {
-			// (d): queued, started (twice for a leader with followers), one
-			// terminal event, close — as far as the job has got.
+			// (d): queued, started, one terminal event, close — as far as the
+			// job has got.
 			state = "live " + string(j.state) + " " + events.TypeQueued + strings.Repeat(" "+events.TypeStarted, j.started)
 			if j.state.Terminal() {
 				state += " " + string(j.state) + " close"
@@ -670,11 +680,11 @@ func (r *modelRun) checkPrefixes() {
 	}
 }
 
-// modelSeeds are the fixed seeds tier-1 runs. Odd seeds batch and keep
-// three finished jobs in the registry, on one worker: two workers racing
-// for a replayed queue make who leads whom, and who finishes (and so is
-// evicted) first, a coin toss the model cannot call. Even seeds run two
-// workers with neither.
+// modelSeeds are the fixed seeds tier-1 runs. Odd seeds keep three finished
+// jobs in the registry, on one worker. Even seeds run two workers, keep every
+// finished job and make every job its own tenant: two workers racing for a
+// replayed queue make which job runs a flow and which rides it as a twin, and
+// who finishes (and so is evicted) first, a coin toss the model cannot call.
 var modelSeeds = []int64{1, 2, 3, 4, 5, 6}
 
 func TestLifecycleModel(t *testing.T) {
@@ -683,7 +693,7 @@ func TestLifecycleModel(t *testing.T) {
 		r := &modelRun{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), dir: t.TempDir(), parked: make(chan string), seen: seen}
 		r.m = &model{workers: 2, queueCap: modelBaseQueue, retain: defaultRetainJobs, jobs: map[string]*mjob{}}
 		if seed%2 == 1 {
-			r.m.workers, r.m.batch, r.m.retain = 1, true, modelRetain
+			r.m.workers, r.m.retain = 1, modelRetain
 		}
 		r.boot()
 		for r.op = 1; r.op <= 150; r.op++ {
@@ -703,7 +713,7 @@ func TestLifecycleModel(t *testing.T) {
 		}
 		// Wind down: every flow is let through, so the log ends with every
 		// job terminal and a clean shutdown.
-		for r.pick(runningLeader) != nil {
+		for r.pick(isRunning) != nil {
 			r.op++
 			r.release()
 			r.check()
@@ -717,7 +727,7 @@ func TestLifecycleModel(t *testing.T) {
 		earlyReads += r.earlyReads
 		seen["jobs evicted from a registry"] += r.m.evicted
 		seen["jobs"] += len(r.m.order)
-		seen["batch followers"] += r.m.followers
+		seen["batch twins"] += r.m.twins
 	}
 	var exercised []string
 	for what, n := range seen {

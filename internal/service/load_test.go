@@ -9,7 +9,7 @@ import (
 // TestConcurrentJobsSharedCache submits 32 identical jobs concurrently
 // through the HTTP path and verifies the process-wide RunCache collapses
 // their profiled runs: after a first warming job records M misses, the 32
-// followers add hits but no new misses — cross-job singleflight.
+// jobs after it add hits but no new misses — cross-job singleflight.
 func TestConcurrentJobsSharedCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 33 real flows")

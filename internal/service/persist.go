@@ -107,7 +107,6 @@ func (s *Server) replayStore() int {
 		requeued++
 	}
 	if requeued > 0 {
-		s.rec.Add(telemetry.CounterJobsRestored, int64(requeued))
 		s.rec.Add(telemetry.CounterStoreRequeued, int64(requeued))
 	}
 	return requeued

@@ -197,6 +197,26 @@ func (q *jobQueue) Pop() (job *Job, ok bool) {
 	}
 }
 
+// Twins takes every queued job that would execute job's flow (sameRun) out
+// of the queue, in queue order — cancelled ones too, which a worker would
+// only skip. Twins never run, so no tenant is charged a slot.
+func (q *jobQueue) Twins(job *Job) []*Job {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var twins []*Job
+	kept := q.items[:0]
+	for _, item := range q.items {
+		if sameRun(job, item.job) {
+			twins = append(twins, item.job)
+		} else {
+			kept = append(kept, item)
+		}
+	}
+	clear(q.items[len(kept):])
+	q.items = kept
+	return twins
+}
+
 // selectLocked picks the next job: highest priority band, then lowest
 // tenant pass, then lowest sequence. Returns -1 when nothing is eligible.
 func (q *jobQueue) selectLocked() int {

@@ -149,9 +149,6 @@ func TestCrashRecoveryRequeuesAcknowledged(t *testing.T) {
 	if n := s2.rec.Counter(telemetry.CounterStoreRequeued); n != 3 {
 		t.Errorf("requeued counter = %d, want 3 (running + 2 queued)", n)
 	}
-	if n := s2.rec.Counter(telemetry.CounterJobsRestored); n != 3 {
-		t.Errorf("restored counter = %d, want 3", n)
-	}
 
 	// The finished job was NOT requeued (no duplicate execution) and its
 	// result replays byte-identically through the fresh server's handler.

@@ -59,13 +59,6 @@ type Config struct {
 	// blank NDJSON line / SSE comment, so proxies don't kill the
 	// connection). Default 10s.
 	EventHeartbeat time.Duration
-	// Batch groups queued jobs that would execute the identical flow
-	// (same benchmark, program fingerprint, and result-affecting spec
-	// fields) behind one leader execution; followers receive copies of
-	// the leader's result (see batch.go). Off by default: batching is
-	// semantically transparent for results — the flow is deterministic —
-	// but follower cancellation becomes best-effort.
-	Batch bool
 	// RetainJobs caps terminal jobs kept in the in-memory registry; the
 	// oldest are evicted (with their event rings) beyond it. Status and
 	// result lookups for evicted jobs fall back to the persisted result
@@ -118,17 +111,13 @@ type Server struct {
 	storeStatsMu   sync.Mutex
 	lastStoreStats store.Stats
 
-	mu   sync.Mutex // guards jobs, retired, queue close, leftovers, pendingBatch
-	jobs map[string]*Job
-	// pendingBatch indexes still-queued jobs by batch key so a batch
-	// leader can claim identical jobs in one sweep (see batch.go). Only
-	// populated when Config.Batch is set.
-	pendingBatch map[string][]*Job
-	retired      []string // terminal job IDs, oldest first, for registry eviction
-	queue        *jobQueue
-	draining     atomic.Bool
-	drained      bool
-	leftover     []*Job // queued jobs collected during drain, for the snapshot
+	mu       sync.Mutex // guards jobs, retired, queue close, leftovers
+	jobs     map[string]*Job
+	retired  []string // terminal job IDs, oldest first, for registry eviction
+	queue    *jobQueue
+	draining atomic.Bool
+	drained  bool
+	leftover []*Job // queued jobs collected during drain, for the snapshot
 
 	wg     sync.WaitGroup
 	nextID atomic.Int64
@@ -169,15 +158,14 @@ func New(cfg Config) *Server {
 		idBase = cfg.Cluster.Self() + "-" + idBase
 	}
 	s := &Server{
-		cfg:          cfg,
-		rec:          telemetry.New(),
-		runs:         core.NewRunCache(),
-		jobs:         make(map[string]*Job),
-		pendingBatch: make(map[string][]*Job),
-		queue:        newJobQueue(cfg.QueueSize, quotas),
-		idBase:       idBase,
-		retry:        cfg.Retry.WithDefaults(),
-		flowReg:      &flowRegistry{flows: make(map[string][]FlowInfo)},
+		cfg:     cfg,
+		rec:     telemetry.New(),
+		runs:    core.NewRunCache(),
+		jobs:    make(map[string]*Job),
+		queue:   newJobQueue(cfg.QueueSize, quotas),
+		idBase:  idBase,
+		retry:   cfg.Retry.WithDefaults(),
+		flowReg: &flowRegistry{flows: make(map[string][]FlowInfo)},
 	}
 	if c := cfg.Cluster; c != nil {
 		c.SetCounters(s.rec)
@@ -354,7 +342,8 @@ func (s *Server) worker() {
 // runJob executes one job's flow with its own cancellable context and a
 // job-scoped telemetry recorder, folds the job's counters into the
 // process-wide recorder, classifies how the flow ended and completes the
-// job — and, as a batch leader, its followers — with that outcome.
+// job — and, when the flow ended on its own, its queued twins — with that
+// outcome.
 func (s *Server) runJob(job *Job) {
 	jctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -367,14 +356,9 @@ func (s *Server) runJob(job *Job) {
 		defer cancel()
 	}
 	if !s.start(job, cancel, "") {
-		// Cancelled while queued, or claimed as a batch follower: the
-		// cancel handler (or the batch leader) completes it; nothing to run.
+		// Cancelled while queued: the cancel handler completed it.
 		return
 	}
-	// With batching on, this job leads every still-queued identical job:
-	// the flow below runs once and its outcome completes the whole group.
-	followers := s.claimFollowers(job)
-
 	rec := telemetry.New()
 	rec.SetEventSink(&jobSink{s: s, job: job})
 	results, err := s.runFlowSafe(jctx, job, rec)
@@ -395,12 +379,15 @@ func (s *Server) runJob(job *Job) {
 			out.class = FailureFault
 		}
 	}
-	if len(followers) > 0 {
-		out.batchSize, out.batchLeader = len(followers)+1, job.ID
+	// A run its own cancel or deadline ended is this job's alone; any other
+	// outcome is what every queued twin would get from a run of its own.
+	var twins []*Job
+	if out.class != FailureCancelled && out.class != FailureTimeout {
+		twins = s.takeTwins(job, out)
 	}
 	s.complete(job, store.OpResult, out)
-	for _, f := range followers {
-		s.complete(f, store.OpResult, out)
+	for _, t := range twins {
+		s.complete(t, store.OpResult, out)
 	}
 }
 

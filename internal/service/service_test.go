@@ -220,6 +220,34 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestStrategyKnobs pins the job-spec tunables of the Fig. 3 strategy on a
+// real informed nbody flow: left alone it offloads to its ExpectTarget; an
+// arithmetic-intensity threshold no kernel reaches, or a transfer bandwidth
+// that makes any offload slower than the CPU, keeps it on the CPU.
+func TestStrategyKnobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three real flows")
+	}
+	s, ts := newTestServer(t, Config{Workers: 2, QueueSize: 8})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{Bench: "nbody"}, "gpu"},
+		{JobSpec{Bench: "nbody", AIThreshold: 1e12}, "cpu"},
+		{JobSpec{Bench: "nbody", TransferBW: 1}, "cpu"},
+	} {
+		id := submitOK(t, ts.URL, c.spec).ID
+		waitState(t, ts.URL, id, 60*time.Second, StateDone)
+		if got := jobResult(t, ts.URL, id).AutoTarget; got != c.want {
+			t.Errorf("%+v: auto_target %q, want %q", c.spec, got, c.want)
+		}
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, spec := range []JobSpec{
@@ -451,8 +479,8 @@ func TestDrainSnapshotRestore(t *testing.T) {
 	if err := s2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if n := s2.rec.Counter(telemetry.CounterJobsRestored); n != 2 {
-		t.Errorf("restored counter = %d, want 2", n)
+	if n := s2.rec.Counter(telemetry.CounterStoreRequeued); n != 2 {
+		t.Errorf("requeued counter = %d, want 2", n)
 	}
 	for _, id := range []string{q1.ID, q2.ID} {
 		waitState(t, ts2.URL, id, 10*time.Second, StateDone)
@@ -518,12 +546,12 @@ func TestRequestBodyLimit(t *testing.T) {
 
 // TestTerminalStatusHasResult holds the lifecycle invariant "terminal ⇒
 // result readable": pollers hammer GET status and GET result while a plain
-// job, a batch leader and its follower, and a cancelled-while-queued job
+// job, a batch leader and its queued twin, and a cancelled-while-queued job
 // reach their terminal states, and a terminal status whose result is not
 // served fails the test. The long design trace makes a result slow to
 // build, so a transition that shows the state before the result is caught.
 func TestTerminalStatusHasResult(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 16, Batch: true})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 16})
 	designs := []experiments.DesignResult{{
 		Design: &core.Design{Name: "d", Trace: make([]core.TraceEvent, 4000)},
 	}}
@@ -555,9 +583,9 @@ func TestTerminalStatusHasResult(t *testing.T) {
 		// still queued when it is cancelled.
 		plain := submitOK(t, ts.URL, JobSpec{Bench: "nbody"})
 		leader := submitOK(t, ts.URL, JobSpec{Bench: "bezier"})
-		follower := submitOK(t, ts.URL, JobSpec{Bench: "bezier"})
+		twin := submitOK(t, ts.URL, JobSpec{Bench: "bezier"})
 		victim := submitOK(t, ts.URL, JobSpec{Bench: "adpredictor"})
-		ids := []string{blocker.ID, plain.ID, leader.ID, follower.ID, victim.ID}
+		ids := []string{blocker.ID, plain.ID, leader.ID, twin.ID, victim.ID}
 
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -605,8 +633,8 @@ func TestTerminalStatusHasResult(t *testing.T) {
 		close(stop)
 		wg.Wait()
 
-		if res := jobResult(t, ts.URL, follower.ID); !res.Batched || res.BatchLeader != leader.ID {
-			t.Fatalf("job %s did not finish as a follower of %s: %+v", follower.ID, leader.ID, res.JobStatus)
+		if res := jobResult(t, ts.URL, twin.ID); !res.Batched || res.BatchLeader != leader.ID {
+			t.Fatalf("job %s did not finish as a twin of %s: %+v", twin.ID, leader.ID, res.JobStatus)
 		}
 		if res := jobResult(t, ts.URL, victim.ID); res.State != StateCancelled {
 			t.Fatalf("job %s is %s, want cancelled", victim.ID, res.State)

@@ -66,14 +66,13 @@ const (
 	CounterJobsFailed      = "service.jobs_failed"
 	CounterJobsCancelled   = "service.jobs_cancelled"
 	CounterJobsRejected    = "service.jobs_rejected" // queue-full 429s
-	CounterJobsRestored    = "service.jobs_restored" // re-enqueued from a drain snapshot
 	CounterJobsEvicted     = "service.jobs_evicted"  // terminal jobs evicted from the registry
 	CounterQueueDepth      = "service.queue_depth"
 	CounterQueueWaitMillis = "service.queue_wait_ms" // cumulative submit→start wait
-	// CounterBatchGroups / Jobs count batched multi-job executions: groups
-	// of queued jobs with identical program fingerprint and spec that ran
-	// through one leader flow (groups counts leader executions that carried
-	// at least one follower; jobs totals group members, leaders included).
+	// CounterBatchGroups / Jobs count batched multi-job executions: flow
+	// runs whose outcome also completed at least one queued twin (identical
+	// program fingerprint and spec), and the jobs of those groups, the
+	// run's own job included.
 	CounterBatchGroups = "dse.batch.groups"
 	CounterBatchJobs   = "dse.batch.jobs"
 )

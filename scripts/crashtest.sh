@@ -56,7 +56,7 @@ wait_state() { # wait_state <id> <state> <tries>
 }
 
 start_daemon() {
-    "$tmp/psaflowd" -addr "$addr" -workers 1 -queue 16 -data-dir "$data" -batch=false -v \
+    "$tmp/psaflowd" -addr "$addr" -workers 1 -queue 16 -data-dir "$data" -v \
         >>"$tmp/log" 2>&1 &
     pid=$!
     for _ in $(seq 1 50); do

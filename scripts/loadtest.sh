@@ -17,8 +17,8 @@
 #
 # -cluster boots a 3-node psaflowd cluster (one worker per node, so worker
 # capacity — the unit a node adds — is the measured resource) plus an
-# identically configured single node, drives the same tenant-spread
-# workload through both, and reports the pair as one JSON summary:
+# identically configured single node, drives the same workload of one job
+# per tenant through both, and reports the pair as one JSON summary:
 # per-node job placement, aggregate and single-node throughput, the
 # aggregate/single speedup, and the cluster cache counters (cross-node
 # hit %, fills, forwards) that prove each unique program+workload was
@@ -58,17 +58,17 @@ go build -o "$tmp/client" ./examples/service
 if [ "$mode" = "cluster" ]; then
     # The workload: tenant-spread jobs with a deterministic fault spec, so
     # every job carries real retry wall-time and the bottleneck is worker
-    # capacity, which a node adds and a cluster triples. Batching is off so
-    # identical jobs cannot collapse behind one execution — placement, not
-    # coalescing, is what this measures.
+    # capacity, which a node adds and a cluster triples. Every job is its
+    # own tenant, so no two specs are identical and no job can ride another
+    # one's run as a twin — placement, not coalescing, is what this measures.
     faults="seed=7,rate=0.3,kinds=hls,run"
-    tenants=12
+    tenants="$jobs"
 
     port0=$((20000 + RANDOM % 20000))
     a1="127.0.0.1:$port0"; a2="127.0.0.1:$((port0 + 1))"; a3="127.0.0.1:$((port0 + 2))"
 
     # Single-node baseline: same binary, same flags, one worker.
-    "$tmp/psaflowd" -addr "$a1" -workers 1 -queue 256 -batch=false >"$tmp/log-single" 2>&1 &
+    "$tmp/psaflowd" -addr "$a1" -workers 1 -queue 256 >"$tmp/log-single" 2>&1 &
     pids="$!"
     ok=""
     for _ in $(seq 1 50); do
@@ -84,13 +84,13 @@ if [ "$mode" = "cluster" ]; then
 
     # Three-node cluster: same workload, submissions round-robin across all
     # nodes; the ring routes each (tenant, program) to its owner.
-    "$tmp/psaflowd" -addr "$a1" -workers 1 -queue 256 -batch=false \
+    "$tmp/psaflowd" -addr "$a1" -workers 1 -queue 256 \
         -node-id n1 -peers "n2=http://$a2,n3=http://$a3" >"$tmp/log-n1" 2>&1 &
     pids="$!"
-    "$tmp/psaflowd" -addr "$a2" -workers 1 -queue 256 -batch=false \
+    "$tmp/psaflowd" -addr "$a2" -workers 1 -queue 256 \
         -node-id n2 -peers "n1=http://$a1,n3=http://$a3" >"$tmp/log-n2" 2>&1 &
     pids="$pids $!"
-    "$tmp/psaflowd" -addr "$a3" -workers 1 -queue 256 -batch=false \
+    "$tmp/psaflowd" -addr "$a3" -workers 1 -queue 256 \
         -node-id n3 -peers "n1=http://$a1,n2=http://$a2" >"$tmp/log-n3" 2>&1 &
     pids="$pids $!"
     ok=""
