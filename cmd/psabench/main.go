@@ -70,8 +70,8 @@ func main() {
 	}
 
 	var fig5Rows []experiments.Fig5Row
-	needFig5 := all || *fig5 || *fig6
-	if needFig5 {
+	// Table I and Fig. 6 are read off the Fig. 5 rows.
+	if all || *fig5 || *table1 || *fig6 {
 		rows, err := experiments.RunFig5Recorded(logf, rec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fig5:", err)
@@ -95,14 +95,9 @@ func main() {
 
 	var table1Rows []experiments.Table1Row
 	if all || *table1 {
-		rows, err := experiments.RunTable1(logf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "table1:", err)
-			os.Exit(1)
-		}
-		table1Rows = rows
+		table1Rows = experiments.Table1(fig5Rows)
 		fmt.Println("== Table I: added lines of code per generated design ==")
-		fmt.Println(experiments.FormatTable1(rows))
+		fmt.Println(experiments.FormatTable1(table1Rows))
 		fmt.Println()
 	}
 
@@ -162,7 +157,7 @@ func main() {
 
 	if *jsonOut != "" {
 		rep := experiments.ReportJSON{Table1: table1Rows, Ablations: ablations}
-		if fig5Rows != nil {
+		if all || *fig5 || *fig6 {
 			rep.Fig5 = experiments.Fig5ToJSON(fig5Rows)
 			rep.Fig6 = experiments.RunFig6(fig5Rows)
 		}

@@ -204,12 +204,12 @@ func main() {
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Printf("http shutdown: %v", err)
 	}
-	leftover, err := s.Drain()
+	queued, err := s.Drain()
 	if err != nil {
 		logger.Fatalf("drain: %v", err)
 	}
-	if leftover > 0 {
-		fmt.Fprintf(os.Stderr, "psaflowd: %d queued job(s) remain durable in the store\n", leftover)
+	if queued > 0 {
+		fmt.Fprintf(os.Stderr, "psaflowd: %d queued job(s) remain durable in the store\n", queued)
 	}
 	logger.Printf("drained cleanly")
 }

@@ -172,9 +172,8 @@ type Node struct {
 	runs *runStore
 	now  func() time.Time // the run store's clock (pending-mark expiry)
 
-	counters  Sink
-	loadFn    func() int64
-	lastGauge int64 // last cluster.peers_healthy value pushed to the sink
+	counters Sink
+	loadFn   func() int64
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -279,10 +278,8 @@ func (n *Node) localLoad() int64 {
 	return n.loadFn()
 }
 
-// Start spawns the health pinger (no-op on a peerless node beyond
-// priming the health gauge).
+// Start spawns the health pinger (no-op on a peerless node).
 func (n *Node) Start() {
-	n.updateHealthGauge()
 	n.mu.Lock()
 	hasPeers := len(n.peers) > 0
 	n.mu.Unlock()
@@ -336,18 +333,6 @@ func (n *Node) pingAll() {
 		}(p)
 	}
 	wg.Wait()
-	n.updateHealthGauge()
-}
-
-// updateHealthGauge pushes the healthy-node count (self included) into
-// the sink as a gauge (delta-maintained counter).
-func (n *Node) updateHealthGauge() {
-	healthy := int64(n.HealthyCount())
-	n.mu.Lock()
-	delta := healthy - n.lastGauge
-	n.lastGauge = healthy
-	n.mu.Unlock()
-	n.count(telemetry.CounterClusterPeersHealthy, delta)
 }
 
 // HealthyCount returns the number of healthy nodes, self included.

@@ -80,10 +80,6 @@ type RunCache struct {
 	peer           RunPeer // nil on a single-node cache
 	hits           atomic.Int64
 	misses         atomic.Int64
-	// peerHits counts executions avoided by a cluster fetch (reported as
-	// hits to callers — the run was avoided — but split out here so the
-	// local and distributed contributions stay distinguishable).
-	peerHits atomic.Int64
 }
 
 // runCacheCap bounds the cache: an entry keeps a run's profile, ≈ 2.4 KB on
@@ -158,9 +154,6 @@ func (c *RunCache) Do(key RunKey, run func() (*interp.Result, error)) (res *inte
 		c.misses.Add(1)
 		return e.res, e.err, false
 	}
-	if fromPeer {
-		c.peerHits.Add(1)
-	}
 	c.hits.Add(1)
 	return e.res, e.err, true
 }
@@ -199,22 +192,13 @@ func (c *RunCache) Forget(key RunKey) {
 	c.mu.Unlock()
 }
 
-// Stats returns the cumulative hit and miss counts.
+// Stats returns the cumulative hit and miss counts. A result a cluster peer
+// served is a hit; the peer layer counts those itself.
 func (c *RunCache) Stats() (hits, misses int64) {
 	if c == nil {
 		return 0, 0
 	}
 	return c.hits.Load(), c.misses.Load()
-}
-
-// PeerHits returns how many of the hits were served by the cluster
-// (executions this node avoided because a peer had already profiled the
-// key). Always ≤ Stats' hits.
-func (c *RunCache) PeerHits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.peerHits.Load()
 }
 
 // Len returns the number of distinct runs cached.

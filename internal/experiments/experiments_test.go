@@ -283,13 +283,7 @@ func TestFig5Formatting(t *testing.T) {
 // fewest lines, HIP more, oneAPI the most, with zero-copy S10 designs
 // above A10; Rush Larsen's FPGA designs are excluded.
 func TestTable1Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full evaluation run")
-	}
-	rows, err := RunTable1(nil)
-	if err != nil {
-		t.Fatalf("RunTable1: %v", err)
-	}
+	rows := Table1(getFig5(t))
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}

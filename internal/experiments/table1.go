@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"psaflow/internal/bench"
 	"psaflow/internal/platform"
-	"psaflow/internal/tasks"
 )
 
 // Table1Row is one benchmark's added-LOC record (paper Table I): the
@@ -25,18 +23,14 @@ type Table1Row struct {
 	Excluded  []string // devices excluded because the design is unsynthesizable
 }
 
-// RunTable1 regenerates Table I by running the uninformed PSA-flow on all
-// benchmarks and measuring each rendered design against the reference
-// source line count.
-func RunTable1(logf func(string, ...any)) ([]Table1Row, error) {
+// Table1 regenerates Table I from the Fig. 5 rows, whose uninformed designs
+// are the five generated per benchmark: each rendered design is measured
+// against the reference source line count.
+func Table1(fig5 []Fig5Row) []Table1Row {
 	var rows []Table1Row
-	for _, b := range bench.All() {
-		results, err := RunBenchmark(b, tasks.Uninformed, logf)
-		if err != nil {
-			return nil, err
-		}
-		row := Table1Row{Benchmark: b.Name}
-		for _, r := range results {
+	for _, f := range fig5 {
+		row := Table1Row{Benchmark: f.Benchmark}
+		for _, r := range f.Designs {
 			d := r.Design
 			row.RefLOC = d.RefLOC
 			if d.Infeasible != "" || d.Artifact == nil {
@@ -62,7 +56,7 @@ func RunTable1(logf func(string, ...any)) ([]Table1Row, error) {
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // Table1Average computes the per-column averages (the paper's final row).

@@ -34,7 +34,6 @@ func (s *Server) takeTwins(job *Job, out *outcome) []*Job {
 	if len(taken) == 0 {
 		return nil
 	}
-	s.rec.Add(telemetry.CounterQueueDepth, -int64(len(taken)))
 	twins := taken[:0]
 	for _, t := range taken {
 		if s.start(t, func() {}, "batched behind leader "+job.ID) {

@@ -224,8 +224,8 @@ func TestBatchCancelRunning(t *testing.T) {
 		t.Fatalf("second flow ran for %s, want %s", id, ids[1])
 	}
 	checkShared(t, base, h, ids[1], ids[1:]...)
-	if d := s.Recorder().Counter(telemetry.CounterQueueDepth); d != 0 {
-		t.Errorf("%s = %d with nothing queued", telemetry.CounterQueueDepth, d)
+	if d := s.queue.Len(); d != 0 {
+		t.Errorf("queue holds %d jobs with nothing queued", d)
 	}
 }
 
@@ -245,8 +245,8 @@ func TestBatchCancelQueuedTwin(t *testing.T) {
 	if res := jobResult(t, base, ids[2]); res.State != StateCancelled || res.Batched {
 		t.Errorf("cancelled twin %s: state %s, batched %t; want cancelled, unbatched", ids[2], res.State, res.Batched)
 	}
-	if d := s.Recorder().Counter(telemetry.CounterQueueDepth); d != 0 {
-		t.Errorf("%s = %d with nothing queued", telemetry.CounterQueueDepth, d)
+	if d := s.queue.Len(); d != 0 {
+		t.Errorf("queue holds %d jobs with nothing queued", d)
 	}
 }
 
@@ -255,7 +255,7 @@ func TestBatchCancelQueuedTwin(t *testing.T) {
 // DELETEs and new submissions. Every job must end terminal, a 200 cancel
 // must end cancelled, each group must be exactly the jobs that name its
 // leader, every started job must have run its own flow or ridden one, and
-// the queue-depth gauge must come back to 0.
+// the queue must come back empty.
 func TestBatchTwinStepRaces(t *testing.T) {
 	s := New(Config{Workers: 2, QueueSize: 256})
 	var runs atomic.Int64
@@ -343,8 +343,8 @@ func TestBatchTwinStepRaces(t *testing.T) {
 	if started := rec.Counter(telemetry.CounterJobsStarted); started != runs.Load()+twins {
 		t.Errorf("%d jobs started, but %d flows ran and %d twins rode them", started, runs.Load(), twins)
 	}
-	if d := rec.Counter(telemetry.CounterQueueDepth); d != 0 {
-		t.Errorf("%s = %d with nothing queued", telemetry.CounterQueueDepth, d)
+	if d := s.queue.Len(); d != 0 {
+		t.Errorf("queue holds %d jobs with nothing queued", d)
 	}
 	if _, err := s.Drain(); err != nil {
 		t.Fatal(err)

@@ -119,15 +119,3 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 }
-
-// clusterMetrics is the /metrics cluster block (nil on a single node).
-type clusterMetrics struct {
-	cluster.Stats
-	// RunCachePeerHits counts local run-cache misses served by a peer —
-	// executions this node skipped because the cluster had the result.
-	RunCachePeerHits int64 `json:"runcache_peer_hits"`
-	JobsForwarded    int64 `json:"jobs_forwarded"`
-	JobsProxied      int64 `json:"requests_proxied"`
-	ForwardFailed    int64 `json:"forward_failures"`
-	LocalFallbacks   int64 `json:"forward_local_fallbacks"`
-}

@@ -11,6 +11,7 @@ import (
 
 	"psaflow/internal/cluster"
 	"psaflow/internal/faults"
+	"psaflow/internal/telemetry"
 )
 
 // testCluster is n full service nodes in-process: each Server gets its
@@ -90,7 +91,7 @@ func tenantForOwner(t *testing.T, nodes []*cluster.Node, spec JobSpec, owner str
 	return ""
 }
 
-func fetchClusterMetrics(t *testing.T, base string) clusterMetrics {
+func fetchClusterMetrics(t *testing.T, base string) cluster.Stats {
 	t.Helper()
 	code, body := getJSON(t, base+"/metrics")
 	if code != http.StatusOK {
@@ -98,7 +99,7 @@ func fetchClusterMetrics(t *testing.T, base string) clusterMetrics {
 	}
 	var m struct {
 		Service struct {
-			Cluster *clusterMetrics `json:"cluster"`
+			Cluster *cluster.Stats `json:"cluster"`
 		} `json:"service"`
 	}
 	if err := json.Unmarshal(body, &m); err != nil {
@@ -124,14 +125,14 @@ func TestClusterForwardedSubmit(t *testing.T) {
 	if !strings.HasPrefix(st.ID, "cb-") {
 		t.Fatalf("job ID %q should carry the owner prefix cb-", st.ID)
 	}
-	if m := fetchClusterMetrics(t, bases[0]); m.JobsForwarded < 1 {
-		t.Fatalf("submit node counted no forwards: %+v", m)
+	if c := fetchMetrics(t, bases[0]).Telemetry.Counters; c[telemetry.CounterClusterForwarded] < 1 {
+		t.Fatalf("submit node counted no forwards: %v", c)
 	}
 
 	// Polling the submit node proxies each status read to the owner.
 	waitState(t, bases[0], st.ID, 30*time.Second, StateDone)
-	if m := fetchClusterMetrics(t, bases[0]); m.JobsProxied < 1 {
-		t.Fatalf("submit node counted no proxied requests: %+v", m)
+	if c := fetchMetrics(t, bases[0]).Telemetry.Counters; c[telemetry.CounterClusterProxied] < 1 {
+		t.Fatalf("submit node counted no proxied requests: %v", c)
 	}
 	// Any node serves the result, including one that saw neither the
 	// submit nor the run.
@@ -187,8 +188,8 @@ func TestClusterCrossNodeCacheHit(t *testing.T) {
 	st2 := submitOK(t, bases[1], second)
 	waitState(t, bases[1], st2.ID, 30*time.Second, StateDone)
 
-	if m := fetchClusterMetrics(t, bases[1]); m.RunCachePeerHits < 1 {
-		t.Fatalf("second node recomputed instead of hitting the cluster cache: %+v", m)
+	if c := fetchMetrics(t, bases[1]).Telemetry.Counters; c[telemetry.CounterClusterRunPeerHits] < 1 {
+		t.Fatalf("second node recomputed instead of hitting the cluster cache: %v", c)
 	}
 	var envelopes int
 	for _, base := range bases {
@@ -274,9 +275,9 @@ func TestClusterPeerLossDegrades(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("fallback job: %+v", final)
 	}
-	m := fetchClusterMetrics(t, bases[0])
-	if m.ForwardFailed < 1 || m.LocalFallbacks < 1 {
-		t.Fatalf("fallback not counted: %+v", m)
+	c := fetchMetrics(t, bases[0]).Telemetry.Counters
+	if c[telemetry.CounterClusterForwardFailed] < 1 || c[telemetry.CounterClusterForwardedLocal] < 1 {
+		t.Fatalf("fallback not counted: %v", c)
 	}
 
 	// Health converges: after a couple of failed pings the survivors mark

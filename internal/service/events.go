@@ -102,11 +102,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusTooManyRequests, "job %q already has the maximum number of event watchers", id)
 		return
 	}
-	s.rec.Add(telemetry.CounterEventWatchers, 1)
-	defer func() {
-		s.rec.Add(telemetry.CounterEventsDropped, int64(sub.Close()))
-		s.rec.Add(telemetry.CounterEventWatchers, -1)
-	}()
+	defer func() { s.rec.Add(telemetry.CounterEventsDropped, int64(sub.Close())) }()
 
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")

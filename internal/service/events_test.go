@@ -298,12 +298,12 @@ func TestEventStreamDropAccounting(t *testing.T) {
 	if evs[0].Seq != 19 || evs[3].Type != events.TypeDone {
 		t.Fatalf("wrong retained window: %+v", evs)
 	}
-	m := fetchMetrics(t, ts.URL)
-	if m.Service.EventsPublished != 23 {
-		t.Errorf("events_published = %d, want 23", m.Service.EventsPublished)
+	c := fetchMetrics(t, ts.URL).Telemetry.Counters
+	if n := c[telemetry.CounterEventsPublished]; n != 23 {
+		t.Errorf("%s = %d, want 23", telemetry.CounterEventsPublished, n)
 	}
-	if m.Service.EventsDropped != 19 {
-		t.Errorf("events_dropped = %d, want 19 (seqs 0..18 evicted)", m.Service.EventsDropped)
+	if n := c[telemetry.CounterEventsDropped]; n != 19 {
+		t.Errorf("%s = %d, want 19 (seqs 0..18 evicted)", telemetry.CounterEventsDropped, n)
 	}
 }
 
@@ -357,7 +357,7 @@ func TestEventStreamLateSubscriberDrainsRing(t *testing.T) {
 }
 
 // TestEventStreamDisconnectFreesSubscription cancels a watcher mid-stream
-// and checks the broker slot and the watcher gauge are released.
+// and checks the broker slot is released and /metrics counts it out.
 func TestEventStreamDisconnectFreesSubscription(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
 	h := installBlockingHook(s)
@@ -382,15 +382,18 @@ func TestEventStreamDisconnectFreesSubscription(t *testing.T) {
 		_, _, subs := job.events.Stats()
 		return subs == 1
 	})
+	if n := fetchMetrics(t, ts.URL).Service.EventWatchers; n != 1 {
+		t.Errorf("event_watchers = %d with one stream attached", n)
+	}
 	cancel()
 	resp.Body.Close()
 	waitCond(t, "subscriber detached", func() bool {
 		_, _, subs := job.events.Stats()
 		return subs == 0
 	})
-	waitCond(t, "watcher gauge zero", func() bool {
-		return s.rec.Counter(telemetry.CounterEventWatchers) == 0
-	})
+	if n := fetchMetrics(t, ts.URL).Service.EventWatchers; n != 0 {
+		t.Errorf("event_watchers = %d after the only stream detached", n)
+	}
 	close(h.release)
 	waitState(t, ts.URL, st.ID, 10*time.Second, StateDone)
 }
@@ -532,8 +535,8 @@ func TestQueueWaitAvgCountsStartedJobs(t *testing.T) {
 	waitState(t, ts.URL, j2.ID, 10*time.Second, StateDone)
 
 	m := fetchMetrics(t, ts.URL)
-	if m.Service.JobsStarted != 2 {
-		t.Fatalf("jobs_started = %d, want 2", m.Service.JobsStarted)
+	if n := m.Telemetry.Counters[telemetry.CounterJobsStarted]; n != 2 {
+		t.Fatalf("%s = %d, want 2", telemetry.CounterJobsStarted, n)
 	}
 	wantAvg := float64(m.Telemetry.Counters[telemetry.CounterQueueWaitMillis]) / 2
 	if m.Service.QueueWaitMSav != wantAvg {
@@ -590,7 +593,7 @@ func TestTerminalJobEviction(t *testing.T) {
 		return len(s.jobs) == 2
 	})
 	waitCond(t, "eviction counter", func() bool {
-		return fetchMetrics(t, ts.URL).Service.JobsEvicted == 3
+		return fetchMetrics(t, ts.URL).Telemetry.Counters[telemetry.CounterJobsEvicted] == 3
 	})
 
 	evicted, retained := ids[0], ids[4]

@@ -288,11 +288,11 @@ func TestChaosSoak(t *testing.T) {
 			}
 		}
 	}
-	m := fetchMetrics(t, ts.URL)
-	if m.Service.FaultsInjected == 0 {
+	c := fetchMetrics(t, ts.URL).Telemetry.Counters
+	if c[telemetry.CounterFaultsInjected] == 0 {
 		t.Error("soak at rate=0.2 injected nothing according to /metrics")
 	}
-	if m.Service.RetryAttempts == 0 {
+	if c[telemetry.CounterRetryAttempts] == 0 {
 		t.Error("soak retried nothing according to /metrics")
 	}
 }

@@ -175,14 +175,16 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if job == nil {
 		return
 	}
-	// Still queued: the worker will skip it when dequeued; the terminal
-	// state and counter are recorded now so the cancel is immediately
-	// visible, and the store gets a cancel record so a restart doesn't
-	// requeue the job its client already killed.
+	// Still queued: the terminal state and counter are recorded now so the
+	// cancel is immediately visible, the store gets a cancel record so a
+	// restart doesn't requeue the job its client already killed, and the
+	// job leaves the queue, freeing its slot. A worker that popped it in
+	// the meantime finds it no longer queued and skips it.
 	st, cancelled := s.complete(job, store.OpCancel, &outcome{
 		state: StateCancelled, msg: "cancelled before start", class: FailureCancelled,
 	})
 	if cancelled {
+		s.queue.Remove(job)
 		writeJSON(w, http.StatusOK, st)
 		return
 	}

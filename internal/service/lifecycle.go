@@ -98,7 +98,6 @@ func (s *Server) enqueue(job *Job, replayed bool) error {
 		return errQueueFull
 	}
 	s.jobs[job.ID] = job
-	s.rec.Add(telemetry.CounterQueueDepth, 1)
 	s.rec.Add(telemetry.CounterJobsSubmitted, 1)
 	s.rec.Add(telemetry.CounterEventsPublished, 1)
 	return nil
@@ -146,7 +145,8 @@ type outcome struct {
 
 // complete is the terminal transition, for a job that ran (op OpResult: a
 // run and its twins) and for one cancelled while still queued (op OpCancel:
-// a no-op, ok=false, once the job has left the queue). In this order:
+// a no-op, ok=false, once a worker or a twin step has started it). In this
+// order:
 //
 //  1. visible — the result is encoded once and state, error, finish time
 //     and result bytes change in one critical section of the job; readers

@@ -101,14 +101,11 @@ func (m *model) submit(id, key string, gated bool) int {
 }
 
 // settle runs the workers until each is parked on a gated flow or the
-// queue is empty: pop in order, skip what is no longer queued, run the rest.
+// queue is empty: pop in order and run.
 func (m *model) settle() {
 	for m.busy < m.workers && len(m.queue) > 0 {
 		j := m.jobs[m.queue[0]]
 		m.queue = m.queue[1:]
-		if j.state != StateQueued {
-			continue
-		}
 		j.state, j.started = StateRunning, 1
 		if j.gated {
 			m.busy++
@@ -167,8 +164,9 @@ func (m *model) cancel(id string) int {
 	switch {
 	case j == nil || !j.live:
 		return http.StatusNotFound
-	case j.state == StateQueued: // stays in the queue until a worker skips it
+	case j.state == StateQueued: // and leaves the queue at once
 		m.finish(j, StateCancelled)
+		m.queue = slices.DeleteFunc(m.queue, func(q string) bool { return q == id })
 		return http.StatusOK
 	case j.state == StateRunning:
 		m.release(j, StateCancelled)

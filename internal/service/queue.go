@@ -11,7 +11,7 @@ import (
 // The tenant-aware job queue. The old queue was a plain buffered channel:
 // strict FIFO, no notion of who submitted what, so one tenant's burst of
 // a hundred sweeps starved everyone behind it. This queue keeps the same
-// external contract (bounded, non-blocking push, close-to-drain) but
+// external contract (bounded, non-blocking push, close to stop) but
 // selects work by three ordered rules:
 //
 //  1. Priority band: higher JobSpec.Priority dequeues first, always.
@@ -25,8 +25,7 @@ import (
 //
 // Per-tenant in-flight caps gate eligibility, not admission: a tenant at
 // its cap keeps its jobs queued (invisible to selection) until one of
-// its running jobs releases. Caps are ignored once the queue closes —
-// drain must be able to hand every queued job to the snapshot.
+// its running jobs releases.
 //
 // Tenancy survives crashes for free: tenant and priority live in the
 // JobSpec, the WAL replays specs through the same Push path, and the
@@ -165,23 +164,18 @@ func (q *jobQueue) Push(job *Job, replayed bool) (ok, closed bool) {
 }
 
 // eligible reports whether the tenant may start another job right now.
-// Caps stop applying once the queue closes: the drain path must be able
-// to pull every job out.
 func (q *jobQueue) eligible(tenant string) bool {
-	if q.closed {
-		return true
-	}
 	t := q.quota(tenant)
 	return t.MaxInFlight <= 0 || q.inflight[tenant] < t.MaxInFlight
 }
 
 // Pop blocks for the next schedulable job. ok=false means the queue is
-// closed and empty — the worker exits. Every successful Pop charges the
-// job's tenant one in-flight slot; the worker must Release it.
+// closed — the worker exits. Every successful Pop charges the job's tenant
+// one in-flight slot; the worker must Release it.
 func (q *jobQueue) Pop() (job *Job, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
+	for !q.closed {
 		if idx := q.selectLocked(); idx >= 0 {
 			item := q.items[idx]
 			q.items = append(q.items[:idx], q.items[idx+1:]...)
@@ -190,31 +184,43 @@ func (q *jobQueue) Pop() (job *Job, ok bool) {
 			q.advancePass(tenant)
 			return item.job, true
 		}
-		if q.closed {
-			return nil, false
-		}
 		q.cond.Wait()
 	}
+	return nil, false
 }
 
 // Twins takes every queued job that would execute job's flow (sameRun) out
-// of the queue, in queue order — cancelled ones too, which a worker would
-// only skip. Twins never run, so no tenant is charged a slot.
+// of the queue, in queue order — one cancelled a moment ago too, if its
+// cancel has not taken it out yet. Twins never run, so no tenant is charged
+// a slot.
 func (q *jobQueue) Twins(job *Job) []*Job {
+	return q.take(func(j *Job) bool { return sameRun(job, j) })
+}
+
+// Remove takes a job cancelled while queued out of the queue, so it stops
+// holding a slot, counting as load and waiting to be skipped. It is a no-op
+// when a worker or a twin step took the job first.
+func (q *jobQueue) Remove(job *Job) {
+	q.take(func(j *Job) bool { return j == job })
+}
+
+// take removes the queued jobs match selects, in one scan under the lock,
+// and returns them in queue order.
+func (q *jobQueue) take(match func(*Job) bool) []*Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var twins []*Job
+	var taken []*Job
 	kept := q.items[:0]
 	for _, item := range q.items {
-		if sameRun(job, item.job) {
-			twins = append(twins, item.job)
+		if match(item.job) {
+			taken = append(taken, item.job)
 		} else {
 			kept = append(kept, item)
 		}
 	}
 	clear(q.items[len(kept):])
 	q.items = kept
-	return twins
+	return taken
 }
 
 // selectLocked picks the next job: highest priority band, then lowest
@@ -282,13 +288,19 @@ func (q *jobQueue) Release(tenant string) {
 	q.cond.Broadcast()
 }
 
-// Close stops admission and unblocks every Pop. Queued jobs remain
-// poppable (caps no longer apply) so drain can collect them.
-func (q *jobQueue) Close() {
+// Close stops admission and every Pop, and returns the jobs still queued.
+// They stay in the queue, where a flow that is still running takes its
+// twins from.
+func (q *jobQueue) Close() []*Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
 	q.cond.Broadcast()
+	held := make([]*Job, len(q.items))
+	for i, item := range q.items {
+		held[i] = item.job
+	}
+	return held
 }
 
 // Len returns the queued-job count.

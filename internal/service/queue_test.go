@@ -146,21 +146,36 @@ func TestQueueInflightCap(t *testing.T) {
 	}
 }
 
+// TestQueueCloseDrainsPastCaps: Close hands back every queued job, the one
+// its tenant's cap holds back included, wakes a blocked Pop and stops every
+// later one and every push.
 func TestQueueCloseDrainsPastCaps(t *testing.T) {
 	quotas, _ := ParseTenantQuotas("capped=1")
 	q := newJobQueue(16, quotas)
 	q.Push(qjob("capped", 0), false)
-	q.Push(qjob("capped", 0), false)
+	capped := qjob("capped", 0)
+	q.Push(capped, false)
 	if job, _ := q.Pop(); job == nil {
 		t.Fatal("pop failed")
 	}
-	q.Close()
-	// The cap would block this pop; close lifts it so drain can collect.
-	if job, ok := q.Pop(); !ok || job == nil {
-		t.Fatal("post-close pop did not yield the capped job")
+	blocked := make(chan bool, 1)
+	go func() {
+		_, ok := q.Pop() // the cap holds capped back
+		blocked <- ok
+	}()
+	if held := q.Close(); len(held) != 1 || held[0] != capped {
+		t.Fatalf("close returned %v, want the capped job", held)
+	}
+	select {
+	case ok := <-blocked:
+		if ok {
+			t.Fatal("a blocked pop took a job from the closed queue")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("close did not wake the blocked pop")
 	}
 	if _, ok := q.Pop(); ok {
-		t.Fatal("empty closed queue still popping")
+		t.Fatal("closed queue still popping")
 	}
 	if ok, closed := q.Push(qjob("", 0), false); ok || !closed {
 		t.Fatal("closed queue accepted a push")

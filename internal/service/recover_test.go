@@ -198,7 +198,7 @@ func TestCrashRecoveryRequeuesAcknowledged(t *testing.T) {
 
 // TestCleanShutdownNoRecoveryNoise: a drained server ends its WAL with a
 // shutdown record (and leaves no side file), so the next start requeues
-// leftover queued jobs without declaring an unclean shutdown; a server
+// the jobs it left queued without declaring an unclean shutdown; a server
 // abandoned mid-job leaves none, and the start after it says so.
 func TestCleanShutdownNoRecoveryNoise(t *testing.T) {
 	dir := t.TempDir()
@@ -220,8 +220,8 @@ func TestCleanShutdownNoRecoveryNoise(t *testing.T) {
 	drainDone := make(chan error, 1)
 	go func() { _, err := s1.Drain(); drainDone <- err }()
 	// Release the in-flight job only once the drain flag is up, so the
-	// worker routes the queued job to the leftover list instead of running
-	// it (the nondeterminism a real SIGTERM doesn't have: its release is
+	// queue is closed and the worker exits instead of running the queued
+	// job (the nondeterminism a real SIGTERM doesn't have: its release is
 	// the flow finishing, well after draining is set).
 	for !s1.draining.Load() {
 		time.Sleep(time.Millisecond)
@@ -526,9 +526,10 @@ func TestReplayRequeuesJobWithLegacyStartRecord(t *testing.T) {
 		_, ok := s.storedResult(oldID)
 		return ok
 	})
-	m := fetchMetrics(t, ts.URL)
-	if m.Service.Store == nil || m.Service.Store.SkippedCorrupt != 0 || m.Service.Store.Replayed != 2 {
-		t.Errorf("store after replaying a legacy WAL: %+v, want 2 records replayed, none skipped", m.Service.Store)
+	c := fetchMetrics(t, ts.URL).Telemetry.Counters
+	if c[telemetry.CounterStoreSkippedCorrupt] != 0 || c[telemetry.CounterStoreReplayed] != 2 {
+		t.Errorf("store after replaying a legacy WAL: %s = %d, %s = %d; want 2 records replayed, none skipped",
+			telemetry.CounterStoreReplayed, c[telemetry.CounterStoreReplayed], telemetry.CounterStoreSkippedCorrupt, c[telemetry.CounterStoreSkippedCorrupt])
 	}
 }
 

@@ -111,13 +111,12 @@ type Server struct {
 	storeStatsMu   sync.Mutex
 	lastStoreStats store.Stats
 
-	mu       sync.Mutex // guards jobs, retired, queue close, leftovers
+	mu       sync.Mutex // guards jobs, retired, drained and the queue's close
 	jobs     map[string]*Job
 	retired  []string // terminal job IDs, oldest first, for registry eviction
 	queue    *jobQueue
 	draining atomic.Bool
 	drained  bool
-	leftover []*Job // queued jobs collected during drain, for the snapshot
 
 	wg     sync.WaitGroup
 	nextID atomic.Int64
@@ -282,8 +281,10 @@ func (s *Server) Drain() (int, error) {
 		return 0, nil
 	}
 	s.drained = true
+	// The queue closes before the flag rises: once draining reads true, no
+	// worker takes another job.
+	queued := s.queue.Close()
 	s.draining.Store(true)
-	s.queue.Close()
 	s.mu.Unlock()
 
 	if c := s.cfg.Cluster; c != nil {
@@ -291,14 +292,15 @@ func (s *Server) Drain() (int, error) {
 	}
 	s.wg.Wait()
 
-	s.mu.Lock()
-	leftover := s.leftover
-	s.leftover = nil
-	s.mu.Unlock()
-	// Leftover jobs will resume in another process; end their event
-	// streams here so attached watchers see the stream close, not a hang.
-	for _, job := range leftover {
-		job.events.Close()
+	// A job still queued will resume in another process; end its event
+	// stream here so attached watchers see the stream close, not a hang. A
+	// twin that a flow finished while the drain waited is terminal already.
+	kept := 0
+	for _, job := range queued {
+		if job.State() == StateQueued {
+			job.events.Close()
+			kept++
+		}
 	}
 	// The shutdown record lets the next start tell a drain from a crash. It
 	// goes last, immediately before the store closes, so no job record can
@@ -315,11 +317,10 @@ func (s *Server) Drain() (int, error) {
 	if err := s.closeFlowRegistry(); err != nil {
 		return 0, err
 	}
-	return len(leftover), nil
+	return kept, nil
 }
 
-// worker executes queued jobs until the queue closes. During a drain it
-// routes still-queued jobs to the snapshot instead of running them.
+// worker executes queued jobs until the queue closes.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -327,14 +328,7 @@ func (s *Server) worker() {
 		if !ok {
 			return
 		}
-		s.rec.Add(telemetry.CounterQueueDepth, -1)
-		if !s.draining.Load() {
-			s.runJob(job)
-		} else if job.State() == StateQueued {
-			s.mu.Lock()
-			s.leftover = append(s.leftover, job)
-			s.mu.Unlock()
-		}
+		s.runJob(job)
 		s.queue.Release(job.Spec.Tenant)
 	}
 }

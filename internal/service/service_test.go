@@ -170,9 +170,8 @@ func TestJobLifecycle(t *testing.T) {
 		return ok && e.Phase == store.PhaseTerminal
 	})
 
-	// The /metrics store block is store.Stats plus requeued: every key an
-	// operator's dashboard reads today stays, as a JSON number, and none
-	// appears unannounced.
+	// The /metrics store block is the store's gauges, each a JSON number,
+	// none unannounced; its counters are the store.* telemetry counters.
 	code, body = getJSON(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: got %d, body %s", code, body)
@@ -181,6 +180,7 @@ func TestJobLifecycle(t *testing.T) {
 		Service struct {
 			Store map[string]json.Number `json:"store"`
 		} `json:"service"`
+		Telemetry telemetry.Report `json:"telemetry"`
 	}
 	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatalf("metrics store block: %v in %s", err, body)
@@ -190,13 +190,12 @@ func TestJobLifecycle(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	const goldenKeys = "appends compactions dead_frames evicted fsyncs indexed_jobs live_frames " +
-		"pending_jobs replayed requeued segments skipped_corrupt torn_tails"
+	const goldenKeys = "dead_frames indexed_jobs live_frames pending_jobs segments"
 	if got := strings.Join(keys, " "); got != goldenKeys {
 		t.Errorf("store block keys:\n got %s\nwant %s", got, goldenKeys)
 	}
-	if got := m.Service.Store["appends"]; got != "2" { // submit, result: starting a job writes nothing
-		t.Errorf("store.appends = %s after one job, want 2", got)
+	if got := m.Telemetry.Counters[telemetry.CounterStoreAppends]; got != 2 { // submit, result: starting a job writes nothing
+		t.Errorf("%s = %d after one job, want 2", telemetry.CounterStoreAppends, got)
 	}
 
 	if code, _ := getJSON(t, base+"/v1/jobs/nosuchjob"); code != http.StatusNotFound {
@@ -358,6 +357,23 @@ func TestCancelQueued(t *testing.T) {
 	if n := s.rec.Counter(telemetry.CounterJobsCancelled); n != 1 {
 		t.Errorf("cancelled counter = %d, want 1", n)
 	}
+}
+
+// TestQueuedCancelFreesSlot: a job cancelled while queued leaves the queue
+// at once — its slot, its tenant's queued count and the node's load go with
+// it — instead of waiting for a worker to pop it and skip it.
+func TestQueuedCancelFreesSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{QueueSize: 1}) // never started: no worker pops
+	first := submitOK(t, ts.URL, JobSpec{Bench: "nbody", Tenant: "acme"})
+	if code, body := httpDelete(t, ts.URL+"/v1/jobs/"+first.ID); code != http.StatusOK {
+		t.Fatalf("cancel queued: got %d %s, want 200", code, body)
+	}
+	m := fetchMetrics(t, ts.URL)
+	if m.Service.QueueDepth != 0 || len(m.Service.Tenants) != 0 || s.queue.Load() != 0 {
+		t.Errorf("after the cancel: queue_depth %d, tenants %+v, load %d; want an empty queue",
+			m.Service.QueueDepth, m.Service.Tenants, s.queue.Load())
+	}
+	submitOK(t, ts.URL, JobSpec{Bench: "nbody", Tenant: "acme"})
 }
 
 // spinNBody replaces the nbody source with an effectively unbounded loop:

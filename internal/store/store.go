@@ -187,7 +187,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	for _, de := range ents {
 		name := de.Name()
 		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(s.path(name)) // interrupted compaction leftovers
+			os.Remove(s.path(name)) // left by an interrupted compaction
 			continue
 		}
 		seq, snap, ok := parseSegmentName(name)
@@ -197,8 +197,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		files = append(files, &diskFile{seq: seq, snap: snap, path: s.path(name)})
 	}
 	// The highest snapshot supersedes every file with a lower-or-equal
-	// sequence number; anything it covers is a leftover from a crash
-	// between a compaction's rename and its deletes.
+	// sequence number; anything it covers was left by a crash between a
+	// compaction's rename and its deletes.
 	var base uint64
 	hasSnap := false
 	for _, f := range files {

@@ -52,9 +52,8 @@ const (
 	CounterBudgetRevisions = "flow.budget_revisions"
 )
 
-// Service counters fed by the psaflowd job queue and worker pool. Lifecycle
-// counters are cumulative; CounterQueueDepth is maintained as a gauge
-// (+1 on enqueue, -1 on dequeue), so its current value is the live depth.
+// Service counters fed by the psaflowd job queue and worker pool, all
+// cumulative. The queue depth is a gauge and is read from the queue itself.
 const (
 	CounterJobsSubmitted = "service.jobs_submitted"
 	// CounterJobsStarted counts jobs a worker actually began executing —
@@ -67,7 +66,6 @@ const (
 	CounterJobsCancelled   = "service.jobs_cancelled"
 	CounterJobsRejected    = "service.jobs_rejected" // queue-full 429s
 	CounterJobsEvicted     = "service.jobs_evicted"  // terminal jobs evicted from the registry
-	CounterQueueDepth      = "service.queue_depth"
 	CounterQueueWaitMillis = "service.queue_wait_ms" // cumulative submit→start wait
 	// CounterBatchGroups / Jobs count batched multi-job executions: flow
 	// runs whose outcome also completed at least one queued twin (identical
@@ -78,12 +76,11 @@ const (
 )
 
 // Event-stream counters fed by the psaflowd job-event broker and the
-// GET /v1/jobs/{id}/events handler. CounterEventWatchers is a gauge
-// (+1 on subscribe, -1 on stream end); the others are cumulative.
+// GET /v1/jobs/{id}/events handler. The attached watchers are a gauge, read
+// from the brokers.
 const (
 	CounterEventsPublished = "service.events.published"
 	CounterEventsDropped   = "service.events.dropped" // ring evictions past slow watchers
-	CounterEventWatchers   = "service.events.watchers"
 )
 
 // Durable-store counters mirrored from the WAL-backed job store (see
@@ -163,11 +160,10 @@ const (
 	CounterClusterRunFillReject  = "cluster.runcache.fill_rejects"
 	CounterClusterRunWaitHits    = "cluster.runcache.wait_hits"
 	CounterClusterRunFetchErrors = "cluster.runcache.fetch_errors"
-	// Peer health: ping attempts, failed pings, and the current number of
-	// healthy peers (gauge, self included).
+	// Peer health: ping attempts and failed pings. The healthy-node count
+	// is a gauge, read from the node (cluster.Node.HealthyCount).
 	CounterClusterPings        = "cluster.pings"
 	CounterClusterPingFailures = "cluster.ping_failures"
-	CounterClusterPeersHealthy = "cluster.peers_healthy"
 )
 
 // FaultCounter returns the per-kind injected-fault counter name, e.g.

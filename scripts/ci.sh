@@ -39,11 +39,12 @@ go test -C benchmark .
 # its result bytes and events only (the terminal transition releases the
 # rest under the job lock while readers poll).
 go test -race -count=20 -run 'TestTerminalStatusHasResult|TestClusterDeterminism|TestRetainedJobFootprint' ./internal/service/
-# Batching: a run that ends takes its queued twins out of the queue while
-# DELETEs and new submissions race it, and each job must still cancel
-# alone — 20 runs, for the scheduler to vary the interleaving (-short
-# skips TestBatchLowersOnce, the one with real flows).
-go test -race -short -count=20 -run 'TestBatch' ./internal/service/
+# Queue removal: a run that ends takes its queued twins out of the queue,
+# a queued cancel takes its job out, and a drain closes the queue, while
+# workers pop and DELETEs and new submissions race them; each job must
+# still cancel alone — 20 runs, for the scheduler to vary the interleaving
+# (-short skips TestBatchLowersOnce, the one with real flows).
+go test -race -short -count=20 -run 'TestBatch|TestCancelQueued|TestQueuedCancelFreesSlot|TestQueueClose|TestDrain|TestCleanShutdown' ./internal/service/
 # One lowered image is shared by every run of its program, concurrent ones
 # included, because no run writes an instruction: 8 goroutines × 6 runs
 # on one image must each equal the tree-walker — 20 runs, for the
