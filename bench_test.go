@@ -13,7 +13,6 @@ package psaflow_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"psaflow/internal/bench"
@@ -25,7 +24,6 @@ import (
 	"psaflow/internal/platform"
 	"psaflow/internal/tasks"
 	"psaflow/internal/telemetry"
-	"psaflow/internal/transform"
 )
 
 // BenchmarkFig5 runs the uninformed PSA-flow per benchmark and reports the
@@ -158,8 +156,10 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkUnrollDSE measures the Fig. 2 meta-program itself: the
-// doubling unroll search with HLS re-estimation each step.
+// BenchmarkUnrollDSE measures the Fig. 2 meta-program as branch point C
+// runs it: the Arria 10 and Stratix 10 Unroll Until Overmap DSE tasks, each
+// on its own fork of one design wrapping a saxpy-like kernel. final-unroll
+// is the factor the Arria 10 walk settles on.
 func BenchmarkUnrollDSE(b *testing.B) {
 	src := `
 void k(int n, const float *a, float *b) {
@@ -168,24 +168,21 @@ void k(int n, const float *a, float *b) {
     }
 }
 `
+	d := core.NewDesign("saxpy", minic.MustParse(src))
+	d.Kernel = "k"
+	a10, s10 := tasks.UnrollUntilOvermap(platform.Arria10), tasks.UnrollUntilOvermap(platform.Stratix10)
+	ctx := &core.Context{}
 	b.ReportAllocs()
 	finalUnroll := 0
 	for i := 0; i < b.N; i++ {
-		prog := minic.MustParse(src)
-		fn := prog.MustFunc("k")
-		loop := firstFor(fn)
-		finalUnroll = 0
-		for n := 1; n <= 1<<16; n *= 2 {
-			transform.RemoveLoopPragmas(loop, "unroll")
-			if err := transform.InsertLoopPragma(loop, fmt.Sprintf("unroll %d", n)); err != nil {
-				b.Fatal(err)
-			}
-			rep := hls.Estimate(prog, fn, platform.Arria10, 0)
-			if !rep.Fits {
-				break
-			}
-			finalUnroll = n
+		fa, fs := d.Fork(), d.Fork()
+		if err := a10.Run(ctx, fa); err != nil {
+			b.Fatal(err)
 		}
+		if err := s10.Run(ctx, fs); err != nil {
+			b.Fatal(err)
+		}
+		finalUnroll = fa.UnrollFactor
 	}
 	b.ReportMetric(float64(finalUnroll), "final-unroll")
 }
@@ -297,28 +294,4 @@ func BenchmarkHLSEstimate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hls.Estimate(prog, fn, platform.Stratix10, 0)
 	}
-}
-
-func firstFor(fn *minic.FuncDecl) minic.Stmt {
-	var loop minic.Stmt
-	minic.Walk(fn, func(n minic.Node) bool {
-		if loop != nil {
-			return false
-		}
-		if _, ok := n.(*minic.ForStmt); ok {
-			loop = n.(minic.Stmt)
-			return false
-		}
-		return true
-	})
-	return loop
-}
-
-func runApp(prog *minic.Program, app *bench.Benchmark) (any, error) {
-	w := bench.Workload{B: app}
-	return runEntry(prog, w)
-}
-
-func runEntry(prog *minic.Program, w bench.Workload) (*interp.Result, error) {
-	return interp.Run(prog, interp.Config{Entry: w.Entry(), Args: w.Args()})
 }

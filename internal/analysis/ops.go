@@ -35,23 +35,6 @@ func (o *OpCounts) AI() float64 {
 	return o.FlopsW / o.BytesRW
 }
 
-func (o *OpCounts) addScaled(src *OpCounts, k float64) {
-	o.AddSub += k * src.AddSub
-	o.Mul += k * src.Mul
-	o.Div += k * src.Div
-	o.Cmp += k * src.Cmp
-	o.Special += k * src.Special
-	o.IntOps += k * src.IntOps
-	o.Loads += k * src.Loads
-	o.Stores += k * src.Stores
-	o.Calls += k * src.Calls
-	o.FlopsW += k * src.FlopsW
-	o.BytesRW += k * src.BytesRW
-	for name, n := range src.SpecialK {
-		o.SpecialK[name] += k * n
-	}
-}
-
 // typeEnv records array element kinds and integer-typed scalars for the
 // enclosing function, supporting byte accounting and int/float operation
 // classification.
@@ -142,11 +125,12 @@ func isSpecialFn(name string) bool {
 func CountOps(region minic.Node, fn *minic.FuncDecl) *OpCounts {
 	env := typesIn(fn)
 	out := newOpCounts()
-	countInto(region, env, out)
+	countInto(region, env, out, 1)
 	return out
 }
 
-func countInto(region minic.Node, env typeEnv, out *OpCounts) {
+// countInto adds k per operation in region to out.
+func countInto(region minic.Node, env typeEnv, out *OpCounts, k float64) {
 	minic.Walk(region, func(n minic.Node) bool {
 		switch e := n.(type) {
 		case *minic.BinaryExpr:
@@ -154,56 +138,56 @@ func countInto(region minic.Node, env typeEnv, out *OpCounts) {
 			switch e.Op {
 			case minic.TokPlus, minic.TokMinus:
 				if isInt {
-					out.IntOps++
+					out.IntOps += k
 				} else {
-					out.AddSub++
-					out.FlopsW++
+					out.AddSub += k
+					out.FlopsW += k
 				}
 			case minic.TokStar:
 				if isInt {
-					out.IntOps++
+					out.IntOps += k
 				} else {
-					out.Mul++
-					out.FlopsW++
+					out.Mul += k
+					out.FlopsW += k
 				}
 			case minic.TokSlash, minic.TokPercent:
 				if isInt {
-					out.IntOps++
+					out.IntOps += k
 				} else {
-					out.Div++
-					out.FlopsW++
+					out.Div += k
+					out.FlopsW += k
 				}
 			case minic.TokLt, minic.TokGt, minic.TokLe, minic.TokGe, minic.TokEqEq, minic.TokNe:
-				out.Cmp++
+				out.Cmp += k
 			}
 		case *minic.AssignExpr:
 			if e.Op != minic.TokAssign {
 				if env.isIntExpr(e.LHS) {
-					out.IntOps++
+					out.IntOps += k
 				} else {
-					out.AddSub++
-					out.FlopsW++
+					out.AddSub += k
+					out.FlopsW += k
 				}
 			}
 			if ix, ok := e.LHS.(*minic.IndexExpr); ok {
-				out.Stores++
-				out.BytesRW += env.bytes(identName(ix.Base))
+				out.Stores += k
+				out.BytesRW += k * env.bytes(identName(ix.Base))
 				if e.Op != minic.TokAssign {
-					out.Loads++
-					out.BytesRW += env.bytes(identName(ix.Base))
+					out.Loads += k
+					out.BytesRW += k * env.bytes(identName(ix.Base))
 				}
 			}
 		case *minic.IncDecExpr:
 			if env.isIntExpr(e.X) {
-				out.IntOps++
+				out.IntOps += k
 			} else {
-				out.AddSub++
-				out.FlopsW++
+				out.AddSub += k
+				out.FlopsW += k
 			}
 			if ix, ok := e.X.(*minic.IndexExpr); ok {
-				out.Loads++
-				out.Stores++
-				out.BytesRW += 2 * env.bytes(identName(ix.Base))
+				out.Loads += k
+				out.Stores += k
+				out.BytesRW += k * 2 * env.bytes(identName(ix.Base))
 			}
 		case *minic.IndexExpr:
 			// Reads: stores were handled at the Assign/IncDec level; the
@@ -211,20 +195,20 @@ func countInto(region minic.Node, env typeEnv, out *OpCounts) {
 			// not recording the LHS again — so skip IndexExpr that are
 			// direct LHS targets.
 			if !isStoreTarget(region, e) {
-				out.Loads++
-				out.BytesRW += env.bytes(identName(e.Base))
+				out.Loads += k
+				out.BytesRW += k * env.bytes(identName(e.Base))
 			}
 		case *minic.CallExpr:
 			if flops := interp.BuiltinFlops(e.Fun); flops > 0 {
 				if isSpecialFn(e.Fun) {
-					out.Special++
-					out.SpecialK[e.Fun]++
+					out.Special += k
+					out.SpecialK[e.Fun] += k
 				} else {
-					out.AddSub++
+					out.AddSub += k
 				}
-				out.FlopsW += float64(flops)
+				out.FlopsW += k * float64(flops)
 			} else if !interp.IsBuiltin(e.Fun) {
-				out.Calls++
+				out.Calls += k
 			}
 		}
 		return true
@@ -260,47 +244,45 @@ func isStoreTarget(region minic.Node, ix *minic.IndexExpr) bool {
 // WeightedOps counts operations in the body of fn with statically known
 // loop trip counts multiplied through; loops with unknown bounds count as
 // one iteration. The result approximates "work per call" up to the unknown
-// outer dimensions, which dynamic trip counts supply.
+// outer dimensions, which dynamic trip counts supply. Every count is a sum
+// of integers, so adding each statement's k into one OpCounts is exact.
 func WeightedOps(fn *minic.FuncDecl) *OpCounts {
-	env := typesIn(fn)
-	return weightedBlock(fn.Body, env)
-}
-
-func weightedBlock(b *minic.Block, env typeEnv) *OpCounts {
 	out := newOpCounts()
-	for _, s := range b.Stmts {
-		out.addScaled(weightedStmt(s, env), 1)
-	}
+	weightedBlock(fn.Body, typesIn(fn), out, 1)
 	return out
 }
 
-func weightedStmt(s minic.Stmt, env typeEnv) *OpCounts {
-	out := newOpCounts()
+// weightedBlock adds k times the weighted operations of b to out.
+func weightedBlock(b *minic.Block, env typeEnv, out *OpCounts, k float64) {
+	for _, s := range b.Stmts {
+		weightedStmt(s, env, out, k)
+	}
+}
+
+func weightedStmt(s minic.Stmt, env typeEnv, out *OpCounts, k float64) {
 	switch v := s.(type) {
 	case *minic.Block:
-		out.addScaled(weightedBlock(v, env), 1)
+		weightedBlock(v, env, out, k)
 	case *minic.ForStmt:
 		trips := 1.0
 		if n, fixed := query.FixedTripCount(v); fixed && n > 0 && !LoopMarkedRolled(v) {
 			trips = float64(n)
 		}
-		inner := weightedBlock(v.Body, env)
+		weightedBlock(v.Body, env, out, k*trips)
 		// Loop control overhead: one compare + one increment per trip.
-		inner.Cmp++
-		inner.IntOps++
-		out.addScaled(inner, trips)
+		out.Cmp += k * trips
+		out.IntOps += k * trips
 	case *minic.WhileStmt:
-		out.addScaled(weightedBlock(v.Body, env), 1)
+		weightedBlock(v.Body, env, out, k)
 	case *minic.IfStmt:
-		countInto(v.Cond, env, out)
-		out.addScaled(weightedBlock(v.Then, env), 1)
+		countInto(v.Cond, env, out, k)
+		weightedBlock(v.Then, env, out, k)
 		if v.Else != nil {
-			out.addScaled(weightedStmt(v.Else, env), 1)
+			weightedStmt(v.Else, env, out, k)
 		}
 	default:
-		countInto(s, env, out)
+		countInto(s, env, out, k)
 	}
-	return out
 }
 
 // RegisterEstimate approximates the per-thread register demand of a kernel

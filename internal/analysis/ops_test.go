@@ -6,6 +6,10 @@ import (
 	"psaflow/internal/minic"
 )
 
+// TypesIn builds fn's type environment and drops it, for the external test
+// that bounds what WeightedOps allocates beside it.
+func TypesIn(fn *minic.FuncDecl) { typesIn(fn) }
+
 func TestCountOpsBasic(t *testing.T) {
 	prog := minic.MustParse(`void f(int n, double *a, const double *b) {
         for (int i = 0; i < n; i++) {

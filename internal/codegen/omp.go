@@ -12,17 +12,16 @@ import (
 // DSE) on the kernel's outer loop. The added-LOC footprint is tiny — the
 // paper measures ≈ +2%.
 func OpenMP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
-	fn := prog.Func(opts.Kernel)
-	if fn == nil {
-		return nil, fmt.Errorf("codegen: no kernel %q", opts.Kernel)
-	}
-	// The pragma is rewritten on a copy of the kernel alone: prog is the
-	// design's, and its other functions are printed as they are.
-	single := &minic.Program{Funcs: []*minic.FuncDecl{minic.CloneFunc(fn)}}
-	wfn, wloop, _, err := kernelLoop(single, opts.Kernel)
+	fn, loop, _, err := kernelLoop(prog, opts.Kernel)
 	if err != nil {
 		return nil, err
 	}
+	// The pragma is rewritten on a copy of the kernel's path down to its
+	// loop: prog is the design's, and its other functions are printed as
+	// they are.
+	wfn, cl := minic.CopyPath(fn, loop)
+	wloop := cl.(*minic.ForStmt)
+	single := &minic.Program{Funcs: []*minic.FuncDecl{wfn}}
 	threads := opts.NumThreads
 	if threads <= 0 {
 		threads = 1

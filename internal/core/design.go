@@ -184,8 +184,8 @@ func (r *KernelReport) Clone() *KernelReport {
 // Fork copies the design for a branch path: the report (including its
 // alias/dependence results), the provenance trace, and the per-design
 // artifacts. The program is not copied: the fork and d share its functions,
-// which neither side may write without copying first — EditKernel or
-// EditProgram. Fork writes d too (its copies become shared), so a branch
+// which neither side may write without copying first — EditKernel, EditLoop
+// or EditProgram. Fork writes d too (its copies become shared), so a branch
 // point takes every fork before any path runs; the forks can then work
 // concurrently.
 func (d *Design) Fork() *Design {
@@ -236,6 +236,29 @@ func (d *Design) EditKernel() *minic.FuncDecl {
 		return f
 	}
 	return nil
+}
+
+// EditLoop returns loop, a loop of the kernel outside any other loop, for
+// writing its pragmas and nothing else. After a Fork that is a copy of the
+// path down to it (minic.CopyPath), installed as this design's kernel; the
+// loop's header and body and every statement off the path stay shared. The
+// kernel is only partly this design's then, so it is not marked copied: a
+// later EditKernel still copies it whole. A design that owns its kernel
+// gets loop back as it is; a shared kernel without loop gives nil.
+func (d *Design) EditLoop(loop minic.Stmt) minic.Stmt {
+	if !d.shared {
+		return loop
+	}
+	for i, f := range d.Prog.Funcs {
+		if f.Name == d.Kernel && !slices.Contains(d.copied, f) {
+			cf, cl := minic.CopyPath(f, loop)
+			if cf != nil {
+				d.Prog.Funcs[i] = cf
+			}
+			return cl
+		}
+	}
+	return loop
 }
 
 // EditProgram returns the program for writing: after a Fork, a deep copy

@@ -1,7 +1,7 @@
 package core_test
 
 // A fork shares its parent's functions; a writer copies what it writes
-// (Design.EditKernel, Design.EditProgram). These tests pin who holds what
+// (Design.EditKernel, Design.EditLoop, Design.EditProgram). These tests pin who holds what
 // after each step, and GuardWrites checks every bundled flow keeps to it.
 
 import (
@@ -139,6 +139,64 @@ func TestForksRecopyOnNextEdit(t *testing.T) {
 	}
 }
 
+// TestEditLoopCopiesPathOnly: after a Fork, EditLoop installs a copy of the
+// kernel's path down to the loop and returns the loop's copy, its body
+// still shared. The parent and a sibling fork keep the kernel they held,
+// and a later EditKernel copies the whole function, the path copy being
+// only partly the design's.
+func TestEditLoopCopiesPathOnly(t *testing.T) {
+	d := nbodyFront(t)
+	orig := d.KernelFunc()
+	loop := query.New(d.Prog).OutermostLoops(orig)[0]
+	before := minic.Print(d.Prog)
+	f, g := d.Fork(), d.Fork()
+
+	l := f.EditLoop(loop)
+	k := f.KernelFunc()
+	if l == loop || k == orig {
+		t.Fatal("EditLoop after a Fork returned the shared loop or left the shared kernel installed")
+	}
+	if query.New(f.Prog).OutermostLoops(k)[0] != l {
+		t.Fatal("the installed kernel does not hold the loop EditLoop returned")
+	}
+	if l.(*minic.ForStmt).Body != loop.(*minic.ForStmt).Body {
+		t.Error("EditLoop copied the loop's body")
+	}
+	if got, want := sharedWith(f, d), others(d); !slices.Equal(got, want) {
+		t.Errorf("after EditLoop the fork shares %v, want every function but the kernel: %v", got, want)
+	}
+	if err := transform.InsertLoopPragma(l, "unroll 4"); err != nil {
+		t.Fatal(err)
+	}
+	if d.KernelFunc() != orig || minic.Print(d.Prog) != before {
+		t.Fatal("writing the fork's loop changed the parent's program")
+	}
+	if g.KernelFunc() != orig || minic.Print(g.Prog) != before {
+		t.Fatal("writing the fork's loop changed its sibling's program")
+	}
+
+	full := f.EditKernel()
+	if full == k || full == orig {
+		t.Fatal("EditKernel after EditLoop did not copy the kernel")
+	}
+	nodes := map[minic.Node]bool{}
+	minic.Walk(orig, func(n minic.Node) bool { nodes[n] = true; return true })
+	minic.Walk(full, func(n minic.Node) bool {
+		if nodes[n] {
+			t.Fatalf("EditKernel after EditLoop shares %T at %s with the parent's kernel", n, n.NodePos())
+		}
+		return true
+	})
+	if minic.Print(&minic.Program{Funcs: []*minic.FuncDecl{full}}) != minic.Print(&minic.Program{Funcs: []*minic.FuncDecl{k}}) {
+		t.Error("EditKernel's copy does not hold the pragma written through EditLoop")
+	}
+	// The kernel is now the design's own: EditLoop writes it in place.
+	fl := query.New(f.Prog).OutermostLoops(full)[0]
+	if f.EditLoop(fl) != fl || f.KernelFunc() != full {
+		t.Error("EditLoop on a kernel the design copied copied again")
+	}
+}
+
 func TestEditProgramAfterEditKernel(t *testing.T) {
 	d := nbodyFront(t)
 	f := d.Fork()
@@ -161,7 +219,8 @@ func TestEditProgramAfterEditKernel(t *testing.T) {
 func TestUnforkedDesignOwnsItsProgram(t *testing.T) {
 	d := nbodyFront(t)
 	prog, k := d.Prog, d.KernelFunc()
-	if d.EditKernel() != k || d.EditProgram() != prog {
+	loop := query.New(prog).OutermostLoops(k)[0]
+	if d.EditLoop(loop) != loop || d.EditKernel() != k || d.EditProgram() != prog {
 		t.Fatal("a design never forked copied on edit")
 	}
 	lit := &core.Design{Prog: prog, Kernel: d.Kernel}

@@ -35,6 +35,69 @@ func CloneFunc(f *FuncDecl) *FuncDecl {
 	return cf
 }
 
+// CopyPath copies f down to loop for an edit that writes only loop's
+// pragmas: the FuncDecl, each Block and IfStmt on the way, and loop itself
+// with a Pragmas slice of its own. Everything else — the loop's header and
+// body, every statement off the path — is shared with f. IDs are copied
+// verbatim. It returns nil, nil when loop is not in f outside another loop.
+func CopyPath(f *FuncDecl, loop Stmt) (*FuncDecl, Stmt) {
+	body, cl := copyPathBlock(f.Body, loop)
+	if cl == nil {
+		return nil, nil
+	}
+	cf := *f
+	cf.Body = body
+	return &cf, cl
+}
+
+// copyPathBlock returns b copied down to loop and loop's copy, or nil, nil.
+func copyPathBlock(b *Block, loop Stmt) (*Block, Stmt) {
+	if b == nil {
+		return nil, nil
+	}
+	for i, s := range b.Stmts {
+		if cs, cl := copyPathStmt(s, loop); cl != nil {
+			cb := &Block{base: b.base, Stmts: append([]Stmt(nil), b.Stmts...)}
+			cb.Stmts[i] = cs
+			return cb, cl
+		}
+	}
+	return nil, nil
+}
+
+// copyPathStmt returns s copied down to loop and loop's copy, or nil, nil.
+// It does not descend into loops.
+func copyPathStmt(s, loop Stmt) (Stmt, Stmt) {
+	switch v := s.(type) {
+	case *ForStmt:
+		if s == loop {
+			c := *v
+			c.Pragmas = append([]string(nil), v.Pragmas...)
+			return &c, &c
+		}
+	case *WhileStmt:
+		if s == loop {
+			c := *v
+			c.Pragmas = append([]string(nil), v.Pragmas...)
+			return &c, &c
+		}
+	case *Block:
+		return copyPathBlock(v, loop)
+	case *IfStmt:
+		if then, cl := copyPathBlock(v.Then, loop); cl != nil {
+			c := *v
+			c.Then = then
+			return &c, cl
+		}
+		if els, cl := copyPathStmt(v.Else, loop); cl != nil {
+			c := *v
+			c.Else = els
+			return &c, cl
+		}
+	}
+	return nil, nil
+}
+
 func cloneBlock(b *Block) *Block {
 	if b == nil {
 		return nil

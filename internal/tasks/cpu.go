@@ -19,7 +19,7 @@ import (
 var OMPParallelLoops = core.TaskFunc{
 	TaskName: "Multi-Thread Parallel Loops", TaskKind: core.Transform,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		kfn := d.EditKernel()
+		kfn := d.KernelFunc()
 		if kfn == nil {
 			return fmt.Errorf("no kernel extracted")
 		}
@@ -41,7 +41,8 @@ var OMPParallelLoops = core.TaskFunc{
 				pragma += fmt.Sprintf(" reduction(+:%s)", r.Name)
 			}
 		}
-		if err := transform.InsertLoopPragma(outer[0], pragma); err != nil {
+		// Only the loop's pragmas are written: the path down to it is copied.
+		if err := transform.InsertLoopPragma(d.EditLoop(outer[0]), pragma); err != nil {
 			return err
 		}
 		d.Target = platform.TargetCPU

@@ -99,7 +99,7 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 			if err := ctx.FailPoint(faults.Device, dev.Name); err != nil {
 				return err
 			}
-			kfn := d.EditKernel()
+			kfn := d.KernelFunc()
 			if kfn == nil {
 				return fmt.Errorf("no kernel extracted")
 			}
@@ -108,7 +108,11 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 			if len(outer) == 0 {
 				return fmt.Errorf("kernel has no pipeline loop")
 			}
-			loop := outer[0]
+			// The walk writes only the pipeline loop's pragmas, so the design
+			// copies the path down to it, not the kernel. The costing below
+			// reads the kernel that holds the copy.
+			loop := d.EditLoop(outer[0])
+			kfn = d.KernelFunc()
 			// One datapath costing serves the whole walk, with one exception:
 			// "unroll 1" marks a fixed-trip loop rolled, so a fixed pipeline
 			// loop is costed rolled at n=1 and spatial from n=2 on.

@@ -51,10 +51,11 @@ go test -race -short -count=20 -run 'TestBatch|TestCancelQueued|TestQueuedCancel
 # scheduler to vary the interleaving.
 go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # Forks share their parent's functions and parallel branch paths read them
-# while each copies what it edits: the write guard over every bundled flow
-# and two flows running beside each other on one run cache — five runs, for
-# the scheduler to vary which path copies while its siblings read.
-go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase' ./internal/core/
+# while each copies what it edits: the write guard over every bundled flow,
+# two flows running beside each other on one run cache, and the path copy a
+# pragma edit makes (Design.EditLoop, minic.CopyPath) — five runs, for the
+# scheduler to vary which path copies while its siblings read.
+go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath' ./internal/core/ ./internal/minic/
 # Every job lowers the one parsed bundled paper.psa: eight lowerings with
 # different options, run beside each other on one run cache, must each
 # equal the same lowering run alone — five runs, for the scheduler to vary
