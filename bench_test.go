@@ -126,7 +126,7 @@ func metricLabel(d *core.Design) string {
 func BenchmarkTable1(b *testing.B) {
 	var rows []experiments.Table1Row
 	for i := 0; i < b.N; i++ {
-		fig5, err := experiments.RunFig5(nil)
+		fig5, err := experiments.RunFig5(nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	var series []experiments.Fig6Series
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunFig5(nil)
+		rows, err := experiments.RunFig5(nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

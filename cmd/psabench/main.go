@@ -72,7 +72,7 @@ func main() {
 	var fig5Rows []experiments.Fig5Row
 	// Table I and Fig. 6 are read off the Fig. 5 rows.
 	if all || *fig5 || *table1 || *fig6 {
-		rows, err := experiments.RunFig5Recorded(logf, rec)
+		rows, err := experiments.RunFig5(logf, rec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fig5:", err)
 			os.Exit(1)

@@ -1,13 +1,12 @@
 package core_test
 
-// Flow.Without and Flow.WithSelector, tested on the graph they exist for:
-// the built-in PSA-flow, flowlang.PSAFlow.
+// Flow.Without, tested on the graph it exists for: the built-in PSA-flow,
+// flowlang.PSAFlow.
 
 import (
 	"context"
 	"fmt"
 	"reflect"
-	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -46,23 +45,16 @@ func outline(f *core.Flow) []string {
 	return out
 }
 
-var pickNone = core.SelectorFunc{SelName: "pick-none", Fn: func(*core.Context, *core.Design, []core.Path) ([]core.Alternative, error) {
-	return nil, nil
-}}
-
-var selectorRE = regexp.MustCompile(`select=\S+`)
-
 func TestFlowEdits(t *testing.T) {
 	build := func() *core.Flow { return flowlang.PSAFlow(flowlang.Options{Mode: tasks.Informed}) }
 	cases := []struct {
 		name string
 		edit func(*core.Flow) (*core.Flow, error)
 		// What the edit does to the outline of the unedited flow: the lines
-		// containing a key of drop are gone, and there were that many; the
-		// line of branch point swap names pickNone as its selector; nothing
-		// else moves. fails: the edit matches nothing and must be an error.
+		// containing a key of drop are gone, and there were that many;
+		// nothing else moves. fails: the edit matches nothing and must be an
+		// error.
 		drop  map[string]int
-		swap  string
 		fails bool
 	}{
 		{name: "Without a task two sub-flows run", // the GPU and the FPGA path
@@ -77,12 +69,6 @@ func TestFlowEdits(t *testing.T) {
 			edit: func(f *core.Flow) (*core.Flow, error) {
 				return f.Without(tasks.PinnedMemory, tasks.UnrollUntilOvermapWithSharing(platform.Stratix10))
 			}, fails: true},
-		{name: "WithSelector at the top",
-			edit: func(f *core.Flow) (*core.Flow, error) { return f.WithSelector("A", pickNone) }, swap: "A"},
-		{name: "WithSelector one level down",
-			edit: func(f *core.Flow) (*core.Flow, error) { return f.WithSelector("C", pickNone) }, swap: "C"},
-		{name: "WithSelector on a point the flow does not have",
-			edit: func(f *core.Flow) (*core.Flow, error) { return f.WithSelector("D", pickNone) }, fails: true},
 	}
 	fresh := outline(build())
 	for _, c := range cases {
@@ -101,7 +87,7 @@ func TestFlowEdits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dropped, swapped := map[string]int{}, 0
+			dropped := map[string]int{}
 			want := slices.DeleteFunc(slices.Clone(fresh), func(l string) bool {
 				for sub := range c.drop {
 					if strings.Contains(l, sub) {
@@ -111,14 +97,8 @@ func TestFlowEdits(t *testing.T) {
 				}
 				return false
 			})
-			for i, l := range want {
-				if c.swap != "" && strings.HasPrefix(strings.TrimSpace(l), "branch "+c.swap+" ") {
-					want[i] = selectorRE.ReplaceAllString(l, "select="+pickNone.Name())
-					swapped++
-				}
-			}
-			if len(c.drop) > 0 && !reflect.DeepEqual(dropped, c.drop) || c.swap != "" && swapped != 1 {
-				t.Fatalf("the unedited outline has %v of the lines to drop and %d to swap; the case expects %v and one", dropped, swapped, c.drop)
+			if len(c.drop) > 0 && !reflect.DeepEqual(dropped, c.drop) {
+				t.Fatalf("the unedited outline has %v of the lines to drop; the case expects %v", dropped, c.drop)
 			}
 			if !reflect.DeepEqual(outline(got), want) {
 				t.Errorf("edited flow:\n%s\nwant\n%s", strings.Join(outline(got), "\n"), strings.Join(want, "\n"))

@@ -391,23 +391,6 @@ func (f *Flow) Without(tasks ...Task) (*Flow, error) {
 	return out, nil
 }
 
-// WithSelector returns a copy of f in which the branch point named point, at
-// whatever depth, selects with sel. A flow without that point is an error.
-func (f *Flow) WithSelector(point string, sel Selector) (*Flow, error) {
-	found := false
-	out := f.edit(func(n Node) Node {
-		if b, ok := n.(Branch); ok && b.PointName == point {
-			b.Select, found = sel, true
-			return b
-		}
-		return n
-	})
-	if !found {
-		return nil, fmt.Errorf("flow %s: no branch point %q", f.Name, point)
-	}
-	return out, nil
-}
-
 // FlowError wraps a task failure with its flow position.
 type FlowError struct {
 	Flow string

@@ -32,7 +32,7 @@ func getFig5(t *testing.T) []Fig5Row {
 	if testing.Short() {
 		t.Skip("full evaluation run (use without -short)")
 	}
-	fig5Once.Do(func() { fig5Rows, fig5Err = RunFig5(nil) })
+	fig5Once.Do(func() { fig5Rows, fig5Err = RunFig5(nil, nil) })
 	if fig5Err != nil {
 		t.Fatalf("RunFig5: %v", fig5Err)
 	}

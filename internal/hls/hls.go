@@ -90,9 +90,6 @@ type Report struct {
 	SinglePrec     bool
 }
 
-// Overmapped reports whether the design exceeds the DSE threshold.
-func (r *Report) Overmapped() bool { return !r.Fits }
-
 // String renders a one-line summary.
 func (r *Report) String() string {
 	return fmt.Sprintf("%s kernel=%s unroll=%d LUT=%.1f%% DSP=%.1f%% II=%d fmax=%.0fMHz fits=%t",

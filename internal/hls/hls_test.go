@@ -215,7 +215,7 @@ func TestReportString(t *testing.T) {
 			t.Errorf("report string missing %q: %s", want, s)
 		}
 	}
-	if rep.Overmapped() {
+	if !rep.Fits {
 		t.Error("fitting report must not be overmapped")
 	}
 }

@@ -54,9 +54,6 @@ func (t Type) String() string {
 // IsFloating reports whether the base kind is float or double.
 func (t Type) IsFloating() bool { return t.Kind == Float || t.Kind == Double }
 
-// Elem returns the pointed-to type of a pointer type.
-func (t Type) Elem() Type { return Type{Kind: t.Kind, Const: t.Const} }
-
 // Node is any AST node. Every node carries a stable ID (unique within its
 // Program after AssignIDs) and the source position it was parsed at.
 type Node interface {

@@ -65,9 +65,6 @@ func TestStructuralRelationsOnBundledPrograms(t *testing.T) {
 				if got := q.EnclosingFunc(n); got != fn {
 					t.Errorf("%s: loop #%d: EnclosingFunc = %v, want %s", b.Name, n.ID(), got, fn.Name)
 				}
-				if got := q.LoopDepth(n); got != depth {
-					t.Errorf("%s: loop #%d: LoopDepth = %d, want %d", b.Name, n.ID(), got, depth)
-				}
 				if got := q.IsOutermostLoop(n); got != (depth == 1) {
 					t.Errorf("%s: loop #%d: IsOutermostLoop = %t at depth %d", b.Name, n.ID(), got, depth)
 				}

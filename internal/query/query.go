@@ -1,6 +1,6 @@
 // Package query implements the AST query mechanism of the meta-programming
 // layer: predicate-based selection of nodes, structural relations
-// (encloses, outermost, depth), and loop shape inspection. It is the Go
+// (encloses, outermost), and loop shape inspection. It is the Go
 // counterpart of the paper's Artisan queries such as
 //
 //	query(∀loop,fn ∈ ast: loop.isForStmt ∧ fn.name = kernel_name
@@ -12,7 +12,7 @@ import (
 )
 
 // Q is a query context over one program. The child-to-parent index behind
-// Parent, EnclosingFunc, Encloses, IsOutermostLoop and LoopDepth is built
+// Parent, EnclosingFunc, Encloses and IsOutermostLoop is built
 // the first time one of them is called, so a Q that only selects loops
 // costs nothing; rebuild the context (New) after structural mutations. A Q
 // is not safe for concurrent use.
@@ -101,21 +101,6 @@ func (q *Q) IsOutermostLoop(n minic.Node) bool {
 		}
 	}
 	return true
-}
-
-// LoopDepth returns the nesting depth of loop n within its function
-// (outermost loop = 1); 0 if n is not a loop.
-func (q *Q) LoopDepth(n minic.Node) int {
-	if !IsLoop(n) {
-		return 0
-	}
-	d := 1
-	for cur := q.Parent(n); cur != nil; cur = q.Parent(cur) {
-		if IsLoop(cur) {
-			d++
-		}
-	}
-	return d
 }
 
 // LoopsIn returns every loop statement in fn in depth-first source order.

@@ -63,22 +63,6 @@ func TestLoopsInAndInnerLoops(t *testing.T) {
 	}
 }
 
-func TestLoopDepth(t *testing.T) {
-	prog := minic.MustParse(nestedSrc)
-	q := New(prog)
-	knl := prog.MustFunc("knl")
-	loops := q.LoopsIn(knl)
-	if d := q.LoopDepth(loops[0]); d != 1 {
-		t.Errorf("outer depth = %d, want 1", d)
-	}
-	if d := q.LoopDepth(loops[1]); d != 2 {
-		t.Errorf("inner depth = %d, want 2", d)
-	}
-	if d := q.LoopDepth(prog.MustFunc("knl").Body.Stmts[0].(*minic.ForStmt).Body); d != 0 {
-		t.Errorf("non-loop depth = %d, want 0", d)
-	}
-}
-
 func TestEncloses(t *testing.T) {
 	prog := minic.MustParse(nestedSrc)
 	q := New(prog)

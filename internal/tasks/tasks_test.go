@@ -245,7 +245,7 @@ func TestFPGAPathTasks(t *testing.T) {
 	if d.UnrollFactor < 1 || d.HLSReport == nil {
 		t.Fatalf("unroll=%d report=%v", d.UnrollFactor, d.HLSReport)
 	}
-	if d.HLSReport.Overmapped() {
+	if !d.HLSReport.Fits {
 		t.Error("final report must fit")
 	}
 	if err := RenderDesign.Run(ctx, d); err != nil {

@@ -17,15 +17,13 @@ go build ./...
 # being measurable (docs/ARCHITECTURE.md "What the VM hand-inlines, and
 # why"): 17 call sites of qarithF / qarithI / qcoerceF / qcoerceI.
 test "$(go build -gcflags=-m ./internal/interp 2>&1 | grep -cE 'inlining call to q(arith|coerce)[FI]$')" -eq 17
-# Reachability gate (ROADMAP 1(c)): every package under internal/ is in the
-# dependency closure of ./cmd/... or of the benchmark module. A package only
-# an example can reach is not part of the system: wire it or delete it.
+# Reachability gate: every package under internal/ is in the dependency
+# closure of ./cmd/... or of the benchmark module. A package only an example
+# or a test can reach is not part of the system and fails CI, with no
+# exceptions: wire it or delete it.
 reach=$(mktemp)
 { go list -deps ./cmd/...; go list -C benchmark -deps .; } | sort -u >"$reach"
 for p in $(go list ./internal/...); do
-	case "$p" in
-	psaflow/internal/mlpsa) continue ;; # ROADMAP 1(c), pending 1(b)
-	esac
 	grep -qx "$p" "$reach" || { echo "ci: $p is reachable from neither cmd/ nor benchmark/" >&2; exit 1; }
 done
 rm -f "$reach"
