@@ -61,14 +61,13 @@ func main() {
 
 	// loops ⇐ query(∀loop,fn ∈ ast: loop.isForStmt ∧ fn.name = kernel_name
 	//               ∧ fn.encloses(loop) ∧ loop.is_outermost)
-	q := query.New(ast)
-	loops := q.Select(func(q *query.Q, n minic.Node) bool {
+	loops := query.Select(ast, func(n minic.Node) bool {
 		if !query.IsForStmt(n) {
 			return false
 		}
-		fn := q.EnclosingFunc(n)
+		fn := query.EnclosingFunc(ast, n)
 		return fn != nil && fn.Name == kernelName &&
-			q.Encloses(fn, n) && q.IsOutermostLoop(n)
+			query.Encloses(fn, n) && query.IsOutermostLoop(fn, n)
 	})
 	fmt.Printf("query matched %d loop(s) (the figure matches exactly one:\n", len(loops))
 	fmt.Println("the nested loop and main's loops are excluded)")

@@ -87,9 +87,8 @@ func TestAnalyzeLoopMatchesReferenceOnBundledPrograms(t *testing.T) {
 	for _, b := range bench.All() {
 		stages, _ := stagesOf(t, b)
 		for _, st := range stages {
-			q := query.New(st.prog)
 			for _, fn := range st.prog.Funcs {
-				for _, l := range q.LoopsIn(fn) {
+				for _, l := range query.LoopsIn(fn) {
 					got, want := analysis.AnalyzeLoop(l), analysis.AnalyzeLoopRef(l)
 					gotS, gotA := splitDeps(got)
 					wantS, wantA := splitDeps(want)
@@ -122,7 +121,7 @@ func TestAnalyzeLoopAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, fpga := stagesOf(t, b)
-	outer := query.New(fpga.Prog).OutermostLoops(fpga.KernelFunc())
+	outer := query.OutermostLoops(fpga.KernelFunc())
 	if len(outer) == 0 {
 		t.Fatal("rushlarsen kernel has no loop")
 	}

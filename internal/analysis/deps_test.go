@@ -14,8 +14,7 @@ import (
 func loopOf(t *testing.T, src string) minic.Stmt {
 	t.Helper()
 	prog := minic.MustParse(src)
-	q := query.New(prog)
-	loops := q.OutermostLoops(prog.Funcs[0])
+	loops := query.OutermostLoops(prog.Funcs[0])
 	if len(loops) == 0 {
 		t.Fatal("no loops in source")
 	}
@@ -199,9 +198,8 @@ func TestInnerSequentialOuterParallel(t *testing.T) {
         }
     }`
 	prog := minic.MustParse(src)
-	q := query.New(prog)
-	outer := q.OutermostLoops(prog.Funcs[0])[0]
-	inner := q.InnerLoops(outer)[0]
+	outer := query.OutermostLoops(prog.Funcs[0])[0]
+	inner := query.InnerLoops(outer)[0]
 	dOuter := AnalyzeLoop(outer)
 	if !dOuter.Parallel() {
 		t.Fatalf("outer must be parallel: %+v", dOuter)
@@ -221,9 +219,8 @@ func TestAnalyzeUnrollability(t *testing.T) {
         }
     }`
 	prog := minic.MustParse(src)
-	q := query.New(prog)
-	outer := q.OutermostLoops(prog.Funcs[0])[0]
-	u := AnalyzeUnrollability(q, outer, 64)
+	outer := query.OutermostLoops(prog.Funcs[0])[0]
+	u := AnalyzeUnrollability(outer, 64)
 	if u.InnerLoopCount != 1 || u.InnerWithDeps != 1 {
 		t.Fatalf("unrollability = %+v", u)
 	}
@@ -239,9 +236,8 @@ func TestAnalyzeUnrollability(t *testing.T) {
         }
     }`
 	prog2 := minic.MustParse(src2)
-	q2 := query.New(prog2)
-	outer2 := q2.OutermostLoops(prog2.Funcs[0])[0]
-	u2 := AnalyzeUnrollability(q2, outer2, 64)
+	outer2 := query.OutermostLoops(prog2.Funcs[0])[0]
+	u2 := AnalyzeUnrollability(outer2, 64)
 	if u2.AllDepsFixed {
 		t.Fatalf("runtime-bounded dep loop must not be fully unrollable: %+v", u2)
 	}
@@ -254,9 +250,8 @@ func TestAnalyzeUnrollability(t *testing.T) {
         }
     }`
 	prog3 := minic.MustParse(src3)
-	q3 := query.New(prog3)
-	outer3 := q3.OutermostLoops(prog3.Funcs[0])[0]
-	if u3 := AnalyzeUnrollability(q3, outer3, 64); u3.AllDepsFixed {
+	outer3 := query.OutermostLoops(prog3.Funcs[0])[0]
+	if u3 := AnalyzeUnrollability(outer3, 64); u3.AllDepsFixed {
 		t.Fatalf("500-trip dep loop above limit 64 must not be fully unrollable: %+v", u3)
 	}
 }

@@ -69,8 +69,7 @@ func TestLoopMarkedRolled(t *testing.T) {
         for (int j = 0; j < 4; j++) { a[j] = 1.0; }
         for (int m = 0; m < 4; m++) { a[m] = 2.0; }
     }`)
-	q := query.New(prog)
-	loops := q.LoopsIn(prog.MustFunc("k"))
+	loops := query.LoopsIn(prog.MustFunc("k"))
 	if !LoopMarkedRolled(loops[0]) {
 		t.Error("unroll 1 loop should be rolled")
 	}

@@ -404,9 +404,9 @@ type Unrollability struct {
 }
 
 // AnalyzeUnrollability inspects the inner loops of outer within fn.
-func AnalyzeUnrollability(q *query.Q, outer minic.Stmt, limit int64) Unrollability {
+func AnalyzeUnrollability(outer minic.Stmt, limit int64) Unrollability {
 	u := Unrollability{AllDepsFixed: true}
-	for _, inner := range q.InnerLoops(outer) {
+	for _, inner := range query.InnerLoops(outer) {
 		u.InnerLoopCount++
 		deps := AnalyzeLoop(inner)
 		if deps.Parallel() {

@@ -123,8 +123,7 @@ func TestOuterLoopParallelism(t *testing.T) {
 	for name, fnName := range kernels {
 		b, _ := ByName(name)
 		prog := b.Parse()
-		q := query.New(prog)
-		outer := q.OutermostLoops(prog.MustFunc(fnName))
+		outer := query.OutermostLoops(prog.MustFunc(fnName))
 		if len(outer) == 0 {
 			t.Fatalf("%s: no loops", name)
 		}

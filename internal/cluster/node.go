@@ -51,8 +51,6 @@ type Config struct {
 	// load exceeds c·(mean healthy load)+1 is skipped at job placement
 	// and the key spills to the next node on the ring (default 1.25).
 	LoadBound float64
-	// StoreCap bounds the owner-side run-envelope store (default 4096).
-	StoreCap int
 	// Logf receives peer-layer progress lines; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -207,7 +205,7 @@ func New(cfg Config) (*Node, error) {
 		retry:        cfg.Retry.WithDefaults(),
 		client:       &http.Client{Timeout: cfg.HTTPTimeout},
 		streamClient: &http.Client{},
-		runs:         newRunStore(cfg.StoreCap),
+		runs:         newRunStore(runStoreCap),
 		now:          time.Now,
 		stop:         make(chan struct{}),
 	}

@@ -35,19 +35,16 @@ type pendingRun struct {
 	expires time.Time
 }
 
-// defaultStoreCap bounds the per-node envelope store; profiled-run
-// payloads are small (KBs) so the default keeps the worst case in the
-// tens of MBs.
-const defaultStoreCap = 4096
+// runStoreCap bounds the per-node envelope store; profiled-run
+// payloads are small (KBs) so this keeps the worst case in the tens of
+// MBs.
+const runStoreCap = 4096
 
 // pendingTTL bounds how long a key stays pending without a fill before
 // the next fetch is allowed to recompute.
 const pendingTTL = 30 * time.Second
 
 func newRunStore(capacity int) *runStore {
-	if capacity <= 0 {
-		capacity = defaultStoreCap
-	}
 	return &runStore{
 		cap:     capacity,
 		entries: make(map[string]*storedRun),

@@ -52,8 +52,7 @@ func kernelLoop(prog *minic.Program, kernel string) (*minic.FuncDecl, *minic.For
 	if fn == nil {
 		return nil, nil, query.LoopBound{}, fmt.Errorf("codegen: no kernel %q", kernel)
 	}
-	q := query.New(prog)
-	outer := q.OutermostLoops(fn)
+	outer := query.OutermostLoops(fn)
 	if len(outer) == 0 {
 		return nil, nil, query.LoopBound{}, fmt.Errorf("codegen: kernel %q has no loop", kernel)
 	}

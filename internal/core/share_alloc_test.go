@@ -49,7 +49,7 @@ func TestEditLoopAllocationsIndependentOfKernel(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		loop := query.New(d.Prog).OutermostLoops(d.KernelFunc())[0]
+		loop := query.OutermostLoops(d.KernelFunc())[0]
 		fork := testing.AllocsPerRun(100, func() { d.Fork() })
 		allocs := testing.AllocsPerRun(100, func() { d.Fork().EditLoop(loop) }) - fork
 		t.Logf("%s: %.0f allocations per EditLoop after a Fork", name, allocs)

@@ -104,7 +104,7 @@ func TestEditKernelCopiesOnce(t *testing.T) {
 	if minic.Fingerprint(f.Prog) != minic.Fingerprint(d.Prog) {
 		t.Fatal("the copied kernel is not the parent's: IDs or structure moved")
 	}
-	if err := transform.InsertLoopPragma(query.New(f.Prog).OutermostLoops(k)[0], "unroll 4"); err != nil {
+	if err := transform.InsertLoopPragma(query.OutermostLoops(k)[0], "unroll 4"); err != nil {
 		t.Fatal(err)
 	}
 	transform.SinglePrecisionLiterals(k)
@@ -147,7 +147,7 @@ func TestForksRecopyOnNextEdit(t *testing.T) {
 func TestEditLoopCopiesPathOnly(t *testing.T) {
 	d := nbodyFront(t)
 	orig := d.KernelFunc()
-	loop := query.New(d.Prog).OutermostLoops(orig)[0]
+	loop := query.OutermostLoops(orig)[0]
 	before := minic.Print(d.Prog)
 	f, g := d.Fork(), d.Fork()
 
@@ -156,7 +156,7 @@ func TestEditLoopCopiesPathOnly(t *testing.T) {
 	if l == loop || k == orig {
 		t.Fatal("EditLoop after a Fork returned the shared loop or left the shared kernel installed")
 	}
-	if query.New(f.Prog).OutermostLoops(k)[0] != l {
+	if query.OutermostLoops(k)[0] != l {
 		t.Fatal("the installed kernel does not hold the loop EditLoop returned")
 	}
 	if l.(*minic.ForStmt).Body != loop.(*minic.ForStmt).Body {
@@ -191,7 +191,7 @@ func TestEditLoopCopiesPathOnly(t *testing.T) {
 		t.Error("EditKernel's copy does not hold the pragma written through EditLoop")
 	}
 	// The kernel is now the design's own: EditLoop writes it in place.
-	fl := query.New(f.Prog).OutermostLoops(full)[0]
+	fl := query.OutermostLoops(full)[0]
 	if f.EditLoop(fl) != fl || f.KernelFunc() != full {
 		t.Error("EditLoop on a kernel the design copied copied again")
 	}
@@ -219,7 +219,7 @@ func TestEditProgramAfterEditKernel(t *testing.T) {
 func TestUnforkedDesignOwnsItsProgram(t *testing.T) {
 	d := nbodyFront(t)
 	prog, k := d.Prog, d.KernelFunc()
-	loop := query.New(prog).OutermostLoops(k)[0]
+	loop := query.OutermostLoops(k)[0]
 	if d.EditLoop(loop) != loop || d.EditKernel() != k || d.EditProgram() != prog {
 		t.Fatal("a design never forked copied on edit")
 	}

@@ -38,12 +38,12 @@ func TestDatapathReplicateMatchesEstimate(t *testing.T) {
 		for _, r := range results {
 			d := r.Design
 			kfn := d.KernelFunc()
-			outer := query.New(d.Prog).OutermostLoops(kfn)[0]
+			outer := query.OutermostLoops(kfn)[0]
 			switch d.Target {
 			case platform.TargetFPGA:
 			case platform.TargetCPU:
 				var inner minic.Stmt
-				for _, l := range query.New(d.Prog).InnerLoops(outer) {
+				for _, l := range query.InnerLoops(outer) {
 					if trips, fixed := query.FixedTripCount(l); fixed && trips > 1 {
 						inner = l
 						break
@@ -69,7 +69,7 @@ func TestDatapathReplicateMatchesEstimate(t *testing.T) {
 				}
 			}
 			install(1)
-			dp := hls.CostDatapath(d.Prog, kfn)
+			dp := hls.CostDatapath(kfn)
 			trips := d.Report.PipelinedTrips
 			for _, dev := range []platform.FPGASpec{platform.Arria10, platform.Stratix10} {
 				for n := 1; n <= 1<<16; n *= 2 {

@@ -17,7 +17,6 @@ import (
 	"psaflow/internal/minic"
 	"psaflow/internal/platform"
 	"psaflow/internal/query"
-	"psaflow/internal/telemetry"
 )
 
 // opCost is the resource footprint of one hardware operator instance.
@@ -141,8 +140,8 @@ func kernelPrecision(fn *minic.FuncDecl) bool {
 
 // unrollPragmaFactor extracts the factor of an "unroll N" pragma attached
 // to the outermost loop of fn; returns 1 when absent.
-func unrollPragmaFactor(q *query.Q, fn *minic.FuncDecl) int {
-	outer := q.OutermostLoops(fn)
+func unrollPragmaFactor(fn *minic.FuncDecl) int {
+	outer := query.OutermostLoops(fn)
 	if len(outer) == 0 {
 		return 1
 	}
@@ -164,31 +163,14 @@ func unrollPragmaFactor(q *query.Q, fn *minic.FuncDecl) int {
 	return 1
 }
 
-// Counter receives named counter increments (*telemetry.Recorder
-// satisfies it); the flow telemetry uses it to total partial-compile
-// invocations across DSE loops.
-type Counter interface {
-	Add(name string, delta int64)
-}
-
-// EstimateCounted is Estimate with telemetry: it reports the invocation
-// to c (nil skips accounting only) as telemetry.CounterHLSPartialCompiles,
-// the count of dpcpp partial compiles — the expensive tool step the paper's
-// Fig. 2 DSE repeats. The unroll walk adds one per factor it replicates.
-func EstimateCounted(c Counter, prog *minic.Program, fn *minic.FuncDecl, dev platform.FPGASpec, pipelinedTrips float64) *Report {
-	if c != nil {
-		c.Add(telemetry.CounterHLSPartialCompiles, 1)
-	}
-	return Estimate(prog, fn, dev, pipelinedTrips)
-}
-
-// Estimate produces the high-level design report for kernel fn of prog on
-// device dev: the kernel's datapath replicated by the unroll pragma factor
-// on its outer loop. pipelinedTrips, when known from dynamic analysis, is
-// recorded for the performance model.
+// Estimate produces the high-level design report for kernel fn on device
+// dev: the kernel's datapath replicated by the unroll pragma factor on its
+// outer loop. pipelinedTrips, when known from dynamic analysis, is
+// recorded for the performance model. prog is not read; the kernel alone
+// determines the report. Estimate counts nothing: a task that runs one
+// counts it as a partial compile (telemetry.CounterHLSPartialCompiles).
 func Estimate(prog *minic.Program, fn *minic.FuncDecl, dev platform.FPGASpec, pipelinedTrips float64) *Report {
-	q := query.New(prog)
-	return costDatapath(q, fn).Replicate(dev, unrollPragmaFactor(q, fn), pipelinedTrips)
+	return CostDatapath(fn).Replicate(dev, unrollPragmaFactor(fn), pipelinedTrips)
 }
 
 // Datapath is the cost of one copy of a kernel's datapath — everything a
@@ -204,15 +186,11 @@ type Datapath struct {
 	SinglePrec bool
 }
 
-// CostDatapath costs kernel fn of prog from its AST, with statically-fixed
-// inner loops counted spatially (they will be fully unrolled in hardware).
-// The result holds until the kernel is rewritten or a fixed-trip loop's
+// CostDatapath costs kernel fn from its AST, with statically-fixed inner
+// loops counted spatially (they will be fully unrolled in hardware). The
+// result holds until the kernel is rewritten or a fixed-trip loop's
 // "unroll 1" marking (analysis.LoopMarkedRolled) changes.
-func CostDatapath(prog *minic.Program, fn *minic.FuncDecl) *Datapath {
-	return costDatapath(query.New(prog), fn)
-}
-
-func costDatapath(q *query.Q, fn *minic.FuncDecl) *Datapath {
+func CostDatapath(fn *minic.FuncDecl) *Datapath {
 	dp := &Datapath{Kernel: fn.Name, SinglePrec: kernelPrecision(fn)}
 	ops := analysis.WeightedOps(fn)
 
@@ -244,7 +222,7 @@ func costDatapath(q *query.Q, fn *minic.FuncDecl) *Datapath {
 		scale(table[base], n)
 	}
 	// Control logic per loop in the kernel.
-	loops := q.LoopsIn(fn)
+	loops := query.LoopsIn(fn)
 	scale(costLoopCtl, float64(len(loops))+1)
 
 	// On-chip RAM: local arrays.

@@ -7,7 +7,6 @@ import (
 
 	"psaflow/internal/minic"
 	"psaflow/internal/platform"
-	"psaflow/internal/query"
 	"psaflow/internal/transform"
 )
 
@@ -194,14 +193,14 @@ func TestBRAMFromLocalArrays(t *testing.T) {
 
 func TestUnrollPragmaFactorParsing(t *testing.T) {
 	prog, fn := kfn(t, smallKernel)
-	if got := unrollPragmaFactor(query.New(prog), fn); got != 1 {
+	if got := unrollPragmaFactor(fn); got != 1 {
 		t.Errorf("no pragma: factor = %d", got)
 	}
 	loop := firstLoop(prog, fn)
 	if err := transform.InsertLoopPragma(loop, "unroll 16"); err != nil {
 		t.Fatal(err)
 	}
-	if got := unrollPragmaFactor(query.New(prog), fn); got != 16 {
+	if got := unrollPragmaFactor(fn); got != 16 {
 		t.Errorf("factor = %d, want 16", got)
 	}
 }

@@ -90,13 +90,13 @@ func outlinedRecord(t *testing.T, src string, cfg interp.Config, loopID int) (re
 	if err != nil {
 		return kernelRecord{}, err, true
 	}
-	return recordOf(res.Prof, query.New(prog).LoopsIn(kernel)), nil, true
+	return recordOf(res.Prof, query.LoopsIn(kernel)), nil, true
 }
 
 // publishedRecord is the default run's side of the comparison.
 func publishedRecord(prog *minic.Program, p *interp.Profile) kernelRecord {
 	_, loop := loopByID(prog, p.WatchLoop)
-	return recordOf(p, append([]minic.Stmt{loop}, query.New(prog).InnerLoops(loop)...))
+	return recordOf(p, append([]minic.Stmt{loop}, query.InnerLoops(loop)...))
 }
 
 type loopWatchCase struct {

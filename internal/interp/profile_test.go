@@ -50,10 +50,9 @@ func runProf(t *testing.T, watch string) (*Result, *minic.Program) {
 
 func TestLoopProfileTripsAndEntries(t *testing.T) {
 	res, prog := runProf(t, "kernel")
-	q := query.New(prog)
 	kernel := prog.MustFunc("kernel")
-	outer := q.OutermostLoops(kernel)[0]
-	inner := q.InnerLoops(outer)[0]
+	outer := query.OutermostLoops(kernel)[0]
+	inner := query.InnerLoops(outer)[0]
 
 	lpOuter := res.Prof.Loops[outer.ID()]
 	if lpOuter == nil {
@@ -80,10 +79,9 @@ func TestLoopProfileTripsAndEntries(t *testing.T) {
 
 func TestLoopCyclesInclusive(t *testing.T) {
 	res, prog := runProf(t, "kernel")
-	q := query.New(prog)
 	kernel := prog.MustFunc("kernel")
-	outer := q.OutermostLoops(kernel)[0]
-	inner := q.InnerLoops(outer)[0]
+	outer := query.OutermostLoops(kernel)[0]
+	inner := query.InnerLoops(outer)[0]
 	lpOuter := res.Prof.Loops[outer.ID()]
 	lpInner := res.Prof.Loops[inner.ID()]
 	if lpOuter.Cycles <= lpInner.Cycles {
@@ -101,8 +99,7 @@ func TestHotspotDetection(t *testing.T) {
 		t.Fatal("no hotspot")
 	}
 	// The hottest outermost loop is app's first loop (calls kernel twice).
-	q := query.New(prog)
-	appLoops := q.OutermostLoops(prog.MustFunc("app"))
+	appLoops := query.OutermostLoops(prog.MustFunc("app"))
 	if hs.ID != appLoops[0].ID() {
 		t.Errorf("hotspot ID = %d, want loop at %v", hs.ID, appLoops[0].NodePos())
 	}

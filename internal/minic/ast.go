@@ -291,8 +291,8 @@ func (*CastExpr) exprNode()   {}
 
 // EachChild calls fn for each direct child node of n in source order,
 // skipping absent (nil) children. It allocates nothing and is the single
-// structural description of the AST: Children, Walk, Parents and the query
-// engine are all built on it, so a new node kind is described here once.
+// structural description of the AST: Walk, and through it every query, is
+// built on it, so a new node kind is described here once.
 func EachChild(n Node, fn func(Node)) {
 	each := func(c Node) {
 		if c != nil {
@@ -359,14 +359,6 @@ func EachChild(n Node, fn func(Node)) {
 	}
 }
 
-// Children returns the direct child nodes of n in source order: EachChild
-// collected into a slice, for callers that want to index or count them.
-func Children(n Node) []Node {
-	var out []Node
-	EachChild(n, func(c Node) { out = append(out, c) })
-	return out
-}
-
 // Walk visits n and all its descendants in depth-first source order,
 // calling fn for each. If fn returns false the node's subtree is skipped.
 // The traversal itself allocates nothing.
@@ -387,20 +379,6 @@ func AssignIDs(p *Program) int {
 		return true
 	})
 	return next - 1
-}
-
-// Parents builds a child-to-parent map for every node under root.
-func Parents(root Node) map[Node]Node {
-	m := make(map[Node]Node)
-	parentsInto(m, root)
-	return m
-}
-
-func parentsInto(m map[Node]Node, n Node) {
-	EachChild(n, func(c Node) {
-		m[c] = n
-		parentsInto(m, c)
-	})
 }
 
 // Func returns the function with the given name, or nil.

@@ -309,24 +309,6 @@ func TestAssignIDsDense(t *testing.T) {
 	}
 }
 
-func TestParentsMap(t *testing.T) {
-	prog := MustParse(sampleSrc)
-	parents := Parents(prog)
-	Walk(prog, func(n Node) bool {
-		if n == Node(prog) {
-			return true
-		}
-		if _, ok := parents[n]; !ok {
-			t.Errorf("node %T missing from parents map", n)
-		}
-		return true
-	})
-	loop := prog.Func("saxpy").Body.Stmts[0]
-	if parents[loop] != Node(prog.Func("saxpy").Body) {
-		t.Error("loop parent should be function body block")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	prog := MustParse(sampleSrc)
 	clone := prog.Clone()

@@ -35,9 +35,8 @@ func transformedPrograms(t testing.TB) map[string]*minic.Program {
 }
 
 // TestOneStructuralDescription pins that EachChild is the only description
-// of the AST's shape: Walk's preorder is the preorder of recursing over
-// Children, and Parents maps every non-root node to the node whose Children
-// contains it — on the bundled programs, every transformed form a flow
+// of the AST's shape: Walk's preorder is the preorder of recursing with
+// EachChild — on the bundled programs, every transformed form a flow
 // produces, and whatever the FuzzParse seeds parse to.
 func TestOneStructuralDescription(t *testing.T) {
 	progs := transformedPrograms(t)
@@ -48,17 +47,13 @@ func TestOneStructuralDescription(t *testing.T) {
 	}
 	for name, prog := range progs {
 		var want []minic.Node
-		parentOf := map[minic.Node]minic.Node{}
 		var rec func(n minic.Node)
 		rec = func(n minic.Node) {
-			want = append(want, n)
-			for _, c := range minic.Children(n) {
-				if c == nil {
-					t.Fatalf("%s: Children(%T) holds a nil child", name, n)
-				}
-				parentOf[c] = n
-				rec(c)
+			if n == nil {
+				t.Fatalf("%s: EachChild passed a nil child", name)
 			}
+			want = append(want, n)
+			minic.EachChild(n, rec)
 		}
 		rec(prog)
 
@@ -68,22 +63,12 @@ func TestOneStructuralDescription(t *testing.T) {
 			return true
 		})
 		if len(got) != len(want) {
-			t.Fatalf("%s: Walk visits %d nodes, Children recursion %d", name, len(got), len(want))
+			t.Fatalf("%s: Walk visits %d nodes, EachChild recursion %d", name, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%s: visit %d: Walk sees %T #%d, Children recursion %T #%d",
+				t.Fatalf("%s: visit %d: Walk sees %T #%d, EachChild recursion %T #%d",
 					name, i, got[i], got[i].ID(), want[i], want[i].ID())
-			}
-		}
-
-		parents := minic.Parents(prog)
-		if len(parents) != len(want)-1 {
-			t.Errorf("%s: Parents has %d entries for %d non-root nodes", name, len(parents), len(want)-1)
-		}
-		for c, p := range parentOf {
-			if parents[c] != p {
-				t.Errorf("%s: Parents[%T #%d] = %T, want %T #%d", name, c, c.ID(), parents[c], p, p.ID())
 			}
 		}
 	}

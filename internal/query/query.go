@@ -5,37 +5,21 @@
 //
 //	query(∀loop,fn ∈ ast: loop.isForStmt ∧ fn.name = kernel_name
 //	      ∧ fn.encloses(loop) ∧ loop.is_outermost)
+//
+// Every query is a function of the AST it is given: a walk that keeps no
+// index, so it is never stale after a transform rewrites the tree.
 package query
 
 import (
 	"psaflow/internal/minic"
 )
 
-// Q is a query context over one program. The child-to-parent index behind
-// Parent, EnclosingFunc, Encloses and IsOutermostLoop is built
-// the first time one of them is called, so a Q that only selects loops
-// costs nothing; rebuild the context (New) after structural mutations. A Q
-// is not safe for concurrent use.
-type Q struct {
-	Prog    *minic.Program
-	parents map[minic.Node]minic.Node
-}
-
-// New returns a query context for prog in constant time.
-func New(prog *minic.Program) *Q {
-	return &Q{Prog: prog}
-}
-
-// Predicate decides whether a node matches; it receives the context so it
-// can ask structural questions.
-type Predicate func(q *Q, n minic.Node) bool
-
-// Select returns all nodes under the program matching pred, in depth-first
-// source order.
-func (q *Q) Select(pred Predicate) []minic.Node {
+// Select returns every node under root (root included) that pred matches,
+// in depth-first source order.
+func Select(root minic.Node, pred func(minic.Node) bool) []minic.Node {
 	var out []minic.Node
-	minic.Walk(q.Prog, func(n minic.Node) bool {
-		if pred(q, n) {
+	minic.Walk(root, func(n minic.Node) bool {
+		if pred(n) {
 			out = append(out, n)
 		}
 		return true
@@ -43,32 +27,26 @@ func (q *Q) Select(pred Predicate) []minic.Node {
 	return out
 }
 
-// Parent returns the parent of n, or nil for the root.
-func (q *Q) Parent(n minic.Node) minic.Node {
-	if q.parents == nil {
-		q.parents = minic.Parents(q.Prog)
-	}
-	return q.parents[n]
-}
-
-// EnclosingFunc returns the function that contains n, or nil.
-func (q *Q) EnclosingFunc(n minic.Node) *minic.FuncDecl {
-	for cur := n; cur != nil; cur = q.Parent(cur) {
-		if f, ok := cur.(*minic.FuncDecl); ok {
-			return f
+// EnclosingFunc returns the function of prog that contains n, or nil.
+func EnclosingFunc(prog *minic.Program, n minic.Node) *minic.FuncDecl {
+	for _, fn := range prog.Funcs {
+		if minic.Node(fn) == n || Encloses(fn, n) {
+			return fn
 		}
 	}
 	return nil
 }
 
 // Encloses reports whether inner is a strict descendant of outer.
-func (q *Q) Encloses(outer, inner minic.Node) bool {
-	for cur := q.Parent(inner); cur != nil; cur = q.Parent(cur) {
-		if cur == outer {
-			return true
+func Encloses(outer, inner minic.Node) bool {
+	found := false
+	minic.Walk(outer, func(n minic.Node) bool {
+		if n != outer && n == inner {
+			found = true
 		}
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // IsLoop reports whether n is a for or while statement.
@@ -86,39 +64,30 @@ func IsForStmt(n minic.Node) bool {
 	return ok
 }
 
-// IsOutermostLoop reports whether n is a loop with no enclosing loop in the
-// same function.
-func (q *Q) IsOutermostLoop(n minic.Node) bool {
-	if !IsLoop(n) {
-		return false
-	}
-	for cur := q.Parent(n); cur != nil; cur = q.Parent(cur) {
-		if IsLoop(cur) {
-			return false
-		}
-		if _, ok := cur.(*minic.FuncDecl); ok {
+// IsOutermostLoop reports whether n is a loop of fn with no enclosing loop
+// in fn: one of OutermostLoops(fn).
+func IsOutermostLoop(fn *minic.FuncDecl, n minic.Node) bool {
+	for _, l := range OutermostLoops(fn) {
+		if minic.Node(l) == n {
 			return true
 		}
 	}
-	return true
+	return false
 }
 
 // LoopsIn returns every loop statement in fn in depth-first source order.
-// It is a plain walk and never touches the parent index.
-func (q *Q) LoopsIn(fn *minic.FuncDecl) []minic.Stmt {
+func LoopsIn(fn *minic.FuncDecl) []minic.Stmt {
 	return loopsUnder(fn, true)
 }
 
 // OutermostLoops returns the outermost loops of fn — the query from the
-// paper's Fig. 2 meta-program. The walk does not descend into a loop, so
-// it needs no parent index either.
-func (q *Q) OutermostLoops(fn *minic.FuncDecl) []minic.Stmt {
+// paper's Fig. 2 meta-program. The walk does not descend into a loop.
+func OutermostLoops(fn *minic.FuncDecl) []minic.Stmt {
 	return loopsUnder(fn, false)
 }
 
-// InnerLoops returns all loops strictly nested inside loop, again without
-// the parent index.
-func (q *Q) InnerLoops(loop minic.Stmt) []minic.Stmt {
+// InnerLoops returns all loops strictly nested inside loop.
+func InnerLoops(loop minic.Stmt) []minic.Stmt {
 	return loopsUnder(loop, true)
 }
 

@@ -1,9 +1,11 @@
-package query
+package query_test
 
 import (
 	"testing"
 
+	"psaflow/internal/bench"
 	"psaflow/internal/minic"
+	"psaflow/internal/query"
 )
 
 const nestedSrc = `
@@ -27,37 +29,35 @@ void other(int n, double *a) {
 
 func TestSelectOutermostForInFunc(t *testing.T) {
 	prog := minic.MustParse(nestedSrc)
-	q := New(prog)
 	// The paper's Fig. 2 query: outermost for loops enclosed by knl.
-	matches := q.Select(func(q *Q, n minic.Node) bool {
-		if !IsForStmt(n) {
+	matches := query.Select(prog, func(n minic.Node) bool {
+		if !query.IsForStmt(n) {
 			return false
 		}
-		fn := q.EnclosingFunc(n)
-		return fn != nil && fn.Name == "knl" && q.IsOutermostLoop(n)
+		fn := query.EnclosingFunc(prog, n)
+		return fn != nil && fn.Name == "knl" && query.IsOutermostLoop(fn, n)
 	})
 	if len(matches) != 1 {
 		t.Fatalf("matches = %d, want 1", len(matches))
 	}
 	loop := matches[0].(*minic.ForStmt)
-	if LoopVar(loop) != "i" {
-		t.Errorf("loop var = %q, want i", LoopVar(loop))
+	if query.LoopVar(loop) != "i" {
+		t.Errorf("loop var = %q, want i", query.LoopVar(loop))
 	}
 }
 
 func TestLoopsInAndInnerLoops(t *testing.T) {
 	prog := minic.MustParse(nestedSrc)
-	q := New(prog)
 	knl := prog.MustFunc("knl")
-	all := q.LoopsIn(knl)
+	all := query.LoopsIn(knl)
 	if len(all) != 3 {
 		t.Fatalf("LoopsIn = %d, want 3", len(all))
 	}
-	outer := q.OutermostLoops(knl)
+	outer := query.OutermostLoops(knl)
 	if len(outer) != 1 {
 		t.Fatalf("OutermostLoops = %d, want 1", len(outer))
 	}
-	inner := q.InnerLoops(outer[0])
+	inner := query.InnerLoops(outer[0])
 	if len(inner) != 2 {
 		t.Fatalf("InnerLoops = %d, want 2", len(inner))
 	}
@@ -65,23 +65,22 @@ func TestLoopsInAndInnerLoops(t *testing.T) {
 
 func TestEncloses(t *testing.T) {
 	prog := minic.MustParse(nestedSrc)
-	q := New(prog)
 	knl := prog.MustFunc("knl")
 	other := prog.MustFunc("other")
-	loops := q.LoopsIn(knl)
-	if !q.Encloses(knl, loops[0]) {
+	loops := query.LoopsIn(knl)
+	if !query.Encloses(knl, loops[0]) {
 		t.Error("knl should enclose its loop")
 	}
-	if !q.Encloses(loops[0], loops[1]) {
+	if !query.Encloses(loops[0], loops[1]) {
 		t.Error("outer loop should enclose inner loop")
 	}
-	if q.Encloses(loops[1], loops[0]) {
+	if query.Encloses(loops[1], loops[0]) {
 		t.Error("inner loop must not enclose outer")
 	}
-	if q.Encloses(other, loops[0]) {
+	if query.Encloses(other, loops[0]) {
 		t.Error("other must not enclose knl's loop")
 	}
-	if q.Encloses(loops[0], loops[0]) {
+	if query.Encloses(loops[0], loops[0]) {
 		t.Error("Encloses must be strict")
 	}
 }
@@ -91,16 +90,15 @@ func TestBoundsCanonical(t *testing.T) {
         for (int i = 2; i < n; i++) { a[i] = 0; }
         for (int j = 0; j < 10; j += 2) { a[j] = 1; }
     }`)
-	q := New(prog)
-	loops := q.LoopsIn(prog.MustFunc("f"))
-	b0, ok := Bounds(loops[0].(*minic.ForStmt))
+	loops := query.LoopsIn(prog.MustFunc("f"))
+	b0, ok := query.Bounds(loops[0].(*minic.ForStmt))
 	if !ok || b0.Var != "i" || b0.Step != 1 {
 		t.Fatalf("bounds 0: %+v ok=%v", b0, ok)
 	}
 	if b0.Lo.(*minic.IntLit).Val != 2 {
 		t.Errorf("lo = %v", minic.FormatExpr(b0.Lo))
 	}
-	b1, ok := Bounds(loops[1].(*minic.ForStmt))
+	b1, ok := query.Bounds(loops[1].(*minic.ForStmt))
 	if !ok || b1.Step != 2 {
 		t.Fatalf("bounds 1: %+v ok=%v", b1, ok)
 	}
@@ -116,9 +114,8 @@ func TestBoundsNonCanonical(t *testing.T) {
 	}
 	for _, src := range cases {
 		prog := minic.MustParse(src)
-		q := New(prog)
-		loop := q.LoopsIn(prog.MustFunc("f"))[0].(*minic.ForStmt)
-		if _, ok := Bounds(loop); ok {
+		loop := query.LoopsIn(prog.MustFunc("f"))[0].(*minic.ForStmt)
+		if _, ok := query.Bounds(loop); ok {
 			t.Errorf("Bounds accepted non-canonical loop: %s", src)
 		}
 	}
@@ -138,9 +135,8 @@ func TestFixedTripCount(t *testing.T) {
 	}
 	for _, c := range cases {
 		prog := minic.MustParse(c.src)
-		q := New(prog)
-		loop := q.LoopsIn(prog.MustFunc("f"))[0]
-		n, fixed := FixedTripCount(loop)
+		loop := query.LoopsIn(prog.MustFunc("f"))[0]
+		n, fixed := query.FixedTripCount(loop)
 		if fixed != c.fixed || (fixed && n != c.n) {
 			t.Errorf("%s: got (%d,%v), want (%d,%v)", c.src, n, fixed, c.n, c.fixed)
 		}
@@ -149,9 +145,8 @@ func TestFixedTripCount(t *testing.T) {
 
 func TestFixedTripCountWhile(t *testing.T) {
 	prog := minic.MustParse(`void f(int n) { while (n > 0) { n--; } }`)
-	q := New(prog)
-	loop := q.LoopsIn(prog.MustFunc("f"))[0]
-	if _, fixed := FixedTripCount(loop); fixed {
+	loop := query.LoopsIn(prog.MustFunc("f"))[0]
+	if _, fixed := query.FixedTripCount(loop); fixed {
 		t.Error("while loop must not have a fixed trip count")
 	}
 }
@@ -167,7 +162,7 @@ void f(int n, double *a, double *b, double *c) {
     }
 }`)
 	fn := prog.MustFunc("f")
-	assigned := IdentsAssigned(fn.Body)
+	assigned := query.IdentsAssigned(fn.Body)
 	for _, name := range []string{"s", "i"} {
 		if !assigned[name] {
 			t.Errorf("IdentsAssigned missing %q", name)
@@ -176,11 +171,11 @@ void f(int n, double *a, double *b, double *c) {
 	if assigned["a"] || assigned["c"] {
 		t.Error("array writes must not count as scalar assignment")
 	}
-	written := ArraysWritten(fn.Body)
+	written := query.ArraysWritten(fn.Body)
 	if !written["c"] || written["a"] || written["b"] {
 		t.Errorf("ArraysWritten = %v", written)
 	}
-	read := ArraysRead(fn.Body)
+	read := query.ArraysRead(fn.Body)
 	if !read["a"] || !read["b"] {
 		t.Errorf("ArraysRead = %v, want a and b", read)
 	}
@@ -191,7 +186,7 @@ void f(int n, double *a, double *b, double *c) {
 
 func TestArraysReadPlainStoreNotRead(t *testing.T) {
 	prog := minic.MustParse(`void f(double *a, double *b) { a[0] = b[0]; }`)
-	read := ArraysRead(prog.MustFunc("f").Body)
+	read := query.ArraysRead(prog.MustFunc("f").Body)
 	if read["a"] {
 		t.Error("plain store target must not count as read")
 	}
@@ -202,29 +197,12 @@ func TestArraysReadPlainStoreNotRead(t *testing.T) {
 
 func TestWhileIsLoopNotFor(t *testing.T) {
 	prog := minic.MustParse(`void f(int n) { while (n > 0) { n--; } }`)
-	q := New(prog)
-	loop := q.LoopsIn(prog.MustFunc("f"))[0]
-	if !IsLoop(loop) || IsForStmt(loop) {
+	loop := query.LoopsIn(prog.MustFunc("f"))[0]
+	if !query.IsLoop(loop) || query.IsForStmt(loop) {
 		t.Error("while: IsLoop true, IsForStmt false expected")
 	}
-	if !q.IsOutermostLoop(loop) {
+	if !query.IsOutermostLoop(prog.MustFunc("f"), loop) {
 		t.Error("single while should be outermost")
-	}
-}
-
-func TestParent(t *testing.T) {
-	prog := minic.MustParse(nestedSrc)
-	q := New(prog)
-	knl := prog.MustFunc("knl")
-	if q.Parent(knl) != minic.Node(prog) {
-		t.Error("function parent should be program")
-	}
-	if q.Parent(prog) != nil {
-		t.Error("program has no parent")
-	}
-	loop := q.OutermostLoops(knl)[0]
-	if q.Parent(loop) != minic.Node(knl.Body) {
-		t.Error("loop parent should be function body")
 	}
 }
 
@@ -234,10 +212,9 @@ func TestLoopVarNonCanonicalShapes(t *testing.T) {
         int i;
         for (i = 0; i < n; i++) { a[i] = 0; }
     }`)
-	q := New(prog)
-	loop := q.LoopsIn(prog.MustFunc("f"))[0].(*minic.ForStmt)
-	if LoopVar(loop) != "i" {
-		t.Errorf("assignment-init var = %q", LoopVar(loop))
+	loop := query.LoopsIn(prog.MustFunc("f"))[0].(*minic.ForStmt)
+	if query.LoopVar(loop) != "i" {
+		t.Errorf("assignment-init var = %q", query.LoopVar(loop))
 	}
 	// Post-only recognition (no init at all).
 	prog2 := minic.MustParse(`void f(int n, int *a) {
@@ -245,32 +222,29 @@ func TestLoopVarNonCanonicalShapes(t *testing.T) {
         j = 0;
         for (; j < n; j++) { a[j] = 0; }
     }`)
-	q2 := New(prog2)
-	loop2 := q2.LoopsIn(prog2.MustFunc("f"))[0].(*minic.ForStmt)
-	if LoopVar(loop2) != "j" {
-		t.Errorf("post-only var = %q", LoopVar(loop2))
+	loop2 := query.LoopsIn(prog2.MustFunc("f"))[0].(*minic.ForStmt)
+	if query.LoopVar(loop2) != "j" {
+		t.Errorf("post-only var = %q", query.LoopVar(loop2))
 	}
 	// Compound-step post.
 	prog3 := minic.MustParse(`void f(int n, int *a) {
         int k;
         for (k = 0; k < n; k += 4) { a[k] = 0; }
     }`)
-	q3 := New(prog3)
-	loop3 := q3.LoopsIn(prog3.MustFunc("f"))[0].(*minic.ForStmt)
-	if LoopVar(loop3) != "k" {
-		t.Errorf("compound-step var = %q", LoopVar(loop3))
+	loop3 := query.LoopsIn(prog3.MustFunc("f"))[0].(*minic.ForStmt)
+	if query.LoopVar(loop3) != "k" {
+		t.Errorf("compound-step var = %q", query.LoopVar(loop3))
 	}
 }
 
 func TestSelectAllForStatements(t *testing.T) {
 	prog := minic.MustParse(nestedSrc)
-	q := New(prog)
-	fors := q.Select(func(q *Q, n minic.Node) bool { return IsForStmt(n) })
+	fors := query.Select(prog, query.IsForStmt)
 	if len(fors) != 3 {
 		t.Fatalf("for statements = %d, want 3", len(fors))
 	}
-	whiles := q.Select(func(q *Q, n minic.Node) bool {
-		return IsLoop(n) && !IsForStmt(n)
+	whiles := query.Select(prog, func(n minic.Node) bool {
+		return query.IsLoop(n) && !query.IsForStmt(n)
 	})
 	if len(whiles) != 1 {
 		t.Fatalf("while statements = %d, want 1", len(whiles))
@@ -304,8 +278,8 @@ void f(int n, const double *in, double *out, float scale) {
     out[0] = out[0] + (double)later;
 }`)
 	fn := prog.MustFunc("f")
-	loop := New(prog).OutermostLoops(fn)[0]
-	want := []FreeVar{
+	loop := query.OutermostLoops(fn)[0]
+	want := []query.FreeVar{
 		{"n", minic.Type{Kind: minic.Int}},
 		{"out", minic.Type{Kind: minic.Double, Ptr: true}},
 		{"in", minic.Type{Kind: minic.Double, Ptr: true, Const: true}},
@@ -313,7 +287,7 @@ void f(int n, const double *in, double *out, float scale) {
 		{"tmp", minic.Type{Kind: minic.Double, Ptr: true}},
 		{"k", minic.Type{Kind: minic.Int}},
 	}
-	got := FreeVars(fn, loop)
+	got := query.FreeVars(fn, loop)
 	if len(got) != len(want) {
 		t.Fatalf("FreeVars = %+v, want %+v", got, want)
 	}
@@ -323,7 +297,68 @@ void f(int n, const double *in, double *out, float scale) {
 		}
 	}
 	// The whole body as the statement: only parameters are outside it.
-	if all := FreeVars(fn, fn.Body); len(all) != 4 || all[0].Name != "n" || all[3].Name != "scale" {
+	if all := query.FreeVars(fn, fn.Body); len(all) != 4 || all[0].Name != "n" || all[3].Name != "scale" {
 		t.Errorf("FreeVars of the body = %+v, want the four parameters", all)
+	}
+}
+
+// TestStructuralRelationsOnBundledPrograms checks the structural relations
+// and the pruned OutermostLoops walk against an ancestor stack kept while
+// recursing with minic.EachChild, for every loop of every bundled program.
+func TestStructuralRelationsOnBundledPrograms(t *testing.T) {
+	for _, b := range bench.All() {
+		prog := b.Parse()
+		loops := 0
+		outermost := map[*minic.FuncDecl][]minic.Stmt{}
+		var stack []minic.Node
+		var rec func(n minic.Node)
+		rec = func(n minic.Node) {
+			if query.IsLoop(n) {
+				loops++
+				var fn *minic.FuncDecl
+				depth := 1
+				for _, a := range stack {
+					if f, ok := a.(*minic.FuncDecl); ok {
+						fn = f
+					}
+					if query.IsLoop(a) {
+						depth++
+					}
+					if !query.Encloses(a, n) || query.Encloses(n, a) {
+						t.Errorf("%s: loop #%d: Encloses disagrees about ancestor %T #%d", b.Name, n.ID(), a, a.ID())
+					}
+				}
+				if query.Encloses(n, n) {
+					t.Errorf("%s: loop #%d encloses itself", b.Name, n.ID())
+				}
+				if got := query.EnclosingFunc(prog, n); got != fn {
+					t.Errorf("%s: loop #%d: EnclosingFunc = %v, want %s", b.Name, n.ID(), got, fn.Name)
+				}
+				if got := query.IsOutermostLoop(fn, n); got != (depth == 1) {
+					t.Errorf("%s: loop #%d: IsOutermostLoop = %t at depth %d", b.Name, n.ID(), got, depth)
+				}
+				if depth == 1 {
+					outermost[fn] = append(outermost[fn], n.(minic.Stmt))
+				}
+			}
+			stack = append(stack, n)
+			minic.EachChild(n, rec)
+			stack = stack[:len(stack)-1]
+		}
+		rec(prog)
+		if loops == 0 {
+			t.Fatalf("%s: no loops", b.Name)
+		}
+		for _, fn := range prog.Funcs {
+			got, want := query.OutermostLoops(fn), outermost[fn]
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: OutermostLoops = %d loops, want %d", b.Name, fn.Name, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%s/%s: OutermostLoops[%d] = #%d, want #%d", b.Name, fn.Name, i, got[i].ID(), want[i].ID())
+				}
+			}
+		}
 	}
 }

@@ -23,8 +23,7 @@ var OMPParallelLoops = core.TaskFunc{
 		if kfn == nil {
 			return fmt.Errorf("no kernel extracted")
 		}
-		q := query.New(d.Prog)
-		outer := q.OutermostLoops(kfn)
+		outer := query.OutermostLoops(kfn)
 		if len(outer) == 0 {
 			return fmt.Errorf("kernel has no loops")
 		}

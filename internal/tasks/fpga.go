@@ -43,14 +43,13 @@ var UnrollFixedLoopsTask = core.TaskFunc{
 		// transform's fixed-trip test naturally skips the (runtime-bounded)
 		// outer loop; a fixed OUTER loop is protected by unrolling only
 		// when another loop remains, so check first.
-		q := query.New(d.Prog)
-		outer := q.OutermostLoops(kfn)
+		outer := query.OutermostLoops(kfn)
 		if len(outer) == 1 {
 			if _, fixed := query.FixedTripCount(outer[0]); fixed {
 				// Temporarily make the outer loop non-eligible by limit 0
 				// if it is the only loop; unrolling it away would remove
 				// the pipeline.
-				inner := q.InnerLoops(outer[0])
+				inner := query.InnerLoops(outer[0])
 				if len(inner) == 0 {
 					return nil
 				}
@@ -103,8 +102,7 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 			if kfn == nil {
 				return fmt.Errorf("no kernel extracted")
 			}
-			q := query.New(d.Prog)
-			outer := q.OutermostLoops(kfn)
+			outer := query.OutermostLoops(kfn)
 			if len(outer) == 0 {
 				return fmt.Errorf("kernel has no pipeline loop")
 			}
@@ -138,7 +136,7 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 					return err
 				}
 				if n == 1 || (n == 2 && fixedOuter) {
-					dp = hls.CostDatapath(d.Prog, kfn)
+					dp = hls.CostDatapath(kfn)
 				}
 				ctx.Count(telemetry.CounterHLSPartialCompiles, 1)
 				rep := dp.Replicate(dev, n, d.Report.PipelinedTrips)

@@ -187,8 +187,7 @@ func TestFingerprintInvalidationPerTransform(t *testing.T) {
 	}
 
 	outerLoop := func(p *minic.Program) minic.Stmt {
-		q := query.New(p)
-		loops := q.OutermostLoops(p.MustFunc("app"))
+		loops := query.OutermostLoops(p.MustFunc("app"))
 		if len(loops) == 0 {
 			t.Fatal("no outer loop")
 		}

@@ -83,13 +83,12 @@ func shareLargestFixedLoops(ctx *core.Context, prog *minic.Program, kfn *minic.F
 		trips int64
 		cost  float64
 	}
-	q := query.New(prog)
-	outer := q.OutermostLoops(kfn)
+	outer := query.OutermostLoops(kfn)
 	if len(outer) == 0 {
 		return 0, 1, nil
 	}
 	var cands []candidate
-	for _, l := range q.InnerLoops(outer[0]) {
+	for _, l := range query.InnerLoops(outer[0]) {
 		trips, fixed := query.FixedTripCount(l)
 		if !fixed || trips <= 1 || analysis.LoopMarkedRolled(l) {
 			continue
@@ -113,7 +112,8 @@ func shareLargestFixedLoops(ctx *core.Context, prog *minic.Program, kfn *minic.F
 		shared++
 		extra *= float64(c.trips)
 		ctx.Count(telemetry.DSECounter("sharing"), 1)
-		rep := hls.EstimateCounted(ctx.Telemetry, prog, kfn, dev, 0)
+		ctx.Count(telemetry.CounterHLSPartialCompiles, 1)
+		rep := hls.Estimate(prog, kfn, dev, 0)
 		ctx.Emit(events.TypeDSEProgress, "sharing",
 			"%s: %d loop(s) time-multiplexed, fits=%t", dev.Name, shared, rep.Fits)
 		if rep.Fits {
@@ -124,7 +124,8 @@ func shareLargestFixedLoops(ctx *core.Context, prog *minic.Program, kfn *minic.F
 		return 0, 1, nil
 	}
 	// Check the final state actually fits at unroll 1.
-	rep := hls.EstimateCounted(ctx.Telemetry, prog, kfn, dev, 0)
+	ctx.Count(telemetry.CounterHLSPartialCompiles, 1)
+	rep := hls.Estimate(prog, kfn, dev, 0)
 	if !rep.Fits {
 		return 0, 1, nil // sharing could not save the design; leave as-is
 	}

@@ -202,7 +202,7 @@ var ExtractHotspot = core.TaskFunc{
 		if d.HotspotProf != nil && d.HotspotProf.WatchLoop == loop.ID() &&
 			minic.Fingerprint(prog) == d.HotspotFP {
 			watched = append(watched, loop.ID())
-			for _, l := range query.New(prog).InnerLoops(loop) {
+			for _, l := range query.InnerLoops(loop) {
 				watched = append(watched, l.ID())
 			}
 		}
@@ -355,13 +355,12 @@ var LoopDependence = core.TaskFunc{
 		if kfn == nil {
 			return fmt.Errorf("no kernel extracted")
 		}
-		q := query.New(d.Prog)
-		outer := q.OutermostLoops(kfn)
+		outer := query.OutermostLoops(kfn)
 		if len(outer) == 0 {
 			return fmt.Errorf("kernel has no loops")
 		}
 		d.Report.OuterDeps = analysis.AnalyzeLoop(outer[0])
-		d.Report.Unroll = analysis.AnalyzeUnrollability(q, outer[0], FullyUnrollableLimit)
+		d.Report.Unroll = analysis.AnalyzeUnrollability(outer[0], FullyUnrollableLimit)
 		d.Report.RegsEstimate = analysis.RegisterEstimate(kfn)
 		d.Tracef("note", "deps", "outer parallel=%t reductionOnly=%t innerWithDeps=%d allDepsFixed=%t regs=%d",
 			d.Report.OuterDeps.Parallel(), d.Report.OuterDeps.ParallelWithReduction(),
@@ -384,14 +383,13 @@ var TripCount = core.TaskFunc{
 		if err != nil {
 			return err
 		}
-		q := query.New(d.Prog)
-		outer := q.OutermostLoops(kfn)
+		outer := query.OutermostLoops(kfn)
 		if len(outer) == 0 {
 			return fmt.Errorf("kernel has no loops")
 		}
 		// The kernel's loops in depth-first source order, outer[0] first;
 		// the hotspot run's profile knows the i-th of them as ids[i].
-		loops := q.LoopsIn(kfn)
+		loops := query.LoopsIn(kfn)
 		loopProf := func(i int) *interp.LoopProfile {
 			if ids != nil {
 				return prof.Loops[ids[i]]
@@ -426,7 +424,7 @@ var TripCount = core.TaskFunc{
 			}
 		}
 		// Fixed inner dependence loops also serialize GPU threads.
-		for _, l := range q.InnerLoops(outer[0]) {
+		for _, l := range query.InnerLoops(outer[0]) {
 			if n, fixed := query.FixedTripCount(l); fixed {
 				deps := analysis.AnalyzeLoop(l)
 				if !deps.Parallel() {

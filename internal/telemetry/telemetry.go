@@ -340,8 +340,8 @@ func (s *Span) Duration() time.Duration {
 }
 
 // Add increments a named counter. Safe from any goroutine; no-op on a nil
-// recorder. It also satisfies the counter-sink interfaces of the
-// instrumented layers (interp.Counters, hls.Counter).
+// recorder. It also satisfies interp.Counters, the counter sink of the
+// interpreter.
 func (r *Recorder) Add(name string, delta int64) {
 	if r == nil {
 		return

@@ -211,8 +211,7 @@ func deepestFixedLoop(fn *minic.FuncDecl, limit int64) (target *minic.ForStmt, t
 // Returns the number of rewrites performed.
 func RemovePlusEqDep(prog *minic.Program, fn *minic.FuncDecl) (int, error) {
 	count := 0
-	q := query.New(prog)
-	for _, l := range q.LoopsIn(fn) {
+	for _, l := range query.LoopsIn(fn) {
 		inner, ok := l.(*minic.ForStmt)
 		if !ok {
 			continue

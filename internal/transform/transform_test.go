@@ -44,8 +44,7 @@ func TestExtractHotspot(t *testing.T) {
 
 	prog := minic.MustParse(hostSrc)
 	host := prog.MustFunc("app")
-	q := query.New(prog)
-	loop := q.OutermostLoops(host)[0]
+	loop := query.OutermostLoops(host)[0]
 	kernel, err := ExtractHotspot(prog, host, loop, "app_hotspot")
 	if err != nil {
 		t.Fatalf("ExtractHotspot: %v", err)
@@ -76,8 +75,7 @@ func TestExtractHotspot(t *testing.T) {
 		!strings.Contains(src, "app_hotspot(") {
 		t.Errorf("host does not call kernel:\n%s", src)
 	}
-	qq := query.New(prog)
-	if len(qq.LoopsIn(prog.MustFunc("app"))) != 0 {
+	if len(query.LoopsIn(prog.MustFunc("app"))) != 0 {
 		t.Error("host should have no loops after extraction")
 	}
 }
@@ -94,8 +92,7 @@ void app(int n, double *out) {
 `
 	prog := minic.MustParse(src)
 	host := prog.MustFunc("app")
-	q := query.New(prog)
-	loop := q.OutermostLoops(host)[0]
+	loop := query.OutermostLoops(host)[0]
 	if _, err := ExtractHotspot(prog, host, loop, "k"); err == nil {
 		t.Fatal("expected live-out scalar error")
 	} else if !strings.Contains(err.Error(), "live-out") {
@@ -161,7 +158,7 @@ int app(int n, double *a) {
 		wantRet, wantA0 := run(minic.MustParse(c.src))
 		prog := minic.MustParse(c.src)
 		host := prog.MustFunc("app")
-		_, err := ExtractHotspot(prog, host, query.New(prog).OutermostLoops(host)[0], "k")
+		_, err := ExtractHotspot(prog, host, query.OutermostLoops(host)[0], "k")
 		if c.refused != "" {
 			if err == nil || err.Error() != c.refused {
 				t.Errorf("%s: err = %v, want %q", c.name, err, c.refused)
@@ -184,8 +181,7 @@ int app(int n, double *a) {
 func TestExtractHotspotNameCollision(t *testing.T) {
 	prog := minic.MustParse(hostSrc)
 	host := prog.MustFunc("app")
-	q := query.New(prog)
-	loop := q.OutermostLoops(host)[0]
+	loop := query.OutermostLoops(host)[0]
 	if _, err := ExtractHotspot(prog, host, loop, "app"); err == nil {
 		t.Fatal("expected name collision error")
 	}
@@ -193,8 +189,7 @@ func TestExtractHotspotNameCollision(t *testing.T) {
 
 func TestInsertAndRemoveLoopPragma(t *testing.T) {
 	prog := minic.MustParse(hostSrc)
-	q := query.New(prog)
-	loop := q.OutermostLoops(prog.MustFunc("app"))[0]
+	loop := query.OutermostLoops(prog.MustFunc("app"))[0]
 	if err := InsertLoopPragma(loop, "unroll 4"); err != nil {
 		t.Fatalf("InsertLoopPragma: %v", err)
 	}
