@@ -56,12 +56,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		f, err := flowlang.Check(string(src))
+		doc, err := flowlang.Check(string(src))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", *check, err)
 			os.Exit(2)
 		}
-		fmt.Printf("%s: ok (flow %q)\n", *check, f.Flow.Name)
+		fmt.Printf("%s: ok (flow %q)\n", *check, doc.Name())
 		return
 	}
 
@@ -108,17 +108,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if doc, err = flowlang.Parse(string(src)); err != nil {
+		if doc, err = flowlang.Check(string(src)); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", *flowFile, err)
 			os.Exit(2)
 		}
 	}
-	compiled, err := flowlang.Compile(doc, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", *flowFile, err)
-		os.Exit(2)
-	}
-	env, err := experiments.ResolveEnv(experiments.Settings{Faults: *faultSpec, Budget: *budget}, compiled, experiments.Settings{})
+	env, err := experiments.ResolveEnv(experiments.Settings{Faults: *faultSpec, Budget: *budget}, doc.Compile(opts), experiments.Settings{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -27,8 +27,10 @@ type RunKey struct {
 	Workload string
 	// Entry is the entry function name.
 	Entry string
-	// Watch is the watched function, normalized the way interp.Run
-	// normalizes it (the empty string means the entry).
+	// Watch is the watched function. interp.Run reads an empty Watch as
+	// "watch the hotspot candidates"; the key never holds it empty:
+	// tasks.profiledRun keys that run under the entry function's name,
+	// the key cluster peers and probes derive too.
 	Watch string
 }
 

@@ -54,10 +54,7 @@ func TestFaultFallbackTraceNamesNoBudget(t *testing.T) {
 		t.Skip("full flow runs the interpreter; skipped in -short mode")
 	}
 	opts := tasks.FlowOptions{Mode: tasks.Informed, Strategy: tasks.DefaultStrategy}
-	paper, err := flowlang.Compile(flowlang.Bundled(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	paper := flowlang.Bundled().Compile(opts)
 	env, err := ResolveEnv(Settings{Faults: "seed=1,rate=1,kinds=hls"}, paper, Settings{Retry: chaosTestRetry})
 	if err != nil {
 		t.Fatal(err)

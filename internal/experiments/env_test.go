@@ -22,10 +22,7 @@ func TestResolveEnvTiers(t *testing.T) {
 	doc := compile("  budget 5\n  faults \"seed=3,rate=0.5\"\n  retry attempts=4 budget=16")
 	bare := compile("")
 	def := Settings{Faults: "seed=7,rate=0.25", Retry: faults.RetryPolicy{MaxAttempts: 9, Budget: 99}}
-	paper, err := flowlang.Compile(flowlang.Bundled(), flowlang.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	paper := flowlang.Bundled().Compile(flowlang.Options{})
 	cases := []struct {
 		name        string
 		explicit    Settings

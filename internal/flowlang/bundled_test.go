@@ -159,12 +159,8 @@ func TestBundledFlowSharedAcrossJobs(t *testing.T) {
 		}
 	}
 	run := func(opts flowlang.Options, runs *core.RunCache) ([]string, error) {
-		c, err := flowlang.Compile(flowlang.Bundled(), opts)
-		if err != nil {
-			return nil, err
-		}
 		rs, err := experiments.RunBenchmarkEnv(context.Background(), b, nil, opts,
-			experiments.JobEnv{Flow: c.Flow}, nil, nil, runs)
+			experiments.JobEnv{Flow: flowlang.Bundled().Compile(opts).Flow}, nil, nil, runs)
 		return resultFingerprint(rs), err
 	}
 	serial := make([][]string, len(jobs))

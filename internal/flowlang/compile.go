@@ -1,8 +1,6 @@
 package flowlang
 
 import (
-	"fmt"
-
 	"psaflow/internal/core"
 	"psaflow/internal/faults"
 	"psaflow/internal/platform"
@@ -25,16 +23,37 @@ type Compiled struct {
 	HasRetry bool
 }
 
-// Compile lowers a parsed file onto the core engine. It validates first —
-// passing an invalid file returns the full *ErrorList — so lowering itself
-// only deals with well-formed input.
-func Compile(f *File, opts Options) (*Compiled, error) {
+// Doc is a checked flow document. Only Check builds one and nothing writes
+// it afterwards, so every job may lower the same Doc.
+type Doc struct {
+	f *File
+}
+
+// Check is the one definition of a valid document: src parses and
+// validates. The flow registry, psaflow -check, psaflow -flow and the
+// bundled flow all accept exactly what Check accepts, and keep the Doc it
+// returns to lower per job.
+func Check(src string) (*Doc, error) {
+	f, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
 	if err := Validate(f); err != nil {
 		return nil, err
 	}
+	return &Doc{f: f}, nil
+}
+
+// Name is the document's own `flow "..."` declaration name.
+func (d *Doc) Name() string { return d.f.Flow.Name }
+
+// Compile lowers the document onto the core engine with opts. Lowering is
+// total on what Check admits: it checks nothing and cannot fail.
+func (d *Doc) Compile(opts Options) *Compiled {
+	f := d.f
 	c := &compiler{opts: opts, defs: map[string]*DefDecl{}}
-	for _, d := range f.Defs {
-		c.defs[d.Name] = d
+	for _, def := range f.Defs {
+		c.defs[def.Name] = def
 	}
 	out := &Compiled{Flow: &core.Flow{Name: f.Flow.Name}}
 	for _, s := range f.Flow.Settings {
@@ -51,47 +70,24 @@ func Compile(f *File, opts Options) (*Compiled, error) {
 			}
 		}
 	}
-	if err := c.lower(out.Flow, f.Flow.Body, binding{pathName: f.Flow.Name}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	c.lower(out.Flow, f.Flow.Body, binding{pathName: f.Flow.Name})
+	return out
 }
 
-// CompileSource parses, validates, and compiles a .psa document.
+// CompileSource checks and compiles a .psa document.
 func CompileSource(src string, opts Options) (*Compiled, error) {
-	f, err := Parse(src)
+	d, err := Check(src)
 	if err != nil {
 		return nil, err
 	}
-	return Compile(f, opts)
-}
-
-// Check is the one definition of a valid document: src parses, validates,
-// and compiles under every mode × sharing combination a job can ask for.
-// The flow registry, psaflow -check and the bundled flow all accept exactly
-// what Check accepts; the registry and the bundled flow keep the parsed
-// file it returns and Compile it per job.
-func Check(src string) (*File, error) {
-	f, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	for _, mode := range []tasks.Mode{tasks.Informed, tasks.Uninformed} {
-		for _, sharing := range []bool{false, true} {
-			if _, err := Compile(f, Options{Mode: mode, ResourceSharing: sharing}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return f, nil
+	return d.Compile(opts), nil
 }
 
 // binding is the lowering context: the enclosing path name (prefix for
-// foreach-generated sub-flow names) and the bound device, if any.
+// foreach-generated sub-flow names) and the device the enclosing foreach
+// bound, if any.
 type binding struct {
 	pathName string
-	devVar   string
-	devClass DeviceClass
 	gpu      platform.GPUSpec
 	fpga     platform.FPGASpec
 }
@@ -103,81 +99,57 @@ type compiler struct {
 }
 
 // lower appends the lowered form of stmts to flow.
-func (c *compiler) lower(flow *core.Flow, stmts []Stmt, b binding) error {
+func (c *compiler) lower(flow *core.Flow, stmts []Stmt, b binding) {
 	for _, st := range stmts {
 		switch s := st.(type) {
 		case *TaskStmt:
-			t, err := c.lowerTask(s, b)
-			if err != nil {
-				return err
-			}
-			flow.AddTask(t)
+			flow.AddTask(lowerTask(s, b))
 		case *UseStmt:
-			if err := c.lower(flow, c.defs[s.Name].Body, b); err != nil {
-				return err
-			}
+			c.lower(flow, c.defs[s.Name].Body, b)
 		case *WhenStmt:
-			ok, err := c.eval(s.Cond, b)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if err := c.lower(flow, s.Body, b); err != nil {
-					return err
-				}
+			if c.eval(s.Cond, b) {
+				c.lower(flow, s.Body, b)
 			}
 		case *BranchStmt:
-			br, err := c.lowerBranch(s, b)
-			if err != nil {
-				return err
-			}
-			flow.AddBranch(br)
+			flow.AddBranch(c.lowerBranch(s, b))
 		}
 	}
-	return nil
 }
 
-func (c *compiler) lowerTask(s *TaskStmt, b binding) (core.Task, error) {
+// lowerTask instantiates a task. Validate admits a device argument only
+// when it names the enclosing foreach variable and its class matches the
+// task's, so b holds the device the task wants.
+func lowerTask(s *TaskStmt, b binding) core.Task {
 	entry := taskRegistry[s.Name]
-	if s.Arg == "" {
-		return entry.Plain, nil
+	switch {
+	case s.Arg == "":
+		return entry.Plain
+	case entry.Class == DevGPU:
+		return entry.GPU(b.gpu)
+	default:
+		return entry.FPGA(b.fpga)
 	}
-	if s.Arg != b.devVar {
-		return nil, fmt.Errorf("flowlang: internal: unbound device variable %q at %s", s.Arg, s.ArgPos)
-	}
-	if entry.Class == DevGPU {
-		return entry.GPU(b.gpu), nil
-	}
-	return entry.FPGA(b.fpga), nil
 }
 
-// eval resolves a when-condition at compile time.
-func (c *compiler) eval(cond Cond, b binding) (bool, error) {
-	var val bool
-	switch {
-	case cond.Prop == "":
+// eval resolves a when-condition at compile time. A condition on a device
+// is <var>.usm on an FPGA foreach variable: the only device property
+// Validate admits.
+func (c *compiler) eval(cond Cond, b binding) bool {
+	val := b.fpga.USM
+	if cond.Prop == "" {
 		switch cond.Name {
 		case "sharing":
 			val = c.opts.ResourceSharing
 		case "informed":
 			val = c.opts.Mode == tasks.Informed
-		case "uninformed":
+		default: // "uninformed"
 			val = c.opts.Mode == tasks.Uninformed
-		default:
-			return false, fmt.Errorf("flowlang: internal: unknown condition %q at %s", cond.Name, cond.NamePos)
 		}
-	case cond.Name == b.devVar && b.devClass == DevFPGA && cond.Prop == "usm":
-		val = b.fpga.USM
-	default:
-		return false, fmt.Errorf("flowlang: internal: unresolvable condition %q at %s", cond, cond.NamePos)
 	}
-	if cond.Neg {
-		val = !val
-	}
-	return val, nil
+	return val != cond.Neg
 }
 
-func (c *compiler) lowerBranch(s *BranchStmt, b binding) (core.Branch, error) {
+func (c *compiler) lowerBranch(s *BranchStmt, b binding) core.Branch {
 	br := core.Branch{PointName: s.Name, Gated: s.Gated}
 	if s.HasRev {
 		br.MaxRevisions = s.Revisions
@@ -215,53 +187,40 @@ func (c *compiler) lowerBranch(s *BranchStmt, b binding) (core.Branch, error) {
 			sub := &core.Flow{Name: name}
 			inner := b
 			inner.pathName = a.Name
-			if err := c.lower(sub, a.Body, inner); err != nil {
-				return core.Branch{}, err
-			}
+			c.lower(sub, a.Body, inner)
 			br.Paths = append(br.Paths, core.Path{Name: a.Name, Flow: sub})
 		case *ForeachArm:
-			paths, err := c.lowerForeach(a, b)
-			if err != nil {
-				return core.Branch{}, err
-			}
-			br.Paths = append(br.Paths, paths...)
+			br.Paths = append(br.Paths, c.lowerForeach(a, b)...)
 		}
 	}
-	return br, nil
+	return br
 }
 
 // lowerForeach expands a foreach arm into one path per catalog device, in
 // catalog order. Each device's sub-flow is named "<enclosing path>/<device>"
 // — the built-in flow's "gpu/<dev>" and "fpga/<dev>" — and the path itself
 // is named after the device.
-func (c *compiler) lowerForeach(a *ForeachArm, b binding) ([]core.Path, error) {
+func (c *compiler) lowerForeach(a *ForeachArm, b binding) []core.Path {
 	var paths []core.Path
-	expand := func(name string, inner binding) error {
+	expand := func(name string, inner binding) {
 		sub := &core.Flow{Name: b.pathName + "/" + name}
 		inner.pathName = name
-		if err := c.lower(sub, a.Body, inner); err != nil {
-			return err
-		}
+		c.lower(sub, a.Body, inner)
 		paths = append(paths, core.Path{Name: name, Flow: sub})
-		return nil
 	}
 	switch deviceSets[a.Set] {
 	case DevGPU:
 		for _, dev := range platform.GPUs() {
 			inner := b
-			inner.devVar, inner.devClass, inner.gpu = a.Var, DevGPU, dev
-			if err := expand(dev.Name, inner); err != nil {
-				return nil, err
-			}
+			inner.gpu = dev
+			expand(dev.Name, inner)
 		}
 	default: // DevFPGA
 		for _, dev := range platform.FPGAs() {
 			inner := b
-			inner.devVar, inner.devClass, inner.fpga = a.Var, DevFPGA, dev
-			if err := expand(dev.Name, inner); err != nil {
-				return nil, err
-			}
+			inner.fpga = dev
+			expand(dev.Name, inner)
 		}
 	}
-	return paths, nil
+	return paths
 }

@@ -59,10 +59,7 @@ func TestFaultSpecValidation(t *testing.T) {
 // precedence: empty inherits, "off" disables even over a default, and
 // retry overrides land in the policy.
 func TestFlowEnvResolution(t *testing.T) {
-	paper, err := flowlang.Compile(flowlang.Bundled(), flowlang.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	paper := flowlang.Bundled().Compile(flowlang.Options{})
 	def := experiments.Settings{Faults: "seed=7,rate=0.5", Retry: faults.DefaultRetry}
 	sp := &JobSpec{Bench: "nbody"}
 	env, err := sp.flowEnv(paper, def)

@@ -42,10 +42,10 @@ type FlowInfo struct {
 	CreatedAt string `json:"created_at"`
 	Source    string `json:"source,omitempty"`
 
-	// file is Source as flowlang.Check returned it at PUT or at replay:
+	// doc is Source as flowlang.Check returned it at PUT or at replay:
 	// what the version's jobs lower. checkErr is why a replayed Source no
 	// longer checks; the version's jobs then fail with it.
-	file     *flowlang.File
+	doc      *flowlang.Doc
 	checkErr error
 }
 
@@ -108,7 +108,7 @@ func (s *Server) openFlowRegistry() error {
 			s.logf("flow registry: out-of-order version %s@%d skipped (have %d)", info.Name, info.Version, len(vs))
 			continue
 		}
-		if info.file, info.checkErr = flowlang.Check(info.Source); info.checkErr != nil {
+		if info.doc, info.checkErr = flowlang.Check(info.Source); info.checkErr != nil {
 			s.logf("flow registry: %s@%d no longer checks; its jobs will fail: %v", info.Name, info.Version, info.checkErr)
 		}
 		s.flowReg.flows[info.Name] = append(vs, info)
@@ -120,11 +120,11 @@ func (s *Server) openFlowRegistry() error {
 	return nil
 }
 
-// putFlow validates and registers src as the next version of name. The
+// putFlow checks and registers src as the next version of name. The
 // version record is durable before the caller sees it: like job submits,
 // an acked version survives whatever happens to the process next.
 func (s *Server) putFlow(name, src string) (FlowInfo, error) {
-	file, err := flowlang.Check(src)
+	doc, err := flowlang.Check(src)
 	if err != nil {
 		return FlowInfo{}, err
 	}
@@ -135,10 +135,10 @@ func (s *Server) putFlow(name, src string) (FlowInfo, error) {
 	info := FlowInfo{
 		Name:      name,
 		Version:   len(reg.flows[name]) + 1,
-		FlowName:  file.Flow.Name,
+		FlowName:  doc.Name(),
 		CreatedAt: fmtTime(time.Now()),
 		Source:    src,
-		file:      file,
+		doc:       doc,
 	}
 	if reg.store != nil {
 		data, err := json.Marshal(info)

@@ -201,14 +201,10 @@ func New(cfg Config) *Server {
 			if info.checkErr != nil {
 				return nil, fmt.Errorf("flow %s: %w", pinned, info.checkErr)
 			}
-			doc = info.file
+			doc = info.doc
 			rec.Add(telemetry.CounterFlowCompiles, 1)
 		}
-		compiled, err := flowlang.Compile(doc, opts)
-		if err != nil {
-			return nil, err
-		}
-		env, err := job.Spec.flowEnv(compiled, experiments.Settings{Faults: s.cfg.Faults, Retry: s.retry})
+		env, err := job.Spec.flowEnv(doc.Compile(opts), experiments.Settings{Faults: s.cfg.Faults, Retry: s.retry})
 		if err != nil {
 			return nil, err
 		}

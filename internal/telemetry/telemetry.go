@@ -128,8 +128,9 @@ const (
 // Flow-DSL counters fed by internal/flowlang and the psaflowd flow
 // registry (see docs/FLOWS.md).
 const (
-	// CounterFlowCompiles counts successful DSL flow compilations
-	// (parse + validate + lower), across the CLI and the service.
+	// CounterFlowCompiles counts the service's uses of registered
+	// documents: one per document a PUT checks (registration checks and
+	// does not lower) and one per job that lowers a registered version.
 	CounterFlowCompiles = "flowlang.compiles"
 	// Registry traffic: versions registered, documents fetched, and job
 	// submissions resolved against a registered flow.

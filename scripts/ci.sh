@@ -54,7 +54,7 @@ go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # pragma edit makes (Design.EditLoop, minic.CopyPath) — five runs, for the
 # scheduler to vary which path copies while its siblings read.
 go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath' ./internal/core/ ./internal/minic/
-# Every job lowers the one parsed bundled paper.psa: eight lowerings with
+# Every job lowers the one checked bundled paper.psa: eight lowerings with
 # different options, run beside each other on one run cache, must each
 # equal the same lowering run alone — five runs, for the scheduler to vary
 # which lowering reads the document while the others run.
@@ -101,11 +101,18 @@ for d in examples/*/; do
 	[ "$d" = examples/service/ ] && continue
 	go run "./$d" >/dev/null
 done
-# Bundled flow documents must stay valid: -check parses, validates and
-# compiles each, accepting exactly what the daemon's flow registry does.
+# Bundled flow documents must stay valid and must run: -check parses and
+# validates each (flowlang.Check, exactly what the daemon's flow registry
+# accepts), and -flow checks it the same way, lowers it and runs kmeans
+# through it in both modes.
 flowtmp=$(mktemp -d)
 go build -o "$flowtmp/psaflow" ./cmd/psaflow
-for f in examples/flows/*.psa; do "$flowtmp/psaflow" -check "$f"; done
+for f in examples/flows/*.psa; do
+	"$flowtmp/psaflow" -check "$f"
+	for m in informed uninformed; do
+		"$flowtmp/psaflow" -bench kmeans -mode "$m" -flow "$f" >/dev/null
+	done
+done
 rm -rf "$flowtmp"
 # Docs gate: markdown links resolve, go code fences are gofmt-clean, and
 # docs/FLOWS.md covers the flowlang keyword/task/error catalogs.
