@@ -81,40 +81,16 @@ func paramList(params []*minic.Param) string {
 	return strings.Join(parts, ", ")
 }
 
-// indent prefixes every non-empty line of s with pad.
-func indent(s, pad string) string {
-	lines := strings.Split(s, "\n")
-	for i, l := range lines {
-		if strings.TrimSpace(l) != "" {
-			lines[i] = pad + l
-		}
-	}
-	return strings.Join(lines, "\n")
-}
-
-// renderStmts prints statements at the given indentation.
-func renderStmts(stmts []minic.Stmt, pad string) string {
-	var sb strings.Builder
-	for _, s := range stmts {
-		sb.WriteString(indent(minic.FormatStmt(s), pad))
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
-// renderOtherFuncs prints every function except the kernel (the untouched
-// application code that surrounds the generated design).
-func renderOtherFuncs(prog *minic.Program, kernel string) string {
-	var sb strings.Builder
+// writeOtherFuncs writes every function except the kernel (the untouched
+// application code that surrounds the generated design), each followed by
+// a blank line.
+func writeOtherFuncs(sb *strings.Builder, prog *minic.Program, kernel string) {
 	for _, f := range prog.Funcs {
-		if f.Name == kernel {
-			continue
+		if f.Name != kernel {
+			minic.WriteFunc(sb, f)
+			sb.WriteByte('\n')
 		}
-		single := &minic.Program{Funcs: []*minic.FuncDecl{f}}
-		sb.WriteString(minic.Print(single))
-		sb.WriteString("\n")
 	}
-	return sb.String()
 }
 
 // pointerParams returns the kernel's pointer parameters.

@@ -1,7 +1,8 @@
 package codegen
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"psaflow/internal/minic"
@@ -24,60 +25,61 @@ func HIP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 	}
 
 	var sb strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&sb, format, args...) }
+	w := func(parts ...string) {
+		for _, p := range parts {
+			sb.WriteString(p)
+		}
+	}
+	bs := strconv.Itoa(blocksize)
+	params := paramList(fn.Params)
+	idx, hi := bound.Var, sizeExprFor(bound)
 
 	w("// Auto-generated HIP CPU+GPU design\n")
-	w("// target: %s, blocksize: %d\n", opts.Device, blocksize)
+	w("// target: ", opts.Device, ", blocksize: ", bs, "\n")
 	if opts.Specialised {
 		w("// fast-math: specialised device intrinsics enabled\n")
 	}
 	w("#include <hip/hip_runtime.h>\n")
 	w("#include <cstdio>\n\n")
 	w("#define HIP_CHECK(cmd) do { hipError_t e = (cmd); if (e != hipSuccess) { \\\n")
-	w("    fprintf(stderr, \"HIP error %%s at %%s:%%d\\n\", hipGetErrorString(e), __FILE__, __LINE__); \\\n")
+	w("    fprintf(stderr, \"HIP error %s at %s:%d\\n\", hipGetErrorString(e), __FILE__, __LINE__); \\\n")
 	w("    } } while (0)\n\n")
 
 	// Device kernel: grid-stride mapping of the outer loop.
-	w("__global__ void %s_kernel(%s) {\n", fn.Name, paramList(fn.Params))
-	w("    int %s = blockIdx.x * blockDim.x + threadIdx.x;\n", bound.Var)
-	shared := map[string]bool{}
-	for _, name := range opts.SharedMem {
-		shared[name] = true
-	}
+	w("__global__ void ", fn.Name, "_kernel(", params, ") {\n")
+	w("    int ", idx, " = blockIdx.x * blockDim.x + threadIdx.x;\n")
+	ptrs := pointerParams(fn)
 	if len(opts.SharedMem) > 0 {
-		for _, p := range pointerParams(fn) {
-			if !shared[p.Name] {
+		for _, p := range ptrs {
+			if !slices.Contains(opts.SharedMem, p.Name) {
 				continue
 			}
-			elem := p.Type.Kind.String()
-			w("    __shared__ %s %s_tile[%d];\n", elem, p.Name, blocksize)
-			w("    if (threadIdx.x < %d && %s < %s) {\n", blocksize, bound.Var, minic.FormatExpr(bound.Hi))
-			w("        %s_tile[threadIdx.x] = %s[%s];\n", p.Name, p.Name, bound.Var)
+			w("    __shared__ ", p.Type.Kind.String(), " ", p.Name, "_tile[", bs, "];\n")
+			w("    if (threadIdx.x < ", bs, " && ", idx, " < ", hi, ") {\n")
+			w("        ", p.Name, "_tile[threadIdx.x] = ", p.Name, "[", idx, "];\n")
 			w("    }\n")
 		}
 		w("    __syncthreads();\n")
 	}
-	w("    if (%s < %s) {\n", bound.Var, minic.FormatExpr(bound.Hi))
-	sb.WriteString(renderStmts(loop.Body.Stmts, "        "))
+	w("    if (", idx, " < ", hi, ") {\n")
+	minic.WriteStmts(&sb, loop.Body.Stmts, 2)
 	w("    }\n")
 	w("}\n\n")
 
 	// Host wrapper replacing the original kernel function.
-	w("void %s(%s) {\n", fn.Name, paramList(fn.Params))
-	sizeExpr := sizeExprFor(bound)
-	ptrs := pointerParams(fn)
+	w("void ", fn.Name, "(", params, ") {\n")
 	for _, p := range ptrs {
 		elem := p.Type.Kind.String()
-		w("    %s *d_%s = nullptr;\n", elem, p.Name)
-		w("    HIP_CHECK(hipMalloc(&d_%s, sizeof(%s) * (%s)));\n", p.Name, elem, sizeExpr)
+		w("    ", elem, " *d_", p.Name, " = nullptr;\n")
+		w("    HIP_CHECK(hipMalloc(&d_", p.Name, ", sizeof(", elem, ") * (", hi, ")));\n")
 	}
 	if opts.Pinned {
 		w("    // Pinned host staging buffers for faster PCIe transfers.\n")
 		for _, p := range ptrs {
 			elem := p.Type.Kind.String()
-			w("    %s *h_%s = nullptr;\n", elem, p.Name)
-			w("    HIP_CHECK(hipHostMalloc(&h_%s, sizeof(%s) * (%s)));\n", p.Name, elem, sizeExpr)
-			w("    memcpy(h_%s, %s, sizeof(%s) * (%s));\n", p.Name, p.Name, elem, sizeExpr)
+			w("    ", elem, " *h_", p.Name, " = nullptr;\n")
+			w("    HIP_CHECK(hipHostMalloc(&h_", p.Name, ", sizeof(", elem, ") * (", hi, ")));\n")
+			w("    memcpy(h_", p.Name, ", ", p.Name, ", sizeof(", elem, ") * (", hi, "));\n")
 		}
 	}
 	for _, p := range ptrs {
@@ -85,44 +87,44 @@ func HIP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 		if opts.Pinned {
 			src = "h_" + p.Name
 		}
-		w("    HIP_CHECK(hipMemcpy(d_%s, %s, sizeof(%s) * (%s), hipMemcpyHostToDevice));\n",
-			p.Name, src, p.Type.Kind.String(), sizeExpr)
+		w("    HIP_CHECK(hipMemcpy(d_", p.Name, ", ", src, ", sizeof(", p.Type.Kind.String(), ") * (", hi, "), hipMemcpyHostToDevice));\n")
 	}
-	w("    int blocksize = %d;\n", blocksize)
-	w("    int grid = ((%s) + blocksize - 1) / blocksize;\n", sizeExpr)
-	var callArgs []string
-	for _, p := range fn.Params {
-		if p.Type.Ptr {
-			callArgs = append(callArgs, "d_"+p.Name)
-		} else {
-			callArgs = append(callArgs, p.Name)
+	w("    int blocksize = ", bs, ";\n")
+	w("    int grid = ((", hi, ") + blocksize - 1) / blocksize;\n")
+	w("    hipLaunchKernelGGL(", fn.Name, "_kernel, dim3(grid), dim3(blocksize), 0, 0, ")
+	for k, p := range fn.Params {
+		if k > 0 {
+			w(", ")
 		}
+		if p.Type.Ptr {
+			w("d_")
+		}
+		w(p.Name)
 	}
-	w("    hipLaunchKernelGGL(%s_kernel, dim3(grid), dim3(blocksize), 0, 0, %s);\n",
-		fn.Name, strings.Join(callArgs, ", "))
+	w(");\n")
 	w("    HIP_CHECK(hipDeviceSynchronize());\n")
 	for _, p := range ptrs {
 		if p.Type.Const {
 			continue // input-only buffers need no copy back
 		}
+		elem := p.Type.Kind.String()
 		dst := p.Name
 		if opts.Pinned {
 			dst = "h_" + p.Name
 		}
-		w("    HIP_CHECK(hipMemcpy(%s, d_%s, sizeof(%s) * (%s), hipMemcpyDeviceToHost));\n",
-			dst, p.Name, p.Type.Kind.String(), sizeExpr)
+		w("    HIP_CHECK(hipMemcpy(", dst, ", d_", p.Name, ", sizeof(", elem, ") * (", hi, "), hipMemcpyDeviceToHost));\n")
 		if opts.Pinned {
-			w("    memcpy(%s, h_%s, sizeof(%s) * (%s));\n", p.Name, p.Name, p.Type.Kind.String(), sizeExpr)
+			w("    memcpy(", p.Name, ", h_", p.Name, ", sizeof(", elem, ") * (", hi, "));\n")
 		}
 	}
 	for _, p := range ptrs {
-		w("    HIP_CHECK(hipFree(d_%s));\n", p.Name)
+		w("    HIP_CHECK(hipFree(d_", p.Name, "));\n")
 		if opts.Pinned {
-			w("    HIP_CHECK(hipHostFree(h_%s));\n", p.Name)
+			w("    HIP_CHECK(hipHostFree(h_", p.Name, "));\n")
 		}
 	}
 	w("}\n\n")
 
-	sb.WriteString(renderOtherFuncs(prog, fn.Name))
+	writeOtherFuncs(&sb, prog, fn.Name)
 	return finish("hip", opts.Device, sb.String(), refLOC), nil
 }

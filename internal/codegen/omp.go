@@ -1,7 +1,7 @@
 package codegen
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"psaflow/internal/minic"
@@ -21,7 +21,6 @@ func OpenMP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 	// they are.
 	wfn, cl := minic.CopyPath(fn, loop)
 	wloop := cl.(*minic.ForStmt)
-	single := &minic.Program{Funcs: []*minic.FuncDecl{wfn}}
 	threads := opts.NumThreads
 	if threads <= 0 {
 		threads = 1
@@ -29,7 +28,7 @@ func OpenMP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 	// Replace any bare parallel-for annotation left by the transform task
 	// with the final clause carrying the DSE-selected thread count,
 	// preserving clauses such as reduction(...).
-	pragma := fmt.Sprintf("omp parallel for num_threads(%d)", threads)
+	pragma := "omp parallel for num_threads(" + strconv.Itoa(threads) + ")"
 	kept := wloop.Pragmas[:0]
 	for _, p := range wloop.Pragmas {
 		if strings.HasPrefix(p, "omp parallel for") {
@@ -44,7 +43,7 @@ func OpenMP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 
 	var sb strings.Builder
 	sb.WriteString("#include <omp.h>\n\n")
-	sb.WriteString(renderOtherFuncs(prog, wfn.Name))
-	sb.WriteString(minic.Print(single))
+	writeOtherFuncs(&sb, prog, wfn.Name)
+	minic.WriteFunc(&sb, wfn)
 	return finish("openmp", opts.Device, sb.String(), refLOC), nil
 }

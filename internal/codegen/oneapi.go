@@ -1,11 +1,10 @@
 package codegen
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"psaflow/internal/minic"
-	"psaflow/internal/query"
 )
 
 // OneAPI renders the CPU+FPGA design: a SYCL single_task pipeline kernel
@@ -25,14 +24,18 @@ func OneAPI(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 	}
 
 	var sb strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&sb, format, args...) }
+	w := func(parts ...string) {
+		for _, p := range parts {
+			sb.WriteString(p)
+		}
+	}
 
 	kernelID := strings.ToUpper(fn.Name[:1]) + fn.Name[1:] + "KernelID"
 	ptrs := pointerParams(fn)
 	sizeExpr := sizeExprFor(bound)
 
 	w("// Auto-generated oneAPI CPU+FPGA design\n")
-	w("// target: %s, unroll: %d", opts.Device, unroll)
+	w("// target: ", opts.Device, ", unroll: ", strconv.Itoa(unroll))
 	if opts.ZeroCopy {
 		w(", zero-copy USM host allocations")
 	}
@@ -41,8 +44,8 @@ func OneAPI(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 	w("#include <sycl/ext/intel/fpga_extensions.hpp>\n")
 	w("#include <cstring>\n")
 	w("#include <iostream>\n\n")
-	w("class %s;\n\n", kernelID)
-	w("void %s(%s) {\n", fn.Name, paramList(fn.Params))
+	w("class ", kernelID, ";\n\n")
+	w("void ", fn.Name, "(", paramList(fn.Params), ") {\n")
 	w("#if defined(FPGA_EMULATOR)\n")
 	w("    sycl::ext::intel::fpga_emulator_selector selector;\n")
 	w("#else\n")
@@ -72,12 +75,12 @@ func OneAPI(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 		w("    }\n")
 		for _, p := range ptrs {
 			elem := p.Type.Kind.String()
-			w("    %s *u_%s = sycl::malloc_host<%s>(%s, q);\n", elem, p.Name, elem, sizeExpr)
-			w("    memcpy(u_%s, %s, sizeof(%s) * (%s));\n", p.Name, p.Name, elem, sizeExpr)
+			w("    ", elem, " *u_", p.Name, " = sycl::malloc_host<", elem, ">(", sizeExpr, ", q);\n")
+			w("    memcpy(u_", p.Name, ", ", p.Name, ", sizeof(", elem, ") * (", sizeExpr, "));\n")
 		}
 		w("    sycl::event e = q.submit([&](sycl::handler &h) {\n")
-		w("        h.single_task<%s>([=]() [[intel::kernel_args_restrict]] {\n", kernelID)
-		emitPipelineLoop(w, loop, bound, unroll, "            ")
+		w("        h.single_task<", kernelID, ">([=]() [[intel::kernel_args_restrict]] {\n")
+		emitPipelineLoop(&sb, loop, unroll, 3)
 		w("        });\n")
 		w("    });\n")
 		w("    q.wait();\n")
@@ -86,17 +89,16 @@ func OneAPI(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 		w("    std::cerr << \"Kernel time: \" << (end_ns - start_ns) * 1e-6 << \" ms\" << std::endl;\n")
 		for _, p := range ptrs {
 			if !p.Type.Const {
-				w("    memcpy(%s, u_%s, sizeof(%s) * (%s));\n", p.Name, p.Name, p.Type.Kind.String(), sizeExpr)
+				w("    memcpy(", p.Name, ", u_", p.Name, ", sizeof(", p.Type.Kind.String(), ") * (", sizeExpr, "));\n")
 			}
 		}
 		for _, p := range ptrs {
-			w("    sycl::free(u_%s, q);\n", p.Name)
+			w("    sycl::free(u_", p.Name, ", q);\n")
 		}
 	} else {
 		w("    {\n")
 		for _, p := range ptrs {
-			elem := p.Type.Kind.String()
-			w("        sycl::buffer<%s, 1> %s_buf(%s, sycl::range<1>(%s));\n", elem, p.Name, p.Name, sizeExpr)
+			w("        sycl::buffer<", p.Type.Kind.String(), ", 1> ", p.Name, "_buf(", p.Name, ", sycl::range<1>(", sizeExpr, "));\n")
 		}
 		w("        sycl::event e = q.submit([&](sycl::handler &h) {\n")
 		for _, p := range ptrs {
@@ -104,10 +106,10 @@ func OneAPI(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 			if p.Type.Const {
 				mode = "read"
 			}
-			w("            auto %s_acc = %s_buf.get_access<sycl::access::mode::%s>(h);\n", p.Name, p.Name, mode)
+			w("            auto ", p.Name, "_acc = ", p.Name, "_buf.get_access<sycl::access::mode::", mode, ">(h);\n")
 		}
-		w("            h.single_task<%s>([=]() [[intel::kernel_args_restrict]] {\n", kernelID)
-		emitPipelineLoop(w, loop, bound, unroll, "                ")
+		w("            h.single_task<", kernelID, ">([=]() [[intel::kernel_args_restrict]] {\n")
+		emitPipelineLoop(&sb, loop, unroll, 4)
 		w("            });\n")
 		w("        });\n")
 		w("        q.wait();\n")
@@ -118,34 +120,17 @@ func OneAPI(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 	}
 	w("}\n\n")
 
-	sb.WriteString(renderOtherFuncs(prog, fn.Name))
+	writeOtherFuncs(&sb, prog, fn.Name)
 	return finish("oneapi", opts.Device, sb.String(), refLOC), nil
 }
 
-// emitPipelineLoop renders the kernel's outer loop with its unroll pragma
-// and body at the given indentation.
-func emitPipelineLoop(w func(string, ...any), loop *minic.ForStmt, bound query.LoopBound, unroll int, pad string) {
+// emitPipelineLoop writes the kernel's outer loop, carrying only the
+// unroll pragma, at the given indent level.
+func emitPipelineLoop(sb *strings.Builder, loop *minic.ForStmt, unroll, indent int) {
+	pipe := *loop
+	pipe.Pragmas = nil
 	if unroll > 1 {
-		w("%s#pragma unroll %d\n", pad, unroll)
+		pipe.Pragmas = []string{"unroll " + strconv.Itoa(unroll)}
 	}
-	init := ""
-	switch d := loop.Init.(type) {
-	case *minic.DeclStmt:
-		s := minic.FormatStmt(d)
-		init = strings.TrimSuffix(s, ";")
-	case *minic.ExprStmt:
-		init = minic.FormatExpr(d.X)
-	}
-	cond := ""
-	if loop.Cond != nil {
-		cond = minic.FormatExpr(loop.Cond)
-	}
-	post := ""
-	if loop.Post != nil {
-		post = minic.FormatExpr(loop.Post)
-	}
-	w("%sfor (%s; %s; %s) {\n", pad, init, cond, post)
-	w("%s", renderStmts(loop.Body.Stmts, pad+"    "))
-	w("%s}\n", pad)
-	_ = bound
+	minic.WriteStmts(sb, []minic.Stmt{&pipe}, indent)
 }

@@ -274,7 +274,7 @@ func (d *Design) EditProgram() *minic.Program {
 // Label names the design for reports: "nbody/gpu/RTX 2080 Ti".
 func (d *Design) Label() string {
 	if d.Device == "" {
-		return fmt.Sprintf("%s/%s", d.Name, d.Target)
+		return d.Name + "/" + d.Target.String()
 	}
-	return fmt.Sprintf("%s/%s/%s", d.Name, d.Target, d.Device)
+	return d.Name + "/" + d.Target.String() + "/" + d.Device
 }

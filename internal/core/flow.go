@@ -436,9 +436,15 @@ func (f *Flow) run(ctx *Context, d *Design, parent *telemetry.Span) ([]*Design, 
 				if err := ctx.Interrupted(); err != nil {
 					return nil, &FlowError{Flow: f.Name, Task: n.Task.Name(), Err: err}
 				}
-				ctx.logf("  task %-32s (%s) on %s", n.Task.Name(), n.Task.Kind(), cur.Label())
+				var label string
+				if ctx.Logf != nil || ctx.Telemetry != nil {
+					label = cur.Label()
+				}
+				if ctx.Logf != nil {
+					ctx.logf("  task %-32s (%s) on %s", n.Task.Name(), n.Task.Kind(), label)
+				}
 				span := ctx.Telemetry.StartSpan(parent, telemetry.KindTask, n.Task.Name())
-				span.SetDetail(cur.Label())
+				span.SetDetail(label)
 				err := runTask(ctx, n.Task, cur, span)
 				span.End()
 				if err != nil {

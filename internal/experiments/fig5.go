@@ -234,11 +234,18 @@ func RunBenchmarkEnv(jobCtx context.Context, b *bench.Benchmark, prog *minic.Pro
 	if err != nil {
 		return nil, fmt.Errorf("benchmark %s: %w", b.Name, err)
 	}
-	out := make([]DesignResult, 0, len(leaves))
-	for _, d := range leaves {
-		out = append(out, evalDesign(ctx.CPU, d, b.Scale))
+	// Results come in label order; each label is built once, not once per
+	// comparison.
+	labels := make([]string, len(leaves))
+	order := make([]int, len(leaves))
+	for i, d := range leaves {
+		labels[i], order[i] = d.Label(), i
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Design.Label() < out[j].Design.Label() })
+	sort.Slice(order, func(i, j int) bool { return labels[order[i]] < labels[order[j]] })
+	out := make([]DesignResult, 0, len(leaves))
+	for _, i := range order {
+		out = append(out, evalDesign(ctx.CPU, leaves[i], b.Scale))
+	}
 	return out, nil
 }
 

@@ -47,3 +47,18 @@ func TestParseAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestPrintAllocations pins what printing costs: every design the code
+// generators render prints its program, so a per-node fmt call or string
+// concatenation shows here at once. The bounds are the five programs'
+// counts when the pin was set; Print may allocate less, never more.
+func TestPrintAllocations(t *testing.T) {
+	bound := map[string]float64{"nbody": 13, "kmeans": 12, "adpredictor": 11, "rushlarsen": 13, "bezier": 11}
+	for _, b := range bench.All() {
+		prog := b.Parse()
+		allocs := testing.AllocsPerRun(10, func() { _ = minic.Print(prog) })
+		if allocs > bound[b.Name] {
+			t.Errorf("%s: Print makes %.0f allocations, want at most %.0f", b.Name, allocs, bound[b.Name])
+		}
+	}
+}

@@ -2,6 +2,7 @@ package minic
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -10,35 +11,47 @@ import (
 // Parse(Print(p)) is structurally identical to p (the round-trip property
 // is enforced by tests).
 func Print(p *Program) string {
-	var pr printer
+	var sb strings.Builder
+	pr := printer{sb: &sb}
 	for i, f := range p.Funcs {
 		if i > 0 {
 			pr.nl()
 		}
 		pr.fun(f)
 	}
-	return pr.sb.String()
+	return sb.String()
+}
+
+// WriteFunc appends f to sb as Print prints it, final newline included.
+func WriteFunc(sb *strings.Builder, f *FuncDecl) {
+	pr := printer{sb: sb}
+	pr.fun(f)
+}
+
+// WriteStmts appends stmts to sb as Print prints them, each line indented
+// by indent levels of four spaces.
+func WriteStmts(sb *strings.Builder, stmts []Stmt, indent int) {
+	pr := printer{sb: sb, indent: indent}
+	for _, s := range stmts {
+		pr.stmt(s)
+	}
 }
 
 // FormatExpr renders a single expression.
 func FormatExpr(e Expr) string {
-	var pr printer
+	var sb strings.Builder
+	pr := printer{sb: &sb}
 	pr.expr(e, 0)
-	return pr.sb.String()
+	return sb.String()
 }
 
-// FormatStmt renders a single statement at indent 0.
-func FormatStmt(s Stmt) string {
-	var pr printer
-	pr.stmt(s)
-	return strings.TrimRight(pr.sb.String(), "\n")
-}
-
-// CountLOC counts non-blank lines of the printed program; this backs the
-// paper's Table I "added lines of code" metric.
+// CountLOC counts the lines of src that strings.TrimSpace leaves something
+// of; this backs the paper's Table I "added lines of code" metric.
 func CountLOC(src string) int {
 	n := 0
-	for _, line := range strings.Split(src, "\n") {
+	for src != "" {
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
 		if strings.TrimSpace(line) != "" {
 			n++
 		}
@@ -47,7 +60,7 @@ func CountLOC(src string) int {
 }
 
 type printer struct {
-	sb     strings.Builder
+	sb     *strings.Builder
 	indent int
 }
 
@@ -59,33 +72,44 @@ func (pr *printer) ws() {
 
 func (pr *printer) nl() { pr.sb.WriteByte('\n') }
 
-func (pr *printer) printf(format string, args ...any) {
-	fmt.Fprintf(&pr.sb, format, args...)
+// typ writes t: "const ", the kind, " *".
+func (pr *printer) typ(t Type) {
+	if t.Const {
+		pr.sb.WriteString("const ")
+	}
+	pr.sb.WriteString(t.Kind.String())
+	if t.Ptr {
+		pr.sb.WriteString(" *")
+	}
 }
 
-func typeStr(t Type) string {
-	s := ""
-	if t.Const {
-		s += "const "
+// named writes a declared type and name: "int x", but "double *p".
+func (pr *printer) named(t Type, name string) {
+	pr.typ(t)
+	if !t.Ptr {
+		pr.sb.WriteByte(' ')
 	}
-	s += t.Kind.String()
-	if t.Ptr {
-		s += " *"
-	}
-	return s
+	pr.sb.WriteString(name)
+}
+
+// pragma writes one "#pragma" line at the current indentation.
+func (pr *printer) pragma(text string) {
+	pr.ws()
+	pr.sb.WriteString("#pragma ")
+	pr.sb.WriteString(text)
+	pr.nl()
 }
 
 func (pr *printer) fun(f *FuncDecl) {
-	pr.printf("%s %s(", typeStr(f.Ret), f.Name)
+	pr.typ(f.Ret)
+	pr.sb.WriteByte(' ')
+	pr.sb.WriteString(f.Name)
+	pr.sb.WriteByte('(')
 	for i, p := range f.Params {
 		if i > 0 {
 			pr.sb.WriteString(", ")
 		}
-		if p.Type.Ptr {
-			pr.printf("%s%s", typeStr(p.Type), p.Name)
-		} else {
-			pr.printf("%s %s", typeStr(p.Type), p.Name)
-		}
+		pr.named(p.Type, p.Name)
 	}
 	pr.sb.WriteString(") ")
 	pr.block(f.Body)
@@ -119,8 +143,7 @@ func (pr *printer) stmt(s Stmt) {
 		pr.sb.WriteString(";\n")
 	case *ForStmt:
 		for _, pg := range v.Pragmas {
-			pr.ws()
-			pr.printf("#pragma %s\n", pg)
+			pr.pragma(pg)
 		}
 		pr.ws()
 		pr.sb.WriteString("for (")
@@ -144,8 +167,7 @@ func (pr *printer) stmt(s Stmt) {
 		pr.nl()
 	case *WhileStmt:
 		for _, pg := range v.Pragmas {
-			pr.ws()
-			pr.printf("#pragma %s\n", pg)
+			pr.pragma(pg)
 		}
 		pr.ws()
 		pr.sb.WriteString("while (")
@@ -173,8 +195,7 @@ func (pr *printer) stmt(s Stmt) {
 		pr.ws()
 		pr.sb.WriteString("continue;\n")
 	case *PragmaStmt:
-		pr.ws()
-		pr.printf("#pragma %s\n", v.Text)
+		pr.pragma(v.Text)
 	default:
 		panic(fmt.Sprintf("minic: printer: unhandled statement %T", s))
 	}
@@ -197,11 +218,7 @@ func (pr *printer) ifChain(v *IfStmt) {
 }
 
 func (pr *printer) declNoSemi(d *DeclStmt) {
-	if d.Type.Ptr {
-		pr.printf("%s%s", typeStr(d.Type), d.Name)
-	} else {
-		pr.printf("%s %s", typeStr(d.Type), d.Name)
-	}
+	pr.named(d.Type, d.Name)
 	if d.ArrayLen != nil {
 		pr.sb.WriteString("[")
 		pr.expr(d.ArrayLen, 0)
@@ -242,7 +259,7 @@ func (pr *printer) expr(e Expr, outer int) {
 		if v.Text != "" {
 			pr.sb.WriteString(v.Text)
 		} else {
-			pr.printf("%d", v.Val)
+			pr.sb.WriteString(strconv.FormatInt(v.Val, 10))
 		}
 	case *FloatLit:
 		pr.sb.WriteString(floatText(v))
@@ -253,7 +270,7 @@ func (pr *printer) expr(e Expr, outer int) {
 			pr.sb.WriteString("false")
 		}
 	case *StringLit:
-		pr.printf("%q", v.Val)
+		pr.sb.WriteString(strconv.Quote(v.Val))
 	case *UnaryExpr:
 		if outer > 7 {
 			pr.sb.WriteString("(")
@@ -277,7 +294,7 @@ func (pr *printer) expr(e Expr, outer int) {
 			pr.sb.WriteString("(")
 		}
 		pr.expr(v.L, p)
-		pr.printf(" %s ", v.Op)
+		pr.op(v.Op)
 		pr.expr(v.R, p+1) // left-assoc: right operand needs higher power
 		if p < outer {
 			pr.sb.WriteString(")")
@@ -287,7 +304,7 @@ func (pr *printer) expr(e Expr, outer int) {
 			pr.sb.WriteString("(")
 		}
 		pr.expr(v.LHS, 8)
-		pr.printf(" %s ", v.Op)
+		pr.op(v.Op)
 		pr.expr(v.RHS, 0)
 		if outer > 0 {
 			pr.sb.WriteString(")")
@@ -314,7 +331,9 @@ func (pr *printer) expr(e Expr, outer int) {
 		if outer > 7 {
 			pr.sb.WriteString("(")
 		}
-		pr.printf("(%s)", typeStr(v.To))
+		pr.sb.WriteByte('(')
+		pr.typ(v.To)
+		pr.sb.WriteByte(')')
 		pr.expr(v.X, 7)
 		if outer > 7 {
 			pr.sb.WriteString(")")
@@ -322,6 +341,13 @@ func (pr *printer) expr(e Expr, outer int) {
 	default:
 		panic(fmt.Sprintf("minic: printer: unhandled expression %T", e))
 	}
+}
+
+// op writes a binary or assignment operator between its operands.
+func (pr *printer) op(op TokKind) {
+	pr.sb.WriteByte(' ')
+	pr.sb.WriteString(op.String())
+	pr.sb.WriteByte(' ')
 }
 
 // floatText renders a float literal, preserving the original spelling when
@@ -338,7 +364,7 @@ func floatText(v *FloatLit) string {
 		}
 		return strings.TrimRight(text, "fF")
 	}
-	s := fmt.Sprintf("%g", v.Val)
+	s := strconv.FormatFloat(v.Val, 'g', -1, 64)
 	if !strings.ContainsAny(s, ".eE") {
 		s += ".0"
 	}

@@ -103,12 +103,43 @@ func TestPrintFloatSingleToggle(t *testing.T) {
 	}
 }
 
+// TestCountLOC: CountLOC agrees with its definition spelled the obvious
+// way — the lines strings.TrimSpace leaves something of — on line-ending
+// and white-space corners, Unicode spaces included.
 func TestCountLOC(t *testing.T) {
-	if n := CountLOC("a\n\nb\n  \nc\n"); n != 3 {
-		t.Errorf("CountLOC = %d, want 3", n)
+	reference := func(src string) int {
+		n := 0
+		for _, line := range strings.Split(src, "\n") {
+			if strings.TrimSpace(line) != "" {
+				n++
+			}
+		}
+		return n
 	}
-	if n := CountLOC(""); n != 0 {
-		t.Errorf("CountLOC(empty) = %d, want 0", n)
+	for _, c := range []struct {
+		src  string
+		want int
+	}{
+		{"", 0},
+		{"\n", 0},
+		{"\n\n\n", 0},
+		{"a", 1},
+		{"a\n\nb\n  \nc\n", 3},
+		{"a\nb", 2},
+		{"a\r\n\r\nb\r\n", 2},
+		{"\t\t\n\t x\t\n", 1},
+		{"\v\f\r\n", 0},
+		{"\u00a0", 0},
+		{"\u00a0x\u00a0\n", 1},
+		{"\u2028", 0},
+		{"\u2028\u2029\u3000\u0085\n\u1680", 0},
+		{"\u200b", 1},
+		{"\xff\n\xc2\n", 2},
+		{"  }\n{", 2},
+	} {
+		if got, ref := CountLOC(c.src), reference(c.src); got != ref || got != c.want {
+			t.Errorf("CountLOC(%q) = %d, reference %d, want %d", c.src, got, ref, c.want)
+		}
 	}
 }
 
@@ -192,9 +223,11 @@ func TestQuickCloneEqualPrint(t *testing.T) {
 }
 
 func TestFormatStmt(t *testing.T) {
-	prog := MustParse("void f() { int x = 3; }")
-	got := FormatStmt(prog.Funcs[0].Body.Stmts[0])
-	if got != "int x = 3;" {
-		t.Errorf("FormatStmt = %q", got)
+	prog := MustParse("void f() { int x = 3; if (x > 1) { x = 1; } }")
+	var sb strings.Builder
+	WriteStmts(&sb, prog.Funcs[0].Body.Stmts, 2)
+	want := "        int x = 3;\n        if (x > 1) {\n            x = 1;\n        }\n"
+	if got := sb.String(); got != want {
+		t.Errorf("WriteStmts = %q, want %q", got, want)
 	}
 }

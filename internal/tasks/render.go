@@ -5,7 +5,6 @@ import (
 
 	"psaflow/internal/codegen"
 	"psaflow/internal/core"
-	"psaflow/internal/minic"
 	"psaflow/internal/platform"
 )
 
@@ -18,10 +17,6 @@ var RenderDesign = core.TaskFunc{
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		if d.Infeasible != "" {
 			return nil // unsynthesizable designs are reported, not rendered
-		}
-		refLOC := d.RefLOC
-		if refLOC == 0 {
-			refLOC = minic.CountLOC(minic.Print(d.Prog))
 		}
 		opts := codegen.Options{
 			Kernel:       d.Kernel,
@@ -40,11 +35,11 @@ var RenderDesign = core.TaskFunc{
 		)
 		switch d.Target {
 		case platform.TargetCPU:
-			art, err = codegen.OpenMP(d.Prog, refLOC, opts)
+			art, err = codegen.OpenMP(d.Prog, d.RefLOC, opts)
 		case platform.TargetGPU:
-			art, err = codegen.HIP(d.Prog, refLOC, opts)
+			art, err = codegen.HIP(d.Prog, d.RefLOC, opts)
 		case platform.TargetFPGA:
-			art, err = codegen.OneAPI(d.Prog, refLOC, opts)
+			art, err = codegen.OneAPI(d.Prog, d.RefLOC, opts)
 		default:
 			return fmt.Errorf("design has no target selected")
 		}
