@@ -82,12 +82,13 @@ func HIP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 			w("    memcpy(h_", p.Name, ", ", p.Name, ", sizeof(", elem, ") * (", hi, "));\n")
 		}
 	}
+	// The device copies from and to the pinned staging buffer when there is one.
+	host := ""
+	if opts.Pinned {
+		host = "h_"
+	}
 	for _, p := range ptrs {
-		src := p.Name
-		if opts.Pinned {
-			src = "h_" + p.Name
-		}
-		w("    HIP_CHECK(hipMemcpy(d_", p.Name, ", ", src, ", sizeof(", p.Type.Kind.String(), ") * (", hi, "), hipMemcpyHostToDevice));\n")
+		w("    HIP_CHECK(hipMemcpy(d_", p.Name, ", ", host, p.Name, ", sizeof(", p.Type.Kind.String(), ") * (", hi, "), hipMemcpyHostToDevice));\n")
 	}
 	w("    int blocksize = ", bs, ";\n")
 	w("    int grid = ((", hi, ") + blocksize - 1) / blocksize;\n")
@@ -108,11 +109,7 @@ func HIP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 			continue // input-only buffers need no copy back
 		}
 		elem := p.Type.Kind.String()
-		dst := p.Name
-		if opts.Pinned {
-			dst = "h_" + p.Name
-		}
-		w("    HIP_CHECK(hipMemcpy(", dst, ", d_", p.Name, ", sizeof(", elem, ") * (", hi, "), hipMemcpyDeviceToHost));\n")
+		w("    HIP_CHECK(hipMemcpy(", host, p.Name, ", d_", p.Name, ", sizeof(", elem, ") * (", hi, "), hipMemcpyDeviceToHost));\n")
 		if opts.Pinned {
 			w("    memcpy(", p.Name, ", h_", p.Name, ", sizeof(", elem, ") * (", hi, "));\n")
 		}
