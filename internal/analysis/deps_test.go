@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -276,13 +277,147 @@ func TestLoopDepsClone(t *testing.T) {
 	}
 }
 
-// ---- reference dependence test -----------------------------------------
+// ---- reference dependence analysis --------------------------------------
 //
-// The map-based pairwise subscript test classifyArray replaced: it builds
-// the v-variant and v-invariant sub-forms of every (write, access) pair as
-// fresh maps and splits every term into its factors. The differential
-// tests here and in deps_diff_test.go require the in-place test to return
-// exactly what this one does.
+// The analysis as it was before affine forms became sorted term slices and
+// a loop body was walked once: map-based forms (refAffine), four walks of
+// the body (declarations, two for scalar uses, one for array accesses), a
+// map grouping accesses by array, and a pairwise subscript test that
+// builds the v-variant and v-invariant sub-forms of every (write, access)
+// pair as fresh maps and splits every term into its factors. It shares no
+// code with the production analysis beyond the result types and
+// query.LoopVar, so the differential tests here and in deps_diff_test.go
+// can catch a bug in any part of it.
+
+// refAffine is the map-based multilinear form: c0 + Σ Coeff[t]·t.
+type refAffine struct {
+	Const int64
+	Coeff map[string]int64
+	OK    bool
+}
+
+func refAffineOf(e minic.Expr) refAffine {
+	switch v := e.(type) {
+	case *minic.IntLit:
+		return refAffine{Const: v.Val, Coeff: map[string]int64{}, OK: true}
+	case *minic.Ident:
+		return refAffine{Coeff: map[string]int64{v.Name: 1}, OK: true}
+	case *minic.UnaryExpr:
+		if v.Op != minic.TokMinus {
+			return refAffine{}
+		}
+		a := refAffineOf(v.X)
+		if !a.OK {
+			return refAffine{}
+		}
+		return a.scaleConst(-1)
+	case *minic.BinaryExpr:
+		l := refAffineOf(v.L)
+		r := refAffineOf(v.R)
+		if !l.OK || !r.OK {
+			return refAffine{}
+		}
+		switch v.Op {
+		case minic.TokPlus:
+			return l.add(r, 1)
+		case minic.TokMinus:
+			return l.add(r, -1)
+		case minic.TokStar:
+			return l.mul(r)
+		}
+		return refAffine{}
+	case *minic.CastExpr:
+		return refAffineOf(v.X)
+	}
+	return refAffine{}
+}
+
+func (a refAffine) add(b refAffine, sign int64) refAffine {
+	out := refAffine{Const: a.Const + sign*b.Const, Coeff: map[string]int64{}, OK: true}
+	for k, v := range a.Coeff {
+		out.Coeff[k] += v
+	}
+	for k, v := range b.Coeff {
+		out.Coeff[k] += sign * v
+	}
+	out.normalize()
+	return out
+}
+
+func (a refAffine) scaleConst(c int64) refAffine {
+	out := refAffine{Const: a.Const * c, Coeff: map[string]int64{}, OK: true}
+	for k, v := range a.Coeff {
+		out.Coeff[k] = v * c
+	}
+	out.normalize()
+	return out
+}
+
+func (a refAffine) mul(b refAffine) refAffine {
+	out := refAffine{Const: a.Const * b.Const, Coeff: map[string]int64{}, OK: true}
+	for k, v := range a.Coeff {
+		out.Coeff[k] += v * b.Const
+	}
+	for k, v := range b.Coeff {
+		out.Coeff[k] += v * a.Const
+	}
+	for ka, va := range a.Coeff {
+		for kb, vb := range b.Coeff {
+			fs := append(strings.Split(ka, "*"), strings.Split(kb, "*")...)
+			sort.Strings(fs)
+			out.Coeff[strings.Join(fs, "*")] += va * vb
+		}
+	}
+	out.normalize()
+	return out
+}
+
+func (a *refAffine) normalize() {
+	for k, v := range a.Coeff {
+		if v == 0 {
+			delete(a.Coeff, k)
+		}
+	}
+}
+
+func (a refAffine) String() string {
+	if !a.OK {
+		return "<non-affine>"
+	}
+	var terms []string
+	keys := make([]string, 0, len(a.Coeff))
+	for k := range a.Coeff {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		c := a.Coeff[k]
+		switch c {
+		case 1:
+			terms = append(terms, k)
+		case -1:
+			terms = append(terms, "-"+k)
+		default:
+			terms = append(terms, fmt.Sprintf("%d*%s", c, k))
+		}
+	}
+	if a.Const != 0 || len(terms) == 0 {
+		terms = append(terms, fmt.Sprintf("%d", a.Const))
+	}
+	return strings.Join(terms, " + ")
+}
+
+func mapsEqual(a, b map[string]int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if b[k] != v {
+			return false
+		}
+	}
+	return true
+}
 
 func termHasVarRef(term, v string) bool {
 	for _, f := range strings.Split(term, "*") {
@@ -295,7 +430,7 @@ func termHasVarRef(term, v string) bool {
 
 // varPartRef is the sub-form of terms containing v; invPartRef the rest,
 // with the constant under key "".
-func varPartRef(a Affine, v string) map[string]int64 {
+func varPartRef(a refAffine, v string) map[string]int64 {
 	out := map[string]int64{}
 	for k, c := range a.Coeff {
 		if termHasVarRef(k, v) {
@@ -305,7 +440,7 @@ func varPartRef(a Affine, v string) map[string]int64 {
 	return out
 }
 
-func invPartRef(a Affine, v string) map[string]int64 {
+func invPartRef(a refAffine, v string) map[string]int64 {
 	out := map[string]int64{"": a.Const}
 	for k, c := range a.Coeff {
 		if !termHasVarRef(k, v) {
@@ -315,7 +450,7 @@ func invPartRef(a Affine, v string) map[string]int64 {
 	return out
 }
 
-func dependsOnRef(a Affine, v string) bool {
+func dependsOnRef(a refAffine, v string) bool {
 	for k := range a.Coeff {
 		if termHasVarRef(k, v) {
 			return true
@@ -335,7 +470,7 @@ func pureCoeffRef(varPart map[string]int64, v string) (int64, bool) {
 	return c, true
 }
 
-func invDiffersOnlyInConstRef(a, b Affine, v string) bool {
+func invDiffersOnlyInConstRef(a, b refAffine, v string) bool {
 	ai := invPartRef(a, v)
 	bi := invPartRef(b, v)
 	delete(ai, "")
@@ -343,7 +478,15 @@ func invDiffersOnlyInConstRef(a, b Affine, v string) bool {
 	return mapsEqual(ai, bi)
 }
 
-func classifyArrayRef(accs []access, v string) *Dependence {
+// refAccess is one array access with its map-based subscript.
+type refAccess struct {
+	array string
+	sub   refAffine
+	write bool
+	comp  bool
+}
+
+func classifyArrayRef(accs []refAccess, v string) *Dependence {
 	for i := range accs {
 		if !accs[i].sub.OK {
 			return &Dependence{Kind: DepUnknown, Detail: "non-affine subscript"}
@@ -387,20 +530,176 @@ func classifyArrayRef(accs []access, v string) *Dependence {
 	return nil
 }
 
-// AnalyzeLoopRef is AnalyzeLoop over the reference subscript test
-// (exported for the bundled-program differential in deps_diff_test.go).
+func declaredInRef(loop *minic.ForStmt) map[string]bool {
+	out := map[string]bool{}
+	minic.Walk(loop.Body, func(n minic.Node) bool {
+		if ds, ok := n.(*minic.DeclStmt); ok {
+			out[ds.Name] = true
+		}
+		return true
+	})
+	return out
+}
+
+// scalarDepsRef counts every Ident as a read in one walk and takes the
+// assignment targets back out in a second.
+func scalarDepsRef(loop *minic.ForStmt, v string, declared map[string]bool, d *LoopDeps) {
+	type scalarUse struct {
+		compoundWrites int
+		plainWrites    int
+		otherReads     int
+		op             minic.TokKind
+	}
+	uses := map[string]*scalarUse{}
+	get := func(name string) *scalarUse {
+		u, ok := uses[name]
+		if !ok {
+			u = &scalarUse{}
+			uses[name] = u
+		}
+		return u
+	}
+	minic.Walk(loop.Body, func(n minic.Node) bool {
+		switch e := n.(type) {
+		case *minic.AssignExpr:
+			if id, ok := e.LHS.(*minic.Ident); ok {
+				u := get(id.Name)
+				switch e.Op {
+				case minic.TokPlusEq, minic.TokMinusEq, minic.TokStarEq:
+					u.compoundWrites++
+					u.op = e.Op
+				default:
+					u.plainWrites++
+				}
+			}
+		case *minic.IncDecExpr:
+			if id, ok := e.X.(*minic.Ident); ok {
+				u := get(id.Name)
+				u.compoundWrites++
+				u.op = minic.TokPlusEq
+			}
+		case *minic.Ident:
+			get(e.Name).otherReads++
+		}
+		return true
+	})
+	minic.Walk(loop.Body, func(n minic.Node) bool {
+		if e, ok := n.(*minic.AssignExpr); ok {
+			if id, ok := e.LHS.(*minic.Ident); ok {
+				get(id.Name).otherReads--
+			}
+		}
+		if e, ok := n.(*minic.IncDecExpr); ok {
+			if id, ok := e.X.(*minic.Ident); ok {
+				get(id.Name).otherReads--
+			}
+		}
+		return true
+	})
+	for name, u := range uses {
+		if name == v || declared[name] {
+			continue
+		}
+		if u.compoundWrites == 0 && u.plainWrites == 0 {
+			continue
+		}
+		if u.plainWrites == 0 && u.otherReads <= 0 {
+			d.Reductions = append(d.Reductions, Reduction{Name: name, Op: u.op})
+			continue
+		}
+		d.Carried = append(d.Carried, Dependence{
+			Kind: DepScalar, Name: name,
+			Detail: fmt.Sprintf("scalar %q written in loop body and visible outside", name),
+		})
+	}
+}
+
+func collectAccessesRef(root minic.Node) []refAccess {
+	var out []refAccess
+	record := func(e minic.Expr, write, comp bool) {
+		ix, ok := e.(*minic.IndexExpr)
+		if !ok {
+			return
+		}
+		base, ok := ix.Base.(*minic.Ident)
+		if !ok {
+			return
+		}
+		out = append(out, refAccess{array: base.Name, sub: refAffineOf(ix.Index), write: write, comp: comp})
+	}
+	minic.Walk(root, func(n minic.Node) bool {
+		switch e := n.(type) {
+		case *minic.AssignExpr:
+			comp := e.Op != minic.TokAssign
+			record(e.LHS, true, comp)
+			if comp {
+				record(e.LHS, false, comp)
+			}
+		case *minic.IncDecExpr:
+			record(e.X, true, true)
+			record(e.X, false, true)
+		case *minic.IndexExpr:
+			if base, ok := e.Base.(*minic.Ident); ok {
+				out = append(out, refAccess{array: base.Name, sub: refAffineOf(e.Index)})
+			}
+		}
+		return true
+	})
+	return out
+}
+
+func arrayDepsRef(loop *minic.ForStmt, v string, d *LoopDeps) {
+	byArray := map[string][]refAccess{}
+	for _, a := range collectAccessesRef(loop.Body) {
+		byArray[a.array] = append(byArray[a.array], a)
+	}
+	arrays := make([]string, 0, len(byArray))
+	for name := range byArray {
+		arrays = append(arrays, name)
+	}
+	sort.Strings(arrays)
+	for _, name := range arrays {
+		accs := byArray[name]
+		hasWrite, allCompound := false, true
+		for _, a := range accs {
+			if a.write {
+				hasWrite = true
+				if !a.comp {
+					allCompound = false
+				}
+			}
+		}
+		if !hasWrite {
+			continue
+		}
+		dep := classifyArrayRef(accs, v)
+		if dep == nil {
+			continue
+		}
+		if allCompound {
+			d.Reductions = append(d.Reductions, Reduction{Name: name, Array: true, Op: minic.TokPlusEq})
+			continue
+		}
+		dep.Name = name
+		d.Carried = append(d.Carried, *dep)
+	}
+}
+
+// AnalyzeLoopRef is the reference analysis of one loop (exported for the
+// bundled-program differential in deps_diff_test.go).
 func AnalyzeLoopRef(loop minic.Stmt) *LoopDeps {
 	fs, ok := loop.(*minic.ForStmt)
-	v := ""
-	if ok {
-		v = query.LoopVar(fs)
+	if !ok {
+		return &LoopDeps{LoopID: loop.ID(), Carried: []Dependence{{Kind: DepUnknown, Detail: "while loop"}}}
 	}
-	if v == "" {
-		return AnalyzeLoop(loop) // no subscript test on these shapes
-	}
+	v := query.LoopVar(fs)
 	d := &LoopDeps{LoopID: fs.ID(), Var: v}
-	scalarDeps(fs, v, declaredIn(fs), d)
-	arrayDeps(fs, v, d, classifyArrayRef)
+	if v == "" {
+		d.Carried = append(d.Carried, Dependence{Kind: DepUnknown, Detail: "unrecognized loop shape"})
+		return d
+	}
+	scalarDepsRef(fs, v, declaredInRef(fs), d)
+	arrayDepsRef(fs, v, d)
 	return d
 }
 
@@ -437,6 +736,7 @@ func TestClassifyArrayMatchesReferenceRandom(t *testing.T) {
 	for trial := 0; trial < 4000; trial++ {
 		base := randSubscript(r)
 		accs := make([]access, 2+r.Intn(3))
+		refs := make([]refAccess, len(accs))
 		var srcs []string
 		for k := range accs {
 			src := base
@@ -453,10 +753,12 @@ func TestClassifyArrayMatchesReferenceRandom(t *testing.T) {
 				}
 			}
 			srcs = append(srcs, src)
-			accs[k] = access{array: "a", sub: AffineOf(exprOf(t, src)), write: k == 0 || r.Intn(3) == 0}
+			e, write := exprOf(t, src), k == 0 || r.Intn(3) == 0
+			accs[k] = access{array: "a", sub: AffineOf(e), write: write}
+			refs[k] = refAccess{array: "a", sub: refAffineOf(e), write: write}
 		}
 		v := []string{"i", "ii", "j"}[r.Intn(3)]
-		got, want := classifyArray(accs, v), classifyArrayRef(accs, v)
+		got, want := classifyArray(accs, v), classifyArrayRef(refs, v)
 		switch {
 		case got == nil && want == nil:
 			outcomes["independent"]++

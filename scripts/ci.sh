@@ -84,6 +84,10 @@ go test -run '^$' -bench . -benchtime=1x .
 # off the wire (the flow registry and job submits).
 go test -run '^$' -fuzz 'FuzzFlowParse' -fuzztime 10s ./internal/flowlang/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/minic/
+# Affine-form differential fuzz (short budget): AffineOf's sorted-run
+# arithmetic must never panic on an index expression and must agree with
+# the map-based reference in internal/analysis/deps_test.go.
+go test -run '^$' -fuzz 'FuzzAffine' -fuzztime 10s ./internal/analysis/
 # Engine differential fuzz (short budget): the only generator-driven check
 # that the VM and the tree-walker agree on profiles. It runs with Watch
 # empty, so it compares the loop-watching mode across the engines and, where
