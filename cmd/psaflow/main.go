@@ -35,7 +35,7 @@ func main() {
 	name := flag.String("bench", "", "benchmark to run (see -list)")
 	mode := flag.String("mode", "informed", "branch point A mode: informed or uninformed")
 	flowFile := flag.String("flow", "", "run this .psa flow document instead of the built-in PSA-flow (see docs/FLOWS.md)")
-	check := flag.String("check", "", "parse, validate and compile this .psa flow document, print diagnostics, and exit")
+	check := flag.String("check", "", "check this .psa flow document (syntax, names, devices, strategies, task order), print diagnostics, and exit")
 	budget := flag.Float64("budget", 0, "cost budget for gated branches (0 = gate off; overrides the flow's budget setting)")
 	list := flag.Bool("list", false, "list available benchmarks")
 	sharing := flag.Bool("sharing", false, "enable FPGA resource sharing (recovers overmapped designs)")

@@ -144,6 +144,9 @@ type Design struct {
 	Est        perfmodel.Breakdown
 	Infeasible string // non-empty when the design cannot be realized (e.g. FPGA overmap)
 
+	// facts holds what the tasks run on this design have given (TaskFunc.Run).
+	facts Fact
+
 	// shared is set once Fork has handed Prog's functions to another design
 	// too; copied lists the functions this design has copied since, which it
 	// alone holds. The zero value owns every function (see EditKernel).
@@ -182,8 +185,8 @@ func (r *KernelReport) Clone() *KernelReport {
 }
 
 // Fork copies the design for a branch path: the report (including its
-// alias/dependence results), the provenance trace, and the per-design
-// artifacts. The program is not copied: the fork and d share its functions,
+// alias/dependence results), the provenance trace, the per-design
+// artifacts and the facts. The program is not copied: the fork and d share its functions,
 // which neither side may write without copying first — EditKernel, EditLoop
 // or EditProgram. Fork writes d too (its copies become shared), so a branch
 // point takes every fork before any path runs; the forks can then work

@@ -220,12 +220,42 @@ type Task interface {
 	Run(ctx *Context, d *Design) error
 }
 
-// TaskFunc adapts a function to the Task interface.
+// Fact is a set of things the flow has established about a design, each
+// given by the task that establishes it. Tasks declare the facts they need
+// and give, so the order a task needs is stated once, on the task: the
+// engine checks it in TaskFunc.Run and flowlang.Check checks it before a
+// flow document is accepted.
+type Fact uint8
+
+// The facts a design can hold.
+const (
+	FactHotspot Fact = 1 << iota // the hotspot loop is identified
+	FactKernel                   // the hotspot is outlined into a kernel function
+	FactDeps                     // the kernel's outer loop dependences are analysed
+	FactTarget                   // a target class is chosen
+)
+
+var factNames = [...]string{"hotspot", "kernel", "deps", "target"}
+
+// String names the facts in f: "kernel and deps".
+func (f Fact) String() string {
+	var names []string
+	for i, name := range factNames {
+		if f&(1<<i) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, " and ")
+}
+
+// TaskFunc adapts a function to the Task interface. Need is what the design
+// must hold before Fn runs; Give is what it holds once Fn succeeds.
 type TaskFunc struct {
-	TaskName string
-	TaskKind TaskKind
-	IsDyn    bool
-	Fn       func(ctx *Context, d *Design) error
+	TaskName   string
+	TaskKind   TaskKind
+	IsDyn      bool
+	Need, Give Fact
+	Fn         func(ctx *Context, d *Design) error
 }
 
 // Name returns the task name.
@@ -237,8 +267,18 @@ func (t TaskFunc) Kind() TaskKind { return t.TaskKind }
 // Dynamic reports whether the task executes the program.
 func (t TaskFunc) Dynamic() bool { return t.IsDyn }
 
-// Run executes the task.
-func (t TaskFunc) Run(ctx *Context, d *Design) error { return t.Fn(ctx, d) }
+// Run executes the task on a design that holds every fact it needs, and
+// records the facts it gives once it succeeds.
+func (t TaskFunc) Run(ctx *Context, d *Design) error {
+	if missing := t.Need &^ d.facts; missing != 0 {
+		return fmt.Errorf("needs %v", missing)
+	}
+	if err := t.Fn(ctx, d); err != nil {
+		return err
+	}
+	d.facts |= t.Give
+	return nil
+}
 
 // Node is a flow element: a Task step or a Branch point.
 type Node interface{ flowNode() }

@@ -78,6 +78,33 @@ func TestFlowTaskError(t *testing.T) {
 	}
 }
 
+// TestTaskNeedsFact: a flow built in Go that runs a task before the task
+// that gives its fact fails with a FlowError naming the task and the fact,
+// and the task's Fn never runs. Facts a design holds survive Fork.
+func TestTaskNeedsFact(t *testing.T) {
+	ran := false
+	give := TaskFunc{TaskName: "give", Give: FactKernel, Fn: func(*Context, *Design) error { return nil }}
+	need := TaskFunc{TaskName: "need", Need: FactKernel | FactDeps,
+		Fn: func(*Context, *Design) error { ran = true; return nil }}
+	_, err := (&Flow{Name: "order"}).AddTask(need).AddTask(give).Run(&Context{}, newTestDesign())
+	var fe *FlowError
+	if !errors.As(err, &fe) || fe.Task != "need" || fe.Err.Error() != "needs kernel and deps" {
+		t.Fatalf("err = %v, want task need failing with needs kernel and deps", err)
+	}
+	if ran {
+		t.Error("Fn ran on a design without the facts it needs")
+	}
+
+	d := newTestDesign()
+	if err := give.Run(&Context{}, d); err != nil {
+		t.Fatal(err)
+	}
+	need.Need = FactKernel
+	if err := need.Run(&Context{}, d.Fork()); err != nil || !ran {
+		t.Errorf("fork lost the kernel fact: err = %v, ran = %t", err, ran)
+	}
+}
+
 // pathFlow builds a sub-flow that stamps the design's Device.
 func pathFlow(name string) *Flow {
 	f := &Flow{Name: name}

@@ -30,8 +30,16 @@ func TestCompileSettings(t *testing.T) {
 	}
 }
 
+// prefix gives every fact the kernel tasks and an informed strategy need
+// (hotspot, kernel, deps), so the documents below can run.
+const prefix = `
+  task identify-hotspots
+  task extract-hotspot
+  task loop-dependence
+`
+
 func TestCompileWhenResolution(t *testing.T) {
-	src := `flow "d" {
+	src := `flow "d" {` + prefix + `
   when sharing { task identify-hotspots }
   when !sharing { task extract-hotspot }
   when informed { task pointer-analysis }
@@ -39,7 +47,7 @@ func TestCompileWhenResolution(t *testing.T) {
 }`
 	taskNames := func(f *core.Flow) []string {
 		var out []string
-		for _, n := range f.Nodes {
+		for _, n := range f.Nodes[3:] {
 			out = append(out, n.(core.Step).Task.Name())
 		}
 		return out
@@ -78,7 +86,7 @@ func TestCompileRejectsInvalid(t *testing.T) {
 // the selector name stays "informed-fig3"; behaviour is covered by the
 // engine's own strategy tests).
 func TestCompileStrategyArgs(t *testing.T) {
-	src := `flow "d" {
+	src := `flow "d" {` + prefix + `
   branch "A" strategy informed(ai-threshold=2, transfer-bw=1e9) {
     path "gpu" { task generate-hip }
     path "fpga" { task generate-oneapi }
@@ -89,7 +97,7 @@ func TestCompileStrategyArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br := c.Flow.Nodes[0].(core.Branch)
+	br := c.Flow.Nodes[3].(core.Branch)
 	if br.Select.Name() != "informed-fig3" {
 		t.Errorf("selector = %q (strategy informed must not follow the uninformed mode)", br.Select.Name())
 	}

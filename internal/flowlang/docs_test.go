@@ -10,9 +10,10 @@ import (
 )
 
 // TestDocsCoverage is the checkdocs gate for the language reference: every
-// keyword, task name, device set, strategy, condition, and validation
-// error code the implementation knows must appear in docs/FLOWS.md, so an
-// undocumented construct fails CI.
+// keyword, device set, strategy, condition, and validation error code the
+// implementation knows must appear in docs/FLOWS.md, and every task's
+// catalog row exactly as the registry builds it (engine name, needs,
+// gives), so an undocumented construct or a stale row fails CI.
 func TestDocsCoverage(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "docs", "FLOWS.md"))
 	if err != nil {
@@ -33,7 +34,7 @@ func TestDocsCoverage(t *testing.T) {
 		check("keyword", kw)
 	}
 	for _, name := range flowlang.TaskNames() {
-		check("task", "`"+name+"`")
+		check("task catalog row", flowlang.CatalogRow(name))
 	}
 	for _, code := range flowlang.ErrorCodes() {
 		check("error code", "`"+code+"`")

@@ -1,10 +1,12 @@
 package flowlang_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"psaflow/internal/core"
 	"psaflow/internal/flowlang"
 	"psaflow/internal/tasks"
 )
@@ -31,6 +33,11 @@ func FuzzFlowParse(f *testing.F) {
 	f.Add(`flow "未完 { task`)
 	f.Add("flow \"d\" {\n  # comment\n  // comment\n}")
 	f.Add(`flow "\x"`)
+	f.Add(unmetKernelDoc)
+	f.Add(unmetTargetDoc)
+	f.Add(unmetDepsDoc)
+	f.Add(unmetWhenDoc)
+	f.Add(unmetArmDoc)
 	for _, c := range lexInputs {
 		f.Add(c[1])
 	}
@@ -42,15 +49,47 @@ func FuzzFlowParse(f *testing.F) {
 		// Anything that parses must also survive validation (collecting
 		// diagnostics, not panicking), and lowering is total on what Check
 		// admits: an accepted document lowers under every mode × sharing
-		// combination a job can ask for.
+		// combination a job can ask for, into a flow in which no task and
+		// no selector can lack a fact it needs.
 		doc, err := flowlang.Check(src)
 		if err != nil {
 			return
 		}
 		for _, mode := range []tasks.Mode{tasks.Informed, tasks.Uninformed} {
 			for _, sharing := range []bool{false, true} {
-				doc.Compile(flowlang.Options{Mode: mode, ResourceSharing: sharing})
+				flow := doc.Compile(flowlang.Options{Mode: mode, ResourceSharing: sharing}).Flow
+				var unmet []string
+				needsMet(flow, 0, &unmet)
+				if len(unmet) > 0 {
+					t.Fatalf("Check accepted a flow that fails in mode %v, sharing %t: %v", mode, sharing, unmet)
+				}
 			}
 		}
 	})
+}
+
+// needsMet runs the facts of a design entering f through the lowered graph
+// the way the engine does: steps in order, and every path of a branch from
+// the facts before it. A branch may hand on the design that entered it (a
+// strategy that terminates, a gated branch out of revisions), so the
+// facts after it are the facts before it. The Fig. 3 selector reads the
+// dependence analysis. Each need not held is appended to unmet.
+func needsMet(f *core.Flow, have core.Fact, unmet *[]string) {
+	for _, n := range f.Nodes {
+		switch n := n.(type) {
+		case core.Step:
+			t := n.Task.(core.TaskFunc)
+			if miss := t.Need &^ have; miss != 0 {
+				*unmet = append(*unmet, fmt.Sprintf("%s/%s needs %v", f.Name, t.TaskName, miss))
+			}
+			have |= t.Give
+		case core.Branch:
+			if n.Select.Name() == "informed-fig3" && have&core.FactDeps == 0 {
+				*unmet = append(*unmet, fmt.Sprintf("%s/branch %s needs deps", f.Name, n.PointName))
+			}
+			for _, p := range n.Paths {
+				needsMet(p.Flow, have, unmet)
+			}
+		}
+	}
 }

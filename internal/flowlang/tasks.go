@@ -32,8 +32,8 @@ func (c DeviceClass) String() string {
 type taskEntry struct {
 	Plain core.Task
 	Class DeviceClass
-	GPU   func(platform.GPUSpec) core.Task
-	FPGA  func(platform.FPGASpec) core.Task
+	GPU   func(platform.GPUSpec) core.TaskFunc
+	FPGA  func(platform.FPGASpec) core.TaskFunc
 }
 
 func (e taskEntry) needsDevice() bool { return e.GPU != nil || e.FPGA != nil }

@@ -2,9 +2,11 @@ package flowlang
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"psaflow/internal/core"
 	"psaflow/internal/faults"
 )
 
@@ -66,6 +68,7 @@ const (
 	ErrBadSetting           = "bad-setting"
 	ErrDuplicateSetting     = "duplicate-setting"
 	ErrEmptyFlow            = "empty-flow"
+	ErrUnmetNeed            = "unmet-need"
 )
 
 // ErrorCodes returns every validation error code, sorted — used by the
@@ -79,6 +82,7 @@ func ErrorCodes() []string {
 		ErrInformedNeedsTargets, ErrUnknownCondition, ErrCondOutsideForeach,
 		ErrUnknownDeviceProp, ErrUnknownDef, ErrDuplicateDef, ErrDefCycle,
 		ErrDeviceRefInDef, ErrBadSetting, ErrDuplicateSetting, ErrEmptyFlow,
+		ErrUnmetNeed,
 	}
 	sort.Strings(codes)
 	return codes
@@ -116,6 +120,11 @@ func Validate(f *File) error {
 			v.errs.add(ErrEmptyFlow, f.Flow.KwPos, "flow %q has no statements", f.Flow.Name)
 		}
 		v.checkStmts(f.Flow.Body, scope{})
+		// Needs are read off the lowered tasks, so they are checked only
+		// once every name resolves and no def uses itself.
+		if len(v.errs.Diags) == 0 {
+			v.checkNeeds(f.Flow.Body, 0)
+		}
 	}
 
 	if len(v.errs.Diags) == 0 {
@@ -244,6 +253,47 @@ func (v *validator) checkStmts(stmts []Stmt, sc scope) {
 			v.checkBranch(s, sc)
 		}
 	}
+}
+
+// checkNeeds walks stmts in run order from a design holding the facts have,
+// reports every task and informed strategy that needs a fact some path to
+// it does not give, and returns the facts held after stmts. A when body or
+// a branch arm may not run, or may hand on the design that entered it, so
+// what it gives counts only inside it.
+func (v *validator) checkNeeds(stmts []Stmt, have core.Fact) core.Fact {
+	unmet := func(pos Pos, what string, need core.Fact) {
+		if miss := need &^ have; miss != 0 {
+			d := Diag{Code: ErrUnmetNeed, Pos: pos, Msg: fmt.Sprintf("%s needs %v, which not every path to it gives", what, miss)}
+			if !slices.Contains(v.errs.Diags, d) { // a def used twice
+				v.errs.Diags = append(v.errs.Diags, d)
+			}
+		}
+	}
+	for _, st := range stmts {
+		switch s := st.(type) {
+		case *TaskStmt:
+			t := lowerTask(s, binding{}).(core.TaskFunc)
+			unmet(s.NamePos, fmt.Sprintf("task %q", s.Name), t.Need)
+			have |= t.Give
+		case *UseStmt:
+			have = v.checkNeeds(v.defs[s.Name].Body, have)
+		case *WhenStmt:
+			v.checkNeeds(s.Body, have)
+		case *BranchStmt:
+			if s.Strategy.Name != "all" {
+				unmet(s.Strategy.Pos, fmt.Sprintf("strategy %s on branch %q", s.Strategy.Name, s.Name), core.FactDeps)
+			}
+			for _, arm := range s.Arms {
+				switch a := arm.(type) {
+				case *PathArm:
+					v.checkNeeds(a.Body, have)
+				case *ForeachArm:
+					v.checkNeeds(a.Body, have)
+				}
+			}
+		}
+	}
+	return have
 }
 
 func (v *validator) checkTask(s *TaskStmt, sc scope) {

@@ -26,6 +26,21 @@ func validate(t *testing.T, src string) []flowlang.Diag {
 	return el.Diags
 }
 
+// Documents every other rule accepts but whose jobs could only fail: a
+// kernel task before any kernel, a render with no target chosen, an
+// informed branch before the dependence analysis it reads, and two facts
+// given where they count only inside a when body or a branch arm.
+const (
+	unmetKernelDoc = "flow \"d\" {\n  task unroll-fixed-loops\n  task identify-hotspots\n  task render-design\n}"
+	unmetTargetDoc = "flow \"d\" {\n  task identify-hotspots\n  task extract-hotspot\n  task render-design\n}"
+	unmetDepsDoc   = "flow \"d\" {\n  task identify-hotspots\n  task extract-hotspot\n  branch \"A\" strategy informed {\n" +
+		"    path \"gpu\" { task generate-hip }\n    path \"fpga\" { task generate-oneapi }\n" +
+		"    path \"cpu\" { task omp-parallel-loops }\n  }\n}"
+	unmetWhenDoc = "flow \"d\" {\n  task identify-hotspots\n  when informed { task extract-hotspot }\n  task pointer-analysis\n}"
+	unmetArmDoc  = "flow \"d\" {\n  task identify-hotspots\n  task extract-hotspot\n" +
+		"  branch \"A\" strategy all {\n    path \"x\" { task generate-hip }\n  }\n  task render-design\n}"
+)
+
 // TestValidateErrors pins the exact code, position, and message of every
 // validation diagnostic. One table row per error code in the catalog.
 func TestValidateErrors(t *testing.T) {
@@ -159,6 +174,43 @@ func TestValidateErrors(t *testing.T) {
 			"flow \"d\" {\n}",
 			[]string{`empty-flow 1:1 flow "d" has no statements`},
 		},
+		{
+			"unmet-need",
+			unmetKernelDoc,
+			[]string{
+				`unmet-need 2:8 task "unroll-fixed-loops" needs kernel, which not every path to it gives`,
+				`unmet-need 4:8 task "render-design" needs target, which not every path to it gives`,
+			},
+		},
+		{
+			"unmet-need target",
+			unmetTargetDoc,
+			[]string{`unmet-need 4:8 task "render-design" needs target, which not every path to it gives`},
+		},
+		{
+			"unmet-need strategy",
+			unmetDepsDoc,
+			[]string{
+				`unmet-need 4:23 strategy informed on branch "A" needs deps, which not every path to it gives`,
+				`unmet-need 7:23 task "omp-parallel-loops" needs deps, which not every path to it gives`,
+			},
+		},
+		{
+			"unmet-need when",
+			unmetWhenDoc,
+			[]string{`unmet-need 4:8 task "pointer-analysis" needs kernel, which not every path to it gives`},
+		},
+		{
+			"unmet-need branch arm",
+			unmetArmDoc,
+			[]string{`unmet-need 7:8 task "render-design" needs target, which not every path to it gives`},
+		},
+		{
+			// A def used twice is reported once, at its own task.
+			"unmet-need def",
+			"def \"k\" { task pointer-analysis }\nflow \"d\" {\n  use \"k\"\n  use \"k\"\n}",
+			[]string{`unmet-need 1:16 task "pointer-analysis" needs kernel, which not every path to it gives`},
+		},
 	}
 	for _, tc := range cases {
 		diags := validate(t, tc.src)
@@ -239,7 +291,7 @@ func TestErrorCodesComplete(t *testing.T) {
 		}
 		seen[c] = true
 	}
-	if len(codes) != 24 {
-		t.Errorf("ErrorCodes() has %d entries, want 24", len(codes))
+	if len(codes) != 25 {
+		t.Errorf("ErrorCodes() has %d entries, want 25", len(codes))
 	}
 }

@@ -164,6 +164,20 @@ func TestFlowRegistryRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestFlowRegistryRejectsUnmetNeed: a document every other rule accepts but
+// whose jobs could only fail — a kernel task before any kernel, a render
+// with no target — is refused at registration, with the task's position.
+func TestFlowRegistryRejectsUnmetNeed(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	code, body := putFlow(t, ts.URL, "x", "flow \"x\" {\n  task unroll-fixed-loops\n  task identify-hotspots\n  task render-design\n}")
+	if code != http.StatusBadRequest || !bytes.Contains(body, []byte("unmet-need")) || !bytes.Contains(body, []byte("2:8")) {
+		t.Fatalf("put: got %d, body %s; want 400 naming unmet-need at 2:8", code, body)
+	}
+	if code, _, _ := getFlowInfo(t, ts.URL, "x", ""); code != http.StatusNotFound {
+		t.Errorf("refused flow registered: got %d, want 404", code)
+	}
+}
+
 // TestFlowJobExecution submits a job referencing a registered copy of the
 // paper flow and checks it produces exactly the designs of a built-in-flow
 // job — the serving-layer leg of the DSL differential.

@@ -18,19 +18,13 @@ import (
 // reductions).
 var OMPParallelLoops = core.TaskFunc{
 	TaskName: "Multi-Thread Parallel Loops", TaskKind: core.Transform,
+	Need: core.FactKernel | core.FactDeps, Give: core.FactTarget,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		kfn := d.KernelFunc()
-		if kfn == nil {
-			return fmt.Errorf("no kernel extracted")
-		}
-		outer := query.OutermostLoops(kfn)
+		outer := query.OutermostLoops(d.KernelFunc())
 		if len(outer) == 0 {
 			return fmt.Errorf("kernel has no loops")
 		}
 		deps := d.Report.OuterDeps
-		if deps == nil {
-			return fmt.Errorf("run loop dependence analysis first")
-		}
 		if !deps.ParallelWithReduction() {
 			return fmt.Errorf("outer loop is not parallelizable: %v", deps.Carried)
 		}

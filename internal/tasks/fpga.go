@@ -19,11 +19,8 @@ import (
 // marks the design as a CPU+FPGA target; RenderDesign emits the SYCL
 // source once the unroll DSE has fixed the pipeline configuration.
 var GenerateOneAPI = core.TaskFunc{
-	TaskName: "Generate oneAPI Design", TaskKind: core.CodeGen,
+	TaskName: "Generate oneAPI Design", TaskKind: core.CodeGen, Need: core.FactKernel, Give: core.FactTarget,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		if d.Kernel == "" {
-			return fmt.Errorf("no kernel extracted")
-		}
 		d.Target = platform.TargetFPGA
 		return nil
 	},
@@ -33,17 +30,13 @@ var GenerateOneAPI = core.TaskFunc{
 // bound inner loops are fully materialized so they map to spatial
 // pipelines.
 var UnrollFixedLoopsTask = core.TaskFunc{
-	TaskName: "Unroll Fixed Loops", TaskKind: core.Transform,
+	TaskName: "Unroll Fixed Loops", TaskKind: core.Transform, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		kfn := d.KernelFunc()
-		if kfn == nil {
-			return fmt.Errorf("no kernel extracted")
-		}
 		// Only inner loops: leave the outer pipeline loop rolled. The
 		// transform's fixed-trip test naturally skips the (runtime-bounded)
 		// outer loop; a fixed OUTER loop is protected by unrolling only
 		// when another loop remains, so check first.
-		outer := query.OutermostLoops(kfn)
+		outer := query.OutermostLoops(d.KernelFunc())
 		if len(outer) == 1 {
 			if _, fixed := query.FixedTripCount(outer[0]); fixed {
 				// Temporarily make the outer loop non-eligible by limit 0
@@ -69,7 +62,7 @@ var UnrollFixedLoopsTask = core.TaskFunc{
 // ZeroCopy is the "Zero-Copy Data Transfer" transform, valid only on
 // devices with unified shared memory (Stratix 10): kernel buffers become
 // USM host allocations streamed by the pipeline.
-func ZeroCopy(dev platform.FPGASpec) core.Task {
+func ZeroCopy(dev platform.FPGASpec) core.TaskFunc {
 	return core.TaskFunc{
 		TaskName: "Zero-Copy Data Transfer", TaskKind: core.Transform,
 		Fn: func(ctx *core.Context, d *core.Design) error {
@@ -88,21 +81,17 @@ func ZeroCopy(dev platform.FPGASpec) core.Task {
 // the last fitting design. If no factor fits (including 1), the design is
 // marked infeasible — exactly what happens to Rush Larsen's CPU+FPGA
 // designs in the paper.
-func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
+func UnrollUntilOvermap(dev platform.FPGASpec) core.TaskFunc {
 	return core.TaskFunc{
 		TaskName: fmt.Sprintf("%s Unroll Until Overmap DSE", dev.Name),
-		TaskKind: core.Optimisation, IsDyn: true,
+		TaskKind: core.Optimisation, IsDyn: true, Need: core.FactKernel,
 		Fn: func(ctx *core.Context, d *core.Design) error {
 			// Claiming the board is the DSE's first act; an unavailable
 			// device fails the path non-transiently so the branch degrades.
 			if err := ctx.FailPoint(faults.Device, dev.Name); err != nil {
 				return err
 			}
-			kfn := d.KernelFunc()
-			if kfn == nil {
-				return fmt.Errorf("no kernel extracted")
-			}
-			outer := query.OutermostLoops(kfn)
+			outer := query.OutermostLoops(d.KernelFunc())
 			if len(outer) == 0 {
 				return fmt.Errorf("kernel has no pipeline loop")
 			}
@@ -110,7 +99,7 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.Task {
 			// copies the path down to it, not the kernel. The costing below
 			// reads the kernel that holds the copy.
 			loop := d.EditLoop(outer[0])
-			kfn = d.KernelFunc()
+			kfn := d.KernelFunc()
 			// One datapath costing serves the whole walk, with one exception:
 			// "unroll 1" marks a fixed-trip loop rolled, so a fixed pipeline
 			// loop is costed rolled at n=1 and spatial from n=2 on.

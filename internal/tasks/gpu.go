@@ -19,11 +19,8 @@ import (
 // RenderDesign at the end of the device-specific branch, once the
 // blocksize DSE has fixed the launch configuration.
 var GenerateHIP = core.TaskFunc{
-	TaskName: "Generate HIP Design", TaskKind: core.CodeGen,
+	TaskName: "Generate HIP Design", TaskKind: core.CodeGen, Need: core.FactKernel, Give: core.FactTarget,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		if d.Kernel == "" {
-			return fmt.Errorf("no kernel extracted")
-		}
 		d.Target = platform.TargetGPU
 		return nil
 	},
@@ -43,13 +40,9 @@ var PinnedMemory = core.TaskFunc{
 // single-precision forms (the starred "Employ SP Math Fns" task, shared by
 // the GPU and FPGA branches).
 var SinglePrecisionFns = core.TaskFunc{
-	TaskName: "Employ SP Math Fns", TaskKind: core.Transform,
+	TaskName: "Employ SP Math Fns", TaskKind: core.Transform, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		kfn := d.EditKernel()
-		if kfn == nil {
-			return fmt.Errorf("no kernel extracted")
-		}
-		n := transform.SinglePrecisionFns(kfn)
+		n := transform.SinglePrecisionFns(d.EditKernel())
 		d.Tracef("note", "spfns", "%d calls demoted", n)
 		return nil
 	},
@@ -60,13 +53,9 @@ var SinglePrecisionFns = core.TaskFunc{
 // branches). After both SP tasks the kernel counts as single precision for
 // the device models.
 var SinglePrecisionLiterals = core.TaskFunc{
-	TaskName: "Employ SP Numeric Literals", TaskKind: core.Transform,
+	TaskName: "Employ SP Numeric Literals", TaskKind: core.Transform, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		kfn := d.EditKernel()
-		if kfn == nil {
-			return fmt.Errorf("no kernel extracted")
-		}
-		n := transform.SinglePrecisionLiterals(kfn)
+		n := transform.SinglePrecisionLiterals(d.EditKernel())
 		d.Report.SinglePrec = true
 		d.Tracef("note", "spliterals", "%d literals demoted", n)
 		return nil
@@ -77,12 +66,9 @@ var SinglePrecisionLiterals = core.TaskFunc{
 // pointer parameters whose accesses are uniform across the thread block
 // are staged through GPU shared memory.
 var SharedMemBuffer = core.TaskFunc{
-	TaskName: "Introduce Shared Mem Buf", TaskKind: core.Transform,
+	TaskName: "Introduce Shared Mem Buf", TaskKind: core.Transform, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		kfn := d.KernelFunc()
-		if kfn == nil {
-			return fmt.Errorf("no kernel extracted")
-		}
 		// Candidates: const pointer parameters that are read more than
 		// once per outer iteration (reuse makes staging worthwhile).
 		reads := query.ArraysRead(kfn.Body)
@@ -105,13 +91,9 @@ var SharedMemBuffer = core.TaskFunc{
 // SpecialisedMathFns is the "Employ Specialised Math Fns" transform:
 // single-precision libm calls become GPU fast-math intrinsics.
 var SpecialisedMathFns = core.TaskFunc{
-	TaskName: "Employ Specialised Math Fns", TaskKind: core.Transform,
+	TaskName: "Employ Specialised Math Fns", TaskKind: core.Transform, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		kfn := d.EditKernel()
-		if kfn == nil {
-			return fmt.Errorf("no kernel extracted")
-		}
-		n := transform.SpecialisedMathFns(kfn)
+		n := transform.SpecialisedMathFns(d.EditKernel())
 		d.Specialised = n > 0
 		d.Tracef("note", "fastmath", "%d intrinsics installed", n)
 		return nil
@@ -122,7 +104,7 @@ var SpecialisedMathFns = core.TaskFunc{
 // task ("GTX 1080 Blocksize DSE" / "RTX 2080 Blocksize DSE"): it sweeps
 // launch block sizes on the device model, selecting the one minimizing
 // design time, and records the device estimate.
-func BlocksizeDSE(dev platform.GPUSpec) core.Task {
+func BlocksizeDSE(dev platform.GPUSpec) core.TaskFunc {
 	return core.TaskFunc{
 		TaskName: fmt.Sprintf("%s Blocksize DSE", dev.Name), TaskKind: core.Optimisation, IsDyn: true,
 		Fn: func(ctx *core.Context, d *core.Design) error {

@@ -1,8 +1,6 @@
 package tasks
 
 import (
-	"fmt"
-
 	"psaflow/internal/codegen"
 	"psaflow/internal/core"
 	"psaflow/internal/platform"
@@ -13,7 +11,7 @@ import (
 // paper's flows write out (and whose added lines Table I counts). It runs
 // as the last task of every device-specific branch.
 var RenderDesign = core.TaskFunc{
-	TaskName: "Render Design Source", TaskKind: core.CodeGen,
+	TaskName: "Render Design Source", TaskKind: core.CodeGen, Need: core.FactTarget,
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		if d.Infeasible != "" {
 			return nil // unsynthesizable designs are reported, not rendered
@@ -38,10 +36,8 @@ var RenderDesign = core.TaskFunc{
 			art, err = codegen.OpenMP(d.Prog, d.RefLOC, opts)
 		case platform.TargetGPU:
 			art, err = codegen.HIP(d.Prog, d.RefLOC, opts)
-		case platform.TargetFPGA:
+		default: // platform.TargetFPGA
 			art, err = codegen.OneAPI(d.Prog, d.RefLOC, opts)
-		default:
-			return fmt.Errorf("design has no target selected")
 		}
 		if err != nil {
 			return err

@@ -30,23 +30,19 @@ import (
 // initiation interval) per outer iteration, which is exactly the negative
 // performance impact the paper predicts; the ablation experiment
 // quantifies it.
-func UnrollUntilOvermapWithSharing(dev platform.FPGASpec) core.Task {
+func UnrollUntilOvermapWithSharing(dev platform.FPGASpec) core.TaskFunc {
 	base := UnrollUntilOvermap(dev)
 	return core.TaskFunc{
 		TaskName: fmt.Sprintf("%s Unroll Until Overmap DSE (with resource sharing)", dev.Name),
-		TaskKind: core.Optimisation, IsDyn: true,
+		TaskKind: core.Optimisation, IsDyn: true, Need: base.Need,
 		Fn: func(ctx *core.Context, d *core.Design) error {
-			if err := base.Run(ctx, d); err != nil {
+			if err := base.Fn(ctx, d); err != nil {
 				return err
 			}
 			if d.Infeasible == "" {
 				return nil // fits without sharing
 			}
-			kfn := d.EditKernel()
-			if kfn == nil {
-				return fmt.Errorf("no kernel extracted")
-			}
-			shared, extraTrips, err := shareLargestFixedLoops(ctx, d.Prog, kfn, dev)
+			shared, extraTrips, err := shareLargestFixedLoops(ctx, d.Prog, d.EditKernel(), dev)
 			if err != nil {
 				return err
 			}
@@ -56,7 +52,7 @@ func UnrollUntilOvermapWithSharing(dev platform.FPGASpec) core.Task {
 			d.Tracef("dse", "sharing", "%d fixed loop(s) rolled; pipeline pays x%.0f trips", shared, extraTrips)
 			// Retry the unroll DSE on the shared datapath.
 			d.Infeasible = ""
-			if err := base.Run(ctx, d); err != nil {
+			if err := base.Fn(ctx, d); err != nil {
 				return err
 			}
 			if d.Infeasible != "" {

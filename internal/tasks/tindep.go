@@ -141,7 +141,7 @@ func isCancel(err error) bool {
 // outermost loop with the largest time share becomes the acceleration
 // candidate.
 var IdentifyHotspots = core.TaskFunc{
-	TaskName: "Identify Hotspot Loops", TaskKind: core.Analysis, IsDyn: true,
+	TaskName: "Identify Hotspot Loops", TaskKind: core.Analysis, IsDyn: true, Give: core.FactHotspot,
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		if err := runFailPoint(ctx, d, ""); err != nil {
 			return err
@@ -170,10 +170,8 @@ var IdentifyHotspots = core.TaskFunc{
 // by a call (the partitioning stage).
 var ExtractHotspot = core.TaskFunc{
 	TaskName: "Hotspot Loop Extraction", TaskKind: core.Transform,
+	Need: core.FactHotspot, Give: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		if d.Report.HotspotLoopID == 0 {
-			return fmt.Errorf("run hotspot identification first")
-		}
 		// Outlining renumbers the program, so the design takes its own copy
 		// before looking the loop up in it; the function whose walk finds
 		// the loop is its host.
@@ -251,11 +249,8 @@ func kernelProfile(ctx *core.Context, d *core.Design) (*interp.Profile, []int, e
 // bound to overlapping memory abort accelerator offloading (generated
 // designs assume restrict semantics).
 var PointerAnalysis = core.TaskFunc{
-	TaskName: "Pointer Analysis", TaskKind: core.Analysis, IsDyn: true,
+	TaskName: "Pointer Analysis", TaskKind: core.Analysis, IsDyn: true, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		if d.Kernel == "" {
-			return fmt.Errorf("no kernel extracted")
-		}
 		prof, _, err := kernelProfile(ctx, d)
 		if err != nil {
 			return err
@@ -272,13 +267,9 @@ var PointerAnalysis = core.TaskFunc{
 // FLOPs per byte of the kernel datapath, indicating compute- vs
 // memory-bound behaviour.
 var ArithmeticIntensity = core.TaskFunc{
-	TaskName: "Arithmetic Intensity Analysis", TaskKind: core.Analysis,
+	TaskName: "Arithmetic Intensity Analysis", TaskKind: core.Analysis, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		kfn := d.KernelFunc()
-		if kfn == nil {
-			return fmt.Errorf("no kernel extracted")
-		}
-		ops := analysis.WeightedOps(kfn)
+		ops := analysis.WeightedOps(d.KernelFunc())
 		d.Report.StaticAI = ops.AI()
 		d.Tracef("note", "ai", "static FLOPs/B = %.3f", d.Report.StaticAI)
 		return nil
@@ -288,11 +279,8 @@ var ArithmeticIntensity = core.TaskFunc{
 // DataInOut is the dynamic data movement analysis: bytes that must reach
 // and leave an accelerator hosting the kernel, plus total kernel traffic.
 var DataInOut = core.TaskFunc{
-	TaskName: "Data In/Out Analysis", TaskKind: core.Analysis, IsDyn: true,
+	TaskName: "Data In/Out Analysis", TaskKind: core.Analysis, IsDyn: true, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		if d.Kernel == "" {
-			return fmt.Errorf("no kernel extracted")
-		}
 		prof, _, err := kernelProfile(ctx, d)
 		if err != nil {
 			return err
@@ -350,11 +338,9 @@ func footprintBytes(prof *interp.Profile, t *interp.Traffic, in bool) float64 {
 // needs.
 var LoopDependence = core.TaskFunc{
 	TaskName: "Loop Dependence Analysis", TaskKind: core.Analysis,
+	Need: core.FactKernel, Give: core.FactDeps,
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		kfn := d.KernelFunc()
-		if kfn == nil {
-			return fmt.Errorf("no kernel extracted")
-		}
 		outer := query.OutermostLoops(kfn)
 		if len(outer) == 0 {
 			return fmt.Errorf("kernel has no loops")
@@ -373,12 +359,9 @@ var LoopDependence = core.TaskFunc{
 // kernel's loop structure (outer trips for thread mapping, pipelined trips
 // and sequential chain depth for the FPGA/GPU models).
 var TripCount = core.TaskFunc{
-	TaskName: "Loop Trip-Count Analysis", TaskKind: core.Analysis, IsDyn: true,
+	TaskName: "Loop Trip-Count Analysis", TaskKind: core.Analysis, IsDyn: true, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		kfn := d.KernelFunc()
-		if kfn == nil {
-			return fmt.Errorf("no kernel extracted")
-		}
 		prof, ids, err := kernelProfile(ctx, d)
 		if err != nil {
 			return err
@@ -445,14 +428,10 @@ var TripCount = core.TaskFunc{
 // scalar accumulations, unblocking HLS pipelining and GPU register
 // allocation. Functional equivalence is re-verified by execution.
 var RemovePlusEqDep = core.TaskFunc{
-	TaskName: "Remove Array += Dependency", TaskKind: core.Transform, IsDyn: true,
+	TaskName: "Remove Array += Dependency", TaskKind: core.Transform, IsDyn: true, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		prog := d.EditProgram()
-		kfn := d.KernelFunc()
-		if kfn == nil {
-			return fmt.Errorf("no kernel extracted")
-		}
-		n, err := transform.RemovePlusEqDep(prog, kfn)
+		n, err := transform.RemovePlusEqDep(prog, d.KernelFunc())
 		if err != nil {
 			return err
 		}

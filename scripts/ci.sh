@@ -81,7 +81,10 @@ go test -race -count=5 -run 'TestLifecycleModel|TestClusterCrashRecovery' ./inte
 go test -run '^$' -bench . -benchtime=1x .
 # Parse fuzz (short budget): both front ends must return an error or an
 # AST on arbitrary input, never panic — the daemon feeds them raw bytes
-# off the wire (the flow registry and job submits).
+# off the wire (the flow registry and job submits). FuzzFlowParse also
+# lowers every document flowlang.Check accepts under all four mode ×
+# sharing combinations and walks the lowered graph as the engine runs it:
+# no task and no informed selector may lack a fact it needs.
 go test -run '^$' -fuzz 'FuzzFlowParse' -fuzztime 10s ./internal/flowlang/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/minic/
 # Affine-form differential fuzz (short budget): AffineOf's sorted-run
@@ -106,9 +109,9 @@ for d in examples/*/; do
 	go run "./$d" >/dev/null
 done
 # Bundled flow documents must stay valid and must run: -check parses and
-# validates each (flowlang.Check, exactly what the daemon's flow registry
-# accepts), and -flow checks it the same way, lowers it and runs kmeans
-# through it in both modes.
+# validates each, task order included (flowlang.Check, exactly what the
+# daemon's flow registry accepts), and -flow checks it the same way,
+# lowers it and runs kmeans through it in both modes.
 flowtmp=$(mktemp -d)
 go build -o "$flowtmp/psaflow" ./cmd/psaflow
 for f in examples/flows/*.psa; do
