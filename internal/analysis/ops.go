@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"psaflow/internal/interp"
 	"psaflow/internal/minic"
 	"psaflow/internal/query"
 )
@@ -35,29 +34,26 @@ func (o *OpCounts) AI() float64 {
 	return o.FlopsW / o.BytesRW
 }
 
-// typeEnv records array element kinds and integer-typed scalars for the
-// enclosing function, supporting byte accounting and int/float operation
-// classification.
-type typeEnv struct {
-	arrays map[string]minic.BasicKind
-	ints   map[string]bool
-}
+// typeEnv is the minic.Scope fn's operations are classified int or
+// floating in (minic.TypeOf), and the element widths of its arrays. It
+// holds only what those need: the int scalars and the arrays, as pointers
+// to their element kind, declared anywhere in fn. An operand it does not
+// hold has no static type, so arithmetic on it counts as floating.
+type typeEnv map[string]minic.Type
 
 func typesIn(fn *minic.FuncDecl) typeEnv {
-	env := typeEnv{arrays: map[string]minic.BasicKind{}, ints: map[string]bool{}}
+	env := typeEnv{}
 	for _, p := range fn.Params {
-		if p.Type.Ptr {
-			env.arrays[p.Name] = p.Type.Kind
-		} else if p.Type.Kind == minic.Int {
-			env.ints[p.Name] = true
+		if p.Type.Ptr || p.Type.Kind == minic.Int {
+			env[p.Name] = p.Type
 		}
 	}
 	minic.Walk(fn, func(n minic.Node) bool {
 		if d, ok := n.(*minic.DeclStmt); ok {
 			if d.ArrayLen != nil {
-				env.arrays[d.Name] = d.Type.Kind
-			} else if d.Type.Kind == minic.Int {
-				env.ints[d.Name] = true
+				env[d.Name] = minic.Type{Kind: d.Type.Kind, Ptr: true}
+			} else if d.Type.Kind == minic.Int && !d.Type.Ptr {
+				env[d.Name] = d.Type
 			}
 		}
 		return true
@@ -65,58 +61,25 @@ func typesIn(fn *minic.FuncDecl) typeEnv {
 	return env
 }
 
+// VarType makes the environment a minic.Scope.
+func (env typeEnv) VarType(name string) (minic.Type, bool) {
+	t, ok := env[name]
+	return t, ok
+}
+
+// bytes is the element width of array; unknown arrays are double width.
 func (env typeEnv) bytes(array string) float64 {
-	switch env.arrays[array] {
-	case minic.Float, minic.Int:
-		return 4
-	case minic.Double:
-		return 8
-	default:
-		return 8 // unknown arrays default to double width
+	if t := env[array]; t.Ptr {
+		return float64(t.Kind.Size())
 	}
+	return 8
 }
 
-// isIntExpr reports whether e is statically integer-typed (int literals,
-// int scalars, int array elements, int-returning builtins, and arithmetic
-// over those). Anything unknown defaults to floating.
+// isIntExpr reports whether e is statically an int; anything unknown
+// counts as floating.
 func (env typeEnv) isIntExpr(e minic.Expr) bool {
-	switch v := e.(type) {
-	case *minic.IntLit:
-		return true
-	case *minic.BoolLit:
-		return true
-	case *minic.Ident:
-		return env.ints[v.Name]
-	case *minic.UnaryExpr:
-		return env.isIntExpr(v.X)
-	case *minic.BinaryExpr:
-		switch v.Op {
-		case minic.TokPlus, minic.TokMinus, minic.TokStar, minic.TokSlash, minic.TokPercent:
-			return env.isIntExpr(v.L) && env.isIntExpr(v.R)
-		}
-		return false
-	case *minic.IndexExpr:
-		if name := identName(v.Base); name != "" {
-			return env.arrays[name] == minic.Int
-		}
-		return false
-	case *minic.CallExpr:
-		switch v.Fun {
-		case "abs", "min", "max":
-			return true
-		}
-		return false
-	case *minic.CastExpr:
-		return v.To.Kind == minic.Int
-	case *minic.IncDecExpr:
-		return env.isIntExpr(v.X)
-	}
-	return false
-}
-
-// specialNames classifies builtin calls counted as Special ops.
-func isSpecialFn(name string) bool {
-	return interp.BuiltinFlops(name) > 1 // transcendental-weighted builtins
+	t, ok := minic.TypeOf(e, env)
+	return ok && !t.Ptr && t.Kind == minic.Int
 }
 
 // CountOps statically counts operations in a region, treating every
@@ -199,17 +162,17 @@ func countInto(region minic.Node, env typeEnv, out *OpCounts, k float64) {
 				out.BytesRW += k * env.bytes(identName(e.Base))
 			}
 		case *minic.CallExpr:
-			if flops := interp.BuiltinFlops(e.Fun); flops > 0 {
-				if isSpecialFn(e.Fun) {
-					out.Special += k
-					out.SpecialK[e.Fun] += k
-				} else {
-					out.AddSub += k
-				}
-				out.FlopsW += k * float64(flops)
-			} else if !interp.IsBuiltin(e.Fun) {
+			in, ok := minic.LookupIntrinsic(e.Fun)
+			switch {
+			case !ok && e.Fun != "printf":
 				out.Calls += k
+			case in.Special():
+				out.Special += k
+				out.SpecialK[e.Fun] += k
+			case in.Flops > 0:
+				out.AddSub += k
 			}
+			out.FlopsW += k * float64(in.Flops) // 0 unless an intrinsic
 		}
 		return true
 	})
@@ -308,7 +271,7 @@ func RegisterEstimate(fn *minic.FuncDecl) int {
 				scalars += w
 			}
 		case *minic.CallExpr:
-			if isSpecialFn(e.Fun) {
+			if in, ok := minic.LookupIntrinsic(e.Fun); ok && in.Special() {
 				specials++
 			}
 		}
@@ -352,25 +315,16 @@ func registerLoopWeights(fn *minic.FuncDecl) map[int]float64 {
 	return out
 }
 
-// heavySpecials are transcendentals that execute as multi-pass SFU
-// sequences on consumer GPUs (range reduction + polynomial), unlike the
-// single-pass sqrt/sin/cos/pow fast paths.
-var heavySpecials = map[string]bool{
-	"exp": true, "expf": true, "__expf": true,
-	"log": true, "logf": true, "__logf": true,
-	"tanh": true, "tanhf": true,
-	"erf": true, "erff": true,
-}
-
 // HeavySpecialFraction returns the statically weighted fraction of special
 // FLOPs in fn attributable to heavy transcendentals (exp/log/tanh/erf).
 func HeavySpecialFraction(fn *minic.FuncDecl) float64 {
 	ops := WeightedOps(fn)
 	var heavy, total float64
 	for name, n := range ops.SpecialK {
-		flops := float64(interp.BuiltinFlops(name)) * n
+		in, _ := minic.LookupIntrinsic(name)
+		flops := float64(in.Flops) * n
 		total += flops
-		if heavySpecials[name] {
+		if in.Heavy {
 			heavy += flops
 		}
 	}
@@ -442,19 +396,17 @@ func LoopMarkedRolled(loop minic.Stmt) bool {
 	return false
 }
 
-// HasDPSpecialCalls reports whether fn calls any double-precision
-// transcendental (exp, erf, pow, ... without the single-precision suffix).
-// Kernels that keep such calls pay the consumer-GPU FP64 special-function
-// penalty in the performance model.
+// HasDPSpecialCalls reports whether fn calls any double-precision special
+// function (an Intrinsic that is Special with a Double result). Kernels
+// that keep such calls pay the consumer-GPU FP64 special-function penalty
+// in the performance model.
 func HasDPSpecialCalls(fn *minic.FuncDecl) bool {
-	dp := map[string]bool{
-		"sqrt": true, "exp": true, "log": true, "pow": true,
-		"sin": true, "cos": true, "tanh": true, "erf": true,
-	}
 	found := false
 	minic.Walk(fn, func(n minic.Node) bool {
-		if c, ok := n.(*minic.CallExpr); ok && dp[c.Fun] {
-			found = true
+		if c, ok := n.(*minic.CallExpr); ok {
+			if in, ok := minic.LookupIntrinsic(c.Fun); ok && in.Special() && in.Result == minic.Double {
+				found = true
+			}
 		}
 		return !found
 	})

@@ -95,47 +95,18 @@ func (r *Report) String() string {
 		r.Device, r.Kernel, r.Unroll, r.LUTUtil*100, r.DSPUtil*100, r.II, r.FmaxHz/1e6, r.Fits)
 }
 
-// spNames maps single-precision and specialised intrinsics to their cost
-// family.
-func specialFamily(name string) (string, bool, bool) {
-	n := strings.TrimPrefix(name, "__")
-	n = strings.TrimSuffix(n, "_rn")
-	if n == "fsqrt" {
-		n = "sqrtf"
-	}
-	sp := strings.HasSuffix(n, "f") && n != "erf" // erf ends in f but is DP
-	base := strings.TrimSuffix(n, "f")
-	if n == "erf" {
-		base, sp = "erf", false
-	}
-	if n == "erff" {
-		base, sp = "erf", true
-	}
-	if _, ok := specialDP[base]; !ok {
-		return "", false, false
-	}
-	return base, sp, true
-}
-
 // kernelPrecision reports whether the kernel has been demoted to single
 // precision by the SP transforms: all float literals single and no
-// double-precision math calls.
+// double-precision special-function calls.
 func kernelPrecision(fn *minic.FuncDecl) bool {
-	sp := true
+	single := true
 	minic.Walk(fn, func(n minic.Node) bool {
-		switch v := n.(type) {
-		case *minic.FloatLit:
-			if !v.Single {
-				sp = false
-			}
-		case *minic.CallExpr:
-			if _, isSP, ok := specialFamily(v.Fun); ok && !isSP {
-				sp = false
-			}
+		if v, ok := n.(*minic.FloatLit); ok && !v.Single {
+			single = false
 		}
-		return true
+		return single
 	})
-	return sp
+	return single && !analysis.HasDPSpecialCalls(fn)
 }
 
 // unrollPragmaFactor extracts the factor of an "unroll N" pragma attached
@@ -211,15 +182,12 @@ func CostDatapath(fn *minic.FuncDecl) *Datapath {
 	scale(costIntOp, ops.IntOps)
 	scale(costLSU, ops.Loads+ops.Stores)
 	for name, n := range ops.SpecialK {
-		base, isSP, ok := specialFamily(name)
-		if !ok {
-			continue
-		}
+		in, _ := minic.LookupIntrinsic(name)
 		table := spTable
-		if isSP {
+		if in.Result == minic.Float {
 			table = specialSP
 		}
-		scale(table[base], n)
+		scale(table[in.Family], n)
 	}
 	// Control logic per loop in the kernel.
 	loops := query.LoopsIn(fn)
@@ -229,11 +197,7 @@ func CostDatapath(fn *minic.FuncDecl) *Datapath {
 	minic.Walk(fn, func(n minic.Node) bool {
 		if d, ok := n.(*minic.DeclStmt); ok && d.ArrayLen != nil {
 			if l, ok := d.ArrayLen.(*minic.IntLit); ok {
-				width := int64(64)
-				if d.Type.Kind == minic.Float || d.Type.Kind == minic.Int {
-					width = 32
-				}
-				dp.BRAMBits += l.Val * width
+				dp.BRAMBits += l.Val * 8 * d.Type.Kind.Size()
 			}
 		}
 		return true

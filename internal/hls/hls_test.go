@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"psaflow/internal/analysis"
 	"psaflow/internal/minic"
 	"psaflow/internal/platform"
 	"psaflow/internal/transform"
@@ -250,4 +251,44 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(digits)
+}
+
+// TestSpecialFamiliesCosted: every special-function family of the
+// intrinsic catalog has a double- and a single-precision operator cost.
+func TestSpecialFamiliesCosted(t *testing.T) {
+	for _, in := range minic.Intrinsics() {
+		if !in.Special() {
+			continue
+		}
+		if _, ok := specialDP[in.Family]; !ok {
+			t.Errorf("%s: no specialDP row for family %s", in.Name, in.Family)
+		}
+		if _, ok := specialSP[in.Family]; !ok {
+			t.Errorf("%s: no specialSP row for family %s", in.Name, in.Family)
+		}
+	}
+}
+
+// TestUserFunctionIsNoIntrinsic: a user function whose name looks like a
+// libm or fast-math form is a user call, not a double-precision special
+// function, so a kernel of single-precision literals that calls it is
+// costed in single precision.
+func TestUserFunctionIsNoIntrinsic(t *testing.T) {
+	for _, helper := range []string{"__sin", "__exp_rn"} {
+		prog := minic.MustParse(strings.ReplaceAll(`
+float HELPER(float x) { return x * 2.0f; }
+void k(int n, const float *a, float *b) {
+    for (int i = 0; i < n; i++) {
+        b[i] = HELPER(a[i]) * 0.5f + 1.0f;
+    }
+}
+`, "HELPER", helper))
+		fn := prog.MustFunc("k")
+		if analysis.HasDPSpecialCalls(fn) {
+			t.Errorf("%s: HasDPSpecialCalls = true, want false", helper)
+		}
+		if !CostDatapath(fn).SinglePrec {
+			t.Errorf("%s: CostDatapath.SinglePrec = false, want true", helper)
+		}
+	}
 }

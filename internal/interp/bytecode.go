@@ -338,9 +338,10 @@ func (c *bcompiler) specialise(bf *bfunc) {
 	}
 }
 
-// kUnknown is the bopnd.vk of a value whose kind only the run fixes: a
-// user call's result (a function that falls off its end returns void).
-// It is no ValKind, so nothing bakes on it.
+// kUnknown is the bopnd.vk of a value whose kind only the run fixes
+// (minic.TypeOf's ok == false), as a user call's result: a function that
+// falls off its end returns void. It is no ValKind, so nothing bakes on
+// it.
 const kUnknown = 0xff
 
 // typeKind is the static kind of a value coerced to declared type t.
@@ -360,100 +361,29 @@ func typeKind(t minic.Type) (vk, ek uint8) {
 	return uint8(KVoid), 0 // coerce's Value{} for void
 }
 
-// promoteKind is promote over static kinds; kUnknown where a kind is not
-// numeric (the run then fails before producing a value) or not known.
-func promoteKind(l, r uint8) uint8 {
-	lv, rv := Value{K: ValKind(l)}, Value{K: ValKind(r)}
-	if !lv.IsNumeric() || !rv.IsNumeric() {
-		return kUnknown
+// VarType resolves a name in the current lowering scope, so the lowering
+// is the minic.Scope its operands are typed in.
+func (c *bcompiler) VarType(name string) (minic.Type, bool) {
+	if reg, ok := c.lookup(name); ok {
+		return c.vtypes[reg], true
 	}
-	return uint8(promote(lv, rv))
+	return minic.Type{}, false
 }
 
 // exprKind is the static kind of the value e evaluates to in the current
-// scope: what the tree-walker's eval of e returns whenever it returns one.
+// scope (minic.TypeOf): what the tree-walker's eval of e returns whenever
+// it returns one.
 func (c *bcompiler) exprKind(e minic.Expr) (vk, ek uint8) {
-	switch v := e.(type) {
-	case *minic.IntLit:
-		return uint8(KInt), 0
-	case *minic.FloatLit:
-		if v.Single {
-			return uint8(KFloat), 0
-		}
-		return uint8(KDouble), 0
-	case *minic.BoolLit:
-		return uint8(KBool), 0
-	case *minic.StringLit:
-		return uint8(KVoid), 0
-	case *minic.Ident:
-		if reg, ok := c.lookup(v.Name); ok {
-			return typeKind(c.vtypes[reg])
-		}
-	case *minic.UnaryExpr:
-		if v.Op == minic.TokNot {
-			return uint8(KBool), 0
-		}
-		switch x, _ := c.exprKind(v.X); x {
-		case uint8(KInt), uint8(KFloat), kUnknown:
-			return x, 0
-		}
-		return uint8(KDouble), 0 // applyUnary negates any other kind to a double
-	case *minic.BinaryExpr:
-		switch v.Op {
-		case minic.TokAndAnd, minic.TokOrOr, minic.TokLt, minic.TokGt, minic.TokLe, minic.TokGe, minic.TokEqEq, minic.TokNe:
-			return uint8(KBool), 0
-		case minic.TokPercent:
-			return uint8(KInt), 0
-		}
-		l, _ := c.exprKind(v.L)
-		r, _ := c.exprKind(v.R)
-		return promoteKind(l, r), 0
-	case *minic.AssignExpr:
-		// A variable keeps its declared kind; an element store yields the
-		// stored value itself, promoted with the old element when compound.
-		if _, ok := v.LHS.(*minic.IndexExpr); !ok {
-			return c.exprKind(v.LHS)
-		}
-		rk, rek := c.exprKind(v.RHS)
-		if v.Op == minic.TokAssign {
-			return rk, rek
-		}
-		old, _ := c.exprKind(v.LHS)
-		return promoteKind(old, rk), 0
-	case *minic.IncDecExpr:
-		return c.exprKind(v.X) // the old value
-	case *minic.IndexExpr:
-		if bk, ek := c.exprKind(v.Base); bk == uint8(KBuf) {
-			return elemKind(ek), 0
-		}
-	case *minic.CallExpr:
-		if v.Fun == "printf" {
-			return uint8(KVoid), 0
-		}
-		if bi, ok := builtins[v.Fun]; ok {
-			switch {
-			case bi.s1 == nil && bi.s2 == nil:
-				return uint8(KInt), 0 // abs, min, max
-			case bi.rnd:
-				return uint8(KFloat), 0
-			}
-			return uint8(KDouble), 0
-		}
-	case *minic.CastExpr:
-		return typeKind(v.To)
+	if t, ok := minic.TypeOf(e, c); ok {
+		return typeKind(t)
 	}
 	return kUnknown, 0
 }
 
 // elemKind is the kind loadElem gives an element of a buffer of kind ek.
 func elemKind(ek uint8) uint8 {
-	switch minic.BasicKind(ek) {
-	case minic.Int:
-		return uint8(KInt)
-	case minic.Float:
-		return uint8(KFloat)
-	}
-	return uint8(KDouble)
+	vk, _ := typeKind(minic.Type{Kind: minic.BasicKind(ek)}.Elem())
+	return vk
 }
 
 // opndSteps counts the fine-grained steps a fused operand fetch performs

@@ -30,7 +30,7 @@ const (
 	CostErf    = 30.0
 	CostAbsMin = 2.0
 	CostCast   = 1.0
-	CostFastFn = 8.0 // GPU-style specialised intrinsics (__expf, ...)
+	CostFastFn = 8.0 // GPU fast-math intrinsics (minic.Intrinsic.Fast)
 )
 
 // LoopProfile accumulates per-loop dynamic measurements, keyed by the loop
@@ -109,7 +109,7 @@ type BufShape struct {
 }
 
 // ElemBytes returns the byte size of one element.
-func (s BufShape) ElemBytes() int64 { return elemBytes(s.Kind) }
+func (s BufShape) ElemBytes() int64 { return s.Kind.Size() }
 
 // Binding is one distinct assignment of buffers to the watched
 // function's pointer parameters.

@@ -292,7 +292,7 @@ func bakeOperand(o *bopnd, q *qinfo) (k ValKind, ok bool) {
 			return KVoid, false
 		}
 		q.cyc += CostLoad
-		q.lbytes += elemBytes(minic.BasicKind(o.tgt.base.ek))
+		q.lbytes += minic.BasicKind(o.tgt.base.ek).Size()
 	default:
 		return KVoid, false
 	}
@@ -426,13 +426,13 @@ func bakeLoad(in *binstr) (q qinfo, op opcode) {
 		return q, opNop
 	}
 	q.cyc += CostLoad
-	q.lbytes += elemBytes(minic.BasicKind(in.tgt.base.ek))
+	q.lbytes += minic.BasicKind(in.tgt.base.ek).Size()
 	q.rk = ValKind(elemKind(in.tgt.base.ek))
 	return q, opQLoad
 }
 
 // bakeBuiltin bakes a fused opBuiltin call to a scalar float intrinsic
-// (exp, sqrtf, ...) on float operands: the math function is called
+// (a libm or fast-math form) on float operands: the math function is called
 // directly, skipping the []Value wrapper. Arity mismatches (a guaranteed
 // runtime error) and the int intrinsics (abs/min/max) stay generic.
 func bakeBuiltin(in *binstr) (q qinfo, op opcode) {
@@ -487,7 +487,7 @@ func bakeStore(in *binstr) (q qinfo, op opcode) {
 		q.acc = true
 		// loadElem for the old value, then the compound combine.
 		q.cyc += CostLoad + qopcost(q.cop, false)
-		q.lbytes += elemBytes(minic.BasicKind(ek))
+		q.lbytes += minic.BasicKind(ek).Size()
 		switch {
 		case ints:
 			q.intops++
@@ -499,7 +499,7 @@ func bakeStore(in *binstr) (q qinfo, op opcode) {
 		}
 	}
 	q.cyc += CostStore
-	q.sbytes += elemBytes(minic.BasicKind(ek))
+	q.sbytes += minic.BasicKind(ek).Size()
 	if ints {
 		return q, opQStoreI
 	}

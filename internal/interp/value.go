@@ -97,18 +97,7 @@ func (b *Buffer) Len() int {
 }
 
 // ElemBytes returns the byte size of one element.
-func (b *Buffer) ElemBytes() int64 { return elemBytes(b.Kind) }
-
-func elemBytes(kind minic.BasicKind) int64 {
-	switch kind {
-	case minic.Float:
-		return 4
-	case minic.Int:
-		return 4
-	default:
-		return 8
-	}
-}
+func (b *Buffer) ElemBytes() int64 { return b.Kind.Size() }
 
 // Clone deep-copies the buffer (used to re-run designs from the same
 // initial state).

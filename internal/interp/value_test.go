@@ -76,15 +76,42 @@ func TestValKindStrings(t *testing.T) {
 	}
 }
 
-func TestBuiltinIntrospection(t *testing.T) {
-	if !IsBuiltin("sqrt") || !IsBuiltin("printf") || !IsBuiltin("__expf") {
-		t.Error("builtins not recognized")
+// TestBuiltinsAreTheCatalog: the runtime table holds exactly minic's
+// intrinsics; each returns its Result kind and runs at its arity on both
+// engines, with the same output.
+func TestBuiltinsAreTheCatalog(t *testing.T) {
+	all := minic.Intrinsics()
+	if len(builtins) != len(all) {
+		t.Errorf("%d builtins, %d intrinsics", len(builtins), len(all))
 	}
-	if IsBuiltin("my_kernel") {
-		t.Error("user function recognized as builtin")
-	}
-	if BuiltinFlops("exp") != 8 || BuiltinFlops("sqrt") != 4 || BuiltinFlops("nope") != 0 {
-		t.Error("flop weights wrong")
+	kind := map[minic.BasicKind]ValKind{minic.Int: KInt, minic.Float: KFloat, minic.Double: KDouble}
+	for _, in := range all {
+		bi, ok := builtins[in.Name]
+		if !ok {
+			t.Errorf("intrinsic %s has no builtin", in.Name)
+			continue
+		}
+		args := []Value{DoubleVal(2.7), DoubleVal(1.3)}[:in.Arity]
+		if bi.arity != in.Arity || bi.flops != in.Flops || bi.fn(args).K != kind[in.Result] {
+			t.Errorf("%s: arity %d, flops %d, result %s; want %d, %d, %s",
+				in.Name, bi.arity, bi.flops, bi.fn(args).K, in.Arity, in.Flops, kind[in.Result])
+		}
+		call := in.Name + "(x)"
+		if in.Arity == 2 {
+			call = in.Name + "(x, y)"
+		}
+		prog := minic.MustParse("void k(double x, double y) { printf(\"%f\", " + call + "); }")
+		var outs [2]string
+		for i, walk := range []bool{false, true} {
+			res, err := Run(prog, Config{Entry: "k", Args: []Value{DoubleVal(2.7), DoubleVal(1.3)}, TreeWalk: walk})
+			if err != nil {
+				t.Fatalf("%s (tree-walk %t): %v", in.Name, walk, err)
+			}
+			outs[i] = strings.Join(res.Output, "|")
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%s: VM printed %q, tree-walker %q", in.Name, outs[0], outs[1])
+		}
 	}
 }
 

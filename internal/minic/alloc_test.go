@@ -62,3 +62,41 @@ func TestPrintAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestTypeOfAllocatesNothing: typing every expression of every function
+// (minic.TypeOf, under a map scope) and looking up every call's intrinsic
+// makes no allocation, on the five bundled programs and on every
+// transformed form a flow produces, whose kernels call the single-precision
+// and fast-math forms.
+func TestTypeOfAllocatesNothing(t *testing.T) {
+	progs := transformedPrograms(t)
+	for _, b := range bench.All() {
+		progs[b.Name] = b.Parse()
+	}
+	for name, prog := range progs {
+		for _, fn := range prog.Funcs {
+			scope := scopeOf(fn)
+			typed, calls := 0, 0
+			allocs := testing.AllocsPerRun(10, func() {
+				typed, calls = 0, 0
+				minic.Walk(fn, func(n minic.Node) bool {
+					if e, ok := n.(minic.Expr); ok {
+						if _, ok := minic.TypeOf(e, scope); ok {
+							typed++
+						}
+					}
+					if c, ok := n.(*minic.CallExpr); ok {
+						if _, ok := minic.LookupIntrinsic(c.Fun); ok {
+							calls++
+						}
+					}
+					return true
+				})
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s: typing %d expressions and %d intrinsic calls makes %.0f allocations, want 0",
+					name, fn.Name, typed, calls, allocs)
+			}
+		}
+	}
+}

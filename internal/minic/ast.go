@@ -31,6 +31,15 @@ func (k BasicKind) String() string {
 	return fmt.Sprintf("BasicKind(%d)", int(k))
 }
 
+// Size is the byte width of one array element of the kind: 4 for int and
+// float, 8 for double and for the kinds no array holds.
+func (k BasicKind) Size() int64 {
+	if k == Int || k == Float {
+		return 4
+	}
+	return 8
+}
+
 // Type is a MiniC type: a base kind, optionally a pointer, optionally
 // const-qualified.
 type Type struct {

@@ -52,7 +52,10 @@ func parseSeeds() []string {
 
 // FuzzParse feeds arbitrary byte strings to the MiniC front end. Parse must
 // either return a program or an error — never panic — regardless of input:
-// the service layer hands it untrusted source straight off the wire.
+// the service layer hands it untrusted source straight off the wire. And
+// minic.TypeOf must type every expression of an accepted program, under a
+// scope of its function's parameters and declarations, without panicking:
+// the analyses type submitted programs outside any recover.
 func FuzzParse(f *testing.F) {
 	for _, src := range parseSeeds() {
 		f.Add(src)
@@ -61,6 +64,18 @@ func FuzzParse(f *testing.F) {
 		prog, err := minic.Parse(src)
 		if err == nil && prog == nil {
 			t.Fatal("Parse returned nil program and nil error")
+		}
+		if err != nil {
+			return
+		}
+		for _, fn := range prog.Funcs {
+			scope := scopeOf(fn)
+			minic.Walk(fn, func(n minic.Node) bool {
+				if e, ok := n.(minic.Expr); ok {
+					minic.TypeOf(e, scope)
+				}
+				return true
+			})
 		}
 	})
 }

@@ -282,29 +282,14 @@ func usesVar(e minic.Expr, v string) bool {
 	return found
 }
 
-// spFnMap maps double-precision libm names to their single-precision
-// counterparts.
-var spFnMap = map[string]string{
-	"sqrt": "sqrtf", "exp": "expf", "log": "logf", "pow": "powf",
-	"sin": "sinf", "cos": "cosf", "tanh": "tanhf", "erf": "erff",
-	"fabs": "fabsf", "floor": "floorf", "fmin": "fminf", "fmax": "fmaxf",
-}
-
-// specialisedFnMap maps single-precision libm names to GPU fast-math
-// intrinsics (the paper's "Employ Specialised Math Fns" HIP task).
-var specialisedFnMap = map[string]string{
-	"expf": "__expf", "logf": "__logf", "powf": "__powf",
-	"sinf": "__sinf", "cosf": "__cosf", "sqrtf": "__fsqrt_rn",
-}
-
 // SinglePrecisionFns rewrites double-precision math calls in fn to their
-// single-precision forms. Returns the number of calls rewritten.
+// single-precision forms (minic.Intrinsic.SP). Returns the number of calls rewritten.
 func SinglePrecisionFns(fn *minic.FuncDecl) int {
 	count := 0
 	minic.RewriteExprs(fn, func(e minic.Expr) minic.Expr {
 		if c, ok := e.(*minic.CallExpr); ok {
-			if sp, ok := spFnMap[c.Fun]; ok {
-				c.Fun = sp
+			if in, ok := minic.LookupIntrinsic(c.Fun); ok && in.SP != "" {
+				c.Fun = in.SP
 				count++
 			}
 		}
@@ -328,14 +313,14 @@ func SinglePrecisionLiterals(fn *minic.FuncDecl) int {
 }
 
 // SpecialisedMathFns rewrites single-precision math calls to GPU
-// fast-math intrinsics. Returns the number of calls rewritten. Run
+// fast-math intrinsics (minic.Intrinsic.FastMath). Returns the number of calls rewritten. Run
 // SinglePrecisionFns first.
 func SpecialisedMathFns(fn *minic.FuncDecl) int {
 	count := 0
 	minic.RewriteExprs(fn, func(e minic.Expr) minic.Expr {
 		if c, ok := e.(*minic.CallExpr); ok {
-			if sp, ok := specialisedFnMap[c.Fun]; ok {
-				c.Fun = sp
+			if in, ok := minic.LookupIntrinsic(c.Fun); ok && in.FastMath != "" {
+				c.Fun = in.FastMath
 				count++
 			}
 		}
