@@ -149,7 +149,7 @@ type Design struct {
 
 	// shared is set once Fork has handed Prog's functions to another design
 	// too; copied lists the functions this design has copied since, which it
-	// alone holds. The zero value owns every function (see EditKernel).
+	// alone holds. The zero value owns every function (see EditFrom).
 	shared bool
 	copied []*minic.FuncDecl
 }
@@ -187,8 +187,8 @@ func (r *KernelReport) Clone() *KernelReport {
 // Fork copies the design for a branch path: the report (including its
 // alias/dependence results), the provenance trace, the per-design
 // artifacts and the facts. The program is not copied: the fork and d share its functions,
-// which neither side may write without copying first — EditKernel, EditLoop
-// or EditProgram. Fork writes d too (its copies become shared), so a branch
+// which neither side may write without copying first — EditFrom, EditKernel
+// or EditLoop. Fork writes d too (its copies become shared), so a branch
 // point takes every fork before any path runs; the forks can then work
 // concurrently.
 func (d *Design) Fork() *Design {
@@ -218,27 +218,32 @@ func (d *Design) KernelFunc() *minic.FuncDecl {
 	return d.Prog.Func(d.Kernel)
 }
 
-// EditKernel returns the extracted kernel function (nil if there is none)
-// for writing: a copy this design alone holds, made on the first call
-// after a Fork. The copy keeps every node ID, so it serves edits that keep
-// them — pragmas, call renames, literal flags; an edit that adds, removes
-// or renumbers nodes takes EditProgram.
-func (d *Design) EditKernel() *minic.FuncDecl {
-	if d.Kernel == "" {
+// EditFrom returns f, a function of the program, for writing (nil if it is
+// not one): after a Fork, a copy this design alone holds, made on the first
+// call together with a copy of every function after f. Those are what
+// minic.AssignIDsFrom renumbers after an edit inside f, so the copy serves
+// any edit of f, one that adds or removes nodes too; the functions before
+// f stay shared. The copies keep every node ID.
+func (d *Design) EditFrom(f *minic.FuncDecl) *minic.FuncDecl {
+	i := slices.Index(d.Prog.Funcs, f)
+	if i < 0 {
 		return nil
 	}
-	for i, f := range d.Prog.Funcs {
-		if f.Name != d.Kernel {
-			continue
+	for j, g := range d.Prog.Funcs[i:] {
+		if d.shared && !slices.Contains(d.copied, g) {
+			g = minic.CloneFunc(g)
+			d.Prog.Funcs[i+j] = g
+			d.copied = append(d.copied, g)
 		}
-		if d.shared && !slices.Contains(d.copied, f) {
-			f = minic.CloneFunc(f)
-			d.Prog.Funcs[i] = f
-			d.copied = append(d.copied, f)
-		}
-		return f
 	}
-	return nil
+	return d.Prog.Funcs[i]
+}
+
+// EditKernel returns the extracted kernel function (nil if there is none)
+// for writing: EditFrom of the kernel, which is the last function, so after
+// a Fork only the kernel is copied.
+func (d *Design) EditKernel() *minic.FuncDecl {
+	return d.EditFrom(d.KernelFunc())
 }
 
 // EditLoop returns loop, a loop of the kernel outside any other loop, for
@@ -262,16 +267,6 @@ func (d *Design) EditLoop(loop minic.Stmt) minic.Stmt {
 		}
 	}
 	return loop
-}
-
-// EditProgram returns the program for writing: after a Fork, a deep copy
-// this design alone holds, so an edit may renumber it (minic.AssignIDs).
-func (d *Design) EditProgram() *minic.Program {
-	if d.shared {
-		d.Prog = d.Prog.Clone()
-		d.shared, d.copied = false, nil
-	}
-	return d.Prog
 }
 
 // Label names the design for reports: "nbody/gpu/RTX 2080 Ti".

@@ -1,7 +1,7 @@
 package core_test
 
 // A fork shares its parent's functions; a writer copies what it writes
-// (Design.EditKernel, Design.EditLoop, Design.EditProgram). These tests pin who holds what
+// (Design.EditFrom, Design.EditKernel, Design.EditLoop). These tests pin who holds what
 // after each step, and GuardWrites checks every bundled flow keeps to it.
 
 import (
@@ -197,34 +197,61 @@ func TestEditLoopCopiesPathOnly(t *testing.T) {
 	}
 }
 
-func TestEditProgramAfterEditKernel(t *testing.T) {
+// TestEditFromCopiesTail: after a Fork, EditFrom copies the function it is
+// given and every function after it, once, keeping every ID; the functions
+// before it stay shared with the parent.
+func TestEditFromCopiesTail(t *testing.T) {
 	d := nbodyFront(t)
 	f := d.Fork()
-	f.EditKernel()
-	p := f.EditProgram()
-	if p != f.Prog {
-		t.Fatal("EditProgram did not install the program it returned")
+	k := f.EditKernel()
+	i := slices.Index(funcNames(d), "nbody_step") // the host, second to last
+	if i < 0 {
+		t.Fatalf("nbody has no function nbody_step: %v", funcNames(d))
 	}
-	if got := sharedWith(f, d); len(got) != 0 {
-		t.Fatalf("after EditProgram the fork still shares %v", got)
+	host := f.Prog.Funcs[i]
+	h := f.EditFrom(host)
+	if h == host || f.Prog.Funcs[i] != h {
+		t.Fatalf("EditFrom after Fork returned %p, the parent's %p; the program holds %p", h, host, f.Prog.Funcs[i])
 	}
-	if minic.Fingerprint(p) != minic.Fingerprint(d.Prog) {
-		t.Fatal("EditProgram's copy is not the parent's program")
+	if got, want := sharedWith(f, d), funcNames(d)[:i]; !slices.Equal(got, want) {
+		t.Fatalf("after EditFrom(%s) the fork shares %v, want the functions before it: %v", host.Name, got, want)
 	}
-	if f.EditProgram() != p || f.EditKernel() != p.Func(f.Kernel) {
-		t.Fatal("a design that owns its program copied it again")
+	if f.KernelFunc() != k {
+		t.Fatal("EditFrom copied the kernel EditKernel had copied already")
 	}
+	if minic.Fingerprint(f.Prog) != minic.Fingerprint(d.Prog) || !slices.Equal(ids(f.Prog), ids(d.Prog)) {
+		t.Fatal("the copies are not the parent's functions: IDs or structure moved")
+	}
+	funcs := slices.Clone(f.Prog.Funcs)
+	if f.EditFrom(h) != h || !slices.Equal(f.Prog.Funcs, funcs) {
+		t.Fatal("a second EditFrom copied again")
+	}
+	if f.EditFrom(host) != nil {
+		t.Fatal("EditFrom of a function the program no longer holds returned one")
+	}
+}
+
+// ids lists the ID of every node under n in depth-first order.
+func ids(n minic.Node) []int {
+	var out []int
+	minic.Walk(n, func(c minic.Node) bool {
+		out = append(out, c.ID())
+		return true
+	})
+	return out
 }
 
 func TestUnforkedDesignOwnsItsProgram(t *testing.T) {
 	d := nbodyFront(t)
 	prog, k := d.Prog, d.KernelFunc()
 	loop := query.OutermostLoops(k)[0]
-	if d.EditLoop(loop) != loop || d.EditKernel() != k || d.EditProgram() != prog {
+	funcs := slices.Clone(prog.Funcs)
+	if d.EditLoop(loop) != loop || d.EditKernel() != k || d.EditFrom(funcs[0]) != funcs[0] ||
+		d.Prog != prog || !slices.Equal(prog.Funcs, funcs) {
 		t.Fatal("a design never forked copied on edit")
 	}
 	lit := &core.Design{Prog: prog, Kernel: d.Kernel}
-	if lit.EditKernel() != k || lit.EditProgram() != prog {
+	if lit.EditKernel() != k || lit.EditFrom(funcs[0]) != funcs[0] || !slices.Equal(prog.Funcs, funcs) {
 		t.Fatal("a design built by literal copied on edit")
 	}
 }

@@ -1,6 +1,9 @@
 package minic
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // BasicKind enumerates MiniC base types.
 type BasicKind int
@@ -381,12 +384,30 @@ func Walk(n Node, fn func(Node) bool) {
 // AssignIDs numbers every node in the program with a unique, dense,
 // depth-first ID starting at 1, and returns the number of nodes.
 func AssignIDs(p *Program) int {
-	next := 1
-	Walk(p, func(n Node) bool {
+	p.setID(1)
+	return assignIDs(p.Funcs, 2)
+}
+
+// AssignIDsFrom renumbers f, a function of p, and every function after it
+// from f's own ID on, and returns the number of nodes in p. An edit inside
+// f moves no node before f in depth-first order, so after one the result is
+// exactly AssignIDs's, and the functions before f are neither read nor
+// written.
+func AssignIDsFrom(p *Program, f *FuncDecl) int {
+	return assignIDs(p.Funcs[slices.Index(p.Funcs, f):], f.ID())
+}
+
+// assignIDs numbers funcs' nodes in depth-first order from next on and
+// returns the last ID given.
+func assignIDs(funcs []*FuncDecl, next int) int {
+	number := func(n Node) bool {
 		n.setID(next)
 		next++
 		return true
-	})
+	}
+	for _, f := range funcs {
+		Walk(f, number)
+	}
 	return next - 1
 }
 

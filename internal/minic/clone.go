@@ -111,7 +111,7 @@ func cloneBlock(b *Block) *Block {
 }
 
 // CloneStmt deep-copies a statement. IDs are copied verbatim; call
-// AssignIDs on the enclosing program if fresh IDs are needed.
+// AssignIDsFrom on the enclosing function if fresh IDs are needed.
 func CloneStmt(s Stmt) Stmt {
 	switch v := s.(type) {
 	case nil:

@@ -1,8 +1,8 @@
 package minic
 
 // AST surgery utilities used by the instrument/transform layer. All editors
-// operate in place; callers should re-run AssignIDs (and rebuild query
-// contexts) after structural changes.
+// operate in place; after a structural change the caller renumbers from the
+// function it edited, AssignIDsFrom (and rebuilds query contexts).
 
 // ReplaceStmt replaces old with new wherever old appears as a direct child
 // statement under root (block entries, for-inits, if-elses). Returns true

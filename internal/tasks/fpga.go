@@ -48,9 +48,9 @@ var UnrollFixedLoopsTask = core.TaskFunc{
 				}
 			}
 		}
-		// Unrolling renumbers the program: from here on it is this design's.
-		prog := d.EditProgram()
-		n, err := transform.UnrollFixedLoops(prog, d.KernelFunc(), MaterializeUnrollLimit)
+		// Unrolling renumbers the kernel, the last function: from here on
+		// the kernel is this design's, and every other function stays shared.
+		n, err := transform.UnrollFixedLoops(d.Prog, d.EditKernel(), MaterializeUnrollLimit)
 		if err != nil {
 			return err
 		}

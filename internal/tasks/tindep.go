@@ -172,46 +172,35 @@ var ExtractHotspot = core.TaskFunc{
 	TaskName: "Hotspot Loop Extraction", TaskKind: core.Transform,
 	Need: core.FactHotspot, Give: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		// Outlining renumbers the program, so the design takes its own copy
-		// before looking the loop up in it; the function whose walk finds
-		// the loop is its host.
-		prog := d.EditProgram()
-		var loop minic.Stmt
-		var host *minic.FuncDecl
-		for _, f := range prog.Funcs {
-			minic.Walk(f, func(n minic.Node) bool {
-				if n.ID() == d.Report.HotspotLoopID && query.IsLoop(n) {
-					loop = n.(minic.Stmt)
-				}
-				return loop == nil
-			})
-			if loop != nil {
-				host = f
-				break
-			}
+		// Outlining moves the loop out of its host and renumbers the program
+		// from the host on, so the design copies the host and what follows
+		// it (EditFrom) and looks the loop up again in its copy.
+		id := d.Report.HotspotLoopID
+		host, _ := loopByID(d.Prog.Funcs, id)
+		if host == nil {
+			return fmt.Errorf("hotspot loop #%d not found", id)
 		}
-		if loop == nil {
-			return fmt.Errorf("hotspot loop #%d not found", d.Report.HotspotLoopID)
-		}
+		host = d.EditFrom(host)
+		_, loop := loopByID([]*minic.FuncDecl{host}, id)
 		// The hotspot run's profile stands for the outlined program when the
 		// loop outlined here is the loop it watched, in the program it ran;
 		// HotspotLoops marks it so for the kernel analyses (kernelProfile).
 		var watched []int
 		if d.HotspotProf != nil && d.HotspotProf.WatchLoop == loop.ID() &&
-			minic.Fingerprint(prog) == d.HotspotFP {
+			minic.Fingerprint(d.Prog) == d.HotspotFP {
 			watched = append(watched, loop.ID())
 			for _, l := range query.InnerLoops(loop) {
 				watched = append(watched, l.ID())
 			}
 		}
 		kernelName := d.Name + "_hotspot"
-		kernel, err := transform.ExtractHotspot(prog, host, loop, kernelName)
+		kernel, err := transform.ExtractHotspot(d.Prog, host, loop, kernelName)
 		if err != nil {
 			return err
 		}
 		d.Kernel = kernel.Name
 		if watched != nil {
-			d.HotspotLoops, d.HotspotFP = watched, minic.Fingerprint(prog)
+			d.HotspotLoops, d.HotspotFP = watched, minic.Fingerprint(d.Prog)
 		} else {
 			d.HotspotProf = nil
 		}
@@ -219,6 +208,24 @@ var ExtractHotspot = core.TaskFunc{
 			kernel.Name, len(kernel.Params), host.Name)
 		return nil
 	},
+}
+
+// loopByID returns the loop numbered id and the function of funcs that
+// holds it; nil, nil if there is none.
+func loopByID(funcs []*minic.FuncDecl, id int) (*minic.FuncDecl, minic.Stmt) {
+	for _, f := range funcs {
+		var loop minic.Stmt
+		minic.Walk(f, func(n minic.Node) bool {
+			if n.ID() == id && query.IsLoop(n) {
+				loop = n.(minic.Stmt)
+			}
+			return loop == nil
+		})
+		if loop != nil {
+			return f, loop
+		}
+	}
+	return nil, nil
 }
 
 // kernelProfile returns the profile of the kernel's executions on the
@@ -430,8 +437,7 @@ var TripCount = core.TaskFunc{
 var RemovePlusEqDep = core.TaskFunc{
 	TaskName: "Remove Array += Dependency", TaskKind: core.Transform, IsDyn: true, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		prog := d.EditProgram()
-		n, err := transform.RemovePlusEqDep(prog, d.KernelFunc())
+		n, err := transform.RemovePlusEqDep(d.Prog, d.EditKernel())
 		if err != nil {
 			return err
 		}

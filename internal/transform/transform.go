@@ -63,8 +63,10 @@ func RemoveLoopPragmas(loop minic.Stmt, prefix string) {
 
 // ExtractHotspot outlines the given loop of function host into a new
 // kernel function named kernelName, replacing the loop with a call. The
-// loop's free variables (query.FreeVars) become the parameters: scalars by
-// value, arrays as pointers. Fails when outlining would change the program:
+// loop itself moves into the kernel, appended as prog's last function, and
+// prog is renumbered from host on (minic.AssignIDsFrom). The loop's free
+// variables (query.FreeVars) become the parameters: scalars by value,
+// arrays as pointers. Fails when outlining would change the program:
 // a free scalar written inside the loop (live-out scalars would need
 // reference semantics MiniC does not have), or a return inside the loop,
 // which would leave the kernel instead of host.
@@ -83,15 +85,8 @@ func ExtractHotspot(prog *minic.Program, host *minic.FuncDecl, loop minic.Stmt, 
 			return nil, errf(tr, "scalar %q is written inside the hotspot and visible outside (live-out)", fv.Name)
 		}
 	}
-	var escape *minic.ReturnStmt
-	minic.Walk(loop, func(n minic.Node) bool {
-		if r, ok := n.(*minic.ReturnStmt); ok && escape == nil {
-			escape = r
-		}
-		return escape == nil
-	})
-	if escape != nil {
-		return nil, errf(tr, "return at %s leaves the hotspot loop", escape.NodePos())
+	if ret := query.Select(loop, isReturn); len(ret) > 0 {
+		return nil, errf(tr, "return at %s leaves the hotspot loop", ret[0].NodePos())
 	}
 
 	// Build the kernel function.
@@ -102,8 +97,7 @@ func ExtractHotspot(prog *minic.Program, host *minic.FuncDecl, loop minic.Stmt, 
 	for _, fv := range free {
 		kernel.Params = append(kernel.Params, &minic.Param{Type: fv.Type, Name: fv.Name})
 	}
-	body := &minic.Block{Stmts: []minic.Stmt{minic.CloneStmt(loop)}}
-	kernel.Body = body
+	kernel.Body = &minic.Block{Stmts: []minic.Stmt{loop}}
 
 	// Replace the loop with a call.
 	call := &minic.CallExpr{Fun: kernelName}
@@ -114,7 +108,7 @@ func ExtractHotspot(prog *minic.Program, host *minic.FuncDecl, loop minic.Stmt, 
 		return nil, errf(tr, "loop is not a direct statement of a block in %s", host.Name)
 	}
 	prog.Funcs = append(prog.Funcs, kernel)
-	minic.AssignIDs(prog)
+	minic.AssignIDsFrom(prog, host)
 	return kernel, nil
 }
 
@@ -133,8 +127,9 @@ func substituteIdent(root minic.Node, name string, repl minic.Expr) {
 // UnrollFixedLoops fully unrolls every for loop in fn (a function of
 // prog) whose trip count is statically known and at most limit,
 // materializing the body once per iteration with the induction variable
-// substituted by its constant value. Nested fixed loops are unrolled
-// innermost-first. Returns the number of loops unrolled.
+// substituted by its constant value, and renumbers prog from fn on.
+// Nested fixed loops are unrolled innermost-first. Returns the number of
+// loops unrolled.
 //
 // This is the paper's "Unroll Fixed Loops" FPGA task: fully-unrolled
 // fixed-bound inner loops map to spatial pipelines with II=1.
@@ -174,7 +169,7 @@ func UnrollFixedLoops(prog *minic.Program, fn *minic.FuncDecl, limit int64) (int
 		if !minic.ReplaceStmt(fn, target, unrolled) {
 			return count, errf(tr, "failed to replace loop in %s", fn.Name)
 		}
-		minic.AssignIDs(prog)
+		minic.AssignIDsFrom(prog, fn)
 		count++
 	}
 }
@@ -207,20 +202,19 @@ func deepestFixedLoop(fn *minic.FuncDecl, limit int64) (target *minic.ForStmt, t
 //
 // inside fn into a scalar accumulation with a single load before and a
 // single store after the loop, removing the array read-modify-write
-// dependence that blocks HLS pipelining and GPU register allocation.
-// Returns the number of rewrites performed.
+// dependence that blocks HLS pipelining and GPU register allocation. It
+// leaves an accumulation alone unless the result stays the same: sub reads
+// nothing the loop writes, A appears nowhere else in the loop, and no
+// return leaves the loop before the store. The accumulator has A's element
+// type, so each step rounds as the array's did. Returns the number of
+// rewrites performed; prog is renumbered from fn on.
 func RemovePlusEqDep(prog *minic.Program, fn *minic.FuncDecl) (int, error) {
 	count := 0
 	for _, l := range query.LoopsIn(fn) {
 		inner, ok := l.(*minic.ForStmt)
-		if !ok {
+		if !ok || query.LoopVar(inner) == "" || len(query.Select(inner, isReturn)) > 0 {
 			continue
 		}
-		v := query.LoopVar(inner)
-		if v == "" {
-			continue
-		}
-		// Find direct-body statements A[sub] += rhs with sub invariant in v.
 		for _, s := range inner.Body.Stmts {
 			es, ok := s.(*minic.ExprStmt)
 			if !ok {
@@ -234,17 +228,23 @@ func RemovePlusEqDep(prog *minic.Program, fn *minic.FuncDecl) (int, error) {
 			if !ok {
 				continue
 			}
-			if usesVar(ix.Index, v) {
-				continue // subscript varies with the loop: already fine
-			}
-			base, ok := ix.Base.(*minic.Ident)
-			if !ok {
+			// sub reads nothing the loop writes, its own variable among them.
+			assigned, written := query.IdentsAssigned(inner), query.ArraysWritten(inner)
+			if reads(ix.Index, func(name string) bool { return assigned[name] || written[name] }) > 0 {
 				continue
 			}
+			base, ok := ix.Base.(*minic.Ident)
+			if !ok || reads(inner, func(name string) bool { return name == base.Name }) > 1 {
+				continue
+			}
+			elem, ok := minic.TypeOf(ix, outside(query.FreeVars(fn, inner)))
+			if !ok {
+				continue // A is declared inside the loop
+			}
 			accName := fmt.Sprintf("acc_%s_%d", base.Name, count)
-			// double acc = A[sub];
+			// elem acc = A[sub];
 			decl := &minic.DeclStmt{
-				Type: minic.Type{Kind: minic.Double},
+				Type: elem,
 				Name: accName,
 				Init: minic.CloneExpr(ix),
 			}
@@ -266,20 +266,39 @@ func RemovePlusEqDep(prog *minic.Program, fn *minic.FuncDecl) (int, error) {
 		}
 	}
 	if count > 0 {
-		minic.AssignIDs(prog)
+		minic.AssignIDsFrom(prog, fn)
 	}
 	return count, nil
 }
 
-func usesVar(e minic.Expr, v string) bool {
-	found := false
-	minic.Walk(e, func(n minic.Node) bool {
-		if id, ok := n.(*minic.Ident); ok && id.Name == v {
-			found = true
+func isReturn(n minic.Node) bool {
+	_, ok := n.(*minic.ReturnStmt)
+	return ok
+}
+
+// reads returns how many identifiers under n satisfy name.
+func reads(n minic.Node, name func(string) bool) int {
+	c := 0
+	minic.Walk(n, func(m minic.Node) bool {
+		if id, ok := m.(*minic.Ident); ok && name(id.Name) {
+			c++
 		}
-		return !found
+		return true
 	})
-	return found
+	return c
+}
+
+// outside is a minic.Scope over the variables a statement sees from
+// outside it (query.FreeVars).
+type outside []query.FreeVar
+
+func (vs outside) VarType(name string) (minic.Type, bool) {
+	for _, v := range vs {
+		if v.Name == name {
+			return v.Type, true
+		}
+	}
+	return minic.Type{}, false
 }
 
 // SinglePrecisionFns rewrites double-precision math calls in fn to their

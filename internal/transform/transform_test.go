@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,6 +52,9 @@ func TestExtractHotspot(t *testing.T) {
 	}
 	if kernel.Name != "app_hotspot" || prog.Func("app_hotspot") == nil {
 		t.Fatal("kernel not registered")
+	}
+	if kernel.Body.Stmts[0] != loop {
+		t.Error("the kernel holds a copy of the loop, not the host's loop moved")
 	}
 	// Parameters: n, in, out, bias (first-use order: i<n, in[i], bias, out[i]... ).
 	names := map[string]bool{}
@@ -382,6 +386,107 @@ void k(int n, const double *w, double *out) {
 	count, err := RemovePlusEqDep(prog, prog.MustFunc("k"))
 	if err != nil || count != 0 {
 		t.Fatalf("count=%d err=%v, want 0 (subscript varies with loop)", count, err)
+	}
+}
+
+// runBoth runs k(n, a, b) of prog on both engines, n = 5 and a and b
+// arrays of their declared element kinds, and returns each engine's a and b.
+func runBoth(t *testing.T, prog *minic.Program) [2][][]float64 {
+	t.Helper()
+	var out [2][][]float64
+	for e, tree := range []bool{false, true} {
+		args := []interp.Value{interp.IntVal(5)}
+		var bufs []*interp.Buffer
+		for _, p := range prog.MustFunc("k").Params[1:] {
+			data := make([]float64, 5)
+			for i := range data {
+				data[i] = 0.1 * float64(i+1)
+			}
+			bufs = append(bufs, interp.NewFloatBuffer(p.Name, p.Type.Kind, data))
+			args = append(args, interp.BufVal(bufs[len(bufs)-1]))
+		}
+		if _, err := interp.Run(prog, interp.Config{Entry: "k", Args: args, TreeWalk: tree}); err != nil {
+			t.Fatalf("tree-walker %v: %v\n%s", tree, err, minic.Print(prog))
+		}
+		for _, b := range bufs {
+			out[e] = append(out[e], b.F)
+		}
+	}
+	return out
+}
+
+// TestRemovePlusEqDepKeepsResults: the rewrite must not change what a
+// program computes. Each program is run before and after it on both
+// engines; want is how many accumulations the rewrite may still take.
+func TestRemovePlusEqDepKeepsResults(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		want      int
+	}{
+		{"array read elsewhere in the loop", `
+void k(int n, double *a, double *b) {
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < n; j++) {
+            a[i] += 1.0;
+            b[j] = a[i];
+        }
+    }
+}`, 0},
+		{"subscript assigned in the loop", `
+void k(int n, double *a, double *b) {
+    int m = 0;
+    for (int j = 0; j < n; j++) {
+        m = j;
+        a[m] += b[j];
+    }
+}`, 0},
+		{"subscript reads an array written in the loop", `
+void k(int n, double *a, double *b) {
+    int at[1];
+    at[0] = 0;
+    for (int j = 0; j < n; j++) {
+        at[0] = j;
+        a[at[0]] += b[j];
+    }
+}`, 0},
+		{"return inside the loop", `
+void k(int n, double *a, double *b) {
+    for (int j = 0; j < n; j++) {
+        a[0] += b[j];
+        if (j == 2) {
+            return;
+        }
+    }
+}`, 0},
+		{"float array", `
+void k(int n, float *a, double *b) {
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < n; j++) {
+            a[i] += b[j] * 0.3;
+        }
+    }
+}`, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := runBoth(t, minic.MustParse(c.src))
+			prog := minic.MustParse(c.src)
+			n, err := RemovePlusEqDep(prog, prog.MustFunc("k"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runBoth(t, prog)
+			for e := range got {
+				for i := range got[e] {
+					if !slices.Equal(got[e][i], want[e][i]) {
+						t.Fatalf("engine %d: array %d is %v after the rewrite, %v before:\n%s",
+							e, i, got[e][i], want[e][i], minic.Print(prog))
+					}
+				}
+			}
+			if n != c.want {
+				t.Errorf("rewrote %d accumulations, want %d:\n%s", n, c.want, minic.Print(prog))
+			}
+		})
 	}
 }
 

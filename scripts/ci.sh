@@ -50,10 +50,13 @@ go test -race -short -count=20 -run 'TestBatch|TestCancelQueued|TestQueuedCancel
 go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # Forks share their parent's functions and parallel branch paths read them
 # while each copies what it edits: the write guard over every bundled flow,
-# two flows running beside each other on one run cache, and the path copy a
-# pragma edit makes (Design.EditLoop, minic.CopyPath) — five runs, for the
+# two flows running beside each other on one run cache, the path copy a
+# pragma edit makes (Design.EditLoop, minic.CopyPath), and the copy a
+# renumbering edit makes — the edited function and the functions after it,
+# nothing before them (Design.EditFrom, minic.AssignIDsFrom), with the loop
+# Hotspot Loop Extraction moves into the kernel — five runs, for the
 # scheduler to vary which path copies while its siblings read.
-go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath' ./internal/core/ ./internal/minic/
+go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot' ./internal/core/ ./internal/minic/ ./internal/transform/
 # Every job lowers the one checked bundled paper.psa: eight lowerings with
 # different options, run beside each other on one run cache, must each
 # equal the same lowering run alone — five runs, for the scheduler to vary
