@@ -67,6 +67,9 @@ func (env typeEnv) VarType(name string) (minic.Type, bool) {
 	return t, ok
 }
 
+// Func resolves no function: a user call's result counts as floating.
+func (typeEnv) Func(string) *minic.FuncDecl { return nil }
+
 // bytes is the element width of array; unknown arrays are double width.
 func (env typeEnv) bytes(array string) float64 {
 	if t := env[array]; t.Ptr {

@@ -16,7 +16,8 @@ import (
 // the task the same declarations are fingerprinted again; a change is
 // reported naming the task. After the task the design's program must also
 // be numbered as minic.AssignIDs numbers it: 1, 2, 3, … in depth-first
-// order. report is called from parallel branch paths; uninstall returns
+// order, and pass minic.Check, which the VM's lowering relies on. report
+// is called from parallel branch paths; uninstall returns
 // how many tasks were checked. Install it before a flow runs, never beside
 // one.
 func GuardWrites(report func(error)) (uninstall func() int64) {
@@ -38,6 +39,9 @@ func GuardWrites(report func(error)) (uninstall func() int64) {
 			if n, want := misnumbered(d.Prog); n != nil {
 				report(fmt.Errorf("task %q on %s left node %T at %s numbered %d, want %d (IDs dense in depth-first order)",
 					t.Name(), d.Label(), n, n.NodePos(), n.ID(), want))
+			}
+			if err := minic.Check(d.Prog); err != nil {
+				report(fmt.Errorf("task %q on %s left a program that fails the check: %v", t.Name(), d.Label(), err))
 			}
 		}
 	}

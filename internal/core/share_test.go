@@ -258,7 +258,8 @@ func TestUnforkedDesignOwnsItsProgram(t *testing.T) {
 
 // TestSharedFunctionsStayUnwritten: no task of a bundled flow writes a
 // function without copying it first — GuardWrites checks each task as the
-// first writer after a fork — and every task leaves IDs dense. The flows:
+// first writer after a fork — and every task leaves IDs dense and a
+// program minic.Check accepts. The flows:
 // the built-in one informed and uninformed, with and without resource
 // sharing, and paper.psa and faults.psa, each on the five applications;
 // the ablation rows; one chaos seed.

@@ -60,7 +60,6 @@ const (
 	opIncVar              // dst = old; regs[reg] += n (postfix ++/--)
 	opIncIdx              // dst = old; tgt[...] += n
 	opLoadIdx             // dst = loadElem(resolveTgt(tgt)) — non-fused index read
-	opCheckBuf            // bufOf(fetch(a)) — preserves base-check-before-index order
 	opCmpBranch           // fusedBin cond; CostBranch; !cond -> pc = jmp  [superinstruction]
 	opBranchFalse         // fetch(a); CostBranch; !cond -> pc = jmp
 	opJump                // pc = jmp
@@ -72,7 +71,6 @@ const (
 	opPrintf              // capture output from regs[reg:reg+n]
 	opReturn              // fr.ret = coerce(fetch(a), typ); unwind loops; halt
 	opReturnVoid          // unwind loops; halt
-	opErrMsg              // return preformatted RuntimeError{pos, name}
 
 	// Specialised opcodes, emitted in place of their generic forms where
 	// the operand kinds are static (specialise.go). Every opcode from
@@ -110,10 +108,9 @@ const (
 	omIdx                // step at pos + resolveTgt + loadElem (indexed read)
 )
 
-// bopnd is one fused operand. vk is the static ValKind of its value —
-// kUnknown where only the run fixes it — and ek, when vk is KBuf, the
-// buffer's element kind (a minic.BasicKind); both sit in the padding
-// after mode.
+// bopnd is one fused operand. vk is the static ValKind of its value and
+// ek, when vk is KBuf, the buffer's element kind (a minic.BasicKind); both
+// sit in the padding after mode.
 type bopnd struct {
 	mode uint8
 	vk   uint8
@@ -177,7 +174,7 @@ type binstr struct {
 	lid  int       // loop node ID for opLoopEnter
 	tgt  *btarget
 	typ  minic.Type // declared type (declarations, casts, returns; opBinAssignVar: the cell's)
-	name string     // variable/function/builtin name or preformatted error text
+	name string     // variable/function/builtin name
 	fn   *bfunc     // callee; the enclosing function of a depth-1 opLoopEnter
 	bi   builtin
 }
@@ -231,10 +228,10 @@ type bloopCtx struct {
 	conts  []int32
 }
 
-// compileBytecode lowers every function of prog. It never fails:
-// constructs the tree-walker would only reject at runtime lower to
-// opErrMsg instructions producing the identical error, so unexecuted
-// dead code stays legal.
+// compileBytecode lowers every function of prog, which minic.Check
+// accepts: every name resolves, every break and continue has a loop, and
+// minic.TypeOf types every operand. A construct Check rejects panics here,
+// and lowerBytecode falls back to the tree-walker, which reports it.
 func compileBytecode(prog *minic.Program, generic bool) *bprog {
 	c := &bcompiler{prog: prog, funcs: make(map[string]*bfunc, len(prog.Funcs)), generic: generic}
 	for _, f := range prog.Funcs {
@@ -268,6 +265,16 @@ func (c *bcompiler) lookup(name string) (int32, bool) {
 		}
 	}
 	return 0, false
+}
+
+// reg is the register of the variable name, which a checked program has
+// declared.
+func (c *bcompiler) reg(name string) int32 {
+	reg, ok := c.lookup(name)
+	if !ok {
+		panic("interp: undefined variable " + name)
+	}
+	return reg
 }
 
 // tempAlloc reserves a temporary register (LIFO discipline).
@@ -338,12 +345,6 @@ func (c *bcompiler) specialise(bf *bfunc) {
 	}
 }
 
-// kUnknown is the bopnd.vk of a value whose kind only the run fixes
-// (minic.TypeOf's ok == false), as a user call's result: a function that
-// falls off its end returns void. It is no ValKind, so nothing bakes on
-// it.
-const kUnknown = 0xff
-
 // typeKind is the static kind of a value coerced to declared type t.
 func typeKind(t minic.Type) (vk, ek uint8) {
 	switch {
@@ -361,8 +362,8 @@ func typeKind(t minic.Type) (vk, ek uint8) {
 	return uint8(KVoid), 0 // coerce's Value{} for void
 }
 
-// VarType resolves a name in the current lowering scope, so the lowering
-// is the minic.Scope its operands are typed in.
+// VarType resolves a name in the current lowering scope and Func a call,
+// so the lowering is the minic.Scope its operands are typed in.
 func (c *bcompiler) VarType(name string) (minic.Type, bool) {
 	if reg, ok := c.lookup(name); ok {
 		return c.vtypes[reg], true
@@ -370,14 +371,16 @@ func (c *bcompiler) VarType(name string) (minic.Type, bool) {
 	return minic.Type{}, false
 }
 
+func (c *bcompiler) Func(name string) *minic.FuncDecl { return c.prog.Func(name) }
+
 // exprKind is the static kind of the value e evaluates to in the current
-// scope (minic.TypeOf): what the tree-walker's eval of e returns whenever
-// it returns one.
+// scope (minic.TypeOf): what the tree-walker's eval of e returns.
 func (c *bcompiler) exprKind(e minic.Expr) (vk, ek uint8) {
-	if t, ok := minic.TypeOf(e, c); ok {
-		return typeKind(t)
+	t, ok := minic.TypeOf(e, c)
+	if !ok {
+		panic(fmt.Sprintf("interp: untyped operand %T at %s", e, e.NodePos()))
 	}
-	return kUnknown, 0
+	return typeKind(t)
 }
 
 // elemKind is the kind loadElem gives an element of a buffer of kind ek.
@@ -430,7 +433,7 @@ func instrSteps(in *binstr) int32 {
 	}
 	switch in.op {
 	case opEval, opUnary, opLogicShort, opBoolOf, opCast, opDeclVar, opDeclArr,
-		opAssignVar, opBranchFalse, opReturn, opCheckBuf:
+		opAssignVar, opBranchFalse, opReturn:
 		n += opndSteps(&in.a)
 	case opBinary, opCmpBranch, opBinAssignVar, opBinDeclVar, opBuiltin:
 		n += opndSteps(&in.a) + opndSteps(&in.b)
@@ -482,11 +485,7 @@ func (c *bcompiler) fuseSimple(e minic.Expr) (bopnd, bool) {
 	o := bopnd{pos: e.NodePos()}
 	switch v := e.(type) {
 	case *minic.Ident:
-		reg, ok := c.lookup(v.Name)
-		if !ok {
-			return bopnd{}, false
-		}
-		o.mode, o.ref = omVar, reg
+		o.mode, o.ref = omVar, c.reg(v.Name)
 	case *minic.IntLit:
 		o.mode, o.val = omConst, IntVal(v.Val)
 	case *minic.FloatLit:
@@ -626,34 +625,17 @@ func (c *bcompiler) compileStmt(s minic.Stmt, pre []minic.Pos) {
 		}
 		c.emit(binstr{op: opReturn, pos: pos, a: c.temp(v.X, withPos(pre, pos)), typ: c.curFn.Ret})
 		c.tempFree(1)
-	case *minic.BreakStmt:
-		if len(c.loops) == 0 {
-			c.emitEscaped(pre, pos)
-			return
-		}
+	case *minic.BreakStmt: // inside a loop, in a checked program
 		lc := c.loops[len(c.loops)-1]
 		lc.breaks = append(lc.breaks, c.emit(binstr{op: opJump, pre: withPos(pre, pos)}))
 	case *minic.ContinueStmt:
-		if len(c.loops) == 0 {
-			c.emitEscaped(pre, pos)
-			return
-		}
 		lc := c.loops[len(c.loops)-1]
 		lc.conts = append(lc.conts, c.emit(binstr{op: opJump, pre: withPos(pre, pos)}))
 	case *minic.PragmaStmt:
 		c.emit(binstr{op: opNop, pre: withPos(pre, pos)}) // pragmas are semantically transparent
 	default:
-		c.emit(binstr{op: opErrMsg, pre: withPos(pre, pos), pos: pos,
-			name: fmt.Sprintf("unhandled statement %T", s)})
+		panic(fmt.Sprintf("interp: unhandled statement %T", s))
 	}
-}
-
-// emitEscaped lowers a break/continue outside any loop: the tree-walker
-// surfaces it when control reaches machine.call, with the function's
-// position.
-func (c *bcompiler) emitEscaped(pre []minic.Pos, pos minic.Pos) {
-	c.emit(binstr{op: opErrMsg, pre: withPos(pre, pos), pos: c.curFn.NodePos(),
-		name: fmt.Sprintf("break/continue escaped function %s", c.curFn.Name)})
 }
 
 func (c *bcompiler) compileDecl(d *minic.DeclStmt, pre []minic.Pos) {
@@ -835,19 +817,12 @@ func (c *bcompiler) compileWhile(w *minic.WhileStmt, pre []minic.Pos) {
 func (c *bcompiler) compileExprTo(e minic.Expr, dst int32, pre []minic.Pos) {
 	pos := e.NodePos()
 	switch v := e.(type) {
-	case *minic.IntLit, *minic.FloatLit, *minic.BoolLit:
+	case *minic.IntLit, *minic.FloatLit, *minic.BoolLit, *minic.Ident:
 		o, _ := c.fuseSimple(e)
 		c.emit(binstr{op: opEval, pre: pre, dst: dst, a: o})
 	case *minic.StringLit:
 		c.emit(binstr{op: opEval, pre: withPos(pre, pos), dst: dst,
 			a: bopnd{mode: omNone}}) // only meaningful inside printf-family calls
-	case *minic.Ident:
-		if o, ok := c.fuseSimple(e); ok {
-			c.emit(binstr{op: opEval, pre: pre, dst: dst, a: o})
-			return
-		}
-		c.emit(binstr{op: opErrMsg, pre: withPos(pre, pos), pos: pos,
-			name: fmt.Sprintf("undefined variable %q", v.Name)})
 	case *minic.UnaryExpr:
 		if o, ok := c.fuseOperand(v.X); ok {
 			c.emit(binstr{op: opUnary, pre: withPos(pre, pos), dst: dst, tok: v.Op, a: o})
@@ -879,8 +854,7 @@ func (c *bcompiler) compileExprTo(e minic.Expr, dst int32, pre []minic.Pos) {
 		c.emit(binstr{op: opCast, pos: pos, dst: dst, a: c.temp(v.X, withPos(pre, pos)), typ: v.To})
 		c.tempFree(1)
 	default:
-		c.emit(binstr{op: opErrMsg, pre: withPos(pre, pos), pos: pos,
-			name: fmt.Sprintf("unhandled expression %T", e)})
+		panic(fmt.Sprintf("interp: unhandled expression %T", e))
 	}
 }
 
@@ -982,12 +956,11 @@ func (c *bcompiler) materializeTarget(ix *minic.IndexExpr, pre []minic.Pos) (*bt
 		return tgt, ntemps
 	}
 	// Complex index: the tree-walker's resolve order is base eval (with its own
-	// accounting) → bufOf → index eval → bounds, so the base materializes
-	// first — a fusible base lowers to opEval with identical accounting —
-	// then the buffer check runs before the index expression evaluates.
-	// The consumer's own bufOf re-check is then guaranteed to pass.
+	// accounting) → index eval → bounds, so the base materializes first — a
+	// fusible base lowers to opEval with identical accounting — then the
+	// index. (The walker's bufOf between them cannot fail: a checked
+	// program indexes only pointers, and a pointer always holds a buffer.)
 	tgt.base = c.temp(ix.Base, pre)
-	c.emit(binstr{op: opCheckBuf, pos: pos, a: tgt.base})
 	tgt.idx = c.temp(ix.Index, nil)
 	return tgt, 2
 }
@@ -997,15 +970,7 @@ func (c *bcompiler) compileAssignTo(a *minic.AssignExpr, dst int32, pre []minic.
 	switch lhs := a.LHS.(type) {
 	case *minic.Ident:
 		lpos := lhs.NodePos()
-		reg, ok := c.lookup(lhs.Name)
-		if !ok {
-			t := c.tempAlloc()
-			c.compileExprTo(a.RHS, t, withPos(pre, pos))
-			c.tempFree(1)
-			c.emit(binstr{op: opErrMsg, pos: lpos,
-				name: fmt.Sprintf("undefined variable %q", lhs.Name)})
-			return
-		}
+		reg := c.reg(lhs.Name)
 		// Superinstruction: x op= simple⊕simple executes the RHS binary,
 		// the compound combine, and the store in one dispatch (the FMA
 		// pattern `acc += a * b` lands here).
@@ -1053,11 +1018,7 @@ func (c *bcompiler) compileAssignTo(a *minic.AssignExpr, dst int32, pre []minic.
 		c.emit(binstr{op: opStoreIdx, pos: pos, pos2: lpos, tok: a.Op, dst: dst, a: rhs, tgt: tgt})
 		c.tempFree(ttemps + 1)
 	default:
-		t := c.tempAlloc()
-		c.compileExprTo(a.RHS, t, withPos(pre, pos))
-		c.tempFree(1)
-		c.emit(binstr{op: opErrMsg, pos: pos,
-			name: fmt.Sprintf("invalid assignment target %T", a.LHS)})
+		panic(fmt.Sprintf("interp: invalid assignment target %T", a.LHS))
 	}
 }
 
@@ -1069,14 +1030,7 @@ func (c *bcompiler) compileIncDecTo(x *minic.IncDecExpr, dst int32, pre []minic.
 	}
 	switch t := x.X.(type) {
 	case *minic.Ident:
-		tpos := t.NodePos()
-		reg, ok := c.lookup(t.Name)
-		if !ok {
-			c.emit(binstr{op: opErrMsg, pre: withPos(pre, pos), pos: tpos,
-				name: fmt.Sprintf("undefined variable %q", t.Name)})
-			return
-		}
-		c.emit(binstr{op: opIncVar, pre: withPos(pre, pos), pos: tpos, dst: dst, reg: reg, n: delta})
+		c.emit(binstr{op: opIncVar, pre: withPos(pre, pos), pos: t.NodePos(), dst: dst, reg: c.reg(t.Name), n: delta})
 	case *minic.IndexExpr:
 		tpos := t.NodePos()
 		if tgt, ok := c.fuseTarget(t); ok {
@@ -1088,8 +1042,7 @@ func (c *bcompiler) compileIncDecTo(x *minic.IncDecExpr, dst int32, pre []minic.
 		c.emit(binstr{op: opIncIdx, pos: tpos, dst: dst, n: delta, tgt: tgt})
 		c.tempFree(ntemps)
 	default:
-		c.emit(binstr{op: opErrMsg, pre: withPos(pre, pos), pos: pos,
-			name: fmt.Sprintf("invalid ++/-- target %T", x.X)})
+		panic(fmt.Sprintf("interp: invalid ++/-- target %T", x.X))
 	}
 }
 
@@ -1150,13 +1103,7 @@ func (c *bcompiler) compileCallTo(call *minic.CallExpr, dst int32, pre []minic.P
 		c.tempFree(n)
 		return
 	}
-	callee := c.prog.Func(call.Fun)
-	if callee == nil {
-		// Arguments are not evaluated for undefined functions.
-		c.emit(binstr{op: opErrMsg, pre: withPos(pre, pos), pos: pos,
-			name: fmt.Sprintf("call to undefined function %q", call.Fun)})
-		return
-	}
+	callee := c.prog.MustFunc(call.Fun)
 	base, n := c.compileArgs(call.Args, withPos(pre, pos))
 	in := binstr{op: opCall, pos: pos, dst: dst, reg: base, n: n, fn: c.funcs[callee.Name]}
 	if n == 0 {

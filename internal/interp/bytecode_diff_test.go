@@ -72,8 +72,8 @@ func TestTwoWayEquivalenceBenchmarks(t *testing.T) {
 
 // TestTwoWayEquivalenceErrors asserts both engines fail with
 // byte-identical error messages, positions included, on the failure modes
-// a flow can hit mid-DSE: runtime faults, unresolved names, bounds
-// violations, and the step budget.
+// a flow can hit mid-DSE: runtime faults, bounds violations, and the step
+// budget. (What fails whatever the data, minic.Check rejects at parse.)
 func TestTwoWayEquivalenceErrors(t *testing.T) {
 	mkBuf := func() []interp.Value {
 		return []interp.Value{interp.BufVal(interp.NewFloatBuffer("a", minic.Double, make([]float64, 3)))}
@@ -87,7 +87,6 @@ func TestTwoWayEquivalenceErrors(t *testing.T) {
 	}{
 		{"div-zero", `int f() { return 1 / 0; }`, none, 0},
 		{"oob", `void f(double *a) { a[7] = 1.0; }`, mkBuf, 0},
-		{"undef-fn", `int f() { return g(); }`, none, 0},
 		{"step-budget", `void f() { while (true) { } }`, none, 5000},
 		{"step-budget-deep", `
 int leaf(int x) { return x + 1; }
@@ -411,6 +410,8 @@ func TestGenericSuperinstructionConsumers(t *testing.T) {
 		{"vi", "vd"}, {"vf", "wd"}, {"wf", "2"}, // mixed
 		{"pd[k]", "vd"}, {"pf[k+1]", "pf[k]"}, {"pi[k*2+1]", "vi"}, {"wi", "pf[k*2]"}, // indexed
 	}
+	// % takes two ints: minic.Check rejects it on any other pair.
+	intPairs := map[[2]string]bool{{"vi", "3"}: true, {"vi", "wi"}: true, {"pi[k*2+1]", "vi"}: true}
 	binops := []string{"+", "-", "*", "/", "%", "<"}
 	assignOps := []string{"=", "+=", "-=", "*=", "/="}
 
@@ -418,6 +419,9 @@ func TestGenericSuperinstructionConsumers(t *testing.T) {
 	for _, k := range kinds {
 		for _, ab := range operands {
 			for _, bop := range binops {
+				if bop == "%" && !intPairs[ab] {
+					continue
+				}
 				rhs := ab[0] + " " + bop + " " + ab[1]
 				// Declarations: the binary superinstruction and the plain
 				// single-operand form, each executed four times.
@@ -452,8 +456,7 @@ func TestGenericSuperinstructionConsumers(t *testing.T) {
 		}
 	}
 	// The matrix is only a test of the consumers if most rows reach them:
-	// `%` on a float operand and `/=` by a false comparison are the rows
-	// that error before the store.
+	// `/=` by a false comparison is the row that errors before the store.
 	if failed*2 > rows {
 		t.Errorf("%d of %d generated rows ended in an error; the matrix no longer exercises the success paths", failed, rows)
 	}
@@ -462,14 +465,7 @@ func TestGenericSuperinstructionConsumers(t *testing.T) {
 	// on all three runs.
 	errRows := []struct{ name, body, want string }{
 		{"div-assign-by-zero", `int x = 3; x /= vi - 7; return x;`, "division by zero in /="},
-		{"mod-on-floats-assign", `double x = 1.0; x = vd % wd; return x;`, "% requires int operands"},
-		{"mod-on-floats-decl", `double x = vd % wd; return x;`, "% requires int operands"},
 		{"int-div-by-zero-decl", `int x = vi / 0; return x;`, "integer division by zero"},
-		{"assign-to-pointer", `pd = vi + 1; return 1.0;`, "cannot assign to buffer"},
-		{"compound-assign-to-pointer", `pd += vi + 1; return 1.0;`, "non-numeric compound assignment"},
-		{"declare-pointer-from-binary", `double *q = vi + 1; return 1.0;`, "declare q: expected buffer for double *, got int"},
-		{"declare-pointer-from-scalar", `double *q = vd; return 1.0;`, "declare q: expected buffer for double *, got double"},
-		{"declare-pointer-wrong-kind", `double *q = pf; return 1.0;`, "declare q: buffer element kind float, want double"},
 		{"oob-operand", `double x = 0.0; x += pd[vi + 2] * vd; return x;`, "index 9 out of range [0,9) for pd"},
 	}
 	for _, r := range errRows {

@@ -49,8 +49,8 @@ type bframe struct {
 }
 
 // callBytecode invokes a lowered function, mirroring machine.call. The
-// escaped-break/continue check has no runtime counterpart here: the
-// lowering already rewrote escaped control flow into opErrMsg.
+// escaped-break/continue check has no counterpart here: minic.Check
+// rejects a break or continue outside a loop.
 func (m *machine) callBytecode(bf *bfunc, args []Value, pos minic.Pos) (Value, error) {
 	fn := bf.decl
 	if len(args) != len(fn.Params) {
@@ -667,11 +667,6 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 				regs[in.dst] = v
 			}
 
-		case opCheckBuf:
-			if _, err := m.bufOf(regs[in.a.ref], in.pos); err != nil { // operand is always omPlain
-				return err
-			}
-
 		case opBranchFalse:
 			var v Value
 			switch in.a.mode {
@@ -834,9 +829,6 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 		case opReturnVoid:
 			m.dflush(steps, cyc, flops, intops, nInstr, nFused)
 			return nil
-
-		case opErrMsg:
-			return &RuntimeError{Pos: in.pos, Msg: in.name}
 
 		// --- Specialised opcodes (specialise.go) ---------------------------
 		// Every arm follows the same discipline: fetch operands through the
@@ -1482,7 +1474,7 @@ func (m *machine) execPrecise(fr *bframe, in *binstr) error {
 	}
 	switch in.gop {
 	case opEval, opUnary, opLogicShort, opBoolOf, opCast, opDeclVar, opDeclArr,
-		opAssignVar, opBranchFalse, opReturn, opCheckBuf:
+		opAssignVar, opBranchFalse, opReturn:
 		if _, err := m.fetchOp(fr, &in.a); err != nil {
 			return err
 		}

@@ -135,36 +135,59 @@ func TestCompiledTreeWalkEquivalenceBenchmarks(t *testing.T) {
 }
 
 // TestCompiledTreeWalkEquivalenceErrors asserts the two paths fail with
-// byte-identical error messages, including positions, and that deferred
-// compile-time-unresolvable constructs only fail when actually executed.
+// byte-identical error messages, including positions. What fails whatever
+// the data, minic.Check rejects at parse; the rows with an edit take a
+// program past the check by hand, as a caller that edits an AST may: the
+// lowering panics on what the check rejects, and Run falls back to the
+// tree-walker, which reports it (or, in dead code, runs past it).
 func TestCompiledTreeWalkEquivalenceErrors(t *testing.T) {
 	mkBuf := func() []interp.Value {
 		return []interp.Value{interp.BufVal(interp.NewFloatBuffer("a", minic.Double, make([]float64, 3)))}
 	}
 	none := func() []interp.Value { return nil }
+	dropParams := func(p *minic.Program) { p.MustFunc("f").Params = nil }
+	edit := func(fn func(n minic.Node)) func(*minic.Program) {
+		return func(p *minic.Program) { minic.Walk(p, func(n minic.Node) bool { fn(n); return true }) }
+	}
 	cases := []struct {
 		name string
 		src  string
 		args func() []interp.Value
 		max  int64
+		edit func(*minic.Program)
 	}{
-		{"div-zero", `int f() { return 1 / 0; }`, none, 0},
-		{"mod-zero", `int f() { return 1 % 0; }`, none, 0},
-		{"fdiv-zero", `double f() { return 1.0 / 0.0; }`, none, 0},
-		{"undef-var", `int f() { return x; }`, none, 0},
-		{"undef-var-assign", `int f() { x = 3; return 0; }`, none, 0},
-		{"undef-fn", `int f() { return g(); }`, none, 0},
-		{"oob-high", `void f(double *a) { a[5] = 1.0; }`, mkBuf, 0},
-		{"oob-low", `void f(double *a) { a[-1] = 1.0; }`, mkBuf, 0},
-		{"builtin-arity", `int f() { return sqrt(1.0, 2.0); }`, none, 0},
-		{"index-non-array", `int f() { int x = 1; return x[0]; }`, none, 0},
-		{"step-budget", `void f() { while (true) { } }`, none, 10000},
-		{"dead-undef-ok", `int f() { if (false) { return zzz; } return 7; }`, none, 0},
+		{"div-zero", `int f() { return 1 / 0; }`, none, 0, nil},
+		{"mod-zero", `int f() { return 1 % 0; }`, none, 0, nil},
+		{"fdiv-zero", `double f() { return 1.0 / 0.0; }`, none, 0, nil},
+		{"undef-var", `int f(int x) { return x; }`, none, 0, dropParams},
+		{"undef-var-assign", `int f(int x) { x = 3; return 0; }`, none, 0, dropParams},
+		{"undef-fn", `int g() { return 0; } int f() { return g(); }`, none, 0,
+			func(p *minic.Program) { p.Funcs = p.Funcs[1:] }},
+		{"oob-high", `void f(double *a) { a[5] = 1.0; }`, mkBuf, 0, nil},
+		{"oob-low", `void f(double *a) { a[-1] = 1.0; }`, mkBuf, 0, nil},
+		{"builtin-arity", `int f() { return pow(1.0, 2.0); }`, none, 0, edit(func(n minic.Node) {
+			if c, ok := n.(*minic.CallExpr); ok {
+				c.Fun = "sqrt"
+			}
+		})},
+		{"index-non-array", `int f() { int x[1]; return x[0]; }`, none, 0, edit(func(n minic.Node) {
+			if d, ok := n.(*minic.DeclStmt); ok {
+				d.ArrayLen = nil
+			}
+		})},
+		{"step-budget", `void f() { while (true) { } }`, none, 10000, nil},
+		{"dead-undef-ok", `int f(int zzz) { if (false) { return zzz; } return 7; }`, none, 0, dropParams},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			prog := minic.MustParse(c.src)
+			if c.edit != nil {
+				c.edit(prog)
+				if minic.Check(prog) == nil {
+					t.Fatal("the edit left a program the check accepts")
+				}
+			}
 			_, cErr := prog, error(nil)
 			_ = cErr
 			rc, errC := interp.Run(prog, interp.Config{Entry: "f", Args: c.args(), MaxSteps: c.max})

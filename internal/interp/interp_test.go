@@ -248,15 +248,12 @@ func TestRuntimeErrors(t *testing.T) {
 		{`int f() { return 1 / 0; }`, nil, "division by zero"},
 		{`int f() { return 1 % 0; }`, nil, "modulo by zero"},
 		{`double f() { return 1.0 / 0.0; }`, nil, "division by zero"},
-		{`int f() { return x; }`, nil, "undefined variable"},
-		{`int f() { return g(); }`, nil, "undefined function"},
 		{`void f(double *a) { a[5] = 1.0; }`,
 			[]Value{BufVal(NewFloatBuffer("a", minic.Double, make([]float64, 3)))},
 			"out of range"},
 		{`void f(double *a) { a[-1] = 1.0; }`,
 			[]Value{BufVal(NewFloatBuffer("a", minic.Double, make([]float64, 3)))},
 			"out of range"},
-		{`int f() { return sqrt(1.0, 2.0); }`, nil, "args"},
 	}
 	for _, c := range cases {
 		prog := minic.MustParse(c.src)

@@ -155,12 +155,12 @@ func TestStaticKindRules(t *testing.T) {
 		args []interp.Value
 		want int
 	}{
-		// g(1) falls off its end and yields void: the sum is a run-time
-		// error, so `g(n) + d` stays generic (a user call's result is not
-		// static).
-		{"user-call-falls-off-its-end",
-			`int g(int n) { if (n > 2) { return n; } } double f(int n, double d) { return g(n) + d; }`,
-			[]interp.Value{interp.IntVal(1), interp.DoubleVal(2)}, 0},
+		// A user call has its function's declared return type (Check
+		// rejects using the value of one that can end without returning
+		// it): `g(n) * n` is an int multiply, `g(n) + d` mixes kinds.
+		{"user-call-result",
+			`int g(int n) { if (n > 2) { return n; } return 0; } double f(int n, double d) { return g(n) * n + d; }`,
+			[]interp.Value{interp.IntVal(3), interp.DoubleVal(2)}, 1},
 		// -b on a bool is a double: `-b * d` is a double multiply.
 		{"unary-minus-on-bool",
 			`double f(int n, double d) { bool b = n > 2; return -b * d; }`,

@@ -48,6 +48,19 @@ func TestParseAllocations(t *testing.T) {
 	}
 }
 
+// TestCheckAllocations pins what minic.Check costs, which every Parse pays:
+// the checker, its scope stack (one slice of name and type pairs, reused
+// across blocks and functions) and the index of its visible names, and one
+// flag per function — seven allocations, not one per block or name.
+func TestCheckAllocations(t *testing.T) {
+	for _, b := range bench.All() {
+		prog := b.Parse()
+		if allocs := testing.AllocsPerRun(10, func() { _ = minic.Check(prog) }); allocs > 7 {
+			t.Errorf("%s: Check makes %.0f allocations, want at most 7", b.Name, allocs)
+		}
+	}
+}
+
 // TestPrintAllocations pins what printing costs: every design the code
 // generators render prints its program, so a per-node fmt call or string
 // concatenation shows here at once. The bounds are the five programs'

@@ -43,7 +43,13 @@ func parseSeeds() []string {
 		"void g(int *p) { for (int i = 0; i < 10; i++) p[i] = i; }",
 		"int h() { return ((((((1)))))); }",
 		"/* unterminated",
-		`"unterminated string`)
+		`"unterminated string`,
+		// Rejected by the check, one rule each: were one accepted, the
+		// oracle would fail.
+		"int f() { return x; }",
+		"int f(int n) { return n[0]; }",
+		"int f(int *p) { return p + 1; }",
+		"void g() { } int f() { return g() * 2; }")
 	for _, c := range lexInputs {
 		seeds = append(seeds, c[1])
 	}
@@ -53,9 +59,10 @@ func parseSeeds() []string {
 // FuzzParse feeds arbitrary byte strings to the MiniC front end. Parse must
 // either return a program or an error — never panic — regardless of input:
 // the service layer hands it untrusted source straight off the wire. And
-// minic.TypeOf must type every expression of an accepted program, under a
-// scope of its function's parameters and declarations, without panicking:
-// the analyses type submitted programs outside any recover.
+// minic.TypeOf must type every expression of a program Parse accepts
+// (ok == true) under the scope the expression is evaluated in: the VM's
+// lowering relies on it, and the analyses type submitted programs outside
+// any recover.
 func FuzzParse(f *testing.F) {
 	for _, src := range parseSeeds() {
 		f.Add(src)
@@ -69,13 +76,81 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		for _, fn := range prog.Funcs {
-			scope := scopeOf(fn)
-			minic.Walk(fn, func(n minic.Node) bool {
-				if e, ok := n.(minic.Expr); ok {
-					minic.TypeOf(e, scope)
+			s := &blockScope{prog: prog, blocks: []map[string]minic.Type{{}}}
+			for _, p := range fn.Params {
+				s.blocks[0][p.Name] = p.Type
+			}
+			s.stmt(fn.Body, func(e minic.Expr) {
+				if _, ok := minic.TypeOf(e, s); !ok {
+					t.Errorf("%s: %s at %s has no type", fn.Name, minic.FormatExpr(e), e.NodePos())
 				}
-				return true
 			})
 		}
 	})
+}
+
+// blockScope is MiniC's scoping as the tree-walker applies it, one map per
+// open scope: the function's parameters, then each block and for
+// statement, a declaration visible after its own declaration.
+type blockScope struct {
+	prog   *minic.Program
+	blocks []map[string]minic.Type
+}
+
+func (s *blockScope) VarType(name string) (minic.Type, bool) {
+	for i := len(s.blocks) - 1; i >= 0; i-- {
+		if t, ok := s.blocks[i][name]; ok {
+			return t, true
+		}
+	}
+	return minic.Type{}, false
+}
+
+func (s *blockScope) Func(name string) *minic.FuncDecl { return s.prog.Func(name) }
+
+// stmt calls visit with every expression under st, each in its scope.
+func (s *blockScope) stmt(st minic.Stmt, visit func(minic.Expr)) {
+	exprs := func(e minic.Expr) {
+		if e != nil {
+			minic.Walk(e, func(n minic.Node) bool { visit(n.(minic.Expr)); return true })
+		}
+	}
+	switch v := st.(type) {
+	case *minic.Block:
+		s.blocks = append(s.blocks, map[string]minic.Type{})
+		for _, c := range v.Stmts {
+			s.stmt(c, visit)
+		}
+		s.blocks = s.blocks[:len(s.blocks)-1]
+	case *minic.DeclStmt:
+		exprs(v.ArrayLen)
+		exprs(v.Init)
+		t := v.Type
+		if v.ArrayLen != nil {
+			t = minic.Type{Kind: t.Kind, Ptr: true}
+		}
+		s.blocks[len(s.blocks)-1][v.Name] = t
+	case *minic.ExprStmt:
+		exprs(v.X)
+	case *minic.ForStmt:
+		s.blocks = append(s.blocks, map[string]minic.Type{})
+		if v.Init != nil {
+			s.stmt(v.Init, visit)
+		}
+		exprs(v.Cond)
+		exprs(v.Post)
+		s.stmt(v.Body, visit)
+		s.blocks = s.blocks[:len(s.blocks)-1]
+	case *minic.WhileStmt:
+		exprs(v.Cond)
+		s.stmt(v.Body, visit)
+	case *minic.IfStmt:
+		exprs(v.Cond)
+		s.stmt(v.Then, visit)
+		if v.Else != nil {
+			s.stmt(v.Else, visit)
+		}
+	case *minic.ReturnStmt:
+		exprs(v.X)
+	}
 }

@@ -18,8 +18,21 @@ type Parser struct {
 	depth syntax.Depth
 }
 
-// Parse lexes and parses src into a Program with node IDs assigned.
+// Parse lexes, parses and checks src into a Program with node IDs
+// assigned. A program that fails Check is an error like a syntax error.
 func Parse(src string) (*Program, error) {
+	prog, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if err := Check(prog); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// parse is Parse without the check.
+func parse(src string) (*Program, error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, err

@@ -176,7 +176,8 @@ func TestQuickExprRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := genExpr(r, 4)
-		src := "int probe(int a, int b, int c, int d, int *arr) { return " + FormatExpr(e) + "; }"
+		src := "double fn(double x, double y) { return x; }\n" +
+			"int probe(int a, int b, int c, int d, int *arr) { return " + FormatExpr(e) + "; }"
 		p1, err := Parse(src)
 		if err != nil {
 			t.Logf("parse failed for %q: %v", src, err)
@@ -201,7 +202,8 @@ func TestQuickCloneEqualPrint(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := genExpr(r, 5)
-		src := "double probe(double a, double b, double c, double d, double *arr) {\n" +
+		src := "double fn(double x, double y) { return x; }\n" +
+			"double probe(double a, double b, double c, double d, double *arr) {\n" +
 			"    double acc = 0.0;\n" +
 			"    for (int i = 0; i < 10; i++) { acc += " + FormatExpr(e) + "; }\n" +
 			"    return acc;\n}"

@@ -12,14 +12,24 @@ import (
 )
 
 // declScope types the names fn declares anywhere: its parameters and its
-// declarations, arrays as pointers to their element kind. It is a map, so
-// passing it as a minic.Scope allocates nothing.
+// declarations, arrays as pointers to their element kind. It resolves no
+// function. It is a map, so passing it as a minic.Scope allocates nothing.
 type declScope map[string]minic.Type
 
 func (s declScope) VarType(name string) (minic.Type, bool) {
 	t, ok := s[name]
 	return t, ok
 }
+
+func (declScope) Func(string) *minic.FuncDecl { return nil }
+
+// progScope is a declScope that resolves the functions of prog.
+type progScope struct {
+	declScope
+	prog *minic.Program
+}
+
+func (s progScope) Func(name string) *minic.FuncDecl { return s.prog.Func(name) }
 
 func scopeOf(fn *minic.FuncDecl) declScope {
 	s := declScope{}
@@ -39,10 +49,11 @@ func scopeOf(fn *minic.FuncDecl) declScope {
 	return s
 }
 
-// TestTypeOf covers each rule of minic.TypeOf, and each case it leaves to
-// the run.
+// TestTypeOf covers each rule of minic.TypeOf, and each expression it
+// leaves untyped. The expressions are parsed unchecked: most of the
+// untyped ones are what minic.Check rejects.
 func TestTypeOf(t *testing.T) {
-	scope := declScope{
+	vars := declScope{
 		"n": {Kind: minic.Int}, "c": {Kind: minic.Int, Const: true},
 		"d": {Kind: minic.Double}, "f": {Kind: minic.Float}, "b": {Kind: minic.Bool},
 		"p": {Kind: minic.Int, Ptr: true}, "pf": {Kind: minic.Float, Ptr: true},
@@ -76,20 +87,22 @@ func TestTypeOf(t *testing.T) {
 		{"(float)n", fl}, {"(double)n * d", db}, {"(int)d + n", i},
 		{"sqrt(n)", db}, {"sqrtf(d)", fl}, {"__expf(d)", fl}, {"abs(d)", i}, {"min(d, 2)", i},
 		{`printf("%d", n)`, minic.Type{Kind: minic.Void}},
-		// Left to the run: a user call's result, an undefined name, and
-		// arithmetic on a pointer or void, or on any of those.
-		{"g(n)", unknown}, {"g(n) + d", unknown}, {"-g(n)", unknown},
-		{"u", unknown}, {"u + 1", unknown}, {"u[0]", unknown},
-		{"p + 1", unknown}, {`printf("x") * 2`, unknown},
-		{"n[0]", unknown}, {"pd[0] = g(n)", unknown},
+		// A user call has its function's declared return type.
+		{"g(n)", i}, {"g(n) + d", db}, {"-g(n)", i}, {"pd[0] = g(n)", i},
+		{"h()", minic.Type{Kind: minic.Void}},
+		// Untyped: an undefined name or function, arithmetic on a pointer
+		// or void, or on any of those, and indexing a non-pointer.
+		{"u", unknown}, {"u + 1", unknown}, {"u[0]", unknown}, {"k(n)", unknown},
+		{"p + 1", unknown}, {`printf("x") * 2`, unknown}, {"h() - 1", unknown},
+		{"n[0]", unknown}, {"-k(n)", unknown},
 	}
 	for _, c := range cases {
-		prog, err := minic.Parse("void t() { " + c.expr + "; }")
+		prog, err := minic.ParseUnchecked("int g(int n) { return n; } void h() { } void t() { " + c.expr + "; }")
 		if err != nil {
 			t.Fatalf("%s: %v", c.expr, err)
 		}
 		e := prog.MustFunc("t").Body.Stmts[0].(*minic.ExprStmt).X
-		got, ok := minic.TypeOf(e, scope)
+		got, ok := minic.TypeOf(e, progScope{vars, prog})
 		switch {
 		case c.want == unknown && ok:
 			t.Errorf("TypeOf(%s) = %v, want unknown", c.expr, got)

@@ -256,7 +256,9 @@ func TestSelectAllForStatements(t *testing.T) {
 // wrong: a name the statement declares after using the outer one, an inner
 // declaration that shadows only part of the statement, a name declared
 // only after the statement, a sibling scope's declaration, and an
-// initializer that reads the name it shadows.
+// initializer that reads the name it shadows. Parse rejects a read of an
+// undefined name, so the source reads u where the statement reads hidden,
+// later and undefined_name, and the reads are renamed after parsing.
 func TestFreeVars(t *testing.T) {
 	prog := minic.MustParse(`
 void f(int n, const double *in, double *out, float scale) {
@@ -266,10 +268,11 @@ void f(int n, const double *in, double *out, float scale) {
     for (int i = 0; i < n; i++) {
         out[i] = in[i] * scale + tmp[i % 4];
         int k2 = k;
+        int u = 0;
         {
             double scale = 2.0;
             int n = n + 1;
-            out[i] = out[i] * scale + (double)(n + hidden + later + undefined_name);
+            out[i] = out[i] * scale + (double)(n + u + u + u);
         }
         int k = k + k2;
         out[i] = out[i] + (double)k;
@@ -278,6 +281,13 @@ void f(int n, const double *in, double *out, float scale) {
     out[0] = out[0] + (double)later;
 }`)
 	fn := prog.MustFunc("f")
+	unresolved := []string{"hidden", "later", "undefined_name"}
+	minic.Walk(fn, func(n minic.Node) bool {
+		if id, ok := n.(*minic.Ident); ok && id.Name == "u" {
+			id.Name, unresolved = unresolved[0], unresolved[1:]
+		}
+		return true
+	})
 	loop := query.OutermostLoops(fn)[0]
 	want := []query.FreeVar{
 		{"n", minic.Type{Kind: minic.Int}},

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"psaflow/internal/bench"
 	"psaflow/internal/core"
 	"psaflow/internal/experiments"
 	"psaflow/internal/store"
@@ -260,6 +261,36 @@ func TestSubmitValidation(t *testing.T) {
 		if code, body := submit(t, ts.URL, spec); code != http.StatusBadRequest {
 			t.Errorf("spec %+v: got %d (%s), want 400", spec, code, body)
 		}
+	}
+}
+
+// TestSubmitTypeError: a source that parses but fails minic.Check is a 400
+// at submit naming the construct's line:col. It is never acknowledged, so
+// no submit record is appended and nothing is queued.
+func TestSubmitTypeError(t *testing.T) {
+	s := New(Config{Workers: 1, DataDir: t.TempDir()})
+	installBlockingHook(s)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	ts := newHTTPServer(t, s)
+	nbody, err := bench.ByName("nbody")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := nbody.Source + "\nint broken(int n) { return n[0]; }\n"
+	want := fmt.Sprintf("%d:28: indexing non-array value (int)", strings.Count(src, "\n"))
+	appends := s.rec.Counter(telemetry.CounterStoreAppends)
+	code, body := submit(t, ts, JobSpec{Bench: "nbody", Source: src})
+	if code != http.StatusBadRequest || !strings.Contains(string(body), want) {
+		t.Errorf("got %d (%s), want 400 naming %q", code, body, want)
+	}
+	if n := s.rec.Counter(telemetry.CounterStoreAppends) - appends; n != 0 {
+		t.Errorf("%d records appended for a rejected submission", n)
+	}
+	if n, q := s.rec.Counter(telemetry.CounterJobsSubmitted), s.queue.Len(); n != 0 || q != 0 {
+		t.Errorf("%d jobs submitted and %d queued, want none", n, q)
 	}
 }
 

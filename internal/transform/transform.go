@@ -289,8 +289,11 @@ func reads(n minic.Node, name func(string) bool) int {
 }
 
 // outside is a minic.Scope over the variables a statement sees from
-// outside it (query.FreeVars).
+// outside it (query.FreeVars). It types element reads, which resolve no
+// function.
 type outside []query.FreeVar
+
+func (outside) Func(string) *minic.FuncDecl { return nil }
 
 func (vs outside) VarType(name string) (minic.Type, bool) {
 	for _, v := range vs {

@@ -88,10 +88,11 @@ go test -run '^$' -bench . -benchtime=1x .
 # lowers every document flowlang.Check accepts under all four mode ×
 # sharing combinations and walks the lowered graph as the engine runs it:
 # no task and no informed selector may lack a fact it needs. FuzzParse
-# also types every expression of every program minic.Parse accepts with
-# minic.TypeOf, under a scope of its function's parameters and
-# declarations, and TypeOf must never panic: the analyses type submitted
-# programs outside the lowering's panic guard.
+# also types every expression of every program minic.Parse (which runs
+# minic.Check) accepts with minic.TypeOf, under the scope the expression
+# is evaluated in, and TypeOf must answer ok == true for each: the VM's
+# lowering relies on it, and the analyses type submitted programs outside
+# the lowering's panic guard.
 go test -run '^$' -fuzz 'FuzzFlowParse' -fuzztime 10s ./internal/flowlang/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/minic/
 # Affine-form differential fuzz (short budget): AffineOf's sorted-run
