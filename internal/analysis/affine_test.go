@@ -241,10 +241,11 @@ func TestAffineOfMatchesReferenceRandom(t *testing.T) {
 }
 
 // indexExprOf parses src as the subscript of a[...] in a MiniC function
-// over i, ii, j, m and n, and reports false unless it parses to exactly
-// that.
+// over i, ii, j, m and n (randSubscript's names) and c, d, g and k (the
+// dependence fixture's), and reports false unless it parses and checks
+// to exactly that.
 func indexExprOf(src string) (minic.Expr, bool) {
-	prog, err := minic.Parse("int f(int *a, int i, int ii, int j, int m, int n) { return a[" + src + "]; }")
+	prog, err := minic.Parse("int f(int *a, int i, int ii, int j, int m, int n, int c, int d, int g, int k) { return a[" + src + "]; }")
 	if err != nil || len(prog.Funcs) != 1 || len(prog.Funcs[0].Body.Stmts) != 1 {
 		return nil, false
 	}
@@ -276,9 +277,13 @@ func FuzzAffine(f *testing.F) {
 	}
 	for _, m := range fixtureSubscripts.FindAllStringSubmatch(string(golden), -1) {
 		for _, sub := range m[1:] {
-			if sub != "" {
-				f.Add(sub)
+			if sub == "" {
+				continue
 			}
+			if _, ok := indexExprOf(sub); !ok {
+				f.Fatalf("fixture subscript %q does not parse as a subscript", sub)
+			}
+			f.Add(sub)
 		}
 	}
 	r := rand.New(rand.NewSource(5))
