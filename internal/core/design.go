@@ -108,6 +108,8 @@ type Design struct {
 	Kernel string // extracted kernel function name; "" before partitioning
 	RefLOC int    // line count of the unoptimized reference source (Table I baseline)
 
+	// Target and Device mean something once the design holds FactTarget
+	// and FactDevice: TargetKind's zero value is TargetCPU.
 	Target platform.TargetKind
 	Device string
 
@@ -269,10 +271,26 @@ func (d *Design) EditLoop(loop minic.Stmt) minic.Stmt {
 	return loop
 }
 
-// Label names the design for reports: "nbody/gpu/RTX 2080 Ti".
+// Label names the design for reports: "nbody/gpu/RTX 2080 Ti", or the
+// app alone, "nbody", before a task has chosen its target.
 func (d *Design) Label() string {
-	if d.Device == "" {
+	switch {
+	case !d.Holds(FactTarget):
+		return d.Name
+	case d.Device == "":
 		return d.Name + "/" + d.Target.String()
 	}
 	return d.Name + "/" + d.Target.String() + "/" + d.Device
+}
+
+// Holds reports whether the tasks run on d have given every fact in f.
+func (d *Design) Holds(f Fact) bool { return d.facts&f == f }
+
+// TargetName names the target class a task chose for d, or is "" before
+// one did: reports never name the zero TargetKind as a choice.
+func (d *Design) TargetName() string {
+	if !d.Holds(FactTarget) {
+		return ""
+	}
+	return d.Target.String()
 }

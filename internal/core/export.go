@@ -47,7 +47,7 @@ func (d *Design) Export(baseDir string) (string, error) {
 	}
 	summary := map[string]any{
 		"name":       d.Name,
-		"target":     d.Target.String(),
+		"target":     d.TargetName(),
 		"device":     d.Device,
 		"kernel":     d.Kernel,
 		"infeasible": d.Infeasible,

@@ -233,9 +233,20 @@ const (
 	FactKernel                   // the hotspot is outlined into a kernel function
 	FactDeps                     // the kernel's outer loop dependences are analysed
 	FactTarget                   // a target class is chosen
+	FactDevice                   // a device of that class is chosen
 )
 
-var factNames = [...]string{"hotspot", "kernel", "deps", "target"}
+var factNames = [...]string{"hotspot", "kernel", "deps", "target", "device"}
+
+// Choices are the facts a path gives once: it chooses its target and its
+// device once, and a task that would choose either again is refused.
+const Choices = FactTarget | FactDevice
+
+// ChosenTwice is the error of a task giving again the choices in again,
+// which the design already holds.
+func ChosenTwice(again Fact) error {
+	return fmt.Errorf("chooses %v twice: a path chooses its target and its device once", again)
+}
 
 // String names the facts in f: "kernel and deps".
 func (f Fact) String() string {
@@ -267,11 +278,15 @@ func (t TaskFunc) Kind() TaskKind { return t.TaskKind }
 // Dynamic reports whether the task executes the program.
 func (t TaskFunc) Dynamic() bool { return t.IsDyn }
 
-// Run executes the task on a design that holds every fact it needs, and
-// records the facts it gives once it succeeds.
+// Run executes the task on a design that holds every fact it needs and
+// none of the choices it gives, and records the facts it gives once it
+// succeeds.
 func (t TaskFunc) Run(ctx *Context, d *Design) error {
 	if missing := t.Need &^ d.facts; missing != 0 {
 		return fmt.Errorf("needs %v", missing)
+	}
+	if again := t.Give & d.facts & Choices; again != 0 {
+		return ChosenTwice(again)
 	}
 	if err := t.Fn(ctx, d); err != nil {
 		return err

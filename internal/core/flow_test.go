@@ -105,6 +105,43 @@ func TestTaskNeedsFact(t *testing.T) {
 	}
 }
 
+// TestTaskChoosesOnce: a flow built in Go that gives a design's target or
+// device a second time fails with the message flowlang.Check refuses the
+// same document with, and the second task's Fn never runs; facts that are
+// not choices may be given again.
+func TestTaskChoosesOnce(t *testing.T) {
+	ran := 0
+	give := func(name string, f Fact) TaskFunc {
+		return TaskFunc{TaskName: name, Give: f, Fn: func(*Context, *Design) error { ran++; return nil }}
+	}
+	cases := []struct {
+		first, second Fact
+		want          string // "" when the second task runs
+	}{
+		{FactTarget, FactTarget, "chooses target twice: a path chooses its target and its device once"},
+		{FactTarget | FactDevice, FactDevice, "chooses device twice: a path chooses its target and its device once"},
+		{FactTarget, FactDevice, ""},
+		{FactDeps, FactDeps, ""},
+	}
+	for _, c := range cases {
+		ran = 0
+		_, err := (&Flow{Name: "twice"}).AddTask(give("first", c.first)).AddTask(give("second", c.second)).Run(&Context{}, newTestDesign())
+		if c.want == "" {
+			if err != nil || ran != 2 {
+				t.Errorf("%v then %v: err = %v, ran = %d", c.first, c.second, err, ran)
+			}
+			continue
+		}
+		var fe *FlowError
+		if !errors.As(err, &fe) || fe.Task != "second" || fe.Err.Error() != c.want {
+			t.Errorf("%v then %v: err = %v, want task second failing with %q", c.first, c.second, err, c.want)
+		}
+		if ran != 1 {
+			t.Errorf("%v then %v: %d Fn ran, want the first alone", c.first, c.second, ran)
+		}
+	}
+}
+
 // pathFlow builds a sub-flow that stamps the design's Device.
 func pathFlow(name string) *Flow {
 	f := &Flow{Name: name}
@@ -498,9 +535,26 @@ func TestTaskKindStrings(t *testing.T) {
 	}
 }
 
+// chooseGPU gives d the GPU target the way a generator task does.
+func chooseGPU(t *testing.T, d *Design) {
+	t.Helper()
+	choose := TaskFunc{TaskName: "choose", Give: FactTarget, Fn: func(_ *Context, d *Design) error {
+		d.Target = platform.TargetGPU
+		return nil
+	}}
+	if err := choose.Run(&Context{}, d); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDesignLabel(t *testing.T) {
 	d := newTestDesign()
-	d.Target = platform.TargetGPU
+	// Before a task chooses a target, the zero TargetKind (CPU) is no
+	// choice, and the label is the app's alone.
+	if got := d.Label(); got != "test" {
+		t.Errorf("label = %q", got)
+	}
+	chooseGPU(t, d)
 	if got := d.Label(); got != "test/gpu" {
 		t.Errorf("label = %q", got)
 	}
@@ -586,7 +640,7 @@ func TestDesignExport(t *testing.T) {
 	dir := t.TempDir()
 	d := newTestDesign()
 	d.Device = "Test Device 1"
-	d.Target = platform.TargetGPU
+	chooseGPU(t, d)
 	d.Tracef("note", "x", "hello")
 	out, err := d.Export(dir)
 	if err != nil {

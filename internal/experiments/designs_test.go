@@ -35,7 +35,8 @@ func referenceLOC(src string) int {
 }
 
 // designsTable runs every flow and lists its leaf designs, checking
-// CountLOC against referenceLOC on each rendered source and printed program.
+// CountLOC against referenceLOC on each rendered source and printed program,
+// and that each infeasible design says why.
 func designsTable(t *testing.T) string {
 	var sb strings.Builder
 	runs := core.NewRunCache()
@@ -48,6 +49,7 @@ func designsTable(t *testing.T) string {
 				if err != nil {
 					t.Fatalf("%s: %v", b.Name, err)
 				}
+				checkReasons(t, b.Name, results)
 				fmt.Fprintf(&sb, "== %s mode=%s sharing=%t\n", b.Name, mode, sharing)
 				for _, r := range results {
 					d := r.Design

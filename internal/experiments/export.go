@@ -57,7 +57,7 @@ func designJSON(r DesignResult) DesignJSON {
 	d := r.Design
 	out := DesignJSON{
 		Label:        d.Label(),
-		Target:       d.Target.String(),
+		Target:       d.TargetName(),
 		Device:       d.Device,
 		Speedup:      r.Speedup,
 		KernelTime:   r.Breakdown.KernelTime,

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"psaflow/internal/platform"
 )
 
 // Table1Row is one benchmark's added-LOC record (paper Table I): the
@@ -40,17 +38,8 @@ func Table1(fig5 []Fig5Row) []Table1Row {
 				continue
 			}
 			pct := 100 * float64(d.Artifact.AddedLOC) / float64(d.RefLOC)
-			switch {
-			case d.Target == platform.TargetCPU:
-				row.OMP = pct
-			case d.Device == platform.GTX1080Ti.Name:
-				row.HIP1080 = pct
-			case d.Device == platform.RTX2080Ti.Name:
-				row.HIP2080 = pct
-			case d.Device == platform.Arria10.Name:
-				row.A10 = pct
-			case d.Device == platform.Stratix10.Name:
-				row.S10 = pct
+			if c := column(d); c >= 0 {
+				*row.cols()[c] = pct
 			}
 			row.Total += pct
 		}
@@ -66,44 +55,31 @@ func Table1Average(rows []Table1Row) Table1Row {
 	if len(rows) == 0 {
 		return avg
 	}
-	n := float64(len(rows))
-	counts := [5]float64{}
-	for _, r := range rows {
-		avg.OMP += r.OMP
-		avg.HIP1080 += r.HIP1080
-		avg.HIP2080 += r.HIP2080
-		avg.A10 += r.A10
-		avg.S10 += r.S10
-		avg.Total += r.Total
-		if r.OMP > 0 {
-			counts[0]++
+	var counts [5]float64
+	sums := avg.cols()
+	for i := range rows {
+		for c, v := range rows[i].cols() {
+			*sums[c] += *v
+			if *v > 0 {
+				counts[c]++
+			}
 		}
-		if r.HIP1080 > 0 {
-			counts[1]++
-		}
-		if r.HIP2080 > 0 {
-			counts[2]++
-		}
-		if r.A10 > 0 {
-			counts[3]++
-		}
-		if r.S10 > 0 {
-			counts[4]++
+		avg.Total += rows[i].Total
+	}
+	for c, sum := range sums {
+		if counts[c] == 0 {
+			*sum = 0
+		} else {
+			*sum /= counts[c]
 		}
 	}
-	div := func(sum, c float64) float64 {
-		if c == 0 {
-			return 0
-		}
-		return sum / c
-	}
-	avg.OMP = div(avg.OMP, counts[0])
-	avg.HIP1080 = div(avg.HIP1080, counts[1])
-	avg.HIP2080 = div(avg.HIP2080, counts[2])
-	avg.A10 = div(avg.A10, counts[3])
-	avg.S10 = div(avg.S10, counts[4])
-	avg.Total /= n
+	avg.Total /= float64(len(rows))
 	return avg
+}
+
+// cols are the row's five design columns, in the order column numbers them.
+func (r *Table1Row) cols() [5]*float64 {
+	return [...]*float64{&r.OMP, &r.HIP1080, &r.HIP2080, &r.A10, &r.S10}
 }
 
 // paperTable1 records the paper's Table I percentages.

@@ -38,6 +38,8 @@ func FuzzFlowParse(f *testing.F) {
 	f.Add(unmetDepsDoc)
 	f.Add(unmetWhenDoc)
 	f.Add(unmetArmDoc)
+	f.Add(noDeviceDoc)
+	f.Add(targetTwiceDoc)
 	for _, c := range lexInputs {
 		f.Add(c[1])
 	}
@@ -50,7 +52,8 @@ func FuzzFlowParse(f *testing.F) {
 		// diagnostics, not panicking), and lowering is total on what Check
 		// admits: an accepted document lowers under every mode × sharing
 		// combination a job can ask for, into a flow in which no task and
-		// no selector can lack a fact it needs.
+		// no selector can lack a fact it needs, and no task can choose a
+		// target or a device twice.
 		doc, err := flowlang.Check(src)
 		if err != nil {
 			return
@@ -58,10 +61,10 @@ func FuzzFlowParse(f *testing.F) {
 		for _, mode := range []tasks.Mode{tasks.Informed, tasks.Uninformed} {
 			for _, sharing := range []bool{false, true} {
 				flow := doc.Compile(flowlang.Options{Mode: mode, ResourceSharing: sharing}).Flow
-				var unmet []string
-				needsMet(flow, 0, &unmet)
-				if len(unmet) > 0 {
-					t.Fatalf("Check accepted a flow that fails in mode %v, sharing %t: %v", mode, sharing, unmet)
+				var bad []string
+				needsMet(flow, 0, 0, &bad)
+				if len(bad) > 0 {
+					t.Fatalf("Check accepted a flow that fails in mode %v, sharing %t: %v", mode, sharing, bad)
 				}
 			}
 		}
@@ -70,26 +73,36 @@ func FuzzFlowParse(f *testing.F) {
 
 // needsMet runs the facts of a design entering f through the lowered graph
 // the way the engine does: steps in order, and every path of a branch from
-// the facts before it. A branch may hand on the design that entered it (a
-// strategy that terminates, a gated branch out of revisions), so the
-// facts after it are the facts before it. The Fig. 3 selector reads the
-// dependence analysis. Each need not held is appended to unmet.
-func needsMet(f *core.Flow, have core.Fact, unmet *[]string) {
+// the facts before it. The design holds every fact of all, and may hold
+// those of some. A branch may hand on the design that entered it (a
+// strategy that terminates, a gated branch out of revisions), so after it
+// the design holds what it held before it, and may hold what any path
+// gave. The Fig. 3 selector reads the dependence analysis. Each need not
+// held, and each choice the design may already hold, is appended to bad;
+// needsMet returns the facts the design may hold after f.
+func needsMet(f *core.Flow, all, some core.Fact, bad *[]string) core.Fact {
 	for _, n := range f.Nodes {
 		switch n := n.(type) {
 		case core.Step:
 			t := n.Task.(core.TaskFunc)
-			if miss := t.Need &^ have; miss != 0 {
-				*unmet = append(*unmet, fmt.Sprintf("%s/%s needs %v", f.Name, t.TaskName, miss))
+			if miss := t.Need &^ all; miss != 0 {
+				*bad = append(*bad, fmt.Sprintf("%s/%s needs %v", f.Name, t.TaskName, miss))
 			}
-			have |= t.Give
+			if again := t.Give & some & core.Choices; again != 0 {
+				*bad = append(*bad, fmt.Sprintf("%s/%s gives %v again", f.Name, t.TaskName, again))
+			}
+			all |= t.Give
+			some |= t.Give
 		case core.Branch:
-			if n.Select.Name() == "informed-fig3" && have&core.FactDeps == 0 {
-				*unmet = append(*unmet, fmt.Sprintf("%s/branch %s needs deps", f.Name, n.PointName))
+			if n.Select.Name() == "informed-fig3" && all&core.FactDeps == 0 {
+				*bad = append(*bad, fmt.Sprintf("%s/branch %s needs deps", f.Name, n.PointName))
 			}
+			after := some
 			for _, p := range n.Paths {
-				needsMet(p.Flow, have, unmet)
+				after |= needsMet(p.Flow, all, some, bad)
 			}
+			some = after
 		}
 	}
+	return some
 }

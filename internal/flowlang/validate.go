@@ -8,6 +8,7 @@ import (
 
 	"psaflow/internal/core"
 	"psaflow/internal/faults"
+	"psaflow/internal/tasks"
 )
 
 // Diag is one validation diagnostic: a stable error code (catalogued in
@@ -69,6 +70,7 @@ const (
 	ErrDuplicateSetting     = "duplicate-setting"
 	ErrEmptyFlow            = "empty-flow"
 	ErrUnmetNeed            = "unmet-need"
+	ErrTargetTwice          = "target-twice"
 )
 
 // ErrorCodes returns every validation error code, sorted — used by the
@@ -82,7 +84,7 @@ func ErrorCodes() []string {
 		ErrInformedNeedsTargets, ErrUnknownCondition, ErrCondOutsideForeach,
 		ErrUnknownDeviceProp, ErrUnknownDef, ErrDuplicateDef, ErrDefCycle,
 		ErrDeviceRefInDef, ErrBadSetting, ErrDuplicateSetting, ErrEmptyFlow,
-		ErrUnmetNeed,
+		ErrUnmetNeed, ErrTargetTwice,
 	}
 	sort.Strings(codes)
 	return codes
@@ -121,9 +123,15 @@ func Validate(f *File) error {
 		}
 		v.checkStmts(f.Flow.Body, scope{})
 		// Needs are read off the lowered tasks, so they are checked only
-		// once every name resolves and no def uses itself.
+		// once every name resolves and no def uses itself: under each
+		// mode × sharing a job may lower the document with.
 		if len(v.errs.Diags) == 0 {
-			v.checkNeeds(f.Flow.Body, 0)
+			for _, mode := range []tasks.Mode{tasks.Informed, tasks.Uninformed} {
+				for _, sharing := range []bool{false, true} {
+					c := &compiler{opts: Options{Mode: mode, ResourceSharing: sharing}}
+					v.checkNeeds(f.Flow.Body, held{}, c)
+				}
+			}
 		}
 	}
 
@@ -255,45 +263,68 @@ func (v *validator) checkStmts(stmts []Stmt, sc scope) {
 	}
 }
 
-// checkNeeds walks stmts in run order from a design holding the facts have,
-// reports every task and informed strategy that needs a fact some path to
-// it does not give, and returns the facts held after stmts. A when body or
-// a branch arm may not run, or may hand on the design that entered it, so
-// what it gives counts only inside it.
-func (v *validator) checkNeeds(stmts []Stmt, have core.Fact) core.Fact {
+// held is what the checker knows of a design's facts at one point of a
+// document: every path to the point gives all of them, and some path gives
+// each of some.
+type held struct{ all, some core.Fact }
+
+// checkNeeds walks stmts in run order from a design holding h, under the
+// flow options c lowers with, and returns what the design holds after
+// stmts. It reports every task and informed strategy that needs a fact
+// some path to it does not give (unmet-need), and every task that gives a
+// target or a device some path to it has already chosen (target-twice). A
+// when on a flow option runs or not, as lowering decides; a when on a
+// device property, or a branch arm, may not run, or may hand on the design
+// that entered it, so what it gives only may be held after it.
+func (v *validator) checkNeeds(stmts []Stmt, h held, c *compiler) held {
+	report := func(code string, pos Pos, msg string) {
+		d := Diag{Code: code, Pos: pos, Msg: msg}
+		if !slices.Contains(v.errs.Diags, d) { // a def used twice, a statement checked under several options
+			v.errs.Diags = append(v.errs.Diags, d)
+		}
+	}
 	unmet := func(pos Pos, what string, need core.Fact) {
-		if miss := need &^ have; miss != 0 {
-			d := Diag{Code: ErrUnmetNeed, Pos: pos, Msg: fmt.Sprintf("%s needs %v, which not every path to it gives", what, miss)}
-			if !slices.Contains(v.errs.Diags, d) { // a def used twice
-				v.errs.Diags = append(v.errs.Diags, d)
-			}
+		if miss := need &^ h.all; miss != 0 {
+			report(ErrUnmetNeed, pos, fmt.Sprintf("%s needs %v, which not every path to it gives", what, miss))
 		}
 	}
 	for _, st := range stmts {
 		switch s := st.(type) {
 		case *TaskStmt:
 			t := lowerTask(s, binding{}).(core.TaskFunc)
-			unmet(s.NamePos, fmt.Sprintf("task %q", s.Name), t.Need)
-			have |= t.Give
+			what := fmt.Sprintf("task %q", s.Name)
+			unmet(s.NamePos, what, t.Need)
+			if again := t.Give & h.some & core.Choices; again != 0 {
+				report(ErrTargetTwice, s.NamePos, what+" "+core.ChosenTwice(again).Error())
+			}
+			h.all |= t.Give
+			h.some |= t.Give
 		case *UseStmt:
-			have = v.checkNeeds(v.defs[s.Name].Body, have)
+			h = v.checkNeeds(v.defs[s.Name].Body, h, c)
 		case *WhenStmt:
-			v.checkNeeds(s.Body, have)
+			switch {
+			case s.Cond.Prop != "":
+				h.some |= v.checkNeeds(s.Body, h, c).some
+			case c.eval(s.Cond, binding{}):
+				h = v.checkNeeds(s.Body, h, c)
+			}
 		case *BranchStmt:
 			if s.Strategy.Name != "all" {
 				unmet(s.Strategy.Pos, fmt.Sprintf("strategy %s on branch %q", s.Strategy.Name, s.Name), core.FactDeps)
 			}
+			some := h.some
 			for _, arm := range s.Arms {
 				switch a := arm.(type) {
 				case *PathArm:
-					v.checkNeeds(a.Body, have)
+					some |= v.checkNeeds(a.Body, h, c).some
 				case *ForeachArm:
-					v.checkNeeds(a.Body, have)
+					some |= v.checkNeeds(a.Body, h, c).some
 				}
 			}
+			h.some = some
 		}
 	}
-	return have
+	return h
 }
 
 func (v *validator) checkTask(s *TaskStmt, sc scope) {

@@ -28,8 +28,9 @@ func validate(t *testing.T, src string) []flowlang.Diag {
 
 // Documents every other rule accepts but whose jobs could only fail: a
 // kernel task before any kernel, a render with no target chosen, an
-// informed branch before the dependence analysis it reads, and two facts
-// given where they count only inside a when body or a branch arm.
+// informed branch before the dependence analysis it reads, two facts
+// given where they count only inside a when body or a branch arm, a GPU
+// render with no device chosen, and a second target on one path.
 const (
 	unmetKernelDoc = "flow \"d\" {\n  task unroll-fixed-loops\n  task identify-hotspots\n  task render-design\n}"
 	unmetTargetDoc = "flow \"d\" {\n  task identify-hotspots\n  task extract-hotspot\n  task render-design\n}"
@@ -39,6 +40,10 @@ const (
 	unmetWhenDoc = "flow \"d\" {\n  task identify-hotspots\n  when informed { task extract-hotspot }\n  task pointer-analysis\n}"
 	unmetArmDoc  = "flow \"d\" {\n  task identify-hotspots\n  task extract-hotspot\n" +
 		"  branch \"A\" strategy all {\n    path \"x\" { task generate-hip }\n  }\n  task render-design\n}"
+	noDeviceDoc = "flow \"nodev\" {\n  task identify-hotspots\n  task extract-hotspot\n  task loop-dependence\n" +
+		"  task generate-hip\n  task render-design\n}"
+	targetTwiceDoc = "flow \"nodev\" {\n  task identify-hotspots\n  task extract-hotspot\n  task loop-dependence\n" +
+		"  task generate-hip\n  task omp-parallel-loops\n  task num-threads-dse\n  task render-design\n}"
 )
 
 // TestValidateErrors pins the exact code, position, and message of every
@@ -179,13 +184,13 @@ func TestValidateErrors(t *testing.T) {
 			unmetKernelDoc,
 			[]string{
 				`unmet-need 2:8 task "unroll-fixed-loops" needs kernel, which not every path to it gives`,
-				`unmet-need 4:8 task "render-design" needs target, which not every path to it gives`,
+				`unmet-need 4:8 task "render-design" needs target and device, which not every path to it gives`,
 			},
 		},
 		{
 			"unmet-need target",
 			unmetTargetDoc,
-			[]string{`unmet-need 4:8 task "render-design" needs target, which not every path to it gives`},
+			[]string{`unmet-need 4:8 task "render-design" needs target and device, which not every path to it gives`},
 		},
 		{
 			"unmet-need strategy",
@@ -203,7 +208,33 @@ func TestValidateErrors(t *testing.T) {
 		{
 			"unmet-need branch arm",
 			unmetArmDoc,
-			[]string{`unmet-need 7:8 task "render-design" needs target, which not every path to it gives`},
+			[]string{`unmet-need 7:8 task "render-design" needs target and device, which not every path to it gives`},
+		},
+		{
+			"unmet-need device",
+			noDeviceDoc,
+			[]string{`unmet-need 6:8 task "render-design" needs device, which not every path to it gives`},
+		},
+		{
+			"target-twice",
+			targetTwiceDoc,
+			[]string{`target-twice 6:8 task "omp-parallel-loops" chooses target twice: a path chooses its target and its device once`},
+		},
+		{
+			// A when on a device property may run, so what it chooses may
+			// already be held after it.
+			"target-twice when",
+			"flow \"d\" {\n  task identify-hotspots\n  task extract-hotspot\n  task generate-oneapi\n" +
+				"  branch \"C\" strategy all {\n    foreach dev in fpgas {\n      when dev.usm { task unroll-until-overmap(dev) }\n" +
+				"      task unroll-until-overmap-sharing(dev)\n    }\n  }\n}",
+			[]string{`target-twice 8:12 task "unroll-until-overmap-sharing" chooses device twice: a path chooses its target and its device once`},
+		},
+		{
+			// A branch may hand on the design a path of it chose for.
+			"target-twice after branch",
+			"flow \"d\" {\n  task identify-hotspots\n  task extract-hotspot\n" +
+				"  branch \"A\" strategy all {\n    path \"x\" { task generate-hip }\n  }\n  task generate-oneapi\n}",
+			[]string{`target-twice 7:8 task "generate-oneapi" chooses target twice: a path chooses its target and its device once`},
 		},
 		{
 			// A def used twice is reported once, at its own task.
@@ -268,6 +299,29 @@ func TestValidateReportsAll(t *testing.T) {
 	}
 }
 
+// TestValidateWhenOnOption: a when on a flow option runs or not as the
+// job's options decide, so the checker reads it under each mode × sharing.
+// Two whens on opposite options together give their facts to what follows,
+// and each may choose the device once (paper.psa's branch point C); a
+// fact given under one option alone is still unmet under the other.
+func TestValidateWhenOnOption(t *testing.T) {
+	ok := "flow \"d\" {\n  task identify-hotspots\n  when informed { task extract-hotspot }\n" +
+		"  when uninformed { task extract-hotspot }\n  task generate-oneapi\n" +
+		"  branch \"C\" strategy all {\n    foreach dev in fpgas {\n" +
+		"      when sharing { task unroll-until-overmap-sharing(dev) }\n" +
+		"      when !sharing { task unroll-until-overmap(dev) }\n      task render-design\n    }\n  }\n}"
+	if diags := validate(t, ok); diags != nil {
+		t.Errorf("complementary whens: %v", diags)
+	}
+	one := "flow \"d\" {\n  task identify-hotspots\n  task extract-hotspot\n  task generate-hip\n" +
+		"  when sharing { task num-threads-dse }\n  task render-design\n}"
+	diags := validate(t, one)
+	want := `unmet-need 6:8 task "render-design" needs device, which not every path to it gives`
+	if len(diags) != 1 || diags[0].Code+" "+diags[0].Pos.String()+" "+diags[0].Msg != want {
+		t.Errorf("one-sided when: %v, want %s", diags, want)
+	}
+}
+
 func TestValidateExamplesClean(t *testing.T) {
 	for _, name := range []string{"paper.psa", "minimal.psa", "faults.psa"} {
 		f, err := flowlang.Parse(readExample(t, name))
@@ -291,7 +345,7 @@ func TestErrorCodesComplete(t *testing.T) {
 		}
 		seen[c] = true
 	}
-	if len(codes) != 25 {
-		t.Errorf("ErrorCodes() has %d entries, want 25", len(codes))
+	if len(codes) != 26 {
+		t.Errorf("ErrorCodes() has %d entries, want 26", len(codes))
 	}
 }

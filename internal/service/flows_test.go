@@ -178,6 +178,27 @@ func TestFlowRegistryRejectsUnmetNeed(t *testing.T) {
 	}
 }
 
+// TestFlowRegistryRejectsChoices: a GPU render with no device chosen, and
+// a second target on one path, are refused at registration with the
+// position of the task at fault.
+func TestFlowRegistryRejectsChoices(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	head := "flow \"nodev\" {\n  task identify-hotspots\n  task extract-hotspot\n  task loop-dependence\n  task generate-hip\n"
+	for _, c := range []struct{ src, want string }{
+		{head + "  task render-design\n}", `6:8: task \"render-design\" needs device, which not every path to it gives [unmet-need]`},
+		{head + "  task omp-parallel-loops\n  task num-threads-dse\n  task render-design\n}",
+			`6:8: task \"omp-parallel-loops\" chooses target twice: a path chooses its target and its device once [target-twice]`},
+	} {
+		code, body := putFlow(t, ts.URL, "nodev", c.src)
+		if code != http.StatusBadRequest || !bytes.Contains(body, []byte(c.want)) {
+			t.Errorf("put: got %d, body %s; want 400 naming %s", code, body, c.want)
+		}
+	}
+	if code, _, _ := getFlowInfo(t, ts.URL, "nodev", ""); code != http.StatusNotFound {
+		t.Errorf("refused flow registered: got %d, want 404", code)
+	}
+}
+
 // TestFlowJobExecution submits a job referencing a registered copy of the
 // paper flow and checks it produces exactly the designs of a built-in-flow
 // job — the serving-layer leg of the DSL differential.

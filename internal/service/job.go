@@ -439,7 +439,7 @@ func buildResult(st JobStatus, o *outcome) *JobResult {
 		d := r.Design
 		ds := DesignSummary{
 			Label:      d.Label(),
-			Target:     d.Target.String(),
+			Target:     d.TargetName(),
 			Device:     d.Device,
 			Infeasible: d.Infeasible,
 			NumThreads: d.NumThreads,

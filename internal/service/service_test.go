@@ -248,6 +248,33 @@ func TestStrategyKnobs(t *testing.T) {
 	}
 }
 
+// TestTerminatedFlowReportsNoTarget: a kmeans whose only loop is serial
+// and does too little per byte to offload is Fig. 3's "design-flow
+// terminates" leaf in informed mode. The job result reports that one
+// leaf as no design of any target: infeasible for want of a target,
+// labelled by its app alone, and no auto_target.
+func TestTerminatedFlowReportsNoTarget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real flow")
+	}
+	s, ts := newTestServer(t, Config{Workers: 1})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	src := "void kmeans_main(int n, int seed, double *points, double *centroids, int *labels, double *sums, int *counts, int *hist) " +
+		"{ for (int i = 1; i < n; i++) { points[i] = points[i-1] + 1.0; } }"
+	id := submitOK(t, ts.URL, JobSpec{Bench: "kmeans", Mode: "informed", Source: src}).ID
+	waitState(t, ts.URL, id, 60*time.Second, StateDone)
+	res := jobResult(t, ts.URL, id)
+	if res.AutoTarget != "" || len(res.Designs) != 1 {
+		t.Fatalf("auto_target %q, %d designs: %+v", res.AutoTarget, len(res.Designs), res.Designs)
+	}
+	if d := res.Designs[0]; d.Label != "kmeans" || d.Target != "" || d.Infeasible != "no target chosen" || d.Speedup != 0 {
+		t.Errorf("leaf %+v, want kmeans with no target chosen", d)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, spec := range []JobSpec{

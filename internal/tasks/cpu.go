@@ -48,7 +48,7 @@ var OMPParallelLoops = core.TaskFunc{
 // reports the DSE always lands on the full core count for the five
 // embarrassingly parallel benchmarks).
 var NumThreadsDSE = core.TaskFunc{
-	TaskName: "OMP Num. Threads DSE", TaskKind: core.Optimisation, IsDyn: true,
+	TaskName: "OMP Num. Threads DSE", TaskKind: core.Optimisation, IsDyn: true, Give: core.FactDevice,
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		feat := d.Report.Features()
 		ctx.Count(telemetry.DSECounter("numthreads"), int64(ctx.CPU.Cores))

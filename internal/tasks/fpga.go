@@ -84,7 +84,7 @@ func ZeroCopy(dev platform.FPGASpec) core.TaskFunc {
 func UnrollUntilOvermap(dev platform.FPGASpec) core.TaskFunc {
 	return core.TaskFunc{
 		TaskName: fmt.Sprintf("%s Unroll Until Overmap DSE", dev.Name),
-		TaskKind: core.Optimisation, IsDyn: true, Need: core.FactKernel,
+		TaskKind: core.Optimisation, IsDyn: true, Need: core.FactKernel, Give: core.FactDevice,
 		Fn: func(ctx *core.Context, d *core.Design) error {
 			// Claiming the board is the DSE's first act; an unavailable
 			// device fails the path non-transiently so the branch degrades.

@@ -107,6 +107,7 @@ var SpecialisedMathFns = core.TaskFunc{
 func BlocksizeDSE(dev platform.GPUSpec) core.TaskFunc {
 	return core.TaskFunc{
 		TaskName: fmt.Sprintf("%s Blocksize DSE", dev.Name), TaskKind: core.Optimisation, IsDyn: true,
+		Need: core.FactKernel, Give: core.FactDevice,
 		Fn: func(ctx *core.Context, d *core.Design) error {
 			// Claiming the board is the per-device DSE's first act; an
 			// unavailable device fails the whole path (non-transient, so
@@ -114,13 +115,13 @@ func BlocksizeDSE(dev platform.GPUSpec) core.TaskFunc {
 			if err := ctx.FailPoint(faults.Device, dev.Name); err != nil {
 				return err
 			}
-			if kfn := d.KernelFunc(); kfn != nil {
-				d.Report.SpecialDP = analysis.HasDPSpecialCalls(kfn)
-				d.Report.HeavyFrac = analysis.HeavySpecialFraction(kfn)
-			}
+			kfn := d.KernelFunc()
+			d.Report.SpecialDP = analysis.HasDPSpecialCalls(kfn)
+			d.Report.HeavyFrac = analysis.HeavySpecialFraction(kfn)
 			feat := d.Report.Features()
 			ctx.Count(telemetry.DSECounter("blocksize"), int64(len(perfmodel.BlocksizeCandidates)))
 			bs, bd := perfmodel.BestBlocksize(dev, feat, d.Pinned)
+			d.Device = dev.Name
 			if bs < 0 {
 				ctx.Emit(events.TypeDSEProgress, "blocksize",
 					"%s: no feasible blocksize among %d candidates", dev.Name, len(perfmodel.BlocksizeCandidates))
@@ -130,7 +131,6 @@ func BlocksizeDSE(dev platform.GPUSpec) core.TaskFunc {
 			ctx.Emit(events.TypeDSEProgress, "blocksize",
 				"%s: swept %d candidates, best=%d (%.3gs)", dev.Name, len(perfmodel.BlocksizeCandidates), bs, bd.Total)
 			d.Blocksize = bs
-			d.Device = dev.Name
 			d.Est = bd
 			d.Tracef("dse", "blocksize", "best=%d time=%.3gs (%s)", bs, bd.Total, bd.Note)
 			return nil

@@ -11,7 +11,7 @@ import (
 // paper's flows write out (and whose added lines Table I counts). It runs
 // as the last task of every device-specific branch.
 var RenderDesign = core.TaskFunc{
-	TaskName: "Render Design Source", TaskKind: core.CodeGen, Need: core.FactTarget,
+	TaskName: "Render Design Source", TaskKind: core.CodeGen, Need: core.FactTarget | core.FactDevice,
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		if d.Infeasible != "" {
 			return nil // unsynthesizable designs are reported, not rendered

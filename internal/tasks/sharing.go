@@ -34,7 +34,7 @@ func UnrollUntilOvermapWithSharing(dev platform.FPGASpec) core.TaskFunc {
 	base := UnrollUntilOvermap(dev)
 	return core.TaskFunc{
 		TaskName: fmt.Sprintf("%s Unroll Until Overmap DSE (with resource sharing)", dev.Name),
-		TaskKind: core.Optimisation, IsDyn: true, Need: base.Need,
+		TaskKind: core.Optimisation, IsDyn: true, Need: base.Need, Give: base.Give,
 		Fn: func(ctx *core.Context, d *core.Design) error {
 			if err := base.Fn(ctx, d); err != nil {
 				return err

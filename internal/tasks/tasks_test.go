@@ -9,6 +9,7 @@ import (
 	"psaflow/internal/hls"
 	"psaflow/internal/interp"
 	"psaflow/internal/minic"
+	"psaflow/internal/perfmodel"
 	"psaflow/internal/platform"
 )
 
@@ -208,6 +209,28 @@ func TestGPUPathTasks(t *testing.T) {
 	}
 	if d.Artifact == nil || d.Artifact.Target != "hip" {
 		t.Fatalf("artifact = %+v", d.Artifact)
+	}
+}
+
+// TestBlocksizeDSENoFeasibleBlocksize: a GPU no blocksize candidate fits
+// leaves the design infeasible on that device, named in its label, as the
+// unroll DSE leaves a design that overmaps; the device is chosen either
+// way, so a render after it runs (and renders nothing).
+func TestBlocksizeDSENoFeasibleBlocksize(t *testing.T) {
+	ctx, d := runTindep(t)
+	if err := GenerateHIP.Run(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+	dev := platform.RTX2080Ti
+	dev.Name, dev.MaxBlockSize = "Tiny GPU", perfmodel.BlocksizeCandidates[0]/2
+	if err := BlocksizeDSE(dev).Run(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Infeasible != "no feasible blocksize" || d.Device != dev.Name || d.Label() != "synth/gpu/Tiny GPU" {
+		t.Errorf("infeasible=%q device=%q label=%q", d.Infeasible, d.Device, d.Label())
+	}
+	if err := RenderDesign.Run(ctx, d); err != nil || d.Artifact != nil {
+		t.Errorf("render: err=%v artifact=%v", err, d.Artifact)
 	}
 }
 

@@ -119,13 +119,18 @@ done
 # Bundled flow documents must stay valid and must run: -check parses and
 # validates each, task order included (flowlang.Check, exactly what the
 # daemon's flow registry accepts), and -flow checks it the same way,
-# lowers it and runs kmeans through it in both modes.
+# lowers it and runs kmeans through it in both modes. Every design it
+# reports as not synthesizable must say why.
 flowtmp=$(mktemp -d)
 go build -o "$flowtmp/psaflow" ./cmd/psaflow
 for f in examples/flows/*.psa; do
 	"$flowtmp/psaflow" -check "$f"
 	for m in informed uninformed; do
-		"$flowtmp/psaflow" -bench kmeans -mode "$m" -flow "$f" >/dev/null
+		"$flowtmp/psaflow" -bench kmeans -mode "$m" -flow "$f" >"$flowtmp/out"
+		if grep -Eqx '  NOT SYNTHESIZABLE: *' "$flowtmp/out"; then
+			echo "ci: $f ($m) reports a design not synthesizable with no reason" >&2
+			exit 1
+		fi
 	done
 done
 rm -rf "$flowtmp"
