@@ -7,6 +7,7 @@
 //	BenchmarkTable1              the added-LOC analysis (Table I)
 //	BenchmarkFig6                the cost trade-off curves (Fig. 6)
 //	BenchmarkUnrollDSE           the Fig. 2 unroll-until-overmap meta-program
+//	BenchmarkParse/<app>         the MiniC front end every job pays at submit
 //
 // Run with: go test -bench=. -benchmem
 package psaflow_test
@@ -281,6 +282,23 @@ func benchmarkInterp(b *testing.B, base interp.Config) {
 			}
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(steps)/secs/1e6, "interp-Mops/s")
+			}
+		})
+	}
+}
+
+// BenchmarkParse measures what every job pays for its source at submit:
+// minic.Parse — lexing, parsing, node IDs and the check — of each
+// application. B/op and allocs/op are the front end's share of a job's
+// allocation budget.
+func BenchmarkParse(b *testing.B) {
+	for _, app := range bench.All() {
+		b.Run(app.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := minic.Parse(app.Source); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

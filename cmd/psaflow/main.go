@@ -129,7 +129,7 @@ func main() {
 		d := r.Design
 		fmt.Printf("design %s\n", d.Label())
 		if r.Infeasible {
-			fmt.Printf("  NOT SYNTHESIZABLE: %s\n", d.Infeasible)
+			fmt.Printf("  INFEASIBLE: %s\n", d.Infeasible)
 		} else {
 			fmt.Printf("  estimated speedup over 1-thread CPU: %.1fX\n", r.Speedup)
 			fmt.Printf("  time breakdown: kernel=%.4gs transfer=%.4gs overhead=%.4gs (%s)\n",

@@ -93,7 +93,7 @@ func run(deadline float64) {
 	fmt.Printf("deadline %.2gs:\n", deadline)
 	for _, d := range designs {
 		if d.Infeasible != "" {
-			fmt.Printf("  %-40s not synthesizable (%s)\n", d.Label(), d.Infeasible)
+			fmt.Printf("  %-40s infeasible (%s)\n", d.Label(), d.Infeasible)
 			continue
 		}
 		fmt.Printf("  %-40s est %.4gs (%s)\n", d.Label(), d.Est.Total, d.Est.Note)

@@ -74,7 +74,7 @@ func main() {
 	for _, d := range designs {
 		fmt.Printf("== %s ==\n", d.Label())
 		if d.Infeasible != "" {
-			fmt.Printf("not synthesizable: %s\n\n", d.Infeasible)
+			fmt.Printf("infeasible: %s\n\n", d.Infeasible)
 			continue
 		}
 		feat := d.Report.Features()

@@ -557,12 +557,12 @@ func runTask(ctx *Context, t Task, d *Design, span *telemetry.Span) error {
 		if attempt >= pol.MaxAttempts {
 			ctx.Count(telemetry.CounterRetryGiveups, 1)
 			span.Note(fmt.Sprintf("gave up after %d attempts: %v", attempt, err))
-			return fmt.Errorf("task %s: %d attempts exhausted: %w", t.Name(), attempt, err)
+			return fmt.Errorf("%d attempts exhausted: %w", attempt, err)
 		}
 		if !ctx.takeRetryToken() {
 			ctx.Count(telemetry.CounterRetryBudgetExhausted, 1)
 			span.Note(fmt.Sprintf("retry budget exhausted after attempt %d: %v", attempt, err))
-			return fmt.Errorf("task %s: flow retry budget exhausted: %w", t.Name(), err)
+			return fmt.Errorf("flow retry budget exhausted: %w", err)
 		}
 		delay := pol.Delay(t.Name(), attempt)
 		ctx.Count(telemetry.CounterRetryAttempts, 1)

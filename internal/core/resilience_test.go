@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -80,8 +81,10 @@ func TestRunTaskGiveupAfterMaxAttempts(t *testing.T) {
 	if calls != fastRetry.MaxAttempts {
 		t.Fatalf("calls = %d, want %d", calls, fastRetry.MaxAttempts)
 	}
-	if !strings.Contains(err.Error(), "attempts exhausted") {
-		t.Errorf("error %q does not report exhaustion", err)
+	// The flow position names the task once; the exhaustion does not
+	// name it again.
+	if want := fmt.Sprintf("flow giveup: task doomed: %d attempts exhausted: %v", fastRetry.MaxAttempts, transientFault("doomed")); err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
 	}
 	// The exhausted error must keep its fault classification so a branch
 	// above could still degrade the path.
@@ -130,8 +133,8 @@ func TestRetryBudgetCapsFlowWideRetries(t *testing.T) {
 			return transientFault("doomed")
 		}})
 	_, err := flow.Run(ctx, newTestDesign())
-	if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
-		t.Fatalf("err = %v, want budget exhaustion", err)
+	if want := "flow budgeted-retries: task doomed: flow retry budget exhausted: " + transientFault("doomed").Error(); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 	// Initial attempt + Budget retries, then the next retry is denied.
 	if calls != 3 {

@@ -18,8 +18,8 @@ import (
 // more.
 func TestParseAllocations(t *testing.T) {
 	src := readExample(t, "paper.psa")
-	if allocs := testing.AllocsPerRun(10, func() { _, _ = flowlang.Parse(src) }); allocs > 234 {
-		t.Errorf("Parse(paper.psa) makes %.0f allocations, want at most 234", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = flowlang.Parse(src) }); allocs > 84 {
+		t.Errorf("Parse(paper.psa) makes %.0f allocations, want at most 84", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package flowlang_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,7 +16,8 @@ import (
 // (seeded with the bundled example flows and the lexical fixture's inputs,
 // like minic's FuzzParse). Parse must either return a file or an error — never panic,
 // never overflow the stack — regardless of input: the psaflowd flow
-// registry hands it untrusted documents straight off the wire.
+// registry hands it untrusted documents straight off the wire. Whenever
+// Lex fails, Parse fails with the same LexError.
 func FuzzFlowParse(f *testing.F) {
 	for _, name := range []string{"paper.psa", "minimal.psa", "faults.psa"} {
 		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "flows", name))
@@ -47,6 +49,15 @@ func FuzzFlowParse(f *testing.F) {
 		file, err := flowlang.Parse(src)
 		if err == nil && file == nil {
 			t.Fatal("Parse returned nil file and nil error")
+		}
+		// The parser pulls its tokens as it goes, but a lexical error
+		// anywhere wins as if the text were lexed first.
+		if _, lexErr := flowlang.Lex(src); lexErr != nil {
+			var want, got *flowlang.LexError
+			errors.As(lexErr, &want)
+			if !errors.As(err, &got) || *got != *want {
+				t.Fatalf("Lex fails with %v, Parse with %v", lexErr, err)
+			}
 		}
 		// Anything that parses must also survive validation (collecting
 		// diagnostics, not panicking), and lowering is total on what Check

@@ -10,31 +10,57 @@ import (
 // ParseError describes a syntax error with its position.
 type ParseError = syntax.ParseError
 
-// Parser is a recursive-descent parser for the flow DSL.
+// Parser is a recursive-descent parser for the flow DSL. It pulls its
+// tokens from the lexer as it goes, like MiniC's; the grammar needs no
+// token after the current one.
 type Parser struct {
-	toks  []Token
-	pos   int
-	depth syntax.Depth
+	lx  lexer
+	tok Token
+	// lexErr is the first lexical error. The lexer stops there, and the
+	// parser reads EOF after it; the error wins over any syntax error,
+	// before it or after.
+	lexErr error
+	depth  syntax.Depth
 }
 
-// Parse lexes and parses src into a File.
+// Parse lexes and parses src into a File. A lexical error anywhere in
+// src is the error, as if the whole text had been lexed first: when the
+// parse stops early, the rest of the text is lexed for one.
 func Parse(src string) (*File, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
+	p := &Parser{lx: lexer{syntax.NewScanner(src)}}
+	p.advance()
+	f, err := p.parseFile()
+	for p.lexErr == nil && !p.at(TokEOF) {
+		p.advance()
 	}
-	p := &Parser{toks: toks}
-	return p.parseFile()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return f, err
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// advance moves to the lexer's next token, or to EOF from the first
+// lexical error on.
+func (p *Parser) advance() {
+	if p.lexErr == nil {
+		t, err := p.lx.next()
+		if err == nil {
+			p.tok = t
+			return
+		}
+		p.lexErr = err
+	}
+	p.tok = Token{Kind: TokEOF}
+}
 
-func (p *Parser) at(k TokKind) bool { return p.cur().Kind == k }
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
+
+func (p *Parser) at(k TokKind) bool { return p.tok.Kind == k }
 
 func (p *Parser) accept(k TokKind) bool {
 	if p.at(k) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false

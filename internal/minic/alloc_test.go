@@ -6,6 +6,7 @@
 package minic_test
 
 import (
+	"runtime"
 	"testing"
 
 	"psaflow/internal/bench"
@@ -36,14 +37,40 @@ func TestWalkAllocatesNothing(t *testing.T) {
 
 // TestParseAllocations pins what parsing costs: every job parses its
 // source at submit, so Parse's allocations are part of every job's. The
-// bounds are the five programs' counts when the pin was set; Parse may
-// allocate less, never more.
+// lexer allocates nothing per token, so what is left is the AST's nodes
+// and lists, its string and pragma literals, and the check's seven. The bounds are the five
+// programs' counts when the pin was set; Parse may allocate less, never
+// more.
 func TestParseAllocations(t *testing.T) {
-	bound := map[string]float64{"nbody": 1170, "kmeans": 947, "adpredictor": 782, "rushlarsen": 1055, "bezier": 995}
+	bound := map[string]float64{"nbody": 709, "kmeans": 559, "adpredictor": 458, "rushlarsen": 625, "bezier": 592}
 	for _, b := range bench.All() {
 		allocs := testing.AllocsPerRun(10, func() { _, _ = minic.Parse(b.Source) })
 		if allocs > bound[b.Name] {
 			t.Errorf("%s: Parse makes %.0f allocations, want at most %.0f", b.Name, allocs, bound[b.Name])
+		}
+	}
+}
+
+// TestParseBytes pins the bytes a Parse allocates, within 10% of the
+// five programs' figures when the pin was set. A per-byte or per-token
+// cost that comes back — a copy of the source, a token slice — adds tens
+// of kilobytes and shows here at once; a string per identifier adds a
+// few hundred allocations, which TestParseAllocations counts.
+func TestParseBytes(t *testing.T) {
+	want := map[string]uint64{"nbody": 41829, "kmeans": 32573, "adpredictor": 27625, "rushlarsen": 37274, "bezier": 34864}
+	const n = 50
+	for _, b := range bench.All() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range n {
+			if _, err := minic.Parse(b.Source); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perParse := (after.TotalAlloc - before.TotalAlloc) / n
+		if bound := want[b.Name] * 11 / 10; perParse > bound {
+			t.Errorf("%s: Parse allocates %d bytes, want at most %d", b.Name, perParse, bound)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package minic_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -62,7 +63,9 @@ func parseSeeds() []string {
 // minic.TypeOf must type every expression of a program Parse accepts
 // (ok == true) under the scope the expression is evaluated in: the VM's
 // lowering relies on it, and the analyses type submitted programs outside
-// any recover.
+// any recover. The parser pulls its tokens as it goes, but a lexical error
+// anywhere wins as if the text were lexed first: whenever Lex fails,
+// Parse fails with the same LexError.
 func FuzzParse(f *testing.F) {
 	for _, src := range parseSeeds() {
 		f.Add(src)
@@ -71,6 +74,13 @@ func FuzzParse(f *testing.F) {
 		prog, err := minic.Parse(src)
 		if err == nil && prog == nil {
 			t.Fatal("Parse returned nil program and nil error")
+		}
+		if _, lexErr := minic.Lex(src); lexErr != nil {
+			var want, got *minic.LexError
+			errors.As(lexErr, &want)
+			if !errors.As(err, &got) || *got != *want {
+				t.Fatalf("Lex fails with %v, Parse with %v", lexErr, err)
+			}
 		}
 		if err != nil {
 			return

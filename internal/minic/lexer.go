@@ -17,7 +17,9 @@ type LexError = syntax.LexError
 type lexer struct{ syntax.Scanner }
 
 // Lex tokenizes the entire input, returning the token list terminated by a
-// TokEOF token.
+// TokEOF token, or the first lexical error. It is the lexer's whole output
+// for tests and fixtures; Parse does not call it, but pulls the same
+// tokens one at a time.
 func Lex(src string) ([]Token, error) {
 	lx := lexer{syntax.NewScanner(src)}
 	var toks []Token

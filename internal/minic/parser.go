@@ -11,11 +11,19 @@ import (
 // ParseError describes a syntax error with its position.
 type ParseError = syntax.ParseError
 
-// Parser is a recursive-descent parser for MiniC.
+// Parser is a recursive-descent parser for MiniC. It pulls its tokens
+// from the lexer as it goes: tok is the current token, and ahead the one
+// after it once peek has read it.
 type Parser struct {
-	toks  []Token
-	pos   int
-	depth syntax.Depth
+	lx     lexer
+	tok    Token
+	ahead  Token
+	peeked bool
+	// lexErr is the first lexical error. The lexer stops there, and the
+	// parser reads EOF after it; the error wins over any syntax error,
+	// before it or after.
+	lexErr error
+	depth  syntax.Depth
 }
 
 // Parse lexes, parses and checks src into a Program with node IDs
@@ -31,14 +39,19 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// parse is Parse without the check.
+// parse is Parse without the check. A lexical error anywhere in src is
+// the error, as if the whole text had been lexed first: when the parse
+// stops early, the rest of the text is lexed for one.
 func parse(src string) (*Program, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := &Parser{lx: lexer{syntax.NewScanner(src)}}
+	p.advance()
 	prog, err := p.parseProgram()
+	for p.lexErr == nil && !p.at(TokEOF) {
+		p.advance()
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -56,14 +69,44 @@ func MustParse(src string) *Program {
 	return prog
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// lex returns the lexer's next token, or EOF from the first lexical error
+// on.
+func (p *Parser) lex() Token {
+	if p.lexErr == nil {
+		t, err := p.lx.next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return Token{Kind: TokEOF}
+}
 
-func (p *Parser) at(k TokKind) bool { return p.cur().Kind == k }
+// advance moves to the next token.
+func (p *Parser) advance() {
+	if p.peeked {
+		p.tok, p.peeked = p.ahead, false
+		return
+	}
+	p.tok = p.lex()
+}
+
+// peek returns the token after the current one without consuming either.
+func (p *Parser) peek() Token {
+	if !p.peeked {
+		p.ahead, p.peeked = p.lex(), true
+	}
+	return p.ahead
+}
+
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
+
+func (p *Parser) at(k TokKind) bool { return p.tok.Kind == k }
 
 func (p *Parser) accept(k TokKind) bool {
 	if p.at(k) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -604,7 +647,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		return u, nil
 	case TokLParen:
 		// Possible cast: '(' type ')' unary.
-		if isTypeTok(p.toks[p.pos+1].Kind) {
+		if isTypeTok(p.peek().Kind) {
 			start := p.next().Pos // '('
 			t, err := p.parseType()
 			if err != nil {

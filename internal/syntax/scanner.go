@@ -4,45 +4,56 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
-// Scanner is a rune cursor over one source text with the scanners both
-// languages share; a language's lexer embeds it and adds its own tokens.
-// Columns count runes, an invalid UTF-8 byte being one rune, U+FFFD. Peek
-// and Advance return 0 at the end of the text, so a NUL in the text ends
-// it too.
+// Scanner is a cursor over one source text — the text and the byte offset
+// of the next rune — with the scanners both languages share; a language's
+// lexer embeds it and adds its own tokens. It decodes UTF-8 as it goes, an
+// ASCII byte without a call, and never copies the text: Word and Number
+// return substrings of it. Columns count runes, an invalid UTF-8 byte
+// being one rune, U+FFFD. Peek and Advance return 0 at the end of the
+// text, so a NUL in the text ends it too.
 type Scanner struct {
-	src       []rune
+	src       string
 	off       int
 	line, col int
 }
 
 // NewScanner returns a scanner at the start of src, position 1:1.
-func NewScanner(src string) Scanner { return Scanner{src: []rune(src), line: 1, col: 1} }
+func NewScanner(src string) Scanner { return Scanner{src: src, line: 1, col: 1} }
+
+// decode returns the rune at byte offset i, 0 past the end, and its width.
+func (s *Scanner) decode(i int) (rune, int) {
+	if i >= len(s.src) {
+		return 0, 0
+	}
+	if b := s.src[i]; b < utf8.RuneSelf {
+		return rune(b), 1
+	}
+	return utf8.DecodeRuneInString(s.src[i:])
+}
 
 // Peek returns the next rune without consuming it.
 func (s *Scanner) Peek() rune {
-	if s.off >= len(s.src) {
-		return 0
-	}
-	return s.src[s.off]
+	r, _ := s.decode(s.off)
+	return r
 }
 
 // Peek2 returns the rune after the next one.
 func (s *Scanner) Peek2() rune {
-	if s.off+1 >= len(s.src) {
-		return 0
-	}
-	return s.src[s.off+1]
+	_, w := s.decode(s.off)
+	r, _ := s.decode(s.off + w)
+	return r
 }
 
 // Advance consumes the next rune and returns it.
 func (s *Scanner) Advance() rune {
-	if s.off >= len(s.src) {
+	r, w := s.decode(s.off)
+	if w == 0 {
 		return 0
 	}
-	r := s.src[s.off]
-	s.off++
+	s.off += w
 	if r == '\n' {
 		s.line++
 		s.col = 1
@@ -60,17 +71,9 @@ func (s *Scanner) Errorf(p Pos, format string, args ...any) error {
 	return &LexError{Pos: p, Msg: fmt.Sprintf(format, args...)}
 }
 
-// HasPrefix reports whether the unread text starts with prefix.
-func (s *Scanner) HasPrefix(prefix string) bool {
-	i := s.off
-	for _, r := range prefix {
-		if i >= len(s.src) || s.src[i] != r {
-			return false
-		}
-		i++
-	}
-	return true
-}
+// HasPrefix reports whether the unread text starts with prefix, a text
+// without U+FFFD.
+func (s *Scanner) HasPrefix(prefix string) bool { return strings.HasPrefix(s.src[s.off:], prefix) }
 
 // SkipLine consumes the rest of the line, leaving its newline unread.
 func (s *Scanner) SkipLine() {
@@ -95,13 +98,22 @@ func (s *Scanner) SkipBlockComment() error {
 	return nil
 }
 
-// Word consumes the longest run of runes part accepts and returns it.
+// Word consumes the longest run of runes part accepts and returns it: the
+// source text itself, unless the run holds an invalid byte, which the word
+// spells as U+FFFD.
 func (s *Scanner) Word(part func(rune) bool) string {
 	start := s.off
 	for r := s.Peek(); r != 0 && part(r); r = s.Peek() {
 		s.Advance()
 	}
-	return string(s.src[start:s.off])
+	if w := s.src[start:s.off]; utf8.ValidString(w) {
+		return w
+	}
+	var sb strings.Builder
+	for _, r := range s.src[start:s.off] {
+		sb.WriteRune(r)
+	}
+	return sb.String()
 }
 
 // Number consumes a decimal number starting at p: digits, then a fraction
@@ -109,7 +121,7 @@ func (s *Scanner) Word(part func(rune) bool) string {
 // even with no digit after it (MiniC's "1."); without, such a '.' is left
 // unread. With suffix a trailing 'f' or 'F' belongs to it too (MiniC's
 // single-precision literals). float reports a fraction, an exponent or a
-// suffix.
+// suffix. The text is a substring of the source.
 func (s *Scanner) Number(p Pos, bareDot, suffix bool) (text string, float bool, err error) {
 	start := s.off
 	s.digits()
@@ -124,7 +136,7 @@ func (s *Scanner) Number(p Pos, bareDot, suffix bool) (text string, float bool, 
 			s.Advance()
 		}
 		if !unicode.IsDigit(s.Peek()) {
-			return "", false, s.Errorf(p, "malformed exponent in number %q", string(s.src[start:s.off]))
+			return "", false, s.Errorf(p, "malformed exponent in number %q", s.src[start:s.off])
 		}
 		s.digits()
 		float = true
@@ -133,7 +145,7 @@ func (s *Scanner) Number(p Pos, bareDot, suffix bool) (text string, float bool, 
 		s.Advance()
 		float = true
 	}
-	return string(s.src[start:s.off]), float, nil
+	return s.src[start:s.off], float, nil
 }
 
 func (s *Scanner) digits() {

@@ -181,3 +181,18 @@ func TestDepth(t *testing.T) {
 		t.Errorf("after leaving: %v", err)
 	}
 }
+
+// TestScannerCopiesNothing: a word and a number are substrings of the
+// source, so reading them allocates nothing.
+func TestScannerCopiesNothing(t *testing.T) {
+	ident := func(r rune) bool { return unicode.IsLetter(r) || r == '_' }
+	allocs := testing.AllocsPerRun(10, func() {
+		s := NewScanner("héllo_x 2.5e-3f")
+		s.Word(ident)
+		s.Advance()
+		s.Number(s.Pos(), true, true)
+	})
+	if allocs != 0 {
+		t.Errorf("Word and Number make %.0f allocations, want 0", allocs)
+	}
+}

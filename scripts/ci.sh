@@ -120,15 +120,15 @@ done
 # validates each, task order included (flowlang.Check, exactly what the
 # daemon's flow registry accepts), and -flow checks it the same way,
 # lowers it and runs kmeans through it in both modes. Every design it
-# reports as not synthesizable must say why.
+# reports as infeasible must say why.
 flowtmp=$(mktemp -d)
 go build -o "$flowtmp/psaflow" ./cmd/psaflow
 for f in examples/flows/*.psa; do
 	"$flowtmp/psaflow" -check "$f"
 	for m in informed uninformed; do
 		"$flowtmp/psaflow" -bench kmeans -mode "$m" -flow "$f" >"$flowtmp/out"
-		if grep -Eqx '  NOT SYNTHESIZABLE: *' "$flowtmp/out"; then
-			echo "ci: $f ($m) reports a design not synthesizable with no reason" >&2
+		if grep -Eqx '  INFEASIBLE: *' "$flowtmp/out"; then
+			echo "ci: $f ($m) reports an infeasible design with no reason" >&2
 			exit 1
 		fi
 	done
