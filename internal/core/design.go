@@ -91,12 +91,12 @@ type TraceEvent struct {
 	Detail string
 }
 
-// String renders the event.
+// String renders the event: "[kind] name", then ": detail" if there is one.
 func (e TraceEvent) String() string {
 	if e.Detail == "" {
-		return fmt.Sprintf("[%s] %s", e.Kind, e.Name)
+		return "[" + e.Kind + "] " + e.Name
 	}
-	return fmt.Sprintf("[%s] %s: %s", e.Kind, e.Name, e.Detail)
+	return "[" + e.Kind + "] " + e.Name + ": " + e.Detail
 }
 
 // Design is the unit that flows through a PSA-flow: application source,

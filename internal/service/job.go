@@ -464,8 +464,11 @@ func buildResult(st JobStatus, o *outcome) *JobResult {
 			ds.LOC = d.Artifact.LOC
 			ds.AddedLOC = d.Artifact.AddedLOC
 		}
-		for _, ev := range d.Trace {
-			ds.Trace = append(ds.Trace, ev.String())
+		if len(d.Trace) > 0 {
+			ds.Trace = make([]string, len(d.Trace))
+			for i, ev := range d.Trace {
+				ds.Trace[i] = ev.String()
+			}
 		}
 		out.Designs = append(out.Designs, ds)
 	}
