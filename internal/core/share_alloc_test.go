@@ -104,13 +104,16 @@ func TestUnrollAllocationsIndependentOfProgram(t *testing.T) {
 const parentHotFlowAllocs = 81932
 
 // TestHotFlowAllocationBudget pins the point of sharing functions between
-// forks: ten hot flows allocate at most 24 000 times (measured: ≈ 22 700).
-// It was 52 000 (measured: ≈ 47 700, later ≈ 26 000 once the dependence
-// analysis stopped building maps) while Unroll Fixed Loops copied the whole
-// program and Hotspot Loop Extraction copied its loop, and 66 000
-// (measured: ≈ 61 900) while the FPGA and CPU paths copied the whole
-// kernel to write one loop pragma and WeightedOps built an OpCounts per
-// statement.
+// forks, and of copying a function with one allocation per node kind: ten
+// hot flows allocate at most 14 100 times (measured: ≈ 13 460). It was
+// 24 000 (measured: ≈ 22 700, then ≈ 18 860 once the lexer read the source
+// in place) while Unroll Fixed Loops and every function copy allocated each
+// node on its own, 52 000 (measured: ≈ 47 700, later ≈ 26 000 once the
+// dependence analysis stopped building maps) while Unroll Fixed Loops
+// copied the whole program and Hotspot Loop Extraction copied its loop, and
+// 66 000 (measured: ≈ 61 900) while the FPGA and CPU paths copied the
+// whole kernel to write one loop pragma and WeightedOps built an OpCounts
+// per statement.
 func TestHotFlowAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow runs")
@@ -127,7 +130,7 @@ func TestHotFlowAllocationBudget(t *testing.T) {
 		}
 	}
 	flows() // warm the run cache
-	const budget = 24000
+	const budget = 14100
 	allocs := testing.AllocsPerRun(5, flows)
 	t.Logf("ten hot flows: %.0f allocations", allocs)
 	if allocs > budget {

@@ -7,6 +7,7 @@ package minic_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"psaflow/internal/bench"
@@ -138,5 +139,23 @@ func TestTypeOfAllocatesNothing(t *testing.T) {
 					name, fn.Name, typed, calls, allocs)
 			}
 		}
+	}
+}
+
+// TestCloneFuncAllocationsIndependentOfSize: a copy takes its nodes from
+// one slab per node kind, so copying a function whose loop body holds one
+// statement allocates exactly as often as copying one whose body holds
+// sixty-four of the same statement.
+func TestCloneFuncAllocationsIndependentOfSize(t *testing.T) {
+	allocs := func(stmts int) float64 {
+		f := minic.MustParse("void app(int n, double *a) {\n    for (int i = 0; i < n; i++) {\n" +
+			strings.Repeat("        a[i] = sqrt(a[i] * 2.0) + 1.0;\n", stmts) + "    }\n}\n").Funcs[0]
+		return testing.AllocsPerRun(20, func() { _ = minic.CloneFunc(f) })
+	}
+	one, many := allocs(1), allocs(64)
+	t.Logf("CloneFunc: %.0f allocations on one statement, %.0f on sixty-four", one, many)
+	if one != many {
+		t.Errorf("CloneFunc allocates %.0f times on a body of one statement and %.0f on one of sixty-four: it allocates per node",
+			one, many)
 	}
 }

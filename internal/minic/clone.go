@@ -22,19 +22,6 @@ func (p *Program) Share() *Program {
 	return &Program{base: p.base, Funcs: append([]*FuncDecl(nil), p.Funcs...)}
 }
 
-// CloneFunc deep-copies a function. IDs are copied verbatim, so the copy
-// can take the original's slot in a program without renumbering it.
-func CloneFunc(f *FuncDecl) *FuncDecl {
-	cf := &FuncDecl{base: f.base, Ret: f.Ret, Name: f.Name}
-	cf.Params = make([]*Param, len(f.Params))
-	for i, p := range f.Params {
-		cp := *p
-		cf.Params[i] = &cp
-	}
-	cf.Body = cloneBlock(f.Body)
-	return cf
-}
-
 // CopyPath copies f down to loop for an edit that writes only loop's
 // pragmas: the FuncDecl, each Block and IfStmt on the way, and loop itself
 // with a Pragmas slice of its own. Everything else — the loop's header and
@@ -98,94 +85,313 @@ func copyPathStmt(s, loop Stmt) (Stmt, Stmt) {
 	return nil, nil
 }
 
-func cloneBlock(b *Block) *Block {
-	if b == nil {
-		return nil
-	}
-	cb := &Block{base: b.base}
-	cb.Stmts = make([]Stmt, len(b.Stmts))
-	for i, s := range b.Stmts {
-		cb.Stmts[i] = CloneStmt(s)
-	}
-	return cb
+// CloneFunc deep-copies a function. IDs are copied verbatim, so the copy
+// can take the original's slot in a program without renumbering it.
+func CloneFunc(f *FuncDecl) *FuncDecl {
+	c := cloner{copies: 1}
+	c.count(f)
+	return c.fn(f)
 }
 
-// CloneStmt deep-copies a statement. IDs are copied verbatim; call
-// AssignIDsFrom on the enclosing function if fresh IDs are needed.
+// CloneStmt deep-copies a statement (nil-safe). IDs are copied verbatim;
+// call AssignIDsFrom on the enclosing function if fresh IDs are needed.
 func CloneStmt(s Stmt) Stmt {
-	switch v := s.(type) {
-	case nil:
+	if s == nil {
 		return nil
-	case *Block:
-		return cloneBlock(v)
-	case *DeclStmt:
-		return &DeclStmt{base: v.base, Type: v.Type, Name: v.Name,
-			ArrayLen: CloneExpr(v.ArrayLen), Init: CloneExpr(v.Init)}
-	case *ExprStmt:
-		return &ExprStmt{base: v.base, X: CloneExpr(v.X)}
-	case *ForStmt:
-		cf := &ForStmt{base: v.base, Cond: CloneExpr(v.Cond), Post: CloneExpr(v.Post), Body: cloneBlock(v.Body)}
-		if v.Init != nil {
-			cf.Init = CloneStmt(v.Init)
-		}
-		cf.Pragmas = append([]string(nil), v.Pragmas...)
-		return cf
-	case *WhileStmt:
-		cw := &WhileStmt{base: v.base, Cond: CloneExpr(v.Cond), Body: cloneBlock(v.Body)}
-		cw.Pragmas = append([]string(nil), v.Pragmas...)
-		return cw
-	case *IfStmt:
-		ci := &IfStmt{base: v.base, Cond: CloneExpr(v.Cond), Then: cloneBlock(v.Then)}
-		if v.Else != nil {
-			ci.Else = CloneStmt(v.Else)
-		}
-		return ci
-	case *ReturnStmt:
-		return &ReturnStmt{base: v.base, X: CloneExpr(v.X)}
-	case *BreakStmt:
-		return &BreakStmt{base: v.base}
-	case *ContinueStmt:
-		return &ContinueStmt{base: v.base}
-	case *PragmaStmt:
-		return &PragmaStmt{base: v.base, Text: v.Text}
 	}
-	panic(fmt.Sprintf("minic: CloneStmt: unhandled %T", s))
+	c := cloner{copies: 1}
+	c.count(s)
+	return c.stmt(s)
 }
 
 // CloneExpr deep-copies an expression (nil-safe).
 func CloneExpr(e Expr) Expr {
+	if e == nil {
+		return nil
+	}
+	c := cloner{copies: 1}
+	c.count(e)
+	return c.expr(e)
+}
+
+// CloneUnrolled returns n copies of body, one per iteration of a loop
+// unrolled in full: in copy k every Ident named v is written as the
+// IntLit first + k*step, with a zero base. Every other node keeps its base
+// verbatim, so the caller renumbers with AssignIDsFrom.
+func CloneUnrolled(body *Block, v string, first, step int64, n int) []Stmt {
+	c := cloner{copies: n, subst: v}
+	c.count(body)
+	out := make([]Stmt, n)
+	for k := range out {
+		c.val = first + int64(k)*step
+		out[k] = c.block(body)
+	}
+	return out
+}
+
+// cloner is the one deep copy of MiniC syntax. A counting pass over the
+// subtree sizes one slab per node kind and one per kind of list slot, and
+// the copy hands each node out of its kind's slab, so a copy costs one
+// allocation per kind present, not one per node. Each Stmts, Args, Params
+// and Pragmas list of a copy is cut from its slot slab with capacity equal
+// to its length: an append to one reallocates instead of writing into its
+// neighbour's slots.
+//
+// Any node of a slab keeps the whole slab alive. The copies one call makes
+// end up in one function — CloneFunc's copy, or the iterations
+// CloneUnrolled writes into one kernel — and die with it, so nothing
+// outlives the function it was copied for. A node an edit later drops
+// from that function lives as long as the function does.
+type cloner struct {
+	copies int    // how many copies of the counted subtree the slabs hold
+	subst  string // CloneUnrolled's induction variable, "" for a plain copy
+	val    int64  // what subst is written as in the current copy
+
+	funcs     slab[FuncDecl]
+	params    slab[Param]
+	blocks    slab[Block]
+	decls     slab[DeclStmt]
+	exprStmts slab[ExprStmt]
+	fors      slab[ForStmt]
+	whiles    slab[WhileStmt]
+	ifs       slab[IfStmt]
+	returns   slab[ReturnStmt]
+	breaks    slab[BreakStmt]
+	continues slab[ContinueStmt]
+	pragmas   slab[PragmaStmt]
+	idents    slab[Ident]
+	ints      slab[IntLit]
+	floats    slab[FloatLit]
+	bools     slab[BoolLit]
+	strs      slab[StringLit]
+	unaries   slab[UnaryExpr]
+	binaries  slab[BinaryExpr]
+	assigns   slab[AssignExpr]
+	incDecs   slab[IncDecExpr]
+	indexes   slab[IndexExpr]
+	calls     slab[CallExpr]
+	casts     slab[CastExpr]
+
+	paramSlots  slab[*Param]
+	stmtSlots   slab[Stmt]
+	argSlots    slab[Expr]
+	pragmaSlots slab[string]
+}
+
+// slab holds one kind's elements for every copy: n of them, counted first,
+// made at once by the first take and handed out in order. A kind that is
+// never taken allocates nothing.
+type slab[T any] struct {
+	n    int
+	free []T
+}
+
+// take returns the slab's next n elements, with capacity n.
+func (s *slab[T]) take(n int) []T {
+	if s.free == nil {
+		s.free = make([]T, s.n)
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// copy returns the slab's next element, set to *v.
+func (s *slab[T]) copy(v *T) *T {
+	p := &s.take(1)[0]
+	*p = *v
+	return p
+}
+
+// cut returns the slab's next len(list) elements, or nil when list is nil.
+func (s *slab[T]) cut(list []T) []T {
+	if list == nil {
+		return nil
+	}
+	return s.take(len(list))
+}
+
+// count adds what c.copies copies of n hold to the slabs.
+func (c *cloner) count(n Node) {
+	k := c.copies
+	Walk(n, func(m Node) bool {
+		switch v := m.(type) {
+		case *FuncDecl:
+			c.funcs.n += k
+			c.paramSlots.n += k * len(v.Params)
+		case *Param:
+			c.params.n += k
+		case *Block:
+			c.blocks.n += k
+			c.stmtSlots.n += k * len(v.Stmts)
+		case *DeclStmt:
+			c.decls.n += k
+		case *ExprStmt:
+			c.exprStmts.n += k
+		case *ForStmt:
+			c.fors.n += k
+			c.pragmaSlots.n += k * len(v.Pragmas)
+		case *WhileStmt:
+			c.whiles.n += k
+			c.pragmaSlots.n += k * len(v.Pragmas)
+		case *IfStmt:
+			c.ifs.n += k
+		case *ReturnStmt:
+			c.returns.n += k
+		case *BreakStmt:
+			c.breaks.n += k
+		case *ContinueStmt:
+			c.continues.n += k
+		case *PragmaStmt:
+			c.pragmas.n += k
+		case *Ident:
+			if c.subst != "" && v.Name == c.subst {
+				c.ints.n += k
+			} else {
+				c.idents.n += k
+			}
+		case *IntLit:
+			c.ints.n += k
+		case *FloatLit:
+			c.floats.n += k
+		case *BoolLit:
+			c.bools.n += k
+		case *StringLit:
+			c.strs.n += k
+		case *UnaryExpr:
+			c.unaries.n += k
+		case *BinaryExpr:
+			c.binaries.n += k
+		case *AssignExpr:
+			c.assigns.n += k
+		case *IncDecExpr:
+			c.incDecs.n += k
+		case *IndexExpr:
+			c.indexes.n += k
+		case *CallExpr:
+			c.calls.n += k
+			c.argSlots.n += k * len(v.Args)
+		case *CastExpr:
+			c.casts.n += k
+		}
+		return true
+	})
+}
+
+func (c *cloner) fn(f *FuncDecl) *FuncDecl {
+	cf := c.funcs.copy(f)
+	cf.Params = c.paramSlots.cut(f.Params)
+	for i, p := range f.Params {
+		cf.Params[i] = c.params.copy(p)
+	}
+	cf.Body = c.block(f.Body)
+	return cf
+}
+
+func (c *cloner) block(b *Block) *Block {
+	if b == nil {
+		return nil
+	}
+	cb := c.blocks.copy(b)
+	cb.Stmts = c.stmtSlots.cut(b.Stmts)
+	for i, s := range b.Stmts {
+		cb.Stmts[i] = c.stmt(s)
+	}
+	return cb
+}
+
+func (c *cloner) stmt(s Stmt) Stmt {
+	switch v := s.(type) {
+	case nil:
+		return nil
+	case *Block:
+		return c.block(v)
+	case *DeclStmt:
+		n := c.decls.copy(v)
+		n.ArrayLen, n.Init = c.expr(v.ArrayLen), c.expr(v.Init)
+		return n
+	case *ExprStmt:
+		n := c.exprStmts.copy(v)
+		n.X = c.expr(v.X)
+		return n
+	case *ForStmt:
+		n := c.fors.copy(v)
+		n.Init, n.Cond, n.Post, n.Body = c.stmt(v.Init), c.expr(v.Cond), c.expr(v.Post), c.block(v.Body)
+		n.Pragmas = c.pragmaSlots.cut(v.Pragmas)
+		copy(n.Pragmas, v.Pragmas)
+		return n
+	case *WhileStmt:
+		n := c.whiles.copy(v)
+		n.Cond, n.Body = c.expr(v.Cond), c.block(v.Body)
+		n.Pragmas = c.pragmaSlots.cut(v.Pragmas)
+		copy(n.Pragmas, v.Pragmas)
+		return n
+	case *IfStmt:
+		n := c.ifs.copy(v)
+		n.Cond, n.Then, n.Else = c.expr(v.Cond), c.block(v.Then), c.stmt(v.Else)
+		return n
+	case *ReturnStmt:
+		n := c.returns.copy(v)
+		n.X = c.expr(v.X)
+		return n
+	case *BreakStmt:
+		return c.breaks.copy(v)
+	case *ContinueStmt:
+		return c.continues.copy(v)
+	case *PragmaStmt:
+		return c.pragmas.copy(v)
+	}
+	panic(fmt.Sprintf("minic: clone: unhandled %T", s))
+}
+
+func (c *cloner) expr(e Expr) Expr {
 	switch v := e.(type) {
 	case nil:
 		return nil
 	case *Ident:
-		return &Ident{base: v.base, Name: v.Name}
-	case *IntLit:
-		return &IntLit{base: v.base, Val: v.Val, Text: v.Text}
-	case *FloatLit:
-		return &FloatLit{base: v.base, Val: v.Val, Text: v.Text, Single: v.Single}
-	case *BoolLit:
-		return &BoolLit{base: v.base, Val: v.Val}
-	case *StringLit:
-		return &StringLit{base: v.base, Val: v.Val}
-	case *UnaryExpr:
-		return &UnaryExpr{base: v.base, Op: v.Op, X: CloneExpr(v.X)}
-	case *BinaryExpr:
-		return &BinaryExpr{base: v.base, Op: v.Op, L: CloneExpr(v.L), R: CloneExpr(v.R)}
-	case *AssignExpr:
-		return &AssignExpr{base: v.base, Op: v.Op, LHS: CloneExpr(v.LHS), RHS: CloneExpr(v.RHS)}
-	case *IncDecExpr:
-		return &IncDecExpr{base: v.base, Op: v.Op, X: CloneExpr(v.X)}
-	case *IndexExpr:
-		return &IndexExpr{base: v.base, Base: CloneExpr(v.Base), Index: CloneExpr(v.Index)}
-	case *CallExpr:
-		cc := &CallExpr{base: v.base, Fun: v.Fun}
-		cc.Args = make([]Expr, len(v.Args))
-		for i, a := range v.Args {
-			cc.Args[i] = CloneExpr(a)
+		if c.subst != "" && v.Name == c.subst {
+			return c.ints.copy(&IntLit{Val: c.val})
 		}
-		return cc
+		return c.idents.copy(v)
+	case *IntLit:
+		return c.ints.copy(v)
+	case *FloatLit:
+		return c.floats.copy(v)
+	case *BoolLit:
+		return c.bools.copy(v)
+	case *StringLit:
+		return c.strs.copy(v)
+	case *UnaryExpr:
+		n := c.unaries.copy(v)
+		n.X = c.expr(v.X)
+		return n
+	case *BinaryExpr:
+		n := c.binaries.copy(v)
+		n.L, n.R = c.expr(v.L), c.expr(v.R)
+		return n
+	case *AssignExpr:
+		n := c.assigns.copy(v)
+		n.LHS, n.RHS = c.expr(v.LHS), c.expr(v.RHS)
+		return n
+	case *IncDecExpr:
+		n := c.incDecs.copy(v)
+		n.X = c.expr(v.X)
+		return n
+	case *IndexExpr:
+		n := c.indexes.copy(v)
+		n.Base, n.Index = c.expr(v.Base), c.expr(v.Index)
+		return n
+	case *CallExpr:
+		n := c.calls.copy(v)
+		n.Args = c.argSlots.cut(v.Args)
+		for i, a := range v.Args {
+			n.Args[i] = c.expr(a)
+		}
+		return n
 	case *CastExpr:
-		return &CastExpr{base: v.base, To: v.To, X: CloneExpr(v.X)}
+		n := c.casts.copy(v)
+		n.X = c.expr(v.X)
+		return n
 	}
-	panic(fmt.Sprintf("minic: CloneExpr: unhandled %T", e))
+	panic(fmt.Sprintf("minic: clone: unhandled %T", e))
 }

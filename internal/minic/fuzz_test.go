@@ -65,7 +65,8 @@ func parseSeeds() []string {
 // lowering relies on it, and the analyses type submitted programs outside
 // any recover. The parser pulls its tokens as it goes, but a lexical error
 // anywhere wins as if the text were lexed first: whenever Lex fails,
-// Parse fails with the same LexError.
+// Parse fails with the same LexError. CloneFunc copies every function of
+// a program Parse accepts exactly (checkCopy).
 func FuzzParse(f *testing.F) {
 	for _, src := range parseSeeds() {
 		f.Add(src)
@@ -86,6 +87,7 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		for _, fn := range prog.Funcs {
+			checkCopy(t, fn.Name, minic.CloneFunc(fn), fn)
 			s := &blockScope{prog: prog, blocks: []map[string]minic.Type{{}}}
 			for _, p := range fn.Params {
 				s.blocks[0][p.Name] = p.Type

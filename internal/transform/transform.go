@@ -112,18 +112,6 @@ func ExtractHotspot(prog *minic.Program, host *minic.FuncDecl, loop minic.Stmt, 
 	return kernel, nil
 }
 
-// substituteIdent replaces every use of name under root with a clone of
-// repl. Declarations of name shadow and stop substitution conservatively:
-// the caller must guarantee no shadowing (unroll checks this).
-func substituteIdent(root minic.Node, name string, repl minic.Expr) {
-	minic.RewriteExprs(root, func(e minic.Expr) minic.Expr {
-		if id, ok := e.(*minic.Ident); ok && id.Name == name {
-			return minic.CloneExpr(repl)
-		}
-		return nil
-	})
-}
-
 // UnrollFixedLoops fully unrolls every for loop in fn (a function of
 // prog) whose trip count is statically known and at most limit,
 // materializing the body once per iteration with the induction variable
@@ -157,15 +145,9 @@ func UnrollFixedLoops(prog *minic.Program, fn *minic.FuncDecl, limit int64) (int
 		if shadowed {
 			return count, errf(tr, "induction variable %q shadowed in loop body", b.Var)
 		}
-		unrolled := &minic.Block{}
-		for k := int64(0); k < trips; k++ {
-			iterVal := lo + k*b.Step
-			bodyClone := minic.CloneStmt(target.Body).(*minic.Block)
-			substituteIdent(bodyClone, b.Var, &minic.IntLit{Val: iterVal})
-			// Each iteration keeps its own scope so locals declared in the
-			// body stay valid C after materialization.
-			unrolled.Stmts = append(unrolled.Stmts, bodyClone)
-		}
+		// Each iteration is a copy of the body as a block of its own, so
+		// locals declared in the body stay valid C after materialization.
+		unrolled := &minic.Block{Stmts: minic.CloneUnrolled(target.Body, b.Var, lo, b.Step, int(trips))}
 		if !minic.ReplaceStmt(fn, target, unrolled) {
 			return count, errf(tr, "failed to replace loop in %s", fn.Name)
 		}

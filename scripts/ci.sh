@@ -54,9 +54,11 @@ go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # pragma edit makes (Design.EditLoop, minic.CopyPath), and the copy a
 # renumbering edit makes — the edited function and the functions after it,
 # nothing before them (Design.EditFrom, minic.AssignIDsFrom), with the loop
-# Hotspot Loop Extraction moves into the kernel — five runs, for the
-# scheduler to vary which path copies while its siblings read.
-go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot' ./internal/core/ ./internal/minic/ ./internal/transform/
+# Hotspot Loop Extraction moves into the kernel, and the copies themselves:
+# every function copied exactly with lists of its own (CloneFunc), and the
+# iterations Unroll Fixed Loops writes in one copy (CloneUnrolled) — five
+# runs, for the scheduler to vary which path copies while its siblings read.
+go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll' ./internal/core/ ./internal/minic/ ./internal/transform/
 # Every job lowers the one checked bundled paper.psa: eight lowerings with
 # different options, run beside each other on one run cache, must each
 # equal the same lowering run alone — five runs, for the scheduler to vary
