@@ -167,6 +167,21 @@ func NewDesign(name string, prog *minic.Program) *Design {
 	}
 }
 
+// SharedDesign wraps a program that outlives the flow and other flows read
+// too: the design starts as a Fork leaves one, sharing every function of
+// prog, so its first writer copies what it writes (EditFrom, EditKernel,
+// EditLoop) and prog itself is never written. refLOC is prog's RefLOC,
+// counted once by the caller that keeps it.
+func SharedDesign(name string, prog *minic.Program, refLOC int) *Design {
+	return &Design{
+		Name:   name,
+		Prog:   prog.Share(),
+		Report: &KernelReport{},
+		RefLOC: refLOC,
+		shared: true,
+	}
+}
+
 // Tracef appends a provenance event.
 func (d *Design) Tracef(kind, name, format string, args ...any) {
 	d.Trace = append(d.Trace, TraceEvent{Kind: kind, Name: name, Detail: fmt.Sprintf(format, args...)})

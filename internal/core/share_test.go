@@ -261,8 +261,11 @@ func TestUnforkedDesignOwnsItsProgram(t *testing.T) {
 // first writer after a fork — and every task leaves IDs dense and a
 // program minic.Check accepts. The flows:
 // the built-in one informed and uninformed, with and without resource
-// sharing, and paper.psa and faults.psa, each on the five applications;
-// the ablation rows; one chaos seed.
+// sharing, and paper.psa and faults.psa, each on the five applications,
+// once from a parse of its own and once from one kept program per
+// application started shared (core.SharedDesign, as the daemon starts a
+// resubmitted program), which must print and fingerprint as parsed after
+// them all; the ablation rows; one chaos seed.
 func TestSharedFunctionsStayUnwritten(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flow runs")
@@ -286,9 +289,24 @@ func TestSharedFunctionsStayUnwritten(t *testing.T) {
 	}()
 
 	runs := core.NewRunCache()
+	type keptProgram struct {
+		prog    *minic.Program
+		printed string
+		fp      uint64
+	}
+	kept := map[string]keptProgram{}
+	for _, b := range bench.All() {
+		prog := b.Parse()
+		kept[b.Name] = keptProgram{prog, minic.Print(prog), minic.Fingerprint(prog)}
+	}
 	run := func(b *bench.Benchmark, opts tasks.FlowOptions, env experiments.JobEnv) {
 		if _, err := experiments.RunBenchmarkEnv(context.Background(), b, nil, opts, env, nil, nil, runs); err != nil {
 			t.Errorf("%s: %v", b.Name, err)
+		}
+		k := kept[b.Name]
+		shared := core.SharedDesign(b.Name, k.prog, minic.CountLOC(k.printed))
+		if _, err := experiments.RunDesignEnv(context.Background(), b, shared, opts, env, nil, nil, runs); err != nil {
+			t.Errorf("%s from a shared start: %v", b.Name, err)
 		}
 	}
 	for _, b := range bench.All() {
@@ -316,6 +334,11 @@ func TestSharedFunctionsStayUnwritten(t *testing.T) {
 			for _, b := range bench.All() {
 				run(b, opts, env)
 			}
+		}
+	}
+	for name, k := range kept {
+		if minic.Print(k.prog) != k.printed || minic.Fingerprint(k.prog) != k.fp {
+			t.Errorf("%s: the flows started shared on the kept program wrote it", name)
 		}
 	}
 	if _, err := experiments.RunAblations(nil); err != nil {

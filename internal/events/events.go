@@ -14,9 +14,12 @@
 package events
 
 import (
-	"encoding/json"
+	"bytes"
+	"math"
+	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Event types, in rough lifecycle order. The lifecycle types (queued,
@@ -55,8 +58,8 @@ type Event struct {
 
 // Frame is one published event as the ring keeps it: its canonical wire
 // encoding, plus the two fields a stream writer needs without decoding it
-// (SSE's id: and event:). The broker marshals each event exactly once at
-// publish time and every subscriber shares the bytes — with hundreds of
+// (SSE's id: and event:). The broker encodes each event exactly once at
+// publish time (appendEvent) and every subscriber shares the bytes — with hundreds of
 // watchers on one job, per-watcher re-marshaling would dominate streaming
 // cost — and it makes the replay-equals-live guarantee literal: the same
 // Line bytes are served to every subscriber at every point in time. The
@@ -125,11 +128,12 @@ func (b *Broker) Publish(e Event) bool {
 		return false
 	}
 	e.Seq = b.next
-	e.TS = b.now().UTC().Format(time.RFC3339Nano)
 	e.Job = b.job
 	b.next++
-	line, _ := json.Marshal(e) // Event is strings + numbers; cannot fail
-	f := Frame{Seq: e.Seq, Type: e.Type, Line: line}
+	// The line is built on the stack and kept at its length: a ring holds
+	// up to size of them for as long as the job is retained.
+	var buf [256]byte
+	f := Frame{Seq: e.Seq, Type: e.Type, Line: bytes.Clone(appendEvent(buf[:0], &e, b.now().UTC()))}
 	if len(b.buf) < b.size {
 		b.buf = append(b.buf, f)
 	} else {
@@ -261,4 +265,106 @@ func (s *Sub) Close() uint64 {
 		delete(b.subs, s)
 	}
 	return s.dropped
+}
+
+// appendEvent appends e's wire encoding, stamped at ts, to dst: exactly the
+// bytes json.Marshal gives for e with TS set to ts in RFC3339Nano, built
+// into one buffer without reflection. A DurMS of NaN or ±Inf, which
+// json.Marshal refuses, is left out as a zero one is.
+func appendEvent(dst []byte, e *Event, ts time.Time) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, e.Seq, 10)
+	dst = append(dst, `,"ts":"`...)
+	dst = ts.AppendFormat(dst, time.RFC3339Nano) // digits and -:.TZ, nothing to escape
+	dst = append(dst, `","type":`...)
+	dst = appendString(dst, e.Type)
+	if e.Job != "" {
+		dst = append(dst, `,"job":`...)
+		dst = appendString(dst, e.Job)
+	}
+	if e.Name != "" {
+		dst = append(dst, `,"name":`...)
+		dst = appendString(dst, e.Name)
+	}
+	if e.Detail != "" {
+		dst = append(dst, `,"detail":`...)
+		dst = appendString(dst, e.Detail)
+	}
+	if e.DurMS != 0 && !math.IsNaN(e.DurMS) && !math.IsInf(e.DurMS, 0) {
+		dst = append(dst, `,"dur_ms":`...)
+		dst = appendFloat(dst, e.DurMS)
+	}
+	return append(dst, '}')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in exponent form below 1e-6 and from 1e21
+// up, with the exponent unpadded.
+func appendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 → e-7
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendString appends s quoted as encoding/json quotes a string: `"` and
+// `\` backslashed; \b, \f, \n, \r and \t by name; the other control
+// characters and <, > and & as \u00XX; U+2028 and U+2029 as \u2028 and
+// \u2029; each byte of invalid UTF-8 as \ufffd.
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }

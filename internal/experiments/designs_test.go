@@ -36,14 +36,15 @@ func referenceLOC(src string) int {
 
 // designsTable runs every flow and lists its leaf designs, checking
 // CountLOC against referenceLOC on each rendered source and printed program,
-// and that each infeasible design says why.
-func designsTable(t *testing.T) string {
+// and that each infeasible design says why. start makes each flow's input
+// design.
+func designsTable(t *testing.T, start func(b *bench.Benchmark) *core.Design) string {
 	var sb strings.Builder
 	runs := core.NewRunCache()
 	for _, b := range bench.All() {
 		for _, sharing := range []bool{false, true} {
 			for _, mode := range []tasks.Mode{tasks.Uninformed, tasks.Informed} {
-				results, err := RunBenchmarkEnv(context.Background(), b, nil,
+				results, err := RunDesignEnv(context.Background(), b, start(b),
 					tasks.FlowOptions{Mode: mode, Strategy: tasks.DefaultStrategy, ResourceSharing: sharing},
 					JobEnv{}, nil, nil, runs)
 				if err != nil {
@@ -77,7 +78,36 @@ func TestDesignsFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every flow (use without -short)")
 	}
-	got := designsTable(t)
+	matchFixture(t, designsTable(t, func(b *bench.Benchmark) *core.Design { return core.NewDesign(b.Name, b.Parse()) }))
+}
+
+// TestDesignsFixtureSharedStart: the flows emit the fixture's designs too
+// when every flow of an application starts shared on one program
+// (core.SharedDesign, as the daemon starts a resubmitted program), and
+// that program prints and fingerprints as parsed after them all.
+func TestDesignsFixtureSharedStart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every flow (use without -short)")
+	}
+	kept := map[string]*minic.Program{}
+	for _, b := range bench.All() {
+		kept[b.Name] = b.Parse()
+	}
+	got := designsTable(t, func(b *bench.Benchmark) *core.Design {
+		prog := kept[b.Name]
+		return core.SharedDesign(b.Name, prog, minic.CountLOC(minic.Print(prog)))
+	})
+	matchFixture(t, got)
+	for _, b := range bench.All() {
+		if minic.Print(kept[b.Name]) != minic.Print(b.Parse()) || minic.Fingerprint(kept[b.Name]) != minic.Fingerprint(b.Parse()) {
+			t.Errorf("%s: the flows started shared on its program wrote it", b.Name)
+		}
+	}
+}
+
+// matchFixture compares a designs table with the fixture line by line.
+func matchFixture(t *testing.T, got string) {
+	t.Helper()
 	want, err := os.ReadFile(designsFixture)
 	if err != nil {
 		t.Fatal(err)

@@ -205,16 +205,23 @@ func ResolveEnv(explicit Settings, doc *flowlang.Compiled, def Settings) (JobEnv
 // chaos runs and per-job fault specs reach the engine's recovery machinery
 // (retry-in-place, branch degradation, strategy fallback). Branch paths
 // always run in parallel — a fork copies what it writes and the recorder
-// is race-safe.
+// is race-safe. The flow starts from core.NewDesign(prog): it may write
+// prog in place.
 func RunBenchmarkEnv(jobCtx context.Context, b *bench.Benchmark, prog *minic.Program, opts tasks.FlowOptions, env JobEnv, logf func(string, ...any), rec *telemetry.Recorder, runs *core.RunCache) ([]DesignResult, error) {
 	if prog == nil {
 		prog = b.Parse()
 	}
+	return RunDesignEnv(jobCtx, b, core.NewDesign(b.Name, prog), opts, env, logf, rec, runs)
+}
+
+// RunDesignEnv is RunBenchmarkEnv from a design the caller built: the
+// daemon starts one from a program it keeps for many jobs with
+// core.SharedDesign, so no run writes that program.
+func RunDesignEnv(jobCtx context.Context, b *bench.Benchmark, design *core.Design, opts tasks.FlowOptions, env JobEnv, logf func(string, ...any), rec *telemetry.Recorder, runs *core.RunCache) ([]DesignResult, error) {
 	progs := env.Progs
 	if progs == nil && runs == nil {
 		progs = interp.NewProgramCache()
 	}
-	design := core.NewDesign(b.Name, prog)
 	ctx := &core.Context{
 		Ctx:         jobCtx,
 		Workload:    bench.Workload{B: b},

@@ -152,3 +152,66 @@ func TestDecodeReaderErrorPassesThrough(t *testing.T) {
 		t.Fatalf("want bare reader error, got %v", err)
 	}
 }
+
+// TestDecodeMatchesEncodingJSON: on every body, Decode stores what
+// json.Unmarshal stores into the same fields, or both fail; each body is
+// read whole and one byte at a time.
+func TestDecodeMatchesEncodingJSON(t *testing.T) {
+	type ref struct {
+		Name    string  `json:"name"`
+		Count   int     `json:"count"`
+		Big     int64   `json:"big"`
+		Ratio   float64 `json:"ratio"`
+		Enabled bool    `json:"enabled"`
+	}
+	bodies := []string{
+		`{"name":"a\"b\\c\/d\b\f\n\r\t"}`,
+		`{"name":"\u00e9\u2028\ud83d\ude00 snow ☃"}`,
+		`{"name":"lone \ud83d surrogate \ude00 and \ud83dx"}`,
+		"{\"name\":\"bad \xff\xfe utf8 \xc3\"}",
+		`{"name":"\u004"}`, `{"name":"\x"}`, `{"name":"\'"}`, "{\"name\":\"tab\there\"}",
+		`{"name":null,"count":null,"enabled":null}`,
+		` { "count" : -0 , "big" : 9223372036854775807 , "ratio" : -1.5e-3 } `,
+		`{"big":9223372036854775808}`, `{"count":1.0}`, `{"count":1e2}`, `{"ratio":1e400}`,
+		`{"count":01}`, `{"count":-}`, `{"count":1.}`, `{"count":.5}`, `{"count":+1}`, `{"ratio":2E+3}`,
+		`{"enabled":true}`, `{"enabled":false}`, `{"enabled":tru}`, `{"enabled":nul}`,
+		`{"count":"3"}`, `{"name":3}`, `{"name":true}`, `{"enabled":1}`, `{"count":[1]}`, `{"name":{"a":[1,{"b":null}]}}`,
+		`{"count":1,}`, `{,"count":1}`, `{"count" 1}`, `{"count":1 "big":2}`, `{"count":1`, `{"count":`, `{"na`, `{`,
+		`{"n\u0061me":"escaped key"}`, `{}`, `{"name":"x","name":"y"}`,
+	}
+	for _, body := range bodies {
+		var want ref
+		wantErr := json.Unmarshal([]byte(body), &want)
+		for _, r := range []io.Reader{strings.NewReader(body), &trickleReader{data: []byte(body)}} {
+			var s sample
+			err := sampleObject(&s).Decode(r)
+			got := ref{s.name, s.count, s.big, s.ratio, s.enabled}
+			if (err != nil) != (wantErr != nil) || err == nil && got != want {
+				t.Errorf("%s:\n got %+v, %v\nwant %+v, %v", body, got, err, want, wantErr)
+			}
+			var typeErr, wantType *json.UnmarshalTypeError
+			if errors.As(wantErr, &wantType) && (!errors.As(err, &typeErr) || typeErr.Value != wantType.Value || typeErr.Type != wantType.Type) {
+				t.Errorf("%s: got %v, want the type error %v", body, err, wantErr)
+			}
+		}
+	}
+}
+
+// TestDecodeScalarAllocations: decoding an object of scalar fields
+// allocates the string values it stores and the scanner's buffer, nothing
+// per key or per value.
+func TestDecodeScalarAllocations(t *testing.T) {
+	var s sample
+	o := sampleObject(&s)
+	body := `{"name":"vadd\n","count":3,"big":9000000000,"ratio":0.25,"enabled":true}`
+	r := strings.NewReader(body)
+	n := testing.AllocsPerRun(100, func() {
+		r.Reset(body)
+		if err := o.Decode(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 2 {
+		t.Errorf("Decode allocates %.0f times, want at most 2 (the buffer and the name)", n)
+	}
+}

@@ -1,12 +1,6 @@
 package service
 
-import (
-	"sync"
-
-	"psaflow/internal/bench"
-	"psaflow/internal/minic"
-	"psaflow/internal/telemetry"
-)
+import "psaflow/internal/telemetry"
 
 // Batched execution. The flow engine is deterministic, so queued jobs that
 // would execute the identical flow — same spec but for Source, same program
@@ -46,20 +40,4 @@ func (s *Server) takeTwins(job *Job, out *outcome) []*Job {
 		s.rec.Add(telemetry.CounterBatchJobs, int64(len(twins)+1))
 	}
 	return twins
-}
-
-// bundledFP caches the fingerprint of each benchmark's bundled source so
-// submissions without custom source don't re-parse per request.
-var bundledFP sync.Map // bench name → uint64
-
-func programFingerprint(b *bench.Benchmark, prog *minic.Program) uint64 {
-	if prog != nil {
-		return minic.Fingerprint(prog)
-	}
-	if v, ok := bundledFP.Load(b.Name); ok {
-		return v.(uint64)
-	}
-	fp := minic.Fingerprint(b.Parse())
-	bundledFP.Store(b.Name, fp)
-	return fp
 }

@@ -76,11 +76,11 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 // on the wanted node — how the tests steer a submission to a chosen home.
 func tenantForOwner(t *testing.T, nodes []*cluster.Node, spec JobSpec, owner string) string {
 	t.Helper()
-	b, prog, err := spec.validate()
+	_, prog, err := spec.validate(newProgramTable())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := programFingerprint(b, prog)
+	fp := prog.fingerprint()
 	for i := 0; i < 100000; i++ {
 		tenant := fmt.Sprintf("t%d", i)
 		if nodes[0].OwnerForJob(tenant, fp) == owner {

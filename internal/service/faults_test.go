@@ -183,12 +183,12 @@ func TestPersistIOFaultsRetried(t *testing.T) {
 		t.Error("rate=0.4 over 10 replay evicts injected nothing; the evict bypasses persistIO")
 	}
 
-	b, _, err := (&JobSpec{Bench: "nbody"}).validate()
+	b, prog, err := (&JobSpec{Bench: "nbody"}).validate(s.programs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		job := s.newJob(fmt.Sprintf("job-%02d", i), JobSpec{Bench: "nbody"}, b, nil, time.Now())
+		job := s.newJob(fmt.Sprintf("job-%02d", i), JobSpec{Bench: "nbody"}, b, prog, time.Now())
 		if _, err := s.admit(job); err != nil {
 			t.Fatalf("admit %s: %v", job.ID, err)
 		}
@@ -215,11 +215,11 @@ func TestPersistIOFaultsExhaust(t *testing.T) {
 	if err := s.openStore(); err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := (&JobSpec{Bench: "nbody"}).validate()
+	b, prog, err := (&JobSpec{Bench: "nbody"}).validate(s.programs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := s.newJob("doomed", JobSpec{Bench: "nbody"}, b, nil, time.Now())
+	job := s.newJob("doomed", JobSpec{Bench: "nbody"}, b, prog, time.Now())
 	_, err = s.admit(job)
 	if err == nil {
 		t.Fatal("rate=1 I/O injection still succeeded")

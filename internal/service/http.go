@@ -90,7 +90,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	b, prog, err := spec.validate()
+	b, prog, err := spec.validate(s.programs)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "invalid job: %v", err)
 		return
@@ -112,7 +112,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// never orbit a job). A failed forward runs the job locally instead:
 	// peer loss degrades placement, it never fails a submission.
 	if c := s.cfg.Cluster; c != nil && r.Header.Get(cluster.ForwardedHeader) == "" {
-		if owner := c.OwnerForJob(spec.Tenant, programFingerprint(b, prog)); owner != c.Self() {
+		if owner := c.OwnerForJob(spec.Tenant, prog.fingerprint()); owner != c.Self() {
 			s.logf("cluster: routing job (tenant=%q bench=%s) to owner %s", spec.Tenant, spec.Bench, owner)
 			if s.forwardSubmit(w, r.Context(), owner, spec) {
 				return

@@ -17,7 +17,6 @@ import (
 	"psaflow/internal/experiments"
 	"psaflow/internal/faults"
 	"psaflow/internal/flowlang"
-	"psaflow/internal/minic"
 	"psaflow/internal/tasks"
 	"psaflow/internal/telemetry"
 )
@@ -111,56 +110,67 @@ func (sp *JobSpec) flowEnv(doc *flowlang.Compiled, def experiments.Settings) (ex
 }
 
 // validate resolves and checks the spec, returning the benchmark and the
-// parsed custom program (nil when the bundled source is used). All
+// checked program: the submitted source's, or the bundled one's when the
+// spec has none, each looked up in programs before it is parsed. All
 // validation happens at submit time so malformed requests 400 immediately
 // instead of failing in a worker.
-func (sp *JobSpec) validate() (*bench.Benchmark, *minic.Program, error) {
+func (sp *JobSpec) validate(programs *programTable) (*bench.Benchmark, program, error) {
+	b, err := sp.check()
+	if err != nil {
+		return nil, program{}, err
+	}
+	src := sp.Source
+	if src == "" {
+		src = b.Source
+	}
+	prog, err := programs.lookup(src)
+	if err != nil {
+		return nil, program{}, fmt.Errorf("source: %w", err)
+	}
+	if prog.ast.Func(b.Entry) == nil {
+		return nil, program{}, fmt.Errorf("source does not define the %q workload entry %q", b.Name, b.Entry)
+	}
+	return b, prog, nil
+}
+
+// check validates every field of the spec but its source.
+func (sp *JobSpec) check() (*bench.Benchmark, error) {
 	b, err := bench.ByName(sp.Bench)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if _, err := sp.flowOptions(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if sp.TimeoutMS < 0 {
-		return nil, nil, fmt.Errorf("timeout_ms must be >= 0")
+		return nil, fmt.Errorf("timeout_ms must be >= 0")
 	}
 	if sp.Flow != "" {
 		// Only the reference's shape: existence is a registry question the
 		// server answers at submit (and again at run time after a replay).
 		if _, _, err := parseFlowRef(sp.Flow); err != nil {
-			return nil, nil, fmt.Errorf("flow: %w", err)
+			return nil, fmt.Errorf("flow: %w", err)
 		}
 	}
 	if _, err := faults.ParseSpec(sp.Faults); err != nil {
-		return nil, nil, fmt.Errorf("faults: %w", err)
+		return nil, fmt.Errorf("faults: %w", err)
 	}
 	if sp.RetryMaxAttempts < 0 {
-		return nil, nil, fmt.Errorf("retry_max_attempts must be >= 0")
+		return nil, fmt.Errorf("retry_max_attempts must be >= 0")
 	}
 	if sp.RetryBudget < -1 {
-		return nil, nil, fmt.Errorf("retry_budget must be >= -1 (-1 = unlimited)")
+		return nil, fmt.Errorf("retry_budget must be >= -1 (-1 = unlimited)")
 	}
 	if sp.TaskTimeoutMS < 0 {
-		return nil, nil, fmt.Errorf("task_timeout_ms must be >= 0")
+		return nil, fmt.Errorf("task_timeout_ms must be >= 0")
 	}
 	if !validTenant(sp.Tenant) {
-		return nil, nil, fmt.Errorf("tenant must be 1-32 of [a-z0-9-] (or empty)")
+		return nil, fmt.Errorf("tenant must be 1-32 of [a-z0-9-] (or empty)")
 	}
 	if sp.Priority < 0 || sp.Priority > 9 {
-		return nil, nil, fmt.Errorf("priority must be 0-9")
+		return nil, fmt.Errorf("priority must be 0-9")
 	}
-	var prog *minic.Program
-	if sp.Source != "" {
-		prog, err = minic.Parse(sp.Source)
-		if err != nil {
-			return nil, nil, fmt.Errorf("source: %w", err)
-		}
-		if prog.Func(b.Entry) == nil {
-			return nil, nil, fmt.Errorf("source does not define the %q workload entry %q", b.Name, b.Entry)
-		}
-	}
-	return b, prog, nil
+	return b, nil
 }
 
 // Job is one queued/executing flow run. Mutable fields are guarded by mu;
@@ -176,10 +186,10 @@ type Job struct {
 	Spec JobSpec
 
 	bench *bench.Benchmark
-	// prog is the custom source, pre-parsed (nil = bundled). Only the
-	// worker that runs the job reads it, before the terminal transition
-	// drops it.
-	prog      *minic.Program
+	// prog is the checked program (JobSpec.validate). The worker that runs
+	// the job reads it, and the twin step its fingerprint under mu, before
+	// the terminal transition drops it.
+	prog      program
 	submitted time.Time
 	// events is the job's live stream broker, created by Server.enqueue
 	// before the job is queued and closed when the job reaches a terminal
@@ -192,9 +202,6 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	cancel   func() // cancels the running flow; nil unless running
-	// fp is the program fingerprint, 0 until the twin step first asks
-	// (fingerprint).
-	fp uint64
 	// result is the terminal JobResult, encoded once (compact JSON) by
 	// terminate; nil while the job is live. The same bytes are the WAL
 	// record's data and the body GET /result indents — never mutate them.
@@ -349,16 +356,16 @@ func (j *Job) waitResult(hold time.Duration) []byte {
 	return j.Result()
 }
 
-// fingerprint is the job's program fingerprint, taken on first use: a run
-// asks before terminate drops its program, a queued job while it is queued.
-// A job that drops its program unasked is terminal, and reads as 0.
+// fingerprint is the job's program fingerprint: a kept program's is known,
+// any other's is taken on first use. A run asks before terminate drops its
+// program, a queued job while it is queued; a terminal job reads as 0.
 func (j *Job) fingerprint() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.fp == 0 && (j.prog != nil || j.Spec.Source == "") {
-		j.fp = programFingerprint(j.bench, j.prog)
+	if j.prog.ast == nil {
+		return 0
 	}
-	return j.fp
+	return j.prog.fingerprint()
 }
 
 // markRunning transitions Queued → Running and returns the job's queue
@@ -415,7 +422,7 @@ func (j *Job) terminate(out *outcome, onlyQueued bool) (st JobStatus, doc []byte
 		doc, _ = json.Marshal(&JobResult{JobStatus: st, FailureClass: FailureError})
 	}
 	j.result = doc
-	j.prog, j.cancel = nil, nil
+	j.prog, j.cancel = program{}, nil
 	if j.done != nil {
 		close(j.done)
 		j.done = nil

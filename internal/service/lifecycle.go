@@ -9,7 +9,6 @@ import (
 	"psaflow/internal/bench"
 	"psaflow/internal/events"
 	"psaflow/internal/experiments"
-	"psaflow/internal/minic"
 	"psaflow/internal/store"
 	"psaflow/internal/telemetry"
 )
@@ -24,7 +23,7 @@ import (
 
 // newJob is the one place a Job is built: a fresh submission, a replayed
 // submit record and the tests all come through here.
-func (s *Server) newJob(id string, spec JobSpec, b *bench.Benchmark, prog *minic.Program, submitted time.Time) *Job {
+func (s *Server) newJob(id string, spec JobSpec, b *bench.Benchmark, prog program, submitted time.Time) *Job {
 	return &Job{ID: id, Spec: spec, bench: b, prog: prog, submitted: submitted, state: StateQueued}
 }
 

@@ -119,7 +119,7 @@ func (s *Server) replayedJob(e store.Entry) (*Job, error) {
 	if err := json.Unmarshal(e.Spec, &spec); err != nil {
 		return nil, fmt.Errorf("corrupt spec: %w", err)
 	}
-	b, prog, err := spec.validate()
+	b, prog, err := spec.validate(s.programs)
 	if err != nil {
 		return nil, err
 	}

@@ -85,7 +85,7 @@ func crashServer(t *testing.T, dir string, workers int) (*Server, *gateHook) {
 // exercised elsewhere; these tests drive the persistence path).
 func submitDirect(t *testing.T, s *Server, spec JobSpec) *Job {
 	t.Helper()
-	b, prog, err := spec.validate()
+	b, prog, err := spec.validate(s.programs)
 	if err != nil {
 		t.Fatal(err)
 	}

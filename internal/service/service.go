@@ -89,8 +89,9 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	rec  *telemetry.Recorder // process-wide service recorder (/metrics)
-	runs *core.RunCache      // process-wide profiled-run cache
+	rec      *telemetry.Recorder // process-wide service recorder (/metrics)
+	runs     *core.RunCache      // process-wide profiled-run cache
+	programs *programTable       // checked programs by source text (programs.go)
 
 	// ioFaults injects transient failures into persistence writes when
 	// Config.Faults includes the io kind (nil otherwise). Long-lived on
@@ -157,14 +158,15 @@ func New(cfg Config) *Server {
 		idBase = cfg.Cluster.Self() + "-" + idBase
 	}
 	s := &Server{
-		cfg:     cfg,
-		rec:     telemetry.New(),
-		runs:    core.NewRunCache(),
-		jobs:    make(map[string]*Job),
-		queue:   newJobQueue(cfg.QueueSize, quotas),
-		idBase:  idBase,
-		retry:   cfg.Retry.WithDefaults(),
-		flowReg: &flowRegistry{flows: make(map[string][]FlowInfo)},
+		cfg:      cfg,
+		rec:      telemetry.New(),
+		runs:     core.NewRunCache(),
+		programs: newProgramTable(),
+		jobs:     make(map[string]*Job),
+		queue:    newJobQueue(cfg.QueueSize, quotas),
+		idBase:   idBase,
+		retry:    cfg.Retry.WithDefaults(),
+		flowReg:  &flowRegistry{flows: make(map[string][]FlowInfo)},
 	}
 	if c := cfg.Cluster; c != nil {
 		c.SetCounters(s.rec)
@@ -208,7 +210,7 @@ func New(cfg Config) *Server {
 		if err != nil {
 			return nil, err
 		}
-		return experiments.RunBenchmarkEnv(ctx, job.bench, job.prog, opts, env, nil, rec, s.runs)
+		return experiments.RunDesignEnv(ctx, job.bench, job.prog.design(job.bench.Name), opts, env, nil, rec, s.runs)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)

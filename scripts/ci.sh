@@ -56,9 +56,11 @@ go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # nothing before them (Design.EditFrom, minic.AssignIDsFrom), with the loop
 # Hotspot Loop Extraction moves into the kernel, and the copies themselves:
 # every function copied exactly with lists of its own (CloneFunc), and the
-# iterations Unroll Fixed Loops writes in one copy (CloneUnrolled) — five
-# runs, for the scheduler to vary which path copies while its siblings read.
-go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll' ./internal/core/ ./internal/minic/ ./internal/transform/
+# iterations Unroll Fixed Loops writes in one copy (CloneUnrolled), and the
+# daemon's two workers running jobs at once on one program its program table
+# keeps, each flow started shared — five runs, for the scheduler to vary
+# which path copies while its siblings read.
+go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll|TestKeptProgramSharedByConcurrentJobs' ./internal/core/ ./internal/minic/ ./internal/transform/ ./internal/service/
 # Every job lowers the one checked bundled paper.psa: eight lowerings with
 # different options, run beside each other on one run cache, must each
 # equal the same lowering run alone — five runs, for the scheduler to vary
