@@ -103,12 +103,19 @@ func All() []*Benchmark {
 	return []*Benchmark{NBody(), KMeans(), AdPredictor(), RushLarsen(), Bezier()}
 }
 
-// ByName fetches one benchmark.
+// ByName fetches one benchmark, building only that one.
 func ByName(name string) (*Benchmark, error) {
-	for _, b := range All() {
-		if b.Name == name {
-			return b, nil
-		}
+	switch name {
+	case "nbody":
+		return NBody(), nil
+	case "kmeans":
+		return KMeans(), nil
+	case "adpredictor":
+		return AdPredictor(), nil
+	case "rushlarsen":
+		return RushLarsen(), nil
+	case "bezier":
+		return Bezier(), nil
 	}
 	return nil, fmt.Errorf("bench: unknown benchmark %q", name)
 }

@@ -58,9 +58,10 @@ go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # every function copied exactly with lists of its own (CloneFunc), and the
 # iterations Unroll Fixed Loops writes in one copy (CloneUnrolled), and the
 # daemon's two workers running jobs at once on one program its program table
-# keeps, each flow started shared — five runs, for the scheduler to vary
-# which path copies while its siblings read.
-go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll|TestKeptProgramSharedByConcurrentJobs' ./internal/core/ ./internal/minic/ ./internal/transform/ ./internal/service/
+# keeps, each flow started shared, and one telemetry recorder whose spans
+# the paths start, note and end while it is snapshotted — five runs, for
+# the scheduler to vary which path copies while its siblings read.
+go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll|TestKeptProgramSharedByConcurrentJobs|TestConcurrentRecording' ./internal/core/ ./internal/minic/ ./internal/transform/ ./internal/service/ ./internal/telemetry/
 # Every job lowers the one checked bundled paper.psa: eight lowerings with
 # different options, run beside each other on one run cache, must each
 # equal the same lowering run alone — five runs, for the scheduler to vary
