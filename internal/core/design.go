@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"psaflow/internal/analysis"
 	"psaflow/internal/codegen"
@@ -97,6 +98,46 @@ func (e TraceEvent) String() string {
 		return "[" + e.Kind + "] " + e.Name
 	}
 	return "[" + e.Kind + "] " + e.Name + ": " + e.Detail
+}
+
+// len is the length of e.String().
+func (e TraceEvent) len() int {
+	n := len("[] ") + len(e.Kind) + len(e.Name)
+	if e.Detail != "" {
+		n += len(": ") + len(e.Detail)
+	}
+	return n
+}
+
+// TraceLines renders each event as String does, writing them all into one
+// string and cutting the lines out of it: two allocations for a whole
+// trace. An empty trace has no lines (nil).
+func TraceLines(trace []TraceEvent) []string {
+	if len(trace) == 0 {
+		return nil
+	}
+	n := 0
+	for _, e := range trace {
+		n += e.len()
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, e := range trace {
+		sb.WriteByte('[')
+		sb.WriteString(e.Kind)
+		sb.WriteString("] ")
+		sb.WriteString(e.Name)
+		if e.Detail != "" {
+			sb.WriteString(": ")
+			sb.WriteString(e.Detail)
+		}
+	}
+	all := sb.String()
+	lines := make([]string, len(trace))
+	for i, e := range trace {
+		lines[i], all = all[:e.len()], all[e.len():]
+	}
+	return lines
 }
 
 // Design is the unit that flows through a PSA-flow: application source,

@@ -575,6 +575,29 @@ func TestTraceEventString(t *testing.T) {
 	}
 }
 
+// TestTraceLines: TraceLines renders each event as String does, the empty
+// parts and multi-byte text included, and no events as no lines.
+func TestTraceLines(t *testing.T) {
+	trace := []TraceEvent{
+		{Kind: "note", Name: "no detail"},
+		{},
+		{Kind: "dse", Detail: "no name"},
+		{Kind: "task", Name: "Générer ✓", Detail: "A: \"quoted\"\n"},
+	}
+	lines := TraceLines(trace)
+	if len(lines) != len(trace) {
+		t.Fatalf("%d lines for %d events", len(lines), len(trace))
+	}
+	for i, e := range trace {
+		if lines[i] != e.String() {
+			t.Errorf("line %d = %q, want %q", i, lines[i], e.String())
+		}
+	}
+	if got := TraceLines(nil); got != nil {
+		t.Errorf("no events gave lines %q, want nil", got)
+	}
+}
+
 func TestFlowErrorUnwrap(t *testing.T) {
 	inner := fmt.Errorf("inner")
 	fe := &FlowError{Flow: "f", Task: "t", Err: inner}
