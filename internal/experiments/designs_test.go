@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -108,27 +107,7 @@ func TestDesignsFixtureSharedStart(t *testing.T) {
 // matchFixture compares a designs table with the fixture line by line.
 func matchFixture(t *testing.T, got string) {
 	t.Helper()
-	want, err := os.ReadFile(designsFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	shown := 0
-	for i := range max(len(gl), len(wl)) {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Errorf("%s line %d:\n got %q\nwant %q", designsFixture, i+1, g, w)
-			if shown++; shown == 10 {
-				t.Fatal("more differences not shown")
-			}
-		}
-	}
+	matchLines(t, designsFixture, got)
 }
 
 func checkLOC(t *testing.T, what, src string) {

@@ -9,8 +9,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -37,31 +35,6 @@ func hotJobSpecs() []JobSpec {
 		}
 	}
 	return specs
-}
-
-// serveJob submits one job through the server's handler in-process and
-// reads its result, which the handler holds until the job is done.
-func serveJob(t *testing.T, h http.Handler, body []byte) {
-	t.Helper()
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", w.Code, w.Body)
-	}
-	var st JobStatus
-	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		w = httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID+"/result", nil))
-		if w.Code == http.StatusOK {
-			return
-		}
-		if w.Code != http.StatusConflict {
-			t.Fatalf("result %s: %d %s", st.ID, w.Code, w.Body)
-		}
-	}
 }
 
 // frameSink keeps the events a flow emits through its recorder, as the
