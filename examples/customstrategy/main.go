@@ -16,6 +16,7 @@ import (
 
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
+	"psaflow/internal/events"
 	"psaflow/internal/perfmodel"
 	"psaflow/internal/platform"
 	"psaflow/internal/tasks"
@@ -32,7 +33,9 @@ func deadlineSelector(deadline float64) core.Selector {
 		Fn: func(ctx *core.Context, d *core.Design, paths []core.Path) ([]core.Alternative, error) {
 			feat := d.Report.Features()
 			ompT := perfmodel.OMPTime(ctx.CPU, feat, ctx.CPU.Cores)
-			d.Tracef("branch", "deadline", "OMP estimate %.4gs vs deadline %.4gs", ompT, deadline)
+			// A selector of its own has no entry in the events table: it
+			// records the line it writes.
+			d.Record(events.BranchText, "deadline", []string{fmt.Sprintf("OMP estimate %.4gs vs deadline %.4gs", ompT, deadline)})
 			index := func(name string) int {
 				return slices.IndexFunc(paths, func(p core.Path) bool { return p.Name == name })
 			}

@@ -82,7 +82,7 @@ func main() {
 		fmt.Printf("estimated speedup vs 1-thread CPU: %.1fX (%s)\n", speedup, d.Est.Note)
 		fmt.Println("decision trail:")
 		for _, ev := range d.Trace {
-			if ev.Kind == "branch" || ev.Kind == "dse" {
+			if k := ev.Kind(); k == "branch" || k == "dse" {
 				fmt.Printf("  %s\n", ev)
 			}
 		}

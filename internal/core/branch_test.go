@@ -152,8 +152,8 @@ func runBranchCase(t *testing.T, c branchCase) (got branchWant, selects int) {
 		}
 	}
 	for _, ev := range in.Trace {
-		if ev.Kind == "branch" && (strings.HasPrefix(ev.Detail, "revision ") || strings.HasPrefix(ev.Detail, "fallback ")) {
-			got.markers = append(got.markers, strings.SplitN(ev.Detail, ":", 2)[0])
+		if ev.Kind() == "branch" && (strings.HasPrefix(ev.Detail(), "revision ") || strings.HasPrefix(ev.Detail(), "fallback ")) {
+			got.markers = append(got.markers, strings.SplitN(ev.Detail(), ":", 2)[0])
 		}
 	}
 	got.revisions = rec.Counter(telemetry.CounterBudgetRevisions)

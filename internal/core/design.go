@@ -7,12 +7,12 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
 	"psaflow/internal/analysis"
 	"psaflow/internal/codegen"
+	"psaflow/internal/events"
 	"psaflow/internal/hls"
 	"psaflow/internal/interp"
 	"psaflow/internal/minic"
@@ -85,57 +85,96 @@ func (r *KernelReport) Features() perfmodel.KernelFeatures {
 	}
 }
 
-// TraceEvent records one step of provenance.
+// TraceEvent records one step of provenance: the format of the events
+// table it was recorded with (which fixes its kind), its name and its
+// operands. Its text is rendered only when it is read: String, Detail,
+// TraceLines.
 type TraceEvent struct {
-	Kind   string // "task" | "branch" | "dse" | "note"
-	Name   string
-	Detail string
+	Name string
+	str  string // its first string operand
+	// ops holds its numbers and its other strings; nil when it has none.
+	ops    *operands
+	Format events.Format
+	num    uint8 // its numbers are ops.nums[num : num+nnum]
+	nnum   uint8
+	strs   uint8 // its strings after str are ops.strs[strs : strs+nstr-1]
+	nstr   uint8
+}
+
+// operands is a slab of trace-event operands. A design fills each slot
+// once, before it appends the event that reads it, and never writes it
+// again: a fork's copied events read the slots of its parent's slab while
+// the fork records into a slab of its own (Design.Record).
+type operands struct {
+	nums [24]float64
+	strs [4]string
+}
+
+// Kind is the kind the event's format fixes: "task", "branch", "dse" or
+// "note".
+func (e *TraceEvent) Kind() string { return e.Format.Kind() }
+
+// Detail renders what the event says after its name.
+func (e *TraceEvent) Detail() string {
+	var buf [128]byte
+	return string(e.appendDetail(buf[:0]))
 }
 
 // String renders the event: "[kind] name", then ": detail" if there is one.
 func (e TraceEvent) String() string {
-	if e.Detail == "" {
-		return "[" + e.Kind + "] " + e.Name
-	}
-	return "[" + e.Kind + "] " + e.Name + ": " + e.Detail
+	var buf [192]byte
+	return string(e.appendTo(buf[:0]))
 }
 
-// len is the length of e.String().
-func (e TraceEvent) len() int {
-	n := len("[] ") + len(e.Kind) + len(e.Name)
-	if e.Detail != "" {
-		n += len(": ") + len(e.Detail)
+func (e *TraceEvent) appendDetail(dst []byte) []byte {
+	var strs [1 + len(operands{}.strs)]string
+	var nums []float64
+	if e.nstr > 0 {
+		strs[0] = e.str
 	}
-	return n
+	if e.nstr > 1 {
+		copy(strs[1:e.nstr], e.ops.strs[e.strs:])
+	}
+	if e.nnum > 0 {
+		nums = e.ops.nums[e.num : e.num+e.nnum]
+	}
+	return e.Format.Append(dst, strs[:e.nstr], nums)
+}
+
+// appendTo appends the event's line, as String renders it, to dst.
+func (e *TraceEvent) appendTo(dst []byte) []byte {
+	dst = append(dst, '[')
+	dst = append(dst, e.Format.Kind()...)
+	dst = append(dst, "] "...)
+	dst = append(dst, e.Name...)
+	n := len(dst)
+	if dst = e.appendDetail(append(dst, ": "...)); len(dst) == n+len(": ") {
+		dst = dst[:n]
+	}
+	return dst
 }
 
 // TraceLines renders each event as String does, writing them all into one
-// string and cutting the lines out of it: two allocations for a whole
-// trace. An empty trace has no lines (nil).
+// string sized beforehand and cutting the lines out of it: two allocations
+// for a whole trace. An empty trace has no lines (nil).
 func TraceLines(trace []TraceEvent) []string {
 	if len(trace) == 0 {
 		return nil
 	}
+	var buf [256]byte
 	n := 0
-	for _, e := range trace {
-		n += e.len()
+	for i := range trace {
+		n += len(trace[i].appendTo(buf[:0]))
 	}
 	var sb strings.Builder
 	sb.Grow(n)
-	for _, e := range trace {
-		sb.WriteByte('[')
-		sb.WriteString(e.Kind)
-		sb.WriteString("] ")
-		sb.WriteString(e.Name)
-		if e.Detail != "" {
-			sb.WriteString(": ")
-			sb.WriteString(e.Detail)
-		}
-	}
-	all := sb.String()
 	lines := make([]string, len(trace))
-	for i, e := range trace {
-		lines[i], all = all[:e.len()], all[e.len():]
+	for i := range trace {
+		start := sb.Len()
+		sb.Write(trace[i].appendTo(buf[:0]))
+		// The builder never writes over what it holds, and it holds n bytes
+		// without growing, so each line stays a slice of the one string.
+		lines[i] = sb.String()[start:]
 	}
 	return lines
 }
@@ -190,6 +229,16 @@ type Design struct {
 	// facts holds what the tasks run on this design have given (TaskFunc.Run).
 	facts Fact
 
+	// ops is the slab Record writes operands into, opsNum and opsStr the
+	// slots it has filled. A fork starts without one.
+	ops            *operands
+	opsNum, opsStr int
+
+	// label is what Label returned last, built for the target and device in
+	// labelOf; Label builds it again once either has changed.
+	label   string
+	labelOf labelKey
+
 	// shared is set once Fork has handed Prog's functions to another design
 	// too; copied lists the functions this design has copied since, which it
 	// alone holds. The zero value owns every function (see EditFrom).
@@ -223,10 +272,41 @@ func SharedDesign(name string, prog *minic.Program, refLOC int) *Design {
 	}
 }
 
-// Tracef appends a provenance event.
-func (d *Design) Tracef(kind, name, format string, args ...any) {
-	d.Trace = append(d.Trace, TraceEvent{Kind: kind, Name: name, Detail: fmt.Sprintf(format, args...)})
+// Record appends a provenance event of format f about name: strs are the
+// operands of the format's string verbs and nums of the others, in order.
+// They are kept as they are, the first string in the event and the rest in
+// the design's slab of operands, and nothing is rendered. A %v list
+// longer than a slab holds is kept as one string, its items joined by
+// spaces, which renders the same.
+func (d *Design) Record(f events.Format, name string, strs []string, nums ...float64) {
+	e := TraceEvent{Name: name, Format: f, nstr: uint8(len(strs)), nnum: uint8(len(nums))}
+	if len(strs) > 0 {
+		e.str, strs = strs[0], strs[1:]
+	}
+	if len(strs) > len(operands{}.strs) {
+		e.str, e.nstr, strs = strings.Join(append([]string{e.str}, strs...), " "), 1, nil
+	}
+	if len(strs) > 0 || len(nums) > 0 {
+		if d.ops == nil || d.opsNum+len(nums) > len(d.ops.nums) || d.opsStr+len(strs) > len(d.ops.strs) {
+			d.ops, d.opsNum, d.opsStr = new(operands), 0, 0
+		}
+		e.ops, e.num, e.strs = d.ops, uint8(d.opsNum), uint8(d.opsStr)
+		d.opsNum += copy(d.ops.nums[d.opsNum:], nums)
+		d.opsStr += copy(d.ops.strs[d.opsStr:], strs)
+	}
+	if d.Trace == nil {
+		d.Trace = make([]TraceEvent, 0, traceStart)
+	}
+	d.Trace = append(d.Trace, e)
 }
+
+// A design's trace starts with room for traceStart events, about what the
+// target-independent tasks record, and a fork's copy with room for
+// forkRoom more, about what one branch path records.
+const (
+	traceStart = 32
+	forkRoom   = 16
+)
 
 // Clone returns an independent deep copy of the report. A plain struct
 // copy is not enough: AliasPairs shares its backing array and OuterDeps
@@ -254,7 +334,8 @@ func (d *Design) Fork() *Design {
 	nd := *d
 	nd.Prog = d.Prog.Share()
 	nd.Report = d.Report.Clone()
-	nd.Trace = append([]TraceEvent(nil), d.Trace...)
+	nd.Trace = append(make([]TraceEvent, 0, len(d.Trace)+forkRoom), d.Trace...)
+	nd.ops, nd.opsNum, nd.opsStr = nil, 0, 0
 	nd.SharedMem = append([]string(nil), d.SharedMem...)
 	if d.HLSReport != nil {
 		rep := *d.HLSReport
@@ -327,16 +408,32 @@ func (d *Design) EditLoop(loop minic.Stmt) minic.Stmt {
 	return loop
 }
 
+// labelKey is what a design's label is built from beside its name.
+type labelKey struct {
+	chosen bool // the design holds FactTarget
+	target platform.TargetKind
+	device string
+}
+
 // Label names the design for reports: "nbody/gpu/RTX 2080 Ti", or the
-// app alone, "nbody", before a task has chosen its target.
+// app alone, "nbody", before a task has chosen its target. The string is
+// kept on the design and built again only after the target or the device
+// has changed.
 func (d *Design) Label() string {
-	switch {
-	case !d.Holds(FactTarget):
-		return d.Name
-	case d.Device == "":
-		return d.Name + "/" + d.Target.String()
+	key := labelKey{d.Holds(FactTarget), d.Target, d.Device}
+	if d.label != "" && key == d.labelOf {
+		return d.label
 	}
-	return d.Name + "/" + d.Target.String() + "/" + d.Device
+	switch {
+	case !key.chosen:
+		d.label = d.Name
+	case d.Device == "":
+		d.label = d.Name + "/" + d.Target.String()
+	default:
+		d.label = d.Name + "/" + d.Target.String() + "/" + d.Device
+	}
+	d.labelOf = key
+	return d.label
 }
 
 // Holds reports whether the tasks run on d have given every fact in f.

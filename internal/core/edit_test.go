@@ -30,7 +30,7 @@ func outline(f *core.Flow) []string {
 		out = append(out, indent+"flow "+f.Name)
 		for _, n := range f.Nodes {
 			switch n := n.(type) {
-			case core.Step:
+			case *core.Step:
 				out = append(out, fmt.Sprintf("%s  task %s (%s dyn=%t)", indent, n.Task.Name(), n.Task.Kind(), n.Task.Dynamic()))
 			case core.Branch:
 				out = append(out, fmt.Sprintf("%s  branch %s select=%s gated=%t revisions=%d", indent, n.PointName, n.Select.Name(), n.Gated, n.MaxRevisions))

@@ -163,7 +163,7 @@ func (c *Context) FailPoint(kind faults.Kind, op string) error {
 	if err != nil {
 		c.Count(telemetry.CounterFaultsInjected, 1)
 		c.Count(telemetry.FaultCounter(string(kind)), 1)
-		c.Emit(events.TypeFaultInjected, op, "%v", err)
+		c.Emit(events.FaultInjected, op, []string{err.Error()})
 		c.logf("  fault injected: %v", err)
 	}
 	return err
@@ -193,10 +193,11 @@ func (c *Context) Count(name string, delta int64) {
 
 // Emit publishes one typed live event (see internal/events) through the
 // recorder's event sink — branch decisions, DSE progress, faults, and
-// retries reach streaming clients this way. The detail is formatted only
-// when a sink is attached, so batch runs pay a nil check and no Sprintf.
-func (c *Context) Emit(typ, name, format string, args ...any) {
-	c.Telemetry.Emit(typ, name, format, args...)
+// retries reach streaming clients this way. f fixes the event's type and
+// text, strs and nums are its operands; nothing is rendered unless a sink
+// keeps the event, and without one an event costs a nil check.
+func (c *Context) Emit(f events.Format, name string, strs []string, nums ...float64) {
+	c.Telemetry.Emit(f, name, strs, nums...)
 }
 
 func (c *Context) logf(format string, args ...any) {
@@ -295,13 +296,14 @@ func (t TaskFunc) Run(ctx *Context, d *Design) error {
 	return nil
 }
 
-// Node is a flow element: a Task step or a Branch point.
+// Node is a flow element: a *Step or a Branch point.
 type Node interface{ flowNode() }
 
-// Step wraps a task as a flow node.
+// Step wraps a task as a flow node. A flow holds steps by pointer, so a
+// lowering can hand out a compile's steps from one slice.
 type Step struct{ Task Task }
 
-func (Step) flowNode() {}
+func (*Step) flowNode() {}
 
 // Path is one alternative at a branch point.
 type Path struct {
@@ -394,7 +396,7 @@ type Flow struct {
 
 // AddTask appends a task step and returns the flow for chaining.
 func (f *Flow) AddTask(t Task) *Flow {
-	f.Nodes = append(f.Nodes, Step{Task: t})
+	f.Nodes = append(f.Nodes, &Step{Task: t})
 	return f
 }
 
@@ -431,7 +433,7 @@ func (f *Flow) edit(keep func(Node) Node) *Flow {
 func (f *Flow) Without(tasks ...Task) (*Flow, error) {
 	removed := map[string]bool{}
 	out := f.edit(func(n Node) Node {
-		s, ok := n.(Step)
+		s, ok := n.(*Step)
 		if ok && slices.ContainsFunc(tasks, func(t Task) bool { return t.Name() == s.Task.Name() }) {
 			removed[s.Task.Name()] = true
 			return nil
@@ -478,14 +480,11 @@ func (f *Flow) run(ctx *Context, d *Design, parent *telemetry.Span) ([]*Design, 
 	designs := []*Design{d}
 	for _, node := range f.Nodes {
 		switch n := node.(type) {
-		case Step:
-			// A fresh output slice: reusing designs[:0] would alias the
-			// input's backing array, corrupting not-yet-visited designs the
-			// moment a step drops or expands entries.
-			next := make([]*Design, 0, len(designs))
+		case *Step:
+			// A step keeps every design it is given, so it runs on designs
+			// in place.
 			for _, cur := range designs {
 				if cur.Infeasible != "" {
-					next = append(next, cur)
 					continue
 				}
 				if err := ctx.Interrupted(); err != nil {
@@ -505,10 +504,8 @@ func (f *Flow) run(ctx *Context, d *Design, parent *telemetry.Span) ([]*Design, 
 				if err != nil {
 					return nil, &FlowError{Flow: f.Name, Task: n.Task.Name(), Err: err}
 				}
-				cur.Tracef("task", n.Task.Name(), "%s", n.Task.Kind())
-				next = append(next, cur)
+				cur.Record(events.TaskKind, n.Task.Name(), []string{n.Task.Kind().String()})
 			}
-			designs = next
 		case Branch:
 			next := make([]*Design, 0, len(designs))
 			for _, cur := range designs {
@@ -567,7 +564,7 @@ func runTask(ctx *Context, t Task, d *Design, span *telemetry.Span) error {
 		delay := pol.Delay(t.Name(), attempt)
 		ctx.Count(telemetry.CounterRetryAttempts, 1)
 		ctx.Count(telemetry.CounterRetryBackoffMillis, delay.Milliseconds())
-		ctx.Emit(events.TypeRetry, t.Name(), "attempt %d failed (%v); retrying after %s", attempt, err, delay)
+		ctx.Emit(events.RetryScheduled, t.Name(), []string{err.Error(), delay.String()}, float64(attempt))
 		span.Note(fmt.Sprintf("retry %d after %v (backoff %s)", attempt, err, delay))
 		ctx.logf("  retry %-31s attempt %d after %s (%v)", t.Name(), attempt+1, delay, err)
 		if faults.Sleep(ctx.Ctx, delay) != nil {
@@ -605,19 +602,25 @@ func runTaskAttempt(ctx *Context, t Task, d *Design) error {
 	return err
 }
 
-// pathNames renders the path names of the alternative being taken for the
-// branch_decision event; a Stringer, so only an attached sink renders it.
-type pathNames struct {
-	paths []Path
-	idxs  []int
-}
-
-func (p pathNames) String() string {
-	names := make([]string, len(p.idxs))
-	for k, i := range p.idxs {
-		names[k] = fmt.Sprintf("%q", p.paths[i].Name)
+// emitDecision emits the branch_decision event of the alternative idxs:
+// the strategy and the names of the paths it takes, each quoted. A list
+// longer than an event detail holds is rendered here, once.
+func emitDecision(ctx *Context, b Branch, idxs []int) {
+	var buf [events.MaxStrs]string
+	strs := append(buf[:0], b.Select.Name())
+	if len(idxs) < events.MaxStrs {
+		for _, i := range idxs {
+			strs = append(strs, b.Paths[i].Name)
+		}
+		ctx.Emit(events.Decision, b.PointName, strs)
+		return
 	}
-	return strings.Join(names, ", ")
+	names := make([]string, len(idxs))
+	for k, i := range idxs {
+		names[k] = b.Paths[i].Name
+	}
+	list := string(events.AppendList(nil, 'q', names))
+	ctx.Emit(events.DecisionJoined, b.PointName, append(strs, list))
 }
 
 // checkAlternatives validates a selector's preference list against a branch
@@ -687,7 +690,7 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 			return nil, fail(err)
 		}
 		idxs := alt.Paths
-		ctx.Emit(events.TypeBranchDecision, b.PointName, "strategy %s selected %s", b.Select.Name(), pathNames{b.Paths, idxs})
+		emitDecision(ctx, b, idxs)
 		perPath := make([][]*Design, len(idxs))
 		errs := make([]error, len(idxs))
 		forks := make([]*Design, len(idxs))
@@ -706,7 +709,7 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 		runPath := func(slot, i int) {
 			p := b.Paths[i]
 			fork := forks[slot]
-			fork.Tracef("branch", b.PointName, "selected path %q (strategy %s)", p.Name, b.Select.Name())
+			fork.Record(events.BranchSelected, b.PointName, []string{p.Name, b.Select.Name()})
 			ctx.logf("branch %s -> %s", b.PointName, p.Name)
 			pathSpan := ctx.Telemetry.StartSpan(branchSpan, telemetry.KindPath, b.PointName+"/"+p.Name)
 			pathSpan.SetDetail(fork.Label())
@@ -744,9 +747,9 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 				p := b.Paths[i]
 				fork := forks[slot]
 				fork.Infeasible = fmt.Sprintf("path %q failed: %v", p.Name, err)
-				fork.Tracef("branch", b.PointName, "degraded: %v", err)
+				fork.Record(events.BranchDegraded, b.PointName, []string{err.Error()})
 				ctx.Count(telemetry.CounterFaultDegradations, 1)
-				ctx.Emit(events.TypeDegraded, b.PointName+"/"+p.Name, "%v", err)
+				ctx.Emit(events.PathDegraded, b.PointName+"/"+p.Name, []string{err.Error()})
 				branchSpan.Note(fmt.Sprintf("path %q degraded: %v", p.Name, err))
 				ctx.logf("branch %s: path %q degraded (%v)", b.PointName, p.Name, err)
 				degraded = append(degraded, fork)
@@ -768,7 +771,7 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 				if cost := ctx.Cost(leaf); cost <= ctx.Budget {
 					overBudget = false
 				} else {
-					leaf.Tracef("branch", b.PointName, "cost %.4g exceeds budget %.4g", cost, ctx.Budget)
+					leaf.Record(events.BranchOverBudget, b.PointName, nil, cost, ctx.Budget)
 				}
 			}
 		}
@@ -785,7 +788,7 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 			fallbacks++
 			ctx.Count(telemetry.CounterFaultFallbacks, 1)
 			branchSpan.Note(fmt.Sprintf("fallback %d: re-selecting without path %q", fallbacks, b.Paths[idxs[0]].Name))
-			d.Tracef("branch", b.PointName, "fallback %d: path %q failed, re-selecting", fallbacks, b.Paths[idxs[0]].Name)
+			d.Record(events.BranchFallback, b.PointName, []string{b.Paths[idxs[0]].Name}, float64(fallbacks))
 		case !gated || !overBudget:
 			return append(degraded, out...), nil
 		case rev == maxRev:
@@ -794,9 +797,9 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 			// Budget feedback: every leaf is over budget, revise.
 			rev++
 			ctx.Count(telemetry.CounterBudgetRevisions, 1)
-			d.Tracef("branch", b.PointName, "revision %d: all selected paths over budget, re-selecting", rev)
+			d.Record(events.BranchRevision, b.PointName, nil, float64(rev))
 		}
 	}
-	d.Tracef("branch", b.PointName, "no path selected; design unmodified")
+	d.Record(events.BranchNoPath, b.PointName, nil)
 	return append(degraded, d), nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"psaflow/internal/analysis"
 	"psaflow/internal/codegen"
+	"psaflow/internal/events"
 	"psaflow/internal/hls"
 	"psaflow/internal/minic"
 	"psaflow/internal/platform"
@@ -206,7 +207,7 @@ func TestBranchSingleSelection(t *testing.T) {
 	// The single selection must not fork (same design flows on).
 	found := false
 	for _, ev := range out[0].Trace {
-		if ev.Kind == "branch" && strings.Contains(ev.Detail, `path "b"`) {
+		if ev.Kind() == "branch" && strings.Contains(ev.Detail(), `path "b"`) {
 			found = true
 		}
 	}
@@ -273,7 +274,7 @@ func TestBudgetFeedback(t *testing.T) {
 	// Trace should record the revision.
 	revised := false
 	for _, ev := range out[0].Trace {
-		if strings.Contains(ev.Detail, "re-selecting") {
+		if strings.Contains(ev.Detail(), "re-selecting") {
 			revised = true
 		}
 	}
@@ -345,19 +346,28 @@ func TestForkIndependence(t *testing.T) {
 	d := newTestDesign()
 	d.Report.KernelFlops = 42
 	d.SharedMem = []string{"a"}
-	d.Tracef("note", "orig", "first")
+	d.Record(events.NotePlusEq, "orig", nil, 1)
 	f := d.Fork()
 	f.Report.KernelFlops = 99
 	f.SharedMem[0] = "b"
-	f.Tracef("note", "fork", "second")
+	f.Record(events.NotePlusEq, "fork", nil, 2)
+	d.Record(events.NoteRender, "after", []string{"openmp"}, 3, 4)
 	if d.Report.KernelFlops != 42 {
 		t.Error("fork shares report")
 	}
 	if d.SharedMem[0] != "a" {
 		t.Error("fork shares shared-mem slice")
 	}
-	if len(d.Trace) != 1 {
+	if len(d.Trace) != 2 {
 		t.Error("fork shares trace")
+	}
+	// The fork reads the operands its copied event has in d's slab, while
+	// both record into slabs of their own.
+	if got := TraceLines(d.Trace); got[0] != "[note] orig: 1 accumulation(s) rewritten" || got[1] != "[note] after: openmp design: 3 LOC (+4 over reference)" {
+		t.Errorf("parent trace = %q", got)
+	}
+	if got := TraceLines(f.Trace); len(got) != 2 || got[0] != "[note] orig: 1 accumulation(s) rewritten" || got[1] != "[note] fork: 2 accumulation(s) rewritten" {
+		t.Errorf("fork trace = %q", got)
 	}
 }
 
@@ -565,32 +575,62 @@ func TestDesignLabel(t *testing.T) {
 }
 
 func TestTraceEventString(t *testing.T) {
-	e := TraceEvent{Kind: "task", Name: "foo"}
-	if e.String() != "[task] foo" {
-		t.Errorf("got %q", e.String())
+	d := &Design{}
+	d.Record(events.TaskKind, "foo", []string{""})
+	d.Record(events.TaskKind, "foo", []string{"bar"})
+	if got := d.Trace[0].String(); got != "[task] foo" {
+		t.Errorf("got %q", got)
 	}
-	e.Detail = "bar"
-	if e.String() != "[task] foo: bar" {
-		t.Errorf("got %q", e.String())
+	if got := d.Trace[1].String(); got != "[task] foo: bar" {
+		t.Errorf("got %q", got)
+	}
+	if got, want := d.Trace[1].Kind(), "task"; got != want {
+		t.Errorf("kind %q, want %q", got, want)
 	}
 }
 
-// TestTraceLines: TraceLines renders each event as String does, the empty
-// parts and multi-byte text included, and no events as no lines.
+// TestTraceLines: TraceLines renders each event as String does — the empty
+// parts, multi-byte text, the zero event, lists and events whose operands
+// fill several slabs included — and no events as no lines.
 func TestTraceLines(t *testing.T) {
-	trace := []TraceEvent{
-		{Kind: "note", Name: "no detail"},
-		{},
-		{Kind: "dse", Detail: "no name"},
-		{Kind: "task", Name: "Générer ✓", Detail: "A: \"quoted\"\n"},
+	d := &Design{}
+	d.Record(events.TaskKind, "no detail", []string{""})
+	d.Trace = append(d.Trace, TraceEvent{})
+	d.Record(events.DSENumThreads, "", nil, 4, 0.5)
+	d.Record(events.TaskKind, "Générer ✓", []string{"A: \"quoted\"\n"})
+	d.Record(events.NoteSharedMem, "sharedmem", []string{"a", "b"})
+	d.Record(events.NoteSharedMem, "sharedmem", []string{"a", "b", "c", "d", "e", "f"})
+	d.Record(events.NoteSharedMem, "sharedmem", nil)
+	for i := range 20 {
+		d.Record(events.BranchInputs, "A", nil, float64(i), 2, 3, 4, 1, 5, 0)
+		d.Record(events.NoteExtract, "extract", []string{"k", "host"}, float64(i))
 	}
-	lines := TraceLines(trace)
-	if len(lines) != len(trace) {
-		t.Fatalf("%d lines for %d events", len(lines), len(trace))
+	want := []string{
+		"[task] no detail",
+		"[] ",
+		"[dse] : best=4 time=0.5s",
+		"[task] Générer ✓: A: \"quoted\"\n",
+		"[note] sharedmem: staged arrays: [a b]",
+		"[note] sharedmem: staged arrays: [a b c d e f]",
+		"[note] sharedmem: staged arrays: []",
 	}
-	for i, e := range trace {
+	lines := TraceLines(d.Trace)
+	if len(lines) != len(d.Trace) {
+		t.Fatalf("%d lines for %d events", len(lines), len(d.Trace))
+	}
+	for i, e := range d.Trace {
 		if lines[i] != e.String() {
 			t.Errorf("line %d = %q, want %q", i, lines[i], e.String())
+		}
+		if i < len(want) && lines[i] != want[i] {
+			t.Errorf("line %d = %q, want %q", i, lines[i], want[i])
+		}
+	}
+	for i := range 20 {
+		in := fmt.Sprintf("[branch] A: Tcpu=%.4gs Tdata=2s AI=3.00 (X=4.00) parallel=true innerDeps=5 fullyUnrollable=false", float64(i))
+		ex := fmt.Sprintf("[note] extract: kernel k(%d params) outlined from host", i)
+		if got := lines[len(want)+2*i : len(want)+2*i+2]; got[0] != in || got[1] != ex {
+			t.Errorf("events %d = %q, want %q and %q", i, got, in, ex)
 		}
 	}
 	if got := TraceLines(nil); got != nil {
@@ -664,7 +704,7 @@ func TestDesignExport(t *testing.T) {
 	d := newTestDesign()
 	d.Device = "Test Device 1"
 	chooseGPU(t, d)
-	d.Tracef("note", "x", "hello")
+	d.Record(events.BranchText, "x", []string{"hello"})
 	out, err := d.Export(dir)
 	if err != nil {
 		t.Fatalf("Export: %v", err)

@@ -54,6 +54,11 @@ type Event struct {
 	Name   string  `json:"name,omitempty"`   // task/branch/sweep the event is about
 	Detail string  `json:"detail,omitempty"` // free-form context (path chosen, error, ...)
 	DurMS  float64 `json:"dur_ms,omitempty"` // task_end and terminal events
+	// Args is the detail of an event the engine emitted, as its format
+	// and operands: the frame renders it into "detail" at publish, so an
+	// emitted event costs its frame and nothing else. It is read only when
+	// Detail is empty.
+	Args Detail `json:"-"`
 }
 
 // Frame is one published event as the ring keeps it: its canonical wire
@@ -289,6 +294,12 @@ func appendEvent(dst []byte, e *Event, ts time.Time) []byte {
 	if e.Detail != "" {
 		dst = append(dst, `,"detail":`...)
 		dst = appendString(dst, e.Detail)
+	} else if e.Args.Format != FormatNone {
+		var buf [192]byte
+		if text := e.Args.Append(buf[:0]); len(text) > 0 {
+			dst = append(dst, `,"detail":`...)
+			dst = appendString(dst, text)
+		}
 	}
 	if e.DurMS != 0 && !math.IsNaN(e.DurMS) && !math.IsInf(e.DurMS, 0) {
 		dst = append(dst, `,"dur_ms":`...)
@@ -319,7 +330,7 @@ const hexDigits = "0123456789abcdef"
 // `\` backslashed; \b, \f, \n, \r and \t by name; the other control
 // characters and <, > and & as \u00XX; U+2028 and U+2029 as \u2028 and
 // \u2029; each byte of invalid UTF-8 as \ufffd.
-func appendString(dst []byte, s string) []byte {
+func appendString[S string | []byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -350,7 +361,7 @@ func appendString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		r, size := decodeRune(s[i:])
 		switch {
 		case r == utf8.RuneError && size == 1:
 			dst = append(dst, s[start:i]...)
@@ -367,4 +378,11 @@ func appendString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
+}
+
+// decodeRune is utf8.DecodeRune of the first bytes of s, a string or a
+// byte slice, copied so that neither is converted to the other.
+func decodeRune[S string | []byte](s S) (rune, int) {
+	var buf [utf8.UTFMax]byte
+	return utf8.DecodeRune(buf[:copy(buf[:], s)])
 }

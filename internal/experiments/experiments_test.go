@@ -240,14 +240,14 @@ func TestFig5UnrollWalkAccounting(t *testing.T) {
 			next, lastFit, stopped := 1, 0, false
 			for _, ev := range d.Trace {
 				var n int
-				if ev.Kind == "dse" && ev.Name == "sharing" && strings.HasSuffix(ev.Detail, "trips") {
+				if ev.Kind() == "dse" && ev.Name == "sharing" && strings.HasSuffix(ev.Detail(), "trips") {
 					next, lastFit, stopped = 1, 0, false // the walk again, on the shared datapath
 					continue
 				}
-				if ev.Kind != "dse" || ev.Name != "unroll" {
+				if ev.Kind() != "dse" || ev.Name != "unroll" {
 					continue
 				}
-				if _, err := fmt.Sscanf(ev.Detail, "n=%d ", &n); err != nil {
+				if _, err := fmt.Sscanf(ev.Detail(), "n=%d ", &n); err != nil {
 					continue // the walk's closing summary line
 				}
 				walked++
@@ -255,7 +255,7 @@ func TestFig5UnrollWalkAccounting(t *testing.T) {
 					t.Errorf("%s: walk visited n=%d, want n=%d (stopped=%t)", what, n, next, stopped)
 				}
 				next = 2 * n
-				if strings.HasSuffix(ev.Detail, "fits=true") {
+				if strings.HasSuffix(ev.Detail(), "fits=true") {
 					lastFit = n
 				} else {
 					stopped = true
@@ -285,12 +285,12 @@ func TestFig5UnrollWalkAccounting(t *testing.T) {
 				t.Errorf("%s: outer-loop unroll pragmas = %q, want %q", what, unroll, want)
 			}
 		}
-		iters, compiles := rec.Counter(telemetry.DSECounter("unroll")), rec.Counter(telemetry.CounterHLSPartialCompiles)
+		iters, compiles := rec.Counter(telemetry.CounterDSEUnroll), rec.Counter(telemetry.CounterHLSPartialCompiles)
 		if walked == 0 || iters != walked || compiles != walked+c.compiles || (c.walks != 0 && walked != c.walks) {
 			t.Errorf("%s (sharing=%t): %d walk steps traced, dse.unroll.iterations=%d hls.partial_compiles=%d; want steps = iterations (pinned: %d) and compiles = steps + %d",
 				b.Name, c.sharing, walked, iters, compiles, c.walks, c.compiles)
 		}
-		if shared := rec.Counter(telemetry.DSECounter("sharing")); shared != c.shared {
+		if shared := rec.Counter(telemetry.CounterDSESharing); shared != c.shared {
 			t.Errorf("%s (sharing=%t): dse.sharing.iterations=%d, want %d", b.Name, c.sharing, shared, c.shared)
 		}
 	}

@@ -32,10 +32,10 @@ func TestCompileAllocations(t *testing.T) {
 		opts flowlang.Options
 		max  float64
 	}{
-		{flowlang.Options{Mode: tasks.Informed}, 104},
-		{flowlang.Options{Mode: tasks.Uninformed}, 102},
-		{flowlang.Options{Mode: tasks.Uninformed, ResourceSharing: true}, 109},
-		{flowlang.Options{Mode: tasks.Informed, ResourceSharing: true}, 111},
+		{flowlang.Options{Mode: tasks.Informed}, 55},
+		{flowlang.Options{Mode: tasks.Uninformed}, 53},
+		{flowlang.Options{Mode: tasks.Uninformed, ResourceSharing: true}, 59},
+		{flowlang.Options{Mode: tasks.Informed, ResourceSharing: true}, 61},
 	} {
 		allocs := testing.AllocsPerRun(10, func() { _ = flowlang.PSAFlow(c.opts) })
 		t.Logf("%s sharing=%v: %.0f allocations", c.opts.Mode, c.opts.ResourceSharing, allocs)

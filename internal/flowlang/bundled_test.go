@@ -60,7 +60,7 @@ func probeChoice(br core.Branch) string {
 	}
 	s := "probe: " + strings.Join(choice, ", ")
 	for _, ev := range d.Trace {
-		s += " | " + ev.Detail
+		s += " | " + ev.Detail()
 	}
 	return s
 }
@@ -73,7 +73,7 @@ func renderGraph(sb *strings.Builder, f *core.Flow, indent string) {
 	fmt.Fprintf(sb, "%sflow %q\n", indent, f.Name)
 	for _, n := range f.Nodes {
 		switch n := n.(type) {
-		case core.Step:
+		case *core.Step:
 			fmt.Fprintf(sb, "%s  task %q kind=%s dynamic=%t\n", indent, n.Task.Name(), n.Task.Kind(), n.Task.Dynamic())
 		case core.Branch:
 			fmt.Fprintf(sb, "%s  branch %q select=%s gated=%t revisions=%d\n", indent,
@@ -131,7 +131,7 @@ func resultFingerprint(rs []experiments.DesignResult) []string {
 			r.Design.Label(), r.Infeasible, r.Speedup,
 			r.Breakdown.KernelTime, r.Breakdown.Total, r.Breakdown.Note)
 		for _, ev := range r.Design.Trace {
-			s += fmt.Sprintf("\n  %s %s %s", ev.Kind, ev.Name, ev.Detail)
+			s += fmt.Sprintf("\n  %s %s %s", ev.Kind(), ev.Name, ev.Detail())
 		}
 		out = append(out, s)
 	}

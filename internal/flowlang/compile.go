@@ -96,14 +96,29 @@ type binding struct {
 type compiler struct {
 	opts Options
 	defs map[string]*DefDecl
+	// steps hands out the compile's steps: a flow holds them by pointer,
+	// so one slice of stepChunk serves many tasks.
+	steps []core.Step
 }
 
-// lower appends the lowered form of stmts to flow.
+// stepChunk is how many steps one allocation holds. The built-in flow
+// lowers 30 to 38 tasks.
+const stepChunk = 32
+
+// lower appends the lowered form of stmts to flow, whose nodes it sizes
+// once beforehand.
 func (c *compiler) lower(flow *core.Flow, stmts []Stmt, b binding) {
+	if flow.Nodes == nil {
+		flow.Nodes = make([]core.Node, 0, c.count(stmts, b))
+	}
 	for _, st := range stmts {
 		switch s := st.(type) {
 		case *TaskStmt:
-			flow.AddTask(lowerTask(s, b))
+			if len(c.steps) == cap(c.steps) {
+				c.steps = make([]core.Step, 0, stepChunk)
+			}
+			c.steps = append(c.steps, core.Step{Task: lowerTask(s, b)})
+			flow.Nodes = append(flow.Nodes, &c.steps[len(c.steps)-1])
 		case *UseStmt:
 			c.lower(flow, c.defs[s.Name].Body, b)
 		case *WhenStmt:
@@ -114,6 +129,24 @@ func (c *compiler) lower(flow *core.Flow, stmts []Stmt, b binding) {
 			flow.AddBranch(c.lowerBranch(s, b))
 		}
 	}
+}
+
+// count is how many nodes lower appends for stmts.
+func (c *compiler) count(stmts []Stmt, b binding) int {
+	n := 0
+	for _, st := range stmts {
+		switch s := st.(type) {
+		case *TaskStmt, *BranchStmt:
+			n++
+		case *UseStmt:
+			n += c.count(c.defs[s.Name].Body, b)
+		case *WhenStmt:
+			if c.eval(s.Cond, b) {
+				n += c.count(s.Body, b)
+			}
+		}
+	}
+	return n
 }
 
 // lowerTask instantiates a task. Validate admits a device argument only

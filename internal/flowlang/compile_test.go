@@ -48,7 +48,7 @@ func TestCompileWhenResolution(t *testing.T) {
 	taskNames := func(f *core.Flow) []string {
 		var out []string
 		for _, n := range f.Nodes[3:] {
-			out = append(out, n.(core.Step).Task.Name())
+			out = append(out, n.(*core.Step).Task.Name())
 		}
 		return out
 	}

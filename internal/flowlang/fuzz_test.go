@@ -94,7 +94,7 @@ func FuzzFlowParse(f *testing.F) {
 func needsMet(f *core.Flow, all, some core.Fact, bad *[]string) core.Fact {
 	for _, n := range f.Nodes {
 		switch n := n.(type) {
-		case core.Step:
+		case *core.Step:
 			t := n.Task.(core.TaskFunc)
 			if miss := t.Need &^ all; miss != 0 {
 				*bad = append(*bad, fmt.Sprintf("%s/%s needs %v", f.Name, t.TaskName, miss))

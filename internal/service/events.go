@@ -39,8 +39,8 @@ func (k *jobSink) SpanNote(kind, name, note string) {
 	k.s.publish(k.job, events.Event{Type: events.TypeNote, Name: name, Detail: note})
 }
 
-func (k *jobSink) Event(typ, name, detail string) {
-	k.s.publish(k.job, events.Event{Type: typ, Name: name, Detail: detail})
+func (k *jobSink) Event(name string, detail events.Detail) {
+	k.s.publish(k.job, events.Event{Type: detail.Format.Kind(), Name: name, Args: detail})
 }
 
 // defaultEventHeartbeat keeps idle streams alive through proxies.

@@ -159,7 +159,7 @@ func TestEventReplayMatchesLiveStream(t *testing.T) {
 	emitted := make(chan struct{})
 	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
 		for i := 0; i < 5; i++ {
-			rec.Emit(events.TypeDSEProgress, "sweep", fmt.Sprintf("step %d", i))
+			rec.Emit(events.SharingStep, "sweep", []string{fmt.Sprintf("step %d", i)}, float64(i), events.Bool(i%2 == 0))
 		}
 		close(emitted)
 		time.Sleep(50 * time.Millisecond) // keep the job live while the watcher drains
@@ -280,7 +280,7 @@ func TestEventStreamDropAccounting(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4, EventRingSize: 4})
 	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
 		for i := 0; i < 20; i++ {
-			rec.Emit(events.TypeDSEProgress, "sweep", fmt.Sprintf("step %d", i))
+			rec.Emit(events.SharingStep, "sweep", []string{fmt.Sprintf("step %d", i)}, float64(i), events.Bool(i%2 == 0))
 		}
 		return nil, nil
 	}
@@ -316,7 +316,7 @@ func TestEventStreamLateSubscriberDrainsRing(t *testing.T) {
 	const sweeps = 200
 	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
 		for i := 0; i < sweeps; i++ {
-			rec.Emit(events.TypeDSEProgress, "sweep", fmt.Sprintf("step %d", i))
+			rec.Emit(events.SharingStep, "sweep", []string{fmt.Sprintf("step %d", i)}, float64(i), events.Bool(i%2 == 0))
 		}
 		return nil, nil
 	}
@@ -466,7 +466,7 @@ func TestConcurrentWatchersRace(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueSize: 8, EventHeartbeat: time.Hour})
 	s.runFlow = func(ctx context.Context, job *Job, rec *telemetry.Recorder) ([]experiments.DesignResult, error) {
 		for i := 0; i < 50; i++ {
-			rec.Emit(events.TypeDSEProgress, "sweep", fmt.Sprintf("step %d", i))
+			rec.Emit(events.SharingStep, "sweep", []string{fmt.Sprintf("step %d", i)}, float64(i), events.Bool(i%2 == 0))
 			time.Sleep(time.Millisecond)
 		}
 		return nil, nil

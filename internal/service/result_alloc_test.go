@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"psaflow/internal/core"
+	"psaflow/internal/events"
 	"psaflow/internal/experiments"
 )
 
@@ -17,12 +18,16 @@ import (
 // most two allocations, however many events the trace holds.
 func TestBuildResultTraceAllocations(t *testing.T) {
 	const designs = 3
-	withTrace := func(events int) *outcome {
+	withTrace := func(n int) *outcome {
 		o := &outcome{}
 		for i := 0; i < designs; i++ {
 			d := &core.Design{Name: "nbody"}
-			for j := 0; j < events; j++ {
-				d.Trace = append(d.Trace, core.TraceEvent{Kind: "task", Name: "Unroll Fixed Loops", Detail: strconv.Itoa(j)})
+			for j := 0; j < n; j++ {
+				if j%2 == 0 {
+					d.Record(events.TaskKind, "Unroll Fixed Loops", []string{strconv.Itoa(j)})
+				} else {
+					d.Record(events.DSEUnrollStep, "unroll", nil, float64(j), 51.25, 12.5, events.Bool(j%3 == 0))
+				}
 			}
 			o.results = append(o.results, experiments.DesignResult{Design: d})
 		}
@@ -30,12 +35,12 @@ func TestBuildResultTraceAllocations(t *testing.T) {
 	}
 	o := withTrace(0)
 	none := testing.AllocsPerRun(20, func() { buildResult(JobStatus{}, o) })
-	for _, events := range []int{1, 8, 500} {
-		o := withTrace(events)
+	for _, n := range []int{1, 8, 500} {
+		o := withTrace(n)
 		extra := testing.AllocsPerRun(20, func() { buildResult(JobStatus{}, o) }) - none
-		t.Logf("%d events a design: %.0f allocations for the traces of %d designs", events, extra, designs)
+		t.Logf("%d events a design: %.0f allocations for the traces of %d designs", n, extra, designs)
 		if extra > 2*designs {
-			t.Errorf("%d events a design: the traces cost %.0f allocations, want at most %d", events, extra, 2*designs)
+			t.Errorf("%d events a design: the traces cost %.0f allocations, want at most %d", n, extra, 2*designs)
 		}
 	}
 }

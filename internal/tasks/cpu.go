@@ -51,14 +51,13 @@ var NumThreadsDSE = core.TaskFunc{
 	TaskName: "OMP Num. Threads DSE", TaskKind: core.Optimisation, IsDyn: true, Give: core.FactDevice,
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		feat := d.Report.Features()
-		ctx.Count(telemetry.DSECounter("numthreads"), int64(ctx.CPU.Cores))
+		ctx.Count(telemetry.CounterDSENumThreads, int64(ctx.CPU.Cores))
 		threads, t := perfmodel.BestThreads(ctx.CPU, feat)
-		ctx.Emit(events.TypeDSEProgress, "numthreads",
-			"swept %d thread counts on %s: best=%d (%.3gs)", ctx.CPU.Cores, ctx.CPU.Name, threads, t)
+		ctx.Emit(events.ThreadsSwept, "numthreads", []string{ctx.CPU.Name}, float64(ctx.CPU.Cores), float64(threads), t)
 		d.NumThreads = threads
 		d.Device = ctx.CPU.Name
 		d.Est = perfmodel.Breakdown{KernelTime: t, Total: t, Note: fmt.Sprintf("%d threads", threads)}
-		d.Tracef("dse", "numthreads", "best=%d time=%.3gs", threads, t)
+		d.Record(events.DSENumThreads, "numthreads", nil, float64(threads), t)
 		return nil
 	},
 }

@@ -34,7 +34,7 @@ func TestBuildPSAFlowShapes(t *testing.T) {
 				t.Fatalf("%s: top-level flow has %d nodes, want %d target-independent tasks and branch point A", name, len(flow.Nodes), len(tindep))
 			}
 			for i, task := range tindep {
-				if s, ok := flow.Nodes[i].(core.Step); !ok || s.Task.Name() != task.Name() {
+				if s, ok := flow.Nodes[i].(*core.Step); !ok || s.Task.Name() != task.Name() {
 					t.Errorf("%s: node %d is %v, want task %q", name, i, flow.Nodes[i], task.Name())
 				}
 			}

@@ -54,7 +54,7 @@ var UnrollFixedLoopsTask = core.TaskFunc{
 		if err != nil {
 			return err
 		}
-		d.Tracef("note", "unrollfixed", "%d inner loops fully unrolled", n)
+		d.Record(events.NoteUnrollFixed, "unrollfixed", nil, float64(n))
 		return nil
 	},
 }
@@ -112,7 +112,7 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.TaskFunc {
 				if err := ctx.Interrupted(); err != nil {
 					return err
 				}
-				ctx.Count(telemetry.DSECounter("unroll"), 1)
+				ctx.Count(telemetry.CounterDSEUnroll, 1)
 				transform.RemoveLoopPragmas(loop, "unroll")
 				if err := transform.InsertLoopPragma(loop, fmt.Sprintf("unroll %d", n)); err != nil {
 					return err
@@ -129,10 +129,10 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.TaskFunc {
 				}
 				ctx.Count(telemetry.CounterHLSPartialCompiles, 1)
 				rep := dp.Replicate(dev, n, d.Report.PipelinedTrips)
-				d.Tracef("dse", "unroll", "n=%d LUT=%.1f%% DSP=%.1f%% fits=%t",
-					n, rep.LUTUtil*100, rep.DSPUtil*100, rep.Fits)
-				ctx.Emit(events.TypeDSEProgress, "unroll",
-					"%s: n=%d LUT=%.1f%% DSP=%.1f%% fits=%t", dev.Name, n, rep.LUTUtil*100, rep.DSPUtil*100, rep.Fits)
+				d.Record(events.DSEUnrollStep, "unroll", nil,
+					float64(n), rep.LUTUtil*100, rep.DSPUtil*100, events.Bool(rep.Fits))
+				ctx.Emit(events.UnrollStep, "unroll", []string{dev.Name},
+					float64(n), rep.LUTUtil*100, rep.DSPUtil*100, events.Bool(rep.Fits))
 				if !rep.Fits {
 					break
 				}
@@ -143,7 +143,7 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.TaskFunc {
 			if best == nil {
 				d.Infeasible = fmt.Sprintf("kernel overmaps %s even without unrolling", dev.Name)
 				d.Device = dev.Name
-				d.Tracef("dse", "unroll", "design exceeds device capacity; not synthesizable")
+				d.Record(events.DSEUnrollOvermap, "unroll", nil)
 				return nil
 			}
 			if err := transform.InsertLoopPragma(loop, fmt.Sprintf("unroll %d", bestUnroll)); err != nil {
@@ -154,8 +154,8 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.TaskFunc {
 			d.HLSReport = best
 			d.Device = dev.Name
 			d.Est = perfmodel.FPGATime(dev, best, d.Report.Features(), d.ZeroCopy)
-			d.Tracef("dse", "unroll", "final unroll=%d II=%d est=%.3gs (%s)",
-				bestUnroll, best.II, d.Est.Total, d.Est.Note)
+			d.Record(events.DSEUnrollFinal, "unroll", []string{d.Est.Note},
+				float64(bestUnroll), float64(best.II), d.Est.Total)
 			return nil
 		},
 	}

@@ -43,7 +43,7 @@ var SinglePrecisionFns = core.TaskFunc{
 	TaskName: "Employ SP Math Fns", TaskKind: core.Transform, Need: core.FactKernel,
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		n := transform.SinglePrecisionFns(d.EditKernel())
-		d.Tracef("note", "spfns", "%d calls demoted", n)
+		d.Record(events.NoteSPFns, "spfns", nil, float64(n))
 		return nil
 	},
 }
@@ -57,7 +57,7 @@ var SinglePrecisionLiterals = core.TaskFunc{
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		n := transform.SinglePrecisionLiterals(d.EditKernel())
 		d.Report.SinglePrec = true
-		d.Tracef("note", "spliterals", "%d literals demoted", n)
+		d.Record(events.NoteSPLiterals, "spliterals", nil, float64(n))
 		return nil
 	},
 }
@@ -83,7 +83,7 @@ var SharedMemBuffer = core.TaskFunc{
 			}
 		}
 		d.SharedMem = staged
-		d.Tracef("note", "sharedmem", "staged arrays: %v", staged)
+		d.Record(events.NoteSharedMem, "sharedmem", staged)
 		return nil
 	},
 }
@@ -95,7 +95,7 @@ var SpecialisedMathFns = core.TaskFunc{
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		n := transform.SpecialisedMathFns(d.EditKernel())
 		d.Specialised = n > 0
-		d.Tracef("note", "fastmath", "%d intrinsics installed", n)
+		d.Record(events.NoteFastMath, "fastmath", nil, float64(n))
 		return nil
 	},
 }
@@ -119,20 +119,19 @@ func BlocksizeDSE(dev platform.GPUSpec) core.TaskFunc {
 			d.Report.SpecialDP = analysis.HasDPSpecialCalls(kfn)
 			d.Report.HeavyFrac = analysis.HeavySpecialFraction(kfn)
 			feat := d.Report.Features()
-			ctx.Count(telemetry.DSECounter("blocksize"), int64(len(perfmodel.BlocksizeCandidates)))
+			ctx.Count(telemetry.CounterDSEBlocksize, int64(len(perfmodel.BlocksizeCandidates)))
 			bs, bd := perfmodel.BestBlocksize(dev, feat, d.Pinned)
 			d.Device = dev.Name
 			if bs < 0 {
-				ctx.Emit(events.TypeDSEProgress, "blocksize",
-					"%s: no feasible blocksize among %d candidates", dev.Name, len(perfmodel.BlocksizeCandidates))
+				ctx.Emit(events.NoBlocksize, "blocksize", []string{dev.Name}, float64(len(perfmodel.BlocksizeCandidates)))
 				d.Infeasible = "no feasible blocksize"
 				return nil
 			}
-			ctx.Emit(events.TypeDSEProgress, "blocksize",
-				"%s: swept %d candidates, best=%d (%.3gs)", dev.Name, len(perfmodel.BlocksizeCandidates), bs, bd.Total)
+			ctx.Emit(events.BlocksizeSwept, "blocksize", []string{dev.Name},
+				float64(len(perfmodel.BlocksizeCandidates)), float64(bs), bd.Total)
 			d.Blocksize = bs
 			d.Est = bd
-			d.Tracef("dse", "blocksize", "best=%d time=%.3gs (%s)", bs, bd.Total, bd.Note)
+			d.Record(events.DSEBlocksize, "blocksize", []string{bd.Note}, float64(bs), bd.Total)
 			return nil
 		},
 	}

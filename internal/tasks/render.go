@@ -3,6 +3,7 @@ package tasks
 import (
 	"psaflow/internal/codegen"
 	"psaflow/internal/core"
+	"psaflow/internal/events"
 	"psaflow/internal/platform"
 )
 
@@ -43,8 +44,7 @@ var RenderDesign = core.TaskFunc{
 			return err
 		}
 		d.Artifact = art
-		d.Tracef("note", "render", "%s design: %d LOC (+%d over reference)",
-			art.Target, art.LOC, art.AddedLOC)
+		d.Record(events.NoteRender, "render", []string{art.Target}, float64(art.LOC), float64(art.AddedLOC))
 		return nil
 	},
 }

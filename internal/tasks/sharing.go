@@ -49,7 +49,7 @@ func UnrollUntilOvermapWithSharing(dev platform.FPGASpec) core.TaskFunc {
 			if shared == 0 {
 				return nil // nothing to share; stays infeasible
 			}
-			d.Tracef("dse", "sharing", "%d fixed loop(s) rolled; pipeline pays x%.0f trips", shared, extraTrips)
+			d.Record(events.DSESharingRolled, "sharing", nil, float64(shared), extraTrips)
 			// Retry the unroll DSE on the shared datapath.
 			d.Infeasible = ""
 			if err := base.Fn(ctx, d); err != nil {
@@ -63,7 +63,7 @@ func UnrollUntilOvermapWithSharing(dev platform.FPGASpec) core.TaskFunc {
 			rep.PipelinedTrips *= extraTrips
 			d.HLSReport = &rep
 			d.Est = perfmodel.FPGATime(dev, d.HLSReport, d.Report.Features(), d.ZeroCopy)
-			d.Tracef("dse", "sharing", "final: unroll=%d II=%d est=%.3gs", d.UnrollFactor, rep.II, d.Est.Total)
+			d.Record(events.DSESharingFinal, "sharing", nil, float64(d.UnrollFactor), float64(rep.II), d.Est.Total)
 			return nil
 		},
 	}
@@ -107,11 +107,10 @@ func shareLargestFixedLoops(ctx *core.Context, prog *minic.Program, kfn *minic.F
 		}
 		shared++
 		extra *= float64(c.trips)
-		ctx.Count(telemetry.DSECounter("sharing"), 1)
+		ctx.Count(telemetry.CounterDSESharing, 1)
 		ctx.Count(telemetry.CounterHLSPartialCompiles, 1)
 		rep := hls.Estimate(prog, kfn, dev, 0)
-		ctx.Emit(events.TypeDSEProgress, "sharing",
-			"%s: %d loop(s) time-multiplexed, fits=%t", dev.Name, shared, rep.Fits)
+		ctx.Emit(events.SharingStep, "sharing", []string{dev.Name}, float64(shared), events.Bool(rep.Fits))
 		if rep.Fits {
 			break
 		}

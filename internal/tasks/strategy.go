@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"psaflow/internal/core"
+	"psaflow/internal/events"
 	"psaflow/internal/perfmodel"
 	"psaflow/internal/platform"
 )
@@ -88,11 +89,11 @@ func InformedSelector(cfg StrategyConfig) core.Selector {
 				return nil, fmt.Errorf("strategy requires dependence analysis results")
 			}
 			tCPU, tData, ai, parallel := fig3Inputs(ctx, r, cfg)
-			d.Tracef("branch", "A", "Tcpu=%.4gs Tdata=%.4gs AI=%.2f (X=%.2f) parallel=%t innerDeps=%d fullyUnrollable=%t",
-				tCPU, tData, ai, cfg.AIThreshold, parallel, r.Unroll.InnerWithDeps, r.Unroll.AllDepsFixed)
+			d.Record(events.BranchInputs, "A", nil, tCPU, tData, ai, cfg.AIThreshold,
+				events.Bool(parallel), float64(r.Unroll.InnerWithDeps), events.Bool(r.Unroll.AllDepsFixed))
 			target, ok := fig3Decide(tCPU, tData, ai, cfg.AIThreshold, parallel, r.Unroll.InnerWithDeps, r.Unroll.AllDepsFixed)
 			if !ok {
-				d.Tracef("branch", "A", "not worth offloading and not parallel: flow terminates")
+				d.Record(events.BranchTerminates, "A", nil)
 				return nil, nil
 			}
 			i, err := pathIndex(paths, target.String())

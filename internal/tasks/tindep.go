@@ -13,6 +13,7 @@ import (
 
 	"psaflow/internal/analysis"
 	"psaflow/internal/core"
+	"psaflow/internal/events"
 	"psaflow/internal/faults"
 	"psaflow/internal/interp"
 	"psaflow/internal/minic"
@@ -159,8 +160,8 @@ var IdentifyHotspots = core.TaskFunc{
 		d.Report.HotspotShare = share
 		d.Report.HotspotCycles = hs.Cycles
 		d.HotspotProf, d.HotspotLoops, d.HotspotFP = res.Prof, nil, fp
-		d.Tracef("note", "hotspot", "loop #%d in %s at %s: %.1f%% of %.3g cycles",
-			hs.ID, hs.Func, hs.Pos, share*100, res.Prof.Cycles)
+		d.Record(events.NoteHotspot, "hotspot", []string{hs.Func},
+			float64(hs.ID), float64(hs.Pos.Line), float64(hs.Pos.Col), share*100, res.Prof.Cycles)
 		return nil
 	},
 }
@@ -204,8 +205,7 @@ var ExtractHotspot = core.TaskFunc{
 		} else {
 			d.HotspotProf = nil
 		}
-		d.Tracef("note", "extract", "kernel %s(%d params) outlined from %s",
-			kernel.Name, len(kernel.Params), host.Name)
+		d.Record(events.NoteExtract, "extract", []string{kernel.Name, host.Name}, float64(len(kernel.Params)))
 		return nil
 	},
 }
@@ -278,7 +278,7 @@ var ArithmeticIntensity = core.TaskFunc{
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		ops := analysis.WeightedOps(d.KernelFunc())
 		d.Report.StaticAI = ops.AI()
-		d.Tracef("note", "ai", "static FLOPs/B = %.3f", d.Report.StaticAI)
+		d.Record(events.NoteAI, "ai", nil, d.Report.StaticAI)
 		return nil
 	},
 }
@@ -321,8 +321,7 @@ var DataInOut = core.TaskFunc{
 		if in+out > 0 {
 			d.Report.DynamicAI = d.Report.KernelFlops / (in + out)
 		}
-		d.Tracef("note", "datainout", "in=%.0fB out=%.0fB traffic=%.0fB dynAI=%.2f",
-			in, out, d.Report.KernelBytes, d.Report.DynamicAI)
+		d.Record(events.NoteDataInOut, "datainout", nil, in, out, d.Report.KernelBytes, d.Report.DynamicAI)
 		return nil
 	},
 }
@@ -355,9 +354,9 @@ var LoopDependence = core.TaskFunc{
 		d.Report.OuterDeps = analysis.AnalyzeLoop(outer[0])
 		d.Report.Unroll = analysis.AnalyzeUnrollability(outer[0], FullyUnrollableLimit)
 		d.Report.RegsEstimate = analysis.RegisterEstimate(kfn)
-		d.Tracef("note", "deps", "outer parallel=%t reductionOnly=%t innerWithDeps=%d allDepsFixed=%t regs=%d",
-			d.Report.OuterDeps.Parallel(), d.Report.OuterDeps.ParallelWithReduction(),
-			d.Report.Unroll.InnerWithDeps, d.Report.Unroll.AllDepsFixed, d.Report.RegsEstimate)
+		d.Record(events.NoteDeps, "deps", nil,
+			events.Bool(d.Report.OuterDeps.Parallel()), events.Bool(d.Report.OuterDeps.ParallelWithReduction()),
+			float64(d.Report.Unroll.InnerWithDeps), events.Bool(d.Report.Unroll.AllDepsFixed), float64(d.Report.RegsEstimate))
 		return nil
 	},
 }
@@ -424,8 +423,7 @@ var TripCount = core.TaskFunc{
 		}
 		d.Report.PipelinedTrips = pipelined
 		d.Report.SerialDepth = serial
-		d.Tracef("note", "trips", "outer=%.0f pipelined=%.0f serialDepth=%.1f",
-			d.Report.OuterTrips, pipelined, serial)
+		d.Record(events.NoteTrips, "trips", nil, d.Report.OuterTrips, pipelined, serial)
 		return nil
 	},
 }
@@ -442,7 +440,7 @@ var RemovePlusEqDep = core.TaskFunc{
 			return err
 		}
 		if n > 0 {
-			d.Tracef("note", "plusEq", "%d accumulation(s) rewritten", n)
+			d.Record(events.NotePlusEq, "plusEq", nil, float64(n))
 			if _, err := runWorkload(ctx, d, d.Kernel); err != nil {
 				return fmt.Errorf("transformed program fails to execute: %w", err)
 			}

@@ -5,7 +5,12 @@
 
 package telemetry
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"psaflow/internal/events"
+)
 
 // recordFlat starts and ends n task spans under one flow span.
 func recordFlat(n int) *Recorder {
@@ -40,5 +45,27 @@ func TestSnapshotAllocations(t *testing.T) {
 	t.Logf("Snapshot: %.0f allocations of 2 spans, %.0f of 257", a, b)
 	if b != a {
 		t.Errorf("Snapshot allocates %.0f times for 257 spans and %.0f for 2", b, a)
+	}
+}
+
+// nopSink takes every signal and keeps nothing.
+type nopSink struct{}
+
+func (nopSink) SpanStart(kind, name string)                          {}
+func (nopSink) SpanEnd(kind, name, detail string, dur time.Duration) {}
+func (nopSink) SpanNote(kind, name, note string)                     {}
+func (nopSink) Event(name string, detail events.Detail)              {}
+
+// TestEmitAllocations: handing an event with strings and numbers to a sink
+// allocates nothing — the operands travel by value, and only the sink's
+// frame costs anything (the service pins that).
+func TestEmitAllocations(t *testing.T) {
+	r := New()
+	r.SetEventSink(nopSink{})
+	dev, n := "Intel Stratix 10 GX 2800", 4.0
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Emit(events.UnrollStep, "unroll", []string{dev}, n, 51.25, 12.5, events.Bool(true))
+	}); allocs != 0 {
+		t.Errorf("Emit to a sink allocates %.0f times, want 0", allocs)
 	}
 }

@@ -59,7 +59,7 @@ func fixedRecording() *Recorder {
 	r.Add(CounterInterpRuns, 3)
 	r.Add(CounterInterpOps, 91535204)
 	r.Add(FaultCounter("hls"), 2)
-	r.Add(DSECounter("blocksize"), 6)
+	r.Add(CounterDSEBlocksize, 6)
 	return r
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"psaflow/internal/events"
 )
 
 // recordingSink captures every sink signal for assertion.
@@ -35,8 +37,8 @@ func (k *recordingSink) SpanNote(kind, name, note string) {
 	k.add(fmt.Sprintf("note:%s:%s:%s", kind, name, note))
 }
 
-func (k *recordingSink) Event(typ, name, detail string) {
-	k.add(fmt.Sprintf("event:%s:%s:%s", typ, name, detail))
+func (k *recordingSink) Event(name string, detail events.Detail) {
+	k.add(fmt.Sprintf("event:%s:%s:%s", detail.Format.Kind(), name, detail))
 }
 
 func TestEventSinkReceivesSpanSignals(t *testing.T) {
@@ -51,13 +53,13 @@ func TestEventSinkReceivesSpanSignals(t *testing.T) {
 	sp.SetDetail("n=4")
 	sp.Note("fits")
 	sp.End()
-	r.Emit("dse_progress", "sweep", "step 3")
+	r.Emit(events.SharingStep, "sweep", []string{"dev"}, 3, events.Bool(true))
 
 	want := []string{
 		"start:task:unroll",
 		"note:task:unroll:fits",
 		"end:task:unroll:n=4",
-		"event:dse_progress:sweep:step 3",
+		"event:dse_progress:sweep:dev: 3 loop(s) time-multiplexed, fits=true",
 	}
 	if len(sink.calls) != len(want) {
 		t.Fatalf("sink saw %v, want %v", sink.calls, want)
@@ -79,12 +81,12 @@ func TestNoSinkIsNoop(t *testing.T) {
 	sp := r.StartSpan(nil, KindTask, "t")
 	sp.Note("n")
 	sp.End()
-	r.Emit("x", "y", "z") // must not panic
+	r.Emit(events.PathDegraded, "y", []string{"z"}) // must not panic
 	rep := r.Snapshot()
 	if len(rep.Spans) != 1 {
 		t.Fatalf("spans not recorded without sink: %+v", rep.Spans)
 	}
 	var nilRec *Recorder
-	nilRec.Emit("x", "y", "z")
+	nilRec.Emit(events.PathDegraded, "y", []string{"z"})
 	nilRec.SetEventSink(nil)
 }

@@ -13,9 +13,10 @@
 package telemetry
 
 import (
-	"fmt"
 	"sync"
 	"time"
+
+	"psaflow/internal/events"
 )
 
 // Span kinds used by the flow engine. Exported as constants so exporters
@@ -171,9 +172,14 @@ const (
 // FaultCounter("hls") = "fault.injected.hls".
 func FaultCounter(kind string) string { return "fault.injected." + kind }
 
-// DSECounter returns the iteration-counter name for one named DSE loop,
-// e.g. DSECounter("blocksize") = "dse.blocksize.iterations".
-func DSECounter(name string) string { return "dse." + name + ".iterations" }
+// Iteration counters of the bundled DSE loops, "dse.<loop>.iterations";
+// tasks.dse_iterations_per_job totals every counter of that shape.
+const (
+	CounterDSENumThreads = "dse.numthreads.iterations"
+	CounterDSEBlocksize  = "dse.blocksize.iterations"
+	CounterDSEUnroll     = "dse.unroll.iterations"
+	CounterDSESharing    = "dse.sharing.iterations"
+)
 
 // Span is one timed node of the flow-run hierarchy. Kind and Name are
 // fixed when it starts; Detail is written through SetDetail. A span lives
@@ -201,7 +207,8 @@ type Span struct {
 
 // EventSink receives live execution signals from a Recorder as they
 // happen: span opens/closes, span notes, and typed events emitted by the
-// engine (branch decisions, DSE progress, faults, retries). The serving
+// engine (branch decisions, DSE progress, faults, retries), each a name
+// and a detail whose format fixes the event's type. The serving
 // layer implements it over a per-job event broker so clients can stream a
 // flow's progress; a recorder without a sink pays one nil check per
 // signal. Implementations must be safe for concurrent use — parallel
@@ -210,7 +217,7 @@ type EventSink interface {
 	SpanStart(kind, name string)
 	SpanEnd(kind, name, detail string, dur time.Duration)
 	SpanNote(kind, name, note string)
-	Event(typ, name, detail string)
+	Event(name string, detail events.Detail)
 }
 
 // Recorder accumulates spans and counters for one flow run (or a whole
@@ -265,12 +272,13 @@ func (r *Recorder) eventSink() EventSink {
 
 // Emit publishes one typed event to the attached sink — the engine's
 // channel for signals that are not spans (branch decisions, DSE sweep
-// progress, injected faults, retries). The detail is format applied to
-// args, and is formatted only for a sink: without a recorder or sink,
-// event emission costs no Sprintf.
-func (r *Recorder) Emit(typ, name, format string, args ...any) {
+// progress, injected faults, retries). f fixes the event's type and text;
+// strs and nums are the operands its verbs read, copied into the detail
+// (events.NewDetail). Nothing is rendered here: a sink renders the detail
+// where it keeps it, and without a recorder or sink an event costs nothing.
+func (r *Recorder) Emit(f events.Format, name string, strs []string, nums ...float64) {
 	if s := r.eventSink(); s != nil {
-		s.Event(typ, name, fmt.Sprintf(format, args...))
+		s.Event(name, events.NewDetail(f, strs, nums))
 	}
 }
 

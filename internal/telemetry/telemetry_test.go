@@ -106,7 +106,7 @@ func TestCountersAccumulate(t *testing.T) {
 	r := New()
 	r.Add(CounterInterpOps, 5)
 	r.Add(CounterInterpOps, 7)
-	r.Add(DSECounter("unroll"), 3)
+	r.Add(CounterDSEUnroll, 3)
 	if v := r.Counter(CounterInterpOps); v != 12 {
 		t.Errorf("interp.ops = %d", v)
 	}
