@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"psaflow/internal/analysis"
 	"psaflow/internal/codegen"
@@ -571,6 +572,112 @@ func TestDesignLabel(t *testing.T) {
 	d.Device = "X"
 	if got := d.Label(); got != "test/gpu/X" {
 		t.Errorf("label = %q", got)
+	}
+}
+
+// TestDesignLabelFollowsChanges: the kept label follows every change of
+// the target fact, the target and the device, back and forth.
+func TestDesignLabelFollowsChanges(t *testing.T) {
+	d := newTestDesign()
+	for _, c := range []struct {
+		target platform.TargetKind
+		device string
+		want   string
+	}{
+		{platform.TargetGPU, "", "test/gpu"},
+		{platform.TargetGPU, "X", "test/gpu/X"},
+		{platform.TargetFPGA, "X", "test/fpga/X"},
+		{platform.TargetFPGA, "Y", "test/fpga/Y"},
+		{platform.TargetFPGA, "", "test/fpga"},
+	} {
+		if d.facts == 0 {
+			if got := d.Label(); got != "test" {
+				t.Errorf("before a target: label %q", got)
+			}
+			chooseGPU(t, d)
+		}
+		d.Target, d.Device = c.target, c.device
+		if got := d.Label(); got != c.want {
+			t.Errorf("target %v device %q: label %q, want %q", c.target, c.device, got, c.want)
+		}
+	}
+}
+
+// TestParallelBranchLabels: forks on parallel branch paths each choose a
+// target and a device and read their label on the way — in the task span,
+// in the tasks and in their trace — and each reads its own. Under -race it
+// checks that a fork's kept label is its own to write.
+func TestParallelBranchLabels(t *testing.T) {
+	const paths = 6
+	choose := func(i int) Task {
+		return TaskFunc{TaskName: fmt.Sprintf("choose %d", i), Give: FactTarget | FactDevice,
+			Fn: func(_ *Context, d *Design) error {
+				d.Target = platform.TargetKind(i % 3)
+				d.Device = fmt.Sprintf("dev%d", i)
+				return nil
+			}}
+	}
+	check := TaskFunc{TaskName: "check", Fn: func(_ *Context, d *Design) error {
+		d.Record(events.BranchText, "label", []string{d.Label()})
+		return nil
+	}}
+	br := Branch{PointName: "P", Select: SelectAll{}}
+	for i := range paths {
+		sub := (&Flow{Name: fmt.Sprintf("p%d", i)}).AddTask(check).AddTask(choose(i)).AddTask(check)
+		br.Paths = append(br.Paths, Path{Name: fmt.Sprintf("p%d", i), Flow: sub})
+	}
+	flow := (&Flow{Name: "labels"}).AddTask(check).AddBranch(br)
+	rec := telemetry.New()
+	out, err := flow.Run(&Context{Parallel: true, Telemetry: rec}, newTestDesign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != paths {
+		t.Fatalf("%d designs, want %d", len(out), paths)
+	}
+	want := map[string]bool{}
+	for i, d := range out {
+		label := fmt.Sprintf("test/%s/dev%d", platform.TargetKind(i%3), i)
+		want[label] = true
+		if got := d.Label(); got != label {
+			t.Errorf("path %d: label %q, want %q", i, got, label)
+		}
+		var lines []string
+		for _, line := range TraceLines(d.Trace) {
+			if strings.HasPrefix(line, "[branch] label: ") {
+				lines = append(lines, strings.TrimPrefix(line, "[branch] label: "))
+			}
+		}
+		if len(lines) != 3 || lines[0] != "test" || lines[1] != "test" || lines[2] != label {
+			t.Errorf("path %d: labels recorded %q, want test, test, %s", i, lines, label)
+		}
+	}
+	// The span of each path's last task carries its design's label.
+	var walk func(spans []telemetry.SpanSnapshot)
+	ended := 0
+	walk = func(spans []telemetry.SpanSnapshot) {
+		for _, sp := range spans {
+			if sp.Kind == telemetry.KindTask && sp.Name == "check" && sp.Detail != "test" {
+				if !want[sp.Detail] {
+					t.Errorf("a check span ran on %q, no design's label", sp.Detail)
+				}
+				ended++
+			}
+			walk(sp.Children)
+		}
+	}
+	walk(rec.Snapshot().Spans)
+	if ended != paths {
+		t.Errorf("%d check spans after a choice, want %d", ended, paths)
+	}
+}
+
+// TestTraceEventSize: a trace event stays at 48 bytes or less. Every
+// design holds a slice of them and Fork copies it, so a larger event costs
+// every job's allocated bytes.
+func TestTraceEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(TraceEvent{}); n > 48 {
+		t.Errorf("a TraceEvent is %d bytes, want at most 48", n)
 	}
 }
 

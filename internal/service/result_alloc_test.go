@@ -7,11 +7,13 @@ package service
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"psaflow/internal/core"
 	"psaflow/internal/events"
 	"psaflow/internal/experiments"
+	"psaflow/internal/telemetry"
 )
 
 // TestBuildResultTraceAllocations: a design's trace lines cost a result at
@@ -42,5 +44,30 @@ func TestBuildResultTraceAllocations(t *testing.T) {
 		if extra > 2*designs {
 			t.Errorf("%d events a design: the traces cost %.0f allocations, want at most %d", n, extra, 2*designs)
 		}
+	}
+}
+
+// TestEmitFrameAllocations: an event the engine emits through a job's
+// sink costs its frame and nothing else — one allocation, the frame's line,
+// once the ring is full and frames take the slots of the oldest.
+func TestEmitFrameAllocations(t *testing.T) {
+	s := New(Config{EventRingSize: 16})
+	job := &Job{ID: "j", events: events.NewBroker("j", 16, 0)}
+	rec := telemetry.New()
+	rec.SetEventSink(&jobSink{s: s, job: job})
+	dev := "Intel Stratix 10 GX 2800"
+	emit := func() {
+		rec.Emit(events.UnrollStep, "unroll", []string{dev}, 4, 51.25, 12.5, events.Bool(true))
+	}
+	for range 32 {
+		emit()
+	}
+	if allocs := testing.AllocsPerRun(100, emit); allocs != 1 {
+		t.Errorf("an emitted event costs %.0f allocations, want 1 (its frame)", allocs)
+	}
+	sub, _ := job.events.Subscribe(0)
+	frames, _ := sub.Poll(1)
+	if want := `"detail":"Intel Stratix 10 GX 2800: n=4 LUT=51.2% DSP=12.5% fits=true"`; !strings.Contains(string(frames[0].Line), want) {
+		t.Errorf("frame %s does not carry %s", frames[0].Line, want)
 	}
 }

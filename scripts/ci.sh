@@ -59,9 +59,10 @@ go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # iterations Unroll Fixed Loops writes in one copy (CloneUnrolled), and the
 # daemon's two workers running jobs at once on one program its program table
 # keeps, each flow started shared, and one telemetry recorder whose spans
-# the paths start, note and end while it is snapshotted — five runs, for
-# the scheduler to vary which path copies while its siblings read.
-go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll|TestKeptProgramSharedByConcurrentJobs|TestConcurrentRecording' ./internal/core/ ./internal/minic/ ./internal/transform/ ./internal/service/ ./internal/telemetry/
+# the paths start, note and end while it is snapshotted, and forks on
+# parallel branch paths that each keep and read their own label — five
+# runs, for the scheduler to vary which path copies while its siblings read.
+go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll|TestKeptProgramSharedByConcurrentJobs|TestConcurrentRecording|TestParallelBranchLabels|TestDesignLabel' ./internal/core/ ./internal/minic/ ./internal/transform/ ./internal/service/ ./internal/telemetry/
 # Every job lowers the one checked bundled paper.psa: eight lowerings with
 # different options, run beside each other on one run cache, must each
 # equal the same lowering run alone — five runs, for the scheduler to vary
@@ -110,6 +111,10 @@ go test -run '^$' -fuzz 'FuzzAffine' -fuzztime 10s ./internal/analysis/
 # outlining accepts the hotspot, against a kernel-watched run of the
 # outlined program.
 go test -run '^$' -fuzz 'FuzzBytecodeDiff' -fuzztime 10s ./internal/interp/
+# Event-detail differential fuzz (short budget): the one renderer of trace
+# lines and event details must write what fmt.Sprintf writes for every
+# format of the events table, whatever the operands.
+go test -run '^$' -fuzz 'FuzzTraceRender' -fuzztime 10s ./internal/events/
 # Examples run, not just compile: go build above is all that otherwise sees
 # them. Fig. 4 itself is written once, in examples/flows/paper.psa, and
 # every example that runs it calls flowlang.PSAFlow; the examples that
