@@ -151,8 +151,8 @@ func main() {
 		}
 		if *trace {
 			fmt.Println("  trace:")
-			for _, ev := range d.Trace {
-				fmt.Printf("    %s\n", ev)
+			for _, line := range core.TraceLines(d.Trace) {
+				fmt.Printf("    %s\n", line)
 			}
 		}
 		if *emit && d.Artifact != nil {

@@ -112,10 +112,10 @@ type operands struct {
 
 // Kind is the kind the event's format fixes: "task", "branch", "dse" or
 // "note".
-func (e *TraceEvent) Kind() string { return e.Format.Kind() }
+func (e TraceEvent) Kind() string { return e.Format.Kind() }
 
 // Detail renders what the event says after its name.
-func (e *TraceEvent) Detail() string {
+func (e TraceEvent) Detail() string {
 	var buf [128]byte
 	return string(e.appendDetail(buf[:0]))
 }
@@ -126,7 +126,7 @@ func (e TraceEvent) String() string {
 	return string(e.appendTo(buf[:0]))
 }
 
-func (e *TraceEvent) appendDetail(dst []byte) []byte {
+func (e TraceEvent) appendDetail(dst []byte) []byte {
 	var strs [1 + len(operands{}.strs)]string
 	var nums []float64
 	if e.nstr > 0 {
@@ -142,7 +142,7 @@ func (e *TraceEvent) appendDetail(dst []byte) []byte {
 }
 
 // appendTo appends the event's line, as String renders it, to dst.
-func (e *TraceEvent) appendTo(dst []byte) []byte {
+func (e TraceEvent) appendTo(dst []byte) []byte {
 	dst = append(dst, '[')
 	dst = append(dst, e.Format.Kind()...)
 	dst = append(dst, "] "...)

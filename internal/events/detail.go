@@ -139,15 +139,9 @@ func Bool(b bool) float64 {
 // Kind is the kind f fixes for its events.
 func (f Format) Kind() string { return table[f].kind }
 
-// Text is f's format text, as fmt.Sprintf reads it.
-func (f Format) Text() string { return table[f].text }
-
-// List reports whether f's last string verb reads every string left.
-func (f Format) List() bool { return table[f].list }
-
-// Operands counts the string and the numeric verbs of f's text. A list
+// operands counts the string and the numeric verbs of f's text. A list
 // format reads at least strs-1 strings.
-func (f Format) Operands() (strs, nums int) {
+func (f Format) operands() (strs, nums int) {
 	text := table[f].text
 	for i := 0; i < len(text); i++ {
 		if text[i] != '%' {
@@ -172,7 +166,7 @@ func (f Format) Append(dst []byte, strs []string, nums []float64) []byte {
 	text := e.text
 	lastStr := -1
 	if e.list {
-		n, _ := f.Operands()
+		n, _ := f.operands()
 		lastStr = n - 1
 	}
 	si, ni := 0, 0
@@ -286,7 +280,7 @@ type Detail struct {
 // (DecisionJoined).
 func NewDetail(f Format, strs []string, nums []float64) Detail {
 	if len(strs) > MaxStrs || len(nums) > MaxNums {
-		panic("events: " + strconv.Quote(f.Text()) + " given more operands than a detail holds")
+		panic("events: " + strconv.Quote(table[f].text) + " given more operands than a detail holds")
 	}
 	d := Detail{Format: f, nstr: uint8(len(strs)), nnum: uint8(len(nums))}
 	copy(d.strs[:], strs)
@@ -297,10 +291,4 @@ func NewDetail(f Format, strs []string, nums []float64) Detail {
 // Append appends the detail's text to dst.
 func (d *Detail) Append(dst []byte) []byte {
 	return d.Format.Append(dst, d.strs[:d.nstr], d.nums[:d.nnum])
-}
-
-// String renders the detail.
-func (d Detail) String() string {
-	var buf [128]byte
-	return string(d.Append(buf[:0]))
 }

@@ -36,12 +36,12 @@ func verbs(text string) []byte {
 // strings left as the old code rendered them: a %v list as fmt prints a
 // []string, a %q list each string %q-quoted and joined by ", ".
 func sprintf(f Format, strs []string, nums []float64) string {
-	text := f.Text()
+	text := table[f].text
 	var args []any
 	si, ni := 0, 0
 	vs := verbs(text)
 	lastStr := -1
-	if f.List() {
+	if table[f].list {
 		for k, v := range vs {
 			if v == 's' || v == 'q' || v == 'v' {
 				lastStr = k
@@ -139,12 +139,12 @@ func randString(rng *rand.Rand) string {
 func operands(rng *rand.Rand, f Format) ([]string, []float64) {
 	var strs []string
 	var nums []float64
-	vs := verbs(f.Text())
+	vs := verbs(table[f].text)
 	for k, v := range vs {
 		switch v {
 		case 's', 'q', 'v':
 			n := 1
-			if f.List() && k == len(vs)-1 || f.List() && !strings.ContainsAny(string(vs[k+1:]), "sqv") {
+			if table[f].list && k == len(vs)-1 || table[f].list && !strings.ContainsAny(string(vs[k+1:]), "sqv") {
 				n = rng.Intn(6)
 			}
 			for range n {
@@ -167,10 +167,10 @@ func TestRenderMatchesSprintf(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	checked := 0
 	for f := FormatNone + 1; f < numFormats; f++ {
-		ns, nn := f.Operands()
-		vs := verbs(f.Text())
+		ns, nn := f.operands()
+		vs := verbs(table[f].text)
 		if len(vs) != ns+nn {
-			t.Fatalf("%q: Operands counts %d+%d verbs, the text has %d", f.Text(), ns, nn, len(vs))
+			t.Fatalf("%q: Operands counts %d+%d verbs, the text has %d", table[f].text, ns, nn, len(vs))
 		}
 		for trial := range 400 {
 			strs, nums := operands(rng, f)
@@ -199,7 +199,7 @@ func checkRender(t *testing.T, f Format, strs []string, nums []float64) {
 	t.Helper()
 	want := sprintf(f, strs, nums)
 	if got := string(f.Append(nil, strs, nums)); got != want {
-		t.Fatalf("%q with %q %v:\n got %q\nwant %q", f.Text(), strs, nums, got, want)
+		t.Fatalf("%q with %q %v:\n got %q\nwant %q", table[f].text, strs, nums, got, want)
 	}
 	if len(strs) > MaxStrs || len(nums) > MaxNums {
 		return
@@ -208,7 +208,7 @@ func checkRender(t *testing.T, f Format, strs []string, nums []float64) {
 	typed := Event{Type: f.Kind(), Name: "n", Args: NewDetail(f, strs, nums)}
 	text := Event{Type: f.Kind(), Name: "n", Detail: want}
 	if got, want := appendEvent(nil, &typed, ts), appendEvent(nil, &text, ts); string(got) != string(want) {
-		t.Fatalf("%q with %q %v: frame\n got %s\nwant %s", f.Text(), strs, nums, got, want)
+		t.Fatalf("%q with %q %v: frame\n got %s\nwant %s", table[f].text, strs, nums, got, want)
 	}
 }
 
@@ -233,7 +233,7 @@ func FuzzTraceRender(f *testing.F) {
 		xs := []float64{x1, x2, x3, x4, x5, x6, x7}
 		var strs []string
 		var nums []float64
-		for k, v := range verbs(fm.Text()) {
+		for k, v := range verbs(table[fm].text) {
 			switch v {
 			case 's', 'q', 'v':
 				strs = append(strs, pool[k%len(pool)])

@@ -101,8 +101,8 @@ type compiler struct {
 	steps []core.Step
 }
 
-// stepChunk is how many steps one allocation holds. The built-in flow
-// lowers 30 to 38 tasks.
+// stepChunk is how many steps one allocation holds: the built-in flow
+// lowers 31 or 32 tasks, by mode and sharing.
 const stepChunk = 32
 
 // lower appends the lowered form of stmts to flow, whose nodes it sizes

@@ -38,7 +38,7 @@ func (k *recordingSink) SpanNote(kind, name, note string) {
 }
 
 func (k *recordingSink) Event(name string, detail events.Detail) {
-	k.add(fmt.Sprintf("event:%s:%s:%s", detail.Format.Kind(), name, detail))
+	k.add(fmt.Sprintf("event:%s:%s:%s", detail.Format.Kind(), name, detail.Append(nil)))
 }
 
 func TestEventSinkReceivesSpanSignals(t *testing.T) {
