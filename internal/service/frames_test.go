@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"psaflow/internal/bench"
 	"psaflow/internal/events"
@@ -64,9 +65,20 @@ func engineFrames(t *testing.T, s *Server, id string) []string {
 		t.Fatal("subscribe refused")
 	}
 	defer sub.Close()
-	frames, done := sub.Poll(1 << 20)
-	if !done {
-		t.Fatalf("job %s: stream not drained", id)
+	// The result is readable a moment before the terminal event closes the
+	// stream (Server.complete), so wait for the close.
+	var frames []events.Frame
+	for {
+		batch, done := sub.Poll(1 << 20)
+		frames = append(frames, batch...)
+		if done {
+			break
+		}
+		select {
+		case <-sub.Ready():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %s: stream not closed", id)
+		}
 	}
 	var lines []string
 	for _, f := range frames {
