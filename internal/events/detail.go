@@ -192,7 +192,7 @@ func (f Format) Append(dst []byte, strs []string, nums []float64) []byte {
 		case 's', 'q', 'v':
 			switch {
 			case si == lastStr:
-				dst = appendList(dst, verb, strs[min(si, len(strs)):])
+				dst = AppendList(dst, verb, strs[min(si, len(strs)):])
 				si = len(strs)
 			case si < len(strs):
 				dst = appendStr(dst, verb, strs[si])
@@ -230,10 +230,6 @@ func appendStr(dst []byte, verb byte, s string) []byte {
 // AppendList appends strs as a list format's last verb renders them: for
 // %q each quoted and joined by ", ", else as fmt prints a []string.
 func AppendList(dst []byte, verb byte, strs []string) []byte {
-	return appendList(dst, verb, strs)
-}
-
-func appendList(dst []byte, verb byte, strs []string) []byte {
 	if verb == 'q' {
 		for k, s := range strs {
 			if k > 0 {
