@@ -50,7 +50,7 @@ func main() {
 	chaosRuns := flag.Int("chaos-runs", 5, "number of consecutive seeds to sweep in -chaos")
 	chaosMode := flag.String("chaos-mode", "informed", "flow mode for -chaos: informed or uninformed")
 	chaosJSON := flag.String("chaos-json", "", "write the chaos report as JSON to this file")
-	verbose := flag.Bool("v", false, "log flow execution")
+	verbose := flag.Bool("v", false, "print each event of every flow (type, name, detail) to stderr, as a job's event stream carries it")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()

@@ -47,7 +47,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "bound the flow's wall-clock time (0 = unbounded)")
 	faultSpec := flag.String("faults", "", `inject deterministic faults: "seed=1,rate=0.1,kinds=hls,run" ("" or "off" disables)`)
 	taskTimeout := flag.Duration("task-timeout", 0, "bound each flow task attempt; timed-out attempts are retried (0 = unbounded)")
-	verbose := flag.Bool("v", false, "log flow execution")
+	verbose := flag.Bool("v", false, "print each event of the flow (type, name, detail) to stderr, as a job's event stream carries it")
 	flag.Parse()
 
 	if *check != "" {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"psaflow/internal/events"
@@ -58,8 +59,6 @@ type Context struct {
 	Budget float64
 	// Cost evaluates a completed design's cost for the budget gate.
 	Cost func(*Design) float64
-	// Logf receives progress lines; nil silences them.
-	Logf func(format string, args ...any)
 	// Parallel evaluates forked branch paths concurrently (each path works
 	// on its own design fork; Workload.Args must allocate fresh buffers per
 	// call, which every bundled workload does). Results keep path order.
@@ -102,17 +101,16 @@ type Context struct {
 	// classified as a transient faults.Timeout and retried. 0 disables.
 	TaskTimeout time.Duration
 
-	// shared is the run-scoped mutable state (log serialization, retry
-	// budget) installed by Flow.Run before any parallel work starts and
-	// propagated by pointer through the per-attempt copies of runTaskAttempt.
+	// shared is the run-scoped mutable state (the retry budget) installed
+	// by Flow.Run before any parallel work starts and propagated by pointer
+	// through the per-attempt copies of runTaskAttempt.
 	shared *sharedState
 }
 
 // sharedState is the per-flow-run state shared by every goroutine and
 // every per-attempt Context copy of one run.
 type sharedState struct {
-	mu          sync.Mutex
-	retryTokens int64
+	retryTokens atomic.Int64
 	hasBudget   bool
 }
 
@@ -124,7 +122,8 @@ func (c *Context) ensureShared() {
 	}
 	s := &sharedState{}
 	if b := c.Retry.WithDefaults().Budget; b > 0 {
-		s.hasBudget, s.retryTokens = true, int64(b)
+		s.hasBudget = true
+		s.retryTokens.Store(int64(b))
 	}
 	c.shared = s
 }
@@ -134,16 +133,7 @@ func (c *Context) ensureShared() {
 // (direct Task.Run in tests) have no budget and always grant.
 func (c *Context) takeRetryToken() bool {
 	s := c.shared
-	if s == nil || !s.hasBudget {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.retryTokens <= 0 {
-		return false
-	}
-	s.retryTokens--
-	return true
+	return s == nil || !s.hasBudget || s.retryTokens.Add(-1) >= 0
 }
 
 // resilient reports whether fault-recovery machinery is active for this
@@ -164,7 +154,6 @@ func (c *Context) FailPoint(kind faults.Kind, op string) error {
 		c.Count(telemetry.CounterFaultsInjected, 1)
 		c.Count(telemetry.FaultCounter(string(kind)), 1)
 		c.Emit(events.FaultInjected, op, []string{err.Error()})
-		c.logf("  fault injected: %v", err)
 	}
 	return err
 }
@@ -198,17 +187,6 @@ func (c *Context) Count(name string, delta int64) {
 // keeps the event, and without one an event costs a nil check.
 func (c *Context) Emit(f events.Format, name string, strs []string, nums ...float64) {
 	c.Telemetry.Emit(f, name, strs, nums...)
-}
-
-func (c *Context) logf(format string, args ...any) {
-	if c.Logf == nil {
-		return
-	}
-	if s := c.shared; s != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	c.Logf(format, args...)
 }
 
 // Task is one codified design-flow task (a meta-program in the paper's
@@ -490,15 +468,10 @@ func (f *Flow) run(ctx *Context, d *Design, parent *telemetry.Span) ([]*Design, 
 				if err := ctx.Interrupted(); err != nil {
 					return nil, &FlowError{Flow: f.Name, Task: n.Task.Name(), Err: err}
 				}
-				var label string
-				if ctx.Logf != nil || ctx.Telemetry != nil {
-					label = cur.Label()
-				}
-				if ctx.Logf != nil {
-					ctx.logf("  task %-32s (%s) on %s", n.Task.Name(), n.Task.Kind(), label)
-				}
 				span := ctx.Telemetry.StartSpan(parent, telemetry.KindTask, n.Task.Name())
-				span.SetDetail(label)
+				if span != nil {
+					span.SetDetail(cur.Label())
+				}
 				err := runTask(ctx, n.Task, cur, span)
 				span.End()
 				if err != nil {
@@ -553,20 +526,20 @@ func runTask(ctx *Context, t Task, d *Design, span *telemetry.Span) error {
 		}
 		if attempt >= pol.MaxAttempts {
 			ctx.Count(telemetry.CounterRetryGiveups, 1)
-			span.Note(fmt.Sprintf("gave up after %d attempts: %v", attempt, err))
+			span.Note(events.NoteGaveUp, []string{err.Error()}, float64(attempt))
 			return fmt.Errorf("%d attempts exhausted: %w", attempt, err)
 		}
 		if !ctx.takeRetryToken() {
 			ctx.Count(telemetry.CounterRetryBudgetExhausted, 1)
-			span.Note(fmt.Sprintf("retry budget exhausted after attempt %d: %v", attempt, err))
+			span.Note(events.NoteBudgetSpent, []string{err.Error()}, float64(attempt))
 			return fmt.Errorf("flow retry budget exhausted: %w", err)
 		}
 		delay := pol.Delay(t.Name(), attempt)
 		ctx.Count(telemetry.CounterRetryAttempts, 1)
 		ctx.Count(telemetry.CounterRetryBackoffMillis, delay.Milliseconds())
-		ctx.Emit(events.RetryScheduled, t.Name(), []string{err.Error(), delay.String()}, float64(attempt))
-		span.Note(fmt.Sprintf("retry %d after %v (backoff %s)", attempt, err, delay))
-		ctx.logf("  retry %-31s attempt %d after %s (%v)", t.Name(), attempt+1, delay, err)
+		cause := []string{err.Error(), delay.String()}
+		ctx.Emit(events.RetryScheduled, t.Name(), cause, float64(attempt))
+		span.Note(events.NoteRetry, cause, float64(attempt))
 		if faults.Sleep(ctx.Ctx, delay) != nil {
 			return err
 		}
@@ -710,7 +683,6 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 			p := b.Paths[i]
 			fork := forks[slot]
 			fork.Record(events.BranchSelected, b.PointName, []string{p.Name, b.Select.Name()})
-			ctx.logf("branch %s -> %s", b.PointName, p.Name)
 			pathSpan := ctx.Telemetry.StartSpan(branchSpan, telemetry.KindPath, b.PointName+"/"+p.Name)
 			pathSpan.SetDetail(fork.Label())
 			perPath[slot], errs[slot] = p.Flow.run(ctx, fork, pathSpan)
@@ -747,11 +719,11 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 				p := b.Paths[i]
 				fork := forks[slot]
 				fork.Infeasible = fmt.Sprintf("path %q failed: %v", p.Name, err)
-				fork.Record(events.BranchDegraded, b.PointName, []string{err.Error()})
+				cause := []string{p.Name, err.Error()}
+				fork.Record(events.BranchDegraded, b.PointName, cause[1:])
 				ctx.Count(telemetry.CounterFaultDegradations, 1)
-				ctx.Emit(events.PathDegraded, b.PointName+"/"+p.Name, []string{err.Error()})
-				branchSpan.Note(fmt.Sprintf("path %q degraded: %v", p.Name, err))
-				ctx.logf("branch %s: path %q degraded (%v)", b.PointName, p.Name, err)
+				ctx.Emit(events.PathDegraded, b.PointName+"/"+p.Name, cause[1:])
+				branchSpan.Note(events.NotePathDegraded, cause)
 				degraded = append(degraded, fork)
 				failedSlots++
 				if firstFail == nil {
@@ -787,7 +759,7 @@ func runBranch(ctx *Context, b Branch, d *Design, flowName string, parent *telem
 			// next-best target runs.
 			fallbacks++
 			ctx.Count(telemetry.CounterFaultFallbacks, 1)
-			branchSpan.Note(fmt.Sprintf("fallback %d: re-selecting without path %q", fallbacks, b.Paths[idxs[0]].Name))
+			branchSpan.Note(events.NoteFallback, []string{b.Paths[idxs[0]].Name}, float64(fallbacks))
 			d.Record(events.BranchFallback, b.PointName, []string{b.Paths[idxs[0]].Name}, float64(fallbacks))
 		case !gated || !overBudget:
 			return append(degraded, out...), nil

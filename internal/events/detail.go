@@ -2,13 +2,15 @@ package events
 
 import "strconv"
 
-// Format is an entry of the one fixed table of what the engine says about
-// a design: the trace lines a design records (core.Design.Record) and the
-// details of the events it emits (telemetry.Recorder.Emit). An event keeps
+// Format is an entry of the one fixed table of what a flow says happened:
+// the trace lines a design records (core.Design.Record), the details of the
+// events the engine emits (telemetry.Recorder.Emit), the notes of its spans
+// (telemetry.Span.Note) and the details of every frame a job's stream
+// carries, the serving layer's lifecycle frames included. An event keeps
 // its format and its operands — the strings and numbers the format's verbs
 // read — and its text is rendered only when something reads it (Append).
 // The entry fixes the event's kind: a trace kind ("task", "branch", "dse",
-// "note") or, for an emitted event, its type.
+// "note") or, for any other event, its type.
 type Format uint8
 
 // The table. Each entry's text is the fmt format it renders exactly as
@@ -68,6 +70,23 @@ const (
 	NoBlocksize
 	BlocksizeSwept
 
+	// A task span's closing and any span's notes, sent by the telemetry
+	// recorder; a task span's opening (task_start) has no detail.
+	TaskEnded
+	NoteRetry
+	NoteGaveUp
+	NoteBudgetSpent
+	NotePathDegraded
+	NoteFallback
+
+	// A job's lifecycle frames, published by the serving layer.
+	JobQueued
+	JobStarted
+	JobBatched
+	JobDone
+	JobFailed
+	JobCancelled
+
 	numFormats
 )
 
@@ -126,6 +145,20 @@ var table = [numFormats]entry{
 	SharingStep:    {TypeDSEProgress, "%s: %d loop(s) time-multiplexed, fits=%t", false},
 	NoBlocksize:    {TypeDSEProgress, "%s: no feasible blocksize among %d candidates", false},
 	BlocksizeSwept: {TypeDSEProgress, "%s: swept %d candidates, best=%d (%.3gs)", false},
+
+	TaskEnded:        {TypeTaskEnd, "%s", false},
+	NoteRetry:        {TypeNote, "retry %d after %v (backoff %s)", false},
+	NoteGaveUp:       {TypeNote, "gave up after %d attempts: %v", false},
+	NoteBudgetSpent:  {TypeNote, "retry budget exhausted after attempt %d: %v", false},
+	NotePathDegraded: {TypeNote, "path %q degraded: %v", false},
+	NoteFallback:     {TypeNote, "fallback %d: re-selecting without path %q", false},
+
+	JobQueued:    {TypeQueued, "%s", false},
+	JobStarted:   {TypeStarted, "waited %.0fms in queue", false},
+	JobBatched:   {TypeStarted, "batched behind leader %s (waited %.0fms in queue)", false},
+	JobDone:      {TypeDone, "%s", false},
+	JobFailed:    {TypeFailed, "%s", false},
+	JobCancelled: {TypeCancelled, "%s", false},
 }
 
 // Bool is b as a numeric operand: 1 or 0, which %t reads back.
@@ -255,15 +288,15 @@ func appendMissing(dst []byte, verb byte) []byte {
 	return append(dst, "(MISSING)"...)
 }
 
-// The most operands an emitted event's Detail carries.
+// The most operands an event's Detail carries.
 const (
 	MaxStrs = 4
 	MaxNums = 8
 )
 
-// Detail is an emitted event's detail as its format and operands, carried
-// by value: handing one to a sink allocates nothing, and the frame it ends
-// in renders it (Append) when it is published.
+// Detail is an event's detail as its format and operands, carried by
+// value: handing one to a sink allocates nothing, and the frame it ends in
+// renders it (Append) when it is published.
 type Detail struct {
 	Format     Format
 	nstr, nnum uint8
@@ -282,6 +315,12 @@ func NewDetail(f Format, strs []string, nums []float64) Detail {
 	copy(d.strs[:], strs)
 	copy(d.nums[:], nums)
 	return d
+}
+
+// New is the event named name whose detail is f over strs and nums; f
+// fixes its type.
+func New(f Format, name string, strs []string, nums ...float64) Event {
+	return Event{Type: f.Kind(), Name: name, Args: NewDetail(f, strs, nums)}
 }
 
 // Append appends the detail's text to dst.

@@ -194,7 +194,7 @@ func TestRenderMatchesSprintf(t *testing.T) {
 }
 
 // checkRender compares Append with sprintf, and the frame that carries the
-// detail typed with the one that carries it as a string.
+// detail with the JSON of a frame whose detail is sprintf's text.
 func checkRender(t *testing.T, f Format, strs []string, nums []float64) {
 	t.Helper()
 	want := sprintf(f, strs, nums)
@@ -205,9 +205,8 @@ func checkRender(t *testing.T, f Format, strs []string, nums []float64) {
 		return
 	}
 	ts := time.Date(2024, 5, 27, 9, 0, 0, 0, time.UTC)
-	typed := Event{Type: f.Kind(), Name: "n", Args: NewDetail(f, strs, nums)}
-	text := Event{Type: f.Kind(), Name: "n", Detail: want}
-	if got, want := appendEvent(nil, &typed, ts), appendEvent(nil, &text, ts); string(got) != string(want) {
+	typed := New(f, "n", strs, nums...)
+	if got, want := appendEvent(nil, &typed, ts), marshalled(t, typed, want, ts); string(got) != string(want) {
 		t.Fatalf("%q with %q %v: frame\n got %s\nwant %s", table[f].text, strs, nums, got, want)
 	}
 }

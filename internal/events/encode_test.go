@@ -9,11 +9,23 @@ import (
 	"time"
 )
 
-// marshalled is what json.Marshal gives for e stamped at ts.
-func marshalled(t *testing.T, e Event, ts time.Time) []byte {
+// wire is the JSON shape of a frame, its detail as text: the reference
+// appendEvent is checked against.
+type wire struct {
+	Seq    uint64  `json:"seq"`
+	TS     string  `json:"ts"`
+	Type   string  `json:"type"`
+	Job    string  `json:"job,omitempty"`
+	Name   string  `json:"name,omitempty"`
+	Detail string  `json:"detail,omitempty"`
+	DurMS  float64 `json:"dur_ms,omitempty"`
+}
+
+// marshalled is what json.Marshal gives for e stamped at ts with detail as
+// its detail's text.
+func marshalled(t *testing.T, e Event, detail string, ts time.Time) []byte {
 	t.Helper()
-	e.TS = ts.Format(time.RFC3339Nano)
-	want, err := json.Marshal(e)
+	want, err := json.Marshal(wire{e.Seq, ts.Format(time.RFC3339Nano), e.Type, e.Job, e.Name, detail, e.DurMS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,9 +34,22 @@ func marshalled(t *testing.T, e Event, ts time.Time) []byte {
 
 func checkEncoding(t *testing.T, e Event, ts time.Time) {
 	t.Helper()
-	if got, want := appendEvent(nil, &e, ts), marshalled(t, e, ts); !bytes.Equal(got, want) {
+	want := marshalled(t, e, string(e.Args.Append(nil)), ts)
+	if got := appendEvent(nil, &e, ts); !bytes.Equal(got, want) {
 		t.Errorf("event %+v:\n got %s\nwant %s", e, got, want)
 	}
+}
+
+// at is e as the broker of job stamps it with seq.
+func at(seq uint64, job string, e Event) Event {
+	e.Seq, e.Job = seq, job
+	return e
+}
+
+// timed is e with a duration.
+func timed(e Event, ms float64) Event {
+	e.DurMS = ms
+	return e
 }
 
 // TestAppendEventMatchesMarshal: a frame's line is byte for byte what
@@ -34,20 +59,21 @@ func checkEncoding(t *testing.T, e Event, ts time.Time) {
 // timestamps whose nanoseconds have trailing zeros.
 func TestAppendEventMatchesMarshal(t *testing.T) {
 	ts := time.Date(2024, 6, 1, 12, 0, 0, 123456789, time.UTC)
+	fault := "injected fault: hls \"Intel Stratix 10 GX 2800\" failed (occurrence 1)"
 	for _, e := range []Event{
-		{Seq: 0, Type: TypeQueued, Job: "j0001a2b3-000001", Name: "nbody", Detail: "informed"},
-		{Seq: 1, Type: TypeStarted, Job: "na-j0001a2b3-000001", Name: "kmeans", Detail: "batched behind leader na-j1"},
+		at(0, "j0001a2b3-000001", New(JobQueued, "nbody", []string{"informed"})),
+		at(1, "na-j0001a2b3-000001", New(JobBatched, "kmeans", []string{"na-j1"}, 12)),
 		{Seq: 2, Type: TypeTaskStart, Job: "j", Name: "Hotspot Loop Extraction"},
-		{Seq: 3, Type: TypeTaskEnd, Job: "j", Name: "Unroll Fixed Loops", Detail: "ok", DurMS: 0.734512},
-		{Seq: 4, Type: TypeBranchDecision, Job: "j", Name: "A", Detail: "paths=[gpu fpga]"},
-		{Seq: 5, Type: TypeDSEProgress, Job: "j", Name: "blocksize", Detail: "iter 3/8 best=256"},
-		{Seq: 6, Type: TypeFaultInjected, Job: "j", Name: "hls", Detail: "injected transient fault at hls#3"},
-		{Seq: 7, Type: TypeRetry, Job: "j", Name: "FPGA Unroll DSE", Detail: "attempt 2 after 1ms"},
-		{Seq: 8, Type: TypeDegraded, Job: "j", Name: "fpga", Detail: "path degraded: fault"},
-		{Seq: 9, Type: TypeNote, Job: "j", Name: "strategy", Detail: "fallback"},
-		{Seq: 10, Type: TypeDone, Job: "j", DurMS: 123.456},
-		{Seq: 11, Type: TypeFailed, Job: "j", Detail: "benchmark nbody: boom", DurMS: 1},
-		{Seq: 12, Type: TypeCancelled, Job: "j", Detail: "cancelled before start"},
+		at(3, "j", timed(New(TaskEnded, "Unroll Fixed Loops", []string{"nbody/gpu"}), 0.734512)),
+		at(4, "j", New(Decision, "A", []string{"uninformed", "gpu", "fpga"})),
+		at(5, "j", New(BlocksizeSwept, "blocksize", []string{"GTX 1080 Ti"}, 8, 256, 0.0123)),
+		at(6, "j", New(FaultInjected, "hls", []string{fault})),
+		at(7, "j", New(RetryScheduled, "FPGA Unroll DSE", []string{fault, "1ms"}, 2)),
+		at(8, "j", New(PathDegraded, "fpga", []string{fault})),
+		at(9, "j", New(NoteFallback, "A", []string{"fpga"}, 1)),
+		at(10, "j", timed(New(JobDone, "", []string{""}), 123.456)),
+		at(11, "j", timed(New(JobFailed, "", []string{"benchmark nbody: boom"}), 1)),
+		at(12, "j", New(JobCancelled, "", []string{"cancelled before start"})),
 		{Seq: math.MaxUint64, Type: TypeNote},
 	} {
 		checkEncoding(t, e, ts)
@@ -57,7 +83,7 @@ func TestAppendEventMatchesMarshal(t *testing.T) {
 		"<script>&amp;</script>", "line\u2028sep\u2029para", "bad \xff\xfe utf8 \xc3",
 		"truncated \xe2\x80", "snowman ☃ and 😀", "",
 	} {
-		checkEncoding(t, Event{Seq: 3, Type: TypeNote, Job: s, Name: s, Detail: s}, ts)
+		checkEncoding(t, at(3, s, New(JobFailed, s, []string{s})), ts)
 	}
 	for _, d := range []float64{0, 1e-7, 123.456, 1e21, 1e-6, 999999999999999999999, -2.5e-9, 5e-324, math.MaxFloat64} {
 		checkEncoding(t, Event{Type: TypeTaskEnd, DurMS: d}, ts)
@@ -73,7 +99,7 @@ func TestAppendEventMatchesMarshal(t *testing.T) {
 		for i := range b {
 			b[i] = alphabet[rng.Intn(len(alphabet))]
 		}
-		checkEncoding(t, Event{Type: TypeNote, Detail: string(b)}, ts)
+		checkEncoding(t, New(JobFailed, "", []string{string(b)}), ts)
 	}
 }
 
@@ -81,7 +107,7 @@ func TestAppendEventMatchesMarshal(t *testing.T) {
 // the frame leaves it out, as it does a zero one.
 func TestAppendEventNonFinite(t *testing.T) {
 	ts := time.Unix(0, 0).UTC()
-	want := marshalled(t, Event{Type: TypeDone}, ts)
+	want := marshalled(t, Event{Type: TypeDone}, "", ts)
 	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if got := appendEvent(nil, &Event{Type: TypeDone, DurMS: d}, ts); !bytes.Equal(got, want) {
 			t.Errorf("dur_ms %v: got %s, want %s", d, got, want)
@@ -95,7 +121,7 @@ func TestAppendEventNonFinite(t *testing.T) {
 func TestPublishAllocations(t *testing.T) {
 	b := NewBroker("j", 4, 0)
 	publishN(t, b, 4)
-	e := Event{Type: TypeTaskEnd, Name: "Unroll Fixed Loops", Detail: "ok", DurMS: 0.5}
+	e := timed(New(TaskEnded, "Unroll Fixed Loops", []string{"nbody/gpu"}), 0.5)
 	if n := testing.AllocsPerRun(100, func() { b.Publish(e) }); n != 1 {
 		t.Errorf("Publish allocates %.0f times, want 1 (the line)", n)
 	}

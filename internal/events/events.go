@@ -36,7 +36,7 @@ const (
 	TypeFaultInjected  = "fault_injected"  // the fault injector fired at a tool site
 	TypeRetry          = "retry"           // a transient task failure is being retried
 	TypeDegraded       = "degraded"        // a branch path was degraded to Infeasible
-	TypeNote           = "note"            // free-form span annotation (resilience detail)
+	TypeNote           = "note"            // a span's annotation (retry, give-up, degradation, fallback)
 	TypeDone           = "done"            // terminal: flow completed
 	TypeFailed         = "failed"          // terminal: flow failed (detail = error)
 	TypeCancelled      = "cancelled"       // terminal: job cancelled
@@ -47,17 +47,15 @@ const (
 // gap detection are both exact. The JSON shape is the NDJSON/SSE wire
 // format served by GET /v1/jobs/{id}/events.
 type Event struct {
-	Seq    uint64  `json:"seq"`
-	TS     string  `json:"ts"` // RFC3339Nano, UTC, stamped at publish
-	Type   string  `json:"type"`
-	Job    string  `json:"job,omitempty"`
-	Name   string  `json:"name,omitempty"`   // task/branch/sweep the event is about
-	Detail string  `json:"detail,omitempty"` // free-form context (path chosen, error, ...)
-	DurMS  float64 `json:"dur_ms,omitempty"` // task_end and terminal events
-	// Args is the detail of an event the engine emitted, as its format
-	// and operands: the frame renders it into "detail" at publish, so an
-	// emitted event costs its frame and nothing else. It is read only when
-	// Detail is empty.
+	Seq   uint64  `json:"seq"`
+	TS    string  `json:"ts"` // RFC3339Nano, UTC, stamped at publish
+	Type  string  `json:"type"`
+	Job   string  `json:"job,omitempty"`
+	Name  string  `json:"name,omitempty"`   // task/branch/sweep the event is about
+	DurMS float64 `json:"dur_ms,omitempty"` // task_end and terminal events
+	// Args is the event's detail as a format of the table and its
+	// operands: the frame renders it into "detail" at publish, so an event
+	// costs its frame and nothing else.
 	Args Detail `json:"-"`
 }
 
@@ -273,7 +271,8 @@ func (s *Sub) Close() uint64 {
 }
 
 // appendEvent appends e's wire encoding, stamped at ts, to dst: exactly the
-// bytes json.Marshal gives for e with TS set to ts in RFC3339Nano, built
+// bytes json.Marshal gives for e with TS set to ts in RFC3339Nano and its
+// detail rendered into "detail" (left out when it renders empty), built
 // into one buffer without reflection. A DurMS of NaN or ±Inf, which
 // json.Marshal refuses, is left out as a zero one is.
 func appendEvent(dst []byte, e *Event, ts time.Time) []byte {
@@ -291,15 +290,10 @@ func appendEvent(dst []byte, e *Event, ts time.Time) []byte {
 		dst = append(dst, `,"name":`...)
 		dst = appendString(dst, e.Name)
 	}
-	if e.Detail != "" {
+	var buf [192]byte
+	if text := e.Args.Append(buf[:0]); len(text) > 0 {
 		dst = append(dst, `,"detail":`...)
-		dst = appendString(dst, e.Detail)
-	} else if e.Args.Format != FormatNone {
-		var buf [192]byte
-		if text := e.Args.Append(buf[:0]); len(text) > 0 {
-			dst = append(dst, `,"detail":`...)
-			dst = appendString(dst, text)
-		}
+		dst = appendString(dst, text)
 	}
 	if e.DurMS != 0 && !math.IsNaN(e.DurMS) && !math.IsInf(e.DurMS, 0) {
 		dst = append(dst, `,"dur_ms":`...)

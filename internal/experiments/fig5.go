@@ -17,6 +17,7 @@ import (
 
 	"psaflow/internal/bench"
 	"psaflow/internal/core"
+	"psaflow/internal/events"
 	"psaflow/internal/faults"
 	"psaflow/internal/flowlang"
 	"psaflow/internal/interp"
@@ -205,8 +206,12 @@ func ResolveEnv(explicit Settings, doc *flowlang.Compiled, def Settings) (JobEnv
 // chaos runs and per-job fault specs reach the engine's recovery machinery
 // (retry-in-place, branch degradation, strategy fallback). Branch paths
 // always run in parallel — a fork copies what it writes and the recorder
-// is race-safe. The flow starts from core.NewDesign(prog): it may write
-// prog in place.
+// is race-safe. logf, when set, is handed every event of the run as one
+// line of its type, name and detail (`retry "Pointer Analysis" "attempt 1
+// failed …"`) — what the daemon's event stream carries for a job — through
+// a sink it installs on rec (a fresh recorder when rec is nil); parallel
+// branch paths call it at once, so it must be safe for concurrent use. The
+// flow starts from core.NewDesign(prog): it may write prog in place.
 func RunBenchmarkEnv(jobCtx context.Context, b *bench.Benchmark, prog *minic.Program, opts tasks.FlowOptions, env JobEnv, logf func(string, ...any), rec *telemetry.Recorder, runs *core.RunCache) ([]DesignResult, error) {
 	if prog == nil {
 		prog = b.Parse()
@@ -222,13 +227,18 @@ func RunDesignEnv(jobCtx context.Context, b *bench.Benchmark, design *core.Desig
 	if progs == nil && runs == nil {
 		progs = interp.NewProgramCache()
 	}
+	if logf != nil {
+		if rec == nil {
+			rec = telemetry.New()
+		}
+		rec.SetEventSink(func(e events.Event) { logf("%s %q %q", e.Type, e.Name, e.Args.Append(nil)) })
+	}
 	ctx := &core.Context{
 		Ctx:         jobCtx,
 		Workload:    bench.Workload{B: b},
 		CPU:         platform.EPYC7543,
 		Budget:      env.Budget,
 		Cost:        env.Cost,
-		Logf:        logf,
 		Parallel:    true, // branch paths fork designs; evaluate them concurrently
 		Telemetry:   rec,
 		Runs:        runs, // dynamic analyses share profiled runs across paths

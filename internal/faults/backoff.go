@@ -128,8 +128,11 @@ func Sleep(ctx context.Context, d time.Duration) error {
 // Do runs fn with the policy's retry loop: transient failures are retried
 // with backoff until success, attempt exhaustion, a non-transient error,
 // or ctx cancellation. onRetry (optional) observes each scheduled retry —
-// the serving and engine layers hang their telemetry off it. The returned
-// error is fn's last error, unwrapped-compatible with the Fault chain.
+// the daemon's store writes and the cluster's peer calls log theirs
+// through it. The flow engine does not use Do: core's runTask keeps its own
+// loop, because each retry there also draws on the flow-wide retry budget
+// and is emitted and noted on the task's span. The returned error is fn's
+// last error, unwrapped-compatible with the Fault chain.
 func (p RetryPolicy) Do(ctx context.Context, op string, onRetry func(retry int, delay time.Duration, err error), fn func() error) error {
 	p = p.WithDefaults()
 	var err error

@@ -1,6 +1,6 @@
 // Package jsonstream decodes one top-level JSON object token by token,
-// dispatching each key's value to a registered handler as it arrives on
-// the wire. The service layer uses it for request bodies (job submits)
+// decoding each key's value into a registered destination as it arrives
+// on the wire. The service layer uses it for request bodies (job submits)
 // so a submission is parsed as it streams in — a chunked upload starts
 // decoding on the first chunk, and the handler never materializes the
 // document as a whole, only one field's value at a time. Unknown keys
@@ -11,8 +11,9 @@
 //
 // The object, its keys and its scalar values are read by the package's own
 // scanner, which decodes strings and numbers as encoding/json does into
-// the registered destination and builds nothing it throws away; a value
-// for a FieldFunc is read by a json.Decoder handed the rest of the input.
+// the registered destination and builds nothing it throws away; a null, a
+// mismatched or a nested value is read by a json.Decoder handed the rest
+// of the input.
 package jsonstream
 
 import (
@@ -27,34 +28,24 @@ import (
 	"unicode/utf8"
 )
 
-// FieldFunc consumes exactly one JSON value from dec — the value of the
-// field it is registered for. The typed helpers (String, Int, ...) cover
-// the common cases; register a FieldFunc directly for anything fancier
-// (nested objects, arrays processed element-wise).
-type FieldFunc func(dec *json.Decoder) error
-
 // Object is a streaming decoder for one JSON object shape: a set of
-// known fields and their handlers. Register fields once, Decode per
+// known fields and their destinations. Register fields once, Decode per
 // request; an Object is read-only during Decode and safe to share.
 type Object struct {
 	fields map[string]field
 }
 
-// field is one registered key: its handler, or its destination, a
-// *string, *bool, *int, *int64 or *float64.
+// field is one registered key and its destination, a *string, *bool,
+// *int, *int64 or *float64.
 type field struct {
 	name string
 	dst  any
-	fn   FieldFunc
 }
 
 // NewObject returns an empty shape.
 func NewObject() *Object {
 	return &Object{fields: make(map[string]field)}
 }
-
-// Field registers a handler for one key.
-func (o *Object) Field(name string, fn FieldFunc) { o.fields[name] = field{name: name, fn: fn} }
 
 // String registers a string-valued field decoded into dst.
 func (o *Object) String(name string, dst *string) { o.fields[name] = field{name: name, dst: dst} }
@@ -71,8 +62,8 @@ func (o *Object) Int64(name string, dst *int64) { o.fields[name] = field{name: n
 // Float64 registers a floating-point field.
 func (o *Object) Float64(name string, dst *float64) { o.fields[name] = field{name: name, dst: dst} }
 
-// Decode reads one JSON object from r, dispatching each field to its
-// handler in wire order. Unknown fields fail with an error naming the
+// Decode reads one JSON object from r, decoding each field into its
+// destination in wire order. Unknown fields fail with an error naming the
 // offender and its byte offset; so does anything but a single object
 // followed by EOF. A value of the wrong type fails with a
 // *json.UnmarshalTypeError, wrapped to name the field; a null leaves the
@@ -147,14 +138,13 @@ func (o *Object) Decode(r io.Reader) error {
 // field decodes the next value into f's destination. The scanner stores a
 // string, a number or true/false that fits the destination itself; any
 // other value — null, a mismatch, an object or array, a number out of
-// range, a FieldFunc's — goes to a json.Decoder (handOff).
+// range — goes to a json.Decoder (handOff).
 func (s *scanner) field(f *field) error {
 	c, err := s.nextIn()
 	if err != nil {
 		return err
 	}
 	switch {
-	case f.fn != nil:
 	case c == '"':
 		dst, ok := f.dst.(*string)
 		if !ok {
@@ -181,21 +171,15 @@ func (s *scanner) field(f *field) error {
 	return s.handOff(f)
 }
 
-// handOff decodes the next value into f's destination, or with f's
-// FieldFunc, through a json.Decoder over the rest of the input, and reads
-// on from where that decoder stopped. A decode error is wrapped to name
-// the field and the offset the decoder reached; a reader's error passes
-// through bare.
+// handOff decodes the next value into f's destination through a
+// json.Decoder over the rest of the input, and reads on from where that
+// decoder stopped. A decode error is wrapped to name the field and the
+// offset the decoder reached; a reader's error passes through bare.
 func (s *scanner) handOff(f *field) error {
 	start := s.offset()
 	rest := io.MultiReader(bytes.NewReader(s.buf[s.pos:]), s.source())
 	dec := json.NewDecoder(rest)
-	var err error
-	if f.fn != nil {
-		err = f.fn(dec)
-	} else {
-		err = dec.Decode(f.dst)
-	}
+	err := dec.Decode(f.dst)
 	s.r, s.buf, s.pos, s.err = io.MultiReader(dec.Buffered(), rest), nil, 0, nil
 	s.base = start + dec.InputOffset()
 	var syn *json.SyntaxError

@@ -87,20 +87,6 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 	}
 }
 
-func TestDecodeNestedViaFieldFunc(t *testing.T) {
-	var tags []string
-	var s sample
-	o := sampleObject(&s)
-	o.Field("tags", func(dec *json.Decoder) error { return dec.Decode(&tags) })
-	body := `{"name":"n","tags":["a","b"],"count":2}`
-	if err := o.Decode(strings.NewReader(body)); err != nil {
-		t.Fatal(err)
-	}
-	if len(tags) != 2 || tags[0] != "a" || s.count != 2 {
-		t.Fatalf("tags %v count %d", tags, s.count)
-	}
-}
-
 // trickleReader yields one byte per Read, the worst-case chunked wire.
 type trickleReader struct{ data []byte }
 

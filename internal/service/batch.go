@@ -30,7 +30,7 @@ func (s *Server) takeTwins(job *Job, out *outcome) []*Job {
 	}
 	twins := taken[:0]
 	for _, t := range taken {
-		if s.start(t, func() {}, "batched behind leader "+job.ID) {
+		if s.start(t, func() {}, job.ID) {
 			twins = append(twins, t)
 		}
 	}

@@ -11,38 +11,6 @@ import (
 	"psaflow/internal/telemetry"
 )
 
-// jobSink bridges a job's flow telemetry into its event broker: task
-// spans become task_start/task_end events, span notes become note events,
-// and the engine's typed emissions (branch decisions, DSE progress,
-// faults, retries) pass through. Branch/path/flow spans are not mirrored
-// — branch_decision events and the job lifecycle already cover them, and
-// the stream stays uncluttered.
-type jobSink struct {
-	s   *Server
-	job *Job
-}
-
-func (k *jobSink) SpanStart(kind, name string) {
-	if kind == telemetry.KindTask {
-		k.s.publish(k.job, events.Event{Type: events.TypeTaskStart, Name: name})
-	}
-}
-
-func (k *jobSink) SpanEnd(kind, name, detail string, dur time.Duration) {
-	if kind == telemetry.KindTask {
-		k.s.publish(k.job, events.Event{Type: events.TypeTaskEnd, Name: name, Detail: detail,
-			DurMS: float64(dur) / float64(time.Millisecond)})
-	}
-}
-
-func (k *jobSink) SpanNote(kind, name, note string) {
-	k.s.publish(k.job, events.Event{Type: events.TypeNote, Name: name, Detail: note})
-}
-
-func (k *jobSink) Event(name string, detail events.Detail) {
-	k.s.publish(k.job, events.Event{Type: detail.Format.Kind(), Name: name, Args: detail})
-}
-
 // defaultEventHeartbeat keeps idle streams alive through proxies.
 const defaultEventHeartbeat = 10 * time.Second
 

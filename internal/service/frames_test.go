@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,11 +10,15 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"psaflow/internal/bench"
+	"psaflow/internal/core"
 	"psaflow/internal/events"
+	"psaflow/internal/experiments"
+	"psaflow/internal/flowlang"
 )
 
 // framesFixture holds the type, name and detail of every event frame the
@@ -82,7 +87,7 @@ func engineFrames(t *testing.T, s *Server, id string) []string {
 	}
 	var lines []string
 	for _, f := range frames {
-		var e events.Event
+		var e struct{ Type, Name, Detail string }
 		if err := json.Unmarshal(f.Line, &e); err != nil {
 			t.Fatalf("frame %q: %v", f.Line, err)
 		}
@@ -119,10 +124,15 @@ func framesTable(t *testing.T) string {
 		for _, mode := range []string{"informed", "uninformed"} {
 			run(b.Name+" "+mode, JobSpec{Bench: b.Name, Mode: mode})
 		}
-		run(b.Name+" faults", JobSpec{Bench: b.Name, Mode: "uninformed",
-			Faults: "seed=7,rate=0.2,kinds=hls,run", RetryMaxAttempts: 4, RetryBudget: 16})
+		run(b.Name+" faults", faultsJob(b))
 	}
 	return sb.String()
+}
+
+// faultsJob is the fixture's job of b under injected faults.
+func faultsJob(b *bench.Benchmark) JobSpec {
+	return JobSpec{Bench: b.Name, Mode: "uninformed",
+		Faults: "seed=7,rate=0.2,kinds=hls,run", RetryMaxAttempts: 4, RetryBudget: 16}
 }
 
 // TestFramesFixture: every frame the engine publishes carries the
@@ -150,6 +160,69 @@ func TestFramesFixture(t *testing.T) {
 			t.Errorf("%s line %d:\n got %s\nwant %s", framesFixture, i+1, g, w)
 			if shown++; shown == 10 {
 				t.Fatal("more differences not shown")
+			}
+		}
+	}
+}
+
+// TestLogfLinesMatchFrames: the lines RunBenchmarkEnv hands its logf for
+// each faults job of the fixture, rendered in the fixture's format, are
+// that job's engine frames — the same lines, each as many times — so what
+// psaflow -v prints is what the job's event stream carries.
+func TestLogfLinesMatchFrames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs five flows (use without -short)")
+	}
+	fixture, err := os.ReadFile(framesFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string][]string{}
+	var title string
+	for _, line := range strings.Split(strings.TrimSuffix(string(fixture), "\n"), "\n") {
+		if name, ok := strings.CutPrefix(line, "== "); ok {
+			title = name
+			continue
+		}
+		sections[title] = append(sections[title], line)
+	}
+	s := New(Config{})
+	for _, b := range bench.All() {
+		spec := faultsJob(b)
+		opts, err := spec.flowOptions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := spec.flowEnv(flowlang.Bundled().Compile(opts), experiments.Settings{Retry: s.retry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		var mu sync.Mutex
+		logf := func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			got = append(got, fmt.Sprintf("%s %q %q", args...))
+		}
+		if _, err := experiments.RunBenchmarkEnv(context.Background(), b, nil, opts, env, logf, nil, core.NewRunCache()); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		slices.Sort(got)
+		want := sections[b.Name+" faults"]
+		if len(want) == 0 {
+			t.Fatalf("%s has no %q section", framesFixture, b.Name+" faults")
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: logf got %d lines, the fixture has %d", b.Name, len(got), len(want))
+			for _, line := range got {
+				if !slices.Contains(want, line) {
+					t.Errorf("  logf only: %s", line)
+				}
+			}
+			for _, line := range want {
+				if !slices.Contains(got, line) {
+					t.Errorf("  fixture only: %s", line)
+				}
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"time"
 
 	"psaflow/internal/bench"
@@ -88,7 +87,7 @@ func (s *Server) enqueue(job *Job, replayed bool) error {
 	// the instant the push completes. (If the push then fails, the
 	// unregistered broker is simply garbage.)
 	job.events = events.NewBroker(job.ID, s.cfg.EventRingSize, s.cfg.MaxWatchersPerJob)
-	job.events.Publish(events.Event{Type: events.TypeQueued, Name: job.Spec.Bench, Detail: job.Spec.Mode})
+	job.events.Publish(events.New(events.JobQueued, job.Spec.Bench, []string{job.Spec.Mode}))
 	pushed, closed := s.queue.Push(job, replayed)
 	if closed {
 		return errDraining
@@ -105,23 +104,20 @@ func (s *Server) enqueue(job *Job, replayed bool) error {
 // start is queued → running: the job is stamped and handed its cancel
 // function, counted as started with its queue wait, and says so on its
 // event stream. false means the job is no longer queued — it was cancelled,
-// and the cancel completed it. behind is empty for a job that runs its own
-// flow; a twin names the run it rides instead ("batched behind leader <id>").
-func (s *Server) start(job *Job, cancel func(), behind string) bool {
+// and the cancel completed it. leader is empty for a job that runs its own
+// flow; a twin names the job whose run it rides instead.
+func (s *Server) start(job *Job, cancel func(), leader string) bool {
 	waitMS, ok := job.markRunning(cancel)
 	if !ok {
 		return false
 	}
 	s.rec.Add(telemetry.CounterJobsStarted, 1)
 	s.rec.Add(telemetry.CounterQueueWaitMillis, int64(waitMS))
-	detail := fmt.Sprintf("waited %.0fms in queue", waitMS)
-	if behind != "" {
-		detail = behind + " (" + detail + ")"
-	}
-	s.publish(job, events.Event{Type: events.TypeStarted, Name: job.Spec.Bench, Detail: detail})
-	if behind != "" {
-		s.logf("job %s: %s", job.ID, behind)
+	if leader != "" {
+		s.publish(job, events.New(events.JobBatched, job.Spec.Bench, []string{leader}, waitMS))
+		s.logf("job %s: batched behind leader %s", job.ID, leader)
 	} else {
+		s.publish(job, events.New(events.JobStarted, job.Spec.Bench, nil, waitMS))
 		s.logf("job %s: start bench=%s mode=%s (waited %.0fms)", job.ID, job.Spec.Bench, job.Spec.Mode, waitMS)
 	}
 	return true
@@ -168,15 +164,20 @@ func (s *Server) complete(job *Job, op store.Op, out *outcome) (JobStatus, bool)
 		return st, false
 	}
 	s.at("complete:visible")
+	terminal := events.JobFailed
 	switch st.State {
 	case StateDone:
 		s.rec.Add(telemetry.CounterJobsCompleted, 1)
+		terminal = events.JobDone
 	case StateCancelled:
 		s.rec.Add(telemetry.CounterJobsCancelled, 1)
+		terminal = events.JobCancelled
 	default:
 		s.rec.Add(telemetry.CounterJobsFailed, 1)
 	}
-	s.publish(job, events.Event{Type: string(st.State), Detail: st.Error, DurMS: st.RunMS})
+	e := events.New(terminal, "", []string{st.Error})
+	e.DurMS = st.RunMS
+	s.publish(job, e)
 	job.events.Close()
 	s.at("complete:published")
 	err := s.appendRecord("wal:"+string(op)+":"+job.ID, store.Record{Op: op, ID: job.ID, State: string(st.State), Time: st.SubmittedAt, Data: doc})

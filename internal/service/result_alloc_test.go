@@ -54,7 +54,7 @@ func TestEmitFrameAllocations(t *testing.T) {
 	s := New(Config{EventRingSize: 16})
 	job := &Job{ID: "j", events: events.NewBroker("j", 16, 0)}
 	rec := telemetry.New()
-	rec.SetEventSink(&jobSink{s: s, job: job})
+	rec.SetEventSink(func(e events.Event) { s.publish(job, e) })
 	dev := "Intel Stratix 10 GX 2800"
 	emit := func() {
 		rec.Emit(events.UnrollStep, "unroll", []string{dev}, 4, 51.25, 12.5, events.Bool(true))

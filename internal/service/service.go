@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"psaflow/internal/cluster"
 	"psaflow/internal/core"
+	"psaflow/internal/events"
 	"psaflow/internal/experiments"
 	"psaflow/internal/faults"
 	"psaflow/internal/flowlang"
@@ -352,7 +354,7 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 	rec := telemetry.New()
-	rec.SetEventSink(&jobSink{s: s, job: job})
+	rec.SetEventSink(func(e events.Event) { s.publish(job, e) })
 	results, err := s.runFlowSafe(jctx, job, rec)
 	rep := rec.Snapshot()
 	s.rec.MergeCounters(rep.Counters)
@@ -406,6 +408,10 @@ func (s *Server) runFlowSafe(ctx context.Context, job *Job, rec *telemetry.Recor
 	return s.runFlow(ctx, job, rec)
 }
 
+// newID is the next job ID: the server's base, a dash and the counter,
+// zero-padded to six digits.
 func (s *Server) newID() string {
-	return fmt.Sprintf("%s-%06d", s.idBase, s.nextID.Add(1))
+	var buf [20]byte
+	n := strconv.AppendInt(buf[:0], s.nextID.Add(1), 10)
+	return s.idBase + "-" + "000000"[min(len(n), 6):] + string(n)
 }

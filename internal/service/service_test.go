@@ -132,6 +132,21 @@ func fetchMetrics(t *testing.T, base string) metricsResponse {
 
 // TestJobLifecycle drives the full real-flow path over HTTP: submit, poll,
 // fetch the result, and read it back from disk through a fresh server.
+// TestNewIDFormat: a job ID is the server's base, a dash and the counter
+// zero-padded to six digits, as fmt's %06d writes it, on a single node and
+// under a cluster node's prefix.
+func TestNewIDFormat(t *testing.T) {
+	for _, base := range []string{"j0001a2b3", "na-j0001a2b3"} {
+		s := &Server{idBase: base}
+		for _, n := range []int64{1, 999_999, 1_000_000} {
+			s.nextID.Store(n - 1)
+			if got, want := s.newID(), fmt.Sprintf("%s-%06d", base, n); got != want {
+				t.Errorf("base %q, counter %d: ID %q, want %q", base, n, got, want)
+			}
+		}
+	}
+}
+
 func TestJobLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 2, QueueSize: 8, DataDir: dir})

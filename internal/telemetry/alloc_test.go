@@ -7,7 +7,6 @@ package telemetry
 
 import (
 	"testing"
-	"time"
 
 	"psaflow/internal/events"
 )
@@ -48,20 +47,12 @@ func TestSnapshotAllocations(t *testing.T) {
 	}
 }
 
-// nopSink takes every signal and keeps nothing.
-type nopSink struct{}
-
-func (nopSink) SpanStart(kind, name string)                          {}
-func (nopSink) SpanEnd(kind, name, detail string, dur time.Duration) {}
-func (nopSink) SpanNote(kind, name, note string)                     {}
-func (nopSink) Event(name string, detail events.Detail)              {}
-
 // TestEmitAllocations: handing an event with strings and numbers to a sink
 // allocates nothing — the operands travel by value, and only the sink's
 // frame costs anything (the service pins that).
 func TestEmitAllocations(t *testing.T) {
 	r := New()
-	r.SetEventSink(nopSink{})
+	r.SetEventSink(func(events.Event) {})
 	dev, n := "Intel Stratix 10 GX 2800", 4.0
 	if allocs := testing.AllocsPerRun(100, func() {
 		r.Emit(events.UnrollStep, "unroll", []string{dev}, n, 51.25, 12.5, events.Bool(true))

@@ -48,7 +48,8 @@ type Report struct {
 // the tree has exactly nspans nodes. They are laid out in one slice, each
 // span's children contiguous and cut at capacity; the Stats aggregate in
 // one slice too, so a snapshot's allocations do not grow with its spans
-// (only a span's notes are copied, one slice per span that has any).
+// (only a span's notes are rendered, a slice per span that has any and a
+// string per note).
 func (r *Recorder) Snapshot() *Report {
 	if r == nil {
 		return &Report{Counters: map[string]int64{}}
@@ -86,7 +87,13 @@ func (p *Span) snapshotChildren(out, free []SpanSnapshot, stats *[]Stat) []SpanS
 		o.Millis = float64(s.Duration()) / float64(time.Millisecond)
 		s.mu.Lock()
 		o.Detail = s.Detail
-		o.Notes = append([]string(nil), s.notes...)
+		if len(s.notes) > 0 {
+			o.Notes = make([]string, len(s.notes))
+			var buf [192]byte
+			for i := range s.notes {
+				o.Notes[i] = string(s.notes[i].Append(buf[:0]))
+			}
+		}
 		s.mu.Unlock()
 		addStat(stats, s.Kind, s.Name, o.Millis)
 		if n := s.nchildren; n > 0 {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"psaflow/internal/events"
 )
 
 // reportFixture holds the JSON and text reports of fixedRecording and of
@@ -16,7 +18,9 @@ const reportFixture = "testdata/report.golden"
 // fixedRecording records, under fakeClock, a tree with the shapes a flow
 // run makes: two roots; a branch point whose paths run the same tasks
 // (repeated names aggregate into one Stat); notes on a task and a path;
-// one task still open when the snapshot is taken; and counters. No two
+// one task still open when the snapshot is taken; and counters. The
+// fixture's notes are free text, noted through the table's free-text row
+// (BranchText) but for the one a row of its own renders. No two
 // kinds share a span name, so the Stats order does not depend on the
 // tie-break between kinds.
 func fixedRecording() *Recorder {
@@ -36,13 +40,13 @@ func fixedRecording() *Recorder {
 				r.now() // later paths and tasks take longer
 			}
 			if p == "fpga" && j == 0 {
-				task.Note("retry 1: injected hls fault")
-				task.Note("retry 2: injected hls fault")
+				task.Note(events.BranchText, []string{"retry 1: injected hls fault"})
+				task.Note(events.BranchText, []string{"retry 2: injected hls fault"})
 			}
 			task.End()
 		}
 		if p == "cpu" {
-			path.Note("degraded: over budget")
+			path.Note(events.BranchDegraded, []string{"over budget"})
 		}
 		path.End()
 	}
@@ -53,7 +57,7 @@ func fixedRecording() *Recorder {
 	dse := r.StartSpan(second, KindTask, "Blocksize DSE")
 	dse.SetDetail("nbody/gpu")
 	dse.End()
-	r.StartSpan(second, KindTask, "Unroll Until Overmap DSE").Note("left open")
+	r.StartSpan(second, KindTask, "Unroll Until Overmap DSE").Note(events.BranchText, []string{"left open"})
 	second.End()
 
 	r.Add(CounterInterpRuns, 3)

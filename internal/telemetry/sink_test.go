@@ -9,36 +9,21 @@ import (
 	"psaflow/internal/events"
 )
 
-// recordingSink captures every sink signal for assertion.
+// recordingSink captures every event a recorder sends, as a line of its
+// type, name and detail.
 type recordingSink struct {
 	mu    sync.Mutex
 	calls []string
-	durs  []time.Duration
+	durs  []float64
 }
 
-func (k *recordingSink) add(call string) {
+func (k *recordingSink) send(e events.Event) {
 	k.mu.Lock()
-	k.calls = append(k.calls, call)
-	k.mu.Unlock()
-}
-
-func (k *recordingSink) SpanStart(kind, name string) {
-	k.add(fmt.Sprintf("start:%s:%s", kind, name))
-}
-
-func (k *recordingSink) SpanEnd(kind, name, detail string, dur time.Duration) {
-	k.mu.Lock()
-	k.durs = append(k.durs, dur)
-	k.mu.Unlock()
-	k.add(fmt.Sprintf("end:%s:%s:%s", kind, name, detail))
-}
-
-func (k *recordingSink) SpanNote(kind, name, note string) {
-	k.add(fmt.Sprintf("note:%s:%s:%s", kind, name, note))
-}
-
-func (k *recordingSink) Event(name string, detail events.Detail) {
-	k.add(fmt.Sprintf("event:%s:%s:%s", detail.Format.Kind(), name, detail.Append(nil)))
+	defer k.mu.Unlock()
+	k.calls = append(k.calls, fmt.Sprintf("%s:%s:%s", e.Type, e.Name, e.Args.Append(nil)))
+	if e.Type == events.TypeTaskEnd {
+		k.durs = append(k.durs, e.DurMS)
+	}
 }
 
 func TestEventSinkReceivesSpanSignals(t *testing.T) {
@@ -47,19 +32,24 @@ func TestEventSinkReceivesSpanSignals(t *testing.T) {
 	tick := 0
 	r.now = func() time.Time { tick++; return base.Add(time.Duration(tick) * time.Second) }
 	sink := &recordingSink{}
-	r.SetEventSink(sink)
+	r.SetEventSink(sink.send)
 
-	sp := r.StartSpan(nil, KindTask, "unroll")
-	sp.SetDetail("n=4")
-	sp.Note("fits")
+	path := r.StartSpan(nil, KindPath, "A/fpga")
+	path.SetDetail("nbody/fpga")
+	sp := r.StartSpan(path, KindTask, "unroll")
+	sp.SetDetail("nbody/fpga")
+	sp.Note(events.NoteRetry, []string{"injected fault", "2ms"}, 1)
 	sp.End()
+	path.Note(events.NotePathDegraded, []string{"fpga", "overmap"})
+	path.End()
 	r.Emit(events.SharingStep, "sweep", []string{"dev"}, 3, events.Bool(true))
 
 	want := []string{
-		"start:task:unroll",
-		"note:task:unroll:fits",
-		"end:task:unroll:n=4",
-		"event:dse_progress:sweep:dev: 3 loop(s) time-multiplexed, fits=true",
+		"task_start:unroll:",
+		"note:unroll:retry 1 after injected fault (backoff 2ms)",
+		"task_end:unroll:nbody/fpga",
+		`note:A/fpga:path "fpga" degraded: overmap`,
+		"dse_progress:sweep:dev: 3 loop(s) time-multiplexed, fits=true",
 	}
 	if len(sink.calls) != len(want) {
 		t.Fatalf("sink saw %v, want %v", sink.calls, want)
@@ -69,8 +59,8 @@ func TestEventSinkReceivesSpanSignals(t *testing.T) {
 			t.Errorf("call %d = %q, want %q", i, sink.calls[i], want[i])
 		}
 	}
-	if len(sink.durs) != 1 || sink.durs[0] <= 0 {
-		t.Errorf("span end duration = %v, want positive", sink.durs)
+	if len(sink.durs) != 1 || sink.durs[0] != 1000 {
+		t.Errorf("task_end dur_ms = %v, want [1000]", sink.durs)
 	}
 }
 
@@ -79,12 +69,15 @@ func TestEventSinkReceivesSpanSignals(t *testing.T) {
 func TestNoSinkIsNoop(t *testing.T) {
 	r := New()
 	sp := r.StartSpan(nil, KindTask, "t")
-	sp.Note("n")
+	sp.Note(events.NoteFallback, []string{"gpu"}, 1)
 	sp.End()
 	r.Emit(events.PathDegraded, "y", []string{"z"}) // must not panic
 	rep := r.Snapshot()
 	if len(rep.Spans) != 1 {
 		t.Fatalf("spans not recorded without sink: %+v", rep.Spans)
+	}
+	if want := `fallback 1: re-selecting without path "gpu"`; len(rep.Spans[0].Notes) != 1 || rep.Spans[0].Notes[0] != want {
+		t.Errorf("notes %q, want [%q]", rep.Spans[0].Notes, want)
 	}
 	var nilRec *Recorder
 	nilRec.Emit(events.PathDegraded, "y", []string{"z"})

@@ -188,7 +188,7 @@ const (
 type Span struct {
 	Kind   string
 	Name   string
-	Detail string // free-form context, e.g. the design label a task ran on
+	Detail string // the design label a task or path ran on
 
 	rec   *Recorder
 	start time.Time
@@ -200,24 +200,9 @@ type Span struct {
 	nchildren         int
 
 	mu    sync.Mutex // guards Detail, notes, ended and dur
-	notes []string
+	notes []events.Detail
 	ended bool
 	dur   time.Duration
-}
-
-// EventSink receives live execution signals from a Recorder as they
-// happen: span opens/closes, span notes, and typed events emitted by the
-// engine (branch decisions, DSE progress, faults, retries), each a name
-// and a detail whose format fixes the event's type. The serving
-// layer implements it over a per-job event broker so clients can stream a
-// flow's progress; a recorder without a sink pays one nil check per
-// signal. Implementations must be safe for concurrent use — parallel
-// branch paths signal concurrently.
-type EventSink interface {
-	SpanStart(kind, name string)
-	SpanEnd(kind, name, detail string, dur time.Duration)
-	SpanNote(kind, name, note string)
-	Event(name string, detail events.Detail)
 }
 
 // Recorder accumulates spans and counters for one flow run (or a whole
@@ -227,7 +212,7 @@ type Recorder struct {
 	now func() time.Time // injectable clock for tests
 
 	mu   sync.Mutex
-	sink EventSink
+	sink func(events.Event)
 	// roots holds no span of its own: its children are the root spans.
 	roots  Span
 	nspans int // spans started, roots and descendants
@@ -247,11 +232,16 @@ func New() *Recorder {
 	return &Recorder{now: time.Now, counters: make(map[string]int64)}
 }
 
-// SetEventSink attaches a live event sink; nil detaches. Call before the
-// recorder is handed to a flow run (the serving layer attaches the job's
-// stream broker between creating the recorder and starting the flow).
-// No-op on a nil recorder.
-func (r *Recorder) SetEventSink(s EventSink) {
+// SetEventSink attaches a live event sink; nil detaches. The sink is
+// handed every event as it happens: a task span's opening (task_start) and
+// closing (task_end, its detail the span's), every span's notes (note) and
+// the engine's typed events (Emit). Branch, path and flow spans send
+// nothing — branch_decision events cover them. The sink is called from
+// parallel branch paths at once, so it must be safe for concurrent use.
+// Call before the recorder is handed to a flow run (the serving layer
+// attaches the job's stream broker between creating the recorder and
+// starting the flow). No-op on a nil recorder.
+func (r *Recorder) SetEventSink(s func(events.Event)) {
 	if r == nil {
 		return
 	}
@@ -261,7 +251,7 @@ func (r *Recorder) SetEventSink(s EventSink) {
 }
 
 // eventSink returns the attached sink (nil when none or nil recorder).
-func (r *Recorder) eventSink() EventSink {
+func (r *Recorder) eventSink() func(events.Event) {
 	if r == nil {
 		return nil
 	}
@@ -277,8 +267,8 @@ func (r *Recorder) eventSink() EventSink {
 // (events.NewDetail). Nothing is rendered here: a sink renders the detail
 // where it keeps it, and without a recorder or sink an event costs nothing.
 func (r *Recorder) Emit(f events.Format, name string, strs []string, nums ...float64) {
-	if s := r.eventSink(); s != nil {
-		s.Event(name, events.NewDetail(f, strs, nums))
+	if sink := r.eventSink(); sink != nil {
+		sink(events.New(f, name, strs, nums...))
 	}
 }
 
@@ -304,8 +294,8 @@ func (r *Recorder) StartSpan(parent *Span, kind, name string) *Span {
 	r.nspans++
 	sink := r.sink
 	r.mu.Unlock()
-	if sink != nil {
-		sink.SpanStart(kind, name)
+	if sink != nil && kind == KindTask {
+		sink(events.Event{Type: events.TypeTaskStart, Name: name})
 	}
 	return s
 }
@@ -334,19 +324,23 @@ func (s *Span) SetDetail(detail string) {
 	s.mu.Unlock()
 }
 
-// Note appends a free-form annotation to the span — the resilience layer
-// records retries, timeouts, and degradations this way, so a flow's
-// recovery history is visible in the span tree (-metrics-json). Safe from
-// any goroutine; no-op on a nil span.
-func (s *Span) Note(note string) {
+// Note appends an annotation to the span, a format of the events table
+// and its operands, rendered when a snapshot or a frame reads it — the
+// resilience layer records retries, timeouts, and degradations this way,
+// so a flow's recovery history is visible in the span tree
+// (-metrics-json) and on the job's stream as a note event. Safe from any
+// goroutine; no-op on a nil span.
+func (s *Span) Note(f events.Format, strs []string, nums ...float64) {
 	if s == nil {
 		return
 	}
+	e := events.New(f, s.Name, strs, nums...)
+	e.Type = events.TypeNote
 	s.mu.Lock()
-	s.notes = append(s.notes, note)
+	s.notes = append(s.notes, e.Args)
 	s.mu.Unlock()
 	if sink := s.rec.eventSink(); sink != nil {
-		sink.SpanNote(s.Kind, s.Name, note)
+		sink(e)
 	}
 }
 
@@ -365,8 +359,10 @@ func (s *Span) End() {
 	s.dur = s.rec.now().Sub(s.start)
 	dur, detail := s.dur, s.Detail
 	s.mu.Unlock()
-	if sink := s.rec.eventSink(); sink != nil {
-		sink.SpanEnd(s.Kind, s.Name, detail, dur)
+	if sink := s.rec.eventSink(); sink != nil && s.Kind == KindTask {
+		e := events.New(events.TaskEnded, s.Name, []string{detail})
+		e.DurMS = float64(dur) / float64(time.Millisecond)
+		sink(e)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"psaflow/internal/events"
 )
 
 // fakeClock yields strictly increasing instants, one tick per call.
@@ -137,8 +139,8 @@ func TestConcurrentRecording(t *testing.T) {
 				ts.SetDetail("design")
 				r.Add(CounterInterpOps, 1)
 				if i%5 == 0 {
-					ts.Note("retry")
-					path.Note("slow")
+					ts.Note(events.NoteRetry, []string{"fault", "1ms"}, 1)
+					path.Note(events.NoteFallback, []string{"gpu"}, 1)
 				}
 				ts.End()
 			}
@@ -190,7 +192,7 @@ func TestConcurrentRecording(t *testing.T) {
 func checkTree(t *testing.T, rep *Report) int {
 	t.Helper()
 	childKind := map[string]string{KindFlow: KindBranch, KindBranch: KindPath, KindPath: KindTask}
-	noteOf := map[string]string{KindPath: "slow", KindTask: "retry"}
+	noteOf := map[string]string{KindPath: `fallback 1: re-selecting without path "gpu"`, KindTask: "retry 1 after fault (backoff 1ms)"}
 	seen := map[*SpanSnapshot]bool{}
 	var walk func(nodes []SpanSnapshot, kind string)
 	walk = func(nodes []SpanSnapshot, kind string) {

@@ -143,6 +143,15 @@ for f in examples/flows/*.psa; do
 		fi
 	done
 done
+# -v prints the flow's events as the daemon's event stream carries them:
+# faults.psa's kmeans run injects a fault and retries, so both show.
+"$flowtmp/psaflow" -v -bench kmeans -flow examples/flows/faults.psa 2>"$flowtmp/events" >/dev/null
+for typ in retry fault_injected; do
+	if ! grep -q "^$typ " "$flowtmp/events"; then
+		echo "ci: psaflow -v on faults.psa printed no $typ event" >&2
+		exit 1
+	fi
+done
 rm -rf "$flowtmp"
 # Docs gate: markdown links resolve, go code fences are gofmt-clean, and
 # docs/FLOWS.md covers the flowlang keyword/task/error catalogs.
