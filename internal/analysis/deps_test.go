@@ -265,7 +265,7 @@ func TestLoopDepsClone(t *testing.T) {
 	d := &LoopDeps{
 		LoopID:     3,
 		Var:        "i",
-		Carried:    []Dependence{{Kind: DepScalar, Name: "s", Detail: "x"}},
+		Carried:    []Dependence{{Kind: DepScalar, Name: "s", detail: "x"}},
 		Reductions: []Reduction{{Name: "acc"}},
 	}
 	c := d.Clone()
@@ -489,7 +489,7 @@ type refAccess struct {
 func classifyArrayRef(accs []refAccess, v string) *Dependence {
 	for i := range accs {
 		if !accs[i].sub.OK {
-			return &Dependence{Kind: DepUnknown, Detail: "non-affine subscript"}
+			return &Dependence{Kind: DepUnknown, detail: "non-affine subscript"}
 		}
 	}
 	for i := range accs {
@@ -499,7 +499,7 @@ func classifyArrayRef(accs []refAccess, v string) *Dependence {
 		w := accs[i]
 		if !dependsOnRef(w.sub, v) {
 			return &Dependence{Kind: DepArrayOutput,
-				Detail: fmt.Sprintf("write subscript %s invariant in %s", w.sub, v)}
+				detail: fmt.Sprintf("write subscript %s invariant in %s", w.sub, v)}
 		}
 		wVar := varPartRef(w.sub, v)
 		for j := range accs {
@@ -513,7 +513,7 @@ func classifyArrayRef(accs []refAccess, v string) *Dependence {
 			}
 			if !mapsEqual(wVar, varPartRef(a.sub, v)) {
 				return &Dependence{Kind: kind,
-					Detail: fmt.Sprintf("subscripts %s and %s differ in their %s terms", w.sub, a.sub, v)}
+					detail: fmt.Sprintf("subscripts %s and %s differ in their %s terms", w.sub, a.sub, v)}
 			}
 			if !mapsEqual(invPartRef(w.sub, v), invPartRef(a.sub, v)) {
 				if c, ok := pureCoeffRef(wVar, v); ok && invDiffersOnlyInConstRef(w.sub, a.sub, v) {
@@ -523,7 +523,7 @@ func classifyArrayRef(accs []refAccess, v string) *Dependence {
 					}
 				}
 				return &Dependence{Kind: kind,
-					Detail: fmt.Sprintf("subscripts %s and %s conflict across iterations", w.sub, a.sub)}
+					detail: fmt.Sprintf("subscripts %s and %s conflict across iterations", w.sub, a.sub)}
 			}
 		}
 	}
@@ -609,7 +609,7 @@ func scalarDepsRef(loop *minic.ForStmt, v string, declared map[string]bool, d *L
 		}
 		d.Carried = append(d.Carried, Dependence{
 			Kind: DepScalar, Name: name,
-			Detail: fmt.Sprintf("scalar %q written in loop body and visible outside", name),
+			detail: fmt.Sprintf("scalar %q written in loop body and visible outside", name),
 		})
 	}
 }
@@ -690,12 +690,12 @@ func arrayDepsRef(loop *minic.ForStmt, v string, d *LoopDeps) {
 func AnalyzeLoopRef(loop minic.Stmt) *LoopDeps {
 	fs, ok := loop.(*minic.ForStmt)
 	if !ok {
-		return &LoopDeps{LoopID: loop.ID(), Carried: []Dependence{{Kind: DepUnknown, Detail: "while loop"}}}
+		return &LoopDeps{LoopID: loop.ID(), Carried: []Dependence{{Kind: DepUnknown, detail: "while loop"}}}
 	}
 	v := query.LoopVar(fs)
 	d := &LoopDeps{LoopID: fs.ID(), Var: v}
 	if v == "" {
-		d.Carried = append(d.Carried, Dependence{Kind: DepUnknown, Detail: "unrecognized loop shape"})
+		d.Carried = append(d.Carried, Dependence{Kind: DepUnknown, detail: "unrecognized loop shape"})
 		return d
 	}
 	scalarDepsRef(fs, v, declaredInRef(fs), d)
@@ -771,7 +771,7 @@ func TestClassifyArrayMatchesReferenceRandom(t *testing.T) {
 		case got == nil || want == nil || *got != *want:
 			t.Fatalf("loop var %s, subscripts %q:\n got %+v\nwant %+v", v, srcs, got, want)
 		default:
-			outcomes[strings.Fields(got.Detail)[0]+"/"+got.Kind.String()]++
+			outcomes[strings.Fields(got.Detail())[0]+"/"+got.Kind.String()]++
 		}
 	}
 	// Every arm of the test must have been reached, or the agreement above

@@ -33,7 +33,7 @@ func loopDepsTable(sb *strings.Builder, label string, prog *minic.Program) {
 			fmt.Fprintf(sb, "\t%s loop %d var %q\n", fn.Name, d.LoopID, d.Var)
 			var scalars []string
 			for _, c := range d.Carried {
-				line := fmt.Sprintf("\t\tcarried %s %q: %s\n", c.Kind, c.Name, c.Detail)
+				line := fmt.Sprintf("\t\tcarried %s %q: %s\n", c.Kind, c.Name, c.Detail())
 				if c.Kind == analysis.DepScalar {
 					scalars = append(scalars, line)
 				} else {

@@ -2,6 +2,7 @@ package tasks
 
 import (
 	"fmt"
+	"strings"
 
 	"psaflow/internal/core"
 	"psaflow/internal/events"
@@ -26,7 +27,14 @@ var OMPParallelLoops = core.TaskFunc{
 		}
 		deps := d.Report.OuterDeps
 		if !deps.ParallelWithReduction() {
-			return fmt.Errorf("outer loop is not parallelizable: %v", deps.Carried)
+			var sb strings.Builder
+			for i, c := range deps.Carried {
+				if i > 0 {
+					sb.WriteString("; ")
+				}
+				sb.WriteString(c.String())
+			}
+			return fmt.Errorf("outer loop is not parallelizable: %s", sb.String())
 		}
 		pragma := "omp parallel for"
 		for _, r := range deps.Reductions {

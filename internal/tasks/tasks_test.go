@@ -5,12 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"psaflow/internal/analysis"
 	"psaflow/internal/core"
 	"psaflow/internal/hls"
 	"psaflow/internal/interp"
 	"psaflow/internal/minic"
 	"psaflow/internal/perfmodel"
 	"psaflow/internal/platform"
+	"psaflow/internal/query"
 )
 
 // synthetic workload: a compute-bound parallel app with a clear hotspot.
@@ -355,6 +357,30 @@ void app(int n, double *a) {
 	}
 	if err := OMPParallelLoops.Run(ctx, d); err == nil {
 		t.Fatal("OMP task must reject a loop-carried recurrence")
+	}
+}
+
+// TestOMPRejectsCarriedScalarMessage pins the text of the rejection for a
+// loop that carries a scalar: each dependence renders as
+// kind "name": detail, the scalar's detail rendered when read.
+func TestOMPRejectsCarriedScalarMessage(t *testing.T) {
+	prog := minic.MustParse(`
+void k(int n, double *a) {
+    double s = 0.0;
+    for (int i = 0; i < n; i++) {
+        s = s * 0.5 + a[i];
+        a[i] = s;
+    }
+}
+`)
+	d := core.NewDesign("carried", prog)
+	d.Kernel = "k"
+	d.Report.OuterDeps = analysis.AnalyzeLoop(query.OutermostLoops(d.KernelFunc())[0])
+	// A hand-named kernel: no task gave it, so call Fn, not Run.
+	err := OMPParallelLoops.Fn(&core.Context{}, d)
+	const want = `outer loop is not parallelizable: scalar "s": scalar "s" written in loop body and visible outside`
+	if err == nil || err.Error() != want {
+		t.Fatalf("OMP task error = %v, want %q", err, want)
 	}
 }
 

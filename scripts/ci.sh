@@ -60,9 +60,11 @@ go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # daemon's two workers running jobs at once on one program its program table
 # keeps, each flow started shared, and one telemetry recorder whose spans
 # the paths start, note and end while it is snapshotted, and forks on
-# parallel branch paths that each keep and read their own label — five
-# runs, for the scheduler to vary which path copies while its siblings read.
-go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll|TestKeptProgramSharedByConcurrentJobs|TestConcurrentRecording|TestParallelBranchLabels|TestDesignLabel' ./internal/core/ ./internal/minic/ ./internal/transform/ ./internal/service/ ./internal/telemetry/
+# parallel branch paths that each keep and read their own label, and
+# dependence analysis run from eight goroutines on its pooled walk scratch —
+# five runs, for the scheduler to vary which path copies while its siblings
+# read.
+go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll|TestKeptProgramSharedByConcurrentJobs|TestConcurrentRecording|TestParallelBranchLabels|TestDesignLabel|TestAnalyzeLoopConcurrent' ./internal/core/ ./internal/minic/ ./internal/transform/ ./internal/service/ ./internal/telemetry/ ./internal/analysis/
 # Every job lowers the one checked bundled paper.psa: eight lowerings with
 # different options, run beside each other on one run cache, must each
 # equal the same lowering run alone — five runs, for the scheduler to vary
