@@ -83,7 +83,7 @@ func ZeroCopy(dev platform.FPGASpec) core.TaskFunc {
 // designs in the paper.
 func UnrollUntilOvermap(dev platform.FPGASpec) core.TaskFunc {
 	return core.TaskFunc{
-		TaskName: fmt.Sprintf("%s Unroll Until Overmap DSE", dev.Name),
+		TaskName: dev.Name + " Unroll Until Overmap DSE",
 		TaskKind: core.Optimisation, IsDyn: true, Need: core.FactKernel, Give: core.FactDevice,
 		Fn: func(ctx *core.Context, d *core.Design) error {
 			// Claiming the board is the DSE's first act; an unavailable

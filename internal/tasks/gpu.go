@@ -106,7 +106,7 @@ var SpecialisedMathFns = core.TaskFunc{
 // design time, and records the device estimate.
 func BlocksizeDSE(dev platform.GPUSpec) core.TaskFunc {
 	return core.TaskFunc{
-		TaskName: fmt.Sprintf("%s Blocksize DSE", dev.Name), TaskKind: core.Optimisation, IsDyn: true,
+		TaskName: dev.Name + " Blocksize DSE", TaskKind: core.Optimisation, IsDyn: true,
 		Need: core.FactKernel, Give: core.FactDevice,
 		Fn: func(ctx *core.Context, d *core.Design) error {
 			// Claiming the board is the per-device DSE's first act; an

@@ -1,7 +1,6 @@
 package tasks
 
 import (
-	"fmt"
 	"sort"
 
 	"psaflow/internal/analysis"
@@ -33,7 +32,7 @@ import (
 func UnrollUntilOvermapWithSharing(dev platform.FPGASpec) core.TaskFunc {
 	base := UnrollUntilOvermap(dev)
 	return core.TaskFunc{
-		TaskName: fmt.Sprintf("%s Unroll Until Overmap DSE (with resource sharing)", dev.Name),
+		TaskName: dev.Name + " Unroll Until Overmap DSE (with resource sharing)",
 		TaskKind: core.Optimisation, IsDyn: true, Need: base.Need, Give: base.Give,
 		Fn: func(ctx *core.Context, d *core.Design) error {
 			if err := base.Fn(ctx, d); err != nil {
