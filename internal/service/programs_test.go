@@ -70,25 +70,46 @@ func TestProgramTableKeepsOnSecondSighting(t *testing.T) {
 func TestProgramTableUnrepeatedSourcesNotKept(t *testing.T) {
 	tab := newProgramTable()
 	b := nbody(t)
-	slots := map[uint64]bool{}
+	perBucket := map[uint64]int{}
 	for k := range 3 * keptPrograms {
 		src := variant(b, k)
 		if p, err := tab.lookup(src); err != nil || p.kept {
 			t.Fatalf("variant %d: kept=%v err=%v", k, p.kept, err)
 		}
-		slots[(maphash.String(tab.seed, src)|1)%sightingSlots] = true
+		perBucket[(maphash.String(tab.seed, src)|1)>>1%(sightingSlots/2)]++
 	}
 	if n := keptCount(tab); n != 0 {
 		t.Errorf("the table keeps %d programs after sources it saw once each", n)
 	}
-	used := 0
-	for _, h := range tab.seen {
-		if h != 0 {
-			used++
+	used, want := 0, 0
+	for _, bucket := range tab.seen {
+		for _, h := range bucket {
+			if h != 0 {
+				used++
+			}
 		}
 	}
-	if used != len(slots) {
-		t.Errorf("%d sighting slots hold a hash, want the %d the sources hash to", used, len(slots))
+	for _, n := range perBucket {
+		want += min(n, 2)
+	}
+	if used != want {
+		t.Errorf("%d sighting slots hold a hash, want the %d the sources hash to", used, want)
+	}
+}
+
+// TestProgramTableSightingsShareASlot: two sources whose hashes map to
+// one slot and arrive in turn are both kept on their second sighting, and
+// a third in the same bucket pushes out the older of the two.
+func TestProgramTableSightingsShareASlot(t *testing.T) {
+	tab := newProgramTable()
+	a, b, c := uint64(7)|1, uint64(7+sightingSlots)|1, uint64(7+3*sightingSlots)|1
+	for i, step := range []struct {
+		h    uint64
+		want bool
+	}{{a, false}, {b, false}, {a, true}, {b, true}, {c, false}, {b, true}, {a, false}} {
+		if got := tab.sighted(step.h); got != step.want {
+			t.Fatalf("step %d: sighted(%d) = %v, want %v", i, step.h, got, step.want)
+		}
 	}
 }
 
