@@ -9,7 +9,7 @@ package codegen
 
 import (
 	"fmt"
-	"strings"
+	"sync"
 
 	"psaflow/internal/minic"
 	"psaflow/internal/query"
@@ -37,7 +37,33 @@ type Design struct {
 	AddedLOC int // LOC - reference LOC (clamped at 0)
 }
 
-func finish(target, device, src string, refLOC int) *Design {
+// source is the scratch a generator writes a design's text into. It comes
+// from renders and goes back in finish, which copies the text out: no
+// design's Source aliases the pool.
+type source struct{ buf []byte }
+
+var renders = sync.Pool{New: func() any { return new(source) }}
+
+// params appends a C parameter list.
+func (w *source) params(params []*minic.Param) { w.buf = minic.AppendParams(w.buf, params) }
+
+// otherFuncs writes every function except the kernel (the untouched
+// application code that surrounds the generated design), each followed by
+// a blank line.
+func (w *source) otherFuncs(prog *minic.Program, kernel string) {
+	for _, f := range prog.Funcs {
+		if f.Name != kernel {
+			w.buf = minic.AppendFunc(w.buf, f)
+			w.buf = append(w.buf, '\n')
+		}
+	}
+}
+
+// finish makes the design from the text w holds and puts w back.
+func finish(target, device string, w *source, refLOC int) *Design {
+	src := string(w.buf)
+	w.buf = w.buf[:0]
+	renders.Put(w)
 	loc := minic.CountLOC(src)
 	added := loc - refLOC
 	if added < 0 {
@@ -52,11 +78,11 @@ func kernelLoop(prog *minic.Program, kernel string) (*minic.FuncDecl, *minic.For
 	if fn == nil {
 		return nil, nil, query.LoopBound{}, fmt.Errorf("codegen: no kernel %q", kernel)
 	}
-	outer := query.OutermostLoops(fn)
-	if len(outer) == 0 {
+	outer := query.FirstOutermostLoop(fn)
+	if outer == nil {
 		return nil, nil, query.LoopBound{}, fmt.Errorf("codegen: kernel %q has no loop", kernel)
 	}
-	fs, ok := outer[0].(*minic.ForStmt)
+	fs, ok := outer.(*minic.ForStmt)
 	if !ok {
 		return nil, nil, query.LoopBound{}, fmt.Errorf("codegen: kernel %q outer loop is not a for", kernel)
 	}
@@ -67,41 +93,15 @@ func kernelLoop(prog *minic.Program, kernel string) (*minic.FuncDecl, *minic.For
 	return fn, fs, b, nil
 }
 
-// paramList renders a C parameter list.
-func paramList(params []*minic.Param) string {
-	parts := make([]string, len(params))
-	for i, p := range params {
-		t := p.Type.String()
-		if p.Type.Ptr {
-			parts[i] = t + p.Name
-		} else {
-			parts[i] = t + " " + p.Name
-		}
-	}
-	return strings.Join(parts, ", ")
-}
-
-// writeOtherFuncs writes every function except the kernel (the untouched
-// application code that surrounds the generated design), each followed by
-// a blank line.
-func writeOtherFuncs(sb *strings.Builder, prog *minic.Program, kernel string) {
-	for _, f := range prog.Funcs {
-		if f.Name != kernel {
-			minic.WriteFunc(sb, f)
-			sb.WriteByte('\n')
-		}
-	}
-}
-
-// pointerParams returns the kernel's pointer parameters.
-func pointerParams(fn *minic.FuncDecl) []*minic.Param {
-	var out []*minic.Param
+// pointerParams appends the kernel's pointer parameters to dst, which a
+// caller backs with an array on its stack.
+func pointerParams(dst []*minic.Param, fn *minic.FuncDecl) []*minic.Param {
 	for _, p := range fn.Params {
 		if p.Type.Ptr {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
 // sizeExprFor guesses the element count expression for a pointer parameter

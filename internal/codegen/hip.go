@@ -3,7 +3,6 @@ package codegen
 import (
 	"slices"
 	"strconv"
-	"strings"
 
 	"psaflow/internal/minic"
 )
@@ -24,14 +23,13 @@ func HIP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 		blocksize = 256
 	}
 
-	var sb strings.Builder
+	src := renders.Get().(*source)
 	w := func(parts ...string) {
 		for _, p := range parts {
-			sb.WriteString(p)
+			src.buf = append(src.buf, p...)
 		}
 	}
 	bs := strconv.Itoa(blocksize)
-	params := paramList(fn.Params)
 	idx, hi := bound.Var, sizeExprFor(bound)
 
 	w("// Auto-generated HIP CPU+GPU design\n")
@@ -46,9 +44,12 @@ func HIP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 	w("    } } while (0)\n\n")
 
 	// Device kernel: grid-stride mapping of the outer loop.
-	w("__global__ void ", fn.Name, "_kernel(", params, ") {\n")
+	w("__global__ void ", fn.Name, "_kernel(")
+	src.params(fn.Params)
+	w(") {\n")
 	w("    int ", idx, " = blockIdx.x * blockDim.x + threadIdx.x;\n")
-	ptrs := pointerParams(fn)
+	var ptrArr [8]*minic.Param
+	ptrs := pointerParams(ptrArr[:0], fn)
 	if len(opts.SharedMem) > 0 {
 		for _, p := range ptrs {
 			if !slices.Contains(opts.SharedMem, p.Name) {
@@ -62,12 +63,14 @@ func HIP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 		w("    __syncthreads();\n")
 	}
 	w("    if (", idx, " < ", hi, ") {\n")
-	minic.WriteStmts(&sb, loop.Body.Stmts, 2)
+	src.buf = minic.AppendStmts(src.buf, loop.Body.Stmts, 2)
 	w("    }\n")
 	w("}\n\n")
 
 	// Host wrapper replacing the original kernel function.
-	w("void ", fn.Name, "(", params, ") {\n")
+	w("void ", fn.Name, "(")
+	src.params(fn.Params)
+	w(") {\n")
 	for _, p := range ptrs {
 		elem := p.Type.Kind.String()
 		w("    ", elem, " *d_", p.Name, " = nullptr;\n")
@@ -122,6 +125,6 @@ func HIP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 	}
 	w("}\n\n")
 
-	writeOtherFuncs(&sb, prog, fn.Name)
-	return finish("hip", opts.Device, sb.String(), refLOC), nil
+	src.otherFuncs(prog, fn.Name)
+	return finish("hip", opts.Device, src, refLOC), nil
 }

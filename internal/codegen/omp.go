@@ -41,9 +41,9 @@ func OpenMP(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 	}
 	wloop.Pragmas = append(kept, pragma)
 
-	var sb strings.Builder
-	sb.WriteString("#include <omp.h>\n\n")
-	writeOtherFuncs(&sb, prog, wfn.Name)
-	minic.WriteFunc(&sb, wfn)
-	return finish("openmp", opts.Device, sb.String(), refLOC), nil
+	src := renders.Get().(*source)
+	src.buf = append(src.buf, "#include <omp.h>\n\n"...)
+	src.otherFuncs(prog, wfn.Name)
+	src.buf = minic.AppendFunc(src.buf, wfn)
+	return finish("openmp", opts.Device, src, refLOC), nil
 }

@@ -23,15 +23,14 @@ func OneAPI(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 		unroll = 1
 	}
 
-	var sb strings.Builder
+	src := renders.Get().(*source)
 	w := func(parts ...string) {
 		for _, p := range parts {
-			sb.WriteString(p)
+			src.buf = append(src.buf, p...)
 		}
 	}
-
-	kernelID := strings.ToUpper(fn.Name[:1]) + fn.Name[1:] + "KernelID"
-	ptrs := pointerParams(fn)
+	var ptrArr [8]*minic.Param
+	ptrs := pointerParams(ptrArr[:0], fn)
 	sizeExpr := sizeExprFor(bound)
 
 	w("// Auto-generated oneAPI CPU+FPGA design\n")
@@ -44,8 +43,12 @@ func OneAPI(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 	w("#include <sycl/ext/intel/fpga_extensions.hpp>\n")
 	w("#include <cstring>\n")
 	w("#include <iostream>\n\n")
-	w("class ", kernelID, ";\n\n")
-	w("void ", fn.Name, "(", paramList(fn.Params), ") {\n")
+	w("class ")
+	src.kernelID(fn.Name)
+	w(";\n\n")
+	w("void ", fn.Name, "(")
+	src.params(fn.Params)
+	w(") {\n")
 	w("#if defined(FPGA_EMULATOR)\n")
 	w("    sycl::ext::intel::fpga_emulator_selector selector;\n")
 	w("#else\n")
@@ -79,8 +82,10 @@ func OneAPI(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 			w("    memcpy(u_", p.Name, ", ", p.Name, ", sizeof(", elem, ") * (", sizeExpr, "));\n")
 		}
 		w("    sycl::event e = q.submit([&](sycl::handler &h) {\n")
-		w("        h.single_task<", kernelID, ">([=]() [[intel::kernel_args_restrict]] {\n")
-		emitPipelineLoop(&sb, loop, unroll, 3)
+		w("        h.single_task<")
+		src.kernelID(fn.Name)
+		w(">([=]() [[intel::kernel_args_restrict]] {\n")
+		src.pipelineLoop(loop, unroll, 3)
 		w("        });\n")
 		w("    });\n")
 		w("    q.wait();\n")
@@ -108,8 +113,10 @@ func OneAPI(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 			}
 			w("            auto ", p.Name, "_acc = ", p.Name, "_buf.get_access<sycl::access::mode::", mode, ">(h);\n")
 		}
-		w("            h.single_task<", kernelID, ">([=]() [[intel::kernel_args_restrict]] {\n")
-		emitPipelineLoop(&sb, loop, unroll, 4)
+		w("            h.single_task<")
+		src.kernelID(fn.Name)
+		w(">([=]() [[intel::kernel_args_restrict]] {\n")
+		src.pipelineLoop(loop, unroll, 4)
 		w("            });\n")
 		w("        });\n")
 		w("        q.wait();\n")
@@ -120,17 +127,32 @@ func OneAPI(prog *minic.Program, refLOC int, opts Options) (*Design, error) {
 	}
 	w("}\n\n")
 
-	writeOtherFuncs(&sb, prog, fn.Name)
-	return finish("oneapi", opts.Device, sb.String(), refLOC), nil
+	src.otherFuncs(prog, fn.Name)
+	return finish("oneapi", opts.Device, src, refLOC), nil
 }
 
-// emitPipelineLoop writes the kernel's outer loop, carrying only the
-// unroll pragma, at the given indent level.
-func emitPipelineLoop(sb *strings.Builder, loop *minic.ForStmt, unroll, indent int) {
+// kernelID writes the kernel's SYCL class name: the kernel's name, its
+// first byte upper-cased, then "KernelID".
+func (w *source) kernelID(name string) {
+	if c := name[0]; 'a' <= c && c <= 'z' {
+		w.buf = append(w.buf, c-'a'+'A')
+	} else {
+		w.buf = append(w.buf, strings.ToUpper(name[:1])...)
+	}
+	w.buf = append(w.buf, name[1:]...)
+	w.buf = append(w.buf, "KernelID"...)
+}
+
+// pipelineLoop writes the kernel's outer loop, carrying only the unroll
+// pragma, at the given indent level. The loop is copied on the stack to
+// swap its pragmas; the printer keeps nothing of it.
+func (w *source) pipelineLoop(loop *minic.ForStmt, unroll, indent int) {
 	pipe := *loop
+	var pragma [1]string
 	pipe.Pragmas = nil
 	if unroll > 1 {
-		pipe.Pragmas = []string{"unroll " + strconv.Itoa(unroll)}
+		pragma[0] = "unroll " + strconv.Itoa(unroll)
+		pipe.Pragmas = pragma[:]
 	}
-	minic.WriteStmts(sb, []minic.Stmt{&pipe}, indent)
+	w.buf = minic.AppendStmts(w.buf, []minic.Stmt{&pipe}, indent)
 }

@@ -253,7 +253,7 @@ func NewDesign(name string, prog *minic.Program) *Design {
 		Name:   name,
 		Prog:   prog,
 		Report: &KernelReport{},
-		RefLOC: minic.CountLOC(minic.Print(prog)),
+		RefLOC: minic.ProgramLOC(prog),
 	}
 }
 

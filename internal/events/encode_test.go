@@ -116,13 +116,14 @@ func TestAppendEventNonFinite(t *testing.T) {
 }
 
 // TestPublishAllocations: publishing an event with no subscriber allocates
-// its frame's line and nothing else (the ring's slots are there once it is
-// full).
+// nothing of its own once the ring is full: a frame's line costs a share of
+// a slab chunk, about one chunk per twenty lines, which AllocsPerRun's
+// rounding down reads as 0.
 func TestPublishAllocations(t *testing.T) {
 	b := NewBroker("j", 4, 0)
 	publishN(t, b, 4)
 	e := timed(New(TaskEnded, "Unroll Fixed Loops", []string{"nbody/gpu"}), 0.5)
-	if n := testing.AllocsPerRun(100, func() { b.Publish(e) }); n != 1 {
-		t.Errorf("Publish allocates %.0f times, want 1 (the line)", n)
+	if n := testing.AllocsPerRun(100, func() { b.Publish(e) }); n != 0 {
+		t.Errorf("Publish allocates %.0f times, want 0 (a share of a chunk)", n)
 	}
 }

@@ -14,7 +14,6 @@
 package events
 
 import (
-	"bytes"
 	"math"
 	"strconv"
 	"sync"
@@ -79,6 +78,11 @@ const (
 	DefaultMaxSubs  = 1024
 )
 
+// lineChunk is the size of the slab chunks a broker cuts frame lines from:
+// a line costs its share of a chunk, not an allocation of its own. A line
+// longer than a chunk gets a chunk of its own length.
+const lineChunk = 2 << 10
+
 // Broker is one job's event hub: a bounded ring of the newest events plus
 // the live subscriber set. All methods are safe for concurrent use;
 // Publish is called from parallel branch-path goroutines.
@@ -91,7 +95,10 @@ type Broker struct {
 	// buf is the ring storage. It grows by append until it holds size
 	// frames — a finished job's few dozen events never pay for the whole
 	// window — and from then on slot = seq % size.
-	buf     []Frame
+	buf []Frame
+	// chunk is the slab the next line is cut from: its length is what
+	// earlier lines took, its capacity the chunk's end.
+	chunk   []byte
 	head    uint64 // seq of the oldest event still retained
 	next    uint64 // seq the next Publish will assign (== total published)
 	closed  bool
@@ -133,10 +140,10 @@ func (b *Broker) Publish(e Event) bool {
 	e.Seq = b.next
 	e.Job = b.job
 	b.next++
-	// The line is built on the stack and kept at its length: a ring holds
-	// up to size of them for as long as the job is retained.
+	// The line is built on the stack and cut from the slab at its length: a
+	// ring holds up to size of them for as long as the job is retained.
 	var buf [256]byte
-	f := Frame{Seq: e.Seq, Type: e.Type, Line: bytes.Clone(appendEvent(buf[:0], &e, b.now().UTC()))}
+	f := Frame{Seq: e.Seq, Type: e.Type, Line: b.cut(appendEvent(buf[:0], &e, b.now().UTC()))}
 	if len(b.buf) < b.size {
 		b.buf = append(b.buf, f)
 	} else {
@@ -152,6 +159,21 @@ func (b *Broker) Publish(e Event) bool {
 		s.wake()
 	}
 	return true
+}
+
+// cut copies line into the broker's slab and returns the copy with its
+// capacity at its length, so appending to one frame's line can never write
+// into the next. Called with b.mu held.
+func (b *Broker) cut(line []byte) []byte {
+	if len(line) > lineChunk {
+		return append(make([]byte, 0, len(line)), line...)
+	}
+	if len(line) > cap(b.chunk)-len(b.chunk) {
+		b.chunk = make([]byte, 0, lineChunk)
+	}
+	start := len(b.chunk)
+	b.chunk = append(b.chunk, line...)
+	return b.chunk[start:len(b.chunk):len(b.chunk)]
 }
 
 // Close ends the stream: subscribers drain the retained ring and then see

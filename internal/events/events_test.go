@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +130,72 @@ func TestLateSubscriberReplayMatchesLive(t *testing.T) {
 		}
 		if decoded := decode(t, f); decoded != liveEvs[i] {
 			t.Fatalf("frame %d line does not decode to its event: %s, want %+v", i, f.Line, liveEvs[i])
+		}
+	}
+}
+
+// TestFrameLinesCutFromSlab: frame lines share slab chunks, each line cut
+// at its own capacity, so appending to line i leaves line i+1 unchanged,
+// whether the lines share a chunk or a long line took one of its own; and
+// a replay after the ring has wrapped over many chunks serves the bytes the
+// live stream served. A reader appending to every line it receives while
+// the publisher cuts the next one is what go test -race checks.
+func TestFrameLinesCutFromSlab(t *testing.T) {
+	const ring, total = 16, 300
+	b := NewBroker("job-slab", ring, 4)
+	b.now = fixedClock()
+	live, _ := b.Subscribe(0)
+	reader, _ := b.Subscribe(0)
+	done := make(chan struct{})
+	go func() { // appends to every line as it arrives, racing the publisher
+		defer close(done)
+		for {
+			frames, end := reader.Poll(ring)
+			for _, f := range frames {
+				_ = append(f.Line, ",garbage"...)
+			}
+			if end {
+				return
+			}
+			<-reader.Ready()
+		}
+	}()
+	var lines [][]byte // what the live stream was served, as served
+	var want [][]byte  // a private copy of each
+	for i := 0; i < total; i++ {
+		name := fmt.Sprintf("e%d", i)
+		if i%29 == 0 {
+			name = strings.Repeat("x", lineChunk+i) // a chunk of its own
+		}
+		b.Publish(Event{Type: TypeNote, Name: name})
+		frames, _ := live.Poll(ring)
+		for _, f := range frames {
+			lines = append(lines, f.Line)
+			want = append(want, bytes.Clone(f.Line))
+		}
+	}
+	b.Close()
+	<-done
+	if len(lines) != total {
+		t.Fatalf("live stream served %d frames, want %d", len(lines), total)
+	}
+	for i := 0; i+1 < total; i++ {
+		if len(lines[i]) != cap(lines[i]) {
+			t.Fatalf("line %d has capacity %d beyond its length %d", i, cap(lines[i]), len(lines[i]))
+		}
+		_ = append(lines[i], ",garbage"...)
+		if !bytes.Equal(lines[i+1], want[i+1]) {
+			t.Fatalf("appending to line %d changed line %d: %s", i, i+1, lines[i+1])
+		}
+	}
+	replay, _ := b.Subscribe(0)
+	frames, _ := replay.Poll(ring)
+	if len(frames) != ring || frames[0].Seq != total-ring {
+		t.Fatalf("replay after the wrap served %d frames from seq %d, want %d from %d", len(frames), frames[0].Seq, ring, total-ring)
+	}
+	for _, f := range frames {
+		if !bytes.Equal(f.Line, want[f.Seq]) {
+			t.Fatalf("replayed frame %d diverged from live: %s, want %s", f.Seq, f.Line, want[f.Seq])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"psaflow/internal/bench"
@@ -102,6 +103,70 @@ func TestDesignsFixtureSharedStart(t *testing.T) {
 			t.Errorf("%s: the flows started shared on its program wrote it", b.Name)
 		}
 	}
+}
+
+// TestRenderConcurrent: the generators append into scratch from one pool,
+// so a design rendered while others render must come out as it does alone.
+// Every leaf design of the five apps (both modes, with and without
+// ResourceSharing) is rendered from 8 goroutines at once, each starting at
+// a different design and going round all of them twice, and each render
+// must be byte-equal to the sequential one, which must equal what the flow
+// rendered.
+func TestRenderConcurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every flow (use without -short)")
+	}
+	var designs []*core.Design
+	runs := core.NewRunCache()
+	for _, b := range bench.All() {
+		for _, sharing := range []bool{false, true} {
+			for _, mode := range []tasks.Mode{tasks.Uninformed, tasks.Informed} {
+				results, err := RunDesignEnv(context.Background(), b, core.NewDesign(b.Name, b.Parse()),
+					tasks.FlowOptions{Mode: mode, Strategy: tasks.DefaultStrategy, ResourceSharing: sharing},
+					JobEnv{}, nil, nil, runs)
+				if err != nil {
+					t.Fatalf("%s: %v", b.Name, err)
+				}
+				for _, r := range results {
+					if r.Design.Artifact != nil {
+						designs = append(designs, r.Design)
+					}
+				}
+			}
+		}
+	}
+	want := make([]string, len(designs))
+	for i, d := range designs {
+		a, err := tasks.Render(d)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Label(), err)
+		}
+		if a.Source != d.Artifact.Source {
+			t.Fatalf("%s: rendered again, the source differs from the flow's", d.Label())
+		}
+		want[i] = a.Source
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 2 * len(designs) {
+				i := (g*len(designs)/goroutines + k) % len(designs)
+				a, err := tasks.Render(designs[i])
+				if err != nil {
+					t.Errorf("%s: %v", designs[i].Label(), err)
+					return
+				}
+				if a.Source != want[i] {
+					t.Errorf("%s: rendered beside others, the source differs from the sequential render", designs[i].Label())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // matchFixture compares a designs table with the fixture line by line.

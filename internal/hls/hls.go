@@ -112,12 +112,8 @@ func kernelPrecision(fn *minic.FuncDecl) bool {
 // unrollPragmaFactor extracts the factor of an "unroll N" pragma attached
 // to the outermost loop of fn; returns 1 when absent.
 func unrollPragmaFactor(fn *minic.FuncDecl) int {
-	outer := query.OutermostLoops(fn)
-	if len(outer) == 0 {
-		return 1
-	}
 	var pragmas []string
-	switch l := outer[0].(type) {
+	switch l := query.FirstOutermostLoop(fn).(type) {
 	case *minic.ForStmt:
 		pragmas = l.Pragmas
 	case *minic.WhileStmt:

@@ -1,9 +1,13 @@
 package minic
 
 import (
-	"fmt"
+	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Print renders the program back to MiniC source. The output is valid
@@ -11,75 +15,130 @@ import (
 // Parse(Print(p)) is structurally identical to p (the round-trip property
 // is enforced by tests).
 func Print(p *Program) string {
-	var sb strings.Builder
-	pr := printer{sb: &sb}
+	buf := printScratch.Get().(*[]byte)
+	*buf = appendProgram((*buf)[:0], p)
+	src := string(*buf)
+	printScratch.Put(buf)
+	return src
+}
+
+// ProgramLOC is CountLOC(Print(p)), counted on pooled print scratch, so
+// the program's text is never made.
+func ProgramLOC(p *Program) int {
+	buf := printScratch.Get().(*[]byte)
+	*buf = appendProgram((*buf)[:0], p)
+	n := CountLOC(*buf)
+	printScratch.Put(buf)
+	return n
+}
+
+// printScratch holds the buffers Print and ProgramLOC print into; what
+// either returns copies out of it, so nothing a caller keeps aliases it.
+var printScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+func appendProgram(dst []byte, p *Program) []byte {
 	for i, f := range p.Funcs {
 		if i > 0 {
-			pr.nl()
+			dst = append(dst, '\n')
 		}
-		pr.fun(f)
+		dst = AppendFunc(dst, f)
 	}
-	return sb.String()
+	return dst
 }
 
-// WriteFunc appends f to sb as Print prints it, final newline included.
-func WriteFunc(sb *strings.Builder, f *FuncDecl) {
-	pr := printer{sb: sb}
+// AppendFunc appends f to dst as Print prints it, final newline included.
+func AppendFunc(dst []byte, f *FuncDecl) []byte {
+	pr := printer{buf: dst}
 	pr.fun(f)
+	return pr.buf
 }
 
-// WriteStmts appends stmts to sb as Print prints them, each line indented
-// by indent levels of four spaces.
-func WriteStmts(sb *strings.Builder, stmts []Stmt, indent int) {
-	pr := printer{sb: sb, indent: indent}
+// AppendStmts appends stmts to dst as Print prints them, each line
+// indented by indent levels of four spaces.
+func AppendStmts(dst []byte, stmts []Stmt, indent int) []byte {
+	pr := printer{buf: dst, indent: indent}
 	for _, s := range stmts {
 		pr.stmt(s)
 	}
+	return pr.buf
+}
+
+// AppendParams appends a parameter list as Print prints one, without its
+// parentheses: "const double *a, int n".
+func AppendParams(dst []byte, params []*Param) []byte {
+	pr := printer{buf: dst}
+	pr.params(params)
+	return pr.buf
+}
+
+// AppendExpr appends e to dst as Print prints it.
+func AppendExpr(dst []byte, e Expr) []byte {
+	pr := printer{buf: dst}
+	pr.expr(e, 0)
+	return pr.buf
 }
 
 // FormatExpr renders a single expression.
 func FormatExpr(e Expr) string {
-	var sb strings.Builder
-	pr := printer{sb: &sb}
-	pr.expr(e, 0)
-	return sb.String()
+	var buf [64]byte
+	return string(AppendExpr(buf[:0], e))
 }
 
 // CountLOC counts the lines of src that strings.TrimSpace leaves something
-// of; this backs the paper's Table I "added lines of code" metric.
-func CountLOC(src string) int {
+// of; this backs the paper's Table I "added lines of code" metric. A line
+// is blank when every rune of it is unicode.IsSpace, which is what
+// TrimSpace removes; a byte of invalid UTF-8 is not space.
+func CountLOC[S string | []byte](src S) int {
 	n := 0
-	for src != "" {
-		var line string
-		line, src, _ = strings.Cut(src, "\n")
-		if strings.TrimSpace(line) != "" {
-			n++
+	blank := true
+	for i := 0; i < len(src); {
+		r, size := rune(src[i]), 1
+		if r >= utf8.RuneSelf {
+			var rb [utf8.UTFMax]byte
+			r, size = utf8.DecodeRune(rb[:copy(rb[:], src[i:])])
 		}
+		i += size
+		if r == '\n' {
+			if !blank {
+				n++
+			}
+			blank = true
+		} else if !unicode.IsSpace(r) {
+			blank = false
+		}
+	}
+	if !blank {
+		n++
 	}
 	return n
 }
 
+// printer appends MiniC source to buf.
 type printer struct {
-	sb     *strings.Builder
+	buf    []byte
 	indent int
 }
 
 func (pr *printer) ws() {
 	for i := 0; i < pr.indent; i++ {
-		pr.sb.WriteString("    ")
+		pr.s("    ")
 	}
 }
 
-func (pr *printer) nl() { pr.sb.WriteByte('\n') }
+func (pr *printer) nl() { pr.b('\n') }
+
+func (pr *printer) s(text string) { pr.buf = append(pr.buf, text...) }
+
+func (pr *printer) b(c byte) { pr.buf = append(pr.buf, c) }
 
 // typ writes t: "const ", the kind, " *".
 func (pr *printer) typ(t Type) {
 	if t.Const {
-		pr.sb.WriteString("const ")
+		pr.s("const ")
 	}
-	pr.sb.WriteString(t.Kind.String())
+	pr.s(t.Kind.String())
 	if t.Ptr {
-		pr.sb.WriteString(" *")
+		pr.s(" *")
 	}
 }
 
@@ -87,44 +146,49 @@ func (pr *printer) typ(t Type) {
 func (pr *printer) named(t Type, name string) {
 	pr.typ(t)
 	if !t.Ptr {
-		pr.sb.WriteByte(' ')
+		pr.b(' ')
 	}
-	pr.sb.WriteString(name)
+	pr.s(name)
 }
 
 // pragma writes one "#pragma" line at the current indentation.
 func (pr *printer) pragma(text string) {
 	pr.ws()
-	pr.sb.WriteString("#pragma ")
-	pr.sb.WriteString(text)
+	pr.s("#pragma ")
+	pr.s(text)
 	pr.nl()
 }
 
 func (pr *printer) fun(f *FuncDecl) {
 	pr.typ(f.Ret)
-	pr.sb.WriteByte(' ')
-	pr.sb.WriteString(f.Name)
-	pr.sb.WriteByte('(')
-	for i, p := range f.Params {
-		if i > 0 {
-			pr.sb.WriteString(", ")
-		}
-		pr.named(p.Type, p.Name)
-	}
-	pr.sb.WriteString(") ")
+	pr.b(' ')
+	pr.s(f.Name)
+	pr.b('(')
+	pr.params(f.Params)
+	pr.s(") ")
 	pr.block(f.Body)
 	pr.nl()
 }
 
+// params writes a parameter list without its parentheses.
+func (pr *printer) params(params []*Param) {
+	for i, p := range params {
+		if i > 0 {
+			pr.s(", ")
+		}
+		pr.named(p.Type, p.Name)
+	}
+}
+
 func (pr *printer) block(b *Block) {
-	pr.sb.WriteString("{\n")
+	pr.s("{\n")
 	pr.indent++
 	for _, s := range b.Stmts {
 		pr.stmt(s)
 	}
 	pr.indent--
 	pr.ws()
-	pr.sb.WriteString("}")
+	pr.s("}")
 }
 
 func (pr *printer) stmt(s Stmt) {
@@ -136,17 +200,17 @@ func (pr *printer) stmt(s Stmt) {
 	case *DeclStmt:
 		pr.ws()
 		pr.declNoSemi(v)
-		pr.sb.WriteString(";\n")
+		pr.s(";\n")
 	case *ExprStmt:
 		pr.ws()
 		pr.expr(v.X, 0)
-		pr.sb.WriteString(";\n")
+		pr.s(";\n")
 	case *ForStmt:
 		for _, pg := range v.Pragmas {
 			pr.pragma(pg)
 		}
 		pr.ws()
-		pr.sb.WriteString("for (")
+		pr.s("for (")
 		switch init := v.Init.(type) {
 		case nil:
 		case *DeclStmt:
@@ -154,15 +218,15 @@ func (pr *printer) stmt(s Stmt) {
 		case *ExprStmt:
 			pr.expr(init.X, 0)
 		}
-		pr.sb.WriteString("; ")
+		pr.s("; ")
 		if v.Cond != nil {
 			pr.expr(v.Cond, 0)
 		}
-		pr.sb.WriteString("; ")
+		pr.s("; ")
 		if v.Post != nil {
 			pr.expr(v.Post, 0)
 		}
-		pr.sb.WriteString(") ")
+		pr.s(") ")
 		pr.block(v.Body)
 		pr.nl()
 	case *WhileStmt:
@@ -170,9 +234,9 @@ func (pr *printer) stmt(s Stmt) {
 			pr.pragma(pg)
 		}
 		pr.ws()
-		pr.sb.WriteString("while (")
+		pr.s("while (")
 		pr.expr(v.Cond, 0)
-		pr.sb.WriteString(") ")
+		pr.s(") ")
 		pr.block(v.Body)
 		pr.nl()
 	case *IfStmt:
@@ -182,37 +246,37 @@ func (pr *printer) stmt(s Stmt) {
 	case *ReturnStmt:
 		pr.ws()
 		if v.X != nil {
-			pr.sb.WriteString("return ")
+			pr.s("return ")
 			pr.expr(v.X, 0)
-			pr.sb.WriteString(";\n")
+			pr.s(";\n")
 		} else {
-			pr.sb.WriteString("return;\n")
+			pr.s("return;\n")
 		}
 	case *BreakStmt:
 		pr.ws()
-		pr.sb.WriteString("break;\n")
+		pr.s("break;\n")
 	case *ContinueStmt:
 		pr.ws()
-		pr.sb.WriteString("continue;\n")
+		pr.s("continue;\n")
 	case *PragmaStmt:
 		pr.pragma(v.Text)
 	default:
-		panic(fmt.Sprintf("minic: printer: unhandled statement %T", s))
+		panic("minic: printer: unhandled statement " + reflect.TypeOf(s).String())
 	}
 }
 
 func (pr *printer) ifChain(v *IfStmt) {
-	pr.sb.WriteString("if (")
+	pr.s("if (")
 	pr.expr(v.Cond, 0)
-	pr.sb.WriteString(") ")
+	pr.s(") ")
 	pr.block(v.Then)
 	switch e := v.Else.(type) {
 	case nil:
 	case *IfStmt:
-		pr.sb.WriteString(" else ")
+		pr.s(" else ")
 		pr.ifChain(e)
 	case *Block:
-		pr.sb.WriteString(" else ")
+		pr.s(" else ")
 		pr.block(e)
 	}
 }
@@ -220,12 +284,12 @@ func (pr *printer) ifChain(v *IfStmt) {
 func (pr *printer) declNoSemi(d *DeclStmt) {
 	pr.named(d.Type, d.Name)
 	if d.ArrayLen != nil {
-		pr.sb.WriteString("[")
+		pr.s("[")
 		pr.expr(d.ArrayLen, 0)
-		pr.sb.WriteString("]")
+		pr.s("]")
 	}
 	if d.Init != nil {
-		pr.sb.WriteString(" = ")
+		pr.s(" = ")
 		pr.expr(d.Init, 0)
 	}
 }
@@ -254,122 +318,125 @@ func prec(op TokKind) int {
 func (pr *printer) expr(e Expr, outer int) {
 	switch v := e.(type) {
 	case *Ident:
-		pr.sb.WriteString(v.Name)
+		pr.s(v.Name)
 	case *IntLit:
 		if v.Text != "" {
-			pr.sb.WriteString(v.Text)
+			pr.s(v.Text)
 		} else {
-			pr.sb.WriteString(strconv.FormatInt(v.Val, 10))
+			pr.buf = strconv.AppendInt(pr.buf, v.Val, 10)
 		}
 	case *FloatLit:
-		pr.sb.WriteString(floatText(v))
+		pr.float(v)
 	case *BoolLit:
 		if v.Val {
-			pr.sb.WriteString("true")
+			pr.s("true")
 		} else {
-			pr.sb.WriteString("false")
+			pr.s("false")
 		}
 	case *StringLit:
-		pr.sb.WriteString(strconv.Quote(v.Val))
+		pr.buf = strconv.AppendQuote(pr.buf, v.Val)
 	case *UnaryExpr:
 		if outer > 7 {
-			pr.sb.WriteString("(")
+			pr.s("(")
 		}
 		if v.Op == TokMinus {
-			pr.sb.WriteString("-")
+			pr.s("-")
 			// Avoid "--" when the operand is itself a unary minus.
 			if inner, ok := v.X.(*UnaryExpr); ok && inner.Op == TokMinus {
-				pr.sb.WriteString(" ")
+				pr.s(" ")
 			}
 		} else {
-			pr.sb.WriteString("!")
+			pr.s("!")
 		}
 		pr.expr(v.X, 7)
 		if outer > 7 {
-			pr.sb.WriteString(")")
+			pr.s(")")
 		}
 	case *BinaryExpr:
 		p := prec(v.Op)
 		if p < outer {
-			pr.sb.WriteString("(")
+			pr.s("(")
 		}
 		pr.expr(v.L, p)
 		pr.op(v.Op)
 		pr.expr(v.R, p+1) // left-assoc: right operand needs higher power
 		if p < outer {
-			pr.sb.WriteString(")")
+			pr.s(")")
 		}
 	case *AssignExpr:
 		if outer > 0 {
-			pr.sb.WriteString("(")
+			pr.s("(")
 		}
 		pr.expr(v.LHS, 8)
 		pr.op(v.Op)
 		pr.expr(v.RHS, 0)
 		if outer > 0 {
-			pr.sb.WriteString(")")
+			pr.s(")")
 		}
 	case *IncDecExpr:
 		pr.expr(v.X, 8)
-		pr.sb.WriteString(v.Op.String())
+		pr.s(v.Op.String())
 	case *IndexExpr:
 		pr.expr(v.Base, 8)
-		pr.sb.WriteString("[")
+		pr.s("[")
 		pr.expr(v.Index, 0)
-		pr.sb.WriteString("]")
+		pr.s("]")
 	case *CallExpr:
-		pr.sb.WriteString(v.Fun)
-		pr.sb.WriteString("(")
+		pr.s(v.Fun)
+		pr.s("(")
 		for i, a := range v.Args {
 			if i > 0 {
-				pr.sb.WriteString(", ")
+				pr.s(", ")
 			}
 			pr.expr(a, 0)
 		}
-		pr.sb.WriteString(")")
+		pr.s(")")
 	case *CastExpr:
 		if outer > 7 {
-			pr.sb.WriteString("(")
+			pr.s("(")
 		}
-		pr.sb.WriteByte('(')
+		pr.b('(')
 		pr.typ(v.To)
-		pr.sb.WriteByte(')')
+		pr.b(')')
 		pr.expr(v.X, 7)
 		if outer > 7 {
-			pr.sb.WriteString(")")
+			pr.s(")")
 		}
 	default:
-		panic(fmt.Sprintf("minic: printer: unhandled expression %T", e))
+		panic("minic: printer: unhandled expression " + reflect.TypeOf(e).String())
 	}
 }
 
 // op writes a binary or assignment operator between its operands.
 func (pr *printer) op(op TokKind) {
-	pr.sb.WriteByte(' ')
-	pr.sb.WriteString(op.String())
-	pr.sb.WriteByte(' ')
+	pr.b(' ')
+	pr.s(op.String())
+	pr.b(' ')
 }
 
-// floatText renders a float literal, preserving the original spelling when
+// float writes a float literal, preserving the original spelling when
 // available and consistent with the Single flag.
-func floatText(v *FloatLit) string {
+func (pr *printer) float(v *FloatLit) {
 	text := v.Text
 	if text != "" {
 		hasSuffix := strings.HasSuffix(text, "f") || strings.HasSuffix(text, "F")
-		if hasSuffix == v.Single {
-			return text
+		switch {
+		case hasSuffix == v.Single:
+			pr.s(text)
+		case v.Single:
+			pr.s(text)
+			pr.b('f')
+		default:
+			pr.s(strings.TrimRight(text, "fF"))
 		}
-		if v.Single {
-			return text + "f"
-		}
-		return strings.TrimRight(text, "fF")
+		return
 	}
-	s := strconv.FormatFloat(v.Val, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
+	start := len(pr.buf)
+	pr.buf = strconv.AppendFloat(pr.buf, v.Val, 'g', -1, 64)
+	if !bytes.ContainsAny(pr.buf[start:], ".eE") {
+		pr.s(".0")
 	}
 	if v.Single {
-		s += "f"
+		pr.b('f')
 	}
-	return s
 }

@@ -105,7 +105,8 @@ func TestPrintFloatSingleToggle(t *testing.T) {
 
 // TestCountLOC: CountLOC agrees with its definition spelled the obvious
 // way — the lines strings.TrimSpace leaves something of — on line-ending
-// and white-space corners, Unicode spaces included.
+// and white-space corners, Unicode spaces and invalid UTF-8 included, on a
+// string and on the same bytes.
 func TestCountLOC(t *testing.T) {
 	reference := func(src string) int {
 		n := 0
@@ -139,6 +140,9 @@ func TestCountLOC(t *testing.T) {
 	} {
 		if got, ref := CountLOC(c.src), reference(c.src); got != ref || got != c.want {
 			t.Errorf("CountLOC(%q) = %d, reference %d, want %d", c.src, got, ref, c.want)
+		}
+		if got := CountLOC([]byte(c.src)); got != c.want {
+			t.Errorf("CountLOC([]byte(%q)) = %d, want %d", c.src, got, c.want)
 		}
 	}
 }
@@ -226,10 +230,9 @@ func TestQuickCloneEqualPrint(t *testing.T) {
 
 func TestFormatStmt(t *testing.T) {
 	prog := MustParse("void f() { int x = 3; if (x > 1) { x = 1; } }")
-	var sb strings.Builder
-	WriteStmts(&sb, prog.Funcs[0].Body.Stmts, 2)
-	want := "        int x = 3;\n        if (x > 1) {\n            x = 1;\n        }\n"
-	if got := sb.String(); got != want {
-		t.Errorf("WriteStmts = %q, want %q", got, want)
+	got := AppendStmts([]byte("//\n"), prog.Funcs[0].Body.Stmts, 2)
+	want := "//\n        int x = 3;\n        if (x > 1) {\n            x = 1;\n        }\n"
+	if string(got) != want {
+		t.Errorf("AppendStmts = %q, want %q", got, want)
 	}
 }

@@ -91,18 +91,79 @@ func InnerLoops(loop minic.Stmt) []minic.Stmt {
 	return loopsUnder(loop, true)
 }
 
+// FirstOutermostLoop returns OutermostLoops(fn)[0], or nil when fn has no
+// loop, without making the slice: the first loop in depth-first order is
+// always an outermost one.
+func FirstOutermostLoop(fn *minic.FuncDecl) minic.Stmt {
+	var first [1]minic.Stmt
+	w := loopWalk{out: first[:]}
+	w.under(fn)
+	return first[0]
+}
+
 // loopsUnder collects the loops strictly below root in depth-first source
-// order; with nested false it stops at each loop it finds.
+// order; with nested false it stops at each loop it finds. One pass counts
+// them and a second fills a slice of that length, so a call allocates its
+// result and nothing else.
 func loopsUnder(root minic.Node, nested bool) []minic.Stmt {
-	var out []minic.Stmt
-	minic.Walk(root, func(n minic.Node) bool {
-		if n == root || !IsLoop(n) {
-			return true
+	count := loopWalk{nested: nested}
+	count.under(root)
+	if count.n == 0 {
+		return nil
+	}
+	fill := loopWalk{nested: nested, out: make([]minic.Stmt, count.n)}
+	fill.under(root)
+	return fill.out
+}
+
+// loopWalk visits the loops below a node in depth-first source order. Loops
+// are statements and no expression holds a statement, so it walks the
+// statement tree only. It counts the loops it visits in n and stores the
+// i-th in out[i] while out has room (an index store, not an append, so that
+// out stays where its caller made it).
+type loopWalk struct {
+	nested bool
+	n      int
+	out    []minic.Stmt
+}
+
+// under visits the statements directly below n.
+func (w *loopWalk) under(n minic.Node) {
+	switch v := n.(type) {
+	case *minic.FuncDecl:
+		w.block(v.Body)
+	case *minic.Block:
+		w.block(v)
+	case *minic.ForStmt:
+		w.block(v.Body)
+	case *minic.WhileStmt:
+		w.block(v.Body)
+	case *minic.IfStmt:
+		w.block(v.Then)
+		w.stmt(v.Else)
+	}
+}
+
+func (w *loopWalk) block(b *minic.Block) {
+	if b == nil {
+		return
+	}
+	for _, s := range b.Stmts {
+		w.stmt(s)
+	}
+}
+
+func (w *loopWalk) stmt(s minic.Stmt) {
+	if IsLoop(s) {
+		if w.n < len(w.out) {
+			w.out[w.n] = s
 		}
-		out = append(out, n.(minic.Stmt))
-		return nested
-	})
-	return out
+		w.n++
+		if !w.nested {
+			return
+		}
+	}
+	w.under(s)
 }
 
 // LoopVar returns the canonical induction variable of a for loop of the

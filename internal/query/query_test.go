@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"fmt"
 	"testing"
 
 	"psaflow/internal/bench"
@@ -313,13 +314,17 @@ void f(int n, const double *in, double *out, float scale) {
 }
 
 // TestStructuralRelationsOnBundledPrograms checks the structural relations
-// and the pruned OutermostLoops walk against an ancestor stack kept while
-// recursing with minic.EachChild, for every loop of every bundled program.
+// and the loop walks (LoopsIn, OutermostLoops, FirstOutermostLoop and
+// InnerLoops, each in depth-first order and cut at its length) against an
+// ancestor stack kept while recursing with minic.EachChild, for every loop
+// of every bundled program.
 func TestStructuralRelationsOnBundledPrograms(t *testing.T) {
 	for _, b := range bench.All() {
 		prog := b.Parse()
 		loops := 0
 		outermost := map[*minic.FuncDecl][]minic.Stmt{}
+		all := map[*minic.FuncDecl][]minic.Stmt{}
+		inner := map[minic.Node][]minic.Stmt{}
 		var stack []minic.Node
 		var rec func(n minic.Node)
 		rec = func(n minic.Node) {
@@ -333,6 +338,7 @@ func TestStructuralRelationsOnBundledPrograms(t *testing.T) {
 					}
 					if query.IsLoop(a) {
 						depth++
+						inner[a] = append(inner[a], n.(minic.Stmt))
 					}
 					if !query.Encloses(a, n) || query.Encloses(n, a) {
 						t.Errorf("%s: loop #%d: Encloses disagrees about ancestor %T #%d", b.Name, n.ID(), a, a.ID())
@@ -347,6 +353,7 @@ func TestStructuralRelationsOnBundledPrograms(t *testing.T) {
 				if got := query.IsOutermostLoop(fn, n); got != (depth == 1) {
 					t.Errorf("%s: loop #%d: IsOutermostLoop = %t at depth %d", b.Name, n.ID(), got, depth)
 				}
+				all[fn] = append(all[fn], n.(minic.Stmt))
 				if depth == 1 {
 					outermost[fn] = append(outermost[fn], n.(minic.Stmt))
 				}
@@ -360,15 +367,32 @@ func TestStructuralRelationsOnBundledPrograms(t *testing.T) {
 			t.Fatalf("%s: no loops", b.Name)
 		}
 		for _, fn := range prog.Funcs {
-			got, want := query.OutermostLoops(fn), outermost[fn]
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: OutermostLoops = %d loops, want %d", b.Name, fn.Name, len(got), len(want))
+			sameLoops(t, b.Name+"/"+fn.Name+": OutermostLoops", query.OutermostLoops(fn), outermost[fn])
+			sameLoops(t, b.Name+"/"+fn.Name+": LoopsIn", query.LoopsIn(fn), all[fn])
+			var first minic.Stmt
+			if len(outermost[fn]) > 0 {
+				first = outermost[fn][0]
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("%s/%s: OutermostLoops[%d] = #%d, want #%d", b.Name, fn.Name, i, got[i].ID(), want[i].ID())
-				}
+			if got := query.FirstOutermostLoop(fn); got != first {
+				t.Errorf("%s/%s: FirstOutermostLoop = %v, want %v", b.Name, fn.Name, got, first)
 			}
+			for _, l := range all[fn] {
+				sameLoops(t, fmt.Sprintf("%s/%s: InnerLoops(#%d)", b.Name, fn.Name, l.ID()), query.InnerLoops(l), inner[l])
+			}
+		}
+	}
+}
+
+// sameLoops checks got against want, loop for loop, and that got is cut at
+// its length.
+func sameLoops(t *testing.T, what string, got, want []minic.Stmt) {
+	t.Helper()
+	if len(got) != len(want) || cap(got) != len(got) {
+		t.Fatalf("%s = %d loops (capacity %d), want %d", what, len(got), cap(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s[%d] = #%d, want #%d", what, i, got[i].ID(), want[i].ID())
 		}
 	}
 }

@@ -21,14 +21,17 @@ import (
 )
 
 // hotJobAllocsBound is the most mallocs one hot job may cost the process:
-// the count measured when the bound was set (≈ 694 a job; ≈ 820 while
+// the count measured when the bound was set (≈ 511 a job; ≈ 694 while the
+// generators and the printer wrote strings.Builders, each event frame's
+// line was an allocation of its own and loop queries grew their results
+// by append; ≈ 820 while
 // dependence analysis allocated its walk and rendered every scalar
 // dependence's text, ≈ 838 while the engine also logged through
 // Context.Logf and the daemon formatted job IDs and started details with
 // fmt; 1 056 before design events kept their operands) plus 5%. A hot job
 // is a kept program resubmitted to a warm daemon, as the benchmark's
 // serve_hot workload submits it, with the HTTP client taken out.
-const hotJobAllocsBound = 729
+const hotJobAllocsBound = 537
 
 // hotJobSpecs are the ten jobs of one round: the five apps in both modes,
 // each carrying its program's source as a resubmitting client does.

@@ -110,7 +110,7 @@ func (t *programTable) lookup(src string) (program, error) {
 	if len(src) > keptSourceMax || !t.sighted(maphash.String(t.seed, src)|1) {
 		return program{ast: ast}, nil
 	}
-	return t.keep(src, program{ast: ast, fp: minic.Fingerprint(ast), refLOC: minic.CountLOC(minic.Print(ast)), kept: true}), nil
+	return t.keep(src, program{ast: ast, fp: minic.Fingerprint(ast), refLOC: minic.ProgramLOC(ast), kept: true}), nil
 }
 
 // sighted records h as seen and reports whether it was already.

@@ -286,8 +286,9 @@ func liveHeap() uint64 {
 // each (measured ≈ 150 KB when a job kept its result struct, telemetry
 // report and a pre-sized 1024-slot event ring; ≈ 28 KB when the store index
 // held a second reference to the document and every ring frame its event
-// beside the event's encoding; ≈ 21 KB now: ≈ 12 KB of result document,
-// ≈ 8 KB of event lines — 60 frames of 48 bytes and a ≈ 90-byte line — and
+// beside the event's encoding; ≈ 22 KB now: ≈ 12 KB of result document,
+// ≈ 9 KB of event lines — 60 frames of 48 bytes and a ≈ 90-byte line, cut
+// from 2 KB slab chunks whose last one's unused tail the job keeps — and
 // under 1 KB of Job, broker and index entry).
 func TestRetainedJobFootprint(t *testing.T) {
 	if testing.Short() {

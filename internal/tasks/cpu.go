@@ -21,8 +21,8 @@ var OMPParallelLoops = core.TaskFunc{
 	TaskName: "Multi-Thread Parallel Loops", TaskKind: core.Transform,
 	Need: core.FactKernel | core.FactDeps, Give: core.FactTarget,
 	Fn: func(ctx *core.Context, d *core.Design) error {
-		outer := query.OutermostLoops(d.KernelFunc())
-		if len(outer) == 0 {
+		outer := query.FirstOutermostLoop(d.KernelFunc())
+		if outer == nil {
 			return fmt.Errorf("kernel has no loops")
 		}
 		deps := d.Report.OuterDeps
@@ -43,7 +43,7 @@ var OMPParallelLoops = core.TaskFunc{
 			}
 		}
 		// Only the loop's pragmas are written: the path down to it is copied.
-		if err := transform.InsertLoopPragma(d.EditLoop(outer[0]), pragma); err != nil {
+		if err := transform.InsertLoopPragma(d.EditLoop(outer), pragma); err != nil {
 			return err
 		}
 		d.Target = platform.TargetCPU

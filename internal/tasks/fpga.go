@@ -91,14 +91,14 @@ func UnrollUntilOvermap(dev platform.FPGASpec) core.TaskFunc {
 			if err := ctx.FailPoint(faults.Device, dev.Name); err != nil {
 				return err
 			}
-			outer := query.OutermostLoops(d.KernelFunc())
-			if len(outer) == 0 {
+			outer := query.FirstOutermostLoop(d.KernelFunc())
+			if outer == nil {
 				return fmt.Errorf("kernel has no pipeline loop")
 			}
 			// The walk writes only the pipeline loop's pragmas, so the design
 			// copies the path down to it, not the kernel. The costing below
 			// reads the kernel that holds the copy.
-			loop := d.EditLoop(outer[0])
+			loop := d.EditLoop(outer)
 			kfn := d.KernelFunc()
 			// One datapath costing serves the whole walk, with one exception:
 			// "unroll 1" marks a fixed-trip loop rolled, so a fixed pipeline

@@ -17,29 +17,7 @@ var RenderDesign = core.TaskFunc{
 		if d.Infeasible != "" {
 			return nil // unsynthesizable designs are reported, not rendered
 		}
-		opts := codegen.Options{
-			Kernel:       d.Kernel,
-			Device:       d.Device,
-			NumThreads:   d.NumThreads,
-			Blocksize:    d.Blocksize,
-			Pinned:       d.Pinned,
-			SharedMem:    d.SharedMem,
-			Specialised:  d.Specialised,
-			ZeroCopy:     d.ZeroCopy,
-			UnrollFactor: d.UnrollFactor,
-		}
-		var (
-			art *codegen.Design
-			err error
-		)
-		switch d.Target {
-		case platform.TargetCPU:
-			art, err = codegen.OpenMP(d.Prog, d.RefLOC, opts)
-		case platform.TargetGPU:
-			art, err = codegen.HIP(d.Prog, d.RefLOC, opts)
-		default: // platform.TargetFPGA
-			art, err = codegen.OneAPI(d.Prog, d.RefLOC, opts)
-		}
+		art, err := Render(d)
 		if err != nil {
 			return err
 		}
@@ -47,4 +25,28 @@ var RenderDesign = core.TaskFunc{
 		d.Record(events.NoteRender, "render", []string{art.Target}, float64(art.LOC), float64(art.AddedLOC))
 		return nil
 	},
+}
+
+// Render generates d's source for its target and device. It reads d and
+// writes nothing, so any number of designs may be rendered at once.
+func Render(d *core.Design) (*codegen.Design, error) {
+	opts := codegen.Options{
+		Kernel:       d.Kernel,
+		Device:       d.Device,
+		NumThreads:   d.NumThreads,
+		Blocksize:    d.Blocksize,
+		Pinned:       d.Pinned,
+		SharedMem:    d.SharedMem,
+		Specialised:  d.Specialised,
+		ZeroCopy:     d.ZeroCopy,
+		UnrollFactor: d.UnrollFactor,
+	}
+	switch d.Target {
+	case platform.TargetCPU:
+		return codegen.OpenMP(d.Prog, d.RefLOC, opts)
+	case platform.TargetGPU:
+		return codegen.HIP(d.Prog, d.RefLOC, opts)
+	default: // platform.TargetFPGA
+		return codegen.OneAPI(d.Prog, d.RefLOC, opts)
+	}
 }

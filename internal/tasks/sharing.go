@@ -78,12 +78,12 @@ func shareLargestFixedLoops(ctx *core.Context, prog *minic.Program, kfn *minic.F
 		trips int64
 		cost  float64
 	}
-	outer := query.OutermostLoops(kfn)
-	if len(outer) == 0 {
+	outer := query.FirstOutermostLoop(kfn)
+	if outer == nil {
 		return 0, 1, nil
 	}
 	var cands []candidate
-	for _, l := range query.InnerLoops(outer[0]) {
+	for _, l := range query.InnerLoops(outer) {
 		trips, fixed := query.FixedTripCount(l)
 		if !fixed || trips <= 1 || analysis.LoopMarkedRolled(l) {
 			continue

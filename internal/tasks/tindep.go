@@ -347,12 +347,12 @@ var LoopDependence = core.TaskFunc{
 	Need: core.FactKernel, Give: core.FactDeps,
 	Fn: func(ctx *core.Context, d *core.Design) error {
 		kfn := d.KernelFunc()
-		outer := query.OutermostLoops(kfn)
-		if len(outer) == 0 {
+		outer := query.FirstOutermostLoop(kfn)
+		if outer == nil {
 			return fmt.Errorf("kernel has no loops")
 		}
-		d.Report.OuterDeps = analysis.AnalyzeLoop(outer[0])
-		d.Report.Unroll = analysis.AnalyzeUnrollability(outer[0], FullyUnrollableLimit)
+		d.Report.OuterDeps = analysis.AnalyzeLoop(outer)
+		d.Report.Unroll = analysis.AnalyzeUnrollability(outer, FullyUnrollableLimit)
 		d.Report.RegsEstimate = analysis.RegisterEstimate(kfn)
 		d.Record(events.NoteDeps, "deps", nil,
 			events.Bool(d.Report.OuterDeps.Parallel()), events.Bool(d.Report.OuterDeps.ParallelWithReduction()),
@@ -372,11 +372,11 @@ var TripCount = core.TaskFunc{
 		if err != nil {
 			return err
 		}
-		outer := query.OutermostLoops(kfn)
-		if len(outer) == 0 {
+		outer := query.FirstOutermostLoop(kfn)
+		if outer == nil {
 			return fmt.Errorf("kernel has no loops")
 		}
-		// The kernel's loops in depth-first source order, outer[0] first;
+		// The kernel's loops in depth-first source order, outer first;
 		// the hotspot run's profile knows the i-th of them as ids[i].
 		loops := query.LoopsIn(kfn)
 		loopProf := func(i int) *interp.LoopProfile {
@@ -405,7 +405,7 @@ var TripCount = core.TaskFunc{
 			if float64(lp.Trips) > pipelined {
 				pipelined = float64(lp.Trips)
 			}
-			if l != outer[0] {
+			if l != outer {
 				deps := analysis.AnalyzeLoop(l)
 				if !deps.Parallel() {
 					serial = math.Max(serial, lp.AvgTrips())
@@ -413,7 +413,7 @@ var TripCount = core.TaskFunc{
 			}
 		}
 		// Fixed inner dependence loops also serialize GPU threads.
-		for _, l := range query.InnerLoops(outer[0]) {
+		for _, l := range query.InnerLoops(outer) {
 			if n, fixed := query.FixedTripCount(l); fixed {
 				deps := analysis.AnalyzeLoop(l)
 				if !deps.Parallel() {

@@ -61,10 +61,13 @@ go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # keeps, each flow started shared, and one telemetry recorder whose spans
 # the paths start, note and end while it is snapshotted, and forks on
 # parallel branch paths that each keep and read their own label, and
-# dependence analysis run from eight goroutines on its pooled walk scratch —
+# dependence analysis run from eight goroutines on its pooled walk scratch,
+# and every leaf design rendered from eight goroutines on the generators'
+# pooled scratch, and a reader appending to each event frame's line while
+# the broker cuts the next one from the same slab chunk —
 # five runs, for the scheduler to vary which path copies while its siblings
 # read.
-go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll|TestKeptProgramSharedByConcurrentJobs|TestConcurrentRecording|TestParallelBranchLabels|TestDesignLabel|TestAnalyzeLoopConcurrent' ./internal/core/ ./internal/minic/ ./internal/transform/ ./internal/service/ ./internal/telemetry/ ./internal/analysis/
+go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll|TestKeptProgramSharedByConcurrentJobs|TestConcurrentRecording|TestParallelBranchLabels|TestDesignLabel|TestAnalyzeLoopConcurrent|TestRenderConcurrent|TestFrameLinesCutFromSlab' ./internal/core/ ./internal/minic/ ./internal/transform/ ./internal/service/ ./internal/telemetry/ ./internal/analysis/ ./internal/experiments/ ./internal/events/
 # Every job lowers the one checked bundled paper.psa: eight lowerings with
 # different options, run beside each other on one run cache, must each
 # equal the same lowering run alone — five runs, for the scheduler to vary
