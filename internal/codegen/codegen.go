@@ -44,6 +44,10 @@ type source struct{ buf []byte }
 
 var renders = sync.Pool{New: func() any { return new(source) }}
 
+// maxScratch is the largest buffer renders takes back, the limit fmt keeps
+// for its own, so one outsized design does not stay in the pool.
+const maxScratch = 64 << 10
+
 // params appends a C parameter list.
 func (w *source) params(params []*minic.Param) { w.buf = minic.AppendParams(w.buf, params) }
 
@@ -59,11 +63,14 @@ func (w *source) otherFuncs(prog *minic.Program, kernel string) {
 	}
 }
 
-// finish makes the design from the text w holds and puts w back.
+// finish makes the design from the text w holds and puts w back, unless
+// its buffer has grown past maxScratch.
 func finish(target, device string, w *source, refLOC int) *Design {
 	src := string(w.buf)
-	w.buf = w.buf[:0]
-	renders.Put(w)
+	if cap(w.buf) <= maxScratch {
+		w.buf = w.buf[:0]
+		renders.Put(w)
+	}
 	loc := minic.CountLOC(src)
 	added := loc - refLOC
 	if added < 0 {

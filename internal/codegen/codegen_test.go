@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -216,5 +217,36 @@ func TestCodegenErrors(t *testing.T) {
 	while := minic.MustParse(`void k(int n) { while (n > 0) { n--; } }`)
 	if _, err := OneAPI(while, 1, Options{Kernel: "k"}); err == nil {
 		t.Error("expected error for non-canonical outer loop")
+	}
+}
+
+// TestRenderScratchCapped renders a design whose text is larger than
+// maxScratch and checks that renders hands out no buffer above it: one
+// outsized design must not leave its text in the pool.
+func TestRenderScratchCapped(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(extractedSrc + "\nvoid big(double *a) {\n")
+	for i := 0; b.Len() <= 2*maxScratch; i++ {
+		b.WriteString("    a[" + strconv.Itoa(i) + "] = a[" + strconv.Itoa(i+1) + "] + 1.0;\n")
+	}
+	b.WriteString("}\n")
+	prog := minic.MustParse(b.String())
+	d, err := OpenMP(prog, 0, Options{Kernel: "app_hotspot", NumThreads: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(d.Source); n <= maxScratch {
+		t.Fatalf("rendered %d bytes, want more than %d", n, maxScratch)
+	}
+	var held []*source
+	for range 4 {
+		w := renders.Get().(*source)
+		if cap(w.buf) > maxScratch {
+			t.Errorf("renders handed out a buffer of capacity %d, want at most %d", cap(w.buf), maxScratch)
+		}
+		held = append(held, w)
+	}
+	for _, w := range held {
+		renders.Put(w)
 	}
 }

@@ -18,7 +18,7 @@ func Print(p *Program) string {
 	buf := printScratch.Get().(*[]byte)
 	*buf = appendProgram((*buf)[:0], p)
 	src := string(*buf)
-	printScratch.Put(buf)
+	putScratch(buf)
 	return src
 }
 
@@ -28,13 +28,24 @@ func ProgramLOC(p *Program) int {
 	buf := printScratch.Get().(*[]byte)
 	*buf = appendProgram((*buf)[:0], p)
 	n := CountLOC(*buf)
-	printScratch.Put(buf)
+	putScratch(buf)
 	return n
 }
 
 // printScratch holds the buffers Print and ProgramLOC print into; what
 // either returns copies out of it, so nothing a caller keeps aliases it.
 var printScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxScratch is the largest buffer printScratch takes back, the limit fmt
+// keeps for its own: a deeply nested program prints to megabytes, and the
+// pool would hold them until two collections had passed.
+const maxScratch = 64 << 10
+
+func putScratch(buf *[]byte) {
+	if cap(*buf) <= maxScratch {
+		printScratch.Put(buf)
+	}
+}
 
 func appendProgram(dst []byte, p *Program) []byte {
 	for i, f := range p.Funcs {

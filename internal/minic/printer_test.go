@@ -2,6 +2,7 @@ package minic
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -234,5 +235,33 @@ func TestFormatStmt(t *testing.T) {
 	want := "//\n        int x = 3;\n        if (x > 1) {\n            x = 1;\n        }\n"
 	if string(got) != want {
 		t.Errorf("AppendStmts = %q, want %q", got, want)
+	}
+}
+
+// TestPrintScratchCapped prints a program whose text is larger than
+// maxScratch and checks that printScratch hands out no buffer above it:
+// one outsized program must not leave its text in the pool.
+func TestPrintScratchCapped(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("void big(double *a) {\n")
+	for i := 0; b.Len() <= 2*maxScratch; i++ {
+		b.WriteString("    a[" + strconv.Itoa(i) + "] = a[" + strconv.Itoa(i+1) + "] + 1.0;\n")
+	}
+	b.WriteString("}\n")
+	p := MustParse(b.String())
+	if n := len(Print(p)); n <= maxScratch {
+		t.Fatalf("printed %d bytes, want more than %d", n, maxScratch)
+	}
+	ProgramLOC(p)
+	var held []*[]byte
+	for range 4 {
+		buf := printScratch.Get().(*[]byte)
+		if cap(*buf) > maxScratch {
+			t.Errorf("printScratch handed out a buffer of capacity %d, want at most %d", cap(*buf), maxScratch)
+		}
+		held = append(held, buf)
+	}
+	for _, buf := range held {
+		putScratch(buf)
 	}
 }
