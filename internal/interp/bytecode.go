@@ -60,7 +60,7 @@ const (
 	opIncVar              // dst = old; regs[reg] += n (postfix ++/--)
 	opIncIdx              // dst = old; tgt[...] += n
 	opLoadIdx             // dst = loadElem(resolveTgt(tgt)) — non-fused index read
-	opCmpBranch           // fusedBin cond; CostBranch; !cond -> pc = jmp  [superinstruction]
+	opCmpBranch           // cond = fusedBin(a, b, tok, pos), a and b fused or temporaries; CostBranch; !cond -> pc = jmp
 	opBranchFalse         // fetch(a); CostBranch; !cond -> pc = jmp
 	opJump                // pc = jmp
 	opLoopEnter           // Entries++; push {lp, cycles} on the frame loop stack
@@ -427,9 +427,8 @@ func tgtSteps(t *btarget) int32 {
 // branch, call), so a crossing is always caught before side effects.
 func instrSteps(in *binstr) int32 {
 	n := int32(len(in.pre))
-	switch in.op {
-	case opCmpBranch, opBinAssignVar, opBinDeclVar, opLoopBack:
-		n++ // the instruction's own leading step
+	if ownStep(in) {
+		n++
 	}
 	switch in.op {
 	case opEval, opUnary, opLogicShort, opBoolOf, opCast, opDeclVar, opDeclArr,
@@ -443,6 +442,19 @@ func instrSteps(in *binstr) int32 {
 		n += tgtSteps(in.tgt)
 	}
 	return n
+}
+
+// ownStep reports whether in charges a leading step of its own before its
+// operands. An opCmpBranch over a temporary left operand does not: the
+// temporary's instructions carried it (emitBinary).
+func ownStep(in *binstr) bool {
+	switch in.gop {
+	case opCmpBranch:
+		return in.a.mode != omPlain
+	case opBinAssignVar, opBinDeclVar, opLoopBack:
+		return true
+	}
+	return false
 }
 
 // finalize rewrites temporary references to live above the variables.
@@ -710,8 +722,9 @@ func (c *bcompiler) compileIf(v *minic.IfStmt, pre []minic.Pos) {
 
 // compileCond lowers a conditional evaluation followed by the CostBranch
 // charge and a branch-if-false with an unpatched target; it returns the
-// index of the branching instruction. Fused binary conditions become a
-// single compare-and-branch superinstruction.
+// index of the branching instruction. A binary condition but && and ||
+// becomes one compare-and-branch, over temporaries where its operands do
+// not both fuse (`i < su * sv * 3`).
 func (c *bcompiler) compileCond(cond minic.Expr, pre []minic.Pos) int32 {
 	if b, ok := cond.(*minic.BinaryExpr); ok &&
 		b.Op != minic.TokAndAnd && b.Op != minic.TokOrOr {
@@ -721,6 +734,7 @@ func (c *bcompiler) compileCond(cond minic.Expr, pre []minic.Pos) int32 {
 			return c.emit(binstr{op: opCmpBranch, fused: true, pre: pre, pos: b.NodePos(),
 				tok: b.Op, a: l, b: r})
 		}
+		return c.emitBinary(opCmpBranch, b, -1, r, rok, pre)
 	}
 	if o, ok := c.fuseOperand(cond); ok {
 		return c.emit(binstr{op: opBranchFalse, pre: pre, a: o})
@@ -897,22 +911,24 @@ func (c *bcompiler) compileBinaryTo(b *minic.BinaryExpr, dst int32, pre []minic.
 			tok: b.Op, dst: dst, a: l, b: r})
 		return
 	}
-	// At least one complex operand: the binary's step precedes the first
-	// operand's instructions, and any fused operand *before* a complex one
-	// materializes (via opEval, with identical accounting) so the fetch
-	// order stays exactly the tree-walker's.
+	c.emitBinary(opBinary, b, dst, r, rok, pre)
+}
+
+// emitBinary lowers binary b whose operands do not both fuse (r, rok: the
+// right operand's fuseOperand) to instruction op. The binary's step
+// precedes the first operand's instructions, so the left operand is a
+// temporary that carries it, even a fusible one (via opEval, with
+// identical accounting), and the fetch order stays the tree-walker's.
+func (c *bcompiler) emitBinary(op opcode, b *minic.BinaryExpr, dst int32, r bopnd, rok bool, pre []minic.Pos) int32 {
 	ntemps := int32(1)
-	l = c.temp(b.L, withPos(pre, pos))
+	l := c.temp(b.L, withPos(pre, b.NodePos()))
 	if !rok {
 		ntemps++
 		r = c.temp(b.R, nil)
 	}
-	in := binstr{op: opBinary, pos: pos, tok: b.Op, dst: dst, a: l, b: r}
-	if r.mode != omPlain {
-		in.fused = true
-	}
-	c.emit(in)
+	idx := c.emit(binstr{op: op, fused: r.mode != omPlain, pos: b.NodePos(), tok: b.Op, dst: dst, a: l, b: r})
 	c.tempFree(ntemps)
+	return idx
 }
 
 // materializeTarget lowers an index target that cannot fully fuse,

@@ -28,12 +28,12 @@ import (
 //  2. Inlined hot paths, kept where alternating BenchmarkInterp pairs
 //     showed a helper call costs speed and nowhere else (the table is in
 //     docs/ARCHITECTURE.md, "What the VM hand-inlines, and why"): the
-//     register/constant operand fetch, the opBinary family's int/float
-//     arithmetic, resolveTgtNB's int index arithmetic, opCast's coercion,
-//     and the scalar arms of opAssignVar / opIncVar / opUnary. Indexed
-//     operands, rare operators, mixed-kind arithmetic and the consumers
-//     that run only where operand kinds do not specialise (opBinAssignVar,
-//     opBinDeclVar, opDeclVar) call the shared helpers of apply.go.
+//     register/constant operand fetch, resolveTgtNB's int index
+//     arithmetic, opCast's coercion, and the scalar arms of opAssignVar /
+//     opIncVar / opUnary. Indexed operands, rare operators, and the arms
+//     that run only where operand kinds do not specialise or a specialised
+//     arm missed (the generic opBinary family's arithmetic and consumers,
+//     opDeclVar) call the shared helpers of apply.go.
 
 // bactive is one running loop's profile attribution state.
 type bactive struct {
@@ -280,9 +280,11 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			}
 
 		case opBinary, opCmpBranch, opBinAssignVar, opBinDeclVar:
-			// The superinstruction family: fetch two fused operands,
-			// combine, then consume (store to a register, compare-and-
-			// branch, compound-assign, or declare-with-initializer).
+			// The superinstruction family: fetch two operands (fused, or
+			// temporaries), combine, then consume (store to a register,
+			// compare-and-branch, compound-assign, or declare-with-
+			// initializer). Its kinds did not specialise, or a specialised
+			// arm missed, so the combine is the tree-walker's own.
 			tok := in.tok
 			bpos := in.pos
 			if op == opBinAssignVar || op == opBinDeclVar {
@@ -317,100 +319,9 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 					return err
 				}
 			}
-			// Hot arithmetic inlined (identical charges, counts, and
-			// rounding); every other kind/op combination falls back to
-			// applyBinary before any state is touched.
-			var v Value
-			if lv.K == KInt && rv.K == KInt {
-				switch tok {
-				case minic.TokLt, minic.TokGt, minic.TokLe, minic.TokGe, minic.TokEqEq, minic.TokNe:
-					cyc += CostCmp
-					v = BoolVal(cmpFloat(tok, float64(lv.I), float64(rv.I)))
-				case minic.TokPlus:
-					intops++
-					cyc += CostAddSub
-					v = IntVal(lv.I + rv.I)
-				case minic.TokMinus:
-					intops++
-					cyc += CostAddSub
-					v = IntVal(lv.I - rv.I)
-				case minic.TokStar:
-					intops++
-					cyc += CostMul
-					v = IntVal(lv.I * rv.I)
-				case minic.TokSlash:
-					// IntOps ordering vs the zero error is unobservable:
-					// errors discard the profile.
-					if rv.I == 0 {
-						return m.errf(bpos, "integer division by zero")
-					}
-					intops++
-					cyc += CostDivInt
-					v = IntVal(lv.I / rv.I)
-				case minic.TokPercent:
-					if rv.I == 0 {
-						return m.errf(bpos, "modulo by zero")
-					}
-					intops++
-					cyc += CostDivInt
-					v = IntVal(lv.I % rv.I)
-				default:
-					var err error
-					if v, err = m.applyBinary(tok, lv, rv, bpos); err != nil {
-						return err
-					}
-				}
-			} else if (lv.K == KFloat || lv.K == KDouble) && (rv.K == KFloat || rv.K == KDouble) {
-				switch tok {
-				case minic.TokLt, minic.TokGt, minic.TokLe, minic.TokGe, minic.TokEqEq, minic.TokNe:
-					cyc += CostCmp
-					v = BoolVal(cmpFloat(tok, lv.F, rv.F))
-				case minic.TokPlus:
-					cyc += CostAddSub
-					flops++
-					if lv.K == KFloat && rv.K == KFloat {
-						v = FloatVal(lv.F + rv.F)
-					} else {
-						v = DoubleVal(lv.F + rv.F)
-					}
-				case minic.TokMinus:
-					cyc += CostAddSub
-					flops++
-					if lv.K == KFloat && rv.K == KFloat {
-						v = FloatVal(lv.F - rv.F)
-					} else {
-						v = DoubleVal(lv.F - rv.F)
-					}
-				case minic.TokStar:
-					cyc += CostMul
-					flops++
-					if lv.K == KFloat && rv.K == KFloat {
-						v = FloatVal(lv.F * rv.F)
-					} else {
-						v = DoubleVal(lv.F * rv.F)
-					}
-				case minic.TokSlash:
-					if rv.F == 0 {
-						return m.errf(bpos, "floating division by zero")
-					}
-					cyc += CostDivF
-					flops++
-					if lv.K == KFloat && rv.K == KFloat {
-						v = FloatVal(lv.F / rv.F)
-					} else {
-						v = DoubleVal(lv.F / rv.F)
-					}
-				default:
-					var err error
-					if v, err = m.applyBinary(tok, lv, rv, bpos); err != nil {
-						return err
-					}
-				}
-			} else {
-				var err error
-				if v, err = m.applyBinary(tok, lv, rv, bpos); err != nil {
-					return err
-				}
+			v, err := m.applyBinary(tok, lv, rv, bpos)
+			if err != nil {
+				return err
 			}
 			switch op {
 			case opBinary:
@@ -1460,16 +1371,14 @@ func (m *machine) execPrecise(fr *bframe, in *binstr) error {
 			return m.errf(p, "step budget exceeded (%d)", m.maxSteps)
 		}
 	}
-	switch in.gop {
-	case opCmpBranch, opLoopBack:
+	if ownStep(in) {
 		m.steps++
 		if m.steps > m.maxSteps {
-			return m.errf(in.pos, "step budget exceeded (%d)", m.maxSteps)
-		}
-	case opBinAssignVar, opBinDeclVar:
-		m.steps++
-		if m.steps > m.maxSteps {
-			return m.errf(in.pos2, "step budget exceeded (%d)", m.maxSteps)
+			pos := in.pos
+			if in.gop == opBinAssignVar || in.gop == opBinDeclVar {
+				pos = in.pos2
+			}
+			return m.errf(pos, "step budget exceeded (%d)", m.maxSteps)
 		}
 	}
 	switch in.gop {

@@ -247,8 +247,8 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 		} else {
 			// Defensive fallback: a lowering panic degrades to the
 			// tree-walker rather than aborting the flow. Counted so
-			// the CI bench-smoke gate can assert it never fires on the
-			// bundled benchmarks.
+			// TestBytecodeNoFallbackOnBenchmarks can assert it never
+			// fires on the bundled benchmarks.
 			fallbacks = 1
 			m.loopInfo = buildLoopInfo(prog)
 			ret, err = m.call(entry, cfg.Args, entry.NodePos())

@@ -333,10 +333,11 @@ func bakeBinary(in *binstr) (q qinfo, op opcode) {
 		return q, opNop
 	}
 
-	// Comparison consumer: only opCmpBranch (a standalone compare
-	// producing a bool register stays generic — it never dominates).
-	if qIsCmp(tok) {
-		if in.op != opCmpBranch {
+	// Comparison consumer: opCmpBranch, which every condition but && and
+	// || lowers to. Only a compare whose bool is a value (an operand of &&
+	// or ||, say) stays generic, and so does a condition that is no compare.
+	if cmp := qIsCmp(tok); cmp || in.op == opCmpBranch {
+		if !cmp || in.op != opCmpBranch {
 			return q, opNop
 		}
 		q.cyc += CostCmp + CostBranch
