@@ -21,9 +21,10 @@ import (
 // benchmark salts it) through one shared RunCache and JobEnv.Progs may grow
 // the live heap by at most 32 KB per job (measured ≈ 970 KB when the
 // lowered image was pooled and every binding kept the run's argument
-// buffers; ≈ 8.4 KB now, 3.4 cache entries). The bound is for the plain
-// build and holds unchanged under -race, whose shadow memory is not Go
-// heap: the detector's build measures the same 8.4 KB.
+// buffers; ≈ 8.7 KB now, in 144 cache entries over the 60 jobs, 2.4 a
+// job). The bound is for the plain build and holds unchanged under -race,
+// whose shadow memory is not Go heap: the detector's build measures the
+// same.
 func TestUniqueProgramFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 80 cold flows; skipped in -short mode")

@@ -285,3 +285,37 @@ double f(double *a, int n) {
 		t.Errorf("program cache holds %d entries, want 1", progs.Len())
 	}
 }
+
+// TestCmpBranchOverTemporariesBudget runs conditions whose operands do not
+// both fuse, each lowered to one opCmpBranch over temporaries whose
+// instructions charged the compare's own step, under every step budget up
+// to the run's total: each VM must stop with the tree-walker's error, at
+// its position, or finish as it does.
+func TestCmpBranchOverTemporariesBudget(t *testing.T) {
+	prog := minic.MustParse(`int f(int n, double *a) {
+	int s = 0;
+	for (int i = 0; i < n * 3 - 1; i++) {
+		if (a[i % 3] * 2.0 > a[0] + 1.0) { s = s + 1; }
+		if (i < n * 1.5) { s = s + 2; }
+		while (s * 2 < i + 1) { s++; }
+	}
+	return s;
+}`)
+	args := func() []interp.Value {
+		return []interp.Value{interp.IntVal(4),
+			interp.BufVal(interp.NewFloatBuffer("a", minic.Double, []float64{0.5, 1.5, 2.5}))}
+	}
+	ref, err := interp.Run(prog, interp.Config{Entry: "f", Args: args(), TreeWalk: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for budget := int64(1); budget <= ref.Steps; budget++ {
+		twArgs := args()
+		twRes, twErr := interp.Run(prog, interp.Config{Entry: "f", Args: twArgs, MaxSteps: budget, TreeWalk: true})
+		for _, vm := range engineVariants {
+			vmArgs := args()
+			res, err := interp.Run(prog, vm.cfg(interp.Config{Entry: "f", Args: vmArgs, MaxSteps: budget}))
+			assertSameOutcome(t, fmt.Sprintf("%s, budget %d", vm.name, budget), res, err, vmArgs, twRes, twErr, twArgs)
+		}
+	}
+}
