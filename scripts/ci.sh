@@ -70,10 +70,12 @@ go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
 # dependence analysis run from eight goroutines on its pooled walk scratch,
 # and every leaf design rendered from eight goroutines on the generators'
 # pooled scratch, and a reader appending to each event frame's line while
-# the broker cuts the next one from the same slab chunk —
+# the broker cuts the next one from the same slab chunk, and the five
+# applications lowered from eight goroutines on the bytecode compiler's
+# pooled scratch —
 # five runs, for the scheduler to vary which path copies while its siblings
 # read.
-go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll|TestKeptProgramSharedByConcurrentJobs|TestConcurrentRecording|TestParallelBranchLabels|TestDesignLabel|TestAnalyzeLoopConcurrent|TestRenderConcurrent|TestFrameLinesCutFromSlab' ./internal/core/ ./internal/minic/ ./internal/transform/ ./internal/service/ ./internal/telemetry/ ./internal/analysis/ ./internal/experiments/ ./internal/events/
+go test -race -count=5 -run 'TestSharedFunctionsStayUnwritten|TestEditedFlowRunsBesideBase|TestEditLoop|TestCopyPath|TestEditFrom|TestAssignIDsFrom|TestExtractHotspot|TestClone|TestUnroll|TestKeptProgramSharedByConcurrentJobs|TestConcurrentRecording|TestParallelBranchLabels|TestDesignLabel|TestAnalyzeLoopConcurrent|TestRenderConcurrent|TestFrameLinesCutFromSlab|TestLowerConcurrent' ./internal/core/ ./internal/minic/ ./internal/transform/ ./internal/service/ ./internal/telemetry/ ./internal/analysis/ ./internal/experiments/ ./internal/events/ ./internal/interp/
 # Every job lowers the one checked bundled paper.psa: eight lowerings with
 # different options, run beside each other on one run cache, must each
 # equal the same lowering run alone — five runs, for the scheduler to vary
