@@ -95,9 +95,15 @@ func CountOps(region minic.Node, fn *minic.FuncDecl) *OpCounts {
 	return out
 }
 
-// countInto adds k per operation in region to out.
+// countInto adds k per operation in region to out. An assignment or ++/--
+// accounts its indexed target itself, and Walk visits that target right
+// after it (EachChild puts the LHS first), so store marks the one node the
+// IndexExpr arm must not count again as a read.
 func countInto(region minic.Node, env typeEnv, out *OpCounts, k float64) {
+	var store minic.Node
 	minic.Walk(region, func(n minic.Node) bool {
+		target := n == store
+		store = nil
 		switch e := n.(type) {
 		case *minic.BinaryExpr:
 			isInt := env.isIntExpr(e)
@@ -127,6 +133,7 @@ func countInto(region minic.Node, env typeEnv, out *OpCounts, k float64) {
 				out.Cmp += k
 			}
 		case *minic.AssignExpr:
+			store = e.LHS
 			if e.Op != minic.TokAssign {
 				if env.isIntExpr(e.LHS) {
 					out.IntOps += k
@@ -144,6 +151,7 @@ func countInto(region minic.Node, env typeEnv, out *OpCounts, k float64) {
 				}
 			}
 		case *minic.IncDecExpr:
+			store = e.X
 			if env.isIntExpr(e.X) {
 				out.IntOps += k
 			} else {
@@ -156,11 +164,7 @@ func countInto(region minic.Node, env typeEnv, out *OpCounts, k float64) {
 				out.BytesRW += k * 2 * env.bytes(identName(ix.Base))
 			}
 		case *minic.IndexExpr:
-			// Reads: stores were handled at the Assign/IncDec level; the
-			// spurious double count for store targets is corrected there by
-			// not recording the LHS again — so skip IndexExpr that are
-			// direct LHS targets.
-			if !isStoreTarget(region, e) {
+			if !target { // a read
 				out.Loads += k
 				out.BytesRW += k * env.bytes(identName(e.Base))
 			}
@@ -179,32 +183,6 @@ func countInto(region minic.Node, env typeEnv, out *OpCounts, k float64) {
 		}
 		return true
 	})
-}
-
-// storeTargets caches nothing; for the sizes involved a direct check is
-// fine: an IndexExpr is a store target if some Assign/IncDec in the region
-// has it as the LHS pointer-identical node.
-func isStoreTarget(region minic.Node, ix *minic.IndexExpr) bool {
-	found := false
-	minic.Walk(region, func(n minic.Node) bool {
-		if found {
-			return false
-		}
-		switch e := n.(type) {
-		case *minic.AssignExpr:
-			if e.LHS == minic.Expr(ix) {
-				// Both plain and compound stores account their target at
-				// the assignment level (compound adds the extra load there).
-				found = true
-			}
-		case *minic.IncDecExpr:
-			if e.X == minic.Expr(ix) {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // WeightedOps counts operations in the body of fn with statically known

@@ -43,18 +43,31 @@ func TestCountOpsBasic(t *testing.T) {
 	}
 }
 
+// TestCountOpsCompoundAssign: an assignment's or ++/--'s indexed target is
+// a store (and, compound, a load) and is not counted again as a read; the
+// reads inside a target's index still are.
 func TestCountOpsCompoundAssign(t *testing.T) {
-	prog := minic.MustParse(`void f(double *a, const double *b) {
-        a[0] += b[1];
+	for _, c := range []struct {
+		stmt                         string
+		addSub, loads, stores, bytes float64
+	}{
+		// Compound: one add, load+store of a[0], load of b[1].
+		{"a[0] += b[1];", 1, 2, 1, 24},
+		{"a[i] = b[j];", 0, 1, 1, 16},
+		{"a[i] += b[i];", 1, 2, 1, 24},
+		{"a[i]++;", 1, 1, 1, 16},
+		{"a[i] = b[j] = x;", 0, 0, 2, 16},
+		{"a[idx[i]] = x;", 0, 1, 1, 12},
+	} {
+		prog := minic.MustParse(`void f(double *a, double *b, const int *idx, int i, int j, double x) {
+        ` + c.stmt + `
     }`)
-	fn := prog.Funcs[0]
-	ops := CountOps(fn.Body, fn)
-	// Compound: one add, load+store of a[0], load of b[1].
-	if ops.AddSub != 1 || ops.Loads != 2 || ops.Stores != 1 {
-		t.Errorf("addsub=%v loads=%v stores=%v", ops.AddSub, ops.Loads, ops.Stores)
-	}
-	if ops.BytesRW != 24 {
-		t.Errorf("bytes=%v, want 24", ops.BytesRW)
+		fn := prog.Funcs[0]
+		ops := CountOps(fn.Body, fn)
+		if ops.AddSub != c.addSub || ops.Loads != c.loads || ops.Stores != c.stores || ops.BytesRW != c.bytes {
+			t.Errorf("%s: addsub=%v loads=%v stores=%v bytes=%v, want %v %v %v %v", c.stmt,
+				ops.AddSub, ops.Loads, ops.Stores, ops.BytesRW, c.addSub, c.loads, c.stores, c.bytes)
+		}
 	}
 }
 

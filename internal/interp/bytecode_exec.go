@@ -147,17 +147,17 @@ func (m *machine) closeLoops(fr *bframe) {
 }
 
 // enterCandidateBC is the out-of-line half of in, the opLoopEnter of a
-// depth-1 loop that fr has just entered, in a run that watches its hotspot
-// candidates: unless another candidate is active, it opens a watch scope on
-// the loop with its free pointer variables, read from their registers, as
-// the parameters.
-func (m *machine) enterCandidateBC(fr *bframe, in *binstr) {
+// depth-1 loop of bf that fr has just entered, in a run that watches its
+// hotspot candidates: unless another candidate is active, it opens a watch
+// scope on the loop with its free pointer variables, read from their
+// registers, as the parameters.
+func (m *machine) enterCandidateBC(fr *bframe, bf *bfunc, in *binstr) {
 	lp := fr.loops[len(fr.loops)-1].lp
 	rec := m.candidate(lp)
 	if rec == nil {
 		return
 	}
-	c := &in.fn.cands[in.n-1]
+	c := &bf.cands[in.n-1]
 	args := m.cands.args[:0]
 	for _, r := range c.regs {
 		args = append(args, fr.regs[r])
@@ -212,7 +212,7 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 			steps += int64(in.nsteps)
 			if steps > m.maxSteps {
 				m.steps = steps - int64(in.nsteps)
-				return m.execPrecise(fr, in)
+				return m.execPrecise(fr, bf.prefs, in)
 			}
 		}
 		op := in.op
@@ -605,7 +605,9 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 		case opLoopEnter:
 			m.prof.Cycles += cyc // snapshot reads the run total
 			cyc = 0
-			lp := m.loopProfile(in.lid, in.pos)
+			// fr.loops holds exactly the frame's open loops, so the one
+			// entered here is nested len(fr.loops)+1 deep in bf.
+			lp := m.loopProfile(in.lid, in.pos, bf.decl.Name, len(fr.loops)+1)
 			lp.Entries++
 			fr.loops = append(fr.loops, bactive{lp: lp, start: m.prof.Cycles})
 			if in.n > 0 && m.cands != nil {
@@ -613,7 +615,7 @@ func (m *machine) dispatch(bf *bfunc, fr *bframe) error {
 				// over pending flops would absorb them when it closes.
 				m.prof.Flops += flops
 				flops = 0
-				m.enterCandidateBC(fr, in)
+				m.enterCandidateBC(fr, bf, in)
 			}
 
 		case opLoopBack:
@@ -1363,14 +1365,19 @@ func (m *machine) resolveTgtNB(fr *bframe, t *btarget) (*Buffer, int64, error) {
 // the step-generating prefix — pre-steps, the instruction's own step,
 // operand fetches, target resolution — reproduces the exact error the
 // tree-walker reports: a budget error at the precise sub-step position,
-// or the first runtime error that textually precedes it.
-func (m *machine) execPrecise(fr *bframe, in *binstr) error {
-	for _, p := range in.pre {
-		m.steps++
-		if m.steps > m.maxSteps {
-			return m.errf(p, "step budget exceeded (%d)", m.maxSteps)
+// or the first runtime error that textually precedes it. The pre-steps
+// charge in.pre's positions in prefs root first, so the one that crosses
+// the budget is the ancestor as many levels up as steps are left over.
+func (m *machine) execPrecise(fr *bframe, prefs []prefNode, in *binstr) error {
+	d := int64(prefs[in.pre].depth)
+	if m.steps+d > m.maxSteps {
+		p := in.pre
+		for up := m.steps + d - m.maxSteps - 1; up > 0; up-- {
+			p = prefs[p].parent
 		}
+		return m.errf(prefs[p].pos, "step budget exceeded (%d)", m.maxSteps)
 	}
+	m.steps += d
 	if ownStep(in) {
 		m.steps++
 		if m.steps > m.maxSteps {

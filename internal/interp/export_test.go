@@ -41,10 +41,9 @@ func DropScratch() {
 	lowerScratch.idle = lowerScratch.idle[:0]
 }
 
-// LoweredImage lowers prog and renders the image for comparison: every
-// field of every instruction, with what a pointer points to in place of
-// its address, and a `pre cap` line under an instruction whose step
-// positions are not cut to their length.
+// LoweredImage lowers prog and renders the image for comparison: each
+// function's prefix tree, and every field of every instruction, with what
+// a pointer points to in place of its address.
 func LoweredImage(prog *minic.Program) string {
 	bp := compileBytecode(prog, false)
 	var sb strings.Builder
@@ -54,6 +53,7 @@ func LoweredImage(prog *minic.Program) string {
 			continue
 		}
 		fmt.Fprintf(&sb, "func %s nregs %d cands %d\n", f.Name, bf.nregs, len(bf.cands))
+		fmt.Fprintf(&sb, "\tprefs %v\n", bf.prefs)
 		for _, cand := range bf.cands {
 			fmt.Fprintf(&sb, "\tcand %v\n", cand.regs)
 			for _, p := range cand.params {
@@ -67,9 +67,6 @@ func LoweredImage(prog *minic.Program) string {
 			in.tgt, in.a.tgt, in.b.tgt, in.q, in.fn = nil, nil, nil, nil, nil
 			in.bi = builtin{}
 			fmt.Fprintf(&sb, "\t%d %+v\n", i, in)
-			if cap(in.pre) != len(in.pre) {
-				fmt.Fprintf(&sb, "\t\tpre cap %d\n", cap(in.pre))
-			}
 			for _, tgt := range tgts {
 				if tgt != nil {
 					fmt.Fprintf(&sb, "\t\ttgt %+v\n", *tgt)

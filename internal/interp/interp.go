@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"psaflow/internal/minic"
-	"psaflow/internal/query"
 	"psaflow/internal/telemetry"
 )
 
@@ -121,17 +120,11 @@ const (
 	ctrlReturn
 )
 
-type loopInfo struct {
-	fn    string
-	depth int
-}
-
 type machine struct {
 	prog     *minic.Program
 	prof     *Profile
 	steps    int64
 	maxSteps int64
-	loopInfo map[int]loopInfo
 	output   []string
 
 	// Cancellation: done is Ctx.Done() (nil disables the check entirely);
@@ -223,22 +216,18 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 	var progHits int64
 	switch {
 	case cfg.TreeWalk:
-		m.loopInfo = buildLoopInfo(prog)
 		ret, err = m.call(entry, cfg.Args, entry.NodePos())
 	default:
 		compileStart := time.Now()
 		var bp *bprog
 		if cfg.Progs != nil && cfg.Fingerprint != 0 {
 			var lowered bool
-			bp, m.loopInfo, lowered = cfg.Progs.image(cfg.Fingerprint, prog)
+			bp, lowered = cfg.Progs.image(cfg.Fingerprint, prog)
 			if !lowered {
 				progHits = 1
 			}
 		} else {
 			bp = lowerBytecode(prog, cfg.generic)
-			if bp != nil {
-				m.loopInfo = buildLoopInfo(prog)
-			}
 		}
 		compileNanos = time.Since(compileStart).Nanoseconds()
 		if bp != nil {
@@ -250,7 +239,6 @@ func Run(prog *minic.Program, cfg Config) (*Result, error) {
 			// TestBytecodeNoFallbackOnBenchmarks can assert it never
 			// fires on the bundled benchmarks.
 			fallbacks = 1
-			m.loopInfo = buildLoopInfo(prog)
 			ret, err = m.call(entry, cfg.Args, entry.NodePos())
 		}
 	}
@@ -292,24 +280,6 @@ func lowerBytecode(prog *minic.Program, generic bool) (bp *bprog) {
 		}
 	}()
 	return compileBytecode(prog, generic)
-}
-
-// buildLoopInfo precomputes enclosing function and nesting depth for every
-// loop node ID in one pass over the program.
-func buildLoopInfo(prog *minic.Program) map[int]loopInfo {
-	out := make(map[int]loopInfo)
-	var rec func(n minic.Node, fn string, depth int)
-	rec = func(n minic.Node, fn string, depth int) {
-		if query.IsLoop(n) {
-			depth++
-			out[n.ID()] = loopInfo{fn: fn, depth: depth}
-		}
-		minic.EachChild(n, func(c minic.Node) { rec(c, fn, depth) })
-	}
-	for _, fn := range prog.Funcs {
-		rec(fn, fn.Name, 0)
-	}
-	return out
 }
 
 func (m *machine) errf(pos minic.Pos, format string, args ...any) error {
@@ -360,6 +330,7 @@ type frame struct {
 	fn     *minic.FuncDecl
 	scopes []map[string]*Value
 	ret    Value
+	loops  int // loops open in this activation: one entered now is loops+1 deep
 }
 
 func (f *frame) push() { f.scopes = append(f.scopes, make(map[string]*Value)) }
@@ -539,13 +510,14 @@ func (m *machine) execDecl(fr *frame, d *minic.DeclStmt) error {
 	return nil
 }
 
-// loopEnter/loopExit maintain the per-loop profile (the "loop timer"
-// instrumentation of the paper, built into the virtual machine).
-func (m *machine) loopProfile(id int, pos minic.Pos) *LoopProfile {
+// loopProfile is the per-loop profile (the "loop timer" instrumentation of
+// the paper, built into the virtual machine) of the loop id at pos, made on
+// its first entry. fn and depth are where the entering engine is: the
+// enclosing function, and 1 + the loops its frame has open.
+func (m *machine) loopProfile(id int, pos minic.Pos, fn string, depth int) *LoopProfile {
 	lp, ok := m.prof.Loops[id]
 	if !ok {
-		info := m.loopInfo[id]
-		lp = &LoopProfile{ID: id, Pos: pos, Func: info.fn, Depth: info.depth}
+		lp = &LoopProfile{ID: id, Pos: pos, Func: fn, Depth: depth}
 		m.prof.Loops[id] = lp
 	}
 	return lp
@@ -554,10 +526,11 @@ func (m *machine) loopProfile(id int, pos minic.Pos) *LoopProfile {
 func (m *machine) execFor(fr *frame, f *minic.ForStmt) (ctrl, error) {
 	fr.push()
 	defer fr.pop()
-	lp := m.loopProfile(f.ID(), f.NodePos())
+	lp := m.loopProfile(f.ID(), f.NodePos(), fr.fn.Name, fr.loops+1)
 	lp.Entries++
+	fr.loops++
 	start := m.prof.Cycles
-	defer func() { lp.Cycles += m.prof.Cycles - start }()
+	defer func() { lp.Cycles += m.prof.Cycles - start; fr.loops-- }()
 	if lp.Depth == 1 && m.cands != nil && m.enterCandidateTW(fr, f, lp) {
 		defer m.exitCandidate()
 	}
@@ -601,10 +574,11 @@ func (m *machine) execFor(fr *frame, f *minic.ForStmt) (ctrl, error) {
 }
 
 func (m *machine) execWhile(fr *frame, w *minic.WhileStmt) (ctrl, error) {
-	lp := m.loopProfile(w.ID(), w.NodePos())
+	lp := m.loopProfile(w.ID(), w.NodePos(), fr.fn.Name, fr.loops+1)
 	lp.Entries++
+	fr.loops++
 	start := m.prof.Cycles
-	defer func() { lp.Cycles += m.prof.Cycles - start }()
+	defer func() { lp.Cycles += m.prof.Cycles - start; fr.loops-- }()
 	if lp.Depth == 1 && m.cands != nil && m.enterCandidateTW(fr, w, lp) {
 		defer m.exitCandidate()
 	}

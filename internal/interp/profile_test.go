@@ -216,3 +216,129 @@ func TestElemBytes(t *testing.T) {
 		t.Error("int elem bytes != 4")
 	}
 }
+
+// loopMetaCases are programs whose loops sit at every kind of place a
+// running engine could lose count of its open loops.
+var loopMetaCases = []struct{ name, src string }{
+	{"while-in-for-in-for", `
+int main() {
+    int s = 0;
+    for (int i = 0; i < 3; i++) {
+        for (int j = 0; j < 3; j++) {
+            int k = 0;
+            while (k < 2) { s = s + 1; k++; }
+        }
+    }
+    return s;
+}`},
+	{"helper-called-in-loop", `
+int helper(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) { s = s + i; }
+    return s;
+}
+int main() {
+    int s = 0;
+    for (int i = 0; i < 3; i++) {
+        for (int j = 0; j < 3; j++) { s = s + helper(j); }
+    }
+    return s;
+}`},
+	{"recursive", `
+int rec(int n) {
+    if (n == 0) { return 1; }
+    int s = 0;
+    for (int i = 0; i < 2; i++) {
+        while (s < 100) { s = s + rec(n - 1); break; }
+    }
+    return s;
+}
+int main() { return rec(3); }`},
+	{"after-break-and-return", `
+int find(int n) {
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < n; j++) {
+            if (i * j == 2) { return j; }
+        }
+    }
+    return 0;
+}
+int main() {
+    int s = 0;
+    for (int i = 0; i < 4; i++) {
+        while (s < 100) { s = s + 1; if (s > i) { break; } }
+        s = s + find(3);
+        for (int j = 0; j < 2; j++) { s = s + j; }
+    }
+    while (s > 0) { s = s - 7; }
+    return s;
+}`},
+}
+
+// loopMetaFail fails with an index out of range two loops deep.
+const loopMetaFail = `
+int main() {
+    int a[4];
+    int s = 0;
+    for (int i = 0; i < 3; i++) {
+        for (int j = 0; j < 8; j++) { s = s + a[j]; }
+    }
+    return s;
+}`
+
+// TestLoopProfileMetadata: on the tree-walker, the VM and a ProgramCache
+// image, every loop's profile names the function that holds it and its
+// static nesting depth there, also in a run right after one that failed
+// inside a nested loop (the VM's frames, loop stacks included, are pooled).
+func TestLoopProfileMetadata(t *testing.T) {
+	type meta struct {
+		fn    string
+		depth int
+	}
+	fail := minic.MustParse(loopMetaFail)
+	progs := NewProgramCache()
+	engines := []struct {
+		name string
+		cfg  func(*minic.Program) Config
+	}{
+		{"tree-walker", func(*minic.Program) Config { return Config{Entry: "main", TreeWalk: true} }},
+		{"vm", func(*minic.Program) Config { return Config{Entry: "main"} }},
+		{"program-cache", func(p *minic.Program) Config {
+			return Config{Entry: "main", Progs: progs, Fingerprint: minic.Fingerprint(p)}
+		}},
+	}
+	for _, c := range loopMetaCases {
+		prog := minic.MustParse(c.src)
+		want := map[int]meta{}
+		for _, fn := range prog.Funcs {
+			var walk func(n minic.Node, depth int)
+			walk = func(n minic.Node, depth int) {
+				if query.IsLoop(n) {
+					depth++
+					want[n.ID()] = meta{fn.Name, depth}
+				}
+				minic.EachChild(n, func(ch minic.Node) { walk(ch, depth) })
+			}
+			walk(fn, 0)
+		}
+		for _, e := range engines {
+			if _, err := Run(fail, e.cfg(fail)); err == nil {
+				t.Fatalf("%s: the failing program ran without an error", e.name)
+			}
+			for run := range 2 { // the second run of a cached image skips lowering
+				res, err := Run(prog, e.cfg(prog))
+				if err != nil {
+					t.Fatalf("%s %s: %v", c.name, e.name, err)
+				}
+				if len(res.Prof.Loops) != len(want) {
+					t.Errorf("%s %s run %d: %d loops profiled, want all %d", c.name, e.name, run, len(res.Prof.Loops), len(want))
+				}
+				for id, lp := range res.Prof.Loops {
+					if got := (meta{lp.Func, lp.Depth}); got != want[id] {
+						t.Errorf("%s %s run %d: loop at %s is %+v, want %+v", c.name, e.name, run, lp.Pos, got, want[id])
+					}
+				}
+			}
+		}
+	}
+}

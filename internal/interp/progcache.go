@@ -18,7 +18,8 @@ import (
 // Each fingerprint owns one image. A lowered image is immutable —
 // specialisation happens at lowering, and no run writes an instruction —
 // so every run of the fingerprint, concurrent ones included, executes
-// that one image.
+// that one image. The image is all a run takes from the cache: a loop's
+// function and depth come from the VM frame that enters it.
 type ProgramCache struct {
 	mu      sync.Mutex
 	entries map[uint64]*progEntry
@@ -27,8 +28,6 @@ type ProgramCache struct {
 type progEntry struct {
 	once sync.Once
 	bp   *bprog // nil when lowering panicked: runs fall back to the tree-walker
-	// loops is the read-only loop-metadata map of the program.
-	loops map[int]loopInfo
 }
 
 // NewProgramCache returns an empty cache, safe for concurrent use.
@@ -36,12 +35,12 @@ func NewProgramCache() *ProgramCache {
 	return &ProgramCache{entries: make(map[uint64]*progEntry)}
 }
 
-// image returns the lowered image of prog and its loop metadata, lowering
-// it on the fingerprint's first use; lowered reports that this call did.
+// image returns the lowered image of prog, lowering it on the
+// fingerprint's first use; lowered reports that this call did.
 // Concurrent first uses wait for the one lowering, outside the cache's
 // lock. fp must be prog's fingerprint — the cache trusts the caller's
 // keying exactly as core.RunCache does.
-func (c *ProgramCache) image(fp uint64, prog *minic.Program) (bp *bprog, loops map[int]loopInfo, lowered bool) {
+func (c *ProgramCache) image(fp uint64, prog *minic.Program) (bp *bprog, lowered bool) {
 	c.mu.Lock()
 	e := c.entries[fp]
 	if e == nil {
@@ -51,11 +50,9 @@ func (c *ProgramCache) image(fp uint64, prog *minic.Program) (bp *bprog, loops m
 	c.mu.Unlock()
 	e.once.Do(func() {
 		lowered = true
-		if e.bp = lowerBytecode(prog, false); e.bp != nil {
-			e.loops = buildLoopInfo(prog)
-		}
+		e.bp = lowerBytecode(prog, false)
 	})
-	return e.bp, e.loops, lowered
+	return e.bp, lowered
 }
 
 // Len returns the number of distinct fingerprints cached.

@@ -14,8 +14,8 @@ func TestInstructionSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the sizes are pinned for 64-bit platforms")
 	}
-	if n := unsafe.Sizeof(binstr{}); n != 376 {
-		t.Errorf("binstr is %d bytes, want 376", n)
+	if n := unsafe.Sizeof(binstr{}); n != 360 {
+		t.Errorf("binstr is %d bytes, want 360", n)
 	}
 	if n := unsafe.Sizeof(btarget{}); n != 440 {
 		t.Errorf("btarget is %d bytes, want 440", n)

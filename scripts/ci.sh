@@ -52,8 +52,11 @@ go test -race -short -count=20 -run 'TestBatch|TestCancelQueued|TestQueuedCancel
 # One lowered image is shared by every run of its program, concurrent ones
 # included, because no run writes an instruction: 8 goroutines × 6 runs
 # on one image must each equal the tree-walker — 20 runs, for the
-# scheduler to vary the interleaving.
-go test -race -count=20 -run 'TestProgramCacheSharedImage' ./internal/interp/
+# scheduler to vary the interleaving. A loop's profile reads its depth
+# from the VM frame's loop stack, and frames are pooled: every profile
+# must carry its static function and depth, also right after a run that
+# failed inside a nested loop.
+go test -race -count=20 -run 'TestProgramCacheSharedImage|TestLoopProfileMetadata' ./internal/interp/
 # Forks share their parent's functions and parallel branch paths read them
 # while each copies what it edits: the write guard over every bundled flow,
 # two flows running beside each other on one run cache, the path copy a
