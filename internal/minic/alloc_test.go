@@ -38,12 +38,14 @@ func TestWalkAllocatesNothing(t *testing.T) {
 
 // TestParseAllocations pins what parsing costs: every job parses its
 // source at submit, so Parse's allocations are part of every job's. The
-// lexer allocates nothing per token, so what is left is the AST's nodes
-// and lists, its string and pragma literals, and the check's seven. The bounds are the five
-// programs' counts when the pin was set; Parse may allocate less, never
-// more.
+// lexer allocates nothing per token, and the AST takes its nodes from one
+// slab per node kind and its lists from one slab per kind of list slot,
+// so what is left is those slabs, the parser's list stacks, and the
+// check's seven (709, 559, 458, 625 and 592 while each node was an
+// allocation of its own). The bounds are the five programs' counts when
+// the pin was set; Parse may allocate less, never more.
 func TestParseAllocations(t *testing.T) {
-	bound := map[string]float64{"nbody": 709, "kmeans": 559, "adpredictor": 458, "rushlarsen": 625, "bezier": 592}
+	bound := map[string]float64{"nbody": 42, "kmeans": 40, "adpredictor": 41, "rushlarsen": 42, "bezier": 40}
 	for _, b := range bench.All() {
 		allocs := testing.AllocsPerRun(10, func() { _, _ = minic.Parse(b.Source) })
 		if allocs > bound[b.Name] {
@@ -58,7 +60,7 @@ func TestParseAllocations(t *testing.T) {
 // of kilobytes and shows here at once; a string per identifier adds a
 // few hundred allocations, which TestParseAllocations counts.
 func TestParseBytes(t *testing.T) {
-	want := map[string]uint64{"nbody": 41829, "kmeans": 32573, "adpredictor": 27625, "rushlarsen": 37274, "bezier": 34864}
+	want := map[string]uint64{"nbody": 41135, "kmeans": 32298, "adpredictor": 27013, "rushlarsen": 36036, "bezier": 34246}
 	const n = 50
 	for _, b := range bench.All() {
 		var before, after runtime.MemStats
@@ -73,6 +75,28 @@ func TestParseBytes(t *testing.T) {
 		if bound := want[b.Name] * 11 / 10; perParse > bound {
 			t.Errorf("%s: Parse allocates %d bytes, want at most %d", b.Name, perParse, bound)
 		}
+	}
+}
+
+// TestParseAllocationsIndependentOfSize: a parse takes its nodes and
+// lists from slabs sized by a count of the text's tokens, so parsing a
+// loop whose body holds one statement allocates exactly as often as
+// parsing one whose body holds sixty-four of the same statement.
+func TestParseAllocationsIndependentOfSize(t *testing.T) {
+	allocs := func(stmts int) float64 {
+		src := "void app(int n, double *a) {\n    for (int i = 0; i < n; i++) {\n" +
+			strings.Repeat("        a[i] = sqrt(a[i] * 2.0) + 1.0;\n", stmts) + "    }\n}\n"
+		return testing.AllocsPerRun(20, func() {
+			if _, err := minic.Parse(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(1), allocs(64)
+	t.Logf("Parse: %.0f allocations on one statement, %.0f on sixty-four", one, many)
+	if one != many {
+		t.Errorf("Parse allocates %.0f times on a body of one statement and %.0f on one of sixty-four: it allocates per node",
+			one, many)
 	}
 }
 

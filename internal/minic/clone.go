@@ -146,7 +146,13 @@ type cloner struct {
 	copies int    // how many copies of the counted subtree the slabs hold
 	subst  string // CloneUnrolled's induction variable, "" for a plain copy
 	val    int64  // what subst is written as in the current copy
+	slabs
+}
 
+// slabs holds one slab per node kind and one per kind of list slot. The
+// cloner and the parser each count what they will build into the slabs'
+// n first, and then take every node and every list from them.
+type slabs struct {
 	funcs     slab[FuncDecl]
 	params    slab[Param]
 	blocks    slab[Block]
@@ -172,15 +178,22 @@ type cloner struct {
 	calls     slab[CallExpr]
 	casts     slab[CastExpr]
 
+	funcSlots   slab[*FuncDecl]
 	paramSlots  slab[*Param]
 	stmtSlots   slab[Stmt]
 	argSlots    slab[Expr]
 	pragmaSlots slab[string]
 }
 
-// slab holds one kind's elements for every copy: n of them, counted first,
-// made at once by the first take and handed out in order. A kind that is
-// never taken allocates nothing.
+// dryChunk is how many elements a slab makes when it runs dry.
+const dryChunk = 16
+
+// slab holds one kind's elements: n of them, counted first, made at once
+// by the first take and handed out in order. A kind that is never taken
+// allocates nothing. A count that falls short is no error: a slab that
+// runs dry makes a fresh chunk of dryChunk elements, or of what the take
+// asks if more, so a count decides how often a slab allocates, never what
+// it hands out.
 type slab[T any] struct {
 	n    int
 	free []T
@@ -188,8 +201,9 @@ type slab[T any] struct {
 
 // take returns the slab's next n elements, with capacity n.
 func (s *slab[T]) take(n int) []T {
-	if s.free == nil {
-		s.free = make([]T, s.n)
+	if s.free == nil || len(s.free) < n {
+		s.free = make([]T, max(s.n, n))
+		s.n = dryChunk
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]

@@ -36,6 +36,10 @@ func checkCopy(t *testing.T, what string, cp, orig minic.Node) {
 // spareCap names a list of n with room past its length, or returns "".
 func spareCap(n minic.Node) string {
 	switch v := n.(type) {
+	case *minic.Program:
+		if cap(v.Funcs) != len(v.Funcs) {
+			return fmt.Sprintf("the program's Funcs have len %d, cap %d", len(v.Funcs), cap(v.Funcs))
+		}
 	case *minic.FuncDecl:
 		if cap(v.Params) != len(v.Params) {
 			return fmt.Sprintf("%s's Params have len %d, cap %d", v.Name, len(v.Params), cap(v.Params))

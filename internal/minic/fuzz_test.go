@@ -2,6 +2,7 @@ package minic_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -65,8 +66,11 @@ func parseSeeds() []string {
 // lowering relies on it, and the analyses type submitted programs outside
 // any recover. The parser pulls its tokens as it goes, but a lexical error
 // anywhere wins as if the text were lexed first: whenever Lex fails,
-// Parse fails with the same LexError. CloneFunc copies every function of
-// a program Parse accepts exactly (checkCopy).
+// Parse fails with the same LexError. Every list of a program Parse
+// accepts is at capacity and every empty one nil (checkParsedLists), the
+// counting pass counts exactly what its parse takes, a parse from slabs
+// counted empty builds the same tree, and CloneFunc copies every function
+// exactly (checkCopy).
 func FuzzParse(f *testing.F) {
 	for _, src := range parseSeeds() {
 		f.Add(src)
@@ -85,6 +89,13 @@ func FuzzParse(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		checkParsedLists(t, "the program", prog)
+		if misses, err := minic.CountMisses(src); err != nil || len(misses) > 0 {
+			t.Fatalf("the counting pass misses %v (%v)", misses, err)
+		}
+		if dry, err := minic.ParseDry(src); err != nil || !reflect.DeepEqual(dry, prog) {
+			t.Fatalf("the dry parse builds another tree, or fails with %v", err)
 		}
 		for _, fn := range prog.Funcs {
 			checkCopy(t, fn.Name, minic.CloneFunc(fn), fn)

@@ -14,16 +14,28 @@ type ParseError = syntax.ParseError
 // Parser is a recursive-descent parser for MiniC. It pulls its tokens
 // from the lexer as it goes: tok is the current token, and ahead the one
 // after it once peek has read it.
+//
+// Every node comes from the parser's slabs, the cloner's kind, sized by a
+// counting pass over the text before the parse, so a parse costs one
+// allocation per node kind present, not one per node. A list — a block's
+// statements, a call's arguments, a function's parameters, a loop's
+// pragmas, the program's functions — is collected on its stack while it
+// is parsed and cut from its slot slab at its exact length when it ends,
+// an empty one left nil.
 type Parser struct {
 	lx     lexer
 	tok    Token
 	ahead  Token
 	peeked bool
-	// lexErr is the first lexical error. The lexer stops there, and the
-	// parser reads EOF after it; the error wins over any syntax error,
-	// before it or after.
-	lexErr error
 	depth  syntax.Depth
+	slabs
+	stack struct {
+		stmts   []Stmt
+		args    []Expr
+		params  []*Param
+		pragmas []string
+		funcs   []*FuncDecl
+	}
 }
 
 // Parse lexes, parses and checks src into a Program with node IDs
@@ -40,23 +52,45 @@ func Parse(src string) (*Program, error) {
 }
 
 // parse is Parse without the check. A lexical error anywhere in src is
-// the error, as if the whole text had been lexed first: when the parse
-// stops early, the rest of the text is lexed for one.
+// the error, before any syntax error: the counting pass lexes the whole
+// text first.
 func parse(src string) (*Program, error) {
-	p := &Parser{lx: lexer{syntax.NewScanner(src)}}
+	p := &Parser{}
+	if err := p.count(src); err != nil {
+		return nil, err
+	}
+	return p.build(src)
+}
+
+// build parses src, which count has lexed without an error, into a
+// Program with node IDs assigned.
+func (p *Parser) build(src string) (*Program, error) {
+	p.lx = lexer{syntax.NewScanner(src)}
+	p.stack.stmts = make([]Stmt, 0, p.stmtSlots.n)
+	p.stack.args = make([]Expr, 0, p.argSlots.n)
+	p.stack.params = make([]*Param, 0, p.paramSlots.n)
+	p.stack.pragmas = make([]string, 0, p.pragmaSlots.n+p.pragmas.n)
+	p.stack.funcs = make([]*FuncDecl, 0, p.funcSlots.n)
 	p.advance()
 	prog, err := p.parseProgram()
-	for p.lexErr == nil && !p.at(TokEOF) {
-		p.advance()
-	}
-	if p.lexErr != nil {
-		return nil, p.lexErr
-	}
 	if err != nil {
 		return nil, err
 	}
 	AssignIDs(prog)
 	return prog, nil
+}
+
+// cut returns the list collected on stack from mark on, cut from slots at
+// its exact length (nil when it is empty), and pops it.
+func cut[T any](stack *[]T, mark int, slots *slab[T]) []T {
+	list := (*stack)[mark:]
+	if len(list) == 0 {
+		return nil
+	}
+	out := slots.take(len(list))
+	copy(out, list)
+	*stack = (*stack)[:mark]
+	return out
 }
 
 // MustParse parses src and panics on error; for tests and embedded
@@ -69,17 +103,11 @@ func MustParse(src string) *Program {
 	return prog
 }
 
-// lex returns the lexer's next token, or EOF from the first lexical error
-// on.
+// lex returns the lexer's next token. The counting pass lexed the whole
+// text without an error, so there is none here.
 func (p *Parser) lex() Token {
-	if p.lexErr == nil {
-		t, err := p.lx.next()
-		if err == nil {
-			return t
-		}
-		p.lexErr = err
-	}
-	return Token{Kind: TokEOF}
+	t, _ := p.lx.next()
+	return t
 }
 
 // advance moves to the next token.
@@ -166,8 +194,9 @@ func (p *Parser) parseProgram() (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog.Funcs = append(prog.Funcs, f)
+		p.stack.funcs = append(p.stack.funcs, f)
 	}
+	prog.Funcs = cut(&p.stack.funcs, 0, &p.funcSlots)
 	return prog, nil
 }
 
@@ -184,7 +213,7 @@ func (p *Parser) parseFunc() (*FuncDecl, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	f := &FuncDecl{Ret: ret, Name: name.Lit}
+	f := FuncDecl{Ret: ret, Name: name.Lit}
 	f.pos = start
 	if !p.at(TokRParen) {
 		for {
@@ -192,12 +221,13 @@ func (p *Parser) parseFunc() (*FuncDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			f.Params = append(f.Params, param)
+			p.stack.params = append(p.stack.params, param)
 			if !p.accept(TokComma) {
 				break
 			}
 		}
 	}
+	f.Params = cut(&p.stack.params, 0, &p.paramSlots)
 	if _, err := p.expect(TokRParen); err != nil {
 		return nil, err
 	}
@@ -206,7 +236,7 @@ func (p *Parser) parseFunc() (*FuncDecl, error) {
 		return nil, err
 	}
 	f.Body = body
-	return f, nil
+	return p.funcs.copy(&f), nil
 }
 
 func (p *Parser) parseParam() (*Param, error) {
@@ -226,9 +256,7 @@ func (p *Parser) parseParam() (*Param, error) {
 		}
 		t.Ptr = true
 	}
-	prm := &Param{Type: t, Name: name.Lit}
-	prm.pos = start
-	return prm, nil
+	return p.params.copy(&Param{base: base{pos: start}, Type: t, Name: name.Lit}), nil
 }
 
 func (p *Parser) parseBlock() (*Block, error) {
@@ -236,8 +264,7 @@ func (p *Parser) parseBlock() (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Block{}
-	b.pos = start.Pos
+	mark := len(p.stack.stmts)
 	for !p.at(TokRBrace) {
 		if p.at(TokEOF) {
 			return nil, p.errorf("unexpected EOF in block")
@@ -247,11 +274,11 @@ func (p *Parser) parseBlock() (*Block, error) {
 			return nil, err
 		}
 		if s != nil {
-			b.Stmts = append(b.Stmts, s)
+			p.stack.stmts = append(p.stack.stmts, s)
 		}
 	}
 	p.next() // consume '}'
-	return b, nil
+	return p.blocks.copy(&Block{base: base{pos: start.Pos}, Stmts: cut(&p.stack.stmts, mark, &p.stmtSlots)}), nil
 }
 
 // parseStmt parses one statement. Consecutive pragmas are collected and
@@ -263,40 +290,38 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	}
 	defer p.depth.Leave()
 	if p.at(TokPragma) {
-		var pragmas []string
 		firstPos := p.cur().Pos
 		for p.at(TokPragma) {
-			pragmas = append(pragmas, p.next().Lit)
+			p.stack.pragmas = append(p.stack.pragmas, p.next().Lit)
 		}
 		switch p.cur().Kind {
 		case TokKwFor, TokKwWhile:
+			pragmas := cut(&p.stack.pragmas, 0, &p.pragmaSlots)
 			s, err := p.parseStmt()
 			if err != nil {
 				return nil, err
 			}
 			switch loop := s.(type) {
 			case *ForStmt:
-				loop.Pragmas = append(pragmas, loop.Pragmas...)
+				loop.Pragmas = pragmas
 			case *WhileStmt:
-				loop.Pragmas = append(pragmas, loop.Pragmas...)
+				loop.Pragmas = pragmas
 			}
 			return s, nil
 		default:
-			if len(pragmas) == 1 {
-				ps := &PragmaStmt{Text: pragmas[0]}
-				ps.pos = firstPos
+			if len(p.stack.pragmas) == 1 {
+				ps := p.pragmas.copy(&PragmaStmt{base: base{pos: firstPos}, Text: p.stack.pragmas[0]})
+				p.stack.pragmas = p.stack.pragmas[:0]
 				return ps, nil
 			}
 			// Multiple free-standing pragmas: keep them as one block-less
 			// sequence by re-queuing all but the first.
-			b := &Block{}
-			b.pos = firstPos
-			for _, text := range pragmas {
-				ps := &PragmaStmt{Text: text}
-				ps.pos = firstPos
-				b.Stmts = append(b.Stmts, ps)
+			mark := len(p.stack.stmts)
+			for _, text := range p.stack.pragmas {
+				p.stack.stmts = append(p.stack.stmts, p.pragmas.copy(&PragmaStmt{base: base{pos: firstPos}, Text: text}))
 			}
-			return b, nil
+			p.stack.pragmas = p.stack.pragmas[:0]
+			return p.blocks.copy(&Block{base: base{pos: firstPos}, Stmts: cut(&p.stack.stmts, mark, &p.stmtSlots)}), nil
 		}
 	}
 
@@ -310,9 +335,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	case TokKwIf:
 		return p.parseIf()
 	case TokKwReturn:
-		start := p.next().Pos
-		rs := &ReturnStmt{}
-		rs.pos = start
+		rs := ReturnStmt{base: base{pos: p.next().Pos}}
 		if !p.at(TokSemi) {
 			x, err := p.parseExpr()
 			if err != nil {
@@ -323,23 +346,19 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return rs, nil
+		return p.returns.copy(&rs), nil
 	case TokKwBreak:
 		start := p.next().Pos
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		bs := &BreakStmt{}
-		bs.pos = start
-		return bs, nil
+		return p.breaks.copy(&BreakStmt{base{pos: start}}), nil
 	case TokKwContinue:
 		start := p.next().Pos
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		cs := &ContinueStmt{}
-		cs.pos = start
-		return cs, nil
+		return p.continues.copy(&ContinueStmt{base{pos: start}}), nil
 	case TokSemi:
 		p.next()
 		return nil, nil
@@ -362,9 +381,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	if _, err := p.expect(TokSemi); err != nil {
 		return nil, err
 	}
-	es := &ExprStmt{X: x}
-	es.pos = exprPos(x)
-	return es, nil
+	return p.exprStmts.copy(&ExprStmt{base: base{pos: exprPos(x)}, X: x}), nil
 }
 
 func exprPos(e Expr) Pos {
@@ -386,8 +403,7 @@ func (p *Parser) parseDecl() (*DeclStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &DeclStmt{Type: t, Name: name.Lit}
-	d.pos = start
+	d := DeclStmt{base: base{pos: start}, Type: t, Name: name.Lit}
 	if p.accept(TokLBracket) {
 		n, err := p.parseExpr()
 		if err != nil {
@@ -405,7 +421,7 @@ func (p *Parser) parseDecl() (*DeclStmt, error) {
 		}
 		d.Init = init
 	}
-	return d, nil
+	return p.decls.copy(&d), nil
 }
 
 func (p *Parser) parseFor() (*ForStmt, error) {
@@ -413,8 +429,7 @@ func (p *Parser) parseFor() (*ForStmt, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	fs := &ForStmt{}
-	fs.pos = start
+	fs := ForStmt{base: base{pos: start}}
 	if !p.at(TokSemi) {
 		if isTypeTok(p.cur().Kind) {
 			d, err := p.parseDecl()
@@ -427,9 +442,7 @@ func (p *Parser) parseFor() (*ForStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			es := &ExprStmt{X: x}
-			es.pos = exprPos(x)
-			fs.Init = es
+			fs.Init = p.exprStmts.copy(&ExprStmt{base: base{pos: exprPos(x)}, X: x})
 		}
 	}
 	if _, err := p.expect(TokSemi); err != nil {
@@ -460,7 +473,7 @@ func (p *Parser) parseFor() (*ForStmt, error) {
 		return nil, err
 	}
 	fs.Body = body
-	return fs, nil
+	return p.fors.copy(&fs), nil
 }
 
 func (p *Parser) parseWhile() (*WhileStmt, error) {
@@ -479,9 +492,7 @@ func (p *Parser) parseWhile() (*WhileStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	ws := &WhileStmt{Cond: cond, Body: body}
-	ws.pos = start
-	return ws, nil
+	return p.whiles.copy(&WhileStmt{base: base{pos: start}, Cond: cond, Body: body}), nil
 }
 
 // parseLoopBody parses a block, or a single statement wrapped in a block.
@@ -493,12 +504,13 @@ func (p *Parser) parseLoopBody() (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Block{}
+	var b Block
 	if s != nil {
 		b.pos = s.NodePos()
-		b.Stmts = []Stmt{s}
+		b.Stmts = p.stmtSlots.take(1)
+		b.Stmts[0] = s
 	}
-	return b, nil
+	return p.blocks.copy(&b), nil
 }
 
 func (p *Parser) parseIf() (*IfStmt, error) {
@@ -517,8 +529,7 @@ func (p *Parser) parseIf() (*IfStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	is := &IfStmt{Cond: cond, Then: then}
-	is.pos = start
+	is := IfStmt{base: base{pos: start}, Cond: cond, Then: then}
 	if p.accept(TokKwElse) {
 		if p.at(TokKwIf) {
 			elseIf, err := p.parseIf()
@@ -534,7 +545,7 @@ func (p *Parser) parseIf() (*IfStmt, error) {
 			is.Else = blk
 		}
 	}
-	return is, nil
+	return p.ifs.copy(&is), nil
 }
 
 // Expression parsing: precedence climbing with assignment at the bottom.
@@ -571,9 +582,7 @@ func (p *Parser) parseAssign() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		a := &AssignExpr{Op: op, LHS: lhs, RHS: rhs}
-		a.pos = exprPos(lhs)
-		return a, nil
+		return p.assigns.copy(&AssignExpr{base: base{pos: exprPos(lhs)}, Op: op, LHS: lhs, RHS: rhs}), nil
 	}
 	return lhs, nil
 }
@@ -599,9 +608,7 @@ func (p *Parser) parseBinaryLevel(ops []TokKind, sub func() (Expr, error)) (Expr
 		if err != nil {
 			return nil, err
 		}
-		b := &BinaryExpr{Op: op, L: l, R: r}
-		b.pos = exprPos(l)
-		l = b
+		l = p.binaries.copy(&BinaryExpr{base: base{pos: exprPos(l)}, Op: op, L: l, R: r})
 	}
 }
 
@@ -642,9 +649,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		u := &UnaryExpr{Op: op, X: x}
-		u.pos = start
-		return u, nil
+		return p.unaries.copy(&UnaryExpr{base: base{pos: start}, Op: op, X: x}), nil
 	case TokLParen:
 		// Possible cast: '(' type ')' unary.
 		if isTypeTok(p.peek().Kind) {
@@ -660,9 +665,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			c := &CastExpr{To: t, X: x}
-			c.pos = start
-			return c, nil
+			return p.casts.copy(&CastExpr{base: base{pos: start}, To: t, X: x}), nil
 		}
 	}
 	return p.parsePostfix()
@@ -684,9 +687,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			if _, err := p.expect(TokRBracket); err != nil {
 				return nil, err
 			}
-			ie := &IndexExpr{Base: x, Index: idx}
-			ie.pos = exprPos(x)
-			x = ie
+			x = p.indexes.copy(&IndexExpr{base: base{pos: exprPos(x)}, Base: x, Index: idx})
 		case TokPlusPlus, TokMinusMinus:
 			op := p.next().Kind
 			switch x.(type) {
@@ -694,9 +695,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			default:
 				return nil, p.errorf("invalid ++/-- target %T", x)
 			}
-			id := &IncDecExpr{Op: op, X: x}
-			id.pos = exprPos(x)
-			x = id
+			x = p.incDecs.copy(&IncDecExpr{base: base{pos: exprPos(x)}, Op: op, X: x})
 		default:
 			return x, nil
 		}
@@ -712,9 +711,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, p.errorf("bad integer literal %q: %v", t.Lit, err)
 		}
-		il := &IntLit{Val: v, Text: t.Lit}
-		il.pos = t.Pos
-		return il, nil
+		return p.ints.copy(&IntLit{base: base{pos: t.Pos}, Val: v, Text: t.Lit}), nil
 	case TokFloatLit:
 		p.next()
 		text := t.Lit
@@ -724,32 +721,25 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, p.errorf("bad float literal %q: %v", t.Lit, err)
 		}
-		fl := &FloatLit{Val: v, Text: text, Single: single}
-		fl.pos = t.Pos
-		return fl, nil
+		return p.floats.copy(&FloatLit{base: base{pos: t.Pos}, Val: v, Text: text, Single: single}), nil
 	case TokStringLit:
 		p.next()
-		sl := &StringLit{Val: t.Lit}
-		sl.pos = t.Pos
-		return sl, nil
+		return p.strs.copy(&StringLit{base: base{pos: t.Pos}, Val: t.Lit}), nil
 	case TokKwTrue, TokKwFalse:
 		p.next()
-		bl := &BoolLit{Val: t.Kind == TokKwTrue}
-		bl.pos = t.Pos
-		return bl, nil
+		return p.bools.copy(&BoolLit{base: base{pos: t.Pos}, Val: t.Kind == TokKwTrue}), nil
 	case TokIdent:
 		p.next()
 		if p.at(TokLParen) {
 			p.next()
-			call := &CallExpr{Fun: t.Lit}
-			call.pos = t.Pos
+			mark := len(p.stack.args)
 			if !p.at(TokRParen) {
 				for {
 					a, err := p.parseExpr()
 					if err != nil {
 						return nil, err
 					}
-					call.Args = append(call.Args, a)
+					p.stack.args = append(p.stack.args, a)
 					if !p.accept(TokComma) {
 						break
 					}
@@ -758,11 +748,9 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if _, err := p.expect(TokRParen); err != nil {
 				return nil, err
 			}
-			return call, nil
+			return p.calls.copy(&CallExpr{base: base{pos: t.Pos}, Fun: t.Lit, Args: cut(&p.stack.args, mark, &p.argSlots)}), nil
 		}
-		id := &Ident{Name: t.Lit}
-		id.pos = t.Pos
-		return id, nil
+		return p.idents.copy(&Ident{base: base{pos: t.Pos}, Name: t.Lit}), nil
 	case TokLParen:
 		p.next()
 		x, err := p.parseExpr()

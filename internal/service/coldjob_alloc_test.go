@@ -22,15 +22,16 @@ import (
 )
 
 // Bounds on what one cold job costs the process, each the count measured
-// when it was set plus 5%: the whole job (≈ 1 466 mallocs), its parse at
-// submit (≈ 608) and its lowerings (≈ 175). A cold job's program has
+// when it was set plus 5%: the whole job (≈ 888 mallocs), its parse at
+// submit (≈ 51) and its lowerings (≈ 175). A cold job's program has
 // never been seen, so it is parsed at submit, its runs all miss the run
 // cache, and each run lowers its program. Before a lowering shared its
 // position prefixes by reference and reused its scratch, a cold
-// job read ≈ 2 396 mallocs and its lowerings ≈ 978.
+// job read ≈ 2 396 mallocs and its lowerings ≈ 978; before the parser
+// took its nodes from slabs, ≈ 1 466 and its parse ≈ 608.
 const (
-	coldJobAllocsBound   = 1540
-	coldParseAllocsBound = 639
+	coldJobAllocsBound   = 932
+	coldParseAllocsBound = 54
 	coldLowerAllocsBound = 184
 )
 

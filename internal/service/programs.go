@@ -29,9 +29,9 @@ const (
 	// used goes.
 	keptPrograms = 32
 	// keptSourceMax is the longest source the table keeps, in bytes: five
-	// times the longest application's. An AST takes at most about 57 bytes
-	// per source byte, so the table holds at most about 30 MB
-	// (docs/OPERATIONS.md).
+	// times the longest application's. An AST takes at most about 52 bytes
+	// per source byte (TestKeptProgramWorstCase fails above 57), so the
+	// table holds at most about 28 MB (docs/OPERATIONS.md).
 	keptSourceMax = 16 << 10
 	// sightingSlots sizes the set of first-sighting hashes. It is two-way
 	// set-associative: a hash goes to the bucket of two slots it maps to

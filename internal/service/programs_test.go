@@ -114,8 +114,8 @@ func TestProgramTableSightingsShareASlot(t *testing.T) {
 }
 
 // TestProgramTableHitAllocations: the third submission of nbody's source
-// is a table hit, which allocates at least 500 times less than the
-// first, a parse.
+// is a table hit, which allocates nothing, while the first costs at least
+// what a parse of the source costs.
 func TestProgramTableHitAllocations(t *testing.T) {
 	src := nbody(t).Source
 	tabs := make([]*programTable, 11)
@@ -137,9 +137,15 @@ func TestProgramTableHitAllocations(t *testing.T) {
 			t.Fatal("the third sighting was not a hit")
 		}
 	})
-	t.Logf("first submission %.0f allocations, third %.0f", first, third)
-	if first < 500 || third*500 > first {
-		t.Errorf("first submission %.0f allocations, third %.0f: want the third 500 times fewer", first, third)
+	parse := testing.AllocsPerRun(10, func() {
+		if _, err := minic.Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("first submission %.0f allocations, third %.0f, a parse %.0f", first, third, parse)
+	if first < parse || third != 0 {
+		t.Errorf("first submission %.0f allocations, third %.0f: want the first at least a parse's %.0f, the third none",
+			first, third, parse)
 	}
 }
 

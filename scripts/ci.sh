@@ -114,9 +114,18 @@ go test -run '^$' -bench . -benchtime=1x .
 # minic.Check) accepts with minic.TypeOf, under the scope the expression
 # is evaluated in, and TypeOf must answer ok == true for each: the VM's
 # lowering relies on it, and the analyses type submitted programs outside
-# the lowering's panic guard.
-go test -run '^$' -fuzz 'FuzzFlowParse' -fuzztime 10s ./internal/flowlang/
-go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/minic/
+# the lowering's panic guard. It holds every list of such a program at
+# capacity, the parser's counting pass exact on it, and a parse from
+# slabs counted empty to the same tree.
+# Go minimizes each input that reaches new coverage for up to
+# -fuzzminimizetime (60 s by default) before it fuzzes on, so a target
+# whose early inputs are large (the bundled sources) spends a 10 s budget
+# on one minimization: FuzzParse ran 46 inputs in 10 s, FuzzBytecodeDiff
+# 14, FuzzReplay 1 386, and FuzzFlowParse and FuzzTraceRender stalled for
+# seconds at a time. Those lines cap minimization at 1 s; FuzzAffine, whose
+# count never stalled, does not.
+go test -run '^$' -fuzz 'FuzzFlowParse' -fuzztime 10s -fuzzminimizetime 1s ./internal/flowlang/
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/minic/
 # Affine-form differential fuzz (short budget): AffineOf's sorted-run
 # arithmetic must never panic on an index expression and must agree with
 # the map-based reference in internal/analysis/deps_test.go.
@@ -126,11 +135,11 @@ go test -run '^$' -fuzz 'FuzzAffine' -fuzztime 10s ./internal/analysis/
 # empty, so it compares the loop-watching mode across the engines and, where
 # outlining accepts the hotspot, against a kernel-watched run of the
 # outlined program.
-go test -run '^$' -fuzz 'FuzzBytecodeDiff' -fuzztime 10s ./internal/interp/
+go test -run '^$' -fuzz 'FuzzBytecodeDiff' -fuzztime 10s -fuzzminimizetime 1s ./internal/interp/
 # Event-detail differential fuzz (short budget): the one renderer of trace
 # lines and event details must write what fmt.Sprintf writes for every
 # format of the events table, whatever the operands.
-go test -run '^$' -fuzz 'FuzzTraceRender' -fuzztime 10s ./internal/events/
+go test -run '^$' -fuzz 'FuzzTraceRender' -fuzztime 10s -fuzzminimizetime 1s ./internal/events/
 # Examples run, not just compile: go build above is all that otherwise sees
 # them. Fig. 4 itself is written once, in examples/flows/paper.psa, and
 # every example that runs it calls flowlang.PSAFlow; the examples that
@@ -178,7 +187,7 @@ CHAOS_SEEDS=2 scripts/chaos.sh
 # WAL frame-decode fuzz (short budget): replay must tolerate arbitrary
 # torn/corrupt segment bytes without panicking or failing the open, and
 # every position it indexes must read back.
-go test -run '^$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/store/
+go test -run '^$' -fuzz 'FuzzReplay' -fuzztime 10s -fuzzminimizetime 1s ./internal/store/
 # The store index holds positions, and compaction is where they move: Get
 # and Append racing CompactNow must never see a short read or another job's
 # document — 20 runs, because the window is one position swap wide.
